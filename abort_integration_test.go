@@ -272,6 +272,47 @@ Join
 	}
 }
 
+// TestForcerunVerboseNarratesPartition pins the -v narration of the
+// chunk tier's partition choice on the benchmark's stream.force: both of
+// its prescheduled DOALLs are disjoint sweeps nothing can observe the
+// iteration-to-process map of, so both are dealt in blocks — and a
+// body that stores ME keeps the cyclic deal, with the reason.  The
+// narration is compile-time, so the program's output is untouched.
+func TestForcerunVerboseNarratesPartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs forcerun with the go toolchain")
+	}
+	bin := buildForcerun(t)
+	out, code := runForcerun(t, time.Minute, bin, "-np", "2", "-v",
+		filepath.Join("benchmark", "programs", "doall-stream", "stream.force"))
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, out)
+	}
+	for _, want := range []string{
+		"forcerun: tier chunked: np 2, chunk 16, fusion on",
+		"forcerun: fuse: line 17: DOALL partition=block",
+		"forcerun: fuse: line 22: DOALL partition=block",
+		"stream checksum 279913",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	prog := writeProgram(t, `Force OWN of NP ident ME
+Shared Integer OWNER(8)
+Private Integer I
+End Declarations
+Presched DO I = 1, 8
+  OWNER(I) = ME
+End Presched DO
+Join
+`)
+	out, code = runForcerun(t, time.Minute, bin, "-np", "2", "-v", prog)
+	if want := "forcerun: fuse: line 5: DOALL partition=cyclic (reads private ME)"; code != 0 || !strings.Contains(out, want) {
+		t.Errorf("exit %d, output missing %q:\n%s", code, want, out)
+	}
+}
+
 // TestGeneratedDriverRecoversAbort: the codegen driver must report a
 // non-uniform runtime failure as a force runtime error and exit 1, not
 // die with a goroutine dump.

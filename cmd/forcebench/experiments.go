@@ -804,19 +804,19 @@ type interpReport struct {
 // expT11 is the interpreter experiment: the same Force kernels executed
 // by the original tree walker (names resolved through string maps on
 // every access, all shared storage serialized by one mutex), by the
-// slot-resolved closure compiler (index-addressed frames, per-variable
-// atomic cells and lock-striped arrays), and by the chunk tier on top
-// of it (uniform subexpressions hoisted out of the loop, whole spans
-// run as tight loops, disjoint shared-array traffic through the striped
-// store's bulk walker), across NP.
+// slot-resolved closure compiler (index-addressed frames, every shared
+// scalar and array element one atomic word), and by the chunk tier on
+// top of it (uniform subexpressions hoisted out of the loop, whole
+// spans run as tight loops over typed element accessors, disjoint
+// prescheduled sweeps dealt in contiguous blocks), across NP.
 //
 // The shared-heavy kernel is scalar shared traffic — every iteration
 // reads and writes shared scalars, the access pattern the global mutex
 // penalizes even single-process (map lookup + lock per access).  The
 // disjoint-writes kernel sweeps a shared array with each iteration
 // touching its own element: under the tree walker every element store
-// serializes on the one mutex regardless of NP; under the striped store
-// disjoint elements take disjoint stripes.
+// serializes on the one mutex regardless of NP; in the compiled store
+// disjoint elements are disjoint atomic words and never meet.
 func expT11(c config) error {
 	sharedN := 200000
 	arrayN, sweeps := 4096, 50
@@ -880,8 +880,8 @@ Join
 			Header: append([]string{"engine"}, npHeaders(c.npSweep())...),
 			Notes: []string{
 				"tree = map-addressed walker, one mutex around all shared storage",
-				"compiled = slot-resolved typed closures, per-variable atomic cells + striped arrays",
-				"chunked = compiled plus chunk tier: uniform hoisting, bulk striped-store walker, per-span tight loops",
+				"compiled = slot-resolved typed closures, shared scalars and array elements as atomic words",
+				"chunked = compiled plus chunk tier: uniform hoisting, typed unboxed element access, per-span tight loops, block partition",
 			},
 		}
 		atbl := &stats.Table{

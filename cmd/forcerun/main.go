@@ -16,8 +16,8 @@
 //
 // -exec selects the execution engine: "chunked" (the default: the
 // closure compiler plus the chunk tier, running provably safe DOALL
-// bodies as per-span tight loops over the striped store's bulk
-// walker), "compiled" (the per-iteration closure compiler, the chunk
+// bodies as per-span tight loops over typed atomic-word accessors),
+// "compiled" (the per-iteration closure compiler, the chunk
 // tier's A/B baseline) or "tree" (the original map-addressed tree
 // walker behind one shared mutex); forcebench T11 measures all three.
 //
@@ -29,7 +29,10 @@
 // -fuse off restores one barrier per construct for A/B timing.  With
 // -v each fusion decision — what fused, what declined and why — is
 // narrated on standard error, along with the chosen exec tier and
-// chunk size for the run.
+// chunk size for the run and, per prescheduled DOALL site, how its
+// iterations are dealt: "partition=block" (contiguous spans, taken
+// when nothing can observe the iteration-to-process map) or
+// "partition=cyclic (<reason>)".
 //
 // Two further spellings select the ahead-of-time native tier
 // (internal/aot): "aot" translates the program to Go, builds it once

@@ -22,11 +22,16 @@
 //		   ├── interp        SPMD interpreter: a resolve pass binds every
 //		   │                 reference to a (storage class, slot) pair and a
 //		   │                 compile pass emits typed closures over
-//		   │                 index-addressed frames — shared scalars are
-//		   │                 atomic cells, shared arrays lock-striped — and
-//		   │                 a classify pass (uniform vs varying) lets safe
-//		   │                 DOALL bodies run as chunk-compiled tight loops
-//		   │                 over the striped store's bulk walker, with the
+//		   │                 index-addressed frames — every shared scalar
+//		   │                 and shared array element is one atomic word
+//		   │                 typed by its declaration, no locks in the
+//		   │                 store; a racy program observes, per element,
+//		   │                 some whole value stored there — and a classify
+//		   │                 pass (uniform vs varying) lets safe DOALL
+//		   │                 bodies run as chunk-compiled tight loops over
+//		   │                 typed unboxed accessors, a prescheduled loop
+//		   │                 whose iteration→process map nothing observes
+//		   │                 dealt in contiguous blocks, with the
 //		   │                 per-iteration compiler and the original tree
 //		   │                 walker kept as A/B baselines (forcerun -exec
 //		   │                 chunked|compiled|tree, forcebench T11); a fuse
@@ -103,7 +108,13 @@
 //	    poisons through it when a context is canceled or its deadline
 //	    passes, so the same wake-and-unwind path serves forcerun
 //	    -timeout, Force.Shutdown, and the aot tier's kill of the child's
-//	    process group (forcebench T13 measures the cancel latency);
+//	    process group (forcebench T13 measures the cancel latency).  It
+//	    also owns the one wait policy every spinning primitive waits
+//	    through: a short spin, then — only while np <= GOMAXPROCS, which
+//	    the cell learns at core.New — a time-bounded spin of about one
+//	    park/wake round trip, then a sleep ladder, so a waiter with a CPU
+//	    of its own does not oversleep a release microseconds away and an
+//	    oversubscribed one still parks (BenchmarkBarrierLateArrival);
 //
 //	  - internal/faultinject is the chaos layer over the same choke
 //	    points: 17 named injection sites (barrier.enter ... fuse.join)

@@ -254,6 +254,7 @@ func New(np int, opts ...Option) *Force {
 		o(f)
 	}
 	f.pc = poison.NewCell()
+	f.pc.SetProcs(np)
 	f.sites = make([]procSite, np)
 	f.bar = barrier.New(f.barKind, np, f.profile.LockFactory())
 	barrier.SetPoison(f.bar, f.pc)

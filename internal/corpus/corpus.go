@@ -19,7 +19,9 @@
 //   - Chunk: the PR-6 chunk matrix — programs chosen to hit the chunk
 //     tier's edges (strides, empty ranges, two-index DOALLs,
 //     disjointness proofs and their failures, accumulator folding,
-//     final loop-variable values);
+//     final loop-variable values, and bodies that make the
+//     iteration-to-process map observable, which must keep the cyclic
+//     deal);
 //   - Fusion / FusionFaults: the PR-10 fusion matrix — programs shaped
 //     for the chunk tier's fusion pass (adjacent independent DOALLs,
 //     overlapping must-NOT-fuse pairs, foldable reduction tails, a
@@ -699,6 +701,76 @@ End Presched DO
 Print 'me', ME, I
 Join
 `},
+	// The next three make the iteration-to-process map OBSERVABLE, so
+	// the chunk tier must keep the paper's cyclic deal for them (a
+	// contiguous-block partition would print different lines).
+	// A private scalar carried across a process's iterations and
+	// printed per process.
+	{"partition-private-carry", 0, `Force PCARRY of NP ident ME
+Shared Real A(40)
+Private Integer I, C
+End Declarations
+C = 0
+Presched DO I = 1, 40
+  C = C + I
+  A(I) = REAL(I)
+End Presched DO
+Print 'me', ME, C
+Join
+`},
+	// The executing process's id stored into a disjoint array.
+	{"partition-me-into-array", 0, `Force PME of NP ident ME
+Shared Integer OWNER(24)
+Shared Integer T
+Private Integer I
+End Declarations
+Presched DO I = 1, 24
+  OWNER(I) = ME
+End Presched DO
+Barrier
+  T = 0
+  DO I = 1, 24
+    T = T + OWNER(I) * I
+  End DO
+  Print T
+End Barrier
+Join
+`},
+	// A private temporary written in the body and printed after the
+	// loop: each process shows its LAST iteration's value.
+	{"partition-private-temp", 0, `Force PTEMP of NP ident ME
+Shared Real A(30)
+Private Integer I
+Private Real T
+End Declarations
+T = 0.0
+Presched DO I = 1, 30
+  T = REAL(I) * 2.0
+  A(I) = T + 1.0
+End Presched DO
+Print 'me', ME, NINT(T)
+Join
+`},
+	// The control: nothing observes the map, so the loop is dealt in
+	// blocks — and the loop variable each process prints afterwards is
+	// still the cyclic deal's (two-index form included).
+	{"partition-block-loop-vars", 0, `Force PBLK of NP ident ME
+Shared Real A(37)
+Shared Integer G(5, 7)
+Private Integer I, J
+End Declarations
+I = 0 - 9
+J = 0 - 9
+Presched DO I = 37, 1, -1
+  A(I) = REAL(I) * 0.5
+End Presched DO
+Print 'one', ME, I, NINT(A(37))
+Presched DO I = 1, 5 also J = 1, 7
+  G(I, J) = I * 10 + J
+End Presched DO
+Print 'two', ME, I, J, G(5, 7)
+Join
+`},
 }
 
 // Fusion is the fusion-pass matrix: programs shaped so the chunk tier's
@@ -876,6 +948,32 @@ End Selfsched DO
 Barrier
   T = 0.0
   DO I = 1, 90
+    T = T + B(I)
+  End DO
+  Print NINT(T)
+End Barrier
+Join
+`},
+	// A fusible pair where only the first member is mapping-insensitive
+	// (the second stores ME-dependent values): the region needs ONE
+	// iteration-to-process map, so fused it keeps the cyclic deal for
+	// both members, and its output matches the unfused run, where the
+	// first member alone is dealt in blocks.
+	{"fuse-mixed-partition", 0, `Force FMIXP of NP ident ME
+Shared Real A(48)
+Shared Real B(48)
+Private Integer I
+Private Real T
+End Declarations
+Presched DO I = 1, 48
+  A(I) = REAL(I)
+End Presched DO
+Presched DO I = 1, 48
+  B(I) = A(I) + REAL(ME * I)
+End Presched DO
+Barrier
+  T = 0.0
+  DO I = 1, 48
     T = T + B(I)
   End DO
   Print NINT(T)

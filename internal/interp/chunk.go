@@ -14,9 +14,9 @@ package interp
 //     slots; the iteration loop reads slots.  Only non-panicking
 //     expressions hoist (no integer division, MOD or SQRT), so hoisting
 //     can never surface an error a per-iteration run would not.
-//   - accesses to disjoint-proven shared arrays go through one
-//     stripeWalker that holds a single stripe lock across consecutive
-//     elements (store.go); everything else keeps per-element striping.
+//   - shared scalars and shared-array elements are read and written
+//     through the store's typed accessors (store.go): one atomic word
+//     operation each, no boxed value, no lock.
 //   - accumulator scalars (S = S + e, S = MAX(S, e), S = MIN(S, e))
 //     accumulate into a private per-chunk slot and fold into the shared
 //     cell with one atomic RMW at chunk end — an add for sums, a strict
@@ -32,6 +32,7 @@ package interp
 
 import (
 	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/forcelang"
@@ -44,14 +45,12 @@ import (
 const poisonEvery = 256
 
 // kctx is the per-construct chunk context: the live loop indices, the
-// hoisted uniform values, the bulk stripe walker and the private
-// accumulator slots.
+// hoisted uniform values and the private accumulator slots.
 type kctx struct {
 	i, j int64 // current loop index values
 	uniI []int64
 	uniR []float64
 	uniB []bool
-	w    stripeWalker
 	accI []int64
 	accR []float64
 }
@@ -135,22 +134,43 @@ func (c *compiler) tryChunkParDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 	}
 	plan, reason := classifyParDo(c.res.prog, t, lay)
 	if reason != "" {
+		c.partitionLog(t, "not chunk-compiled:", reason)
 		return nil
 	}
-	return c.chunkParDo(t, lay, plan, false)
+	c.partitionLog(t, plan.cyclicWhy, plan.cyclicName)
+	return c.chunkParDo(t, lay, plan, false, plan.cyclicWhy == "")
 }
+
+// partitionLog narrates, through the FuseLog sink, how a prescheduled
+// DOALL is dealt: in blocks (why == "") or cyclically, and why.
+func (c *compiler) partitionLog(t *forcelang.ParDo, why, name string) {
+	switch {
+	case c.in.cfg.FuseLog == nil || t.Sched != forcelang.Presched:
+	case why == "":
+		c.fuseLogf("line %d: DOALL partition=block", t.Pos())
+	default:
+		c.fuseLogf("line %d: DOALL partition=cyclic (%s)", t.Pos(), strings.TrimSpace(why+" "+name))
+	}
+}
+
+// cyclicLast is the last ordinal of 0..n-1 the cyclic deal hands process
+// pid (< n) of np.  A block-dealt chunk leaves the loop variable at that
+// ordinal's index, so its value after the loop is partition-independent.
+func cyclicLast(pid, np, n int) int { return pid + (n-1-pid)/np*np }
 
 // chunkParDo compiles the chunk-tier execution of t against its plan.
 // When open is true the construct is emitted as a member of a fused
 // region: spans run through DoAllChunkedOpen and no exit barrier is
 // executed — the caller must close the region with a FusedJoin on every
-// process.  Chunk contexts are recycled through a per-site pool: a
-// construct inside a sequential loop executes many times per run, and
-// every execution would otherwise reallocate the context and its slot
-// slices.  A context is returned to the pool only on normal completion
-// (flushed accumulators, released walker), so a poisoned unwind simply
-// abandons it.
-func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPlan, open bool) stmtFn {
+// process.  block deals a prescheduled loop in contiguous blocks instead
+// of cyclically; callers pass it only when plan.cyclicWhy == "" (for a
+// fused region, every member's).  Chunk contexts are recycled through a
+// per-site pool: a construct inside a sequential loop executes many
+// times per run, and every execution would otherwise reallocate the
+// context and its slot slices.  A context is returned to the pool only
+// on normal completion (flushed accumulators), so a poisoned unwind
+// simply abandons it.
+func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPlan, open, block bool) stmtFn {
 	k := &kcompiler{c: c, lay: lay, plan: plan}
 	body := k.stmts(t.Body)
 	accCells := make([]accCell, len(plan.accSyms))
@@ -160,13 +180,15 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 	fromF, toF, stepF := c.cInt(t.From, lay), c.cInt(t.To, lay), c.stepFn(t.Step, lay)
 	storeVar := c.intVarStore(t.Var, lay, t.Pos())
 	line := t.From.Pos()
-	presched := t.Sched == forcelang.Presched
 	note := noteStr("DOALL", t.Pos())
-	selfKind := func(pr *cproc) sched.Kind {
-		if presched {
-			return sched.PreschedCyclic
-		}
-		return pr.in.cfg.Selfsched
+	kind := c.in.cfg.Selfsched
+	switch {
+	case t.Sched != forcelang.Presched:
+		block = false
+	case block:
+		kind = sched.PreschedBlock
+	default:
+		kind = sched.PreschedCyclic
 	}
 	pool := &sync.Pool{New: func() any { return newKctx(plan) }}
 
@@ -190,7 +212,6 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 				if stride > 1 {
 					cnt = (cnt + stride - 1) / stride
 				}
-				defer kc.w.release()
 				i := base + int64(lo)*incr
 				di := int64(stride) * incr
 				ctr := 0
@@ -203,14 +224,17 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 						pr.p.Check()
 					}
 				}
-				kc.w.release()
-				storeVar(pr, fr, i-di)
+				last := i - di
+				if block {
+					last = base + int64(cyclicLast(pr.p.ID(), pr.p.NP(), r.Count()))*incr
+				}
+				storeVar(pr, fr, last)
 				kc.flush(accCells)
 			}
 			if open {
-				pr.p.DoAllChunkedOpen(selfKind(pr), r, chunkFn)
+				pr.p.DoAllChunkedOpen(kind, r, chunkFn)
 			} else {
-				pr.p.DoAllChunked(selfKind(pr), r, chunkFn)
+				pr.p.DoAllChunked(kind, r, chunkFn)
 			}
 			pool.Put(kc)
 		}
@@ -243,7 +267,6 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 			if hi <= lo {
 				return
 			}
-			defer kc.w.release()
 			ctr := 0
 			var li, lj int64
 			for kk := lo; kk < hi; kk += stride {
@@ -255,12 +278,15 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 					pr.p.Check()
 				}
 			}
-			kc.w.release()
+			if block {
+				kk := cyclicLast(pr.p.ID(), pr.p.NP(), r.Count()*n2)
+				li, lj = int64(r.Index(kk/n2)), int64(r2.Index(kk%n2))
+			}
 			storeVar(pr, fr, li)
 			storeInner(pr, fr, lj)
 			kc.flush(accCells)
 		}
-		pr.p.DoAll2Chunked(selfKind(pr), r, r2, chunkFn)
+		pr.p.DoAll2Chunked(kind, r, r2, chunkFn)
 		pool.Put(kc)
 	}
 }
@@ -388,24 +414,34 @@ func (k *kcompiler) assign(t *forcelang.Assign) kstmtFn {
 		}
 		panic(compileErrf("line %d: internal: chunked assignment to %s", t.Pos(), t.Target.Name))
 	}
-	ev := k.kValAs(t.Expr, tt)
+	off := k.kOffset(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos())
 	switch sym.class {
 	case scSharedArray:
+		// The value is evaluated before the subscripts, as everywhere.
 		arr := k.c.in.array(sym.unit, sym.slot)
-		off := k.kOffset(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos())
-		if k.plan.disjoint[t.Target.Name] {
+		switch tt {
+		case forcelang.TInt:
+			iv := k.kAsInt(t.Expr)
 			return func(pr *cproc, fr *frame, kc *kctx) {
-				v := ev(pr, fr, kc)
-				kc.w.storeAt(arr, off(pr, fr, kc), v)
+				v := iv(pr, fr, kc)
+				arr.storeInt(off(pr, fr, kc), v)
 			}
-		}
-		return func(pr *cproc, fr *frame, kc *kctx) {
-			v := ev(pr, fr, kc)
-			arr.store(off(pr, fr, kc), v)
+		case forcelang.TReal:
+			rv := k.kReal(t.Expr)
+			return func(pr *cproc, fr *frame, kc *kctx) {
+				v := rv(pr, fr, kc)
+				arr.storeReal(off(pr, fr, kc), v)
+			}
+		default:
+			bv := k.kBool(t.Expr)
+			return func(pr *cproc, fr *frame, kc *kctx) {
+				v := bv(pr, fr, kc)
+				arr.storeBool(off(pr, fr, kc), v)
+			}
 		}
 	case scPrivArray:
 		slot := sym.slot
-		off := k.kOffset(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos())
+		ev := k.kValAs(t.Expr, tt)
 		return func(pr *cproc, fr *frame, kc *kctx) {
 			v := ev(pr, fr, kc)
 			fr.arrs[slot].data[off(pr, fr, kc)] = v
@@ -686,11 +722,26 @@ func (k *kcompiler) kRefInt(t *forcelang.Ref) kintFn {
 			return func(pr *cproc, fr *frame, kc *kctx) int64 { return cell.loadInt() }
 		}
 	}
+	if arr, off := k.kSharedElem(t); arr != nil {
+		return func(pr *cproc, fr *frame, kc *kctx) int64 { return arr.loadInt(off(pr, fr, kc)) }
+	}
 	lv := k.kRefLoad(t)
 	return func(pr *cproc, fr *frame, kc *kctx) int64 { return lv(pr, fr, kc).i }
 }
 
-// kRefLoad mirrors refLoad: the boxed load of any reference.
+// kSharedElem resolves a subscripted shared-array reference to its array
+// and offset closure, for the typed element loads; a nil array means t
+// is anything else.
+func (k *kcompiler) kSharedElem(t *forcelang.Ref) (*sharedArray, func(pr *cproc, fr *frame, kc *kctx) int) {
+	sym := k.lay.lookup(t.Name, t.Pos())
+	if len(t.Subs) == 0 || sym.class != scSharedArray {
+		return nil, nil
+	}
+	return k.c.in.array(sym.unit, sym.slot), k.kOffset(sym.decl.Dims, t.Subs, t.Name, t.Pos())
+}
+
+// kRefLoad mirrors refLoad: the boxed load of any reference but a
+// shared-array element, which every caller loads typed (kSharedElem).
 func (k *kcompiler) kRefLoad(t *forcelang.Ref) kvalFn {
 	sym := k.lay.lookup(t.Name, t.Pos())
 	if len(t.Subs) == 0 {
@@ -708,13 +759,6 @@ func (k *kcompiler) kRefLoad(t *forcelang.Ref) kvalFn {
 		panic(compileErrf("line %d: %s cannot be read directly", t.Pos(), t.Name))
 	}
 	switch sym.class {
-	case scSharedArray:
-		arr := k.c.in.array(sym.unit, sym.slot)
-		off := k.kOffset(sym.decl.Dims, t.Subs, t.Name, t.Pos())
-		if k.plan.disjoint[t.Name] {
-			return func(pr *cproc, fr *frame, kc *kctx) value { return kc.w.loadAt(arr, off(pr, fr, kc)) }
-		}
-		return func(pr *cproc, fr *frame, kc *kctx) value { return arr.load(off(pr, fr, kc)) }
 	case scPrivArray:
 		slot := sym.slot
 		off := k.kOffset(sym.decl.Dims, t.Subs, t.Name, t.Pos())
@@ -823,6 +867,9 @@ func (k *kcompiler) kRefReal(t *forcelang.Ref) krealFn {
 			return func(pr *cproc, fr *frame, kc *kctx) float64 { return cell.loadReal() }
 		}
 	}
+	if arr, off := k.kSharedElem(t); arr != nil {
+		return func(pr *cproc, fr *frame, kc *kctx) float64 { return arr.loadReal(off(pr, fr, kc)) }
+	}
 	lv := k.kRefLoad(t)
 	return func(pr *cproc, fr *frame, kc *kctx) float64 { return lv(pr, fr, kc).r }
 }
@@ -887,6 +934,9 @@ func (k *kcompiler) kBool(e forcelang.Expr) kboolFn {
 				cell := k.c.in.scalar(sym.unit, sym.slot)
 				return func(pr *cproc, fr *frame, kc *kctx) bool { return cell.loadBool() }
 			}
+		}
+		if arr, off := k.kSharedElem(t); arr != nil {
+			return func(pr *cproc, fr *frame, kc *kctx) bool { return arr.loadBool(off(pr, fr, kc)) }
 		}
 		lv := k.kRefLoad(t)
 		return func(pr *cproc, fr *frame, kc *kctx) bool { return lv(pr, fr, kc).b }

@@ -284,6 +284,105 @@ Join
 	}
 }
 
+// TestClassifyPartition pins the mapping-insensitivity verdict behind
+// the block partition: the accept cases, and the narrated reason of
+// every decline rule.
+func TestClassifyPartition(t *testing.T) {
+	const head = `Force C of NP ident ME
+Shared Real A(64), B(64)
+Shared Integer G(8, 8)
+Shared Integer S, LAST
+Shared Real TOP
+Private Integer I, J, K
+Private Real T
+End Declarations
+`
+	for _, tc := range []struct{ name, loop, body, want string }{
+		{"stream", "I = 1, 64", "A(I) = A(I) * 0.5 + B(I)", ""},
+		{"read-only neighbours", "I = 2, 63", "A(I) = (B(I - 1) + B(I + 1)) / 2.0", ""},
+		{"accumulators", "I = 1, 64", "S = S + I\n  TOP = MAX(TOP, A(I))", ""},
+		{"two-index", "I = 1, 8 also J = 1, 8", "G(I, J) = I * J", ""},
+		{"shared scalar read", "I = 1, 64", "A(I) = REAL(S)", ""},
+		{"private carried", "I = 1, 64", "K = K + I\n  A(I) = 1.0", "writes private K"},
+		{"private temporary", "I = 1, 64", "T = B(I)\n  A(I) = T", "writes private T"},
+		{"private read", "I = 1, 64", "A(I) = REAL(K)", "reads private K"},
+		{"process id", "I = 1, 64", "A(I) = REAL(ME)", "reads private ME"},
+		{"sequential DO index", "I = 1, 64", "DO K = 1, 2\n    A(I) = B(I)\n  End DO", "writes private K"},
+		{"overlapping forms", "I = 2, 64", "A(I) = A(I - 1)", "non-disjoint, non-accumulator write of shared A"},
+		{"same element", "I = 1, 64", "A(3) = B(I)", "non-disjoint, non-accumulator write of shared A"},
+		{"plain scalar store", "I = 1, 64", "LAST = I", "non-disjoint, non-accumulator write of shared LAST"},
+	} {
+		plan, reason := classify(t, head+"Presched DO "+tc.loop+"\n  "+tc.body+"\nEnd Presched DO\nJoin\n")
+		if plan == nil {
+			t.Fatalf("%s fell back entirely: %s", tc.name, reason)
+		}
+		if got := strings.TrimSpace(plan.cyclicWhy + " " + plan.cyclicName); got != tc.want {
+			t.Errorf("%s: cyclic reason = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	// A parameter may alias anything: the subroutine's DOALL stays cyclic.
+	logs := fuseLogs(t, `Force C of NP ident ME
+Shared Real A(16)
+End Declarations
+Call FILL(A)
+Join
+Forcesub FILL(X)
+Shared Real X(16)
+Private Integer I
+End Declarations
+Presched DO I = 1, 16
+  X(I) = 1.0
+End Presched DO
+Endsub
+`, Config{})
+	if !logsContain(logs, "line 10: DOALL partition=cyclic (") {
+		t.Errorf("parameter-writing DOALL not narrated cyclic: %q", logs)
+	}
+}
+
+// TestPartitionDecisions pins, through the FuseLog narration, how the
+// prescheduled DOALLs of the partition-sensitive corpus programs are
+// dealt: the observable ones keep the cyclic deal, the control and the
+// fused chains take blocks, and a fused region with one sensitive
+// member stays cyclic throughout while its unfused first member does
+// not.
+func TestPartitionDecisions(t *testing.T) {
+	byName := map[string]string{}
+	for _, fam := range [][]corpus.Program{corpus.Chunk, corpus.Fusion} {
+		for _, p := range fam {
+			byName[p.Name] = p.Src
+		}
+	}
+	for _, tc := range []struct {
+		prog   string
+		noFuse bool
+		want   []string
+	}{
+		{"partition-private-carry", false, []string{"line 6: DOALL partition=cyclic (writes private C)"}},
+		{"partition-me-into-array", false, []string{"line 6: DOALL partition=cyclic (reads private ME)"}},
+		{"partition-private-temp", false, []string{"line 7: DOALL partition=cyclic (writes private T)"}},
+		{"partition-block-loop-vars", false, []string{"line 8: DOALL partition=block", "line 12: DOALL partition=block"}},
+		{"loop-var-final", false, []string{"line 5: DOALL partition=block"}},
+		{"fuse-presched-chain", false, []string{"line 8: DOALL partition=block", "line 11: DOALL partition=block", "line 14: DOALL partition=block"}},
+		{"fuse-gsum-tail", false, []string{"line 8: DOALL partition=block", "line 11: DOALL partition=block"}},
+		{"fuse-mixed-partition", false, []string{
+			"line 7: DOALL partition=cyclic (reads private ME)", "line 10: DOALL partition=cyclic (reads private ME)"}},
+		{"fuse-mixed-partition", true, []string{
+			"line 7: DOALL partition=block", "line 10: DOALL partition=cyclic (reads private ME)"}},
+	} {
+		src, ok := byName[tc.prog]
+		if !ok {
+			t.Fatalf("no corpus program %s", tc.prog)
+		}
+		logs := fuseLogs(t, src, Config{NoFuse: tc.noFuse})
+		for _, want := range tc.want {
+			if !logsContain(logs, want) {
+				t.Errorf("%s (NoFuse=%v): logs %q lack %q", tc.prog, tc.noFuse, logs, want)
+			}
+		}
+	}
+}
+
 // TestChunkedAbortLatency errors one iteration deep inside a large
 // chunked DOALL: the failing process poisons the force mid-chunk and
 // its peers, spinning through their own chunks, must notice via the

@@ -16,10 +16,9 @@ package interp
 //     uses one identical subscript form, affine in the loop indices with
 //     literal coefficients and an index-free remainder, and that form is
 //     injective on the index space (nonzero coefficient for one index,
-//     a nonsingular 2x2 minor for two).  Disjoint arrays are accessed
-//     through the striped store's bulk walker; everything else keeps the
-//     per-element stripe discipline (same-element writes stay correct,
-//     they just do not amortize).
+//     a nonsingular 2x2 minor for two).  Every element is an atomic
+//     word either way; disjointness is the legality fact the fusion
+//     pass, the partition choice below and forcevet consume.
 //   - which shared scalars are pure accumulators: every appearance in
 //     the body is one accumulator shape over the same operator —
 //     `S = S + e` / `S = S - e` with an INTEGER right-hand side (sums
@@ -30,11 +29,21 @@ package interp
 //     privately per chunk and fold into the cell with one atomic RMW:
 //     an add for sums, a compare-and-swap race for extrema.
 //
-// A body that reads or writes subroutine parameters disables the bulk
-// walker and the accumulator folding (a parameter may alias any shared
-// cell or element, so holding a stripe across a parameter access could
-// self-deadlock, and folding could reorder aliased writes); the body
-// still chunk-compiles with per-element access.
+//   - whether the body is MAPPING-INSENSITIVE: nothing it computes or
+//     leaves behind depends on which process ran which iteration.  That
+//     holds when it touches no private name but its loop indices (a
+//     written private carries state across a process's iterations and
+//     out of the loop; a read one may hold a process-varying value such
+//     as ME), every shared array it writes is proven disjoint and every
+//     shared scalar it writes is a folded accumulator.  A prescheduled
+//     DOALL over such a body is dealt in contiguous blocks (each process
+//     writes its own run of cache lines) instead of the paper's cyclic
+//     deal, its index left at the value the cyclic deal would leave.
+//
+// A body that reads or writes subroutine parameters disables the
+// disjointness proof and the accumulator folding (a parameter may alias
+// any shared cell or element, so folding could reorder aliased writes);
+// the body still chunk-compiles.
 
 import (
 	"fmt"
@@ -53,12 +62,16 @@ type chunkPlan struct {
 	// (including sequential DO indices).  References to written names
 	// are varying; everything else index-free is uniform.
 	written map[string]bool
-	// noBulk disables the stripe walker and accumulator folding
+	// noBulk disables the disjointness proof and accumulator folding
 	// (parameter references present).
 	noBulk bool
 	// disjoint holds the written shared arrays proven element-disjoint
-	// across iterations; their accesses compile to walker accesses.
+	// across iterations.
 	disjoint map[string]bool
+	// cyclicWhy is "" for a mapping-insensitive body, else the reason
+	// (a phrase, completed by cyclicName when that is set) a Presched
+	// DOALL over it must keep the cyclic deal.
+	cyclicWhy, cyclicName string
 	// accs maps accumulator scalars to their private-slot index.
 	accs map[string]int
 	// accSyms holds the accumulator records in slot order.
@@ -91,12 +104,6 @@ type accRec struct {
 	real bool
 }
 
-// arrayUse records one subscripted access during classification.
-type arrayUse struct {
-	ref   *forcelang.Ref
-	write bool
-}
-
 // classifier carries the single-walk state.
 type classifier struct {
 	prog *forcelang.Program
@@ -116,7 +123,8 @@ type classifier struct {
 	accOps   map[string]accOp
 	tainted  map[string]bool
 
-	arrays map[string][]arrayUse
+	// arrays holds every subscripted access (read or write) per name.
+	arrays map[string][]*forcelang.Ref
 }
 
 // classifyParDo analyses t's body.  It returns the plan, or a fallback
@@ -153,7 +161,7 @@ func classifyParDo(prog *forcelang.Program, t *forcelang.ParDo, lay *unitLayout)
 		writes:   map[string]int{},
 		accOps:   map[string]accOp{},
 		tainted:  map[string]bool{},
-		arrays:   map[string][]arrayUse{},
+		arrays:   map[string][]*forcelang.Ref{},
 	}
 	if reason := cl.stmts(t.Body); reason != "" {
 		return nil, reason
@@ -163,7 +171,36 @@ func classifyParDo(prog *forcelang.Program, t *forcelang.ParDo, lay *unitLayout)
 	}
 	cl.planArrays()
 	cl.planAccs()
+	cl.planPartition()
 	return plan, ""
+}
+
+// planPartition completes the mapping-insensitivity verdict (see the
+// file comment) that touchPriv started during the walk.
+func (cl *classifier) planPartition() {
+	plan := cl.plan
+	if plan.noBulk {
+		plan.cyclicWhy, plan.cyclicName = "parameter reference", ""
+	}
+	if plan.cyclicWhy != "" {
+		return
+	}
+	for name := range plan.written { // only shared names: no private was touched
+		_, isAcc := plan.accs[name]
+		if !isAcc && !plan.disjoint[name] && (plan.cyclicName == "" || name < plan.cyclicName) {
+			plan.cyclicWhy, plan.cyclicName = "non-disjoint, non-accumulator write of shared", name
+		}
+	}
+}
+
+// touchPriv records the body's first use of a private name that is not
+// one of its own loop indices.
+func (cl *classifier) touchPriv(verb, name string) {
+	sym := cl.lay.syms[name]
+	if cl.plan.cyclicWhy == "" && (sym.class == scPrivate || sym.class == scPrivArray) &&
+		name != cl.plan.outer && name != cl.plan.inner {
+		cl.plan.cyclicWhy, cl.plan.cyclicName = verb, name
+	}
 }
 
 func (cl *classifier) stmts(body []forcelang.Stmt) string {
@@ -192,6 +229,7 @@ func (cl *classifier) stmt(st forcelang.Stmt) string {
 		}
 		cl.plan.written[t.Var] = true
 		cl.tainted[t.Var] = true
+		cl.touchPriv("writes private", t.Var)
 		cl.expr(t.From)
 		cl.expr(t.To)
 		if t.Step != nil {
@@ -216,8 +254,9 @@ func (cl *classifier) assign(t *forcelang.Assign) string {
 		return fmt.Sprintf("assignment through parameter %s", t.Target.Name)
 	}
 	cl.plan.written[t.Target.Name] = true
+	cl.touchPriv("writes private", t.Target.Name)
 	if len(t.Target.Subs) > 0 {
-		cl.arrays[t.Target.Name] = append(cl.arrays[t.Target.Name], arrayUse{ref: &t.Target, write: true})
+		cl.arrays[t.Target.Name] = append(cl.arrays[t.Target.Name], &t.Target)
 		for _, s := range t.Target.Subs {
 			cl.expr(s)
 		}
@@ -299,39 +338,25 @@ func (cl *classifier) expr(e forcelang.Expr) {
 			cl.plan.noBulk = true
 			return
 		}
+		cl.touchPriv("reads private", r.Name)
 		if len(r.Subs) == 0 {
 			cl.reads[r.Name]++
 			return
 		}
 		if sym.class == scSharedArray {
-			cl.arrays[r.Name] = append(cl.arrays[r.Name], arrayUse{ref: r})
+			cl.arrays[r.Name] = append(cl.arrays[r.Name], r)
 		}
 	})
 }
 
-// planArrays promotes written shared arrays to walker access when every
-// access provably lands on a per-iteration-private element.
+// planArrays records the written shared arrays whose every access
+// provably lands on a per-iteration-private element.
 func (cl *classifier) planArrays() {
 	if cl.plan.noBulk {
 		return
 	}
 	for name, uses := range cl.arrays {
-		sym := cl.lay.syms[name]
-		if sym.class != scSharedArray {
-			continue
-		}
-		written := false
-		for _, u := range uses {
-			if u.write {
-				written = true
-			}
-		}
-		if !written {
-			// Read-only arrays keep per-element striped loads: the
-			// walker's mutex would serialize concurrent readers.
-			continue
-		}
-		if cl.disjointUses(uses) {
+		if cl.lay.syms[name].class == scSharedArray && cl.plan.written[name] && cl.disjointUses(uses) {
 			cl.plan.disjoint[name] = true
 		}
 	}
@@ -342,7 +367,7 @@ func (cl *classifier) planArrays() {
 // package.  The Space's IntScalar predicate encodes this classifier's
 // remainder rule: an unwritten, non-parameter INTEGER private or shared
 // scalar is identical for every iteration a process executes.
-func (cl *classifier) disjointUses(uses []arrayUse) bool {
+func (cl *classifier) disjointUses(refs []*forcelang.Ref) bool {
 	sp := &uniform.Space{
 		Outer: cl.plan.outer,
 		Inner: cl.plan.inner,
@@ -353,10 +378,6 @@ func (cl *classifier) disjointUses(uses []arrayUse) bool {
 			}
 			return (sym.class == scPrivate || sym.class == scShared) && sym.decl.Type == forcelang.TInt
 		},
-	}
-	refs := make([]*forcelang.Ref, len(uses))
-	for i, u := range uses {
-		refs[i] = u.ref
 	}
 	return sp.Disjoint(refs)
 }

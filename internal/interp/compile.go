@@ -5,7 +5,7 @@ package interp
 // name resolution, type dispatch and operator dispatch happens here,
 // once; execution then runs straight-line closure calls — private
 // variables are direct slot reads, shared scalars single atomic
-// operations, shared array elements stripe-locked element accesses.
+// operations, shared array elements likewise (one atomic word each).
 // Expressions whose static type the checker knows compile to unboxed
 // int64/float64/bool closures, so arithmetic never touches the boxed
 // value representation between a load and a store.

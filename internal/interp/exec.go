@@ -2,7 +2,7 @@ package interp
 
 // Runtime of the compiled executor: index-addressed frames, the
 // per-process execution context, the instance-wide storage (per-variable
-// shared cells, striped arrays, async entries), and the Run driver.  The
+// shared cells, atomic-word arrays, async entries), and the Run driver.  The
 // compiler in compile.go produces closures over these structures.
 
 import (

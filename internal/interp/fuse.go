@@ -35,7 +35,9 @@ package interp
 //     the whole region, AND the region must be prescheduled: disjoint
 //     uses mean iteration i only ever touches its own elements, and
 //     prescheduling pins iteration i of every member to the same
-//     process, so a later member's read of an element was either
+//     process (the cyclic and the block deal are both pure functions
+//     of pid, np and the shared bounds, and a region uses one of them
+//     throughout), so a later member's read of an element was either
 //     written by the same process in program order or never written at
 //     all.  Selfscheduled members hand iteration i of different
 //     members to different processes, so ANY cross-member conflict
@@ -265,13 +267,17 @@ func (c *compiler) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt
 	// hoisting and disjointness, consistent with the region's: a member
 	// can only prove disjoint what the region did not refute) as an
 	// open construct, and close the region with one fused join.
+	// The same-pid argument needs ONE iteration-to-process map for the
+	// whole region, so it is dealt in blocks only when the concatenated
+	// body is mapping-insensitive — which implies every member's is.
 	opens := make([]stmtFn, len(members))
 	for i, m := range members {
 		mplan, mreason := classifyParDo(c.res.prog, m, lay)
 		if mreason != "" {
 			return nil, fmt.Sprintf("member at line %d: %s", m.Pos(), mreason)
 		}
-		opens[i] = c.chunkParDo(m, lay, mplan, true)
+		c.partitionLog(m, plan.cyclicWhy, plan.cyclicName)
+		opens[i] = c.chunkParDo(m, lay, mplan, true, plan.cyclicWhy == "")
 	}
 
 	if red == nil {

@@ -20,22 +20,22 @@
 //     of the loop index), and bodies the classifier can prove safe are
 //     compiled (chunk.go) into tight per-span loops — the index lives
 //     in a register-like local, uniform subexpressions are hoisted and
-//     evaluated once per construct, provably disjoint shared-array
-//     accesses go through the striped store's bulk walker (one stripe
-//     lock held across a block of elements instead of one lock pair
-//     per element), and integer read-modify-write accumulations fold
-//     into the shared cell once per process.  Unsafe bodies (calls,
-//     critical sections, same-element writes, I/O ordering hazards)
+//     evaluated once per construct, shared elements are read and
+//     written as typed atomic words without boxing, integer
+//     read-modify-write accumulations fold into the shared cell once
+//     per process, and a prescheduled loop whose body cannot observe
+//     the iteration-to-process map is dealt in contiguous blocks.
+//     Unsafe bodies (calls, critical sections, I/O ordering hazards)
 //     fall back to the per-iteration compiled path, statement for
 //     statement.
 //   - ExecCompiled stages execution: a resolution pass (resolve.go)
 //     assigns every variable reference a (storage class, slot) pair,
 //     and a compile pass (compile.go) turns the checked AST into a
 //     tree of typed closures over index-addressed frames.  Private
-//     variables are direct slot accesses; shared scalars are
-//     individual atomic cells and shared arrays lock-striped element
-//     stores (store.go), so an interpreted DOALL over disjoint elements
-//     runs in parallel.  Kept as the chunk tier's A/B baseline.
+//     variables are direct slot accesses; shared scalars and shared
+//     array elements are individual atomic words (store.go), so an
+//     interpreted DOALL over disjoint elements runs in parallel.  Kept
+//     as the chunk tier's A/B baseline.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
 //     one per-run mutex.  It is kept as the semantic baseline
@@ -113,9 +113,11 @@ type Config struct {
 	// ExecChunked and no iteration-level trace).
 	NoFuse bool
 	// FuseLog, when non-nil, receives one line per fusion decision the
-	// compiler takes: each fused region and each declined candidate,
-	// with the reason.  Decisions are compile-time, so the log is
-	// emitted once per Run, not per construct execution.
+	// compiler takes (each fused region and each declined candidate,
+	// with the reason) and one per prescheduled DOALL site saying how
+	// its iterations are dealt: "partition=block" or "partition=cyclic
+	// (<reason>)".  Decisions are compile-time, so the log is emitted
+	// once per Run, not per construct execution.
 	FuseLog func(msg string)
 	// Chunk sets sched.Config.ChunkSize for the Chunk and Stealing
 	// selfscheduling disciplines (0 keeps each discipline's default).
@@ -140,7 +142,7 @@ type ExecMode int
 const (
 	// ExecChunked is the compiled engine with the chunk tier enabled:
 	// provably safe DOALL bodies run as per-span tight loops over the
-	// striped store's bulk entry points; everything else runs exactly as
+	// store's typed accessors; everything else runs exactly as
 	// ExecCompiled.  The default.
 	ExecChunked ExecMode = iota
 	// ExecCompiled resolves every variable reference to a (storage

@@ -29,7 +29,7 @@ const (
 	scPrivArray
 	// scShared is an instance-wide atomic scalar cell.
 	scShared
-	// scSharedArray is an instance-wide lock-striped array.
+	// scSharedArray is an instance-wide array of atomic words.
 	scSharedArray
 	// scAsync is an instance-wide full/empty cell (or array of cells).
 	scAsync

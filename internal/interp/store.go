@@ -2,18 +2,16 @@ package interp
 
 // Slot-addressed storage for the compiled executor.  The tree walker
 // serializes every shared access behind one per-run mutex; the compiled
-// executor gives each shared variable its own synchronization instead:
-// scalars become atomic cells (one word suffices once the declared type
-// is fixed) and arrays stripe a small set of cache-line-padded locks
-// over the element space, so accesses to disjoint elements proceed in
-// parallel while accesses to the same element still serialize.  Either
-// way an improperly synchronized Force program remains a well-defined
-// (if nondeterministic) Go program, the same guarantee the global mutex
-// gave.
+// executor makes every shared scalar and every shared array element one
+// atomic word instead (one word suffices once the declared type is
+// fixed), so accesses to different variables or elements never meet and
+// there is no lock anywhere in the store.  An improperly synchronized
+// Force program remains a well-defined (if nondeterministic) Go program:
+// each load observes some whole value stored to that word, the same
+// per-location guarantee the global mutex gave.
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/forcelang"
@@ -31,9 +29,15 @@ type sharedScalar struct {
 
 func newSharedScalar(t forcelang.Type) *sharedScalar { return &sharedScalar{t: t} }
 
-func (c *sharedScalar) load() value {
-	b := c.bits.Load()
-	switch c.t {
+func (c *sharedScalar) load() value { return fromBits(c.t, c.bits.Load()) }
+
+// store saves v, which must already be coerced to the cell's type.
+func (c *sharedScalar) store(v value) { c.bits.Store(toBits(c.t, v)) }
+
+// fromBits and toBits convert between a boxed value and the bit pattern
+// a shared word of declared type t holds.
+func fromBits(t forcelang.Type, b uint64) value {
+	switch t {
 	case forcelang.TInt:
 		return intVal(int64(b))
 	case forcelang.TReal:
@@ -43,20 +47,22 @@ func (c *sharedScalar) load() value {
 	}
 }
 
-// store saves v, which must already be coerced to the cell's type.
-func (c *sharedScalar) store(v value) {
-	var b uint64
-	switch c.t {
+func toBits(t forcelang.Type, v value) uint64 {
+	switch t {
 	case forcelang.TInt:
-		b = uint64(v.i)
+		return uint64(v.i)
 	case forcelang.TReal:
-		b = math.Float64bits(v.r)
+		return math.Float64bits(v.r)
 	default:
-		if v.b {
-			b = 1
-		}
+		return boolBits(v.b)
 	}
-	c.bits.Store(b)
+}
+
+func boolBits(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Typed accessors for the chunk compiler: the declared type is known at
@@ -68,13 +74,7 @@ func (c *sharedScalar) loadReal() float64   { return math.Float64frombits(c.bits
 func (c *sharedScalar) loadBool() bool      { return c.bits.Load() != 0 }
 func (c *sharedScalar) storeInt(i int64)    { c.bits.Store(uint64(i)) }
 func (c *sharedScalar) storeReal(r float64) { c.bits.Store(math.Float64bits(r)) }
-func (c *sharedScalar) storeBool(b bool) {
-	var u uint64
-	if b {
-		u = 1
-	}
-	c.bits.Store(u)
-}
+func (c *sharedScalar) storeBool(b bool)    { c.bits.Store(boolBits(b)) }
 
 // addInt atomically adds delta to an INTEGER cell.  Two's-complement
 // wraparound makes the uint64 add exact for int64 deltas, so a chunk's
@@ -140,125 +140,37 @@ func (c *sharedScalar) minReal(x float64) {
 	}
 }
 
-// stripeCount bounds the number of locks striped over one shared array.
-const stripeCount = 64
-
-// paddedMutex keeps neighbouring stripe locks on separate cache lines.
-type paddedMutex struct {
-	sync.Mutex
-	_ [56]byte
-}
-
-// sharedArray is one shared array: a flat element slice with a set of
-// padded locks block-striped over the element space.  The mapping is
-// contiguous-block (stripe = off >> shift), not modulo: a chunk of
-// consecutive elements then falls inside at most a few stripes, so the
-// chunk compiler's bulk accessor can hold one stripe across many
-// elements instead of locking per element.  Accesses to different
-// elements usually take different stripes and run in parallel; accesses
-// to the same element always meet on the same stripe.
+// sharedArray is one shared array: a flat slice of atomic words, each
+// holding one element's bit pattern in the array's declared type —
+// element for element what sharedScalar is.  Loads and stores are
+// single atomic word operations, so accesses to different elements never
+// meet and a racy program observes, per element, some whole value that
+// was stored there (never a torn or mistyped one).
 type sharedArray struct {
-	dims  []int
-	data  []value
-	locks []paddedMutex
-	// shift maps a flat offset to its stripe: stripe = off >> shift.
-	// Block size is the power of two 1<<shift, chosen as the smallest
-	// that covers the element space with at most stripeCount stripes.
-	shift uint
+	t    forcelang.Type
+	dims []int
+	data []atomic.Uint64
 }
 
 func newSharedArray(d forcelang.Decl) *sharedArray {
-	n := d.Size()
-	var shift uint
-	for (n+(1<<shift)-1)>>shift > stripeCount {
-		shift++
-	}
-	stripes := (n + (1 << shift) - 1) >> shift
-	if stripes < 1 {
-		stripes = 1
-	}
-	a := &sharedArray{
-		dims:  d.Dims,
-		data:  make([]value, n),
-		locks: make([]paddedMutex, stripes),
-		shift: shift,
-	}
-	zero := value{t: d.Type}
-	for i := range a.data {
-		a.data[i] = zero
-	}
-	return a
+	return &sharedArray{t: d.Type, dims: d.Dims, data: make([]atomic.Uint64, d.Size())}
 }
 
 func (a *sharedArray) shape() []int { return a.dims }
 
-func (a *sharedArray) load(off int) value {
-	mu := &a.locks[off>>a.shift].Mutex
-	mu.Lock()
-	v := a.data[off]
-	mu.Unlock()
-	return v
-}
+func (a *sharedArray) load(off int) value { return fromBits(a.t, a.data[off].Load()) }
 
-func (a *sharedArray) store(off int, v value) {
-	mu := &a.locks[off>>a.shift].Mutex
-	mu.Lock()
-	a.data[off] = v
-	mu.Unlock()
-}
+// store saves v, which must already be coerced to the array's type.
+func (a *sharedArray) store(off int, v value) { a.data[off].Store(toBits(a.t, v)) }
 
-// stripeWalker is the bulk entry point into the striped store for the
-// chunk compiler: it keeps at most ONE stripe lock held — across all
-// shared arrays a chunk touches — and re-acquires only when an access
-// lands on a different (array, stripe) pair.  A chunk walking an array
-// in index order therefore pays one lock/unlock per stripe-sized block
-// instead of one per element, while same-element accesses from the
-// per-element paths of other processes still meet on the element's
-// stripe lock, keeping racy programs well-defined.
-//
-// Holding a single stripe at a time makes deadlock impossible by
-// construction: the walker never blocks while holding a second lock,
-// and the per-element paths never block while holding any.  release is
-// idempotent and MUST run before the owning process can block elsewhere
-// (scheduler Next, barriers) or unwind on poison — the chunk driver
-// defers it.
-type stripeWalker struct {
-	arr    *sharedArray
-	stripe int
-}
+// Typed accessors for the chunk compiler, as on sharedScalar.
 
-// ensure makes a's stripe for off the held one, releasing any other.
-func (w *stripeWalker) ensure(a *sharedArray, off int) {
-	s := off >> a.shift
-	if w.arr == a && w.stripe == s {
-		return
-	}
-	if w.arr != nil {
-		w.arr.locks[w.stripe].Unlock()
-	}
-	a.locks[s].Lock()
-	w.arr, w.stripe = a, s
-}
-
-// loadAt reads a.data[off] under the element's stripe lock.
-func (w *stripeWalker) loadAt(a *sharedArray, off int) value {
-	w.ensure(a, off)
-	return a.data[off]
-}
-
-// storeAt writes a.data[off] under the element's stripe lock.
-func (w *stripeWalker) storeAt(a *sharedArray, off int, v value) {
-	w.ensure(a, off)
-	a.data[off] = v
-}
-
-// release drops the held stripe, if any.  Idempotent.
-func (w *stripeWalker) release() {
-	if w.arr != nil {
-		w.arr.locks[w.stripe].Unlock()
-		w.arr = nil
-	}
-}
+func (a *sharedArray) loadInt(off int) int64        { return int64(a.data[off].Load()) }
+func (a *sharedArray) loadReal(off int) float64     { return math.Float64frombits(a.data[off].Load()) }
+func (a *sharedArray) loadBool(off int) bool        { return a.data[off].Load() != 0 }
+func (a *sharedArray) storeInt(off int, i int64)    { a.data[off].Store(uint64(i)) }
+func (a *sharedArray) storeReal(off int, r float64) { a.data[off].Store(math.Float64bits(r)) }
+func (a *sharedArray) storeBool(off int, b bool)    { a.data[off].Store(boolBits(b)) }
 
 // privArray is a private array: per-process (or per-call) storage, no
 // synchronization needed.
@@ -305,7 +217,7 @@ type arrayRef interface {
 }
 
 // elemRef aliases one array element (an element argument at a call
-// site); shared-array elements keep their stripe discipline through it.
+// site); a shared-array element stays one atomic word through it.
 type elemRef struct {
 	a   arrayRef
 	off int

@@ -2,7 +2,7 @@ package interp
 
 // Race coverage for the compiled executor's per-variable shared store
 // (run with go test -race, as the CI race job does): concurrent
-// disjoint-element writes through the stripe locks, same-element
+// disjoint-element writes to the atomic-word arrays, same-element
 // critical-section read-modify-writes, and asynchronous Produce/Consume
 // flowing through slot-resolved frames.
 
@@ -15,13 +15,12 @@ import (
 	"repro/internal/shm"
 )
 
-// TestStripedDisjointElementWrites drives an 8-process force through a
-// DOALL whose iterations write disjoint shared-array elements — the
-// pattern the stripe locks exist to parallelize — then folds the array
-// to check no write was lost.  Under ExecChunked the first loop runs
-// through the bulk stripe walker, so the race job covers walker-held
-// stripes racing ordinary striped access from the fold.
-func TestStripedDisjointElementWrites(t *testing.T) {
+// TestSharedDisjointElementWrites drives an 8-process force through a
+// DOALL whose iterations write disjoint shared-array elements, then
+// folds the array to check no write was lost.  Under ExecChunked the
+// first loop stores through the chunk tier's typed accessors, so the
+// race job covers them against the boxed per-element access of the fold.
+func TestSharedDisjointElementWrites(t *testing.T) {
 	for _, mode := range []ExecMode{ExecCompiled, ExecChunked} {
 		t.Run(mode.String(), func(t *testing.T) {
 			out := run(t, `Force DISJ of NP ident ME
@@ -53,10 +52,11 @@ Join
 	}
 }
 
-// TestStripedSameElementCriticalWrites hammers one element of a shared
-// array from every process inside a critical section: the stripe lock
-// and the construct lock compose without losing updates.
-func TestStripedSameElementCriticalWrites(t *testing.T) {
+// TestSharedSameElementCriticalWrites hammers one element of a shared
+// array from every process inside a critical section: the construct
+// lock alone orders the atomic element's read-modify-writes, and no
+// update is lost.
+func TestSharedSameElementCriticalWrites(t *testing.T) {
 	out := run(t, `Force SAME of NP ident ME
 Shared Integer C(8)
 Private Integer I
@@ -129,7 +129,7 @@ Endsub
 	}
 }
 
-// TestSharedArrayDirect exercises the striped store below the language:
+// TestSharedArrayDirect exercises the array store below the language:
 // concurrent disjoint stores, then concurrent same-element updates under
 // an external mutex (the compiled Critical pattern), must never lose a
 // write or trip the race detector.
@@ -170,76 +170,73 @@ func TestSharedArrayDirect(t *testing.T) {
 	}
 }
 
-// TestStripeWalkerDirect hammers the bulk entry points the chunk tier
-// uses: eight goroutines, each with its own stripeWalker, sweep
-// disjoint strides of one array (ensure/storeAt re-acquiring stripes as
-// the offset crosses block boundaries) while another eight read the
-// same array through plain striped loads.  Every write must land and
-// the race detector must stay quiet.
-func TestStripeWalkerDirect(t *testing.T) {
-	d := forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{4096}}
-	a := newSharedArray(d)
-	var wg sync.WaitGroup
-	for p := 0; p < 8; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			var w stripeWalker
-			defer w.release()
-			for i := p; i < 4096; i += 8 {
-				w.storeAt(a, i, intVal(int64(3*i)))
-			}
-		}(p)
-	}
-	for p := 0; p < 8; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := p; i < 4096; i += 8 {
-				_ = a.load(i)
-			}
-		}(p)
-	}
-	wg.Wait()
-	for i := 0; i < 4096; i++ {
-		if v := a.load(i); v.i != int64(3*i) {
-			t.Fatalf("a[%d] = %d, want %d", i, v.i, 3*i)
-		}
-	}
+// TestSharedElementMixedPaths hammers ONE element of a shared array from
+// two directions at once: a per-iteration (ExecCompiled-style boxed
+// store/load) writer and the chunk tier's typed accessors, for each
+// declared type.  Every value either side can observe must be one of the
+// whole values some writer stored, in the array's own type — never a
+// torn word and never another type's bit pattern.
+func TestSharedElementMixedPaths(t *testing.T) {
+	const rounds = 20000
+	t.Run("REAL", func(t *testing.T) {
+		a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TReal, Name: "A", Dims: []int{4}})
+		ok := func(r float64) bool { return r == 0 || r == 1.5 || r == -2.25 }
+		hammer(t, rounds,
+			func() { a.store(2, realVal(1.5)) },
+			func() { a.storeReal(2, -2.25) },
+			func() bool { v := a.load(2); return v.t == forcelang.TReal && ok(v.r) },
+			func() bool { return ok(a.loadReal(2)) })
+	})
+	t.Run("INTEGER", func(t *testing.T) {
+		a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{4}})
+		// Values whose halves differ, so a torn word would show.
+		const x, y = int64(0x0123456789abcdef), int64(-0x0fedcba987654321)
+		ok := func(i int64) bool { return i == 0 || i == x || i == y }
+		hammer(t, rounds,
+			func() { a.store(2, intVal(x)) },
+			func() { a.storeInt(2, y) },
+			func() bool { v := a.load(2); return v.t == forcelang.TInt && ok(v.i) },
+			func() bool { return ok(a.loadInt(2)) })
+	})
+	t.Run("LOGICAL", func(t *testing.T) {
+		a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TLogical, Name: "A", Dims: []int{4}})
+		hammer(t, rounds,
+			func() { a.store(2, boolVal(true)) },
+			func() { a.storeBool(2, false) },
+			func() bool { return a.load(2).t == forcelang.TLogical },
+			func() bool { a.loadBool(2); return a.data[2].Load() <= 1 })
+	})
 }
 
-// TestStripeWalkerTwoArrays alternates one walker between two arrays on
-// every access — the worst case for the single-stripe-held invariant
-// (release A, acquire B, release B, acquire A, ...) — concurrently from
-// eight goroutines.  Deadlock-freedom is the property under test: the
-// walker never holds a stripe of one array while asking for another.
-func TestStripeWalkerTwoArrays(t *testing.T) {
-	mk := func(name string) *sharedArray {
-		return newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: name, Dims: []int{512}})
-	}
-	a, b := mk("A"), mk("B")
+// hammer runs the two writers and the two checking readers concurrently,
+// rounds times each.
+func hammer(t *testing.T, rounds int, w1, w2 func(), r1, r2 func() bool) {
+	t.Helper()
 	var wg sync.WaitGroup
-	for p := 0; p < 8; p++ {
+	for _, w := range []func(){w1, w2} {
+		w := w
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
-			var w stripeWalker
-			defer w.release()
-			for i := p; i < 512; i += 8 {
-				w.storeAt(a, i, intVal(int64(i)))
-				w.storeAt(b, 511-i, intVal(int64(i)))
-				if v := w.loadAt(a, i); v.i != int64(i) {
-					t.Errorf("a[%d] = %d mid-walk", i, v.i)
+			for i := 0; i < rounds; i++ {
+				w()
+			}
+		}()
+	}
+	for _, r := range []func() bool{r1, r2} {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if !r() {
+					t.Error("torn or mistyped element observed")
+					return
 				}
 			}
-		}(p)
+		}()
 	}
 	wg.Wait()
-	for i := 0; i < 512; i++ {
-		if a.load(i).i != int64(i) || b.load(511-i).i != int64(i) {
-			t.Fatalf("element %d lost", i)
-		}
-	}
 }
 
 // TestSharedScalarAddInt checks the accumulator entry point the chunk

@@ -27,8 +27,9 @@
 //     spinning primitive of the runtime (barrier release waits, reduce
 //     episode waits, lock acquisition inside condition-encoding
 //     constructs) waits through it, so a waiter observes poison within
-//     one park interval, and an oversubscribed waiter stops pinning a
-//     core instead of spinning unboundedly.
+//     one park interval, an oversubscribed waiter stops pinning a core
+//     instead of spinning unboundedly, and a waiter that has a CPU of
+//     its own does not oversleep a release that is microseconds away.
 //
 // A nil *Cell is valid everywhere and means "no poison wired": Poisoned
 // reports false, Check is a no-op, and Wait degenerates to the plain
@@ -115,6 +116,8 @@ func (c Cause) String() string {
 // never poisoned.
 type Cell struct {
 	flag atomic.Bool
+	// timed enables the wait policy's time-bounded spin (SetProcs).
+	timed bool
 
 	mu    sync.Mutex
 	val   any
@@ -128,6 +131,22 @@ type Cell struct {
 func NewCell() *Cell {
 	return &Cell{ch: make(chan struct{})}
 }
+
+// SetProcs tells the cell how many processes wait through it, which
+// decides one thing: whether a waiter may spend the wait policy's timed
+// spin (see Wait).  It may only while every process can own a CPU —
+// np <= GOMAXPROCS, and more than one CPU at all — because a spinning
+// waiter on an oversubscribed force burns the time slice of the peer it
+// is waiting for.  core.New calls it once; it must not race with waits.
+func (c *Cell) SetProcs(np int) {
+	if c != nil {
+		gmp := runtime.GOMAXPROCS(0)
+		c.timed = gmp > 1 && np <= gmp
+	}
+}
+
+// TimedSpin reports whether waits on the cell take the timed spin.
+func (c *Cell) TimedSpin() bool { return c != nil && c.timed }
 
 // Poison records v as the force's first failure (CauseFailure) and
 // broadcasts: the wake channel closes and every subscriber hook runs.
@@ -312,20 +331,37 @@ func (c *Cell) Reset() {
 	c.mu.Unlock()
 }
 
-// The shared wait policy: a bounded yield-spiced spin catches fast
-// releases under real parallelism, after which the waiter parks in
-// escalating sleeps — on an oversubscribed machine (more processes than
-// CPUs, the 1989 normality and the CI box's too) parked waiters leave
-// the scheduler to the processes that still owe progress instead of
-// cycling through the run queue, and a poisoned waiter wakes within one
-// park interval.
+// The shared wait policy has three phases.  A bounded yield-spiced spin
+// (spinBudget iterations, a few microseconds) catches releases already
+// in flight.  Then, only while the force is not oversubscribed
+// (Cell.SetProcs: np <= GOMAXPROCS), a *time-bounded* spin of about one
+// park/wake round trip: a parked waiter costs its releaser's critical
+// path a full wake — on the 2-vCPU reference box time.Sleep(5µs) returns
+// after 160–390 µs inside a running force and a channel wake takes
+// ~70 µs — which is longer than the whole imbalance between two halves
+// of a DOALL, so parking there serialises them.  Spinning for one such
+// interval first is the classic competitive bound: it at most doubles
+// the cost of a wait that parks anyway.  Last, the sleep ladder —
+// on an oversubscribed machine (more processes than CPUs, the 1989
+// normality and the 1-core CI box's too) parked waiters leave the
+// scheduler to the processes that still owe progress instead of cycling
+// through the run queue.  Poison is checked every iteration of both
+// spins and once per park interval, so a poisoned waiter unwinds
+// immediately while spinning and within one park interval otherwise.
 const (
 	spinBudget = 256
 	yieldEvery = 8
+	spinWindow = 200 * time.Microsecond
 	parkFloor  = 5 * time.Microsecond
 	parkCeil   = 200 * time.Microsecond
 	relayCeil  = 20 * time.Microsecond
 )
+
+// clock reads the monotonic time the timed spin is bounded by; tests
+// replace it to count or steer the reads.
+var clock = func() time.Duration { return time.Since(clockBase) }
+
+var clockBase = time.Now()
 
 // Wait blocks until pred reports true, spinning briefly and then
 // parking, and panics with Abort if c is poisoned first.  pred must be
@@ -341,15 +377,38 @@ func Wait(c *Cell, pred func() bool) { waitCeil(c, pred, parkCeil) }
 // long park would multiply down the whole chain.
 func WaitRelay(c *Cell, pred func() bool) { waitCeil(c, pred, relayCeil) }
 
-func waitCeil(c *Cell, pred func() bool, ceil time.Duration) {
+// Spin runs the policy's spin phases alone and reports whether pred
+// came true within them.  Primitives that park on something better than
+// a sleep (a release channel) spin through it first, so one policy
+// decides how long any waiter of the runtime stays on its CPU.
+func Spin(c *Cell, pred func() bool) bool {
 	for i := 0; i < spinBudget; i++ {
 		if pred() {
-			return
+			return true
 		}
 		c.Check()
 		if i%yieldEvery == yieldEvery-1 {
 			runtime.Gosched()
 		}
+	}
+	if !c.TimedSpin() {
+		return false
+	}
+	for deadline := clock() + spinWindow; clock() < deadline; {
+		for i := 0; i < yieldEvery; i++ {
+			if pred() {
+				return true
+			}
+			c.Check()
+		}
+		runtime.Gosched()
+	}
+	return false
+}
+
+func waitCeil(c *Cell, pred func() bool, ceil time.Duration) {
+	if Spin(c, pred) {
+		return
 	}
 	d := parkFloor
 	for {

@@ -187,19 +187,13 @@ func (e *NumEpisode) Do(pid int, op Op, k NumKind, x uint64, onComplete func()) 
 	return out
 }
 
-// await spins briefly for the fold, then parks on a lazily-installed
+// await spins (poison.Spin) for the fold, then parks on a lazily installed
 // release channel with the poison cell's wake channel as the unwind
 // path — the same spin-then-park discipline as release.await.
 func (e *NumEpisode) await() uint64 {
 	faultinject.Fire(faultinject.ReduceRelease, -1, e.pc)
-	for i := 0; i < 64; i++ {
-		if e.done.Load() == 1 {
-			return e.result
-		}
-		e.pc.Check()
-		if i%16 == 15 {
-			runtime.Gosched()
-		}
+	if poison.Spin(e.pc, func() bool { return e.done.Load() == 1 }) {
+		return e.result
 	}
 	chp := e.ch.Load()
 	if chp == nil {

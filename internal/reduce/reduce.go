@@ -226,12 +226,13 @@ func New[T any](k Kind, np int, op Op, combine func(T, T) T, cfg Config[T]) Epis
 // release publishes the episode result to the waiting processes.  The
 // completing process stores the result, runs the section hook, and
 // releases everyone; the atomic store of done orders the result write
-// before every reader.  Waiting is spin-then-park: a short yield-spiced
-// spin catches the common fast path under real parallelism, after which
-// the waiter parks on the release channel — on an oversubscribed
-// machine (more processes than CPUs, the 1989 normality and the CI
-// box's too) parked waiters leave the scheduler to the processes that
-// still owe contributions instead of cycling through the run queue.  A
+// before every reader.  Waiting is spin-then-park: the shared wait
+// policy's spin phases (poison.Spin) catch the common fast path under
+// real parallelism, after which the waiter parks on the release
+// channel — on an oversubscribed machine (more processes than CPUs,
+// the 1989 normality and the CI box's too) parked waiters leave the
+// scheduler to the processes that still owe contributions instead of
+// cycling through the run queue.  A
 // parked waiter additionally selects on the poison cell's wake channel,
 // so a reduction whose missing contributor died unwinds with
 // poison.Abort instead of parking forever.
@@ -258,14 +259,8 @@ func (r *release[T]) publish(v T, onComplete func(T)) T {
 
 func (r *release[T]) await() T {
 	faultinject.Fire(faultinject.ReduceRelease, -1, r.pc)
-	for i := 0; i < 64; i++ {
-		if r.done.Load() == 1 {
-			return r.result
-		}
-		r.pc.Check()
-		if i%16 == 15 {
-			runtime.Gosched()
-		}
+	if poison.Spin(r.pc, func() bool { return r.done.Load() == 1 }) {
+		return r.result
 	}
 	select {
 	case <-r.ch:
