@@ -1,6 +1,6 @@
 // Benchmarks regenerating the reproduction's experiment tables, one
-// benchmark family per experiment in DESIGN.md §4 (the forcebench command
-// prints the same data as formatted tables):
+// benchmark family per experiment of cmd/forcebench (which prints the same
+// data as formatted tables; README.md, "Benchmarks"):
 //
 //	BenchmarkBarrier              T2   barrier algorithm comparison [AJ87]
 //	BenchmarkBarrierLockAblation  A1   two-lock barrier over lock kinds

@@ -351,7 +351,7 @@ func expT7(c config) error {
 // forces use the scheduler-parking barrier (the winner of T2 on this
 // substrate): picking the right barrier per machine is exactly the
 // flexibility the Force's layering buys, and with the paper's two-lock
-// barrier the fine-grained codes are barrier-bound (see EXPERIMENTS.md).
+// barrier the fine-grained codes are barrier-bound (T2 shows the gap).
 func expT8(c config) error {
 	size := 256
 	scanN := 1 << 18
@@ -805,9 +805,9 @@ type interpReport struct {
 // by the original tree walker (names resolved through string maps on
 // every access, all shared storage serialized by one mutex), by the
 // slot-resolved closure compiler (index-addressed frames, every shared
-// scalar and array element one atomic word), and by the chunk tier on
-// top of it (uniform subexpressions hoisted out of the loop, whole
-// spans run as tight loops over typed element accessors, disjoint
+// scalar and array element one typed atomic word), and by that same
+// compiler in chunk mode (uniform subexpressions hoisted out of the
+// loop, accumulators folded, whole spans run as tight loops, disjoint
 // prescheduled sweeps dealt in contiguous blocks), across NP.
 //
 // The shared-heavy kernel is scalar shared traffic — every iteration
@@ -880,14 +880,14 @@ Join
 			Header: append([]string{"engine"}, npHeaders(c.npSweep())...),
 			Notes: []string{
 				"tree = map-addressed walker, one mutex around all shared storage",
-				"compiled = slot-resolved typed closures, shared scalars and array elements as atomic words",
-				"chunked = compiled plus chunk tier: uniform hoisting, typed unboxed element access, per-span tight loops, block partition",
+				"compiled = slot-resolved typed closures, shared scalars and array elements as typed atomic words, one index per dispatch",
+				"chunked = the same compiler in chunk mode: uniform hoisting, accumulator folding, per-span tight loops, block partition",
 			},
 		}
 		atbl := &stats.Table{
 			Title:  fmt.Sprintf("interp %s kernel: heap allocations per Run (allocs/op, compile included)", k.name),
 			Header: append([]string{"engine"}, npHeaders(c.npSweep())...),
-			Notes:  []string{"one Run = parse-to-exit; the chunk tier's per-site pools keep the loop body itself allocation-free"},
+			Notes:  []string{"one Run = parse-to-exit; the chunk context is part of the process record, so the loop body itself is allocation-free"},
 		}
 		for _, mode := range interp.ExecModes() {
 			key := mode.String() + "/" + k.name

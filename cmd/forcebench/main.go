@@ -1,5 +1,5 @@
 // Command forcebench regenerates the reproduction's experiment tables
-// (DESIGN.md §4, EXPERIMENTS.md):
+// (README.md, "Benchmarks"):
 //
 //	F1  the paper's Selfsched DO macro-expansion listing
 //	T1  six-machine portability/conformance matrix

@@ -20,20 +20,24 @@
 //		   │                 disjointness proofs live in internal/uniform,
 //		   │                 shared with the chunk classifier below
 //		   ├── interp        SPMD interpreter: a resolve pass binds every
-//		   │                 reference to a (storage class, slot) pair and a
-//		   │                 compile pass emits typed closures over
+//		   │                 reference to a (storage class, slot) pair and
+//		   │                 ONE closure compiler emits typed closures over
 //		   │                 index-addressed frames — every shared scalar
 //		   │                 and shared array element is one atomic word
-//		   │                 typed by its declaration, no locks in the
-//		   │                 store; a racy program observes, per element,
-//		   │                 some whole value stored there — and a classify
-//		   │                 pass (uniform vs varying) lets safe DOALL
-//		   │                 bodies run as chunk-compiled tight loops over
-//		   │                 typed unboxed accessors, a prescheduled loop
-//		   │                 whose iteration→process map nothing observes
-//		   │                 dealt in contiguous blocks, with the
-//		   │                 per-iteration compiler and the original tree
-//		   │                 walker kept as A/B baselines (forcerun -exec
+//		   │                 typed by its declaration, read and written
+//		   │                 unboxed, no locks in the store; a racy program
+//		   │                 observes, per element, some whole value stored
+//		   │                 there.  At each DOALL a classify pass (uniform
+//		   │                 vs varying) decides whether the body is safe
+//		   │                 to compile in the compiler's chunk mode — loop
+//		   │                 index in the process's chunk context, uniform
+//		   │                 subexpressions hoisted, accumulators folded —
+//		   │                 and run as a per-span tight loop, a
+//		   │                 prescheduled loop whose iteration→process map
+//		   │                 nothing observes dealt in contiguous blocks;
+//		   │                 the same compiler with chunk mode off and the
+//		   │                 original tree walker (the test oracle) are the
+//		   │                 A/B baselines (forcerun -exec
 //		   │                 chunked|compiled|tree, forcebench T11); a fuse
 //		   │                 pass between classify and chunk merges runs of
 //		   │                 adjacent provably-independent DOALLs into one
@@ -125,8 +129,8 @@
 //	    x tier x np x injection ends in the correct output or a clean
 //	    abort carrying the injected failure, never a deadlock.
 //
-// See README.md for the quickstart, DESIGN.md for the system inventory
-// and experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// See README.md for the quickstart, the system inventory ("Layout") and
+// the measured results ("Benchmarks" and the tables beside each layer).
 // The benchmarks in bench_test.go and the cmd/forcebench harness
 // regenerate every experiment table; forcebench -exp T9 -json FILE emits
 // the monitor-vs-stealing Askfor comparison, T10 the reduction-strategy

@@ -69,5 +69,5 @@ func main() {
 	fmt.Println("note: the solver crosses 2 barriers per pivot column and streams the")
 	fmt.Println("whole remaining matrix each elimination step, so at small n it is")
 	fmt.Println("synchronization- and memory-bound — the grain-size economics of the")
-	fmt.Println("paper's §4.1.1; see EXPERIMENTS.md (T8). Correctness is the point here.")
+	fmt.Println("paper's §4.1.1; see forcebench -exp T8. Correctness is the point here.")
 }

@@ -1031,7 +1031,7 @@ type Component struct {
 // Resolve partitions the force into subsets executing different parallel
 // code sections concurrently — the concept the paper lists as "yet
 // unimplemented" (§3.3); this implementation is the repository's
-// extension, documented in DESIGN.md.
+// extension.
 //
 // Processes are divided among the components in proportion to their
 // weights (every component receives at least one process when NP allows;

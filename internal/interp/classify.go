@@ -53,8 +53,8 @@ import (
 )
 
 // chunkPlan is the classifier's verdict for one chunk-compilable ParDo,
-// consumed (and extended with hoisted-uniform slots) by the chunk
-// compiler.
+// consumed (and extended with hoisted-uniform slots) by the closure
+// compiler while it compiles the body in chunk mode.
 type chunkPlan struct {
 	outer, inner string // loop index names ("" when no inner index)
 
@@ -77,10 +77,10 @@ type chunkPlan struct {
 	// accSyms holds the accumulator records in slot order.
 	accSyms []accRec
 
-	// Hoisted uniform subexpressions, evaluated once per construct
-	// execution by the ordinary (per-iteration) closure compiler and
-	// read from typed slots inside the chunk loop.  Filled in by the
-	// chunk compiler.
+	// Hoisted uniform subexpressions, compiled with the plan cleared,
+	// evaluated once per construct execution and read from the typed
+	// slots of the process's chunk context inside the chunk loop.
+	// Filled in as the body is compiled (hoistInt/hoistReal/hoistBool).
 	uniInt  []intFn
 	uniReal []realFn
 	uniBool []boolFn
@@ -264,7 +264,8 @@ func (cl *classifier) assign(t *forcelang.Assign) string {
 		return ""
 	}
 	cl.writes[t.Target.Name]++
-	if op, ok := cl.matchAccum(sym, t); ok {
+	if acc, ok := matchAccum(cl.prog, cl.lay, t); ok {
+		op := acc.op
 		if prev, seen := cl.accOps[t.Target.Name]; seen && prev != op {
 			cl.tainted[t.Target.Name] = true
 		} else {
@@ -279,51 +280,57 @@ func (cl *classifier) assign(t *forcelang.Assign) string {
 	return ""
 }
 
-// matchAccum matches one scalar assignment against the foldable
-// accumulator shapes: S = S + e | S = e + S | S = S - e over an
-// INTEGER shared scalar, or S = MAX(S, e) | S = MIN(S, e) over an
-// INTEGER or REAL shared scalar, in both cases with e never reading S.
-func (cl *classifier) matchAccum(sym symbol, t *forcelang.Assign) (accOp, bool) {
-	if sym.class != scShared {
-		return 0, false
-	}
+// accum is one recognised shared-accumulate statement: the fold
+// operator, the contributed operand e, whether a sum subtracts it, and
+// whether the scalar is REAL (extrema only) or INTEGER.
+type accum struct {
+	op      accOp
+	operand forcelang.Expr
+	negate  bool
+	real    bool
+}
+
+// matchAccum matches one assignment against the shared-accumulate
+// shapes: S = S + e | S = e + S | S = S - e over an INTEGER shared
+// scalar, or S = MAX(S, e) | S = MIN(S, e) over an INTEGER or REAL
+// shared scalar, in both cases with S unsubscripted, not a parameter,
+// and e never reading S.  It is the one recogniser behind the language
+// rule (README, "Semantics"): the classifier folds what it accepts, the
+// closure compiler and the tree walker execute it as one atomic update.
+func matchAccum(prog *forcelang.Program, lay *unitLayout, t *forcelang.Assign) (accum, bool) {
 	name := t.Target.Name
-	if delta, _, ok := uniform.AccumDelta(name, t.Expr); ok {
+	sym, found := lay.syms[name]
+	if !found || sym.class != scShared || len(t.Target.Subs) != 0 {
+		return accum{}, false
+	}
+	acc := accum{real: sym.decl.Type == forcelang.TReal}
+	want := sym.decl.Type // the type the whole right-hand side must have
+	if delta, neg, ok := uniform.AccumDelta(name, t.Expr); ok {
 		// Sums fold only when the target and the whole RHS are
 		// statically INTEGER: a REAL-promoted sum is computed in
 		// float64 and rounded at every iteration, which privately
 		// accumulated deltas cannot reproduce.
-		if sym.decl.Type != forcelang.TInt {
-			return 0, false
-		}
-		if et, err := forcelang.TypeOf(cl.prog, cl.lay.scope, t.Expr); err != nil || et != forcelang.TInt {
-			return 0, false
-		}
-		if uniform.RefersTo(delta, name) {
-			return 0, false
-		}
-		return accSum, true
-	}
-	if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {
+		acc.op, acc.operand, acc.negate = accSum, delta, neg
+		want = forcelang.TInt
+	} else if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {
 		// Extrema fold exactly for INTEGER and REAL alike — MAX/MIN
 		// keep one operand bit-for-bit — but the promoted intrinsic
 		// type must equal the target's declared type, so the store
 		// performs no conversion the fold would have to replay.
-		if sym.decl.Type != forcelang.TInt && sym.decl.Type != forcelang.TReal {
-			return 0, false
-		}
-		if et, err := forcelang.TypeOf(cl.prog, cl.lay.scope, t.Expr); err != nil || et != sym.decl.Type {
-			return 0, false
-		}
-		if uniform.RefersTo(arg, name) {
-			return 0, false
-		}
+		acc.op, acc.operand = accMin, arg
 		if isMax {
-			return accMax, true
+			acc.op = accMax
 		}
-		return accMin, true
+	} else {
+		return accum{}, false
 	}
-	return 0, false
+	if sym.decl.Type != want || uniform.RefersTo(acc.operand, name) {
+		return accum{}, false
+	}
+	if et, err := forcelang.TypeOf(prog, lay.scope, t.Expr); err != nil || et != want {
+		return accum{}, false
+	}
+	return acc, true
 }
 
 // expr records every reference inside e: scalar reads, parameter uses

@@ -4,11 +4,19 @@ package interp
 // produces a tree of typed Go closures over index-addressed frames.  All
 // name resolution, type dispatch and operator dispatch happens here,
 // once; execution then runs straight-line closure calls — private
-// variables are direct slot reads, shared scalars single atomic
-// operations, shared array elements likewise (one atomic word each).
+// variables are direct slot reads, shared scalars and shared array
+// elements single typed atomic-word operations (store.go), never boxed.
 // Expressions whose static type the checker knows compile to unboxed
 // int64/float64/bool closures, so arithmetic never touches the boxed
 // value representation between a load and a store.
+//
+// This is the only closure compiler: a chunk-compiled DOALL body
+// (chunk.go) is compiled by these same functions in chunk mode — the
+// plan field set — which is consulted at exactly three places: the
+// scalar-reference leaf (refInt: a loop index reads the chunk context),
+// the entry of cInt/cReal/cBool (uniform hoisting) and assign (folded
+// accumulators).  Arithmetic, coercion, intrinsic, divide/MOD-by-zero
+// and subscript-range semantics therefore exist once for both tiers.
 
 import (
 	"fmt"
@@ -33,6 +41,9 @@ type compiler struct {
 	in    *cinstance
 	res   *resolution
 	units map[string]*cunit
+	// plan is non-nil only while a classified DOALL body is being
+	// compiled (chunkParDo): chunk mode.
+	plan *chunkPlan
 }
 
 // compileProgram compiles every unit of the instance's program.  Unit
@@ -97,9 +108,7 @@ func runBody(body []stmtFn, pr *cproc, fr *frame) {
 func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 	switch t := st.(type) {
 	case *forcelang.Assign:
-		store, tt := c.refStore(&t.Target, lay)
-		ev := c.valAs(t.Expr, lay, tt)
-		return func(pr *cproc, fr *frame) { store(pr, fr, ev(pr, fr)) }
+		return c.assign(t, lay)
 	case *forcelang.If:
 		cond := c.cBool(t.Cond, lay)
 		then := c.stmts(t.Then, lay)
@@ -112,17 +121,13 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			}
 		}
 	case *forcelang.SeqDo:
-		fromF, toF, stepF := c.cInt(t.From, lay), c.cInt(t.To, lay), c.stepFn(t.Step, lay)
+		rangeF := c.rangeFn(t.From, t.To, t.Step, lay)
 		storeVar := c.intVarStore(t.Var, lay, t.Pos())
 		body := c.stmts(t.Body, lay)
-		line := t.From.Pos()
 		return func(pr *cproc, fr *frame) {
-			from, to := fromF(pr, fr), toF(pr, fr)
-			step := stepF(pr, fr)
-			if step == 0 {
-				panic(rtErrf(line, "loop step is zero"))
-			}
-			for i := from; (step > 0 && i <= to) || (step < 0 && i >= to); i += step {
+			r := rangeF(pr, fr)
+			to, step := int64(r.Last), int64(r.Incr)
+			for i := int64(r.Start); (step > 0 && i <= to) || (step < 0 && i >= to); i += step {
 				storeVar(pr, fr, i)
 				runBody(body, pr, fr)
 			}
@@ -279,12 +284,23 @@ func noteStr(kind string, line int) *string {
 	return &s
 }
 
-// stepFn compiles an optional loop step (nil means 1).
-func (c *compiler) stepFn(step forcelang.Expr, lay *unitLayout) intFn {
-	if step == nil {
-		return func(pr *cproc, fr *frame) int64 { return 1 }
+// rangeFn compiles a loop header (a nil step means 1) to the closure
+// evaluating its range — from, to, step, in that order — and rejecting
+// a zero step.
+func (c *compiler) rangeFn(from, to, step forcelang.Expr, lay *unitLayout) func(pr *cproc, fr *frame) sched.Range {
+	fromF, toF := c.cInt(from, lay), c.cInt(to, lay)
+	stepF := func(pr *cproc, fr *frame) int64 { return 1 }
+	if step != nil {
+		stepF = c.cInt(step, lay)
 	}
-	return c.cInt(step, lay)
+	line := from.Pos()
+	return func(pr *cproc, fr *frame) sched.Range {
+		r := sched.Range{Start: int(fromF(pr, fr)), Last: int(toF(pr, fr)), Incr: int(stepF(pr, fr))}
+		if r.Incr == 0 {
+			panic(rtErrf(line, "loop step is zero"))
+		}
+		return r
+	}
 }
 
 // intVarStore compiles the store of a raw int64 into a scalar INTEGER
@@ -314,21 +330,15 @@ func (c *compiler) parDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 	if fn := c.tryChunkParDo(t, lay); fn != nil {
 		return fn
 	}
-	fromF, toF, stepF := c.cInt(t.From, lay), c.cInt(t.To, lay), c.stepFn(t.Step, lay)
+	rangeF := c.rangeFn(t.From, t.To, t.Step, lay)
 	storeVar := c.intVarStore(t.Var, lay, t.Pos())
 	body := c.stmts(t.Body, lay)
-	line := t.From.Pos()
 	presched := t.Sched == forcelang.Presched
 	note := noteStr("DOALL", t.Pos())
 	if t.Inner == nil {
 		return func(pr *cproc, fr *frame) {
 			pr.p.Note(note)
-			from, to := fromF(pr, fr), toF(pr, fr)
-			step := stepF(pr, fr)
-			if step == 0 {
-				panic(rtErrf(line, "loop step is zero"))
-			}
-			r := sched.Range{Start: int(from), Last: int(to), Incr: int(step)}
+			r := rangeF(pr, fr)
 			bodyFn := func(i int) {
 				storeVar(pr, fr, int64(i))
 				runBody(body, pr, fr)
@@ -340,23 +350,12 @@ func (c *compiler) parDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 			}
 		}
 	}
-	ifromF, itoF, istepF := c.cInt(t.Inner.From, lay), c.cInt(t.Inner.To, lay), c.stepFn(t.Inner.Step, lay)
+	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step, lay)
 	storeInner := c.intVarStore(t.Inner.Var, lay, t.Pos())
-	iline := t.Inner.From.Pos()
 	return func(pr *cproc, fr *frame) {
 		pr.p.Note(note)
-		from, to := fromF(pr, fr), toF(pr, fr)
-		step := stepF(pr, fr)
-		if step == 0 {
-			panic(rtErrf(line, "loop step is zero"))
-		}
-		ifrom, ito := ifromF(pr, fr), itoF(pr, fr)
-		istep := istepF(pr, fr)
-		if istep == 0 {
-			panic(rtErrf(iline, "loop step is zero"))
-		}
-		r := sched.Range{Start: int(from), Last: int(to), Incr: int(step)}
-		r2 := sched.Range{Start: int(ifrom), Last: int(ito), Incr: int(istep)}
+		r := rangeF(pr, fr)
+		r2 := irangeF(pr, fr)
 		bodyFn := func(i, j int) {
 			storeVar(pr, fr, int64(i))
 			storeInner(pr, fr, int64(j))
@@ -528,9 +527,95 @@ func (c *compiler) bindArg(arg *forcelang.Ref, paramDecl forcelang.Decl, lay *un
 
 // --- variable access ----------------------------------------------------
 
-// refStore compiles a store into an lvalue, returning the store closure
-// and the variable's declared type; the caller compiles the value to
-// that type.
+// assign compiles an assignment.  The value is coerced to the target's
+// declared type at compile time and evaluated before the subscripts, as
+// everywhere.  A shared accumulate (matchAccum) is one indivisible
+// update: folded into the chunk context when the plan says so, an atomic
+// RMW on the cell otherwise.  Shared words take typed stores; every
+// other target the boxed refStore.
+func (c *compiler) assign(t *forcelang.Assign, lay *unitLayout) stmtFn {
+	sym := lay.lookup(t.Target.Name, t.Pos())
+	tt := sym.decl.Type
+	switch {
+	case sym.class == scShared && len(t.Target.Subs) == 0:
+		cell := c.in.scalar(sym.unit, sym.slot)
+		if acc, ok := matchAccum(c.res.prog, lay, t); ok {
+			if c.plan != nil {
+				if si, folded := c.plan.accs[t.Target.Name]; folded {
+					return c.accAssign(acc, si, lay)
+				}
+			}
+			return c.atomicAccum(acc, cell, lay)
+		}
+		switch tt {
+		case forcelang.TInt:
+			iv := c.asInt(t.Expr, lay)
+			return func(pr *cproc, fr *frame) { cell.storeInt(iv(pr, fr)) }
+		case forcelang.TReal:
+			rv := c.cReal(t.Expr, lay)
+			return func(pr *cproc, fr *frame) { cell.storeReal(rv(pr, fr)) }
+		default:
+			bv := c.cBool(t.Expr, lay)
+			return func(pr *cproc, fr *frame) { cell.storeBool(bv(pr, fr)) }
+		}
+	case sym.class == scSharedArray && len(t.Target.Subs) > 0:
+		arr := c.in.array(sym.unit, sym.slot)
+		off := c.offsetFn(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos(), lay)
+		switch tt {
+		case forcelang.TInt:
+			iv := c.asInt(t.Expr, lay)
+			return func(pr *cproc, fr *frame) {
+				v := iv(pr, fr)
+				arr.storeInt(off(pr, fr), v)
+			}
+		case forcelang.TReal:
+			rv := c.cReal(t.Expr, lay)
+			return func(pr *cproc, fr *frame) {
+				v := rv(pr, fr)
+				arr.storeReal(off(pr, fr), v)
+			}
+		default:
+			bv := c.cBool(t.Expr, lay)
+			return func(pr *cproc, fr *frame) {
+				v := bv(pr, fr)
+				arr.storeBool(off(pr, fr), v)
+			}
+		}
+	}
+	store, _ := c.refStore(&t.Target, lay)
+	ev := c.valAs(t.Expr, lay, tt)
+	return func(pr *cproc, fr *frame) { store(pr, fr, ev(pr, fr)) }
+}
+
+// atomicAccum compiles a shared accumulate to the store's atomic RMW —
+// the primitives kctx.flush folds with — so no update is ever lost,
+// whichever path executes the statement.
+func (c *compiler) atomicAccum(acc accum, cell *sharedScalar, lay *unitLayout) stmtFn {
+	switch {
+	case acc.op == accSum:
+		dv := c.cInt(acc.operand, lay)
+		if acc.negate {
+			return func(pr *cproc, fr *frame) { cell.addInt(-dv(pr, fr)) }
+		}
+		return func(pr *cproc, fr *frame) { cell.addInt(dv(pr, fr)) }
+	case acc.real:
+		av := c.cReal(acc.operand, lay)
+		if acc.op == accMax {
+			return func(pr *cproc, fr *frame) { cell.maxReal(av(pr, fr)) }
+		}
+		return func(pr *cproc, fr *frame) { cell.minReal(av(pr, fr)) }
+	}
+	av := c.cInt(acc.operand, lay)
+	if acc.op == accMax {
+		return func(pr *cproc, fr *frame) { cell.maxInt(av(pr, fr)) }
+	}
+	return func(pr *cproc, fr *frame) { cell.minInt(av(pr, fr)) }
+}
+
+// refStore compiles a boxed store into an lvalue (reduction, Consume and
+// Copy targets, and the assignment targets with no typed path),
+// returning the store closure and the variable's declared type; the
+// caller coerces the value to that type.
 func (c *compiler) refStore(t *forcelang.Ref, lay *unitLayout) (func(pr *cproc, fr *frame, v value), forcelang.Type) {
 	sym := lay.lookup(t.Name, t.Pos())
 	tt := sym.decl.Type
@@ -569,28 +654,20 @@ func (c *compiler) refStore(t *forcelang.Ref, lay *unitLayout) (func(pr *cproc, 
 	panic(compileErrf("line %d: %s is not an array", t.Pos(), t.Name))
 }
 
-// refLoad compiles a load of a variable or array-element reference.
+// refLoad compiles the boxed load of the references the typed leaves
+// (refInt, refReal, refBool) have no direct path for: parameters, whose
+// storage is only known once a call binds it, and private array
+// elements, which are stored boxed.
 func (c *compiler) refLoad(t *forcelang.Ref, lay *unitLayout) valFn {
 	sym := lay.lookup(t.Name, t.Pos())
 	if len(t.Subs) == 0 {
-		switch sym.class {
-		case scPrivate:
-			slot := sym.slot
-			return func(pr *cproc, fr *frame) value { return fr.priv[slot] }
-		case scShared:
-			cell := c.in.scalar(sym.unit, sym.slot)
-			return func(pr *cproc, fr *frame) value { return cell.load() }
-		case scParam:
+		if sym.class == scParam {
 			idx := sym.slot
 			return func(pr *cproc, fr *frame) value { return fr.params[idx].sc.load() }
 		}
 		panic(compileErrf("line %d: %s cannot be read directly", t.Pos(), t.Name))
 	}
 	switch sym.class {
-	case scSharedArray:
-		arr := c.in.array(sym.unit, sym.slot)
-		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
-		return func(pr *cproc, fr *frame) value { return arr.load(off(pr, fr)) }
 	case scPrivArray:
 		slot := sym.slot
 		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
@@ -651,17 +728,7 @@ func evalSubs(fns []intFn, pr *cproc, fr *frame) []int64 {
 // returning its static type.
 func (c *compiler) val(e forcelang.Expr, lay *unitLayout) (valFn, forcelang.Type) {
 	t := c.typ(e, lay)
-	switch t {
-	case forcelang.TInt:
-		iv := c.cInt(e, lay)
-		return func(pr *cproc, fr *frame) value { return intVal(iv(pr, fr)) }, t
-	case forcelang.TReal:
-		rv := c.cReal(e, lay)
-		return func(pr *cproc, fr *frame) value { return realVal(rv(pr, fr)) }, t
-	default:
-		bv := c.cBool(e, lay)
-		return func(pr *cproc, fr *frame) value { return boolVal(bv(pr, fr)) }, t
-	}
+	return c.valAs(e, lay, t), t
 }
 
 // valAs compiles an expression to a boxed value of the wanted type,
@@ -693,6 +760,9 @@ func (c *compiler) asInt(e forcelang.Expr, lay *unitLayout) intFn {
 
 // cInt compiles an INTEGER-typed expression to an unboxed int64 closure.
 func (c *compiler) cInt(e forcelang.Expr, lay *unitLayout) intFn {
+	if fn := c.hoistInt(e, lay); fn != nil {
+		return fn
+	}
 	switch t := e.(type) {
 	case *forcelang.IntLit:
 		v := t.Value
@@ -727,17 +797,38 @@ func (c *compiler) cInt(e forcelang.Expr, lay *unitLayout) intFn {
 	panic(compileErrf("line %d: internal: %T is not an INTEGER expression", e.Pos(), e))
 }
 
+// sharedElem resolves a subscripted shared-array reference to its array
+// and offset closure, for the typed element loads; a nil array means t
+// is anything else.
+func (c *compiler) sharedElem(t *forcelang.Ref, lay *unitLayout) (*sharedArray, func(pr *cproc, fr *frame) int) {
+	sym := lay.lookup(t.Name, t.Pos())
+	if len(t.Subs) == 0 || sym.class != scSharedArray {
+		return nil, nil
+	}
+	return c.in.array(sym.unit, sym.slot), c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
+}
+
+// refInt compiles an INTEGER reference.  In chunk mode the DOALL's own
+// indices (always private INTEGER scalars) read the chunk context, which
+// the span loop advances instead of the frame slot.
 func (c *compiler) refInt(t *forcelang.Ref, lay *unitLayout) intFn {
 	sym := lay.lookup(t.Name, t.Pos())
 	if len(t.Subs) == 0 {
-		switch sym.class {
-		case scPrivate:
+		switch {
+		case c.plan != nil && t.Name == c.plan.outer:
+			return func(pr *cproc, fr *frame) int64 { return pr.k.i }
+		case c.plan != nil && t.Name == c.plan.inner:
+			return func(pr *cproc, fr *frame) int64 { return pr.k.j }
+		case sym.class == scPrivate:
 			slot := sym.slot
 			return func(pr *cproc, fr *frame) int64 { return fr.priv[slot].i }
-		case scShared:
+		case sym.class == scShared:
 			cell := c.in.scalar(sym.unit, sym.slot)
-			return func(pr *cproc, fr *frame) int64 { return int64(cell.bits.Load()) }
+			return func(pr *cproc, fr *frame) int64 { return cell.loadInt() }
 		}
+	}
+	if arr, off := c.sharedElem(t, lay); arr != nil {
+		return func(pr *cproc, fr *frame) int64 { return arr.loadInt(off(pr, fr)) }
 	}
 	lv := c.refLoad(t, lay)
 	return func(pr *cproc, fr *frame) int64 { return lv(pr, fr).i }
@@ -792,6 +883,9 @@ func (c *compiler) intrinsicInt(t *forcelang.Intrinsic, lay *unitLayout) intFn {
 // cReal compiles a numeric expression to an unboxed float64 closure,
 // converting statically INTEGER subexpressions at the boundary.
 func (c *compiler) cReal(e forcelang.Expr, lay *unitLayout) realFn {
+	if fn := c.hoistReal(e, lay); fn != nil {
+		return fn
+	}
 	if c.typ(e, lay) == forcelang.TInt {
 		iv := c.cInt(e, lay)
 		return func(pr *cproc, fr *frame) float64 { return float64(iv(pr, fr)) }
@@ -833,8 +927,11 @@ func (c *compiler) refReal(t *forcelang.Ref, lay *unitLayout) realFn {
 			return func(pr *cproc, fr *frame) float64 { return fr.priv[slot].r }
 		case scShared:
 			cell := c.in.scalar(sym.unit, sym.slot)
-			return func(pr *cproc, fr *frame) float64 { return math.Float64frombits(cell.bits.Load()) }
+			return func(pr *cproc, fr *frame) float64 { return cell.loadReal() }
 		}
+	}
+	if arr, off := c.sharedElem(t, lay); arr != nil {
+		return func(pr *cproc, fr *frame) float64 { return arr.loadReal(off(pr, fr)) }
 	}
 	lv := c.refLoad(t, lay)
 	return func(pr *cproc, fr *frame) float64 { return lv(pr, fr).r }
@@ -882,6 +979,9 @@ func (c *compiler) intrinsicReal(t *forcelang.Intrinsic, lay *unitLayout) realFn
 
 // cBool compiles a LOGICAL-typed expression to an unboxed bool closure.
 func (c *compiler) cBool(e forcelang.Expr, lay *unitLayout) boolFn {
+	if fn := c.hoistBool(e, lay); fn != nil {
+		return fn
+	}
 	switch t := e.(type) {
 	case *forcelang.BoolLit:
 		v := t.Value
@@ -895,8 +995,11 @@ func (c *compiler) cBool(e forcelang.Expr, lay *unitLayout) boolFn {
 				return func(pr *cproc, fr *frame) bool { return fr.priv[slot].b }
 			case scShared:
 				cell := c.in.scalar(sym.unit, sym.slot)
-				return func(pr *cproc, fr *frame) bool { return cell.bits.Load() != 0 }
+				return func(pr *cproc, fr *frame) bool { return cell.loadBool() }
 			}
+		}
+		if arr, off := c.sharedElem(t, lay); arr != nil {
+			return func(pr *cproc, fr *frame) bool { return arr.loadBool(off(pr, fr)) }
 		}
 		lv := c.refLoad(t, lay)
 		return func(pr *cproc, fr *frame) bool { return lv(pr, fr).b }

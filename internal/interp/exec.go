@@ -45,6 +45,11 @@ type cproc struct {
 	// puts is the stack of enclosing Askfor put functions; the innermost
 	// one serves Put statements.
 	puts []func(any)
+	// k is the chunk context of the chunk-compiled DOALL this process is
+	// executing (chunk.go).  One per process suffices: the classifier
+	// admits only Assign, IF and sequential DO into a chunk body, so no
+	// chunk body can call out or nest a construct.
+	k kctx
 }
 
 // cunit is one compiled unit: its resolved layout plus the statement
@@ -214,9 +219,7 @@ func runCompiled(prog *forcelang.Program, cfg Config) (err error) {
 	return f.RunContext(runCtx(cfg), func(p *core.Proc) {
 		pr := &cproc{in: in, p: p}
 		fr := cp.main.getFrame(int64(p.ID()))
-		for _, st := range cp.main.body {
-			st(pr, fr)
-		}
+		runBody(cp.main.body, pr, fr)
 		cp.main.putFrame(fr)
 	})
 }

@@ -72,11 +72,8 @@ import (
 )
 
 // fuseEnabled reports whether the fusion pass applies at all: only the
-// chunk tier fuses, and an iteration-level trace pins the per-iteration
-// path (tryChunkParDo declines for the same reasons).
-func (c *compiler) fuseEnabled() bool {
-	return c.in.cfg.Exec == ExecChunked && c.in.cfg.Trace == nil && !c.in.cfg.NoFuse
-}
+// chunk tier fuses.
+func (c *compiler) fuseEnabled() bool { return c.chunkTier() && !c.in.cfg.NoFuse }
 
 func (c *compiler) fuseLogf(format string, args ...any) {
 	if lg := c.in.cfg.FuseLog; lg != nil {

@@ -12,34 +12,39 @@
 // Either way an improperly synchronized Force program remains a
 // well-defined (if nondeterministic) Go program.
 //
-// Three execution engines implement those semantics (Config.Exec):
+// One closure compiler and one tree walker implement those semantics
+// (Config.Exec):
 //
-//   - ExecChunked (the default) is the compiled engine plus a chunk
-//     tier for DOALL bodies: a classification pass (classify.go) marks
-//     every reference uniform (loop-invariant) or varying (a function
-//     of the loop index), and bodies the classifier can prove safe are
-//     compiled (chunk.go) into tight per-span loops — the index lives
-//     in a register-like local, uniform subexpressions are hoisted and
-//     evaluated once per construct, shared elements are read and
-//     written as typed atomic words without boxing, integer
-//     read-modify-write accumulations fold into the shared cell once
-//     per process, and a prescheduled loop whose body cannot observe
-//     the iteration-to-process map is dealt in contiguous blocks.
-//     Unsafe bodies (calls, critical sections, I/O ordering hazards)
-//     fall back to the per-iteration compiled path, statement for
-//     statement.
-//   - ExecCompiled stages execution: a resolution pass (resolve.go)
-//     assigns every variable reference a (storage class, slot) pair,
-//     and a compile pass (compile.go) turns the checked AST into a
-//     tree of typed closures over index-addressed frames.  Private
-//     variables are direct slot accesses; shared scalars and shared
-//     array elements are individual atomic words (store.go), so an
-//     interpreted DOALL over disjoint elements runs in parallel.  Kept
-//     as the chunk tier's A/B baseline.
+//   - ExecChunked (the default) and ExecCompiled are the same staged
+//     engine: a resolution pass (resolve.go) assigns every variable
+//     reference a (storage class, slot) pair, and the closure compiler
+//     (compile.go) turns the checked AST into a tree of typed closures
+//     over index-addressed frames.  Private variables are direct slot
+//     accesses; shared scalars and shared array elements are individual
+//     atomic words read and written unboxed (store.go), so an
+//     interpreted DOALL over disjoint elements runs in parallel.
+//     Under ExecChunked a classification pass (classify.go) marks every
+//     DOALL-body reference uniform (loop-invariant) or varying, and a
+//     body it can prove safe is compiled by that same compiler in chunk
+//     mode (chunk.go) and run as a tight per-span loop — the index
+//     lives in the process's chunk context, uniform subexpressions are
+//     hoisted and evaluated once per construct, shared accumulates fold
+//     into the shared cell once per chunk, and a prescheduled loop
+//     whose body cannot observe the iteration-to-process map is dealt
+//     in contiguous blocks.  Unsafe bodies (calls, critical sections,
+//     I/O ordering hazards) take the per-iteration path.  ExecCompiled
+//     never enters chunk mode: every DOALL body dispatches one index at
+//     a time.  It is the switch the equivalence tests and forcebench
+//     T11 use to drive the per-iteration path over chunk-eligible
+//     bodies.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
-//     one per-run mutex.  It is kept as the semantic baseline
+//     one per-run mutex.  It is the differential-test oracle
 //     (forcebench T11, forcerun -exec tree).
+//
+// All of them give the shared accumulate one meaning (README,
+// "Semantics"): `S = S + e` and its recognised siblings (matchAccum)
+// are atomic updates of the shared scalar.
 //
 // Error handling is fault-contained, unlike the original system's: a
 // runtime error (subscript out of range, division by zero) in any
@@ -49,7 +54,7 @@
 // processes have stopped.  On the 1989 machines the same failure left
 // the peers blocked forever; the runtime's poison protocol (see
 // internal/poison and core.Force.Run) removes that failure mode at
-// every NP, under both execution engines.
+// every NP, under every execution engine.
 package interp
 
 import (
@@ -102,9 +107,9 @@ type Config struct {
 	// padded slots (zero value), the paper's critical-section baseline
 	// (reduce.Critical), the combining tree, or lock-free CAS.
 	Reduce reduce.Kind
-	// Exec selects the execution engine: the chunk-compiling closure
-	// compiler (zero value), the per-iteration closure compiler
-	// (ExecCompiled), or the original tree walker (ExecTree).
+	// Exec selects the execution engine: the closure compiler with its
+	// chunk mode on (zero value) or off (ExecCompiled), or the original
+	// tree walker (ExecTree).
 	Exec ExecMode
 	// NoFuse disables the fusion pass of the chunk tier: adjacent
 	// independent DOALLs and a trailing reduction keep their own exit
@@ -140,16 +145,15 @@ type Config struct {
 type ExecMode int
 
 const (
-	// ExecChunked is the compiled engine with the chunk tier enabled:
-	// provably safe DOALL bodies run as per-span tight loops over the
-	// store's typed accessors; everything else runs exactly as
-	// ExecCompiled.  The default.
+	// ExecChunked is the closure compiler with chunk mode enabled:
+	// provably safe DOALL bodies run as per-span tight loops; everything
+	// else runs exactly as ExecCompiled.  The default.
 	ExecChunked ExecMode = iota
 	// ExecCompiled resolves every variable reference to a (storage
 	// class, slot) pair at compile time and executes typed closures over
 	// index-addressed frames with per-variable shared-memory
-	// synchronization, dispatching DOALL bodies one index at a time.
-	// Kept as the chunk tier's A/B baseline.
+	// synchronization, dispatching every DOALL body one index at a time
+	// (chunk mode never entered).  Kept as the chunk tier's A/B baseline.
 	ExecCompiled
 	// ExecTree is the original tree walker: map-addressed frames and one
 	// global mutex serializing all shared access.  Kept as the semantic
@@ -208,12 +212,16 @@ func Run(prog *forcelang.Program, cfg Config) error {
 
 // runTree executes the program on the original tree walker.
 func runTree(prog *forcelang.Program, cfg Config) (err error) {
+	res, err := resolveProgram(prog)
+	if err != nil {
+		return err
+	}
 	f := core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithBarrier(cfg.Barrier),
 		core.WithTrace(cfg.Trace), core.WithAskfor(cfg.Askfor),
 		core.WithPcaseSched(cfg.Selfsched), core.WithReduce(cfg.Reduce),
 		core.WithChunk(cfg.Chunk))
 	defer f.Close()
-	in := newInstance(prog, cfg, f)
+	in := newInstance(prog, cfg, res, f)
 	if cfg.OnForce != nil {
 		cfg.OnForce(f)
 	}
@@ -421,6 +429,11 @@ func (o *outsink) flush() error {
 type instance struct {
 	prog *forcelang.Program
 	cfg  Config
+	// res serves one purpose: matchAccum's static view of each unit, so
+	// this walker and the closure compiler recognise the same statements
+	// as shared accumulates; accums caches its verdict per statement.
+	res    *resolution
+	accums sync.Map // *forcelang.Assign -> *accum (nil: not an accumulate)
 
 	mu     sync.Mutex // serializes shared storage access
 	shared map[string]map[string]*binding
@@ -479,10 +492,11 @@ func (e *asyncEntry) at(sub int64, subPresent bool, name string, line int) async
 	return e.arr.At(int(sub - 1))
 }
 
-func newInstance(prog *forcelang.Program, cfg Config, f *core.Force) *instance {
+func newInstance(prog *forcelang.Program, cfg Config, res *resolution, f *core.Force) *instance {
 	in := &instance{
 		prog:   prog,
 		cfg:    cfg,
+		res:    res,
 		shared: map[string]map[string]*binding{},
 		asyncs: map[string]*asyncEntry{},
 		out:    newOutsink(cfg.Stdout),
@@ -666,8 +680,9 @@ func (pr *proc) note(st forcelang.Stmt, kind, name string) {
 func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 	switch t := st.(type) {
 	case *forcelang.Assign:
-		v := pr.eval(t.Expr, f)
-		pr.assign(&t.Target, v, f)
+		if !pr.accumulate(t, f) {
+			pr.assign(&t.Target, pr.eval(t.Expr, f), f)
+		}
 	case *forcelang.If:
 		if pr.evalBool(t.Cond, f) {
 			pr.stmts(t.Then, f)
@@ -933,6 +948,45 @@ func (pr *proc) assign(target *forcelang.Ref, v value, f *tframe) {
 	}
 	subs := pr.evalSubs(target.Subs, f)
 	pr.storeElem(b, subs, v, target.Name, target.Pos())
+}
+
+// accumulate executes t as one indivisible update when it is a shared
+// accumulate (matchAccum): the operand is evaluated first, then the
+// load, the combine and the store happen under the shared-memory mutex,
+// with the strict compares of the MAX/MIN intrinsics.  It reports false,
+// having done nothing, for every other assignment.
+func (pr *proc) accumulate(t *forcelang.Assign, f *tframe) bool {
+	v, cached := pr.in.accums.Load(t)
+	if !cached {
+		var verdict *accum
+		if a, ok := matchAccum(pr.in.prog, pr.in.res.units[f.unit], t); ok {
+			verdict = &a
+		}
+		v, _ = pr.in.accums.LoadOrStore(t, verdict)
+	}
+	acc := v.(*accum)
+	if acc == nil {
+		return false
+	}
+	x := pr.eval(acc.operand, f)
+	s := pr.lookup(f, t.Target.Name, t.Pos()).p
+	pr.in.mu.Lock()
+	defer pr.in.mu.Unlock()
+	switch {
+	case acc.op == accSum && acc.negate:
+		s.i -= x.i
+	case acc.op == accSum:
+		s.i += x.i
+	case acc.real:
+		if v := x.asReal(); (acc.op == accMax && v > s.r) || (acc.op == accMin && v < s.r) {
+			s.r = v
+		}
+	default:
+		if (acc.op == accMax && x.i > s.i) || (acc.op == accMin && x.i < s.i) {
+			s.i = x.i
+		}
+	}
+	return true
 }
 
 func (pr *proc) evalSubs(subs []forcelang.Expr, f *tframe) []int64 {

@@ -12,7 +12,7 @@
 //
 // The historical profiles are reconstructions from the paper's text; where
 // the paper is silent (e.g. the Flex/32 creation model) the choice is
-// documented on the profile and in DESIGN.md.  Creation costs are scaled
+// documented on the profile.  Creation costs are scaled
 // stand-ins preserving the paper's ordering — "the standard UNIX fork/join
 // process control model ... has a large process creation and context
 // switching cost", while on the HEP "one can create processes with a

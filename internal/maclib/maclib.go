@@ -14,7 +14,7 @@
 //
 // The machine layers' Fortran spellings (CALL S_LOCK, CALL LOCKON, ...)
 // are reconstructions: the paper names the lock categories but not the
-// vendor entry points.  See DESIGN.md.
+// vendor entry points.
 package maclib
 
 import (
