@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/aot"
+	"repro/internal/codegen"
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
 	"repro/internal/interp"
@@ -318,5 +320,116 @@ func TestAOTWarmCacheNoRebuilds(t *testing.T) {
 	}
 	if s.Hits == 0 {
 		t.Errorf("warm cache recorded no hits: %v", s)
+	}
+}
+
+// TestAOTSpanAbortLatency is the native twin of the interpreter's
+// TestChunkedAbortLatency: one process faults on its second iteration of
+// a long prescheduled span; its peers, deep in spans of their own, leave
+// through the in-span poison check instead of finishing them, and the
+// cached binary reports the interpreter's exact message.
+func TestAOTSpanAbortLatency(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries with the go toolchain")
+	}
+	prog := forcelang.MustParse(`Force ABT of NP ident ME
+Shared Real A(1000000)
+Private Integer I, K
+End Declarations
+Presched DO I = 1, 1000000
+  DO K = 1, 4000
+    A(I) = A(I) + REAL(I / (I - 3))
+  End DO
+End Presched DO
+Join
+`)
+	_, want := interpRun(t, prog, 2, interp.ExecChunked)
+	if want == nil || !strings.Contains(want.Error(), "force runtime: line 7: integer division by zero") {
+		t.Fatalf("interpreter reference: %v", want)
+	}
+	if _, err := aotTestCache(t).Ensure(prog, aot.Options{}); err != nil { // build outside the timed runs
+		t.Fatal(err)
+	}
+	// A clean peer span is at least 125k iterations of 4000 inner steps
+	// each — several seconds of work — so an abort that waited for it
+	// would show.
+	for _, np := range []int{2, 8} {
+		start := time.Now()
+		_, err := aotRun(t, prog, np)
+		elapsed := time.Since(start)
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("np=%d: aot error %v, interpreter %v", np, err, want)
+		}
+		if elapsed > time.Second {
+			t.Errorf("np=%d: abort took %v — the span loop is not checking poison", np, elapsed)
+		}
+		t.Logf("np=%d: native abort in %v", np, elapsed)
+	}
+}
+
+// TestPlanNarrationAcrossTiers: the chunk tier (through Config.FuseLog)
+// and the Go emitter (codegen.Lower) narrate the same decisions in the
+// same order — main program first, subroutines in source order — on
+// every run.  The program spreads DOALLs over three units so a map-order
+// walk would show.
+func TestPlanNarrationAcrossTiers(t *testing.T) {
+	prog := forcelang.MustParse(`Force TIERS of NP ident ME
+Shared Real A(32), B(32)
+Shared Integer S
+Private Integer I
+End Declarations
+Presched DO I = 1, 32
+  A(I) = REAL(I)
+End Presched DO
+Presched DO I = 1, 32
+  B(I) = A(I) * 2.0
+End Presched DO
+Call ZED
+Call ABLE
+Presched DO I = 1, 32
+  A(I) = REAL(ME)
+End Presched DO
+Join
+Forcesub ZED()
+Private Integer K
+End Declarations
+Presched DO K = 1, 32
+  S = S + K
+End Presched DO
+Presched DO K = 1, 32
+  S = S * 2
+End Presched DO
+Endsub
+Forcesub ABLE()
+Private Integer K
+End Declarations
+Selfsched DO K = 1, 32
+  B(K) = 0.0
+End Selfsched DO
+Presched DO K = 1, 32
+  Critical L
+    S = S + 1
+  End Critical
+End Presched DO
+Endsub
+`)
+	_, want, err := codegen.Lower(prog, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) < 6 || !strings.HasPrefix(want[0], "line 6:") {
+		t.Fatalf("emitter narration looks wrong:\n%s", strings.Join(want, "\n"))
+	}
+	for round := 0; round < 10; round++ {
+		var got []string
+		err := interp.Run(prog, interp.Config{NP: 2, Stdout: io.Discard,
+			FuseLog: func(msg string) { got = append(got, msg) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("round %d: chunk tier narrates\n%s\nemitter narrates\n%s",
+				round, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }

@@ -983,6 +983,7 @@ type aotCell struct {
 type aotReport struct {
 	Experiment   string    `json:"experiment"`
 	GoMaxProcs   int       `json:"gomaxprocs"`
+	NumCPU       int       `json:"num_cpu"`
 	Runs         int       `json:"runs"`
 	LaunchMillis float64   `json:"warm_launch_millis"`
 	Results      []aotCell `json:"results"`
@@ -1056,7 +1057,7 @@ Join
 	if err != nil {
 		return err
 	}
-	report := aotReport{Experiment: "aot-tier", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
+	report := aotReport{Experiment: "aot-tier", GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Runs: c.runs}
 	perSec := map[string]map[int]float64{} // tier/kernel → np → iters/s
 	for _, k := range kernels {
 		prog, err := forcelang.Parse(k.src)

@@ -35,13 +35,15 @@
 // and continues, -vet=err reports and fails, -vet=off skips the
 // analysis.
 //
-//	forcec -cache [-selfsched KIND] [-reduce STRAT] [-barrier ALG] [-askfor POOL] [-chunk N] file.force
+//	forcec -cache [-v] [-selfsched KIND] [-reduce STRAT] [-barrier ALG] [-askfor POOL] [-chunk N] file.force
 //	    Compile the program into the ahead-of-time binary cache — the
 //	    same content-addressed store forcerun's -exec aot/auto tiers
 //	    execute from ($FORCE_CACHE or ~/.cache/force) — and print the
 //	    cache key, status (hit or built) and binary path.  Use it to
 //	    pre-warm the cache so a program's first -exec aot run is
-//	    already native.  -timeout D bounds the pre-warm's `go build`
+//	    already native.  -v also reports, on standard error, the DOALL
+//	    plan the binary was emitted from — the "fuse:" lines forcerun -v
+//	    narrates on every tier.  -timeout D bounds the pre-warm's `go build`
 //	    with a wall-clock deadline (same semantics as forcerun
 //	    -timeout): an expired build exits 1 and leaves no entry, so
 //	    the next -cache (or forcerun) simply rebuilds.
@@ -83,6 +85,7 @@ func main() {
 		askforF  = flag.String("askfor", "stealing", "Askfor pool discipline in -go and -cache output")
 		chunkF   = flag.Int("chunk", 0, "selfsched span size baked into -go and -cache output (0 = discipline default)")
 		wallTO   = flag.Duration("timeout", 0, "wall-clock deadline for the -cache pre-warm build (0 disables)")
+		verbose  = flag.Bool("v", false, "with -cache: report the DOALL plan the binary was emitted from (forcerun -v's fuse: lines) on standard error")
 		vetF     = flag.String("vet", "warn", "forcevet static analysis in -check/-go/-cache: warn, err or off")
 		explain  = flag.String("explain", "", "print the long-form rule for a forcevet diagnostic code and exit")
 	)
@@ -157,6 +160,11 @@ func main() {
 				status = "hit"
 			}
 			fmt.Printf("key: %s\nstatus: %s\nbinary: %s\n", entry.Key, status, entry.Bin)
+			if *verbose {
+				for _, line := range entry.Plan() {
+					fmt.Fprintf(os.Stderr, "forcec: fuse: %s\n", line)
+				}
+			}
 			return
 		}
 		out, err := codegen.Generate(prog, codegen.Options{Package: *pkg, DefaultNP: *np, Selfsched: kind, Reduce: rk, Chunk: *chunkF, Barrier: bk, Askfor: pool})

@@ -422,6 +422,13 @@ func tryNative(ctx context.Context, prog *forcelang.Program, execMode string, op
 			vlog("tier %s: cache hit (key %.12s)", execMode, e.Key)
 		}
 	}
+	// The decisions the binary was emitted from: the lines the chunked
+	// tier narrates for the same program, from the same plan.
+	if verbose {
+		for _, line := range entry.Plan() {
+			vlog("fuse: %s", line)
+		}
+	}
 	// Compose the two deadlines: ctx carries -timeout, and -hang-timeout
 	// nests a stall deadline inside it.  Whichever expires first kills
 	// the child's process group; the stall message appears only when the

@@ -18,7 +18,19 @@
 //		   │                 forcec -explain FVnnn) and cmd/forcevet; the
 //		   │                 uniform/varying lattice and the affine
 //		   │                 disjointness proofs live in internal/uniform,
-//		   │                 shared with the chunk classifier below
+//		   │                 shared with the DOALL plan below
+//		   ├── plan          the back-end-independent DOALL decisions, over
+//		   │                 the checker's scope through one "how is this
+//		   │                 name stored" seam: the classify walk (uniform
+//		   │                 vs varying, disjointness, accumulator folding,
+//		   │                 whether the iteration→process map is
+//		   │                 observable → block or cyclic deal), the shared-
+//		   │                 accumulate recogniser, and the fusion legality
+//		   │                 proofs (runs of adjacent independent DOALLs,
+//		   │                 plus a trailing GSUM/GPROD/GMAX/GMIN, that may
+//		   │                 share one closing join).  BOTH back ends below
+//		   │                 read it, and forcerun -v narrates the same
+//		   │                 decision lines on either
 //		   ├── interp        SPMD interpreter: a resolve pass binds every
 //		   │                 reference to a (storage class, slot) pair and
 //		   │                 ONE closure compiler emits typed closures over
@@ -27,25 +39,21 @@
 //		   │                 typed by its declaration, read and written
 //		   │                 unboxed, no locks in the store; a racy program
 //		   │                 observes, per element, some whole value stored
-//		   │                 there.  At each DOALL a classify pass (uniform
-//		   │                 vs varying) decides whether the body is safe
-//		   │                 to compile in the compiler's chunk mode — loop
+//		   │                 there.  A DOALL body the plan certifies is
+//		   │                 compiled in the compiler's chunk mode — loop
 //		   │                 index in the process's chunk context, uniform
 //		   │                 subexpressions hoisted, accumulators folded —
-//		   │                 and run as a per-span tight loop, a
-//		   │                 prescheduled loop whose iteration→process map
-//		   │                 nothing observes dealt in contiguous blocks;
-//		   │                 the same compiler with chunk mode off and the
-//		   │                 original tree walker (the test oracle) are the
-//		   │                 A/B baselines (forcerun -exec
-//		   │                 chunked|compiled|tree, forcebench T11); a fuse
-//		   │                 pass between classify and chunk merges runs of
-//		   │                 adjacent provably-independent DOALLs into one
-//		   │                 region — exit barriers elided, a trailing
-//		   │                 GSUM/GPROD/GMAX/GMIN folded into the region's
-//		   │                 closing join (forcerun -fuse=on|off, forcebench
-//		   │                 T14)
-//		   └── codegen       compiler back end emitting Go against core
+//		   │                 and run as a per-span tight loop, a fused
+//		   │                 region as open members and one join; the same
+//		   │                 compiler with chunk mode off and the original
+//		   │                 tree walker (the test oracle) are the A/B
+//		   │                 baselines (forcerun -exec chunked|compiled|
+//		   │                 tree, -fuse=on|off, forcebench T11, T14)
+//		   └── codegen       compiler back end emitting Go against core:
+//		        │            every DOALL a Go for-loop over the scheduler
+//		        │            span (block deal, span-local accumulator
+//		        │            partials and fused regions as the plan says),
+//		        │            run-time checks small enough to inline
 //		        │
 //		        ├── aot      cached native tier: a structural hash of the
 //		        │            checked AST (plus the semantics-affecting

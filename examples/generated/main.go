@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/asyncvar"
 	"repro/internal/barrier"
@@ -28,13 +30,34 @@ var _ engine.PoolKind
 
 // zzErr is a Force runtime error carried by panic through the SPMD
 // machinery; the poison protocol re-panics the first failure in the
-// driver, whose recover reports it exactly as the interpreter does.
-type zzErr struct{ msg string }
+// driver, whose recover reports it exactly as the interpreter does.  It
+// holds what the failed check saw; kind says which operands msg formats.
+type zzErr struct {
+	line int
+	kind zzErrKind
+	msg  string
+	name string  // zzSubscript: the array
+	s, n int     // zzSubscript: the subscript and the extent
+	x    float64 // zzOperand: the offending operand
+}
 
-func (e zzErr) Error() string { return e.msg }
+type zzErrKind int
 
-func zzPanicf(line int, format string, args ...any) {
-	panic(zzErr{fmt.Sprintf("force runtime: line %d: %s", line, fmt.Sprintf(format, args...))})
+const (
+	zzLiteral   zzErrKind = iota // msg is the message
+	zzSubscript                  // msg formats name, s, n
+	zzOperand                    // msg formats x
+)
+
+func (e zzErr) Error() string {
+	msg := e.msg
+	switch e.kind {
+	case zzSubscript:
+		msg = fmt.Sprintf(msg, e.name, e.s, e.n)
+	case zzOperand:
+		msg = fmt.Sprintf(msg, e.x)
+	}
+	return fmt.Sprintf("force runtime: line %d: %s", e.line, msg)
 }
 
 // zzInt truncates toward zero at run time (a plain int() conversion of
@@ -43,54 +66,100 @@ func zzInt(x float64) int { return int(x) }
 
 func zzDiv(line, a, b int) int {
 	if b == 0 {
-		zzPanicf(line, "integer division by zero")
+		panic(zzErr{line: line, msg: "integer division by zero"})
 	}
 	return a / b
 }
 
 func zzMod(line, a, b int) int {
 	if b == 0 {
-		zzPanicf(line, "MOD by zero")
+		panic(zzErr{line: line, msg: "MOD by zero"})
 	}
 	return a % b
 }
 
 func zzSqrt(line int, x float64) float64 {
 	if x < 0 {
-		zzPanicf(line, "SQRT of negative value %g", x)
+		panic(zzErr{line: line, kind: zzOperand, msg: "SQRT of negative value %g", x: x})
 	}
 	return math.Sqrt(x)
 }
 
 func zzIdx1(line int, name string, s, n int) int {
 	if s < 1 || s > n {
-		zzPanicf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s, n)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 1 of %s out of range: %d not in [1,%d]", name: name, s: s, n: n})
 	}
 	return s - 1
 }
 
 func zzIdx2(line int, name string, s1, s2, d1, d2 int) int {
 	if s1 < 1 || s1 > d1 {
-		zzPanicf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s1, d1)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 1 of %s out of range: %d not in [1,%d]", name: name, s: s1, n: d1})
 	}
 	if s2 < 1 || s2 > d2 {
-		zzPanicf(line, "subscript 2 of %s out of range: %d not in [1,%d]", name, s2, d2)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 2 of %s out of range: %d not in [1,%d]", name: name, s: s2, n: d2})
 	}
 	return (s1-1)*d2 + s2 - 1
 }
 
 func zzChkStep(line, s int) int {
 	if s == 0 {
-		zzPanicf(line, "loop step is zero")
+		panic(zzErr{line: line, msg: "loop step is zero"})
 	}
 	return s
 }
 
 func zzAsyncIdx(line int, name string, s, n int) int {
 	if s < 1 || s > n {
-		zzPanicf(line, "subscript of async array %s out of range: %d not in [1,%d]", name, s, n)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript of async array %s out of range: %d not in [1,%d]", name: name, s: s, n: n})
 	}
 	return s - 1
+}
+
+// The shared accumulate (S = S + e, S = MAX(S, e), S = MIN(S, e) on a
+// shared scalar) is one indivisible update: the helpers below view the
+// int or float64 cell as the 64-bit word it is.  Extrema replace the
+// cell only on the strict compare the intrinsic performs, so a NaN never
+// wins and a span's untouched partial (the fold identity) stores nothing.
+const _ = unsafe.Sizeof(int(0)) - 8 // an int cell must be one 64-bit word
+
+func zzAddInt(p *int, d int) {
+	if d != 0 {
+		atomic.AddInt64((*int64)(unsafe.Pointer(p)), int64(d))
+	}
+}
+
+func zzMaxInt(p *int, x int) {
+	w := (*int64)(unsafe.Pointer(p))
+	for old := atomic.LoadInt64(w); int64(x) > old && !atomic.CompareAndSwapInt64(w, old, int64(x)); old = atomic.LoadInt64(w) {
+	}
+}
+
+func zzMinInt(p *int, x int) {
+	w := (*int64)(unsafe.Pointer(p))
+	for old := atomic.LoadInt64(w); int64(x) < old && !atomic.CompareAndSwapInt64(w, old, int64(x)); old = atomic.LoadInt64(w) {
+	}
+}
+
+func zzMaxReal(p *float64, x float64) {
+	w := (*uint64)(unsafe.Pointer(p))
+	for old := atomic.LoadUint64(w); x > math.Float64frombits(old) && !atomic.CompareAndSwapUint64(w, old, math.Float64bits(x)); old = atomic.LoadUint64(w) {
+	}
+}
+
+func zzMinReal(p *float64, x float64) {
+	w := (*uint64)(unsafe.Pointer(p))
+	for old := atomic.LoadUint64(w); x < math.Float64frombits(old) && !atomic.CompareAndSwapUint64(w, old, math.Float64bits(x)); old = atomic.LoadUint64(w) {
+	}
+}
+
+// zzStoreInt and zzStoreReal publish a fused join's fold into a shared
+// cell: every process stores the one value they all hold, atomically, so
+// the concurrent identical stores are not a data race.
+func zzStoreInt(p *int, v int) { atomic.StoreInt64((*int64)(unsafe.Pointer(p)), int64(v)) }
+
+func zzStoreReal(p *float64, v float64) {
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(p)), math.Float64bits(v))
 }
 
 // zzReal formats a REAL the way the interpreter does: %g, with a ".0"
@@ -161,7 +230,7 @@ func main() {
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(zzErr); ok {
-				fmt.Fprintln(os.Stderr, e.msg)
+				fmt.Fprintln(os.Stderr, e.Error())
 			} else {
 				fmt.Fprintln(os.Stderr, "force runtime error:", r)
 			}
@@ -179,20 +248,45 @@ func main() {
 		_ = LOCSUM
 		var LOCMAX float64
 		_ = LOCMAX
-		p.PreschedDo(sched.Range{Start: 1, Last: 1000, Incr: 1}, func(zzI int) {
-			I = zzI
-			shr.DATA[zzIdx1(23, "DATA", I, len(shr.DATA))] = (float64(I) / 1000.0)
-		})
+		{
+			zzR := sched.Range{Start: 1, Last: 1000, Incr: 1}
+			p.DoAllChunked(sched.PreschedBlock, zzR, func(zzLo, zzHi, zzStride int) {
+				zzC := 0
+				for zzK := zzLo; zzK < zzHi; zzK += zzStride {
+					I = zzR.Start + zzK*zzR.Incr
+					shr.DATA[zzIdx1(23, "DATA", I, len(shr.DATA))] = (float64(I) / 1000.0)
+					if zzC++; zzC == 256 {
+						zzC = 0
+						p.Check()
+					}
+				}
+				zzK := sched.CyclicLast(p.ID(), p.NP(), zzR.Count())
+				I = zzR.Start + zzK*zzR.Incr
+			})
+		}
 		LOCSUM = 0.0
 		LOCMAX = 0.0
-		p.DoAll(sched.SelfLock, sched.Range{Start: 1, Last: 1000, Incr: 1}, func(zzI int) {
-			I = zzI
-			LOCSUM = (LOCSUM + (shr.DATA[zzIdx1(28, "DATA", I, len(shr.DATA))] * shr.DATA[zzIdx1(28, "DATA", I, len(shr.DATA))]))
-			if shr.DATA[zzIdx1(29, "DATA", I, len(shr.DATA))] > LOCMAX {
-				LOCMAX = shr.DATA[zzIdx1(30, "DATA", I, len(shr.DATA))]
-			}
-		})
-		core.GsumTo(p, LOCSUM, &shr.TOTAL)
+		{
+			zzR := sched.Range{Start: 1, Last: 1000, Incr: 1}
+			p.DoAllChunkedOpen(sched.SelfLock, zzR, func(zzLo, zzHi, zzStride int) {
+				zzC := 0
+				for zzK := zzLo; zzK < zzHi; zzK += zzStride {
+					I = zzR.Start + zzK*zzR.Incr
+					LOCSUM = (LOCSUM + (shr.DATA[zzIdx1(28, "DATA", I, len(shr.DATA))] * shr.DATA[zzIdx1(28, "DATA", I, len(shr.DATA))]))
+					if shr.DATA[zzIdx1(29, "DATA", I, len(shr.DATA))] > LOCMAX {
+						LOCMAX = shr.DATA[zzIdx1(30, "DATA", I, len(shr.DATA))]
+					}
+					if zzC++; zzC == 256 {
+						zzC = 0
+						p.Check()
+					}
+				}
+			})
+		}
+		{
+			zzOut := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(LOCSUM))
+			zzStoreReal(&shr.TOTAL, math.Float64frombits(zzOut))
+		}
 		core.GmaxTo(p, LOCMAX, &shr.BIG)
 		core.GsumTo(p, 1, &shr.HITS)
 		p.BarrierSection(func() {

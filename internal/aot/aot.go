@@ -11,6 +11,7 @@
 //	<key>/main.go    the generated Go source (for inspection/debugging)
 //	<key>/force.bin  the built binary (runs with -np N)
 //	<key>/meta.json  program name, options, binary size (staleness check)
+//	<key>/plan       the DOALL decisions the binary was emitted from, one per line
 //	<key>/runs       one byte per interpreted run (the auto-tier counter)
 //	<key>/lock       cross-process build lock (flock)
 //
@@ -141,6 +142,17 @@ type Entry struct {
 }
 
 func (c *Cache) entryDir(key string) string { return filepath.Join(c.dir, key) }
+
+// Plan returns the DOALL decisions the entry's binary was emitted from
+// (codegen.Lower): the lines forcerun -v narrates as "fuse:" on every
+// tier.  It is read on demand — a warm lookup never touches it.
+func (e *Entry) Plan() []string {
+	data, err := os.ReadFile(filepath.Join(e.Dir, "plan"))
+	if err != nil {
+		return nil // narration only: an entry without it still runs
+	}
+	return strings.FieldsFunc(string(data), func(r rune) bool { return r == '\n' })
+}
 
 type lookupState int
 

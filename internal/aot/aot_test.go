@@ -3,6 +3,7 @@ package aot
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -215,5 +216,89 @@ func TestSingleFlight(t *testing.T) {
 	}
 	if s := c.Stats(); s.Builds != 1 {
 		t.Errorf("concurrent Ensure built %d times: %v", s.Builds, s)
+	}
+}
+
+// TestOldFormatEntryNotServed: an entry built by the per-iteration
+// emitter (format version 1) lives under a key no current lookup
+// computes, so it is never served — Ensure builds a fresh entry beside
+// it, with the plan the new emitter read recorded.
+func TestOldFormatEntryNotServed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	c := openTestCache(t)
+	prog := forcelang.MustParse(runSrc)
+	// The key runSrc had while formatVersion was 1 (Key at the commit
+	// before the span emitter).
+	const oldKey = "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091"
+	if oldKey == Key(prog, Options{}) {
+		t.Fatal("format version is not part of the key")
+	}
+	// Plant a complete, self-consistent version-1 entry whose "binary"
+	// would fail loudly if anything executed it.
+	oldDir := c.entryDir(oldKey)
+	if err := os.MkdirAll(oldDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := []byte("#!/bin/sh\necho served a version-1 entry >&2\nexit 3\n")
+	if err := os.WriteFile(filepath.Join(oldDir, "force.bin"), stale, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	meta := `{"program":"RUN","key":"` + oldKey + `","bin_size":` + strconv.Itoa(len(stale)) + `}`
+	if err := os.WriteFile(filepath.Join(oldDir, "meta.json"), []byte(meta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if old, st := c.lookup(oldKey); st != lookupHit || old == nil {
+		t.Fatalf("planted entry is not well-formed (state %d): the test would pass vacuously", st)
+	}
+
+	if _, ok := c.Cached(prog, Options{}); ok {
+		t.Fatal("a version-1 entry satisfied a current lookup")
+	}
+	e, err := c.Ensure(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Builds != 1 {
+		t.Errorf("stats after Ensure: %v, want exactly one build", s)
+	}
+	if e.Key == oldKey || e.Dir == oldDir {
+		t.Errorf("Ensure served the version-1 entry %s", e.Dir)
+	}
+	var sb strings.Builder
+	if err := e.Run(2, &sb, time.Minute); err != nil || sb.String() != "S = 1\n" {
+		t.Errorf("rebuilt entry: output %q, err %v", sb.String(), err)
+	}
+}
+
+// TestEntryPlan: the DOALL decisions the binary was emitted from are
+// kept beside it and read back on demand.
+func TestEntryPlan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	c := openTestCache(t)
+	e, err := c.Ensure(forcelang.MustParse(`Force PLAN of NP ident ME
+Shared Real A(64)
+Private Integer I
+End Declarations
+Presched DO I = 1, 64
+  A(I) = REAL(I)
+End Presched DO
+Join
+`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Plan(); len(got) != 1 || got[0] != "line 5: DOALL partition=block" {
+		t.Errorf("plan = %q", got)
+	}
+	none, err := c.Ensure(forcelang.MustParse(runSrc), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := none.Plan(); len(got) != 0 {
+		t.Errorf("a program with no DOALL has plan %q", got)
 	}
 }

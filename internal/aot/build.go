@@ -62,7 +62,7 @@ func (c *Cache) build(ctx context.Context, key string, prog *forcelang.Program, 
 		return nil, fmt.Errorf("%w: %v", ErrNoToolchain, err)
 	}
 	opts = normalizeOpts(opts)
-	src, err := codegen.Generate(prog, codegen.Options{
+	src, decisions, err := codegen.Lower(prog, codegen.Options{
 		Package:   "main",
 		Selfsched: opts.Selfsched,
 		Reduce:    opts.Reduce,
@@ -81,8 +81,12 @@ func (c *Cache) build(ctx context.Context, key string, prog *forcelang.Program, 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("aot: %w", err)
 	}
-	// Keep the generated source beside the binary for inspection.
+	// Keep the generated source, and the plan it was emitted from, beside
+	// the binary for inspection.
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), src, 0o644); err != nil {
+		return nil, fmt.Errorf("aot: %w", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "plan"), []byte(strings.Join(decisions, "\n")+"\n"), 0o644); err != nil {
 		return nil, fmt.Errorf("aot: %w", err)
 	}
 	// The generated code imports repro/internal/*, so it must compile as

@@ -8,12 +8,18 @@
 //
 // Mapping: shared and async declarations (of every program unit,
 // COMMON-like) become fields of a generated shared-environment struct;
-// private declarations become per-process locals; DOALLs, barriers,
-// critical sections and Pcase map to the corresponding core.Proc methods;
+// private declarations become per-process locals; barriers, critical
+// sections and Pcase map to the corresponding core.Proc methods;
 // Forcesubs become Go functions taking the process handle, the shared
 // environment, and by-reference parameters.  Like the original Force, the
 // generated program's shared accesses are exactly as synchronized as the
 // source program was.
+//
+// DOALLs are emitted as span loops (doall.go) against the runtime entry
+// points the interpreter's chunk tier uses, and every decision about
+// them — block or cyclic deal, folded accumulators, fused regions — is
+// read from internal/plan, the proofs both back ends share; this package
+// holds no legality code of its own.
 package codegen
 
 import (
@@ -24,6 +30,7 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/engine"
 	"repro/internal/forcelang"
+	"repro/internal/plan"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/shm"
@@ -61,6 +68,15 @@ type Options struct {
 
 // Generate translates prog into gofmt-formatted Go source.
 func Generate(prog *forcelang.Program, opts Options) ([]byte, error) {
+	src, _, err := Lower(prog, opts)
+	return src, err
+}
+
+// Lower is Generate plus the plan it emitted from: one line per DOALL
+// decision (how a Presched DO is dealt and why, what fused, what
+// declined), the same lines in the same order the interpreter's chunk
+// tier narrates through Config.FuseLog for the same program.
+func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []string, err error) {
 	if opts.Package == "" {
 		opts.Package = "main"
 	}
@@ -71,15 +87,15 @@ func Generate(prog *forcelang.Program, opts Options) ([]byte, error) {
 		opts.Selfsched = sched.SelfLock
 	}
 	g := &generator{prog: prog, opts: opts}
-	src, err := g.run()
+	raw, err := g.run()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out, err := format.Source([]byte(src))
+	out, err := format.Source([]byte(raw))
 	if err != nil {
-		return nil, fmt.Errorf("codegen: generated source does not format: %w\n--- source ---\n%s", err, src)
+		return nil, nil, fmt.Errorf("codegen: generated source does not format: %w\n--- source ---\n%s", err, raw)
 	}
-	return out, nil
+	return out, g.decisions, nil
 }
 
 type generator struct {
@@ -90,6 +106,17 @@ type generator struct {
 
 	scope *forcelang.Scope // scope of the unit being generated
 	unit  string           // "" for main
+	pu    plan.Unit        // the same unit, as the shared DOALL proofs see it
+
+	// Inside a planned DOALL body: folds maps each accumulator scalar the
+	// span folds to its span-local partial.  Nil everywhere else.
+	folds map[string]string
+	// decisions collects the plan narration (Lower).
+	decisions []string
+}
+
+func (g *generator) logf(format string, args ...any) {
+	g.decisions = append(g.decisions, fmt.Sprintf(format, args...))
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -111,6 +138,8 @@ func (g *generator) run() (string, error) {
 	g.p(`"strconv"`)
 	g.p(`"strings"`)
 	g.p(`"sync"`)
+	g.p(`"sync/atomic"`)
+	g.p(`"unsafe"`)
 	g.p("")
 	g.p(`"repro/internal/asyncvar"`)
 	g.p(`"repro/internal/barrier"`)
@@ -153,16 +182,44 @@ func (g *generator) run() (string, error) {
 // decimal point, logicals print T/F).  The driver's recover turns a
 // zzErr into the same stderr line and exit code the interpreter tiers
 // report through forcerun.
+//
+// A failed check panics its site and operands as they are and the
+// message is formatted only when the driver reports it (zzErr.Error), so
+// a check in a span loop costs a compare: each helper stays inside the
+// Go inliner's budget, which no helper that calls out of line to format
+// does once it checks two subscripts (TestCheckHelpersInline is the
+// guard).
 func (g *generator) runtimeHelpers() {
 	g.b.WriteString(`// zzErr is a Force runtime error carried by panic through the SPMD
 // machinery; the poison protocol re-panics the first failure in the
-// driver, whose recover reports it exactly as the interpreter does.
-type zzErr struct{ msg string }
+// driver, whose recover reports it exactly as the interpreter does.  It
+// holds what the failed check saw; kind says which operands msg formats.
+type zzErr struct {
+	line int
+	kind zzErrKind
+	msg  string
+	name string  // zzSubscript: the array
+	s, n int     // zzSubscript: the subscript and the extent
+	x    float64 // zzOperand: the offending operand
+}
 
-func (e zzErr) Error() string { return e.msg }
+type zzErrKind int
 
-func zzPanicf(line int, format string, args ...any) {
-	panic(zzErr{fmt.Sprintf("force runtime: line %d: %s", line, fmt.Sprintf(format, args...))})
+const (
+	zzLiteral   zzErrKind = iota // msg is the message
+	zzSubscript                  // msg formats name, s, n
+	zzOperand                    // msg formats x
+)
+
+func (e zzErr) Error() string {
+	msg := e.msg
+	switch e.kind {
+	case zzSubscript:
+		msg = fmt.Sprintf(msg, e.name, e.s, e.n)
+	case zzOperand:
+		msg = fmt.Sprintf(msg, e.x)
+	}
+	return fmt.Sprintf("force runtime: line %d: %s", e.line, msg)
 }
 
 // zzInt truncates toward zero at run time (a plain int() conversion of
@@ -171,54 +228,100 @@ func zzInt(x float64) int { return int(x) }
 
 func zzDiv(line, a, b int) int {
 	if b == 0 {
-		zzPanicf(line, "integer division by zero")
+		panic(zzErr{line: line, msg: "integer division by zero"})
 	}
 	return a / b
 }
 
 func zzMod(line, a, b int) int {
 	if b == 0 {
-		zzPanicf(line, "MOD by zero")
+		panic(zzErr{line: line, msg: "MOD by zero"})
 	}
 	return a % b
 }
 
 func zzSqrt(line int, x float64) float64 {
 	if x < 0 {
-		zzPanicf(line, "SQRT of negative value %g", x)
+		panic(zzErr{line: line, kind: zzOperand, msg: "SQRT of negative value %g", x: x})
 	}
 	return math.Sqrt(x)
 }
 
 func zzIdx1(line int, name string, s, n int) int {
 	if s < 1 || s > n {
-		zzPanicf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s, n)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 1 of %s out of range: %d not in [1,%d]", name: name, s: s, n: n})
 	}
 	return s - 1
 }
 
 func zzIdx2(line int, name string, s1, s2, d1, d2 int) int {
 	if s1 < 1 || s1 > d1 {
-		zzPanicf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s1, d1)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 1 of %s out of range: %d not in [1,%d]", name: name, s: s1, n: d1})
 	}
 	if s2 < 1 || s2 > d2 {
-		zzPanicf(line, "subscript 2 of %s out of range: %d not in [1,%d]", name, s2, d2)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 2 of %s out of range: %d not in [1,%d]", name: name, s: s2, n: d2})
 	}
 	return (s1-1)*d2 + s2 - 1
 }
 
 func zzChkStep(line, s int) int {
 	if s == 0 {
-		zzPanicf(line, "loop step is zero")
+		panic(zzErr{line: line, msg: "loop step is zero"})
 	}
 	return s
 }
 
 func zzAsyncIdx(line int, name string, s, n int) int {
 	if s < 1 || s > n {
-		zzPanicf(line, "subscript of async array %s out of range: %d not in [1,%d]", name, s, n)
+		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript of async array %s out of range: %d not in [1,%d]", name: name, s: s, n: n})
 	}
 	return s - 1
+}
+
+// The shared accumulate (S = S + e, S = MAX(S, e), S = MIN(S, e) on a
+// shared scalar) is one indivisible update: the helpers below view the
+// int or float64 cell as the 64-bit word it is.  Extrema replace the
+// cell only on the strict compare the intrinsic performs, so a NaN never
+// wins and a span's untouched partial (the fold identity) stores nothing.
+const _ = unsafe.Sizeof(int(0)) - 8 // an int cell must be one 64-bit word
+
+func zzAddInt(p *int, d int) {
+	if d != 0 {
+		atomic.AddInt64((*int64)(unsafe.Pointer(p)), int64(d))
+	}
+}
+
+func zzMaxInt(p *int, x int) {
+	w := (*int64)(unsafe.Pointer(p))
+	for old := atomic.LoadInt64(w); int64(x) > old && !atomic.CompareAndSwapInt64(w, old, int64(x)); old = atomic.LoadInt64(w) {
+	}
+}
+
+func zzMinInt(p *int, x int) {
+	w := (*int64)(unsafe.Pointer(p))
+	for old := atomic.LoadInt64(w); int64(x) < old && !atomic.CompareAndSwapInt64(w, old, int64(x)); old = atomic.LoadInt64(w) {
+	}
+}
+
+func zzMaxReal(p *float64, x float64) {
+	w := (*uint64)(unsafe.Pointer(p))
+	for old := atomic.LoadUint64(w); x > math.Float64frombits(old) && !atomic.CompareAndSwapUint64(w, old, math.Float64bits(x)); old = atomic.LoadUint64(w) {
+	}
+}
+
+func zzMinReal(p *float64, x float64) {
+	w := (*uint64)(unsafe.Pointer(p))
+	for old := atomic.LoadUint64(w); x < math.Float64frombits(old) && !atomic.CompareAndSwapUint64(w, old, math.Float64bits(x)); old = atomic.LoadUint64(w) {
+	}
+}
+
+// zzStoreInt and zzStoreReal publish a fused join's fold into a shared
+// cell: every process stores the one value they all hold, atomically, so
+// the concurrent identical stores are not a data race.
+func zzStoreInt(p *int, v int) { atomic.StoreInt64((*int64)(unsafe.Pointer(p)), int64(v)) }
+
+func zzStoreReal(p *float64, v float64) {
+	atomic.StoreUint64((*uint64)(unsafe.Pointer(p)), math.Float64bits(v))
 }
 
 // zzReal formats a REAL the way the interpreter does: %g, with a ".0"
@@ -373,6 +476,7 @@ func (g *generator) mainFunc() error {
 		return err
 	}
 	g.scope, g.unit = scope, ""
+	g.pu = plan.Unit{Prog: g.prog, Scope: scope}
 	g.p("func main() {")
 	g.ind++
 	g.p(`np := flag.Int("np", %d, "number of force processes")`, g.opts.DefaultNP)
@@ -404,7 +508,7 @@ func (g *generator) mainFunc() error {
 	g.ind++
 	g.p("if e, ok := r.(zzErr); ok {")
 	g.ind++
-	g.p("fmt.Fprintln(os.Stderr, e.msg)")
+	g.p("fmt.Fprintln(os.Stderr, e.Error())")
 	g.ind--
 	g.p("} else {")
 	g.ind++
@@ -459,6 +563,7 @@ func (g *generator) subFunc(sub *forcelang.Subroutine) error {
 		return err
 	}
 	g.scope, g.unit = scope, sub.Name
+	g.pu = plan.Unit{Prog: g.prog, Scope: scope, Sub: sub}
 	params := make([]string, 0, len(sub.Params)+2)
 	params = append(params, "p *core.Proc", "shr *zzShared")
 	paramSet := map[string]bool{}
@@ -496,11 +601,24 @@ func (g *generator) subFunc(sub *forcelang.Subroutine) error {
 
 // --- statement generation ---------------------------------------------
 
+// stmts emits a statement list.  A run of DOALLs the shared proofs fuse
+// is emitted as one region; everything else statement by statement.
 func (g *generator) stmts(list []forcelang.Stmt) error {
-	for _, st := range list {
-		if err := g.stmt(st); err != nil {
+	slots := g.opts.Reduce == reduce.PrivateSlots
+	for i := 0; i < len(list); {
+		if _, isPD := list[i].(*forcelang.ParDo); isPD {
+			if reg := g.pu.Fuse(list, i, slots, g.logf); reg != nil {
+				if err := g.region(reg); err != nil {
+					return err
+				}
+				i += reg.Len()
+				continue
+			}
+		}
+		if err := g.stmt(list[i]); err != nil {
 			return err
 		}
+		i++
 	}
 	return nil
 }
@@ -508,6 +626,9 @@ func (g *generator) stmts(list []forcelang.Stmt) error {
 func (g *generator) stmt(st forcelang.Stmt) error {
 	switch t := st.(type) {
 	case *forcelang.Assign:
+		if acc, ok := g.pu.MatchAccum(t); ok {
+			return g.accumulate(t, acc)
+		}
 		lhs, lt, err := g.lvalue(&t.Target)
 		if err != nil {
 			return err
@@ -574,7 +695,8 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		g.p("}")
 		return nil
 	case *forcelang.ParDo:
-		return g.parDo(t)
+		pl := g.pu.DoAll(t, g.logf)
+		return g.doAll(t, pl, false, pl.Block())
 	case *forcelang.BarrierStmt:
 		if len(t.Section) == 0 {
 			g.p("p.Barrier()")
@@ -835,56 +957,6 @@ func (g *generator) loopBounds(from, to, step forcelang.Expr) (string, string, s
 		s = fmt.Sprintf("zzChkStep(%d, %s)", from.Pos(), s)
 	}
 	return f, t, s, nil
-}
-
-func (g *generator) parDo(t *forcelang.ParDo) error {
-	from, to, step, err := g.loopBounds(t.From, t.To, t.Step)
-	if err != nil {
-		return err
-	}
-	lv, _, err := g.lvalue(&forcelang.Ref{Name: t.Var})
-	if err != nil {
-		return err
-	}
-	// Prescheduled loops keep the pure function-of-pid entry point; the
-	// selfscheduled ones go through DoAll with the configured discipline,
-	// so one generated program can run on the lock counter or the
-	// engine's stealing deques.
-	method, method2 := "p.PreschedDo(", "p.PreschedDo2("
-	if t.Sched == forcelang.Selfsched {
-		kind := "sched." + g.opts.Selfsched.GoName()
-		method, method2 = "p.DoAll("+kind+", ", "p.DoAll2("+kind+", "
-	}
-	if t.Inner == nil {
-		g.p("%ssched.Range{Start: %s, Last: %s, Incr: %s}, func(zzI int) {", method, from, to, step)
-		g.ind++
-		g.p("%s = zzI", lv)
-		if err := g.stmts(t.Body); err != nil {
-			return err
-		}
-		g.ind--
-		g.p("})")
-		return nil
-	}
-	ifrom, ito, istep, err := g.loopBounds(t.Inner.From, t.Inner.To, t.Inner.Step)
-	if err != nil {
-		return err
-	}
-	ilv, _, err := g.lvalue(&forcelang.Ref{Name: t.Inner.Var})
-	if err != nil {
-		return err
-	}
-	g.p("%ssched.Range{Start: %s, Last: %s, Incr: %s}, sched.Range{Start: %s, Last: %s, Incr: %s}, func(zzI, zzJ int) {",
-		method2, from, to, step, ifrom, ito, istep)
-	g.ind++
-	g.p("%s = zzI", lv)
-	g.p("%s = zzJ", ilv)
-	if err := g.stmts(t.Body); err != nil {
-		return err
-	}
-	g.ind--
-	g.p("})")
-	return nil
 }
 
 // --- expression generation ---------------------------------------------

@@ -121,8 +121,9 @@ func TestGeneratedStructure(t *testing.T) {
 		"ME := p.ID()",
 		"p.BarrierSection(func() {",
 		"defer f.Close()",
-		"p.PreschedDo(sched.Range{Start: 1, Last: shr.N, Incr: 1}, func(zzI int) {",
-		"p.DoAll2(sched.SelfLock, ",
+		"zzR := sched.Range{Start: 1, Last: shr.N, Incr: 1}",
+		"p.DoAllChunked(sched.PreschedBlock, zzR, func(zzLo, zzHi, zzStride int) {",
+		"p.DoAll2Chunked(sched.SelfLock, zzR, zzR2, func(zzLo, zzHi, zzStride int) {",
 		"p.Critical(\"SUM\", func() {",
 		"p.Pcase(",
 		"core.CaseIf(func() bool { return (shr.N > 4) }, func() {",
@@ -183,7 +184,7 @@ Join
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "p.DoAll(sched.Stealing, ") {
+	if !strings.Contains(string(out), "p.DoAllChunked(sched.Stealing, ") {
 		t.Errorf("Selfsched option ignored:\n%s", out)
 	}
 }
@@ -291,7 +292,7 @@ Endsub
 	if !strings.Contains(src, "T_COUNT int") {
 		t.Errorf("sub shared local not a qualified field:\n%s", src)
 	}
-	if !strings.Contains(src, "shr.T_COUNT = (shr.T_COUNT + 1)") {
+	if !strings.Contains(src, "zzAddInt(&shr.T_COUNT, 1)") {
 		t.Errorf("sub shared local access not qualified:\n%s", src)
 	}
 }

@@ -1,0 +1,263 @@
+package codegen
+
+// DOALL emission.  Every Presched/Selfsched DO, one- or two-index, is a
+// span loop against the chunk-granular runtime entry points:
+//
+//	{
+//		zzR := sched.Range{Start: …, Last: …, Incr: …}
+//		p.DoAllChunked(kind, zzR, func(zzLo, zzHi, zzStride int) {
+//			zzC := 0
+//			for zzK := zzLo; zzK < zzHi; zzK += zzStride {
+//				I = zzR.Start + zzK*zzR.Incr
+//				<body>
+//				if zzC++; zzC == 256 { zzC = 0; p.Check() }
+//			}
+//		})
+//	}
+//
+// so an iteration costs its body, not a scheduler call and two closure
+// dispatches, and a peer's failure still unwinds a process within 256
+// iterations of a long span.  What internal/plan proves about the body
+// selects the refinements, none decided here: a mapping-insensitive
+// Presched body is dealt in contiguous blocks (the index left where the
+// cyclic deal would leave it); a folded accumulator becomes a span-local
+// partial with one atomic fold at the end of the span; and a fused
+// region's members run through DoAllChunkedOpen, closed by one FusedJoin.
+// A body with no plan (it blocks, calls out or prints) takes the loop as
+// written above, with the cyclic deal and nothing folded.
+
+import (
+	"repro/internal/forcelang"
+	"repro/internal/plan"
+)
+
+// poisonEvery bounds how many span iterations run between poison checks
+// (the interpreter's chunk tier uses the same interval).
+const poisonEvery = 256
+
+// doAll emits one DOALL as a span loop.  pl is the body's plan (nil: no
+// fact proven); open emits a fused-region member (no exit barrier — the
+// caller closes the region with a FusedJoin); block deals a prescheduled
+// loop in contiguous blocks.
+func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) error {
+	from, to, step, err := g.loopBounds(t.From, t.To, t.Step)
+	if err != nil {
+		return err
+	}
+	lv, _, err := g.lvalue(&forcelang.Ref{Name: t.Var})
+	if err != nil {
+		return err
+	}
+	kind := "sched." + g.opts.Selfsched.GoName()
+	switch {
+	case t.Sched != forcelang.Presched:
+		block = false
+	case block:
+		kind = "sched.PreschedBlock"
+	default:
+		kind = "sched.PreschedCyclic"
+	}
+	entry := "p.DoAllChunked"
+	if open {
+		entry = "p.DoAllChunkedOpen"
+	}
+	// vars are the loop variable(s); index the expression list giving
+	// their values at ordinal zzK; count the size of the (flattened)
+	// ordinal space.
+	vars := lv
+	index := "zzR.Start + zzK*zzR.Incr"
+	count := "zzR.Count()"
+	g.p("{")
+	g.ind++
+	g.p("zzR := sched.Range{Start: %s, Last: %s, Incr: %s}", from, to, step)
+	if t.Inner == nil {
+		g.p("%s(%s, zzR, func(zzLo, zzHi, zzStride int) {", entry, kind)
+	} else {
+		ifrom, ito, istep, err := g.loopBounds(t.Inner.From, t.Inner.To, t.Inner.Step)
+		if err != nil {
+			return err
+		}
+		ilv, _, err := g.lvalue(&forcelang.Ref{Name: t.Inner.Var})
+		if err != nil {
+			return err
+		}
+		g.p("zzR2 := sched.Range{Start: %s, Last: %s, Incr: %s}", ifrom, ito, istep)
+		g.p("zzN2 := zzR2.Count()")
+		g.p("p.DoAll2Chunked(%s, zzR, zzR2, func(zzLo, zzHi, zzStride int) {", kind)
+		vars = lv + ", " + ilv
+		index = "zzR.Index(zzK/zzN2), zzR2.Index(zzK%zzN2)"
+		count = "zzR.Count()*zzN2"
+	}
+	g.ind++
+	var accs []plan.AccRec
+	if pl != nil {
+		accs = pl.AccRecs
+	}
+	g.folds = map[string]string{}
+	for _, rec := range accs {
+		g.folds[rec.Name] = "zzAcc" + rec.Name
+		g.p("zzAcc%s := %s", rec.Name, foldIdentity(rec))
+	}
+	g.p("zzC := 0")
+	g.p("for zzK := zzLo; zzK < zzHi; zzK += zzStride {")
+	g.ind++
+	g.p("%s = %s", vars, index)
+	if err := g.stmts(t.Body); err != nil {
+		return err
+	}
+	g.p("if zzC++; zzC == %d {", poisonEvery)
+	g.ind++
+	g.p("zzC = 0")
+	g.p("p.Check()")
+	g.ind--
+	g.p("}")
+	g.ind--
+	g.p("}")
+	g.folds = nil
+	if block {
+		// The loop variable's value after the loop must not depend on
+		// the deal: leave what the cyclic deal would have left.
+		g.p("zzK := sched.CyclicLast(p.ID(), p.NP(), %s)", count)
+		g.p("%s = %s", vars, index)
+	}
+	for _, rec := range accs {
+		cell, _, err := g.symbol(rec.Name)
+		if err != nil {
+			return err
+		}
+		g.p("%s(&%s, zzAcc%s)", foldFunc(rec.Op, rec.Real), cell, rec.Name)
+	}
+	g.ind--
+	g.p("})")
+	g.ind--
+	g.p("}")
+	return nil
+}
+
+// foldIdentity is the value a span-local partial starts from: 0 for
+// sums, the extremum no contribution can fail to beat otherwise — so a
+// span that never runs the statement folds nothing into the cell.
+func foldIdentity(rec plan.AccRec) string {
+	switch {
+	case rec.Op == plan.AccSum:
+		return "0"
+	case rec.Real && rec.Op == plan.AccMax:
+		return "math.Inf(-1)"
+	case rec.Real:
+		return "math.Inf(1)"
+	case rec.Op == plan.AccMax:
+		return "math.MinInt"
+	default:
+		return "math.MaxInt"
+	}
+}
+
+// foldFunc names the generated helper that folds a value into a shared
+// cell as one atomic update.
+func foldFunc(op plan.AccOp, real bool) string {
+	typ := "Int"
+	if real {
+		typ = "Real"
+	}
+	switch op {
+	case plan.AccSum:
+		return "zzAdd" + typ
+	case plan.AccMax:
+		return "zzMax" + typ
+	default:
+		return "zzMin" + typ
+	}
+}
+
+// accumulate emits one shared-accumulate statement (plan.Unit.MatchAccum;
+// README, "Semantics: the shared accumulate"): an update of the span's
+// partial when the enclosing plan folds the scalar, one atomic update of
+// the cell everywhere else.  Extrema replace only on the strict compare
+// MAX(S, e) / MIN(S, e) perform.
+func (g *generator) accumulate(t *forcelang.Assign, acc plan.Accum) error {
+	typ := forcelang.TInt
+	if acc.Real {
+		typ = forcelang.TReal
+	}
+	operand, err := g.exprAs(acc.Operand, typ)
+	if err != nil {
+		return err
+	}
+	if partial, folded := g.folds[t.Target.Name]; folded {
+		switch acc.Op {
+		case plan.AccSum:
+			sign := "+"
+			if acc.Negate {
+				sign = "-"
+			}
+			g.p("%s %s= %s", partial, sign, operand)
+		case plan.AccMax:
+			g.p("if zzV := %s; zzV > %s {", operand, partial)
+			g.p("\t%s = zzV", partial)
+			g.p("}")
+		default:
+			g.p("if zzV := %s; zzV < %s {", operand, partial)
+			g.p("\t%s = zzV", partial)
+			g.p("}")
+		}
+		return nil
+	}
+	cell, _, err := g.symbol(t.Target.Name)
+	if err != nil {
+		return err
+	}
+	if acc.Negate {
+		operand = "-(" + operand + ")"
+	}
+	g.p("%s(&%s, %s)", foldFunc(acc.Op, acc.Real), cell, operand)
+	return nil
+}
+
+// foldOps maps the numeric reduction operators to the join's fold.
+var foldOps = map[forcelang.GOp]string{
+	forcelang.GSum: "reduce.Sum", forcelang.GProd: "reduce.Prod",
+	forcelang.GMax: "reduce.Max", forcelang.GMin: "reduce.Min",
+}
+
+// region emits one fused region: every member open, then the one join.
+// A reduction tail contributes its operand to the join and every process
+// assigns the fold — into its own cell for a private target, as an
+// atomic store of the one value all of them hold for a shared one.
+func (g *generator) region(reg *plan.Region) error {
+	for i, m := range reg.Members {
+		if err := g.doAll(m, reg.Plans[i], true, reg.Block); err != nil {
+			return err
+		}
+	}
+	red := reg.Red
+	if red == nil {
+		g.p("p.FusedJoin(reduce.Sum, reduce.NumInt, 0)")
+		return nil
+	}
+	lhs, lt, err := g.lvalue(&red.Target)
+	if err != nil {
+		return err
+	}
+	operand, err := g.exprAs(red.Expr, lt)
+	if err != nil {
+		return err
+	}
+	class, _, _ := g.pu.Lookup(red.Target.Name)
+	bits, val, store := "uint64("+operand+")", "int(zzOut)", "zzStoreInt"
+	numKind := "reduce.NumInt"
+	if lt == forcelang.TReal {
+		bits, val, store = "math.Float64bits("+operand+")", "math.Float64frombits(zzOut)", "zzStoreReal"
+		numKind = "reduce.NumReal"
+	}
+	g.p("{")
+	g.ind++
+	g.p("zzOut := p.FusedJoin(%s, %s, %s)", foldOps[red.Op], numKind, bits)
+	if class == plan.Shared {
+		g.p("%s(&%s, %s)", store, lhs, val)
+	} else {
+		g.p("%s = %s", lhs, val)
+	}
+	g.ind--
+	g.p("}")
+	return nil
+}

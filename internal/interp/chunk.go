@@ -1,11 +1,11 @@
 package interp
 
 // The chunk tier: the SPMD-on-spans execution of DOALL bodies.  There is
-// one closure compiler (compile.go); for a DOALL body the classifier
-// (classify.go) approves, that compiler runs in chunk mode — its plan
-// field set while the body is compiled — and the construct executes the
-// resulting closures once per scheduler span (core.DoAllChunked) instead
-// of once per index.  Chunk mode changes three things, all defined here:
+// one closure compiler (compile.go); for a DOALL body the shared
+// classifier (internal/plan) approves, that compiler runs in chunk mode
+// — its plan field set while the body is compiled — and the construct
+// executes the resulting closures once per scheduler span
+// (core.DoAllChunked) instead of once per index.  Chunk mode changes three things, all defined here:
 //
 //   - the loop index lives in the process's chunk context (cproc.k.i /
 //     .j), never re-stored through the frame per iteration; the frame
@@ -32,15 +32,27 @@ package interp
 
 import (
 	"math"
-	"strings"
 
 	"repro/internal/forcelang"
+	"repro/internal/plan"
 	"repro/internal/sched"
 )
 
 // poisonEvery bounds how many chunk iterations run between poison
 // checks (one atomic load each, amortized to noise at this interval).
 const poisonEvery = 256
+
+// chunkPlan is the classifier's verdict for one DOALL, extended while
+// its body is compiled in chunk mode with the hoisted uniform
+// subexpressions: compiled with the plan cleared, evaluated once per
+// construct execution and read from the typed slots of the process's
+// chunk context inside the chunk loop (hoistInt/hoistReal/hoistBool).
+type chunkPlan struct {
+	*plan.Plan
+	uniInt  []intFn
+	uniReal []realFn
+	uniBool []boolFn
+}
 
 // kctx is a process's chunk context: the live loop indices, the hoisted
 // uniform values and the private accumulator slots of the chunk-compiled
@@ -60,7 +72,7 @@ type kctx struct {
 // precomputed per construct so enter and flush need no plan lookups.
 type accCell struct {
 	cell *sharedScalar
-	op   accOp
+	op   plan.AccOp
 	real bool
 }
 
@@ -78,20 +90,20 @@ func fit[T any](s []T, n int) []T {
 // All hoisted expressions are non-panicking by construction, so running
 // them even when this process draws zero iterations cannot surface a
 // spurious error.
-func (kc *kctx) enter(plan *chunkPlan, accs []accCell, pr *cproc, fr *frame) {
-	kc.uniI = fit(kc.uniI, len(plan.uniInt))
-	kc.uniR = fit(kc.uniR, len(plan.uniReal))
-	kc.uniB = fit(kc.uniB, len(plan.uniBool))
+func (kc *kctx) enter(cp *chunkPlan, accs []accCell, pr *cproc, fr *frame) {
+	kc.uniI = fit(kc.uniI, len(cp.uniInt))
+	kc.uniR = fit(kc.uniR, len(cp.uniReal))
+	kc.uniB = fit(kc.uniB, len(cp.uniBool))
 	kc.accI = fit(kc.accI, len(accs))
 	kc.accR = fit(kc.accR, len(accs))
 	kc.seed(accs)
-	for si, ev := range plan.uniInt {
+	for si, ev := range cp.uniInt {
 		kc.uniI[si] = ev(pr, fr)
 	}
-	for si, ev := range plan.uniReal {
+	for si, ev := range cp.uniReal {
 		kc.uniR[si] = ev(pr, fr)
 	}
-	for si, ev := range plan.uniBool {
+	for si, ev := range cp.uniBool {
 		kc.uniB[si] = ev(pr, fr)
 	}
 }
@@ -101,13 +113,13 @@ func (kc *kctx) enter(plan *chunkPlan, accs []accCell, pr *cproc, fr *frame) {
 func (kc *kctx) seed(accs []accCell) {
 	for si, ac := range accs {
 		switch {
-		case ac.op == accSum:
+		case ac.op == plan.AccSum:
 			kc.accI[si] = 0
-		case ac.real && ac.op == accMax:
+		case ac.real && ac.op == plan.AccMax:
 			kc.accR[si] = math.Inf(-1)
 		case ac.real:
 			kc.accR[si] = math.Inf(1)
-		case ac.op == accMax:
+		case ac.op == plan.AccMax:
 			kc.accI[si] = math.MinInt64
 		default:
 			kc.accI[si] = math.MaxInt64
@@ -124,15 +136,15 @@ func (kc *kctx) seed(accs []accCell) {
 func (kc *kctx) flush(accs []accCell) {
 	for si, ac := range accs {
 		switch {
-		case ac.op == accSum:
+		case ac.op == plan.AccSum:
 			if d := kc.accI[si]; d != 0 {
 				ac.cell.addInt(d)
 			}
-		case ac.real && ac.op == accMax:
+		case ac.real && ac.op == plan.AccMax:
 			ac.cell.maxReal(kc.accR[si])
 		case ac.real:
 			ac.cell.minReal(kc.accR[si])
-		case ac.op == accMax:
+		case ac.op == plan.AccMax:
 			ac.cell.maxInt(kc.accI[si])
 		default:
 			ac.cell.minInt(kc.accI[si])
@@ -156,31 +168,12 @@ func (c *compiler) tryChunkParDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 	if !c.chunkTier() {
 		return nil
 	}
-	plan, reason := classifyParDo(c.res.prog, t, lay)
-	if reason != "" {
-		c.partitionLog(t, "not chunk-compiled:", reason)
+	p := lay.pu.DoAll(t, c.planLog())
+	if p == nil {
 		return nil
 	}
-	c.partitionLog(t, plan.cyclicWhy, plan.cyclicName)
-	return c.chunkParDo(t, lay, plan, false, plan.cyclicWhy == "")
+	return c.chunkParDo(t, lay, p, false, p.Block())
 }
-
-// partitionLog narrates, through the FuseLog sink, how a prescheduled
-// DOALL is dealt: in blocks (why == "") or cyclically, and why.
-func (c *compiler) partitionLog(t *forcelang.ParDo, why, name string) {
-	switch {
-	case c.in.cfg.FuseLog == nil || t.Sched != forcelang.Presched:
-	case why == "":
-		c.fuseLogf("line %d: DOALL partition=block", t.Pos())
-	default:
-		c.fuseLogf("line %d: DOALL partition=cyclic (%s)", t.Pos(), strings.TrimSpace(why+" "+name))
-	}
-}
-
-// cyclicLast is the last ordinal of 0..n-1 the cyclic deal hands process
-// pid (< n) of np.  A block-dealt chunk leaves the loop variable at that
-// ordinal's index, so its value after the loop is partition-independent.
-func cyclicLast(pid, np, n int) int { return pid + (n-1-pid)/np*np }
 
 // chunkParDo compiles the chunk-tier execution of t against its plan:
 // the body in chunk mode, the loop header outside it.  When open is true
@@ -188,15 +181,17 @@ func cyclicLast(pid, np, n int) int { return pid + (n-1-pid)/np*np }
 // through DoAllChunkedOpen and no exit barrier is executed — the caller
 // must close the region with a FusedJoin on every process.  block deals
 // a prescheduled loop in contiguous blocks instead of cyclically;
-// callers pass it only when plan.cyclicWhy == "" (for a fused region,
-// every member's).
-func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPlan, open, block bool) stmtFn {
-	c.plan = plan
+// callers pass it only when the plan allows (for a fused region, every
+// member's).
+func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, p *plan.Plan, open, block bool) stmtFn {
+	cp := &chunkPlan{Plan: p}
+	c.plan = cp
 	body := c.stmts(t.Body, lay)
 	c.plan = nil
-	accCells := make([]accCell, len(plan.accSyms))
-	for i, rec := range plan.accSyms {
-		accCells[i] = accCell{cell: c.in.scalar(rec.sym.unit, rec.sym.slot), op: rec.op, real: rec.real}
+	accCells := make([]accCell, len(p.AccRecs))
+	for i, rec := range p.AccRecs {
+		sym := lay.syms[rec.Name]
+		accCells[i] = accCell{cell: c.in.scalar(sym.unit, sym.slot), op: rec.Op, real: rec.Real}
 	}
 	rangeF := c.rangeFn(t.From, t.To, t.Step, lay)
 	storeVar := c.intVarStore(t.Var, lay, t.Pos())
@@ -216,7 +211,7 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 			pr.p.Note(note)
 			r := rangeF(pr, fr)
 			kc := &pr.k
-			kc.enter(plan, accCells, pr, fr)
+			kc.enter(cp, accCells, pr, fr)
 			base, incr := int64(r.Start), int64(r.Incr)
 			chunkFn := func(lo, hi, stride int) {
 				cnt := hi - lo
@@ -240,7 +235,7 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 				}
 				last := i - di
 				if block {
-					last = base + int64(cyclicLast(pr.p.ID(), pr.p.NP(), r.Count()))*incr
+					last = base + int64(sched.CyclicLast(pr.p.ID(), pr.p.NP(), r.Count()))*incr
 				}
 				storeVar(pr, fr, last)
 				kc.flush(accCells)
@@ -263,7 +258,7 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 		r := rangeF(pr, fr)
 		r2 := irangeF(pr, fr)
 		kc := &pr.k
-		kc.enter(plan, accCells, pr, fr)
+		kc.enter(cp, accCells, pr, fr)
 		n2 := r2.Count()
 		chunkFn := func(lo, hi, stride int) {
 			if hi <= lo {
@@ -279,7 +274,7 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 				}
 			}
 			if block {
-				kk := cyclicLast(pr.p.ID(), pr.p.NP(), r.Count()*n2)
+				kk := sched.CyclicLast(pr.p.ID(), pr.p.NP(), r.Count()*n2)
 				kc.i, kc.j = int64(r.Index(kk/n2)), int64(r2.Index(kk%n2))
 			}
 			storeVar(pr, fr, kc.i)
@@ -295,17 +290,17 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, plan *chunkPl
 // on a strict compare, the exact test MAX(S, e) / MIN(S, e) performs
 // per iteration — so NaN contributions are dropped and a +0.0 never
 // replaces a -0.0, matching the per-iteration path bit for bit.
-func (c *compiler) accAssign(acc accum, si int, lay *unitLayout) stmtFn {
+func (c *compiler) accAssign(acc plan.Accum, si int, lay *unitLayout) stmtFn {
 	switch {
-	case acc.op == accSum:
-		dv := c.cInt(acc.operand, lay)
-		if acc.negate {
+	case acc.Op == plan.AccSum:
+		dv := c.cInt(acc.Operand, lay)
+		if acc.Negate {
 			return func(pr *cproc, fr *frame) { pr.k.accI[si] -= dv(pr, fr) }
 		}
 		return func(pr *cproc, fr *frame) { pr.k.accI[si] += dv(pr, fr) }
-	case acc.real:
-		av := c.cReal(acc.operand, lay)
-		if acc.op == accMax {
+	case acc.Real:
+		av := c.cReal(acc.Operand, lay)
+		if acc.Op == plan.AccMax {
 			return func(pr *cproc, fr *frame) {
 				if v := av(pr, fr); v > pr.k.accR[si] {
 					pr.k.accR[si] = v
@@ -318,8 +313,8 @@ func (c *compiler) accAssign(acc accum, si int, lay *unitLayout) stmtFn {
 			}
 		}
 	}
-	av := c.cInt(acc.operand, lay)
-	if acc.op == accMax {
+	av := c.cInt(acc.Operand, lay)
+	if acc.Op == plan.AccMax {
 		return func(pr *cproc, fr *frame) {
 			if v := av(pr, fr); v > pr.k.accI[si] {
 				pr.k.accI[si] = v
@@ -344,7 +339,7 @@ func (c *compiler) hoistable(e forcelang.Expr, lay *unitLayout) bool {
 	case *forcelang.IntLit, *forcelang.RealLit, *forcelang.BoolLit:
 		return true
 	case *forcelang.Ref:
-		if len(t.Subs) > 0 || t.Name == c.plan.outer || t.Name == c.plan.inner || c.plan.written[t.Name] {
+		if len(t.Subs) > 0 || t.Name == c.plan.Outer || t.Name == c.plan.Inner || c.plan.Written[t.Name] {
 			return false
 		}
 		sym, ok := lay.syms[t.Name]
@@ -399,12 +394,12 @@ func (c *compiler) hoistInt(e forcelang.Expr, lay *unitLayout) intFn {
 	if !c.hoisting(e, lay) {
 		return nil
 	}
-	plan := c.plan
+	cp := c.plan
 	c.plan = nil
 	ev := c.cInt(e, lay)
-	c.plan = plan
-	slot := len(plan.uniInt)
-	plan.uniInt = append(plan.uniInt, ev)
+	c.plan = cp
+	slot := len(cp.uniInt)
+	cp.uniInt = append(cp.uniInt, ev)
 	return func(pr *cproc, fr *frame) int64 { return pr.k.uniI[slot] }
 }
 
@@ -412,12 +407,12 @@ func (c *compiler) hoistReal(e forcelang.Expr, lay *unitLayout) realFn {
 	if !c.hoisting(e, lay) {
 		return nil
 	}
-	plan := c.plan
+	cp := c.plan
 	c.plan = nil
 	ev := c.cReal(e, lay)
-	c.plan = plan
-	slot := len(plan.uniReal)
-	plan.uniReal = append(plan.uniReal, ev)
+	c.plan = cp
+	slot := len(cp.uniReal)
+	cp.uniReal = append(cp.uniReal, ev)
 	return func(pr *cproc, fr *frame) float64 { return pr.k.uniR[slot] }
 }
 
@@ -425,11 +420,11 @@ func (c *compiler) hoistBool(e forcelang.Expr, lay *unitLayout) boolFn {
 	if !c.hoisting(e, lay) {
 		return nil
 	}
-	plan := c.plan
+	cp := c.plan
 	c.plan = nil
 	ev := c.cBool(e, lay)
-	c.plan = plan
-	slot := len(plan.uniBool)
-	plan.uniBool = append(plan.uniBool, ev)
+	c.plan = cp
+	slot := len(cp.uniBool)
+	cp.uniBool = append(cp.uniBool, ev)
 	return func(pr *cproc, fr *frame) bool { return pr.k.uniB[slot] }
 }

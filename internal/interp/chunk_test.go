@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
+	"repro/internal/plan"
 )
 
 // chunkCorpus holds programs chosen to hit the chunk tier's edges:
@@ -64,7 +65,7 @@ func TestChunkEquivalence(t *testing.T) {
 
 // classify parses src, resolves it and classifies its first top-level
 // ParDo, returning the plan (nil if the body fell back) and the reason.
-func classify(t *testing.T, src string) (*chunkPlan, string) {
+func classify(t *testing.T, src string) (*plan.Plan, string) {
 	t.Helper()
 	prog, err := forcelang.Parse(src)
 	if err != nil {
@@ -76,7 +77,7 @@ func classify(t *testing.T, src string) (*chunkPlan, string) {
 	}
 	for _, st := range prog.Body {
 		if pd, ok := st.(*forcelang.ParDo); ok {
-			return classifyParDo(prog, pd, res.units[""])
+			return res.units[""].pu.Classify(pd)
 		}
 	}
 	t.Fatal("no ParDo in program body")
@@ -100,7 +101,7 @@ Join
 	if plan == nil {
 		t.Fatalf("identity subscript fell back: %s", reason)
 	}
-	if !plan.disjoint["A"] {
+	if !plan.Disjoint["A"] {
 		t.Error("identity subscript not proven disjoint")
 	}
 
@@ -116,7 +117,7 @@ Join
 	if plan == nil {
 		t.Fatalf("non-affine subscript fell back entirely: %s", reason)
 	}
-	if plan.disjoint["A"] {
+	if plan.Disjoint["A"] {
 		t.Error("MOD subscript wrongly proven disjoint")
 	}
 
@@ -132,7 +133,7 @@ Join
 	if plan == nil {
 		t.Fatalf("constant subscript fell back entirely: %s", reason)
 	}
-	if plan.disjoint["A"] {
+	if plan.Disjoint["A"] {
 		t.Error("constant subscript wrongly proven disjoint")
 	}
 }
@@ -154,7 +155,7 @@ Join
 	if plan == nil {
 		t.Fatalf("accumulator body fell back: %s", reason)
 	}
-	if _, ok := plan.accs["S"]; !ok {
+	if _, ok := plan.Accs["S"]; !ok {
 		t.Error("S = S + I not folded to a private sum")
 	}
 
@@ -172,7 +173,7 @@ Join
 	if plan == nil {
 		t.Fatalf("read-elsewhere body fell back: %s", reason)
 	}
-	if _, ok := plan.accs["S"]; ok {
+	if _, ok := plan.Accs["S"]; ok {
 		t.Error("S read outside its own update must not fold")
 	}
 }
@@ -192,28 +193,28 @@ End Declarations
 	folds := map[string]struct {
 		stmt string
 		name string
-		op   accOp
+		op   plan.AccOp
 		real bool
 	}{
-		"int max":  {"S = MAX(S, I)", "S", accMax, false},
-		"int min":  {"S = MIN(S, I*2)", "S", accMin, false},
-		"real max": {"R = MAX(R, REAL(I))", "R", accMax, true},
-		"real min": {"R = MIN(R, REAL(I)*0.5)", "R", accMin, true},
+		"int max":  {"S = MAX(S, I)", "S", plan.AccMax, false},
+		"int min":  {"S = MIN(S, I*2)", "S", plan.AccMin, false},
+		"real max": {"R = MAX(R, REAL(I))", "R", plan.AccMax, true},
+		"real min": {"R = MIN(R, REAL(I)*0.5)", "R", plan.AccMin, true},
 	}
 	for label, tc := range folds {
 		plan, reason := classify(t, head+"Presched DO I = 1, 64\n  "+tc.stmt+"\n"+tail)
 		if plan == nil {
 			t.Fatalf("%s fell back: %s", label, reason)
 		}
-		si, ok := plan.accs[tc.name]
+		si, ok := plan.Accs[tc.name]
 		if !ok {
 			t.Errorf("%s: %q not folded", label, tc.stmt)
 			continue
 		}
-		rec := plan.accSyms[si]
-		if rec.op != tc.op || rec.real != tc.real {
+		rec := plan.AccRecs[si]
+		if rec.Op != tc.op || rec.Real != tc.real {
 			t.Errorf("%s: folded as op=%d real=%v, want op=%d real=%v",
-				label, rec.op, rec.real, tc.op, tc.real)
+				label, rec.Op, rec.Real, tc.op, tc.real)
 		}
 	}
 	declines := map[string]string{
@@ -230,7 +231,7 @@ End Declarations
 		if plan == nil {
 			t.Fatalf("%s fell back entirely: %s", label, reason)
 		}
-		if _, ok := plan.accs["S"]; ok {
+		if _, ok := plan.Accs["S"]; ok {
 			t.Errorf("%s: %q wrongly folded", label, stmt)
 		}
 	}
@@ -239,7 +240,7 @@ End Declarations
 	if plan == nil {
 		t.Fatalf("mixed-op body fell back: %s", reason)
 	}
-	if _, ok := plan.accs["S"]; ok {
+	if _, ok := plan.Accs["S"]; ok {
 		t.Error("mixed sum/MAX on one scalar wrongly folded")
 	}
 }
@@ -316,7 +317,7 @@ End Declarations
 		if plan == nil {
 			t.Fatalf("%s fell back entirely: %s", tc.name, reason)
 		}
-		if got := strings.TrimSpace(plan.cyclicWhy + " " + plan.cyclicName); got != tc.want {
+		if got := strings.TrimSpace(plan.CyclicWhy + " " + plan.CyclicName); got != tc.want {
 			t.Errorf("%s: cyclic reason = %q, want %q", tc.name, got, tc.want)
 		}
 	}

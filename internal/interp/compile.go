@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
+	"repro/internal/plan"
 	"repro/internal/sched"
 )
 
@@ -67,12 +68,13 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 		}
 		c.units[name] = cu
 	}
-	for _, cu := range c.units {
-		body := in.res.prog.Body
-		if cu.lay.sub != nil {
-			body = cu.lay.sub.Body
-		}
-		cu.body = c.stmts(body, cu.lay)
+	// Main first, then the subroutines in source order — the order the
+	// Go emitter walks them — so the decisions narrated through FuseLog
+	// read the same from run to run and from tier to tier.
+	c.units[""].body = c.stmts(in.res.prog.Body, c.units[""].lay)
+	for _, sub := range in.res.prog.Subs {
+		cu := c.units[sub.Name]
+		cu.body = c.stmts(sub.Body, cu.lay)
 	}
 	return &cprogram{units: c.units, main: c.units[""]}, nil
 }
@@ -529,7 +531,7 @@ func (c *compiler) bindArg(arg *forcelang.Ref, paramDecl forcelang.Decl, lay *un
 
 // assign compiles an assignment.  The value is coerced to the target's
 // declared type at compile time and evaluated before the subscripts, as
-// everywhere.  A shared accumulate (matchAccum) is one indivisible
+// everywhere.  A shared accumulate (plan.Unit.MatchAccum) is one indivisible
 // update: folded into the chunk context when the plan says so, an atomic
 // RMW on the cell otherwise.  Shared words take typed stores; every
 // other target the boxed refStore.
@@ -539,9 +541,9 @@ func (c *compiler) assign(t *forcelang.Assign, lay *unitLayout) stmtFn {
 	switch {
 	case sym.class == scShared && len(t.Target.Subs) == 0:
 		cell := c.in.scalar(sym.unit, sym.slot)
-		if acc, ok := matchAccum(c.res.prog, lay, t); ok {
+		if acc, ok := lay.pu.MatchAccum(t); ok {
 			if c.plan != nil {
-				if si, folded := c.plan.accs[t.Target.Name]; folded {
+				if si, folded := c.plan.Accs[t.Target.Name]; folded {
 					return c.accAssign(acc, si, lay)
 				}
 			}
@@ -590,23 +592,23 @@ func (c *compiler) assign(t *forcelang.Assign, lay *unitLayout) stmtFn {
 // atomicAccum compiles a shared accumulate to the store's atomic RMW —
 // the primitives kctx.flush folds with — so no update is ever lost,
 // whichever path executes the statement.
-func (c *compiler) atomicAccum(acc accum, cell *sharedScalar, lay *unitLayout) stmtFn {
+func (c *compiler) atomicAccum(acc plan.Accum, cell *sharedScalar, lay *unitLayout) stmtFn {
 	switch {
-	case acc.op == accSum:
-		dv := c.cInt(acc.operand, lay)
-		if acc.negate {
+	case acc.Op == plan.AccSum:
+		dv := c.cInt(acc.Operand, lay)
+		if acc.Negate {
 			return func(pr *cproc, fr *frame) { cell.addInt(-dv(pr, fr)) }
 		}
 		return func(pr *cproc, fr *frame) { cell.addInt(dv(pr, fr)) }
-	case acc.real:
-		av := c.cReal(acc.operand, lay)
-		if acc.op == accMax {
+	case acc.Real:
+		av := c.cReal(acc.Operand, lay)
+		if acc.Op == plan.AccMax {
 			return func(pr *cproc, fr *frame) { cell.maxReal(av(pr, fr)) }
 		}
 		return func(pr *cproc, fr *frame) { cell.minReal(av(pr, fr)) }
 	}
-	av := c.cInt(acc.operand, lay)
-	if acc.op == accMax {
+	av := c.cInt(acc.Operand, lay)
+	if acc.Op == plan.AccMax {
 		return func(pr *cproc, fr *frame) { cell.maxInt(av(pr, fr)) }
 	}
 	return func(pr *cproc, fr *frame) { cell.minInt(av(pr, fr)) }
@@ -815,9 +817,9 @@ func (c *compiler) refInt(t *forcelang.Ref, lay *unitLayout) intFn {
 	sym := lay.lookup(t.Name, t.Pos())
 	if len(t.Subs) == 0 {
 		switch {
-		case c.plan != nil && t.Name == c.plan.outer:
+		case c.plan != nil && t.Name == c.plan.Outer:
 			return func(pr *cproc, fr *frame) int64 { return pr.k.i }
-		case c.plan != nil && t.Name == c.plan.inner:
+		case c.plan != nil && t.Name == c.plan.Inner:
 			return func(pr *cproc, fr *frame) int64 { return pr.k.j }
 		case sym.class == scPrivate:
 			slot := sym.slot

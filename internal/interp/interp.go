@@ -23,7 +23,7 @@
 //     accesses; shared scalars and shared array elements are individual
 //     atomic words read and written unboxed (store.go), so an
 //     interpreted DOALL over disjoint elements runs in parallel.
-//     Under ExecChunked a classification pass (classify.go) marks every
+//     Under ExecChunked the shared classifier (internal/plan) marks every
 //     DOALL-body reference uniform (loop-invariant) or varying, and a
 //     body it can prove safe is compiled by that same compiler in chunk
 //     mode (chunk.go) and run as a tight per-span loop — the index
@@ -43,8 +43,8 @@
 //     (forcebench T11, forcerun -exec tree).
 //
 // All of them give the shared accumulate one meaning (README,
-// "Semantics"): `S = S + e` and its recognised siblings (matchAccum)
-// are atomic updates of the shared scalar.
+// "Semantics"): `S = S + e` and its recognised siblings
+// (plan.Unit.MatchAccum) are atomic updates of the shared scalar.
 //
 // Error handling is fault-contained, unlike the original system's: a
 // runtime error (subscript out of range, division by zero) in any
@@ -73,6 +73,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/forcelang"
 	"repro/internal/machine"
+	"repro/internal/plan"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/shm"
@@ -429,11 +430,11 @@ func (o *outsink) flush() error {
 type instance struct {
 	prog *forcelang.Program
 	cfg  Config
-	// res serves one purpose: matchAccum's static view of each unit, so
+	// res serves one purpose: MatchAccum's static view of each unit, so
 	// this walker and the closure compiler recognise the same statements
 	// as shared accumulates; accums caches its verdict per statement.
 	res    *resolution
-	accums sync.Map // *forcelang.Assign -> *accum (nil: not an accumulate)
+	accums sync.Map // *forcelang.Assign -> *plan.Accum (nil: not an accumulate)
 
 	mu     sync.Mutex // serializes shared storage access
 	shared map[string]map[string]*binding
@@ -951,38 +952,38 @@ func (pr *proc) assign(target *forcelang.Ref, v value, f *tframe) {
 }
 
 // accumulate executes t as one indivisible update when it is a shared
-// accumulate (matchAccum): the operand is evaluated first, then the
+// accumulate (MatchAccum): the operand is evaluated first, then the
 // load, the combine and the store happen under the shared-memory mutex,
 // with the strict compares of the MAX/MIN intrinsics.  It reports false,
 // having done nothing, for every other assignment.
 func (pr *proc) accumulate(t *forcelang.Assign, f *tframe) bool {
 	v, cached := pr.in.accums.Load(t)
 	if !cached {
-		var verdict *accum
-		if a, ok := matchAccum(pr.in.prog, pr.in.res.units[f.unit], t); ok {
+		var verdict *plan.Accum
+		if a, ok := pr.in.res.units[f.unit].pu.MatchAccum(t); ok {
 			verdict = &a
 		}
 		v, _ = pr.in.accums.LoadOrStore(t, verdict)
 	}
-	acc := v.(*accum)
+	acc := v.(*plan.Accum)
 	if acc == nil {
 		return false
 	}
-	x := pr.eval(acc.operand, f)
+	x := pr.eval(acc.Operand, f)
 	s := pr.lookup(f, t.Target.Name, t.Pos()).p
 	pr.in.mu.Lock()
 	defer pr.in.mu.Unlock()
 	switch {
-	case acc.op == accSum && acc.negate:
+	case acc.Op == plan.AccSum && acc.Negate:
 		s.i -= x.i
-	case acc.op == accSum:
+	case acc.Op == plan.AccSum:
 		s.i += x.i
-	case acc.real:
-		if v := x.asReal(); (acc.op == accMax && v > s.r) || (acc.op == accMin && v < s.r) {
+	case acc.Real:
+		if v := x.asReal(); (acc.Op == plan.AccMax && v > s.r) || (acc.Op == plan.AccMin && v < s.r) {
 			s.r = v
 		}
 	default:
-		if (acc.op == accMax && x.i > s.i) || (acc.op == accMin && x.i < s.i) {
+		if (acc.Op == plan.AccMax && x.i > s.i) || (acc.Op == plan.AccMin && x.i < s.i) {
 			s.i = x.i
 		}
 	}

@@ -16,25 +16,28 @@ import (
 	"fmt"
 
 	"repro/internal/forcelang"
+	"repro/internal/plan"
 	"repro/internal/shm"
 )
 
-// storageClass classifies where a resolved variable lives.
-type storageClass int
+// storageClass classifies where a resolved variable lives: the classes
+// the shared DOALL proofs (internal/plan) reason about, here bound to
+// this back end's storage.
+type storageClass = plan.Class
 
 const (
 	// scPrivate is a per-process (or per-call) scalar slot in the frame.
-	scPrivate storageClass = iota
+	scPrivate = plan.Private
 	// scPrivArray is a per-process (or per-call) array slot in the frame.
-	scPrivArray
+	scPrivArray = plan.PrivArray
 	// scShared is an instance-wide atomic scalar cell.
-	scShared
+	scShared = plan.Shared
 	// scSharedArray is an instance-wide array of atomic words.
-	scSharedArray
+	scSharedArray = plan.SharedArray
 	// scAsync is an instance-wide full/empty cell (or array of cells).
-	scAsync
+	scAsync = plan.Async
 	// scParam is a by-reference alias bound at call time.
-	scParam
+	scParam = plan.Param
 )
 
 // symbol is one resolved name: its storage class, the owning unit and
@@ -49,12 +52,14 @@ type symbol struct {
 
 // unitLayout is the resolved layout of one unit (the main program or a
 // subroutine): the name→symbol bindings, the checker scope the compiler
-// types expressions against, and the frame shape — how many private
-// scalar slots and which private arrays a frame of this unit carries.
+// types expressions against, the same unit as the shared DOALL proofs
+// see it, and the frame shape — how many private scalar slots and which
+// private arrays a frame of this unit carries.
 type unitLayout struct {
 	name  string
 	sub   *forcelang.Subroutine // nil for the main program
 	scope *forcelang.Scope
+	pu    plan.Unit
 	syms  map[string]symbol
 
 	// privInit is the typed-zero template of the private scalar slots;
@@ -120,7 +125,8 @@ func put(list []forcelang.Decl, slot int, d forcelang.Decl) []forcelang.Decl {
 }
 
 func (r *resolution) addUnit(name string, sub *forcelang.Subroutine, scope *forcelang.Scope) error {
-	lay := &unitLayout{name: name, sub: sub, scope: scope, syms: map[string]symbol{}}
+	lay := &unitLayout{name: name, sub: sub, scope: scope, syms: map[string]symbol{},
+		pu: plan.Unit{Prog: r.prog, Scope: scope, Sub: sub}}
 	alloc := &unitAlloc{}
 	paramPos := map[string]int{}
 	if sub != nil {
@@ -139,18 +145,7 @@ func (r *resolution) addUnit(name string, sub *forcelang.Subroutine, scope *forc
 			lay.params[i] = sym
 			isParam = true
 		} else {
-			switch {
-			case d.Class == shm.Async:
-				sym = symbol{class: scAsync, unit: d.Unit, slot: d.Slot, decl: d}
-			case d.Class == shm.Shared && len(d.Dims) > 0:
-				sym = symbol{class: scSharedArray, unit: d.Unit, slot: d.Slot, decl: d}
-			case d.Class == shm.Shared:
-				sym = symbol{class: scShared, unit: d.Unit, slot: d.Slot, decl: d}
-			case len(d.Dims) > 0:
-				sym = symbol{class: scPrivArray, unit: d.Unit, slot: d.Slot, decl: d}
-			default:
-				sym = symbol{class: scPrivate, unit: d.Unit, slot: d.Slot, decl: d}
-			}
+			sym = symbol{class: plan.ClassOf(d), unit: d.Unit, slot: d.Slot, decl: d}
 		}
 		lay.syms[d.Name] = sym
 

@@ -1,24 +1,24 @@
-package interp
+package plan
 
 // Uniform/varying classification for DOALL bodies — the analysis behind
-// the chunk tier (chunk.go).  One walk over a ParDo body decides:
+// span execution in both back ends.  One walk over a ParDo body decides:
 //
-//   - whether the body is chunk-compilable at all.  Only Assign, IF and
-//     sequential DO statements qualify; anything that can block, perform
-//     I/O, call a subroutine or touch asynchronous variables falls back
-//     to the per-iteration path, as does a body that writes its own loop
-//     index or runs it through a non-private variable.
+//   - whether the body may run as whole spans at all.  Only Assign, IF
+//     and sequential DO statements qualify; anything that can block,
+//     perform I/O, call a subroutine or touch asynchronous variables
+//     keeps per-iteration semantics, as does a body that writes its own
+//     loop index or runs it through a non-private variable.
 //   - which names are WRITTEN in the body.  A reference is *uniform*
 //     (loop-invariant for the executing process) exactly when it depends
-//     on no loop index and no written name; uniform subexpressions are
-//     hoisted out of the iteration loop by the chunk compiler.
+//     on no loop index and no written name; the closure compiler hoists
+//     uniform subexpressions out of the iteration loop.
 //   - which written shared arrays are PROVABLY DISJOINT: every access
 //     uses one identical subscript form, affine in the loop indices with
 //     literal coefficients and an index-free remainder, and that form is
 //     injective on the index space (nonzero coefficient for one index,
-//     a nonsingular 2x2 minor for two).  Every element is an atomic
-//     word either way; disjointness is the legality fact the fusion
-//     pass, the partition choice below and forcevet consume.
+//     a nonsingular 2x2 minor for two).  Disjointness is the legality
+//     fact the fusion pass, the partition choice below and forcevet
+//     consume.
 //   - which shared scalars are pure accumulators: every appearance in
 //     the body is one accumulator shape over the same operator —
 //     `S = S + e` / `S = S - e` with an INTEGER right-hand side (sums
@@ -26,9 +26,8 @@ package interp
 //     `S = MAX(S, e)` / `S = MIN(S, e)` for INTEGER and REAL alike
 //     (extrema keep one operand bit-for-bit, so they fold exactly) —
 //     with e never reading S.  Their contributions accumulate
-//     privately per chunk and fold into the cell with one atomic RMW:
+//     privately per span and fold into the cell with one atomic RMW:
 //     an add for sums, a compare-and-swap race for extrema.
-//
 //   - whether the body is MAPPING-INSENSITIVE: nothing it computes or
 //     leaves behind depends on which process ran which iteration.  That
 //     holds when it touches no private name but its loop indices (a
@@ -43,72 +42,62 @@ package interp
 // A body that reads or writes subroutine parameters disables the
 // disjointness proof and the accumulator folding (a parameter may alias
 // any shared cell or element, so folding could reorder aliased writes);
-// the body still chunk-compiles.
+// the body still runs as spans.
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/forcelang"
 	"repro/internal/uniform"
 )
 
-// chunkPlan is the classifier's verdict for one chunk-compilable ParDo,
-// consumed (and extended with hoisted-uniform slots) by the closure
-// compiler while it compiles the body in chunk mode.
-type chunkPlan struct {
-	outer, inner string // loop index names ("" when no inner index)
+// Plan is the classifier's verdict for one span-executable ParDo.
+type Plan struct {
+	Outer, Inner string // loop index names ("" when no inner index)
 
-	// written holds every scalar and array name the body assigns
+	// Written holds every scalar and array name the body assigns
 	// (including sequential DO indices).  References to written names
 	// are varying; everything else index-free is uniform.
-	written map[string]bool
-	// noBulk disables the disjointness proof and accumulator folding
+	Written map[string]bool
+	// NoBulk disables the disjointness proof and accumulator folding
 	// (parameter references present).
-	noBulk bool
-	// disjoint holds the written shared arrays proven element-disjoint
+	NoBulk bool
+	// Disjoint holds the written shared arrays proven element-disjoint
 	// across iterations.
-	disjoint map[string]bool
-	// cyclicWhy is "" for a mapping-insensitive body, else the reason
-	// (a phrase, completed by cyclicName when that is set) a Presched
+	Disjoint map[string]bool
+	// CyclicWhy is "" for a mapping-insensitive body, else the reason
+	// (a phrase, completed by CyclicName when that is set) a Presched
 	// DOALL over it must keep the cyclic deal.
-	cyclicWhy, cyclicName string
-	// accs maps accumulator scalars to their private-slot index.
-	accs map[string]int
-	// accSyms holds the accumulator records in slot order.
-	accSyms []accRec
-
-	// Hoisted uniform subexpressions, compiled with the plan cleared,
-	// evaluated once per construct execution and read from the typed
-	// slots of the process's chunk context inside the chunk loop.
-	// Filled in as the body is compiled (hoistInt/hoistReal/hoistBool).
-	uniInt  []intFn
-	uniReal []realFn
-	uniBool []boolFn
+	CyclicWhy, CyclicName string
+	// Accs maps folded accumulator scalars to their index in AccRecs.
+	Accs map[string]int
+	// AccRecs holds the folded accumulators in name order.
+	AccRecs []AccRec
 }
 
-// accOp is the fold operator of one accumulator scalar.
-type accOp uint8
+// AccOp is the fold operator of one accumulator scalar.
+type AccOp uint8
 
 const (
-	accSum accOp = iota
-	accMax
-	accMin
+	AccSum AccOp = iota
+	AccMax
+	AccMin
 )
 
-// accRec is one accumulator scalar's plan entry: its symbol, its fold
-// operator, and whether the partial is a float64 (REAL extrema) or an
-// int64 (INTEGER sums and extrema).
-type accRec struct {
-	sym  symbol
-	op   accOp
-	real bool
+// AccRec is one folded accumulator: the scalar, its fold operator, and
+// whether the partial is a REAL (extrema only) or an INTEGER (sums and
+// extrema).
+type AccRec struct {
+	Name string
+	Op   AccOp
+	Real bool
 }
 
 // classifier carries the single-walk state.
 type classifier struct {
-	prog *forcelang.Program
-	lay  *unitLayout
-	plan *chunkPlan
+	u    Unit
+	plan *Plan
 
 	// reads counts scalar (unsubscripted) reads per name; selfRefs and
 	// writes count, per shared scalar, the reads and writes accounted
@@ -120,53 +109,51 @@ type classifier struct {
 	selfRefs map[string]int
 	accWrite map[string]int
 	writes   map[string]int
-	accOps   map[string]accOp
+	accOps   map[string]AccOp
 	tainted  map[string]bool
 
 	// arrays holds every subscripted access (read or write) per name.
 	arrays map[string][]*forcelang.Ref
 }
 
-// classifyParDo analyses t's body.  It returns the plan, or a fallback
-// reason when the body must stay on the per-iteration path.
-func classifyParDo(prog *forcelang.Program, t *forcelang.ParDo, lay *unitLayout) (*chunkPlan, string) {
-	plan := &chunkPlan{
-		outer:    t.Var,
-		written:  map[string]bool{},
-		disjoint: map[string]bool{},
-		accs:     map[string]int{},
+// Classify analyses t's body.  It returns the plan, or the reason the
+// body must keep per-iteration semantics.
+func (u Unit) Classify(t *forcelang.ParDo) (*Plan, string) {
+	plan := &Plan{
+		Outer:    t.Var,
+		Written:  map[string]bool{},
+		Disjoint: map[string]bool{},
+		Accs:     map[string]int{},
 	}
 	if t.Inner != nil {
-		plan.inner = t.Inner.Var
-		if plan.inner == plan.outer {
+		plan.Inner = t.Inner.Var
+		if plan.Inner == plan.Outer {
 			return nil, "inner index shadows outer index"
 		}
 	}
-	for _, v := range []string{plan.outer, plan.inner} {
+	for _, v := range []string{plan.Outer, plan.Inner} {
 		if v == "" {
 			continue
 		}
-		sym, ok := lay.syms[v]
-		if !ok || sym.class != scPrivate {
+		if class, _, ok := u.Lookup(v); !ok || class != Private {
 			return nil, fmt.Sprintf("loop index %s is not a private scalar", v)
 		}
 	}
 	cl := &classifier{
-		prog:     prog,
-		lay:      lay,
+		u:        u,
 		plan:     plan,
 		reads:    map[string]int{},
 		selfRefs: map[string]int{},
 		accWrite: map[string]int{},
 		writes:   map[string]int{},
-		accOps:   map[string]accOp{},
+		accOps:   map[string]AccOp{},
 		tainted:  map[string]bool{},
 		arrays:   map[string][]*forcelang.Ref{},
 	}
 	if reason := cl.stmts(t.Body); reason != "" {
 		return nil, reason
 	}
-	if plan.written[plan.outer] || (plan.inner != "" && plan.written[plan.inner]) {
+	if plan.Written[plan.Outer] || (plan.Inner != "" && plan.Written[plan.Inner]) {
 		return nil, "body writes its loop index"
 	}
 	cl.planArrays()
@@ -179,27 +166,26 @@ func classifyParDo(prog *forcelang.Program, t *forcelang.ParDo, lay *unitLayout)
 // file comment) that touchPriv started during the walk.
 func (cl *classifier) planPartition() {
 	plan := cl.plan
-	if plan.noBulk {
-		plan.cyclicWhy, plan.cyclicName = "parameter reference", ""
+	if plan.NoBulk {
+		plan.CyclicWhy, plan.CyclicName = "parameter reference", ""
 	}
-	if plan.cyclicWhy != "" {
+	if plan.CyclicWhy != "" {
 		return
 	}
-	for name := range plan.written { // only shared names: no private was touched
-		_, isAcc := plan.accs[name]
-		if !isAcc && !plan.disjoint[name] && (plan.cyclicName == "" || name < plan.cyclicName) {
-			plan.cyclicWhy, plan.cyclicName = "non-disjoint, non-accumulator write of shared", name
+	for name := range plan.Written { // only shared names: no private was touched
+		_, isAcc := plan.Accs[name]
+		if !isAcc && !plan.Disjoint[name] && (plan.CyclicName == "" || name < plan.CyclicName) {
+			plan.CyclicWhy, plan.CyclicName = "non-disjoint, non-accumulator write of shared", name
 		}
 	}
 }
 
 // touchPriv records the body's first use of a private name that is not
 // one of its own loop indices.
-func (cl *classifier) touchPriv(verb, name string) {
-	sym := cl.lay.syms[name]
-	if cl.plan.cyclicWhy == "" && (sym.class == scPrivate || sym.class == scPrivArray) &&
-		name != cl.plan.outer && name != cl.plan.inner {
-		cl.plan.cyclicWhy, cl.plan.cyclicName = verb, name
+func (cl *classifier) touchPriv(verb, name string, class Class) {
+	if cl.plan.CyclicWhy == "" && (class == Private || class == PrivArray) &&
+		name != cl.plan.Outer && name != cl.plan.Inner {
+		cl.plan.CyclicWhy, cl.plan.CyclicName = verb, name
 	}
 }
 
@@ -223,13 +209,13 @@ func (cl *classifier) stmt(st forcelang.Stmt) string {
 		}
 		return cl.stmts(t.Else)
 	case *forcelang.SeqDo:
-		sym, ok := cl.lay.syms[t.Var]
-		if !ok || sym.class != scPrivate {
+		class, _, ok := cl.u.Lookup(t.Var)
+		if !ok || class != Private {
 			return fmt.Sprintf("sequential DO index %s is not a private scalar", t.Var)
 		}
-		cl.plan.written[t.Var] = true
+		cl.plan.Written[t.Var] = true
 		cl.tainted[t.Var] = true
-		cl.touchPriv("writes private", t.Var)
+		cl.touchPriv("writes private", t.Var, class)
 		cl.expr(t.From)
 		cl.expr(t.To)
 		if t.Step != nil {
@@ -244,17 +230,17 @@ func (cl *classifier) stmt(st forcelang.Stmt) string {
 }
 
 func (cl *classifier) assign(t *forcelang.Assign) string {
-	sym, ok := cl.lay.syms[t.Target.Name]
+	class, _, ok := cl.u.Lookup(t.Target.Name)
 	if !ok {
 		return fmt.Sprintf("undefined assignment target %s", t.Target.Name)
 	}
-	if sym.class == scParam {
+	if class == Param {
 		// A parameter aliases unknown caller storage; writing through it
 		// defeats every disjointness and ordering argument.
 		return fmt.Sprintf("assignment through parameter %s", t.Target.Name)
 	}
-	cl.plan.written[t.Target.Name] = true
-	cl.touchPriv("writes private", t.Target.Name)
+	cl.plan.Written[t.Target.Name] = true
+	cl.touchPriv("writes private", t.Target.Name, class)
 	if len(t.Target.Subs) > 0 {
 		cl.arrays[t.Target.Name] = append(cl.arrays[t.Target.Name], &t.Target)
 		for _, s := range t.Target.Subs {
@@ -264,12 +250,11 @@ func (cl *classifier) assign(t *forcelang.Assign) string {
 		return ""
 	}
 	cl.writes[t.Target.Name]++
-	if acc, ok := matchAccum(cl.prog, cl.lay, t); ok {
-		op := acc.op
-		if prev, seen := cl.accOps[t.Target.Name]; seen && prev != op {
+	if acc, ok := cl.u.MatchAccum(t); ok {
+		if prev, seen := cl.accOps[t.Target.Name]; seen && prev != acc.Op {
 			cl.tainted[t.Target.Name] = true
 		} else {
-			cl.accOps[t.Target.Name] = op
+			cl.accOps[t.Target.Name] = acc.Op
 			cl.selfRefs[t.Target.Name]++
 			cl.accWrite[t.Target.Name]++
 		}
@@ -280,77 +265,78 @@ func (cl *classifier) assign(t *forcelang.Assign) string {
 	return ""
 }
 
-// accum is one recognised shared-accumulate statement: the fold
+// Accum is one recognised shared-accumulate statement: the fold
 // operator, the contributed operand e, whether a sum subtracts it, and
 // whether the scalar is REAL (extrema only) or INTEGER.
-type accum struct {
-	op      accOp
-	operand forcelang.Expr
-	negate  bool
-	real    bool
+type Accum struct {
+	Op      AccOp
+	Operand forcelang.Expr
+	Negate  bool
+	Real    bool
 }
 
-// matchAccum matches one assignment against the shared-accumulate
+// MatchAccum matches one assignment against the shared-accumulate
 // shapes: S = S + e | S = e + S | S = S - e over an INTEGER shared
 // scalar, or S = MAX(S, e) | S = MIN(S, e) over an INTEGER or REAL
 // shared scalar, in both cases with S unsubscripted, not a parameter,
 // and e never reading S.  It is the one recogniser behind the language
-// rule (README, "Semantics"): the classifier folds what it accepts, the
-// closure compiler and the tree walker execute it as one atomic update.
-func matchAccum(prog *forcelang.Program, lay *unitLayout, t *forcelang.Assign) (accum, bool) {
+// rule (README, "Semantics"): the classifier folds what it accepts, and
+// every back end executes the rest of what it accepts as one atomic
+// update.
+func (u Unit) MatchAccum(t *forcelang.Assign) (Accum, bool) {
 	name := t.Target.Name
-	sym, found := lay.syms[name]
-	if !found || sym.class != scShared || len(t.Target.Subs) != 0 {
-		return accum{}, false
+	class, decl, found := u.Lookup(name)
+	if !found || class != Shared || len(t.Target.Subs) != 0 {
+		return Accum{}, false
 	}
-	acc := accum{real: sym.decl.Type == forcelang.TReal}
-	want := sym.decl.Type // the type the whole right-hand side must have
+	acc := Accum{Real: decl.Type == forcelang.TReal}
+	want := decl.Type // the type the whole right-hand side must have
 	if delta, neg, ok := uniform.AccumDelta(name, t.Expr); ok {
 		// Sums fold only when the target and the whole RHS are
 		// statically INTEGER: a REAL-promoted sum is computed in
 		// float64 and rounded at every iteration, which privately
 		// accumulated deltas cannot reproduce.
-		acc.op, acc.operand, acc.negate = accSum, delta, neg
+		acc.Op, acc.Operand, acc.Negate = AccSum, delta, neg
 		want = forcelang.TInt
 	} else if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {
 		// Extrema fold exactly for INTEGER and REAL alike — MAX/MIN
 		// keep one operand bit-for-bit — but the promoted intrinsic
 		// type must equal the target's declared type, so the store
 		// performs no conversion the fold would have to replay.
-		acc.op, acc.operand = accMin, arg
+		acc.Op, acc.Operand = AccMin, arg
 		if isMax {
-			acc.op = accMax
+			acc.Op = AccMax
 		}
 	} else {
-		return accum{}, false
+		return Accum{}, false
 	}
-	if sym.decl.Type != want || uniform.RefersTo(acc.operand, name) {
-		return accum{}, false
+	if decl.Type != want || uniform.RefersTo(acc.Operand, name) {
+		return Accum{}, false
 	}
-	if et, err := forcelang.TypeOf(prog, lay.scope, t.Expr); err != nil || et != want {
-		return accum{}, false
+	if et, err := forcelang.TypeOf(u.Prog, u.Scope, t.Expr); err != nil || et != want {
+		return Accum{}, false
 	}
 	return acc, true
 }
 
 // expr records every reference inside e: scalar reads, parameter uses
-// (which disable the bulk tier) and shared-array element reads.
+// (which disable the bulk facts) and shared-array element reads.
 func (cl *classifier) expr(e forcelang.Expr) {
 	uniform.Walk(e, func(r *forcelang.Ref) {
-		sym, ok := cl.lay.syms[r.Name]
+		class, _, ok := cl.u.Lookup(r.Name)
 		if !ok {
-			return // compile will report it
+			return // the back end will report it
 		}
-		if sym.class == scParam {
-			cl.plan.noBulk = true
+		if class == Param {
+			cl.plan.NoBulk = true
 			return
 		}
-		cl.touchPriv("reads private", r.Name)
+		cl.touchPriv("reads private", r.Name, class)
 		if len(r.Subs) == 0 {
 			cl.reads[r.Name]++
 			return
 		}
-		if sym.class == scSharedArray {
+		if class == SharedArray {
 			cl.arrays[r.Name] = append(cl.arrays[r.Name], r)
 		}
 	})
@@ -359,12 +345,12 @@ func (cl *classifier) expr(e forcelang.Expr) {
 // planArrays records the written shared arrays whose every access
 // provably lands on a per-iteration-private element.
 func (cl *classifier) planArrays() {
-	if cl.plan.noBulk {
+	if cl.plan.NoBulk {
 		return
 	}
 	for name, uses := range cl.arrays {
-		if cl.lay.syms[name].class == scSharedArray && cl.plan.written[name] && cl.disjointUses(uses) {
-			cl.plan.disjoint[name] = true
+		if class, _, _ := cl.u.Lookup(name); class == SharedArray && cl.plan.Written[name] && cl.disjointUses(uses) {
+			cl.plan.Disjoint[name] = true
 		}
 	}
 }
@@ -376,14 +362,14 @@ func (cl *classifier) planArrays() {
 // scalar is identical for every iteration a process executes.
 func (cl *classifier) disjointUses(refs []*forcelang.Ref) bool {
 	sp := &uniform.Space{
-		Outer: cl.plan.outer,
-		Inner: cl.plan.inner,
+		Outer: cl.plan.Outer,
+		Inner: cl.plan.Inner,
 		IntScalar: func(name string) bool {
-			sym, found := cl.lay.syms[name]
-			if !found || cl.plan.written[name] {
+			class, decl, found := cl.u.Lookup(name)
+			if !found || cl.plan.Written[name] {
 				return false
 			}
-			return (sym.class == scPrivate || sym.class == scShared) && sym.decl.Type == forcelang.TInt
+			return (class == Private || class == Shared) && decl.Type == forcelang.TInt
 		},
 	}
 	return sp.Disjoint(refs)
@@ -393,9 +379,10 @@ func (cl *classifier) disjointUses(refs []*forcelang.Ref) bool {
 // appearance in the body is accounted for by accumulator statements
 // over one operator.
 func (cl *classifier) planAccs() {
-	if cl.plan.noBulk {
+	if cl.plan.NoBulk {
 		return
 	}
+	names := make([]string, 0, len(cl.accWrite))
 	for name, n := range cl.accWrite {
 		if cl.tainted[name] {
 			continue
@@ -406,12 +393,16 @@ func (cl *classifier) planAccs() {
 			// contributions cannot be deferred.
 			continue
 		}
-		sym := cl.lay.syms[name]
-		cl.plan.accs[name] = len(cl.plan.accSyms)
-		cl.plan.accSyms = append(cl.plan.accSyms, accRec{
-			sym:  sym,
-			op:   cl.accOps[name],
-			real: sym.decl.Type == forcelang.TReal,
+		names = append(names, name)
+	}
+	sort.Strings(names) // a stable order: the emitter's output is cached by content
+	for _, name := range names {
+		_, decl, _ := cl.u.Lookup(name)
+		cl.plan.Accs[name] = len(cl.plan.AccRecs)
+		cl.plan.AccRecs = append(cl.plan.AccRecs, AccRec{
+			Name: name,
+			Op:   cl.accOps[name],
+			Real: decl.Type == forcelang.TReal,
 		})
 	}
 }

@@ -1,0 +1,326 @@
+package plan
+
+// The fusion proofs: barrier elision across independent DOALLs and
+// span-folded reductions.  A back end scans every statement list for
+// maximal runs of adjacent single-index DOALLs, optionally followed by a
+// numeric global-reduction statement (Unit.Fuse), and executes a
+// proven-independent run as ONE fused region:
+//
+//	member 1: DoAllChunkedOpen   (spans, no exit barrier)
+//	member 2: DoAllChunkedOpen
+//	...
+//	FusedJoin                    (the single closing collective)
+//
+// The join is a full synchronization point, so the region keeps every
+// construct's exit guarantee while retiring one barrier episode per
+// elided boundary; a folded reduction additionally retires its reduce
+// episode, contributing its per-process operand to the join itself.
+//
+// Legality.  Dropping the barrier between members G (earlier) and B
+// (later) interleaves B's iteration i directly after G's iteration i on
+// the same process, while other processes may still be anywhere in G.
+// That reordering is invisible exactly when no datum written in one
+// member is touched by another at a different iteration:
+//
+//   - all members share one index variable and Canon-identical bounds,
+//     and the bounds read nothing the region writes (a later member's
+//     bounds would otherwise observe pre-barrier state);
+//   - member bodies are individually span-certified, and so is their
+//     concatenation (one synthetic DOALL), whose classification also
+//     yields the region-wide disjointness facts;
+//   - no member references a subroutine parameter (unknown aliasing);
+//   - any name written by one member and referenced by another must be
+//     a shared array proven element-disjoint over the COMBINED uses of
+//     the whole region, AND the region must be prescheduled: disjoint
+//     uses mean iteration i only ever touches its own elements, and
+//     prescheduling pins iteration i of every member to the same
+//     process (the cyclic and the block deal are both pure functions
+//     of pid, np and the shared bounds, and a region uses one of them
+//     throughout), so a later member's read of an element was either
+//     written by the same process in program order or never written at
+//     all.  Selfscheduled members hand iteration i of different
+//     members to different processes, so ANY cross-member conflict
+//     declines there; scalars (shared or private) and unproven arrays
+//     decline everywhere — their mid-region values are observable.
+//
+// A trailing GSUM/GPROD/GMAX/GMIN folds into the join when its target
+// is an unsubscripted scalar, its operand reads no parameter and no
+// shared name the region writes (per-process private state is fine —
+// it is complete once the contributing process finishes its own
+// spans), and the fold order cannot show: the join folds in pid order
+// (reduce.NumEpisode), which is bit-identical to the PrivateSlots
+// strategy, so INTEGER operands always qualify, REAL MAX/MIN always
+// qualify (extrema keep one operand bit-for-bit), and REAL sums and
+// products qualify only under the PrivateSlots strategy.  GAND/GOR
+// stay on the episode path.
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/forcelang"
+	"repro/internal/uniform"
+)
+
+// Region is one proven fused region.
+type Region struct {
+	Members []*forcelang.ParDo
+	// Plans holds each member's OWN plan (its own folding and
+	// disjointness, consistent with the region's: a member can only
+	// prove disjoint what the region did not refute).
+	Plans []*Plan
+	// Block deals the whole region in blocks.  The same-pid argument
+	// needs ONE iteration-to-process map for the region, so it holds
+	// only when the concatenated body is mapping-insensitive — which
+	// implies every member's is.
+	Block bool
+	// Red is the reduction statement folded into the join, or nil for a
+	// pure synchronization close.
+	Red *forcelang.ReduceStmt
+}
+
+// Len is the number of statements the region covers.
+func (r *Region) Len() int {
+	if r.Red != nil {
+		return len(r.Members) + 1
+	}
+	return len(r.Members)
+}
+
+// Fuse looks for a fused region starting at list[i], which must be a
+// ParDo: the run of adjacent DOALLs from there, plus a reduction tail.
+// Candidates shrink from the right — the tail is dropped first, then
+// trailing members — so the longest provable prefix fuses and the caller
+// re-scans the remainder (it may fuse among itself).  slots says the
+// force reduces with the PrivateSlots strategy.  Only the most ambitious
+// decline is narrated; the shrink retries repeat its reasons.  A nil
+// result leaves list[i] to be lowered on its own.
+func (u Unit) Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
+	var members []*forcelang.ParDo
+	for ; i < len(list); i++ {
+		pd, ok := list[i].(*forcelang.ParDo)
+		if !ok {
+			break
+		}
+		members = append(members, pd)
+	}
+	var red *forcelang.ReduceStmt
+	if i < len(list) {
+		red, _ = list[i].(*forcelang.ReduceStmt)
+	}
+	logged := false
+	try := func(ms []*forcelang.ParDo, r *forcelang.ReduceStmt) *Region {
+		reg, reason := u.tryFuse(ms, r, slots, lg)
+		if reg == nil && !logged {
+			logged = true
+			lg.printf("line %d: fusion declined: %s", ms[0].Pos(), reason)
+		}
+		return reg
+	}
+	if red != nil {
+		if reg := try(members, red); reg != nil {
+			return reg
+		}
+	}
+	for n := len(members); n >= 2; n-- {
+		if reg := try(members[:n], nil); reg != nil {
+			return reg
+		}
+	}
+	return nil
+}
+
+// tryFuse proves one candidate region, or explains why it must not fuse.
+func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, lg Logf) (*Region, string) {
+	first := members[0]
+	for _, m := range members {
+		if m.Inner != nil {
+			return nil, fmt.Sprintf("two-index DOALL at line %d", m.Pos())
+		}
+		if m.Sched != first.Sched {
+			return nil, fmt.Sprintf("mixed scheduling at line %d", m.Pos())
+		}
+	}
+	for _, m := range members[1:] {
+		if m.Var != first.Var {
+			return nil, fmt.Sprintf("index variables differ (%s at line %d, %s at line %d)",
+				first.Var, first.Pos(), m.Var, m.Pos())
+		}
+		if uniform.Canon(m.From) != uniform.Canon(first.From) ||
+			uniform.Canon(m.To) != uniform.Canon(first.To) ||
+			stepCanon(m.Step) != stepCanon(first.Step) {
+			return nil, fmt.Sprintf("bounds differ between lines %d and %d", first.Pos(), m.Pos())
+		}
+	}
+
+	// Classify the concatenation of every member body as one synthetic
+	// DOALL: its verdict certifies each statement for span execution and
+	// its disjointness facts cover the region's COMBINED array uses.
+	syn := *first
+	if len(members) > 1 {
+		var body []forcelang.Stmt
+		for _, m := range members {
+			body = append(body, m.Body...)
+		}
+		syn.Body = body
+	}
+	whole, reason := u.Classify(&syn)
+	if reason != "" {
+		return nil, reason
+	}
+	if whole.NoBulk {
+		return nil, "parameter references in the region"
+	}
+
+	sets := make([]uniform.RefSets, len(members))
+	allWrites := map[string]bool{}
+	for i, m := range members {
+		rs, ok := uniform.CollectRefSets(m.Body)
+		if !ok {
+			return nil, fmt.Sprintf("unsupported statement in member at line %d", m.Pos())
+		}
+		sets[i] = rs
+		for n := range rs.Writes {
+			allWrites[n] = true
+		}
+	}
+
+	// Bounds are evaluated at each member's open, with other processes
+	// possibly deep in earlier members — so they must read nothing the
+	// region writes, and not the index variable (which a preceding
+	// member's spans update).  Members have Canon-identical bounds, so
+	// checking the first covers all.
+	for _, e := range []forcelang.Expr{first.From, first.To, first.Step} {
+		if e == nil {
+			continue
+		}
+		bad := ""
+		uniform.Walk(e, func(r *forcelang.Ref) {
+			if allWrites[r.Name] || r.Name == first.Var {
+				bad = r.Name
+			}
+		})
+		if bad != "" {
+			return nil, fmt.Sprintf("bounds read %s, which the region writes", bad)
+		}
+	}
+
+	for a := 0; a < len(members); a++ {
+		for b := a + 1; b < len(members); b++ {
+			for _, name := range conflictNames(sets[a], sets[b]) {
+				if name == first.Var {
+					continue
+				}
+				// The same-element argument needs the same pid to execute
+				// iteration i in EVERY member, which only prescheduling
+				// guarantees; selfscheduled members hand iteration i of
+				// different members to whichever process asks first.
+				if first.Sched == forcelang.Presched {
+					if class, _, ok := u.Lookup(name); ok && class == SharedArray && whole.Disjoint[name] {
+						continue
+					}
+				}
+				return nil, fmt.Sprintf("members at lines %d and %d conflict on %s",
+					members[a].Pos(), members[b].Pos(), name)
+			}
+		}
+	}
+
+	if red != nil {
+		if reason := u.fuseReduceCheck(red, allWrites, slots); reason != "" {
+			return nil, reason
+		}
+	}
+	if len(members) == 1 && red == nil {
+		return nil, "nothing to elide"
+	}
+
+	reg := &Region{Members: members, Plans: make([]*Plan, len(members)), Block: whole.Block(), Red: red}
+	for i, m := range members {
+		mplan, mreason := u.Classify(m)
+		if mreason != "" {
+			return nil, fmt.Sprintf("member at line %d: %s", m.Pos(), mreason)
+		}
+		lg.logPartition(m, whole.CyclicWhy, whole.CyclicName)
+		reg.Plans[i] = mplan
+	}
+	if red == nil {
+		lg.printf("line %d: fused %d DOALLs, %d exit barrier(s) elided",
+			first.Pos(), len(members), len(members)-1)
+	} else {
+		lg.printf("line %d: fused %d DOALL(s) + %s at line %d into one join",
+			first.Pos(), len(members), red.Op, red.Pos())
+	}
+	return reg, ""
+}
+
+// fuseReduceCheck decides whether the reduction tail may fold into the
+// region's join.
+func (u Unit) fuseReduceCheck(red *forcelang.ReduceStmt, allWrites map[string]bool, slots bool) string {
+	if red.Op.Logical() {
+		return fmt.Sprintf("%s is a logical reduction", red.Op)
+	}
+	if len(red.Target.Subs) != 0 {
+		return fmt.Sprintf("subscripted %s target", red.Op)
+	}
+	tclass, tdecl, ok := u.Lookup(red.Target.Name)
+	if !ok || (tclass != Private && tclass != Shared) {
+		return fmt.Sprintf("%s target %s is not a plain scalar", red.Op, red.Target.Name)
+	}
+	tt := tdecl.Type
+	if tt != forcelang.TInt && tt != forcelang.TReal {
+		return fmt.Sprintf("%s target %s is not numeric", red.Op, red.Target.Name)
+	}
+	bad := ""
+	uniform.Walk(red.Expr, func(r *forcelang.Ref) {
+		class, _, found := u.Lookup(r.Name)
+		if !found {
+			return
+		}
+		if class == Param {
+			bad = "parameter " + r.Name
+			return
+		}
+		if allWrites[r.Name] && (class == Shared || class == SharedArray) {
+			bad = fmt.Sprintf("shared %s, which the region writes", r.Name)
+		}
+	})
+	if bad != "" {
+		return fmt.Sprintf("%s operand reads %s", red.Op, bad)
+	}
+	if tt == forcelang.TReal && (red.Op == forcelang.GSum || red.Op == forcelang.GProd) && !slots {
+		return fmt.Sprintf("REAL %s folds in pid order, which only the slots strategy reproduces", red.Op)
+	}
+	return ""
+}
+
+// conflictNames returns, sorted, every name one member writes and the
+// other touches: write-read, read-write and write-write pairs all
+// reorder observably across an elided barrier.
+func conflictNames(x, y uniform.RefSets) []string {
+	seen := map[string]bool{}
+	for n := range x.Writes {
+		if y.Reads[n] || y.Writes[n] {
+			seen[n] = true
+		}
+	}
+	for n := range y.Writes {
+		if x.Reads[n] {
+			seen[n] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for n := range seen {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// stepCanon keys an optional loop step; an absent step is the literal 1.
+func stepCanon(e forcelang.Expr) string {
+	if e == nil {
+		return uniform.Canon(&forcelang.IntLit{Value: 1})
+	}
+	return uniform.Canon(e)
+}

@@ -466,3 +466,9 @@ func DriveWith(c *poison.Cell, s Scheduler, pid int, r Range, body func(pid, ind
 		}
 	}
 }
+
+// CyclicLast is the last ordinal of 0..n-1 the cyclic deal hands process
+// pid (< n) of np.  A block-dealt span loop leaves the loop variable at
+// that ordinal's index, so its value after the loop is
+// partition-independent.
+func CyclicLast(pid, np, n int) int { return pid + (n-1-pid)/np*np }
