@@ -29,7 +29,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/machine"
 	"repro/internal/maclib"
-	"repro/internal/monitor"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -82,44 +81,6 @@ func BenchmarkBarrierLockAblation(b *testing.B) {
 					bar.Sync(pid, nil)
 				}
 			})
-		})
-	}
-}
-
-// T2 companion: the [LO83] monitor barrier beside the [AJ87] algorithms.
-func BenchmarkMonitorBarrier(b *testing.B) {
-	for _, np := range benchNPs {
-		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
-			bar := monitor.NewBarrier(np, nil)
-			episodes := b.N
-			b.ResetTimer()
-			runForce(np, func(pid int) {
-				for e := 0; e < episodes; e++ {
-					bar.Wait()
-				}
-			})
-		})
-	}
-}
-
-// T7 companion: the [LO83] askfor monitor against core.Askfor.
-func BenchmarkMonitorAskfor(b *testing.B) {
-	const depth = 10
-	for _, np := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("tree-depth-%d/np=%d", depth, np), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				a := monitor.NewAskFor(nil)
-				a.Put(1)
-				runForce(np, func(pid int) {
-					a.Work(func(work any) {
-						workload.SpinSink += workload.Spin(120)
-						if d := work.(int); d < depth {
-							a.Put(d + 1)
-							a.Put(d + 1)
-						}
-					})
-				})
-			}
 		})
 	}
 }

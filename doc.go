@@ -7,8 +7,12 @@
 //		forcelang            front end: lexer, parser, AST, checker for the
 //		   │                 Force dialect (incl. language-level Askfor/Put
 //		   │                 and the GSUM/GMAX global-reduction statements);
-//		   │                 the checker records a (unit, slot) identity on
-//		   │                 every declaration
+//		   │                 the checker is the one binder and typer: it
+//		   │                 keeps each unit's scope, points every node
+//		   │                 that names a variable at its symbol (storage,
+//		   │                 role, owning unit, slot, parameter index) and
+//		   │                 records every expression's type — everything
+//		   │                 below reads those fields
 //		   ├── vet           forcevet static analysis over the checked AST:
 //		   │                 collective consistency (a Barrier/DOALL/GSUM
 //		   │                 reachable under a non-uniform condition),
@@ -19,9 +23,8 @@
 //		   │                 uniform/varying lattice and the affine
 //		   │                 disjointness proofs live in internal/uniform,
 //		   │                 shared with the DOALL plan below
-//		   ├── plan          the back-end-independent DOALL decisions, over
-//		   │                 the checker's scope through one "how is this
-//		   │                 name stored" seam: the classify walk (uniform
+//		   ├── plan          the back-end-independent DOALL decisions, read
+//		   │                 off the checked tree: the classify walk (uniform
 //		   │                 vs varying, disjointness, accumulator folding,
 //		   │                 whether the iteration→process map is
 //		   │                 observable → block or cyclic deal), the shared-
@@ -31,9 +34,9 @@
 //		   │                 share one closing join).  BOTH back ends below
 //		   │                 read it, and forcerun -v narrates the same
 //		   │                 decision lines on either
-//		   ├── interp        SPMD interpreter: a resolve pass binds every
-//		   │                 reference to a (storage class, slot) pair and
-//		   │                 ONE closure compiler emits typed closures over
+//		   ├── interp        SPMD interpreter: a layout pass sizes frames and
+//		   │                 shared storage from the symbols' slots and ONE
+//		   │                 closure compiler emits typed closures over
 //		   │                 index-addressed frames — every shared scalar
 //		   │                 and shared array element is one atomic word
 //		   │                 typed by its declaration, read and written
@@ -52,8 +55,9 @@
 //		   └── codegen       compiler back end emitting Go against core:
 //		        │            every DOALL a Go for-loop over the scheduler
 //		        │            span (block deal, span-local accumulator
-//		        │            partials and fused regions as the plan says),
-//		        │            run-time checks small enough to inline
+//		        │            partials and fused regions as the plan says);
+//		        │            the emitted program has no prelude — it
+//		        │            imports forcert (below)
 //		        │
 //		        ├── aot      cached native tier: a structural hash of the
 //		        │            checked AST (plus the semantics-affecting
@@ -69,6 +73,18 @@
 //		   ┌────┼───────┬──────────┐
 //		   ▼    ▼       ▼          ▼
 //		 engine sched reduce  barrier / lock / asyncvar / shm / machine
+//
+//	  - internal/forcert is the run-time support every tier shares and
+//	    every generated program imports: the checks a running program
+//	    performs (integer divide, MOD, SQRT, array and async subscripts,
+//	    loop steps — each small enough to inline across the package
+//	    boundary, panicking a value whose message is formatted only when
+//	    reported), the one error value and its message text, the Fortran
+//	    intrinsics, the atomic add / max / min of a 64-bit cell behind the
+//	    shared accumulate, and the Print line and REAL formatter.  The
+//	    tree walker keeps its own evaluator (it is the oracle) but raises
+//	    the same errors and prints through the same formatter, and
+//	    forcevet quotes the same messages;
 //
 //	  - internal/reduce is the global-reduction layer: one collective
 //	    combine-and-broadcast primitive (sum, product, max, min, and, or,

@@ -219,42 +219,48 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestOldFormatEntryNotServed: an entry built by the per-iteration
-// emitter (format version 1) lives under a key no current lookup
-// computes, so it is never served — Ensure builds a fresh entry beside
-// it, with the plan the new emitter read recorded.
+// TestOldFormatEntryNotServed: an entry built by an earlier emitter — the
+// per-iteration one (format version 1) or the span emitter with its
+// run-time helpers in a prelude (version 2) — lives under a key no
+// current lookup computes, so it is never served: Ensure builds a fresh
+// entry beside them, with the plan the new emitter read recorded.
 func TestOldFormatEntryNotServed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The key runSrc had while formatVersion was 1 (Key at the commit
-	// before the span emitter).
-	const oldKey = "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091"
-	if oldKey == Key(prog, Options{}) {
-		t.Fatal("format version is not part of the key")
+	// The keys runSrc had while formatVersion was 1 and 2 (Key at the
+	// commits before the span emitter and before internal/forcert).
+	oldKeys := map[int]string{
+		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
+		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
 	}
-	// Plant a complete, self-consistent version-1 entry whose "binary"
-	// would fail loudly if anything executed it.
-	oldDir := c.entryDir(oldKey)
-	if err := os.MkdirAll(oldDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	stale := []byte("#!/bin/sh\necho served a version-1 entry >&2\nexit 3\n")
-	if err := os.WriteFile(filepath.Join(oldDir, "force.bin"), stale, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	meta := `{"program":"RUN","key":"` + oldKey + `","bin_size":` + strconv.Itoa(len(stale)) + `}`
-	if err := os.WriteFile(filepath.Join(oldDir, "meta.json"), []byte(meta), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if old, st := c.lookup(oldKey); st != lookupHit || old == nil {
-		t.Fatalf("planted entry is not well-formed (state %d): the test would pass vacuously", st)
+	// Plant complete, self-consistent old entries whose "binary" would
+	// fail loudly if anything executed it.
+	for v, oldKey := range oldKeys {
+		if oldKey == Key(prog, Options{}) {
+			t.Fatalf("format version %d still computes the current key", v)
+		}
+		oldDir := c.entryDir(oldKey)
+		if err := os.MkdirAll(oldDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		stale := []byte("#!/bin/sh\necho served a version-" + strconv.Itoa(v) + " entry >&2\nexit 3\n")
+		if err := os.WriteFile(filepath.Join(oldDir, "force.bin"), stale, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		meta := `{"program":"RUN","key":"` + oldKey + `","bin_size":` + strconv.Itoa(len(stale)) + `}`
+		if err := os.WriteFile(filepath.Join(oldDir, "meta.json"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if old, st := c.lookup(oldKey); st != lookupHit || old == nil {
+			t.Fatalf("planted version-%d entry is not well-formed (state %d): the test would pass vacuously", v, st)
+		}
 	}
 
 	if _, ok := c.Cached(prog, Options{}); ok {
-		t.Fatal("a version-1 entry satisfied a current lookup")
+		t.Fatal("an old-format entry satisfied a current lookup")
 	}
 	e, err := c.Ensure(prog, Options{})
 	if err != nil {
@@ -263,8 +269,10 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	if s := c.Stats(); s.Builds != 1 {
 		t.Errorf("stats after Ensure: %v, want exactly one build", s)
 	}
-	if e.Key == oldKey || e.Dir == oldDir {
-		t.Errorf("Ensure served the version-1 entry %s", e.Dir)
+	for v, oldKey := range oldKeys {
+		if e.Key == oldKey || e.Dir == c.entryDir(oldKey) {
+			t.Errorf("Ensure served the version-%d entry %s", v, e.Dir)
+		}
 	}
 	var sb strings.Builder
 	if err := e.Run(2, &sb, time.Minute); err != nil || sb.String() != "S = 1\n" {

@@ -27,8 +27,10 @@ import (
 // formatVersion invalidates the whole cache whenever the generated
 // code's shape changes.  Bump it on any codegen change that alters the
 // emitted Go for an unchanged AST.  (1: one closure call per DOALL
-// index; 2: DOALLs as span loops, decisions read from internal/plan.)
-const formatVersion = 2
+// index; 2: DOALLs as span loops, decisions read from internal/plan;
+// 3: no prelude — run-time checks, intrinsics and Print formatting are
+// imported from internal/forcert.)
+const formatVersion = 3
 
 // normalizeOpts applies the same defaulting codegen does, so an unset
 // option and its explicit default produce one key.

@@ -19,7 +19,12 @@
 // points the interpreter's chunk tier uses, and every decision about
 // them — block or cyclic deal, folded accumulators, fused regions — is
 // read from internal/plan, the proofs both back ends share; this package
-// holds no legality code of its own.
+// holds no legality code of its own.  Nor does it resolve a name, infer a
+// type or define a run-time check: what a name is bound to and what type
+// an expression has are read off the checked tree (forcelang.Symbol,
+// Expr.Type), and the emitted program imports internal/forcert — the
+// checks, their error text, the intrinsics, the atomic accumulate and the
+// Print formatter the interpreter tiers call too.
 package codegen
 
 import (
@@ -30,10 +35,10 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/engine"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/plan"
 	"repro/internal/reduce"
 	"repro/internal/sched"
-	"repro/internal/shm"
 )
 
 // Options configures generation.
@@ -104,10 +109,6 @@ type generator struct {
 	b    strings.Builder
 	ind  int
 
-	scope *forcelang.Scope // scope of the unit being generated
-	unit  string           // "" for main
-	pu    plan.Unit        // the same unit, as the shared DOALL proofs see it
-
 	// Inside a planned DOALL body: folds maps each accumulator scalar the
 	// span folds to its span-local partial.  Nil everywhere else.
 	folds map[string]string
@@ -132,36 +133,32 @@ func (g *generator) run() (string, error) {
 	g.p("import (")
 	g.ind++
 	g.p(`"flag"`)
-	g.p(`"fmt"`)
 	g.p(`"math"`)
-	g.p(`"os"`)
-	g.p(`"strconv"`)
-	g.p(`"strings"`)
-	g.p(`"sync"`)
-	g.p(`"sync/atomic"`)
 	g.p(`"unsafe"`)
 	g.p("")
 	g.p(`"repro/internal/asyncvar"`)
 	g.p(`"repro/internal/barrier"`)
 	g.p(`"repro/internal/core"`)
 	g.p(`"repro/internal/engine"`)
+	g.p(`"repro/internal/forcert"`)
 	g.p(`"repro/internal/reduce"`)
 	g.p(`"repro/internal/sched"`)
 	g.ind--
 	g.p(")")
 	g.p("")
 	g.p("// Imports are unconditional; not every program prints or loops.")
-	g.p("var _ = fmt.Println")
+	g.p("var _ = math.Inf")
+	g.p("var _ = forcert.Println")
 	g.p("var _ sched.Range")
 	g.p("var _ asyncvar.Impl")
 	g.p("var _ reduce.Kind")
 	g.p("var _ barrier.Kind")
 	g.p("var _ engine.PoolKind")
 	g.p("")
-	g.runtimeHelpers()
-	if err := g.sharedStruct(); err != nil {
-		return "", err
-	}
+	g.p("// An INTEGER cell must be one 64-bit word: forcert.Word views it as one.")
+	g.p("const _ = unsafe.Sizeof(int(0)) - 8")
+	g.p("")
+	g.sharedStruct()
 	if err := g.mainFunc(); err != nil {
 		return "", err
 	}
@@ -171,203 +168,6 @@ func (g *generator) run() (string, error) {
 		}
 	}
 	return g.b.String(), nil
-}
-
-// runtimeHelpers emits the zz* support functions that give generated
-// programs the interpreter's exact runtime semantics: checked integer
-// division, MOD, SQRT, subscripts, loop steps and async subscripts all
-// panic a zzErr whose message is byte-identical to the interpreter's
-// "force runtime: line N: ..." errors, and zzPrintln reproduces the
-// interpreter's Fortran-flavored print formatting (REALs always show a
-// decimal point, logicals print T/F).  The driver's recover turns a
-// zzErr into the same stderr line and exit code the interpreter tiers
-// report through forcerun.
-//
-// A failed check panics its site and operands as they are and the
-// message is formatted only when the driver reports it (zzErr.Error), so
-// a check in a span loop costs a compare: each helper stays inside the
-// Go inliner's budget, which no helper that calls out of line to format
-// does once it checks two subscripts (TestCheckHelpersInline is the
-// guard).
-func (g *generator) runtimeHelpers() {
-	g.b.WriteString(`// zzErr is a Force runtime error carried by panic through the SPMD
-// machinery; the poison protocol re-panics the first failure in the
-// driver, whose recover reports it exactly as the interpreter does.  It
-// holds what the failed check saw; kind says which operands msg formats.
-type zzErr struct {
-	line int
-	kind zzErrKind
-	msg  string
-	name string  // zzSubscript: the array
-	s, n int     // zzSubscript: the subscript and the extent
-	x    float64 // zzOperand: the offending operand
-}
-
-type zzErrKind int
-
-const (
-	zzLiteral   zzErrKind = iota // msg is the message
-	zzSubscript                  // msg formats name, s, n
-	zzOperand                    // msg formats x
-)
-
-func (e zzErr) Error() string {
-	msg := e.msg
-	switch e.kind {
-	case zzSubscript:
-		msg = fmt.Sprintf(msg, e.name, e.s, e.n)
-	case zzOperand:
-		msg = fmt.Sprintf(msg, e.x)
-	}
-	return fmt.Sprintf("force runtime: line %d: %s", e.line, msg)
-}
-
-// zzInt truncates toward zero at run time (a plain int() conversion of
-// an untyped constant would be a compile error for non-integral values).
-func zzInt(x float64) int { return int(x) }
-
-func zzDiv(line, a, b int) int {
-	if b == 0 {
-		panic(zzErr{line: line, msg: "integer division by zero"})
-	}
-	return a / b
-}
-
-func zzMod(line, a, b int) int {
-	if b == 0 {
-		panic(zzErr{line: line, msg: "MOD by zero"})
-	}
-	return a % b
-}
-
-func zzSqrt(line int, x float64) float64 {
-	if x < 0 {
-		panic(zzErr{line: line, kind: zzOperand, msg: "SQRT of negative value %g", x: x})
-	}
-	return math.Sqrt(x)
-}
-
-func zzIdx1(line int, name string, s, n int) int {
-	if s < 1 || s > n {
-		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 1 of %s out of range: %d not in [1,%d]", name: name, s: s, n: n})
-	}
-	return s - 1
-}
-
-func zzIdx2(line int, name string, s1, s2, d1, d2 int) int {
-	if s1 < 1 || s1 > d1 {
-		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 1 of %s out of range: %d not in [1,%d]", name: name, s: s1, n: d1})
-	}
-	if s2 < 1 || s2 > d2 {
-		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript 2 of %s out of range: %d not in [1,%d]", name: name, s: s2, n: d2})
-	}
-	return (s1-1)*d2 + s2 - 1
-}
-
-func zzChkStep(line, s int) int {
-	if s == 0 {
-		panic(zzErr{line: line, msg: "loop step is zero"})
-	}
-	return s
-}
-
-func zzAsyncIdx(line int, name string, s, n int) int {
-	if s < 1 || s > n {
-		panic(zzErr{line: line, kind: zzSubscript, msg: "subscript of async array %s out of range: %d not in [1,%d]", name: name, s: s, n: n})
-	}
-	return s - 1
-}
-
-// The shared accumulate (S = S + e, S = MAX(S, e), S = MIN(S, e) on a
-// shared scalar) is one indivisible update: the helpers below view the
-// int or float64 cell as the 64-bit word it is.  Extrema replace the
-// cell only on the strict compare the intrinsic performs, so a NaN never
-// wins and a span's untouched partial (the fold identity) stores nothing.
-const _ = unsafe.Sizeof(int(0)) - 8 // an int cell must be one 64-bit word
-
-func zzAddInt(p *int, d int) {
-	if d != 0 {
-		atomic.AddInt64((*int64)(unsafe.Pointer(p)), int64(d))
-	}
-}
-
-func zzMaxInt(p *int, x int) {
-	w := (*int64)(unsafe.Pointer(p))
-	for old := atomic.LoadInt64(w); int64(x) > old && !atomic.CompareAndSwapInt64(w, old, int64(x)); old = atomic.LoadInt64(w) {
-	}
-}
-
-func zzMinInt(p *int, x int) {
-	w := (*int64)(unsafe.Pointer(p))
-	for old := atomic.LoadInt64(w); int64(x) < old && !atomic.CompareAndSwapInt64(w, old, int64(x)); old = atomic.LoadInt64(w) {
-	}
-}
-
-func zzMaxReal(p *float64, x float64) {
-	w := (*uint64)(unsafe.Pointer(p))
-	for old := atomic.LoadUint64(w); x > math.Float64frombits(old) && !atomic.CompareAndSwapUint64(w, old, math.Float64bits(x)); old = atomic.LoadUint64(w) {
-	}
-}
-
-func zzMinReal(p *float64, x float64) {
-	w := (*uint64)(unsafe.Pointer(p))
-	for old := atomic.LoadUint64(w); x < math.Float64frombits(old) && !atomic.CompareAndSwapUint64(w, old, math.Float64bits(x)); old = atomic.LoadUint64(w) {
-	}
-}
-
-// zzStoreInt and zzStoreReal publish a fused join's fold into a shared
-// cell: every process stores the one value they all hold, atomically, so
-// the concurrent identical stores are not a data race.
-func zzStoreInt(p *int, v int) { atomic.StoreInt64((*int64)(unsafe.Pointer(p)), int64(v)) }
-
-func zzStoreReal(p *float64, v float64) {
-	atomic.StoreUint64((*uint64)(unsafe.Pointer(p)), math.Float64bits(v))
-}
-
-// zzReal formats a REAL the way the interpreter does: %g, with a ".0"
-// appended when the result would otherwise read as an integer.
-func zzReal(r float64) string {
-	s := strconv.FormatFloat(r, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") && !math.IsInf(r, 0) && !math.IsNaN(r) {
-		s += ".0"
-	}
-	return s
-}
-
-var zzOutMu sync.Mutex
-
-// zzPrintln prints one line with the interpreter's formatting: items
-// space-joined, REALs through zzReal, logicals as T/F.
-func zzPrintln(items ...any) {
-	var b strings.Builder
-	for i, it := range items {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		switch v := it.(type) {
-		case string:
-			b.WriteString(v)
-		case int:
-			b.WriteString(strconv.Itoa(v))
-		case float64:
-			b.WriteString(zzReal(v))
-		case bool:
-			if v {
-				b.WriteByte('T')
-			} else {
-				b.WriteByte('F')
-			}
-		default:
-			fmt.Fprintf(&b, "%v", v)
-		}
-	}
-	b.WriteByte('\n')
-	zzOutMu.Lock()
-	os.Stdout.WriteString(b.String())
-	zzOutMu.Unlock()
-}
-`)
-	g.p("")
 }
 
 // goType maps a Force type to Go.
@@ -382,16 +182,6 @@ func goType(t forcelang.Type) string {
 	}
 }
 
-// isParam reports whether name is in the parameter list.
-func isParam(name string, params []string) bool {
-	for _, p := range params {
-		if p == name {
-			return true
-		}
-	}
-	return false
-}
-
 // fieldName qualifies a shared declaration with its unit.
 func fieldName(unit, name string) string {
 	if unit == "" {
@@ -400,83 +190,64 @@ func fieldName(unit, name string) string {
 	return unit + "_" + name
 }
 
-// sharedStruct emits the shared environment: every unit's shared arrays
-// and scalars plus async cells.
-func (g *generator) sharedStruct() error {
+// units lists every unit's scope, the main program's first.
+func (g *generator) units() []*forcelang.Scope {
+	out := []*forcelang.Scope{g.prog.Scope}
+	for _, sub := range g.prog.Subs {
+		out = append(out, sub.Scope)
+	}
+	return out
+}
+
+// sharedStruct emits the shared environment's type: every unit's shared
+// arrays and scalars plus async cells.  Parameters alias caller storage
+// and NP is the force's own, so neither gets a field.
+func (g *generator) sharedStruct() {
 	g.p("// zzShared is the Force shared environment: shared and async")
 	g.p("// variables of every program unit, COMMON-like.")
 	g.p("type zzShared struct {")
 	g.ind++
-	emit := func(unit string, decls []forcelang.Decl, params []string) {
-		for _, d := range decls {
-			if isParam(d.Name, params) {
-				// Parameters alias caller storage; they get no
-				// storage of their own.
-				continue
-			}
-			switch d.Class {
-			case shm.Shared:
-				if len(d.Dims) > 0 {
-					g.p("%s []%s // dims %v", fieldName(unit, d.Name), goType(d.Type), d.Dims)
-				} else {
-					g.p("%s %s", fieldName(unit, d.Name), goType(d.Type))
-				}
-			case shm.Async:
-				if len(d.Dims) == 1 {
-					g.p("%s *asyncvar.Array[%s] // %d full/empty cells", fieldName(unit, d.Name), goType(d.Type), d.Dims[0])
-				} else {
-					g.p("%s core.AsyncCell[%s]", fieldName(unit, d.Name), goType(d.Type))
-				}
+	for _, scope := range g.units() {
+		for _, d := range scope.Own() {
+			field, typ := fieldName(d.Unit, d.Name), goType(d.Type)
+			switch {
+			case d.Role != forcelang.RoleNone:
+			case d.Storage == forcelang.SharedArray:
+				g.p("%s []%s // dims %v", field, typ, d.Dims)
+			case d.Storage == forcelang.SharedScalar:
+				g.p("%s %s", field, typ)
+			case d.Storage == forcelang.AsyncVar && len(d.Dims) == 1:
+				g.p("%s *asyncvar.Array[%s] // %d full/empty cells", field, typ, d.Dims[0])
+			case d.Storage == forcelang.AsyncVar:
+				g.p("%s core.AsyncCell[%s]", field, typ)
 			}
 		}
-	}
-	emit("", g.prog.Decls, nil)
-	for _, sub := range g.prog.Subs {
-		emit(sub.Name, sub.Decls, sub.Params)
 	}
 	g.ind--
 	g.p("}")
 	g.p("")
-	g.p("func zzNewShared(f *core.Force) *zzShared {")
-	g.ind++
-	g.p("s := &zzShared{}")
-	initUnit := func(unit string, decls []forcelang.Decl, params []string) {
-		for _, d := range decls {
-			if isParam(d.Name, params) {
-				continue
-			}
-			switch d.Class {
-			case shm.Shared:
-				if len(d.Dims) > 0 {
-					g.p("s.%s = make([]%s, %d)", fieldName(unit, d.Name), goType(d.Type), d.Size())
-				}
-			case shm.Async:
-				if len(d.Dims) == 1 {
-					g.p("s.%s = core.NewAsyncArray[%s](f, %d)", fieldName(unit, d.Name), goType(d.Type), d.Dims[0])
-				} else {
-					g.p("s.%s = core.NewAsync[%s](f)", fieldName(unit, d.Name), goType(d.Type))
-				}
+}
+
+// sharedInit emits the allocation of the shared environment, in main.
+func (g *generator) sharedInit() {
+	g.p("shr := &zzShared{}")
+	g.p("_ = shr")
+	for _, scope := range g.units() {
+		for _, d := range scope.Own() {
+			typ := goType(d.Type)
+			switch {
+			case d.Storage == forcelang.SharedArray:
+				g.p("%s = make([]%s, %d)", symCode(d), typ, d.Size())
+			case d.Storage == forcelang.AsyncVar && len(d.Dims) == 1:
+				g.p("%s = core.NewAsyncArray[%s](f, %d)", symCode(d), typ, d.Dims[0])
+			case d.Storage == forcelang.AsyncVar:
+				g.p("%s = core.NewAsync[%s](f)", symCode(d), typ)
 			}
 		}
 	}
-	initUnit("", g.prog.Decls, nil)
-	for _, sub := range g.prog.Subs {
-		initUnit(sub.Name, sub.Decls, sub.Params)
-	}
-	g.p("return s")
-	g.ind--
-	g.p("}")
-	g.p("")
-	return nil
 }
 
 func (g *generator) mainFunc() error {
-	scope, err := forcelang.GlobalScope(g.prog)
-	if err != nil {
-		return err
-	}
-	g.scope, g.unit = scope, ""
-	g.pu = plan.Unit{Prog: g.prog, Scope: scope}
 	g.p("func main() {")
 	g.ind++
 	g.p(`np := flag.Int("np", %d, "number of force processes")`, g.opts.DefaultNP)
@@ -496,39 +267,13 @@ func (g *generator) mainFunc() error {
 	}
 	g.p("f := core.New(*np, %s)", opts)
 	g.p("defer f.Close()")
-	// Generated-driver recovery: a runtime failure in any process
-	// poisons the force, the engine unwinds the peers, and core.Run
-	// re-panics the first failure here — report it exactly as the
-	// interpreter tiers do (the bare "force runtime: line N: ..."
-	// message on stderr, exit code 1) instead of dying with a
-	// goroutine dump.
-	g.p("defer func() {")
-	g.ind++
-	g.p("if r := recover(); r != nil {")
-	g.ind++
-	g.p("if e, ok := r.(zzErr); ok {")
-	g.ind++
-	g.p("fmt.Fprintln(os.Stderr, e.Error())")
-	g.ind--
-	g.p("} else {")
-	g.ind++
-	g.p(`fmt.Fprintln(os.Stderr, "force runtime error:", r)`)
-	g.ind--
-	g.p("}")
-	g.p("os.Exit(1)")
-	g.ind--
-	g.p("}")
-	g.ind--
-	g.p("}()")
-	g.p("shr := zzNewShared(f)")
-	g.p("_ = shr")
+	// A failure in any process is re-panicked here by core.Run; report it
+	// exactly as the interpreter tiers do.
+	g.p("defer func() { forcert.Report(recover()) }()")
+	g.sharedInit()
 	g.p("f.Run(func(p *core.Proc) {")
 	g.ind++
-	g.p("%s := p.ID()", g.prog.MeVar)
-	g.p("_ = %s", g.prog.MeVar)
-	if err := g.privates(g.prog.Decls); err != nil {
-		return err
-	}
+	g.privates(g.prog.Scope)
 	if err := g.stmts(g.prog.Body); err != nil {
 		return err
 	}
@@ -540,56 +285,38 @@ func (g *generator) mainFunc() error {
 	return nil
 }
 
-// privates declares the unit's private variables as locals, with blank
-// uses so unreferenced declarations stay legal Go.
-func (g *generator) privates(decls []forcelang.Decl) error {
-	for _, d := range decls {
-		if d.Class != shm.Private {
-			continue
-		}
-		if len(d.Dims) > 0 {
+// privates declares the ident variable and the unit's private variables
+// as locals, with blank uses so unreferenced declarations stay legal Go.
+func (g *generator) privates(scope *forcelang.Scope) {
+	for _, d := range scope.Own() {
+		switch {
+		case d.Role == forcelang.RoleIdent:
+			g.p("%s := p.ID()", d.Name)
+		case d.Storage == forcelang.PrivateArray:
 			g.p("%s := make([]%s, %d)", d.Name, goType(d.Type), d.Size())
-		} else {
+		case d.Storage == forcelang.PrivateScalar:
 			g.p("var %s %s", d.Name, goType(d.Type))
+		default:
+			continue
 		}
 		g.p("_ = %s", d.Name)
 	}
-	return nil
 }
 
 func (g *generator) subFunc(sub *forcelang.Subroutine) error {
-	scope, err := forcelang.SubScope(g.prog, sub)
-	if err != nil {
-		return err
-	}
-	g.scope, g.unit = scope, sub.Name
-	g.pu = plan.Unit{Prog: g.prog, Scope: scope, Sub: sub}
 	params := make([]string, 0, len(sub.Params)+2)
 	params = append(params, "p *core.Proc", "shr *zzShared")
-	paramSet := map[string]bool{}
-	for _, name := range sub.Params {
-		paramSet[name] = true
-		d, _ := scope.Lookup(name)
+	for _, d := range sub.Scope.Params() {
 		if len(d.Dims) > 0 {
-			params = append(params, fmt.Sprintf("%s []%s", name, goType(d.Type)))
+			params = append(params, fmt.Sprintf("%s []%s", d.Name, goType(d.Type)))
 		} else {
-			params = append(params, fmt.Sprintf("%s *%s", name, goType(d.Type)))
+			params = append(params, fmt.Sprintf("%s *%s", d.Name, goType(d.Type)))
 		}
 	}
 	g.p("// force_%s is the Force subroutine %s, executed by all processes.", sub.Name, sub.Name)
 	g.p("func force_%s(%s) {", sub.Name, strings.Join(params, ", "))
 	g.ind++
-	g.p("%s := p.ID()", g.prog.MeVar)
-	g.p("_ = %s", g.prog.MeVar)
-	var locals []forcelang.Decl
-	for _, d := range sub.Decls {
-		if !paramSet[d.Name] {
-			locals = append(locals, d)
-		}
-	}
-	if err := g.privates(locals); err != nil {
-		return err
-	}
+	g.privates(sub.Scope)
 	if err := g.stmts(sub.Body); err != nil {
 		return err
 	}
@@ -607,7 +334,7 @@ func (g *generator) stmts(list []forcelang.Stmt) error {
 	slots := g.opts.Reduce == reduce.PrivateSlots
 	for i := 0; i < len(list); {
 		if _, isPD := list[i].(*forcelang.ParDo); isPD {
-			if reg := g.pu.Fuse(list, i, slots, g.logf); reg != nil {
+			if reg := plan.Fuse(list, i, slots, g.logf); reg != nil {
 				if err := g.region(reg); err != nil {
 					return err
 				}
@@ -626,7 +353,7 @@ func (g *generator) stmts(list []forcelang.Stmt) error {
 func (g *generator) stmt(st forcelang.Stmt) error {
 	switch t := st.(type) {
 	case *forcelang.Assign:
-		if acc, ok := g.pu.MatchAccum(t); ok {
+		if acc, ok := plan.MatchAccum(t); ok {
 			return g.accumulate(t, acc)
 		}
 		lhs, lt, err := g.lvalue(&t.Target)
@@ -665,13 +392,9 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		lv, _, err := g.lvalue(&forcelang.Ref{Name: t.Var})
-		if err != nil {
-			return err
-		}
 		g.p("for zzI, zzTo, zzStep := %s, %s, %s; (zzStep > 0 && zzI <= zzTo) || (zzStep < 0 && zzI >= zzTo); zzI += zzStep {", from, to, step)
 		g.ind++
-		g.p("%s = zzI", lv)
+		g.p("%s = zzI", symCode(t.VarSym))
 		if err := g.stmts(t.Body); err != nil {
 			return err
 		}
@@ -695,7 +418,7 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		g.p("}")
 		return nil
 	case *forcelang.ParDo:
-		pl := g.pu.DoAll(t, g.logf)
+		pl := plan.DoAll(t, g.logf)
 		return g.doAll(t, pl, false, pl.Block())
 	case *forcelang.BarrierStmt:
 		if len(t.Section) == 0 {
@@ -751,13 +474,9 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		lv, _, err := g.lvalue(&forcelang.Ref{Name: t.Var})
-		if err != nil {
-			return err
-		}
 		g.p("p.Askfor([]any{%s}, func(zzTask any, zzPut func(any)) {", seed)
 		g.ind++
-		g.p("%s = zzTask.(int)", lv)
+		g.p("%s = zzTask.(int)", symCode(t.VarSym))
 		if err := g.stmts(t.Body); err != nil {
 			return err
 		}
@@ -774,23 +493,22 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 	case *forcelang.ReduceStmt:
 		return g.greduce(t)
 	case *forcelang.ProduceStmt:
-		d, _ := g.scope.Lookup(t.Var)
-		rhs, err := g.exprAs(t.Expr, d.Type)
+		rhs, err := g.exprAs(t.Expr, t.Sym.Type)
 		if err != nil {
 			return err
 		}
-		cell, err := g.asyncCellExpr(t.Var, t.Sub, t.Pos())
+		cell, err := g.asyncCellExpr(t.Sym, t.Sub, t.Pos())
 		if err != nil {
 			return err
 		}
 		g.p("%s.Produce(%s)", cell, rhs)
 		return nil
 	case *forcelang.ConsumeStmt:
-		return g.asyncInto(t.Var, t.Sub, &t.Target, "Consume", t.Pos())
+		return g.asyncInto(t.Sym, t.Sub, &t.Target, "Consume", t.Pos())
 	case *forcelang.CopyStmt:
-		return g.asyncInto(t.Var, t.Sub, &t.Target, "Copy", t.Pos())
+		return g.asyncInto(t.Sym, t.Sub, &t.Target, "Copy", t.Pos())
 	case *forcelang.VoidStmt:
-		cell, err := g.asyncCellExpr(t.Var, t.Sub, t.Pos())
+		cell, err := g.asyncCellExpr(t.Sym, t.Sub, t.Pos())
 		if err != nil {
 			return err
 		}
@@ -809,24 +527,18 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 			}
 			args[i] = code
 		}
-		g.p("zzPrintln(%s)", strings.Join(args, ", "))
+		g.p("forcert.Println(%s)", strings.Join(args, ", "))
 		return nil
 	case *forcelang.CallStmt:
-		sub := g.prog.Sub(t.Name)
-		subScope, err := forcelang.SubScope(g.prog, sub)
-		if err != nil {
-			return err
-		}
 		args := []string{"p", "shr"}
-		for i := range t.Args {
-			pd, _ := subScope.Lookup(sub.Params[i])
-			code, err := g.argRef(&t.Args[i], len(pd.Dims) > 0)
+		for i, param := range t.Callee.Scope.Params() {
+			code, err := g.argRef(&t.Args[i], len(param.Dims) > 0)
 			if err != nil {
 				return err
 			}
 			args = append(args, code)
 		}
-		g.p("force_%s(%s)", sub.Name, strings.Join(args, ", "))
+		g.p("force_%s(%s)", t.Callee.Name, strings.Join(args, ", "))
 		return nil
 	default:
 		return fmt.Errorf("codegen: unhandled statement %T at line %d", st, st.Pos())
@@ -866,12 +578,10 @@ func (g *generator) greduce(t *forcelang.ReduceStmt) error {
 		return err
 	}
 	fn := gopFuncs[t.Op]
-	d, _ := g.scope.Lookup(t.Target.Name)
-	isParam := g.isParamName(t.Target.Name)
-	switch {
-	case d.Class == shm.Shared && !isParam && len(t.Target.Subs) == 0:
+	switch t.Target.Sym.Storage {
+	case forcelang.SharedScalar:
 		g.p("core.%sTo(p, %s, &%s)", fn, operand, lhs)
-	case d.Class == shm.Shared || isParam:
+	case forcelang.SharedArray, forcelang.Parameter:
 		g.p("{")
 		g.ind++
 		g.p("zzRed := core.%s(p, %s)", fn, operand)
@@ -884,22 +594,12 @@ func (g *generator) greduce(t *forcelang.ReduceStmt) error {
 	return nil
 }
 
-// isParamName reports whether name is a parameter of the unit being
-// generated (parameters alias caller storage, possibly private).
-func (g *generator) isParamName(name string) bool {
-	if g.unit == "" {
-		return false
-	}
-	return isParam(name, g.prog.Sub(g.unit).Params)
-}
-
-func (g *generator) asyncInto(name string, sub forcelang.Expr, target *forcelang.Ref, method string, line int) error {
+func (g *generator) asyncInto(d *forcelang.Symbol, sub forcelang.Expr, target *forcelang.Ref, method string, line int) error {
 	lhs, lt, err := g.lvalue(target)
 	if err != nil {
 		return err
 	}
-	d, _ := g.scope.Lookup(name)
-	cell, err := g.asyncCellExpr(name, sub, line)
+	cell, err := g.asyncCellExpr(d, sub, line)
 	if err != nil {
 		return err
 	}
@@ -912,8 +612,8 @@ func (g *generator) asyncInto(name string, sub forcelang.Expr, target *forcelang
 // field for scalars, a bounds-checked At() lookup (1-based to 0-based)
 // for arrays, reporting out-of-range subscripts at the statement's line
 // exactly as the interpreter does.
-func (g *generator) asyncCellExpr(name string, sub forcelang.Expr, line int) (string, error) {
-	field := "shr." + g.asyncField(name)
+func (g *generator) asyncCellExpr(d *forcelang.Symbol, sub forcelang.Expr, line int) (string, error) {
+	field := symCode(d)
 	if sub == nil {
 		return field, nil
 	}
@@ -921,21 +621,7 @@ func (g *generator) asyncCellExpr(name string, sub forcelang.Expr, line int) (st
 	if err != nil {
 		return "", err
 	}
-	d, _ := g.scope.Lookup(name)
-	return fmt.Sprintf("%s.At(zzAsyncIdx(%d, %q, %s, %d))", field, line, name, code, d.Dims[0]), nil
-}
-
-// asyncField resolves an async variable's shared-struct field, preferring
-// the current unit's declaration.
-func (g *generator) asyncField(name string) string {
-	if g.unit != "" {
-		for _, d := range g.prog.Sub(g.unit).Decls {
-			if d.Name == name && d.Class == shm.Async {
-				return fieldName(g.unit, name)
-			}
-		}
-	}
-	return fieldName("", name)
+	return fmt.Sprintf("%s.At(forcert.AsyncIdx(%d, %q, %s, %d))", field, line, d.Name, code, d.Dims[0]), nil
 }
 
 func (g *generator) loopBounds(from, to, step forcelang.Expr) (string, string, string, error) {
@@ -952,72 +638,53 @@ func (g *generator) loopBounds(from, to, step forcelang.Expr) (string, string, s
 		if s, err = g.exprAs(step, forcelang.TInt); err != nil {
 			return "", "", "", err
 		}
-		// An explicit step gets the interpreter's zero check, reported
-		// at the loop header's line.
-		s = fmt.Sprintf("zzChkStep(%d, %s)", from.Pos(), s)
+		// An explicit step gets the zero check, reported at the loop
+		// header's line.
+		s = fmt.Sprintf("forcert.Step(%d, %s)", from.Pos(), s)
 	}
 	return f, t, s, nil
 }
 
 // --- expression generation ---------------------------------------------
 
-// symbol classifies how a name is reached in generated code.
-func (g *generator) symbol(name string) (code string, d forcelang.Decl, err error) {
-	d, ok := g.scope.Lookup(name)
-	if !ok {
-		return "", d, fmt.Errorf("codegen: undeclared %s", name)
+// symCode is how generated code reaches the storage a symbol denotes: NP
+// is the force's size, a scalar parameter a dereferenced Go pointer, a
+// shared or async variable a field of the shared environment qualified
+// by its owning unit, everything else (privates, the ident variable,
+// array parameters) a Go local of the same name.
+func symCode(d *forcelang.Symbol) string {
+	switch {
+	case d.Role == forcelang.RoleNP:
+		return "p.NP()"
+	case d.Storage == forcelang.Parameter && len(d.Dims) == 0:
+		return "(*" + d.Name + ")"
+	case d.Storage == forcelang.Parameter, !d.Class.IsShared():
+		return d.Name
+	default:
+		return "shr." + fieldName(d.Unit, d.Name)
 	}
-	if name == g.prog.NPVar {
-		return "p.NP()", d, nil
-	}
-	if name == g.prog.MeVar {
-		return g.prog.MeVar, d, nil
-	}
-	if g.unit != "" {
-		// Subroutine: parameters are Go parameters; unit-shared locals
-		// are qualified fields; private locals are plain.
-		for _, pn := range g.prog.Sub(g.unit).Params {
-			if pn == name {
-				if len(d.Dims) > 0 {
-					return name, d, nil
-				}
-				return "(*" + name + ")", d, nil
-			}
-		}
-		for _, ld := range g.prog.Sub(g.unit).Decls {
-			if ld.Name == name && ld.Class == shm.Shared {
-				return "shr." + fieldName(g.unit, name), d, nil
-			}
-		}
-	}
-	if d.Class == shm.Shared {
-		return "shr." + fieldName("", name), d, nil
-	}
-	return name, d, nil
 }
 
 // lvalue emits the Go lvalue for a reference and returns its Force type.
 func (g *generator) lvalue(r *forcelang.Ref) (string, forcelang.Type, error) {
-	base, d, err := g.symbol(r.Name)
-	if err != nil {
-		return "", 0, err
-	}
+	base := symCode(r.Sym)
 	if len(r.Subs) == 0 {
-		return base, d.Type, nil
+		return base, r.Sym.Type, nil
 	}
-	idx, err := g.indexExpr(r, d, base)
+	idx, err := g.indexExpr(r, base)
 	if err != nil {
 		return "", 0, err
 	}
-	return fmt.Sprintf("%s[%s]", base, idx), d.Type, nil
+	return fmt.Sprintf("%s[%s]", base, idx), r.Sym.Type, nil
 }
 
 // indexExpr flattens 1-based Fortran subscripts to a 0-based offset,
-// bounds-checked with the interpreter's exact error message.  1-D
-// arrays check against the backing slice (so a parameter reports the
-// caller array's extent, as the interpreter does); 2-D arrays check
-// each subscript against the declared dims before row-major flattening.
-func (g *generator) indexExpr(r *forcelang.Ref, d forcelang.Decl, base string) (string, error) {
+// bounds-checked by the shared run-time checks.  1-D arrays check against
+// the backing slice (so a parameter reports the caller array's extent, as
+// the interpreter does); 2-D arrays check each subscript against the
+// declared dims before row-major flattening.
+func (g *generator) indexExpr(r *forcelang.Ref, base string) (string, error) {
+	d := r.Sym
 	if len(r.Subs) != len(d.Dims) {
 		return "", fmt.Errorf("codegen: %s subscript arity", r.Name)
 	}
@@ -1030,51 +697,42 @@ func (g *generator) indexExpr(r *forcelang.Ref, d forcelang.Decl, base string) (
 		parts[i] = code
 	}
 	if len(parts) == 1 {
-		return fmt.Sprintf("zzIdx1(%d, %q, %s, len(%s))", r.Pos(), r.Name, parts[0], base), nil
+		return fmt.Sprintf("forcert.Idx1(%d, %q, %s, len(%s))", r.Pos(), r.Name, parts[0], base), nil
 	}
-	// Row-major over declared dims, matching the interpreter.
-	return fmt.Sprintf("zzIdx2(%d, %q, %s, %s, %d, %d)", r.Pos(), r.Name, parts[0], parts[1], d.Dims[0], d.Dims[1]), nil
+	return fmt.Sprintf("forcert.Idx2(%d, %q, %s, %s, %d, %d)", r.Pos(), r.Name, parts[0], parts[1], d.Dims[0], d.Dims[1]), nil
 }
 
 // argRef emits a call argument: whole arrays pass as slices, everything
 // else as a pointer to the cell.
 func (g *generator) argRef(r *forcelang.Ref, wantArray bool) (string, error) {
-	base, d, err := g.symbol(r.Name)
-	if err != nil {
-		return "", err
-	}
-	if wantArray {
+	base := symCode(r.Sym)
+	switch {
+	case wantArray:
 		return base, nil
-	}
-	if len(r.Subs) > 0 {
-		idx, err := g.indexExpr(r, d, base)
+	case len(r.Subs) > 0:
+		idx, err := g.indexExpr(r, base)
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("&%s[%s]", base, idx), nil
-	}
-	if strings.HasPrefix(base, "(*") {
+	case r.Sym.Storage == forcelang.Parameter:
 		// Re-passing a by-reference parameter: forward the pointer.
 		return r.Name, nil
 	}
 	return "&" + base, nil
 }
 
-// typeOf consults the checker's inference.
-func (g *generator) typeOf(e forcelang.Expr) (forcelang.Type, error) {
-	return forcelang.TypeOf(g.prog, g.scope, e)
-}
-
 // coerceCode wraps code of Force type from in a conversion to type to.
-// Real-to-integer goes through zzInt: Fortran truncation toward zero at
-// run time (int(2.9) on an untyped constant would not even compile).
+// Real-to-integer goes through forcert.Int: Fortran truncation toward
+// zero at run time (int(2.9) on an untyped constant would not even
+// compile).
 func coerceCode(code string, from, to forcelang.Type) string {
 	if from == to {
 		return code
 	}
 	switch to {
 	case forcelang.TInt:
-		return fmt.Sprintf("zzInt(%s)", code)
+		return fmt.Sprintf("forcert.Int(%s)", code)
 	case forcelang.TReal:
 		return fmt.Sprintf("float64(%s)", code)
 	default:
@@ -1088,11 +746,7 @@ func (g *generator) exprAs(e forcelang.Expr, want forcelang.Type) (string, error
 	if err != nil {
 		return "", err
 	}
-	have, err := g.typeOf(e)
-	if err != nil {
-		return "", err
-	}
-	return coerceCode(code, have, want), nil
+	return coerceCode(code, e.Type(), want), nil
 }
 
 var goOps = map[forcelang.BinOp]string{
@@ -1107,11 +761,7 @@ func (g *generator) expr(e forcelang.Expr) (string, error) {
 	case *forcelang.IntLit:
 		return fmt.Sprintf("%d", t.Value), nil
 	case *forcelang.RealLit:
-		s := fmt.Sprintf("%g", t.Value)
-		if !strings.ContainsAny(s, ".eE") {
-			s += ".0"
-		}
-		return s, nil
+		return forcert.FormatReal(t.Value), nil
 	case *forcelang.BoolLit:
 		if t.Value {
 			return "true", nil
@@ -1141,14 +791,7 @@ func (g *generator) expr(e forcelang.Expr) (string, error) {
 }
 
 func (g *generator) binExpr(t *forcelang.Bin) (string, error) {
-	lt, err := g.typeOf(t.L)
-	if err != nil {
-		return "", err
-	}
-	rt, err := g.typeOf(t.R)
-	if err != nil {
-		return "", err
-	}
+	lt, rt := t.L.Type(), t.R.Type()
 	// Mixed numeric operands promote to real, exactly as the checker
 	// types them.
 	want := lt
@@ -1164,10 +807,9 @@ func (g *generator) binExpr(t *forcelang.Bin) (string, error) {
 		return "", err
 	}
 	if t.Op == forcelang.OpDiv && want == forcelang.TInt {
-		// Checked integer division: the interpreter's divide-by-zero
-		// error, and a legal spelling for constant operands (Go rejects
-		// a constant 1 / 0 at compile time).
-		return fmt.Sprintf("zzDiv(%d, %s, %s)", t.Pos(), l, r), nil
+		// Checked integer division, and a legal spelling for constant
+		// operands (Go rejects a constant 1 / 0 at compile time).
+		return fmt.Sprintf("forcert.Div(%d, %s, %s)", t.Pos(), l, r), nil
 	}
 	return fmt.Sprintf("(%s %s %s)", l, goOps[t.Op], r), nil
 }
@@ -1180,7 +822,7 @@ func (g *generator) intrinsic(t *forcelang.Intrinsic) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("zzSqrt(%d, %s)", t.Pos(), a), nil
+		return fmt.Sprintf("forcert.Sqrt(%d, %s)", t.Pos(), a), nil
 	case "REAL":
 		return argAs(0, forcelang.TReal)
 	case "INT":
@@ -1190,31 +832,28 @@ func (g *generator) intrinsic(t *forcelang.Intrinsic) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("core.Nint(%s)", a), nil
+		return fmt.Sprintf("forcert.Nint(%s)", a), nil
 	case "ABS", "MIN", "MAX", "MOD":
-		rt, err := g.typeOf(t)
-		if err != nil {
-			return "", err
-		}
+		rt := t.Type()
 		parts := make([]string, len(t.Args))
 		for i := range t.Args {
+			var err error
 			if parts[i], err = argAs(i, rt); err != nil {
 				return "", err
 			}
 		}
 		switch t.Name {
 		case "ABS":
-			return fmt.Sprintf("core.Abs(%s)", parts[0]), nil
+			return fmt.Sprintf("forcert.Abs(%s)", parts[0]), nil
 		case "MOD":
 			if rt == forcelang.TInt {
-				// Checked modulus: the interpreter's MOD-by-zero error.
-				return fmt.Sprintf("zzMod(%d, %s, %s)", t.Pos(), parts[0], parts[1]), nil
+				return fmt.Sprintf("forcert.ModInt(%d, %s, %s)", t.Pos(), parts[0], parts[1]), nil
 			}
-			return fmt.Sprintf("core.Mod(%s, %s)", parts[0], parts[1]), nil
+			return fmt.Sprintf("forcert.ModReal(%s, %s)", parts[0], parts[1]), nil
 		default:
-			fn := "core.Min"
+			fn := "forcert.Min"
 			if t.Name == "MAX" {
-				fn = "core.Max"
+				fn = "forcert.Max"
 			}
 			return fmt.Sprintf("%s(%s)", fn, strings.Join(parts, ", ")), nil
 		}

@@ -130,10 +130,10 @@ func TestGeneratedStructure(t *testing.T) {
 		"shr.V.Produce(T)",
 		"T = shr.V.Consume()",
 		"shr.V.Void()",
-		"zzPrintln(\"S =\", shr.S, core.Nint(shr.S))",
+		"forcert.Println(\"S =\", shr.S, forcert.Nint(shr.S))",
 		"force_SCALE(p, shr, shr.A, &shr.S)",
 		"func force_SCALE(p *core.Proc, shr *zzShared, X []float64, F *float64)",
-		`X[zzIdx2(49, "X", K, K, 8, 8)]`, // checked 2D flattening in SCALE
+		`X[forcert.Idx2(49, "X", K, K, 8, 8)]`, // checked 2D flattening in SCALE
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("missing %q in generated source:\n%s", want, src)
@@ -220,7 +220,7 @@ X = I / 2 + 1.5
 Join
 `)
 	// I / 2 is integer division; adding 1.5 promotes the result.
-	if !strings.Contains(src, "(float64(zzDiv(6, I, 2)) + 1.5)") {
+	if !strings.Contains(src, "(float64(forcert.Div(6, I, 2)) + 1.5)") {
 		t.Errorf("integer division not preserved before promotion:\n%s", src)
 	}
 }
@@ -237,7 +237,7 @@ Selfsched DO I = 10, 2, -2
 End Selfsched DO
 Join
 `)
-	if !strings.Contains(src, "Incr: zzChkStep(5, (-2))") {
+	if !strings.Contains(src, "Incr: forcert.Step(5, (-2))") {
 		t.Errorf("negative stride lost (or unchecked):\n%s", src)
 	}
 }
@@ -254,7 +254,7 @@ End Declarations
 X = X + 1.0
 Endsub
 `)
-	if !strings.Contains(src, `force_BUMP(p, shr, &shr.A[zzIdx1(4, "A", 3, len(shr.A))])`) {
+	if !strings.Contains(src, `force_BUMP(p, shr, &shr.A[forcert.Idx1(4, "A", 3, len(shr.A))])`) {
 		t.Errorf("element argument not passed by reference:\n%s", src)
 	}
 	if !strings.Contains(src, "(*X) = ((*X) + 1.0)") {
@@ -292,7 +292,7 @@ Endsub
 	if !strings.Contains(src, "T_COUNT int") {
 		t.Errorf("sub shared local not a qualified field:\n%s", src)
 	}
-	if !strings.Contains(src, "zzAddInt(&shr.T_COUNT, 1)") {
+	if !strings.Contains(src, "forcert.Add(forcert.Word(&shr.T_COUNT), 1)") {
 		t.Errorf("sub shared local access not qualified:\n%s", src)
 	}
 }
@@ -339,10 +339,10 @@ Join
 `)
 	for _, want := range []string{
 		"PIPE *asyncvar.Array[float64] // 8 full/empty cells",
-		"s.PIPE = core.NewAsyncArray[float64](f, 8)",
-		`shr.PIPE.At(zzAsyncIdx(5, "PIPE", (ME + 1), 8)).Produce(1.5)`,
-		`X = shr.PIPE.At(zzAsyncIdx(6, "PIPE", (ME + 1), 8)).Consume()`,
-		`shr.PIPE.At(zzAsyncIdx(7, "PIPE", 1, 8)).Void()`,
+		"shr.PIPE = core.NewAsyncArray[float64](f, 8)",
+		`shr.PIPE.At(forcert.AsyncIdx(5, "PIPE", (ME + 1), 8)).Produce(1.5)`,
+		`X = shr.PIPE.At(forcert.AsyncIdx(6, "PIPE", (ME + 1), 8)).Consume()`,
+		`shr.PIPE.At(forcert.AsyncIdx(7, "PIPE", 1, 8)).Void()`,
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("missing %q in:\n%s", want, src)

@@ -44,10 +44,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 	if err != nil {
 		return err
 	}
-	lv, _, err := g.lvalue(&forcelang.Ref{Name: t.Var})
-	if err != nil {
-		return err
-	}
+	lv := symCode(t.VarSym)
 	kind := "sched." + g.opts.Selfsched.GoName()
 	switch {
 	case t.Sched != forcelang.Presched:
@@ -77,10 +74,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 		if err != nil {
 			return err
 		}
-		ilv, _, err := g.lvalue(&forcelang.Ref{Name: t.Inner.Var})
-		if err != nil {
-			return err
-		}
+		ilv := symCode(t.Inner.VarSym)
 		g.p("zzR2 := sched.Range{Start: %s, Last: %s, Incr: %s}", ifrom, ito, istep)
 		g.p("zzN2 := zzR2.Count()")
 		g.p("p.DoAll2Chunked(%s, zzR, zzR2, func(zzLo, zzHi, zzStride int) {", kind)
@@ -121,11 +115,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 		g.p("%s = %s", vars, index)
 	}
 	for _, rec := range accs {
-		cell, _, err := g.symbol(rec.Name)
-		if err != nil {
-			return err
-		}
-		g.p("%s(&%s, zzAcc%s)", foldFunc(rec.Op, rec.Real), cell, rec.Name)
+		g.p("%s(forcert.Word(&%s), zzAcc%s)", foldFunc(rec.Op, rec.Real), symCode(rec.Sym), rec.Name)
 	}
 	g.ind--
 	g.p("})")
@@ -152,8 +142,8 @@ func foldIdentity(rec plan.AccRec) string {
 	}
 }
 
-// foldFunc names the generated helper that folds a value into a shared
-// cell as one atomic update.
+// foldFunc names the support function that folds a value into a shared
+// cell's word as one atomic update.
 func foldFunc(op plan.AccOp, real bool) string {
 	typ := "Int"
 	if real {
@@ -161,15 +151,15 @@ func foldFunc(op plan.AccOp, real bool) string {
 	}
 	switch op {
 	case plan.AccSum:
-		return "zzAdd" + typ
+		return "forcert.Add"
 	case plan.AccMax:
-		return "zzMax" + typ
+		return "forcert.Max" + typ
 	default:
-		return "zzMin" + typ
+		return "forcert.Min" + typ
 	}
 }
 
-// accumulate emits one shared-accumulate statement (plan.Unit.MatchAccum;
+// accumulate emits one shared-accumulate statement (plan.MatchAccum;
 // README, "Semantics: the shared accumulate"): an update of the span's
 // partial when the enclosing plan folds the scalar, one atomic update of
 // the cell everywhere else.  Extrema replace only on the strict compare
@@ -202,14 +192,10 @@ func (g *generator) accumulate(t *forcelang.Assign, acc plan.Accum) error {
 		}
 		return nil
 	}
-	cell, _, err := g.symbol(t.Target.Name)
-	if err != nil {
-		return err
-	}
 	if acc.Negate {
 		operand = "-(" + operand + ")"
 	}
-	g.p("%s(&%s, %s)", foldFunc(acc.Op, acc.Real), cell, operand)
+	g.p("%s(forcert.Word(&%s), %s)", foldFunc(acc.Op, acc.Real), symCode(t.Target.Sym), operand)
 	return nil
 }
 
@@ -222,7 +208,8 @@ var foldOps = map[forcelang.GOp]string{
 // region emits one fused region: every member open, then the one join.
 // A reduction tail contributes its operand to the join and every process
 // assigns the fold — into its own cell for a private target, as an
-// atomic store of the one value all of them hold for a shared one.
+// atomic store of the one value all of them hold for a shared one (the
+// concurrent identical stores are then not a data race).
 func (g *generator) region(reg *plan.Region) error {
 	for i, m := range reg.Members {
 		if err := g.doAll(m, reg.Plans[i], true, reg.Block); err != nil {
@@ -242,18 +229,18 @@ func (g *generator) region(reg *plan.Region) error {
 	if err != nil {
 		return err
 	}
-	class, _, _ := g.pu.Lookup(red.Target.Name)
-	bits, val, store := "uint64("+operand+")", "int(zzOut)", "zzStoreInt"
+	bits, val := "uint64("+operand+")", "int(zzOut)"
 	numKind := "reduce.NumInt"
 	if lt == forcelang.TReal {
-		bits, val, store = "math.Float64bits("+operand+")", "math.Float64frombits(zzOut)", "zzStoreReal"
+		bits, val = "math.Float64bits("+operand+")", "math.Float64frombits(zzOut)"
 		numKind = "reduce.NumReal"
 	}
 	g.p("{")
 	g.ind++
 	g.p("zzOut := p.FusedJoin(%s, %s, %s)", foldOps[red.Op], numKind, bits)
-	if class == plan.Shared {
-		g.p("%s(&%s, %s)", store, lhs, val)
+	if red.Target.Sym.Storage == forcelang.SharedScalar {
+		// The fold is the word every process holds: store it as is.
+		g.p("forcert.Word(&%s).Store(zzOut)", lhs)
 	} else {
 		g.p("%s = %s", lhs, val)
 	}

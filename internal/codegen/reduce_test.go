@@ -128,7 +128,7 @@ Join
 		t.Errorf("array-element target must not use the single-store form:\n%s", s)
 	}
 	if !strings.Contains(s, "zzRed := core.Gsum(p, 1)") ||
-		!strings.Contains(s, `p.Critical("ZZGRED", func() { shr.A[zzIdx1(5, "A", (ME+1), len(shr.A))] = zzRed })`) {
+		!strings.Contains(s, `p.Critical("ZZGRED", func() { shr.A[forcert.Idx1(5, "A", (ME+1), len(shr.A))] = zzRed })`) {
 		t.Errorf("array-element target not stored per process under the reduction critical:\n%s", s)
 	}
 }

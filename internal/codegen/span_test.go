@@ -204,22 +204,26 @@ func TestNoPerIterationEmission(t *testing.T) {
 }
 
 // TestCheckHelpersInline builds one generated program with -gcflags=-m
-// and requires the compiler to report every run-time check helper
-// inlinable: a check that does not inline is a call per array reference
-// in every span loop, which is most of what the native tier used to
-// cost.  The generated code imports repro/internal/..., so it is built
-// in a dot-directory inside the module, as the aot tier does.
+// (for the program and for internal/forcert) and requires the compiler
+// to report every run-time check of the support package inlinable and
+// inlined into the program: a check that does not inline across the
+// package boundary is a call per array reference in every span loop,
+// which is most of what the native tier used to cost.  The generated
+// code imports repro/internal/..., so it is built in a dot-directory
+// inside the module, as the aot tier does.
 func TestCheckHelpersInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go toolchain")
 	}
 	src, err := Generate(forcelang.MustParse(`Force INL of NP ident ME
 Shared Real A(8,8), V(8)
+Async Real Q(4)
 Private Integer I, J
 End Declarations
-Presched DO I = 1, 8 also J = 1, 8
+Presched DO I = 1, 8, 1 also J = 1, 8
   A(I, J) = SQRT(V(I)) + REAL(MOD(I, J) / J)
 End Presched DO
+Produce Q(ME + 1) = V(1)
 Join
 `), Options{})
 	if err != nil {
@@ -237,15 +241,23 @@ Join
 	if err := os.WriteFile(filepath.Join(dir, "main.go"), src, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", "build", "-gcflags=-m", "-o", filepath.Join(dir, "bin"), "./"+filepath.Base(dir))
+	cmd := exec.Command("go", "build", "-gcflags=-m", "-gcflags=repro/internal/forcert=-m",
+		"-o", filepath.Join(dir, "bin"), "./"+filepath.Base(dir))
 	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
+	raw, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		t.Fatalf("go build: %v\n%s", err, raw)
 	}
-	for _, fn := range []string{"zzIdx1", "zzIdx2", "zzDiv", "zzMod", "zzSqrt", "zzChkStep", "zzAsyncIdx"} {
-		if !strings.Contains(string(out), "can inline "+fn+"\n") {
-			t.Errorf("%s is not inlinable; compiler said:\n%s", fn, grepLines(string(out), fn))
+	out := string(raw)
+	// The generic checks are instantiated (and judged) where the program
+	// uses them, as forcert.Idx1[go.shape.int]; Sqrt in its own package.
+	for _, fn := range []string{"Idx1", "Idx2", "Div", "ModInt", "Sqrt", "Step", "AsyncIdx"} {
+		can := regexp.MustCompile(`can inline (forcert\.)?` + fn + `(\[go\.shape\.int\])?( |\n)`)
+		if !can.MatchString(out) {
+			t.Errorf("forcert.%s is not inlinable; compiler said:\n%s", fn, grepLines(out, fn))
+		}
+		if !strings.Contains(out, "main.go") || !regexp.MustCompile(`main\.go:\d+:\d+: inlining call to forcert\.`+fn+`\b`).MatchString(out) {
+			t.Errorf("forcert.%s is not inlined into the generated program; compiler said:\n%s", fn, grepLines(out, fn))
 		}
 	}
 }

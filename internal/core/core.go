@@ -297,6 +297,25 @@ func (f *Force) Close() {
 // NP returns the number of processes in the force.
 func (f *Force) NP() int { return f.np }
 
+// AsyncCell is the asynchronous-variable interface as referenced by
+// code generated with internal/codegen; asyncvar.V satisfies it.
+// (A generic type alias would be the natural spelling, but the module
+// targets Go 1.22, which does not permit parameterized aliases.)
+type AsyncCell[T any] interface {
+	// Produce waits for empty, writes v, and marks the variable full.
+	Produce(v T)
+	// Consume waits for full, reads the value, and marks it empty.
+	Consume() T
+	// Copy waits for full and reads the value, leaving it full.
+	Copy() T
+	// Void forces the state to empty.
+	Void()
+	// IsFull reports the advisory state.
+	IsFull() bool
+}
+
+var _ AsyncCell[int] = (asyncvar.V[int])(nil)
+
 // NewAsync creates an asynchronous (full/empty) variable realized with the
 // force's machine profile: hardware-style on the HEP, the two-lock scheme
 // elsewhere.  (A free function because Go methods cannot introduce type
@@ -818,49 +837,14 @@ type ChunkBody func(lo, hi, stride int)
 // bounded), the watchdog site covers the construct, and the paper's exit
 // synchronization closes it exactly as DoAll does.  No per-iteration
 // LoopIter trace events are emitted — callers needing an iteration-level
-// trace should use DoAll.
+// trace should use DoAll.  It is the open construct (fused.go) plus its
+// own exit barrier, which retires a selfscheduled construct's entry.
 func (p *Proc) DoAllChunked(kind sched.Kind, r sched.Range, chunk ChunkBody) {
-	p.f.pc.Check()
-	p.f.stats.Loops.Add(1)
-	seq := p.nextSeq()
-	n := r.Count()
-	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
-	p.enterSite(&siteLoop)
-	switch kind {
-	case sched.PreschedCyclic:
-		// Cyclic dealing is a pure function of the process id: ordinals
-		// id, id+np, id+2np, ... — a single strided span, no shared
-		// scheduler state needed.
-		if p.id < n {
-			chunk(p.id, n, p.f.np)
-		}
-		p.f.bar.Sync(p.id, nil)
-	case sched.PreschedBlock:
-		// One contiguous block per process, remainder spread one-per-
-		// process over the first n%np processes (same partition as the
-		// block scheduler).
-		base, rem := n/p.f.np, n%p.f.np
-		lo := p.id*base + min(p.id, rem)
-		size := base
-		if p.id < rem {
-			size++
-		}
-		if size > 0 {
-			chunk(lo, lo+size, 1)
-		}
-		p.f.bar.Sync(p.id, nil)
-	default:
-		cfg := sched.Config{ChunkSize: p.f.chunk, LockFactory: p.f.profile.LockFactory()}
-		s := p.f.entry(seq, func() any { return sched.New(kind, p.f.np, r, cfg) }).(sched.Scheduler)
-		for {
-			p.f.pc.Check()
-			lo, hi, ok := s.Next(p.id)
-			if !ok {
-				break
-			}
-			chunk(lo, hi, 1)
-		}
+	seq, entry := p.openSpans(kind, r, chunk)
+	if entry {
 		p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
+	} else {
+		p.f.bar.Sync(p.id, nil)
 	}
 	p.leaveSite()
 	p.f.tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))

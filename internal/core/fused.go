@@ -27,44 +27,53 @@ import (
 
 var siteFused = "fused DOALL+reduction"
 
+// openSpans deals this process its spans of one chunk-granular DOALL and
+// runs them, leaving the construct open (site entered, no exit
+// synchronization): the part DoAllChunked and DoAllChunkedOpen share.
+// entry reports a selfscheduled construct, whose scheduler entry the
+// caller's closing collective must retire.
+func (p *Proc) openSpans(kind sched.Kind, r sched.Range, chunk ChunkBody) (seq uint64, entry bool) {
+	p.f.pc.Check()
+	p.f.stats.Loops.Add(1)
+	seq = p.nextSeq()
+	n := r.Count()
+	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
+	p.enterSite(&siteLoop)
+	switch kind {
+	case sched.PreschedCyclic:
+		// Cyclic dealing is a pure function of the process id: ordinals
+		// id, id+np, id+2np, ... — a single strided span, no shared
+		// scheduler state needed.
+		if p.id < n {
+			chunk(p.id, n, p.f.np)
+		}
+		return seq, false
+	case sched.PreschedBlock:
+		if lo, hi := sched.BlockSpan(p.id, p.f.np, n); lo < hi {
+			chunk(lo, hi, 1)
+		}
+		return seq, false
+	}
+	cfg := sched.Config{ChunkSize: p.f.chunk, LockFactory: p.f.profile.LockFactory()}
+	s := p.f.entry(seq, func() any { return sched.New(kind, p.f.np, r, cfg) }).(sched.Scheduler)
+	for {
+		p.f.pc.Check()
+		lo, hi, ok := s.Next(p.id)
+		if !ok {
+			return seq, true
+		}
+		chunk(lo, hi, 1)
+	}
+}
+
 // DoAllChunkedOpen runs the spans of a chunk-granular DOALL exactly
 // like DoAllChunked but leaves the construct OPEN: no exit barrier is
 // executed, and the watchdog site stays entered.  The caller must
 // close the construct with FusedJoin on every process.  Poison is
 // checked once per span, as in DoAllChunked.
 func (p *Proc) DoAllChunkedOpen(kind sched.Kind, r sched.Range, chunk ChunkBody) {
-	p.f.pc.Check()
-	p.f.stats.Loops.Add(1)
-	seq := p.nextSeq()
-	n := r.Count()
-	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
-	p.enterSite(&siteLoop)
-	switch kind {
-	case sched.PreschedCyclic:
-		if p.id < n {
-			chunk(p.id, n, p.f.np)
-		}
-	case sched.PreschedBlock:
-		base, rem := n/p.f.np, n%p.f.np
-		lo := p.id*base + min(p.id, rem)
-		size := base
-		if p.id < rem {
-			size++
-		}
-		if size > 0 {
-			chunk(lo, lo+size, 1)
-		}
-	default:
-		cfg := sched.Config{ChunkSize: p.f.chunk, LockFactory: p.f.profile.LockFactory()}
-		s := p.f.entry(seq, func() any { return sched.New(kind, p.f.np, r, cfg) }).(sched.Scheduler)
-		for {
-			p.f.pc.Check()
-			lo, hi, ok := s.Next(p.id)
-			if !ok {
-				break
-			}
-			chunk(lo, hi, 1)
-		}
+	seq, entry := p.openSpans(kind, r, chunk)
+	if entry {
 		// The scheduler entry is retired by the FusedJoin that closes
 		// the region — the position the exit barrier's section would
 		// have had.  A region may leave several constructs open, so the

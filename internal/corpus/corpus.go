@@ -359,6 +359,28 @@ Print S
 End Barrier
 Join
 `},
+	// A subroutine may redeclare an inherited shared name: inside S, N is
+	// the private REAL, and the main program's shared N is untouched.
+	{"sub-local-shadows-shared", 2, `Force SHD of NP ident ME
+Shared Integer N
+End Declarations
+Barrier
+N = 5
+End Barrier
+Call S()
+Barrier
+Print N
+End Barrier
+Join
+Forcesub S()
+Private Real N
+End Declarations
+N = 1.5
+IF (ME .EQ. 0) THEN
+  Print N
+End IF
+Endsub
+`},
 }
 
 // RuntimeErrors is the uniform runtime-error corpus: every process hits

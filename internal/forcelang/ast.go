@@ -14,13 +14,12 @@ package forcelang
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/shm"
 )
 
 // Type is a Force variable type.
-type Type int
+type Type uint8
 
 const (
 	// TInt is Fortran INTEGER.
@@ -76,6 +75,68 @@ func (d Decl) Size() int {
 	return n
 }
 
+// Storage is where a name lives, as far as any back end or proof cares:
+// the checker's one answer to "what is this name bound to".
+type Storage uint8
+
+const (
+	// PrivateScalar is a per-process (or per-call) scalar.
+	PrivateScalar Storage = iota
+	// PrivateArray is a per-process (or per-call) array.
+	PrivateArray
+	// SharedScalar is a force-wide scalar.
+	SharedScalar
+	// SharedArray is a force-wide array.
+	SharedArray
+	// AsyncVar is a full/empty cell or a one-dimensional array of them.
+	AsyncVar
+	// Parameter is a by-reference alias of caller storage, bound per call.
+	Parameter
+)
+
+// Role marks the two names the Force header binds.
+type Role uint8
+
+const (
+	// RoleNone is an ordinary declared variable.
+	RoleNone Role = iota
+	// RoleNP is the "of" variable: a read-only shared INTEGER holding the
+	// number of processes (shared-scalar slot 0 of the main unit).
+	RoleNP
+	// RoleIdent is the "ident" variable: a private INTEGER holding the
+	// process id (private-scalar slot 0 of every unit).
+	RoleIdent
+)
+
+// String names the role the way checker errors do.
+func (r Role) String() string {
+	switch r {
+	case RoleNP:
+		return "number-of-processes"
+	case RoleIdent:
+		return "process-ident"
+	default:
+		return "ordinary"
+	}
+}
+
+// Symbol is what one name denotes in one unit: the declaration (type,
+// shape, owning unit and slot) plus how the unit reaches it.  The checker
+// creates one Symbol per declaration per unit that declares it — an
+// inherited shared or async name is the main unit's own record, shared
+// by pointer — and every node that names a variable points at it
+// (Ref.Sym, the VarSym of loop and Askfor statements, the Sym of the
+// async statements).  Back ends bind storage from these fields; none
+// re-resolves a name.
+type Symbol struct {
+	Decl
+	Storage Storage
+	Role    Role
+	// Param is the positional index in the owning subroutine's parameter
+	// list when Storage is Parameter, -1 otherwise.
+	Param int
+}
+
 // Program is a parsed Force program.
 type Program struct {
 	Name  string
@@ -84,6 +145,8 @@ type Program struct {
 	Decls []Decl
 	Subs  []*Subroutine
 	Body  []Stmt
+	// Scope is the main program's resolved scope, recorded by the checker.
+	Scope *Scope
 }
 
 // Sub looks up a parallel subroutine by name.
@@ -105,6 +168,8 @@ type Subroutine struct {
 	Decls  []Decl
 	Body   []Stmt
 	Line   int
+	// Scope is the subroutine's resolved scope, recorded by the checker.
+	Scope *Scope
 }
 
 // Stmt is a statement node.
@@ -140,6 +205,7 @@ type If struct {
 type SeqDo struct {
 	stmtBase
 	Var      string
+	VarSym   *Symbol // Var resolved, recorded by the checker
 	From, To Expr
 	Step     Expr // nil means 1
 	Body     []Stmt
@@ -178,6 +244,7 @@ type ParDo struct {
 	stmtBase
 	Sched    SchedKind
 	Var      string
+	VarSym   *Symbol // Var resolved, recorded by the checker
 	From, To Expr
 	Step     Expr // nil means 1
 	// Inner, when non-nil, makes this a two-index DOALL over (Var, Inner.Var).
@@ -188,6 +255,7 @@ type ParDo struct {
 // ParDoInner is the second index of a doubly nested DOALL.
 type ParDoInner struct {
 	Var      string
+	VarSym   *Symbol
 	From, To Expr
 	Step     Expr
 }
@@ -234,9 +302,10 @@ type PcaseStmt struct {
 // process running the task would reach them.
 type AskforStmt struct {
 	stmtBase
-	Var  string
-	Seed Expr
-	Body []Stmt
+	Var    string
+	VarSym *Symbol // Var resolved, recorded by the checker
+	Seed   Expr
+	Body   []Stmt
 }
 
 // PutStmt is Put expr: enqueue a new integer task on the enclosing
@@ -300,7 +369,8 @@ type ReduceStmt struct {
 type ProduceStmt struct {
 	stmtBase
 	Var  string
-	Sub  Expr // nil for scalar async variables
+	Sym  *Symbol // Var resolved, recorded by the checker
+	Sub  Expr    // nil for scalar async variables
 	Expr Expr
 }
 
@@ -308,7 +378,8 @@ type ProduceStmt struct {
 type ConsumeStmt struct {
 	stmtBase
 	Var    string
-	Sub    Expr // nil for scalar async variables
+	Sym    *Symbol // Var resolved, recorded by the checker
+	Sub    Expr    // nil for scalar async variables
 	Target Ref
 }
 
@@ -317,7 +388,8 @@ type ConsumeStmt struct {
 type CopyStmt struct {
 	stmtBase
 	Var    string
-	Sub    Expr // nil for scalar async variables
+	Sym    *Symbol // Var resolved, recorded by the checker
+	Sub    Expr    // nil for scalar async variables
 	Target Ref
 }
 
@@ -325,7 +397,8 @@ type CopyStmt struct {
 type VoidStmt struct {
 	stmtBase
 	Var string
-	Sub Expr // nil for scalar async variables
+	Sym *Symbol // Var resolved, recorded by the checker
+	Sub Expr    // nil for scalar async variables
 }
 
 // PrintStmt is Print item {, item}; items are expressions or string
@@ -339,8 +412,9 @@ type PrintStmt struct {
 // reference.
 type CallStmt struct {
 	stmtBase
-	Name string
-	Args []Ref
+	Name   string
+	Callee *Subroutine // Name resolved, recorded by the checker
+	Args   []Ref
 }
 
 // Expr is an expression node.
@@ -348,14 +422,32 @@ type Expr interface {
 	exprNode()
 	// Pos returns the source line.
 	Pos() int
+	// Type returns the type the checker inferred for the expression.  It
+	// is meaningful only on nodes of a checked program (Parse checks);
+	// string literals, legal only as Print items, carry none.
+	Type() Type
+	setType(Type)
 }
 
-type exprBase struct{ Line int }
+// exprBase is the part every expression node shares: its source line and
+// its checked type, packed into the one word the line alone used to take.
+type exprBase struct {
+	line int32
+	typ  Type
+}
+
+// at is the exprBase of a node on the given source line.
+func at(line int) exprBase { return exprBase{line: int32(line)} }
 
 func (e exprBase) exprNode() {}
 
 // Pos returns the source line of the expression.
-func (e exprBase) Pos() int { return e.Line }
+func (e exprBase) Pos() int { return int(e.line) }
+
+// Type returns the expression's checked type.
+func (e exprBase) Type() Type { return e.typ }
+
+func (e *exprBase) setType(t Type) { e.typ = t }
 
 // IntLit is an integer literal.
 type IntLit struct {
@@ -385,7 +477,8 @@ type StrLit struct {
 type Ref struct {
 	exprBase
 	Name string
-	Subs []Expr // nil for scalars
+	Subs []Expr  // nil for scalars
+	Sym  *Symbol // Name resolved in the enclosing unit, recorded by the checker
 }
 
 // BinOp is a binary operator.
@@ -457,6 +550,3 @@ func IsIntrinsic(name string) bool {
 	}
 	return false
 }
-
-// normalize upper-cases an identifier (Fortran is case-insensitive).
-func normalize(s string) string { return strings.ToUpper(s) }

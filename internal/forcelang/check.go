@@ -2,26 +2,28 @@ package forcelang
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/shm"
 )
 
-// Scope is a resolved symbol table for one compilation unit (the main
-// program or a subroutine body).  Every Decl in the scope carries the
-// slot information the checker assigned (see Decl): the unit owning the
-// storage and the index within that unit's storage-class sequence.
+// Scope is the resolved symbol table of one compilation unit (the main
+// program or a subroutine body): every name visible in the unit, bound
+// to its Symbol.  The checker builds each unit's scope exactly once and
+// leaves it on the Program / Subroutine; nothing downstream rebuilds one.
 type Scope struct {
-	vars map[string]Decl
+	vars   map[string]*Symbol
+	own    []*Symbol
+	params []*Symbol
 }
 
-// Lookup resolves a name in the scope.
-func (s *Scope) Lookup(name string) (Decl, bool) {
-	d, ok := s.vars[normalize(name)]
-	return d, ok
+// Lookup resolves a name (upper case, as the lexer produces identifiers)
+// in the scope.
+func (s *Scope) Lookup(name string) (*Symbol, bool) {
+	sym, ok := s.vars[name]
+	return sym, ok
 }
 
-// Names returns the declared names (unspecified order).
+// Names returns the visible names (unspecified order).
 func (s *Scope) Names() []string {
 	out := make([]string, 0, len(s.vars))
 	for n := range s.vars {
@@ -30,71 +32,64 @@ func (s *Scope) Names() []string {
 	return out
 }
 
-// Decls returns every declaration visible in the scope — inherited
-// (COMMON-like) ones included — sorted by owning unit, class, shape and
-// slot: the stable enumeration the interpreter's resolver allocates
-// index-addressed storage from.
-func (s *Scope) Decls() []Decl {
-	out := make([]Decl, 0, len(s.vars))
-	for _, d := range s.vars {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Unit != b.Unit {
-			return a.Unit < b.Unit
-		}
-		if a.Class != b.Class {
-			return a.Class < b.Class
-		}
-		aArr, bArr := len(a.Dims) > 0, len(b.Dims) > 0
-		if aArr != bArr {
-			return !aArr
-		}
-		return a.Slot < b.Slot
-	})
-	return out
-}
+// Own returns the symbols the unit itself introduces, in declaration
+// order: the header variables it owns first (NP and the ident variable
+// for the main program, the ident variable alone for a subroutine), then
+// its declarations.  Inherited (COMMON-like) names are not listed; they
+// are the main unit's own.
+func (s *Scope) Own() []*Symbol { return s.own }
 
-// slotCounters numbers a unit's declarations per storage-class sequence:
-// shared scalars, shared arrays, async variables, private scalars and
-// private arrays each count independently.
-type slotCounters struct {
-	sharedScalar, sharedArray, async, privScalar, privArray int
-}
+// Params returns a subroutine's parameter symbols in positional order
+// (nil for the main program).
+func (s *Scope) Params() []*Symbol { return s.params }
 
-// next assigns the next slot for d's sequence.
-func (sc *slotCounters) next(d Decl) int {
-	var n *int
+// storageOf is the storage a declaration implies for every name that is
+// not a parameter.
+func storageOf(d Decl) Storage {
 	switch {
 	case d.Class == shm.Async:
-		n = &sc.async
+		return AsyncVar
 	case d.Class == shm.Shared && len(d.Dims) > 0:
-		n = &sc.sharedArray
+		return SharedArray
 	case d.Class == shm.Shared:
-		n = &sc.sharedScalar
+		return SharedScalar
 	case len(d.Dims) > 0:
-		n = &sc.privArray
+		return PrivateArray
 	default:
-		n = &sc.privScalar
+		return PrivateScalar
 	}
-	slot := *n
-	*n++
+}
+
+// slotCounters numbers a unit's declarations per storage sequence:
+// shared scalars, shared arrays, async variables, private scalars and
+// private arrays each count independently.
+type slotCounters [AsyncVar + 1]int
+
+// next assigns the next slot of st's sequence.
+func (sc *slotCounters) next(st Storage) int {
+	slot := sc[st]
+	sc[st]++
 	return slot
 }
 
-// Check runs semantic analysis: declaration consistency, name resolution,
-// type checking, async-variable usage rules, and call-site validation.
-// It follows the Force model: shared and async variables are global
-// (COMMON-like) and visible inside subroutines; private main-program
-// variables are not.
+// Check runs semantic analysis — declaration consistency, name
+// resolution, type checking, async-variable usage rules, call-site
+// validation — and records what it resolved on the tree: each unit's
+// Scope, the Symbol behind every name a node mentions and the type of
+// every expression.  It follows the Force model: shared and async
+// variables are global (COMMON-like) and visible inside subroutines;
+// private main-program variables are not.
 func Check(prog *Program) error {
 	c := &checker{prog: prog}
-	global, err := c.buildScope("", prog.Decls, nil, prog)
+	prog.Scope = nil
+	for _, sub := range prog.Subs {
+		sub.Scope = nil
+	}
+	global, err := c.buildScope("", prog.Decls, nil, nil)
 	if err != nil {
 		return err
 	}
-	c.global = global
+	prog.Scope = global
 	if err := c.stmts(prog.Body, global); err != nil {
 		return err
 	}
@@ -104,7 +99,7 @@ func Check(prog *Program) error {
 			return fmt.Errorf("line %d: duplicate subroutine %s", sub.Line, sub.Name)
 		}
 		seen[sub.Name] = true
-		scope, err := c.buildSubScope(sub)
+		scope, err := c.subScope(sub)
 		if err != nil {
 			return err
 		}
@@ -115,30 +110,8 @@ func Check(prog *Program) error {
 	return nil
 }
 
-// GlobalScope returns the main program's resolved scope (declarations plus
-// the implicit NP and ident variables); it is used by the interpreter and
-// the code generator.
-func GlobalScope(prog *Program) (*Scope, error) {
-	c := &checker{prog: prog}
-	return c.buildScope("", prog.Decls, nil, prog)
-}
-
-// SubScope returns a subroutine's resolved scope.
-func SubScope(prog *Program, sub *Subroutine) (*Scope, error) {
-	c := &checker{prog: prog}
-	return c.buildSubScope(sub)
-}
-
-// TypeOf infers the type of an expression in a resolved scope; it is used
-// by the code generator to place numeric conversions.
-func TypeOf(prog *Program, s *Scope, e Expr) (Type, error) {
-	c := &checker{prog: prog}
-	return c.exprType(e, s)
-}
-
 type checker struct {
 	prog   *Program
-	global *Scope
 	askfor int // nesting depth of Askfor bodies; Put is legal only inside one
 	// serial is the stack of enclosing single-stream contexts — Askfor
 	// task bodies, Critical bodies, barrier sections, Pcase blocks.
@@ -168,84 +141,102 @@ func (c *checker) inSerial(ctx string, check func() error) error {
 	return err
 }
 
-// buildScope assembles a scope from declarations for the unit named
-// unit ("" for the main program).  When base is non-nil its shared/async
-// entries are inherited (subroutine case).  When prog is non-nil the
-// implicit NPVar (shared integer) and MeVar (private integer) are added.
+// buildScope assembles the scope of the unit named unit ("" for the main
+// program) from its declarations.  base is the main program's scope when
+// building a subroutine's: its shared and async symbols are inherited by
+// pointer (COMMON-like), NP among them.  params are the subroutine's
+// parameter names.
 //
-// Every declaration is recorded with its owning unit and storage slot —
-// the index-addressed identity the interpreter's resolve/compile pass
-// executes against.  NP is shared-scalar slot 0 of the main unit, ME is
-// private-scalar slot 0 of every unit; a unit's own declarations number
-// from there in declaration order, per class sequence.
-func (c *checker) buildScope(unit string, decls []Decl, base *Scope, prog *Program) (*Scope, error) {
-	s := &Scope{vars: map[string]Decl{}}
-	if base != nil {
-		for n, d := range base.vars {
-			if d.Class.IsShared() {
-				s.vars[n] = d
-			}
-		}
+// Every declaration becomes one Symbol carrying its owning unit, its
+// storage and its slot — the index-addressed identity the back ends
+// execute against.  NP is shared-scalar slot 0 of the main unit, the
+// ident variable private-scalar slot 0 of every unit; a unit's own
+// declarations number from there in declaration order, per storage
+// sequence.  A subroutine may redeclare (shadow) an inherited shared
+// name; no unit may redeclare NP or the ident variable, or declare one
+// name twice.
+func (c *checker) buildScope(unit string, decls []Decl, base *Scope, params []string) (*Scope, error) {
+	n := len(decls) + 2
+	s := &Scope{vars: make(map[string]*Symbol, n), own: make([]*Symbol, 0, n), params: make([]*Symbol, len(params))}
+	// The unit's records share one allocation; it never grows past its
+	// capacity, so they do not move.
+	slab := make([]Symbol, 0, n)
+	add := func(rec Symbol) *Symbol {
+		slab = append(slab, rec)
+		sym := &slab[len(slab)-1]
+		s.vars[sym.Name] = sym
+		s.own = append(s.own, sym)
+		return sym
 	}
 	var slots slotCounters
-	if prog != nil {
-		np := normalize(prog.NPVar)
-		me := normalize(prog.MeVar)
+	np, me := c.prog.NPVar, c.prog.MeVar
+	if base == nil {
 		if np == me {
 			return nil, fmt.Errorf("force header: NP variable and ident variable are both %s", np)
 		}
-		s.vars[np] = Decl{Class: shm.Shared, Type: TInt, Name: np, Unit: "", Slot: 0}
-		s.vars[me] = Decl{Class: shm.Private, Type: TInt, Name: me, Unit: unit, Slot: 0}
-		if unit == "" {
-			slots.sharedScalar = 1
+		add(Symbol{Decl: Decl{Class: shm.Shared, Type: TInt, Name: np, Slot: slots.next(SharedScalar)},
+			Storage: SharedScalar, Role: RoleNP, Param: -1})
+	} else {
+		for name, sym := range base.vars {
+			if sym.Class.IsShared() {
+				s.vars[name] = sym
+			}
 		}
-		slots.privScalar = 1
 	}
+	add(Symbol{Decl: Decl{Class: shm.Private, Type: TInt, Name: me, Unit: unit, Slot: slots.next(PrivateScalar)},
+		Storage: PrivateScalar, Role: RoleIdent, Param: -1})
 	for _, d := range decls {
-		n := normalize(d.Name)
-		if prior, dup := s.vars[n]; dup && base == nil {
-			return nil, fmt.Errorf("line %d: %s already declared (line %d)", d.Line, n, prior.Line)
+		if prior, dup := s.vars[d.Name]; dup {
+			if prior.Role != RoleNone {
+				return nil, fmt.Errorf("line %d: %s is the force's %s variable and cannot be redeclared", d.Line, d.Name, prior.Role)
+			}
+			if prior.Unit == unit {
+				return nil, fmt.Errorf("line %d: %s already declared (line %d)", d.Line, d.Name, prior.Line)
+			}
 		}
 		if d.Class == shm.Async {
 			if len(d.Dims) > 1 {
-				return nil, fmt.Errorf("line %d: async variable %s may have at most one dimension", d.Line, n)
+				return nil, fmt.Errorf("line %d: async variable %s may have at most one dimension", d.Line, d.Name)
 			}
 			if d.Type == TLogical {
-				return nil, fmt.Errorf("line %d: async variable %s must be numeric", d.Line, n)
+				return nil, fmt.Errorf("line %d: async variable %s must be numeric", d.Line, d.Name)
 			}
 		}
-		d.Name = n
-		d.Unit = unit
-		d.Slot = slots.next(d)
-		s.vars[n] = d
+		sym := add(Symbol{Decl: d, Storage: storageOf(d), Param: -1})
+		sym.Unit = unit
+		sym.Slot = slots.next(sym.Storage)
+		for i, p := range params {
+			if p == d.Name {
+				sym.Storage, sym.Param = Parameter, i
+				s.params[i] = sym
+			}
+		}
 	}
 	return s, nil
 }
 
-func (c *checker) buildSubScope(sub *Subroutine) (*Scope, error) {
-	if c.global == nil {
-		g, err := c.buildScope("", c.prog.Decls, nil, c.prog)
-		if err != nil {
-			return nil, err
-		}
-		c.global = g
+// subScope returns the subroutine's scope, building it on first use.
+func (c *checker) subScope(sub *Subroutine) (*Scope, error) {
+	if sub.Scope != nil {
+		return sub.Scope, nil
 	}
-	s, err := c.buildScope(sub.Name, sub.Decls, c.global, c.prog)
+	s, err := c.buildScope(sub.Name, sub.Decls, c.prog.Scope, sub.Params)
 	if err != nil {
 		return nil, err
 	}
 	// Every parameter must be declared in the subroutine's declaration
 	// section (Fortran style), and cannot be Async: the full/empty cell
 	// has no by-reference representation.
-	for _, param := range sub.Params {
-		d, ok := s.Lookup(param)
-		if !ok {
+	for i, param := range sub.Params {
+		sym := s.params[i]
+		if sym == nil {
 			return nil, fmt.Errorf("line %d: parameter %s of %s not declared", sub.Line, param, sub.Name)
 		}
-		if d.Class == shm.Async {
+		if sym.Class == shm.Async {
 			return nil, fmt.Errorf("line %d: parameter %s of %s cannot be Async", sub.Line, param, sub.Name)
 		}
 	}
+	sub.Scope = s
 	return s, nil
 }
 
@@ -283,7 +274,8 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		}
 		return c.stmts(t.Else, s)
 	case *SeqDo:
-		if err := c.loopVar(t.Var, s, t.Pos(), false); err != nil {
+		var err error
+		if t.VarSym, err = c.loopVar(t.Var, s, t.Pos(), false); err != nil {
 			return err
 		}
 		if err := c.loopBounds(t.From, t.To, t.Step, s, t.Pos()); err != nil {
@@ -303,20 +295,21 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		if err := c.collective(t.Pos(), fmt.Sprintf("%s DO", t.Sched)); err != nil {
 			return err
 		}
-		if err := c.loopVar(t.Var, s, t.Pos(), true); err != nil {
+		var err error
+		if t.VarSym, err = c.loopVar(t.Var, s, t.Pos(), true); err != nil {
 			return err
 		}
 		if err := c.loopBounds(t.From, t.To, t.Step, s, t.Pos()); err != nil {
 			return err
 		}
 		if t.Inner != nil {
-			if err := c.loopVar(t.Inner.Var, s, t.Pos(), true); err != nil {
+			if t.Inner.VarSym, err = c.loopVar(t.Inner.Var, s, t.Pos(), true); err != nil {
 				return err
 			}
 			if err := c.loopBounds(t.Inner.From, t.Inner.To, t.Inner.Step, s, t.Pos()); err != nil {
 				return err
 			}
-			if normalize(t.Inner.Var) == normalize(t.Var) {
+			if t.Inner.Var == t.Var {
 				return fmt.Errorf("line %d: doubly nested DOALL uses the same index twice", t.Pos())
 			}
 		}
@@ -363,7 +356,8 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		if err := c.collective(t.Pos(), "Askfor"); err != nil {
 			return err
 		}
-		if err := c.loopVar(t.Var, s, t.Pos(), true); err != nil {
+		var err error
+		if t.VarSym, err = c.loopVar(t.Var, s, t.Pos(), true); err != nil {
 			return err
 		}
 		st, err := c.exprType(t.Seed, s)
@@ -420,21 +414,26 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		}
 		return nil
 	case *ProduceStmt:
-		d, err := c.asyncVar(t.Var, t.Sub, s, t.Pos())
-		if err != nil {
+		var err error
+		if t.Sym, err = c.asyncVar(t.Var, t.Sub, s, t.Pos()); err != nil {
 			return err
 		}
 		et, err := c.exprType(t.Expr, s)
 		if err != nil {
 			return err
 		}
-		return assignable(d.Type, et, t.Pos())
+		return assignable(t.Sym.Type, et, t.Pos())
 	case *ConsumeStmt:
-		return c.asyncTransfer(t.Var, t.Sub, &t.Target, s, t.Pos())
+		var err error
+		t.Sym, err = c.asyncTransfer(t.Var, t.Sub, &t.Target, s, t.Pos())
+		return err
 	case *CopyStmt:
-		return c.asyncTransfer(t.Var, t.Sub, &t.Target, s, t.Pos())
+		var err error
+		t.Sym, err = c.asyncTransfer(t.Var, t.Sub, &t.Target, s, t.Pos())
+		return err
 	case *VoidStmt:
-		_, err := c.asyncVar(t.Var, t.Sub, s, t.Pos())
+		var err error
+		t.Sym, err = c.asyncVar(t.Var, t.Sub, s, t.Pos())
 		return err
 	case *PrintStmt:
 		for _, item := range t.Items {
@@ -455,27 +454,31 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 			return fmt.Errorf("line %d: %s takes %d arguments, got %d",
 				t.Pos(), sub.Name, len(sub.Params), len(t.Args))
 		}
-		subScope, err := c.buildSubScope(sub)
+		t.Callee = sub
+		subScope, err := c.subScope(sub)
 		if err != nil {
 			return err
 		}
 		for i := range t.Args {
-			argDecl, ok := s.Lookup(t.Args[i].Name)
+			arg := &t.Args[i]
+			argDecl, ok := s.Lookup(arg.Name)
 			if !ok {
-				return fmt.Errorf("line %d: undeclared argument %s", t.Pos(), t.Args[i].Name)
+				return fmt.Errorf("line %d: undeclared argument %s", t.Pos(), arg.Name)
 			}
 			if argDecl.Class == shm.Async {
-				return fmt.Errorf("line %d: async variable %s cannot be a subroutine argument", t.Pos(), t.Args[i].Name)
+				return fmt.Errorf("line %d: async variable %s cannot be a subroutine argument", t.Pos(), arg.Name)
 			}
 			paramDecl, _ := subScope.Lookup(sub.Params[i])
 			// Whole-array argument: dims must match; element or
 			// scalar argument: param must be scalar.
 			argDims := len(argDecl.Dims)
-			if len(t.Args[i].Subs) > 0 {
-				if _, err := c.refType(&t.Args[i], s); err != nil {
+			if len(arg.Subs) > 0 {
+				if _, err := c.refType(arg, s); err != nil {
 					return err
 				}
 				argDims = 0
+			} else {
+				arg.Sym, arg.typ = argDecl, argDecl.Type
 			}
 			if argDims != len(paramDecl.Dims) {
 				return fmt.Errorf("line %d: argument %d of %s: array shape mismatch",
@@ -513,18 +516,19 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 	}
 }
 
-func (c *checker) loopVar(name string, s *Scope, line int, mustPrivate bool) error {
+// loopVar resolves the variable a loop or Askfor header names.
+func (c *checker) loopVar(name string, s *Scope, line int, mustPrivate bool) (*Symbol, error) {
 	d, ok := s.Lookup(name)
 	if !ok {
-		return fmt.Errorf("line %d: undeclared loop variable %s", line, name)
+		return nil, fmt.Errorf("line %d: undeclared loop variable %s", line, name)
 	}
 	if d.Type != TInt || len(d.Dims) != 0 {
-		return fmt.Errorf("line %d: loop variable %s must be a scalar INTEGER", line, name)
+		return nil, fmt.Errorf("line %d: loop variable %s must be a scalar INTEGER", line, name)
 	}
 	if mustPrivate && d.Class != shm.Private {
-		return fmt.Errorf("line %d: DOALL index %s must be Private (each process holds its own copy)", line, name)
+		return nil, fmt.Errorf("line %d: DOALL index %s must be Private (each process holds its own copy)", line, name)
 	}
-	return nil
+	return d, nil
 }
 
 func (c *checker) loopBounds(from, to, step Expr, s *Scope, line int) error {
@@ -546,45 +550,45 @@ func (c *checker) loopBounds(from, to, step Expr, s *Scope, line int) error {
 // asyncVar resolves an async variable use, checking its subscript against
 // the declaration shape: arrays require exactly one integer subscript,
 // scalars none.
-func (c *checker) asyncVar(name string, sub Expr, s *Scope, line int) (Decl, error) {
+func (c *checker) asyncVar(name string, sub Expr, s *Scope, line int) (*Symbol, error) {
 	d, ok := s.Lookup(name)
 	if !ok {
-		return Decl{}, fmt.Errorf("line %d: undeclared async variable %s", line, name)
+		return nil, fmt.Errorf("line %d: undeclared async variable %s", line, name)
 	}
 	if d.Class != shm.Async {
-		return Decl{}, fmt.Errorf("line %d: %s is not an Async variable", line, name)
+		return nil, fmt.Errorf("line %d: %s is not an Async variable", line, name)
 	}
 	switch {
 	case len(d.Dims) == 1 && sub == nil:
-		return Decl{}, fmt.Errorf("line %d: async array %s used without a subscript", line, name)
+		return nil, fmt.Errorf("line %d: async array %s used without a subscript", line, name)
 	case len(d.Dims) == 0 && sub != nil:
-		return Decl{}, fmt.Errorf("line %d: async scalar %s used with a subscript", line, name)
+		return nil, fmt.Errorf("line %d: async scalar %s used with a subscript", line, name)
 	case sub != nil:
 		st, err := c.exprType(sub, s)
 		if err != nil {
-			return Decl{}, err
+			return nil, err
 		}
 		if st != TInt {
-			return Decl{}, fmt.Errorf("line %d: subscript of %s must be INTEGER", line, name)
+			return nil, fmt.Errorf("line %d: subscript of %s must be INTEGER", line, name)
 		}
 	}
 	return d, nil
 }
 
-func (c *checker) asyncTransfer(name string, sub Expr, target *Ref, s *Scope, line int) error {
+func (c *checker) asyncTransfer(name string, sub Expr, target *Ref, s *Scope, line int) (*Symbol, error) {
 	d, err := c.asyncVar(name, sub, s, line)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tt, err := c.refType(target, s)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return assignable(tt, d.Type, line)
+	return d, assignable(tt, d.Type, line)
 }
 
-// refType resolves a variable or array-element reference.  Async variables
-// may not be referenced directly.
+// refType resolves a variable or array-element reference and records the
+// symbol and type on it.  Async variables may not be referenced directly.
 func (c *checker) refType(r *Ref, s *Scope) (Type, error) {
 	d, ok := s.Lookup(r.Name)
 	if !ok {
@@ -609,11 +613,20 @@ func (c *checker) refType(r *Ref, s *Scope) (Type, error) {
 			return 0, fmt.Errorf("line %d: subscript of %s must be INTEGER", r.Pos(), r.Name)
 		}
 	}
+	r.Sym, r.typ = d, d.Type
 	return d.Type, nil
 }
 
-// exprType infers an expression's type.
+// exprType infers an expression's type and records it on the node.
 func (c *checker) exprType(e Expr, s *Scope) (Type, error) {
+	t, err := c.inferType(e, s)
+	if err == nil {
+		e.setType(t)
+	}
+	return t, err
+}
+
+func (c *checker) inferType(e Expr, s *Scope) (Type, error) {
 	switch t := e.(type) {
 	case *IntLit:
 		return TInt, nil

@@ -196,6 +196,117 @@ func TestCheckErrors(t *testing.T) {
 	}
 }
 
+// TestHeaderVariablesCannotBeRedeclared pins the binding rule: NP and the
+// ident variable belong to the force header, and no unit may declare a
+// local or a parameter under either name (every tier used to shadow the
+// declaration silently, each in its own way).  The rejection names the
+// variable's role and the offending line.  Shadowing an inherited shared
+// name in a subroutine stays legal.
+func TestHeaderVariablesCannotBeRedeclared(t *testing.T) {
+	sub := func(params, decls, body string) string {
+		return "Force P of NP ident ME\nShared Integer N\nEnd Declarations\nJoin\n" +
+			"Forcesub S(" + params + ")\n" + decls + "End Declarations\n" + body + "Endsub\n"
+	}
+	for name, tc := range map[string]struct{ src, want string }{
+		"local named ident": {sub("", "Private Real ME\n", "ME = 2.5\nPrint ME\n"),
+			"line 6: ME is the force's process-ident variable"},
+		"parameter named NP": {sub("NP", "Private Integer NP\n", "Print NP\n"),
+			"line 6: NP is the force's number-of-processes variable"},
+		"parameter named ident": {sub("ME", "Private Integer ME\n", "ME = ME + 1\n"),
+			"line 6: ME is the force's process-ident variable"},
+		"main redeclares NP": {"Force P of NP ident ME\nShared Integer NP\nEnd Declarations\nJoin\n",
+			"line 2: NP is the force's number-of-processes variable"},
+		"undeclared parameter named NP": {sub("NP", "", "Print NP\n"),
+			"line 5: parameter NP of S not declared"},
+		"sub declares a name twice": {sub("", "Private Integer K\nPrivate Real K\n", ""),
+			"line 7: K already declared (line 6)"},
+	} {
+		_, err := Parse(tc.src)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, tc.want)
+		}
+	}
+	if _, err := Parse(sub("", "Private Real N\n", "N = 1.5\nPrint N\n")); err != nil {
+		t.Errorf("sub-local shadowing an inherited shared name rejected: %v", err)
+	}
+}
+
+// TestCheckAnnotatesTheTree walks a checked program: every name a node
+// mentions points at the scope's own symbol record, and every expression
+// carries the type the checker inferred.
+func TestCheckAnnotatesTheTree(t *testing.T) {
+	prog := MustParse(`Force AN of NP ident ME
+Shared Real A(8), X
+Shared Integer N
+Async Real Q(4)
+Private Integer I, J
+End Declarations
+Presched DO I = 1, NP
+A(I) = X * I + SQRT(REAL(N))
+End Presched DO
+Askfor J = 1
+Produce Q(J) = A(J) / 2
+End Askfor
+Call S(A, N, A(2))
+Join
+Forcesub S(V, K, E)
+Shared Real V(8), E
+Shared Integer K
+Private Real X
+End Declarations
+X = V(K) + E + ME
+Consume Q(1) into X
+Endsub
+`)
+	main, sub := prog.Scope, prog.Subs[0].Scope
+	pd := prog.Body[0].(*ParDo)
+	if pd.VarSym != mustLookup(t, main, "I") || pd.VarSym.Storage != PrivateScalar {
+		t.Errorf("DOALL variable: %+v", pd.VarSym)
+	}
+	if np := pd.To.(*Ref); np.Sym.Role != RoleNP || np.Type() != TInt {
+		t.Errorf("NP reference: %+v type %s", np.Sym, np.Type())
+	}
+	as := pd.Body[0].(*Assign)
+	if as.Target.Sym != mustLookup(t, main, "A") || as.Target.Sym.Storage != SharedArray || as.Target.Type() != TReal {
+		t.Errorf("assignment target: %+v", as.Target.Sym)
+	}
+	sum := as.Expr.(*Bin)
+	if sum.Type() != TReal || sum.L.Type() != TReal || sum.L.(*Bin).R.Type() != TInt {
+		t.Errorf("X*I + SQRT(..): types %s, %s, %s", sum.Type(), sum.L.Type(), sum.L.(*Bin).R.Type())
+	}
+	ask := prog.Body[1].(*AskforStmt)
+	if ask.VarSym != mustLookup(t, main, "J") {
+		t.Errorf("Askfor variable: %+v", ask.VarSym)
+	}
+	if q := ask.Body[0].(*ProduceStmt); q.Sym != mustLookup(t, main, "Q") || q.Sym.Storage != AsyncVar {
+		t.Errorf("Produce variable: %+v", q.Sym)
+	}
+	call := prog.Body[2].(*CallStmt)
+	if call.Callee != prog.Subs[0] {
+		t.Error("Call does not point at its subroutine")
+	}
+	for i, want := range []string{"A", "N", "A"} {
+		if call.Args[i].Sym != mustLookup(t, main, want) {
+			t.Errorf("argument %d: %+v", i, call.Args[i].Sym)
+		}
+	}
+	for i, name := range []string{"V", "K", "E"} {
+		if p := mustLookup(t, sub, name); p.Storage != Parameter || p.Param != i || p.Unit != "S" {
+			t.Errorf("parameter %s: %+v", name, p)
+		}
+	}
+	x := prog.Subs[0].Body[0].(*Assign)
+	if x.Target.Sym != mustLookup(t, sub, "X") || x.Target.Sym == mustLookup(t, main, "X") || x.Target.Sym.Storage != PrivateScalar {
+		t.Errorf("sub-local X must shadow the inherited shared X: %+v", x.Target.Sym)
+	}
+	if me := x.Expr.(*Bin).R.(*Ref); me.Sym.Role != RoleIdent || me.Sym.Unit != "S" || me.Sym.Slot != 0 {
+		t.Errorf("ident reference in S: %+v", me.Sym)
+	}
+	if c := prog.Subs[0].Body[1].(*ConsumeStmt); c.Sym != mustLookup(t, main, "Q") || c.Target.Sym != x.Target.Sym {
+		t.Errorf("Consume: %+v into %+v", c.Sym, c.Target.Sym)
+	}
+}
+
 func TestCallArgumentChecking(t *testing.T) {
 	base := `Force P of NP ident ME
 Shared Real A(4)
@@ -248,11 +359,7 @@ Endsub
 }
 
 func TestGlobalScope(t *testing.T) {
-	prog := MustParse(sample)
-	scope, err := GlobalScope(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	scope := MustParse(sample).Scope
 	if d, ok := scope.Lookup("A"); !ok || len(d.Dims) != 2 || d.Class != shm.Shared {
 		t.Errorf("A: %+v ok=%v", d, ok)
 	}
@@ -262,8 +369,8 @@ func TestGlobalScope(t *testing.T) {
 	if d, ok := scope.Lookup("NP"); !ok || d.Class != shm.Shared {
 		t.Errorf("NP: %+v ok=%v", d, ok)
 	}
-	if d, ok := scope.Lookup("v"); !ok || d.Class != shm.Async {
-		t.Errorf("case-insensitive lookup of V: %+v ok=%v", d, ok)
+	if d, ok := scope.Lookup("V"); !ok || d.Class != shm.Async || d.Storage != AsyncVar {
+		t.Errorf("V (declared as v; the lexer upper-cases identifiers once): %+v ok=%v", d, ok)
 	}
 	if len(scope.Names()) != 9 { // 7 decls + NP + ME
 		t.Errorf("Names() = %v", scope.Names())
@@ -271,11 +378,7 @@ func TestGlobalScope(t *testing.T) {
 }
 
 func TestSubScope(t *testing.T) {
-	prog := MustParse(sample)
-	scope, err := SubScope(prog, prog.Subs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	scope := MustParse(sample).Subs[0].Scope
 	if _, ok := scope.Lookup("K"); !ok {
 		t.Error("sub local K missing")
 	}
@@ -365,10 +468,7 @@ End Declarations
 K = 0
 Endsub
 `)
-	g, err := GlobalScope(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := prog.Scope
 	wantMain := map[string]struct {
 		unit string
 		slot int
@@ -388,10 +488,7 @@ Endsub
 			t.Errorf("main %s: unit %q slot %d, want unit %q slot %d", name, d.Unit, d.Slot, want.unit, want.slot)
 		}
 	}
-	sc, err := SubScope(prog, prog.Subs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := prog.Subs[0].Scope
 	wantSub := map[string]struct {
 		unit string
 		slot int
@@ -412,16 +509,25 @@ Endsub
 			t.Errorf("sub %s: unit %q slot %d, want unit %q slot %d", name, d.Unit, d.Slot, want.unit, want.slot)
 		}
 	}
-	// Decls() enumerates stably: every visible decl exactly once.
-	all := sc.Decls()
-	seen := map[string]bool{}
-	for _, d := range all {
-		if seen[d.Name] {
-			t.Errorf("Decls(): %s listed twice", d.Name)
-		}
-		seen[d.Name] = true
+	// Own() lists what the unit itself introduces, in declaration order,
+	// the ident variable first; inherited names stay the main unit's.
+	var own []string
+	for _, sym := range sc.Own() {
+		own = append(own, sym.Name)
 	}
-	if len(all) != len(sc.Names()) {
-		t.Errorf("Decls() returned %d entries, scope has %d names", len(all), len(sc.Names()))
+	if got := strings.Join(own, " "); got != "ME P LOCALSH K" {
+		t.Errorf("Own() = %s, want ME P LOCALSH K", got)
 	}
+	if inherited, _ := sc.Lookup("A"); inherited != mustLookup(t, g, "A") {
+		t.Error("inherited shared A is not the main unit's own symbol record")
+	}
+}
+
+func mustLookup(t *testing.T, s *Scope, name string) *Symbol {
+	t.Helper()
+	sym, ok := s.Lookup(name)
+	if !ok {
+		t.Fatalf("%s not in scope", name)
+	}
+	return sym
 }

@@ -519,7 +519,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		for {
 			if p.cur().kind == tokString {
 				t := p.next()
-				items = append(items, &StrLit{exprBase: exprBase{Line: t.line}, Value: t.text})
+				items = append(items, &StrLit{exprBase: at(t.line), Value: t.text})
 			} else {
 				e, err := p.parseExpr()
 				if err != nil {
@@ -860,7 +860,7 @@ func (p *parser) parseRef() (Ref, error) {
 	if err != nil {
 		return Ref{}, err
 	}
-	r := Ref{exprBase: exprBase{Line: line}, Name: name}
+	r := Ref{exprBase: at(line), Name: name}
 	if p.acceptSym("(") {
 		for {
 			e, err := p.parseExpr()
@@ -893,7 +893,7 @@ func (p *parser) parseOr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Bin{exprBase: exprBase{Line: line}, Op: OpOr, L: left, R: right}
+		left = &Bin{exprBase: at(line), Op: OpOr, L: left, R: right}
 	}
 	return left, nil
 }
@@ -909,7 +909,7 @@ func (p *parser) parseAndExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Bin{exprBase: exprBase{Line: line}, Op: OpAnd, L: left, R: right}
+		left = &Bin{exprBase: at(line), Op: OpAnd, L: left, R: right}
 	}
 	return left, nil
 }
@@ -921,7 +921,7 @@ func (p *parser) parseNot() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Un{exprBase: exprBase{Line: line}, Neg: false, X: x}, nil
+		return &Un{exprBase: at(line), Neg: false, X: x}, nil
 	}
 	return p.parseRel()
 }
@@ -942,7 +942,7 @@ func (p *parser) parseRel() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Bin{exprBase: exprBase{Line: line}, Op: op, L: left, R: right}, nil
+			return &Bin{exprBase: at(line), Op: op, L: left, R: right}, nil
 		}
 	}
 	return left, nil
@@ -963,7 +963,7 @@ func (p *parser) parseArith() (Expr, error) {
 		if t.text == "-" {
 			op = OpSub
 		}
-		left = &Bin{exprBase: exprBase{Line: t.line}, Op: op, L: left, R: right}
+		left = &Bin{exprBase: at(t.line), Op: op, L: left, R: right}
 	}
 	return left, nil
 }
@@ -983,7 +983,7 @@ func (p *parser) parseTerm() (Expr, error) {
 		if t.text == "/" {
 			op = OpDiv
 		}
-		left = &Bin{exprBase: exprBase{Line: t.line}, Op: op, L: left, R: right}
+		left = &Bin{exprBase: at(t.line), Op: op, L: left, R: right}
 	}
 	return left, nil
 }
@@ -995,7 +995,7 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Un{exprBase: exprBase{Line: line}, Neg: true, X: x}, nil
+		return &Un{exprBase: at(line), Neg: true, X: x}, nil
 	}
 	if p.cur().kind == tokSymbol && p.cur().text == "+" {
 		p.pos++
@@ -1009,18 +1009,18 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokInt:
 		p.pos++
-		return &IntLit{exprBase: exprBase{Line: t.line}, Value: t.ival}, nil
+		return &IntLit{exprBase: at(t.line), Value: t.ival}, nil
 	case tokReal:
 		p.pos++
-		return &RealLit{exprBase: exprBase{Line: t.line}, Value: t.rval}, nil
+		return &RealLit{exprBase: at(t.line), Value: t.rval}, nil
 	case tokDotOp:
 		switch t.text {
 		case ".TRUE.":
 			p.pos++
-			return &BoolLit{exprBase: exprBase{Line: t.line}, Value: true}, nil
+			return &BoolLit{exprBase: at(t.line), Value: true}, nil
 		case ".FALSE.":
 			p.pos++
-			return &BoolLit{exprBase: exprBase{Line: t.line}, Value: false}, nil
+			return &BoolLit{exprBase: at(t.line), Value: false}, nil
 		}
 		return nil, p.errf("unexpected %s in expression", t)
 	case tokSymbol:
@@ -1041,7 +1041,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if IsIntrinsic(name) && p.pos+1 < len(p.toks) &&
 			p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
 			p.pos += 2
-			call := &Intrinsic{exprBase: exprBase{Line: t.line}, Name: name}
+			call := &Intrinsic{exprBase: at(t.line), Name: name}
 			for {
 				e, err := p.parseExpr()
 				if err != nil {

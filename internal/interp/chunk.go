@@ -34,6 +34,7 @@ import (
 	"math"
 
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/plan"
 	"repro/internal/sched"
 )
@@ -137,17 +138,15 @@ func (kc *kctx) flush(accs []accCell) {
 	for si, ac := range accs {
 		switch {
 		case ac.op == plan.AccSum:
-			if d := kc.accI[si]; d != 0 {
-				ac.cell.addInt(d)
-			}
+			forcert.Add(&ac.cell.bits, kc.accI[si])
 		case ac.real && ac.op == plan.AccMax:
-			ac.cell.maxReal(kc.accR[si])
+			forcert.MaxReal(&ac.cell.bits, kc.accR[si])
 		case ac.real:
-			ac.cell.minReal(kc.accR[si])
+			forcert.MinReal(&ac.cell.bits, kc.accR[si])
 		case ac.op == plan.AccMax:
-			ac.cell.maxInt(kc.accI[si])
+			forcert.MaxInt(&ac.cell.bits, kc.accI[si])
 		default:
-			ac.cell.minInt(kc.accI[si])
+			forcert.MinInt(&ac.cell.bits, kc.accI[si])
 		}
 	}
 	kc.seed(accs)
@@ -164,15 +163,15 @@ func (c *compiler) chunkTier() bool {
 // tryChunkParDo compiles t as a chunked DOALL, or returns nil when the
 // chunk tier is off or the classifier finds the body unsafe — the caller
 // then emits the per-iteration path.
-func (c *compiler) tryChunkParDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
+func (c *compiler) tryChunkParDo(t *forcelang.ParDo) stmtFn {
 	if !c.chunkTier() {
 		return nil
 	}
-	p := lay.pu.DoAll(t, c.planLog())
+	p := plan.DoAll(t, c.planLog())
 	if p == nil {
 		return nil
 	}
-	return c.chunkParDo(t, lay, p, false, p.Block())
+	return c.chunkParDo(t, p, false, p.Block())
 }
 
 // chunkParDo compiles the chunk-tier execution of t against its plan:
@@ -183,18 +182,17 @@ func (c *compiler) tryChunkParDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 // a prescheduled loop in contiguous blocks instead of cyclically;
 // callers pass it only when the plan allows (for a fused region, every
 // member's).
-func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, p *plan.Plan, open, block bool) stmtFn {
+func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool) stmtFn {
 	cp := &chunkPlan{Plan: p}
 	c.plan = cp
-	body := c.stmts(t.Body, lay)
+	body := c.stmts(t.Body)
 	c.plan = nil
 	accCells := make([]accCell, len(p.AccRecs))
 	for i, rec := range p.AccRecs {
-		sym := lay.syms[rec.Name]
-		accCells[i] = accCell{cell: c.in.scalar(sym.unit, sym.slot), op: rec.Op, real: rec.Real}
+		accCells[i] = accCell{cell: c.in.scalar(rec.Sym), op: rec.Op, real: rec.Real}
 	}
-	rangeF := c.rangeFn(t.From, t.To, t.Step, lay)
-	storeVar := c.intVarStore(t.Var, lay, t.Pos())
+	rangeF := c.rangeFn(t.From, t.To, t.Step)
+	storeVar := c.intVarStore(t.VarSym, t.Pos())
 	note := noteStr("DOALL", t.Pos())
 	kind := c.in.cfg.Selfsched
 	switch {
@@ -251,8 +249,8 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, p *plan.Plan,
 		panic(compileErrf("line %d: internal: two-index DOALL as fused member", t.Pos()))
 	}
 
-	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step, lay)
-	storeInner := c.intVarStore(t.Inner.Var, lay, t.Pos())
+	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step)
+	storeInner := c.intVarStore(t.Inner.VarSym, t.Pos())
 	return func(pr *cproc, fr *frame) {
 		pr.p.Note(note)
 		r := rangeF(pr, fr)
@@ -290,16 +288,16 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, lay *unitLayout, p *plan.Plan,
 // on a strict compare, the exact test MAX(S, e) / MIN(S, e) performs
 // per iteration — so NaN contributions are dropped and a +0.0 never
 // replaces a -0.0, matching the per-iteration path bit for bit.
-func (c *compiler) accAssign(acc plan.Accum, si int, lay *unitLayout) stmtFn {
+func (c *compiler) accAssign(acc plan.Accum, si int) stmtFn {
 	switch {
 	case acc.Op == plan.AccSum:
-		dv := c.cInt(acc.Operand, lay)
+		dv := c.cInt(acc.Operand)
 		if acc.Negate {
 			return func(pr *cproc, fr *frame) { pr.k.accI[si] -= dv(pr, fr) }
 		}
 		return func(pr *cproc, fr *frame) { pr.k.accI[si] += dv(pr, fr) }
 	case acc.Real:
-		av := c.cReal(acc.Operand, lay)
+		av := c.cReal(acc.Operand)
 		if acc.Op == plan.AccMax {
 			return func(pr *cproc, fr *frame) {
 				if v := av(pr, fr); v > pr.k.accR[si] {
@@ -313,7 +311,7 @@ func (c *compiler) accAssign(acc plan.Accum, si int, lay *unitLayout) stmtFn {
 			}
 		}
 	}
-	av := c.cInt(acc.Operand, lay)
+	av := c.cInt(acc.Operand)
 	if acc.Op == plan.AccMax {
 		return func(pr *cproc, fr *frame) {
 			if v := av(pr, fr); v > pr.k.accI[si] {
@@ -334,7 +332,7 @@ func (c *compiler) accAssign(acc plan.Accum, si int, lay *unitLayout) stmtFn {
 // loop index, no written name, no parameter, no subscripted reference)
 // AND non-panicking (no integer division, integer MOD or SQRT), so it
 // may be evaluated once per construct, outside the loop.
-func (c *compiler) hoistable(e forcelang.Expr, lay *unitLayout) bool {
+func (c *compiler) hoistable(e forcelang.Expr) bool {
 	switch t := e.(type) {
 	case *forcelang.IntLit, *forcelang.RealLit, *forcelang.BoolLit:
 		return true
@@ -342,21 +340,20 @@ func (c *compiler) hoistable(e forcelang.Expr, lay *unitLayout) bool {
 		if len(t.Subs) > 0 || t.Name == c.plan.Outer || t.Name == c.plan.Inner || c.plan.Written[t.Name] {
 			return false
 		}
-		sym, ok := lay.syms[t.Name]
-		return ok && (sym.class == scPrivate || sym.class == scShared)
+		return t.Sym.Storage == scPrivate || t.Sym.Storage == scShared
 	case *forcelang.Un:
-		return c.hoistable(t.X, lay)
+		return c.hoistable(t.X)
 	case *forcelang.Bin:
-		if t.Op == forcelang.OpDiv && c.typ(e, lay) != forcelang.TReal {
+		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal {
 			return false // integer division panics on zero
 		}
-		return c.hoistable(t.L, lay) && c.hoistable(t.R, lay)
+		return c.hoistable(t.L) && c.hoistable(t.R)
 	case *forcelang.Intrinsic:
-		if t.Name == "SQRT" || (t.Name == "MOD" && c.typ(e, lay) != forcelang.TReal) {
+		if t.Name == "SQRT" || (t.Name == "MOD" && e.Type() != forcelang.TReal) {
 			return false
 		}
 		for _, a := range t.Args {
-			if !c.hoistable(a, lay) {
+			if !c.hoistable(a) {
 				return false
 			}
 		}
@@ -367,12 +364,12 @@ func (c *compiler) hoistable(e forcelang.Expr, lay *unitLayout) bool {
 
 // hoistWorthwhile screens out expressions whose per-iteration cost is
 // already a single local load: literals and private scalar reads.
-func hoistWorthwhile(e forcelang.Expr, lay *unitLayout) bool {
+func hoistWorthwhile(e forcelang.Expr) bool {
 	switch t := e.(type) {
 	case *forcelang.IntLit, *forcelang.RealLit, *forcelang.BoolLit:
 		return false
 	case *forcelang.Ref:
-		if sym, ok := lay.syms[t.Name]; ok && sym.class == scPrivate {
+		if t.Sym.Storage == scPrivate {
 			return false
 		}
 	}
@@ -382,47 +379,47 @@ func hoistWorthwhile(e forcelang.Expr, lay *unitLayout) bool {
 // hoisting reports whether e, met at the entry of cInt/cReal/cBool,
 // should become a read of a uniform slot: the compiler is in chunk mode
 // and e is hoistable and worth it.
-func (c *compiler) hoisting(e forcelang.Expr, lay *unitLayout) bool {
-	return c.plan != nil && c.hoistable(e, lay) && hoistWorthwhile(e, lay)
+func (c *compiler) hoisting(e forcelang.Expr) bool {
+	return c.plan != nil && c.hoistable(e) && hoistWorthwhile(e)
 }
 
 // hoistInt returns the uniform-slot read replacing e, or nil when e
 // does not hoist; hoistReal and hoistBool are its typed twins.  The
 // hoisted expression itself is compiled with the plan cleared: it is
 // part of the prologue, which runs outside the loop.
-func (c *compiler) hoistInt(e forcelang.Expr, lay *unitLayout) intFn {
-	if !c.hoisting(e, lay) {
+func (c *compiler) hoistInt(e forcelang.Expr) intFn {
+	if !c.hoisting(e) {
 		return nil
 	}
 	cp := c.plan
 	c.plan = nil
-	ev := c.cInt(e, lay)
+	ev := c.cInt(e)
 	c.plan = cp
 	slot := len(cp.uniInt)
 	cp.uniInt = append(cp.uniInt, ev)
 	return func(pr *cproc, fr *frame) int64 { return pr.k.uniI[slot] }
 }
 
-func (c *compiler) hoistReal(e forcelang.Expr, lay *unitLayout) realFn {
-	if !c.hoisting(e, lay) {
+func (c *compiler) hoistReal(e forcelang.Expr) realFn {
+	if !c.hoisting(e) {
 		return nil
 	}
 	cp := c.plan
 	c.plan = nil
-	ev := c.cReal(e, lay)
+	ev := c.cReal(e)
 	c.plan = cp
 	slot := len(cp.uniReal)
 	cp.uniReal = append(cp.uniReal, ev)
 	return func(pr *cproc, fr *frame) float64 { return pr.k.uniR[slot] }
 }
 
-func (c *compiler) hoistBool(e forcelang.Expr, lay *unitLayout) boolFn {
-	if !c.hoisting(e, lay) {
+func (c *compiler) hoistBool(e forcelang.Expr) boolFn {
+	if !c.hoisting(e) {
 		return nil
 	}
 	cp := c.plan
 	c.plan = nil
-	ev := c.cBool(e, lay)
+	ev := c.cBool(e)
 	c.plan = cp
 	slot := len(cp.uniBool)
 	cp.uniBool = append(cp.uniBool, ev)

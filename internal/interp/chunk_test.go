@@ -63,21 +63,17 @@ func TestChunkEquivalence(t *testing.T) {
 	}
 }
 
-// classify parses src, resolves it and classifies its first top-level
-// ParDo, returning the plan (nil if the body fell back) and the reason.
+// classify parses src and classifies its first top-level ParDo,
+// returning the plan (nil if the body fell back) and the reason.
 func classify(t *testing.T, src string) (*plan.Plan, string) {
 	t.Helper()
 	prog, err := forcelang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	res, err := resolveProgram(prog)
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
-	}
 	for _, st := range prog.Body {
 		if pd, ok := st.(*forcelang.ParDo); ok {
-			return res.units[""].pu.Classify(pd)
+			return plan.Classify(pd)
 		}
 	}
 	t.Fatal("no ParDo in program body")

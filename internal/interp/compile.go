@@ -20,12 +20,11 @@ package interp
 
 import (
 	"fmt"
-	"math"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/plan"
 	"repro/internal/sched"
 )
@@ -71,32 +70,22 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 	// Main first, then the subroutines in source order — the order the
 	// Go emitter walks them — so the decisions narrated through FuseLog
 	// read the same from run to run and from tier to tier.
-	c.units[""].body = c.stmts(in.res.prog.Body, c.units[""].lay)
+	c.units[""].body = c.stmts(in.res.prog.Body)
 	for _, sub := range in.res.prog.Subs {
-		cu := c.units[sub.Name]
-		cu.body = c.stmts(sub.Body, cu.lay)
+		c.units[sub.Name].body = c.stmts(sub.Body)
 	}
 	return &cprogram{units: c.units, main: c.units[""]}, nil
 }
 
-// typ returns the checker's static type of e in the unit's scope.
-func (c *compiler) typ(e forcelang.Expr, lay *unitLayout) forcelang.Type {
-	t, err := forcelang.TypeOf(c.res.prog, lay.scope, e)
-	if err != nil {
-		panic(compileErr{fmt.Errorf("interp: compile: %w", err)})
-	}
-	return t
-}
-
 // --- statements --------------------------------------------------------
 
-func (c *compiler) stmts(list []forcelang.Stmt, lay *unitLayout) []stmtFn {
+func (c *compiler) stmts(list []forcelang.Stmt) []stmtFn {
 	if c.fuseEnabled() {
-		return c.fusedStmts(list, lay)
+		return c.fusedStmts(list)
 	}
 	out := make([]stmtFn, len(list))
 	for i, st := range list {
-		out[i] = c.stmt(st, lay)
+		out[i] = c.stmt(st)
 	}
 	return out
 }
@@ -107,14 +96,14 @@ func runBody(body []stmtFn, pr *cproc, fr *frame) {
 	}
 }
 
-func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
+func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 	switch t := st.(type) {
 	case *forcelang.Assign:
-		return c.assign(t, lay)
+		return c.assign(t)
 	case *forcelang.If:
-		cond := c.cBool(t.Cond, lay)
-		then := c.stmts(t.Then, lay)
-		els := c.stmts(t.Else, lay)
+		cond := c.cBool(t.Cond)
+		then := c.stmts(t.Then)
+		els := c.stmts(t.Else)
 		return func(pr *cproc, fr *frame) {
 			if cond(pr, fr) {
 				runBody(then, pr, fr)
@@ -123,9 +112,9 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			}
 		}
 	case *forcelang.SeqDo:
-		rangeF := c.rangeFn(t.From, t.To, t.Step, lay)
-		storeVar := c.intVarStore(t.Var, lay, t.Pos())
-		body := c.stmts(t.Body, lay)
+		rangeF := c.rangeFn(t.From, t.To, t.Step)
+		storeVar := c.intVarStore(t.VarSym, t.Pos())
+		body := c.stmts(t.Body)
 		return func(pr *cproc, fr *frame) {
 			r := rangeF(pr, fr)
 			to, step := int64(r.Last), int64(r.Incr)
@@ -135,8 +124,8 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			}
 		}
 	case *forcelang.WhileDo:
-		cond := c.cBool(t.Cond, lay)
-		body := c.stmts(t.Body, lay)
+		cond := c.cBool(t.Cond)
+		body := c.stmts(t.Body)
 		return func(pr *cproc, fr *frame) {
 			for cond(pr, fr) {
 				// A poisoned force must not wait out a (possibly
@@ -147,16 +136,16 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			}
 		}
 	case *forcelang.ParDo:
-		return c.parDo(t, lay)
+		return c.parDo(t)
 	case *forcelang.BarrierStmt:
-		section := c.stmts(t.Section, lay)
+		section := c.stmts(t.Section)
 		note := noteStr("Barrier", t.Pos())
 		return func(pr *cproc, fr *frame) {
 			pr.p.Note(note)
 			pr.p.BarrierSection(func() { runBody(section, pr, fr) })
 		}
 	case *forcelang.CriticalStmt:
-		body := c.stmts(t.Body, lay)
+		body := c.stmts(t.Body)
 		name := t.Name
 		note := noteStr("Critical "+name, t.Pos())
 		return func(pr *cproc, fr *frame) {
@@ -171,9 +160,9 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 		blocks := make([]cblock, len(t.Blocks))
 		for i, b := range t.Blocks {
 			if b.Cond != nil {
-				blocks[i].cond = c.cBool(b.Cond, lay)
+				blocks[i].cond = c.cBool(b.Cond)
 			}
-			blocks[i].body = c.stmts(b.Body, lay)
+			blocks[i].body = c.stmts(b.Body)
 		}
 		selfsched := t.Selfsched
 		note := noteStr("Pcase", t.Pos())
@@ -195,9 +184,9 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			}
 		}
 	case *forcelang.AskforStmt:
-		seedF := c.cInt(t.Seed, lay)
-		storeVar := c.intVarStore(t.Var, lay, t.Pos())
-		body := c.stmts(t.Body, lay)
+		seedF := c.cInt(t.Seed)
+		storeVar := c.intVarStore(t.VarSym, t.Pos())
+		body := c.stmts(t.Body)
 		note := noteStr("Askfor", t.Pos())
 		return func(pr *cproc, fr *frame) {
 			pr.p.Note(note)
@@ -210,24 +199,24 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			})
 		}
 	case *forcelang.PutStmt:
-		ev := c.asInt(t.Expr, lay)
+		ev := c.asInt(t.Expr)
 		line := t.Pos()
 		return func(pr *cproc, fr *frame) {
 			if len(pr.puts) == 0 {
-				panic(rtErrf(line, "Put outside an Askfor body"))
+				panic(forcert.Errorf(line, "Put outside an Askfor body"))
 			}
 			pr.puts[len(pr.puts)-1](ev(pr, fr))
 		}
 	case *forcelang.ReduceStmt:
-		inner := c.greduce(t, lay)
+		inner := c.greduce(t)
 		note := noteStr(t.Op.String(), t.Pos())
 		return func(pr *cproc, fr *frame) {
 			pr.p.Note(note)
 			inner(pr, fr)
 		}
 	case *forcelang.ProduceStmt:
-		cellF := c.asyncCellFn(t.Var, t.Sub, lay, t.Pos())
-		ev, _ := c.val(t.Expr, lay)
+		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
+		ev, _ := c.val(t.Expr)
 		note := noteStr("Produce "+t.Var, t.Pos())
 		return func(pr *cproc, fr *frame) {
 			cell := cellF(pr, fr)
@@ -236,8 +225,8 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			pr.p.WithSite(&core.AsyncSiteLabel, func() { cell.Produce(v) })
 		}
 	case *forcelang.ConsumeStmt:
-		cellF := c.asyncCellFn(t.Var, t.Sub, lay, t.Pos())
-		store, tt := c.refStore(&t.Target, lay)
+		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
+		store, tt := c.refStore(&t.Target)
 		line := t.Pos()
 		note := noteStr("Consume "+t.Var, line)
 		return func(pr *cproc, fr *frame) {
@@ -250,8 +239,8 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			store(pr, fr, coerce(v, tt, line))
 		}
 	case *forcelang.CopyStmt:
-		cellF := c.asyncCellFn(t.Var, t.Sub, lay, t.Pos())
-		store, tt := c.refStore(&t.Target, lay)
+		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
+		store, tt := c.refStore(&t.Target)
 		line := t.Pos()
 		note := noteStr("Copy "+t.Var, line)
 		return func(pr *cproc, fr *frame) {
@@ -262,7 +251,7 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			store(pr, fr, coerce(v, tt, line))
 		}
 	case *forcelang.VoidStmt:
-		cellF := c.asyncCellFn(t.Var, t.Sub, lay, t.Pos())
+		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
 		note := noteStr("Void "+t.Var, t.Pos())
 		return func(pr *cproc, fr *frame) {
 			cell := cellF(pr, fr)
@@ -270,9 +259,9 @@ func (c *compiler) stmt(st forcelang.Stmt, lay *unitLayout) stmtFn {
 			pr.p.WithSite(&core.AsyncSiteLabel, cell.Void)
 		}
 	case *forcelang.PrintStmt:
-		return c.print(t, lay)
+		return c.print(t)
 	case *forcelang.CallStmt:
-		return c.call(t, lay)
+		return c.call(t)
 	default:
 		panic(compileErrf("line %d: unhandled statement %T", st.Pos(), st))
 	}
@@ -289,52 +278,47 @@ func noteStr(kind string, line int) *string {
 // rangeFn compiles a loop header (a nil step means 1) to the closure
 // evaluating its range — from, to, step, in that order — and rejecting
 // a zero step.
-func (c *compiler) rangeFn(from, to, step forcelang.Expr, lay *unitLayout) func(pr *cproc, fr *frame) sched.Range {
-	fromF, toF := c.cInt(from, lay), c.cInt(to, lay)
+func (c *compiler) rangeFn(from, to, step forcelang.Expr) func(pr *cproc, fr *frame) sched.Range {
+	fromF, toF := c.cInt(from), c.cInt(to)
 	stepF := func(pr *cproc, fr *frame) int64 { return 1 }
 	if step != nil {
-		stepF = c.cInt(step, lay)
+		stepF = c.cInt(step)
 	}
 	line := from.Pos()
 	return func(pr *cproc, fr *frame) sched.Range {
-		r := sched.Range{Start: int(fromF(pr, fr)), Last: int(toF(pr, fr)), Incr: int(stepF(pr, fr))}
-		if r.Incr == 0 {
-			panic(rtErrf(line, "loop step is zero"))
-		}
-		return r
+		return sched.Range{Start: int(fromF(pr, fr)), Last: int(toF(pr, fr)), Incr: int(forcert.Step(line, stepF(pr, fr)))}
 	}
 }
 
 // intVarStore compiles the store of a raw int64 into a scalar INTEGER
 // variable (loop indices, Askfor task variables).
-func (c *compiler) intVarStore(name string, lay *unitLayout, line int) func(pr *cproc, fr *frame, i int64) {
-	sym := lay.lookup(name, line)
-	switch sym.class {
+func (c *compiler) intVarStore(sym *forcelang.Symbol, line int) func(pr *cproc, fr *frame, i int64) {
+	switch sym.Storage {
 	case scPrivate:
-		slot := sym.slot
+		slot := sym.Slot
 		return func(pr *cproc, fr *frame, i int64) { fr.priv[slot] = intVal(i) }
 	case scShared:
-		cell := c.in.scalar(sym.unit, sym.slot)
+		cell := c.in.scalar(sym)
 		return func(pr *cproc, fr *frame, i int64) { cell.store(intVal(i)) }
 	case scParam:
-		idx := sym.slot
+		idx := sym.Param
 		return func(pr *cproc, fr *frame, i int64) { fr.params[idx].sc.store(intVal(i)) }
 	default:
-		panic(compileErrf("line %d: %s is not a scalar variable", line, name))
+		panic(compileErrf("line %d: %s is not a scalar variable", line, sym.Name))
 	}
 }
 
-func (c *compiler) parDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
+func (c *compiler) parDo(t *forcelang.ParDo) stmtFn {
 	// Chunk tier first (ExecChunked only): bodies the classifier proves
 	// safe run as per-span tight loops; everything else — and every
 	// body under ExecCompiled or an iteration-level trace — takes the
 	// per-iteration path below.
-	if fn := c.tryChunkParDo(t, lay); fn != nil {
+	if fn := c.tryChunkParDo(t); fn != nil {
 		return fn
 	}
-	rangeF := c.rangeFn(t.From, t.To, t.Step, lay)
-	storeVar := c.intVarStore(t.Var, lay, t.Pos())
-	body := c.stmts(t.Body, lay)
+	rangeF := c.rangeFn(t.From, t.To, t.Step)
+	storeVar := c.intVarStore(t.VarSym, t.Pos())
+	body := c.stmts(t.Body)
 	presched := t.Sched == forcelang.Presched
 	note := noteStr("DOALL", t.Pos())
 	if t.Inner == nil {
@@ -352,8 +336,8 @@ func (c *compiler) parDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 			}
 		}
 	}
-	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step, lay)
-	storeInner := c.intVarStore(t.Inner.Var, lay, t.Pos())
+	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step)
+	storeInner := c.intVarStore(t.Inner.VarSym, t.Pos())
 	return func(pr *cproc, fr *frame) {
 		pr.p.Note(note)
 		r := rangeF(pr, fr)
@@ -375,11 +359,11 @@ func (c *compiler) parDo(t *forcelang.ParDo, lay *unitLayout) stmtFn {
 // across the force in the target's type (so the compiled executor, the
 // tree walker and the code generator all fold in the same arithmetic)
 // and every process assigns the combined value.
-func (c *compiler) greduce(t *forcelang.ReduceStmt, lay *unitLayout) stmtFn {
-	store, tt := c.refStore(&t.Target, lay)
+func (c *compiler) greduce(t *forcelang.ReduceStmt) stmtFn {
+	store, tt := c.refStore(&t.Target)
 	op := t.Op
 	if op.Logical() {
-		bv := c.cBool(t.Expr, lay)
+		bv := c.cBool(t.Expr)
 		return func(pr *cproc, fr *frame) {
 			b := bv(pr, fr)
 			var out bool
@@ -392,12 +376,12 @@ func (c *compiler) greduce(t *forcelang.ReduceStmt, lay *unitLayout) stmtFn {
 		}
 	}
 	if tt == forcelang.TInt {
-		iv := c.asInt(t.Expr, lay)
+		iv := c.asInt(t.Expr)
 		return func(pr *cproc, fr *frame) {
 			store(pr, fr, intVal(greduceNum(pr.p, op, iv(pr, fr))))
 		}
 	}
-	rv := c.cReal(t.Expr, lay)
+	rv := c.cReal(t.Expr)
 	return func(pr *cproc, fr *frame) {
 		store(pr, fr, realVal(greduceNum(pr.p, op, rv(pr, fr))))
 	}
@@ -405,21 +389,20 @@ func (c *compiler) greduce(t *forcelang.ReduceStmt, lay *unitLayout) stmtFn {
 
 // asyncCellFn compiles the cell address of an async statement: the entry
 // is resolved at compile time, only the optional subscript at run time.
-func (c *compiler) asyncCellFn(varName string, sub forcelang.Expr, lay *unitLayout, line int) func(pr *cproc, fr *frame) asyncCell {
-	sym := lay.lookup(varName, line)
-	if sym.class != scAsync {
-		panic(compileErrf("line %d: %s is not an Async variable", line, varName))
+func (c *compiler) asyncCellFn(sym *forcelang.Symbol, sub forcelang.Expr, line int) func(pr *cproc, fr *frame) asyncCell {
+	if sym.Storage != scAsync {
+		panic(compileErrf("line %d: %s is not an Async variable", line, sym.Name))
 	}
-	e := c.in.async(sym.unit, sym.slot)
-	name := varName
+	e := c.in.asyncs[sym.Unit][sym.Slot]
+	name := sym.Name
 	if sub == nil {
 		return func(pr *cproc, fr *frame) asyncCell { return e.at(0, false, name, line) }
 	}
-	sf := c.cInt(sub, lay)
+	sf := c.cInt(sub)
 	return func(pr *cproc, fr *frame) asyncCell { return e.at(sf(pr, fr), true, name, line) }
 }
 
-func (c *compiler) print(t *forcelang.PrintStmt, lay *unitLayout) stmtFn {
+func (c *compiler) print(t *forcelang.PrintStmt) stmtFn {
 	type part struct {
 		lit string
 		ev  valFn
@@ -430,30 +413,30 @@ func (c *compiler) print(t *forcelang.PrintStmt, lay *unitLayout) stmtFn {
 			parts[i] = part{lit: s.Value}
 			continue
 		}
-		ev, _ := c.val(item, lay)
+		ev, _ := c.val(item)
 		parts[i] = part{ev: ev}
 	}
 	return func(pr *cproc, fr *frame) {
-		strs := make([]string, len(parts))
+		var line forcert.Line
 		for i := range parts {
 			if parts[i].ev == nil {
-				strs[i] = parts[i].lit
+				line.Str(parts[i].lit)
 			} else {
-				strs[i] = parts[i].ev(pr, fr).String()
+				parts[i].ev(pr, fr).printTo(&line)
 			}
 		}
-		pr.in.out.writeLine(strings.Join(strs, " ") + "\n")
+		pr.in.out.writeLine(line.String())
 	}
 }
 
-func (c *compiler) call(t *forcelang.CallStmt, lay *unitLayout) stmtFn {
+func (c *compiler) call(t *forcelang.CallStmt) stmtFn {
 	target, ok := c.units[t.Name]
 	if !ok {
 		panic(compileErrf("line %d: call of undefined subroutine %s", t.Pos(), t.Name))
 	}
 	binders := make([]func(pr *cproc, fr *frame) cparam, len(t.Args))
 	for i := range t.Args {
-		binders[i] = c.bindArg(&t.Args[i], target.lay.params[i].decl, lay)
+		binders[i] = c.bindArg(&t.Args[i], target.lay.params[i])
 	}
 	return func(pr *cproc, fr *frame) {
 		nf := target.getFrame(int64(pr.p.ID()))
@@ -468,60 +451,60 @@ func (c *compiler) call(t *forcelang.CallStmt, lay *unitLayout) stmtFn {
 // bindArg compiles the binding of one call argument to the callee's
 // parameter: a scalar alias (shared cell, caller-private slot, array
 // element, or a forwarded parameter) or a whole-array alias.
-func (c *compiler) bindArg(arg *forcelang.Ref, paramDecl forcelang.Decl, lay *unitLayout) func(pr *cproc, fr *frame) cparam {
-	sym := lay.lookup(arg.Name, arg.Pos())
+func (c *compiler) bindArg(arg *forcelang.Ref, param *forcelang.Symbol) func(pr *cproc, fr *frame) cparam {
+	sym := arg.Sym
 	if len(arg.Subs) > 0 {
 		// Element argument: alias the single cell.
-		switch sym.class {
+		switch sym.Storage {
 		case scSharedArray:
-			arr := c.in.array(sym.unit, sym.slot)
-			off := c.offsetFn(sym.decl.Dims, arg.Subs, arg.Name, arg.Pos(), lay)
+			arr := c.in.array(sym)
+			off := c.offsetFn(sym.Dims, arg.Subs, arg.Name, arg.Pos())
 			return func(pr *cproc, fr *frame) cparam {
 				return cparam{sc: elemRef{a: arr, off: off(pr, fr)}}
 			}
 		case scPrivArray:
-			slot := sym.slot
-			off := c.offsetFn(sym.decl.Dims, arg.Subs, arg.Name, arg.Pos(), lay)
+			slot := sym.Slot
+			off := c.offsetFn(sym.Dims, arg.Subs, arg.Name, arg.Pos())
 			return func(pr *cproc, fr *frame) cparam {
 				return cparam{sc: elemRef{a: fr.arrs[slot], off: off(pr, fr)}}
 			}
 		case scParam:
-			idx := sym.slot
-			subs := c.intFns(arg.Subs, lay)
+			idx := sym.Param
+			subs := c.intFns(arg.Subs)
 			name, line := arg.Name, arg.Pos()
 			return func(pr *cproc, fr *frame) cparam {
 				ar := fr.params[idx].ar
-				off := flatOffset(ar.shape(), evalSubs(subs, pr, fr), name, line)
+				off := forcert.Offset(line, name, ar.shape(), evalSubs(subs, pr, fr))
 				return cparam{sc: elemRef{a: ar, off: off}}
 			}
 		}
 		panic(compileErrf("line %d: %s is not an array", arg.Pos(), arg.Name))
 	}
-	if len(paramDecl.Dims) > 0 {
+	if len(param.Dims) > 0 {
 		// Whole-array argument.
-		switch sym.class {
+		switch sym.Storage {
 		case scSharedArray:
-			arr := c.in.array(sym.unit, sym.slot)
+			arr := c.in.array(sym)
 			return func(pr *cproc, fr *frame) cparam { return cparam{ar: arr} }
 		case scPrivArray:
-			slot := sym.slot
+			slot := sym.Slot
 			return func(pr *cproc, fr *frame) cparam { return cparam{ar: fr.arrs[slot]} }
 		case scParam:
-			idx := sym.slot
+			idx := sym.Param
 			return func(pr *cproc, fr *frame) cparam { return cparam{ar: fr.params[idx].ar} }
 		}
 		panic(compileErrf("line %d: argument %s is not an array", arg.Pos(), arg.Name))
 	}
 	// Scalar argument.
-	switch sym.class {
+	switch sym.Storage {
 	case scShared:
-		cell := c.in.scalar(sym.unit, sym.slot)
+		cell := c.in.scalar(sym)
 		return func(pr *cproc, fr *frame) cparam { return cparam{sc: cell} }
 	case scPrivate:
-		slot := sym.slot
+		slot := sym.Slot
 		return func(pr *cproc, fr *frame) cparam { return cparam{sc: privPtr{p: &fr.priv[slot]}} }
 	case scParam:
-		idx := sym.slot
+		idx := sym.Param
 		return func(pr *cproc, fr *frame) cparam { return cparam{sc: fr.params[idx].sc} }
 	}
 	panic(compileErrf("line %d: argument %s is not a scalar variable", arg.Pos(), arg.Name))
@@ -531,126 +514,126 @@ func (c *compiler) bindArg(arg *forcelang.Ref, paramDecl forcelang.Decl, lay *un
 
 // assign compiles an assignment.  The value is coerced to the target's
 // declared type at compile time and evaluated before the subscripts, as
-// everywhere.  A shared accumulate (plan.Unit.MatchAccum) is one indivisible
+// everywhere.  A shared accumulate (plan.MatchAccum) is one indivisible
 // update: folded into the chunk context when the plan says so, an atomic
 // RMW on the cell otherwise.  Shared words take typed stores; every
 // other target the boxed refStore.
-func (c *compiler) assign(t *forcelang.Assign, lay *unitLayout) stmtFn {
-	sym := lay.lookup(t.Target.Name, t.Pos())
-	tt := sym.decl.Type
+func (c *compiler) assign(t *forcelang.Assign) stmtFn {
+	sym := t.Target.Sym
+	tt := sym.Type
 	switch {
-	case sym.class == scShared && len(t.Target.Subs) == 0:
-		cell := c.in.scalar(sym.unit, sym.slot)
-		if acc, ok := lay.pu.MatchAccum(t); ok {
+	case sym.Storage == scShared && len(t.Target.Subs) == 0:
+		cell := c.in.scalar(sym)
+		if acc, ok := plan.MatchAccum(t); ok {
 			if c.plan != nil {
 				if si, folded := c.plan.Accs[t.Target.Name]; folded {
-					return c.accAssign(acc, si, lay)
+					return c.accAssign(acc, si)
 				}
 			}
-			return c.atomicAccum(acc, cell, lay)
+			return c.atomicAccum(acc, cell)
 		}
 		switch tt {
 		case forcelang.TInt:
-			iv := c.asInt(t.Expr, lay)
+			iv := c.asInt(t.Expr)
 			return func(pr *cproc, fr *frame) { cell.storeInt(iv(pr, fr)) }
 		case forcelang.TReal:
-			rv := c.cReal(t.Expr, lay)
+			rv := c.cReal(t.Expr)
 			return func(pr *cproc, fr *frame) { cell.storeReal(rv(pr, fr)) }
 		default:
-			bv := c.cBool(t.Expr, lay)
+			bv := c.cBool(t.Expr)
 			return func(pr *cproc, fr *frame) { cell.storeBool(bv(pr, fr)) }
 		}
-	case sym.class == scSharedArray && len(t.Target.Subs) > 0:
-		arr := c.in.array(sym.unit, sym.slot)
-		off := c.offsetFn(sym.decl.Dims, t.Target.Subs, t.Target.Name, t.Pos(), lay)
+	case sym.Storage == scSharedArray && len(t.Target.Subs) > 0:
+		arr := c.in.array(sym)
+		off := c.offsetFn(sym.Dims, t.Target.Subs, t.Target.Name, t.Pos())
 		switch tt {
 		case forcelang.TInt:
-			iv := c.asInt(t.Expr, lay)
+			iv := c.asInt(t.Expr)
 			return func(pr *cproc, fr *frame) {
 				v := iv(pr, fr)
 				arr.storeInt(off(pr, fr), v)
 			}
 		case forcelang.TReal:
-			rv := c.cReal(t.Expr, lay)
+			rv := c.cReal(t.Expr)
 			return func(pr *cproc, fr *frame) {
 				v := rv(pr, fr)
 				arr.storeReal(off(pr, fr), v)
 			}
 		default:
-			bv := c.cBool(t.Expr, lay)
+			bv := c.cBool(t.Expr)
 			return func(pr *cproc, fr *frame) {
 				v := bv(pr, fr)
 				arr.storeBool(off(pr, fr), v)
 			}
 		}
 	}
-	store, _ := c.refStore(&t.Target, lay)
-	ev := c.valAs(t.Expr, lay, tt)
+	store, _ := c.refStore(&t.Target)
+	ev := c.valAs(t.Expr, tt)
 	return func(pr *cproc, fr *frame) { store(pr, fr, ev(pr, fr)) }
 }
 
 // atomicAccum compiles a shared accumulate to the store's atomic RMW —
 // the primitives kctx.flush folds with — so no update is ever lost,
 // whichever path executes the statement.
-func (c *compiler) atomicAccum(acc plan.Accum, cell *sharedScalar, lay *unitLayout) stmtFn {
+func (c *compiler) atomicAccum(acc plan.Accum, cell *sharedScalar) stmtFn {
 	switch {
 	case acc.Op == plan.AccSum:
-		dv := c.cInt(acc.Operand, lay)
+		dv := c.cInt(acc.Operand)
 		if acc.Negate {
-			return func(pr *cproc, fr *frame) { cell.addInt(-dv(pr, fr)) }
+			return func(pr *cproc, fr *frame) { forcert.Add(&cell.bits, -dv(pr, fr)) }
 		}
-		return func(pr *cproc, fr *frame) { cell.addInt(dv(pr, fr)) }
+		return func(pr *cproc, fr *frame) { forcert.Add(&cell.bits, dv(pr, fr)) }
 	case acc.Real:
-		av := c.cReal(acc.Operand, lay)
+		av := c.cReal(acc.Operand)
 		if acc.Op == plan.AccMax {
-			return func(pr *cproc, fr *frame) { cell.maxReal(av(pr, fr)) }
+			return func(pr *cproc, fr *frame) { forcert.MaxReal(&cell.bits, av(pr, fr)) }
 		}
-		return func(pr *cproc, fr *frame) { cell.minReal(av(pr, fr)) }
+		return func(pr *cproc, fr *frame) { forcert.MinReal(&cell.bits, av(pr, fr)) }
 	}
-	av := c.cInt(acc.Operand, lay)
+	av := c.cInt(acc.Operand)
 	if acc.Op == plan.AccMax {
-		return func(pr *cproc, fr *frame) { cell.maxInt(av(pr, fr)) }
+		return func(pr *cproc, fr *frame) { forcert.MaxInt(&cell.bits, av(pr, fr)) }
 	}
-	return func(pr *cproc, fr *frame) { cell.minInt(av(pr, fr)) }
+	return func(pr *cproc, fr *frame) { forcert.MinInt(&cell.bits, av(pr, fr)) }
 }
 
 // refStore compiles a boxed store into an lvalue (reduction, Consume and
 // Copy targets, and the assignment targets with no typed path),
 // returning the store closure and the variable's declared type; the
 // caller coerces the value to that type.
-func (c *compiler) refStore(t *forcelang.Ref, lay *unitLayout) (func(pr *cproc, fr *frame, v value), forcelang.Type) {
-	sym := lay.lookup(t.Name, t.Pos())
-	tt := sym.decl.Type
+func (c *compiler) refStore(t *forcelang.Ref) (func(pr *cproc, fr *frame, v value), forcelang.Type) {
+	sym := t.Sym
+	tt := sym.Type
 	if len(t.Subs) == 0 {
-		switch sym.class {
+		switch sym.Storage {
 		case scPrivate:
-			slot := sym.slot
+			slot := sym.Slot
 			return func(pr *cproc, fr *frame, v value) { fr.priv[slot] = v }, tt
 		case scShared:
-			cell := c.in.scalar(sym.unit, sym.slot)
+			cell := c.in.scalar(sym)
 			return func(pr *cproc, fr *frame, v value) { cell.store(v) }, tt
 		case scParam:
-			idx := sym.slot
+			idx := sym.Param
 			return func(pr *cproc, fr *frame, v value) { fr.params[idx].sc.store(v) }, tt
 		}
 		panic(compileErrf("line %d: cannot assign to %s", t.Pos(), t.Name))
 	}
-	switch sym.class {
+	switch sym.Storage {
 	case scSharedArray:
-		arr := c.in.array(sym.unit, sym.slot)
-		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
+		arr := c.in.array(sym)
+		off := c.offsetFn(sym.Dims, t.Subs, t.Name, t.Pos())
 		return func(pr *cproc, fr *frame, v value) { arr.store(off(pr, fr), v) }, tt
 	case scPrivArray:
-		slot := sym.slot
-		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
+		slot := sym.Slot
+		off := c.offsetFn(sym.Dims, t.Subs, t.Name, t.Pos())
 		return func(pr *cproc, fr *frame, v value) { fr.arrs[slot].data[off(pr, fr)] = v }, tt
 	case scParam:
-		idx := sym.slot
-		subs := c.intFns(t.Subs, lay)
+		idx := sym.Param
+		subs := c.intFns(t.Subs)
 		name, line := t.Name, t.Pos()
 		return func(pr *cproc, fr *frame, v value) {
 			ar := fr.params[idx].ar
-			ar.store(flatOffset(ar.shape(), evalSubs(subs, pr, fr), name, line), v)
+			ar.store(forcert.Offset(line, name, ar.shape(), evalSubs(subs, pr, fr)), v)
 		}, tt
 	}
 	panic(compileErrf("line %d: %s is not an array", t.Pos(), t.Name))
@@ -660,27 +643,27 @@ func (c *compiler) refStore(t *forcelang.Ref, lay *unitLayout) (func(pr *cproc, 
 // (refInt, refReal, refBool) have no direct path for: parameters, whose
 // storage is only known once a call binds it, and private array
 // elements, which are stored boxed.
-func (c *compiler) refLoad(t *forcelang.Ref, lay *unitLayout) valFn {
-	sym := lay.lookup(t.Name, t.Pos())
+func (c *compiler) refLoad(t *forcelang.Ref) valFn {
+	sym := t.Sym
 	if len(t.Subs) == 0 {
-		if sym.class == scParam {
-			idx := sym.slot
+		if sym.Storage == scParam {
+			idx := sym.Param
 			return func(pr *cproc, fr *frame) value { return fr.params[idx].sc.load() }
 		}
 		panic(compileErrf("line %d: %s cannot be read directly", t.Pos(), t.Name))
 	}
-	switch sym.class {
+	switch sym.Storage {
 	case scPrivArray:
-		slot := sym.slot
-		off := c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
+		slot := sym.Slot
+		off := c.offsetFn(sym.Dims, t.Subs, t.Name, t.Pos())
 		return func(pr *cproc, fr *frame) value { return fr.arrs[slot].data[off(pr, fr)] }
 	case scParam:
-		idx := sym.slot
-		subs := c.intFns(t.Subs, lay)
+		idx := sym.Param
+		subs := c.intFns(t.Subs)
 		name, line := t.Name, t.Pos()
 		return func(pr *cproc, fr *frame) value {
 			ar := fr.params[idx].ar
-			return ar.load(flatOffset(ar.shape(), evalSubs(subs, pr, fr), name, line))
+			return ar.load(forcert.Offset(line, name, ar.shape(), evalSubs(subs, pr, fr)))
 		}
 	}
 	panic(compileErrf("line %d: %s is not an array", t.Pos(), t.Name))
@@ -688,30 +671,23 @@ func (c *compiler) refLoad(t *forcelang.Ref, lay *unitLayout) valFn {
 
 // offsetFn compiles the flat offset of a subscripted reference against
 // statically known dimensions, bounds-checking at run time.
-func (c *compiler) offsetFn(dims []int, subs []forcelang.Expr, name string, line int, lay *unitLayout) func(pr *cproc, fr *frame) int {
+func (c *compiler) offsetFn(dims []int, subs []forcelang.Expr, name string, line int) func(pr *cproc, fr *frame) int {
 	if len(subs) != len(dims) {
 		panic(compileErrf("line %d: %s: %d subscripts for %d dims", line, name, len(subs), len(dims)))
 	}
-	fns := c.intFns(subs, lay)
+	fns := c.intFns(subs)
 	if len(dims) == 1 {
 		d0, s0 := dims[0], fns[0]
-		return func(pr *cproc, fr *frame) int {
-			s := s0(pr, fr)
-			if s < 1 || s > int64(d0) {
-				panic(rtErrf(line, "subscript 1 of %s out of range: %d not in [1,%d]", name, s, d0))
-			}
-			return int(s - 1)
-		}
+		return func(pr *cproc, fr *frame) int { return forcert.Idx1(line, name, s0(pr, fr), d0) }
 	}
-	return func(pr *cproc, fr *frame) int {
-		return flatOffset(dims, evalSubs(fns, pr, fr), name, line)
-	}
+	d0, d1, s0, s1 := dims[0], dims[1], fns[0], fns[1]
+	return func(pr *cproc, fr *frame) int { return forcert.Idx2(line, name, s0(pr, fr), s1(pr, fr), d0, d1) }
 }
 
-func (c *compiler) intFns(exprs []forcelang.Expr, lay *unitLayout) []intFn {
+func (c *compiler) intFns(exprs []forcelang.Expr) []intFn {
 	out := make([]intFn, len(exprs))
 	for i, e := range exprs {
-		out[i] = c.cInt(e, lay)
+		out[i] = c.cInt(e)
 	}
 	return out
 }
@@ -728,41 +704,41 @@ func evalSubs(fns []intFn, pr *cproc, fr *frame) []int64 {
 
 // val compiles an expression to a boxed value closure (Print, Produce),
 // returning its static type.
-func (c *compiler) val(e forcelang.Expr, lay *unitLayout) (valFn, forcelang.Type) {
-	t := c.typ(e, lay)
-	return c.valAs(e, lay, t), t
+func (c *compiler) val(e forcelang.Expr) (valFn, forcelang.Type) {
+	t := e.Type()
+	return c.valAs(e, t), t
 }
 
 // valAs compiles an expression to a boxed value of the wanted type,
 // placing the numeric conversion at compile time (the coercion the tree
 // walker re-decides on every store).
-func (c *compiler) valAs(e forcelang.Expr, lay *unitLayout, want forcelang.Type) valFn {
+func (c *compiler) valAs(e forcelang.Expr, want forcelang.Type) valFn {
 	switch want {
 	case forcelang.TInt:
-		iv := c.asInt(e, lay)
+		iv := c.asInt(e)
 		return func(pr *cproc, fr *frame) value { return intVal(iv(pr, fr)) }
 	case forcelang.TReal:
-		rv := c.cReal(e, lay)
+		rv := c.cReal(e)
 		return func(pr *cproc, fr *frame) value { return realVal(rv(pr, fr)) }
 	default:
-		bv := c.cBool(e, lay)
+		bv := c.cBool(e)
 		return func(pr *cproc, fr *frame) value { return boolVal(bv(pr, fr)) }
 	}
 }
 
 // asInt compiles a numeric expression to int64, truncating REAL values
 // (Fortran coercion).
-func (c *compiler) asInt(e forcelang.Expr, lay *unitLayout) intFn {
-	if c.typ(e, lay) == forcelang.TInt {
-		return c.cInt(e, lay)
+func (c *compiler) asInt(e forcelang.Expr) intFn {
+	if e.Type() == forcelang.TInt {
+		return c.cInt(e)
 	}
-	rv := c.cReal(e, lay)
+	rv := c.cReal(e)
 	return func(pr *cproc, fr *frame) int64 { return int64(rv(pr, fr)) }
 }
 
 // cInt compiles an INTEGER-typed expression to an unboxed int64 closure.
-func (c *compiler) cInt(e forcelang.Expr, lay *unitLayout) intFn {
-	if fn := c.hoistInt(e, lay); fn != nil {
+func (c *compiler) cInt(e forcelang.Expr) intFn {
+	if fn := c.hoistInt(e); fn != nil {
 		return fn
 	}
 	switch t := e.(type) {
@@ -770,12 +746,12 @@ func (c *compiler) cInt(e forcelang.Expr, lay *unitLayout) intFn {
 		v := t.Value
 		return func(pr *cproc, fr *frame) int64 { return v }
 	case *forcelang.Ref:
-		return c.refInt(t, lay)
+		return c.refInt(t)
 	case *forcelang.Un:
-		x := c.cInt(t.X, lay)
+		x := c.cInt(t.X)
 		return func(pr *cproc, fr *frame) int64 { return -x(pr, fr) }
 	case *forcelang.Bin:
-		l, r := c.cInt(t.L, lay), c.cInt(t.R, lay)
+		l, r := c.cInt(t.L), c.cInt(t.R)
 		switch t.Op {
 		case forcelang.OpAdd:
 			return func(pr *cproc, fr *frame) int64 { return l(pr, fr) + r(pr, fr) }
@@ -785,16 +761,10 @@ func (c *compiler) cInt(e forcelang.Expr, lay *unitLayout) intFn {
 			return func(pr *cproc, fr *frame) int64 { return l(pr, fr) * r(pr, fr) }
 		case forcelang.OpDiv:
 			line := t.Pos()
-			return func(pr *cproc, fr *frame) int64 {
-				rv := r(pr, fr)
-				if rv == 0 {
-					panic(rtErrf(line, "integer division by zero"))
-				}
-				return l(pr, fr) / rv
-			}
+			return func(pr *cproc, fr *frame) int64 { return forcert.Div(line, l(pr, fr), r(pr, fr)) }
 		}
 	case *forcelang.Intrinsic:
-		return c.intrinsicInt(t, lay)
+		return c.intrinsicInt(t)
 	}
 	panic(compileErrf("line %d: internal: %T is not an INTEGER expression", e.Pos(), e))
 }
@@ -802,71 +772,59 @@ func (c *compiler) cInt(e forcelang.Expr, lay *unitLayout) intFn {
 // sharedElem resolves a subscripted shared-array reference to its array
 // and offset closure, for the typed element loads; a nil array means t
 // is anything else.
-func (c *compiler) sharedElem(t *forcelang.Ref, lay *unitLayout) (*sharedArray, func(pr *cproc, fr *frame) int) {
-	sym := lay.lookup(t.Name, t.Pos())
-	if len(t.Subs) == 0 || sym.class != scSharedArray {
+func (c *compiler) sharedElem(t *forcelang.Ref) (*sharedArray, func(pr *cproc, fr *frame) int) {
+	sym := t.Sym
+	if len(t.Subs) == 0 || sym.Storage != scSharedArray {
 		return nil, nil
 	}
-	return c.in.array(sym.unit, sym.slot), c.offsetFn(sym.decl.Dims, t.Subs, t.Name, t.Pos(), lay)
+	return c.in.array(sym), c.offsetFn(sym.Dims, t.Subs, t.Name, t.Pos())
 }
 
 // refInt compiles an INTEGER reference.  In chunk mode the DOALL's own
 // indices (always private INTEGER scalars) read the chunk context, which
 // the span loop advances instead of the frame slot.
-func (c *compiler) refInt(t *forcelang.Ref, lay *unitLayout) intFn {
-	sym := lay.lookup(t.Name, t.Pos())
+func (c *compiler) refInt(t *forcelang.Ref) intFn {
+	sym := t.Sym
 	if len(t.Subs) == 0 {
 		switch {
 		case c.plan != nil && t.Name == c.plan.Outer:
 			return func(pr *cproc, fr *frame) int64 { return pr.k.i }
 		case c.plan != nil && t.Name == c.plan.Inner:
 			return func(pr *cproc, fr *frame) int64 { return pr.k.j }
-		case sym.class == scPrivate:
-			slot := sym.slot
+		case sym.Storage == scPrivate:
+			slot := sym.Slot
 			return func(pr *cproc, fr *frame) int64 { return fr.priv[slot].i }
-		case sym.class == scShared:
-			cell := c.in.scalar(sym.unit, sym.slot)
+		case sym.Storage == scShared:
+			cell := c.in.scalar(sym)
 			return func(pr *cproc, fr *frame) int64 { return cell.loadInt() }
 		}
 	}
-	if arr, off := c.sharedElem(t, lay); arr != nil {
+	if arr, off := c.sharedElem(t); arr != nil {
 		return func(pr *cproc, fr *frame) int64 { return arr.loadInt(off(pr, fr)) }
 	}
-	lv := c.refLoad(t, lay)
+	lv := c.refLoad(t)
 	return func(pr *cproc, fr *frame) int64 { return lv(pr, fr).i }
 }
 
-func (c *compiler) intrinsicInt(t *forcelang.Intrinsic, lay *unitLayout) intFn {
+func (c *compiler) intrinsicInt(t *forcelang.Intrinsic) intFn {
 	switch t.Name {
 	case "ABS":
-		x := c.cInt(t.Args[0], lay)
-		return func(pr *cproc, fr *frame) int64 {
-			v := x(pr, fr)
-			if v < 0 {
-				return -v
-			}
-			return v
-		}
+		x := c.cInt(t.Args[0])
+		return func(pr *cproc, fr *frame) int64 { return forcert.Abs(x(pr, fr)) }
 	case "INT":
 		// The tree walker converts through asReal even for INTEGER
 		// arguments; keep the identical data path.
-		rv := c.cReal(t.Args[0], lay)
+		rv := c.cReal(t.Args[0])
 		return func(pr *cproc, fr *frame) int64 { return int64(rv(pr, fr)) }
 	case "NINT":
-		rv := c.cReal(t.Args[0], lay)
-		return func(pr *cproc, fr *frame) int64 { return int64(math.Round(rv(pr, fr))) }
+		rv := c.cReal(t.Args[0])
+		return func(pr *cproc, fr *frame) int64 { return int64(forcert.Nint(rv(pr, fr))) }
 	case "MOD":
-		l, r := c.cInt(t.Args[0], lay), c.cInt(t.Args[1], lay)
+		l, r := c.cInt(t.Args[0]), c.cInt(t.Args[1])
 		line := t.Pos()
-		return func(pr *cproc, fr *frame) int64 {
-			rv := r(pr, fr)
-			if rv == 0 {
-				panic(rtErrf(line, "MOD by zero"))
-			}
-			return l(pr, fr) % rv
-		}
+		return func(pr *cproc, fr *frame) int64 { return forcert.ModInt(line, l(pr, fr), r(pr, fr)) }
 	case "MIN", "MAX":
-		args := c.intFns(t.Args, lay)
+		args := c.intFns(t.Args)
 		min := t.Name == "MIN"
 		return func(pr *cproc, fr *frame) int64 {
 			best := args[0](pr, fr)
@@ -884,12 +842,12 @@ func (c *compiler) intrinsicInt(t *forcelang.Intrinsic, lay *unitLayout) intFn {
 
 // cReal compiles a numeric expression to an unboxed float64 closure,
 // converting statically INTEGER subexpressions at the boundary.
-func (c *compiler) cReal(e forcelang.Expr, lay *unitLayout) realFn {
-	if fn := c.hoistReal(e, lay); fn != nil {
+func (c *compiler) cReal(e forcelang.Expr) realFn {
+	if fn := c.hoistReal(e); fn != nil {
 		return fn
 	}
-	if c.typ(e, lay) == forcelang.TInt {
-		iv := c.cInt(e, lay)
+	if e.Type() == forcelang.TInt {
+		iv := c.cInt(e)
 		return func(pr *cproc, fr *frame) float64 { return float64(iv(pr, fr)) }
 	}
 	switch t := e.(type) {
@@ -897,12 +855,12 @@ func (c *compiler) cReal(e forcelang.Expr, lay *unitLayout) realFn {
 		v := t.Value
 		return func(pr *cproc, fr *frame) float64 { return v }
 	case *forcelang.Ref:
-		return c.refReal(t, lay)
+		return c.refReal(t)
 	case *forcelang.Un:
-		x := c.cReal(t.X, lay)
+		x := c.cReal(t.X)
 		return func(pr *cproc, fr *frame) float64 { return -x(pr, fr) }
 	case *forcelang.Bin:
-		l, r := c.cReal(t.L, lay), c.cReal(t.R, lay)
+		l, r := c.cReal(t.L), c.cReal(t.R)
 		switch t.Op {
 		case forcelang.OpAdd:
 			return func(pr *cproc, fr *frame) float64 { return l(pr, fr) + r(pr, fr) }
@@ -915,54 +873,48 @@ func (c *compiler) cReal(e forcelang.Expr, lay *unitLayout) realFn {
 			return func(pr *cproc, fr *frame) float64 { return l(pr, fr) / r(pr, fr) }
 		}
 	case *forcelang.Intrinsic:
-		return c.intrinsicReal(t, lay)
+		return c.intrinsicReal(t)
 	}
 	panic(compileErrf("line %d: internal: %T is not a REAL expression", e.Pos(), e))
 }
 
-func (c *compiler) refReal(t *forcelang.Ref, lay *unitLayout) realFn {
-	sym := lay.lookup(t.Name, t.Pos())
+func (c *compiler) refReal(t *forcelang.Ref) realFn {
+	sym := t.Sym
 	if len(t.Subs) == 0 {
-		switch sym.class {
+		switch sym.Storage {
 		case scPrivate:
-			slot := sym.slot
+			slot := sym.Slot
 			return func(pr *cproc, fr *frame) float64 { return fr.priv[slot].r }
 		case scShared:
-			cell := c.in.scalar(sym.unit, sym.slot)
+			cell := c.in.scalar(sym)
 			return func(pr *cproc, fr *frame) float64 { return cell.loadReal() }
 		}
 	}
-	if arr, off := c.sharedElem(t, lay); arr != nil {
+	if arr, off := c.sharedElem(t); arr != nil {
 		return func(pr *cproc, fr *frame) float64 { return arr.loadReal(off(pr, fr)) }
 	}
-	lv := c.refLoad(t, lay)
+	lv := c.refLoad(t)
 	return func(pr *cproc, fr *frame) float64 { return lv(pr, fr).r }
 }
 
-func (c *compiler) intrinsicReal(t *forcelang.Intrinsic, lay *unitLayout) realFn {
+func (c *compiler) intrinsicReal(t *forcelang.Intrinsic) realFn {
 	switch t.Name {
 	case "ABS":
-		x := c.cReal(t.Args[0], lay)
-		return func(pr *cproc, fr *frame) float64 { return math.Abs(x(pr, fr)) }
+		x := c.cReal(t.Args[0])
+		return func(pr *cproc, fr *frame) float64 { return forcert.Abs(x(pr, fr)) }
 	case "SQRT":
-		x := c.cReal(t.Args[0], lay)
+		x := c.cReal(t.Args[0])
 		line := t.Pos()
-		return func(pr *cproc, fr *frame) float64 {
-			v := x(pr, fr)
-			if v < 0 {
-				panic(rtErrf(line, "SQRT of negative value %g", v))
-			}
-			return math.Sqrt(v)
-		}
+		return func(pr *cproc, fr *frame) float64 { return forcert.Sqrt(line, x(pr, fr)) }
 	case "REAL":
-		return c.cReal(t.Args[0], lay)
+		return c.cReal(t.Args[0])
 	case "MOD":
-		l, r := c.cReal(t.Args[0], lay), c.cReal(t.Args[1], lay)
-		return func(pr *cproc, fr *frame) float64 { return math.Mod(l(pr, fr), r(pr, fr)) }
+		l, r := c.cReal(t.Args[0]), c.cReal(t.Args[1])
+		return func(pr *cproc, fr *frame) float64 { return forcert.ModReal(l(pr, fr), r(pr, fr)) }
 	case "MIN", "MAX":
 		args := make([]realFn, len(t.Args))
 		for i, a := range t.Args {
-			args[i] = c.cReal(a, lay)
+			args[i] = c.cReal(a)
 		}
 		min := t.Name == "MIN"
 		return func(pr *cproc, fr *frame) float64 {
@@ -980,8 +932,8 @@ func (c *compiler) intrinsicReal(t *forcelang.Intrinsic, lay *unitLayout) realFn
 }
 
 // cBool compiles a LOGICAL-typed expression to an unboxed bool closure.
-func (c *compiler) cBool(e forcelang.Expr, lay *unitLayout) boolFn {
-	if fn := c.hoistBool(e, lay); fn != nil {
+func (c *compiler) cBool(e forcelang.Expr) boolFn {
+	if fn := c.hoistBool(e); fn != nil {
 		return fn
 	}
 	switch t := e.(type) {
@@ -989,50 +941,50 @@ func (c *compiler) cBool(e forcelang.Expr, lay *unitLayout) boolFn {
 		v := t.Value
 		return func(pr *cproc, fr *frame) bool { return v }
 	case *forcelang.Ref:
-		sym := lay.lookup(t.Name, t.Pos())
+		sym := t.Sym
 		if len(t.Subs) == 0 {
-			switch sym.class {
+			switch sym.Storage {
 			case scPrivate:
-				slot := sym.slot
+				slot := sym.Slot
 				return func(pr *cproc, fr *frame) bool { return fr.priv[slot].b }
 			case scShared:
-				cell := c.in.scalar(sym.unit, sym.slot)
+				cell := c.in.scalar(sym)
 				return func(pr *cproc, fr *frame) bool { return cell.loadBool() }
 			}
 		}
-		if arr, off := c.sharedElem(t, lay); arr != nil {
+		if arr, off := c.sharedElem(t); arr != nil {
 			return func(pr *cproc, fr *frame) bool { return arr.loadBool(off(pr, fr)) }
 		}
-		lv := c.refLoad(t, lay)
+		lv := c.refLoad(t)
 		return func(pr *cproc, fr *frame) bool { return lv(pr, fr).b }
 	case *forcelang.Un:
-		x := c.cBool(t.X, lay)
+		x := c.cBool(t.X)
 		return func(pr *cproc, fr *frame) bool { return !x(pr, fr) }
 	case *forcelang.Bin:
-		return c.binBool(t, lay)
+		return c.binBool(t)
 	}
 	panic(compileErrf("line %d: internal: %T is not a LOGICAL expression", e.Pos(), e))
 }
 
-func (c *compiler) binBool(t *forcelang.Bin, lay *unitLayout) boolFn {
+func (c *compiler) binBool(t *forcelang.Bin) boolFn {
 	switch t.Op {
 	case forcelang.OpAnd:
-		l, r := c.cBool(t.L, lay), c.cBool(t.R, lay)
+		l, r := c.cBool(t.L), c.cBool(t.R)
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) && r(pr, fr) }
 	case forcelang.OpOr:
-		l, r := c.cBool(t.L, lay), c.cBool(t.R, lay)
+		l, r := c.cBool(t.L), c.cBool(t.R)
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) || r(pr, fr) }
 	}
-	lt, rt := c.typ(t.L, lay), c.typ(t.R, lay)
+	lt, rt := t.L.Type(), t.R.Type()
 	if lt == forcelang.TLogical || rt == forcelang.TLogical {
-		l, r := c.cBool(t.L, lay), c.cBool(t.R, lay)
+		l, r := c.cBool(t.L), c.cBool(t.R)
 		if t.Op == forcelang.OpNe {
 			return func(pr *cproc, fr *frame) bool { return l(pr, fr) != r(pr, fr) }
 		}
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) == r(pr, fr) }
 	}
 	if lt == forcelang.TInt && rt == forcelang.TInt {
-		l, r := c.cInt(t.L, lay), c.cInt(t.R, lay)
+		l, r := c.cInt(t.L), c.cInt(t.R)
 		switch t.Op {
 		case forcelang.OpEq:
 			return func(pr *cproc, fr *frame) bool { return l(pr, fr) == r(pr, fr) }
@@ -1051,7 +1003,7 @@ func (c *compiler) binBool(t *forcelang.Bin, lay *unitLayout) boolFn {
 	// Real comparisons follow the tree walker's three-way-compare
 	// formulation (cmp stays 0 when neither side orders, e.g. NaN), so
 	// both engines agree on every input.
-	l, r := c.cReal(t.L, lay), c.cReal(t.R, lay)
+	l, r := c.cReal(t.L), c.cReal(t.R)
 	switch t.Op {
 	case forcelang.OpEq:
 		return func(pr *cproc, fr *frame) bool { lv, rv := l(pr, fr), r(pr, fr); return !(lv < rv) && !(lv > rv) }

@@ -52,7 +52,7 @@ type cproc struct {
 	k kctx
 }
 
-// cunit is one compiled unit: its resolved layout plus the statement
+// cunit is one compiled unit: its frame layout plus the statement
 // closures of its body (filled after every unit shell exists, so calls —
 // including recursive ones — link by pointer).
 type cunit struct {
@@ -79,9 +79,9 @@ func (u *cunit) newFrame(me int64) *frame {
 	fr.priv[0] = intVal(me)
 	if n := len(lay.privArrs); n > 0 {
 		fr.arrs = make([]*privArray, n)
-		for i, d := range lay.privArrs {
-			if d.Name != "" {
-				fr.arrs[i] = newPrivArray(d)
+		for i, sym := range lay.privArrs {
+			if sym != nil {
+				fr.arrs[i] = newPrivArray(sym.Decl)
 			}
 		}
 	}
@@ -150,37 +150,37 @@ func newCInstance(prog *forcelang.Program, cfg Config, res *resolution, f *core.
 	}
 	for unit, alloc := range res.allocs {
 		ss := make([]*sharedScalar, len(alloc.scalars))
-		for i, d := range alloc.scalars {
-			if d.Name != "" {
-				ss[i] = newSharedScalar(d.Type)
+		for i, sym := range alloc.scalars {
+			if sym != nil {
+				ss[i] = newSharedScalar(sym.Type)
 			}
 		}
 		sa := make([]*sharedArray, len(alloc.arrays))
-		for i, d := range alloc.arrays {
-			if d.Name != "" {
-				sa[i] = newSharedArray(d)
+		for i, sym := range alloc.arrays {
+			if sym != nil {
+				sa[i] = newSharedArray(sym.Decl)
 			}
 		}
 		as := make([]*asyncEntry, len(alloc.asyncs))
-		for i, d := range alloc.asyncs {
-			if d.Name == "" {
-				continue
+		for i, sym := range alloc.asyncs {
+			if sym != nil {
+				as[i] = newAsyncEntry(sym.Decl, cfg, f)
 			}
-			as[i] = newAsyncEntry(d, cfg, f)
 		}
 		in.scalars[unit] = ss
 		in.arrays[unit] = sa
 		in.asyncs[unit] = as
 	}
 	// NP is shared-scalar slot 0 of the main unit.
-	np := res.units[""].syms[prog.NPVar]
-	in.scalars[np.unit][np.slot].store(intVal(int64(cfg.NP)))
+	in.scalars[""][0].storeInt(int64(cfg.NP))
 	return in
 }
 
-func (in *cinstance) scalar(unit string, slot int) *sharedScalar { return in.scalars[unit][slot] }
-func (in *cinstance) array(unit string, slot int) *sharedArray   { return in.arrays[unit][slot] }
-func (in *cinstance) async(unit string, slot int) *asyncEntry    { return in.asyncs[unit][slot] }
+// scalar and array are the storage behind a shared symbol.
+func (in *cinstance) scalar(sym *forcelang.Symbol) *sharedScalar {
+	return in.scalars[sym.Unit][sym.Slot]
+}
+func (in *cinstance) array(sym *forcelang.Symbol) *sharedArray { return in.arrays[sym.Unit][sym.Slot] }
 
 // runCompiled resolves, compiles and executes the program on the core
 // runtime — both compiled-family engines (Config.Exec == ExecChunked,

@@ -42,18 +42,18 @@ func (c *compiler) planLog() plan.Logf {
 // fusedStmts is the fusion-aware statement-list compiler: a proven
 // region starting at a DOALL compiles as one statement, everything else
 // through the ordinary per-statement path.
-func (c *compiler) fusedStmts(list []forcelang.Stmt, lay *unitLayout) []stmtFn {
+func (c *compiler) fusedStmts(list []forcelang.Stmt) []stmtFn {
 	out := make([]stmtFn, 0, len(list))
 	slots := c.in.cfg.Reduce == reduce.PrivateSlots
 	for i := 0; i < len(list); {
 		if _, isPD := list[i].(*forcelang.ParDo); isPD {
-			if reg := lay.pu.Fuse(list, i, slots, c.planLog()); reg != nil {
-				out = append(out, c.fusedRegion(reg, lay))
+			if reg := plan.Fuse(list, i, slots, c.planLog()); reg != nil {
+				out = append(out, c.fusedRegion(reg))
 				i += reg.Len()
 				continue
 			}
 		}
-		out = append(out, c.stmt(list[i], lay))
+		out = append(out, c.stmt(list[i]))
 		i++
 	}
 	return out
@@ -62,10 +62,10 @@ func (c *compiler) fusedStmts(list []forcelang.Stmt, lay *unitLayout) []stmtFn {
 // fusedRegion compiles one proven region: each member against its own
 // plan as an open construct, closed by one fused join that also folds
 // the reduction tail when the region has one.
-func (c *compiler) fusedRegion(reg *plan.Region, lay *unitLayout) stmtFn {
+func (c *compiler) fusedRegion(reg *plan.Region) stmtFn {
 	opens := make([]stmtFn, len(reg.Members))
 	for i, m := range reg.Members {
-		opens[i] = c.chunkParDo(m, lay, reg.Plans[i], true, reg.Block)
+		opens[i] = c.chunkParDo(m, reg.Plans[i], true, reg.Block)
 	}
 	red := reg.Red
 	if red == nil {
@@ -79,11 +79,11 @@ func (c *compiler) fusedRegion(reg *plan.Region, lay *unitLayout) stmtFn {
 			pr.p.FusedJoin(reduce.Sum, reduce.NumInt, 0)
 		}
 	}
-	store, tt := c.refStore(&red.Target, lay)
+	store, tt := c.refStore(&red.Target)
 	rop := foldOp(red.Op)
 	note := noteStr(red.Op.String(), red.Pos())
 	if tt == forcelang.TInt {
-		iv := c.asInt(red.Expr, lay)
+		iv := c.asInt(red.Expr)
 		return func(pr *cproc, fr *frame) {
 			for _, open := range opens {
 				open(pr, fr)
@@ -93,7 +93,7 @@ func (c *compiler) fusedRegion(reg *plan.Region, lay *unitLayout) stmtFn {
 			store(pr, fr, intVal(int64(out)))
 		}
 	}
-	rv := c.cReal(red.Expr, lay)
+	rv := c.cReal(red.Expr)
 	return func(pr *cproc, fr *frame) {
 		for _, open := range opens {
 			open(pr, fr)

@@ -16,10 +16,11 @@
 // (Config.Exec):
 //
 //   - ExecChunked (the default) and ExecCompiled are the same staged
-//     engine: a resolution pass (resolve.go) assigns every variable
-//     reference a (storage class, slot) pair, and the closure compiler
-//     (compile.go) turns the checked AST into a tree of typed closures
-//     over index-addressed frames.  Private variables are direct slot
+//     engine: the checker has bound every variable reference to a
+//     (storage, unit, slot) symbol, a layout pass (resolve.go) sizes the
+//     frames and the shared storage from those slots, and the closure
+//     compiler (compile.go) turns the checked AST into a tree of typed
+//     closures over index-addressed frames.  Private variables are direct slot
 //     accesses; shared scalars and shared array elements are individual
 //     atomic words read and written unboxed (store.go), so an
 //     interpreted DOALL over disjoint elements runs in parallel.
@@ -44,7 +45,7 @@
 //
 // All of them give the shared accumulate one meaning (README,
 // "Semantics"): `S = S + e` and its recognised siblings
-// (plan.Unit.MatchAccum) are atomic updates of the shared scalar.
+// (plan.MatchAccum) are atomic updates of the shared scalar.
 //
 // Error handling is fault-contained, unlike the original system's: a
 // runtime error (subscript out of range, division by zero) in any
@@ -63,7 +64,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strings"
 	"sync"
 
 	"repro/internal/asyncvar"
@@ -72,6 +72,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/machine"
 	"repro/internal/plan"
 	"repro/internal/reduce"
@@ -213,16 +214,12 @@ func Run(prog *forcelang.Program, cfg Config) error {
 
 // runTree executes the program on the original tree walker.
 func runTree(prog *forcelang.Program, cfg Config) (err error) {
-	res, err := resolveProgram(prog)
-	if err != nil {
-		return err
-	}
 	f := core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithBarrier(cfg.Barrier),
 		core.WithTrace(cfg.Trace), core.WithAskfor(cfg.Askfor),
 		core.WithPcaseSched(cfg.Selfsched), core.WithReduce(cfg.Reduce),
 		core.WithChunk(cfg.Chunk))
 	defer f.Close()
-	in := newInstance(prog, cfg, res, f)
+	in := newInstance(prog, cfg, f)
 	if cfg.OnForce != nil {
 		cfg.OnForce(f)
 	}
@@ -269,8 +266,8 @@ func (e AbortError) Unwrap() error { return e.Err }
 // become error returns, anything else (an interpreter bug) re-panics.
 func recoverRunErr(r any) error {
 	switch t := r.(type) {
-	case runtimeErr:
-		return error(t)
+	case *forcert.Err:
+		return t
 	case AbortError:
 		return t.Err
 	case *faultinject.Error:
@@ -280,14 +277,6 @@ func recoverRunErr(r any) error {
 	default:
 		panic(r)
 	}
-}
-
-// runtimeErr is a Force runtime error carried by panic through the SPMD
-// machinery.
-type runtimeErr struct{ error }
-
-func rtErrf(line int, format string, args ...any) runtimeErr {
-	return runtimeErr{fmt.Errorf("force runtime: line %d: %s", line, fmt.Sprintf(format, args...))}
 }
 
 // value is a Force runtime value.
@@ -320,34 +309,20 @@ func coerce(v value, t forcelang.Type, line int) value {
 	case forcelang.TReal:
 		return realVal(v.asReal())
 	default:
-		panic(rtErrf(line, "cannot coerce %v to %s", v.t, t))
+		panic(forcert.Errorf(line, "cannot coerce %v to %s", v.t, t))
 	}
 }
 
-func (v value) String() string {
+// printTo appends v to a Print line as an item of its type.
+func (v value) printTo(line *forcert.Line) {
 	switch v.t {
 	case forcelang.TInt:
-		return fmt.Sprintf("%d", v.i)
+		line.Int(v.i)
 	case forcelang.TReal:
-		return formatReal(v.r)
-	case forcelang.TLogical:
-		if v.b {
-			return "T"
-		}
-		return "F"
+		line.Real(v.r)
 	default:
-		return "?"
+		line.Bool(v.b)
 	}
-}
-
-// formatReal renders reals compactly but always distinguishably from
-// integers (Fortran list-directed style, simplified).
-func formatReal(r float64) string {
-	s := fmt.Sprintf("%g", r)
-	if !strings.ContainsAny(s, ".eE") && !math.IsInf(r, 0) && !math.IsNaN(r) {
-		s += ".0"
-	}
-	return s
 }
 
 // arrayVal is array storage with Fortran 1-based column-ignorant indexing
@@ -368,13 +343,10 @@ func newArray(d forcelang.Decl) *arrayVal {
 
 // offset converts 1-based subscripts to a flat offset.
 func (a *arrayVal) offset(subs []int64, name string, line int) int {
-	if len(subs) != len(a.dims) {
-		panic(rtErrf(line, "%s: %d subscripts for %d dims", name, len(subs), len(a.dims)))
-	}
 	off := 0
 	for k, s := range subs {
 		if s < 1 || s > int64(a.dims[k]) {
-			panic(rtErrf(line, "subscript %d of %s out of range: %d not in [1,%d]", k+1, name, s, a.dims[k]))
+			panic(&forcert.Err{Line: line, Kind: forcert.BadSubscript, Dim: k + 1, Name: name, S: s, N: int64(a.dims[k])})
 		}
 		off = off*a.dims[k] + int(s-1)
 	}
@@ -430,10 +402,9 @@ func (o *outsink) flush() error {
 type instance struct {
 	prog *forcelang.Program
 	cfg  Config
-	// res serves one purpose: MatchAccum's static view of each unit, so
-	// this walker and the closure compiler recognise the same statements
-	// as shared accumulates; accums caches its verdict per statement.
-	res    *resolution
+	// accums caches plan.MatchAccum's verdict per statement, so this
+	// walker and the closure compiler recognise the same statements as
+	// shared accumulates.
 	accums sync.Map // *forcelang.Assign -> *plan.Accum (nil: not an accumulate)
 
 	mu     sync.Mutex // serializes shared storage access
@@ -485,19 +456,15 @@ func (e *asyncEntry) at(sub int64, subPresent bool, name string, line int) async
 		return e.cell
 	}
 	if e.arr == nil {
-		panic(rtErrf(line, "async scalar %s used with a subscript", name))
+		panic(forcert.Errorf(line, "async scalar %s used with a subscript", name))
 	}
-	if sub < 1 || sub > int64(e.arr.Len()) {
-		panic(rtErrf(line, "subscript of async array %s out of range: %d not in [1,%d]", name, sub, e.arr.Len()))
-	}
-	return e.arr.At(int(sub - 1))
+	return e.arr.At(forcert.AsyncIdx(line, name, sub, e.arr.Len()))
 }
 
-func newInstance(prog *forcelang.Program, cfg Config, res *resolution, f *core.Force) *instance {
+func newInstance(prog *forcelang.Program, cfg Config, f *core.Force) *instance {
 	in := &instance{
 		prog:   prog,
 		cfg:    cfg,
-		res:    res,
 		shared: map[string]map[string]*binding{},
 		asyncs: map[string]*asyncEntry{},
 		out:    newOutsink(cfg.Stdout),
@@ -549,7 +516,7 @@ func (in *instance) asyncFor(unit, name string, line int) *asyncEntry {
 	if e, ok := in.asyncs["."+name]; ok {
 		return e
 	}
-	panic(rtErrf(line, "async variable %s not found", name))
+	panic(forcert.Errorf(line, "async variable %s not found", name))
 }
 
 // tframe is one tree-walker call frame: the name-to-binding map for the
@@ -604,13 +571,13 @@ func (pr *proc) lookup(f *tframe, name string, line int) *binding {
 			return b
 		}
 	}
-	panic(rtErrf(line, "undefined variable %s", name))
+	panic(forcert.Errorf(line, "undefined variable %s", name))
 }
 
 // loadScalar reads a scalar binding under the shared mutex when needed.
 func (pr *proc) loadScalar(b *binding, line int) value {
 	if b.p == nil {
-		panic(rtErrf(line, "%s is an array", b.decl.Name))
+		panic(forcert.Errorf(line, "%s is an array", b.decl.Name))
 	}
 	if b.shared {
 		pr.in.mu.Lock()
@@ -621,7 +588,7 @@ func (pr *proc) loadScalar(b *binding, line int) value {
 
 func (pr *proc) storeScalar(b *binding, v value, line int) {
 	if b.p == nil {
-		panic(rtErrf(line, "%s is an array", b.decl.Name))
+		panic(forcert.Errorf(line, "%s is an array", b.decl.Name))
 	}
 	v = coerce(v, b.decl.Type, line)
 	if b.shared {
@@ -737,7 +704,7 @@ func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 		pr.greduce(t, f)
 	case *forcelang.PutStmt:
 		if len(pr.puts) == 0 {
-			panic(rtErrf(t.Pos(), "Put outside an Askfor body"))
+			panic(forcert.Errorf(t.Pos(), "Put outside an Askfor body"))
 		}
 		pr.puts[len(pr.puts)-1](pr.evalInt(t.Expr, f))
 	case *forcelang.ProduceStmt:
@@ -766,7 +733,7 @@ func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 	case *forcelang.CallStmt:
 		pr.call(t, f)
 	default:
-		panic(rtErrf(st.Pos(), "unhandled statement %T", st))
+		panic(forcert.Errorf(st.Pos(), "unhandled statement %T", st))
 	}
 }
 
@@ -787,7 +754,7 @@ func (pr *proc) loopBounds(fromE, toE, stepE forcelang.Expr, f *tframe) (from, t
 	if stepE != nil {
 		step = pr.evalInt(stepE, f)
 		if step == 0 {
-			panic(rtErrf(fromE.Pos(), "loop step is zero"))
+			panic(&forcert.Err{Line: fromE.Pos(), Kind: forcert.ZeroStep})
 		}
 	}
 	return
@@ -880,21 +847,21 @@ func greduceNum[T core.Number](p *core.Proc, op forcelang.GOp, x T) T {
 }
 
 func (pr *proc) print(t *forcelang.PrintStmt, f *tframe) {
-	parts := make([]string, len(t.Items))
-	for i, item := range t.Items {
+	var line forcert.Line
+	for _, item := range t.Items {
 		if s, ok := item.(*forcelang.StrLit); ok {
-			parts[i] = s.Value
+			line.Str(s.Value)
 			continue
 		}
-		parts[i] = pr.eval(item, f).String()
+		pr.eval(item, f).printTo(&line)
 	}
-	pr.in.out.writeLine(strings.Join(parts, " ") + "\n")
+	pr.in.out.writeLine(line.String())
 }
 
 func (pr *proc) call(t *forcelang.CallStmt, f *tframe) {
 	sub := pr.in.prog.Sub(t.Name)
 	if sub == nil {
-		panic(rtErrf(t.Pos(), "undefined subroutine %s", t.Name))
+		panic(forcert.Errorf(t.Pos(), "undefined subroutine %s", t.Name))
 	}
 	nf := &tframe{unit: sub.Name, vars: map[string]*binding{}}
 	// Parameters bind by reference to the caller's storage.
@@ -960,7 +927,7 @@ func (pr *proc) accumulate(t *forcelang.Assign, f *tframe) bool {
 	v, cached := pr.in.accums.Load(t)
 	if !cached {
 		var verdict *plan.Accum
-		if a, ok := pr.in.res.units[f.unit].pu.MatchAccum(t); ok {
+		if a, ok := plan.MatchAccum(t); ok {
 			verdict = &a
 		}
 		v, _ = pr.in.accums.LoadOrStore(t, verdict)
@@ -1009,7 +976,7 @@ func (pr *proc) eval(e forcelang.Expr, f *tframe) value {
 	case *forcelang.BoolLit:
 		return boolVal(t.Value)
 	case *forcelang.StrLit:
-		panic(rtErrf(t.Pos(), "string in expression"))
+		panic(forcert.Errorf(t.Pos(), "string in expression"))
 	case *forcelang.Ref:
 		b := pr.lookup(f, t.Name, t.Pos())
 		if len(t.Subs) == 0 {
@@ -1030,14 +997,14 @@ func (pr *proc) eval(e forcelang.Expr, f *tframe) value {
 	case *forcelang.Intrinsic:
 		return pr.evalIntrinsic(t, f)
 	default:
-		panic(rtErrf(e.Pos(), "unhandled expression %T", e))
+		panic(forcert.Errorf(e.Pos(), "unhandled expression %T", e))
 	}
 }
 
 func (pr *proc) evalBool(e forcelang.Expr, f *tframe) bool {
 	v := pr.eval(e, f)
 	if v.t != forcelang.TLogical {
-		panic(rtErrf(e.Pos(), "expected LOGICAL, got %s", v.t))
+		panic(forcert.Errorf(e.Pos(), "expected LOGICAL, got %s", v.t))
 	}
 	return v.b
 }
@@ -1068,7 +1035,7 @@ func (pr *proc) evalBin(t *forcelang.Bin, f *tframe) value {
 				return intVal(l.i * r.i)
 			default:
 				if r.i == 0 {
-					panic(rtErrf(t.Pos(), "integer division by zero"))
+					panic(&forcert.Err{Line: t.Pos(), Kind: forcert.DivZero})
 				}
 				return intVal(l.i / r.i)
 			}
@@ -1126,7 +1093,7 @@ func (pr *proc) evalBin(t *forcelang.Bin, f *tframe) value {
 			return boolVal(cmp >= 0)
 		}
 	default:
-		panic(rtErrf(t.Pos(), "unhandled operator %s", t.Op))
+		panic(forcert.Errorf(t.Pos(), "unhandled operator %s", t.Op))
 	}
 }
 
@@ -1147,7 +1114,7 @@ func (pr *proc) evalIntrinsic(t *forcelang.Intrinsic, f *tframe) value {
 	case "SQRT":
 		x := args[0].asReal()
 		if x < 0 {
-			panic(rtErrf(t.Pos(), "SQRT of negative value %g", x))
+			panic(&forcert.Err{Line: t.Pos(), Kind: forcert.SqrtNegative, X: x})
 		}
 		return realVal(math.Sqrt(x))
 	case "INT":
@@ -1159,7 +1126,7 @@ func (pr *proc) evalIntrinsic(t *forcelang.Intrinsic, f *tframe) value {
 	case "MOD":
 		if args[0].t == forcelang.TInt && args[1].t == forcelang.TInt {
 			if args[1].i == 0 {
-				panic(rtErrf(t.Pos(), "MOD by zero"))
+				panic(&forcert.Err{Line: t.Pos(), Kind: forcert.ModZero})
 			}
 			return intVal(args[0].i % args[1].i)
 		}
@@ -1189,6 +1156,6 @@ func (pr *proc) evalIntrinsic(t *forcelang.Intrinsic, f *tframe) value {
 		}
 		return realVal(best)
 	default:
-		panic(rtErrf(t.Pos(), "unknown intrinsic %s", t.Name))
+		panic(forcert.Errorf(t.Pos(), "unknown intrinsic %s", t.Name))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/barrier"
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/machine"
 	"repro/internal/trace"
 )
@@ -541,17 +542,12 @@ Join
 }
 
 func TestValueFormatting(t *testing.T) {
-	if got := realVal(2).String(); got != "2.0" {
-		t.Errorf("realVal(2) = %q", got)
+	var line forcert.Line
+	for _, v := range []value{realVal(2), realVal(2.5), boolVal(true), intVal(-3)} {
+		v.printTo(&line)
 	}
-	if got := realVal(2.5).String(); got != "2.5" {
-		t.Errorf("realVal(2.5) = %q", got)
-	}
-	if got := boolVal(true).String(); got != "T" {
-		t.Errorf("boolVal = %q", got)
-	}
-	if got := intVal(-3).String(); got != "-3" {
-		t.Errorf("intVal = %q", got)
+	if got := line.String(); got != "2.0 2.5 T -3\n" {
+		t.Errorf("printed %q", got)
 	}
 }
 

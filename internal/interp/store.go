@@ -76,69 +76,8 @@ func (c *sharedScalar) storeInt(i int64)    { c.bits.Store(uint64(i)) }
 func (c *sharedScalar) storeReal(r float64) { c.bits.Store(math.Float64bits(r)) }
 func (c *sharedScalar) storeBool(b bool)    { c.bits.Store(boolBits(b)) }
 
-// addInt atomically adds delta to an INTEGER cell.  Two's-complement
-// wraparound makes the uint64 add exact for int64 deltas, so a chunk's
-// privately accumulated sum folds into the cell with one atomic RMW.
-func (c *sharedScalar) addInt(delta int64) { c.bits.Add(uint64(delta)) }
-
-// The extremum folds below mirror the MAX/MIN intrinsics exactly: the
-// cell is replaced only when the incoming value is *strictly* greater
-// (less), the comparison MAX(S, e) performs per iteration.  For REAL
-// that strictness matters: a NaN contribution never beats S (NaN
-// comparisons are false), and a +0.0 never replaces a -0.0, the same
-// outcomes the per-iteration intrinsic produces.
-
-// maxInt atomically folds x into an INTEGER cell under MAX.
-func (c *sharedScalar) maxInt(x int64) {
-	for {
-		old := c.bits.Load()
-		if !(x > int64(old)) {
-			return
-		}
-		if c.bits.CompareAndSwap(old, uint64(x)) {
-			return
-		}
-	}
-}
-
-// minInt atomically folds x into an INTEGER cell under MIN.
-func (c *sharedScalar) minInt(x int64) {
-	for {
-		old := c.bits.Load()
-		if !(x < int64(old)) {
-			return
-		}
-		if c.bits.CompareAndSwap(old, uint64(x)) {
-			return
-		}
-	}
-}
-
-// maxReal atomically folds x into a REAL cell under MAX.
-func (c *sharedScalar) maxReal(x float64) {
-	for {
-		old := c.bits.Load()
-		if !(x > math.Float64frombits(old)) {
-			return
-		}
-		if c.bits.CompareAndSwap(old, math.Float64bits(x)) {
-			return
-		}
-	}
-}
-
-// minReal atomically folds x into a REAL cell under MIN.
-func (c *sharedScalar) minReal(x float64) {
-	for {
-		old := c.bits.Load()
-		if !(x < math.Float64frombits(old)) {
-			return
-		}
-		if c.bits.CompareAndSwap(old, math.Float64bits(x)) {
-			return
-		}
-	}
-}
+// The shared accumulate's indivisible updates (add, strict MAX / MIN) are
+// forcert's, applied to the cell's word: forcert.Add(&c.bits, d) and kin.
 
 // sharedArray is one shared array: a flat slice of atomic words, each
 // holding one element's bit pattern in the array's declared type —
@@ -225,19 +164,3 @@ type elemRef struct {
 
 func (r elemRef) load() value   { return r.a.load(r.off) }
 func (r elemRef) store(v value) { r.a.store(r.off, v) }
-
-// flatOffset converts 1-based subscripts to a flat row-major offset,
-// bounds-checking every dimension.
-func flatOffset(dims []int, subs []int64, name string, line int) int {
-	if len(subs) != len(dims) {
-		panic(rtErrf(line, "%s: %d subscripts for %d dims", name, len(subs), len(dims)))
-	}
-	off := 0
-	for k, s := range subs {
-		if s < 1 || s > int64(dims[k]) {
-			panic(rtErrf(line, "subscript %d of %s out of range: %d not in [1,%d]", k+1, name, s, dims[k]))
-		}
-		off = off*dims[k] + int(s-1)
-	}
-	return off
-}

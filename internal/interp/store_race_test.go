@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/shm"
 )
 
@@ -240,7 +241,7 @@ func hammer(t *testing.T, rounds int, w1, w2 func(), r1, r2 func() bool) {
 }
 
 // TestSharedScalarAddInt checks the accumulator entry point the chunk
-// tier flushes private sums through: concurrent addInt deltas (positive
+// tier flushes private sums through: concurrent forcert.Add deltas (positive
 // and negative) against concurrent typed loads, with an exact total.
 func TestSharedScalarAddInt(t *testing.T) {
 	c := newSharedScalar(forcelang.TInt)
@@ -251,9 +252,9 @@ func TestSharedScalarAddInt(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				if p%2 == 0 {
-					c.addInt(3)
+					forcert.Add(&c.bits, int64(3))
 				} else {
-					c.addInt(-1)
+					forcert.Add(&c.bits, int64(-1))
 				}
 			}
 		}(p)

@@ -85,19 +85,21 @@ const (
 	AccMin
 )
 
-// AccRec is one folded accumulator: the scalar, its fold operator, and
-// whether the partial is a REAL (extrema only) or an INTEGER (sums and
-// extrema).
+// AccRec is one folded accumulator: the scalar (by name and by symbol),
+// its fold operator, and whether the partial is a REAL (extrema only) or
+// an INTEGER (sums and extrema).
 type AccRec struct {
 	Name string
+	Sym  *forcelang.Symbol
 	Op   AccOp
 	Real bool
 }
 
 // classifier carries the single-walk state.
 type classifier struct {
-	u    Unit
 	plan *Plan
+	// syms holds the symbol behind every name the walk met.
+	syms map[string]*forcelang.Symbol
 
 	// reads counts scalar (unsubscripted) reads per name; selfRefs and
 	// writes count, per shared scalar, the reads and writes accounted
@@ -118,30 +120,29 @@ type classifier struct {
 
 // Classify analyses t's body.  It returns the plan, or the reason the
 // body must keep per-iteration semantics.
-func (u Unit) Classify(t *forcelang.ParDo) (*Plan, string) {
+func Classify(t *forcelang.ParDo) (*Plan, string) {
 	plan := &Plan{
 		Outer:    t.Var,
 		Written:  map[string]bool{},
 		Disjoint: map[string]bool{},
 		Accs:     map[string]int{},
 	}
+	indices := []*forcelang.Symbol{t.VarSym}
 	if t.Inner != nil {
 		plan.Inner = t.Inner.Var
 		if plan.Inner == plan.Outer {
 			return nil, "inner index shadows outer index"
 		}
+		indices = append(indices, t.Inner.VarSym)
 	}
-	for _, v := range []string{plan.Outer, plan.Inner} {
-		if v == "" {
-			continue
-		}
-		if class, _, ok := u.Lookup(v); !ok || class != Private {
-			return nil, fmt.Sprintf("loop index %s is not a private scalar", v)
+	for _, sym := range indices {
+		if sym.Storage != forcelang.PrivateScalar {
+			return nil, fmt.Sprintf("loop index %s is not a private scalar", sym.Name)
 		}
 	}
 	cl := &classifier{
-		u:        u,
 		plan:     plan,
+		syms:     map[string]*forcelang.Symbol{},
 		reads:    map[string]int{},
 		selfRefs: map[string]int{},
 		accWrite: map[string]int{},
@@ -182,10 +183,10 @@ func (cl *classifier) planPartition() {
 
 // touchPriv records the body's first use of a private name that is not
 // one of its own loop indices.
-func (cl *classifier) touchPriv(verb, name string, class Class) {
-	if cl.plan.CyclicWhy == "" && (class == Private || class == PrivArray) &&
-		name != cl.plan.Outer && name != cl.plan.Inner {
-		cl.plan.CyclicWhy, cl.plan.CyclicName = verb, name
+func (cl *classifier) touchPriv(verb string, sym *forcelang.Symbol) {
+	if cl.plan.CyclicWhy == "" && (sym.Storage == forcelang.PrivateScalar || sym.Storage == forcelang.PrivateArray) &&
+		sym.Name != cl.plan.Outer && sym.Name != cl.plan.Inner {
+		cl.plan.CyclicWhy, cl.plan.CyclicName = verb, sym.Name
 	}
 }
 
@@ -209,13 +210,12 @@ func (cl *classifier) stmt(st forcelang.Stmt) string {
 		}
 		return cl.stmts(t.Else)
 	case *forcelang.SeqDo:
-		class, _, ok := cl.u.Lookup(t.Var)
-		if !ok || class != Private {
+		if t.VarSym.Storage != forcelang.PrivateScalar {
 			return fmt.Sprintf("sequential DO index %s is not a private scalar", t.Var)
 		}
 		cl.plan.Written[t.Var] = true
 		cl.tainted[t.Var] = true
-		cl.touchPriv("writes private", t.Var, class)
+		cl.touchPriv("writes private", t.VarSym)
 		cl.expr(t.From)
 		cl.expr(t.To)
 		if t.Step != nil {
@@ -230,17 +230,15 @@ func (cl *classifier) stmt(st forcelang.Stmt) string {
 }
 
 func (cl *classifier) assign(t *forcelang.Assign) string {
-	class, _, ok := cl.u.Lookup(t.Target.Name)
-	if !ok {
-		return fmt.Sprintf("undefined assignment target %s", t.Target.Name)
-	}
-	if class == Param {
+	sym := t.Target.Sym
+	if sym.Storage == forcelang.Parameter {
 		// A parameter aliases unknown caller storage; writing through it
 		// defeats every disjointness and ordering argument.
 		return fmt.Sprintf("assignment through parameter %s", t.Target.Name)
 	}
+	cl.syms[sym.Name] = sym
 	cl.plan.Written[t.Target.Name] = true
-	cl.touchPriv("writes private", t.Target.Name, class)
+	cl.touchPriv("writes private", sym)
 	if len(t.Target.Subs) > 0 {
 		cl.arrays[t.Target.Name] = append(cl.arrays[t.Target.Name], &t.Target)
 		for _, s := range t.Target.Subs {
@@ -250,7 +248,7 @@ func (cl *classifier) assign(t *forcelang.Assign) string {
 		return ""
 	}
 	cl.writes[t.Target.Name]++
-	if acc, ok := cl.u.MatchAccum(t); ok {
+	if acc, ok := MatchAccum(t); ok {
 		if prev, seen := cl.accOps[t.Target.Name]; seen && prev != acc.Op {
 			cl.tainted[t.Target.Name] = true
 		} else {
@@ -283,10 +281,9 @@ type Accum struct {
 // rule (README, "Semantics"): the classifier folds what it accepts, and
 // every back end executes the rest of what it accepts as one atomic
 // update.
-func (u Unit) MatchAccum(t *forcelang.Assign) (Accum, bool) {
-	name := t.Target.Name
-	class, decl, found := u.Lookup(name)
-	if !found || class != Shared || len(t.Target.Subs) != 0 {
+func MatchAccum(t *forcelang.Assign) (Accum, bool) {
+	name, decl := t.Target.Name, t.Target.Sym
+	if decl.Storage != forcelang.SharedScalar || len(t.Target.Subs) != 0 {
 		return Accum{}, false
 	}
 	acc := Accum{Real: decl.Type == forcelang.TReal}
@@ -310,10 +307,7 @@ func (u Unit) MatchAccum(t *forcelang.Assign) (Accum, bool) {
 	} else {
 		return Accum{}, false
 	}
-	if decl.Type != want || uniform.RefersTo(acc.Operand, name) {
-		return Accum{}, false
-	}
-	if et, err := forcelang.TypeOf(u.Prog, u.Scope, t.Expr); err != nil || et != want {
+	if decl.Type != want || t.Expr.Type() != want || uniform.RefersTo(acc.Operand, name) {
 		return Accum{}, false
 	}
 	return acc, true
@@ -323,20 +317,17 @@ func (u Unit) MatchAccum(t *forcelang.Assign) (Accum, bool) {
 // (which disable the bulk facts) and shared-array element reads.
 func (cl *classifier) expr(e forcelang.Expr) {
 	uniform.Walk(e, func(r *forcelang.Ref) {
-		class, _, ok := cl.u.Lookup(r.Name)
-		if !ok {
-			return // the back end will report it
-		}
-		if class == Param {
+		if r.Sym.Storage == forcelang.Parameter {
 			cl.plan.NoBulk = true
 			return
 		}
-		cl.touchPriv("reads private", r.Name, class)
+		cl.syms[r.Name] = r.Sym
+		cl.touchPriv("reads private", r.Sym)
 		if len(r.Subs) == 0 {
 			cl.reads[r.Name]++
 			return
 		}
-		if class == SharedArray {
+		if r.Sym.Storage == forcelang.SharedArray {
 			cl.arrays[r.Name] = append(cl.arrays[r.Name], r)
 		}
 	})
@@ -349,7 +340,7 @@ func (cl *classifier) planArrays() {
 		return
 	}
 	for name, uses := range cl.arrays {
-		if class, _, _ := cl.u.Lookup(name); class == SharedArray && cl.plan.Written[name] && cl.disjointUses(uses) {
+		if cl.syms[name].Storage == forcelang.SharedArray && cl.plan.Written[name] && cl.disjointUses(uses) {
 			cl.plan.Disjoint[name] = true
 		}
 	}
@@ -364,12 +355,10 @@ func (cl *classifier) disjointUses(refs []*forcelang.Ref) bool {
 	sp := &uniform.Space{
 		Outer: cl.plan.Outer,
 		Inner: cl.plan.Inner,
-		IntScalar: func(name string) bool {
-			class, decl, found := cl.u.Lookup(name)
-			if !found || cl.plan.Written[name] {
-				return false
-			}
-			return (class == Private || class == Shared) && decl.Type == forcelang.TInt
+		IntScalar: func(r *forcelang.Ref) bool {
+			st := r.Sym.Storage
+			return !cl.plan.Written[r.Name] && r.Sym.Type == forcelang.TInt &&
+				(st == forcelang.PrivateScalar || st == forcelang.SharedScalar)
 		},
 	}
 	return sp.Disjoint(refs)
@@ -397,12 +386,13 @@ func (cl *classifier) planAccs() {
 	}
 	sort.Strings(names) // a stable order: the emitter's output is cached by content
 	for _, name := range names {
-		_, decl, _ := cl.u.Lookup(name)
 		cl.plan.Accs[name] = len(cl.plan.AccRecs)
+		sym := cl.syms[name]
 		cl.plan.AccRecs = append(cl.plan.AccRecs, AccRec{
 			Name: name,
+			Sym:  sym,
 			Op:   cl.accOps[name],
-			Real: decl.Type == forcelang.TReal,
+			Real: sym.Type == forcelang.TReal,
 		})
 	}
 }

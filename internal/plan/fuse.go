@@ -3,7 +3,7 @@ package plan
 // The fusion proofs: barrier elision across independent DOALLs and
 // span-folded reductions.  A back end scans every statement list for
 // maximal runs of adjacent single-index DOALLs, optionally followed by a
-// numeric global-reduction statement (Unit.Fuse), and executes a
+// numeric global-reduction statement (Fuse), and executes a
 // proven-independent run as ONE fused region:
 //
 //	member 1: DoAllChunkedOpen   (spans, no exit barrier)
@@ -95,7 +95,7 @@ func (r *Region) Len() int {
 // force reduces with the PrivateSlots strategy.  Only the most ambitious
 // decline is narrated; the shrink retries repeat its reasons.  A nil
 // result leaves list[i] to be lowered on its own.
-func (u Unit) Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
+func Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 	var members []*forcelang.ParDo
 	for ; i < len(list); i++ {
 		pd, ok := list[i].(*forcelang.ParDo)
@@ -110,7 +110,7 @@ func (u Unit) Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 	}
 	logged := false
 	try := func(ms []*forcelang.ParDo, r *forcelang.ReduceStmt) *Region {
-		reg, reason := u.tryFuse(ms, r, slots, lg)
+		reg, reason := tryFuse(ms, r, slots, lg)
 		if reg == nil && !logged {
 			logged = true
 			lg.printf("line %d: fusion declined: %s", ms[0].Pos(), reason)
@@ -131,7 +131,7 @@ func (u Unit) Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 }
 
 // tryFuse proves one candidate region, or explains why it must not fuse.
-func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, lg Logf) (*Region, string) {
+func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, lg Logf) (*Region, string) {
 	first := members[0]
 	for _, m := range members {
 		if m.Inner != nil {
@@ -164,7 +164,7 @@ func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slo
 		}
 		syn.Body = body
 	}
-	whole, reason := u.Classify(&syn)
+	whole, reason := Classify(&syn)
 	if reason != "" {
 		return nil, reason
 	}
@@ -215,10 +215,9 @@ func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slo
 				// iteration i in EVERY member, which only prescheduling
 				// guarantees; selfscheduled members hand iteration i of
 				// different members to whichever process asks first.
-				if first.Sched == forcelang.Presched {
-					if class, _, ok := u.Lookup(name); ok && class == SharedArray && whole.Disjoint[name] {
-						continue
-					}
+				// (Disjoint holds shared arrays only.)
+				if first.Sched == forcelang.Presched && whole.Disjoint[name] {
+					continue
 				}
 				return nil, fmt.Sprintf("members at lines %d and %d conflict on %s",
 					members[a].Pos(), members[b].Pos(), name)
@@ -227,7 +226,7 @@ func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slo
 	}
 
 	if red != nil {
-		if reason := u.fuseReduceCheck(red, allWrites, slots); reason != "" {
+		if reason := fuseReduceCheck(red, allWrites, slots); reason != "" {
 			return nil, reason
 		}
 	}
@@ -237,7 +236,7 @@ func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slo
 
 	reg := &Region{Members: members, Plans: make([]*Plan, len(members)), Block: whole.Block(), Red: red}
 	for i, m := range members {
-		mplan, mreason := u.Classify(m)
+		mplan, mreason := Classify(m)
 		if mreason != "" {
 			return nil, fmt.Sprintf("member at line %d: %s", m.Pos(), mreason)
 		}
@@ -256,32 +255,29 @@ func (u Unit) tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slo
 
 // fuseReduceCheck decides whether the reduction tail may fold into the
 // region's join.
-func (u Unit) fuseReduceCheck(red *forcelang.ReduceStmt, allWrites map[string]bool, slots bool) string {
+func fuseReduceCheck(red *forcelang.ReduceStmt, allWrites map[string]bool, slots bool) string {
 	if red.Op.Logical() {
 		return fmt.Sprintf("%s is a logical reduction", red.Op)
 	}
 	if len(red.Target.Subs) != 0 {
 		return fmt.Sprintf("subscripted %s target", red.Op)
 	}
-	tclass, tdecl, ok := u.Lookup(red.Target.Name)
-	if !ok || (tclass != Private && tclass != Shared) {
+	target := red.Target.Sym
+	if target.Storage != forcelang.PrivateScalar && target.Storage != forcelang.SharedScalar {
 		return fmt.Sprintf("%s target %s is not a plain scalar", red.Op, red.Target.Name)
 	}
-	tt := tdecl.Type
+	tt := target.Type
 	if tt != forcelang.TInt && tt != forcelang.TReal {
 		return fmt.Sprintf("%s target %s is not numeric", red.Op, red.Target.Name)
 	}
 	bad := ""
 	uniform.Walk(red.Expr, func(r *forcelang.Ref) {
-		class, _, found := u.Lookup(r.Name)
-		if !found {
-			return
-		}
-		if class == Param {
+		class := r.Sym.Storage
+		if class == forcelang.Parameter {
 			bad = "parameter " + r.Name
 			return
 		}
-		if allWrites[r.Name] && (class == Shared || class == SharedArray) {
+		if allWrites[r.Name] && (class == forcelang.SharedScalar || class == forcelang.SharedArray) {
 			bad = fmt.Sprintf("shared %s, which the region writes", r.Name)
 		}
 	})

@@ -6,8 +6,9 @@
 // closures, the Go emitter (internal/codegen) into span loops — so a
 // proof exists once and the tiers cannot disagree on what is legal.
 //
-// The package sees a program unit only through Unit, the "how is this
-// name stored" seam over the checker's scope: nothing here knows about
+// The package reads what a name is and what type an expression has off
+// the checked tree (forcelang.Symbol on every node that names a variable,
+// Expr.Type): nothing here resolves a name, infers a type, or knows about
 // frames, slots, cells or generated identifiers.
 package plan
 
@@ -15,75 +16,7 @@ import (
 	"strings"
 
 	"repro/internal/forcelang"
-	"repro/internal/shm"
 )
-
-// Class is where a name lives, as far as the proofs care.
-type Class uint8
-
-const (
-	// Private is a per-process (or per-call) scalar.
-	Private Class = iota
-	// PrivArray is a per-process (or per-call) array.
-	PrivArray
-	// Shared is a force-wide scalar.
-	Shared
-	// SharedArray is a force-wide array.
-	SharedArray
-	// Async is a full/empty cell or an array of them.
-	Async
-	// Param is a by-reference alias of unknown caller storage.
-	Param
-)
-
-// ClassOf is the storage class a declaration implies on its own, i.e.
-// for every name that is not a parameter of the unit it is seen from.
-func ClassOf(d forcelang.Decl) Class {
-	switch {
-	case d.Class == shm.Async:
-		return Async
-	case d.Class == shm.Shared && len(d.Dims) > 0:
-		return SharedArray
-	case d.Class == shm.Shared:
-		return Shared
-	case len(d.Dims) > 0:
-		return PrivArray
-	default:
-		return Private
-	}
-}
-
-// Unit is one program unit — the main program (Sub nil) or a Forcesub —
-// as the checker resolved it.
-type Unit struct {
-	Prog  *forcelang.Program
-	Scope *forcelang.Scope
-	Sub   *forcelang.Subroutine
-}
-
-// Lookup answers the one question the proofs ask of a unit: how is name
-// stored, and under which declaration.  The NP and ident variables bind
-// first (they shadow same-named declarations, as in every back end),
-// then the unit's parameters, then the scope.
-func (u Unit) Lookup(name string) (Class, forcelang.Decl, bool) {
-	d, ok := u.Scope.Lookup(name)
-	switch {
-	case name == u.Prog.NPVar:
-		return Shared, forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: name}, true
-	case name == u.Prog.MeVar:
-		return Private, forcelang.Decl{Class: shm.Private, Type: forcelang.TInt, Name: name}, true
-	case !ok:
-		return 0, d, false
-	}
-	if u.Sub != nil {
-		for _, p := range u.Sub.Params {
-			if p == name {
-				return Param, d, true
-			}
-		}
-	}
-	return ClassOf(d), d, true
-}
 
 // Logf receives one narration line per decision (forcerun -v's "fuse:"
 // lines); a nil Logf discards them.
@@ -110,8 +43,8 @@ func (lg Logf) logPartition(t *forcelang.ParDo, why, name string) {
 // DoAll classifies one unfused DOALL and narrates the verdict.  A nil
 // plan means the body must keep per-iteration semantics: no fact about
 // it is proven, so it is dealt cyclically and nothing in it folds.
-func (u Unit) DoAll(t *forcelang.ParDo, lg Logf) *Plan {
-	p, reason := u.Classify(t)
+func DoAll(t *forcelang.ParDo, lg Logf) *Plan {
+	p, reason := Classify(t)
 	if reason != "" {
 		lg.logPartition(t, "not chunk-compiled:", reason)
 		return nil

@@ -1,10 +1,11 @@
 package plan
 
 // The classifier's verdicts are pinned where they are consumed:
-// TestClassify* in internal/interp (the closure compiler's view of the
-// same Unit) and the golden files in internal/codegen.  The tests here
-// cover what only this package owns: the Unit seam, the region scan and
-// the order-stability both back ends rely on.
+// TestClassify* in internal/interp (the closure compiler's view) and the
+// golden files in internal/codegen; what every name is bound to is pinned
+// across all four tiers by TestBindingMatrix (root package).  The tests
+// here cover what only this package owns: the region scan and the
+// order-stability both back ends rely on.
 
 import (
 	"fmt"
@@ -14,80 +15,20 @@ import (
 	"repro/internal/forcelang"
 )
 
-func mainUnit(t *testing.T, src string) (Unit, *forcelang.Program) {
+func parse(t *testing.T, src string) *forcelang.Program {
 	t.Helper()
 	prog, err := forcelang.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	sc, err := forcelang.GlobalScope(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Unit{Prog: prog, Scope: sc}, prog
-}
-
-func TestUnitLookup(t *testing.T) {
-	prog := forcelang.MustParse(`Force U of NP ident ME
-Shared Real A(4)
-Shared Integer S
-Private Integer I
-Private Real W(3)
-Async Real V
-End Declarations
-Call SUB(A, S)
-Join
-Forcesub SUB(X, F)
-Shared Real X(4)
-Shared Integer F
-Shared Integer LOCAL
-Private Integer K
-End Declarations
-LOCAL = K
-Endsub
-`)
-	g, err := forcelang.GlobalScope(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	main := Unit{Prog: prog, Scope: g}
-	for name, want := range map[string]Class{
-		"A": SharedArray, "S": Shared, "I": Private, "W": PrivArray, "V": Async,
-		"NP": Shared, "ME": Private,
-	} {
-		if got, _, ok := main.Lookup(name); !ok || got != want {
-			t.Errorf("main %s: class %d ok=%v, want %d", name, got, ok, want)
-		}
-	}
-	if _, _, ok := main.Lookup("NOPE"); ok {
-		t.Error("undeclared name resolved")
-	}
-	sub := prog.Subs[0]
-	ss, err := forcelang.SubScope(prog, sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	su := Unit{Prog: prog, Scope: ss, Sub: sub}
-	for name, want := range map[string]Class{
-		// Parameters are aliases whatever their declaration says; the
-		// unit's own shared locals and the inherited main-program shared
-		// names keep their declared class.
-		"X": Param, "F": Param, "LOCAL": Shared, "K": Private, "A": SharedArray, "NP": Shared, "ME": Private,
-	} {
-		if got, _, ok := su.Lookup(name); !ok || got != want {
-			t.Errorf("sub %s: class %d ok=%v, want %d", name, got, ok, want)
-		}
-	}
-	if _, d, _ := su.Lookup("F"); d.Type != forcelang.TInt {
-		t.Errorf("parameter F lost its declaration: %+v", d)
-	}
+	return prog
 }
 
 // TestAccumulatorOrderStable: folded accumulators come out in name
 // order, whatever order the body mentions them in — the Go emitter's
 // output is content-addressed, so map order must not reach it.
 func TestAccumulatorOrderStable(t *testing.T) {
-	u, prog := mainUnit(t, `Force ACC of NP ident ME
+	prog := parse(t, `Force ACC of NP ident ME
 Shared Integer ZED, MID, ABLE
 Private Integer I
 End Declarations
@@ -99,7 +40,7 @@ End Presched DO
 Join
 `)
 	for round := 0; round < 20; round++ {
-		p, reason := u.Classify(prog.Body[0].(*forcelang.ParDo))
+		p, reason := Classify(prog.Body[0].(*forcelang.ParDo))
 		if p == nil {
 			t.Fatal(reason)
 		}
@@ -124,7 +65,7 @@ Join
 // remainder is left to the caller, and only the most ambitious decline
 // is narrated.
 func TestFuseScan(t *testing.T) {
-	u, prog := mainUnit(t, `Force SCAN of NP ident ME
+	prog := parse(t, `Force SCAN of NP ident ME
 Shared Real A(64), B(64), C(64)
 Shared Real TOT
 Private Integer I
@@ -144,7 +85,7 @@ Join
 `)
 	var logs []string
 	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-	reg := u.Fuse(prog.Body, 0, true, lg)
+	reg := Fuse(prog.Body, 0, true, lg)
 	if reg == nil {
 		t.Fatalf("no region; log:\n%s", strings.Join(logs, "\n"))
 	}
@@ -168,13 +109,13 @@ Join
 	}
 	// Re-scanning the remainder: one DOALL plus the GSUM fold into a join.
 	logs = nil
-	rest := u.Fuse(prog.Body, 2, true, lg)
+	rest := Fuse(prog.Body, 2, true, lg)
 	if rest == nil || len(rest.Members) != 1 || rest.Red == nil || rest.Len() != 2 {
 		t.Fatalf("remainder did not fuse with its reduction tail: %+v\n%s", rest, strings.Join(logs, "\n"))
 	}
 	// The same tail under a non-slots strategy: a REAL sum must decline.
 	logs = nil
-	if reg := u.Fuse(prog.Body, 2, false, lg); reg != nil {
+	if reg := Fuse(prog.Body, 2, false, lg); reg != nil {
 		t.Errorf("REAL GSUM folded without the slots strategy")
 	}
 	if len(logs) != 1 || !strings.Contains(logs[0], "only the slots strategy reproduces") {
@@ -186,7 +127,7 @@ Join
 // prescheduled DOALL and nothing for a selfscheduled one, and a nil sink
 // is accepted.
 func TestDoAllNarration(t *testing.T) {
-	u, prog := mainUnit(t, `Force NAR of NP ident ME
+	prog := parse(t, `Force NAR of NP ident ME
 Shared Integer OWNER(8)
 Shared Integer N
 Private Integer I
@@ -208,8 +149,8 @@ Join
 	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
 	var plans []*Plan
 	for _, st := range prog.Body {
-		plans = append(plans, u.DoAll(st.(*forcelang.ParDo), lg))
-		u.DoAll(st.(*forcelang.ParDo), nil)
+		plans = append(plans, DoAll(st.(*forcelang.ParDo), lg))
+		DoAll(st.(*forcelang.ParDo), nil)
 	}
 	if plans[0] == nil || plans[0].Block() || plans[1] == nil || !plans[1].Block() || plans[2] != nil || plans[2].Block() {
 		t.Errorf("plans: %+v", plans)

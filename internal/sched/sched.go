@@ -240,8 +240,7 @@ func New(k Kind, np int, r Range, cfg Config) Scheduler {
 	}
 }
 
-// blockSched: contiguous blocks, remainder spread one-per-process over the
-// first n%np processes so block sizes differ by at most one.
+// blockSched: one contiguous block per process (BlockSpan).
 type blockSched struct {
 	np, n int
 	done  []atomic.Bool
@@ -254,17 +253,8 @@ func (s *blockSched) Next(pid int) (int, int, bool) {
 	if s.done[pid].Swap(true) {
 		return 0, 0, false
 	}
-	base := s.n / s.np
-	rem := s.n % s.np
-	lo := pid*base + min(pid, rem)
-	size := base
-	if pid < rem {
-		size++
-	}
-	if size == 0 {
-		return 0, 0, false
-	}
-	return lo, lo + size, true
+	lo, hi := BlockSpan(pid, s.np, s.n)
+	return lo, hi, lo < hi
 }
 
 // cyclicSched deals single ordinals round-robin with no shared mutable
@@ -465,6 +455,20 @@ func DriveWith(c *poison.Cell, s Scheduler, pid int, r Range, body func(pid, ind
 			body(pid, r.Index(k))
 		}
 	}
+}
+
+// BlockSpan is the block deal: the contiguous ordinals [lo, hi) of 0..n-1
+// that process pid of np owns, the remainder spread one-per-process over
+// the first n%np processes so block sizes differ by at most one.  An
+// empty block has lo == hi.
+func BlockSpan(pid, np, n int) (lo, hi int) {
+	base, rem := n/np, n%np
+	lo = pid*base + min(pid, rem)
+	hi = lo + base
+	if pid < rem {
+		hi++
+	}
+	return lo, hi
 }
 
 // CyclicLast is the last ordinal of 0..n-1 the cyclic deal hands process

@@ -264,13 +264,14 @@ func Canon(e forcelang.Expr) string {
 
 // Space is a one- or two-index iteration space over which affine
 // subscript forms are decomposed and proven injective.  Inner is ""
-// for a single-index space.  IntScalar reports whether a name (other
-// than the indices) denotes an INTEGER scalar whose value is identical
-// for every iteration the decomposed form is evaluated in — the caller
-// encodes its own written-set and parameter-aliasing rules there.
+// for a single-index space.  IntScalar reports whether an unsubscripted
+// reference (to anything but the indices) reads an INTEGER scalar whose
+// value is identical for every iteration the decomposed form is
+// evaluated in — the caller encodes its own written-set and
+// parameter-aliasing rules there.
 type Space struct {
 	Outer, Inner string
-	IntScalar    func(name string) bool
+	IntScalar    func(r *forcelang.Ref) bool
 }
 
 // Coef decomposes e as ci*Outer + cj*Inner + rest, requiring literal
@@ -290,7 +291,7 @@ func (sp *Space) Coef(e forcelang.Expr) (ci, cj int64, ok bool) {
 		if sp.Inner != "" && t.Name == sp.Inner {
 			return 0, 1, true
 		}
-		if sp.IntScalar != nil && sp.IntScalar(t.Name) {
+		if sp.IntScalar != nil && sp.IntScalar(t) {
 			return 0, 0, true
 		}
 		return 0, 0, false

@@ -97,8 +97,11 @@ func TestConstInt(t *testing.T) {
 
 func TestCanonPositionIndependent(t *testing.T) {
 	a := bin(forcelang.OpAdd, ref("I"), intLit(1))
-	b := bin(forcelang.OpAdd, ref("I"), intLit(1))
-	b.Line = 99
+	b := forcelang.MustParse("Force P of NP ident ME\nPrivate Integer I, K\nEnd Declarations\n\n\nK = I + 1\nJoin\n").
+		Body[0].(*forcelang.Assign).Expr
+	if b.Pos() == a.Pos() {
+		t.Fatal("want the two forms on different lines")
+	}
 	if Canon(a) != Canon(b) {
 		t.Error("identical forms at different lines must share a key")
 	}
@@ -107,12 +110,12 @@ func TestCanonPositionIndependent(t *testing.T) {
 	}
 }
 
-func intScalars(names ...string) func(string) bool {
+func intScalars(names ...string) func(*forcelang.Ref) bool {
 	set := map[string]bool{}
 	for _, n := range names {
 		set[n] = true
 	}
-	return func(n string) bool { return set[n] }
+	return func(r *forcelang.Ref) bool { return set[r.Name] }
 }
 
 func TestCoef(t *testing.T) {

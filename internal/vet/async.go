@@ -30,48 +30,43 @@ import (
 // asyncPass runs FV201/FV202 over every unit.
 func (a *analysis) asyncPass() {
 	produced := map[string]bool{}
-	a.collectProduced(a.main, a.main.body, produced)
+	a.collectProduced(a.main.body, produced)
 	for _, u := range a.subs {
-		a.collectProduced(u, u.body, produced)
+		a.collectProduced(u.body, produced)
 	}
-	a.checkConsumes(a.main, a.main.body, produced)
+	a.checkConsumes(a.main.body, produced)
 	for _, u := range a.subs {
-		a.checkConsumes(u, u.body, produced)
+		a.checkConsumes(u.body, produced)
 	}
-	a.doubleProduce(a.main, a.main.body)
+	a.doubleProduce(a.main.body)
 	for _, u := range a.subs {
-		a.doubleProduce(u, u.body)
+		a.doubleProduce(u.body)
 	}
 }
 
 // asyncKey names an async variable globally: declaring unit + "|" + name.
-func (a *analysis) asyncKey(u *unitInfo, name string) string {
-	if d, ok := u.scope.Lookup(name); ok {
-		return d.Unit + "|" + norm(name)
-	}
-	return "?|" + norm(name)
-}
+func asyncKey(d *forcelang.Symbol) string { return d.Unit + "|" + d.Name }
 
-func (a *analysis) collectProduced(u *unitInfo, list []forcelang.Stmt, produced map[string]bool) {
+func (a *analysis) collectProduced(list []forcelang.Stmt, produced map[string]bool) {
 	forEachStmt(list, func(st forcelang.Stmt) {
 		if t, ok := st.(*forcelang.ProduceStmt); ok {
-			produced[a.asyncKey(u, t.Var)] = true
+			produced[asyncKey(t.Sym)] = true
 		}
 	})
 }
 
-func (a *analysis) checkConsumes(u *unitInfo, list []forcelang.Stmt, produced map[string]bool) {
+func (a *analysis) checkConsumes(list []forcelang.Stmt, produced map[string]bool) {
 	forEachStmt(list, func(st forcelang.Stmt) {
 		switch t := st.(type) {
 		case *forcelang.ConsumeStmt:
-			if !produced[a.asyncKey(u, t.Var)] {
+			if !produced[asyncKey(t.Sym)] {
 				a.report("FV201", Error, t.Pos(),
-					"Consume of async variable %s, which is never Produced", norm(t.Var))
+					"Consume of async variable %s, which is never Produced", t.Var)
 			}
 		case *forcelang.CopyStmt:
-			if !produced[a.asyncKey(u, t.Var)] {
+			if !produced[asyncKey(t.Sym)] {
 				a.report("FV201", Error, t.Pos(),
-					"Copy of async variable %s, which is never Produced", norm(t.Var))
+					"Copy of async variable %s, which is never Produced", t.Var)
 			}
 		}
 	})
@@ -110,17 +105,10 @@ func forEachStmt(list []forcelang.Stmt, visit func(forcelang.Stmt)) {
 // unitKey|canonical-subscript to "full"; any compound statement clears
 // it (a barrier, loop or branch may interleave another process's
 // Consume), and each nested body starts fresh.
-func (a *analysis) doubleProduce(u *unitInfo, list []forcelang.Stmt) {
+func (a *analysis) doubleProduce(list []forcelang.Stmt) {
 	full := map[string]bool{}
-	cellKey := func(t *forcelang.ProduceStmt) string {
-		k := a.asyncKey(u, t.Var)
-		if t.Sub != nil {
-			k += "|" + uniform.Canon(t.Sub)
-		}
-		return k
-	}
-	voidKey := func(varName string, sub forcelang.Expr) string {
-		k := a.asyncKey(u, varName)
+	cellKey := func(d *forcelang.Symbol, sub forcelang.Expr) string {
+		k := asyncKey(d)
 		if sub != nil {
 			k += "|" + uniform.Canon(sub)
 		}
@@ -129,16 +117,16 @@ func (a *analysis) doubleProduce(u *unitInfo, list []forcelang.Stmt) {
 	for _, st := range list {
 		switch t := st.(type) {
 		case *forcelang.ProduceStmt:
-			k := cellKey(t)
+			k := cellKey(t.Sym, t.Sub)
 			if full[k] {
 				a.report("FV202", Warning, t.Pos(),
-					"second Produce of %s without an intervening Consume or Void", norm(t.Var))
+					"second Produce of %s without an intervening Consume or Void", t.Var)
 			}
 			full[k] = true
 		case *forcelang.ConsumeStmt:
-			delete(full, voidKey(t.Var, t.Sub))
+			delete(full, cellKey(t.Sym, t.Sub))
 		case *forcelang.VoidStmt:
-			delete(full, voidKey(t.Var, t.Sub))
+			delete(full, cellKey(t.Sym, t.Sub))
 		case *forcelang.CopyStmt, *forcelang.Assign, *forcelang.PrintStmt, *forcelang.PutStmt:
 			// No effect on full/empty state.
 		default:
@@ -148,24 +136,24 @@ func (a *analysis) doubleProduce(u *unitInfo, list []forcelang.Stmt) {
 			full = map[string]bool{}
 			switch t := st.(type) {
 			case *forcelang.If:
-				a.doubleProduce(u, t.Then)
-				a.doubleProduce(u, t.Else)
+				a.doubleProduce(t.Then)
+				a.doubleProduce(t.Else)
 			case *forcelang.SeqDo:
-				a.doubleProduce(u, t.Body)
+				a.doubleProduce(t.Body)
 			case *forcelang.WhileDo:
-				a.doubleProduce(u, t.Body)
+				a.doubleProduce(t.Body)
 			case *forcelang.ParDo:
-				a.doubleProduce(u, t.Body)
+				a.doubleProduce(t.Body)
 			case *forcelang.BarrierStmt:
-				a.doubleProduce(u, t.Section)
+				a.doubleProduce(t.Section)
 			case *forcelang.CriticalStmt:
-				a.doubleProduce(u, t.Body)
+				a.doubleProduce(t.Body)
 			case *forcelang.PcaseStmt:
 				for _, b := range t.Blocks {
-					a.doubleProduce(u, b.Body)
+					a.doubleProduce(b.Body)
 				}
 			case *forcelang.AskforStmt:
-				a.doubleProduce(u, t.Body)
+				a.doubleProduce(t.Body)
 			}
 		}
 	}

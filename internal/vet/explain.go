@@ -34,9 +34,9 @@ section: every process arrives, exactly one executes the section.`,
 
 	"FV002": `FV002: provable fault under a non-uniform condition (error)
 
-The statement provably faults at run time — integer division by zero,
-MOD by zero, SQRT of a negative value, an out-of-range subscript, a
-zero DO step — but only in a strict subset of processes, because the
+The statement provably fails a run-time check — an INTEGER division or
+MOD with a zero divisor, SQRT of a negative value, an out-of-range
+subscript, a zero DO step; the diagnostic quotes the run-time message — but only in a strict subset of processes, because the
 faulting path is guarded by (or indexed with) a varying value such as
 ME.  The faulting process aborts; its peers head for the next
 collective and block until the runtime's abort protocol (poisoned
@@ -54,9 +54,9 @@ non-uniform guard is not the bug, the fault is.`,
 
 	"FV003": `FV003: provable fault on the uniform path (warning)
 
-The statement provably faults at run time — integer division by zero,
-MOD by zero, SQRT of a negative value, an out-of-range subscript, a
-zero DO step — and the path to it is uniform, so every process faults
+The statement provably fails a run-time check — an INTEGER division or
+MOD with a zero divisor, SQRT of a negative value, an out-of-range
+subscript, a zero DO step; the diagnostic quotes the run-time message — and the path to it is uniform, so every process faults
 together.  The runtime reports it cleanly (same fault, every process),
 which is why this is a warning rather than an error: the behavior is
 deterministic, just wrong.

@@ -19,7 +19,10 @@ package vet
 // back.  Recursion is cut by marking reference arguments varying.
 
 import (
+	"fmt"
+
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/shm"
 	"repro/internal/uniform"
 )
@@ -27,7 +30,7 @@ import (
 // loopRange is one enclosing DO loop with constant bounds, the space
 // the divisor-reachability proof quantifies over.
 type loopRange struct {
-	v            string // normalized loop variable
+	v            string // loop variable
 	lo, hi, step int64
 	constOK      bool
 }
@@ -36,8 +39,8 @@ type flow struct {
 	a    *analysis
 	unit *unitInfo
 
-	env    map[string]uniform.Level // normalized private name -> level (zero value Uniform)
-	consts map[string]int64         // normalized private INTEGER scalar -> known constant
+	env    map[string]uniform.Level // private name -> level (zero value Uniform)
+	consts map[string]int64         // private INTEGER scalar -> known constant
 	loops  []loopRange
 
 	callPath map[string]bool // subs on the current inline path (cycle guard)
@@ -69,33 +72,18 @@ func (f *flow) report(code string, sev Severity, line int, format string, args .
 	f.a.report(code, sev, line, format, args...)
 }
 
-// decl resolves a name in the unit's scope.
-func (f *flow) decl(name string) (forcelang.Decl, bool) {
-	return f.unit.scope.Lookup(name)
-}
-
-// isMe reports whether the declaration is the unit's implicit ident
-// variable: slot 0 of the unit's private scalars.
-func isMe(d forcelang.Decl) bool {
-	return d.Class == shm.Private && len(d.Dims) == 0 && d.Slot == 0
-}
-
 // refLevel computes the lattice point of reading r.  Shared and async
 // reads are uniform by convention — the synchronized-program reading
 // the convergence idiom (DO WHILE over a barrier-maintained flag)
 // depends on; the race and protocol passes own the cases where that
 // convention is violated.
 func (f *flow) refLevel(r *forcelang.Ref) uniform.Level {
-	d, ok := f.decl(r.Name)
-	if !ok {
-		return uniform.Varying
-	}
 	lv := uniform.Uniform
 	switch {
-	case isMe(d):
+	case r.Sym.Role == forcelang.RoleIdent:
 		lv = uniform.Varying
-	case d.Class == shm.Private:
-		lv = f.env[norm(r.Name)]
+	case r.Sym.Class == shm.Private:
+		lv = f.env[r.Name]
 	}
 	// An element read through a varying subscript differs across
 	// processes even when every element is uniform.
@@ -132,7 +120,7 @@ func (f *flow) constEval(e forcelang.Expr) (int64, bool) {
 		return t.Value, true
 	case *forcelang.Ref:
 		if len(t.Subs) == 0 {
-			v, ok := f.consts[norm(t.Name)]
+			v, ok := f.consts[t.Name]
 			return v, ok
 		}
 	case *forcelang.Un:
@@ -172,10 +160,8 @@ func (f *flow) constReal(e forcelang.Expr) (float64, bool) {
 		return float64(t.Value), true
 	case *forcelang.Ref:
 		if len(t.Subs) == 0 {
-			if v, ok := f.consts[norm(t.Name)]; ok {
-				if d, found := f.decl(t.Name); found && d.Type == forcelang.TInt {
-					return float64(v), true
-				}
+			if v, ok := f.consts[t.Name]; ok && t.Sym.Type == forcelang.TInt {
+				return float64(v), true
 			}
 		}
 	case *forcelang.Un:
@@ -205,20 +191,18 @@ func (f *flow) constReal(e forcelang.Expr) (float64, bool) {
 	return 0, false
 }
 
-// typeOf resolves an expression's type, returning ok=false on any
-// checker-level inconsistency (which Check already reported).
-func (f *flow) typeOf(e forcelang.Expr) (forcelang.Type, bool) {
-	t, err := forcelang.TypeOf(f.a.prog, f.unit.scope, e)
-	return t, err == nil
-}
-
-// fault reports a provable runtime fault: FV002 under a varying
-// context, FV003 on the uniform path.
-func (f *flow) fault(line int, ctx uniform.Level, format string, args ...interface{}) {
+// fault reports a provable runtime fault — what would be the run-time
+// error, in the run-time's own words: FV002 under a varying context,
+// FV003 on the uniform path.  when qualifies it ("when I = 3").
+func (f *flow) fault(line int, ctx uniform.Level, what *forcert.Err, when ...string) {
+	msg := what.Message()
+	for _, w := range when {
+		msg += " " + w
+	}
 	if ctx == uniform.Varying {
-		f.report("FV002", Error, line, "provable fault under non-uniform condition: "+format, args...)
+		f.report("FV002", Error, line, "provable fault under non-uniform condition: %s", msg)
 	} else {
-		f.report("FV003", Warning, line, "provable fault: "+format, args...)
+		f.report("FV003", Warning, line, "provable fault: %s", msg)
 	}
 }
 
@@ -233,8 +217,8 @@ func (f *flow) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 		if !lr.constOK {
 			continue
 		}
-		sp := &uniform.Space{Outer: lr.v, IntScalar: func(n string) bool {
-			_, ok := f.consts[norm(n)]
+		sp := &uniform.Space{Outer: lr.v, IntScalar: func(r *forcelang.Ref) bool {
+			_, ok := f.consts[r.Name]
 			return ok
 		}}
 		ci, _, ok := sp.Coef(e)
@@ -269,15 +253,15 @@ func (f *flow) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 }
 
 // divisorFault proves an integer divisor is (or reaches) zero.
-func (f *flow) divisorFault(div forcelang.Expr, line int, ctx uniform.Level, what string) {
+func (f *flow) divisorFault(div forcelang.Expr, line int, ctx uniform.Level, what *forcert.Err) {
 	if v, ok := f.constEval(div); ok {
 		if v == 0 {
-			f.fault(line, ctx, "%s", what)
+			f.fault(line, ctx, what)
 		}
 		return
 	}
 	if lv, val, ok := f.zeroReachable(div); ok {
-		f.fault(line, ctx, "%s when %s = %d", what, lv, val)
+		f.fault(line, ctx, what, fmt.Sprintf("when %s = %d", lv, val))
 	}
 }
 
@@ -294,10 +278,8 @@ func (f *flow) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 		f.faultsExpr(t.L, ctx)
 		f.faultsExpr(t.R, ctx)
 		if t.Op == forcelang.OpDiv {
-			lt, lok := f.typeOf(t.L)
-			rt, rok := f.typeOf(t.R)
-			if lok && rok && lt == forcelang.TInt && rt == forcelang.TInt {
-				f.divisorFault(t.R, t.Pos(), ctx, "integer division by zero")
+			if t.L.Type() == forcelang.TInt && t.R.Type() == forcelang.TInt {
+				f.divisorFault(t.R, t.Pos(), ctx, &forcert.Err{Kind: forcert.DivZero})
 			}
 		}
 	case *forcelang.Intrinsic:
@@ -307,17 +289,16 @@ func (f *flow) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 		switch t.Name {
 		case "MOD":
 			if len(t.Args) == 2 {
-				at, aok := f.typeOf(t.Args[1])
-				if aok && at == forcelang.TInt {
-					f.divisorFault(t.Args[1], t.Pos(), ctx, "MOD by zero")
+				if t.Args[1].Type() == forcelang.TInt {
+					f.divisorFault(t.Args[1], t.Pos(), ctx, &forcert.Err{Kind: forcert.ModZero})
 				} else if v, ok := f.constReal(t.Args[1]); ok && v == 0 {
-					f.fault(t.Pos(), ctx, "MOD by zero")
+					f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ModZero})
 				}
 			}
 		case "SQRT":
 			if len(t.Args) == 1 {
 				if v, ok := f.constReal(t.Args[0]); ok && v < 0 {
-					f.fault(t.Pos(), ctx, "SQRT of negative value %g", v)
+					f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.SqrtNegative, X: v})
 				}
 			}
 		}
@@ -330,40 +311,36 @@ func (f *flow) faultsRef(r *forcelang.Ref, ctx uniform.Level) {
 	for _, s := range r.Subs {
 		f.faultsExpr(s, ctx)
 	}
-	d, ok := f.decl(r.Name)
-	if !ok || len(r.Subs) == 0 || len(d.Dims) != len(r.Subs) {
-		return
+	d := r.Sym
+	if len(d.Dims) != len(r.Subs) {
+		return // a whole-array argument
 	}
 	for i, s := range r.Subs {
 		if v, ok := f.constEval(s); ok && (v < 1 || v > int64(d.Dims[i])) {
-			f.fault(r.Pos(), ctx, "subscript %d of %s out of range: %d not in [1,%d]", i+1, norm(r.Name), v, d.Dims[i])
+			f.fault(r.Pos(), ctx, &forcert.Err{Kind: forcert.BadSubscript, Dim: i + 1, Name: r.Name, S: v, N: int64(d.Dims[i])})
 		}
 	}
 }
 
 // faultsAsyncSub checks an async array element designator.
-func (f *flow) faultsAsyncSub(varName string, sub forcelang.Expr, line int, ctx uniform.Level) {
+func (f *flow) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line int, ctx uniform.Level) {
 	if sub == nil {
 		return
 	}
 	f.faultsExpr(sub, ctx)
-	d, ok := f.decl(varName)
-	if !ok || len(d.Dims) != 1 {
-		return
-	}
 	if v, ok := f.constEval(sub); ok && (v < 1 || v > int64(d.Dims[0])) {
-		f.fault(line, ctx, "subscript 1 of %s out of range: %d not in [1,%d]", norm(varName), v, d.Dims[0])
+		f.fault(line, ctx, &forcert.Err{Kind: forcert.BadSubscript, Dim: 1, Name: d.Name, S: v, N: int64(d.Dims[0])})
 	}
 }
 
 // setPrivate records an assignment's effect on the lattice and
 // constant environments.
 func (f *flow) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniform.Level) {
-	d, ok := f.decl(target.Name)
-	if !ok || d.Class != shm.Private {
+	d := target.Sym
+	if d.Class != shm.Private {
 		return
 	}
-	key := norm(target.Name)
+	key := target.Name
 	if len(target.Subs) == 0 {
 		f.env[key] = lv
 		if v, cok := f.constEval(expr); cok && d.Type == forcelang.TInt {
@@ -388,19 +365,19 @@ func writtenNames(list []forcelang.Stmt, out map[string]bool) {
 	for _, st := range list {
 		switch t := st.(type) {
 		case *forcelang.Assign:
-			out[norm(t.Target.Name)] = true
+			out[t.Target.Name] = true
 		case *forcelang.If:
 			writtenNames(t.Then, out)
 			writtenNames(t.Else, out)
 		case *forcelang.SeqDo:
-			out[norm(t.Var)] = true
+			out[t.Var] = true
 			writtenNames(t.Body, out)
 		case *forcelang.WhileDo:
 			writtenNames(t.Body, out)
 		case *forcelang.ParDo:
-			out[norm(t.Var)] = true
+			out[t.Var] = true
 			if t.Inner != nil {
-				out[norm(t.Inner.Var)] = true
+				out[t.Inner.Var] = true
 			}
 			writtenNames(t.Body, out)
 		case *forcelang.BarrierStmt:
@@ -412,15 +389,15 @@ func writtenNames(list []forcelang.Stmt, out map[string]bool) {
 				writtenNames(b.Body, out)
 			}
 		case *forcelang.AskforStmt:
-			out[norm(t.Var)] = true
+			out[t.Var] = true
 			writtenNames(t.Body, out)
 		case *forcelang.ConsumeStmt:
-			out[norm(t.Target.Name)] = true
+			out[t.Target.Name] = true
 		case *forcelang.CopyStmt:
-			out[norm(t.Target.Name)] = true
+			out[t.Target.Name] = true
 		case *forcelang.CallStmt:
 			for i := range t.Args {
-				out[norm(t.Args[i].Name)] = true
+				out[t.Args[i].Name] = true
 			}
 		}
 	}
@@ -511,7 +488,7 @@ func (f *flow) stmts(list []forcelang.Stmt, ctx uniform.Level) {
 
 // loopBounds evaluates a loop's constant range (step nil means 1).
 func (f *flow) loopBounds(v string, from, to, step forcelang.Expr) loopRange {
-	lr := loopRange{v: norm(v), step: 1}
+	lr := loopRange{v: v, step: 1}
 	lo, lok := f.constEval(from)
 	hi, hok := f.constEval(to)
 	sok := true
@@ -551,14 +528,14 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 			f.faultsExpr(t.Step, ctx)
 			blv = blv.Join(f.exprLevel(t.Step))
 			if v, ok := f.constEval(t.Step); ok && v == 0 {
-				f.fault(t.Pos(), ctx, "loop step is zero")
+				f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ZeroStep})
 			}
 		}
 		lr := f.loopBounds(t.Var, t.From, t.To, t.Step)
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
-		f.env[norm(t.Var)] = blv.Join(ctx)
-		delete(f.consts, norm(t.Var))
+		f.env[t.Var] = blv.Join(ctx)
+		delete(f.consts, t.Var)
 		f.loops = append(f.loops, lr)
 		f.fixpoint(t.Body, ctx.Join(blv))
 		f.loops = f.loops[:len(f.loops)-1]
@@ -596,14 +573,14 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		if t.Step != nil {
 			f.faultsExpr(t.Step, ctx)
 			if v, ok := f.constEval(t.Step); ok && v == 0 {
-				f.fault(t.Pos(), ctx, "loop step is zero")
+				f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ZeroStep})
 			}
 		}
 		outer := f.loopBounds(t.Var, t.From, t.To, t.Step)
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
-		f.env[norm(t.Var)] = uniform.Varying
-		delete(f.consts, norm(t.Var))
+		f.env[t.Var] = uniform.Varying
+		delete(f.consts, t.Var)
 		f.loops = append(f.loops, outer)
 		if t.Inner != nil {
 			f.faultsExpr(t.Inner.From, ctx)
@@ -611,11 +588,11 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 			if t.Inner.Step != nil {
 				f.faultsExpr(t.Inner.Step, ctx)
 				if v, ok := f.constEval(t.Inner.Step); ok && v == 0 {
-					f.fault(t.Pos(), ctx, "loop step is zero")
+					f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ZeroStep})
 				}
 			}
-			f.env[norm(t.Inner.Var)] = uniform.Varying
-			delete(f.consts, norm(t.Inner.Var))
+			f.env[t.Inner.Var] = uniform.Varying
+			delete(f.consts, t.Inner.Var)
 			f.loops = append(f.loops, f.loopBounds(t.Inner.Var, t.Inner.From, t.Inner.To, t.Inner.Step))
 		}
 		f.depth++
@@ -628,7 +605,7 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		joinInto(f.env, pre)
 		intersectConsts(f.consts, preConsts)
 		// The loop variable's final value depends on the schedule.
-		f.env[norm(t.Var)] = uniform.Varying
+		f.env[t.Var] = uniform.Varying
 
 	case *forcelang.BarrierStmt:
 		if ctx == uniform.Varying {
@@ -679,14 +656,14 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		f.faultsExpr(t.Seed, ctx)
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
-		f.env[norm(t.Var)] = uniform.Varying
-		delete(f.consts, norm(t.Var))
+		f.env[t.Var] = uniform.Varying
+		delete(f.consts, t.Var)
 		f.depth++
 		f.fixpoint(t.Body, uniform.Varying)
 		f.depth--
 		joinInto(f.env, pre)
 		intersectConsts(f.consts, preConsts)
-		f.env[norm(t.Var)] = uniform.Varying
+		f.env[t.Var] = uniform.Varying
 
 	case *forcelang.PutStmt:
 		f.faultsExpr(t.Expr, ctx)
@@ -698,8 +675,8 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		f.faultsExpr(t.Expr, ctx)
 		f.faultsRef(&t.Target, ctx)
 		// Every process receives the combined value.
-		if d, ok := f.decl(t.Target.Name); ok && d.Class == shm.Private {
-			key := norm(t.Target.Name)
+		if t.Target.Sym.Class == shm.Private {
+			key := t.Target.Name
 			if len(t.Target.Subs) == 0 {
 				f.env[key] = uniform.Uniform.Join(ctx)
 				delete(f.consts, key)
@@ -713,21 +690,21 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		}
 
 	case *forcelang.ProduceStmt:
-		f.faultsAsyncSub(t.Var, t.Sub, t.Pos(), ctx)
+		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 		f.faultsExpr(t.Expr, ctx)
 
 	case *forcelang.ConsumeStmt:
-		f.faultsAsyncSub(t.Var, t.Sub, t.Pos(), ctx)
+		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 		f.faultsRef(&t.Target, ctx)
 		f.consumeTarget(&t.Target)
 
 	case *forcelang.CopyStmt:
-		f.faultsAsyncSub(t.Var, t.Sub, t.Pos(), ctx)
+		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 		f.faultsRef(&t.Target, ctx)
 		f.consumeTarget(&t.Target)
 
 	case *forcelang.VoidStmt:
-		f.faultsAsyncSub(t.Var, t.Sub, t.Pos(), ctx)
+		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 
 	case *forcelang.PrintStmt:
 		for _, item := range t.Items {
@@ -753,11 +730,10 @@ func (f *flow) killWrittenBlocks(blocks []forcelang.PcaseBlock) {
 // consumeTarget marks a Consume/Copy destination varying: full/empty
 // hand-offs deliver different values to different processes.
 func (f *flow) consumeTarget(target *forcelang.Ref) {
-	d, ok := f.decl(target.Name)
-	if !ok || d.Class != shm.Private {
+	if target.Sym.Class != shm.Private {
 		return
 	}
-	key := norm(target.Name)
+	key := target.Name
 	if len(target.Subs) == 0 {
 		f.env[key] = uniform.Varying
 		delete(f.consts, key)
@@ -773,30 +749,27 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 	for i := range t.Args {
 		f.faultsRef(&t.Args[i], ctx)
 	}
-	key := norm(t.Name)
+	key := t.Name
 	u, ok := f.a.subs[key]
 	if !ok {
 		return
 	}
 	siteFlagged := false
 	if ctx == uniform.Varying && f.a.hasCollective(t.Name, map[string]bool{}) {
-		f.report("FV001", Error, t.Pos(), "collective construct in %s reachable under non-uniform condition (call site)", norm(t.Name))
+		f.report("FV001", Error, t.Pos(), "collective construct in %s reachable under non-uniform condition (call site)", t.Name)
 		siteFlagged = true
 	}
 	if f.callPath[key] {
 		// Recursion: assume every by-reference argument varies.
 		for i := range t.Args {
-			if d, found := f.decl(t.Args[i].Name); found && d.Class == shm.Private {
-				f.env[norm(t.Args[i].Name)] = uniform.Varying
+			if t.Args[i].Sym.Class == shm.Private {
+				f.env[t.Args[i].Name] = uniform.Varying
 			}
-			delete(f.consts, norm(t.Args[i].Name))
+			delete(f.consts, t.Args[i].Name)
 		}
 		return
 	}
-	sub := f.a.prog.Sub(t.Name)
-	if sub == nil || len(sub.Params) != len(t.Args) {
-		return
-	}
+	sub := t.Callee
 	cf := &flow{
 		a:        f.a,
 		unit:     u,
@@ -816,7 +789,7 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 	}
 	cf.callPath[key] = true
 	for i, p := range sub.Params {
-		cf.env[norm(p)] = f.refLevel(&t.Args[i])
+		cf.env[p] = f.refLevel(&t.Args[i])
 	}
 	cf.stmts(u.body, ctx)
 	// Propagate by-reference results back to scalar arguments.
@@ -824,14 +797,10 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		if len(t.Args[i].Subs) > 0 {
 			continue
 		}
-		d, found := f.decl(t.Args[i].Name)
-		if !found {
-			continue
-		}
-		akey := norm(t.Args[i].Name)
+		akey := t.Args[i].Name
 		delete(f.consts, akey)
-		if d.Class == shm.Private {
-			f.env[akey] = f.env[akey].Join(cf.env[norm(p)])
+		if t.Args[i].Sym.Class == shm.Private {
+			f.env[akey] = f.env[akey].Join(cf.env[p])
 		}
 	}
 }
@@ -845,16 +814,15 @@ func (f *flow) checkReplicatedStore(t *forcelang.Assign, ctx uniform.Level) {
 	if f.unit.name != "" || f.inlined || f.depth > 0 || ctx == uniform.Varying {
 		return
 	}
-	d, ok := f.decl(t.Target.Name)
-	if !ok || !d.Class.IsShared() || d.Class == shm.Async || f.unit.isParam(t.Target.Name) {
+	if d := t.Target.Sym; d.Class != shm.Shared || isParam(d) {
 		return
 	}
 	lv := f.exprLevel(t.Expr)
 	if len(t.Target.Subs) == 0 {
 		if uniform.RefersTo(t.Expr, t.Target.Name) {
-			f.report("FV102", Warning, t.Pos(), "shared %s updated by every process at force level without synchronization (read-modify-write)", norm(t.Target.Name))
+			f.report("FV102", Warning, t.Pos(), "shared %s updated by every process at force level without synchronization (read-modify-write)", t.Target.Name)
 		} else if lv == uniform.Varying {
-			f.report("FV102", Warning, t.Pos(), "shared %s stored by every process at force level with differing values", norm(t.Target.Name))
+			f.report("FV102", Warning, t.Pos(), "shared %s stored by every process at force level with differing values", t.Target.Name)
 		}
 		return
 	}
@@ -865,6 +833,6 @@ func (f *flow) checkReplicatedStore(t *forcelang.Assign, ctx uniform.Level) {
 		}
 	}
 	if subsUniform && lv == uniform.Varying {
-		f.report("FV102", Warning, t.Pos(), "every process stores a differing value into the same element of shared %s at force level", norm(t.Target.Name))
+		f.report("FV102", Warning, t.Pos(), "every process stores a differing value into the same element of shared %s at force level", t.Target.Name)
 	}
 }

@@ -30,33 +30,33 @@ import (
 
 // racePass walks a unit finding parallel construct bodies.
 func (a *analysis) racePass(u *unitInfo) {
-	a.raceStmts(u, u.body)
+	a.raceStmts(u.body)
 }
 
-func (a *analysis) raceStmts(u *unitInfo, list []forcelang.Stmt) {
+func (a *analysis) raceStmts(list []forcelang.Stmt) {
 	for _, st := range list {
 		switch t := st.(type) {
 		case *forcelang.If:
-			a.raceStmts(u, t.Then)
-			a.raceStmts(u, t.Else)
+			a.raceStmts(t.Then)
+			a.raceStmts(t.Else)
 		case *forcelang.SeqDo:
-			a.raceStmts(u, t.Body)
+			a.raceStmts(t.Body)
 		case *forcelang.WhileDo:
-			a.raceStmts(u, t.Body)
+			a.raceStmts(t.Body)
 		case *forcelang.ParDo:
 			inner := ""
 			if t.Inner != nil {
-				inner = norm(t.Inner.Var)
+				inner = t.Inner.Var
 			}
-			a.raceBody(u, t.Body, norm(t.Var), inner, t.Sched.String()+" DO")
+			a.raceBody(t.Body, t.Var, inner, t.Sched.String()+" DO")
 		case *forcelang.AskforStmt:
-			a.raceBody(u, t.Body, "", "", "Askfor")
+			a.raceBody(t.Body, "", "", "Askfor")
 		case *forcelang.PcaseStmt:
-			a.racePcase(u, t)
+			a.racePcase(t)
 		case *forcelang.BarrierStmt:
-			a.raceStmts(u, t.Section)
+			a.raceStmts(t.Section)
 		case *forcelang.CriticalStmt:
-			a.raceStmts(u, t.Body)
+			a.raceStmts(t.Body)
 		}
 	}
 }
@@ -81,11 +81,9 @@ type arrayAcc struct {
 
 // collector walks one parallel body.
 type collector struct {
-	u       *unitInfo
-	prog    *forcelang.Program
-	outer   string // normalized loop index names ("" when absent)
+	outer   string // loop index names ("" when absent)
 	inner   string
-	written map[string]bool // every name the body may write (normalized)
+	written map[string]bool // every name the body may write
 	scalars map[string]*scalarAcc
 	arrays  map[string]*arrayAcc
 	// substOnce counts assignments per private scalar; subst holds the
@@ -94,9 +92,9 @@ type collector struct {
 	subst       map[string]forcelang.Expr
 }
 
-func (a *analysis) newCollector(u *unitInfo, body []forcelang.Stmt, outer, inner string) *collector {
+func (a *analysis) newCollector(body []forcelang.Stmt, outer, inner string) *collector {
 	c := &collector{
-		u: u, prog: a.prog, outer: outer, inner: inner,
+		outer: outer, inner: inner,
 		written:     map[string]bool{},
 		scalars:     map[string]*scalarAcc{},
 		arrays:      map[string]*arrayAcc{},
@@ -119,7 +117,7 @@ func (c *collector) countAssigns(list []forcelang.Stmt) {
 		switch t := st.(type) {
 		case *forcelang.Assign:
 			if len(t.Target.Subs) == 0 {
-				c.assignCount[norm(t.Target.Name)]++
+				c.assignCount[t.Target.Name]++
 			}
 		case *forcelang.If:
 			c.countAssigns(t.Then)
@@ -137,12 +135,9 @@ func (c *collector) countAssigns(list []forcelang.Stmt) {
 // unwrittenIntScalar is the disjointness space's remainder rule: an
 // unwritten, non-parameter INTEGER scalar reads the same value in
 // every iteration.
-func (c *collector) unwrittenIntScalar(name string) bool {
-	if c.written[norm(name)] || c.u.isParam(name) {
-		return false
-	}
-	d, ok := c.u.scope.Lookup(name)
-	if !ok || len(d.Dims) > 0 || d.Type != forcelang.TInt {
+func (c *collector) unwrittenIntScalar(r *forcelang.Ref) bool {
+	d := r.Sym
+	if c.written[r.Name] || isParam(d) || len(d.Dims) > 0 || d.Type != forcelang.TInt {
 		return false
 	}
 	return d.Class == shm.Private || d.Class == shm.Shared
@@ -155,12 +150,7 @@ func (c *collector) unwrittenIntScalar(name string) bool {
 func (c *collector) valueUniform(e forcelang.Expr) bool {
 	ok := true
 	uniform.Walk(e, func(r *forcelang.Ref) {
-		if c.u.isParam(r.Name) || c.written[norm(r.Name)] {
-			ok = false
-			return
-		}
-		d, found := c.u.scope.Lookup(r.Name)
-		if !found || !d.Class.IsShared() {
+		if isParam(r.Sym) || c.written[r.Name] || !r.Sym.Class.IsShared() {
 			ok = false
 			return
 		}
@@ -174,7 +164,7 @@ func (c *collector) valueUniform(e forcelang.Expr) bool {
 }
 
 func (c *collector) scalar(name string) *scalarAcc {
-	key := norm(name)
+	key := name
 	s, ok := c.scalars[key]
 	if !ok {
 		s = &scalarAcc{crits: map[string]bool{}, valuesUniform: true}
@@ -184,7 +174,7 @@ func (c *collector) scalar(name string) *scalarAcc {
 }
 
 func (c *collector) array(name string) *arrayAcc {
-	key := norm(name)
+	key := name
 	arr, ok := c.arrays[key]
 	if !ok {
 		arr = &arrayAcc{crits: map[string]bool{}, valuesUniform: true}
@@ -196,11 +186,7 @@ func (c *collector) array(name string) *arrayAcc {
 // reads records every shared access inside an expression.
 func (c *collector) reads(e forcelang.Expr, crit string) {
 	uniform.Walk(e, func(r *forcelang.Ref) {
-		if c.u.isParam(r.Name) {
-			return
-		}
-		d, ok := c.u.scope.Lookup(r.Name)
-		if !ok || d.Class != shm.Shared {
+		if isParam(r.Sym) || r.Sym.Class != shm.Shared {
 			return
 		}
 		if len(r.Subs) == 0 {
@@ -265,11 +251,8 @@ func (c *collector) collect(list []forcelang.Stmt, crit string) {
 				for _, s := range r.Subs {
 					c.reads(s, crit)
 				}
-				if c.u.isParam(r.Name) {
-					continue
-				}
-				d, ok := c.u.scope.Lookup(r.Name)
-				if !ok || d.Class != shm.Shared {
+				d := r.Sym
+				if isParam(d) || d.Class != shm.Shared {
 					continue
 				}
 				if len(d.Dims) == 0 {
@@ -308,10 +291,7 @@ func (c *collector) asyncTarget(sub forcelang.Expr, target *forcelang.Ref, crit 
 	for _, s := range target.Subs {
 		c.reads(s, crit)
 	}
-	if c.u.isParam(target.Name) {
-		return
-	}
-	if d, ok := c.u.scope.Lookup(target.Name); ok && d.Class == shm.Shared {
+	if d := target.Sym; !isParam(d) && d.Class == shm.Shared {
 		if len(target.Subs) == 0 {
 			s := c.scalar(target.Name)
 			s.writes++
@@ -338,23 +318,19 @@ func (c *collector) assign(t *forcelang.Assign, crit string) {
 	for _, s := range t.Target.Subs {
 		c.reads(s, crit)
 	}
-	name := t.Target.Name
-	// Record the substitution candidate: a private scalar assigned
-	// exactly once in the body, with an index-affine RHS.
-	if len(t.Target.Subs) == 0 && !c.u.isParam(name) {
-		if d, ok := c.u.scope.Lookup(name); ok && d.Class == shm.Private && len(d.Dims) == 0 &&
-			d.Type == forcelang.TInt && c.assignCount[norm(name)] == 1 {
-			sp := &uniform.Space{Outer: c.outer, Inner: c.inner, IntScalar: c.unwrittenIntScalar}
-			if _, _, ok := sp.Coef(t.Expr); ok {
-				c.subst[norm(name)] = t.Expr
-			}
-		}
-	}
-	if c.u.isParam(name) {
+	name, d := t.Target.Name, t.Target.Sym
+	if isParam(d) {
 		return
 	}
-	d, ok := c.u.scope.Lookup(name)
-	if !ok || d.Class != shm.Shared {
+	// Record the substitution candidate: a private scalar assigned
+	// exactly once in the body, with an index-affine RHS.
+	if d.Storage == forcelang.PrivateScalar && d.Type == forcelang.TInt && c.assignCount[name] == 1 {
+		sp := &uniform.Space{Outer: c.outer, Inner: c.inner, IntScalar: c.unwrittenIntScalar}
+		if _, _, ok := sp.Coef(t.Expr); ok {
+			c.subst[name] = t.Expr
+		}
+	}
+	if d.Class != shm.Shared {
 		return
 	}
 	if len(t.Target.Subs) == 0 {
@@ -368,12 +344,10 @@ func (c *collector) assign(t *forcelang.Assign, crit string) {
 			s.valuesUniform = false
 		}
 		// Accumulator shape: S = S ± e, INTEGER, e not reading S.
-		if d.Type == forcelang.TInt {
+		if d.Type == forcelang.TInt && t.Expr.Type() == forcelang.TInt {
 			if delta, _, ok := uniform.AccumDelta(name, t.Expr); ok && !uniform.RefersTo(delta, name) {
-				if et, err := forcelang.TypeOf(c.prog, c.u.scope, t.Expr); err == nil && et == forcelang.TInt {
-					s.accWrites++
-					s.selfRef++
-				}
+				s.accWrites++
+				s.selfRef++
 			}
 		}
 		return
@@ -407,7 +381,7 @@ func (c *collector) substExpr(e forcelang.Expr) forcelang.Expr {
 	switch t := e.(type) {
 	case *forcelang.Ref:
 		if len(t.Subs) == 0 {
-			if rhs, ok := c.subst[norm(t.Name)]; ok {
+			if rhs, ok := c.subst[t.Name]; ok {
 				return rhs
 			}
 		}
@@ -434,8 +408,8 @@ func oneCritical(crits map[string]bool) bool {
 }
 
 // raceBody flags FV101 in one parallel construct body.
-func (a *analysis) raceBody(u *unitInfo, body []forcelang.Stmt, outer, inner, construct string) {
-	c := a.newCollector(u, body, outer, inner)
+func (a *analysis) raceBody(body []forcelang.Stmt, outer, inner, construct string) {
+	c := a.newCollector(body, outer, inner)
 	c.collect(body, "")
 	for name, s := range c.scalars {
 		if s.writes == 0 || oneCritical(s.crits) {
@@ -483,14 +457,14 @@ func (a *analysis) raceBody(u *unitInfo, body []forcelang.Stmt, outer, inner, co
 // racePcase flags cross-block conflicts: two Pcase blocks run in
 // different processes concurrently, so a name written in one block and
 // touched in another needs one common Critical.
-func (a *analysis) racePcase(u *unitInfo, t *forcelang.PcaseStmt) {
+func (a *analysis) racePcase(t *forcelang.PcaseStmt) {
 	type blockAcc struct {
 		scalars map[string]*scalarAcc
 		arrays  map[string]*arrayAcc
 	}
 	accs := make([]blockAcc, len(t.Blocks))
 	for i, b := range t.Blocks {
-		c := a.newCollector(u, b.Body, "", "")
+		c := a.newCollector(b.Body, "", "")
 		if b.Cond != nil {
 			c.reads(b.Cond, "")
 		}

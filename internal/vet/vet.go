@@ -41,7 +41,6 @@ package vet
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/forcelang"
 )
@@ -88,44 +87,30 @@ type analysis struct {
 	diags      []Diagnostic
 }
 
-// unitInfo is one compilation unit (the main program or a subroutine)
-// with its resolved scope.
+// unitInfo is one compilation unit (the main program or a subroutine).
+// What its names denote is on the tree (forcelang.Symbol).
 type unitInfo struct {
-	name   string // "" for the main program
-	scope  *forcelang.Scope
-	body   []forcelang.Stmt
-	params map[string]bool // normalized parameter names; nil for main
-	sub    *forcelang.Subroutine
+	name string // "" for the main program
+	body []forcelang.Stmt
 }
 
-func norm(s string) string { return strings.ToUpper(s) }
-
-// isParam reports whether name is a by-reference parameter of the unit.
-func (u *unitInfo) isParam(name string) bool { return u.params[norm(name)] }
+// isParam reports whether the symbol is a by-reference parameter.
+func isParam(sym *forcelang.Symbol) bool { return sym.Storage == forcelang.Parameter }
 
 // Analyze runs every pass over a checked program and returns the
 // deduplicated diagnostics sorted by line, then code.
 func Analyze(prog *forcelang.Program) ([]Diagnostic, error) {
-	global, err := forcelang.GlobalScope(prog)
-	if err != nil {
-		return nil, err
+	if prog.Scope == nil {
+		return nil, fmt.Errorf("vet: program %s was not checked (forcelang.Check)", prog.Name)
 	}
 	a := &analysis{
 		prog:       prog,
-		main:       &unitInfo{scope: global, body: prog.Body},
+		main:       &unitInfo{body: prog.Body},
 		subs:       map[string]*unitInfo{},
 		collective: map[string]bool{},
 	}
 	for _, sub := range prog.Subs {
-		scope, err := forcelang.SubScope(prog, sub)
-		if err != nil {
-			return nil, err
-		}
-		params := map[string]bool{}
-		for _, p := range sub.Params {
-			params[norm(p)] = true
-		}
-		a.subs[norm(sub.Name)] = &unitInfo{name: sub.Name, scope: scope, body: sub.Body, params: params, sub: sub}
+		a.subs[sub.Name] = &unitInfo{name: sub.Name, body: sub.Body}
 	}
 	for name := range a.subs {
 		a.hasCollective(name, map[string]bool{})
@@ -196,7 +181,7 @@ func finish(diags []Diagnostic) []Diagnostic {
 // contains a collective construct (Barrier, DOALL, Pcase, Askfor,
 // global reduction), memoized; path guards call cycles.
 func (a *analysis) hasCollective(name string, path map[string]bool) bool {
-	key := norm(name)
+	key := name
 	if v, ok := a.collective[key]; ok {
 		return v
 	}
