@@ -1,25 +1,15 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
-	"sort"
 	"sync"
-	"time"
 
-	"repro/internal/aot"
 	"repro/internal/apps"
 	"repro/internal/asyncvar"
 	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/forcelang"
-	"repro/internal/interp"
 	"repro/internal/lock"
 	"repro/internal/machine"
 	"repro/internal/maclib"
@@ -113,13 +103,12 @@ func expT3(c config) error {
 		{"triangular", workload.Triangular(unit * 16 / n)},
 		{"bursty", workload.Bursty(unit, unit*64, 37)},
 	}
-	kinds := []sched.Kind{sched.PreschedBlock, sched.PreschedCyclic, sched.SelfLock, sched.SelfAtomic, sched.Chunk, sched.Guided, sched.Stealing}
 	for _, cm := range costs {
 		tbl := &stats.Table{
 			Title:  fmt.Sprintf("DOALL wall time (ms), %s cost, n=%d", cm.name, n),
 			Header: append([]string{"discipline"}, npHeaders(c.npSweep())...),
 		}
-		for _, k := range kinds {
+		for _, k := range sched.Kinds() {
 			row := []any{k.String()}
 			for _, np := range c.npSweep() {
 				f := c.force(np, core.WithChunk(16))
@@ -182,7 +171,7 @@ func expT4(c config) error {
 	return nil
 }
 
-// expT5 measures produce/consume transfer rates for the three async
+// expT5 measures produce/consume transfer rates for the two async
 // realizations.
 func expT5(c config) error {
 	items := 100000
@@ -348,7 +337,7 @@ func expT7(c config) error {
 }
 
 // expT8 reports application speedups over the sequential baselines.  The
-// forces use the scheduler-parking barrier (the winner of T2 on this
+// forces use the sense-reversing barrier (the winner of T2 on this
 // substrate): picking the right barrier per machine is exactly the
 // flexibility the Force's layering buys, and with the paper's two-lock
 // barrier the fine-grained codes are barrier-bound (T2 shows the gap).
@@ -436,7 +425,7 @@ func expT8(c config) error {
 		Title:  "application speedup vs sequential baseline",
 		Header: append([]string{"application", "seq ms"}, npHeaders(c.npSweep())...),
 		Notes: []string{
-			"cells are speedups (seq time / parallel time); forces use the cond barrier (T2 winner here)",
+			"cells are speedups (seq time / parallel time); forces use the sense barrier (T2 winner here)",
 			"the log-step scan performs ~log2(n) times the sequential work: watch its scaling across np, not the absolute value",
 		},
 	}
@@ -444,7 +433,7 @@ func expT8(c config) error {
 		seqS := stats.Time(c.runs, d.seq)
 		row := []any{d.name, seqS.Median() * 1e3}
 		for _, np := range c.npSweep() {
-			f := c.force(np, core.WithBarrier(barrier.CondBroadcast))
+			f := c.force(np, core.WithBarrier(barrier.CentralSense))
 			parS := stats.Time(c.runs, func() { d.par(f) })
 			f.Close()
 			row = append(row, stats.Speedup(seqS.Median(), parS.Median()))
@@ -452,26 +441,6 @@ func expT8(c config) error {
 		tbl.AddRow(row...)
 	}
 	return tbl.Render(os.Stdout)
-}
-
-// askforCell is one T9 measurement, the machine-readable record the
-// -json flag emits so later revisions can track the perf trajectory.
-type askforCell struct {
-	Pool        string  `json:"pool"`
-	NP          int     `json:"np"`
-	Grain       int     `json:"grain"`
-	Depth       int     `json:"depth"`
-	Tasks       int     `json:"tasks"`
-	SecondsMed  float64 `json:"seconds_median"`
-	TasksPerSec float64 `json:"tasks_per_sec"`
-}
-
-// askforReport is the top-level JSON document.
-type askforReport struct {
-	Experiment string       `json:"experiment"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Runs       int          `json:"runs"`
-	Results    []askforCell `json:"results"`
 }
 
 // expT9 is the engine experiment: the same put-heavy Askfor workload (a
@@ -487,7 +456,6 @@ func expT9(c config) error {
 		depth = 10
 	}
 	tasks := 1<<depth - 1
-	report := askforReport{Experiment: "askfor-distribution", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
 	for _, grain := range []int{0, 500} {
 		tbl := &stats.Table{
 			Title:  fmt.Sprintf("Askfor dynamic tree, depth %d (%d tasks), grain=%d: tasks/second", depth, tasks, grain),
@@ -513,12 +481,7 @@ func expT9(c config) error {
 					})
 				})
 				f.Close()
-				med := s.Median()
-				row = append(row, float64(tasks)/med)
-				report.Results = append(report.Results, askforCell{
-					Pool: kind.String(), NP: np, Grain: grain, Depth: depth,
-					Tasks: tasks, SecondsMed: med, TasksPerSec: float64(tasks) / med,
-				})
+				row = append(row, float64(tasks)/s.Median())
 			}
 			tbl.AddRow(row...)
 		}
@@ -526,50 +489,18 @@ func expT9(c config) error {
 			return err
 		}
 	}
-	if c.jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", c.jsonPath, len(report.Results))
-	}
 	return nil
-}
-
-// reduceCell is one T10 measurement, the machine-readable record the
-// -json flag emits (BENCH_reduce.json).
-type reduceCell struct {
-	Strategy   string  `json:"strategy"`
-	NP         int     `json:"np"`
-	Config     string  `json:"config"` // "light" or "heavy" (reductions per run)
-	Ops        int     `json:"ops"`    // reductions per run
-	Op         string  `json:"op"`     // reduced operator/element type
-	SecondsMed float64 `json:"seconds_median"`
-	MicrosPer  float64 `json:"micros_per_reduction"`
-	PerSec     float64 `json:"reductions_per_sec"`
-}
-
-// reduceReport is the top-level T10 JSON document.
-type reduceReport struct {
-	Experiment string       `json:"experiment"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Runs       int          `json:"runs"`
-	Results    []reduceCell `json:"results"`
 }
 
 // expT10 is the reduction-subsystem experiment: the same global-sum
 // workload (every process contributes, everyone receives the total —
-// the hot collective of every SPMD kernel) executed through all four
+// the hot collective of every SPMD kernel) executed through both
 // strategies, across NP and operation counts.  The light configuration
 // is a handful of reductions per run (startup-dominated); the heavy
 // configuration is a reduction-dense convergence loop, where strategy
 // differences compound.  The Critical strategy serializes every
 // contribution on one lock — the paper's idiom; slots make contribution
-// a private store, the tree bounds the combine depth, and atomic makes
-// the integer fold a CAS.
+// a private store.
 func expT10(c config) error {
 	configs := []struct {
 		name string
@@ -592,14 +523,13 @@ func expT10(c config) error {
 		configs[1].ops = 64
 		configs[2].ops = 512
 	}
-	report := reduceReport{Experiment: "reduce-strategies", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
 	for _, cfg := range configs {
 		tbl := &stats.Table{
 			Title:  fmt.Sprintf("global int sum, %s (%d reductions per run): µs per reduction", cfg.name, cfg.ops),
 			Header: append([]string{"strategy"}, npHeaders(c.npSweep())...),
 			Notes: []string{
 				"critical = shared accumulator under one machine lock (the paper's idiom)",
-				"slots = padded per-process slots folded in pid order; tree = combining tree; atomic = CAS fold",
+				"slots = padded per-process slots folded in pid order",
 			},
 		}
 		for _, kind := range reduce.Kinds() {
@@ -617,12 +547,7 @@ func expT10(c config) error {
 					})
 				})
 				f.Close()
-				med := s.Median()
-				row = append(row, med/float64(ops)*1e6)
-				report.Results = append(report.Results, reduceCell{
-					Strategy: kind.String(), NP: np, Config: cfg.name, Ops: ops, Op: "sum-int",
-					SecondsMed: med, MicrosPer: med / float64(ops) * 1e6, PerSec: float64(ops) / med,
-				})
+				row = append(row, s.Median()/float64(ops)*1e6)
 			}
 			tbl.AddRow(row...)
 		}
@@ -630,8 +555,7 @@ func expT10(c config) error {
 			return err
 		}
 	}
-	// A float argmax-style reduction exercises the generic path (Atomic
-	// falls back to slots here: no integer representation).
+	// A float argmax-style reduction exercises a second element type.
 	ops := 1024
 	if c.quick {
 		ops = 128
@@ -639,7 +563,6 @@ func expT10(c config) error {
 	tbl := &stats.Table{
 		Title:  fmt.Sprintf("global float64 max, %d reductions per run: µs per reduction", ops),
 		Header: append([]string{"strategy"}, npHeaders(c.npSweep())...),
-		Notes:  []string{"atomic has no float64 CAS representation and falls back to slots"},
 	}
 	for _, kind := range reduce.Kinds() {
 		row := []any{kind.String()}
@@ -654,29 +577,11 @@ func expT10(c config) error {
 				})
 			})
 			f.Close()
-			med := s.Median()
-			row = append(row, med/float64(ops)*1e6)
-			report.Results = append(report.Results, reduceCell{
-				Strategy: kind.String(), NP: np, Config: "float-max", Ops: ops, Op: "max-float64",
-				SecondsMed: med, MicrosPer: med / float64(ops) * 1e6, PerSec: float64(ops) / med,
-			})
+			row = append(row, s.Median()/float64(ops)*1e6)
 		}
 		tbl.AddRow(row...)
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		return err
-	}
-	if c.jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", c.jsonPath, len(report.Results))
-	}
-	return nil
+	return tbl.Render(os.Stdout)
 }
 
 // expA1 times the paper's two-lock barrier over every lock category.
@@ -737,20 +642,6 @@ func expA2(c config) error {
 		f.Close()
 		tbl.AddRow(chunk, u.Median()*1e3, bt.Median()*1e3)
 	}
-	// Guided for reference.
-	f := c.force(np)
-	defer f.Close()
-	u := stats.Time(c.runs, func() {
-		f.Run(func(p *core.Proc) {
-			p.GuidedDo(sched.Seq(n), func(i int) { workload.SpinSink += workload.Spin(5) })
-		})
-	})
-	bt := stats.Time(c.runs, func() {
-		f.Run(func(p *core.Proc) {
-			p.GuidedDo(sched.Seq(n), func(i int) { workload.SpinSink += workload.Spin(bursty(i)) })
-		})
-	})
-	tbl.AddRow("guided", u.Median()*1e3, bt.Median()*1e3)
 	return tbl.Render(os.Stdout)
 }
 
@@ -776,727 +667,4 @@ func runForce(np int, body func(pid int)) {
 		}(p)
 	}
 	wg.Wait()
-}
-
-var _ = time.Now // time is used by stats only; keep import sets stable
-
-// interpCell is one T11 measurement, the machine-readable record the
-// -json flag emits (BENCH_interp.json).
-type interpCell struct {
-	Exec        string  `json:"exec"`
-	Kernel      string  `json:"kernel"`
-	NP          int     `json:"np"`
-	Iters       int     `json:"iters"` // kernel-body executions per run
-	SecondsMed  float64 `json:"seconds_median"`
-	MicrosPer   float64 `json:"micros_per_iter"`
-	ItersPerSec float64 `json:"iters_per_sec"`
-	AllocsRun   float64 `json:"allocs_per_run"` // heap allocations per Run (parse-to-exit, compile included)
-}
-
-// interpReport is the top-level T11 JSON document.
-type interpReport struct {
-	Experiment string       `json:"experiment"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Runs       int          `json:"runs"`
-	Results    []interpCell `json:"results"`
-}
-
-// expT11 is the interpreter experiment: the same Force kernels executed
-// by the original tree walker (names resolved through string maps on
-// every access, all shared storage serialized by one mutex), by the
-// slot-resolved closure compiler (index-addressed frames, every shared
-// scalar and array element one typed atomic word), and by that same
-// compiler in chunk mode (uniform subexpressions hoisted out of the
-// loop, accumulators folded, whole spans run as tight loops, disjoint
-// prescheduled sweeps dealt in contiguous blocks), across NP.
-//
-// The shared-heavy kernel is scalar shared traffic — every iteration
-// reads and writes shared scalars, the access pattern the global mutex
-// penalizes even single-process (map lookup + lock per access).  The
-// disjoint-writes kernel sweeps a shared array with each iteration
-// touching its own element: under the tree walker every element store
-// serializes on the one mutex regardless of NP; in the compiled store
-// disjoint elements are disjoint atomic words and never meet.
-func expT11(c config) error {
-	sharedN := 200000
-	arrayN, sweeps := 4096, 50
-	if c.quick {
-		sharedN = 20000
-		arrayN, sweeps = 1024, 10
-	}
-	type kernel struct {
-		name  string
-		src   string
-		iters int
-	}
-	kernels := []kernel{
-		{
-			name: "shared-heavy",
-			src: fmt.Sprintf(`Force SHEAVY of NP ident ME
-Shared Real ACC
-Shared Integer TICKS
-Private Integer I
-Private Real X
-End Declarations
-Presched DO I = 1, %d
-  X = REAL(I) * 0.5
-  ACC = ACC + X
-  TICKS = TICKS + 1
-End Presched DO
-Barrier
-End Barrier
-Join
-`, sharedN),
-			iters: sharedN,
-		},
-		{
-			name: "disjoint-writes",
-			src: fmt.Sprintf(`Force DISJ of NP ident ME
-Shared Real A(%d)
-Private Integer I, S
-End Declarations
-Presched DO I = 1, %d
-  A(I) = REAL(I)
-End Presched DO
-DO S = 1, %d
-  Presched DO I = 1, %d
-    A(I) = A(I) * 0.999 + REAL(I) * 0.001
-  End Presched DO
-End DO
-Join
-`, arrayN, arrayN, sweeps, arrayN),
-			iters: arrayN * sweeps,
-		},
-	}
-	report := interpReport{Experiment: "interp-throughput", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
-	perSec := map[string]map[int]float64{} // exec/kernel → np → iters/s
-	for _, k := range kernels {
-		prog, err := forcelang.Parse(k.src)
-		if err != nil {
-			return err
-		}
-		tbl := &stats.Table{
-			Title:  fmt.Sprintf("interp %s kernel (%d iterations): µs per iteration", k.name, k.iters),
-			Header: append([]string{"engine"}, npHeaders(c.npSweep())...),
-			Notes: []string{
-				"tree = map-addressed walker, one mutex around all shared storage",
-				"compiled = slot-resolved typed closures, shared scalars and array elements as typed atomic words, one index per dispatch",
-				"chunked = the same compiler in chunk mode: uniform hoisting, accumulator folding, per-span tight loops, block partition",
-			},
-		}
-		atbl := &stats.Table{
-			Title:  fmt.Sprintf("interp %s kernel: heap allocations per Run (allocs/op, compile included)", k.name),
-			Header: append([]string{"engine"}, npHeaders(c.npSweep())...),
-			Notes:  []string{"one Run = parse-to-exit; the chunk context is part of the process record, so the loop body itself is allocation-free"},
-		}
-		for _, mode := range interp.ExecModes() {
-			key := mode.String() + "/" + k.name
-			perSec[key] = map[int]float64{}
-			row := []any{mode.String()}
-			arow := []any{mode.String()}
-			for _, np := range c.npSweep() {
-				cfg := interp.Config{NP: np, Stdout: io.Discard, Exec: mode, Chunk: c.chunk}
-				if c.barSet {
-					cfg.Barrier = c.barKind
-				}
-				var runErr error
-				times, allocs := stats.TimeAllocs(c.runs, func() {
-					if err := interp.Run(prog, cfg); err != nil && runErr == nil {
-						runErr = err
-					}
-				})
-				if runErr != nil {
-					return runErr
-				}
-				med := times.Median()
-				row = append(row, med/float64(k.iters)*1e6)
-				arow = append(arow, allocs.Median())
-				perSec[key][np] = float64(k.iters) / med
-				report.Results = append(report.Results, interpCell{
-					Exec: mode.String(), Kernel: k.name, NP: np, Iters: k.iters,
-					SecondsMed: med, MicrosPer: med / float64(k.iters) * 1e6,
-					ItersPerSec: float64(k.iters) / med,
-					AllocsRun:   allocs.Median(),
-				})
-			}
-			tbl.AddRow(row...)
-			atbl.AddRow(arow...)
-		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			return err
-		}
-		if err := atbl.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-	// Acceptance summary: single-process compiled-vs-tree on the scalar
-	// kernel, chunked-vs-compiled on both kernels (the chunk tier's
-	// speedup over its per-iteration A/B baseline), and the compiled
-	// engine's self-relative scaling on the disjoint kernel (meaningful
-	// only when GOMAXPROCS allows overlap).
-	if tree, comp := perSec["tree/shared-heavy"][1], perSec["compiled/shared-heavy"][1]; tree > 0 {
-		fmt.Printf("compiled vs tree, shared-heavy, np=1: %.2fx\n", comp/tree)
-	}
-	if comp, ch := perSec["compiled/shared-heavy"][1], perSec["chunked/shared-heavy"][1]; comp > 0 {
-		fmt.Printf("chunked vs compiled, shared-heavy, np=1: %.2fx\n", ch/comp)
-	}
-	if comp, ch := perSec["compiled/disjoint-writes"][1], perSec["chunked/disjoint-writes"][1]; comp > 0 {
-		fmt.Printf("chunked vs compiled, disjoint-writes, np=1: %.2fx\n", ch/comp)
-	}
-	nps := c.npSweep()
-	last := nps[len(nps)-1]
-	if base, top := perSec["compiled/disjoint-writes"][1], perSec["compiled/disjoint-writes"][last]; base > 0 && last > 1 {
-		fmt.Printf("compiled self-relative scaling, disjoint-writes, np=1→%d: %.2fx (GOMAXPROCS=%d)\n",
-			last, top/base, runtime.GOMAXPROCS(0))
-	}
-	if c.jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", c.jsonPath, len(report.Results))
-	}
-	return nil
-}
-
-// aotCell is one T12 measurement.  Tier is "chunked-interp" (the best
-// interpreter engine, T12's baseline), "aot-warm" (the cached native
-// binary, launch included) or "aot-build" (the one-time cold `go
-// build`, recorded once per kernel with NP 0).
-type aotCell struct {
-	Tier        string  `json:"tier"`
-	Kernel      string  `json:"kernel"`
-	NP          int     `json:"np"`
-	Iters       int     `json:"iters"`
-	SecondsMed  float64 `json:"seconds_median"`
-	MicrosPer   float64 `json:"micros_per_iter"`
-	ItersPerSec float64 `json:"iters_per_sec"`
-}
-
-// aotReport is the top-level T12 JSON document (BENCH_aot.json).
-// LaunchMillis is the median wall time of a warm repeat launch of a
-// trivial program — the tier's fixed cost: fork/exec plus runtime
-// start-up, no build, no interpretation.
-type aotReport struct {
-	Experiment   string    `json:"experiment"`
-	GoMaxProcs   int       `json:"gomaxprocs"`
-	NumCPU       int       `json:"num_cpu"`
-	Runs         int       `json:"runs"`
-	LaunchMillis float64   `json:"warm_launch_millis"`
-	Results      []aotCell `json:"results"`
-}
-
-// expT12 is the execution-tier experiment: the T11 kernels run by the
-// chunked interpreter (the fastest interpreted tier, T11's winner) and
-// by the ahead-of-time native tier — cold (generate + `go build`, the
-// one-time price of a cache miss) and warm (the cached binary, process
-// launch included).  The warm rows answer the tier's acceptance
-// question: once a program is hot enough that the auto tier promoted
-// it, how much does native execution return per iteration, and how
-// many milliseconds does a repeat launch cost?
-func expT12(c config) error {
-	sharedN := 200000
-	arrayN, sweeps := 4096, 50
-	if c.quick {
-		sharedN = 20000
-		arrayN, sweeps = 1024, 10
-	}
-	type kernel struct {
-		name  string
-		src   string
-		iters int
-	}
-	kernels := []kernel{
-		{
-			name: "shared-heavy",
-			src: fmt.Sprintf(`Force SHEAVY of NP ident ME
-Shared Real ACC
-Shared Integer TICKS
-Private Integer I
-Private Real X
-End Declarations
-Presched DO I = 1, %d
-  X = REAL(I) * 0.5
-  ACC = ACC + X
-  TICKS = TICKS + 1
-End Presched DO
-Barrier
-End Barrier
-Join
-`, sharedN),
-			iters: sharedN,
-		},
-		{
-			name: "disjoint-writes",
-			src: fmt.Sprintf(`Force DISJ of NP ident ME
-Shared Real A(%d)
-Private Integer I, S
-End Declarations
-Presched DO I = 1, %d
-  A(I) = REAL(I)
-End Presched DO
-DO S = 1, %d
-  Presched DO I = 1, %d
-    A(I) = A(I) * 0.999 + REAL(I) * 0.001
-  End Presched DO
-End DO
-Join
-`, arrayN, arrayN, sweeps, arrayN),
-			iters: arrayN * sweeps,
-		},
-	}
-	cacheDir, err := os.MkdirTemp("", "force-aot-bench-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(cacheDir)
-	cache, err := aot.Open(cacheDir)
-	if err != nil {
-		return err
-	}
-	report := aotReport{Experiment: "aot-tier", GoMaxProcs: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Runs: c.runs}
-	perSec := map[string]map[int]float64{} // tier/kernel → np → iters/s
-	for _, k := range kernels {
-		prog, err := forcelang.Parse(k.src)
-		if err != nil {
-			return err
-		}
-		buildStart := time.Now()
-		entry, err := cache.Ensure(prog, aot.Options{})
-		if errors.Is(err, aot.ErrNoToolchain) {
-			fmt.Println("go toolchain unavailable; skipping T12 (the aot tier would fall back to the interpreter)")
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		buildSec := time.Since(buildStart).Seconds()
-		report.Results = append(report.Results, aotCell{
-			Tier: "aot-build", Kernel: k.name, NP: 0, Iters: k.iters, SecondsMed: buildSec,
-		})
-		tbl := &stats.Table{
-			Title:  fmt.Sprintf("aot tier, %s kernel (%d iterations): µs per iteration", k.name, k.iters),
-			Header: append([]string{"tier"}, npHeaders(c.npSweep())...),
-			Notes: []string{
-				"chunked-interp = the chunk-compiled interpreter (T11's fastest engine), in-process",
-				"aot-warm = the cached native binary, per-run process launch included",
-				fmt.Sprintf("one-time cold build for this kernel: %.0f ms (amortized across every later run at every np)", buildSec*1e3),
-			},
-		}
-		for _, tier := range []string{"chunked-interp", "aot-warm"} {
-			key := tier + "/" + k.name
-			perSec[key] = map[int]float64{}
-			row := []any{tier}
-			for _, np := range c.npSweep() {
-				var runErr error
-				var s *stats.Sample
-				if tier == "chunked-interp" {
-					cfg := interp.Config{NP: np, Stdout: io.Discard, Exec: interp.ExecChunked, Chunk: c.chunk}
-					if c.barSet {
-						cfg.Barrier = c.barKind
-					}
-					s = stats.Time(c.runs, func() {
-						if err := interp.Run(prog, cfg); err != nil && runErr == nil {
-							runErr = err
-						}
-					})
-				} else {
-					s = stats.Time(c.runs, func() {
-						if err := entry.Run(np, io.Discard, 0); err != nil && runErr == nil {
-							runErr = err
-						}
-					})
-				}
-				if runErr != nil {
-					return runErr
-				}
-				med := s.Median()
-				row = append(row, med/float64(k.iters)*1e6)
-				perSec[key][np] = float64(k.iters) / med
-				report.Results = append(report.Results, aotCell{
-					Tier: tier, Kernel: k.name, NP: np, Iters: k.iters,
-					SecondsMed: med, MicrosPer: med / float64(k.iters) * 1e6,
-					ItersPerSec: float64(k.iters) / med,
-				})
-			}
-			tbl.AddRow(row...)
-		}
-		if err := tbl.Render(os.Stdout); err != nil {
-			return err
-		}
-	}
-	// Warm launch cost: a trivial program through the cached binary.
-	launchProg, err := forcelang.Parse("Force NOP of NP ident ME\nEnd Declarations\nJoin\n")
-	if err != nil {
-		return err
-	}
-	launchEntry, err := cache.Ensure(launchProg, aot.Options{})
-	if err != nil {
-		return err
-	}
-	launch := stats.Time(c.runs, func() {
-		if err := launchEntry.Run(1, io.Discard, 0); err != nil {
-			panic(err)
-		}
-	})
-	report.LaunchMillis = launch.Median() * 1e3
-	fmt.Printf("warm repeat launch (trivial program, np=1): %.1f ms median\n", report.LaunchMillis)
-	// Acceptance summary: the tier must return ≥1.5x per-iteration over
-	// the chunked interpreter at np=1 on both kernels.
-	for _, k := range kernels {
-		if ch, warm := perSec["chunked-interp/"+k.name][1], perSec["aot-warm/"+k.name][1]; ch > 0 {
-			fmt.Printf("aot-warm vs chunked-interp, %s, np=1: %.2fx\n", k.name, warm/ch)
-		}
-	}
-	if c.jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", c.jsonPath, len(report.Results))
-	}
-	return nil
-}
-
-// cancelCell is one T13 measurement: the distribution of the
-// cancellation latency — cancel() to Run returning — with every
-// process of the force parked across its blocking primitives.
-type cancelCell struct {
-	Tier         string  `json:"tier"`
-	NP           int     `json:"np"`
-	Samples      int     `json:"samples"`
-	MillisMin    float64 `json:"millis_min"`
-	MillisMedian float64 `json:"millis_median"`
-	MillisMax    float64 `json:"millis_max"`
-}
-
-// cancelReport is the top-level T13 JSON document (BENCH_cancel.json).
-type cancelReport struct {
-	Experiment string       `json:"experiment"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Runs       int          `json:"runs"`
-	Results    []cancelCell `json:"results"`
-}
-
-// expT13 is the cancellation-latency experiment: a non-conformant
-// program parks every process of the force in the barrier (process 0
-// never arrives), the run is canceled from outside, and the cell
-// reports the distribution of cancel() → Run-returned.  The interpreter
-// tiers measure the poison protocol's wake-and-unwind path; the aot
-// tier measures the subprocess analogue — SIGKILL of the child's
-// process group plus the reap.  The robustness acceptance bound is
-// 100 ms at np=8 on the in-process tiers.
-func expT13(c config) error {
-	// The missing-peer barrier stall: process 0 never arrives, everyone
-	// else parks in the barrier.  np starts at 2 — with one process the
-	// program has no missing peer (and a pure channel stall would trip
-	// the Go deadlock detector inside the aot child binary).
-	const stallSrc = `Force STALL of NP ident ME
-End Declarations
-IF (ME .GT. 0) THEN
-Barrier
-End Barrier
-END IF
-Join
-`
-	prog, err := forcelang.Parse(stallSrc)
-	if err != nil {
-		return err
-	}
-	samples := c.runs * 3
-	if samples < 5 {
-		samples = 5
-	}
-	if c.quick {
-		samples = 3
-	}
-	// settle gives the force time to reach the parked state before the
-	// cancel, so the cell times the wake path, not the program prologue.
-	const settle = 30 * time.Millisecond
-
-	measure := func(start func(ctx context.Context) chan error) (cancelCell, error) {
-		lat := make([]float64, 0, samples)
-		for i := 0; i < samples; i++ {
-			ctx, cancel := context.WithCancel(context.Background())
-			errc := start(ctx)
-			time.Sleep(settle)
-			begin := time.Now()
-			cancel()
-			err := <-errc
-			d := time.Since(begin)
-			if err == nil || !errors.Is(err, context.Canceled) {
-				return cancelCell{}, fmt.Errorf("canceled run returned %v, want context.Canceled", err)
-			}
-			lat = append(lat, d.Seconds()*1e3)
-		}
-		sort.Float64s(lat)
-		return cancelCell{
-			Samples:      len(lat),
-			MillisMin:    lat[0],
-			MillisMedian: lat[len(lat)/2],
-			MillisMax:    lat[len(lat)-1],
-		}, nil
-	}
-
-	report := cancelReport{Experiment: "cancel-latency", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: samples}
-	nps := []int{2, 8}
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("cancellation latency, cancel → Run returns, ms median (max), %d samples", samples),
-		Header: append([]string{"tier"}, npHeaders(nps)...),
-		Notes: []string{
-			"program: non-conformant missing-peer stall — process 0 skips the barrier everyone else parks in (needs np >= 2)",
-			"interpreter tiers: poison wake + unwind, in-process; aot: SIGKILL of the child's process group + reap",
-			"acceptance bound: < 100 ms at np=8 on the in-process tiers",
-		},
-	}
-
-	for _, mode := range []interp.ExecMode{interp.ExecTree, interp.ExecCompiled, interp.ExecChunked} {
-		row := []any{mode.String()}
-		for _, np := range nps {
-			np := np
-			cell, err := measure(func(ctx context.Context) chan error {
-				errc := make(chan error, 1)
-				cfg := interp.Config{NP: np, Stdout: io.Discard, Exec: mode, Context: ctx}
-				if c.barSet {
-					cfg.Barrier = c.barKind
-				}
-				go func() { errc <- interp.Run(prog, cfg) }()
-				return errc
-			})
-			if err != nil {
-				return fmt.Errorf("%s np=%d: %w", mode, np, err)
-			}
-			cell.Tier, cell.NP = mode.String(), np
-			report.Results = append(report.Results, cell)
-			row = append(row, fmt.Sprintf("%.1f (%.1f)", cell.MillisMedian, cell.MillisMax))
-		}
-		tbl.AddRow(row...)
-	}
-
-	// The native tier: one cached build, then cancel the running binary.
-	aotRow := func() error {
-		cacheDir, err := os.MkdirTemp("", "force-cancel-bench-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(cacheDir)
-		cache, err := aot.Open(cacheDir)
-		if err != nil {
-			return err
-		}
-		entry, err := cache.Ensure(prog, aot.Options{})
-		if errors.Is(err, aot.ErrNoToolchain) {
-			fmt.Println("go toolchain unavailable; skipping the aot row")
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		row := []any{"aot"}
-		for _, np := range nps {
-			np := np
-			cell, err := measure(func(ctx context.Context) chan error {
-				errc := make(chan error, 1)
-				go func() { errc <- entry.RunContext(ctx, np, io.Discard) }()
-				return errc
-			})
-			if err != nil {
-				return fmt.Errorf("aot np=%d: %w", np, err)
-			}
-			cell.Tier, cell.NP = "aot", np
-			report.Results = append(report.Results, cell)
-			row = append(row, fmt.Sprintf("%.1f (%.1f)", cell.MillisMedian, cell.MillisMax))
-		}
-		tbl.AddRow(row...)
-		return nil
-	}
-	if err := aotRow(); err != nil {
-		return err
-	}
-
-	if err := tbl.Render(os.Stdout); err != nil {
-		return err
-	}
-	for _, cell := range report.Results {
-		if cell.NP == 8 && cell.Tier != "aot" && cell.MillisMax > 100 {
-			fmt.Printf("WARNING: %s np=8 max latency %.1f ms exceeds the 100 ms acceptance bound\n",
-				cell.Tier, cell.MillisMax)
-		}
-	}
-	if c.jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", c.jsonPath, len(report.Results))
-	}
-	return nil
-}
-
-// fusionCell is one T14 measurement.  Config is "chunked-fused" (the
-// chunk tier with the fusion pass), "chunked-nofuse" (the same tier
-// with one barrier per construct) or "core-run" (the runtime's
-// steady-state Run handoff, the zero-allocation contract).
-type fusionCell struct {
-	Config      string  `json:"config"`
-	Kernel      string  `json:"kernel"`
-	NP          int     `json:"np"`
-	Regions     int     `json:"regions"` // fused-region executions per run (0 for core-run)
-	SecondsMed  float64 `json:"seconds_median"`
-	MicrosPer   float64 `json:"micros_per_region"`
-	AllocsPerOp float64 `json:"allocs_per_op"` // heap allocations per Run
-}
-
-// fusionReport is the top-level T14 JSON document (BENCH_fusion.json).
-type fusionReport struct {
-	Experiment string       `json:"experiment"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Runs       int          `json:"runs"`
-	Results    []fusionCell `json:"results"`
-}
-
-// expT14 is the fused-pipeline experiment.  The barrier-heavy kernel
-// repeats a region of four adjacent element-disjoint prescheduled
-// DOALLs with a trailing GSUM: unfused, every round costs four exit
-// barriers plus a reduction episode; fused, the whole region closes
-// with one join.  The loop bodies are deliberately small (64 elements)
-// so synchronization — the thing fusion removes — dominates.  The
-// core-run rows measure the runtime's steady-state Run handoff on an
-// already-created force: its allocs/op column must be 0, the
-// zero-allocation contract the interpreter's pools build on.
-func expT14(c config) error {
-	rounds, n := 4000, 8
-	if c.quick {
-		rounds = 300
-	}
-	src := fmt.Sprintf(`Force FUSEB of NP ident ME
-Shared Real A(%[1]d)
-Shared Real B(%[1]d)
-Shared Real C(%[1]d)
-Shared Real D(%[1]d)
-Shared Integer S
-Private Integer I, R
-End Declarations
-DO R = 1, %[2]d
-  Presched DO I = 1, %[1]d
-    A(I) = REAL(I) + REAL(R)
-  End Presched DO
-  Presched DO I = 1, %[1]d
-    B(I) = A(I) * 0.5
-  End Presched DO
-  Presched DO I = 1, %[1]d
-    C(I) = A(I) + B(I)
-  End Presched DO
-  Presched DO I = 1, %[1]d
-    D(I) = C(I) - B(I)
-  End Presched DO
-  GSUM S = I
-End DO
-Join
-`, n, rounds)
-	prog, err := forcelang.Parse(src)
-	if err != nil {
-		return err
-	}
-	report := fusionReport{Experiment: "fusion", GoMaxProcs: runtime.GOMAXPROCS(0), Runs: c.runs}
-	perNP := map[string]map[int]float64{} // config → np → seconds
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("fused construct pipeline: µs per region (4 DOALLs over %d elements + GSUM, %d rounds)", n, rounds),
-		Header: append([]string{"config"}, npHeaders(c.npSweep())...),
-		Notes: []string{
-			"chunked-nofuse = one exit barrier per DOALL plus a reduction episode per round",
-			"chunked-fused = the same region as four barrier-free opens and one closing join",
-		},
-	}
-	atbl := &stats.Table{
-		Title:  "heap allocations per op (allocs/op)",
-		Header: append([]string{"config"}, npHeaders(c.npSweep())...),
-		Notes:  []string{"chunked rows are per Run (compile included); core-run is per steady-state Force.Run on a reused force — 0 is the contract"},
-	}
-	for _, v := range []struct {
-		name   string
-		noFuse bool
-	}{{"chunked-nofuse", true}, {"chunked-fused", false}} {
-		perNP[v.name] = map[int]float64{}
-		row := []any{v.name}
-		arow := []any{v.name}
-		for _, np := range c.npSweep() {
-			cfg := interp.Config{NP: np, Stdout: io.Discard, NoFuse: v.noFuse, Chunk: c.chunk}
-			if c.barSet {
-				cfg.Barrier = c.barKind
-			}
-			var runErr error
-			times, allocs := stats.TimeAllocs(c.runs, func() {
-				if err := interp.Run(prog, cfg); err != nil && runErr == nil {
-					runErr = err
-				}
-			})
-			if runErr != nil {
-				return runErr
-			}
-			med := times.Median()
-			perNP[v.name][np] = med
-			row = append(row, med/float64(rounds)*1e6)
-			arow = append(arow, allocs.Median())
-			report.Results = append(report.Results, fusionCell{
-				Config: v.name, Kernel: "barrier-heavy", NP: np, Regions: rounds,
-				SecondsMed: med, MicrosPer: med / float64(rounds) * 1e6,
-				AllocsPerOp: allocs.Median(),
-			})
-		}
-		tbl.AddRow(row...)
-		atbl.AddRow(arow...)
-	}
-	arow := []any{"core-run"}
-	for _, np := range c.npSweep() {
-		f := c.force(np)
-		times, allocs := stats.TimeAllocs(c.runs, func() {
-			f.Run(func(p *core.Proc) {})
-		})
-		f.Close()
-		arow = append(arow, allocs.Median())
-		report.Results = append(report.Results, fusionCell{
-			Config: "core-run", Kernel: "empty", NP: np,
-			SecondsMed: times.Median(), AllocsPerOp: allocs.Median(),
-		})
-	}
-	atbl.AddRow(arow...)
-	if err := tbl.Render(os.Stdout); err != nil {
-		return err
-	}
-	if err := atbl.Render(os.Stdout); err != nil {
-		return err
-	}
-	// Acceptance summary: the fusion speedup on the barrier-heavy kernel
-	// at np=1 (the bound the chunk tier's A/B gate tracks) and the
-	// runtime's steady-state allocation count.
-	if fused, unfused := perNP["chunked-fused"][1], perNP["chunked-nofuse"][1]; fused > 0 {
-		fmt.Printf("fused vs unfused, barrier-heavy, np=1: %.2fx\n", unfused/fused)
-	}
-	for _, cell := range report.Results {
-		if cell.Config == "core-run" && cell.AllocsPerOp != 0 {
-			fmt.Printf("WARNING: core-run np=%d allocates %.0f/op — the steady state must be allocation-free\n",
-				cell.NP, cell.AllocsPerOp)
-		}
-	}
-	if c.jsonPath != "" {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(c.jsonPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d cells)\n", c.jsonPath, len(report.Results))
-	}
-	return nil
 }

@@ -1,9 +1,11 @@
-// Command forcebench regenerates the reproduction's experiment tables
-// (README.md, "Benchmarks"):
+// Command forcebench prints the reproduction's paper-shape tables
+// (README.md, "Benchmarks") over the variants the tree keeps.  It is not
+// the performance gate — that is forcemark (benchmark/) — and writes no
+// files:
 //
 //	F1  the paper's Selfsched DO macro-expansion listing
 //	T1  six-machine portability/conformance matrix
-//	T2  barrier algorithm comparison [AJ87]
+//	T2  the paper's two-lock barrier vs the sense-reversing barrier
 //	T3  prescheduled vs selfscheduled DOALL under skew
 //	T4  lock category comparison (spin / system / combined)
 //	T5  produce/consume: two-lock scheme vs HEP hardware full/empty
@@ -11,40 +13,27 @@
 //	T7  Pcase and Askfor overhead
 //	T8  application speedups (matmul, gauss, jacobi, scan, quadrature)
 //	T9  Askfor distribution: [LO83] monitor pool vs work-stealing deques
-//	T10 global reductions: critical vs slots vs tree vs atomic
-//	T11 interpreter throughput: tree walker vs closure compiler vs chunk tier
-//	T12 execution tiers: chunked interpreter vs cold/warm aot native binary
-//	T13 cancellation latency: cancel → Run returns, per tier and force size
+//	T10 global reductions: critical vs slots
 //	A1  ablation: the paper's barrier over every lock kind
 //	A2  ablation: selfscheduling chunk size
 //
-//	T14 fused construct pipeline: barrier elision + folded reductions vs
-//	    the unfused chunk tier, and the runtime's steady-state allocations
-//
 // Usage:
 //
-//	forcebench [-exp all|F1|T1|...] [-quick] [-maxnp N] [-runs R] [-json FILE] [-barrier ALG] [-chunk N] [-cpuprofile FILE] [-memprofile FILE]
+//	forcebench [-exp all|F1|T1|...] [-quick] [-maxnp N] [-runs R] [-barrier twolock|sense] [-chunk N] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -cpuprofile and -memprofile write pprof profiles of the selected
 // experiments (CPU over the whole invocation, heap at exit after a GC),
 // so harness hot paths can be inspected directly:
 //
-//	forcebench -exp T14 -quick -cpuprofile cpu.out && go tool pprof cpu.out
+//	forcebench -exp T10 -quick -cpuprofile cpu.out && go tool pprof cpu.out
 //
-// -json writes the running experiment's measurements as machine-readable
-// JSON (T9: BENCH_askfor.json-style, T10: BENCH_reduce.json-style, T11:
-// BENCH_interp.json-style, T12: BENCH_aot.json-style, T13:
-// BENCH_cancel.json-style, T14: BENCH_fusion.json-style) so successive
-// revisions can track the
-// performance trajectory; use it with a single -exp, as every
-// JSON-emitting experiment writes the same file.
 // -barrier overrides the global barrier algorithm of every force the
 // timed experiments build.  Experiments whose subject is the barrier or
 // the creation path ignore it: T2 and A1 sweep barrier algorithms
 // themselves, and T6 times force creation models.
 // -chunk overrides the selfscheduling span size of every force the
 // timed experiments build (sched.Config.ChunkSize for the
-// chunk/stealing disciplines); A2, whose subject is the chunk size,
+// selfsched-chunk discipline); A2, whose subject is the chunk size,
 // ignores it.
 //
 // Absolute numbers are machine-dependent; the tables exist to show the
@@ -74,13 +63,12 @@ type experiment struct {
 
 // config carries harness-wide knobs.
 type config struct {
-	quick    bool
-	maxNP    int
-	runs     int
-	jsonPath string // JSON output file (T9, T10); empty disables
-	barKind  barrier.Kind
-	barSet   bool // -barrier was given: override experiment defaults
-	chunk    int  // -chunk: selfsched span size (0 = discipline default)
+	quick   bool
+	maxNP   int
+	runs    int
+	barKind barrier.Kind
+	barSet  bool // -barrier was given: override experiment defaults
+	chunk   int  // -chunk: selfsched span size (0 = discipline default)
 }
 
 // force builds a core force for a timed experiment, honoring the global
@@ -115,18 +103,17 @@ func (c config) npSweep() []int {
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (F1, T1..T14, A1, A2) or all")
+		exp     = flag.String("exp", "all", "experiment id (F1, T1..T10, A1, A2) or all")
 		quick   = flag.Bool("quick", false, "smaller problem sizes and fewer repetitions")
 		maxNP   = flag.Int("maxnp", 2*runtime.GOMAXPROCS(0), "largest force size in sweeps")
 		runs    = flag.Int("runs", 3, "timing repetitions per cell")
-		jsonP   = flag.String("json", "", "write T9/T10/T11/T12 results as JSON to this file")
-		barF    = flag.String("barrier", "", "override the barrier algorithm of timed forces (ignored by T2, A1, T6)")
+		barF    = flag.String("barrier", "", "override the barrier algorithm of timed forces: twolock or sense (ignored by T2, A1, T6)")
 		chunkN  = flag.Int("chunk", 0, "override the selfsched span size of timed forces (0 = discipline default; ignored by A2)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-	c := config{quick: *quick, maxNP: *maxNP, runs: *runs, jsonPath: *jsonP, chunk: *chunkN}
+	c := config{quick: *quick, maxNP: *maxNP, runs: *runs, chunk: *chunkN}
 	if *barF != "" {
 		bk, err := barrier.ParseKind(*barF)
 		if err != nil {
@@ -182,7 +169,7 @@ func experiments() map[string]experiment {
 	list := []experiment{
 		{"F1", "Selfsched DO expansion listing (paper §4.2)", expF1},
 		{"T1", "six-machine portability matrix", expT1},
-		{"T2", "barrier algorithm comparison [AJ87]", expT2},
+		{"T2", "barrier algorithms: two-lock vs sense-reversing", expT2},
 		{"T3", "prescheduled vs selfscheduled DOALL", expT3},
 		{"T4", "lock category comparison (§4.1.3)", expT4},
 		{"T5", "produce/consume realizations (§4.2)", expT5},
@@ -190,11 +177,7 @@ func experiments() map[string]experiment {
 		{"T7", "Pcase and Askfor overhead (§3.3)", expT7},
 		{"T8", "application speedups", expT8},
 		{"T9", "Askfor distribution: monitor pool vs stealing deques", expT9},
-		{"T10", "global reductions: critical vs slots vs tree vs atomic", expT10},
-		{"T11", "interpreter throughput: tree walker vs closure compiler vs chunk tier", expT11},
-		{"T12", "execution tiers: chunked interpreter vs aot native binary", expT12},
-		{"T13", "cancellation latency: cancel → Run returns, per tier", expT13},
-		{"T14", "fused construct pipeline: barrier elision and folded reductions", expT14},
+		{"T10", "global reductions: critical vs slots", expT10},
 		{"A1", "ablation: two-lock barrier over lock kinds", expA1},
 		{"A2", "ablation: selfscheduling chunk size", expA2},
 	}

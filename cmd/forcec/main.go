@@ -11,14 +11,14 @@
 //
 //	forcec -go [-pkg main] [-np N] [-selfsched KIND] [-reduce STRAT] [-chunk N] file.force
 //	    Parse and type-check the program and emit Go source targeting
-//	    the runtime library.  -selfsched picks the discipline generated
-//	    for Selfsched DO loops (selfsched-lock by default; "stealing"
-//	    emits code drawing from the engine's work-stealing deques);
-//	    -reduce picks the strategy the generated force executes global
-//	    reductions with (slots by default; critical, tree, atomic);
-//	    -chunk N bakes a span size into the generated force for the
-//	    chunk/stealing selfsched disciplines (0 keeps the discipline
-//	    default).
+//	    the runtime library.  -np is the default force size baked into
+//	    the output (below 1 is a usage error); -selfsched picks the
+//	    discipline generated for Selfsched DO loops (selfsched-lock by
+//	    default; selfsched-atomic, selfsched-chunk); -reduce picks the
+//	    strategy the generated force executes global reductions with
+//	    (slots by default; critical); -chunk N bakes a span size into
+//	    the generated force for the selfsched-chunk discipline (0 keeps
+//	    its default).
 //
 //	forcec -check file.force
 //	    Parse and type-check only.
@@ -38,7 +38,8 @@
 //	forcec -cache [-v] [-selfsched KIND] [-reduce STRAT] [-barrier ALG] [-askfor POOL] [-chunk N] file.force
 //	    Compile the program into the ahead-of-time binary cache — the
 //	    same content-addressed store forcerun's -exec aot/auto tiers
-//	    execute from ($FORCE_CACHE or ~/.cache/force) — and print the
+//	    execute from ($FORCE_CACHE or ~/.cache/force; -barrier takes
+//	    twolock or sense, -askfor stealing or monitor) — and print the
 //	    cache key, status (hit or built) and binary path.  Use it to
 //	    pre-warm the cache so a program's first -exec aot run is
 //	    already native.  -v also reports, on standard error, the DOALL
@@ -64,6 +65,7 @@ import (
 	"repro/internal/codegen"
 	"repro/internal/engine"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/maclib"
 	"repro/internal/reduce"
 	"repro/internal/sched"
@@ -79,9 +81,9 @@ func main() {
 		machine  = flag.String("machine", "generic", "machine layer for -expand")
 		pkg      = flag.String("pkg", "main", "package name for -go")
 		np       = flag.Int("np", 4, "default force size baked into -go output")
-		selfK    = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO in -go and -cache output")
-		reduceF  = flag.String("reduce", "slots", "global-reduction strategy in -go and -cache output")
-		barF     = flag.String("barrier", "twolock", "barrier algorithm in -go and -cache output")
+		selfK    = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO in -go and -cache output: selfsched-lock, selfsched-atomic or selfsched-chunk")
+		reduceF  = flag.String("reduce", "slots", "global-reduction strategy in -go and -cache output: critical or slots")
+		barF     = flag.String("barrier", "twolock", "barrier algorithm in -go and -cache output: twolock or sense")
 		askforF  = flag.String("askfor", "stealing", "Askfor pool discipline in -go and -cache output")
 		chunkF   = flag.Int("chunk", 0, "selfsched span size baked into -go and -cache output (0 = discipline default)")
 		wallTO   = flag.Duration("timeout", 0, "wall-clock deadline for the -cache pre-warm build (0 disables)")
@@ -90,6 +92,7 @@ func main() {
 		explain  = flag.String("explain", "", "print the long-form rule for a forcevet diagnostic code and exit")
 	)
 	flag.Parse()
+	forcert.CheckNP("forcec", *np)
 	if *explain != "" {
 		text := vet.Explain(*explain)
 		if text == "" {

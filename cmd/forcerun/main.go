@@ -3,30 +3,35 @@
 //
 //	forcerun [-np N] [-machine NAME] [-barrier ALG] [-selfsched KIND] [-askfor POOL] [-reduce STRAT] [-exec ENGINE] [-chunk N] file.force
 //
-// -machine selects a historical machine profile (hep, flex32, encore,
-// sequent, alliant, cray2) or "native" (default); -barrier selects the
-// global barrier algorithm (twolock, sense, tree, tournament,
-// dissemination, cond); -selfsched selects the discipline executing
-// Selfsched DO loops and selfscheduled Pcase (selfsched-lock by default,
-// "stealing" for the engine's work-stealing deques); -askfor selects the
-// Askfor pool ("stealing" or "monitor"); -reduce selects the strategy
-// executing global reductions (GSUM and friends): "slots" (the default),
-// "critical" (the paper's baseline), "tree" or "atomic".  A file name of
-// "-" reads standard input.
+// -np is the force size (default 4; below 1 is a usage error on every
+// tier).  -machine selects a historical machine profile (hep, flex32,
+// encore, sequent, alliant, cray2) or "native" (default); -barrier
+// selects the global barrier algorithm (twolock, the paper's and the
+// default, or sense); -selfsched selects the discipline executing
+// Selfsched DO loops and selfscheduled Pcase (selfsched-lock, the
+// paper's and the default, selfsched-atomic or selfsched-chunk); -askfor
+// selects the Askfor pool ("stealing" or "monitor"); -reduce selects the
+// strategy executing global reductions (GSUM and friends): "slots" (the
+// default) or "critical" (the paper's baseline).  Any other spelling is
+// an error naming the accepted ones.  A file name of "-" reads standard
+// input.
 //
 // -exec selects the execution engine: "chunked" (the default: the
 // closure compiler plus the chunk tier, running provably safe DOALL
 // bodies as per-span tight loops over typed atomic-word accessors),
 // "compiled" (the per-iteration closure compiler, the chunk
 // tier's A/B baseline) or "tree" (the original map-addressed tree
-// walker behind one shared mutex); forcebench T11 measures all three.
+// walker behind one shared mutex).
 //
 // -fuse on|off (default on) controls the chunk tier's fusion pass:
 // adjacent independent DOALLs fuse into one barrier region (exit
 // barriers elided between them) and a trailing global reduction folds
 // into the region's closing collective.  Fusion only rewrites regions
 // it can prove independent, so output is byte-identical either way;
-// -fuse off restores one barrier per construct for A/B timing.  With
+// -fuse off restores one barrier per construct for A/B timing on the
+// interpreter tiers.  The native tier's binaries are always emitted
+// fused (the cache key has no fusion bit), so -fuse off together with
+// -exec aot or auto is a usage error rather than a silent no-op.  With
 // -v each fusion decision — what fused, what declined and why — is
 // narrated on standard error, along with the chosen exec tier and
 // chunk size for the run and, per prescheduled DOALL site, how its
@@ -53,12 +58,11 @@
 // to run, -vet=off skips the analysis.  `forcec -explain FV001` prints
 // the long-form rule behind a code.
 //
-// -chunk N sets the span size for the "chunk"/"stealing" selfsched
-// disciplines (sched.Config.ChunkSize; 0 keeps each discipline's
-// default, 16 for chunked selfscheduling).  It does not change the
-// prescheduled or selfsched-lock/selfsched-atomic span shapes, which
-// are fixed by the discipline; pick -selfsched chunk or -selfsched
-// stealing for -chunk to have an effect.
+// -chunk N sets the span size of the selfsched-chunk discipline
+// (sched.Config.ChunkSize; 0 keeps its default, 16).  It does not change
+// the prescheduled or selfsched-lock/selfsched-atomic span shapes, which
+// are fixed by the discipline; pick -selfsched selfsched-chunk for -chunk
+// to have an effect.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU over the whole
 // run, heap at exit — both also on runtime errors) so interpreter hot
@@ -130,6 +134,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/reduce"
@@ -150,13 +155,13 @@ func run() error {
 	var (
 		np      = flag.Int("np", 4, "number of force processes")
 		machF   = flag.String("machine", "native", "machine profile")
-		barF    = flag.String("barrier", "twolock", "barrier algorithm")
-		selfK   = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO and selfscheduled Pcase")
+		barF    = flag.String("barrier", "twolock", "barrier algorithm: twolock or sense")
+		selfK   = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO and selfscheduled Pcase: selfsched-lock, selfsched-atomic or selfsched-chunk")
 		askforF = flag.String("askfor", "stealing", "Askfor pool discipline: stealing or monitor")
-		reduceF = flag.String("reduce", "slots", "global-reduction strategy: critical, slots, tree or atomic")
+		reduceF = flag.String("reduce", "slots", "global-reduction strategy: critical or slots")
 		execF   = flag.String("exec", "chunked", "execution engine: chunked (chunk-compiled DOALLs), compiled (per-iteration closures) or tree (map-addressed walker)")
-		fuseF   = flag.String("fuse", "on", "fusion pass of the chunk tier: on (elide barriers across provably independent DOALLs) or off")
-		chunkN  = flag.Int("chunk", 0, "span size for the chunk/stealing selfsched disciplines (0 = discipline default)")
+		fuseF   = flag.String("fuse", "on", "fusion pass of the chunk tier: on (elide barriers across provably independent DOALLs) or off (interpreter tiers only: a usage error with -exec aot or auto, whose binaries are always fused)")
+		chunkN  = flag.Int("chunk", 0, "span size for the selfsched-chunk discipline (0 = its default, 16)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		hangTO  = flag.Duration("hang-timeout", 0, "abort a run that has not finished after this long, reporting where each process is blocked (0 disables)")
@@ -171,8 +176,14 @@ func run() error {
 		fmt.Fprintln(os.Stderr, "usage: forcerun [-np N] [-machine NAME] [-barrier ALG] [-exec ENGINE] [-fuse on|off] file.force")
 		os.Exit(2)
 	}
+	forcert.CheckNP("forcerun", *np)
 	if *fuseF != "on" && *fuseF != "off" {
 		fmt.Fprintf(os.Stderr, "forcerun: invalid -fuse mode %q (want on or off)\n", *fuseF)
+		os.Exit(2)
+	}
+	nativeTier := *execF == "aot" || *execF == "auto"
+	if nativeTier && *fuseF == "off" {
+		fmt.Fprintf(os.Stderr, "forcerun: -fuse off cannot be combined with -exec %s: the native tier's binaries are always fused (use an interpreter tier for the A/B)\n", *execF)
 		os.Exit(2)
 	}
 	// Arm the chaos harness before anything runs; a malformed spec is a
@@ -220,7 +231,6 @@ func run() error {
 	// is an interpreter engine.  The native tiers keep the chunked
 	// interpreter as their fallback engine.
 	em := interp.ExecChunked
-	nativeTier := *execF == "aot" || *execF == "auto"
 	if !nativeTier {
 		em, err = interp.ParseExecMode(*execF)
 		if err != nil {
@@ -289,8 +299,8 @@ func run() error {
 	}
 	if *verbose {
 		// Narrate the interpreter run the same way tryNative narrates the
-		// native tiers: the chosen engine, the span grain the chunk/stealing
-		// disciplines will use, and — for the chunk tier — every fusion
+		// native tiers: the chosen engine, the span grain the chunk
+		// discipline will use, and — for the chunk tier — every fusion
 		// decision the compiler takes.
 		chunkEff := *chunkN
 		if chunkEff == 0 {

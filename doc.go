@@ -51,7 +51,7 @@
 //		   │                 compiler with chunk mode off and the original
 //		   │                 tree walker (the test oracle) are the A/B
 //		   │                 baselines (forcerun -exec chunked|compiled|
-//		   │                 tree, -fuse=on|off, forcebench T11, T14)
+//		   │                 tree, -fuse=on|off)
 //		   └── codegen       compiler back end emitting Go against core:
 //		        │            every DOALL a Go for-loop over the scheduler
 //		        │            span (block deal, span-local accumulator
@@ -65,7 +65,7 @@
 //		        │            go-built binaries — build once, exec forever;
 //		        │            forcerun -exec aot|auto promotes hot programs
 //		        │            from the chunked interpreter to the cached
-//		        │            binary (forcebench T12)
+//		        │            binary (forcemark's native-warm workload)
 //		        ▼
 //		      core           the runtime: Force/Proc with every construct —
 //		        │            DOALLs, Pcase, Askfor, Resolve, barriers,
@@ -88,31 +88,32 @@
 //
 //	  - internal/reduce is the global-reduction layer: one collective
 //	    combine-and-broadcast primitive (sum, product, max, min, and, or,
-//	    and custom operators) with selectable strategies — the paper's
-//	    critical-section baseline, padded private slots combined in pid
-//	    order, a combining tree sharing barrier.TreeTopology, and a
-//	    lock-free CAS fold for integer operators — selected per force
-//	    with core.WithReduce and surfaced as the language's GSUM/GPROD/
-//	    GMAX/GMIN/GAND/GOR statements and the -reduce CLI flags;
+//	    and custom operators) with two strategies — the paper's
+//	    critical-section baseline and padded private slots combined in
+//	    pid order, the default — selected per force with core.WithReduce
+//	    and surfaced as the language's GSUM/GPROD/GMAX/GMIN/GAND/GOR
+//	    statements and the -reduce CLI flags;
 //
 //	  - internal/engine is the work-distribution substrate: a persistent
 //	    force of NP worker goroutines (created once, reused by every Run —
 //	    the paper's create-force-then-reuse driver), Chase-Lev work-stealing
-//	    deques, and the WorkSource interface that unifies the paper's three
-//	    generic constructs: Askfor draws from an engine.Pool (stealing
-//	    deques or the [LO83] central monitor), selfscheduled Pcase and DOALL
-//	    loops draw from internal/sched disciplines, among them the
-//	    engine-backed Stealing kind;
+//	    deques, and the two Askfor pools (engine.Pool: stealing deques or
+//	    the [LO83] central monitor); selfscheduled Pcase and DOALL loops
+//	    draw from internal/sched disciplines;
 //
 //	  - internal/sched provides the loop-scheduling disciplines
 //	    (prescheduled block/cyclic, the paper's lock-based selfscheduling,
-//	    fetch-and-add, chunked, guided, trapezoid, stealing);
+//	    fetch-and-add, chunked);
 //
 //	  - internal/barrier, internal/lock, internal/asyncvar, internal/shm and
 //	    internal/machine model the machine-dependent layer of the paper:
-//	    barrier algorithms, lock categories, full/empty asynchronous
-//	    variables, shared-memory designation, and the emulated profiles of
-//	    the six 1989 machines the Force was ported to;
+//	    the two barrier algorithms (the paper's two-lock relay, the
+//	    sense-reversing counter), the three lock categories, the two
+//	    full/empty asynchronous-variable realizations, shared-memory
+//	    designation, and the emulated profiles of the six 1989 machines
+//	    the Force was ported to.  Each axis keeps the realization the
+//	    paper describes and the one the defaults run, nothing else
+//	    (README, "Which variants exist"; TestVariantInventory);
 //
 //	  - the portability architecture (internal/sedlite, internal/m4lite,
 //	    internal/maclib) reproduces the two-pass macro preprocessor with its
@@ -121,7 +122,7 @@
 //
 //	  - internal/poison is the fault-containment layer: a per-force
 //	    cancellation cell (atomic poison flag + first-failure slot) that
-//	    every blocking primitive observes — all barrier kinds, reduction
+//	    every blocking primitive observes — both barrier kinds, reduction
 //	    episodes, asynchronous variables, Askfor pools and loop drivers.
 //	    A runtime error in any process poisons the force, blocked peers
 //	    unwind with a distinguished abort panic recovered at the engine's
@@ -136,7 +137,8 @@
 //	    poisons through it when a context is canceled or its deadline
 //	    passes, so the same wake-and-unwind path serves forcerun
 //	    -timeout, Force.Shutdown, and the aot tier's kill of the child's
-//	    process group (forcebench T13 measures the cancel latency).  It
+//	    process group (core.TestCancellationLatency bounds the cancel
+//	    latency).  It
 //	    also owns the one wait policy every spinning primitive waits
 //	    through: a short spin, then — only while np <= GOMAXPROCS, which
 //	    the cell learns at core.New — a time-bounded spin of about one
@@ -155,13 +157,7 @@
 //
 // See README.md for the quickstart, the system inventory ("Layout") and
 // the measured results ("Benchmarks" and the tables beside each layer).
-// The benchmarks in bench_test.go and the cmd/forcebench harness
-// regenerate every experiment table; forcebench -exp T9 -json FILE emits
-// the monitor-vs-stealing Askfor comparison, T10 the reduction-strategy
-// comparison, T11 the tree-walker vs closure-compiler vs chunk-tier
-// interpreter comparison, T12 the chunked-interpreter vs cached
-// native (aot) tier comparison, T13 the cancellation-latency
-// distribution per tier, and T14 the fused-pipeline comparison with
-// the runtime's steady-state allocation counts machine-readably (the
-// committed BENCH_*.json baselines).
+// forcemark (benchmark/, BENCHMARK.json) is the performance gate;
+// cmd/forcebench prints the paper-shape tables F1, T1–T10, A1, A2 over
+// the surviving variants.
 package repro

@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"repro/internal/apps"
-	"repro/internal/barrier"
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -34,12 +33,9 @@ func main() {
 		}
 	})
 
-	// The solver crosses two barriers per pivot column, so the barrier
-	// algorithm matters: we use the scheduler-parking barrier, the winner
-	// of the T2 comparison on this substrate.  Swapping barrier (or lock,
-	// or machine) implementations freely is the point of the Force's
-	// machine-dependent layer.
-	f := core.New(*np, core.WithBarrier(barrier.CondBroadcast))
+	// The solver crosses two barriers per pivot column; the force runs the
+	// default barrier, the paper's two-lock relay.
+	f := core.New(*np)
 	defer f.Close()
 	par := stats.Time(*runs, func() {
 		if _, err := apps.Solve(f, a, b, *n); err != nil {

@@ -37,7 +37,7 @@ func main() {
 	defer f.Close()
 	for _, kind := range []sched.Kind{
 		sched.PreschedBlock, sched.PreschedCyclic,
-		sched.SelfLock, sched.SelfAtomic, sched.Chunk, sched.Guided,
+		sched.SelfLock, sched.SelfAtomic, sched.Chunk,
 	} {
 		kind := kind
 		s := stats.Time(*runs, func() { apps.MatMul(f, kind, a, b, *n) })

@@ -6,7 +6,7 @@
 // sections, and global reductions — and no process identifiers appear in
 // any synchronization operation.
 //
-//	go run ./examples/quickstart [-np 8] [-reduce critical|slots|tree|atomic]
+//	go run ./examples/quickstart [-np 8] [-reduce critical|slots]
 package main
 
 import (

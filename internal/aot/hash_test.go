@@ -128,9 +128,9 @@ func TestKeySensitiveToOptions(t *testing.T) {
 		t.Error("explicit defaults changed the key")
 	}
 	diff := map[string]Options{
-		"barrier":   {Barrier: barrier.Dissemination},
+		"barrier":   {Barrier: barrier.CentralSense},
 		"reduce":    {Reduce: reduce.Critical},
-		"selfsched": {Selfsched: sched.Stealing},
+		"selfsched": {Selfsched: sched.Chunk},
 		"askfor":    {Askfor: engine.MonitorPool},
 		"chunk":     {Chunk: 64},
 	}

@@ -33,8 +33,7 @@ func TestMatMulMatchesSeq(t *testing.T) {
 	a := workload.Matrix(n, 1)
 	b := workload.Matrix(n, 2)
 	want := SeqMatMul(a, b, n)
-	for _, kind := range []sched.Kind{sched.PreschedBlock, sched.PreschedCyclic,
-		sched.SelfLock, sched.SelfAtomic, sched.Chunk, sched.Guided} {
+	for _, kind := range sched.Kinds() {
 		for _, np := range []int{1, 3, 8} {
 			f := core.New(np)
 			got := MatMul(f, kind, a, b, n)
@@ -248,7 +247,7 @@ func TestQuickMatMulRowSums(t *testing.T) {
 		for i := 0; i < n; i++ {
 			id[Idx2(i, i, n)] = 1
 		}
-		got := MatMul(core.New(np), sched.Guided, a, id, n)
+		got := MatMul(core.New(np), sched.Chunk, a, id, n)
 		return almostEqual(got, a, 1e-12)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 15}); err != nil {

@@ -56,9 +56,9 @@ func TestArrayCellsIndependent(t *testing.T) {
 }
 
 // TestArrayCopySemantics pins the Copy contract on every realization
-// (the two-lock protocol of the non-HEP machines, the channel standing
-// in for HEP hardware, and the parked condvar shape): Copy waits for
-// full, returns the value, and leaves the cell full — repeatedly.
+// (the two-lock protocol of the non-HEP machines and the channel
+// standing in for HEP hardware): Copy waits for full, returns the value,
+// and leaves the cell full — repeatedly.
 func TestArrayCopySemantics(t *testing.T) {
 	for _, impl := range Impls() {
 		a := NewArray[int](impl, lock.Factory(lock.TTAS), 4)

@@ -16,14 +16,13 @@
 // Manual [JBAR87] and is included for the application codes that need a
 // broadcast-style read.
 //
-// Three implementations reproduce the portability story.  On the HEP every
+// Two implementations reproduce the portability story.  On the HEP every
 // memory cell had a hardware full/empty bit; on every other machine the
 // Force synthesized the state from two locks E and F: "An empty state
 // corresponds to E being locked and F unlocked.  A full state corresponds
 // to F being locked and E unlocked."  The two-lock implementation here
 // follows that protocol literally; the channel implementation stands in
-// for the HEP hardware (a capacity-1 channel is a full/empty cell); the
-// condition-variable implementation is the parked, system-call shape.
+// for the HEP hardware (a capacity-1 channel is a full/empty cell).
 package asyncvar
 
 import (
@@ -74,25 +73,22 @@ func SetPoison[T any](v V[T], c *poison.Cell) {
 	}
 }
 
-// Impl names an asynchronous-variable implementation.
+// Impl names an asynchronous-variable implementation; each constant says
+// which rule of README's "Which variants exist" keeps it.
 type Impl int
 
 const (
 	// TwoLock synthesizes full/empty from two locks E and F, the paper's
-	// protocol for every non-HEP machine.
+	// protocol for every non-HEP machine.  Kept by rule (a).
 	TwoLock Impl = iota
 	// Channel models the HEP's hardware full/empty bit with a capacity-1
-	// channel.
+	// channel.  Kept by rule (a); also the native profile's default.
 	Channel
-	// CondVar parks waiters on a condition variable (system-call
-	// category).
-	CondVar
 )
 
 var implNames = map[Impl]string{
 	TwoLock: "twolock",
 	Channel: "channel",
-	CondVar: "condvar",
 }
 
 // String returns the implementation's short name.
@@ -110,15 +106,15 @@ func ParseImpl(s string) (Impl, error) {
 			return i, nil
 		}
 	}
-	return 0, fmt.Errorf("asyncvar: unknown impl %q", s)
+	return 0, fmt.Errorf("asyncvar: unknown impl %q (impls: %v)", s, Impls())
 }
 
 // Impls lists the implementations in presentation order.
-func Impls() []Impl { return []Impl{TwoLock, Channel, CondVar} }
+func Impls() []Impl { return []Impl{TwoLock, Channel} }
 
 // New creates an empty asynchronous variable.  The lock factory supplies E
 // and F for the TwoLock implementation (nil defaults to system locks) and
-// is ignored by the others.
+// is ignored by Channel.
 func New[T any](impl Impl, factory func() lock.Lock) V[T] {
 	switch impl {
 	case TwoLock:
@@ -131,10 +127,6 @@ func New[T any](impl Impl, factory func() lock.Lock) V[T] {
 		return v
 	case Channel:
 		return &chanVar[T]{ch: make(chan T, 1)}
-	case CondVar:
-		cv := &condVar[T]{}
-		cv.cond = sync.NewCond(&cv.mu)
-		return cv
 	default:
 		panic(fmt.Sprintf("asyncvar: unknown impl %d", int(impl)))
 	}
@@ -306,88 +298,3 @@ func (v *chanVar[T]) Void() {
 
 // IsFull reports whether the cell currently holds a value.
 func (v *chanVar[T]) IsFull() bool { return len(v.ch) == 1 }
-
-// condVar is the parked implementation: one mutex, one condition variable,
-// an explicit full bit.
-type condVar[T any] struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	val   T
-	full  bool
-	pc    *poison.Cell
-	unsub func()
-}
-
-var _ V[int] = (*condVar[int])(nil)
-var _ Poisonable = (*condVar[int])(nil)
-
-// SetPoison binds the parked waiters to the cell.  Waiters park on the
-// condition variable, which a poison cannot close, so the variable
-// subscribes a broadcast hook; rebinding (or binding nil) cancels the
-// previous subscription.
-func (v *condVar[T]) SetPoison(c *poison.Cell) {
-	v.unsub = poison.Rebind(v.unsub, c, &v.mu, v.cond)
-	v.pc = c
-}
-
-// await parks until cond(v) holds, unwinding with poison.Abort when the
-// force is poisoned first.  Called with mu held; returns with mu held.
-func (v *condVar[T]) await(ready func() bool) {
-	for !ready() && !v.pc.Poisoned() {
-		v.cond.Wait()
-	}
-	if !ready() {
-		v.mu.Unlock()
-		v.pc.Check()
-	}
-}
-
-// Produce waits for empty under the mutex, writes, and wakes waiters.
-func (v *condVar[T]) Produce(x T) {
-	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
-	v.mu.Lock()
-	v.await(func() bool { return !v.full })
-	v.val = x
-	v.full = true
-	v.mu.Unlock()
-	v.cond.Broadcast()
-}
-
-// Consume waits for full under the mutex, reads, and wakes waiters.
-func (v *condVar[T]) Consume() T {
-	faultinject.Fire(faultinject.AsyncConsume, -1, v.pc)
-	v.mu.Lock()
-	v.await(func() bool { return v.full })
-	x := v.val
-	v.full = false
-	v.mu.Unlock()
-	v.cond.Broadcast()
-	return x
-}
-
-// Copy waits for full and reads without emptying.
-func (v *condVar[T]) Copy() T {
-	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
-	v.mu.Lock()
-	v.await(func() bool { return v.full })
-	x := v.val
-	v.mu.Unlock()
-	return x
-}
-
-// Void forces the empty state.
-func (v *condVar[T]) Void() {
-	v.mu.Lock()
-	var zero T
-	v.val = zero
-	v.full = false
-	v.mu.Unlock()
-	v.cond.Broadcast()
-}
-
-// IsFull reports the current state.
-func (v *condVar[T]) IsFull() bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.full
-}

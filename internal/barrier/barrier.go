@@ -1,7 +1,9 @@
-// Package barrier implements the Force barrier construct (paper §3.4) and
-// the family of barrier algorithms compared in the companion report the
-// paper cites as [AJ87] (Arenstorf & Jordan, "Comparing Barrier
-// Algorithms").
+// Package barrier implements the Force barrier construct (paper §3.4):
+// the paper's own two-lock algorithm and the central sense-reversing
+// barrier, the one other algorithm of the companion comparison the paper
+// cites as [AJ87] (Arenstorf & Jordan, "Comparing Barrier Algorithms")
+// with a repeatable measured win on this substrate (README, "Which
+// variants exist").
 //
 // Force barrier semantics are stronger than a plain rendezvous: at a
 // barrier, all processes wait for each other; one arbitrary process is then
@@ -20,18 +22,15 @@
 // A barrier is where a failing force wedges: a process that dies before
 // arriving leaves its peers waiting forever.  Every implementation
 // therefore observes an optional poison cell (SetPoison): all waits —
-// the spin loops of the flag-based algorithms and the lock waits of the
-// two-lock relay — go through the shared bounded spin-then-park policy
-// of internal/poison, and a waiter that observes poison unwinds with
-// poison.Abort instead of waiting out an episode that can never
-// complete.  A poisoned barrier's internal state is unspecified; the
+// the sense spin and the lock waits of the two-lock relay — go through
+// the shared bounded spin-then-park policy of internal/poison, and a
+// waiter that observes poison unwinds with poison.Abort instead of
+// waiting out an episode that can never complete.  A poisoned barrier's internal state is unspecified; the
 // runtime discards and rebuilds barriers after an aborted run.
 package barrier
 
 import (
 	"fmt"
-	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/lock"
@@ -72,46 +71,26 @@ func SetPoison(b Barrier, c *poison.Cell) {
 	}
 }
 
-// Kind names a barrier algorithm.
+// Kind names a barrier algorithm; each constant says which rule of
+// README's "Which variants exist" keeps it.
 type Kind int
 
 const (
 	// TwoLock is the paper's own algorithm: an arrival counter ZZNBAR
 	// guarded by the BARWIN lock during the entry phase and by the BARWOT
 	// lock during the exit phase (§4.2, Barrier and the Selfsched DO
-	// expansion listing).
+	// expansion listing).  Kept by rule (a): the paper describes it.
 	TwoLock Kind = iota
 	// CentralSense is a central counter with sense reversal; arrivals
-	// decrement atomically and spin on a shared sense flag.
+	// decrement atomically and spin on a shared sense flag.  Kept by rule
+	// (c): the one other algorithm that beats TwoLock in every run at
+	// every width measured (forcebench T2).
 	CentralSense
-	// Tree is a combining-tree barrier: arrivals propagate up a k-ary
-	// tree of counters, release propagates down.
-	Tree
-	// Tournament pairs processes in log2(n) rounds; statically determined
-	// winners advance and the champion releases everyone.
-	Tournament
-	// Dissemination runs ceil(log2 n) rounds of pairwise signalling after
-	// which every process knows all have arrived; pid 0 is elected to run
-	// the barrier section, with an extra release phase.
-	Dissemination
-	// Butterfly is Brooks' barrier from the [AJ87] comparison: in round
-	// r, process p exchanges with partner p XOR 2^r.  It requires a
-	// power-of-two force; New falls back to Dissemination otherwise
-	// (the generalization [AJ87] itself discusses).
-	Butterfly
-	// CondBroadcast parks waiters on a sync.Cond; the "system call"
-	// barrier built directly on scheduler services (Cray category).
-	CondBroadcast
 )
 
 var kindNames = map[Kind]string{
-	TwoLock:       "twolock",
-	CentralSense:  "sense",
-	Tree:          "tree",
-	Tournament:    "tournament",
-	Dissemination: "dissemination",
-	Butterfly:     "butterfly",
-	CondBroadcast: "cond",
+	TwoLock:      "twolock",
+	CentralSense: "sense",
 }
 
 // String returns the short algorithm name.
@@ -125,13 +104,8 @@ func (k Kind) String() string {
 // kindGoNames are the Go identifiers of the kinds, for code generators
 // that emit barrier.<GoName> references.
 var kindGoNames = map[Kind]string{
-	TwoLock:       "TwoLock",
-	CentralSense:  "CentralSense",
-	Tree:          "Tree",
-	Tournament:    "Tournament",
-	Dissemination: "Dissemination",
-	Butterfly:     "Butterfly",
-	CondBroadcast: "CondBroadcast",
+	TwoLock:      "TwoLock",
+	CentralSense: "CentralSense",
 }
 
 // GoName returns the kind's Go identifier within this package, the form
@@ -150,13 +124,11 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("barrier: unknown kind %q", s)
+	return 0, fmt.Errorf("barrier: unknown kind %q (kinds: %v)", s, Kinds())
 }
 
 // Kinds lists all implemented algorithms in presentation order.
-func Kinds() []Kind {
-	return []Kind{TwoLock, CentralSense, Tree, Tournament, Dissemination, Butterfly, CondBroadcast}
-}
+func Kinds() []Kind { return []Kind{TwoLock, CentralSense} }
 
 // New constructs a barrier of the given kind for n processes.  Lock-based
 // algorithms receive their locks from factory; algorithms that do not use
@@ -173,21 +145,6 @@ func New(k Kind, n int, factory func() lock.Lock) Barrier {
 		return NewTwoLock(n, factory)
 	case CentralSense:
 		return NewCentralSense(n)
-	case Tree:
-		return NewTree(n, 4)
-	case Tournament:
-		return NewTournament(n)
-	case Dissemination:
-		return NewDissemination(n)
-	case Butterfly:
-		if n&(n-1) != 0 {
-			// Brooks' pairing needs a power of two; dissemination is
-			// its general-n counterpart.
-			return NewDissemination(n)
-		}
-		return NewButterfly(n)
-	case CondBroadcast:
-		return NewCondBroadcast(n)
 	default:
 		panic(fmt.Sprintf("barrier: unknown kind %d", int(k)))
 	}
@@ -312,412 +269,4 @@ func (b *CentralSenseBarrier) Sync(pid int, section func()) {
 		return
 	}
 	poison.Wait(b.pc, func() bool { return b.sense.Load() == target })
-}
-
-// TreeBarrier is a combining-tree barrier: processes are grouped into
-// fan-in sized teams; the last arrival at each node climbs to the parent,
-// and the process reaching the root runs the section.  The release wave
-// resets every node's counter and then publishes the new episode number to
-// every node, leaves first, so a released process re-entering the next
-// episode always observes a fresh leaf before any ancestor it may wait on.
-type TreeBarrier struct {
-	n     int
-	fanIn int
-	nodes []treeNode
-	epoch []padded64 // per-pid episode number; entry pid only
-	pc    *poison.Cell
-}
-
-var _ Poisonable = (*TreeBarrier)(nil)
-
-// SetPoison binds the node waits to the cell.
-func (b *TreeBarrier) SetPoison(c *poison.Cell) { b.pc = c }
-
-type treeNode struct {
-	count  atomic.Int64
-	expect int64
-	parent int           // -1 at root
-	sense  atomic.Uint64 // completed-episode number
-	_      [32]byte
-}
-
-var _ Barrier = (*TreeBarrier)(nil)
-
-// TreeTopology computes the combining-tree layout the tree barrier uses
-// for n processes with the given fan-in (values below 2 are raised to 2):
-// node 0..len-1 are laid out leaves first, parent[i] is -1 at the root,
-// and expect[i] counts the arrivals node i absorbs (processes at a leaf,
-// children at an interior node).  Process p arrives at leaf p/fanIn.  The
-// layout is shared with internal/reduce, whose combining-tree reduction
-// climbs the same topology.
-func TreeTopology(n, fanIn int) (parent []int, expect []int64) {
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	type layer struct{ start, size int }
-	var layers []layer
-	size := (n + fanIn - 1) / fanIn
-	total := 0
-	for {
-		layers = append(layers, layer{total, size})
-		total += size
-		if size == 1 {
-			break
-		}
-		size = (size + fanIn - 1) / fanIn
-	}
-	parent = make([]int, total)
-	expect = make([]int64, total)
-	for li, l := range layers {
-		for i := 0; i < l.size; i++ {
-			idx := l.start + i
-			if li+1 < len(layers) {
-				parent[idx] = layers[li+1].start + i/fanIn
-			} else {
-				parent[idx] = -1
-			}
-		}
-	}
-	// Expected arrivals: leaves count their processes, interior nodes
-	// their children.
-	for p := 0; p < n; p++ {
-		expect[p/fanIn]++
-	}
-	for i := range parent {
-		if p := parent[i]; p >= 0 {
-			expect[p]++
-		}
-	}
-	return parent, expect
-}
-
-// NewTree builds a combining-tree barrier for n processes with the given
-// fan-in (values below 2 are raised to 2).
-func NewTree(n, fanIn int) *TreeBarrier {
-	if fanIn < 2 {
-		fanIn = 2
-	}
-	parent, expect := TreeTopology(n, fanIn)
-	b := &TreeBarrier{n: n, fanIn: fanIn, nodes: make([]treeNode, len(parent)), epoch: make([]padded64, n)}
-	for i := range b.nodes {
-		b.nodes[i].parent = parent[i]
-		b.nodes[i].expect = expect[i]
-		b.nodes[i].count.Store(expect[i])
-	}
-	return b
-}
-
-// N returns the number of participants.
-func (b *TreeBarrier) N() int { return b.n }
-
-// Sync climbs the combining tree; losers wait for their node to publish the
-// current episode, the root winner runs the section and performs the
-// release wave.
-func (b *TreeBarrier) Sync(pid int, section func()) {
-	b.epoch[pid].v++
-	target := b.epoch[pid].v
-	node := pid / b.fanIn
-	for {
-		if b.nodes[node].count.Add(-1) > 0 {
-			// Not the last arrival here: wait for this node to see
-			// the current episode's release.  The node's sense may
-			// lag behind (previous release wave still in flight);
-			// equality on the episode number tolerates that.
-			poison.Wait(b.pc, func() bool { return b.nodes[node].sense.Load() == target })
-			return
-		}
-		parent := b.nodes[node].parent
-		if parent < 0 {
-			// Reached the root: the whole force has arrived.
-			if section != nil {
-				section()
-			}
-			// Reset all counters before publishing the episode
-			// anywhere, then publish leaves-upward (ascending
-			// index) so re-entrants always find fresh leaves.
-			for i := range b.nodes {
-				b.nodes[i].count.Store(b.nodes[i].expect)
-			}
-			for i := range b.nodes {
-				b.nodes[i].sense.Add(1)
-			}
-			return
-		}
-		node = parent
-	}
-}
-
-// TournamentBarrier plays ceil(log2 n) statically scheduled rounds.  In
-// round r, a process whose pid is a multiple of 2^(r+1) is the winner and
-// waits for the arrival flag of loser pid+2^r (when that pid exists); the
-// loser posts its flag and then waits for the champion's release.  Pid 0
-// wins every round, runs the section, and publishes the release episode.
-type TournamentBarrier struct {
-	n       int
-	rounds  int
-	arrive  [][]padded64 // [round][pid], written only by pid
-	release atomic.Uint64
-	epoch   []padded64
-	pc      *poison.Cell
-}
-
-var _ Barrier = (*TournamentBarrier)(nil)
-var _ Poisonable = (*TournamentBarrier)(nil)
-
-// SetPoison binds the round and release waits to the cell.
-func (b *TournamentBarrier) SetPoison(c *poison.Cell) { b.pc = c }
-
-// NewTournament builds a tournament barrier for n processes.
-func NewTournament(n int) *TournamentBarrier {
-	rounds := 0
-	for 1<<rounds < n {
-		rounds++
-	}
-	b := &TournamentBarrier{n: n, rounds: rounds, epoch: make([]padded64, n)}
-	b.arrive = make([][]padded64, rounds)
-	for r := range b.arrive {
-		b.arrive[r] = make([]padded64, n)
-	}
-	return b
-}
-
-// N returns the number of participants.
-func (b *TournamentBarrier) N() int { return b.n }
-
-// Sync plays the tournament for one episode.
-func (b *TournamentBarrier) Sync(pid int, section func()) {
-	b.epoch[pid].v++
-	target := b.epoch[pid].v
-	for r := 0; r < b.rounds; r++ {
-		bit := 1 << r
-		if pid&((bit<<1)-1) == 0 {
-			// Winner of round r: absorb the loser's arrival if a
-			// loser exists at this population.
-			loser := pid + bit
-			if loser < b.n {
-				slot := &b.arrive[r][loser]
-				poison.Wait(b.pc, func() bool { return atomic.LoadUint64(&slot.v) == target })
-			}
-			continue
-		}
-		// Loser: post arrival, then wait out the episode.
-		atomic.StoreUint64(&b.arrive[r][pid].v, target)
-		poison.Wait(b.pc, func() bool { return b.release.Load() == target })
-		return
-	}
-	// Champion (pid 0): the force has arrived.
-	if section != nil {
-		section()
-	}
-	b.release.Store(target)
-}
-
-// DisseminationBarrier runs ceil(log2 n) rounds in which process p signals
-// process (p+2^r) mod n and waits for a signal from (p-2^r) mod n; after
-// the rounds every process has transitively heard from all others.  Flags
-// are counting (monotone), which makes the barrier reusable under arbitrary
-// process skew: an early signal from a fast neighbour's next episode simply
-// over-satisfies the >= test.  Because no process naturally owns the
-// barrier, the Force barrier section is provided by electing pid 0 and
-// adding a release phase.
-type DisseminationBarrier struct {
-	n      int
-	rounds int
-	flags  [][]atomic.Uint64 // [round][pid]
-	relSns atomic.Uint64
-	epoch  []padded64
-	pc     *poison.Cell
-}
-
-var _ Barrier = (*DisseminationBarrier)(nil)
-var _ Poisonable = (*DisseminationBarrier)(nil)
-
-// SetPoison binds the signalling waits to the cell.
-func (b *DisseminationBarrier) SetPoison(c *poison.Cell) { b.pc = c }
-
-// NewDissemination builds a dissemination barrier for n processes.
-func NewDissemination(n int) *DisseminationBarrier {
-	rounds := 0
-	for 1<<rounds < n {
-		rounds++
-	}
-	b := &DisseminationBarrier{n: n, rounds: rounds, epoch: make([]padded64, n)}
-	b.flags = make([][]atomic.Uint64, rounds)
-	for r := range b.flags {
-		b.flags[r] = make([]atomic.Uint64, n)
-	}
-	return b
-}
-
-// N returns the number of participants.
-func (b *DisseminationBarrier) N() int { return b.n }
-
-// Sync runs the signalling rounds, then the optional elected section.
-func (b *DisseminationBarrier) Sync(pid int, section func()) {
-	b.epoch[pid].v++
-	episode := b.epoch[pid].v
-	for r := 0; r < b.rounds; r++ {
-		to := (pid + 1<<r) % b.n
-		b.flags[r][to].Add(1)
-		slot := &b.flags[r][pid]
-		poison.Wait(b.pc, func() bool { return slot.Load() >= episode })
-	}
-	if section == nil {
-		return
-	}
-	if pid == 0 {
-		section()
-		b.relSns.Store(episode)
-		return
-	}
-	poison.Wait(b.pc, func() bool { return b.relSns.Load() >= episode })
-}
-
-// ButterflyBarrier is Brooks' algorithm as compared in [AJ87]: log2(n)
-// rounds in which process p and its partner p XOR 2^r signal each other
-// with counting flags.  Unlike dissemination's one-directional ring
-// signalling, every exchange is symmetric.  n must be a power of two.
-type ButterflyBarrier struct {
-	n      int
-	rounds int
-	flags  [][]atomic.Uint64 // [round][pid]
-	relSns atomic.Uint64
-	epoch  []padded64
-	pc     *poison.Cell
-}
-
-var _ Barrier = (*ButterflyBarrier)(nil)
-var _ Poisonable = (*ButterflyBarrier)(nil)
-
-// SetPoison binds the exchange waits to the cell.
-func (b *ButterflyBarrier) SetPoison(c *poison.Cell) { b.pc = c }
-
-// NewButterfly builds a butterfly barrier; n must be a power of two.
-func NewButterfly(n int) *ButterflyBarrier {
-	if n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("barrier: butterfly requires a power-of-two force, got %d", n))
-	}
-	rounds := 0
-	for 1<<rounds < n {
-		rounds++
-	}
-	b := &ButterflyBarrier{n: n, rounds: rounds, epoch: make([]padded64, n)}
-	b.flags = make([][]atomic.Uint64, rounds)
-	for r := range b.flags {
-		b.flags[r] = make([]atomic.Uint64, n)
-	}
-	return b
-}
-
-// N returns the number of participants.
-func (b *ButterflyBarrier) N() int { return b.n }
-
-// Sync runs the symmetric exchange rounds, then the optional elected
-// section (pid 0, as for dissemination).
-func (b *ButterflyBarrier) Sync(pid int, section func()) {
-	b.epoch[pid].v++
-	episode := b.epoch[pid].v
-	for r := 0; r < b.rounds; r++ {
-		partner := pid ^ (1 << r)
-		b.flags[r][partner].Add(1)
-		slot := &b.flags[r][pid]
-		poison.Wait(b.pc, func() bool { return slot.Load() >= episode })
-	}
-	if section == nil {
-		return
-	}
-	if pid == 0 {
-		section()
-		b.relSns.Store(episode)
-		return
-	}
-	poison.Wait(b.pc, func() bool { return b.relSns.Load() >= episode })
-}
-
-// CondBroadcastBarrier parks waiters on a condition variable — the shape a
-// purely system-call-based implementation (the paper's Cray lock category)
-// takes when the scheduler, not spinning, suspends waiting processes.
-type CondBroadcastBarrier struct {
-	n       int
-	mu      sync.Mutex
-	cond    *sync.Cond
-	count   int
-	episode uint64
-	pc      *poison.Cell
-	unsub   func()
-}
-
-var _ Barrier = (*CondBroadcastBarrier)(nil)
-var _ Poisonable = (*CondBroadcastBarrier)(nil)
-
-// SetPoison binds the parked waiters to the cell.  Waiters park on the
-// condition variable, which a poison cannot close, so the barrier
-// subscribes a broadcast hook; rebinding (or binding nil) cancels the
-// previous subscription.
-func (b *CondBroadcastBarrier) SetPoison(c *poison.Cell) {
-	b.unsub = poison.Rebind(b.unsub, c, &b.mu, b.cond)
-	b.pc = c
-}
-
-// NewCondBroadcast builds a condition-variable barrier for n processes.
-func NewCondBroadcast(n int) *CondBroadcastBarrier {
-	b := &CondBroadcastBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// N returns the number of participants.
-func (b *CondBroadcastBarrier) N() int { return b.n }
-
-// Sync parks on the condition variable until the episode advances, or
-// unwinds with poison.Abort when the force is poisoned first.
-func (b *CondBroadcastBarrier) Sync(pid int, section func()) {
-	b.mu.Lock()
-	if b.pc.Poisoned() {
-		b.mu.Unlock()
-		b.pc.Check()
-	}
-	e := b.episode
-	b.count++
-	if b.count == b.n {
-		// Release under a defer: a panicking barrier section (it is
-		// user code) must not leave mu held, or the parked waiters
-		// could never drain even after the poison broadcast.  The
-		// episode advances only on a *completed* section, so a panic
-		// keeps the waiters suspended — they loop back into cond.Wait
-		// on the spurious broadcast and unwind only when the panic
-		// reaches the job boundary and poisons the force, exactly like
-		// every other barrier kind.
-		b.count = 0
-		completed := false
-		defer func() {
-			if completed {
-				b.episode++
-			}
-			b.mu.Unlock()
-			b.cond.Broadcast()
-		}()
-		if section != nil {
-			section()
-		}
-		completed = true
-		return
-	}
-	for b.episode == e && !b.pc.Poisoned() {
-		b.cond.Wait()
-	}
-	poisoned := b.episode == e // only a poison wake leaves the episode unchanged
-	b.mu.Unlock()
-	if poisoned {
-		b.pc.Check()
-	}
-}
-
-// Rounds reports the number of signalling rounds a log-depth algorithm
-// uses for n processes (useful in benchmarks and documentation).
-func Rounds(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return bits.Len(uint(n - 1))
 }

@@ -223,32 +223,6 @@ func TestTwoLockWithEveryLockKind(t *testing.T) {
 	}
 }
 
-func TestTreeFanIns(t *testing.T) {
-	for _, fanIn := range []int{1, 2, 3, 8} {
-		for _, np := range []int{1, 4, 10} {
-			b := NewTree(np, fanIn)
-			var hits atomic.Int64
-			runForce(np, func(pid int) {
-				for e := 0; e < 8; e++ {
-					b.Sync(pid, func() { hits.Add(1) })
-				}
-			})
-			if got := hits.Load(); got != 8 {
-				t.Errorf("tree fanIn=%d np=%d: section ran %d times, want 8", fanIn, np, got)
-			}
-		}
-	}
-}
-
-func TestRounds(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 8: 3, 9: 4, 16: 4, 17: 5}
-	for n, want := range cases {
-		if got := Rounds(n); got != want {
-			t.Errorf("Rounds(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 func TestWaitHelper(t *testing.T) {
 	b := New(CentralSense, 3, nil)
 	var total atomic.Int64
@@ -289,45 +263,4 @@ func TestQuickBarrierCounting(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestButterflyValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewButterfly(6) did not panic")
-		}
-	}()
-	NewButterfly(6)
-}
-
-func TestButterflyPowerOfTwoDirect(t *testing.T) {
-	for _, np := range []int{1, 2, 4, 8, 16} {
-		b := NewButterfly(np)
-		var hits atomic.Int64
-		runForce(np, func(pid int) {
-			for e := 0; e < 10; e++ {
-				b.Sync(pid, func() { hits.Add(1) })
-			}
-		})
-		if got := hits.Load(); got != 10 {
-			t.Errorf("np=%d: section ran %d times, want 10", np, got)
-		}
-	}
-}
-
-func TestButterflyFallsBackForOddSizes(t *testing.T) {
-	// New must still produce a working barrier for non-power-of-two
-	// forces (dissemination fallback).
-	b := New(Butterfly, 5, nil)
-	if _, ok := b.(*DisseminationBarrier); !ok {
-		t.Fatalf("New(Butterfly, 5) = %T, want dissemination fallback", b)
-	}
-	var counter atomic.Int64
-	runForce(5, func(pid int) {
-		counter.Add(1)
-		b.Sync(pid, nil)
-		if counter.Load() != 5 {
-			t.Error("released early")
-		}
-	})
 }

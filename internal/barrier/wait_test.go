@@ -48,26 +48,14 @@ func lateArrival(b Barrier, skew time.Duration, episodes int) []time.Duration {
 	return lat
 }
 
-// spinningKinds are the algorithms whose waits go through the shared
-// policy; CondBroadcast parks on a condition variable by design.
-func spinningKinds() []Kind {
-	var ks []Kind
-	for _, k := range Kinds() {
-		if k != CondBroadcast {
-			ks = append(ks, k)
-		}
-	}
-	return ks
-}
-
 // TestLateArrivalReleasesSpinningWaiter: with np <= GOMAXPROCS, a peer
 // arriving 50 or 150 µs late finds the waiter still on its CPU: the
-// median release latency stays under 20 µs for every spinning kind.
+// median release latency stays under 20 µs for every kind.
 func TestLateArrivalReleasesSpinningWaiter(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 || runtime.NumCPU() < 2 {
 		t.Skip("needs two CPUs")
 	}
-	for _, k := range spinningKinds() {
+	for _, k := range Kinds() {
 		for _, skew := range []time.Duration{50 * time.Microsecond, 150 * time.Microsecond} {
 			c := poison.NewCell()
 			c.SetProcs(2)

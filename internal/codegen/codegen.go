@@ -50,8 +50,7 @@ type Options struct {
 	DefaultNP int
 	// Selfsched is the discipline Selfsched DO loops (and selfscheduled
 	// Pcase) are generated against; the zero value selects the paper's
-	// lock-based selfscheduling (sched.SelfLock).  sched.Stealing emits
-	// code drawing from the engine's work-stealing deques.
+	// lock-based selfscheduling (sched.SelfLock).
 	Selfsched sched.Kind
 	// Reduce is the strategy the generated force executes global
 	// reductions (GSUM and friends) with; the zero value selects the
@@ -59,8 +58,8 @@ type Options struct {
 	// the paper's critical-section baseline.
 	Reduce reduce.Kind
 	// Chunk, when positive, bakes a core.WithChunk span size into the
-	// generated force — sched.Config.ChunkSize for the Chunk and
-	// Stealing selfscheduling disciplines.
+	// generated force — sched.Config.ChunkSize for the Chunk
+	// selfscheduling discipline.
 	Chunk int
 	// Barrier selects the barrier algorithm the generated force is built
 	// with; the zero value is the paper's two-lock relay (the runtime

@@ -180,11 +180,11 @@ Selfsched DO I = 1, N
 End Selfsched DO
 Join
 `)
-	out, err := Generate(prog, Options{Selfsched: sched.Stealing})
+	out, err := Generate(prog, Options{Selfsched: sched.Chunk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "p.DoAllChunked(sched.Stealing, ") {
+	if !strings.Contains(string(out), "p.DoAllChunked(sched.Chunk, ") {
 		t.Errorf("Selfsched option ignored:\n%s", out)
 	}
 }

@@ -30,7 +30,7 @@ Join
 
 func TestGenerateReduceStatements(t *testing.T) {
 	prog := forcelang.MustParse(reduceSrc)
-	out, err := Generate(prog, Options{Reduce: reduce.Tree})
+	out, err := Generate(prog, Options{Reduce: reduce.Critical})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestGenerateReduceStatements(t *testing.T) {
 	// Shared targets store once through the *To form; private targets
 	// assign the returned value per process.
 	for _, want := range []string{
-		"core.WithReduce(reduce.Tree)",
+		"core.WithReduce(reduce.Critical)",
 		"core.GsumTo(p, X, &shr.TOTAL)",
 		"core.GprodTo(p, (ME + 1), &shr.COUNT)",
 		"core.GmaxTo(p, X, &shr.TOTAL)",

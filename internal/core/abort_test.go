@@ -147,10 +147,9 @@ func TestAbortInsideConstructs(t *testing.T) {
 // TestAbortInsideResolve: a component body failing inside Resolve
 // aborts the whole construct — peers in sibling components (blocked in
 // their sub-barriers) and in the closing full barrier wake — and the
-// force stays reusable, including under the subscription-based cond
-// barrier whose sub-force bindings must be released on abort.
+// force stays reusable, under either barrier kind.
 func TestAbortInsideResolve(t *testing.T) {
-	for _, bk := range []barrier.Kind{barrier.TwoLock, barrier.CondBroadcast} {
+	for _, bk := range barrier.Kinds() {
 		t.Run(bk.String(), func(t *testing.T) {
 			f := New(4, WithBarrier(bk))
 			defer f.Close()

@@ -20,9 +20,9 @@
 //   - synchronization: barriers with single-process barrier sections,
 //     named critical sections, and produce/consume on async variables;
 //   - global reductions: Gsum/Gprod/Gmax/Gmin/Gand/Gor and the generic
-//     Reduce/ReduceSection, executed by a selectable strategy
-//     (WithReduce) — the first-class replacement for the hand-rolled
-//     critical-section reductions of the paper's programs.
+//     Reduce/ReduceSection, executed by one of two strategies
+//     (WithReduce): per-process slots, or the hand-rolled
+//     critical-section reduction of the paper's programs.
 //
 // Every construct is generic in the paper's sense — no process identifiers
 // appear in synchronization operations — and programs are written to be
@@ -42,20 +42,17 @@
 //	      ▼          ▼          ▼            ▼
 //	   engine      sched      reduce     barrier / lock / machine
 //	 (persistent (loop dis-  (global     (synchronization and the
-//	  workers,    ciplines;   reduction   machine-dependent layer)
-//	  deques,     Stealing is strategies)
-//	  pools)      engine-backed)
+//	  workers,    ciplines)   reduction   machine-dependent layer)
+//	  deques,                 strategies)
+//	  pools)
 //
 // A Force owns a persistent engine.Engine: NP worker goroutines started
 // at New (each paying the machine's creation cost exactly once) that
 // survive across Run invocations, the paper's create-force-then-reuse
-// driver taken literally.  Work distribution is unified by the
-// engine.WorkSource interface: Askfor draws from an engine.Pool
+// driver taken literally.  Askfor draws from an engine.Pool
 // (work-stealing deques by default, the [LO83] central monitor as the
-// ablation baseline), selfscheduled Pcase and DOALL loops draw from
-// sched schedulers, among them the engine-backed Stealing discipline —
-// so all three of the paper's generic constructs can be served by one
-// distribution substrate.
+// paper's baseline); selfscheduled Pcase and DOALL loops draw from
+// sched schedulers.
 package core
 
 import (
@@ -194,7 +191,7 @@ func WithMachine(p machine.Profile) Option {
 }
 
 // WithBarrier selects the global barrier algorithm.  Default: the paper's
-// two-lock barrier.
+// two-lock barrier; barrier.CentralSense is the alternative.
 func WithBarrier(k barrier.Kind) Option {
 	return func(f *Force) { f.barKind = k }
 }
@@ -221,16 +218,15 @@ func WithAskfor(k engine.PoolKind) Option {
 // WithReduce selects the strategy executing global reductions (the G*
 // operations and Reduce).  Default: reduce.PrivateSlots, the padded
 // per-process accumulators combined in pid order; reduce.Critical
-// restores the paper's shared-accumulator-in-a-critical-section idiom
-// for comparison.
+// restores the paper's shared-accumulator-in-a-critical-section idiom.
 func WithReduce(k reduce.Kind) Option {
 	return func(f *Force) { f.reduceK = k }
 }
 
 // WithPcaseSched selects the distribution discipline of SelfschedPcase
 // over the block ordinals.  Default: the paper's lock-based
-// selfscheduling; sched.Stealing draws the blocks from the engine's
-// deques instead.
+// selfscheduling (sched.SelfLock); sched.SelfAtomic and sched.Chunk
+// replace the lock with a fetch-and-add.
 func WithPcaseSched(k sched.Kind) Option {
 	return func(f *Force) { f.pcaseKind = k }
 }
@@ -321,11 +317,7 @@ var _ AsyncCell[int] = (asyncvar.V[int])(nil)
 // elsewhere.  (A free function because Go methods cannot introduce type
 // parameters.)  The variable observes the force's poison cell: a
 // Produce/Consume blocked when the force aborts unwinds instead of
-// waiting for a transfer that can never happen.  On machine profiles
-// whose realization parks waiters (the condition-variable impl) the
-// binding holds a subscription on the cell for the variable's — i.e.
-// the force's — lifetime, so allocate such variables per force, not
-// per Run (or unbind retired ones with asyncvar.SetPoison(v, nil)).
+// waiting for a transfer that can never happen.
 func NewAsync[T any](f *Force) asyncvar.V[T] {
 	v := machine.NewAsync[T](f.profile)
 	asyncvar.SetPoison(v, f.pc)
@@ -473,9 +465,9 @@ func (f *Force) Run(program func(p *Proc)) {
 // RunContext executes program like Run, under an external cancellation
 // context.  When ctx is canceled or its deadline passes, the force is
 // poisoned with an *external* cause (poison.CauseExternal): every
-// process blocked in a force construct — any of the seven barrier
-// kinds, a reduce episode, an asynchronous variable, an Askfor pool or
-// engine park, a chunked-tier iteration boundary — wakes within one
+// process blocked in a force construct — a barrier, a reduce episode,
+// an asynchronous variable, an Askfor pool or engine park, a
+// chunked-tier iteration boundary — wakes within one
 // park interval and unwinds, the persistent force is rebuilt exactly
 // as after an internal abort (the force remains reusable), and
 // RunContext returns ctx.Err().  Internal failures keep Run's
@@ -586,12 +578,7 @@ func (f *Force) Shutdown(ctx context.Context) error {
 // force can serve the next Run.  Called after every process has
 // stopped.
 func (f *Force) recoverAborted() {
-	// Rearm the cell before the rebuild: the next Run must start with
-	// an unpoisoned cell anyway, and resubscribing primitives (the cond
-	// barrier) on a still-poisoned cell would fire their hooks once
-	// immediately — harmless, but pointless work this ordering avoids.
 	f.pc.Reset()
-	barrier.SetPoison(f.bar, nil) // release the old barrier's subscription, if any
 	f.bar = barrier.New(f.barKind, f.np, f.profile.LockFactory())
 	barrier.SetPoison(f.bar, f.pc)
 	f.locks = lock.NewSet(f.profile.LockFactory())
@@ -603,8 +590,8 @@ func (f *Force) recoverAborted() {
 
 // releaseEntries retires every abandoned construct entry after an
 // abort: Askfor pools still hold poison subscriptions (their exit
-// barrier never completed), and a Resolve plan's sub-forces hold bound
-// barriers and construct tables of their own.
+// barrier never completed), and a Resolve plan's sub-forces hold
+// construct tables of their own.
 func (f *Force) releaseEntries() {
 	f.entries.Range(func(k, v any) bool {
 		if e, ok := v.(*constructEntry); ok {
@@ -613,7 +600,6 @@ func (f *Force) releaseEntries() {
 				st.Close()
 			case *resolvePlan:
 				for _, s := range st.sub {
-					barrier.SetPoison(s.bar, nil)
 					s.releaseEntries()
 				}
 			}
@@ -800,19 +786,6 @@ func (p *Proc) ChunkDo(r sched.Range, body func(i int)) {
 	p.loop(sched.Chunk, r, body)
 }
 
-// GuidedDo is guided selfscheduling: chunks of remaining/NP, shrinking to
-// single iterations.
-func (p *Proc) GuidedDo(r sched.Range, body func(i int)) {
-	p.loop(sched.Guided, r, body)
-}
-
-// StealingDo is the engine-backed DOALL: per-process deques seeded with
-// contiguous blocks, split lazily, stolen on miss.  WithChunk sets the
-// split grain (default n/(8·NP)).
-func (p *Proc) StealingDo(r sched.Range, body func(i int)) {
-	p.loop(sched.Stealing, r, body)
-}
-
 // DoAll runs the loop under an explicitly chosen discipline.
 func (p *Proc) DoAll(kind sched.Kind, r sched.Range, body func(i int)) {
 	p.loop(kind, r, body)
@@ -916,9 +889,8 @@ func (p *Proc) Pcase(blocks ...Block) {
 // SelfschedPcase distributes the blocks over the force selfscheduled.
 // With the default discipline a shared block counter behind the machine's
 // lock deals them out — the paper's "asynchronous variable ... needed for
-// work distribution" (§4.2); WithPcaseSched(sched.Stealing) draws the
-// blocks from the engine's per-process deques instead, the same
-// distribution layer Askfor and stealing DOALLs use.
+// work distribution" (§4.2); WithPcaseSched selects another selfscheduled
+// discipline.
 func (p *Proc) SelfschedPcase(blocks ...Block) {
 	p.f.pc.Check()
 	seq := p.nextSeq()
@@ -1056,14 +1028,7 @@ func (p *Proc) Resolve(components ...Component) {
 		}
 	}
 	p.enterSite(&siteResolve)
-	p.f.bar.Sync(p.id, func() {
-		// Unbind the sub-forces' barriers from the poison cell so a
-		// subscription-based barrier does not outlive the construct.
-		for _, s := range plan.sub {
-			barrier.SetPoison(s.bar, nil)
-		}
-		p.f.dropEntry(seq)
-	})
+	p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
 	p.leaveSite()
 }
 

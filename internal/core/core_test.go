@@ -167,8 +167,6 @@ func loopVariants() map[string]func(p *Proc, r sched.Range, body func(int)) {
 		"selfsched":      (*Proc).SelfschedDo,
 		"self-atomic":    (*Proc).SelfschedAtomicDo,
 		"chunk":          (*Proc).ChunkDo,
-		"guided":         (*Proc).GuidedDo,
-		"stealing":       (*Proc).StealingDo,
 	}
 }
 

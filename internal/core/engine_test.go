@@ -21,7 +21,7 @@ func TestForceReuseKeepsSequenceAndStats(t *testing.T) {
 	for r := 0; r < runs; r++ {
 		f.Run(func(p *Proc) {
 			p.SelfschedDo(sched.Seq(30), func(i int) { loopIters.Add(1) })
-			p.StealingDo(sched.Seq(40), func(i int) { loopIters.Add(1) })
+			p.ChunkDo(sched.Seq(40), func(i int) { loopIters.Add(1) })
 			p.SelfschedPcase(
 				Case(func() { pcaseRuns.Add(1) }),
 				Case(func() { pcaseRuns.Add(1) }),
@@ -120,26 +120,29 @@ func TestAskforDynamicTreeStealingMatchesMonitor(t *testing.T) {
 	}
 }
 
-// TestSelfschedPcaseStealing draws Pcase blocks from the engine deques.
-func TestSelfschedPcaseStealing(t *testing.T) {
-	for _, np := range []int{1, 3, 8} {
-		f := New(np, WithPcaseSched(sched.Stealing))
-		const nblocks = 11
-		var runs [nblocks]atomic.Int64
-		f.Run(func(p *Proc) {
-			blocks := make([]Block, nblocks)
-			for b := 0; b < nblocks; b++ {
-				b := b
-				blocks[b] = Case(func() { runs[b].Add(1) })
+// TestSelfschedPcaseDisciplines deals Pcase blocks through the
+// non-default selfscheduled disciplines (WithPcaseSched).
+func TestSelfschedPcaseDisciplines(t *testing.T) {
+	for _, kind := range []sched.Kind{sched.SelfAtomic, sched.Chunk} {
+		for _, np := range []int{1, 3, 8} {
+			f := New(np, WithPcaseSched(kind))
+			const nblocks = 11
+			var runs [nblocks]atomic.Int64
+			f.Run(func(p *Proc) {
+				blocks := make([]Block, nblocks)
+				for b := 0; b < nblocks; b++ {
+					b := b
+					blocks[b] = Case(func() { runs[b].Add(1) })
+				}
+				p.SelfschedPcase(blocks...)
+			})
+			for b := range runs {
+				if got := runs[b].Load(); got != 1 {
+					t.Errorf("%s np=%d: block %d ran %d times", kind, np, b, got)
+				}
 			}
-			p.SelfschedPcase(blocks...)
-		})
-		for b := range runs {
-			if got := runs[b].Load(); got != 1 {
-				t.Errorf("np=%d: block %d ran %d times", np, b, got)
-			}
+			f.Close()
 		}
-		f.Close()
 	}
 }
 

@@ -133,7 +133,7 @@ func reduceVia[T any](p *Proc, op reduce.Op, x T, combine func(T, T) T, section 
 		// The combine wrapper exists only under an armed plan, so the
 		// disabled harness costs the combining hot path nothing.  The
 		// wrapped combine fires without process identity: the combining
-		// process is strategy-dependent (tree interior, episode winner),
+		// process is strategy-dependent (lock holder, episode winner),
 		// not the contributor.
 		inner := combine
 		combine = func(a, b T) T {
@@ -143,9 +143,8 @@ func reduceVia[T any](p *Proc, op reduce.Op, x T, combine func(T, T) T, section 
 	}
 	seq := p.nextSeq()
 	ep := f.entry(seq, func() any {
-		return reduce.New[T](f.reduceK, f.np, op, combine, reduce.Config[T]{
+		return reduce.New[T](f.reduceK, f.np, combine, reduce.Config[T]{
 			Lock:   f.profile.LockFactory(),
-			FanIn:  4,
 			Poison: f.pc,
 			OnComplete: func(r T) {
 				if section != nil {

@@ -102,7 +102,7 @@ func TestReduceInsideLoopBody(t *testing.T) {
 	// A convergence-loop shape: repeated reductions in SPMD order, with
 	// other constructs interleaved, on a non-native machine profile.
 	const np = 4
-	f := New(np, WithMachine(machine.Sequent), WithReduce(reduce.Tree))
+	f := New(np, WithMachine(machine.Sequent), WithReduce(reduce.Critical))
 	defer f.Close()
 	var bad atomic.Int64
 	f.Run(func(p *Proc) {
@@ -147,7 +147,7 @@ func TestReduceInsideResolveSubforce(t *testing.T) {
 	// Sub-forces inherit the reduction strategy, and a reduction inside a
 	// component is private to the component's processes.
 	const np = 6
-	f := New(np, WithReduce(reduce.Atomic))
+	f := New(np, WithReduce(reduce.Critical))
 	defer f.Close()
 	var a, b atomic.Int64
 	f.Run(func(p *Proc) {

@@ -72,7 +72,7 @@ func TestTracedLoopCoverage(t *testing.T) {
 	for k := 0; k < r.Count(); k++ {
 		want = append(want, int64(r.Index(k)))
 	}
-	for _, kind := range []sched.Kind{sched.PreschedBlock, sched.PreschedCyclic, sched.SelfLock, sched.Guided} {
+	for _, kind := range []sched.Kind{sched.PreschedBlock, sched.PreschedCyclic, sched.SelfLock, sched.Chunk} {
 		rec := trace.New(0)
 		f := New(4, WithTrace(rec))
 		f.Run(func(p *Proc) {

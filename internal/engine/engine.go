@@ -1,8 +1,6 @@
 // Package engine is the work-distribution substrate of the Force runtime:
 // a persistent force of worker goroutines, Chase-Lev work-stealing
-// deques, and the WorkSource abstraction that lets one distribution layer
-// serve all three of the paper's generic constructs (DOALL, Pcase,
-// Askfor).
+// deques, and the two Askfor task pools.
 //
 // The paper's execution model creates the force once — "the number of
 // processes is fixed only when the force is created" — and then reuses it
@@ -10,8 +8,7 @@
 // long-lived workers (each paying the machine's process-creation cost
 // exactly once), and every Run dispatches a program to the same workers,
 // so repeated Runs cost a handoff, not a re-spawn.  The package sits at
-// the bottom of the runtime stack; internal/sched builds its Stealing
-// discipline on the deques and internal/core builds Force/Proc on the
+// the bottom of the runtime stack; internal/core builds Force/Proc on the
 // workers and pools.
 package engine
 

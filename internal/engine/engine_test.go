@@ -295,57 +295,3 @@ func TestPoolSeedDistribution(t *testing.T) {
 		}
 	}
 }
-
-func TestSpanSourceCoversSpace(t *testing.T) {
-	for _, np := range []int{1, 3, 8, 150} {
-		for _, n := range []int{0, 1, 7, 1000} {
-			src := NewSpanSource(np, n, 0)
-			var mu sync.Mutex
-			hits := make([]int, n)
-			var wg sync.WaitGroup
-			for pid := 0; pid < np; pid++ {
-				wg.Add(1)
-				go func(pid int) {
-					defer wg.Done()
-					for {
-						sp, ok := src.NextSpan(pid)
-						if !ok {
-							return
-						}
-						mu.Lock()
-						for i := sp.Lo; i < sp.Hi; i++ {
-							hits[i]++
-						}
-						mu.Unlock()
-					}
-				}(pid)
-			}
-			wg.Wait()
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("np=%d n=%d: ordinal %d executed %d times", np, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestSpanSourceAsWorkSource(t *testing.T) {
-	var src WorkSource = NewSpanSource(2, 10, 3)
-	total := 0
-	for {
-		task, ok := src.Next(0)
-		if !ok {
-			break
-		}
-		sp := task.(Span)
-		if sp.Hi-sp.Lo > 3 {
-			t.Errorf("span %v exceeds grain 3", sp)
-		}
-		total += sp.Hi - sp.Lo
-	}
-	// Process 1's seeded block is stolen once 0 runs dry.
-	if total != 10 {
-		t.Errorf("drained %d ordinals through one process, want 10", total)
-	}
-}

@@ -10,29 +10,16 @@ import (
 	"repro/internal/poison"
 )
 
-// WorkSource is the unified work-distribution interface: every Force
-// construct that deals out work at run time — selfscheduled DOALL loops,
-// selfscheduled Pcase, and the Askfor pool — draws tasks from one.  Next
-// returns the next task for process pid; ok is false when pid's work is
-// exhausted (for a dynamic source, when the whole pool has drained).
-//
-// The paper's three "generic constructs" (§3.3) differ only in where
-// their tasks come from: a static index space (DOALL), a static block
-// list (Pcase), or a run-time-growing pool (Askfor).  A WorkSource
-// captures exactly that difference, so one distribution substrate — the
-// per-process work-stealing deques of this package — can serve all three.
-type WorkSource interface {
-	Next(pid int) (task any, ok bool)
-}
-
-// Pool is a dynamic WorkSource: tasks may be added while the pool is
+// Pool is the Askfor work source: tasks may be added while the pool is
 // being drained — the Askfor's "request during run time that a new
 // concurrent instance of the code segment is executed".  Every task
 // handed out by Next must be matched by exactly one Done call; the pool
 // terminates (Next returns ok=false everywhere) when no task is queued
 // and none is executing.
 type Pool interface {
-	WorkSource
+	// Next returns the next task for process pid; ok is false when the
+	// whole pool has drained.
+	Next(pid int) (task any, ok bool)
 	// Put adds a task on behalf of process pid.  It must be called by
 	// the goroutine that is pid — tasks land on pid's own deque.
 	Put(pid int, task any)
@@ -44,16 +31,18 @@ type Pool interface {
 	Close()
 }
 
-// PoolKind selects a Pool implementation.
+// PoolKind selects a Pool implementation; each constant says which rule
+// of README's "Which variants exist" keeps it.
 type PoolKind int
 
 const (
 	// StealingPool distributes tasks over per-process Chase-Lev deques:
-	// lock-free local put/get, steal-half on miss.  The default.
+	// lock-free local put/get, steal-half on miss.  Kept by rule (b): it
+	// is the default every tier runs.
 	StealingPool PoolKind = iota
 	// MonitorPool is the historical baseline: one central queue behind a
 	// mutex and condition variable, the [LO83] askfor monitor discipline
-	// (and this repository's runtime before the engine existed).
+	// the paper cites.  Kept by rule (a).
 	MonitorPool
 )
 
@@ -88,7 +77,7 @@ func ParsePoolKind(s string) (PoolKind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("engine: unknown pool kind %q", s)
+	return 0, fmt.Errorf("engine: unknown pool kind %q (kinds: %v)", s, PoolKinds())
 }
 
 // NewPool creates a task pool for np processes, pre-loaded with the seed
@@ -379,95 +368,4 @@ func (p *monitorPool) Next(pid int) (any, bool) {
 	p.queue = p.queue[:len(p.queue)-1]
 	p.mu.Unlock()
 	return t, true
-}
-
-// Span is a half-open interval [Lo, Hi) of loop ordinals.
-type Span struct{ Lo, Hi int }
-
-// SpanSource distributes a static ordinal space [0, n) over per-process
-// stealing deques: process p's deque is seeded with the p-th contiguous
-// block, local work is popped lock-free, and a process that runs dry
-// steals a block from a victim.  Blocks split lazily — a popped or stolen
-// block larger than the grain returns only its lower half and pushes the
-// rest back — so stealing always finds large chunks early and the tail
-// load-balances at grain granularity.
-//
-// SpanSource backs the sched package's Stealing discipline (DOALL loops)
-// and the selfscheduled Pcase; as a WorkSource it yields Span tasks.
-type SpanSource struct {
-	np, grain int
-	deques    []*Deque[Span]
-}
-
-// NewSpanSource creates a source over the ordinal space [0, n) for np
-// processes.  grain is the largest interval Next hands out; grain <= 0
-// selects max(1, n/(8·np)).
-func NewSpanSource(np, n, grain int) *SpanSource {
-	if np <= 0 {
-		panic(fmt.Sprintf("engine: np = %d, need np >= 1", np))
-	}
-	if grain <= 0 {
-		grain = n / (8 * np)
-		if grain < 1 {
-			grain = 1
-		}
-	}
-	s := &SpanSource{np: np, grain: grain, deques: make([]*Deque[Span], np)}
-	for i := range s.deques {
-		s.deques[i] = NewDeque[Span](8)
-	}
-	// Seed contiguous blocks, sizes differing by at most one.
-	base, rem := n/np, n%np
-	lo := 0
-	for p := 0; p < np; p++ {
-		size := base
-		if p < rem {
-			size++
-		}
-		if size > 0 {
-			s.deques[p].Push(Span{lo, lo + size})
-		}
-		lo += size
-	}
-	return s
-}
-
-// NextSpan returns the next interval for process pid, ok=false when the
-// space looks exhausted.  Like all selfscheduling the assignment of
-// ordinals to processes is nondeterministic; each ordinal is returned
-// exactly once.
-func (s *SpanSource) NextSpan(pid int) (Span, bool) {
-	own := s.deques[pid]
-	if sp, ok := own.Pop(); ok {
-		return s.split(own, sp), true
-	}
-	for attempt := 0; attempt < 2; attempt++ {
-		for i := 1; i < s.np; i++ {
-			if sp, ok := s.deques[(pid+i)%s.np].Steal(); ok {
-				return s.split(own, sp), true
-			}
-		}
-		runtime.Gosched()
-	}
-	return Span{}, false
-}
-
-// split halves sp down to the grain, keeping the upper parts on the own
-// deque where thieves can find them.
-func (s *SpanSource) split(own *Deque[Span], sp Span) Span {
-	for sp.Hi-sp.Lo > s.grain {
-		mid := sp.Lo + (sp.Hi-sp.Lo)/2
-		own.Push(Span{mid, sp.Hi})
-		sp.Hi = mid
-	}
-	return sp
-}
-
-// Next implements WorkSource; the task is a Span.
-func (s *SpanSource) Next(pid int) (any, bool) {
-	sp, ok := s.NextSpan(pid)
-	if !ok {
-		return nil, false
-	}
-	return sp, true
 }

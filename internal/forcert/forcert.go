@@ -369,3 +369,14 @@ func Report(r any) {
 	}
 	os.Exit(1)
 }
+
+// CheckNP rejects a force size below 1 as a usage error of tool: one line
+// on standard error, exit status 2.  forcerun and forcec call it right
+// after flag parsing, so every execution tier refuses the same way and
+// the request never reaches core.New's panic — or a cached binary's.
+func CheckNP(tool string, np int) {
+	if np < 1 {
+		fmt.Fprintf(os.Stderr, "%s: invalid -np %d: a force needs at least one process\n", tool, np)
+		os.Exit(2)
+	}
+}

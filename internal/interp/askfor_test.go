@@ -36,12 +36,12 @@ Join
 `
 
 // TestAskforTreeOnEveryDistribution runs the language-level Askfor on
-// both engine pool disciplines, crossed with both selfsched loop
-// disciplines, over several force sizes.
+// both engine pool disciplines, crossed with every selfsched loop
+// discipline, over several force sizes.
 func TestAskforTreeOnEveryDistribution(t *testing.T) {
 	prog := forcelang.MustParse(treeSrc)
 	for _, pool := range engine.PoolKinds() {
-		for _, selfsched := range []sched.Kind{sched.SelfLock, sched.Stealing} {
+		for _, selfsched := range []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
 			for _, np := range []int{1, 4, 7} {
 				name := fmt.Sprintf("%s/%s/np=%d", pool, selfsched, np)
 				t.Run(name, func(t *testing.T) {
@@ -59,9 +59,9 @@ func TestAskforTreeOnEveryDistribution(t *testing.T) {
 	}
 }
 
-// TestSelfschedStealingLoops runs an ordinary selfscheduled program on
-// the stealing discipline and checks the numeric result is unchanged.
-func TestSelfschedStealingLoops(t *testing.T) {
+// TestSelfschedNonDefaultLoops runs an ordinary selfscheduled program on
+// the non-default disciplines and checks the numeric result is unchanged.
+func TestSelfschedNonDefaultLoops(t *testing.T) {
 	src := `Force S of NP ident ME
 Shared Integer TOTAL
 Private Integer I
@@ -80,11 +80,13 @@ End Declarations
 Join
 `
 	prog := forcelang.MustParse(src)
-	var sb strings.Builder
-	if err := Run(prog, Config{NP: 6, Stdout: &sb, Selfsched: sched.Stealing}); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(sb.String()); got != "total = 5050" {
-		t.Errorf("out = %q, want \"total = 5050\"", got)
+	for _, kind := range []sched.Kind{sched.SelfAtomic, sched.Chunk} {
+		var sb strings.Builder
+		if err := Run(prog, Config{NP: 6, Stdout: &sb, Selfsched: kind}); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimSpace(sb.String()); got != "total = 5050" {
+			t.Errorf("%s: out = %q, want \"total = 5050\"", kind, got)
+		}
 	}
 }

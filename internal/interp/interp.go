@@ -35,13 +35,12 @@
 //     in contiguous blocks.  Unsafe bodies (calls, critical sections,
 //     I/O ordering hazards) take the per-iteration path.  ExecCompiled
 //     never enters chunk mode: every DOALL body dispatches one index at
-//     a time.  It is the switch the equivalence tests and forcebench
-//     T11 use to drive the per-iteration path over chunk-eligible
-//     bodies.
+//     a time.  It is the switch the equivalence tests use to drive the
+//     per-iteration path over chunk-eligible bodies.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
 //     one per-run mutex.  It is the differential-test oracle
-//     (forcebench T11, forcerun -exec tree).
+//     (forcerun -exec tree).
 //
 // All of them give the shared accumulate one meaning (README,
 // "Semantics"): `S = S + e` and its recognised siblings
@@ -97,8 +96,8 @@ type Config struct {
 	Trace *trace.Recorder
 	// Selfsched selects the discipline executing Selfsched DO loops and
 	// selfscheduled Pcase blocks.  The zero value selects the paper's
-	// lock-based selfscheduling (sched.SelfLock); sched.Stealing runs
-	// them on the engine's work-stealing deques instead.
+	// lock-based selfscheduling (sched.SelfLock); sched.SelfAtomic and
+	// sched.Chunk deal them by fetch-and-add instead.
 	Selfsched sched.Kind
 	// Askfor selects the pool discipline behind language-level Askfor
 	// statements: the engine's work-stealing deques (zero value) or the
@@ -106,8 +105,8 @@ type Config struct {
 	Askfor engine.PoolKind
 	// Reduce selects the strategy executing the global-reduction
 	// statements (GSUM, GPROD, GMAX, GMIN, GAND, GOR): per-process
-	// padded slots (zero value), the paper's critical-section baseline
-	// (reduce.Critical), the combining tree, or lock-free CAS.
+	// padded slots (zero value) or the paper's critical-section baseline
+	// (reduce.Critical).
 	Reduce reduce.Kind
 	// Exec selects the execution engine: the closure compiler with its
 	// chunk mode on (zero value) or off (ExecCompiled), or the original
@@ -126,10 +125,10 @@ type Config struct {
 	// (<reason>)".  Decisions are compile-time, so the log is emitted
 	// once per Run, not per construct execution.
 	FuseLog func(msg string)
-	// Chunk sets sched.Config.ChunkSize for the Chunk and Stealing
-	// selfscheduling disciplines (0 keeps each discipline's default).
-	// It does not affect the prescheduled or lock/atomic selfscheduled
-	// kinds, whose span shapes are fixed by the discipline.
+	// Chunk sets sched.Config.ChunkSize for the Chunk selfscheduling
+	// discipline (0 keeps its default).  It does not affect the
+	// prescheduled or lock/atomic selfscheduled kinds, whose span shapes
+	// are fixed by the discipline.
 	Chunk int
 	// OnForce, when non-nil, is called with the freshly created force
 	// before execution starts.  forcerun's stall watchdog uses it to

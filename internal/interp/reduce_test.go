@@ -99,7 +99,7 @@ Join
 `
 	prog := forcelang.MustParse(src)
 	var sb strings.Builder
-	if err := Run(prog, Config{NP: 5, Machine: machine.Encore, Stdout: &sb, Reduce: reduce.Tree}); err != nil {
+	if err := Run(prog, Config{NP: 5, Machine: machine.Encore, Stdout: &sb, Reduce: reduce.Critical}); err != nil {
 		t.Fatal(err)
 	}
 	// 10/k^2 < 0.2 first at k=8: 10/64 = 0.15625.

@@ -13,9 +13,9 @@
 //   - combined locks: spin for a limited time, then make a system call
 //     (Flex)
 //
-// This package implements each category (plus a ticket lock used as an
-// ablation and the TTAS refinement of test&set) behind a single Lock
-// interface so that barriers, selfscheduled loops, critical sections and
+// This package implements each category (the software lock twice: plain
+// test&set and its TTAS refinement) behind a single Lock interface so
+// that barriers, selfscheduled loops, critical sections and
 // asynchronous variables can be built once and retargeted by swapping the
 // lock constructor, exactly as the Force retargeted machines by swapping
 // its low-level macro file.
@@ -52,7 +52,8 @@ type TryLocker interface {
 
 // Kind names a lock implementation.  It is the unit of machine dependence:
 // a machine profile selects a Kind and every construct built on locks
-// follows.
+// follows.  All four are kept by rule (a) of README's "Which variants
+// exist": §4.1.3's three categories, each selected by a machine profile.
 type Kind int
 
 const (
@@ -61,10 +62,8 @@ const (
 	TAS Kind = iota
 	// TTAS is test-and-test-and-set: spins reading until the lock looks
 	// free, then attempts the atomic swap.  Reduces coherence traffic.
+	// The HEP and Alliant profiles' software lock.
 	TTAS
-	// Ticket is a FIFO ticket lock (ablation; not in the paper's taxonomy
-	// but standard in later shared-memory practice).
-	Ticket
 	// System models the "system call lock" of the Cray-2: waiters are
 	// parked by the scheduler rather than spinning.  Implemented with
 	// sync.Mutex, whose slow path parks goroutines in the Go runtime.
@@ -77,13 +76,12 @@ const (
 var kindNames = map[Kind]string{
 	TAS:      "tas",
 	TTAS:     "ttas",
-	Ticket:   "ticket",
 	System:   "system",
 	Combined: "combined",
 }
 
-// String returns the short name of the kind ("tas", "ttas", "ticket",
-// "system", "combined").
+// String returns the short name of the kind ("tas", "ttas", "system",
+// "combined").
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
@@ -98,11 +96,11 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("lock: unknown kind %q", s)
+	return 0, fmt.Errorf("lock: unknown kind %q (kinds: %v)", s, Kinds())
 }
 
 // Kinds lists all implemented kinds in presentation order.
-func Kinds() []Kind { return []Kind{TAS, TTAS, Ticket, System, Combined} }
+func Kinds() []Kind { return []Kind{TAS, TTAS, System, Combined} }
 
 // New returns a fresh, unlocked lock of the given kind.
 func New(k Kind) Lock {
@@ -111,8 +109,6 @@ func New(k Kind) Lock {
 		return new(TASLock)
 	case TTAS:
 		return new(TTASLock)
-	case Ticket:
-		return new(TicketLock)
 	case System:
 		return new(SystemLock)
 	case Combined:
@@ -228,40 +224,6 @@ func (l *TTASLock) Unlock() {
 	if l.state.Swap(0) == 0 {
 		panic("lock: unlock of unlocked TTASLock")
 	}
-}
-
-// TicketLock is a FIFO spin lock: arrivals take a ticket and spin until the
-// now-serving counter reaches it.  Provides fairness the TAS variants lack.
-type TicketLock struct {
-	next    atomic.Uint64
-	serving atomic.Uint64
-}
-
-var _ TryLocker = (*TicketLock)(nil)
-
-// Lock takes the next ticket and waits for it to be served.
-func (l *TicketLock) Lock() {
-	t := l.next.Add(1) - 1
-	for i := 0; l.serving.Load() != t; i++ {
-		spinYield(i)
-	}
-}
-
-// TryLock acquires only when the lock is free: it takes the currently
-// served ticket iff no other ticket is outstanding.  A failed CAS means
-// some ticket holder is ahead, i.e. the lock is held or contended.
-func (l *TicketLock) TryLock() bool {
-	s := l.serving.Load()
-	return l.next.CompareAndSwap(s, s+1)
-}
-
-// Unlock advances the serving counter, admitting the next ticket holder.
-func (l *TicketLock) Unlock() {
-	s := l.serving.Load()
-	if l.next.Load() == s {
-		panic("lock: unlock of unlocked TicketLock")
-	}
-	l.serving.Store(s + 1)
 }
 
 // SystemLock is the "system call" lock category: acquisition failures park

@@ -1,7 +1,6 @@
 package lock
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -11,7 +10,6 @@ func TestKindString(t *testing.T) {
 	want := map[Kind]string{
 		TAS:      "tas",
 		TTAS:     "ttas",
-		Ticket:   "ticket",
 		System:   "system",
 		Combined: "combined",
 	}
@@ -116,7 +114,7 @@ func TestTryLock(t *testing.T) {
 }
 
 func TestUnlockOfUnlockedPanics(t *testing.T) {
-	for _, k := range []Kind{TAS, TTAS, Ticket} {
+	for _, k := range []Kind{TAS, TTAS} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			defer func() {
@@ -141,39 +139,6 @@ func TestCombinedLockBudgets(t *testing.T) {
 		}()
 		l.Unlock()
 		<-done
-	}
-}
-
-// TestTicketFIFO checks that a ticket lock grants the lock in arrival
-// order: a holder releases, and the earliest-arrived waiter must win.
-func TestTicketFIFO(t *testing.T) {
-	l := new(TicketLock)
-	l.Lock()
-
-	const waiters = 4
-	order := make(chan int, waiters)
-	arrived := make(chan struct{}, waiters)
-	for i := 0; i < waiters; i++ {
-		i := i
-		go func() {
-			// Serialize arrival: ticket i must be drawn before
-			// ticket i+1 launches.
-			arrived <- struct{}{}
-			l.Lock()
-			order <- i
-			l.Unlock()
-		}()
-		<-arrived
-		// Wait until the goroutine has actually drawn its ticket.
-		for l.next.Load() != uint64(i+2) {
-			runtime.Gosched()
-		}
-	}
-	l.Unlock()
-	for i := 0; i < waiters; i++ {
-		if got := <-order; got != i {
-			t.Fatalf("ticket order: got %d at position %d", got, i)
-		}
 	}
 }
 

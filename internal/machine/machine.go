@@ -122,7 +122,9 @@ func (p Profile) PayCreationCost() {
 
 // The historical profiles.  Creation costs keep the paper's ordering
 // (fork-copy ≫ fork-shared-data ≫ create-call) at magnitudes small enough
-// for fast tests.
+// for fast tests.  The six machines are kept by rule (a) of README's
+// "Which variants exist" (the paper ports to them), Native by rule (b):
+// it is the default.
 var (
 	// HEP: Denelcor HEP — hardware full/empty bit on every memory cell,
 	// process creation by subroutine call, compile-time sharing through

@@ -285,9 +285,8 @@ func (c *Cell) Subscribe(fn func()) (cancel func()) {
 // SubscribeBroadcast registers the canonical condition-variable wake
 // hook: lock-then-unlock mu before broadcasting, so a waiter between
 // its poison check and cond.Wait (it holds mu there) cannot miss the
-// wakeup.  Shared by every parked primitive (the cond barrier, the
-// cond asynchronous variable, both engine pools).  Returns the cancel,
-// or a no-op when no cell is wired.
+// wakeup.  Shared by every parked primitive (both engine pools).
+// Returns the cancel, or a no-op when no cell is wired.
 func SubscribeBroadcast(c *Cell, mu sync.Locker, cond *sync.Cond) (cancel func()) {
 	if c == nil {
 		return func() {}

@@ -16,7 +16,7 @@ func TestPoisonWakesIncompleteEpisode(t *testing.T) {
 		for _, np := range []int{2, 4, 7} {
 			t.Run(k.String(), func(t *testing.T) {
 				c := poison.NewCell()
-				ep := New[int](k, np, Sum, func(a, b int) int { return a + b }, Config[int]{Poison: c})
+				ep := New[int](k, np, func(a, b int) int { return a + b }, Config[int]{Poison: c})
 				unwound := make(chan any, np)
 				for pid := 0; pid < np-1; pid++ { // pid np-1 never contributes
 					go func(pid int) {
@@ -47,7 +47,7 @@ func TestPoisonBoundCompleteEpisodeWorks(t *testing.T) {
 	for _, k := range Kinds() {
 		c := poison.NewCell()
 		const np = 5
-		ep := New[int](k, np, Sum, func(a, b int) int { return a + b }, Config[int]{Poison: c})
+		ep := New[int](k, np, func(a, b int) int { return a + b }, Config[int]{Poison: c})
 		got := make(chan int, np)
 		for pid := 0; pid < np; pid++ {
 			go func(pid int) { got <- ep.Do(pid, pid) }(pid)

@@ -29,9 +29,7 @@ package reduce
 
 import (
 	"fmt"
-	"math"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/barrier"
@@ -41,7 +39,8 @@ import (
 )
 
 // Kind names a reduction strategy.  The zero value is PrivateSlots, the
-// default the runtime uses.
+// default the runtime uses.  Each constant says which rule of README's
+// "Which variants exist" keeps it.
 type Kind int
 
 const (
@@ -49,30 +48,20 @@ const (
 	// the last process to arrive folds the slots in pid order (the
 	// "combined in a barrier section" shape) and publishes the result.
 	// Contention-free contribution, deterministic combination order.
+	// Kept by rule (b): it is the default every tier runs.
 	PrivateSlots Kind = iota
 	// Critical is the paper's baseline, reproduced whole: contributions
 	// fold into one shared accumulator under a machine lock, and the
 	// construct closes with the paper's own two-lock barrier (section
 	// included) — the critical-section-plus-barrier idiom every 1989
-	// Force program hand-rolled, kept for comparison.
+	// Force program hand-rolled.  Kept by rule (a): the paper describes
+	// it.
 	Critical
-	// Tree combines contributions up the k-ary combining tree the tree
-	// barrier uses (barrier.TreeTopology): the last arrival at each node
-	// carries the node's partial result to its parent, and the process
-	// reaching the root publishes the total.  Log-depth critical path.
-	Tree
-	// Atomic folds contributions into a single cell with a lock-free
-	// CAS loop — for the commutative integer and boolean operators.
-	// Element types without an integer representation (float64) and
-	// custom operators fall back to PrivateSlots.
-	Atomic
 )
 
 var kindNames = map[Kind]string{
 	Critical:     "critical",
 	PrivateSlots: "slots",
-	Tree:         "tree",
-	Atomic:       "atomic",
 }
 
 // kindGoNames are the Go identifiers of the kinds, for code generators
@@ -80,8 +69,6 @@ var kindNames = map[Kind]string{
 var kindGoNames = map[Kind]string{
 	Critical:     "Critical",
 	PrivateSlots: "PrivateSlots",
-	Tree:         "Tree",
-	Atomic:       "Atomic",
 }
 
 // String returns the strategy's short name.
@@ -108,16 +95,15 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("reduce: unknown kind %q (kinds: %s, %s, %s, %s)",
-		s, Critical, PrivateSlots, Tree, Atomic)
+	return 0, fmt.Errorf("reduce: unknown kind %q (kinds: %v)", s, Kinds())
 }
 
 // Kinds lists the strategies in presentation order (baseline first).
-func Kinds() []Kind { return []Kind{Critical, PrivateSlots, Tree, Atomic} }
+func Kinds() []Kind { return []Kind{Critical, PrivateSlots} }
 
 // Op names the combining operator of a global reduction.  The named
-// operators let the Atomic strategy pick its integer identity and give
-// trace events a stable label; Custom covers user-supplied combiners.
+// operators give trace events a stable label; Custom covers
+// user-supplied combiners.
 type Op int
 
 // The global operators of the Force dialect (GSUM, GPROD, GMAX, GMIN,
@@ -161,9 +147,6 @@ type Config[T any] struct {
 	// the machine profile's lock mechanism, exactly as the paper's
 	// critical section macro uses it.  Nil defaults to system locks.
 	Lock func() lock.Lock
-	// FanIn is the Tree strategy's combining fan-in (default 4, the
-	// tree barrier's default).
-	FanIn int
 	// OnComplete, when non-nil, runs exactly once per episode, in the
 	// process that completes the combination, after the result is final
 	// and before any process is released — the barrier-section position.
@@ -177,12 +160,8 @@ type Config[T any] struct {
 }
 
 // New builds the shared state of one reduction episode for np processes.
-// combine must be associative and commutative; op describes it (pass
-// Custom for user combiners).  The Atomic strategy serves the named
-// operators over integer and boolean element types and silently falls
-// back to PrivateSlots otherwise, so callers can select it force-wide
-// without per-callsite type checks.
-func New[T any](k Kind, np int, op Op, combine func(T, T) T, cfg Config[T]) Episode[T] {
+// combine must be associative and commutative.
+func New[T any](k Kind, np int, combine func(T, T) T, cfg Config[T]) Episode[T] {
 	if np <= 0 {
 		panic(fmt.Sprintf("reduce: np = %d, need np >= 1", np))
 	}
@@ -198,26 +177,6 @@ func New[T any](k Kind, np int, op Op, combine func(T, T) T, cfg Config[T]) Epis
 		}
 		e.bar.SetPoison(cfg.Poison)
 		return e
-	case Tree:
-		fanIn := cfg.FanIn
-		if fanIn < 2 {
-			fanIn = 4
-		}
-		parent, expect := barrier.TreeTopology(np, fanIn)
-		e := &treeEpisode[T]{fanIn: fanIn, combine: combine, nodes: make([]reduceNode[T], len(parent)), rel: newRelease[T](cfg.Poison), onComplete: cfg.OnComplete}
-		for i := range e.nodes {
-			e.nodes[i].parent = parent[i]
-			e.nodes[i].pending = expect[i]
-		}
-		return e
-	case Atomic:
-		if enc, dec, ident, ok := atomicCodec[T](op); ok {
-			e := &atomicEpisode[T]{np: np, combine: combine, enc: enc, dec: dec, rel: newRelease[T](cfg.Poison), onComplete: cfg.OnComplete}
-			e.acc.Store(enc(ident))
-			return e
-		}
-		// No lock-free integer representation: fall through to slots.
-		fallthrough
 	default:
 		return newSlots[T](np, combine, cfg.OnComplete, cfg.Poison)
 	}
@@ -278,7 +237,7 @@ func (r *release[T]) await() T {
 // two-lock barrier — the completion hook runs as that barrier's section.
 // This is what every 1989 Force program spelled out by hand, and it
 // carries the idiom's full cost: serialized folds plus the lock-handoff
-// barrier.  The other strategies replace both halves.
+// barrier.  PrivateSlots replaces both halves.
 type criticalEpisode[T any] struct {
 	np         int
 	combine    func(T, T) T
@@ -373,146 +332,4 @@ func (e *slotsEpisode[T]) Do(pid int, x T) T {
 		return e.rel.publish(acc, e.onComplete)
 	}
 	return e.rel.await()
-}
-
-// reduceNode is one combining-tree node: a small mutex guards the partial
-// accumulator, an arrival count decides who climbs.
-type reduceNode[T any] struct {
-	mu      sync.Mutex
-	acc     T
-	seeded  bool
-	pending int64
-	parent  int
-	_       [24]byte
-}
-
-// treeEpisode climbs barrier.TreeTopology's k-ary tree: the last arrival
-// at each node carries the combined partial value upward, and the process
-// that closes the root publishes.
-type treeEpisode[T any] struct {
-	fanIn      int
-	combine    func(T, T) T
-	nodes      []reduceNode[T]
-	rel        release[T]
-	onComplete func(T)
-}
-
-func (e *treeEpisode[T]) Do(pid int, x T) T {
-	node := pid / e.fanIn
-	v := x
-	for {
-		n := &e.nodes[node]
-		var last bool
-		func() {
-			n.mu.Lock()
-			// combine is user code under the Custom operator: release
-			// the node lock on panic so queued peers drain.
-			defer n.mu.Unlock()
-			if n.seeded {
-				n.acc = e.combine(n.acc, v)
-			} else {
-				n.acc, n.seeded = v, true
-			}
-			n.pending--
-			last = n.pending == 0
-			if last {
-				v = n.acc
-			}
-		}()
-		if !last {
-			return e.rel.await()
-		}
-		if n.parent < 0 {
-			return e.rel.publish(v, e.onComplete)
-		}
-		node = n.parent
-	}
-}
-
-// atomicEpisode folds contributions into one int64 cell with a CAS loop.
-type atomicEpisode[T any] struct {
-	np         int
-	combine    func(T, T) T
-	enc        func(T) int64
-	dec        func(int64) T
-	acc        atomic.Int64
-	arrived    atomic.Int64
-	rel        release[T]
-	onComplete func(T)
-}
-
-func (e *atomicEpisode[T]) Do(pid int, x T) T {
-	for {
-		old := e.acc.Load()
-		nw := e.enc(e.combine(e.dec(old), x))
-		if nw == old || e.acc.CompareAndSwap(old, nw) {
-			break
-		}
-	}
-	if e.arrived.Add(1) == int64(e.np) {
-		return e.rel.publish(e.dec(e.acc.Load()), e.onComplete)
-	}
-	return e.rel.await()
-}
-
-// atomicCodec reports whether T has a lock-free int64 representation for
-// the named operator, and if so returns the codec and the operator's
-// identity element (the initial accumulator value).
-func atomicCodec[T any](op Op) (enc func(T) int64, dec func(int64) T, ident T, ok bool) {
-	var zero T
-	switch any(zero).(type) {
-	case int:
-		enc = func(v T) int64 { return int64(any(v).(int)) }
-		dec = func(b int64) T { return any(int(b)).(T) }
-	case int64:
-		enc = func(v T) int64 { return any(v).(int64) }
-		dec = func(b int64) T { return any(b).(T) }
-	case bool:
-		enc = func(v T) int64 {
-			if any(v).(bool) {
-				return 1
-			}
-			return 0
-		}
-		dec = func(b int64) T { return any(b != 0).(T) }
-	default:
-		return nil, nil, zero, false
-	}
-	// The Max/Min identities must fit T: int is 32 bits on 32-bit
-	// platforms, where int(math.MinInt64) would truncate to 0 and
-	// poison the fold.
-	_, isInt := any(zero).(int)
-	var id int64
-	switch op {
-	case Sum:
-		id = 0
-	case Prod:
-		id = 1
-	case Max:
-		if isInt {
-			id = int64(math.MinInt)
-		} else {
-			id = math.MinInt64
-		}
-	case Min:
-		if isInt {
-			id = int64(math.MaxInt)
-		} else {
-			id = math.MaxInt64
-		}
-	case And:
-		id = 1
-	case Or:
-		id = 0
-	default:
-		// Custom combiners have no known identity to seed the cell with.
-		return nil, nil, zero, false
-	}
-	if _, isBool := any(zero).(bool); isBool && (op == Sum || op == Prod || op == Max || op == Min) {
-		return nil, nil, zero, false
-	}
-	if _, isB := any(zero).(bool); !isB && (op == And || op == Or) {
-		return nil, nil, zero, false
-	}
-	return enc, dec, dec(id), true
 }

@@ -27,7 +27,7 @@ func runEpisode[T any](t *testing.T, e Episode[T], np int, contrib func(pid int)
 func TestSumAllKindsAllNP(t *testing.T) {
 	for _, k := range Kinds() {
 		for _, np := range []int{1, 2, 3, 4, 7, 8, 16} {
-			e := New[int](k, np, Sum, func(a, b int) int { return a + b }, Config[int]{})
+			e := New[int](k, np, func(a, b int) int { return a + b }, Config[int]{})
 			got := runEpisode(t, e, np, func(pid int) int { return pid + 1 })
 			want := np * (np + 1) / 2
 			for pid, g := range got {
@@ -55,19 +55,19 @@ func TestMaxMinProd(t *testing.T) {
 	combineProd := func(a, b int) int { return a * b }
 	const np = 6
 	for _, k := range Kinds() {
-		eMax := New[int](k, np, Max, combineMax, Config[int]{})
+		eMax := New[int](k, np, combineMax, Config[int]{})
 		for _, g := range runEpisode(t, eMax, np, func(pid int) int { return -10 + pid }) {
 			if g != -5 {
 				t.Errorf("%s: max = %d, want -5", k, g)
 			}
 		}
-		eMin := New[int](k, np, Min, combineMin, Config[int]{})
+		eMin := New[int](k, np, combineMin, Config[int]{})
 		for _, g := range runEpisode(t, eMin, np, func(pid int) int { return 100 - pid }) {
 			if g != 95 {
 				t.Errorf("%s: min = %d, want 95", k, g)
 			}
 		}
-		eProd := New[int](k, np, Prod, combineProd, Config[int]{})
+		eProd := New[int](k, np, combineProd, Config[int]{})
 		for _, g := range runEpisode(t, eProd, np, func(pid int) int { return pid + 1 }) {
 			if g != 720 {
 				t.Errorf("%s: prod = %d, want 720", k, g)
@@ -79,13 +79,13 @@ func TestMaxMinProd(t *testing.T) {
 func TestBoolAndOr(t *testing.T) {
 	const np = 5
 	for _, k := range Kinds() {
-		eAnd := New[bool](k, np, And, func(a, b bool) bool { return a && b }, Config[bool]{})
+		eAnd := New[bool](k, np, func(a, b bool) bool { return a && b }, Config[bool]{})
 		for _, g := range runEpisode(t, eAnd, np, func(pid int) bool { return pid != 3 }) {
 			if g {
 				t.Errorf("%s: and = true, want false", k)
 			}
 		}
-		eOr := New[bool](k, np, Or, func(a, b bool) bool { return a || b }, Config[bool]{})
+		eOr := New[bool](k, np, func(a, b bool) bool { return a || b }, Config[bool]{})
 		for _, g := range runEpisode(t, eOr, np, func(pid int) bool { return pid == 3 }) {
 			if !g {
 				t.Errorf("%s: or = false, want true", k)
@@ -95,11 +95,9 @@ func TestBoolAndOr(t *testing.T) {
 }
 
 func TestFloatReduction(t *testing.T) {
-	// Atomic has no float64 representation and must transparently fall
-	// back to the slots strategy.
 	const np = 8
 	for _, k := range Kinds() {
-		e := New[float64](k, np, Sum, func(a, b float64) float64 { return a + b }, Config[float64]{})
+		e := New[float64](k, np, func(a, b float64) float64 { return a + b }, Config[float64]{})
 		for _, g := range runEpisode(t, e, np, func(pid int) float64 { return 0.5 }) {
 			if g != 4.0 {
 				t.Errorf("%s: float sum = %g, want 4.0", k, g)
@@ -109,8 +107,7 @@ func TestFloatReduction(t *testing.T) {
 }
 
 func TestCustomStructReduction(t *testing.T) {
-	// Argmax over a struct element type: the generic path every strategy
-	// except Atomic serves natively (Atomic falls back to slots).
+	// Argmax over a struct element type.
 	type best struct {
 		val float64
 		idx int
@@ -123,7 +120,7 @@ func TestCustomStructReduction(t *testing.T) {
 	}
 	const np = 7
 	for _, k := range Kinds() {
-		e := New[best](k, np, Custom, combine, Config[best]{})
+		e := New[best](k, np, combine, Config[best]{})
 		got := runEpisode(t, e, np, func(pid int) best {
 			return best{val: float64((pid * 3) % 7), idx: pid}
 		})
@@ -141,7 +138,7 @@ func TestOnCompleteRunsOnceBeforeRelease(t *testing.T) {
 	for _, k := range Kinds() {
 		calls := 0
 		var sawResult int
-		e := New[int](k, np, Sum, func(a, b int) int { return a + b }, Config[int]{
+		e := New[int](k, np, func(a, b int) int { return a + b }, Config[int]{
 			OnComplete: func(r int) { calls++; sawResult = r },
 		})
 		got := runEpisode(t, e, np, func(pid int) int { return 1 })
@@ -169,7 +166,7 @@ func TestCriticalUsesSuppliedLock(t *testing.T) {
 		built++
 		return lock.New(lock.TTAS)
 	}
-	e := New[int](Critical, 4, Sum, func(a, b int) int { return a + b }, Config[int]{Lock: factory})
+	e := New[int](Critical, 4, func(a, b int) int { return a + b }, Config[int]{Lock: factory})
 	// The paper's idiom: one accumulator lock plus the two-lock
 	// barrier's BARWIN/BARWOT pair, all from the machine's mechanism.
 	if built != 3 {
@@ -188,7 +185,7 @@ func TestSlotsDeterministicOrder(t *testing.T) {
 	const np = 8
 	for trial := 0; trial < 20; trial++ {
 		var order []int
-		e := New[int](PrivateSlots, np, Custom, func(a, b int) int {
+		e := New[int](PrivateSlots, np, func(a, b int) int {
 			order = append(order, b)
 			return a
 		}, Config[int]{})
@@ -226,7 +223,7 @@ func TestManyEpisodesUnderContention(t *testing.T) {
 		var wg sync.WaitGroup
 		episodes := make([]Episode[int], rounds)
 		for r := range episodes {
-			episodes[r] = New[int](k, np, Sum, func(a, b int) int { return a + b }, Config[int]{})
+			episodes[r] = New[int](k, np, func(a, b int) int { return a + b }, Config[int]{})
 		}
 		for p := 0; p < np; p++ {
 			wg.Add(1)

@@ -12,13 +12,13 @@
 //     expansion listing shows the lock(LOOP100)/K = K_shared/unlock
 //     protocol exactly.
 //
-// This package provides both, plus the chunked and guided refinements that
-// later systems (and the Force user's manual) added, plus the Stealing
-// discipline built on internal/engine's per-process work-stealing deques,
-// behind one Scheduler interface.  Iteration spaces are Fortran DO ranges (Start, Last, Incr
-// with either sign); schedulers hand out *ordinals* 0..Count()-1 and Range
-// maps ordinals back to index values, which keeps every discipline correct
-// for negative strides and empty loops.
+// This package provides both, plus the three refinements the runtime's
+// defaults and applications select (the block deal, fetch-and-add and
+// fixed-size chunks), behind one Scheduler interface.  Iteration spaces
+// are Fortran DO ranges (Start, Last, Incr with either sign); schedulers
+// hand out *ordinals* 0..Count()-1 and Range maps ordinals back to index
+// values, which keeps every discipline correct for negative strides and
+// empty loops.
 package sched
 
 import (
@@ -26,7 +26,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/engine"
 	"repro/internal/lock"
 	"repro/internal/poison"
 )
@@ -79,42 +78,30 @@ type Scheduler interface {
 	Next(pid int) (lo, hi int, ok bool)
 }
 
-// Kind names a scheduling discipline.
+// Kind names a scheduling discipline; each constant says which rule of
+// README's "Which variants exist" keeps it.
 type Kind int
 
 const (
 	// PreschedBlock splits the ordinal space into np contiguous blocks,
-	// block p going to process p.
+	// block p going to process p.  Kept by rule (b): internal/plan deals
+	// every mapping-insensitive Presched DO this way by default.
 	PreschedBlock Kind = iota
 	// PreschedCyclic deals ordinals round-robin: process p executes
 	// ordinals p, p+np, p+2np, ... — the distribution the paper's
-	// prescheduled DO loop uses.
+	// prescheduled DO loop uses.  Kept by rule (a).
 	PreschedCyclic
 	// SelfLock is the paper's selfscheduled loop: a shared index guarded
-	// by a loop lock, one iteration per acquisition.
+	// by a loop lock, one iteration per acquisition.  Kept by rule (a).
 	SelfLock
-	// SelfAtomic replaces the lock with a fetch-and-add (ablation: what a
-	// machine with hardware atomic add would do).
+	// SelfAtomic replaces the lock with a fetch-and-add (what a machine
+	// with hardware atomic add would do).  Kept by rule (b): forcemark's
+	// runtime-apps workload runs matmul under it.
 	SelfAtomic
 	// Chunk is selfscheduling with a fixed chunk size > 1, trading load
-	// balance for lower acquisition traffic.
+	// balance for lower acquisition traffic.  Kept by rule (b):
+	// internal/apps' gauss and histogram and forcemark's nbody select it.
 	Chunk
-	// Guided hands out chunks of remaining/np (minimum 1), shrinking as
-	// the loop drains.
-	Guided
-	// TSS is trapezoid self-scheduling (Tzen & Ni): chunk sizes decrease
-	// linearly from n/(2·np) to 1, fixing guided scheduling's oversized
-	// first chunks while keeping its small tail.  A post-1989 extension
-	// included as an ablation.
-	TSS
-	// Stealing is the engine-backed discipline: each process owns a
-	// Chase-Lev deque seeded with one contiguous block and splits it
-	// lazily as it pops; a process that runs dry steals a block from a
-	// victim.  Unlike the shared-counter selfscheduled variants there is
-	// no central point of contention, so it is the discipline of choice
-	// for fine grains at large NP.  A post-1989 extension (Blumofe &
-	// Leiserson's work stealing applied to loop scheduling).
-	Stealing
 )
 
 var kindNames = map[Kind]string{
@@ -123,9 +110,6 @@ var kindNames = map[Kind]string{
 	SelfLock:       "selfsched-lock",
 	SelfAtomic:     "selfsched-atomic",
 	Chunk:          "selfsched-chunk",
-	Guided:         "guided",
-	TSS:            "tss",
-	Stealing:       "stealing",
 }
 
 // kindGoNames are the Go identifiers of the kinds, for code generators
@@ -136,9 +120,6 @@ var kindGoNames = map[Kind]string{
 	SelfLock:       "SelfLock",
 	SelfAtomic:     "SelfAtomic",
 	Chunk:          "Chunk",
-	Guided:         "Guided",
-	TSS:            "TSS",
-	Stealing:       "Stealing",
 }
 
 // GoName returns the kind's Go identifier within this package, the form
@@ -165,7 +146,7 @@ func ParseKind(s string) (Kind, error) {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("sched: unknown kind %q", s)
+	return 0, fmt.Errorf("sched: unknown kind %q (kinds: %v)", s, Kinds())
 }
 
 // ParseSelfschedKind is ParseKind restricted to the run-time
@@ -176,28 +157,24 @@ func ParseKind(s string) (Kind, error) {
 // default instead of erroring.
 func ParseSelfschedKind(s string) (Kind, error) {
 	k, err := ParseKind(s)
-	if err != nil {
-		return 0, err
-	}
-	if k == PreschedBlock || k == PreschedCyclic {
-		return 0, fmt.Errorf("sched: %q is a prescheduled discipline (selfscheduled ones: %s, %s, %s, %s, %s, %s)",
-			s, SelfLock, SelfAtomic, Chunk, Guided, TSS, Stealing)
+	if err != nil || k == PreschedBlock || k == PreschedCyclic {
+		return 0, fmt.Errorf("sched: %q is not a selfscheduled discipline (selfscheduled ones: %s, %s, %s)",
+			s, SelfLock, SelfAtomic, Chunk)
 	}
 	return k, nil
 }
 
 // Kinds lists all disciplines in presentation order.
 func Kinds() []Kind {
-	return []Kind{PreschedBlock, PreschedCyclic, SelfLock, SelfAtomic, Chunk, Guided, TSS, Stealing}
+	return []Kind{PreschedBlock, PreschedCyclic, SelfLock, SelfAtomic, Chunk}
 }
 
 // Config carries the parameters a discipline may need.
 type Config struct {
-	// ChunkSize applies to Chunk (default 16 when zero) and, as the
-	// split grain, to Stealing (default n/(8·np) when zero).
+	// ChunkSize applies to Chunk (default 16 when zero).
 	ChunkSize int
-	// LockFactory supplies the loop lock for SelfLock and Guided; nil
-	// defaults to system locks.  This is the machine-dependent hook: the
+	// LockFactory supplies the loop lock for SelfLock; nil defaults to
+	// system locks.  This is the machine-dependent hook: the
 	// paper's selfsched macro "will call generic machine dependent macros
 	// for the declaration of shared variables and for synchronization".
 	LockFactory func() lock.Lock
@@ -229,12 +206,6 @@ func New(k Kind, np int, r Range, cfg Config) Scheduler {
 			c = 16
 		}
 		return &atomicSelfSched{n: n, chunk: c}
-	case Guided:
-		return &guidedSched{np: np, n: n}
-	case TSS:
-		return newTSSSched(np, n)
-	case Stealing:
-		return &stealingSched{src: engine.NewSpanSource(np, n, cfg.ChunkSize)}
 	default:
 		panic(fmt.Sprintf("sched: unknown kind %d", int(k)))
 	}
@@ -323,96 +294,6 @@ func (s *atomicSelfSched) Next(pid int) (int, int, bool) {
 		hi = s.n
 	}
 	return lo, hi, true
-}
-
-// guidedSched hands out remaining/np-sized chunks via a CAS loop, shrinking
-// geometrically toward single iterations.
-type guidedSched struct {
-	np, n int
-	next  atomic.Int64
-}
-
-func (s *guidedSched) Next(pid int) (int, int, bool) {
-	for {
-		lo := int(s.next.Load())
-		if lo >= s.n {
-			return 0, 0, false
-		}
-		size := (s.n - lo + s.np - 1) / s.np
-		if size < 1 {
-			size = 1
-		}
-		hi := lo + size
-		if hi > s.n {
-			hi = s.n
-		}
-		if s.next.CompareAndSwap(int64(lo), int64(hi)) {
-			return lo, hi, true
-		}
-	}
-}
-
-// stealingSched adapts an engine.SpanSource — per-process Chase-Lev
-// deques with lazy block splitting — to the Scheduler interface.  The
-// ChunkSize config doubles as the split grain (0 selects the source's
-// n/(8·np) default).
-type stealingSched struct {
-	src *engine.SpanSource
-}
-
-func (s *stealingSched) Next(pid int) (int, int, bool) {
-	sp, ok := s.src.NextSpan(pid)
-	return sp.Lo, sp.Hi, ok
-}
-
-// tssSched precomputes the trapezoid chunk boundaries at construction —
-// first chunk n/(2·np), last chunk 1, linear decrease — and deals chunks
-// through one fetch-and-add, so the distribution itself is deterministic
-// (which process gets which chunk is not, as with all selfscheduling).
-type tssSched struct {
-	bounds []int // chunk k covers [bounds[k], bounds[k+1])
-	next   atomic.Int64
-}
-
-func newTSSSched(np, n int) *tssSched {
-	s := &tssSched{}
-	first := n / (2 * np)
-	if first < 1 {
-		first = 1
-	}
-	// Number of chunks for a linear first..1 trapezoid.
-	c := (2*n + first) / (first + 1)
-	if c < 1 {
-		c = 1
-	}
-	dec := 0.0
-	if c > 1 {
-		dec = float64(first-1) / float64(c-1)
-	}
-	s.bounds = append(s.bounds, 0)
-	pos := 0
-	size := float64(first)
-	for pos < n {
-		step := int(size + 0.5)
-		if step < 1 {
-			step = 1
-		}
-		pos += step
-		if pos > n {
-			pos = n
-		}
-		s.bounds = append(s.bounds, pos)
-		size -= dec
-	}
-	return s
-}
-
-func (s *tssSched) Next(pid int) (int, int, bool) {
-	k := int(s.next.Add(1)) - 1
-	if k >= len(s.bounds)-1 {
-		return 0, 0, false
-	}
-	return s.bounds[k], s.bounds[k+1], true
 }
 
 // ForEach is a single-construct driver used by tests, benchmarks, and the

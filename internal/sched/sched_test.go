@@ -244,84 +244,6 @@ func TestSelfschedDrainsAroundStuckProcess(t *testing.T) {
 	}
 }
 
-func TestGuidedChunksShrink(t *testing.T) {
-	const np, n = 4, 128
-	s := New(Guided, np, Seq(n), Config{})
-	var sizes []int
-	for {
-		lo, hi, ok := s.Next(0)
-		if !ok {
-			break
-		}
-		sizes = append(sizes, hi-lo)
-	}
-	if len(sizes) < 2 {
-		t.Fatalf("guided handed out %d chunks, want several", len(sizes))
-	}
-	if sizes[0] != n/np {
-		t.Errorf("first guided chunk = %d, want %d", sizes[0], n/np)
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] > sizes[i-1] {
-			t.Errorf("guided chunks grew: %v", sizes)
-			break
-		}
-	}
-	if last := sizes[len(sizes)-1]; last != 1 {
-		t.Errorf("last guided chunk = %d, want 1", last)
-	}
-}
-
-func TestTSSChunksShrinkLinearly(t *testing.T) {
-	const np, n = 4, 1024
-	s := New(TSS, np, Seq(n), Config{})
-	var sizes []int
-	prevHi := 0
-	for {
-		lo, hi, ok := s.Next(0)
-		if !ok {
-			break
-		}
-		if lo != prevHi {
-			t.Fatalf("chunks not contiguous: [%d,%d) after %d", lo, hi, prevHi)
-		}
-		prevHi = hi
-		sizes = append(sizes, hi-lo)
-	}
-	if prevHi != n {
-		t.Fatalf("chunks cover [0,%d), want [0,%d)", prevHi, n)
-	}
-	if sizes[0] != n/(2*np) {
-		t.Errorf("first chunk = %d, want %d", sizes[0], n/(2*np))
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] > sizes[i-1] {
-			t.Errorf("chunk sizes grew: %v", sizes)
-			break
-		}
-	}
-	if last := sizes[len(sizes)-1]; last > sizes[0]/2+1 {
-		t.Errorf("last chunk %d did not shrink from first %d", last, sizes[0])
-	}
-}
-
-func TestTSSTinyLoops(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7} {
-		s := New(TSS, 8, Seq(n), Config{})
-		total := 0
-		for {
-			lo, hi, ok := s.Next(0)
-			if !ok {
-				break
-			}
-			total += hi - lo
-		}
-		if total != n {
-			t.Errorf("n=%d: TSS covered %d iterations", n, total)
-		}
-	}
-}
-
 func TestChunkSizeRespected(t *testing.T) {
 	s := New(Chunk, 2, Seq(100), Config{ChunkSize: 8})
 	lo, hi, ok := s.Next(0)

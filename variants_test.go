@@ -1,0 +1,176 @@
+// The variant inventory: which realizations each runtime axis keeps
+// (README, "Which variants exist"), and what the command line does with
+// a spelling, a force size or a flag combination it no longer accepts.
+package repro_test
+
+import (
+	"fmt"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/asyncvar"
+	"repro/internal/barrier"
+	"repro/internal/engine"
+	"repro/internal/lock"
+	"repro/internal/reduce"
+	"repro/internal/sched"
+)
+
+// kept is one surviving variant: its constant, its command-line spelling
+// and (where the axis has one) the Go identifier code generators emit.
+type kept[K any] struct {
+	k            K
+	name, goName string
+}
+
+// checkAxis pins one axis: list() is exactly the keep-list, in order;
+// every survivor round-trips String <-> parse (and GoName, when the axis
+// has one); every removed spelling is rejected by parse with an error
+// that names each accepted one.
+func checkAxis[K interface {
+	comparable
+	fmt.Stringer
+}](t *testing.T, axis string, list []K, parse func(string) (K, error), goName func(K) string, keep []kept[K], removed ...string) {
+	t.Helper()
+	var want []K
+	for _, v := range keep {
+		want = append(want, v.k)
+		if got := v.k.String(); got != v.name {
+			t.Errorf("%s: %#v.String() = %q, want %q", axis, v.k, got, v.name)
+		}
+		if got, err := parse(v.name); err != nil || got != v.k {
+			t.Errorf("%s: parse(%q) = %v, %v; want %v", axis, v.name, got, err, v.k)
+		}
+		if goName != nil && goName(v.k) != v.goName {
+			t.Errorf("%s: %s.GoName() = %q, want %q", axis, v.name, goName(v.k), v.goName)
+		}
+	}
+	if !slices.Equal(list, want) {
+		t.Errorf("%s: inventory is %v, want exactly %v", axis, list, want)
+	}
+	for _, s := range removed {
+		_, err := parse(s)
+		if err == nil {
+			t.Errorf("%s: removed spelling %q is still accepted", axis, s)
+			continue
+		}
+		for _, k := range list {
+			if !strings.Contains(err.Error(), k.String()) {
+				t.Errorf("%s: error for %q does not name the accepted %q: %v", axis, s, k, err)
+			}
+		}
+	}
+}
+
+func TestVariantInventory(t *testing.T) {
+	checkAxis(t, "barrier", barrier.Kinds(), barrier.ParseKind, barrier.Kind.GoName,
+		[]kept[barrier.Kind]{
+			{barrier.TwoLock, "twolock", "TwoLock"},
+			{barrier.CentralSense, "sense", "CentralSense"},
+		}, "tree", "tournament", "dissemination", "butterfly", "cond")
+	checkAxis(t, "reduce", reduce.Kinds(), reduce.ParseKind, reduce.Kind.GoName,
+		[]kept[reduce.Kind]{
+			{reduce.Critical, "critical", "Critical"},
+			{reduce.PrivateSlots, "slots", "PrivateSlots"},
+		}, "tree", "atomic")
+	checkAxis(t, "sched", sched.Kinds(), sched.ParseKind, sched.Kind.GoName,
+		[]kept[sched.Kind]{
+			{sched.PreschedBlock, "presched-block", "PreschedBlock"},
+			{sched.PreschedCyclic, "presched-cyclic", "PreschedCyclic"},
+			{sched.SelfLock, "selfsched-lock", "SelfLock"},
+			{sched.SelfAtomic, "selfsched-atomic", "SelfAtomic"},
+			{sched.Chunk, "selfsched-chunk", "Chunk"},
+		}, "guided", "tss", "stealing")
+	// The -selfsched flag: the run-time disciplines only.
+	selfsched := []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk}
+	checkAxis(t, "-selfsched", selfsched, sched.ParseSelfschedKind, nil,
+		[]kept[sched.Kind]{
+			{sched.SelfLock, "selfsched-lock", ""},
+			{sched.SelfAtomic, "selfsched-atomic", ""},
+			{sched.Chunk, "selfsched-chunk", ""},
+		}, "guided", "tss", "stealing", "presched-block", "presched-cyclic")
+	checkAxis(t, "lock", lock.Kinds(), lock.ParseKind, nil,
+		[]kept[lock.Kind]{
+			{lock.TAS, "tas", ""},
+			{lock.TTAS, "ttas", ""},
+			{lock.System, "system", ""},
+			{lock.Combined, "combined", ""},
+		}, "ticket")
+	checkAxis(t, "asyncvar", asyncvar.Impls(), asyncvar.ParseImpl, nil,
+		[]kept[asyncvar.Impl]{
+			{asyncvar.TwoLock, "twolock", ""},
+			{asyncvar.Channel, "channel", ""},
+		}, "condvar")
+	checkAxis(t, "askfor pool", engine.PoolKinds(), engine.ParsePoolKind, engine.PoolKind.GoName,
+		[]kept[engine.PoolKind]{
+			{engine.MonitorPool, "monitor", "MonitorPool"},
+			{engine.StealingPool, "stealing", "StealingPool"},
+		})
+}
+
+// TestUsageErrors drives the three command-line rejections through the
+// real binaries: a force size below 1 (one identical line and exit 2 on
+// every tier — the native tier must not hand it to a cached binary that
+// would panic), -fuse off on the native tiers (their binaries are always
+// fused, so the A/B would measure nothing), and a removed variant
+// spelling.
+func TestUsageErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs forcerun and forcec with the go toolchain")
+	}
+	forcerun := buildForcerun(t)
+	forcec := buildTool(t, "./cmd/forcec")
+	prog := filepath.Join("examples", "forcefile", "heat.force")
+	env := []string{"FORCE_CACHE=" + t.TempDir()}
+	oneLine := func(t *testing.T, out string) {
+		t.Helper()
+		if strings.Count(out, "\n") != 1 || strings.Contains(out, "goroutine ") {
+			t.Errorf("want exactly one line and no stack trace, got:\n%s", out)
+		}
+	}
+
+	for _, np := range []string{"0", "-3"} {
+		want := "forcerun: invalid -np " + np + ": a force needs at least one process\n"
+		for _, tier := range []string{"tree", "chunked", "aot"} {
+			out, code := runForcerunEnv(t, time.Minute, env, forcerun, "-np", np, "-exec", tier, prog)
+			if code != 2 || out != want {
+				t.Errorf("forcerun -np %s -exec %s: exit %d, output %q; want exit 2, %q", np, tier, code, out, want)
+			}
+		}
+		out, code := runForcerun(t, time.Minute, forcec, "-go", "-np", np, prog)
+		if want := strings.Replace(want, "forcerun:", "forcec:", 1); code != 2 || out != want {
+			t.Errorf("forcec -go -np %s: exit %d, output %q; want exit 2, %q", np, code, out, want)
+		}
+	}
+
+	for _, tier := range []string{"aot", "auto"} {
+		out, code := runForcerunEnv(t, time.Minute, env, forcerun, "-exec", tier, "-fuse", "off", prog)
+		if code != 2 || !strings.Contains(out, "-fuse off") || !strings.Contains(out, "-exec "+tier) {
+			t.Errorf("forcerun -exec %s -fuse off: exit %d, output %q; want a usage error (exit 2) naming both flags", tier, code, out)
+		}
+		oneLine(t, out)
+	}
+
+	for _, tc := range []struct {
+		flag, removed string
+		accepted      []string
+	}{
+		{"-barrier", "cond", []string{"twolock", "sense"}},
+		{"-reduce", "tree", []string{"critical", "slots"}},
+		{"-selfsched", "stealing", []string{"selfsched-lock", "selfsched-atomic", "selfsched-chunk"}},
+	} {
+		out, code := runForcerun(t, time.Minute, forcerun, tc.flag, tc.removed, prog)
+		if code == 0 {
+			t.Errorf("forcerun %s %s: accepted a removed spelling:\n%s", tc.flag, tc.removed, out)
+		}
+		for _, a := range tc.accepted {
+			if !strings.Contains(out, a) {
+				t.Errorf("forcerun %s %s: error does not name %q: %s", tc.flag, tc.removed, a, out)
+			}
+		}
+		oneLine(t, out)
+	}
+}
