@@ -89,8 +89,8 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 	}
 	g.folds = map[string]string{}
 	for _, rec := range accs {
-		g.folds[rec.Name] = "zzAcc" + rec.Name
-		g.p("zzAcc%s := %s", rec.Name, foldIdentity(rec))
+		g.folds[rec.Sym.Name] = "zzAcc" + rec.Sym.Name
+		g.p("zzAcc%s := %s", rec.Sym.Name, foldIdentity(rec))
 	}
 	g.p("zzC := 0")
 	g.p("for zzK := zzLo; zzK < zzHi; zzK += zzStride {")
@@ -115,7 +115,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 		g.p("%s = %s", vars, index)
 	}
 	for _, rec := range accs {
-		g.p("%s(forcert.Word(&%s), zzAcc%s)", foldFunc(rec.Op, rec.Real), symCode(rec.Sym), rec.Name)
+		g.p("%s(forcert.Word(&%s), zzAcc%s)", foldFunc(rec.Op, rec.Real), symCode(rec.Sym), rec.Sym.Name)
 	}
 	g.ind--
 	g.p("})")

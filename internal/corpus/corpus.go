@@ -18,8 +18,8 @@
 //     "force runtime: line N: ..." message;
 //   - Chunk: the PR-6 chunk matrix — programs chosen to hit the chunk
 //     tier's edges (strides, empty ranges, two-index DOALLs,
-//     disjointness proofs and their failures, accumulator folding,
-//     final loop-variable values, and bodies that make the
+//     disjointness proofs and their failures, accumulator folding (sums
+//     and extrema), final loop-variable values, and bodies that make the
 //     iteration-to-process map observable, which must keep the cyclic
 //     deal);
 //   - Fusion / FusionFaults: the PR-10 fusion matrix — programs shaped
@@ -721,6 +721,110 @@ I = 0 - 9
 Presched DO I = 1, 37
 End Presched DO
 Print 'me', ME, I
+Join
+`},
+	// The extrema accumulate, S = MAX(S, e) / S = MIN(S, e) over INTEGER
+	// and REAL shared scalars: one atomic update per statement in every
+	// tier, folded into span partials where the plan allows, and clean
+	// for forcevet either way.
+	{"minmax-accum-presched", 0, `Force MMP of NP ident ME
+Shared Real A(64)
+Shared Integer TOP, LOW
+Shared Real BIG, SMALL
+Private Integer I
+End Declarations
+Barrier
+  TOP = 0 - 1000
+  LOW = 1000
+  BIG = 0.0 - 1000.0
+  SMALL = 1000.0
+End Barrier
+Presched DO I = 1, 64
+  A(I) = REAL(MOD(I * 37, 64)) * 0.25 - 3.0
+End Presched DO
+Barrier
+End Barrier
+Presched DO I = 1, 64
+  TOP = MAX(TOP, MOD(I * 37, 64))
+  LOW = MIN(LOW, MOD(I * 11, 64) - 7)
+  BIG = MAX(BIG, A(I))
+  SMALL = MIN(SMALL, A(I) * 0.5)
+End Presched DO
+Barrier
+  Print TOP, LOW, BIG, SMALL
+End Barrier
+Join
+`},
+	{"minmax-accum-selfsched", 0, `Force MMS of NP ident ME
+Shared Real A(300)
+Shared Integer TOP, LOW
+Shared Real BIG, SMALL
+Private Integer I
+End Declarations
+Barrier
+  TOP = 0
+  LOW = 0
+  BIG = 0.0
+  SMALL = 0.0
+End Barrier
+Selfsched DO I = 1, 300
+  A(I) = REAL(MOD(I * 7, 300)) / 8.0 - 10.0
+End Selfsched DO
+Barrier
+End Barrier
+Selfsched DO I = 300, 1, -1
+  TOP = MAX(TOP, MOD(I * 7, 300) - 100)
+  LOW = MIN(LOW, 50 - MOD(I * 13, 300))
+  BIG = MAX(BIG, A(I))
+  SMALL = MIN(SMALL, A(I))
+End Selfsched DO
+Barrier
+  Print TOP, LOW, BIG, SMALL
+End Barrier
+Join
+`},
+	// A Print keeps the body on the per-iteration path: nothing folds,
+	// every accumulate is an atomic update of the cell.
+	{"minmax-accum-print", 0, `Force MMPR of NP ident ME
+Shared Integer TOP
+Shared Real SMALL
+Private Integer I
+End Declarations
+Barrier
+  TOP = 0
+  SMALL = 100.0
+End Barrier
+Presched DO I = 1, 12
+  TOP = MAX(TOP, MOD(I * 5, 12))
+  SMALL = MIN(SMALL, REAL(I) * 0.5 + 2.0)
+  Print 'it', I
+End Presched DO
+Barrier
+  Print TOP, SMALL
+End Barrier
+Join
+`},
+	// Extrema beside an INTEGER sum: three partials of two kinds in one
+	// span, folded in name order.
+	{"minmax-beside-sum", 0, `Force MMSUM of NP ident ME
+Shared Integer S, TOP
+Shared Real BIG
+Private Integer I
+End Declarations
+Barrier
+  S = 5
+  TOP = 0 - 1
+  BIG = 0.0
+End Barrier
+Selfsched DO I = 1, 200
+  S = S + I
+  TOP = MAX(TOP, MOD(I * 7, 50))
+  BIG = MAX(BIG, REAL(I) / 8.0)
+  S = S - 2
+End Selfsched DO
+Barrier
+  Print S, TOP, BIG
+End Barrier
 Join
 `},
 	// The next three make the iteration-to-process map OBSERVABLE, so

@@ -3,10 +3,10 @@ package engine
 import "sync/atomic"
 
 // Deque is a Chase-Lev work-stealing deque.  One goroutine — the owner —
-// calls Push and Pop, which operate LIFO on the bottom end and are
+// calls Push and PopRef, which operate LIFO on the bottom end and are
 // lock-free (a single CAS only when competing for the last element).
-// Any number of thieves call Steal, which takes from the top end FIFO
-// through a CAS race.  Steal may fail spuriously when it loses that race;
+// Any number of thieves call StealRef, which takes from the top end FIFO
+// through a CAS race.  A steal may fail spuriously when it loses that race;
 // callers treat a failed steal as "try another victim", never as "the
 // deque is empty forever".
 //
@@ -89,17 +89,8 @@ func (d *Deque[T]) PushRef(p *T) {
 	d.bottom.Store(b + 1)
 }
 
-// Pop removes and returns the most recently pushed element.  Owner only.
-func (d *Deque[T]) Pop() (T, bool) {
-	var zero T
-	p, ok := d.PopRef()
-	if !ok {
-		return zero, false
-	}
-	return *p, true
-}
-
-// PopRef is Pop returning the box.  Owner only.
+// PopRef removes and returns the most recently pushed element, as the
+// box Push put it in.  Owner only.
 func (d *Deque[T]) PopRef() (*T, bool) {
 	b := d.bottom.Load() - 1
 	d.bottom.Store(b)
@@ -122,19 +113,9 @@ func (d *Deque[T]) PopRef() (*T, bool) {
 	return p, true
 }
 
-// Steal removes and returns the oldest element.  Any goroutine.  A false
-// return means the deque looked empty or the thief lost a race, not that
-// it will stay empty.
-func (d *Deque[T]) Steal() (T, bool) {
-	var zero T
-	p, ok := d.StealRef()
-	if !ok {
-		return zero, false
-	}
-	return *p, true
-}
-
-// StealRef is Steal returning the box.  Any goroutine.
+// StealRef removes and returns the oldest element, as the box Push put
+// it in.  Any goroutine.  A false return means the deque looked empty or
+// the thief lost a race, not that it will stay empty.
 func (d *Deque[T]) StealRef() (*T, bool) {
 	t := d.top.Load()
 	b := d.bottom.Load()

@@ -104,25 +104,25 @@ func TestDequeLIFOAndFIFO(t *testing.T) {
 	if d.Size() != 10 {
 		t.Fatalf("Size = %d", d.Size())
 	}
-	if v, ok := d.Pop(); !ok || v != 9 {
-		t.Errorf("Pop = %d,%v, want 9 (LIFO)", v, ok)
+	if v, ok := d.PopRef(); !ok || *v != 9 {
+		t.Errorf("PopRef = %v,%v, want 9 (LIFO)", v, ok)
 	}
-	if v, ok := d.Steal(); !ok || v != 0 {
-		t.Errorf("Steal = %d,%v, want 0 (FIFO)", v, ok)
+	if v, ok := d.StealRef(); !ok || *v != 0 {
+		t.Errorf("StealRef = %v,%v, want 0 (FIFO)", v, ok)
 	}
 	seen := map[int]bool{}
 	for {
-		v, ok := d.Pop()
+		v, ok := d.PopRef()
 		if !ok {
 			break
 		}
-		seen[v] = true
+		seen[*v] = true
 	}
 	if len(seen) != 8 {
 		t.Errorf("drained %d elements, want 8", len(seen))
 	}
-	if _, ok := d.Steal(); ok {
-		t.Error("Steal from empty deque succeeded")
+	if _, ok := d.StealRef(); ok {
+		t.Error("StealRef from empty deque succeeded")
 	}
 }
 
@@ -139,19 +139,19 @@ func TestDequeConcurrentExactlyOnce(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if v, ok := d.Steal(); ok {
-					got[v].Add(1)
+				if v, ok := d.StealRef(); ok {
+					got[*v].Add(1)
 					continue
 				}
 				select {
 				case <-stop:
 					// Final sweep after the owner stopped.
 					for {
-						v, ok := d.Steal()
+						v, ok := d.StealRef()
 						if !ok {
 							return
 						}
-						got[v].Add(1)
+						got[*v].Add(1)
 					}
 				default:
 				}
@@ -161,17 +161,17 @@ func TestDequeConcurrentExactlyOnce(t *testing.T) {
 	for i := 0; i < items; i++ {
 		d.Push(i)
 		if i%3 == 0 {
-			if v, ok := d.Pop(); ok {
-				got[v].Add(1)
+			if v, ok := d.PopRef(); ok {
+				got[*v].Add(1)
 			}
 		}
 	}
 	for {
-		v, ok := d.Pop()
+		v, ok := d.PopRef()
 		if !ok {
 			break
 		}
-		got[v].Add(1)
+		got[*v].Add(1)
 	}
 	close(stop)
 	wg.Wait()

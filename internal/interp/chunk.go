@@ -337,7 +337,7 @@ func (c *compiler) hoistable(e forcelang.Expr) bool {
 	case *forcelang.IntLit, *forcelang.RealLit, *forcelang.BoolLit:
 		return true
 	case *forcelang.Ref:
-		if len(t.Subs) > 0 || t.Name == c.plan.Outer || t.Name == c.plan.Inner || c.plan.Written[t.Name] {
+		if len(t.Subs) > 0 || t.Sym == c.plan.Outer || t.Sym == c.plan.Inner || c.plan.Written(t.Sym) {
 			return false
 		}
 		return t.Sym.Storage == scPrivate || t.Sym.Storage == scShared

@@ -63,9 +63,25 @@ func TestChunkEquivalence(t *testing.T) {
 	}
 }
 
+// classified is a plan with the program's scope beside it, so the tests
+// can ask about names.
+type classified struct {
+	*plan.Plan
+	scope *forcelang.Scope
+}
+
+func (c *classified) sym(name string) *forcelang.Symbol {
+	sym, _ := c.scope.Lookup(name)
+	return sym
+}
+
+func (c *classified) disjoint(name string) bool { return c.Disjoint[c.sym(name)] }
+
+func (c *classified) fold(name string) (int, bool) { return c.Fold(c.sym(name)) }
+
 // classify parses src and classifies its first top-level ParDo,
 // returning the plan (nil if the body fell back) and the reason.
-func classify(t *testing.T, src string) (*plan.Plan, string) {
+func classify(t *testing.T, src string) (*classified, string) {
 	t.Helper()
 	prog, err := forcelang.Parse(src)
 	if err != nil {
@@ -73,7 +89,11 @@ func classify(t *testing.T, src string) (*plan.Plan, string) {
 	}
 	for _, st := range prog.Body {
 		if pd, ok := st.(*forcelang.ParDo); ok {
-			return plan.Classify(pd)
+			p, reason := plan.Classify(pd)
+			if p == nil {
+				return nil, reason
+			}
+			return &classified{p, prog.Scope}, reason
 		}
 	}
 	t.Fatal("no ParDo in program body")
@@ -97,7 +117,7 @@ Join
 	if plan == nil {
 		t.Fatalf("identity subscript fell back: %s", reason)
 	}
-	if !plan.Disjoint["A"] {
+	if !plan.disjoint("A") {
 		t.Error("identity subscript not proven disjoint")
 	}
 
@@ -113,7 +133,7 @@ Join
 	if plan == nil {
 		t.Fatalf("non-affine subscript fell back entirely: %s", reason)
 	}
-	if plan.Disjoint["A"] {
+	if plan.disjoint("A") {
 		t.Error("MOD subscript wrongly proven disjoint")
 	}
 
@@ -129,7 +149,7 @@ Join
 	if plan == nil {
 		t.Fatalf("constant subscript fell back entirely: %s", reason)
 	}
-	if plan.Disjoint["A"] {
+	if plan.disjoint("A") {
 		t.Error("constant subscript wrongly proven disjoint")
 	}
 }
@@ -151,7 +171,7 @@ Join
 	if plan == nil {
 		t.Fatalf("accumulator body fell back: %s", reason)
 	}
-	if _, ok := plan.Accs["S"]; !ok {
+	if _, ok := plan.fold("S"); !ok {
 		t.Error("S = S + I not folded to a private sum")
 	}
 
@@ -169,7 +189,7 @@ Join
 	if plan == nil {
 		t.Fatalf("read-elsewhere body fell back: %s", reason)
 	}
-	if _, ok := plan.Accs["S"]; ok {
+	if _, ok := plan.fold("S"); ok {
 		t.Error("S read outside its own update must not fold")
 	}
 }
@@ -202,7 +222,7 @@ End Declarations
 		if plan == nil {
 			t.Fatalf("%s fell back: %s", label, reason)
 		}
-		si, ok := plan.Accs[tc.name]
+		si, ok := plan.fold(tc.name)
 		if !ok {
 			t.Errorf("%s: %q not folded", label, tc.stmt)
 			continue
@@ -227,7 +247,7 @@ End Declarations
 		if plan == nil {
 			t.Fatalf("%s fell back entirely: %s", label, reason)
 		}
-		if _, ok := plan.Accs["S"]; ok {
+		if _, ok := plan.fold("S"); ok {
 			t.Errorf("%s: %q wrongly folded", label, stmt)
 		}
 	}
@@ -236,7 +256,7 @@ End Declarations
 	if plan == nil {
 		t.Fatalf("mixed-op body fell back: %s", reason)
 	}
-	if _, ok := plan.Accs["S"]; ok {
+	if _, ok := plan.fold("S"); ok {
 		t.Error("mixed sum/MAX on one scalar wrongly folded")
 	}
 }

@@ -526,7 +526,7 @@ func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 		cell := c.in.scalar(sym)
 		if acc, ok := plan.MatchAccum(t); ok {
 			if c.plan != nil {
-				if si, folded := c.plan.Accs[t.Target.Name]; folded {
+				if si, folded := c.plan.Fold(sym); folded {
 					return c.accAssign(acc, si)
 				}
 			}
@@ -787,9 +787,9 @@ func (c *compiler) refInt(t *forcelang.Ref) intFn {
 	sym := t.Sym
 	if len(t.Subs) == 0 {
 		switch {
-		case c.plan != nil && t.Name == c.plan.Outer:
+		case c.plan != nil && sym == c.plan.Outer:
 			return func(pr *cproc, fr *frame) int64 { return pr.k.i }
-		case c.plan != nil && t.Name == c.plan.Inner:
+		case c.plan != nil && sym == c.plan.Inner:
 			return func(pr *cproc, fr *frame) int64 { return pr.k.j }
 		case sym.Storage == scPrivate:
 			slot := sym.Slot

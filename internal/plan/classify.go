@@ -1,7 +1,8 @@
 package plan
 
 // Uniform/varying classification for DOALL bodies — the analysis behind
-// span execution in both back ends.  One walk over a ParDo body decides:
+// span execution in both back ends.  From the body's footprint and the
+// proofs over it (summary.go) the classifier decides:
 //
 //   - whether the body may run as whole spans at all.  Only Assign, IF
 //     and sequential DO statements qualify; anything that can block,
@@ -12,22 +13,14 @@ package plan
 //     (loop-invariant for the executing process) exactly when it depends
 //     on no loop index and no written name; the closure compiler hoists
 //     uniform subexpressions out of the iteration loop.
-//   - which written shared arrays are PROVABLY DISJOINT: every access
-//     uses one identical subscript form, affine in the loop indices with
-//     literal coefficients and an index-free remainder, and that form is
-//     injective on the index space (nonzero coefficient for one index,
-//     a nonsingular 2x2 minor for two).  Disjointness is the legality
-//     fact the fusion pass, the partition choice below and forcevet
-//     consume.
-//   - which shared scalars are pure accumulators: every appearance in
-//     the body is one accumulator shape over the same operator —
-//     `S = S + e` / `S = S - e` with an INTEGER right-hand side (sums
-//     round under REAL, so only INTEGER sums fold exactly), or
-//     `S = MAX(S, e)` / `S = MIN(S, e)` for INTEGER and REAL alike
-//     (extrema keep one operand bit-for-bit, so they fold exactly) —
-//     with e never reading S.  Their contributions accumulate
-//     privately per span and fold into the cell with one atomic RMW:
-//     an add for sums, a compare-and-swap race for extrema.
+//   - which written shared arrays are PROVABLY DISJOINT across
+//     iterations — the legality fact the fusion pass and the partition
+//     choice below consume.
+//   - which shared scalars FOLD: a pure accumulator's contributions
+//     accumulate privately per span and reach the cell with one atomic
+//     RMW, an add for sums, a compare-and-swap race for extrema.  Only
+//     INTEGER sums fold (REAL sums round per iteration); extrema keep one
+//     operand bit-for-bit, so they fold for INTEGER and REAL alike.
 //   - whether the body is MAPPING-INSENSITIVE: nothing it computes or
 //     leaves behind depends on which process ran which iteration.  That
 //     holds when it touches no private name but its loop indices (a
@@ -54,26 +47,37 @@ import (
 
 // Plan is the classifier's verdict for one span-executable ParDo.
 type Plan struct {
-	Outer, Inner string // loop index names ("" when no inner index)
+	Outer, Inner *forcelang.Symbol // loop indices (Inner nil for one index)
 
-	// Written holds every scalar and array name the body assigns
-	// (including sequential DO indices).  References to written names
-	// are varying; everything else index-free is uniform.
-	Written map[string]bool
 	// NoBulk disables the disjointness proof and accumulator folding
 	// (parameter references present).
 	NoBulk bool
 	// Disjoint holds the written shared arrays proven element-disjoint
 	// across iterations.
-	Disjoint map[string]bool
+	Disjoint map[*forcelang.Symbol]bool
 	// CyclicWhy is "" for a mapping-insensitive body, else the reason
 	// (a phrase, completed by CyclicName when that is set) a Presched
 	// DOALL over it must keep the cyclic deal.
 	CyclicWhy, CyclicName string
-	// Accs maps folded accumulator scalars to their index in AccRecs.
-	Accs map[string]int
 	// AccRecs holds the folded accumulators in name order.
 	AccRecs []AccRec
+
+	sum *Summary // the body's footprint
+}
+
+// Written reports whether the body assigns the symbol (a scalar, an
+// array element or a sequential DO index).  References to written names
+// are varying; everything else index-free is uniform.
+func (p *Plan) Written(sym *forcelang.Symbol) bool { return p.sum.Written(sym) }
+
+// Fold returns the index in AccRecs of the folded accumulator sym.
+func (p *Plan) Fold(sym *forcelang.Symbol) (int, bool) {
+	for i, rec := range p.AccRecs {
+		if rec.Sym == sym {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // AccOp is the fold operator of one accumulator scalar.
@@ -85,182 +89,86 @@ const (
 	AccMin
 )
 
-// AccRec is one folded accumulator: the scalar (by name and by symbol),
-// its fold operator, and whether the partial is a REAL (extrema only) or
-// an INTEGER (sums and extrema).
+// AccRec is one folded accumulator: the scalar, its fold operator, and
+// whether the partial is a REAL (extrema only) or an INTEGER (sums and
+// extrema).
 type AccRec struct {
-	Name string
 	Sym  *forcelang.Symbol
 	Op   AccOp
 	Real bool
 }
 
-// classifier carries the single-walk state.
-type classifier struct {
-	plan *Plan
-	// syms holds the symbol behind every name the walk met.
-	syms map[string]*forcelang.Symbol
-
-	// reads counts scalar (unsubscripted) reads per name; selfRefs and
-	// writes count, per shared scalar, the reads and writes accounted
-	// for by well-formed accumulator statements.  accOps records the
-	// operator each candidate accumulates under; tainted marks scalars
-	// with a non-accumulator write (or with mixed operators — a sum and
-	// a MAX of the same scalar cannot share one private partial).
-	reads    map[string]int
-	selfRefs map[string]int
-	accWrite map[string]int
-	writes   map[string]int
-	accOps   map[string]AccOp
-	tainted  map[string]bool
-
-	// arrays holds every subscripted access (read or write) per name.
-	arrays map[string][]*forcelang.Ref
-}
-
 // Classify analyses t's body.  It returns the plan, or the reason the
 // body must keep per-iteration semantics.
-func Classify(t *forcelang.ParDo) (*Plan, string) {
-	plan := &Plan{
-		Outer:    t.Var,
-		Written:  map[string]bool{},
-		Disjoint: map[string]bool{},
-		Accs:     map[string]int{},
-	}
-	indices := []*forcelang.Symbol{t.VarSym}
+func Classify(t *forcelang.ParDo) (*Plan, string) { return classify(t, Summarize(t.Body)) }
+
+// classify turns the footprint of a body (t's own, or the merged one of a
+// fused region t opens) into the plan: which proofs hold, and the deal.
+func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
+	plan := &Plan{Outer: t.VarSym, NoBulk: sum.Param, sum: sum}
 	if t.Inner != nil {
-		plan.Inner = t.Inner.Var
+		plan.Inner = t.Inner.VarSym
 		if plan.Inner == plan.Outer {
 			return nil, "inner index shadows outer index"
 		}
-		indices = append(indices, t.Inner.VarSym)
 	}
-	for _, sym := range indices {
-		if sym.Storage != forcelang.PrivateScalar {
+	for _, sym := range []*forcelang.Symbol{plan.Outer, plan.Inner} {
+		if sym != nil && sym.Storage != forcelang.PrivateScalar {
 			return nil, fmt.Sprintf("loop index %s is not a private scalar", sym.Name)
 		}
 	}
-	cl := &classifier{
-		plan:     plan,
-		syms:     map[string]*forcelang.Symbol{},
-		reads:    map[string]int{},
-		selfRefs: map[string]int{},
-		accWrite: map[string]int{},
-		writes:   map[string]int{},
-		accOps:   map[string]AccOp{},
-		tainted:  map[string]bool{},
-		arrays:   map[string][]*forcelang.Ref{},
+	if sum.NotSpan != "" {
+		return nil, sum.NotSpan
 	}
-	if reason := cl.stmts(t.Body); reason != "" {
-		return nil, reason
-	}
-	if plan.Written[plan.Outer] || (plan.Inner != "" && plan.Written[plan.Inner]) {
+	if sum.Written(plan.Outer) || sum.Written(plan.Inner) {
 		return nil, "body writes its loop index"
 	}
-	cl.planArrays()
-	cl.planAccs()
-	cl.planPartition()
+	if !plan.NoBulk {
+		sp := sum.Space(plan.Outer, plan.Inner)
+		for _, a := range sum.Accesses() {
+			if a.Sym.Storage == forcelang.SharedArray && a.Written() && sp.Disjoint(a.Elems) {
+				if plan.Disjoint == nil {
+					plan.Disjoint = map[*forcelang.Symbol]bool{}
+				}
+				plan.Disjoint[a.Sym] = true
+			}
+			if op, ok := a.Accumulator(); ok {
+				plan.AccRecs = append(plan.AccRecs, AccRec{Sym: a.Sym, Op: op, Real: a.Sym.Type == forcelang.TReal})
+			}
+		}
+		if len(plan.AccRecs) > 1 {
+			// A stable order: the emitter's output is cached by content.
+			sort.Slice(plan.AccRecs, func(i, j int) bool { return plan.AccRecs[i].Sym.Name < plan.AccRecs[j].Sym.Name })
+		}
+	}
+	plan.partition()
 	return plan, ""
 }
 
-// planPartition completes the mapping-insensitivity verdict (see the
-// file comment) that touchPriv started during the walk.
-func (cl *classifier) planPartition() {
-	plan := cl.plan
-	if plan.NoBulk {
-		plan.CyclicWhy, plan.CyclicName = "parameter reference", ""
-	}
-	if plan.CyclicWhy != "" {
+// partition decides mapping-insensitivity (see the file comment): the
+// body touches no private but its own indices and no parameter, and every
+// shared name it writes is a proven-disjoint array or a folded scalar.
+func (p *Plan) partition() {
+	if p.NoBulk {
+		p.CyclicWhy = "parameter reference"
 		return
 	}
-	for name := range plan.Written { // only shared names: no private was touched
-		_, isAcc := plan.Accs[name]
-		if !isAcc && !plan.Disjoint[name] && (plan.CyclicName == "" || name < plan.CyclicName) {
-			plan.CyclicWhy, plan.CyclicName = "non-disjoint, non-accumulator write of shared", name
+	for _, a := range p.sum.Accesses() {
+		sym := a.Sym
+		if (sym.Storage == forcelang.PrivateScalar || sym.Storage == forcelang.PrivateArray) && sym != p.Outer && sym != p.Inner {
+			p.CyclicWhy, p.CyclicName = "reads private", sym.Name
+			if a.WrittenFirst {
+				p.CyclicWhy = "writes private"
+			}
+			return
 		}
 	}
-}
-
-// touchPriv records the body's first use of a private name that is not
-// one of its own loop indices.
-func (cl *classifier) touchPriv(verb string, sym *forcelang.Symbol) {
-	if cl.plan.CyclicWhy == "" && (sym.Storage == forcelang.PrivateScalar || sym.Storage == forcelang.PrivateArray) &&
-		sym.Name != cl.plan.Outer && sym.Name != cl.plan.Inner {
-		cl.plan.CyclicWhy, cl.plan.CyclicName = verb, sym.Name
-	}
-}
-
-func (cl *classifier) stmts(body []forcelang.Stmt) string {
-	for _, st := range body {
-		if reason := cl.stmt(st); reason != "" {
-			return reason
+	for _, a := range p.sum.Accesses() { // only shared names: no private was touched
+		_, folded := p.Fold(a.Sym)
+		if a.Written() && !folded && !p.Disjoint[a.Sym] && (p.CyclicName == "" || a.Sym.Name < p.CyclicName) {
+			p.CyclicWhy, p.CyclicName = "non-disjoint, non-accumulator write of shared", a.Sym.Name
 		}
 	}
-	return ""
-}
-
-func (cl *classifier) stmt(st forcelang.Stmt) string {
-	switch t := st.(type) {
-	case *forcelang.Assign:
-		return cl.assign(t)
-	case *forcelang.If:
-		cl.expr(t.Cond)
-		if reason := cl.stmts(t.Then); reason != "" {
-			return reason
-		}
-		return cl.stmts(t.Else)
-	case *forcelang.SeqDo:
-		if t.VarSym.Storage != forcelang.PrivateScalar {
-			return fmt.Sprintf("sequential DO index %s is not a private scalar", t.Var)
-		}
-		cl.plan.Written[t.Var] = true
-		cl.tainted[t.Var] = true
-		cl.touchPriv("writes private", t.VarSym)
-		cl.expr(t.From)
-		cl.expr(t.To)
-		if t.Step != nil {
-			cl.expr(t.Step)
-		}
-		return cl.stmts(t.Body)
-	default:
-		// Everything else can block, synchronize, perform I/O or call
-		// out — per-iteration semantics must be preserved exactly.
-		return fmt.Sprintf("%T in body", st)
-	}
-}
-
-func (cl *classifier) assign(t *forcelang.Assign) string {
-	sym := t.Target.Sym
-	if sym.Storage == forcelang.Parameter {
-		// A parameter aliases unknown caller storage; writing through it
-		// defeats every disjointness and ordering argument.
-		return fmt.Sprintf("assignment through parameter %s", t.Target.Name)
-	}
-	cl.syms[sym.Name] = sym
-	cl.plan.Written[t.Target.Name] = true
-	cl.touchPriv("writes private", sym)
-	if len(t.Target.Subs) > 0 {
-		cl.arrays[t.Target.Name] = append(cl.arrays[t.Target.Name], &t.Target)
-		for _, s := range t.Target.Subs {
-			cl.expr(s)
-		}
-		cl.expr(t.Expr)
-		return ""
-	}
-	cl.writes[t.Target.Name]++
-	if acc, ok := MatchAccum(t); ok {
-		if prev, seen := cl.accOps[t.Target.Name]; seen && prev != acc.Op {
-			cl.tainted[t.Target.Name] = true
-		} else {
-			cl.accOps[t.Target.Name] = acc.Op
-			cl.selfRefs[t.Target.Name]++
-			cl.accWrite[t.Target.Name]++
-		}
-	} else {
-		cl.tainted[t.Target.Name] = true
-	}
-	cl.expr(t.Expr)
-	return ""
 }
 
 // Accum is one recognised shared-accumulate statement: the fold
@@ -311,88 +219,4 @@ func MatchAccum(t *forcelang.Assign) (Accum, bool) {
 		return Accum{}, false
 	}
 	return acc, true
-}
-
-// expr records every reference inside e: scalar reads, parameter uses
-// (which disable the bulk facts) and shared-array element reads.
-func (cl *classifier) expr(e forcelang.Expr) {
-	uniform.Walk(e, func(r *forcelang.Ref) {
-		if r.Sym.Storage == forcelang.Parameter {
-			cl.plan.NoBulk = true
-			return
-		}
-		cl.syms[r.Name] = r.Sym
-		cl.touchPriv("reads private", r.Sym)
-		if len(r.Subs) == 0 {
-			cl.reads[r.Name]++
-			return
-		}
-		if r.Sym.Storage == forcelang.SharedArray {
-			cl.arrays[r.Name] = append(cl.arrays[r.Name], r)
-		}
-	})
-}
-
-// planArrays records the written shared arrays whose every access
-// provably lands on a per-iteration-private element.
-func (cl *classifier) planArrays() {
-	if cl.plan.NoBulk {
-		return
-	}
-	for name, uses := range cl.arrays {
-		if cl.syms[name].Storage == forcelang.SharedArray && cl.plan.Written[name] && cl.disjointUses(uses) {
-			cl.plan.Disjoint[name] = true
-		}
-	}
-}
-
-// disjointUses checks the one-form + affine + injective conditions over
-// all recorded accesses of one array, through the shared uniformity
-// package.  The Space's IntScalar predicate encodes this classifier's
-// remainder rule: an unwritten, non-parameter INTEGER private or shared
-// scalar is identical for every iteration a process executes.
-func (cl *classifier) disjointUses(refs []*forcelang.Ref) bool {
-	sp := &uniform.Space{
-		Outer: cl.plan.Outer,
-		Inner: cl.plan.Inner,
-		IntScalar: func(r *forcelang.Ref) bool {
-			st := r.Sym.Storage
-			return !cl.plan.Written[r.Name] && r.Sym.Type == forcelang.TInt &&
-				(st == forcelang.PrivateScalar || st == forcelang.SharedScalar)
-		},
-	}
-	return sp.Disjoint(refs)
-}
-
-// planAccs promotes shared scalars to private accumulation when every
-// appearance in the body is accounted for by accumulator statements
-// over one operator.
-func (cl *classifier) planAccs() {
-	if cl.plan.NoBulk {
-		return
-	}
-	names := make([]string, 0, len(cl.accWrite))
-	for name, n := range cl.accWrite {
-		if cl.tainted[name] {
-			continue
-		}
-		if cl.writes[name] != n || cl.reads[name] != cl.selfRefs[name] {
-			// The scalar is read (or written) outside its accumulator
-			// statements: mid-loop values are observable, so the
-			// contributions cannot be deferred.
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names) // a stable order: the emitter's output is cached by content
-	for _, name := range names {
-		cl.plan.Accs[name] = len(cl.plan.AccRecs)
-		sym := cl.syms[name]
-		cl.plan.AccRecs = append(cl.plan.AccRecs, AccRec{
-			Name: name,
-			Sym:  sym,
-			Op:   cl.accOps[name],
-			Real: sym.Type == forcelang.TReal,
-		})
-	}
 }

@@ -56,7 +56,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/forcelang"
 	"repro/internal/uniform"
@@ -108,22 +107,30 @@ func Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 	if i < len(list) {
 		red, _ = list[i].(*forcelang.ReduceStmt)
 	}
+	if red == nil && len(members) < 2 {
+		return nil // nothing to elide: not a candidate, nothing to narrate
+	}
+	// Each member body is walked once; every candidate below reads these.
+	sums := make([]*Summary, len(members))
+	for k, m := range members {
+		sums[k] = Summarize(m.Body)
+	}
 	logged := false
-	try := func(ms []*forcelang.ParDo, r *forcelang.ReduceStmt) *Region {
-		reg, reason := tryFuse(ms, r, slots, lg)
+	try := func(n int, r *forcelang.ReduceStmt) *Region {
+		reg, reason := tryFuse(members[:n], sums[:n], r, slots, lg)
 		if reg == nil && !logged {
 			logged = true
-			lg.printf("line %d: fusion declined: %s", ms[0].Pos(), reason)
+			lg.printf("line %d: fusion declined: %s", members[0].Pos(), reason)
 		}
 		return reg
 	}
 	if red != nil {
-		if reg := try(members, red); reg != nil {
+		if reg := try(len(members), red); reg != nil {
 			return reg
 		}
 	}
 	for n := len(members); n >= 2; n-- {
-		if reg := try(members[:n], nil); reg != nil {
+		if reg := try(n, nil); reg != nil {
 			return reg
 		}
 	}
@@ -131,7 +138,8 @@ func Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 }
 
 // tryFuse proves one candidate region, or explains why it must not fuse.
-func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, lg Logf) (*Region, string) {
+// sums holds each member body's footprint.
+func tryFuse(members []*forcelang.ParDo, sums []*Summary, red *forcelang.ReduceStmt, slots bool, lg Logf) (*Region, string) {
 	first := members[0]
 	for _, m := range members {
 		if m.Inner != nil {
@@ -142,7 +150,7 @@ func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, 
 		}
 	}
 	for _, m := range members[1:] {
-		if m.Var != first.Var {
+		if m.VarSym != first.VarSym {
 			return nil, fmt.Sprintf("index variables differ (%s at line %d, %s at line %d)",
 				first.Var, first.Pos(), m.Var, m.Pos())
 		}
@@ -156,33 +164,12 @@ func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, 
 	// Classify the concatenation of every member body as one synthetic
 	// DOALL: its verdict certifies each statement for span execution and
 	// its disjointness facts cover the region's COMBINED array uses.
-	syn := *first
-	if len(members) > 1 {
-		var body []forcelang.Stmt
-		for _, m := range members {
-			body = append(body, m.Body...)
-		}
-		syn.Body = body
-	}
-	whole, reason := Classify(&syn)
+	whole, reason := classify(first, merge(sums))
 	if reason != "" {
 		return nil, reason
 	}
 	if whole.NoBulk {
 		return nil, "parameter references in the region"
-	}
-
-	sets := make([]uniform.RefSets, len(members))
-	allWrites := map[string]bool{}
-	for i, m := range members {
-		rs, ok := uniform.CollectRefSets(m.Body)
-		if !ok {
-			return nil, fmt.Sprintf("unsupported statement in member at line %d", m.Pos())
-		}
-		sets[i] = rs
-		for n := range rs.Writes {
-			allWrites[n] = true
-		}
 	}
 
 	// Bounds are evaluated at each member's open, with other processes
@@ -191,12 +178,9 @@ func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, 
 	// member's spans update).  Members have Canon-identical bounds, so
 	// checking the first covers all.
 	for _, e := range []forcelang.Expr{first.From, first.To, first.Step} {
-		if e == nil {
-			continue
-		}
 		bad := ""
 		uniform.Walk(e, func(r *forcelang.Ref) {
-			if allWrites[r.Name] || r.Name == first.Var {
+			if whole.Written(r.Sym) || r.Sym == first.VarSym {
 				bad = r.Name
 			}
 		})
@@ -205,28 +189,24 @@ func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, 
 		}
 	}
 
+	// The same-element argument needs the same pid to execute iteration i
+	// in EVERY member, which only prescheduling guarantees; selfscheduled
+	// members hand iteration i of different members to whichever process
+	// asks first.  (Disjoint holds shared arrays only.)
+	excused := func(sym *forcelang.Symbol) bool {
+		return sym == first.VarSym || (first.Sched == forcelang.Presched && whole.Disjoint[sym])
+	}
 	for a := 0; a < len(members); a++ {
 		for b := a + 1; b < len(members); b++ {
-			for _, name := range conflictNames(sets[a], sets[b]) {
-				if name == first.Var {
-					continue
-				}
-				// The same-element argument needs the same pid to execute
-				// iteration i in EVERY member, which only prescheduling
-				// guarantees; selfscheduled members hand iteration i of
-				// different members to whichever process asks first.
-				// (Disjoint holds shared arrays only.)
-				if first.Sched == forcelang.Presched && whole.Disjoint[name] {
-					continue
-				}
+			if sym := conflict(sums[a], sums[b], excused); sym != nil {
 				return nil, fmt.Sprintf("members at lines %d and %d conflict on %s",
-					members[a].Pos(), members[b].Pos(), name)
+					members[a].Pos(), members[b].Pos(), sym.Name)
 			}
 		}
 	}
 
 	if red != nil {
-		if reason := fuseReduceCheck(red, allWrites, slots); reason != "" {
+		if reason := fuseReduceCheck(red, whole, slots); reason != "" {
 			return nil, reason
 		}
 	}
@@ -236,12 +216,13 @@ func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, 
 
 	reg := &Region{Members: members, Plans: make([]*Plan, len(members)), Block: whole.Block(), Red: red}
 	for i, m := range members {
-		mplan, mreason := Classify(m)
-		if mreason != "" {
-			return nil, fmt.Sprintf("member at line %d: %s", m.Pos(), mreason)
+		// A member's own footprint cannot refute what the region's
+		// passed: it is span-executable and leaves the index alone.
+		reg.Plans[i] = whole
+		if len(members) > 1 {
+			reg.Plans[i], _ = classify(m, sums[i])
 		}
 		lg.logPartition(m, whole.CyclicWhy, whole.CyclicName)
-		reg.Plans[i] = mplan
 	}
 	if red == nil {
 		lg.printf("line %d: fused %d DOALLs, %d exit barrier(s) elided",
@@ -255,7 +236,7 @@ func tryFuse(members []*forcelang.ParDo, red *forcelang.ReduceStmt, slots bool, 
 
 // fuseReduceCheck decides whether the reduction tail may fold into the
 // region's join.
-func fuseReduceCheck(red *forcelang.ReduceStmt, allWrites map[string]bool, slots bool) string {
+func fuseReduceCheck(red *forcelang.ReduceStmt, whole *Plan, slots bool) string {
 	if red.Op.Logical() {
 		return fmt.Sprintf("%s is a logical reduction", red.Op)
 	}
@@ -277,7 +258,7 @@ func fuseReduceCheck(red *forcelang.ReduceStmt, allWrites map[string]bool, slots
 			bad = "parameter " + r.Name
 			return
 		}
-		if allWrites[r.Name] && (class == forcelang.SharedScalar || class == forcelang.SharedArray) {
+		if whole.Written(r.Sym) && (class == forcelang.SharedScalar || class == forcelang.SharedArray) {
 			bad = fmt.Sprintf("shared %s, which the region writes", r.Name)
 		}
 	})
@@ -290,27 +271,19 @@ func fuseReduceCheck(red *forcelang.ReduceStmt, allWrites map[string]bool, slots
 	return ""
 }
 
-// conflictNames returns, sorted, every name one member writes and the
-// other touches: write-read, read-write and write-write pairs all
-// reorder observably across an elided barrier.
-func conflictNames(x, y uniform.RefSets) []string {
-	seen := map[string]bool{}
-	for n := range x.Writes {
-		if y.Reads[n] || y.Writes[n] {
-			seen[n] = true
+// conflict returns the first symbol in name order — the one a decline
+// names — that one member writes and the other touches without being
+// excused: write-read, read-write and write-write pairs all reorder
+// observably across an elided barrier.
+func conflict(x, y *Summary, excused func(*forcelang.Symbol) bool) *forcelang.Symbol {
+	var worst *forcelang.Symbol
+	for _, a := range x.Accesses() {
+		b := y.Of(a.Sym)
+		if b != nil && (a.Written() || b.Written()) && !excused(a.Sym) && (worst == nil || a.Sym.Name < worst.Name) {
+			worst = a.Sym
 		}
 	}
-	for n := range y.Writes {
-		if x.Reads[n] {
-			seen[n] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return worst
 }
 
 // stepCanon keys an optional loop step; an absent step is the literal 1.

@@ -1,10 +1,17 @@
-// Package plan holds the back-end-independent lowering decisions for
-// DOALLs: which bodies may run as whole scheduler spans and what is
-// proven about them (classify.go), and which adjacent DOALLs may share
-// one closing synchronization (fuse.go).  Both back ends read the same
-// verdicts — the closure compiler (internal/interp) turns them into span
-// closures, the Go emitter (internal/codegen) into span loops — so a
-// proof exists once and the tiers cannot disagree on what is legal.
+// Package plan holds what is decided about a parallel body before any
+// back end lowers it.  summary.go is the footprint: one walk
+// (Summarize) records which symbols a statement list reads and writes
+// and how, and the proofs — pure accumulator, element-disjoint
+// subscripts, one Critical, idempotent stores — are written once over
+// that record.  classify.go turns a DOALL body's footprint into its
+// plan (may it run as whole scheduler spans, what folds, how it is
+// dealt), fuse.go decides which adjacent DOALLs may share one closing
+// synchronization.  Both back ends read the same verdicts — the closure
+// compiler (internal/interp) turns them into span closures, the Go
+// emitter (internal/codegen) into span loops — and forcevet
+// (internal/vet) reads the same footprint and proofs for its race
+// diagnostics and its dataflow's kill sets, so a proof exists once and
+// neither the tiers nor the analyzer can disagree on what is legal.
 //
 // The package reads what a name is and what type an expression has off
 // the checked tree (forcelang.Symbol on every node that names a variable,

@@ -46,9 +46,9 @@ Join
 		}
 		var names []string
 		for i, rec := range p.AccRecs {
-			names = append(names, rec.Name)
-			if p.Accs[rec.Name] != i {
-				t.Fatalf("Accs[%s] = %d, want %d", rec.Name, p.Accs[rec.Name], i)
+			names = append(names, rec.Sym.Name)
+			if si, ok := p.Fold(rec.Sym); !ok || si != i {
+				t.Fatalf("Fold(%s) = %d, %v, want %d", rec.Sym.Name, si, ok, i)
 			}
 		}
 		if got := strings.Join(names, " "); got != "ABLE MID ZED" {
@@ -95,7 +95,7 @@ Join
 		t.Errorf("region = %d members, red %v, len %d, block %v; want 2, nil, 2, true",
 			len(reg.Members), reg.Red, reg.Len(), reg.Block)
 	}
-	if len(reg.Plans) != 2 || reg.Plans[0] == nil || !reg.Plans[1].Disjoint["B"] {
+	if b, _ := prog.Scope.Lookup("B"); len(reg.Plans) != 2 || reg.Plans[0] == nil || !reg.Plans[1].Disjoint[b] {
 		t.Errorf("member plans missing or wrong: %+v", reg.Plans)
 	}
 	want := []string{
@@ -161,5 +161,182 @@ Join
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// summaryProg exercises every statement kind Summarize records, inside a
+// subroutine so parameters appear.  Line numbers matter: the table below
+// pins first-write lines.
+const summaryProg = `Force SUMM of NP ident ME
+Shared Real A(8)
+Async Integer Q(4)
+End Declarations
+Call WORK(A)
+Join
+Forcesub WORK(P)
+Shared Real P(8)
+Shared Real B(8), C(8)
+Shared Integer S, TOP, FLAG, LIM, N
+Private Integer I, J, K, T, W
+Private Real X
+End Declarations
+B(I) = C(I + 1) + X
+IF (S .GT. 0) THEN
+  S = S + 1
+END IF
+DO J = 1, LIM
+  TOP = MAX(TOP, J)
+End DO
+DO WHILE (K .LT. 2)
+  K = K + 1
+End DO
+Critical LOCK
+  N = N + 1
+End Critical
+Critical LOCK
+  T = N
+End Critical
+FLAG = LIM
+Produce Q(I) = T
+Consume Q(J) into B(J)
+Copy Q(1) into T
+Void Q(K)
+Print X, 'text', C(2)
+Call WORK(C)
+Call BUMP(N, B(3))
+P(1) = 0.0
+Askfor W = 3
+  Put W - 1
+End Askfor
+GSUM X = B(1)
+Endsub
+Forcesub BUMP(Y, Z)
+Shared Integer Y
+Shared Real Z
+End Declarations
+Y = Y + 1
+Endsub
+`
+
+// TestSummarize pins what the one footprint walker records, statement
+// kind by statement kind.
+func TestSummarize(t *testing.T) {
+	prog := parse(t, summaryProg)
+	sub := prog.Sub("WORK")
+	sum := Summarize(sub.Body)
+	if sum.NotSpan != "*forcelang.WhileDo in body" {
+		t.Errorf("NotSpan = %q, want the DO WHILE (the first statement no span may run)", sum.NotSpan)
+	}
+	if !sum.Param {
+		t.Error("Param not set: P is a by-reference parameter")
+	}
+	type want struct {
+		reads, writes, accWrites, first int32
+		elems                           int
+		varies, writtenFirst            bool
+		crit                            string // OneCritical
+	}
+	for name, w := range map[string]want{
+		// An assignment target is a store; its subscripts and value read.
+		"B": {reads: 2, writes: 3, first: 14, elems: 4, varies: true, writtenFirst: true}, // B(I) =, Consume into B(J), B(3) escaping, GSUM reads B(1)
+		"C": {reads: 3, writes: 1, first: 36, elems: 3, varies: true},                     // C(I + 1), C(2), the whole-array Call argument
+		"X": {reads: 2, writes: 1, first: 42, varies: true},                               // the reduction target is a store
+		// S = S + 1 under IF: one accumulate, but the condition reads S too.
+		"S": {reads: 2, writes: 1, accWrites: 1, first: 16},
+		// The sequential DO index is a store with a different value each trip.
+		"J":   {reads: 3, writes: 1, first: 18, varies: true, writtenFirst: true},
+		"LIM": {reads: 2},
+		// A store is recorded ahead of the value it reads; a value reading
+		// a private varies.
+		"TOP": {reads: 1, writes: 1, accWrites: 1, first: 19, varies: true, writtenFirst: true},
+		"K":   {reads: 3, writes: 1, first: 22, varies: true},
+		// Every access of N but the escaping Call argument is under LOCK.
+		"N":    {reads: 3, writes: 2, accWrites: 1, first: 25, varies: true, writtenFirst: true},
+		"T":    {reads: 1, writes: 2, first: 28, varies: true, writtenFirst: true}, // T = N, Copy into T
+		"FLAG": {writes: 1, first: 30, writtenFirst: true},
+		"I":    {reads: 3},
+		"P":    {writes: 1, first: 38, writtenFirst: true},
+		// The Askfor variable is bound per task.
+		"W": {reads: 1, writes: 1, first: 39, varies: true, writtenFirst: true},
+	} {
+		sym, ok := sub.Scope.Lookup(name)
+		if !ok {
+			t.Fatalf("no symbol %s", name)
+		}
+		a := sum.Of(sym)
+		if a == nil {
+			t.Errorf("%s: no record", name)
+			continue
+		}
+		got := want{a.Reads, a.Writes, a.AccWrites, a.FirstWrite, len(a.Elems), a.Varies, a.WrittenFirst, a.OneCritical()}
+		if got != w {
+			t.Errorf("%s: recorded %+v, want %+v", name, got, w)
+		}
+	}
+	if q, _ := sub.Scope.Lookup("Q"); sum.Of(q) != nil {
+		t.Error("the async variable Q has a record: only what its statements read and fill is tracked")
+	}
+
+	// The proofs, over the same record.
+	sym := func(name string) *forcelang.Symbol { s, _ := sub.Scope.Lookup(name); return s }
+	if _, ok := sum.Of(sym("TOP")).Accumulator(); !ok {
+		t.Error("TOP = MAX(TOP, J) alone is a pure accumulator")
+	}
+	if _, ok := sum.Of(sym("S")).Accumulator(); ok {
+		t.Error("S is read by the IF condition: not a pure accumulator")
+	}
+	if !sum.IdempotentStores(sym("FLAG")) {
+		t.Error("FLAG = LIM stores an unwritten shared value: idempotent")
+	}
+	if sum.IdempotentStores(sym("T")) || sum.IdempotentStores(sym("LIM")) {
+		t.Error("a consumed value, or a name never stored, is not an idempotent store")
+	}
+	if sum.Space(sym("I"), nil).Disjoint(sum.Of(sym("B")).Elems) {
+		t.Error("B is reached through four subscript forms: not disjoint")
+	}
+	if lone := Summarize(sub.Body[:1]); !lone.Space(sym("I"), nil).Disjoint(lone.Of(sym("B")).Elems) {
+		t.Error("B(I) alone is injective in I")
+	}
+
+	// A list under one Critical: every access of N sits under LOCK.
+	crit := Summarize(sub.Body[4:6])
+	if got := crit.Of(sym("N")).OneCritical(); got != "LOCK" {
+		t.Errorf("OneCritical(N) = %q, want LOCK", got)
+	}
+	if got := sum.Of(sym("N")).OneCritical(); got != "" {
+		t.Errorf("OneCritical(N) = %q over the whole body, where a Call argument escapes outside", got)
+	}
+	// Only Assign, IF and sequential DO over a private index are span
+	// statements; a store through a parameter is not.
+	if got := Summarize(sub.Body[:3]).NotSpan; got != "" {
+		t.Errorf("span-executable prefix: NotSpan = %q", got)
+	}
+	if got := Summarize(sub.Body[14:15]).NotSpan; got != "assignment through parameter P" {
+		t.Errorf("P(1) = 0.0: NotSpan = %q", got)
+	}
+}
+
+// TestMergeIsConcatenation: merging the footprints of two lists is the
+// footprint of their concatenation, record for record — what lets the
+// fusion proof walk every member body once.
+func TestMergeIsConcatenation(t *testing.T) {
+	prog := parse(t, summaryProg)
+	body := prog.Sub("WORK").Body
+	for cut := 0; cut <= len(body); cut++ {
+		whole := Summarize(body)
+		merged := merge([]*Summary{Summarize(body[:cut]), Summarize(body[cut:])})
+		if merged.NotSpan != whole.NotSpan || merged.Param != whole.Param || len(merged.stores) != len(whole.stores) {
+			t.Fatalf("cut %d: list facts differ: %q/%v/%d vs %q/%v/%d", cut,
+				merged.NotSpan, merged.Param, len(merged.stores), whole.NotSpan, whole.Param, len(whole.stores))
+		}
+		if len(merged.Accesses()) != len(whole.Accesses()) {
+			t.Fatalf("cut %d: %d records, want %d", cut, len(merged.Accesses()), len(whole.Accesses()))
+		}
+		for i, w := range whole.Accesses() {
+			m := merged.Accesses()[i]
+			if fmt.Sprintf("%+v", *m) != fmt.Sprintf("%+v", *w) {
+				t.Errorf("cut %d, %s:\nmerged %+v\nwhole  %+v", cut, w.Sym.Name, *m, *w)
+			}
+		}
 	}
 }

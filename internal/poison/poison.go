@@ -298,19 +298,6 @@ func SubscribeBroadcast(c *Cell, mu sync.Locker, cond *sync.Cond) (cancel func()
 	})
 }
 
-// Rebind is the SetPoison lifecycle shared by rebindable parked
-// primitives: cancel the previous broadcast subscription (if any) and
-// take a new one on c.  A nil c just cancels.
-func Rebind(cancel func(), c *Cell, mu sync.Locker, cond *sync.Cond) func() {
-	if cancel != nil {
-		cancel()
-	}
-	if c == nil {
-		return nil
-	}
-	return SubscribeBroadcast(c, mu, cond)
-}
-
 // Reset rearms a poisoned cell for the next run: the failure slot
 // clears and a fresh wake channel is installed.  Subscribers persist —
 // they belong to primitives whose lifetime is the force's, not the

@@ -1,18 +1,19 @@
 // Package uniform is the shared uniform/varying lattice over forcelang
-// expressions: the single home of the facts the chunk compiler
-// (internal/interp) proves to optimize and the static analyzer
-// (internal/vet) proves to diagnose.
+// expressions, and the expression machinery the span tiers' planner
+// (internal/plan) and the static analyzer (internal/vet) both stand on.
+// Which names a statement list reads and writes is not here: that is
+// plan.Summarize.
 //
 // The lattice has two points.  A value is Uniform when every process of
 // the force (or, for a loop body, every iteration a process executes)
 // computes the same value; otherwise it is Varying.  Join is the
 // lattice join: Varying absorbs.
 //
-// The package also carries the expression machinery both consumers
-// share: the Ref walker, the integer-accumulator shape matcher
-// (S = S + e | S = e + S | S = S - e), literal constant folding, the
-// position-independent structural key used to compare subscript forms,
-// and the affine-subscript disjointness proof over a one- or two-index
+// The expression machinery: the Ref walker, the accumulate shape
+// matchers (S = S + e | S = e + S | S = S - e, S = MAX(S, e) |
+// S = MIN(S, e)), literal constant folding, the position-independent
+// structural key used to compare subscript forms, and the
+// affine-subscript disjointness proof over a one- or two-index
 // iteration space (one canonical form per array, literal coefficients,
 // injective on the index space: a nonzero coefficient for one index, a
 // nonsingular 2x2 minor for two).
@@ -125,63 +126,6 @@ func AccumMinMax(name string, e forcelang.Expr) (arg forcelang.Expr, isMax bool,
 		return nil, false, false
 	}
 	return in.Args[1], in.Name == "MAX", true
-}
-
-// RefSets is the name-level footprint of a statement list: every scalar
-// or array name it reads and writes.  Subscript expressions count as
-// reads of their names; assignment targets and sequential-DO indices
-// count as writes (a subscripted target's subscripts still read).  The
-// footprint deliberately ignores element granularity — callers wanting
-// element-level facts refine array conflicts through Space.Disjoint.
-type RefSets struct {
-	Reads  map[string]bool
-	Writes map[string]bool
-}
-
-// CollectRefSets gathers the footprint of a statement list.  It models
-// only the chunk-certified statement subset (assignment, IF, sequential
-// DO); ok is false when anything else appears, and the caller must then
-// assume an unbounded footprint.
-func CollectRefSets(body []forcelang.Stmt) (RefSets, bool) {
-	rs := RefSets{Reads: map[string]bool{}, Writes: map[string]bool{}}
-	return rs, collectStmts(body, &rs)
-}
-
-func collectStmts(body []forcelang.Stmt, rs *RefSets) bool {
-	for _, st := range body {
-		if !collectStmt(st, rs) {
-			return false
-		}
-	}
-	return true
-}
-
-func collectStmt(st forcelang.Stmt, rs *RefSets) bool {
-	read := func(e forcelang.Expr) {
-		Walk(e, func(r *forcelang.Ref) { rs.Reads[r.Name] = true })
-	}
-	switch t := st.(type) {
-	case *forcelang.Assign:
-		rs.Writes[t.Target.Name] = true
-		for _, s := range t.Target.Subs {
-			read(s)
-		}
-		read(t.Expr)
-		return true
-	case *forcelang.If:
-		read(t.Cond)
-		return collectStmts(t.Then, rs) && collectStmts(t.Else, rs)
-	case *forcelang.SeqDo:
-		rs.Writes[t.Var] = true
-		read(t.From)
-		read(t.To)
-		if t.Step != nil {
-			read(t.Step)
-		}
-		return collectStmts(t.Body, rs)
-	default:
-		return false
-	}
 }
 
 // RefersTo reports whether e reads the scalar name anywhere.

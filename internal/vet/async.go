@@ -15,8 +15,9 @@ package vet
 //	       blocks on its own full cell.
 //
 // FV201 is whole-program: the checker rejects Async parameters, so an
-// async name in any unit resolves to exactly one declaring unit, and
-// "ever produced" is decidable by a full walk keyed on unit|name.
+// async name in any unit resolves to exactly one declaration (one
+// forcelang.Symbol), and "ever produced" is decidable by a full walk
+// keyed on it.
 // FV202 is deliberately local: it only tracks straight-line statement
 // runs (array subscripts compared by canonical form) and forgets all
 // state at any compound statement, since another process may Consume in
@@ -29,7 +30,7 @@ import (
 
 // asyncPass runs FV201/FV202 over every unit.
 func (a *analysis) asyncPass() {
-	produced := map[string]bool{}
+	produced := map[*forcelang.Symbol]bool{}
 	a.collectProduced(a.main.body, produced)
 	for _, u := range a.subs {
 		a.collectProduced(u.body, produced)
@@ -44,27 +45,24 @@ func (a *analysis) asyncPass() {
 	}
 }
 
-// asyncKey names an async variable globally: declaring unit + "|" + name.
-func asyncKey(d *forcelang.Symbol) string { return d.Unit + "|" + d.Name }
-
-func (a *analysis) collectProduced(list []forcelang.Stmt, produced map[string]bool) {
+func (a *analysis) collectProduced(list []forcelang.Stmt, produced map[*forcelang.Symbol]bool) {
 	forEachStmt(list, func(st forcelang.Stmt) {
 		if t, ok := st.(*forcelang.ProduceStmt); ok {
-			produced[asyncKey(t.Sym)] = true
+			produced[t.Sym] = true
 		}
 	})
 }
 
-func (a *analysis) checkConsumes(list []forcelang.Stmt, produced map[string]bool) {
+func (a *analysis) checkConsumes(list []forcelang.Stmt, produced map[*forcelang.Symbol]bool) {
 	forEachStmt(list, func(st forcelang.Stmt) {
 		switch t := st.(type) {
 		case *forcelang.ConsumeStmt:
-			if !produced[asyncKey(t.Sym)] {
+			if !produced[t.Sym] {
 				a.report("FV201", Error, t.Pos(),
 					"Consume of async variable %s, which is never Produced", t.Var)
 			}
 		case *forcelang.CopyStmt:
-			if !produced[asyncKey(t.Sym)] {
+			if !produced[t.Sym] {
 				a.report("FV201", Error, t.Pos(),
 					"Copy of async variable %s, which is never Produced", t.Var)
 			}
@@ -101,18 +99,24 @@ func forEachStmt(list []forcelang.Stmt, visit func(forcelang.Stmt)) {
 	}
 }
 
-// doubleProduce flags FV202 per straight-line run.  State maps
-// unitKey|canonical-subscript to "full"; any compound statement clears
-// it (a barrier, loop or branch may interleave another process's
-// Consume), and each nested body starts fresh.
+// asyncCell names one full/empty cell: the variable and, for an element,
+// its subscript's canonical form.
+type asyncCell struct {
+	sym *forcelang.Symbol
+	sub string
+}
+
+// doubleProduce flags FV202 per straight-line run.  State maps a cell to
+// "full"; any compound statement clears it (a barrier, loop or branch
+// may interleave another process's Consume), and each nested body starts
+// fresh.
 func (a *analysis) doubleProduce(list []forcelang.Stmt) {
-	full := map[string]bool{}
-	cellKey := func(d *forcelang.Symbol, sub forcelang.Expr) string {
-		k := asyncKey(d)
-		if sub != nil {
-			k += "|" + uniform.Canon(sub)
+	full := map[asyncCell]bool{}
+	cellKey := func(d *forcelang.Symbol, sub forcelang.Expr) asyncCell {
+		if sub == nil {
+			return asyncCell{sym: d}
 		}
-		return k
+		return asyncCell{d, uniform.Canon(sub)}
 	}
 	for _, st := range list {
 		switch t := st.(type) {
@@ -133,7 +137,7 @@ func (a *analysis) doubleProduce(list []forcelang.Stmt) {
 			// A compound statement (loop, branch, barrier, ...) may
 			// resequence other processes: forget everything and give
 			// each nested body its own straight-line analysis.
-			full = map[string]bool{}
+			full = map[asyncCell]bool{}
 			switch t := st.(type) {
 			case *forcelang.If:
 				a.doubleProduce(t.Then)

@@ -70,15 +70,25 @@ Fix: correct the constant or the loop bounds feeding the fault.`,
 
 A shared scalar or array is written inside a DOALL body, an Askfor task
 body, or across Pcase blocks, where distinct processes execute
-concurrently, and none of the proofs forcevet (and the chunk compiler)
-accepts applies:
+concurrently, and none of the proofs over the body's footprint applies
+(forcevet reads the same footprint and the same proofs the span tiers
+lower from, internal/plan):
 
   - every access to the name sits inside one Critical section with a
     single name (two different locks exclude nothing);
-  - the scalar is a pure integer accumulator (every write has the
-    shape S = S +/- e, and S is never read except in those writes);
+  - the scalar is a pure shared accumulate: every write is S = S + e,
+    S = e + S or S = S - e over an INTEGER S, or S = MAX(S, e) /
+    S = MIN(S, e) over an INTEGER or REAL S, all under one operator,
+    with e never reading S, and S is read nowhere else in the body.
+    The language makes such a statement one atomic update in every
+    tier.  Mixed operators on one scalar, a REAL sum, MAX(e, S), or a
+    MAX that promotes into an INTEGER S are plain stores;
   - the array subscripts use one affine form in the loop indices that
-    is injective, so iterations touch disjoint elements;
+    is injective, so iterations touch disjoint elements.  An index
+    temporary counts as its definition (K = I + 1; A(K - 1) = ...)
+    only when K is a private INTEGER scalar whose single assignment in
+    the body is an unconditional top-level statement — not under IF,
+    DO, DO WHILE or Critical — and every use of K follows it;
   - the name is write-only in the body and every stored value is the
     same in every process and iteration (idempotent stores).
 

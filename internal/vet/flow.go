@@ -30,7 +30,7 @@ import (
 // loopRange is one enclosing DO loop with constant bounds, the space
 // the divisor-reachability proof quantifies over.
 type loopRange struct {
-	v            string // loop variable
+	v            *forcelang.Symbol // loop variable
 	lo, hi, step int64
 	constOK      bool
 }
@@ -39,8 +39,8 @@ type flow struct {
 	a    *analysis
 	unit *unitInfo
 
-	env    map[string]uniform.Level // private name -> level (zero value Uniform)
-	consts map[string]int64         // private INTEGER scalar -> known constant
+	env    map[*forcelang.Symbol]uniform.Level // private variable -> level (zero value Uniform)
+	consts map[*forcelang.Symbol]int64         // private INTEGER scalar -> known constant
 	loops  []loopRange
 
 	callPath map[string]bool // subs on the current inline path (cycle guard)
@@ -49,18 +49,15 @@ type flow struct {
 	mute     int             // >0: fixpoint iteration, do not emit diagnostics
 }
 
-// flowUnit analyzes one unit.  paramLev is nil for the main program and
-// for standalone subroutine analysis (parameters assumed uniform).
-func (a *analysis) flowUnit(u *unitInfo, paramLev map[string]uniform.Level) {
+// flowUnit analyzes one unit standalone: the main program, or a
+// subroutine with its parameters assumed uniform.
+func (a *analysis) flowUnit(u *unitInfo) {
 	f := &flow{
 		a:        a,
 		unit:     u,
-		env:      map[string]uniform.Level{},
-		consts:   map[string]int64{},
+		env:      map[*forcelang.Symbol]uniform.Level{},
+		consts:   map[*forcelang.Symbol]int64{},
 		callPath: map[string]bool{},
-	}
-	for p, lv := range paramLev {
-		f.env[p] = lv
 	}
 	f.stmts(u.body, uniform.Uniform)
 }
@@ -83,7 +80,7 @@ func (f *flow) refLevel(r *forcelang.Ref) uniform.Level {
 	case r.Sym.Role == forcelang.RoleIdent:
 		lv = uniform.Varying
 	case r.Sym.Class == shm.Private:
-		lv = f.env[r.Name]
+		lv = f.env[r.Sym]
 	}
 	// An element read through a varying subscript differs across
 	// processes even when every element is uniform.
@@ -120,7 +117,7 @@ func (f *flow) constEval(e forcelang.Expr) (int64, bool) {
 		return t.Value, true
 	case *forcelang.Ref:
 		if len(t.Subs) == 0 {
-			v, ok := f.consts[t.Name]
+			v, ok := f.consts[t.Sym]
 			return v, ok
 		}
 	case *forcelang.Un:
@@ -160,7 +157,7 @@ func (f *flow) constReal(e forcelang.Expr) (float64, bool) {
 		return float64(t.Value), true
 	case *forcelang.Ref:
 		if len(t.Subs) == 0 {
-			if v, ok := f.consts[t.Name]; ok && t.Sym.Type == forcelang.TInt {
+			if v, ok := f.consts[t.Sym]; ok && t.Sym.Type == forcelang.TInt {
 				return float64(v), true
 			}
 		}
@@ -217,8 +214,8 @@ func (f *flow) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 		if !lr.constOK {
 			continue
 		}
-		sp := &uniform.Space{Outer: lr.v, IntScalar: func(r *forcelang.Ref) bool {
-			_, ok := f.consts[r.Name]
+		sp := &uniform.Space{Outer: lr.v.Name, IntScalar: func(r *forcelang.Ref) bool {
+			_, ok := f.consts[r.Sym]
 			return ok
 		}}
 		ci, _, ok := sp.Coef(e)
@@ -247,7 +244,7 @@ func (f *flow) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 				continue
 			}
 		}
-		return lr.v, v, true
+		return lr.v.Name, v, true
 	}
 	return "", 0, false
 }
@@ -333,20 +330,21 @@ func (f *flow) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line int,
 	}
 }
 
-// setPrivate records an assignment's effect on the lattice and
-// constant environments.
+// setPrivate records a store's effect on the lattice and constant
+// environments: the target takes level lv and, when expr (nil for a
+// value no expression gives: a reduction's, a consumed one) folds to an
+// INTEGER constant, that constant.
 func (f *flow) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniform.Level) {
 	d := target.Sym
 	if d.Class != shm.Private {
 		return
 	}
-	key := target.Name
 	if len(target.Subs) == 0 {
-		f.env[key] = lv
+		f.env[d] = lv
 		if v, cok := f.constEval(expr); cok && d.Type == forcelang.TInt {
-			f.consts[key] = v
+			f.consts[d] = v
 		} else {
-			delete(f.consts, key)
+			delete(f.consts, d)
 		}
 		return
 	}
@@ -355,75 +353,35 @@ func (f *flow) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniform
 	for _, s := range target.Subs {
 		lv = lv.Join(f.exprLevel(s))
 	}
-	f.env[key] = f.env[key].Join(lv)
+	f.env[d] = f.env[d].Join(lv)
 }
 
-// writtenNames collects every name a statement list may write:
-// assignment targets, loop variables, Consume/Copy targets, Askfor task
-// variables, and (conservatively) every Call argument.
-func writtenNames(list []forcelang.Stmt, out map[string]bool) {
-	for _, st := range list {
-		switch t := st.(type) {
-		case *forcelang.Assign:
-			out[t.Target.Name] = true
-		case *forcelang.If:
-			writtenNames(t.Then, out)
-			writtenNames(t.Else, out)
-		case *forcelang.SeqDo:
-			out[t.Var] = true
-			writtenNames(t.Body, out)
-		case *forcelang.WhileDo:
-			writtenNames(t.Body, out)
-		case *forcelang.ParDo:
-			out[t.Var] = true
-			if t.Inner != nil {
-				out[t.Inner.Var] = true
-			}
-			writtenNames(t.Body, out)
-		case *forcelang.BarrierStmt:
-			writtenNames(t.Section, out)
-		case *forcelang.CriticalStmt:
-			writtenNames(t.Body, out)
-		case *forcelang.PcaseStmt:
-			for _, b := range t.Blocks {
-				writtenNames(b.Body, out)
-			}
-		case *forcelang.AskforStmt:
-			out[t.Var] = true
-			writtenNames(t.Body, out)
-		case *forcelang.ConsumeStmt:
-			out[t.Target.Name] = true
-		case *forcelang.CopyStmt:
-			out[t.Target.Name] = true
-		case *forcelang.CallStmt:
-			for i := range t.Args {
-				out[t.Args[i].Name] = true
-			}
+// killWritten drops constants that a loop body (or a Pcase block) may
+// overwrite, so in-body constant facts come only from the current
+// iteration's own straight-line assignments.  The body's footprint is
+// summarised once, however many fixpoint rounds ask.
+func (f *flow) killWritten(body []forcelang.Stmt) {
+	for _, acc := range f.a.summary(body).Accesses() {
+		if acc.Written() {
+			delete(f.consts, acc.Sym)
 		}
 	}
 }
 
-// killWritten drops constants that a loop body may overwrite, so
-// in-body constant facts come only from the current iteration's own
-// straight-line assignments.
-func (f *flow) killWritten(list []forcelang.Stmt) {
-	w := map[string]bool{}
-	writtenNames(list, w)
-	for name := range w {
-		delete(f.consts, name)
-	}
-}
-
-func cloneLevels(m map[string]uniform.Level) map[string]uniform.Level {
-	out := make(map[string]uniform.Level, len(m))
+// cloneLevels and cloneConsts copy an environment into a map sized for
+// it.  (Not maps.Clone: that clones the bucket structure, which on the
+// mostly empty environments of script-cold costs 24 allocs and 1.9 KB
+// per op, measured.)
+func cloneLevels(m map[*forcelang.Symbol]uniform.Level) map[*forcelang.Symbol]uniform.Level {
+	out := make(map[*forcelang.Symbol]uniform.Level, len(m))
 	for k, v := range m {
 		out[k] = v
 	}
 	return out
 }
 
-func cloneConsts(m map[string]int64) map[string]int64 {
-	out := make(map[string]int64, len(m))
+func cloneConsts(m map[*forcelang.Symbol]int64) map[*forcelang.Symbol]int64 {
+	out := make(map[*forcelang.Symbol]int64, len(m))
 	for k, v := range m {
 		out[k] = v
 	}
@@ -431,14 +389,14 @@ func cloneConsts(m map[string]int64) map[string]int64 {
 }
 
 // joinInto merges b into a pointwise (missing keys are Uniform).
-func joinInto(a, b map[string]uniform.Level) {
+func joinInto(a, b map[*forcelang.Symbol]uniform.Level) {
 	for k, v := range b {
 		a[k] = a[k].Join(v)
 	}
 }
 
 // intersectConsts keeps only facts present and equal in both.
-func intersectConsts(a, b map[string]int64) {
+func intersectConsts(a, b map[*forcelang.Symbol]int64) {
 	for k, v := range a {
 		if bv, ok := b[k]; !ok || bv != v {
 			delete(a, k)
@@ -446,7 +404,7 @@ func intersectConsts(a, b map[string]int64) {
 	}
 }
 
-func levelsEqual(a, b map[string]uniform.Level) bool {
+func levelsEqual(a, b map[*forcelang.Symbol]uniform.Level) bool {
 	for k, v := range a {
 		if b[k] != v {
 			return false
@@ -460,24 +418,27 @@ func levelsEqual(a, b map[string]uniform.Level) bool {
 	return true
 }
 
-// fixpoint iterates body until the lattice environment stabilizes
-// (diagnostics muted), then runs one final reporting pass on the
-// stable environment.
-func (f *flow) fixpoint(body []forcelang.Stmt, ctx uniform.Level) {
-	f.killWritten(body)
+// fixpoint iterates a loop body until the lattice environment stabilizes
+// (diagnostics muted), then runs one final reporting pass on the stable
+// environment.  cond, when non-nil, is the loop's condition: its level
+// joins the body's context and is recomputed every round, since body
+// writes can raise it.
+func (f *flow) fixpoint(body []forcelang.Stmt, ctx uniform.Level, cond forcelang.Expr) {
+	round := func() {
+		f.killWritten(body)
+		f.stmts(body, ctx.Join(f.exprLevel(cond)))
+	}
 	f.mute++
 	for i := 0; i < 10; i++ {
 		before := cloneLevels(f.env)
-		f.killWritten(body)
-		f.stmts(body, ctx)
+		round()
 		joinInto(f.env, before)
 		if levelsEqual(before, f.env) {
 			break
 		}
 	}
 	f.mute--
-	f.killWritten(body)
-	f.stmts(body, ctx)
+	round()
 }
 
 func (f *flow) stmts(list []forcelang.Stmt, ctx uniform.Level) {
@@ -487,7 +448,7 @@ func (f *flow) stmts(list []forcelang.Stmt, ctx uniform.Level) {
 }
 
 // loopBounds evaluates a loop's constant range (step nil means 1).
-func (f *flow) loopBounds(v string, from, to, step forcelang.Expr) loopRange {
+func (f *flow) loopBounds(v *forcelang.Symbol, from, to, step forcelang.Expr) loopRange {
 	lr := loopRange{v: v, step: 1}
 	lo, lok := f.constEval(from)
 	hi, hok := f.constEval(to)
@@ -531,13 +492,13 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 				f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ZeroStep})
 			}
 		}
-		lr := f.loopBounds(t.Var, t.From, t.To, t.Step)
+		lr := f.loopBounds(t.VarSym, t.From, t.To, t.Step)
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
-		f.env[t.Var] = blv.Join(ctx)
-		delete(f.consts, t.Var)
+		f.env[t.VarSym] = blv.Join(ctx)
+		delete(f.consts, t.VarSym)
 		f.loops = append(f.loops, lr)
-		f.fixpoint(t.Body, ctx.Join(blv))
+		f.fixpoint(t.Body, ctx.Join(blv), nil)
 		f.loops = f.loops[:len(f.loops)-1]
 		joinInto(f.env, pre)
 		intersectConsts(f.consts, preConsts)
@@ -546,21 +507,7 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
 		f.faultsExpr(t.Cond, ctx)
-		// The body context includes the condition's level; recompute
-		// it at the fixpoint since body writes can raise it.
-		f.mute++
-		for i := 0; i < 10; i++ {
-			before := cloneLevels(f.env)
-			f.killWritten(t.Body)
-			f.stmts(t.Body, ctx.Join(f.exprLevel(t.Cond)))
-			joinInto(f.env, before)
-			if levelsEqual(before, f.env) {
-				break
-			}
-		}
-		f.mute--
-		f.killWritten(t.Body)
-		f.stmts(t.Body, ctx.Join(f.exprLevel(t.Cond)))
+		f.fixpoint(t.Body, ctx, t.Cond)
 		joinInto(f.env, pre)
 		intersectConsts(f.consts, preConsts)
 
@@ -576,11 +523,11 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 				f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ZeroStep})
 			}
 		}
-		outer := f.loopBounds(t.Var, t.From, t.To, t.Step)
+		outer := f.loopBounds(t.VarSym, t.From, t.To, t.Step)
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
-		f.env[t.Var] = uniform.Varying
-		delete(f.consts, t.Var)
+		f.env[t.VarSym] = uniform.Varying
+		delete(f.consts, t.VarSym)
 		f.loops = append(f.loops, outer)
 		if t.Inner != nil {
 			f.faultsExpr(t.Inner.From, ctx)
@@ -591,12 +538,12 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 					f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ZeroStep})
 				}
 			}
-			f.env[t.Inner.Var] = uniform.Varying
-			delete(f.consts, t.Inner.Var)
-			f.loops = append(f.loops, f.loopBounds(t.Inner.Var, t.Inner.From, t.Inner.To, t.Inner.Step))
+			f.env[t.Inner.VarSym] = uniform.Varying
+			delete(f.consts, t.Inner.VarSym)
+			f.loops = append(f.loops, f.loopBounds(t.Inner.VarSym, t.Inner.From, t.Inner.To, t.Inner.Step))
 		}
 		f.depth++
-		f.fixpoint(t.Body, uniform.Varying)
+		f.fixpoint(t.Body, uniform.Varying, nil)
 		f.depth--
 		if t.Inner != nil {
 			f.loops = f.loops[:len(f.loops)-1]
@@ -605,7 +552,7 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		joinInto(f.env, pre)
 		intersectConsts(f.consts, preConsts)
 		// The loop variable's final value depends on the schedule.
-		f.env[t.Var] = uniform.Varying
+		f.env[t.VarSym] = uniform.Varying
 
 	case *forcelang.BarrierStmt:
 		if ctx == uniform.Varying {
@@ -647,7 +594,9 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		}
 		f.env = merged
 		f.consts = preConsts
-		f.killWrittenBlocks(t.Blocks)
+		for _, b := range t.Blocks {
+			f.killWritten(b.Body)
+		}
 
 	case *forcelang.AskforStmt:
 		if ctx == uniform.Varying {
@@ -656,14 +605,14 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		f.faultsExpr(t.Seed, ctx)
 		pre := cloneLevels(f.env)
 		preConsts := cloneConsts(f.consts)
-		f.env[t.Var] = uniform.Varying
-		delete(f.consts, t.Var)
+		f.env[t.VarSym] = uniform.Varying
+		delete(f.consts, t.VarSym)
 		f.depth++
-		f.fixpoint(t.Body, uniform.Varying)
+		f.fixpoint(t.Body, uniform.Varying, nil)
 		f.depth--
 		joinInto(f.env, pre)
 		intersectConsts(f.consts, preConsts)
-		f.env[t.Var] = uniform.Varying
+		f.env[t.VarSym] = uniform.Varying
 
 	case *forcelang.PutStmt:
 		f.faultsExpr(t.Expr, ctx)
@@ -675,19 +624,7 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		f.faultsExpr(t.Expr, ctx)
 		f.faultsRef(&t.Target, ctx)
 		// Every process receives the combined value.
-		if t.Target.Sym.Class == shm.Private {
-			key := t.Target.Name
-			if len(t.Target.Subs) == 0 {
-				f.env[key] = uniform.Uniform.Join(ctx)
-				delete(f.consts, key)
-			} else {
-				lv := uniform.Uniform.Join(ctx)
-				for _, s := range t.Target.Subs {
-					lv = lv.Join(f.exprLevel(s))
-				}
-				f.env[key] = f.env[key].Join(lv)
-			}
-		}
+		f.setPrivate(&t.Target, nil, ctx)
 
 	case *forcelang.ProduceStmt:
 		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
@@ -696,12 +633,14 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 	case *forcelang.ConsumeStmt:
 		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 		f.faultsRef(&t.Target, ctx)
-		f.consumeTarget(&t.Target)
+		// Full/empty hand-offs deliver different values to different
+		// processes.
+		f.setPrivate(&t.Target, nil, uniform.Varying)
 
 	case *forcelang.CopyStmt:
 		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 		f.faultsRef(&t.Target, ctx)
-		f.consumeTarget(&t.Target)
+		f.setPrivate(&t.Target, nil, uniform.Varying)
 
 	case *forcelang.VoidStmt:
 		f.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
@@ -714,32 +653,6 @@ func (f *flow) stmt(st forcelang.Stmt, ctx uniform.Level) {
 	case *forcelang.CallStmt:
 		f.call(t, ctx)
 	}
-}
-
-// killWrittenBlocks drops constants Pcase blocks may overwrite.
-func (f *flow) killWrittenBlocks(blocks []forcelang.PcaseBlock) {
-	for _, b := range blocks {
-		w := map[string]bool{}
-		writtenNames(b.Body, w)
-		for name := range w {
-			delete(f.consts, name)
-		}
-	}
-}
-
-// consumeTarget marks a Consume/Copy destination varying: full/empty
-// hand-offs deliver different values to different processes.
-func (f *flow) consumeTarget(target *forcelang.Ref) {
-	if target.Sym.Class != shm.Private {
-		return
-	}
-	key := target.Name
-	if len(target.Subs) == 0 {
-		f.env[key] = uniform.Varying
-		delete(f.consts, key)
-		return
-	}
-	f.env[key] = uniform.Varying
 }
 
 // call analyzes a call site: FV001 when the callee transitively
@@ -763,9 +676,9 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		// Recursion: assume every by-reference argument varies.
 		for i := range t.Args {
 			if t.Args[i].Sym.Class == shm.Private {
-				f.env[t.Args[i].Name] = uniform.Varying
+				f.env[t.Args[i].Sym] = uniform.Varying
 			}
-			delete(f.consts, t.Args[i].Name)
+			delete(f.consts, t.Args[i].Sym)
 		}
 		return
 	}
@@ -773,8 +686,8 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 	cf := &flow{
 		a:        f.a,
 		unit:     u,
-		env:      map[string]uniform.Level{},
-		consts:   map[string]int64{},
+		env:      map[*forcelang.Symbol]uniform.Level{},
+		consts:   map[*forcelang.Symbol]int64{},
 		callPath: map[string]bool{},
 		inlined:  true,
 		mute:     f.mute,
@@ -788,19 +701,20 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		cf.callPath[k] = true
 	}
 	cf.callPath[key] = true
-	for i, p := range sub.Params {
+	params := sub.Scope.Params()
+	for i, p := range params {
 		cf.env[p] = f.refLevel(&t.Args[i])
 	}
 	cf.stmts(u.body, ctx)
 	// Propagate by-reference results back to scalar arguments.
-	for i, p := range sub.Params {
+	for i, p := range params {
 		if len(t.Args[i].Subs) > 0 {
 			continue
 		}
-		akey := t.Args[i].Name
-		delete(f.consts, akey)
-		if t.Args[i].Sym.Class == shm.Private {
-			f.env[akey] = f.env[akey].Join(cf.env[p])
+		arg := t.Args[i].Sym
+		delete(f.consts, arg)
+		if arg.Class == shm.Private {
+			f.env[arg] = f.env[arg].Join(cf.env[p])
 		}
 	}
 }
@@ -814,7 +728,7 @@ func (f *flow) checkReplicatedStore(t *forcelang.Assign, ctx uniform.Level) {
 	if f.unit.name != "" || f.inlined || f.depth > 0 || ctx == uniform.Varying {
 		return
 	}
-	if d := t.Target.Sym; d.Class != shm.Shared || isParam(d) {
+	if !tracked(t.Target.Sym) {
 		return
 	}
 	lv := f.exprLevel(t.Expr)

@@ -17,8 +17,8 @@
 //	FV003  provable fault on the uniform path: every process faults.
 //	FV101  shared-memory race: a shared scalar or array written inside
 //	       a DOALL/Pcase/Askfor body outside Critical and not provably
-//	       safe (affine-injective disjoint subscripts, pure integer
-//	       accumulator, or idempotent uniform stores).
+//	       safe (affine-injective disjoint subscripts, pure shared
+//	       accumulate, or idempotent uniform stores).
 //	FV102  replicated unsynchronized store: every process writes a
 //	       shared scalar (or one element) with differing values at
 //	       force level, outside any construct.
@@ -28,9 +28,11 @@
 //	       a straight-line path with no intervening Consume or Void —
 //	       the producer blocks on its own full cell.
 //
-// The uniform/varying lattice and the affine-subscript disjointness
-// proofs are shared with the chunk compiler through internal/uniform:
-// one notion of "uniform" serves both the optimizer and the analyzer.
+// The uniform/varying lattice and the affine-subscript machinery are
+// shared with the span tiers through internal/uniform, and what a
+// statement list reads and writes — with the proofs over it — through
+// internal/plan (Summarize): one footprint and one set of proofs serve
+// both the optimizer and the analyzer.
 //
 // Analyze requires a program that already passed forcelang.Check (Parse
 // runs it); the checker's own guarantees (no collectives inside
@@ -43,6 +45,7 @@ import (
 	"sort"
 
 	"repro/internal/forcelang"
+	"repro/internal/plan"
 )
 
 // Severity is the weight of a diagnostic.
@@ -84,6 +87,7 @@ type analysis struct {
 	main       *unitInfo
 	subs       map[string]*unitInfo
 	collective map[string]bool // sub name -> transitively contains a collective construct
+	sums       map[*forcelang.Stmt]*plan.Summary
 	diags      []Diagnostic
 }
 
@@ -92,6 +96,22 @@ type analysis struct {
 type unitInfo struct {
 	name string // "" for the main program
 	body []forcelang.Stmt
+}
+
+// summary returns the footprint of a statement list (internal/plan's one
+// walker), computed once per list however often the flow pass's
+// fixpoints, its inline call walks and the race pass ask; lists are keyed
+// by their first statement's slot.
+func (a *analysis) summary(list []forcelang.Stmt) *plan.Summary {
+	if len(list) == 0 {
+		return plan.Summarize(nil)
+	}
+	sum, ok := a.sums[&list[0]]
+	if !ok {
+		sum = plan.Summarize(list)
+		a.sums[&list[0]] = sum
+	}
+	return sum
 }
 
 // isParam reports whether the symbol is a by-reference parameter.
@@ -108,6 +128,7 @@ func Analyze(prog *forcelang.Program) ([]Diagnostic, error) {
 		main:       &unitInfo{body: prog.Body},
 		subs:       map[string]*unitInfo{},
 		collective: map[string]bool{},
+		sums:       map[*forcelang.Stmt]*plan.Summary{},
 	}
 	for _, sub := range prog.Subs {
 		a.subs[sub.Name] = &unitInfo{name: sub.Name, body: sub.Body}
@@ -122,9 +143,9 @@ func Analyze(prog *forcelang.Program) ([]Diagnostic, error) {
 	// argument levels bound to parameters.  Every subroutine is also
 	// analyzed standalone (parameters uniform) so unit-local issues
 	// surface even on call paths the inline walk does not reach.
-	a.flowUnit(a.main, nil)
+	a.flowUnit(a.main)
 	for _, u := range a.subs {
-		a.flowUnit(u, nil)
+		a.flowUnit(u)
 	}
 
 	// Race pass: FV101 over every parallel construct body.
@@ -193,39 +214,17 @@ func (a *analysis) hasCollective(name string, path map[string]bool) bool {
 		return false
 	}
 	path[key] = true
-	v := a.stmtsHaveCollective(u.body, path)
-	delete(path, key)
-	a.collective[key] = v
-	return v
-}
-
-func (a *analysis) stmtsHaveCollective(list []forcelang.Stmt, path map[string]bool) bool {
-	for _, st := range list {
+	v := false
+	forEachStmt(u.body, func(st forcelang.Stmt) {
 		switch t := st.(type) {
 		case *forcelang.BarrierStmt, *forcelang.ParDo, *forcelang.PcaseStmt,
 			*forcelang.AskforStmt, *forcelang.ReduceStmt:
-			return true
-		case *forcelang.If:
-			if a.stmtsHaveCollective(t.Then, path) || a.stmtsHaveCollective(t.Else, path) {
-				return true
-			}
-		case *forcelang.SeqDo:
-			if a.stmtsHaveCollective(t.Body, path) {
-				return true
-			}
-		case *forcelang.WhileDo:
-			if a.stmtsHaveCollective(t.Body, path) {
-				return true
-			}
-		case *forcelang.CriticalStmt:
-			if a.stmtsHaveCollective(t.Body, path) {
-				return true
-			}
+			v = true
 		case *forcelang.CallStmt:
-			if a.hasCollective(t.Name, path) {
-				return true
-			}
+			v = v || a.hasCollective(t.Name, path)
 		}
-	}
-	return false
+	})
+	delete(path, key)
+	a.collective[key] = v
+	return v
 }

@@ -322,6 +322,23 @@ Join
 	if diags[0].Sev != Warning {
 		t.Error("FV101 is a warning")
 	}
+	// A loop header stores to its index: a shared sequential-DO index is
+	// written by every iteration of every process.
+	diags = analyzeSrc(t, `Force T of NP ident ME
+Shared Integer K
+Shared Real A(8)
+Private Integer I
+End Declarations
+Presched DO I = 1, 8
+DO K = 1, 2
+A(I) = REAL(I)
+End DO
+End Presched DO
+Join
+`)
+	if got := codeLines(diags); got != "FV101@7" {
+		t.Errorf("shared DO index: got %q, want FV101@7\n%s", got, renderAll(diags))
+	}
 }
 
 func TestFV101CriticalMakesItClean(t *testing.T) {
@@ -365,51 +382,80 @@ Join
 	}
 }
 
+// fv101Case is one parallel body and the FV101 diagnostics it draws.
+type fv101Case struct{ name, decls, body, want string }
+
+// runFV101 analyzes each body as lines 6.. of a program whose
+// declarations take lines 2..4.
+func runFV101(t *testing.T, cases []fv101Case) {
+	t.Helper()
+	for _, tc := range cases {
+		if n := strings.Count(tc.decls, "\n"); n != 3 {
+			t.Fatalf("%s: %d declaration lines, want 3", tc.name, n)
+		}
+		diags := analyzeSrc(t, "Force T of NP ident ME\n"+tc.decls+"End Declarations\n"+tc.body+"Join\n")
+		if got := codeLines(diags); got != tc.want {
+			t.Errorf("%s: got %q, want %q\n%s", tc.name, got, tc.want, renderAll(diags))
+		}
+	}
+}
+
+// TestFV101IntAccumulatorIsClean: the shared accumulate is clean exactly
+// when internal/plan folds it — every write of the scalar is one
+// accumulate shape (INTEGER S ± e, INTEGER or REAL MAX / MIN) over one
+// operator and the scalar is read nowhere else.  Every tier executes
+// such a statement as one atomic update.
 func TestFV101IntAccumulatorIsClean(t *testing.T) {
-	// The chunk tier folds pure integer accumulators deterministically.
-	diags := analyzeSrc(t, `Force T of NP ident ME
-Shared Integer S
-Private Integer I
-End Declarations
-Selfsched DO I = 1, 100
-S = S + I
-End Selfsched DO
-Join
-`)
-	if len(diags) != 0 {
-		t.Errorf("integer accumulator should be clean:\n%s", renderAll(diags))
+	const decls = "Shared Integer S, TOP\nShared Real R, BIG, A(100)\nPrivate Integer I, W\n"
+	doall := func(sched, stmts string) string {
+		return sched + " DO I = 1, 100\n" + stmts + "End " + sched + " DO\n"
 	}
+	runFV101(t, []fv101Case{
+		{"integer sum", decls, doall("Selfsched", "S = S + I\n"), ""},
+		{"integer sum and difference", decls, doall("Presched", "S = S + I\nS = S - 1\n"), ""},
+		{"integer MAX", decls, doall("Presched", "TOP = MAX(TOP, I)\n"), ""},
+		{"integer MIN", decls, doall("Selfsched", "TOP = MIN(TOP, I * 2)\n"), ""},
+		{"real MAX", decls, doall("Presched", "BIG = MAX(BIG, A(I))\n"), ""},
+		{"real MIN", decls, doall("Selfsched", "BIG = MIN(BIG, A(I) * 0.5)\n"), ""},
+		{"sum beside MAX", decls, doall("Presched", "S = S + I\nTOP = MAX(TOP, I)\n"), ""},
+		{"kept per-iteration by a Print", decls, doall("Presched", "TOP = MAX(TOP, I)\nPrint I\n"), ""},
+		{"in an Askfor body", decls, "Askfor W = 3\nTOP = MAX(TOP, W)\nEnd Askfor\n", ""},
+		{"mixed operators on one scalar", decls, doall("Presched", "S = S + I\nS = MAX(S, I)\n"), "FV101@7"},
+		{"real sum", decls, doall("Presched", "R = R + 1.0\n"), "FV101@7"},
+		{"promoting MAX into an INTEGER", decls, doall("Presched", "S = MAX(S, R)\n"), "FV101@7"},
+		{"swapped MAX arguments", decls, doall("Presched", "TOP = MAX(I, TOP)\n"), "FV101@7"},
+		{"mid-body read", decls, doall("Presched", "S = S + I\nA(I) = REAL(S)\n"), "FV101@7"},
+	})
 }
 
+// TestFV101DisjointArrayIsClean: one injective affine subscript form —
+// also through an index temporary, whose single top-level assignment
+// precedes every use.
 func TestFV101DisjointArrayIsClean(t *testing.T) {
-	diags := analyzeSrc(t, `Force T of NP ident ME
-Shared Real A(11)
-Private Integer I
-End Declarations
-Presched DO I = 1, 10
-A(I + 1) = REAL(I)
-End Presched DO
-Join
-`)
-	if len(diags) != 0 {
-		t.Errorf("A(I+1) is injective, should be clean:\n%s", renderAll(diags))
-	}
+	const decls = "Shared Real A(101)\nPrivate Integer I, K\nPrivate Real T\n"
+	runFV101(t, []fv101Case{
+		{"A(I+1)", decls, "Presched DO I = 1, 10\nA(I + 1) = REAL(I)\nEnd Presched DO\n", ""},
+		{"index temporary", decls, "Presched DO I = 1, 10\nK = I + 1\nA(K - 1) = REAL(I)\nEnd Presched DO\n", ""},
+	})
 }
 
+// TestFV101OverlappingArrayForms: two subscript forms collide across
+// iterations, and an index temporary proves nothing unless its one
+// assignment is an unconditional top-level statement ahead of its uses.
 func TestFV101OverlappingArrayForms(t *testing.T) {
-	// A(I) and A(I+1) collide across iterations.
-	diags := analyzeSrc(t, `Force T of NP ident ME
-Shared Real A(11)
-Private Integer I
-End Declarations
-Presched DO I = 1, 10
-A(I + 1) = A(I) + 1.0
-End Presched DO
-Join
-`)
-	if got := codeLines(diags); got != "FV101@6" {
-		t.Errorf("got %q, want FV101@6\n%s", got, renderAll(diags))
-	}
+	const decls = "Shared Real A(101)\nPrivate Integer I, J, K\nPrivate Real T\n"
+	doall := func(stmts string) string { return "Presched DO I = 1, 100\n" + stmts + "End Presched DO\n" }
+	runFV101(t, []fv101Case{
+		// A(I) and A(I+1) collide across iterations.
+		{"A(I+1) = A(I)", decls, doall("A(I + 1) = A(I) + 1.0\n"), "FV101@7"},
+		// K still holds the previous iteration's (or the entry) value.
+		{"use before definition", decls, "K = 5\n" + doall("A(K) = REAL(I)\nK = I + 1\n"), "FV101@8"},
+		// K is I + 1 only in some iterations.
+		{"conditional definition", decls, "K = 5\n" + doall("IF (I .GT. 50) THEN\nK = I + 1\nEND IF\nA(K) = REAL(I)\n"), "FV101@11"},
+		// A zero-trip DO would leave K undefined.
+		{"definition inside a sequential DO", decls, doall("DO J = 1, 2\nK = I + 1\nEnd DO\nA(K) = REAL(I)\n"), "FV101@10"},
+		{"two definitions", decls, doall("K = I + 1\nK = 2 * I\nA(K) = REAL(I)\n"), "FV101@9"},
+	})
 }
 
 func TestFV101AskforBody(t *testing.T) {
