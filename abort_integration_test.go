@@ -227,51 +227,6 @@ func TestHangTimeoutAOT(t *testing.T) {
 	}
 }
 
-// TestForcerunTierPromotion drives -exec auto end to end: the first
-// -promote runs interpret (and say so under -v), the next run builds
-// and executes natively, and the run after that is a pure cache hit —
-// with identical program output throughout.
-func TestForcerunTierPromotion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs forcerun with the go toolchain")
-	}
-	bin := buildForcerun(t)
-	prog := writeProgram(t, `Force PROMO of NP ident ME
-Shared Integer S
-End Declarations
-Critical L
-  S = S + ME
-End Critical
-Barrier
-  Print 'S =', S
-End Barrier
-Join
-`)
-	env := []string{"FORCE_CACHE=" + t.TempDir()}
-	wantLine := "S = 6"
-	// Promotion fires on the run whose counter reaches -promote: run 1
-	// interprets, run 2 is already hot (counter 2 of 2) and builds, run
-	// 3 executes the cached binary.
-	wants := []string{
-		"tier auto: interpreted run 1 of 2",
-		"tier auto: hot after 2 interpreted runs",
-		"tier auto: cache hit",
-	}
-	for i, want := range wants {
-		out, code := runForcerunEnv(t, 3*time.Minute, env, bin,
-			"-np", "4", "-exec", "auto", "-promote", "2", "-v", prog)
-		if code != 0 {
-			t.Fatalf("run %d: exit %d\n%s", i+1, code, out)
-		}
-		if !strings.Contains(out, want) {
-			t.Errorf("run %d: output missing %q:\n%s", i+1, want, out)
-		}
-		if !strings.Contains(out, wantLine) {
-			t.Errorf("run %d: program output missing %q:\n%s", i+1, wantLine, out)
-		}
-	}
-}
-
 // TestForcerunVerboseNarratesPartition pins the -v narration of the
 // chunk tier's partition choice on the benchmark's stream.force: both of
 // its prescheduled DOALLs are disjoint sweeps nothing can observe the
@@ -310,6 +265,19 @@ Join
 	out, code = runForcerun(t, time.Minute, bin, "-np", "2", "-v", prog)
 	if want := "forcerun: fuse: line 5: DOALL partition=cyclic (reads private ME)"; code != 0 || !strings.Contains(out, want) {
 		t.Errorf("exit %d, output missing %q:\n%s", code, want, out)
+	}
+
+	// The native tier narrates the same plan lines from the same plan,
+	// after its own tier line: a build on the first run of a program, a
+	// cache hit on the next.
+	env := []string{"FORCE_CACHE=" + t.TempDir()}
+	for _, tier := range []string{"forcerun: tier aot: cache miss", "forcerun: tier aot: cache hit"} {
+		out, code := runForcerunEnv(t, 3*time.Minute, env, bin, "-np", "2", "-exec", "aot", "-v", prog)
+		for _, want := range []string{tier, "forcerun: fuse: line 5: DOALL partition=cyclic (reads private ME)"} {
+			if code != 0 || !strings.Contains(out, want) {
+				t.Errorf("-exec aot: exit %d, output missing %q:\n%s", code, want, out)
+			}
+		}
 	}
 }
 

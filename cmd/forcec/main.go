@@ -37,8 +37,8 @@
 //
 //	forcec -cache [-v] [-selfsched KIND] [-reduce STRAT] [-barrier ALG] [-askfor POOL] [-chunk N] file.force
 //	    Compile the program into the ahead-of-time binary cache — the
-//	    same content-addressed store forcerun's -exec aot/auto tiers
-//	    execute from ($FORCE_CACHE or ~/.cache/force; -barrier takes
+//	    same content-addressed store forcerun's -exec aot tier
+//	    executes from ($FORCE_CACHE or ~/.cache/force; -barrier takes
 //	    twolock or sense, -askfor stealing or monitor) — and print the
 //	    cache key, status (hit or built) and binary path.  Use it to
 //	    pre-warm the cache so a program's first -exec aot run is

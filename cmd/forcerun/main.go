@@ -1,7 +1,7 @@
 // Command forcerun parses a Force program and executes it SPMD on the
 // runtime library:
 //
-//	forcerun [-np N] [-machine NAME] [-barrier ALG] [-selfsched KIND] [-askfor POOL] [-reduce STRAT] [-exec ENGINE] [-chunk N] file.force
+//	forcerun [-np N] [-machine NAME] [-barrier ALG] [-selfsched KIND] [-askfor POOL] [-reduce STRAT] [-exec chunked|compiled|tree|aot] [-fuse on|off] [-chunk N] [-v] file.force
 //
 // -np is the force size (default 4; below 1 is a usage error on every
 // tier).  -machine selects a historical machine profile (hep, flex32,
@@ -17,11 +17,12 @@
 // input.
 //
 // -exec selects the execution engine: "chunked" (the default: the
-// closure compiler plus the chunk tier, running provably safe DOALL
-// bodies as per-span tight loops over typed atomic-word accessors),
-// "compiled" (the per-iteration closure compiler, the chunk
-// tier's A/B baseline) or "tree" (the original map-addressed tree
-// walker behind one shared mutex).
+// closure compiler with the DOALL planner on — provably safe bodies are
+// chunk-compiled, block-dealt and fused), "compiled" (the same compiler
+// with the planner off, the reference its decisions are tested against),
+// "tree" (the original map-addressed tree walker behind one shared
+// mutex) or "aot" (below).  Every tier runs a DOALL as a loop over the
+// spans the runtime grants each process.
 //
 // -fuse on|off (default on) controls the chunk tier's fusion pass:
 // adjacent independent DOALLs fuse into one barrier region (exit
@@ -31,7 +32,7 @@
 // -fuse off restores one barrier per construct for A/B timing on the
 // interpreter tiers.  The native tier's binaries are always emitted
 // fused (the cache key has no fusion bit), so -fuse off together with
-// -exec aot or auto is a usage error rather than a silent no-op.  With
+// -exec aot is a usage error rather than a silent no-op.  With
 // -v each fusion decision — what fused, what declined and why — is
 // narrated on standard error, along with the chosen exec tier and
 // chunk size for the run and, per prescheduled DOALL site, how its
@@ -39,16 +40,14 @@
 // when nothing can observe the iteration-to-process map) or
 // "partition=cyclic (<reason>)".
 //
-// Two further spellings select the ahead-of-time native tier
-// (internal/aot): "aot" translates the program to Go, builds it once
-// into a content-addressed cache ($FORCE_CACHE or ~/.cache/force,
-// keyed by the AST and the semantics-affecting flags, np excluded) and
-// executes the cached binary; "auto" interprets the first -promote
-// runs of a program (default 3) and switches to the native binary once
-// it is hot.  Both fall back to the chunked interpreter when the Go
+// -exec aot selects the ahead-of-time native tier (internal/aot): it
+// translates the program to Go, builds it once into a content-addressed
+// cache ($FORCE_CACHE or ~/.cache/force, keyed by the AST and the
+// semantics-affecting flags, np excluded) and executes the cached
+// binary.  It falls back to the chunked interpreter when the Go
 // toolchain is unavailable, the build fails, or a non-native -machine
-// profile is requested.  -v reports the tier decision, cache
-// hit/miss and build time on standard error.
+// profile is requested.  -v reports the tier decision, cache hit/miss
+// and build time on standard error.
 //
 // After parsing, forcerun runs the forcevet static analyzer
 // (internal/vet): collective consistency (FV001), provable faults
@@ -59,7 +58,7 @@
 // the long-form rule behind a code.
 //
 // -chunk N sets the span size of the selfsched-chunk discipline
-// (sched.Config.ChunkSize; 0 keeps its default, 16).  It does not change
+// (sched.Config.ChunkSize; 0 keeps sched.DefaultChunk, 16).  It does not change
 // the prescheduled or selfsched-lock/selfsched-atomic span shapes, which
 // are fixed by the discipline; pick -selfsched selfsched-chunk for -chunk
 // to have an effect.
@@ -159,8 +158,8 @@ func run() error {
 		selfK   = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO and selfscheduled Pcase: selfsched-lock, selfsched-atomic or selfsched-chunk")
 		askforF = flag.String("askfor", "stealing", "Askfor pool discipline: stealing or monitor")
 		reduceF = flag.String("reduce", "slots", "global-reduction strategy: critical or slots")
-		execF   = flag.String("exec", "chunked", "execution engine: chunked (chunk-compiled DOALLs), compiled (per-iteration closures) or tree (map-addressed walker)")
-		fuseF   = flag.String("fuse", "on", "fusion pass of the chunk tier: on (elide barriers across provably independent DOALLs) or off (interpreter tiers only: a usage error with -exec aot or auto, whose binaries are always fused)")
+		execF   = flag.String("exec", "chunked", "execution engine: chunked (closure compiler, DOALL planner on), compiled (planner off), tree (map-addressed walker) or aot (cached native binary)")
+		fuseF   = flag.String("fuse", "on", "fusion pass of the chunk tier: on (elide barriers across provably independent DOALLs) or off (interpreter tiers only: a usage error with -exec aot, whose binaries are always fused)")
 		chunkN  = flag.Int("chunk", 0, "span size for the selfsched-chunk discipline (0 = its default, 16)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -168,12 +167,11 @@ func run() error {
 		wallTO  = flag.Duration("timeout", 0, "wall-clock deadline for the whole run: cancel via the runtime's external-cancellation path after this long (0 disables)")
 		vetF    = flag.String("vet", "warn", "forcevet static analysis: warn (report and run), err (report and fail), off")
 		showAST = flag.Bool("ast", false, "print a program summary before running")
-		promote = flag.Int("promote", 3, "with -exec auto, interpreted runs before promotion to the native tier")
 		verbose = flag.Bool("v", false, "report tier decisions and cache activity on standard error")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: forcerun [-np N] [-machine NAME] [-barrier ALG] [-exec ENGINE] [-fuse on|off] file.force")
+		fmt.Fprintln(os.Stderr, "usage: forcerun [-np N] [-machine NAME] [-barrier ALG] [-exec chunked|compiled|tree|aot] [-fuse on|off] file.force")
 		os.Exit(2)
 	}
 	forcert.CheckNP("forcerun", *np)
@@ -181,9 +179,9 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "forcerun: invalid -fuse mode %q (want on or off)\n", *fuseF)
 		os.Exit(2)
 	}
-	nativeTier := *execF == "aot" || *execF == "auto"
+	nativeTier := *execF == "aot"
 	if nativeTier && *fuseF == "off" {
-		fmt.Fprintf(os.Stderr, "forcerun: -fuse off cannot be combined with -exec %s: the native tier's binaries are always fused (use an interpreter tier for the A/B)\n", *execF)
+		fmt.Fprintln(os.Stderr, "forcerun: -fuse off cannot be combined with -exec aot: the native tier's binaries are always fused (use an interpreter tier for the A/B)")
 		os.Exit(2)
 	}
 	// Arm the chaos harness before anything runs; a malformed spec is a
@@ -227,15 +225,17 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// "aot" and "auto" are native tiers handled below; everything else
-	// is an interpreter engine.  The native tiers keep the chunked
-	// interpreter as their fallback engine.
-	em := interp.ExecChunked
-	if !nativeTier {
-		em, err = interp.ParseExecMode(*execF)
-		if err != nil {
-			return err
+	// "aot" is the native tier handled below; everything else is an
+	// interpreter engine.  The native tier keeps the chunked interpreter
+	// as its fallback engine.
+	em, known := interp.ExecChunked, nativeTier
+	for _, m := range interp.ExecModes() {
+		if m.String() == *execF {
+			em, known = m, true
 		}
+	}
+	if !known {
+		return fmt.Errorf("unknown -exec engine %q (want chunked, compiled, tree or aot)", *execF)
 	}
 	// Profile finalization is once-wrapped and shared with the
 	// watchdog: its give-up os.Exit(3) paths bypass these defers, and
@@ -278,7 +278,7 @@ func run() error {
 	}
 	if nativeTier {
 		opts := aot.Options{Selfsched: sk, Reduce: rk, Barrier: bk, Askfor: pool, Chunk: *chunkN}
-		ran, err := tryNative(ctx, prog, *execF, opts, *np, *machF, *promote, *verbose, *hangTO)
+		ran, err := tryNative(ctx, prog, opts, *np, *machF, *verbose, *hangTO)
 		if ran {
 			return reportDeadline(err, *wallTO)
 		}
@@ -299,12 +299,12 @@ func run() error {
 	}
 	if *verbose {
 		// Narrate the interpreter run the same way tryNative narrates the
-		// native tiers: the chosen engine, the span grain the chunk
+		// native tier: the chosen engine, the span grain the chunk
 		// discipline will use, and — for the chunk tier — every fusion
 		// decision the compiler takes.
 		chunkEff := *chunkN
 		if chunkEff == 0 {
-			chunkEff = 16 // sched.Config default for chunked selfscheduling
+			chunkEff = sched.DefaultChunk
 		}
 		fuseState := "off"
 		if em == interp.ExecChunked && *fuseF == "on" {
@@ -371,66 +371,44 @@ func reportDeadline(err error, wallTO time.Duration) error {
 }
 
 // tryNative runs prog through the ahead-of-time native tier.  It
-// returns ran=false when the run should fall back to (or, for a cold
-// "auto" program, stay on) the chunked interpreter: a non-native
-// machine profile, an unopenable cache, a missing toolchain or failed
-// build, or an "auto" program that is not hot yet.  When ran is true
-// the returned error is the program's outcome — nil or the exact
-// "force runtime: line N: ..." the interpreter tiers would report.
-func tryNative(ctx context.Context, prog *forcelang.Program, execMode string, opts aot.Options, np int, machName string, promote int, verbose bool, hangTO time.Duration) (bool, error) {
+// returns ran=false when the run should fall back to the chunked
+// interpreter: a non-native machine profile, an unopenable cache, a
+// missing toolchain or failed build.  When ran is true the returned
+// error is the program's outcome — nil or the exact "force runtime:
+// line N: ..." the interpreter tiers would report.
+func tryNative(ctx context.Context, prog *forcelang.Program, opts aot.Options, np int, machName string, verbose bool, hangTO time.Duration) (bool, error) {
 	vlog := func(format string, args ...any) {
 		if verbose {
 			fmt.Fprintf(os.Stderr, "forcerun: "+format+"\n", args...)
 		}
 	}
 	if machName != "native" {
-		vlog("tier %s: -machine %s is interpreter-only; falling back to the chunked interpreter", execMode, machName)
+		vlog("tier aot: -machine %s is interpreter-only; falling back to the chunked interpreter", machName)
 		return false, nil
 	}
 	cache, err := aot.Open("")
 	if err != nil {
-		vlog("tier %s: %v; falling back to the chunked interpreter", execMode, err)
+		vlog("tier aot: %v; falling back to the chunked interpreter", err)
 		return false, nil
 	}
-	var entry *aot.Entry
-	if execMode == "auto" {
-		if e, ok := cache.Cached(prog, opts); ok {
-			entry = e
-			vlog("tier auto: cache hit (key %.12s); running native", e.Key)
-		} else {
-			n, err := cache.RecordInterpreted(prog, opts)
-			if err != nil {
-				vlog("tier auto: run counter: %v; interpreting", err)
-				return false, nil
-			}
-			if n < promote {
-				vlog("tier auto: interpreted run %d of %d before promotion", n, promote)
-				return false, nil
-			}
-			vlog("tier auto: hot after %d interpreted runs; promoting to native", n)
+	start := time.Now()
+	entry, err := cache.EnsureContext(ctx, prog, opts)
+	if err != nil {
+		if ctx.Err() != nil {
+			// The -timeout deadline expired during the build: the run
+			// is over, not fallback material — interpreting now would
+			// overrun the very deadline the caller set.
+			return true, err
 		}
+		vlog("tier aot: %v; falling back to the chunked interpreter", err)
+		return false, nil
 	}
-	if entry == nil {
-		start := time.Now()
-		e, err := cache.EnsureContext(ctx, prog, opts)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The -timeout deadline expired during the build: the run
-				// is over, not fallback material — interpreting now would
-				// overrun the very deadline the caller set.
-				return true, err
-			}
-			vlog("tier %s: %v; falling back to the chunked interpreter", execMode, err)
-			return false, nil
-		}
-		entry = e
-		if st := cache.Stats(); st.Builds > 0 {
-			vlog("tier %s: cache %s (key %.12s); built in %v", execMode,
-				map[bool]string{true: "stale entry rebuilt", false: "miss"}[st.Stale > 0],
-				e.Key, time.Since(start).Round(time.Millisecond))
-		} else {
-			vlog("tier %s: cache hit (key %.12s)", execMode, e.Key)
-		}
+	if st := cache.Stats(); st.Builds > 0 {
+		vlog("tier aot: cache %s (key %.12s); built in %v",
+			map[bool]string{true: "stale entry rebuilt", false: "miss"}[st.Stale > 0],
+			entry.Key, time.Since(start).Round(time.Millisecond))
+	} else {
+		vlog("tier aot: cache hit (key %.12s)", entry.Key)
 	}
 	// The decisions the binary was emitted from: the lines the chunked
 	// tier narrates for the same program, from the same plan.

@@ -42,16 +42,17 @@
 //		   │                 typed by its declaration, read and written
 //		   │                 unboxed, no locks in the store; a racy program
 //		   │                 observes, per element, some whole value stored
-//		   │                 there.  A DOALL body the plan certifies is
-//		   │                 compiled in the compiler's chunk mode — loop
-//		   │                 index in the process's chunk context, uniform
-//		   │                 subexpressions hoisted, accumulators folded —
-//		   │                 and run as a per-span tight loop, a fused
-//		   │                 region as open members and one join; the same
-//		   │                 compiler with chunk mode off and the original
-//		   │                 tree walker (the test oracle) are the A/B
-//		   │                 baselines (forcerun -exec chunked|compiled|
-//		   │                 tree, -fuse=on|off)
+//		   │                 there.  Every DOALL runs as a loop over the
+//		   │                 spans core grants the process; a body the
+//		   │                 plan certifies is compiled in the compiler's
+//		   │                 chunk mode — loop index in the process's
+//		   │                 chunk context, uniform subexpressions
+//		   │                 hoisted, accumulators folded — a fused region
+//		   │                 as open members and one join; the same
+//		   │                 compiler with the planner off and the
+//		   │                 original tree walker (the test oracle) are
+//		   │                 the differential references (forcerun -exec
+//		   │                 chunked|compiled|tree, -fuse=on|off)
 //		   └── codegen       compiler back end emitting Go against core:
 //		        │            every DOALL a Go for-loop over the scheduler
 //		        │            span (block deal, span-local accumulator
@@ -62,10 +63,9 @@
 //		        ├── aot      cached native tier: a structural hash of the
 //		        │            checked AST (plus the semantics-affecting
 //		        │            options) keys a content-addressed cache of
-//		        │            go-built binaries — build once, exec forever;
-//		        │            forcerun -exec aot|auto promotes hot programs
-//		        │            from the chunked interpreter to the cached
-//		        │            binary (forcemark's native-warm workload)
+//		        │            go-built binaries — build once, exec forever
+//		        │            (forcerun -exec aot; forcemark's native-warm
+//		        │            workload)
 //		        ▼
 //		      core           the runtime: Force/Proc with every construct —
 //		        │            DOALLs, Pcase, Askfor, Resolve, barriers,
@@ -101,9 +101,11 @@
 //	    the [LO83] central monitor); selfscheduled Pcase and DOALL loops
 //	    draw from internal/sched disciplines;
 //
-//	  - internal/sched provides the loop-scheduling disciplines
-//	    (prescheduled block/cyclic, the paper's lock-based selfscheduling,
-//	    fetch-and-add, chunked);
+//	  - internal/sched provides the loop-scheduling disciplines: the
+//	    prescheduled block and cyclic deals as pure functions of (pid, np,
+//	    n), and the run-time ones (the paper's lock-based selfscheduling,
+//	    fetch-and-add, chunked) as one-episode Scheduler objects;
+//	    core.openSpans is the one place a discipline becomes spans;
 //
 //	  - internal/barrier, internal/lock, internal/asyncvar, internal/shm and
 //	    internal/machine model the machine-dependent layer of the paper:

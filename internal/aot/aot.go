@@ -2,9 +2,8 @@
 // Force AST together with the semantics-affecting configuration, emits
 // Go through internal/codegen into a content-addressed cache directory,
 // builds it once with the ordinary Go toolchain, and hands repeat
-// traffic a cached native binary.  This is the tier-promotion shape of
-// JIT/AOT hybrid runtimes applied to the paper's portability thesis:
-// one Force source, interpreted while cold, native once hot.
+// traffic a cached native binary — the paper's portability thesis with a
+// compiler behind it: one Force source, interpreted or native.
 //
 // Cache layout ($FORCE_CACHE or ~/.cache/force):
 //
@@ -12,7 +11,6 @@
 //	<key>/force.bin  the built binary (runs with -np N)
 //	<key>/meta.json  program name, options, binary size (staleness check)
 //	<key>/plan       the DOALL decisions the binary was emitted from, one per line
-//	<key>/runs       one byte per interpreted run (the auto-tier counter)
 //	<key>/lock       cross-process build lock (flock)
 //
 // The key is np-independent — np is a runtime flag of the generated
@@ -273,30 +271,6 @@ func (c *Cache) lockKey(key string) (func(), error) {
 		funlock()
 		m.Unlock()
 	}, nil
-}
-
-// RecordInterpreted bumps the interpreted-run counter for prog+opts and
-// returns the new count — the auto tier's promotion heat.  The counter
-// is one byte per run in <entry>/runs, so concurrent appenders (O_APPEND)
-// never lose a count.
-func (c *Cache) RecordInterpreted(prog *forcelang.Program, opts Options) (int, error) {
-	dir := c.entryDir(Key(prog, opts))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, fmt.Errorf("aot: %w", err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "runs"), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("aot: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write([]byte{'.'}); err != nil {
-		return 0, fmt.Errorf("aot: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return 0, fmt.Errorf("aot: %w", err)
-	}
-	return int(st.Size()), nil
 }
 
 // Run executes the cached binary at np with an optional wall-clock

@@ -151,33 +151,6 @@ Join
 	}
 }
 
-// TestRecordInterpreted: the auto tier's heat counter accumulates
-// per-entry and survives reopening the cache.
-func TestRecordInterpreted(t *testing.T) {
-	dir := t.TempDir()
-	c, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := forcelang.MustParse(runSrc)
-	for want := 1; want <= 3; want++ {
-		n, err := c.RecordInterpreted(prog, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != want {
-			t.Errorf("run %d counted as %d", want, n)
-		}
-	}
-	c2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := c2.RecordInterpreted(prog, Options{}); err != nil || n != 4 {
-		t.Errorf("reopened counter: n=%d err=%v", n, err)
-	}
-}
-
 // TestOpenEnvDefault: Open("") honours FORCE_CACHE.
 func TestOpenEnvDefault(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cachehome")

@@ -16,24 +16,22 @@ package codegen
 //	}
 //
 // so an iteration costs its body, not a scheduler call and two closure
-// dispatches, and a peer's failure still unwinds a process within 256
-// iterations of a long span.  What internal/plan proves about the body
-// selects the refinements, none decided here: a mapping-insensitive
-// Presched body is dealt in contiguous blocks (the index left where the
-// cyclic deal would leave it); a folded accumulator becomes a span-local
+// dispatches, and a peer's failure still unwinds a process within
+// core.PoisonEvery (the 256) iterations of a long span.  What
+// internal/plan proves about the body selects the refinements, none
+// decided here: a mapping-insensitive Presched body is dealt in
+// contiguous blocks (the index left where the cyclic deal would leave
+// it); a folded accumulator becomes a span-local
 // partial with one atomic fold at the end of the span; and a fused
 // region's members run through DoAllChunkedOpen, closed by one FusedJoin.
 // A body with no plan (it blocks, calls out or prints) takes the loop as
 // written above, with the cyclic deal and nothing folded.
 
 import (
+	"repro/internal/core"
 	"repro/internal/forcelang"
 	"repro/internal/plan"
 )
-
-// poisonEvery bounds how many span iterations run between poison checks
-// (the interpreter's chunk tier uses the same interval).
-const poisonEvery = 256
 
 // doAll emits one DOALL as a span loop.  pl is the body's plan (nil: no
 // fact proven); open emits a fused-region member (no exit barrier — the
@@ -99,7 +97,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 	if err := g.stmts(t.Body); err != nil {
 		return err
 	}
-	g.p("if zzC++; zzC == %d {", poisonEvery)
+	g.p("if zzC++; zzC == %d {", core.PoisonEvery)
 	g.ind++
 	g.p("zzC = 0")
 	g.p("p.Check()")

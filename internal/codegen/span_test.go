@@ -191,7 +191,7 @@ func TestSpanGoldens(t *testing.T) {
 // TestNoPerIterationEmission: one emission path — no DOALL, planned or
 // not, is ever emitted against the per-index entry points.
 func TestNoPerIterationEmission(t *testing.T) {
-	perIndex := regexp.MustCompile(`p\.(PreschedDo2?|SelfschedDo2?|DoAll2?|ChunkDo|SelfschedAtomicDo|PreschedBlockDo)\(`)
+	perIndex := regexp.MustCompile(`p\.(PreschedDo2?|SelfschedDo2?|DoAll2?|ChunkDo|PreschedBlockDo)\(`)
 	for _, tc := range spanCases {
 		src, err := Generate(forcelang.MustParse(tc.src), Options{})
 		if err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -141,6 +142,50 @@ func TestAbortInsideConstructs(t *testing.T) {
 			// Reuse after each abort.
 			f.Run(func(p *Proc) { p.Barrier() })
 		})
+	}
+}
+
+// TestAbortInsideBlockSpan pins the in-span poison cadence of the
+// per-index entry points: pid 0 fails on its first index of a long
+// block-dealt loop while its peers are inside their own blocks; each peer
+// must stop within PoisonEvery iterations of the poison, not at the end
+// of its 250 000-iteration block.
+func TestAbortInsideBlockSpan(t *testing.T) {
+	const np, n = 4, 1_000_000
+	f := New(np)
+	defer f.Close()
+	var after [np]struct {
+		n int // iterations this process ran once the force was poisoned
+		_ [56]byte
+	}
+	var inside atomic.Int32 // peers holding their first iteration
+	v := runExpectPanic(t, f, func(p *Proc) {
+		p.PreschedBlockDo(sched.Seq(n), func(i int) {
+			if p.ID() == 0 {
+				for inside.Load() < np-1 {
+					runtime.Gosched()
+				}
+				panic(errBoom)
+			}
+			c := &after[p.ID()]
+			if c.n == 0 {
+				// Hold the first iteration until the failure has landed,
+				// so every iteration counted below runs poisoned.
+				inside.Add(1)
+				for !f.Fault().Poisoned() {
+					runtime.Gosched()
+				}
+			}
+			c.n++
+		})
+	})
+	if v != any(errBoom) {
+		t.Fatalf("Run re-panicked %v, want %v", v, errBoom)
+	}
+	for pid := 1; pid < np; pid++ {
+		if got := after[pid].n; got > 2*PoisonEvery {
+			t.Errorf("process %d ran %d iterations after the poison, want at most %d", pid, got, 2*PoisonEvery)
+		}
 	}
 }
 

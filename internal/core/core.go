@@ -202,8 +202,8 @@ func WithChunk(n int) Option {
 }
 
 // WithTrace attaches an execution-trace recorder; every construct edge
-// (barrier enter/leave, section and critical boundaries, loop iterations,
-// Pcase blocks, Askfor tasks) is recorded for post-run validation.
+// (barrier enter/leave, section and critical boundaries, granted loop
+// spans, Pcase blocks, Askfor tasks) is recorded for post-run validation.
 func WithTrace(r *trace.Recorder) Option {
 	return func(f *Force) { f.tr = r }
 }
@@ -724,77 +724,53 @@ func (p *Proc) Critical(name string, body func()) {
 	})
 }
 
-// loop is the shared implementation of every DOALL variant: materialize
-// the instance's scheduler, drive it, and close the construct with the
-// paper's exit synchronization (no process leaves before all have arrived;
-// the loop cannot be reentered before all have left).
-func (p *Proc) loop(kind sched.Kind, r sched.Range, body func(i int)) {
-	p.f.pc.Check()
-	p.f.stats.Loops.Add(1)
-	seq := p.nextSeq()
-	cfg := sched.Config{ChunkSize: p.f.chunk, LockFactory: p.f.profile.LockFactory()}
-	s := p.f.entry(seq, func() any { return sched.New(kind, p.f.np, r, cfg) }).(sched.Scheduler)
-	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
-	p.enterSite(&siteLoop)
-	// DriveWith already checks poison once per scheduler span; keep the
-	// per-index path equally lean by hoisting the trace plumbing out of
-	// the hot loop — without a recorder the body is dispatched bare, and
-	// with one the kind name (a map lookup) is computed once, not per
-	// iteration.
-	drive := func(_, i int) { body(i) }
-	if p.f.tr != nil {
-		ks := kind.String()
-		drive = func(_, i int) {
-			p.f.tr.Record(p.id, trace.LoopIter, ks, int64(i))
+// PoisonEvery bounds how many iterations of one granted span run between
+// poison checks (one atomic load each, noise at this interval).  Together
+// with the check openSpans makes before every grant it is the abort
+// cadence of every DOALL on every tier: the per-index adapter below
+// (DoAll), the interpreter's span loops and the Go emitter all read it.
+const PoisonEvery = 256
+
+// DoAll runs the loop under an explicitly chosen discipline.  It is every
+// per-index DOALL entry point: the span construct (DoAllChunked) with body
+// called once per index of each granted span.
+func (p *Proc) DoAll(kind sched.Kind, r sched.Range, body func(i int)) {
+	p.DoAllChunked(kind, r, func(lo, hi, stride int) {
+		i, di, ctr := r.Start+lo*r.Incr, stride*r.Incr, 0
+		for k := lo; k < hi; k += stride {
 			body(i)
+			i += di
+			if ctr++; ctr == PoisonEvery {
+				ctr = 0
+				p.f.pc.Check()
+			}
 		}
-	}
-	sched.DriveWith(p.f.pc, s, p.id, r, drive)
-	p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
-	p.leaveSite()
-	p.f.tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
+	})
 }
 
 // PreschedDo is the prescheduled DOALL: indices are dealt cyclically as a
 // pure function of the process id — "completely machine independent, since
 // only the number of executing processes is needed" (§4.2).
 func (p *Proc) PreschedDo(r sched.Range, body func(i int)) {
-	p.loop(sched.PreschedCyclic, r, body)
+	p.DoAll(sched.PreschedCyclic, r, body)
 }
 
 // PreschedBlockDo is the blocked prescheduled variant (contiguous index
 // blocks per process).
 func (p *Proc) PreschedBlockDo(r sched.Range, body func(i int)) {
-	p.loop(sched.PreschedBlock, r, body)
+	p.DoAll(sched.PreschedBlock, r, body)
 }
 
 // SelfschedDo is the selfscheduled DOALL of the paper's expansion listing:
 // a shared loop index behind the machine's lock, advanced by processes
 // looking for more work.
 func (p *Proc) SelfschedDo(r sched.Range, body func(i int)) {
-	p.loop(sched.SelfLock, r, body)
-}
-
-// SelfschedAtomicDo is the fetch-and-add ablation of the selfscheduled
-// loop.
-func (p *Proc) SelfschedAtomicDo(r sched.Range, body func(i int)) {
-	p.loop(sched.SelfAtomic, r, body)
+	p.DoAll(sched.SelfLock, r, body)
 }
 
 // ChunkDo is chunked selfscheduling (chunk size from WithChunk).
 func (p *Proc) ChunkDo(r sched.Range, body func(i int)) {
-	p.loop(sched.Chunk, r, body)
-}
-
-// DoAll runs the loop under an explicitly chosen discipline.
-func (p *Proc) DoAll(kind sched.Kind, r sched.Range, body func(i int)) {
-	p.loop(kind, r, body)
-}
-
-// DoAll2 runs a doubly nested loop under an explicitly chosen discipline,
-// distributing index pairs.
-func (p *Proc) DoAll2(kind sched.Kind, r1, r2 sched.Range, body func(i, j int)) {
-	p.loop2(kind, r1, r2, body)
+	p.DoAll(sched.Chunk, r, body)
 }
 
 // ChunkBody executes a whole scheduler span in one call: the ordinals
@@ -803,15 +779,15 @@ func (p *Proc) DoAll2(kind sched.Kind, r1, r2 sched.Range, body func(i, j int)) 
 // is expressed as one strided span per process.
 type ChunkBody func(lo, hi, stride int)
 
-// DoAllChunked is the chunk-granular DOALL: scheduler spans are forwarded
-// to the body WHOLE instead of being shredded into one-index dispatches.
-// Poison is checked once per span before the chunk runs (long chunks
-// should call Check periodically themselves to keep abort latency
-// bounded), the watchdog site covers the construct, and the paper's exit
-// synchronization closes it exactly as DoAll does.  No per-iteration
-// LoopIter trace events are emitted — callers needing an iteration-level
-// trace should use DoAll.  It is the open construct (fused.go) plus its
-// own exit barrier, which retires a selfscheduled construct's entry.
+// DoAllChunked is the DOALL: the spans openSpans (fused.go) deals this
+// process are forwarded to the body WHOLE, and the paper's exit
+// synchronization closes the construct (no process leaves before all have
+// arrived; the loop cannot be reentered before all have left), retiring a
+// selfscheduled construct's entry.  Poison is checked before every grant;
+// a body looping over a long span checks every PoisonEvery iterations
+// itself (Check) to keep abort latency bounded, as DoAll does for the
+// per-index entry points.  The watchdog site covers the construct, and a
+// recorder sees one LoopSpan event per grant.
 func (p *Proc) DoAllChunked(kind sched.Kind, r sched.Range, chunk ChunkBody) {
 	seq, entry := p.openSpans(kind, r, chunk)
 	if entry {
@@ -831,13 +807,14 @@ func (p *Proc) DoAll2Chunked(kind sched.Kind, r1, r2 sched.Range, chunk ChunkBod
 	p.DoAllChunked(kind, sched.Seq(r1.Count()*r2.Count()), chunk)
 }
 
-// loop2 flattens a doubly nested loop into one ordinal space so that index
+// DoAll2 runs a doubly nested loop under an explicitly chosen discipline.
+// The two ranges are flattened into one ordinal space so that index
 // *pairs* are the unit of distribution, the paper's "doubly nested loops"
 // (§3.3).
-func (p *Proc) loop2(kind sched.Kind, r1, r2 sched.Range, body func(i, j int)) {
+func (p *Proc) DoAll2(kind sched.Kind, r1, r2 sched.Range, body func(i, j int)) {
 	n2 := r2.Count()
 	flat := sched.Seq(r1.Count() * n2)
-	p.loop(kind, flat, func(k int) {
+	p.DoAll(kind, flat, func(k int) {
 		body(r1.Index(k/n2), r2.Index(k%n2))
 	})
 }
@@ -845,13 +822,13 @@ func (p *Proc) loop2(kind sched.Kind, r1, r2 sched.Range, body func(i, j int)) {
 // PreschedDo2 distributes the index pairs of a doubly nested loop
 // prescheduled.
 func (p *Proc) PreschedDo2(r1, r2 sched.Range, body func(i, j int)) {
-	p.loop2(sched.PreschedCyclic, r1, r2, body)
+	p.DoAll2(sched.PreschedCyclic, r1, r2, body)
 }
 
 // SelfschedDo2 distributes the index pairs of a doubly nested loop
 // selfscheduled.
 func (p *Proc) SelfschedDo2(r1, r2 sched.Range, body func(i, j int)) {
-	p.loop2(sched.SelfLock, r1, r2, body)
+	p.DoAll2(sched.SelfLock, r1, r2, body)
 }
 
 // Block is one Pcase section: an independent single-stream code block,

@@ -165,8 +165,10 @@ func loopVariants() map[string]func(p *Proc, r sched.Range, body func(int)) {
 		"presched":       (*Proc).PreschedDo,
 		"presched-block": (*Proc).PreschedBlockDo,
 		"selfsched":      (*Proc).SelfschedDo,
-		"self-atomic":    (*Proc).SelfschedAtomicDo,
-		"chunk":          (*Proc).ChunkDo,
+		"self-atomic": func(p *Proc, r sched.Range, body func(int)) {
+			p.DoAll(sched.SelfAtomic, r, body)
+		},
+		"chunk": (*Proc).ChunkDo,
 	}
 }
 

@@ -27,11 +27,13 @@ import (
 
 var siteFused = "fused DOALL+reduction"
 
-// openSpans deals this process its spans of one chunk-granular DOALL and
-// runs them, leaving the construct open (site entered, no exit
-// synchronization): the part DoAllChunked and DoAllChunkedOpen share.
-// entry reports a selfscheduled construct, whose scheduler entry the
-// caller's closing collective must retire.
+// openSpans deals this process its spans of one DOALL and runs them,
+// leaving the construct open (site entered, no exit synchronization): the
+// part DoAllChunked and DoAllChunkedOpen share, and the only code that
+// turns (discipline, pid, np, range) into work.  The prescheduled deals
+// are pure functions of the process id — one span, no shared state; a
+// selfscheduled discipline materializes the instance's sched.Scheduler,
+// and entry reports that the caller's closing collective must retire it.
 func (p *Proc) openSpans(kind sched.Kind, r sched.Range, chunk ChunkBody) (seq uint64, entry bool) {
 	p.f.pc.Check()
 	p.f.stats.Loops.Add(1)
@@ -39,13 +41,19 @@ func (p *Proc) openSpans(kind sched.Kind, r sched.Range, chunk ChunkBody) (seq u
 	n := r.Count()
 	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
 	p.enterSite(&siteLoop)
+	if tr := p.f.tr; tr != nil {
+		// Every grant is recorded as the index values it covers.
+		run, name := chunk, kind.String()
+		chunk = func(lo, hi, stride int) {
+			tr.Add(trace.Event{PID: p.id, Kind: trace.LoopSpan, Name: name, Arg: int64(r.Index(lo)),
+				Count: int64((hi - lo + stride - 1) / stride), Step: int64(stride * r.Incr)})
+			run(lo, hi, stride)
+		}
+	}
 	switch kind {
 	case sched.PreschedCyclic:
-		// Cyclic dealing is a pure function of the process id: ordinals
-		// id, id+np, id+2np, ... — a single strided span, no shared
-		// scheduler state needed.
-		if p.id < n {
-			chunk(p.id, n, p.f.np)
+		if lo, hi, stride := sched.CyclicSpan(p.id, p.f.np, n); lo < hi {
+			chunk(lo, hi, stride)
 		}
 		return seq, false
 	case sched.PreschedBlock:
@@ -70,7 +78,7 @@ func (p *Proc) openSpans(kind sched.Kind, r sched.Range, chunk ChunkBody) (seq u
 // like DoAllChunked but leaves the construct OPEN: no exit barrier is
 // executed, and the watchdog site stays entered.  The caller must
 // close the construct with FusedJoin on every process.  Poison is
-// checked once per span, as in DoAllChunked.
+// checked before every grant, as in DoAllChunked.
 func (p *Proc) DoAllChunkedOpen(kind sched.Kind, r sched.Range, chunk ChunkBody) {
 	seq, entry := p.openSpans(kind, r, chunk)
 	if entry {

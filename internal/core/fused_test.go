@@ -133,6 +133,26 @@ func TestRunSteadyStateZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
+// The per-index entry points ride the same span path: a warm force
+// running prescheduled per-index episodes allocates nothing either — no
+// scheduler object, no construct entry, no per-Run closure.
+func TestPerIndexSteadyStateZeroAllocs(t *testing.T) {
+	for _, np := range []int{1, 2} {
+		f := New(np)
+		var sink atomic.Int64
+		each := func(i int) { sink.Add(int64(i)) }
+		body := func(p *Proc) {
+			p.PreschedDo(sched.Seq(64), each)
+			p.PreschedBlockDo(sched.Range{Start: 64, Last: 1, Incr: -1}, each)
+		}
+		f.Run(body)
+		if avg := testing.AllocsPerRun(100, func() { f.Run(body) }); avg != 0 {
+			t.Errorf("np=%d: per-index prescheduled episodes allocate %v objects/Run, want 0", np, avg)
+		}
+		f.Close()
+	}
+}
+
 // BenchmarkRunSteadyState is the committed allocs/op evidence for the
 // zero-allocation steady state: a warm persistent force running a
 // small fused kernel per op.  Run with -benchmem.

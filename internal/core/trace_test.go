@@ -65,27 +65,61 @@ func TestTracedCriticalExclusion(t *testing.T) {
 }
 
 // TestTracedLoopCoverage validates exactly-once iteration execution from
-// the log for each discipline.
+// the log's LoopSpan events for each discipline, through the per-index and
+// the span entry points alike (one path, one granularity), and that the
+// log has one event per grant: one per process under a prescheduled deal,
+// one per iteration under selfsched-lock.
 func TestTracedLoopCoverage(t *testing.T) {
-	r := sched.Range{Start: 3, Last: 60, Incr: 3}
+	r := sched.Range{Start: 60, Last: 3, Incr: -3}
 	var want []int64
 	for k := 0; k < r.Count(); k++ {
 		want = append(want, int64(r.Index(k)))
 	}
-	for _, kind := range []sched.Kind{sched.PreschedBlock, sched.PreschedCyclic, sched.SelfLock, sched.Chunk} {
-		rec := trace.New(0)
-		f := New(4, WithTrace(rec))
-		f.Run(func(p *Proc) {
-			p.DoAll(kind, r, func(i int) {})
-		})
-		if err := trace.CheckLoopCoverage(rec.Events(), want); err != nil {
-			t.Errorf("%v: %v", kind, err)
+	const np = 4
+	spans := map[sched.Kind]int{sched.PreschedBlock: np, sched.PreschedCyclic: np, sched.SelfLock: r.Count()}
+	for _, kind := range sched.Kinds() {
+		for _, perIndex := range []bool{true, false} {
+			rec := trace.New(0)
+			f := New(np, WithTrace(rec), WithChunk(4))
+			f.Run(func(p *Proc) {
+				if perIndex {
+					p.DoAll(kind, r, func(i int) {})
+				} else {
+					p.DoAllChunked(kind, r, func(lo, hi, stride int) {})
+				}
+			})
+			f.Close()
+			if err := trace.CheckLoopCoverage(rec.Events(), want); err != nil {
+				t.Errorf("%v per-index=%v: %v", kind, perIndex, err)
+			}
+			if n, ok := spans[kind]; ok && len(trace.Filter(rec.Events(), trace.LoopSpan)) != n {
+				t.Errorf("%v per-index=%v: %d span events, want %d", kind, perIndex,
+					len(trace.Filter(rec.Events(), trace.LoopSpan)), n)
+			}
+			starts := trace.Filter(rec.Events(), trace.LoopStart)
+			ends := trace.Filter(rec.Events(), trace.LoopEnd)
+			if len(starts) != np || len(ends) != np {
+				t.Errorf("%v: %d starts, %d ends, want %d each", kind, len(starts), len(ends), np)
+			}
 		}
-		starts := trace.Filter(rec.Events(), trace.LoopStart)
-		ends := trace.Filter(rec.Events(), trace.LoopEnd)
-		if len(starts) != 4 || len(ends) != 4 {
-			t.Errorf("%v: %d starts, %d ends, want 4 each", kind, len(starts), len(ends))
-		}
+	}
+}
+
+// TestTracedLoop2FlatOrdinals: a two-index loop's spans carry flat
+// ordinals of the pair space.
+func TestTracedLoop2FlatOrdinals(t *testing.T) {
+	rec := trace.New(0)
+	f := New(3, WithTrace(rec))
+	defer f.Close()
+	f.Run(func(p *Proc) {
+		p.PreschedDo2(sched.Range{Start: 5, Last: 1, Incr: -2}, sched.Seq(4), func(i, j int) {})
+	})
+	want := make([]int64, 3*4)
+	for k := range want {
+		want[k] = int64(k)
+	}
+	if err := trace.CheckLoopCoverage(rec.Events(), want); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -113,7 +147,8 @@ func TestTracedPcaseAndAskfor(t *testing.T) {
 	}
 }
 
-// TestTraceThroughResolve: sub-forces inherit the recorder.
+// TestTraceThroughResolve: sub-forces inherit the recorder, for critical
+// sections and for the spans of a component's own DOALL.
 func TestTraceThroughResolve(t *testing.T) {
 	rec := trace.New(0)
 	f := New(4, WithTrace(rec))
@@ -121,12 +156,16 @@ func TestTraceThroughResolve(t *testing.T) {
 		p.Resolve(
 			Component{Weight: 1, Body: func(sp *Proc) {
 				sp.Critical("inner", func() {})
+				sp.PreschedDo(sched.Seq(7), func(i int) {})
 			}},
 			Component{Weight: 1, Body: func(sp *Proc) {
 				sp.Critical("inner", func() {})
 			}},
 		)
 	})
+	if err := trace.CheckLoopCoverage(rec.Events(), []int64{0, 1, 2, 3, 4, 5, 6}); err != nil {
+		t.Error(err)
+	}
 	if err := trace.CheckCriticalExclusion(rec.Events(), "inner"); err != nil {
 		t.Error(err)
 	}

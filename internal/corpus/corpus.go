@@ -897,6 +897,61 @@ End Presched DO
 Print 'two', ME, I, J, G(5, 7)
 Join
 `},
+	// Bodies no plan covers (a Call in each), on the edges of the one
+	// span lowering every tier gives them: a two-index loop whose inner
+	// index runs backwards, the index pair handed to the callee by
+	// reference and printed per process afterwards ...
+	{"unplanned-doall2-negative-inner", 0, `Force UD2 of NP ident ME
+Shared Integer G(4, 6)
+Private Integer I, J
+End Declarations
+I = 0 - 9
+J = 0 - 9
+Presched DO I = 1, 4 also J = 6, 1, -1
+  Call CELL(G(I, J), I, J)
+End Presched DO
+Print 'after', ME, I, J
+Barrier
+  DO I = 1, 4
+    Print 'row', I, G(I, 1), G(I, 2), G(I, 3), G(I, 4), G(I, 5), G(I, 6)
+  End DO
+End Barrier
+Join
+Forcesub CELL(X, A, B)
+Shared Integer X
+Private Integer A, B
+End Declarations
+X = A * 10 + B
+Endsub
+`},
+	// ... and zero-trip loops under both disciplines: no iteration, no
+	// store to the index, and the exit synchronization still closes them.
+	{"unplanned-zero-trip", 0, `Force UZT of NP ident ME
+Shared Integer S
+Private Integer I
+End Declarations
+I = 0 - 9
+Barrier
+  S = 0
+End Barrier
+Selfsched DO I = 5, 1
+  Critical B
+    Call BUMP(S)
+  End Critical
+End Selfsched DO
+Presched DO I = 1, 0
+  Critical B
+    Call BUMP(S)
+  End Critical
+End Presched DO
+Print 'zero', ME, I, S
+Join
+Forcesub BUMP(Z)
+Shared Integer Z
+End Declarations
+Z = Z + 1
+Endsub
+`},
 }
 
 // Fusion is the fusion-pass matrix: programs shaped so the chunk tier's

@@ -1,47 +1,46 @@
 package interp
 
 // The chunk tier: the SPMD-on-spans execution of DOALL bodies.  There is
-// one closure compiler (compile.go); for a DOALL body the shared
-// classifier (internal/plan) approves, that compiler runs in chunk mode
-// — its plan field set while the body is compiled — and the construct
-// executes the resulting closures once per scheduler span
-// (core.DoAllChunked) instead of once per index.  Chunk mode changes three things, all defined here:
+// one closure compiler (compile.go) and one way a DOALL runs: its body,
+// once per index of every span core.DoAllChunked grants the process.  For
+// a body the shared classifier (internal/plan) approves, the compiler
+// runs in chunk mode — its plan field set while the body is compiled —
+// which changes three things, all defined here:
 //
 //   - the loop index lives in the process's chunk context (cproc.k.i /
 //     .j), never re-stored through the frame per iteration; the frame
-//     slot receives the last executed index when the chunk ends,
-//     matching the per-iteration path's observable final value.
+//     slot receives the last executed index when the span ends, the
+//     value the plan-less loop leaves there.
 //   - uniform subexpressions (hoistable) are compiled with the plan
 //     cleared and evaluated ONCE per construct execution into the
 //     context's typed slots; the iteration loop reads slots.  Only
 //     non-panicking expressions hoist (no integer division, MOD or
-//     SQRT), so hoisting can never surface an error a per-iteration run
-//     would not.
+//     SQRT), so hoisting can never surface an error a per-iteration
+//     evaluation would not.
 //   - accumulator scalars (S = S + e, S = MAX(S, e), S = MIN(S, e))
-//     accumulate into a private per-chunk slot (accAssign) and fold into
-//     the shared cell with one atomic RMW at chunk end — an add for
+//     accumulate into a private per-span slot (accAssign) and fold into
+//     the shared cell with one atomic RMW at span end — an add for
 //     sums, a strict compare-and-swap for extrema — before the
 //     construct's exit barrier, so post-loop readers see the total.
 //
-// Everything else — arithmetic, coercions, intrinsics, subscripts, the
-// typed atomic-word loads and stores, every runtime error — is the
-// ordinary compiler's, so the chunk tier and the per-iteration path
-// cannot disagree on it.  Poison is checked once per span by the runtime
-// and every 256 iterations inside the chunk, keeping the abort latency
-// in the milliseconds even for giant prescheduled spans.
+// A body with no plan compiles in ordinary mode and stores its index
+// through the frame every iteration (chunkParDo).  Everything else —
+// arithmetic, coercions, intrinsics, subscripts, the typed atomic-word
+// loads and stores, every runtime error — is the ordinary compiler's, so
+// the two loops cannot disagree on it.  Poison is checked before every
+// grant by the runtime and every core.PoisonEvery iterations inside one,
+// keeping the abort latency in the milliseconds even for giant
+// prescheduled spans.
 
 import (
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
 	"repro/internal/plan"
 	"repro/internal/sched"
 )
-
-// poisonEvery bounds how many chunk iterations run between poison
-// checks (one atomic load each, amortized to noise at this interval).
-const poisonEvery = 256
 
 // chunkPlan is the classifier's verdict for one DOALL, extended while
 // its body is compiled in chunk mode with the hoisted uniform
@@ -152,43 +151,36 @@ func (kc *kctx) flush(accs []accCell) {
 	kc.seed(accs)
 }
 
-// chunkTier reports whether DOALLs may be chunk-compiled at all: only
-// under ExecChunked, and not under an iteration-level trace — chunk
-// execution emits no per-iteration LoopIter events, so traced runs stay
-// on the per-iteration path where validation sees the edges it expects.
-func (c *compiler) chunkTier() bool {
-	return c.in.cfg.Exec == ExecChunked && c.in.cfg.Trace == nil
-}
+// chunkTier reports whether the planner runs at all: only under
+// ExecChunked.  ExecCompiled is "the planner is off" — every DOALL takes
+// the span loop with no plan — which is what makes it the differential
+// reference for the planner's decisions.
+func (c *compiler) chunkTier() bool { return c.in.cfg.Exec == ExecChunked }
 
-// tryChunkParDo compiles t as a chunked DOALL, or returns nil when the
-// chunk tier is off or the classifier finds the body unsafe — the caller
-// then emits the per-iteration path.
-func (c *compiler) tryChunkParDo(t *forcelang.ParDo) stmtFn {
-	if !c.chunkTier() {
-		return nil
-	}
-	p := plan.DoAll(t, c.planLog())
-	if p == nil {
-		return nil
-	}
-	return c.chunkParDo(t, p, false, p.Block())
-}
-
-// chunkParDo compiles the chunk-tier execution of t against its plan:
-// the body in chunk mode, the loop header outside it.  When open is true
-// the construct is emitted as a member of a fused region: spans run
-// through DoAllChunkedOpen and no exit barrier is executed — the caller
-// must close the region with a FusedJoin on every process.  block deals
-// a prescheduled loop in contiguous blocks instead of cyclically;
-// callers pass it only when the plan allows (for a fused region, every
-// member's).
+// chunkParDo compiles t — every DOALL of the closure compiler — as a span
+// loop against its plan: the body in chunk mode, the loop header outside
+// it.  A nil plan proves nothing about the body (it calls out, blocks,
+// prints or writes its index; or the planner is off, ExecCompiled): the
+// body compiles in ordinary mode behind a first statement that stores the
+// index through the frame every iteration, nothing is hoisted or folded,
+// a prescheduled loop keeps the cyclic deal, and the loop variable is
+// left as the last iteration left it — the loop the Go emitter writes for
+// a nil plan.  When open is true the construct is emitted as a member of
+// a fused region: spans run through DoAllChunkedOpen and no exit barrier
+// is executed — the caller must close the region with a FusedJoin on
+// every process.  block deals a prescheduled loop in contiguous blocks
+// instead of cyclically; callers pass it only when the plan allows (for
+// a fused region, every member's).
 func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool) stmtFn {
 	cp := &chunkPlan{Plan: p}
-	c.plan = cp
-	body := c.stmts(t.Body)
-	c.plan = nil
-	accCells := make([]accCell, len(p.AccRecs))
-	for i, rec := range p.AccRecs {
+	planned := p != nil
+	body := c.spanBody(t, cp)
+	var recs []plan.AccRec
+	if planned {
+		recs = p.AccRecs
+	}
+	accCells := make([]accCell, len(recs))
+	for i, rec := range recs {
 		accCells[i] = accCell{cell: c.in.scalar(rec.Sym), op: rec.Op, real: rec.Real}
 	}
 	rangeF := c.rangeFn(t.From, t.To, t.Step)
@@ -226,10 +218,13 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 					kc.i = i
 					runBody(body, pr, fr)
 					i += di
-					if ctr++; ctr == poisonEvery {
+					if ctr++; ctr == core.PoisonEvery {
 						ctr = 0
 						pr.p.Check()
 					}
+				}
+				if !planned {
+					return
 				}
 				last := i - di
 				if block {
@@ -266,10 +261,13 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 			for kk := lo; kk < hi; kk += stride {
 				kc.i, kc.j = int64(r.Index(kk/n2)), int64(r2.Index(kk%n2))
 				runBody(body, pr, fr)
-				if ctr++; ctr == poisonEvery {
+				if ctr++; ctr == core.PoisonEvery {
 					ctr = 0
 					pr.p.Check()
 				}
+			}
+			if !planned {
+				return
 			}
 			if block {
 				kk := sched.CyclicLast(pr.p.ID(), pr.p.NP(), r.Count()*n2)
@@ -281,6 +279,29 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 		}
 		pr.p.DoAll2Chunked(kind, r, r2, chunkFn)
 	}
+}
+
+// spanBody compiles t's body for chunkParDo's loops: in chunk mode against
+// the plan, or — no plan — in ordinary mode behind a first statement that
+// takes the index the loop left in the chunk context and stores it through
+// the frame.
+func (c *compiler) spanBody(t *forcelang.ParDo, cp *chunkPlan) []stmtFn {
+	if cp.Plan != nil {
+		c.plan = cp
+		body := c.stmts(t.Body)
+		c.plan = nil
+		return body
+	}
+	storeVar := c.intVarStore(t.VarSym, t.Pos())
+	store := func(pr *cproc, fr *frame) { storeVar(pr, fr, pr.k.i) }
+	if t.Inner != nil {
+		storeInner := c.intVarStore(t.Inner.VarSym, t.Pos())
+		store = func(pr *cproc, fr *frame) {
+			storeVar(pr, fr, pr.k.i)
+			storeInner(pr, fr, pr.k.j)
+		}
+	}
+	return append([]stmtFn{store}, c.stmts(t.Body)...)
 }
 
 // accAssign compiles one folded accumulator statement into its

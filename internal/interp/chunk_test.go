@@ -401,11 +401,12 @@ func TestPartitionDecisions(t *testing.T) {
 }
 
 // TestChunkedAbortLatency errors one iteration deep inside a large
-// chunked DOALL: the failing process poisons the force mid-chunk and
-// its peers, spinning through their own chunks, must notice via the
-// in-chunk poison checks and unwind promptly — well under the
-// watchdog-scale timeout, at chunk sizes where waiting for the chunk
-// to finish would be the bug.
+// DOALL: the failing process poisons the force mid-span and its peers,
+// spinning through their own spans, must notice via the in-span poison
+// checks and unwind promptly — well under the watchdog-scale timeout, at
+// span sizes where waiting for the span to finish would be the bug.  Both
+// lowerings share the one cadence: the planned span loop (ExecChunked)
+// and the plan-less one (ExecCompiled).
 func TestChunkedAbortLatency(t *testing.T) {
 	prog := forcelang.MustParse(`Force ABT of NP ident ME
 Shared Real A(400000)
@@ -416,18 +417,20 @@ Presched DO I = 1, 400000
 End Presched DO
 Join
 `)
-	for _, np := range []int{2, 8} {
-		start := time.Now()
-		err := Run(prog, Config{NP: np, Exec: ExecChunked})
-		elapsed := time.Since(start)
-		if err == nil {
-			t.Fatalf("np=%d: no error", np)
-		}
-		if !strings.Contains(err.Error(), "force runtime") {
-			t.Fatalf("np=%d: unexpected error %v", np, err)
-		}
-		if elapsed > 10*time.Second {
-			t.Errorf("np=%d: abort took %v — in-chunk poison checks not bounding latency", np, elapsed)
+	for _, exec := range []ExecMode{ExecChunked, ExecCompiled} {
+		for _, np := range []int{2, 8} {
+			start := time.Now()
+			err := Run(prog, Config{NP: np, Exec: exec})
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatalf("%v np=%d: no error", exec, np)
+			}
+			if !strings.Contains(err.Error(), "force runtime") {
+				t.Fatalf("%v np=%d: unexpected error %v", exec, np, err)
+			}
+			if elapsed > 10*time.Second {
+				t.Errorf("%v np=%d: abort took %v — in-span poison checks not bounding latency", exec, np, elapsed)
+			}
 		}
 	}
 }

@@ -16,7 +16,8 @@ package interp
 // scalar-reference leaf (refInt: a loop index reads the chunk context),
 // the entry of cInt/cReal/cBool (uniform hoisting) and assign (folded
 // accumulators).  Arithmetic, coercion, intrinsic, divide/MOD-by-zero
-// and subscript-range semantics therefore exist once for both tiers.
+// and subscript-range semantics therefore exist once for planned and
+// plan-less bodies.
 
 import (
 	"fmt"
@@ -308,51 +309,15 @@ func (c *compiler) intVarStore(sym *forcelang.Symbol, line int) func(pr *cproc, 
 	}
 }
 
+// parDo compiles one unfused DOALL against its plan.  The planner
+// (internal/plan) is asked only under ExecChunked; a body it declines —
+// every body, under ExecCompiled — has none.
 func (c *compiler) parDo(t *forcelang.ParDo) stmtFn {
-	// Chunk tier first (ExecChunked only): bodies the classifier proves
-	// safe run as per-span tight loops; everything else — and every
-	// body under ExecCompiled or an iteration-level trace — takes the
-	// per-iteration path below.
-	if fn := c.tryChunkParDo(t); fn != nil {
-		return fn
+	var p *plan.Plan
+	if c.chunkTier() {
+		p = plan.DoAll(t, c.planLog())
 	}
-	rangeF := c.rangeFn(t.From, t.To, t.Step)
-	storeVar := c.intVarStore(t.VarSym, t.Pos())
-	body := c.stmts(t.Body)
-	presched := t.Sched == forcelang.Presched
-	note := noteStr("DOALL", t.Pos())
-	if t.Inner == nil {
-		return func(pr *cproc, fr *frame) {
-			pr.p.Note(note)
-			r := rangeF(pr, fr)
-			bodyFn := func(i int) {
-				storeVar(pr, fr, int64(i))
-				runBody(body, pr, fr)
-			}
-			if presched {
-				pr.p.PreschedDo(r, bodyFn)
-			} else {
-				pr.p.DoAll(pr.in.cfg.Selfsched, r, bodyFn)
-			}
-		}
-	}
-	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step)
-	storeInner := c.intVarStore(t.Inner.VarSym, t.Pos())
-	return func(pr *cproc, fr *frame) {
-		pr.p.Note(note)
-		r := rangeF(pr, fr)
-		r2 := irangeF(pr, fr)
-		bodyFn := func(i, j int) {
-			storeVar(pr, fr, int64(i))
-			storeInner(pr, fr, int64(j))
-			runBody(body, pr, fr)
-		}
-		if presched {
-			pr.p.PreschedDo2(r, r2, bodyFn)
-		} else {
-			pr.p.DoAll2(pr.in.cfg.Selfsched, r, r2, bodyFn)
-		}
-	}
+	return c.chunkParDo(t, p, false, p.Block())
 }
 
 // greduce compiles a global-reduction statement: the operand combines

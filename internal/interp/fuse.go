@@ -12,9 +12,9 @@ package interp
 //
 // Every decision is compile-time; Config.FuseLog narrates each fused
 // region and each declined candidate.  Config.NoFuse turns the pass
-// off, and the pass never runs under ExecCompiled, ExecTree or an
-// iteration-level trace — so fused and unfused runs are byte-identical
-// by construction or the corpus tests fail.
+// off, and the pass never runs under ExecCompiled or ExecTree — so fused
+// and unfused runs are byte-identical by construction or the corpus
+// tests fail.
 
 import (
 	"fmt"
@@ -25,8 +25,8 @@ import (
 	"repro/internal/reduce"
 )
 
-// fuseEnabled reports whether the fusion pass applies at all: only the
-// chunk tier fuses.
+// fuseEnabled reports whether the fusion pass applies at all: only with
+// the planner on.
 func (c *compiler) fuseEnabled() bool { return c.chunkTier() && !c.in.cfg.NoFuse }
 
 // planLog is the narration sink handed to the shared proofs: FuseLog

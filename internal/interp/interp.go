@@ -1,8 +1,8 @@
 // Package interp executes parsed Force programs SPMD on the core runtime:
 // a force of goroutine processes runs the program body, with every Force
 // construct mapped onto its internal/core implementation — DOALLs onto the
-// scheduler-backed loops, Barrier sections onto the two-lock barrier,
-// Critical onto named machine locks, Pcase onto block distribution,
+// span construct (core.DoAllChunked), Barrier sections onto the two-lock
+// barrier, Critical onto named machine locks, Pcase onto block distribution,
 // Produce/Consume onto the machine profile's asynchronous variables.
 //
 // Storage follows the paper's variable classification: shared and async
@@ -24,19 +24,23 @@
 //     accesses; shared scalars and shared array elements are individual
 //     atomic words read and written unboxed (store.go), so an
 //     interpreted DOALL over disjoint elements runs in parallel.
-//     Under ExecChunked the shared classifier (internal/plan) marks every
-//     DOALL-body reference uniform (loop-invariant) or varying, and a
-//     body it can prove safe is compiled by that same compiler in chunk
-//     mode (chunk.go) and run as a tight per-span loop — the index
-//     lives in the process's chunk context, uniform subexpressions are
-//     hoisted and evaluated once per construct, shared accumulates fold
-//     into the shared cell once per chunk, and a prescheduled loop
+//     Every DOALL is a span loop: the body runs over each span the
+//     runtime grants the process, with a poison check every
+//     core.PoisonEvery iterations.  Under ExecChunked the shared
+//     classifier (internal/plan) marks every DOALL-body reference
+//     uniform (loop-invariant) or varying, and a body it can prove safe
+//     is compiled by that same compiler in chunk mode (chunk.go) — the
+//     index lives in the process's chunk context, uniform subexpressions
+//     are hoisted and evaluated once per construct, shared accumulates
+//     fold into the shared cell once per span, and a prescheduled loop
 //     whose body cannot observe the iteration-to-process map is dealt
-//     in contiguous blocks.  Unsafe bodies (calls, critical sections,
-//     I/O ordering hazards) take the per-iteration path.  ExecCompiled
-//     never enters chunk mode: every DOALL body dispatches one index at
-//     a time.  It is the switch the equivalence tests use to drive the
-//     per-iteration path over chunk-eligible bodies.
+//     in contiguous blocks.  A body with no plan (calls, critical
+//     sections, I/O ordering hazards, a written index) keeps the
+//     cyclic deal and stores its index through the frame every
+//     iteration; nothing in it is hoisted or folded.  ExecCompiled is
+//     "the planner is off": every body takes that plan-less loop.  It
+//     is the switch the equivalence tests use as the reference for the
+//     planner's decisions over chunk-eligible bodies.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
 //     one per-run mutex.  It is the differential-test oracle
@@ -92,7 +96,9 @@ type Config struct {
 	// Stdout receives Print output (default io.Discard).
 	Stdout io.Writer
 	// Trace, when non-nil, records every construct edge the program
-	// crosses for post-run validation (see internal/trace).
+	// crosses for post-run validation (see internal/trace) — DOALLs as
+	// one event per granted span.  It selects nothing: a traced run takes
+	// the same tier, plan and fusion decisions as an untraced one.
 	Trace *trace.Recorder
 	// Selfsched selects the discipline executing Selfsched DO loops and
 	// selfscheduled Pcase blocks.  The zero value selects the paper's
@@ -108,15 +114,15 @@ type Config struct {
 	// padded slots (zero value) or the paper's critical-section baseline
 	// (reduce.Critical).
 	Reduce reduce.Kind
-	// Exec selects the execution engine: the closure compiler with its
-	// chunk mode on (zero value) or off (ExecCompiled), or the original
-	// tree walker (ExecTree).
+	// Exec selects the execution engine: the closure compiler with the
+	// DOALL planner on (zero value) or off (ExecCompiled), or the
+	// original tree walker (ExecTree).
 	Exec ExecMode
 	// NoFuse disables the fusion pass of the chunk tier: adjacent
 	// independent DOALLs and a trailing reduction keep their own exit
 	// barriers and reduce episodes instead of sharing one fused join.
-	// Fusion is otherwise on whenever the chunk tier is (Exec ==
-	// ExecChunked and no iteration-level trace).
+	// Fusion is otherwise on whenever the planner is (Exec ==
+	// ExecChunked).
 	NoFuse bool
 	// FuseLog, when non-nil, receives one line per fusion decision the
 	// compiler takes (each fused region and each declined candidate,
@@ -146,15 +152,16 @@ type Config struct {
 type ExecMode int
 
 const (
-	// ExecChunked is the closure compiler with chunk mode enabled:
-	// provably safe DOALL bodies run as per-span tight loops; everything
-	// else runs exactly as ExecCompiled.  The default.
+	// ExecChunked is the closure compiler with the DOALL planner on:
+	// provably safe DOALL bodies are chunk-compiled, block-dealt and
+	// fused; everything else runs exactly as ExecCompiled.  The default.
 	ExecChunked ExecMode = iota
 	// ExecCompiled resolves every variable reference to a (storage
 	// class, slot) pair at compile time and executes typed closures over
 	// index-addressed frames with per-variable shared-memory
-	// synchronization, dispatching every DOALL body one index at a time
-	// (chunk mode never entered).  Kept as the chunk tier's A/B baseline.
+	// synchronization; the planner is off, so every DOALL is the
+	// plan-less span loop (chunk mode never entered, nothing fused).
+	// Kept as the differential reference for the planner's decisions.
 	ExecCompiled
 	// ExecTree is the original tree walker: map-addressed frames and one
 	// global mutex serializing all shared access.  Kept as the semantic
@@ -176,20 +183,6 @@ func (m ExecMode) String() string {
 
 // ExecModes lists the engines, baseline first.
 func ExecModes() []ExecMode { return []ExecMode{ExecTree, ExecCompiled, ExecChunked} }
-
-// ParseExecMode parses a CLI spelling of an execution mode.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "chunked":
-		return ExecChunked, nil
-	case "compiled":
-		return ExecCompiled, nil
-	case "tree":
-		return ExecTree, nil
-	default:
-		return 0, fmt.Errorf("interp: unknown exec mode %q (want chunked, compiled or tree)", s)
-	}
-}
 
 // Run executes the program and returns the first runtime error, if any.
 func Run(prog *forcelang.Program, cfg Config) error {

@@ -1,12 +1,15 @@
 package interp
 
 import (
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/barrier"
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
@@ -599,33 +602,77 @@ Join
 	}
 }
 
-// TestInterpWithTrace validates a whole interpreted program's barrier and
-// critical behaviour from the construct-event log.
+// TestInterpWithTrace validates a whole interpreted program's barrier,
+// critical and loop behaviour from the construct-event log of the default
+// tier, and that observing does not change the run: a program with a
+// planned, an unplanned and a fused DOALL takes the same plan (FuseLog
+// lines) and executes the same construct episodes (core.Stats) with and
+// without a Recorder.
 func TestInterpWithTrace(t *testing.T) {
-	rec := trace.New(0)
 	prog := forcelang.MustParse(`Force TR of NP ident ME
-Shared Integer S
+Shared Integer S, T
+Shared Real A(30), B(30)
 Private Integer I
 End Declarations
 Barrier
 S = 0
 End Barrier
-Selfsched DO I = 1, 30
+Presched DO I = 1, 30
   Critical L
     S = S + I
   End Critical
+End Presched DO
+Selfsched DO I = 1, 30
+  A(I) = REAL(I)
 End Selfsched DO
+Presched DO I = 1, 30
+  A(I) = A(I) * 2.0
+End Presched DO
+Presched DO I = 1, 30
+  B(I) = A(I) + 1.0
+End Presched DO
+GSUM T = 1
 Barrier
-Print S
+Print S, T, NINT(A(30)), NINT(B(1))
 End Barrier
 Join
 `)
-	var sb strings.Builder
-	if err := Run(prog, Config{NP: 4, Stdout: &sb, Trace: rec}); err != nil {
-		t.Fatal(err)
+	type observed struct {
+		out   string
+		logs  []string
+		stats [6]int64
 	}
-	if got := strings.TrimSpace(sb.String()); got != "465" {
-		t.Errorf("out = %q", got)
+	observe := func(rec *trace.Recorder) observed {
+		var o observed
+		var sb strings.Builder
+		var mu sync.Mutex
+		var force *core.Force
+		cfg := Config{NP: 4, Stdout: &sb, Trace: rec, OnForce: func(f *core.Force) { force = f }}
+		cfg.FuseLog = func(msg string) {
+			mu.Lock()
+			o.logs = append(o.logs, msg)
+			mu.Unlock()
+		}
+		if err := Run(prog, cfg); err != nil {
+			t.Fatal(err)
+		}
+		st := force.Stats()
+		o.stats = [6]int64{st.Barriers.Load(), st.Loops.Load(), st.Criticals.Load(),
+			st.PcaseBlocks.Load(), st.AskforTasks.Load(), st.Reductions.Load()}
+		o.out = strings.TrimSpace(sb.String())
+		return o
+	}
+	rec := trace.New(0)
+	plain, traced := observe(nil), observe(rec)
+	if traced.out != "465 4 60 3" {
+		t.Errorf("out = %q", traced.out)
+	}
+	if !reflect.DeepEqual(plain, traced) {
+		t.Errorf("attaching a Recorder changed the run:\nwithout: %+v\nwith:    %+v", plain, traced)
+	}
+	if !logsContain(traced.logs, "fused 2 DOALL(s)") || !logsContain(traced.logs, "partition=block") ||
+		!logsContain(traced.logs, "not chunk-compiled") {
+		t.Errorf("program does not cover a planned, an unplanned and a fused DOALL: %q", traced.logs)
 	}
 	if err := trace.CheckBarrierEpisodes(rec.Events(), 4); err != nil {
 		t.Error(err)
@@ -633,12 +680,30 @@ Join
 	if err := trace.CheckCriticalExclusion(rec.Events(), "L"); err != nil {
 		t.Error(err)
 	}
+	// Every loop instance — the unplanned, the planned and both fused
+	// members — covers 1..30 exactly once.  A process's spans lie between
+	// its LoopStart and LoopEnd, whose Arg names the instance.
 	var want []int64
 	for i := 1; i <= 30; i++ {
 		want = append(want, int64(i))
 	}
-	if err := trace.CheckLoopCoverage(rec.Events(), want); err != nil {
-		t.Error(err)
+	loops := map[int64][]trace.Event{}
+	open := map[int]int64{}
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case trace.LoopStart:
+			open[e.PID] = e.Arg
+		case trace.LoopSpan:
+			loops[open[e.PID]] = append(loops[open[e.PID]], e)
+		}
+	}
+	if len(loops) != 4 {
+		t.Errorf("%d loop instances traced, want 4", len(loops))
+	}
+	for seq, events := range loops {
+		if err := trace.CheckLoopCoverage(events, want); err != nil {
+			t.Errorf("loop instance %d: %v", seq, err)
+		}
 	}
 }
 

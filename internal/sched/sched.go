@@ -14,20 +14,20 @@
 //
 // This package provides both, plus the three refinements the runtime's
 // defaults and applications select (the block deal, fetch-and-add and
-// fixed-size chunks), behind one Scheduler interface.  Iteration spaces
-// are Fortran DO ranges (Start, Last, Incr with either sign); schedulers
-// hand out *ordinals* 0..Count()-1 and Range maps ordinals back to index
-// values, which keeps every discipline correct for negative strides and
-// empty loops.
+// fixed-size chunks).  The two prescheduled deals are pure functions of
+// (pid, np, n) — BlockSpan and CyclicSpan, no object, no shared state;
+// the three selfscheduled disciplines are one-episode objects behind the
+// Scheduler interface.  Iteration spaces are Fortran DO ranges (Start,
+// Last, Incr with either sign); deals and schedulers hand out *ordinals*
+// 0..Count()-1 and Range maps ordinals back to index values, which keeps
+// every discipline correct for negative strides and empty loops.
 package sched
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/lock"
-	"repro/internal/poison"
 )
 
 // Range describes a Fortran-style loop header: DO I = Start, Last, Incr.
@@ -70,10 +70,11 @@ func (r Range) String() string {
 	return fmt.Sprintf("%d, %d, %d", r.Start, r.Last, r.Incr)
 }
 
-// Scheduler distributes the ordinals of one loop execution across the
-// force.  Next returns the half-open ordinal interval [lo, hi) that pid
-// should execute next; ok is false when pid's work is exhausted.  A
-// Scheduler is valid for a single loop execution (one episode).
+// Scheduler is a run-time (selfscheduled) discipline distributing the
+// ordinals of one loop execution across the force.  Next returns the
+// half-open ordinal interval [lo, hi) that pid should execute next; ok is
+// false when the work is exhausted.  A Scheduler is valid for a single
+// loop execution (one episode).
 type Scheduler interface {
 	Next(pid int) (lo, hi int, ok bool)
 }
@@ -169,9 +170,13 @@ func Kinds() []Kind {
 	return []Kind{PreschedBlock, PreschedCyclic, SelfLock, SelfAtomic, Chunk}
 }
 
+// DefaultChunk is the span size of the Chunk discipline when
+// Config.ChunkSize is left zero.
+const DefaultChunk = 16
+
 // Config carries the parameters a discipline may need.
 type Config struct {
-	// ChunkSize applies to Chunk (default 16 when zero).
+	// ChunkSize applies to Chunk (DefaultChunk when zero).
 	ChunkSize int
 	// LockFactory supplies the loop lock for SelfLock; nil defaults to
 	// system locks.  This is the machine-dependent hook: the
@@ -180,18 +185,15 @@ type Config struct {
 	LockFactory func() lock.Lock
 }
 
-// New creates a one-episode Scheduler for the given discipline, force size
-// and range.
+// New creates a one-episode Scheduler for a selfscheduled discipline, force
+// size and range.  Any other kind is rejected by name: the prescheduled
+// ones have no Scheduler — they are the pure deals BlockSpan and CyclicSpan.
 func New(k Kind, np int, r Range, cfg Config) Scheduler {
 	if np <= 0 {
 		panic(fmt.Sprintf("sched: np = %d, need np >= 1", np))
 	}
 	n := r.Count()
 	switch k {
-	case PreschedBlock:
-		return &blockSched{np: np, n: n, done: make([]atomic.Bool, np)}
-	case PreschedCyclic:
-		return &cyclicSched{np: np, n: n, cursors: make([]paddedInt, np)}
 	case SelfLock:
 		f := cfg.LockFactory
 		if f == nil {
@@ -203,54 +205,12 @@ func New(k Kind, np int, r Range, cfg Config) Scheduler {
 	case Chunk:
 		c := cfg.ChunkSize
 		if c <= 0 {
-			c = 16
+			c = DefaultChunk
 		}
 		return &atomicSelfSched{n: n, chunk: c}
 	default:
-		panic(fmt.Sprintf("sched: unknown kind %d", int(k)))
+		panic(fmt.Sprintf("sched: %v is not a run-time discipline (the prescheduled deals are BlockSpan and CyclicSpan)", k))
 	}
-}
-
-// blockSched: one contiguous block per process (BlockSpan).
-type blockSched struct {
-	np, n int
-	done  []atomic.Bool
-}
-
-func (s *blockSched) Next(pid int) (int, int, bool) {
-	if pid < 0 || pid >= s.np {
-		panic(fmt.Sprintf("sched: pid %d out of range [0,%d)", pid, s.np))
-	}
-	if s.done[pid].Swap(true) {
-		return 0, 0, false
-	}
-	lo, hi := BlockSpan(pid, s.np, s.n)
-	return lo, hi, lo < hi
-}
-
-// cyclicSched deals single ordinals round-robin with no shared mutable
-// state: each process advances a private cursor (cache-line padded so
-// neighbouring cursors do not false-share).
-type cyclicSched struct {
-	np, n   int
-	cursors []paddedInt
-}
-
-type paddedInt struct {
-	v int
-	_ [56]byte
-}
-
-func (s *cyclicSched) Next(pid int) (int, int, bool) {
-	if pid < 0 || pid >= s.np {
-		panic(fmt.Sprintf("sched: pid %d out of range [0,%d)", pid, s.np))
-	}
-	k := pid + s.cursors[pid].v*s.np
-	if k >= s.n {
-		return 0, 0, false
-	}
-	s.cursors[pid].v++
-	return k, k + 1, true
 }
 
 // lockSelfSched is the paper's selfscheduled loop: the shared index
@@ -296,53 +256,12 @@ func (s *atomicSelfSched) Next(pid int) (int, int, bool) {
 	return lo, hi, true
 }
 
-// ForEach is a single-construct driver used by tests, benchmarks, and the
-// interpreter's standalone mode: it runs body(pid, index) for every index
-// of r, distributed over np goroutines under discipline k.  The core
-// runtime package embeds the same loop inside long-lived force processes
-// instead.
-func ForEach(k Kind, np int, r Range, cfg Config, body func(pid, index int)) {
-	s := New(k, np, r, cfg)
-	var wg sync.WaitGroup
-	for p := 0; p < np; p++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			Drive(s, pid, r, body)
-		}(p)
-	}
-	wg.Wait()
-}
-
-// Drive exhausts scheduler s for one process, translating ordinals to
-// index values of r.
-func Drive(s Scheduler, pid int, r Range, body func(pid, index int)) {
-	DriveWith(nil, s, pid, r, body)
-}
-
-// DriveWith is Drive under the fault-containment protocol: between work
-// assignments the process checks the poison cell and unwinds with
-// poison.Abort when the force has been poisoned, so a loop does not
-// keep executing iterations for a run that is already dead.  A nil cell
-// degrades to Drive.
-func DriveWith(c *poison.Cell, s Scheduler, pid int, r Range, body func(pid, index int)) {
-	for {
-		c.Check()
-		lo, hi, ok := s.Next(pid)
-		if !ok {
-			return
-		}
-		for k := lo; k < hi; k++ {
-			body(pid, r.Index(k))
-		}
-	}
-}
-
 // BlockSpan is the block deal: the contiguous ordinals [lo, hi) of 0..n-1
 // that process pid of np owns, the remainder spread one-per-process over
 // the first n%np processes so block sizes differ by at most one.  An
 // empty block has lo == hi.
 func BlockSpan(pid, np, n int) (lo, hi int) {
+	checkPid(pid, np)
 	base, rem := n/np, n%np
 	lo = pid*base + min(pid, rem)
 	hi = lo + base
@@ -350,6 +269,20 @@ func BlockSpan(pid, np, n int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
+}
+
+// CyclicSpan is the cyclic deal, the paper's prescheduled DO: process pid
+// of np owns the ordinals pid, pid+np, pid+2np, ... of 0..n-1, one strided
+// span [lo, hi) — empty (lo >= hi) when pid >= n.
+func CyclicSpan(pid, np, n int) (lo, hi, stride int) {
+	checkPid(pid, np)
+	return pid, n, np
+}
+
+func checkPid(pid, np int) {
+	if pid < 0 || pid >= np {
+		panic(fmt.Sprintf("sched: pid %d out of range [0,%d)", pid, np))
+	}
 }
 
 // CyclicLast is the last ordinal of 0..n-1 the cyclic deal hands process

@@ -3,6 +3,7 @@ package sched
 import (
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,7 +83,23 @@ func TestNewValidation(t *testing.T) {
 			t.Error("New with np=0 did not panic")
 		}
 	}()
-	New(PreschedBlock, 0, Seq(4), Config{})
+	New(SelfLock, 0, Seq(4), Config{})
+}
+
+// TestNewRejectsPrescheduled: the prescheduled kinds are pure deals, not
+// Scheduler objects, and New says so by name.
+func TestNewRejectsPrescheduled(t *testing.T) {
+	for _, k := range []Kind{PreschedBlock, PreschedCyclic} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, k.String()) || !strings.Contains(msg, "prescheduled") {
+					t.Errorf("New(%v) panicked with %q, want the kind named as a prescheduled deal", k, msg)
+				}
+			}()
+			New(k, 2, Seq(4), Config{})
+		}()
+	}
 }
 
 func TestNewUnknownKindPanics(t *testing.T) {
@@ -94,13 +111,49 @@ func TestNewUnknownKindPanics(t *testing.T) {
 	New(Kind(42), 2, Seq(4), Config{})
 }
 
+// forEach is this file's single-construct driver: it runs body(pid, index)
+// for every index of r, distributed over np goroutines under discipline k
+// (a pure deal or a shared one-episode Scheduler) — the loop
+// core.openSpans embeds inside long-lived force processes.
+func forEach(k Kind, np int, r Range, cfg Config, body func(pid, index int)) {
+	var s Scheduler
+	if k != PreschedBlock && k != PreschedCyclic {
+		s = New(k, np, r, cfg)
+	}
+	n := r.Count()
+	var wg sync.WaitGroup
+	for p := 0; p < np; p++ {
+		wg.Add(1)
+		go func(pid int) {
+			defer wg.Done()
+			span := func(lo, hi, stride int) {
+				for o := lo; o < hi; o += stride {
+					body(pid, r.Index(o))
+				}
+			}
+			switch k {
+			case PreschedBlock:
+				lo, hi := BlockSpan(pid, np, n)
+				span(lo, hi, 1)
+			case PreschedCyclic:
+				span(CyclicSpan(pid, np, n))
+			default:
+				for lo, hi, ok := s.Next(pid); ok; lo, hi, ok = s.Next(pid) {
+					span(lo, hi, 1)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+}
+
 // collect runs a full parallel loop and returns the multiset of executed
 // index values.
 func collect(t *testing.T, k Kind, np int, r Range, cfg Config) []int {
 	t.Helper()
 	var mu sync.Mutex
 	var got []int
-	ForEach(k, np, r, cfg, func(pid, index int) {
+	forEach(k, np, r, cfg, func(pid, index int) {
 		mu.Lock()
 		got = append(got, index)
 		mu.Unlock()
@@ -143,6 +196,7 @@ func TestEveryIndexExactlyOnce(t *testing.T) {
 		{3, 3, 1},
 		{4, 3, 1},   // empty
 		{-5, 20, 4}, // negative start
+		{9, 2, -3},  // non-unit negative step, n < np for most np below
 	}
 	cfg := Config{ChunkSize: 4, LockFactory: lock.Factory(lock.TTAS)}
 	for _, k := range Kinds() {
@@ -163,12 +217,11 @@ func TestEveryIndexExactlyOnce(t *testing.T) {
 // balanced to within one iteration.
 func TestPreschedBlockShape(t *testing.T) {
 	const np, n = 4, 10
-	s := New(PreschedBlock, np, Seq(n), Config{})
 	sizes := make([]int, np)
 	prevHi := 0
 	for pid := 0; pid < np; pid++ {
-		lo, hi, ok := s.Next(pid)
-		if !ok {
+		lo, hi := BlockSpan(pid, np, n)
+		if lo >= hi {
 			t.Fatalf("pid %d got no block", pid)
 		}
 		if lo != prevHi {
@@ -176,9 +229,6 @@ func TestPreschedBlockShape(t *testing.T) {
 		}
 		prevHi = hi
 		sizes[pid] = hi - lo
-		if _, _, again := s.Next(pid); again {
-			t.Errorf("pid %d got a second block", pid)
-		}
 	}
 	if prevHi != n {
 		t.Errorf("blocks cover [0,%d), want [0,%d)", prevHi, n)
@@ -194,26 +244,22 @@ func TestPreschedBlockShape(t *testing.T) {
 // congruent to its pid.
 func TestPreschedCyclicShape(t *testing.T) {
 	const np, n = 3, 11
-	s := New(PreschedCyclic, np, Seq(n), Config{})
 	for pid := 0; pid < np; pid++ {
 		want := pid
-		for {
-			lo, hi, ok := s.Next(pid)
-			if !ok {
-				break
-			}
-			if hi != lo+1 {
-				t.Fatalf("cyclic handed a chunk [%d,%d)", lo, hi)
-			}
-			if lo != want {
-				t.Errorf("pid %d got ordinal %d, want %d", pid, lo, want)
+		lo, hi, stride := CyclicSpan(pid, np, n)
+		for o := lo; o < hi; o += stride {
+			if o != want {
+				t.Errorf("pid %d got ordinal %d, want %d", pid, o, want)
 			}
 			want += np
 		}
-		if want-np >= n {
-			// fine: last dealt ordinal within range
-			_ = want
+		if last := want - np; last != CyclicLast(pid, np, n) || last >= n {
+			t.Errorf("pid %d: last dealt ordinal %d, CyclicLast %d, n %d", pid, last, CyclicLast(pid, np, n), n)
 		}
+	}
+	// n < np: the processes beyond the trip count are dealt nothing.
+	if lo, hi, _ := CyclicSpan(5, 8, 3); lo < hi {
+		t.Errorf("CyclicSpan(5, 8, 3) = [%d,%d), want empty", lo, hi)
 	}
 }
 
@@ -227,7 +273,7 @@ func TestSelfschedDrainsAroundStuckProcess(t *testing.T) {
 	const np, n = 4, 64
 	for _, k := range []Kind{SelfLock, SelfAtomic} {
 		var done atomic.Int64
-		ForEach(k, np, Seq(n), Config{}, func(pid, index int) {
+		forEach(k, np, Seq(n), Config{}, func(pid, index int) {
 			if index == 0 {
 				// Stay inside iteration 0 until every other
 				// iteration has completed on other processes.
@@ -253,8 +299,8 @@ func TestChunkSizeRespected(t *testing.T) {
 	// Default chunk size when zero.
 	s = New(Chunk, 2, Seq(100), Config{})
 	lo, hi, ok = s.Next(0)
-	if !ok || hi-lo != 16 {
-		t.Errorf("default chunk = [%d,%d), want size 16", lo, hi)
+	if !ok || hi-lo != DefaultChunk {
+		t.Errorf("default chunk = [%d,%d), want size %d", lo, hi, DefaultChunk)
 	}
 }
 
@@ -267,8 +313,11 @@ func TestPidOutOfRangePanics(t *testing.T) {
 					t.Error("out-of-range pid did not panic")
 				}
 			}()
-			s := New(k, 2, Seq(10), Config{})
-			s.Next(5)
+			if k == PreschedBlock {
+				BlockSpan(5, 2, 10)
+			} else {
+				CyclicSpan(5, 2, 10)
+			}
 		})
 	}
 }
@@ -291,7 +340,7 @@ func TestQuickCoverage(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var got []int
-		ForEach(k, np, r, Config{ChunkSize: 3}, func(pid, index int) {
+		forEach(k, np, r, Config{ChunkSize: 3}, func(pid, index int) {
 			mu.Lock()
 			got = append(got, index)
 			mu.Unlock()

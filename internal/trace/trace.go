@@ -1,12 +1,13 @@
 // Package trace records Force construct events — barrier arrivals and
-// departures, barrier-section and critical-section boundaries, loop
-// iterations, Pcase blocks, Askfor tasks, async-variable operations — in
+// departures, barrier-section and critical-section boundaries, granted
+// loop spans, Pcase blocks, Askfor tasks, async-variable operations — in
 // one globally ordered log, and provides checkers for the orderings the
 // constructs guarantee.
 //
 // The runtime (internal/core) emits events when a Recorder is attached
 // with core.WithTrace; a nil recorder costs one predictable branch per
-// construct.  The checkers turn the paper's semantic sentences ("all
+// construct edge, and a DOALL is recorded as it is dealt (one LoopSpan per
+// granted span), so a recorder never changes what runs.  The checkers turn the paper's semantic sentences ("all
 // processes wait for each other", "only one process at a given time is
 // allowed to execute within the critical section") into machine-checkable
 // predicates used by the validation tests.
@@ -29,7 +30,7 @@ const (
 	CriticalEnter
 	CriticalLeave
 	LoopStart
-	LoopIter
+	LoopSpan
 	LoopEnd
 	PcaseBlock
 	AskforTask
@@ -47,7 +48,7 @@ var kindNames = map[Kind]string{
 	CriticalEnter: "critical-enter",
 	CriticalLeave: "critical-leave",
 	LoopStart:     "loop-start",
-	LoopIter:      "loop-iter",
+	LoopSpan:      "loop-span",
 	LoopEnd:       "loop-end",
 	PcaseBlock:    "pcase-block",
 	AskforTask:    "askfor-task",
@@ -75,6 +76,9 @@ type Event struct {
 	Kind Kind
 	Name string
 	Arg  int64
+	// Count and Step complete a LoopSpan: one process was granted the Count
+	// index values Arg, Arg+Step, ... (flat ordinals for a two-index loop).
+	Count, Step int64
 }
 
 // String formats the event compactly.
@@ -102,6 +106,11 @@ func New(limit int) *Recorder {
 
 // Record appends an event; safe for concurrent use.
 func (r *Recorder) Record(pid int, k Kind, name string, arg int64) {
+	r.Add(Event{PID: pid, Kind: k, Name: name, Arg: arg})
+}
+
+// Add appends e, assigning its Seq; safe for concurrent use.
+func (r *Recorder) Add(e Event) {
 	if r == nil {
 		return
 	}
@@ -111,7 +120,8 @@ func (r *Recorder) Record(pid int, k Kind, name string, arg int64) {
 		r.mu.Unlock()
 		return
 	}
-	r.events = append(r.events, Event{Seq: len(r.events), PID: pid, Kind: k, Name: name, Arg: arg})
+	e.Seq = len(r.events)
+	r.events = append(r.events, e)
 	r.mu.Unlock()
 }
 
@@ -299,13 +309,13 @@ func CheckReduceParticipation(events []Event, np int) error {
 	return nil
 }
 
-// CheckLoopCoverage verifies that the LoopIter events of one loop
-// instance cover each expected index exactly once.
+// CheckLoopCoverage verifies that the LoopSpan events of one loop
+// instance, expanded, cover each expected index exactly once.
 func CheckLoopCoverage(events []Event, want []int64) error {
 	seen := map[int64]int{}
-	for _, e := range events {
-		if e.Kind == LoopIter {
-			seen[e.Arg]++
+	for _, e := range Filter(events, LoopSpan) {
+		for k := int64(0); k < e.Count; k++ {
+			seen[e.Arg+k*e.Step]++
 		}
 	}
 	for _, w := range want {

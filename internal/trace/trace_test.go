@@ -40,12 +40,13 @@ func TestRecorderBasics(t *testing.T) {
 func TestRecorderNilIsSafe(t *testing.T) {
 	var r *Recorder
 	r.Record(0, BarrierEnter, "", 0) // must not panic
+	r.Add(Event{Kind: LoopSpan, Count: 1, Step: 1})
 }
 
 func TestRecorderLimit(t *testing.T) {
 	r := New(2)
 	for i := 0; i < 5; i++ {
-		r.Record(0, LoopIter, "", int64(i))
+		r.Record(0, PcaseBlock, "", int64(i))
 	}
 	if len(r.Events()) != 2 {
 		t.Errorf("kept %d events, want 2", len(r.Events()))
@@ -58,10 +59,14 @@ func TestRecorderLimit(t *testing.T) {
 func TestFilter(t *testing.T) {
 	r := New(0)
 	r.Record(0, BarrierEnter, "", 0)
-	r.Record(0, LoopIter, "", 1)
-	r.Record(1, LoopIter, "", 2)
-	if got := Filter(r.Events(), LoopIter); len(got) != 2 {
-		t.Errorf("filter = %d events", len(got))
+	r.Add(Event{PID: 0, Kind: LoopSpan, Arg: 1, Count: 2, Step: 3})
+	r.Add(Event{PID: 1, Kind: LoopSpan, Arg: 2, Count: 1, Step: 1})
+	got := Filter(r.Events(), LoopSpan)
+	if len(got) != 2 {
+		t.Fatalf("filter = %d events", len(got))
+	}
+	if e := got[0]; e.Seq != 1 || e.Arg != 1 || e.Count != 2 || e.Step != 3 {
+		t.Errorf("Add stored %+v, want Seq 1 and the span (1, 2, 3)", e)
 	}
 }
 
@@ -183,23 +188,26 @@ func TestCheckBarrierEpisodesBad(t *testing.T) {
 }
 
 func TestCheckLoopCoverage(t *testing.T) {
+	// A strided span (1, 3), a one-index grant (2) and a descending dense
+	// span (5, 4), beside an event of another kind.
 	log := mk(
-		Event{PID: 0, Kind: LoopIter, Arg: 1},
-		Event{PID: 1, Kind: LoopIter, Arg: 2},
-		Event{PID: 0, Kind: LoopIter, Arg: 3},
+		Event{PID: 0, Kind: LoopSpan, Arg: 1, Count: 2, Step: 2},
+		Event{PID: 1, Kind: LoopSpan, Arg: 2, Count: 1, Step: 2},
+		Event{PID: 1, Kind: LoopStart, Arg: 7},
+		Event{PID: 0, Kind: LoopSpan, Arg: 5, Count: 2, Step: -1},
 	)
-	if err := CheckLoopCoverage(log, []int64{1, 2, 3}); err != nil {
+	if err := CheckLoopCoverage(log, []int64{1, 2, 3, 4, 5}); err != nil {
 		t.Errorf("full coverage rejected: %v", err)
 	}
-	if err := CheckLoopCoverage(log, []int64{1, 2, 3, 4}); err == nil {
+	if err := CheckLoopCoverage(log, []int64{1, 2, 3, 4, 5, 6}); err == nil {
 		t.Error("missing index accepted")
 	}
-	dup := append(log, Event{PID: 1, Kind: LoopIter, Arg: 1})
-	if err := CheckLoopCoverage(dup, []int64{1, 2, 3}); err == nil {
+	dup := append(log, Event{PID: 1, Kind: LoopSpan, Arg: 0, Count: 2, Step: 1})
+	if err := CheckLoopCoverage(dup, []int64{0, 1, 2, 3, 4, 5}); err == nil {
 		t.Error("duplicate index accepted")
 	}
-	extra := append(log, Event{PID: 1, Kind: LoopIter, Arg: 9})
-	if err := CheckLoopCoverage(extra, []int64{1, 2, 3}); err == nil {
+	extra := append(log, Event{PID: 1, Kind: LoopSpan, Arg: 9, Count: 1, Step: 1})
+	if err := CheckLoopCoverage(extra, []int64{1, 2, 3, 4, 5}); err == nil {
 		t.Error("extra index accepted")
 	}
 }

@@ -114,9 +114,9 @@ func TestVariantInventory(t *testing.T) {
 // TestUsageErrors drives the three command-line rejections through the
 // real binaries: a force size below 1 (one identical line and exit 2 on
 // every tier — the native tier must not hand it to a cached binary that
-// would panic), -fuse off on the native tiers (their binaries are always
-// fused, so the A/B would measure nothing), and a removed variant
-// spelling.
+// would panic), -fuse off on the native tier (its binaries are always
+// fused, so the A/B would measure nothing), and a removed variant or
+// tier spelling.
 func TestUsageErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs forcerun and forcec with the go toolchain")
@@ -146,13 +146,11 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 
-	for _, tier := range []string{"aot", "auto"} {
-		out, code := runForcerunEnv(t, time.Minute, env, forcerun, "-exec", tier, "-fuse", "off", prog)
-		if code != 2 || !strings.Contains(out, "-fuse off") || !strings.Contains(out, "-exec "+tier) {
-			t.Errorf("forcerun -exec %s -fuse off: exit %d, output %q; want a usage error (exit 2) naming both flags", tier, code, out)
-		}
-		oneLine(t, out)
+	out, code := runForcerunEnv(t, time.Minute, env, forcerun, "-exec", "aot", "-fuse", "off", prog)
+	if code != 2 || !strings.Contains(out, "-fuse off") || !strings.Contains(out, "-exec aot") {
+		t.Errorf("forcerun -exec aot -fuse off: exit %d, output %q; want a usage error (exit 2) naming both flags", code, out)
 	}
+	oneLine(t, out)
 
 	for _, tc := range []struct {
 		flag, removed string
@@ -161,6 +159,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-barrier", "cond", []string{"twolock", "sense"}},
 		{"-reduce", "tree", []string{"critical", "slots"}},
 		{"-selfsched", "stealing", []string{"selfsched-lock", "selfsched-atomic", "selfsched-chunk"}},
+		{"-exec", "auto", []string{"chunked", "compiled", "tree", "aot"}},
 	} {
 		out, code := runForcerun(t, time.Minute, forcerun, tc.flag, tc.removed, prog)
 		if code == 0 {
