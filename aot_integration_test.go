@@ -9,6 +9,7 @@ package repro_test
 import (
 	"io"
 	"os"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -118,8 +119,8 @@ func TestAOTParityEquivalence(t *testing.T) {
 }
 
 // TestAOTParityChunkMatrix: the chunk-tier corpus (strides, empty
-// ranges, nested DOALLs, accumulators, fallbacks) through the native
-// tier at np ∈ {1, 2, 8}.
+// ranges, nested DOALLs, accumulators, fallbacks, grants) through the
+// native tier at np ∈ {1, 2, 3, 8}.
 func TestAOTParityChunkMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds native binaries with the go toolchain")
@@ -129,7 +130,7 @@ func TestAOTParityChunkMatrix(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
 			prog := forcelang.MustParse(tc.Src)
-			for _, np := range []int{1, 2, 8} {
+			for _, np := range []int{1, 2, 3, 8} {
 				native, err := aotRun(t, prog, np)
 				if err != nil {
 					t.Fatalf("np=%d aot: %v", np, err)
@@ -154,7 +155,7 @@ func TestAOTParityChunkMatrix(t *testing.T) {
 }
 
 // TestAOTParityFusion: the fusion corpus (internal/corpus.Fusion)
-// through the native tier at np ∈ {1, 2, 8}, against the tree walker
+// through the native tier at np ∈ {1, 2, 3, 8}, against the tree walker
 // and the chunk tier with the fusion pass on and off.  Fusion is an
 // interpreter-side barrier optimization; the native tier must agree
 // with every configuration of it.
@@ -167,7 +168,7 @@ func TestAOTParityFusion(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
 			prog := forcelang.MustParse(tc.Src)
-			for _, np := range []int{1, 2, 8} {
+			for _, np := range []int{1, 2, 3, 8} {
 				native, err := aotRun(t, prog, np)
 				if err != nil {
 					t.Fatalf("np=%d aot: %v", np, err)
@@ -214,7 +215,7 @@ func TestAOTParityFusionFaults(t *testing.T) {
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
 			prog := forcelang.MustParse(tc.Src)
-			for _, np := range []int{1, 2, 8} {
+			for _, np := range []int{1, 2, 3, 8} {
 				_, aotErr := aotRun(t, prog, np)
 				if aotErr == nil {
 					t.Fatalf("np=%d aot: no error", np)
@@ -371,7 +372,9 @@ Join
 // and the Go emitter (codegen.Lower) narrate the same decisions in the
 // same order — main program first, subroutines in source order — on
 // every run.  The program spreads DOALLs over three units so a map-order
-// walk would show.
+// walk would show.  The one thing each back end sizes for itself is the
+// grant of a selfscheduled loop (plan.Target.NsPerUnit), so the lines are
+// compared with its number taken out — and it must differ.
 func TestPlanNarrationAcrossTiers(t *testing.T) {
 	prog := forcelang.MustParse(`Force TIERS of NP ident ME
 Shared Real A(32), B(32)
@@ -413,12 +416,14 @@ Presched DO K = 1, 32
 End Presched DO
 Endsub
 `)
-	_, want, err := codegen.Lower(prog, codegen.Options{})
+	_, lines, err := codegen.Lower(prog, codegen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) < 6 || !strings.HasPrefix(want[0], "line 6:") {
-		t.Fatalf("emitter narration looks wrong:\n%s", strings.Join(want, "\n"))
+	grantSize := regexp.MustCompile(`grant=[0-9]+`)
+	want := grantSize.ReplaceAllString(strings.Join(lines, "\n"), "grant=K")
+	if len(lines) < 6 || !strings.HasPrefix(lines[0], "line 6:") || !strings.Contains(want, "line 31: DOALL grant=K\n") {
+		t.Fatalf("emitter narration looks wrong:\n%s", strings.Join(lines, "\n"))
 	}
 	for round := 0; round < 10; round++ {
 		var got []string
@@ -427,9 +432,12 @@ Endsub
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		if grantSize.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
 			t.Fatalf("round %d: chunk tier narrates\n%s\nemitter narrates\n%s",
-				round, strings.Join(got, "\n"), strings.Join(want, "\n"))
+				round, strings.Join(got, "\n"), strings.Join(lines, "\n"))
+		}
+		if strings.Join(got, "\n") == strings.Join(lines, "\n") {
+			t.Fatalf("round %d: both back ends size the grant alike:\n%s", round, strings.Join(got, "\n"))
 		}
 	}
 }

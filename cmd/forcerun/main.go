@@ -27,18 +27,24 @@
 // -fuse on|off (default on) controls the chunk tier's fusion pass:
 // adjacent independent DOALLs fuse into one barrier region (exit
 // barriers elided between them) and a trailing global reduction folds
-// into the region's closing collective.  Fusion only rewrites regions
-// it can prove independent, so output is byte-identical either way;
-// -fuse off restores one barrier per construct for A/B timing on the
-// interpreter tiers.  The native tier's binaries are always emitted
+// into the region's closing collective; a Barrier statement directly
+// behind a DOALL, a fused region or a global reduction rides that
+// construct's closing collective instead of running an episode of its
+// own.  Fusion only rewrites regions it can prove independent, so
+// output is byte-identical either way; -fuse off restores one barrier
+// per construct for A/B timing on the interpreter tiers.  The native tier's binaries are always emitted
 // fused (the cache key has no fusion bit), so -fuse off together with
 // -exec aot is a usage error rather than a silent no-op.  With
 // -v each fusion decision — what fused, what declined and why — is
 // narrated on standard error, along with the chosen exec tier and
-// chunk size for the run and, per prescheduled DOALL site, how its
-// iterations are dealt: "partition=block" (contiguous spans, taken
+// chunk size for the run and, per DOALL site, how its iterations are
+// dealt: a Presched DO "partition=block" (contiguous spans, taken
 // when nothing can observe the iteration-to-process map) or
-// "partition=cyclic (<reason>)".
+// "partition=cyclic (<reason>)", a Selfsched DO "grant=K" — how many
+// iterations one claim takes, sized from the body's static cost (1, the
+// paper's, for a body whose cost is unbounded or that has no plan; kept
+// under -fuse off) — and each ridden Barrier as "Barrier rides the
+// <closer> at line M".
 //
 // -exec aot selects the ahead-of-time native tier (internal/aot): it
 // translates the program to Go, builds it once into a content-addressed
@@ -58,10 +64,10 @@
 // the long-form rule behind a code.
 //
 // -chunk N sets the span size of the selfsched-chunk discipline
-// (sched.Config.ChunkSize; 0 keeps sched.DefaultChunk, 16).  It does not change
-// the prescheduled or selfsched-lock/selfsched-atomic span shapes, which
-// are fixed by the discipline; pick -selfsched selfsched-chunk for -chunk
-// to have an effect.
+// (sched.Config.ChunkSize; 0 keeps sched.DefaultChunk, 16; a planned
+// body's grant wins when it is larger).  It does not change the
+// prescheduled or selfsched-lock/selfsched-atomic span shapes; pick
+// -selfsched selfsched-chunk for -chunk to have an effect.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU over the whole
 // run, heap at exit — both also on runtime errors) so interpreter hot

@@ -104,7 +104,8 @@
 //	  - internal/sched provides the loop-scheduling disciplines: the
 //	    prescheduled block and cyclic deals as pure functions of (pid, np,
 //	    n), and the run-time ones (the paper's lock-based selfscheduling,
-//	    fetch-and-add, chunked) as one-episode Scheduler objects;
+//	    fetch-and-add, chunked) as one reusable Loop whose claims advance
+//	    by a grant (1: the paper's one index per acquisition);
 //	    core.openSpans is the one place a discipline becomes spans;
 //
 //	  - internal/barrier, internal/lock, internal/asyncvar, internal/shm and

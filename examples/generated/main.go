@@ -76,7 +76,7 @@ func main() {
 		LOCMAX = 0.0
 		{
 			zzR := sched.Range{Start: 1, Last: 1000, Incr: 1}
-			p.DoAllChunkedOpen(sched.SelfLock, zzR, func(zzLo, zzHi, zzStride int) {
+			p.DoAllChunkedOpen(sched.SelfLock, 236, zzR, func(zzLo, zzHi, zzStride int) {
 				zzC := 0
 				for zzK := zzLo; zzK < zzHi; zzK += zzStride {
 					I = zzR.Start + zzK*zzR.Incr
@@ -91,13 +91,10 @@ func main() {
 				}
 			})
 		}
-		{
-			zzOut := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(LOCSUM))
-			forcert.Word(&shr.TOTAL).Store(zzOut)
-		}
+		p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(LOCSUM), func(zzOut uint64) { forcert.Word(&shr.TOTAL).Store(zzOut) }, nil)
 		core.GmaxTo(p, LOCMAX, &shr.BIG)
-		core.GsumTo(p, 1, &shr.HITS)
-		p.BarrierSection(func() {
+		core.GnumBarrier(p, reduce.Sum, 1, func(zzR int) {
+			shr.HITS = zzR
 			shr.RESULT.Produce(shr.TOTAL)
 		})
 		if ME == 0 {

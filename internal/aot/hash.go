@@ -29,8 +29,9 @@ import (
 // emitted Go for an unchanged AST.  (1: one closure call per DOALL
 // index; 2: DOALLs as span loops, decisions read from internal/plan;
 // 3: no prelude — run-time checks, intrinsics and Print formatting are
-// imported from internal/forcert.)
-const formatVersion = 3
+// imported from internal/forcert; 4: selfscheduled loops claim the
+// planner's grant, a Barrier rides the closing collective before it.)
+const formatVersion = 4
 
 // normalizeOpts applies the same defaulting codegen does, so an unset
 // option and its explicit default produce one key.

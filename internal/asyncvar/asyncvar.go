@@ -221,7 +221,11 @@ func (v *twoLockVar[T]) setFull(b bool) {
 
 // chanVar models the HEP hardware full/empty cell with a capacity-1
 // channel: send ⇔ produce (blocks while full), receive ⇔ consume (blocks
-// while empty).
+// while empty).  An operation first tries the channel without blocking —
+// a transfer whose partner is already there touches nothing else — then
+// waits through the runtime's spin policy (poison.Spin, poison checked on
+// every poll), and only then parks on the channel with the cell's wake
+// channel as the unwind path.
 type chanVar[T any] struct {
 	ch chan T
 	pc *poison.Cell
@@ -230,37 +234,67 @@ type chanVar[T any] struct {
 var _ V[int] = (*chanVar[int])(nil)
 var _ Poisonable = (*chanVar[int])(nil)
 
-// SetPoison binds the channel waits to the cell: blocked sends and
-// receives additionally select on the cell's wake channel.
+// SetPoison binds the channel waits to the cell: a waiting send or receive
+// observes it on every poll and, once parked, selects on its wake channel.
 func (v *chanVar[T]) SetPoison(c *poison.Cell) { v.pc = c }
 
-// Produce sends into the cell, blocking while it is full.
-func (v *chanVar[T]) Produce(x T) {
-	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
-	if v.pc == nil {
-		v.ch <- x
+// trySend and tryRecv are the non-blocking halves of a transfer.
+func (v *chanVar[T]) trySend(x T) bool {
+	select {
+	case v.ch <- x:
+		return true
+	default:
+		return false
+	}
+}
+
+func (v *chanVar[T]) tryRecv() (x T, ok bool) {
+	select {
+	case x = <-v.ch:
+		return x, true
+	default:
+		return x, false
+	}
+}
+
+// send fills the cell, blocking while it is full; restore says the value
+// is one Copy took out and must put back even when the force is poisoned.
+func (v *chanVar[T]) send(x T, restore bool) {
+	if v.trySend(x) || poison.Spin(v.pc, func() bool { return v.trySend(x) }) {
 		return
 	}
 	select {
 	case v.ch <- x:
-	case <-v.pc.Done():
+	case <-v.pc.Done(): // nil channel (never ready) when no poison is wired
+		if restore {
+			// Restore before unwinding so the abort does not leave a
+			// variable empty that Copy promised to leave full; if a racing
+			// producer refilled the cell, it is full anyway.
+			v.trySend(x)
+		}
 		v.pc.Check()
 	}
+}
+
+// Produce sends into the cell, blocking while it is full.
+func (v *chanVar[T]) Produce(x T) {
+	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
+	v.send(x, false)
 }
 
 // Consume receives from the cell, blocking while it is empty.
 func (v *chanVar[T]) Consume() T {
 	faultinject.Fire(faultinject.AsyncConsume, -1, v.pc)
-	if v.pc == nil {
-		return <-v.ch
+	x, ok := v.tryRecv()
+	if ok || poison.Spin(v.pc, func() bool { x, ok = v.tryRecv(); return ok }) {
+		return x
 	}
 	select {
-	case x := <-v.ch:
-		return x
+	case x = <-v.ch:
 	case <-v.pc.Done():
 		v.pc.Check()
-		return <-v.ch // unreachable: Done fired means Check panics
 	}
+	return x
 }
 
 // Copy reads the value and immediately restores it.  The cell is briefly
@@ -269,22 +303,7 @@ func (v *chanVar[T]) Consume() T {
 func (v *chanVar[T]) Copy() T {
 	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
 	x := v.Consume()
-	if v.pc == nil {
-		v.ch <- x
-		return x
-	}
-	select {
-	case v.ch <- x:
-	case <-v.pc.Done():
-		// Restore before unwinding so the abort does not leave a
-		// variable empty that Copy promised to leave full; if a racing
-		// producer refilled the cell, it is full anyway.
-		select {
-		case v.ch <- x:
-		default:
-		}
-		v.pc.Check()
-	}
+	v.send(x, true)
 	return x
 }
 

@@ -91,6 +91,7 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 		opts.Selfsched = sched.SelfLock
 	}
 	g := &generator{prog: prog, opts: opts}
+	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Slots: opts.Reduce == reduce.PrivateSlots, Log: g.logf}
 	raw, err := g.run()
 	if err != nil {
 		return nil, nil, err
@@ -102,9 +103,15 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 	return out, g.decisions, nil
 }
 
+// nativeNsPerUnit is what one unit of plan's static body cost takes in
+// the emitted Go (an element reference, an operator or a store is about
+// one instruction-level nanosecond there).
+const nativeNsPerUnit = 1
+
 type generator struct {
 	prog *forcelang.Program
 	opts Options
+	tg   plan.Target // this back end as the planner sees it
 	b    strings.Builder
 	ind  int
 
@@ -328,23 +335,35 @@ func (g *generator) subFunc(sub *forcelang.Subroutine) error {
 // --- statement generation ---------------------------------------------
 
 // stmts emits a statement list.  A run of DOALLs the shared proofs fuse
-// is emitted as one region; everything else statement by statement.
+// is emitted as one region, a Barrier statement directly behind a DOALL or
+// a global reduction into that construct's closing collective
+// (plan.Target.Rider); everything else statement by statement.
 func (g *generator) stmts(list []forcelang.Stmt) error {
-	slots := g.opts.Reduce == reduce.PrivateSlots
 	for i := 0; i < len(list); {
-		if _, isPD := list[i].(*forcelang.ParDo); isPD {
-			if reg := plan.Fuse(list, i, slots, g.logf); reg != nil {
-				if err := g.region(reg); err != nil {
-					return err
-				}
-				i += reg.Len()
-				continue
+		n, err := 1, error(nil)
+		var bar *forcelang.BarrierStmt // the rider of list[i], consumed with it
+		switch t := list[i].(type) {
+		case *forcelang.ParDo:
+			if reg := g.tg.Fuse(list, i); reg != nil {
+				n, err = reg.Len(), g.region(reg)
+				break
 			}
+			pl := g.tg.DoAll(t)
+			bar = g.tg.Rider(list, i)
+			err = g.riddenDoAll(t, pl, bar)
+		case *forcelang.ReduceStmt:
+			bar = g.tg.Rider(list, i)
+			err = g.greduce(t, bar)
+		default:
+			err = g.stmt(t)
 		}
-		if err := g.stmt(list[i]); err != nil {
+		if err != nil {
 			return err
 		}
-		i++
+		if bar != nil {
+			n++
+		}
+		i += n
 	}
 	return nil
 }
@@ -416,9 +435,6 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		g.ind--
 		g.p("}")
 		return nil
-	case *forcelang.ParDo:
-		pl := plan.DoAll(t, g.logf)
-		return g.doAll(t, pl, false, pl.Block())
 	case *forcelang.BarrierStmt:
 		if len(t.Section) == 0 {
 			g.p("p.Barrier()")
@@ -489,8 +505,6 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		}
 		g.p("zzPut(%s)", task)
 		return nil
-	case *forcelang.ReduceStmt:
-		return g.greduce(t)
 	case *forcelang.ProduceStmt:
 		rhs, err := g.exprAs(t.Expr, t.Sym.Type)
 		if err != nil {
@@ -567,7 +581,13 @@ var gopFuncs = map[forcelang.GOp]string{
 //     runtime critical section: the stores are serialized, so aliased
 //     shared cells see race-free identical writes and per-process cells
 //     each get their copy.
-func (g *generator) greduce(t *forcelang.ReduceStmt) error {
+//
+// When bar — the Barrier statement directly behind it, which only a
+// plain-scalar target has (plan.Target.Rider) — has a section, the section
+// rides the reduction's release: the completing process stores the target
+// and runs the section before anyone is released, and a private target is
+// then assigned by the others.
+func (g *generator) greduce(t *forcelang.ReduceStmt, bar *forcelang.BarrierStmt) error {
 	lhs, lt, err := g.lvalue(&t.Target)
 	if err != nil {
 		return err
@@ -577,6 +597,38 @@ func (g *generator) greduce(t *forcelang.ReduceStmt) error {
 		return err
 	}
 	fn := gopFuncs[t.Op]
+	if bar != nil && len(bar.Section) > 0 {
+		entry := "GnumBarrier"
+		if t.Op.Logical() {
+			entry = "GlogBarrier"
+		}
+		call := fmt.Sprintf("core.%s(p, %s, %s, func(zzR %s) {", entry, foldOps[t.Op], operand, goType(lt))
+		private := t.Target.Sym.Storage != forcelang.SharedScalar
+		if private {
+			g.p("{")
+			g.ind++
+			g.p("zzStored := false")
+			g.p("zzRed := %s", call)
+			g.p("\tzzStored = true")
+		} else {
+			g.p("%s", call)
+		}
+		g.ind++
+		g.p("%s = zzR", lhs)
+		if err := g.stmts(bar.Section); err != nil {
+			return err
+		}
+		g.ind--
+		g.p("})")
+		if private {
+			g.p("if !zzStored {")
+			g.p("\t%s = zzRed", lhs)
+			g.p("}")
+			g.ind--
+			g.p("}")
+		}
+		return nil
+	}
 	switch t.Target.Sym.Storage {
 	case forcelang.SharedScalar:
 		g.p("core.%sTo(p, %s, &%s)", fn, operand, lhs)

@@ -123,7 +123,7 @@ func TestGeneratedStructure(t *testing.T) {
 		"defer f.Close()",
 		"zzR := sched.Range{Start: 1, Last: shr.N, Incr: 1}",
 		"p.DoAllChunked(sched.PreschedBlock, zzR, func(zzLo, zzHi, zzStride int) {",
-		"p.DoAll2Chunked(sched.SelfLock, zzR, zzR2, func(zzLo, zzHi, zzStride int) {",
+		"p.DoAllGranted(sched.SelfLock, 400, sched.Seq(zzR.Count()*zzN2), func(zzLo, zzHi, zzStride int) {",
 		"p.Critical(\"SUM\", func() {",
 		"p.Pcase(",
 		"core.CaseIf(func() bool { return (shr.N > 4) }, func() {",
@@ -184,7 +184,7 @@ Join
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "p.DoAllChunked(sched.Chunk, ") {
+	if !strings.Contains(string(out), "p.DoAllGranted(sched.Chunk, ") {
 		t.Errorf("Selfsched option ignored:\n%s", out)
 	}
 }

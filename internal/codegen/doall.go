@@ -1,7 +1,8 @@
 package codegen
 
 // DOALL emission.  Every Presched/Selfsched DO, one- or two-index, is a
-// span loop against the chunk-granular runtime entry points:
+// span loop against the chunk-granular runtime entry points (a Selfsched
+// DO through DoAllGranted, with the grant its plan sized):
 //
 //	{
 //		zzR := sched.Range{Start: …, Last: …, Incr: …}
@@ -22,21 +23,26 @@ package codegen
 // decided here: a mapping-insensitive Presched body is dealt in
 // contiguous blocks (the index left where the cyclic deal would leave
 // it); a folded accumulator becomes a span-local
-// partial with one atomic fold at the end of the span; and a fused
-// region's members run through DoAllChunkedOpen, closed by one FusedJoin.
-// A body with no plan (it blocks, calls out or prints) takes the loop as
-// written above, with the cyclic deal and nothing folded.
+// partial with one atomic fold at the end of the span; a selfscheduled
+// loop claims the plan's grant of ordinals at a time; a fused region's
+// members run through DoAllChunkedOpen, closed by one FusedJoin; and a
+// Barrier statement directly behind a construct is emitted as the section
+// of its closing collective.  A body with no plan (it blocks, calls out or
+// prints) takes the loop as written above, with the cyclic deal or one
+// iteration per claim and nothing folded.
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/forcelang"
 	"repro/internal/plan"
 )
 
 // doAll emits one DOALL as a span loop.  pl is the body's plan (nil: no
-// fact proven); open emits a fused-region member (no exit barrier — the
-// caller closes the region with a FusedJoin); block deals a prescheduled
-// loop in contiguous blocks.
+// fact proven); open leaves the construct open (no exit barrier — the
+// caller closes it with a FusedJoin or JoinSection); block deals a
+// prescheduled loop in contiguous blocks.
 func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) error {
 	from, to, step, err := g.loopBounds(t.From, t.To, t.Step)
 	if err != nil {
@@ -52,9 +58,16 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 	default:
 		kind = "sched.PreschedCyclic"
 	}
-	entry := "p.DoAllChunked"
-	if open {
-		entry = "p.DoAllChunkedOpen"
+	// entry is the runtime call up to its range argument; the prescheduled
+	// deals ignore the grant.
+	var entry string
+	switch {
+	case open:
+		entry = fmt.Sprintf("p.DoAllChunkedOpen(%s, %d, ", kind, pl.Grant())
+	case t.Sched != forcelang.Presched:
+		entry = fmt.Sprintf("p.DoAllGranted(%s, %d, ", kind, pl.Grant())
+	default:
+		entry = fmt.Sprintf("p.DoAllChunked(%s, ", kind)
 	}
 	// vars are the loop variable(s); index the expression list giving
 	// their values at ordinal zzK; count the size of the (flattened)
@@ -66,7 +79,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 	g.ind++
 	g.p("zzR := sched.Range{Start: %s, Last: %s, Incr: %s}", from, to, step)
 	if t.Inner == nil {
-		g.p("%s(%s, zzR, func(zzLo, zzHi, zzStride int) {", entry, kind)
+		g.p("%szzR, func(zzLo, zzHi, zzStride int) {", entry)
 	} else {
 		ifrom, ito, istep, err := g.loopBounds(t.Inner.From, t.Inner.To, t.Inner.Step)
 		if err != nil {
@@ -75,7 +88,8 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 		ilv := symCode(t.Inner.VarSym)
 		g.p("zzR2 := sched.Range{Start: %s, Last: %s, Incr: %s}", ifrom, ito, istep)
 		g.p("zzN2 := zzR2.Count()")
-		g.p("p.DoAll2Chunked(%s, zzR, zzR2, func(zzLo, zzHi, zzStride int) {", kind)
+		// Index pairs are the unit of distribution: one space of flat ordinals.
+		g.p("%ssched.Seq(zzR.Count()*zzN2), func(zzLo, zzHi, zzStride int) {", entry)
 		vars = lv + ", " + ilv
 		index = "zzR.Index(zzK/zzN2), zzR2.Index(zzK%zzN2)"
 		count = "zzR.Count()*zzN2"
@@ -197,17 +211,39 @@ func (g *generator) accumulate(t *forcelang.Assign, acc plan.Accum) error {
 	return nil
 }
 
-// foldOps maps the numeric reduction operators to the join's fold.
+// riddenDoAll emits one unfused DOALL whose exit synchronization runs the
+// section of bar, the Barrier statement directly behind it (nil, or an
+// empty section: the exit is the whole barrier).
+func (g *generator) riddenDoAll(t *forcelang.ParDo, pl *plan.Plan, bar *forcelang.BarrierStmt) error {
+	if bar == nil || len(bar.Section) == 0 {
+		return g.doAll(t, pl, false, pl.Block())
+	}
+	if err := g.doAll(t, pl, true, pl.Block()); err != nil {
+		return err
+	}
+	g.p("p.JoinSection(func() {")
+	g.ind++
+	if err := g.stmts(bar.Section); err != nil {
+		return err
+	}
+	g.ind--
+	g.p("})")
+	return nil
+}
+
+// foldOps maps the reduction operators to the runtime's fold.
 var foldOps = map[forcelang.GOp]string{
 	forcelang.GSum: "reduce.Sum", forcelang.GProd: "reduce.Prod",
 	forcelang.GMax: "reduce.Max", forcelang.GMin: "reduce.Min",
+	forcelang.GAnd: "reduce.And", forcelang.GOr: "reduce.Or",
 }
 
 // region emits one fused region: every member open, then the one join.
-// A reduction tail contributes its operand to the join and every process
-// assigns the fold — into its own cell for a private target, as an
-// atomic store of the one value all of them hold for a shared one (the
-// concurrent identical stores are then not a data race).
+// A reduction tail contributes its operand to the join; the completing
+// process stores the fold before it runs the section of the Barrier
+// statement riding the join (when one does): a shared target once, as the
+// word the join folded (the section may overwrite it), a private one in
+// every process — the others after their release.
 func (g *generator) region(reg *plan.Region) error {
 	for i, m := range reg.Members {
 		if err := g.doAll(m, reg.Plans[i], true, reg.Block); err != nil {
@@ -216,8 +252,7 @@ func (g *generator) region(reg *plan.Region) error {
 	}
 	red := reg.Red
 	if red == nil {
-		g.p("p.FusedJoin(reduce.Sum, reduce.NumInt, 0)")
-		return nil
+		return g.join("p.FusedJoin(reduce.Sum, reduce.NumInt, 0, nil, ", reg.Rider)
 	}
 	lhs, lt, err := g.lvalue(&red.Target)
 	if err != nil {
@@ -233,16 +268,41 @@ func (g *generator) region(reg *plan.Region) error {
 		bits, val = "math.Float64bits("+operand+")", "math.Float64frombits(zzOut)"
 		numKind = "reduce.NumReal"
 	}
+	call := fmt.Sprintf("p.FusedJoin(%s, %s, %s, ", foldOps[red.Op], numKind, bits)
+	if red.Target.Sym.Storage == forcelang.SharedScalar {
+		return g.join(fmt.Sprintf("%sfunc(zzOut uint64) { forcert.Word(&%s).Store(zzOut) }, ", call, lhs), reg.Rider)
+	}
 	g.p("{")
 	g.ind++
-	g.p("zzOut := p.FusedJoin(%s, %s, %s)", foldOps[red.Op], numKind, bits)
-	if red.Target.Sym.Storage == forcelang.SharedScalar {
-		// The fold is the word every process holds: store it as is.
-		g.p("forcert.Word(&%s).Store(zzOut)", lhs)
+	if reg.Rider != nil && len(reg.Rider.Section) > 0 {
+		g.p("zzStored := false")
+		err = g.join(fmt.Sprintf("zzOut := %sfunc(zzOut uint64) { zzStored, %s = true, %s }, ", call, lhs, val), reg.Rider)
+		g.p("if !zzStored {")
+		g.p("\t%s = %s", lhs, val)
+		g.p("}")
 	} else {
+		g.p("zzOut := %snil, nil)", call)
 		g.p("%s = %s", lhs, val)
 	}
 	g.ind--
 	g.p("}")
+	return err
+}
+
+// join emits call — a FusedJoin call up to its last argument — completed
+// by the section of bar, the Barrier statement riding the join (nil, or an
+// empty section: the join is the whole barrier).
+func (g *generator) join(call string, bar *forcelang.BarrierStmt) error {
+	if bar == nil || len(bar.Section) == 0 {
+		g.p("%snil)", call)
+		return nil
+	}
+	g.p("%sfunc() {", call)
+	g.ind++
+	if err := g.stmts(bar.Section); err != nil {
+		return err
+	}
+	g.ind--
+	g.p("})")
 	return nil
 }

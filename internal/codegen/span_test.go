@@ -143,6 +143,53 @@ End Presched DO
 GSUM COUNT = MINE
 Join
 `},
+	// A Barrier statement rides the closing collective of the construct
+	// before it: a DOALL's exit, a fused join folding into a private and
+	// into a shared target, a standalone reduction; an empty one is the
+	// exit itself, and the Barrier behind it stays an episode of its own.
+	{"ridden-barriers", `Force G of NP ident ME
+Shared Real A(32)
+Shared Integer COUNT, SEEN
+Shared Logical ANY
+Private Integer I, MINE, TOT
+End Declarations
+Presched DO I = 1, 32
+  A(I) = REAL(I)
+End Presched DO
+Barrier
+  SEEN = 0
+End Barrier
+Selfsched DO I = 1, 32
+  MINE = MINE + 1
+End Selfsched DO
+GSUM TOT = MINE
+Barrier
+  SEEN = TOT
+End Barrier
+Selfsched DO I = 1, 32
+  MINE = MINE + 1
+End Selfsched DO
+GSUM COUNT = MINE
+Barrier
+  SEEN = SEEN + COUNT
+End Barrier
+GOR ANY = MINE .GT. 3
+Barrier
+  Print SEEN, ANY
+End Barrier
+GSUM TOT = 1
+Barrier
+  SEEN = TOT
+End Barrier
+Presched DO I = 1, 32
+  A(I) = 0.0
+End Presched DO
+Barrier
+End Barrier
+Barrier
+End Barrier
+Join
+`},
 }
 
 // processBody cuts the emitted source down to the statements inside

@@ -51,8 +51,8 @@
 // survive across Run invocations, the paper's create-force-then-reuse
 // driver taken literally.  Askfor draws from an engine.Pool
 // (work-stealing deques by default, the [LO83] central monitor as the
-// paper's baseline); selfscheduled Pcase and DOALL loops draw from
-// sched schedulers.
+// paper's baseline); selfscheduled Pcase and DOALL loops claim from the
+// force's reusable loop slots (sched.Loop).
 package core
 
 import (
@@ -75,7 +75,7 @@ import (
 
 // Force is a force of NP processes together with the shared parallel
 // environment the preprocessor would have generated: the global barrier,
-// the named lock set, and the per-construct scheduler table.
+// the named lock set, the loop slots and the per-construct table.
 type Force struct {
 	np        int
 	profile   machine.Profile
@@ -87,6 +87,10 @@ type Force struct {
 	askfor    engine.PoolKind // Askfor pool discipline
 	pcaseKind sched.Kind      // SelfschedPcase block distribution
 	reduceK   reduce.Kind     // global-reduction strategy
+
+	// newLock is the machine's define_lock (profile.LockFactory), taken
+	// once: the barrier, the named lock set and the loop slots share it.
+	newLock func() lock.Lock
 
 	eng *engine.Engine // persistent workers; nil on scoped sub-forces
 
@@ -114,6 +118,10 @@ type Force struct {
 	runBody    func(id int)
 	curProgram func(p *Proc)
 
+	// loops are the reusable shared states of selfscheduled loops
+	// (loopSlot, fused.go); entries holds what is still materialized per
+	// construct instance: Askfor pools, Resolve plans, reduce episodes.
+	loops   [loopSlots]loopSlot
 	entries sync.Map // construct seq (uint64) -> *constructEntry
 	stats   Stats
 }
@@ -252,10 +260,7 @@ func New(np int, opts ...Option) *Force {
 	f.pc = poison.NewCell()
 	f.pc.SetProcs(np)
 	f.sites = make([]procSite, np)
-	f.bar = barrier.New(f.barKind, np, f.profile.LockFactory())
-	barrier.SetPoison(f.bar, f.pc)
-	f.locks = lock.NewSet(f.profile.LockFactory())
-	f.initFusedEps()
+	f.initConstructs()
 	// Capture the profile by value: the start hook must not reference f,
 	// or the workers would keep an abandoned force alive forever.
 	prof := f.profile
@@ -265,8 +270,7 @@ func New(np int, opts ...Option) *Force {
 		f.sites[id].construct.Store(nil)
 		f.sites[id].note.Store(nil)
 		p := &f.procs[id]
-		drops := p.pendingDrops[:0]
-		*p = Proc{id: id, f: f, site: &f.sites[id], pendingDrops: drops}
+		*p = Proc{id: id, f: f, site: &f.sites[id]}
 		f.curProgram(p)
 		// Reached only on normal return: a panicking process keeps its
 		// last blocked site for post-mortem inspection.  The sticky
@@ -277,9 +281,19 @@ func New(np int, opts ...Option) *Force {
 	return f
 }
 
-func (f *Force) initFusedEps() {
+// initConstructs builds the per-run construct state of a force or
+// sub-force: the barrier, the named locks, the fused-join pair and the
+// loop slots.  recoverAborted rebuilds it the same way — an aborted Run
+// leaves the barrier's relay mid-episode, named locks held by unwound
+// processes and joins holding contributions that never folded.
+func (f *Force) initConstructs() {
+	f.newLock = f.profile.LockFactory()
+	f.bar = barrier.New(f.barKind, f.np, f.newLock)
+	barrier.SetPoison(f.bar, f.pc)
+	f.locks = lock.NewSet(f.newLock)
 	f.fusedEps[0] = reduce.NewNumEpisode(f.np, f.pc)
 	f.fusedEps[1] = reduce.NewNumEpisode(f.np, f.pc)
+	f.resetLoops()
 }
 
 // Close stops the force's persistent workers.  Idempotent; the force must
@@ -523,6 +537,7 @@ func (f *Force) RunContext(ctx context.Context, program func(p *Proc)) error {
 	}
 
 	f.curProgram = program
+	f.resetLoops() // Proc.seq restarts with the Run: no slot may still answer to one
 	f.eng.RunCell(f.pc, f.runBody)
 	f.curProgram = nil // do not pin the program until the next Run
 	if stop != nil {
@@ -579,12 +594,7 @@ func (f *Force) Shutdown(ctx context.Context) error {
 // stopped.
 func (f *Force) recoverAborted() {
 	f.pc.Reset()
-	f.bar = barrier.New(f.barKind, f.np, f.profile.LockFactory())
-	barrier.SetPoison(f.bar, f.pc)
-	f.locks = lock.NewSet(f.profile.LockFactory())
-	// An aborted fused join may hold contributions that never folded;
-	// rebuild the reusable pair like the barrier.
-	f.initFusedEps()
+	f.initConstructs()
 	f.releaseEntries()
 }
 
@@ -639,12 +649,8 @@ type Proc struct {
 	site *procSite // this process's watchdog slot on the TOP-LEVEL force
 
 	// fuse counts fused joins executed by this process (selects which
-	// of the force's two reusable episodes serves the next one);
-	// pendingDrops carries the selfscheduled construct entries of every
-	// open member of the current fused region to the FusedJoin that
-	// retires them.  The backing array is reused across regions.
-	fuse         uint64
-	pendingDrops []uint64
+	// of the force's two reusable episodes serves the next one).
+	fuse uint64
 }
 
 // ID returns the process identifier, in [0, NP()).
@@ -664,17 +670,7 @@ func (p *Proc) nextSeq() uint64 {
 }
 
 // Barrier suspends the process until the whole force arrives (§3.4).
-func (p *Proc) Barrier() {
-	p.f.pc.Check()
-	p.f.stats.Barriers.Add(1)
-	p.f.tr.Record(p.id, trace.BarrierEnter, "", 0)
-	faultinject.Fire(faultinject.BarrierEnter, p.id, p.f.pc)
-	p.enterSite(&siteBarrier)
-	p.f.bar.Sync(p.id, nil)
-	p.leaveSite()
-	faultinject.Fire(faultinject.BarrierExit, p.id, p.f.pc)
-	p.f.tr.Record(p.id, trace.BarrierLeave, "", 0)
-}
+func (p *Proc) Barrier() { p.BarrierSection(nil) }
 
 // BarrierSection is a barrier with a barrier section: all processes wait,
 // exactly one arbitrary process executes section while the others remain
@@ -682,26 +678,43 @@ func (p *Proc) Barrier() {
 func (p *Proc) BarrierSection(section func()) {
 	p.f.pc.Check()
 	p.f.stats.Barriers.Add(1)
+	p.barrierSync(section)
+}
+
+// barrierSync is one episode of the force's barrier executing a Barrier
+// statement: its own (BarrierSection), or the exit synchronization of the
+// DOALL the statement rides (JoinSection).
+func (p *Proc) barrierSync(section func()) {
+	section = p.barrierEnter(section)
+	p.enterSite(&siteBarrier)
+	p.f.bar.Sync(p.id, section)
+	p.leaveSite()
+	p.barrierLeave()
+}
+
+// barrierEnter and barrierLeave bracket the collective that executes a
+// Barrier statement — the barrier's own episode, or the closing collective
+// of the construct the statement rides (JoinSection, FusedJoin,
+// GnumBarrier) — with what a recorder and the fault-injection harness see
+// of it: BarrierEnter / BarrierLeave per process, SectionStart /
+// SectionEnd and the barrier.section site around the section.  The
+// section comes back wrapped only under a recorder or an armed plan.
+func (p *Proc) barrierEnter(section func()) func() {
 	p.f.tr.Record(p.id, trace.BarrierEnter, "", 0)
-	if p.f.tr != nil && section != nil {
+	if section != nil && (p.f.tr != nil || faultinject.Enabled()) {
 		inner := section
 		section = func() {
+			faultinject.Fire(faultinject.BarrierSection, p.id, p.f.pc)
 			p.f.tr.Record(p.id, trace.SectionStart, "", 0)
 			inner()
 			p.f.tr.Record(p.id, trace.SectionEnd, "", 0)
 		}
 	}
-	if section != nil && faultinject.Enabled() {
-		inner := section
-		section = func() {
-			faultinject.Fire(faultinject.BarrierSection, p.id, p.f.pc)
-			inner()
-		}
-	}
 	faultinject.Fire(faultinject.BarrierEnter, p.id, p.f.pc)
-	p.enterSite(&siteBarrier)
-	p.f.bar.Sync(p.id, section)
-	p.leaveSite()
+	return section
+}
+
+func (p *Proc) barrierLeave() {
 	faultinject.Fire(faultinject.BarrierExit, p.id, p.f.pc)
 	p.f.tr.Record(p.id, trace.BarrierLeave, "", 0)
 }
@@ -782,29 +795,29 @@ type ChunkBody func(lo, hi, stride int)
 // DoAllChunked is the DOALL: the spans openSpans (fused.go) deals this
 // process are forwarded to the body WHOLE, and the paper's exit
 // synchronization closes the construct (no process leaves before all have
-// arrived; the loop cannot be reentered before all have left), retiring a
-// selfscheduled construct's entry.  Poison is checked before every grant;
-// a body looping over a long span checks every PoisonEvery iterations
-// itself (Check) to keep abort latency bounded, as DoAll does for the
-// per-index entry points.  The watchdog site covers the construct, and a
-// recorder sees one LoopSpan event per grant.
+// arrived; the loop cannot be reentered before all have left).  A
+// selfscheduled discipline takes one ordinal per claim — the paper's
+// (a Chunk claim its chunk); DoAllGranted is the entry point of a planner
+// that sized the claim.  Poison is checked before every grant; a body
+// looping over a long span checks every PoisonEvery iterations itself
+// (Check) to keep abort latency bounded, as DoAll does for the per-index
+// entry points.  The watchdog site covers the construct, and a recorder
+// sees one LoopSpan event per grant.
 func (p *Proc) DoAllChunked(kind sched.Kind, r sched.Range, chunk ChunkBody) {
-	seq, entry := p.openSpans(kind, r, chunk)
-	if entry {
-		p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
-	} else {
-		p.f.bar.Sync(p.id, nil)
-	}
-	p.leaveSite()
-	p.f.tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
+	p.DoAllGranted(kind, 1, r, chunk)
 }
 
-// DoAll2Chunked is the chunk-granular doubly nested DOALL: the two index
-// spaces are flattened exactly as DoAll2 flattens them, and the body
-// receives whole spans of flat ordinals (k maps to the index pair
-// (r1.Index(k/r2.Count()), r2.Index(k%r2.Count()))).
-func (p *Proc) DoAll2Chunked(kind sched.Kind, r1, r2 sched.Range, chunk ChunkBody) {
-	p.DoAllChunked(kind, sched.Seq(r1.Count()*r2.Count()), chunk)
+// DoAllGranted is DoAllChunked with the grant chosen by the caller: one
+// claim of a selfscheduled discipline takes grant ordinals (a loop smaller
+// than that goes whole to the first process to arrive).  Which process
+// runs which iteration of a selfscheduled loop is unspecified at any
+// grant, so the grant is a cost decision only; the prescheduled deals
+// ignore it.
+func (p *Proc) DoAllGranted(kind sched.Kind, grant int, r sched.Range, chunk ChunkBody) {
+	seq := p.openSpans(kind, grant, r, chunk)
+	p.f.bar.Sync(p.id, nil)
+	p.leaveSite()
+	p.f.tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
 }
 
 // DoAll2 runs a doubly nested loop under an explicitly chosen discipline.
@@ -854,39 +867,31 @@ func CaseIf(cond func() bool, body func()) Block { return Block{Cond: cond, Body
 // exit barrier.
 func (p *Proc) Pcase(blocks ...Block) {
 	p.f.pc.Check()
-	seq := p.nextSeq()
+	p.nextSeq()
 	for b := p.id; b < len(blocks); b += p.f.np {
 		p.runBlock(blocks[b])
 	}
 	p.enterSite(&sitePcase)
-	p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
+	p.f.bar.Sync(p.id, nil)
 	p.leaveSite()
 }
 
-// SelfschedPcase distributes the blocks over the force selfscheduled.
+// SelfschedPcase distributes the blocks over the force selfscheduled
+// through one of the force's loop slots, like a selfscheduled DOALL.
 // With the default discipline a shared block counter behind the machine's
 // lock deals them out — the paper's "asynchronous variable ... needed for
 // work distribution" (§4.2); WithPcaseSched selects another selfscheduled
 // discipline.
 func (p *Proc) SelfschedPcase(blocks ...Block) {
 	p.f.pc.Check()
-	seq := p.nextSeq()
-	cfg := sched.Config{ChunkSize: 1, LockFactory: p.f.profile.LockFactory()}
-	s := p.f.entry(seq, func() any {
-		return sched.New(p.f.pcaseKind, p.f.np, sched.Seq(len(blocks)), cfg)
-	}).(sched.Scheduler)
-	for {
-		p.f.pc.Check()
-		lo, hi, ok := s.Next(p.id)
-		if !ok {
-			break
-		}
+	// Blocks are dealt one per claim whatever the discipline.
+	p.selfsched(p.nextSeq(), p.f.pcaseKind, len(blocks), 1, 1, func(lo, hi, _ int) {
 		for b := lo; b < hi; b++ {
 			p.runBlock(blocks[b])
 		}
-	}
+	})
 	p.enterSite(&sitePcase)
-	p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
+	p.f.bar.Sync(p.id, nil)
 	p.leaveSite()
 }
 
@@ -978,7 +983,7 @@ func (p *Proc) Resolve(components ...Component) {
 	p.f.pc.Check()
 	seq := p.nextSeq()
 	if len(components) == 0 {
-		p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
+		p.f.bar.Sync(p.id, nil)
 		return
 	}
 	plan := p.f.entry(seq, func() any {
@@ -1093,7 +1098,7 @@ func planResolve(f *Force, components []Component) *resolvePlan {
 }
 
 // newSubForce builds a scoped force sharing the parent's machine profile
-// but with its own barrier, locks, construct table and stats.  Sub-forces
+// but with its own barrier, locks, loop slots, construct table and stats.  Sub-forces
 // have no workers of their own: their processes are the parent's workers,
 // re-scoped.
 func newSubForce(parent *Force, np int) *Force {
@@ -1113,9 +1118,6 @@ func newSubForce(parent *Force, np int) *Force {
 		// watchdog slot by pointer.)
 		pc: parent.pc,
 	}
-	sub.bar = barrier.New(sub.barKind, np, sub.profile.LockFactory())
-	barrier.SetPoison(sub.bar, sub.pc)
-	sub.locks = lock.NewSet(sub.profile.LockFactory())
-	sub.initFusedEps()
+	sub.initConstructs()
 	return sub
 }

@@ -32,12 +32,12 @@ func TestFusedJoinMatchesUnfused(t *testing.T) {
 			var got atomic.Int64
 			f.Run(func(p *Proc) {
 				var local int64
-				p.DoAllChunkedOpen(kind, sched.Seq(n), func(lo, hi, stride int) {
+				p.DoAllChunkedOpen(kind, 1, sched.Seq(n), func(lo, hi, stride int) {
 					for i := lo; i < hi; i += stride {
 						local += int64(i)
 					}
 				})
-				g := int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(local)))
+				g := int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(local), nil, nil))
 				got.Store(g)
 			})
 			if got.Load() != want.Load() || got.Load() != n*(n-1)/2 {
@@ -65,7 +65,7 @@ func TestFusedJoinRealBitIdentical(t *testing.T) {
 	})
 	f.Run(func(p *Proc) {
 		x := 0.1 * float64(p.ID()+1)
-		g := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(x))
+		g := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(x), nil, nil)
 		if p.ID() == 0 {
 			atomic.StoreUint64(&fused, g)
 		}
@@ -88,18 +88,18 @@ func TestFusedJoinAbortRecovers(t *testing.T) {
 			}
 		}()
 		f.Run(func(p *Proc) {
-			p.DoAllChunkedOpen(sched.PreschedCyclic, sched.Seq(100), func(lo, hi, stride int) {})
+			p.DoAllChunkedOpen(sched.PreschedCyclic, 1, sched.Seq(100), func(lo, hi, stride int) {})
 			if p.ID() == 1 {
 				panic("boom in fused region")
 			}
-			p.FusedJoin(reduce.Sum, reduce.NumInt, 1)
+			p.FusedJoin(reduce.Sum, reduce.NumInt, 1, nil, nil)
 		})
 	}()
 	// The force must serve the next Run cleanly, including fused joins
 	// (recoverAborted rebuilds the episode pair).
 	var total atomic.Int64
 	f.Run(func(p *Proc) {
-		g := int64(p.FusedJoin(reduce.Sum, reduce.NumInt, 1))
+		g := int64(p.FusedJoin(reduce.Sum, reduce.NumInt, 1, nil, nil))
 		total.Store(g)
 	})
 	if total.Load() != np {
@@ -122,8 +122,8 @@ func TestRunSteadyStateZeroAllocs(t *testing.T) {
 	}
 	body := func(p *Proc) {
 		local = 0
-		p.DoAllChunkedOpen(sched.PreschedCyclic, sched.Seq(64), chunk)
-		sink = int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(local)))
+		p.DoAllChunkedOpen(sched.PreschedCyclic, 1, sched.Seq(64), chunk)
+		sink = int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(local), nil, nil))
 	}
 	f.Run(body) // warm up: lazy state settles on the first Run
 	avg := testing.AllocsPerRun(100, func() { f.Run(body) })
@@ -153,6 +153,148 @@ func TestPerIndexSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
+// Selfscheduled loops draw from the force's reusable loop slots: on a warm
+// persistent force a selfscheduled DoAllChunked episode (the Go API's
+// grant 1), a granted one, a SelfschedPcase and a fused region with a
+// selfscheduled member whose join stores its fold and carries a section
+// allocate nothing, Run after Run (Proc.seq restarts with every Run, and
+// the slots with it) — and again after an aborted Run left a slot half
+// drained.
+func TestSelfschedSteadyStateZeroAllocs(t *testing.T) {
+	const n = 1000
+	for _, np := range []int{1, 2} {
+		f := New(np)
+		var loop, fused, stored, sections atomic.Int64
+		each := func(lo, hi, stride int) {
+			for i := lo; i < hi; i += stride {
+				loop.Add(int64(i))
+			}
+		}
+		blocks := []Block{Case(func() { loop.Add(1) }), Case(func() { loop.Add(2) }), Case(func() { loop.Add(3) })}
+		store := func(fold uint64) { stored.Store(int64(fold)) }
+		section := func() { sections.Add(1) }
+		body := func(p *Proc) {
+			p.DoAllChunked(sched.SelfLock, sched.Seq(n), each)
+			p.DoAllGranted(sched.SelfAtomic, 64, sched.Seq(n), each)
+			p.DoAllGranted(sched.Chunk, 64, sched.Seq(n), each)
+			p.SelfschedPcase(blocks...)
+			p.DoAllChunkedOpen(sched.SelfLock, 16, sched.Seq(n), each)
+			p.DoAllChunkedOpen(sched.SelfLock, 16, sched.Seq(n), each)
+			fused.Store(int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(p.ID()+1), store, section)))
+		}
+		check := func(when string, runs int64) {
+			t.Helper()
+			const sum = n * (n - 1) / 2
+			if got, want := loop.Load(), runs*(5*sum+6); got != want {
+				t.Fatalf("np=%d %s: loops summed %d, want %d", np, when, got, want)
+			}
+			if join := int64(np * (np + 1) / 2); fused.Load() != join || stored.Load() != join || sections.Load() != runs {
+				t.Fatalf("np=%d %s: fused %d stored %d (want %d), %d sections in %d Runs",
+					np, when, fused.Load(), stored.Load(), join, sections.Load(), runs)
+			}
+		}
+		f.Run(body) // warm up: loop locks and lazy state settle on the first Run
+		check("first Run", 1)
+		if avg := testing.AllocsPerRun(50, func() { f.Run(body) }); avg != 0 {
+			t.Errorf("np=%d: selfscheduled episodes allocate %v objects/Run, want 0", np, avg)
+		}
+		check("steady state", 52)
+
+		// An aborted Run leaves a slot armed and half drained.
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("run with a faulting process did not panic")
+				}
+			}()
+			f.Run(func(p *Proc) {
+				p.DoAllChunked(sched.SelfLock, sched.Seq(n), func(lo, hi, stride int) {
+					if lo == n/2 {
+						panic("boom inside a selfscheduled span")
+					}
+				})
+			})
+		}()
+		loop.Store(0)
+		sections.Store(0)
+		f.Run(body)
+		check("after an aborted Run", 1)
+		if avg := testing.AllocsPerRun(50, func() { f.Run(body) }); avg != 0 {
+			t.Errorf("np=%d: after an aborted Run selfscheduled episodes allocate %v objects/Run, want 0", np, avg)
+		}
+		f.Close()
+	}
+}
+
+// More open selfscheduled members than the force has loop slots: a
+// process that runs ahead waits for the slot of an earlier member to be
+// drained by everyone, and every member still executes each ordinal
+// exactly once.
+func TestOpenMembersBeyondLoopSlots(t *testing.T) {
+	const np, n, members = 4, 257, 3*loopSlots + 1
+	f := New(np)
+	defer f.Close()
+	counts := make([]atomic.Int64, members*n)
+	for run := 0; run < 3; run++ {
+		f.Run(func(p *Proc) {
+			for m := 0; m < members; m++ {
+				m := m
+				p.DoAllChunkedOpen(sched.SelfLock, 5, sched.Seq(n), func(lo, hi, stride int) {
+					for i := lo; i < hi; i += stride {
+						counts[m*n+i].Add(1)
+					}
+				})
+			}
+			p.FusedJoin(reduce.Sum, reduce.NumInt, 0, nil, nil)
+		})
+		for i := range counts {
+			if got := counts[i].Load(); got != int64(run+1) {
+				t.Fatalf("run %d: member %d ordinal %d executed %d times", run, i/n, i%n, got)
+			}
+		}
+	}
+}
+
+// Sub-forces own their loop slots: the components of a Resolve run
+// selfscheduled loops concurrently, each over its own processes, while
+// the parent's slots serve the loops around the Resolve.
+func TestResolveComponentsOwnLoopSlots(t *testing.T) {
+	const np, n = 4, 500
+	f := New(np)
+	defer f.Close()
+	var outer, a, b atomic.Int64
+	sum := func(into *atomic.Int64) ChunkBody {
+		return func(lo, hi, stride int) {
+			for i := lo; i < hi; i += stride {
+				into.Add(int64(i))
+			}
+		}
+	}
+	for run := 0; run < 3; run++ {
+		f.Run(func(p *Proc) {
+			p.DoAllGranted(sched.SelfLock, 8, sched.Seq(n), sum(&outer))
+			p.Resolve(
+				Component{Weight: 1, Body: func(sp *Proc) {
+					for k := 0; k < 3; k++ {
+						sp.DoAllGranted(sched.SelfLock, 8, sched.Seq(n), sum(&a))
+					}
+				}},
+				Component{Weight: 1, Body: func(sp *Proc) {
+					for k := 0; k < 5; k++ {
+						sp.DoAllChunked(sched.SelfAtomic, sched.Seq(n), sum(&b))
+					}
+				}},
+			)
+			p.DoAllGranted(sched.SelfLock, 8, sched.Seq(n), sum(&outer))
+		})
+	}
+	const s = n * (n - 1) / 2
+	if outer.Load() != 3*2*s || a.Load() != 3*3*s || b.Load() != 3*5*s {
+		t.Fatalf("outer %d (want %d), component a %d (want %d), component b %d (want %d)",
+			outer.Load(), 3*2*s, a.Load(), 3*3*s, b.Load(), 3*5*s)
+	}
+}
+
 // BenchmarkRunSteadyState is the committed allocs/op evidence for the
 // zero-allocation steady state: a warm persistent force running a
 // small fused kernel per op.  Run with -benchmem.
@@ -167,8 +309,8 @@ func BenchmarkRunSteadyState(b *testing.B) {
 	}
 	body := func(p *Proc) {
 		local = 0
-		p.DoAllChunkedOpen(sched.PreschedCyclic, sched.Seq(64), chunk)
-		sink = int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(local)))
+		p.DoAllChunkedOpen(sched.PreschedCyclic, 1, sched.Seq(64), chunk)
+		sink = int64(p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(local), nil, nil))
 	}
 	f.Run(body)
 	b.ReportAllocs()

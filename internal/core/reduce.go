@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/faultinject"
 	"repro/internal/reduce"
 	"repro/internal/trace"
@@ -105,6 +107,51 @@ func Reduce[T any](p *Proc, x T, combine func(T, T) T) T {
 // race-free before the force proceeds.
 func ReduceSection[T any](p *Proc, x T, combine func(T, T) T, section func(T)) T {
 	return reduceVia(p, reduce.Custom, x, combine, section)
+}
+
+// GnumBarrier is the numeric global reduction under op (reduce.Sum, Prod,
+// Max or Min) that a Barrier statement rides: section runs exactly once,
+// with the combined value, in the process that completes the combination
+// and before any process is released — the barrier's section and the
+// single store of a shared target, in the reduction's own episode.
+func GnumBarrier[T Number](p *Proc, op reduce.Op, x T, section func(T)) T {
+	var combine func(a, b T) T
+	switch op {
+	case reduce.Sum:
+		combine = func(a, b T) T { return a + b }
+	case reduce.Prod:
+		combine = func(a, b T) T { return a * b }
+	case reduce.Max:
+		combine = maxOf[T]
+	case reduce.Min:
+		combine = minOf[T]
+	default:
+		panic(fmt.Sprintf("core: GnumBarrier does not serve op %v", op))
+	}
+	return reduceBarrier(p, op, x, combine, section)
+}
+
+// GlogBarrier is GnumBarrier for the logical operators reduce.And and
+// reduce.Or.
+func GlogBarrier(p *Proc, op reduce.Op, x bool, section func(bool)) bool {
+	combine := func(a, b bool) bool { return a && b }
+	if op == reduce.Or {
+		combine = func(a, b bool) bool { return a || b }
+	}
+	return reduceBarrier(p, op, x, combine, section)
+}
+
+// reduceBarrier runs a reduction whose completion hook is a Barrier
+// statement's section (barrierEnter).
+func reduceBarrier[T any](p *Proc, op reduce.Op, x T, combine func(T, T) T, section func(T)) T {
+	var fold T
+	run := p.barrierEnter(func() { section(fold) })
+	out := reduceVia(p, op, x, combine, func(r T) {
+		fold = r
+		run()
+	})
+	p.barrierLeave()
+	return out
 }
 
 func maxOf[T Number](a, b T) T {

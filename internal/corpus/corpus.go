@@ -952,6 +952,108 @@ End Declarations
 Z = Z + 1
 Endsub
 `},
+	// The next three are about the GRANT — how many ordinals one claim of a
+	// planned selfscheduled loop takes (internal/plan, cost.go).  A grant is
+	// unobservable in a race-free program, so every tier must still agree.
+	// Loops shorter than one grant (the first arriver takes all of it),
+	// empty, not a multiple of the grant, and with a negative step.
+	{"grant-short-and-ragged", 0, `Force GSHORT of NP ident ME
+Shared Integer A(1000), B(1000)
+Shared Integer T, U
+Private Integer I
+End Declarations
+Presched DO I = 1, 1000
+  A(I) = 0
+  B(I) = 0
+End Presched DO
+Selfsched DO I = 1, 3
+  A(I) = A(I) + I
+End Selfsched DO
+Selfsched DO I = 4, 3
+  A(I) = A(I) + 1000
+End Selfsched DO
+Selfsched DO I = 4, 1000
+  A(I) = A(I) + I
+End Selfsched DO
+Selfsched DO I = 999, 2, -7
+  B(I) = B(I) + I
+End Selfsched DO
+Barrier
+  T = 0
+  U = 0
+  DO I = 1, 1000
+    T = T + A(I)
+    U = U + B(I) * MOD(I, 3)
+  End DO
+  Print 'ragged', T, U
+End Barrier
+Join
+`},
+	// heat-sweeps' shape: a private maximum and a private count carried
+	// across whichever iterations a process claims, then reduced.
+	{"grant-private-carry", 0, `Force GCARRY of NP ident ME
+Shared Real T(402), TNEW(402)
+Shared Real DIFF
+Shared Integer COUNT
+Private Integer I, MINE
+Private Real D, DMINE
+End Declarations
+Presched DO I = 1, 402
+  T(I) = REAL(MOD(I * 37, 101))
+  TNEW(I) = 0.0
+End Presched DO
+Selfsched DO I = 2, 401
+  TNEW(I) = (T(I - 1) + T(I + 1)) / 2.0
+End Selfsched DO
+DMINE = 0.0
+MINE = 0
+Selfsched DO I = 2, 401
+  D = ABS(TNEW(I) - T(I))
+  IF (D .GT. DMINE) THEN
+    DMINE = D
+  End IF
+  MINE = MINE + 1
+  T(I) = TNEW(I)
+End Selfsched DO
+GMAX DIFF = DMINE
+GSUM COUNT = MINE
+Barrier
+  Print 'residual', NINT(DIFF * 10.0), 'iterations', COUNT
+End Barrier
+Join
+`},
+	// A fused region of selfscheduled members with different grants — the
+	// middle one's inner DO has no literal trip count, so it keeps one
+	// iteration per claim — closed by a GSUM join a Barrier rides.
+	{"grant-fused-selfsched", 0, `Force GFUSE of NP ident ME
+Shared Integer A(500), B(500), E(500)
+Shared Integer TOTAL, CHECK
+Private Integer I, J, MINE
+End Declarations
+MINE = 0
+Selfsched DO I = 1, 500
+  A(I) = I
+End Selfsched DO
+Selfsched DO I = 1, 500
+  B(I) = 0
+  DO J = 1, MOD(I, 3)
+    B(I) = B(I) + I
+  End DO
+End Selfsched DO
+Selfsched DO I = 1, 500
+  E(I) = 3 * I
+  MINE = MINE + 1
+End Selfsched DO
+GSUM TOTAL = MINE
+Barrier
+  CHECK = 0
+  DO I = 1, 500
+    CHECK = CHECK + A(I) + B(I) + E(I)
+  End DO
+  Print 'fused selfsched', TOTAL, CHECK
+End Barrier
+Join
+`},
 }
 
 // Fusion is the fusion-pass matrix: programs shaped so the chunk tier's
@@ -1161,14 +1263,209 @@ Barrier
 End Barrier
 Join
 `},
+	// The next five are about a Barrier RIDING the closing collective of
+	// the construct before it (plan.Target.Rider): its section runs in
+	// that collective's completing process instead of in an episode of its
+	// own, and nothing the program can print may change.
+	// The completing process stores a shared reduction target BEFORE the
+	// section runs, and once: the section overwrites it, and no process
+	// released afterwards may store the fold over that.
+	{"ride-shared-overwrite", 0, `Force RSHR of NP ident ME
+Shared Integer A(60)
+Shared Integer S, BAD
+Private Integer I, MINE
+End Declarations
+Barrier
+  BAD = 0
+End Barrier
+MINE = 0
+Selfsched DO I = 1, 60
+  A(I) = I
+  MINE = MINE + I
+End Selfsched DO
+GSUM S = MINE
+Barrier
+  Print 'sum', S
+  S = S + 1000
+End Barrier
+IF (S .NE. 2830) THEN
+  Critical C
+    BAD = BAD + 1
+  End Critical
+End IF
+Barrier
+  Print 'after', S, 'clobbered', BAD
+End Barrier
+Join
+`},
+	// A private target is stored by every process — by the completing one
+	// before its section reads (and here overwrites) it, by the others
+	// after their release: exactly one process ends up with the
+	// overwritten value.
+	{"ride-private-target", 0, `Force RPRV of NP ident ME
+Shared Integer A(40)
+Shared Integer SEEN, KEPT
+Private Integer I, MINE, TOT, HIT
+End Declarations
+MINE = 0
+Presched DO I = 1, 40
+  A(I) = I * 2
+  MINE = MINE + I
+End Presched DO
+GSUM TOT = MINE
+Barrier
+  SEEN = TOT
+  TOT = -1
+End Barrier
+HIT = 0
+IF (TOT .EQ. 820) THEN
+  HIT = 1
+End IF
+GSUM KEPT = HIT
+Barrier
+  Print 'section saw', SEEN, 'overwritten in', NP - KEPT
+End Barrier
+Join
+`},
+	// Standalone reductions — nothing to fuse with — carry the section in
+	// their own release: INTEGER, REAL and LOGICAL, shared and private
+	// targets, an empty Barrier.
+	{"ride-standalone-reductions", 0, `Force RSTD of NP ident ME
+Shared Integer TOTAL, COUNT
+Shared Real RSUM, RSEEN
+Shared Logical ANY, ALL
+Private Integer MINE
+Private Real X, XS
+Private Logical B
+End Declarations
+MINE = 3
+GSUM TOTAL = MINE
+Barrier
+  COUNT = TOTAL / 3
+  TOTAL = TOTAL + 1
+End Barrier
+X = 0.5
+GSUM XS = X
+Barrier
+  RSEEN = XS
+End Barrier
+B = MINE .GT. 2
+GAND ALL = B
+Barrier
+  Print 'count', COUNT - NP, 'total', TOTAL - 3 * COUNT, 'all', ALL
+End Barrier
+B = ME .EQ. NP
+GOR ANY = B
+Barrier
+End Barrier
+GMAX RSUM = X + 1.0
+Barrier
+  Print 'any', ANY, 'real', NINT(RSEEN * 2.0) - NP, NINT(RSUM * 10.0)
+End Barrier
+Join
+`},
+	// A DOALL's exit carries the section: a body with no plan (Critical),
+	// a two-index loop, a zero-trip loop, and an empty Barrier that simply
+	// disappears — the Barrier behind it is an episode of its own again.
+	{"ride-doall-exits", 0, `Force RDEX of NP ident ME
+Shared Integer A(6, 5), V(30)
+Shared Integer S, T, Z
+Private Integer I, J
+End Declarations
+Barrier
+  S = 0
+  Z = 7
+End Barrier
+Presched DO I = 1, 30
+  Critical TALLY
+    S = S + I
+  End Critical
+End Presched DO
+Barrier
+  Print 'critical sum', S
+  S = 0
+End Barrier
+Selfsched DO I = 1, 6 also J = 1, 5
+  A(I, J) = I * 10 + J
+End Selfsched DO
+Barrier
+  T = 0
+  DO I = 1, 6
+    DO J = 1, 5
+      T = T + A(I, J)
+    End DO
+  End DO
+  Print 'pairs', T
+End Barrier
+Selfsched DO I = 5, 1
+  V(I) = 99
+End Selfsched DO
+Barrier
+  Z = Z + 1
+End Barrier
+Presched DO I = 1, 30
+  V(I) = Z + I
+End Presched DO
+Barrier
+End Barrier
+Barrier
+  Print 'empty loop', Z, V(1), V(30), 'reset', S
+End Barrier
+Join
+`},
+	// Riders in nested statement lists: inside an IF inside a sequential
+	// DO, and in a subroutine whose DOALL writes through a parameter.
+	{"ride-nested-lists", 0, `Force RNST of NP ident ME
+Shared Integer A(24), B(24)
+Shared Integer S, ROUNDS
+Private Integer I, R, MINE
+End Declarations
+Barrier
+  ROUNDS = 0
+End Barrier
+DO R = 1, 3
+  IF (R .NE. 2) THEN
+    MINE = 0
+    Selfsched DO I = 1, 24
+      A(I) = I * R
+      MINE = MINE + I * R
+    End Selfsched DO
+    GSUM S = MINE
+    Barrier
+      ROUNDS = ROUNDS + S
+    End Barrier
+  ELSE
+    Call FILL(B, R)
+  End IF
+End DO
+Barrier
+  Print 'rounds', ROUNDS, A(24), B(24)
+End Barrier
+Join
+Forcesub FILL(X, K)
+Shared Integer X(24)
+Private Integer K
+Shared Integer LAST
+Private Integer I
+End Declarations
+Presched DO I = 1, 24
+  X(I) = I + K
+End Presched DO
+Barrier
+  LAST = X(24)
+  X(24) = LAST * 2
+End Barrier
+Endsub
+`},
 }
 
 // FusionFaults is the fused-region fault matrix: the error strikes in
-// the middle of a fused region (here the second member, on only the
-// process owning the faulting index once np > 1), and every tier — with
-// fusion on and off — must abort the whole force with the identical
-// "force runtime: line N: ..." message naming the faulting member's
-// line, not the region's.
+// the middle of a fused region (the second member, on only the process
+// owning the faulting index once np > 1) or in a barrier section riding
+// a closing collective, and every tier — with fusion on and off — must
+// abort the whole force with the identical "force runtime: line N: ..."
+// message naming the faulting statement's line (line 10 in every row),
+// not the region's.
 var FusionFaults = []Program{
 	{"fault-in-second-member", 0, `Force FFAULT of NP ident ME
 Shared Real A(40)
@@ -1181,6 +1478,49 @@ End Presched DO
 Presched DO I = 1, 40
   B(I) = REAL(100 / (I - 20))
 End Presched DO
+Join
+`},
+	// A run-time error inside a RIDDEN barrier section — riding a DOALL's
+	// exit, a fused join and a standalone reduction's release — aborts the
+	// force from inside the closing collective with the message the
+	// Barrier's own episode gives.
+	{"fault-in-ridden-exit-section", 0, `Force FRIDE of NP ident ME
+Shared Integer A(40)
+Shared Integer S
+Private Integer I
+End Declarations
+Presched DO I = 1, 40
+  A(I) = I - 1
+End Presched DO
+Barrier
+  S = 100 / A(1)
+End Barrier
+Join
+`},
+	{"fault-in-ridden-join-section", 0, `Force FRJOIN of NP ident ME
+Shared Integer A(40), S
+Private Integer I
+End Declarations
+Selfsched DO I = 1, 40
+  A(I) = I - 1
+End Selfsched DO
+GSUM S = I - I
+Barrier
+  S = 100 / S
+End Barrier
+Join
+`},
+	{"fault-in-ridden-reduce-section", 0, `Force FRRED of NP ident ME
+Shared Integer S
+Shared Logical ANY
+Private Logical B
+End Declarations
+S = 0
+B = ME .GT. NP
+GOR ANY = B
+Barrier
+  S = 100 / S
+End Barrier
 Join
 `},
 }

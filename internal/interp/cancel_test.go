@@ -3,10 +3,13 @@ package interp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/forcelang"
 )
 
@@ -69,5 +72,79 @@ Join
 `)
 	if err := Run(prog, Config{NP: 2, Stdout: io.Discard}); err != nil {
 		t.Fatalf("Run = %v, want nil", err)
+	}
+}
+
+// TestRiddenBarrierWatchdogNote: a Barrier riding a closing collective is
+// still what the stall watchdog names.  The section of each Barrier below
+// stalls (it consumes a cell nobody produces); the processes suspended in
+// the collective it rides — a DOALL's exit, a fused join, a standalone
+// reduction — report the Barrier's line, the one inside the section the
+// statement it blocks in.
+func TestRiddenBarrierWatchdogNote(t *testing.T) {
+	for _, tc := range []struct{ name, construct, site string }{
+		{"doall-exit", "", "Barrier"},
+		{"fused-join", "GSUM S = I\n", "fused DOALL+reduction"},
+		{"reduction", "S = 0\nGOR ANY = S .GT. 0\n", "global reduction"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			head := `Force WATCH of NP ident ME
+Shared Integer A(8), S
+Shared Logical ANY
+Async Integer Q
+Private Integer I, X
+End Declarations
+Presched DO I = 1, 8
+  A(I) = I
+End Presched DO
+` + tc.construct
+			prog := forcelang.MustParse(head + `Barrier
+  Consume Q into X
+End Barrier
+Join
+`)
+			line := strings.Count(head, "\n") + 1 // the Barrier's
+			waitSite := fmt.Sprintf("%s (Barrier, line %d)", tc.site, line)
+			sectionSite := fmt.Sprintf("async variable (Consume Q, line %d)", line+1)
+			const np = 3
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			forces := make(chan *core.Force, 1)
+			errc := make(chan error, 1)
+			go func() {
+				errc <- Run(prog, Config{NP: np, Stdout: io.Discard, Context: ctx,
+					OnForce: func(f *core.Force) { forces <- f }})
+			}()
+			f := <-forces
+			var sites []string
+			for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+				sites = f.Blocked()
+				waiting, inSection := 0, 0
+				for _, s := range sites {
+					switch s {
+					case waitSite:
+						waiting++
+					case sectionSite:
+						inSection++
+					}
+				}
+				if waiting == np-1 && inSection == 1 {
+					sites = nil
+					break
+				}
+			}
+			if sites != nil {
+				t.Errorf("blocked sites %q, want %d x %q and %q", sites, np-1, waitSite, sectionSite)
+			}
+			cancel()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("Run = %v, want context.Canceled", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("cancel did not unblock the run")
+			}
+		})
 	}
 }

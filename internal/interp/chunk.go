@@ -165,14 +165,17 @@ func (c *compiler) chunkTier() bool { return c.in.cfg.Exec == ExecChunked }
 // index through the frame every iteration, nothing is hoisted or folded,
 // a prescheduled loop keeps the cyclic deal, and the loop variable is
 // left as the last iteration left it — the loop the Go emitter writes for
-// a nil plan.  When open is true the construct is emitted as a member of
-// a fused region: spans run through DoAllChunkedOpen and no exit barrier
-// is executed — the caller must close the region with a FusedJoin on
-// every process.  block deals a prescheduled loop in contiguous blocks
-// instead of cyclically; callers pass it only when the plan allows (for
-// a fused region, every member's).
+// a nil plan.  When open is true the construct is left open — a member of
+// a fused region, or a DOALL whose exit a Barrier statement rides: spans
+// run through DoAllChunkedOpen and no exit barrier is executed — the
+// caller must close it with a FusedJoin or JoinSection on every process.
+// block deals a prescheduled loop in contiguous blocks instead of
+// cyclically; callers pass it only when the plan allows (for a fused
+// region, every member's).  A selfscheduled loop claims p.Grant()
+// ordinals at a time.
 func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool) stmtFn {
 	cp := &chunkPlan{Plan: p}
+	grant := p.Grant()
 	planned := p != nil
 	body := c.spanBody(t, cp)
 	var recs []plan.AccRec
@@ -234,14 +237,11 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 				kc.flush(accCells)
 			}
 			if open {
-				pr.p.DoAllChunkedOpen(kind, r, chunkFn)
+				pr.p.DoAllChunkedOpen(kind, grant, r, chunkFn)
 			} else {
-				pr.p.DoAllChunked(kind, r, chunkFn)
+				pr.p.DoAllGranted(kind, grant, r, chunkFn)
 			}
 		}
-	}
-	if open {
-		panic(compileErrf("line %d: internal: two-index DOALL as fused member", t.Pos()))
 	}
 
 	irangeF := c.rangeFn(t.Inner.From, t.Inner.To, t.Inner.Step)
@@ -277,7 +277,14 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 			storeInner(pr, fr, kc.j)
 			kc.flush(accCells)
 		}
-		pr.p.DoAll2Chunked(kind, r, r2, chunkFn)
+		// Index pairs are the unit of distribution: the two ranges are
+		// dealt as one space of flat ordinals.
+		flat := sched.Seq(r.Count() * n2)
+		if open {
+			pr.p.DoAllChunkedOpen(kind, grant, flat, chunkFn)
+		} else {
+			pr.p.DoAllGranted(kind, grant, flat, chunkFn)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 var chunkCorpus = corpus.Chunk
 
 // TestChunkEquivalence runs the chunk corpus under every engine at
-// np ∈ {1, 2, 8} and requires each engine's sorted output to match the
+// np ∈ {1, 2, 3, 8} and requires each engine's sorted output to match the
 // tree walker's at the same np.
 func TestChunkEquivalence(t *testing.T) {
 	for _, tc := range chunkCorpus {
@@ -35,7 +35,7 @@ func TestChunkEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			for _, np := range []int{1, 2, 8} {
+			for _, np := range []int{1, 2, 3, 8} {
 				outs := map[ExecMode]string{}
 				for _, mode := range ExecModes() {
 					var sb strings.Builder

@@ -45,6 +45,8 @@ type compiler struct {
 	// plan is non-nil only while a classified DOALL body is being
 	// compiled (chunkParDo): chunk mode.
 	plan *chunkPlan
+	// tg is this back end as the planner (internal/plan) sees it.
+	tg plan.Target
 }
 
 // compileProgram compiles every unit of the instance's program.  Unit
@@ -60,7 +62,7 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 			panic(r)
 		}
 	}()
-	c := &compiler{in: in, res: in.res, units: map[string]*cunit{}}
+	c := &compiler{in: in, res: in.res, units: map[string]*cunit{}, tg: planTarget(in.cfg)}
 	for name, lay := range in.res.units {
 		cu := &cunit{lay: lay}
 		if len(lay.privArrs) == 0 {
@@ -143,7 +145,7 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 		note := noteStr("Barrier", t.Pos())
 		return func(pr *cproc, fr *frame) {
 			pr.p.Note(note)
-			pr.p.BarrierSection(func() { runBody(section, pr, fr) })
+			pr.p.BarrierSection(pr.sectionFn(section, fr))
 		}
 	case *forcelang.CriticalStmt:
 		body := c.stmts(t.Body)
@@ -209,12 +211,7 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 			pr.puts[len(pr.puts)-1](ev(pr, fr))
 		}
 	case *forcelang.ReduceStmt:
-		inner := c.greduce(t)
-		note := noteStr(t.Op.String(), t.Pos())
-		return func(pr *cproc, fr *frame) {
-			pr.p.Note(note)
-			inner(pr, fr)
-		}
+		return c.greduce(t, nil)
 	case *forcelang.ProduceStmt:
 		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
 		ev, _ := c.val(t.Expr)
@@ -315,7 +312,7 @@ func (c *compiler) intVarStore(sym *forcelang.Symbol, line int) func(pr *cproc, 
 func (c *compiler) parDo(t *forcelang.ParDo) stmtFn {
 	var p *plan.Plan
 	if c.chunkTier() {
-		p = plan.DoAll(t, c.planLog())
+		p = c.tg.DoAll(t)
 	}
 	return c.chunkParDo(t, p, false, p.Block())
 }
@@ -323,32 +320,71 @@ func (c *compiler) parDo(t *forcelang.ParDo) stmtFn {
 // greduce compiles a global-reduction statement: the operand combines
 // across the force in the target's type (so the compiled executor, the
 // tree walker and the code generator all fold in the same arithmetic)
-// and every process assigns the combined value.
-func (c *compiler) greduce(t *forcelang.ReduceStmt) stmtFn {
+// and every process assigns the combined value.  When bar — the Barrier
+// statement directly behind it (plan.Target.Rider) — has a section, the
+// section rides the reduction's release: the completing process stores
+// the target (a plain scalar) and runs the section before anyone is
+// released, and only a private target is then stored by the others.
+func (c *compiler) greduce(t *forcelang.ReduceStmt, bar *forcelang.BarrierStmt) stmtFn {
 	store, tt := c.refStore(&t.Target)
-	op := t.Op
-	if op.Logical() {
+	op, rop := t.Op, foldOp(t.Op)
+	// run performs the reduction; section, when non-nil, is what its
+	// completing process runs on the combined value.
+	var run func(pr *cproc, fr *frame, section func(value)) value
+	switch {
+	case op.Logical():
 		bv := c.cBool(t.Expr)
-		return func(pr *cproc, fr *frame) {
+		run = func(pr *cproc, fr *frame, section func(value)) value {
 			b := bv(pr, fr)
-			var out bool
-			if op == forcelang.GAnd {
-				out = core.Gand(pr.p, b)
-			} else {
-				out = core.Gor(pr.p, b)
+			switch {
+			case section != nil:
+				return boolVal(core.GlogBarrier(pr.p, rop, b, func(r bool) { section(boolVal(r)) }))
+			case op == forcelang.GAnd:
+				return boolVal(core.Gand(pr.p, b))
+			default:
+				return boolVal(core.Gor(pr.p, b))
 			}
-			store(pr, fr, boolVal(out))
 		}
-	}
-	if tt == forcelang.TInt {
+	case tt == forcelang.TInt:
 		iv := c.asInt(t.Expr)
-		return func(pr *cproc, fr *frame) {
-			store(pr, fr, intVal(greduceNum(pr.p, op, iv(pr, fr))))
+		run = func(pr *cproc, fr *frame, section func(value)) value {
+			x := iv(pr, fr)
+			if section != nil {
+				return intVal(core.GnumBarrier(pr.p, rop, x, func(r int64) { section(intVal(r)) }))
+			}
+			return intVal(greduceNum(pr.p, op, x))
+		}
+	default:
+		rv := c.cReal(t.Expr)
+		run = func(pr *cproc, fr *frame, section func(value)) value {
+			x := rv(pr, fr)
+			if section != nil {
+				return realVal(core.GnumBarrier(pr.p, rop, x, func(r float64) { section(realVal(r)) }))
+			}
+			return realVal(greduceNum(pr.p, op, x))
 		}
 	}
-	rv := c.cReal(t.Expr)
+	if bar == nil || len(bar.Section) == 0 {
+		note := noteStr(op.String(), t.Pos())
+		return func(pr *cproc, fr *frame) {
+			pr.p.Note(note)
+			store(pr, fr, run(pr, fr, nil))
+		}
+	}
+	section := c.stmts(bar.Section)
+	note := noteStr("Barrier", bar.Pos())
+	shared := t.Target.Sym.Storage == forcelang.SharedScalar
 	return func(pr *cproc, fr *frame) {
-		store(pr, fr, realVal(greduceNum(pr.p, op, rv(pr, fr))))
+		pr.p.Note(note)
+		stored := false
+		out := run(pr, fr, func(v value) {
+			stored = true
+			store(pr, fr, v)
+			runBody(section, pr, fr)
+		})
+		if !shared && !stored {
+			store(pr, fr, out)
+		}
 	}
 }
 

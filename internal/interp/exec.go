@@ -50,6 +50,9 @@ type cproc struct {
 	// admits only Assign, IF and sequential DO into a chunk body, so no
 	// chunk body can call out or nest a construct.
 	k kctx
+	// ride is what the process hands the closing collective it is about
+	// to enter (fuse.go).
+	ride rider
 }
 
 // cunit is one compiled unit: its frame layout plus the statement

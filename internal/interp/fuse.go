@@ -10,11 +10,15 @@ package interp
 //	...
 //	FusedJoin                    (the single closing collective)
 //
+// and a Barrier statement the plan lets ride a closing collective — a
+// DOALL's exit (JoinSection), a fused join, a standalone reduction's
+// release — into that collective's section.
+//
 // Every decision is compile-time; Config.FuseLog narrates each fused
-// region and each declined candidate.  Config.NoFuse turns the pass
-// off, and the pass never runs under ExecCompiled or ExecTree — so fused
-// and unfused runs are byte-identical by construction or the corpus
-// tests fail.
+// region, each declined candidate and each ridden Barrier.
+// Config.NoFuse turns the pass off, and the pass never runs under
+// ExecCompiled or ExecTree — so fused and unfused runs are byte-identical
+// by construction or the corpus tests fail.
 
 import (
 	"fmt"
@@ -29,82 +33,183 @@ import (
 // the planner on.
 func (c *compiler) fuseEnabled() bool { return c.chunkTier() && !c.in.cfg.NoFuse }
 
-// planLog is the narration sink handed to the shared proofs: FuseLog
-// lines, or nothing.
-func (c *compiler) planLog() plan.Logf {
-	lg := c.in.cfg.FuseLog
-	if lg == nil {
-		return nil
+// closureNsPerUnit is what one unit of plan's static body cost takes on
+// the closure tier (the stream, stencil and dotsum bodies run at 3-4 ns
+// per unit on the reference box).
+const closureNsPerUnit = 4
+
+// planTarget is the closure back end as internal/plan sees it; the
+// narration goes to FuseLog, or nowhere.
+func planTarget(cfg Config) plan.Target {
+	tg := plan.Target{NsPerUnit: closureNsPerUnit, Slots: cfg.Reduce == reduce.PrivateSlots}
+	if lg := cfg.FuseLog; lg != nil {
+		tg.Log = func(format string, args ...any) { lg(fmt.Sprintf(format, args...)) }
 	}
-	return func(format string, args ...any) { lg(fmt.Sprintf(format, args...)) }
+	return tg
 }
 
 // fusedStmts is the fusion-aware statement-list compiler: a proven
-// region starting at a DOALL compiles as one statement, everything else
-// through the ordinary per-statement path.
+// region starting at a DOALL compiles as one statement, a Barrier
+// statement directly behind a DOALL or a global reduction compiles into
+// that construct's closing collective (plan.Target.Rider), everything
+// else through the ordinary per-statement path.
 func (c *compiler) fusedStmts(list []forcelang.Stmt) []stmtFn {
 	out := make([]stmtFn, 0, len(list))
-	slots := c.in.cfg.Reduce == reduce.PrivateSlots
 	for i := 0; i < len(list); {
-		if _, isPD := list[i].(*forcelang.ParDo); isPD {
-			if reg := plan.Fuse(list, i, slots, c.planLog()); reg != nil {
-				out = append(out, c.fusedRegion(reg))
-				i += reg.Len()
-				continue
+		n := 1
+		var bar *forcelang.BarrierStmt // the rider of list[i], consumed with it
+		switch t := list[i].(type) {
+		case *forcelang.ParDo:
+			if reg := c.tg.Fuse(list, i); reg != nil {
+				out, n = append(out, c.fusedRegion(reg)), reg.Len()
+				break
 			}
+			p := c.tg.DoAll(t)
+			bar = c.tg.Rider(list, i)
+			out = append(out, c.riddenParDo(t, p, bar))
+		case *forcelang.ReduceStmt:
+			bar = c.tg.Rider(list, i)
+			out = append(out, c.greduce(t, bar))
+		default:
+			out = append(out, c.stmt(t))
 		}
-		out = append(out, c.stmt(list[i]))
-		i++
+		if bar != nil {
+			n++
+		}
+		i += n
 	}
 	return out
 }
 
+// rider is what a process hands the closing collective it is about to
+// enter, to be run if it turns out to be the completing process: the
+// section of the Barrier statement riding the collective, and the store
+// of a folded reduction's target.  It lives in the cproc (one per process
+// suffices: a section cannot contain a collective) with the two funcs the
+// runtime is given bound once, so a steady-state episode allocates
+// nothing.
+type rider struct {
+	fr      *frame
+	section []stmtFn
+	store   func(pr *cproc, fr *frame, fold uint64)
+	stored  bool // this process completed the join: it stored the fold
+	run     func()
+	fold    func(uint64)
+}
+
+// sectionFn arms the rider with a barrier section and returns the func to
+// hand the collective — nil for an empty section, which needs no one to
+// run it.
+func (pr *cproc) sectionFn(section []stmtFn, fr *frame) func() {
+	if len(section) == 0 {
+		return nil
+	}
+	rd := &pr.ride
+	rd.fr, rd.section = fr, section
+	if rd.run == nil {
+		rd.run = func() { runBody(rd.section, pr, rd.fr) }
+	}
+	return rd.run
+}
+
+// storeFn arms the rider with the store of a folded reduction's target and
+// returns the func that performs it on the fold.
+func (pr *cproc) storeFn(store func(pr *cproc, fr *frame, fold uint64), fr *frame) func(uint64) {
+	rd := &pr.ride
+	rd.fr, rd.store, rd.stored = fr, store, false
+	if rd.fold == nil {
+		rd.fold = func(fold uint64) {
+			rd.stored = true
+			rd.store(pr, rd.fr, fold)
+		}
+	}
+	return rd.fold
+}
+
+// riddenParDo compiles one unfused DOALL whose exit synchronization runs
+// the section of bar, the Barrier statement directly behind it (nil, or an
+// empty section: the exit is the whole barrier).
+func (c *compiler) riddenParDo(t *forcelang.ParDo, p *plan.Plan, bar *forcelang.BarrierStmt) stmtFn {
+	if bar == nil || len(bar.Section) == 0 {
+		return c.chunkParDo(t, p, false, p.Block())
+	}
+	open := c.chunkParDo(t, p, true, p.Block())
+	section := c.stmts(bar.Section)
+	note := noteStr("Barrier", bar.Pos())
+	return func(pr *cproc, fr *frame) {
+		open(pr, fr)
+		pr.p.Note(note)
+		pr.p.JoinSection(pr.sectionFn(section, fr))
+	}
+}
+
 // fusedRegion compiles one proven region: each member against its own
 // plan as an open construct, closed by one fused join that also folds
-// the reduction tail when the region has one.
+// the reduction tail when the region has one and runs the section of the
+// Barrier statement riding it when one does.  The completing process
+// stores the fold before the section runs: a shared target once (the
+// section may overwrite it), a private one in every process — the others
+// after their release.
 func (c *compiler) fusedRegion(reg *plan.Region) stmtFn {
 	opens := make([]stmtFn, len(reg.Members))
 	for i, m := range reg.Members {
 		opens[i] = c.chunkParDo(m, reg.Plans[i], true, reg.Block)
 	}
 	red := reg.Red
+	note := noteStr("fused join", reg.Members[len(reg.Members)-1].Pos())
+	if red != nil {
+		note = noteStr(red.Op.String(), red.Pos())
+	}
+	var section []stmtFn
+	if reg.Rider != nil {
+		section = c.stmts(reg.Rider.Section)
+		note = noteStr("Barrier", reg.Rider.Pos())
+	}
 	if red == nil {
-		note := noteStr("fused join", reg.Members[len(reg.Members)-1].Pos())
 		return func(pr *cproc, fr *frame) {
 			for _, open := range opens {
 				open(pr, fr)
 			}
 			pr.p.Note(note)
 			// A pure synchronization close: the fold value is unused.
-			pr.p.FusedJoin(reduce.Sum, reduce.NumInt, 0)
+			pr.p.FusedJoin(reduce.Sum, reduce.NumInt, 0, nil, pr.sectionFn(section, fr))
 		}
 	}
-	store, tt := c.refStore(&red.Target)
-	rop := foldOp(red.Op)
-	note := noteStr(red.Op.String(), red.Pos())
-	if tt == forcelang.TInt {
+	assign, tt := c.refStore(&red.Target)
+	rop, kind := foldOp(red.Op), reduce.NumInt
+	// operand encodes the contribution, store decodes and assigns the fold.
+	var operand func(pr *cproc, fr *frame) uint64
+	var store func(pr *cproc, fr *frame, fold uint64)
+	if tt == forcelang.TReal {
+		kind = reduce.NumReal
+		rv := c.cReal(red.Expr)
+		operand = func(pr *cproc, fr *frame) uint64 { return math.Float64bits(rv(pr, fr)) }
+		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, realVal(math.Float64frombits(fold))) }
+	} else {
 		iv := c.asInt(red.Expr)
-		return func(pr *cproc, fr *frame) {
-			for _, open := range opens {
-				open(pr, fr)
-			}
-			pr.p.Note(note)
-			out := pr.p.FusedJoin(rop, reduce.NumInt, uint64(iv(pr, fr)))
-			store(pr, fr, intVal(int64(out)))
-		}
+		operand = func(pr *cproc, fr *frame) uint64 { return uint64(iv(pr, fr)) }
+		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, intVal(int64(fold))) }
 	}
-	rv := c.cReal(red.Expr)
+	shared := red.Target.Sym.Storage == forcelang.SharedScalar
+	early := shared || len(section) > 0 // the completing process stores inside the join
 	return func(pr *cproc, fr *frame) {
 		for _, open := range opens {
 			open(pr, fr)
 		}
 		pr.p.Note(note)
-		out := pr.p.FusedJoin(rop, reduce.NumReal, math.Float64bits(rv(pr, fr)))
-		store(pr, fr, realVal(math.Float64frombits(out)))
+		x := operand(pr, fr)
+		var storeFold func(uint64)
+		if early {
+			storeFold = pr.storeFn(store, fr)
+		}
+		out := pr.p.FusedJoin(rop, kind, x, storeFold, pr.sectionFn(section, fr))
+		if !shared && !(early && pr.ride.stored) {
+			store(pr, fr, out)
+		}
 	}
 }
 
-// foldOp maps a numeric language-level reduction operator to its fold.
+// foldOp maps a language-level reduction operator to its fold.
 func foldOp(op forcelang.GOp) reduce.Op {
 	switch op {
 	case forcelang.GSum:
@@ -113,7 +218,11 @@ func foldOp(op forcelang.GOp) reduce.Op {
 		return reduce.Prod
 	case forcelang.GMax:
 		return reduce.Max
-	default:
+	case forcelang.GMin:
 		return reduce.Min
+	case forcelang.GAnd:
+		return reduce.And
+	default:
+		return reduce.Or
 	}
 }

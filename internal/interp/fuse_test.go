@@ -32,9 +32,9 @@ var fuseModes = []fuseMode{
 }
 
 // TestFusionEquivalence runs the fusion corpus under every engine, with
-// fusion on and off, at np ∈ {1, 2, 8}: sorted output must match the
-// tree walker's exactly.  Fusion is a barrier count optimization, never
-// a semantics change.
+// fusion on and off, at np ∈ {1, 2, 3, 8}: sorted output must match the
+// tree walker's exactly.  Fusion — a ridden Barrier included — is a
+// barrier count optimization, never a semantics change.
 func TestFusionEquivalence(t *testing.T) {
 	for _, tc := range corpus.Fusion {
 		tc := tc
@@ -44,7 +44,7 @@ func TestFusionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			for _, np := range []int{1, 2, 8} {
+			for _, np := range []int{1, 2, 3, 8} {
 				outs := map[string]string{}
 				for _, m := range fuseModes {
 					var sb strings.Builder
@@ -74,8 +74,9 @@ func TestFusionEquivalence(t *testing.T) {
 
 // TestFusionFaultParity pins the abort contract inside a fused region:
 // a fault striking in the second member (on one process only, once
-// np > 1) aborts the whole force with the identical message — naming
-// the faulting member's source line — whether the region fused or not.
+// np > 1), or in a barrier section riding a closing collective, aborts
+// the whole force with the identical message — naming the faulting
+// statement's source line — whether the region fused or not.
 func TestFusionFaultParity(t *testing.T) {
 	for _, tc := range corpus.FusionFaults {
 		tc := tc
@@ -85,7 +86,7 @@ func TestFusionFaultParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			for _, np := range []int{1, 2, 8} {
+			for _, np := range []int{1, 2, 3, 8} {
 				var ref error
 				for _, m := range fuseModes {
 					var sb strings.Builder
@@ -94,7 +95,7 @@ func TestFusionFaultParity(t *testing.T) {
 						t.Fatalf("np=%d %s: no error", np, m.name)
 					}
 					if !strings.Contains(err.Error(), "force runtime: line 10:") {
-						t.Errorf("np=%d %s: error %q does not name the faulting member's line", np, m.name, err)
+						t.Errorf("np=%d %s: error %q does not name the faulting statement's line", np, m.name, err)
 					}
 					if ref == nil {
 						ref = err
@@ -155,6 +156,11 @@ func TestFusionDecisions(t *testing.T) {
 		"fuse-selfsched-pair":              "fused 2 DOALLs",
 		"fuse-selfsched-conflict-declines": "conflict on A",
 		"fuse-mixed-partition":             "fused 2 DOALLs",
+		"ride-shared-overwrite":            "line 15: Barrier rides the GSUM join at line 14",
+		"ride-private-target":              "line 12: Barrier rides the GSUM join at line 11",
+		"ride-standalone-reductions":       "line 22: Barrier rides the GAND at line 21",
+		"ride-doall-exits":                 "line 15: Barrier rides the DOALL exit at line 10",
+		"ride-nested-lists":                "line 37: Barrier rides the DOALL exit at line 34",
 	}
 	for _, tc := range corpus.Fusion {
 		want, ok := expect[tc.Name]

@@ -1,8 +1,9 @@
 // Package interp executes parsed Force programs SPMD on the core runtime:
 // a force of goroutine processes runs the program body, with every Force
 // construct mapped onto its internal/core implementation — DOALLs onto the
-// span construct (core.DoAllChunked), Barrier sections onto the two-lock
-// barrier, Critical onto named machine locks, Pcase onto block distribution,
+// span construct (core.DoAllGranted), Barrier sections onto the two-lock
+// barrier (or, directly behind a DOALL or a reduction, onto that
+// construct's closing collective), Critical onto named machine locks, Pcase onto block distribution,
 // Produce/Consume onto the machine profile's asynchronous variables.
 //
 // Storage follows the paper's variable classification: shared and async
@@ -32,9 +33,10 @@
 //     is compiled by that same compiler in chunk mode (chunk.go) — the
 //     index lives in the process's chunk context, uniform subexpressions
 //     are hoisted and evaluated once per construct, shared accumulates
-//     fold into the shared cell once per span, and a prescheduled loop
+//     fold into the shared cell once per span, a prescheduled loop
 //     whose body cannot observe the iteration-to-process map is dealt
-//     in contiguous blocks.  A body with no plan (calls, critical
+//     in contiguous blocks, and a selfscheduled loop claims the grant
+//     the plan sized from the body's static cost.  A body with no plan (calls, critical
 //     sections, I/O ordering hazards, a written index) keeps the
 //     cyclic deal and stores its index through the frame every
 //     iteration; nothing in it is hoisted or folded.  ExecCompiled is
@@ -120,16 +122,18 @@ type Config struct {
 	Exec ExecMode
 	// NoFuse disables the fusion pass of the chunk tier: adjacent
 	// independent DOALLs and a trailing reduction keep their own exit
-	// barriers and reduce episodes instead of sharing one fused join.
-	// Fusion is otherwise on whenever the planner is (Exec ==
-	// ExecChunked).
+	// barriers and reduce episodes instead of sharing one fused join,
+	// and every Barrier statement is an episode of its own instead of
+	// riding the closing collective before it.  Fusion is otherwise on
+	// whenever the planner is (Exec == ExecChunked).
 	NoFuse bool
 	// FuseLog, when non-nil, receives one line per fusion decision the
-	// compiler takes (each fused region and each declined candidate,
-	// with the reason) and one per prescheduled DOALL site saying how
+	// compiler takes (each fused region, each declined candidate with
+	// the reason, each ridden Barrier) and one per DOALL site saying how
 	// its iterations are dealt: "partition=block" or "partition=cyclic
-	// (<reason>)".  Decisions are compile-time, so the log is emitted
-	// once per Run, not per construct execution.
+	// (<reason>)" for a prescheduled one, "grant=K" for a selfscheduled
+	// one.  Decisions are compile-time, so the log is emitted once per
+	// Run, not per construct execution.
 	FuseLog func(msg string)
 	// Chunk sets sched.Config.ChunkSize for the Chunk selfscheduling
 	// discipline (0 keeps its default).  It does not affect the

@@ -61,8 +61,13 @@ type Plan struct {
 	CyclicWhy, CyclicName string
 	// AccRecs holds the folded accumulators in name order.
 	AccRecs []AccRec
+	// Cost is the static cost of one iteration in units (cost.go); 0 when
+	// no static count bounds it.  Counted for selfscheduled loops only,
+	// whose grant it sizes.
+	Cost int
 
-	sum *Summary // the body's footprint
+	sum   *Summary // the body's footprint
+	grant int      // ordinals per claim, set by Target.settle
 }
 
 // Written reports whether the body assigns the symbol (a scalar, an
@@ -142,6 +147,9 @@ func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
 		}
 	}
 	plan.partition()
+	if t.Sched != forcelang.Presched {
+		plan.Cost = iterationCost(t.Body)
+	}
 	return plan, ""
 }
 

@@ -14,7 +14,9 @@ package plan
 // The join is a full synchronization point, so the region keeps every
 // construct's exit guarantee while retiring one barrier episode per
 // elided boundary; a folded reduction additionally retires its reduce
-// episode, contributing its per-process operand to the join itself.
+// episode, contributing its per-process operand to the join itself, and
+// a Barrier statement directly behind the region retires its own — the
+// join's completing process runs its section (Region.Rider).
 //
 // Legality.  Dropping the barrier between members G (earlier) and B
 // (later) interleaves B's iteration i directly after G's iteration i on
@@ -76,25 +78,34 @@ type Region struct {
 	// Red is the reduction statement folded into the join, or nil for a
 	// pure synchronization close.
 	Red *forcelang.ReduceStmt
+	// Rider is the Barrier statement directly behind the region, whose
+	// section the join runs in its completing process (Target.Rider), or
+	// nil.
+	Rider *forcelang.BarrierStmt
 }
 
 // Len is the number of statements the region covers.
 func (r *Region) Len() int {
+	n := len(r.Members)
 	if r.Red != nil {
-		return len(r.Members) + 1
+		n++
 	}
-	return len(r.Members)
+	if r.Rider != nil {
+		n++
+	}
+	return n
 }
 
 // Fuse looks for a fused region starting at list[i], which must be a
 // ParDo: the run of adjacent DOALLs from there, plus a reduction tail.
 // Candidates shrink from the right — the tail is dropped first, then
 // trailing members — so the longest provable prefix fuses and the caller
-// re-scans the remainder (it may fuse among itself).  slots says the
-// force reduces with the PrivateSlots strategy.  Only the most ambitious
-// decline is narrated; the shrink retries repeat its reasons.  A nil
+// re-scans the remainder (it may fuse among itself).  Only the most
+// ambitious decline is narrated; the shrink retries repeat its reasons.
+// A Barrier statement directly behind the region rides its join.  A nil
 // result leaves list[i] to be lowered on its own.
-func Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
+func (tg Target) Fuse(list []forcelang.Stmt, i int) *Region {
+	first := i
 	var members []*forcelang.ParDo
 	for ; i < len(list); i++ {
 		pd, ok := list[i].(*forcelang.ParDo)
@@ -117,10 +128,17 @@ func Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 	}
 	logged := false
 	try := func(n int, r *forcelang.ReduceStmt) *Region {
-		reg, reason := tryFuse(members[:n], sums[:n], r, slots, lg)
+		reg, reason := tg.tryFuse(members[:n], sums[:n], r)
 		if reg == nil && !logged {
 			logged = true
-			lg.printf("line %d: fusion declined: %s", members[0].Pos(), reason)
+			tg.Log.printf("line %d: fusion declined: %s", members[0].Pos(), reason)
+		}
+		if reg != nil {
+			closer, line := "fused join", members[0].Pos()
+			if r != nil {
+				closer, line = r.Op.String()+" join", r.Pos()
+			}
+			reg.Rider = tg.rider(list, first+reg.Len(), closer, line)
 		}
 		return reg
 	}
@@ -139,7 +157,7 @@ func Fuse(list []forcelang.Stmt, i int, slots bool, lg Logf) *Region {
 
 // tryFuse proves one candidate region, or explains why it must not fuse.
 // sums holds each member body's footprint.
-func tryFuse(members []*forcelang.ParDo, sums []*Summary, red *forcelang.ReduceStmt, slots bool, lg Logf) (*Region, string) {
+func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *forcelang.ReduceStmt) (*Region, string) {
 	first := members[0]
 	for _, m := range members {
 		if m.Inner != nil {
@@ -206,7 +224,7 @@ func tryFuse(members []*forcelang.ParDo, sums []*Summary, red *forcelang.ReduceS
 	}
 
 	if red != nil {
-		if reason := fuseReduceCheck(red, whole, slots); reason != "" {
+		if reason := fuseReduceCheck(red, whole, tg.Slots); reason != "" {
 			return nil, reason
 		}
 	}
@@ -222,13 +240,13 @@ func tryFuse(members []*forcelang.ParDo, sums []*Summary, red *forcelang.ReduceS
 		if len(members) > 1 {
 			reg.Plans[i], _ = classify(m, sums[i])
 		}
-		lg.logPartition(m, whole.CyclicWhy, whole.CyclicName)
+		tg.settle(m, reg.Plans[i], whole)
 	}
 	if red == nil {
-		lg.printf("line %d: fused %d DOALLs, %d exit barrier(s) elided",
+		tg.Log.printf("line %d: fused %d DOALLs, %d exit barrier(s) elided",
 			first.Pos(), len(members), len(members)-1)
 	} else {
-		lg.printf("line %d: fused %d DOALL(s) + %s at line %d into one join",
+		tg.Log.printf("line %d: fused %d DOALL(s) + %s at line %d into one join",
 			first.Pos(), len(members), red.Op, red.Pos())
 	}
 	return reg, ""
@@ -243,11 +261,10 @@ func fuseReduceCheck(red *forcelang.ReduceStmt, whole *Plan, slots bool) string 
 	if len(red.Target.Subs) != 0 {
 		return fmt.Sprintf("subscripted %s target", red.Op)
 	}
-	target := red.Target.Sym
-	if target.Storage != forcelang.PrivateScalar && target.Storage != forcelang.SharedScalar {
+	if !scalarTarget(red) {
 		return fmt.Sprintf("%s target %s is not a plain scalar", red.Op, red.Target.Name)
 	}
-	tt := target.Type
+	tt := red.Target.Sym.Type
 	if tt != forcelang.TInt && tt != forcelang.TReal {
 		return fmt.Sprintf("%s target %s is not numeric", red.Op, red.Target.Name)
 	}

@@ -85,7 +85,8 @@ Join
 `)
 	var logs []string
 	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-	reg := Fuse(prog.Body, 0, true, lg)
+	tg := Target{NsPerUnit: 4, Slots: true, Log: lg}
+	reg := tg.Fuse(prog.Body, 0)
 	if reg == nil {
 		t.Fatalf("no region; log:\n%s", strings.Join(logs, "\n"))
 	}
@@ -109,13 +110,13 @@ Join
 	}
 	// Re-scanning the remainder: one DOALL plus the GSUM fold into a join.
 	logs = nil
-	rest := Fuse(prog.Body, 2, true, lg)
+	rest := tg.Fuse(prog.Body, 2)
 	if rest == nil || len(rest.Members) != 1 || rest.Red == nil || rest.Len() != 2 {
 		t.Fatalf("remainder did not fuse with its reduction tail: %+v\n%s", rest, strings.Join(logs, "\n"))
 	}
 	// The same tail under a non-slots strategy: a REAL sum must decline.
 	logs = nil
-	if reg := Fuse(prog.Body, 2, false, lg); reg != nil {
+	if reg := (Target{NsPerUnit: 4, Log: lg}).Fuse(prog.Body, 2); reg != nil {
 		t.Errorf("REAL GSUM folded without the slots strategy")
 	}
 	if len(logs) != 1 || !strings.Contains(logs[0], "only the slots strategy reproduces") {
@@ -124,7 +125,7 @@ Join
 }
 
 // TestDoAllNarration: the unfused entry point narrates the deal of a
-// prescheduled DOALL and nothing for a selfscheduled one, and a nil sink
+// prescheduled DOALL and the grant of a selfscheduled one, and a nil sink
 // is accepted.
 func TestDoAllNarration(t *testing.T) {
 	prog := parse(t, `Force NAR of NP ident ME
@@ -149,18 +150,228 @@ Join
 	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
 	var plans []*Plan
 	for _, st := range prog.Body {
-		plans = append(plans, DoAll(st.(*forcelang.ParDo), lg))
-		DoAll(st.(*forcelang.ParDo), nil)
+		plans = append(plans, Target{NsPerUnit: 4, Log: lg}.DoAll(st.(*forcelang.ParDo)))
+		Target{NsPerUnit: 4}.DoAll(st.(*forcelang.ParDo))
 	}
 	if plans[0] == nil || plans[0].Block() || plans[1] == nil || !plans[1].Block() || plans[2] != nil || plans[2].Block() {
 		t.Errorf("plans: %+v", plans)
 	}
 	want := []string{
 		"line 6: DOALL partition=cyclic (reads private ME)",
+		"line 9: DOALL grant=250", // OWNER(I) = I: 3 units + the loop's 1, at 4 ns
 		"line 12: DOALL partition=cyclic (not chunk-compiled: *forcelang.CriticalStmt in body)",
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestGrant pins the static cost model and the grant derived from it, on
+// the bodies the benchmark runs: a claim buys GrantNs of work, so the
+// cheap bodies of heat-sweeps and dotsum take their 32-iteration loops
+// whole and well over 16 ordinals of a long one, matvec's literal inner DO
+// is counted and leaves a small grant, a sequential DO whose trip count is
+// not a literal (selfsched-tri) makes the cost unbounded, and an unbounded
+// or unplanned body keeps the paper's one iteration per claim.
+func TestGrant(t *testing.T) {
+	prog := parse(t, `Force GR of NP ident ME
+Shared Real T(34), TNEW(34)
+Shared Integer X(64), Y(64), M(12,12), V(12), W(12)
+Shared Integer N, TOTAL
+Private Integer I, J, S, MINE
+Private Real D, DMINE
+End Declarations
+Selfsched DO I = 2, N - 1
+  TNEW(I) = (T(I - 1) + T(I + 1)) / 2.0
+End Selfsched DO
+Selfsched DO I = 2, N - 1
+  D = ABS(TNEW(I) - T(I))
+  IF (D .GT. DMINE) THEN
+    DMINE = D
+  End IF
+  T(I) = TNEW(I)
+End Selfsched DO
+Selfsched DO I = 1, N
+  MINE = MINE + X(I) * Y(I) + S
+End Selfsched DO
+Selfsched DO I = 1, 12
+  S = 0
+  DO J = 1, 12
+    S = S + M(I, J) * V(J)
+  End DO
+  W(I) = S
+End Selfsched DO
+Selfsched DO I = 1, 40
+  DO J = 1, I
+    MINE = MINE + J
+  End DO
+End Selfsched DO
+Selfsched DO I = 1, 40
+  Critical C
+    TOTAL = TOTAL + I
+  End Critical
+End Selfsched DO
+Selfsched DO I = 1, 40
+  IF (I .GT. 20) THEN
+    DO J = 10, 1, -3
+      MINE = MINE + J
+    End DO
+  ELSE
+    MINE = MINE - 1
+  End IF
+End Selfsched DO
+Presched DO I = 1, N
+  X(I) = I
+End Presched DO
+Join
+`)
+	var logs []string
+	tg := Target{NsPerUnit: 4, Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+	for i, tc := range []struct {
+		name        string
+		cost, grant int // cost 0: unbounded; -1: no plan at all
+	}{
+		{"heat-sweeps relax", 11, 91},
+		{"heat-sweeps residual", 18, 56},
+		{"dotsum", 11, 91},
+		{"matvec (literal inner DO)", 126, 8},
+		{"selfsched-tri (DO J = 1, I)", 0, 1},
+		{"unplanned (Critical)", -1, 1},
+		{"dearer IF branch, negative literal step", 25, 40},
+		{"prescheduled: not counted", 0, 1},
+	} {
+		p := tg.DoAll(prog.Body[i].(*forcelang.ParDo))
+		if (p == nil) != (tc.cost < 0) {
+			t.Fatalf("%s: plan %v", tc.name, p)
+		}
+		if p != nil && p.Cost != tc.cost {
+			t.Errorf("%s: cost %d units, want %d", tc.name, p.Cost, tc.cost)
+		}
+		if got := p.Grant(); got != tc.grant {
+			t.Errorf("%s: grant %d, want %d", tc.name, got, tc.grant)
+		}
+	}
+	want := []string{
+		"line 8: DOALL grant=91",
+		"line 11: DOALL grant=56",
+		"line 18: DOALL grant=91",
+		"line 21: DOALL grant=8",
+		"line 28: DOALL grant=1 (body cost unbounded)",
+		"line 33: DOALL grant=1 (not chunk-compiled: *forcelang.CriticalStmt in body)",
+		"line 38: DOALL grant=40",
+		"line 47: DOALL partition=block",
+	}
+	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
+		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
+	}
+	// The same body on a back end four times as fast per unit.
+	if p := (Target{NsPerUnit: 1}).DoAll(prog.Body[2].(*forcelang.ParDo)); p.Grant() != 364 {
+		t.Errorf("dotsum at 1 ns per unit: grant %d, want 364", p.Grant())
+	}
+}
+
+// TestRider pins which Barrier statements ride a closing collective: the
+// one directly behind a DOALL, a fused region or a global reduction into a
+// plain scalar — not one behind anything else, not a second one, and not
+// one behind a reduction into an array element.
+func TestRider(t *testing.T) {
+	prog := parse(t, `Force RD of NP ident ME
+Shared Real A(64), B(64)
+Shared Real TOT, PART(8)
+Shared Logical ANY
+Private Integer I
+Private Real MINE
+End Declarations
+Presched DO I = 1, 64
+  A(I) = REAL(I)
+End Presched DO
+Barrier
+  TOT = 0.0
+End Barrier
+Barrier
+End Barrier
+Presched DO I = 1, 64
+  B(I) = 1.0
+End Presched DO
+Presched DO I = 1, 64
+  A(I) = 2.0
+End Presched DO
+Barrier
+End Barrier
+Selfsched DO I = 1, 64
+  MINE = MINE + A(I)
+End Selfsched DO
+GSUM TOT = MINE
+Barrier
+  Print TOT
+End Barrier
+GOR ANY = MINE .GT. 1.0
+Barrier
+  Print ANY
+End Barrier
+GSUM PART(ME + 1) = MINE
+Barrier
+  Print PART(1)
+End Barrier
+MINE = 0.0
+Barrier
+End Barrier
+Join
+`)
+	var logs []string
+	tg := Target{NsPerUnit: 4, Slots: true, Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+	body := prog.Body
+	line := func(b *forcelang.BarrierStmt) int {
+		if b == nil {
+			return 0
+		}
+		return b.Pos()
+	}
+	// 0: DOALL, 1: Barrier (rides), 2: Barrier (its own episode).
+	if reg := tg.Fuse(body, 0); reg != nil {
+		t.Fatalf("a lone DOALL fused: %+v", reg)
+	}
+	if got := line(tg.Rider(body, 0)); got != 11 {
+		t.Errorf("Barrier behind a DOALL: rider at line %d, want 11", got)
+	}
+	if got := line(tg.Rider(body, 1)); got != 0 {
+		t.Errorf("Barrier behind a Barrier rides (line %d)", got)
+	}
+	// 3, 4: a fused pair, 5: its (empty) rider.
+	if reg := tg.Fuse(body, 3); reg == nil || line(reg.Rider) != 22 || reg.Len() != 3 {
+		t.Errorf("fused pair: %+v, want the Barrier at line 22 riding, 3 statements", reg)
+	}
+	// 6: DOALL + 7: GSUM join, 8: rider.
+	if reg := tg.Fuse(body, 6); reg == nil || reg.Red == nil || line(reg.Rider) != 28 || reg.Len() != 3 {
+		t.Errorf("DOALL + GSUM: %+v, want the Barrier at line 28 riding, 3 statements", reg)
+	}
+	// 9: a standalone logical reduction, 10: rider.
+	if got := line(tg.Rider(body, 9)); got != 32 {
+		t.Errorf("Barrier behind GOR: rider at line %d, want 32", got)
+	}
+	// 11: a reduction into an array element, 12: its Barrier stays.
+	if got := line(tg.Rider(body, 11)); got != 0 {
+		t.Errorf("Barrier behind a reduction into PART(ME + 1) rides (line %d)", got)
+	}
+	// 13: an assignment, 14: a Barrier, the list's last statement.
+	if got := line(tg.Rider(body, 13)); got != 0 {
+		t.Errorf("Barrier behind an assignment rides (line %d)", got)
+	}
+	if got := line(tg.Rider(body, 14)); got != 0 {
+		t.Errorf("the last statement has a rider (line %d)", got)
+	}
+	for _, want := range []string{
+		"line 11: Barrier rides the DOALL exit at line 8",
+		"line 22: Barrier rides the fused join at line 16",
+		"line 28: Barrier rides the GSUM join at line 27",
+		"line 32: Barrier rides the GOR at line 31",
+	} {
+		if !strings.Contains(strings.Join(logs, "\n"), want) {
+			t.Errorf("narration lacks %q:\n%s", want, strings.Join(logs, "\n"))
+		}
+	}
+	if n := strings.Count(strings.Join(logs, "\n"), "rides"); n != 4 {
+		t.Errorf("%d riders narrated, want 4:\n%s", n, strings.Join(logs, "\n"))
 	}
 }
 

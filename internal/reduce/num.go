@@ -158,10 +158,10 @@ func (e *NumEpisode) at(pid int) uint64 {
 
 // Do contributes x and returns the pid-order fold of all np
 // contributions under op.  onComplete, when non-nil, runs exactly once
-// per use, in the folding process, after the result is final and
-// before any waiter is released — the construct-entry retirement
+// per use, in the folding process, with the fold, after the result is
+// final and before any waiter is released — the barrier-section
 // position.  Every caller of one use must pass the same op and kind.
-func (e *NumEpisode) Do(pid int, op Op, k NumKind, x uint64, onComplete func()) uint64 {
+func (e *NumEpisode) Do(pid int, op Op, k NumKind, x uint64, onComplete func(result uint64)) uint64 {
 	e.put(pid, x)
 	var out uint64
 	if e.arrived.Add(1) == int64(e.np) {
@@ -171,7 +171,7 @@ func (e *NumEpisode) Do(pid int, op Op, k NumKind, x uint64, onComplete func()) 
 		}
 		e.result = acc
 		if onComplete != nil {
-			onComplete()
+			onComplete(acc)
 		}
 		e.done.Store(1)
 		if chp := e.ch.Load(); chp != nil {

@@ -115,23 +115,25 @@ func TestNumEpisodeReuseAlternating(t *testing.T) {
 	}
 }
 
-// onComplete must run exactly once per use, before any waiter returns.
+// onComplete must run exactly once per use, with the fold, before any
+// waiter returns.
 func TestNumEpisodeOnCompleteOnce(t *testing.T) {
 	const np = 3
 	e := NewNumEpisode(np, nil)
 	for round := 0; round < 5; round++ {
-		var calls int // folder-only write, ordered before every return
+		var calls int // folder-only writes, ordered before every return
+		var seen uint64
 		var wg sync.WaitGroup
 		for pid := 0; pid < np; pid++ {
 			wg.Add(1)
 			go func(pid int) {
 				defer wg.Done()
-				e.Do(pid, Max, NumInt, uint64(int64(pid)), func() { calls++ })
+				e.Do(pid, Max, NumInt, uint64(int64(pid)), func(r uint64) { calls, seen = calls+1, r })
 			}(pid)
 		}
 		wg.Wait()
-		if calls != 1 {
-			t.Fatalf("round %d: onComplete ran %d times, want 1", round, calls)
+		if calls != 1 || seen != np-1 {
+			t.Fatalf("round %d: onComplete ran %d times with %d, want once with %d", round, calls, seen, np-1)
 		}
 	}
 }

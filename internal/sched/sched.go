@@ -16,9 +16,10 @@
 // defaults and applications select (the block deal, fetch-and-add and
 // fixed-size chunks).  The two prescheduled deals are pure functions of
 // (pid, np, n) — BlockSpan and CyclicSpan, no object, no shared state;
-// the three selfscheduled disciplines are one-episode objects behind the
-// Scheduler interface.  Iteration spaces are Fortran DO ranges (Start,
-// Last, Incr with either sign); deals and schedulers hand out *ordinals*
+// the three selfscheduled disciplines share one reusable state, Loop, whose
+// claims advance by a grant the caller chooses (1 is the paper's one
+// iteration per acquisition).  Iteration spaces are Fortran DO ranges (Start,
+// Last, Incr with either sign); deals and loops hand out *ordinals*
 // 0..Count()-1 and Range maps ordinals back to index values, which keeps
 // every discipline correct for negative strides and empty loops.
 package sched
@@ -68,15 +69,6 @@ func (r Range) Index(k int) int { return r.Start + k*r.Incr }
 // String renders the range as a loop header fragment.
 func (r Range) String() string {
 	return fmt.Sprintf("%d, %d, %d", r.Start, r.Last, r.Incr)
-}
-
-// Scheduler is a run-time (selfscheduled) discipline distributing the
-// ordinals of one loop execution across the force.  Next returns the
-// half-open ordinal interval [lo, hi) that pid should execute next; ok is
-// false when the work is exhausted.  A Scheduler is valid for a single
-// loop execution (one episode).
-type Scheduler interface {
-	Next(pid int) (lo, hi int, ok bool)
 }
 
 // Kind names a scheduling discipline; each constant says which rule of
@@ -185,75 +177,75 @@ type Config struct {
 	LockFactory func() lock.Lock
 }
 
-// New creates a one-episode Scheduler for a selfscheduled discipline, force
-// size and range.  Any other kind is rejected by name: the prescheduled
-// ones have no Scheduler — they are the pure deals BlockSpan and CyclicSpan.
-func New(k Kind, np int, r Range, cfg Config) Scheduler {
-	if np <= 0 {
-		panic(fmt.Sprintf("sched: np = %d, need np >= 1", np))
-	}
-	n := r.Count()
+// Loop is the shared state of one selfscheduled loop execution: the
+// paper's K_shared behind the loop lock (SelfLock), or a fetch-and-add
+// cursor (SelfAtomic, Chunk).  A Loop is reusable — Arm prepares it for
+// the next execution, keeping the loop lock — so a force holds a few of
+// them instead of allocating one per construct instance.  Arm must
+// happen before, and must not overlap, the Next calls of the execution
+// it arms; Next is safe for concurrent use.
+type Loop struct {
+	n       int
+	step    int       // ordinals one claim takes
+	useLock bool      // SelfLock: kShare behind lock; otherwise next
+	lock    lock.Lock // created by the first SelfLock Arm, then kept
+	kShare  int       // next ordinal to hand out; guarded by lock
+	next    atomic.Int64
+}
+
+// Arm prepares the loop for one execution of n ordinals under the
+// selfscheduled discipline k.  grant is how many ordinals one claim
+// takes (values below 1 mean 1): the paper's discipline advances the
+// shared index by it under the loop lock, the fetch-and-add by it, and
+// Chunk by the larger of it and its chunk size.  Any other kind is
+// rejected by name: the prescheduled ones have no shared state — they
+// are the pure deals BlockSpan and CyclicSpan.
+func (l *Loop) Arm(k Kind, n, grant int, cfg Config) {
+	step := max(grant, 1)
 	switch k {
 	case SelfLock:
-		f := cfg.LockFactory
-		if f == nil {
-			f = lock.Factory(lock.System)
+		if l.lock == nil {
+			f := cfg.LockFactory
+			if f == nil {
+				f = lock.Factory(lock.System)
+			}
+			l.lock = f()
 		}
-		return &lockSelfSched{n: n, lock: f()}
+		l.kShare = 0
 	case SelfAtomic:
-		return &atomicSelfSched{n: n, chunk: 1}
 	case Chunk:
 		c := cfg.ChunkSize
 		if c <= 0 {
 			c = DefaultChunk
 		}
-		return &atomicSelfSched{n: n, chunk: c}
+		step = max(step, c)
 	default:
 		panic(fmt.Sprintf("sched: %v is not a run-time discipline (the prescheduled deals are BlockSpan and CyclicSpan)", k))
 	}
+	l.n, l.step, l.useLock = n, step, k == SelfLock
+	l.next.Store(0)
 }
 
-// lockSelfSched is the paper's selfscheduled loop: the shared index
-// K_shared lives behind the loop lock; each acquisition takes one
-// iteration.  The expansion listing's
+// Next claims the next span of the armed execution: the half-open
+// ordinal interval [lo, hi), or ok == false when the work is exhausted.
+// Under SelfLock it is the expansion listing's
 //
 //	lock(LOOP100); K = K_shared; K_shared = K + INCR; unlock(LOOP100)
 //
-// becomes, on ordinals, a guarded post-increment.
-type lockSelfSched struct {
-	n      int
-	lock   lock.Lock
-	kShare int // next ordinal to hand out; guarded by lock
-}
-
-func (s *lockSelfSched) Next(pid int) (int, int, bool) {
-	s.lock.Lock()
-	k := s.kShare
-	s.kShare = k + 1
-	s.lock.Unlock()
-	if k >= s.n {
+// on ordinals, INCR being the grant.
+func (l *Loop) Next() (lo, hi int, ok bool) {
+	if l.useLock {
+		l.lock.Lock()
+		lo = l.kShare
+		l.kShare = lo + l.step
+		l.lock.Unlock()
+	} else {
+		lo = int(l.next.Add(int64(l.step))) - l.step
+	}
+	if lo >= l.n {
 		return 0, 0, false
 	}
-	return k, k + 1, true
-}
-
-// atomicSelfSched is the fetch-and-add variant, optionally chunked.
-type atomicSelfSched struct {
-	n     int
-	chunk int
-	next  atomic.Int64
-}
-
-func (s *atomicSelfSched) Next(pid int) (int, int, bool) {
-	lo := int(s.next.Add(int64(s.chunk))) - s.chunk
-	if lo >= s.n {
-		return 0, 0, false
-	}
-	hi := lo + s.chunk
-	if hi > s.n {
-		hi = s.n
-	}
-	return lo, hi, true
+	return lo, min(lo+l.step, l.n), true
 }
 
 // BlockSpan is the block deal: the contiguous ordinals [lo, hi) of 0..n-1

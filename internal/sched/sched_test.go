@@ -77,27 +77,18 @@ func TestKindStringAndParse(t *testing.T) {
 	}
 }
 
-func TestNewValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New with np=0 did not panic")
-		}
-	}()
-	New(SelfLock, 0, Seq(4), Config{})
-}
-
-// TestNewRejectsPrescheduled: the prescheduled kinds are pure deals, not
-// Scheduler objects, and New says so by name.
+// TestNewRejectsPrescheduled: the prescheduled kinds are pure deals with
+// no shared state to arm, and Arm says so by name.
 func TestNewRejectsPrescheduled(t *testing.T) {
 	for _, k := range []Kind{PreschedBlock, PreschedCyclic} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
 				if !strings.Contains(msg, k.String()) || !strings.Contains(msg, "prescheduled") {
-					t.Errorf("New(%v) panicked with %q, want the kind named as a prescheduled deal", k, msg)
+					t.Errorf("Arm(%v) panicked with %q, want the kind named as a prescheduled deal", k, msg)
 				}
 			}()
-			New(k, 2, Seq(4), Config{})
+			new(Loop).Arm(k, 4, 1, Config{})
 		}()
 	}
 }
@@ -105,22 +96,22 @@ func TestNewRejectsPrescheduled(t *testing.T) {
 func TestNewUnknownKindPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("New with unknown kind did not panic")
+			t.Error("Arm with unknown kind did not panic")
 		}
 	}()
-	New(Kind(42), 2, Seq(4), Config{})
+	new(Loop).Arm(Kind(42), 4, 1, Config{})
 }
 
 // forEach is this file's single-construct driver: it runs body(pid, index)
 // for every index of r, distributed over np goroutines under discipline k
-// (a pure deal or a shared one-episode Scheduler) — the loop
+// (a pure deal or a shared Loop armed at grant 1) — the loop
 // core.openSpans embeds inside long-lived force processes.
 func forEach(k Kind, np int, r Range, cfg Config, body func(pid, index int)) {
-	var s Scheduler
-	if k != PreschedBlock && k != PreschedCyclic {
-		s = New(k, np, r, cfg)
-	}
 	n := r.Count()
+	s := new(Loop)
+	if k != PreschedBlock && k != PreschedCyclic {
+		s.Arm(k, n, 1, cfg)
+	}
 	var wg sync.WaitGroup
 	for p := 0; p < np; p++ {
 		wg.Add(1)
@@ -138,7 +129,7 @@ func forEach(k Kind, np int, r Range, cfg Config, body func(pid, index int)) {
 			case PreschedCyclic:
 				span(CyclicSpan(pid, np, n))
 			default:
-				for lo, hi, ok := s.Next(pid); ok; lo, hi, ok = s.Next(pid) {
+				for lo, hi, ok := s.Next(); ok; lo, hi, ok = s.Next() {
 					span(lo, hi, 1)
 				}
 			}
@@ -291,16 +282,91 @@ func TestSelfschedDrainsAroundStuckProcess(t *testing.T) {
 }
 
 func TestChunkSizeRespected(t *testing.T) {
-	s := New(Chunk, 2, Seq(100), Config{ChunkSize: 8})
-	lo, hi, ok := s.Next(0)
+	s := new(Loop)
+	s.Arm(Chunk, 100, 1, Config{ChunkSize: 8})
+	lo, hi, ok := s.Next()
 	if !ok || hi-lo != 8 {
 		t.Errorf("chunk = [%d,%d), want size 8", lo, hi)
 	}
 	// Default chunk size when zero.
-	s = New(Chunk, 2, Seq(100), Config{})
-	lo, hi, ok = s.Next(0)
+	s.Arm(Chunk, 100, 1, Config{})
+	lo, hi, ok = s.Next()
 	if !ok || hi-lo != DefaultChunk {
 		t.Errorf("default chunk = [%d,%d), want size %d", lo, hi, DefaultChunk)
+	}
+}
+
+// TestGrantAdvancesEveryDiscipline: one claim takes the grant — under the
+// loop lock, by fetch-and-add, and max(chunk, grant) for Chunk — the last
+// claim is clipped to the range, a loop smaller than one grant goes whole
+// to the first claimant, and a re-armed Loop starts over (keeping its
+// loop lock).
+func TestGrantAdvancesEveryDiscipline(t *testing.T) {
+	cfg := Config{ChunkSize: 4}
+	for _, tc := range []struct {
+		k        Kind
+		n, grant int
+		want     [][2]int
+	}{
+		{SelfLock, 10, 4, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
+		{SelfAtomic, 10, 4, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
+		{Chunk, 10, 3, [][2]int{{0, 4}, {4, 8}, {8, 10}}},                  // chunk 4 > grant 3
+		{Chunk, 10, 6, [][2]int{{0, 6}, {6, 10}}},                          // grant 6 > chunk 4
+		{SelfLock, 3, 64, [][2]int{{0, 3}}},                                // n < grant: the whole loop
+		{SelfAtomic, 0, 64, nil},                                           // empty loop
+		{SelfLock, 5, 0, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}}, // grant < 1 means 1
+	} {
+		l := new(Loop)
+		for round := 0; round < 2; round++ { // the second round re-arms the same Loop
+			l.Arm(tc.k, tc.n, tc.grant, cfg)
+			var got [][2]int
+			for lo, hi, ok := l.Next(); ok; lo, hi, ok = l.Next() {
+				got = append(got, [2]int{lo, hi})
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("%v n=%d grant=%d round %d: claims %v, want %v", tc.k, tc.n, tc.grant, round, got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("%v n=%d grant=%d round %d: claims %v, want %v", tc.k, tc.n, tc.grant, round, got, tc.want)
+				}
+			}
+			if _, _, ok := l.Next(); ok {
+				t.Errorf("%v: Next after exhaustion granted work", tc.k)
+			}
+		}
+	}
+}
+
+// TestGrantedCoverageUnderContention: np goroutines draining one Loop at
+// a grant that does not divide n still execute every ordinal exactly once.
+func TestGrantedCoverageUnderContention(t *testing.T) {
+	const np, n, grant = 4, 1003, 7
+	for _, k := range []Kind{SelfLock, SelfAtomic, Chunk} {
+		l := new(Loop)
+		l.Arm(k, n, grant, Config{ChunkSize: 2, LockFactory: lock.Factory(lock.TTAS)})
+		seen := make([]atomic.Int32, n)
+		var wg sync.WaitGroup
+		for p := 0; p < np; p++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for lo, hi, ok := l.Next(); ok; lo, hi, ok = l.Next() {
+					if hi-lo > grant {
+						t.Errorf("%v: claim [%d,%d) exceeds the grant %d", k, lo, hi, grant)
+					}
+					for o := lo; o < hi; o++ {
+						seen[o].Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for o := range seen {
+			if c := seen[o].Load(); c != 1 {
+				t.Fatalf("%v: ordinal %d executed %d times", k, o, c)
+			}
+		}
 	}
 }
 
