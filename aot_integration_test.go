@@ -374,7 +374,10 @@ Join
 // every run.  The program spreads DOALLs over three units so a map-order
 // walk would show.  The one thing each back end sizes for itself is the
 // grant of a selfscheduled loop (plan.Target.NsPerUnit), so the lines are
-// compared with its number taken out — and it must differ.
+// compared with its number taken out — and it must differ.  The one
+// decision only the chunk tier takes is which element references it
+// range-checks per span; its "span-checked" lines are its own, one per
+// DOALL that subscripts a shared array, and are set aside.
 func TestPlanNarrationAcrossTiers(t *testing.T) {
 	prog := forcelang.MustParse(`Force TIERS of NP ident ME
 Shared Real A(32), B(32)
@@ -427,10 +430,20 @@ Endsub
 	}
 	for round := 0; round < 10; round++ {
 		var got []string
+		spanChecked := 0
 		err := interp.Run(prog, interp.Config{NP: 2, Stdout: io.Discard,
-			FuseLog: func(msg string) { got = append(got, msg) }})
+			FuseLog: func(msg string) {
+				if strings.Contains(msg, ": DOALL span-checked ") {
+					spanChecked++
+					return
+				}
+				got = append(got, msg)
+			}})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if spanChecked != 4 { // the three main-program loops and ABLE's B(K)
+			t.Fatalf("round %d: %d span-checked lines, want 4", round, spanChecked)
 		}
 		if grantSize.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
 			t.Fatalf("round %d: chunk tier narrates\n%s\nemitter narrates\n%s",

@@ -21,12 +21,15 @@
 //     disjointness proofs and their failures, accumulator folding (sums
 //     and extrema), final loop-variable values, and bodies that make the
 //     iteration-to-process map observable, which must keep the cyclic
-//     deal);
+//     deal), the grant of a selfscheduled loop, and the span check
+//     (affine subscripts tested at a span's two ends: guarded
+//     out-of-range references, every affine form, wrapping products);
 //   - Fusion / FusionFaults: the PR-10 fusion matrix — programs shaped
 //     for the chunk tier's fusion pass (adjacent independent DOALLs,
 //     overlapping must-NOT-fuse pairs, foldable reduction tails, a
 //     reduction feeding a later DOALL, and a fault striking inside a
-//     fused region).  Every tier, with fusion on and off, must print
+//     fused region or a span-checked body).  Every tier, with fusion on
+//     and off, must print
 //     the same lines and report the same errors: fusion is a barrier
 //     count optimization, never a semantics change.
 package corpus
@@ -430,6 +433,23 @@ Join
 Async Integer C(3)
 End Declarations
 Produce C(4) = 1
+Join
+`},
+	// A span that fails its end-point test runs the iterations before the
+	// offending one first, as the per-iteration check always did: at np = 1
+	// iteration 8 finds A(1) and A(7) stored and errs at line 8 (subscript
+	// 9); had 1..7 been skipped it would pass line 8 and err at line 10.
+	{"span-earlier-stores", 1, `Force E of NP ident ME
+Shared Integer A(8), B(8), C(8), D(8)
+Private Integer I
+End Declarations
+Presched DO I = 1, 8
+  A(I) = I
+  IF (I .EQ. 8) THEN
+    C(A(1) + A(7) + 1) = 1
+  End IF
+  B(I) = D(I + 1)
+End Presched DO
 Join
 `},
 }
@@ -1054,6 +1074,252 @@ Barrier
 End Barrier
 Join
 `},
+	// The next six are about the SPAN CHECK — an element reference whose
+	// subscripts are affine in the DOALL index is range-checked at the two
+	// ends of each granted span and indexed unchecked between them; a span
+	// that fails the test runs the checked plan-less body.  Which spans
+	// fail depends on the deal, so every tier and every np must still
+	// agree.  Out-of-range references guarded by an IF at the first and
+	// the last index of the range, prescheduled and selfscheduled with a
+	// negative step: checked body taken, no error.
+	{"span-guarded-ends", 0, `Force SGUARD of NP ident ME
+Shared Integer A(40), B(40)
+Shared Integer N, T
+Private Integer I
+End Declarations
+Barrier
+  N = 40
+End Barrier
+Presched DO I = 1, N
+  A(I) = I
+  B(I) = 0
+End Presched DO
+Presched DO I = 1, N
+  IF (I .GT. 1 .AND. I .LT. N) THEN
+    B(I) = A(I - 1) + A(I + 1)
+  ELSE
+    B(I) = A(I)
+  End IF
+End Presched DO
+Selfsched DO I = N, 1, -1
+  IF (I .LT. N) THEN
+    B(I) = B(I) + A(I + 1)
+  End IF
+End Selfsched DO
+Barrier
+  T = 0
+  DO I = 1, N
+    T = T + B(I) * I
+  End DO
+  Print 'guarded', T
+End Barrier
+Join
+`},
+	// The affine forms: A(N + 1 - I), A(2*I - 1), a rest read from a
+	// shared (K) and from a private (P — so the deal stays cyclic) INTEGER
+	// scalar, a negative step, a non-unit step, and a subscript that does
+	// not move with the index at all (C(K), coefficient 0).
+	{"span-affine-forms", 0, `Force SAFF of NP ident ME
+Shared Integer A(64), B(64), C(130)
+Shared Integer N, K, T
+Private Integer I, P
+End Declarations
+P = 3
+Barrier
+  N = 64
+  K = 2
+End Barrier
+Presched DO I = 1, N
+  A(I) = I
+  B(N + 1 - I) = 10 * I
+End Presched DO
+Presched DO I = 1, N
+  C(2 * I - 1) = A(I)
+End Presched DO
+Presched DO I = 1, N
+  C(2 * I) = B(I)
+End Presched DO
+Presched DO I = N - 2, 3, -1
+  A(I) = A(I) + C(I + K) - C(I - K) + B(I + P - 1)
+End Presched DO
+Selfsched DO I = 1, N, 3
+  B(I) = B(I) + C(K) + C(N + N - 2 * I + 1)
+End Selfsched DO
+Barrier
+  T = 0
+  DO I = 1, N
+    T = T + A(I) * I - B(I)
+  End DO
+  Print 'forms', T, C(1), C(128), C(129)
+End Barrier
+Join
+`},
+	// A 2-D array with one subscript uniform — a shared scalar, a literal,
+	// an expression — and the other affine, rising and falling; the
+	// two-index loop is not span-checked.
+	{"span-2d-uniform-subscript", 0, `Force S2D of NP ident ME
+Shared Integer M(6, 50), V(50)
+Shared Integer R, T
+Private Integer I, J
+End Declarations
+Barrier
+  R = 4
+End Barrier
+Presched DO I = 1, 6 also J = 1, 50
+  M(I, J) = 0
+End Presched DO
+Presched DO I = 1, 50
+  M(R, I) = I
+End Presched DO
+Presched DO I = 1, 50
+  M(2, 51 - I) = 2 * I
+End Presched DO
+Presched DO I = 1, 6
+  M(I, 7) = M(I, 7) + 100 * I
+End Presched DO
+Selfsched DO I = 1, 50
+  V(I) = M(R, I) - M(2, I) + M(R - 3, 7)
+End Selfsched DO
+Barrier
+  T = 0
+  DO I = 1, 50
+    T = T + V(I) * I
+  End DO
+  Print 'two-d', T, M(6, 7), M(4, 50)
+End Barrier
+Join
+`},
+	// Selfscheduled loops shorter than, equal to and not a multiple of
+	// their grant (59, 72 and 59 on the closure tier), the last iteration
+	// of the first and third guarding an out-of-range reference: one
+	// construct execution mixes passing and failing spans, and its
+	// accumulator folds in the one kind and is applied atomically in the
+	// other.
+	{"span-grant-edges", 0, `Force SGRANT of NP ident ME
+Shared Integer A(400), B(400)
+Shared Integer S, T
+Private Integer I
+End Declarations
+Barrier
+  S = 0
+End Barrier
+Presched DO I = 1, 400
+  A(I) = I
+  B(I) = MOD(I, 7)
+End Presched DO
+Selfsched DO I = 396, 400
+  IF (I .LT. 400) THEN
+    A(I) = A(I) + B(I + 1)
+  End IF
+  S = S + B(I)
+End Selfsched DO
+Selfsched DO I = 1, 72
+  A(I) = A(I) + B(I + 328)
+  S = S + B(I)
+End Selfsched DO
+Selfsched DO I = 73, 400
+  IF (I .LT. 400) THEN
+    A(I) = A(I) + B(I + 1)
+  End IF
+  S = S + B(I)
+End Selfsched DO
+Barrier
+  T = 0
+  DO I = 1, 400
+    T = T + A(I) * MOD(I, 5)
+  End DO
+  Print 'grants', S, T
+End Barrier
+Join
+`},
+	// Both members of a fused region closed by a GSUM join a Barrier
+	// rides; the second member's last index takes the checked body.
+	{"span-fused-members", 0, `Force SFUSE of NP ident ME
+Shared Integer A(90), B(90), C(90)
+Shared Integer N, TOTAL
+Private Integer I, MINE
+End Declarations
+Barrier
+  N = 90
+End Barrier
+Presched DO I = 1, N
+  C(I) = MOD(I * 5, 11)
+End Presched DO
+MINE = 0
+Presched DO I = 1, N
+  A(N + 1 - I) = 2 * I
+End Presched DO
+Presched DO I = 1, N
+  IF (I .LT. N) THEN
+    B(I) = C(I) + C(I + 1)
+  ELSE
+    B(I) = C(I)
+  End IF
+  MINE = MINE + B(I) * I
+End Presched DO
+GSUM TOTAL = MINE
+Barrier
+  Print 'fused', TOTAL, A(1), A(90), B(90)
+End Barrier
+Join
+`},
+	// What is NOT span-checked and what must not be trusted: a subscript
+	// through a written private temporary, a two-index loop, a body with a
+	// parameter reference (the subroutine's), and a coefficient whose
+	// product wraps — 4611686018427387904*I + 1 is 1 at I = 0 and, wrapped,
+	// at I = 4: both ends in range, yet not monotone between them, so the
+	// span is decided by the checked body.
+	{"span-unproven-and-wrapping", 0, `Force SUNPR of NP ident ME
+Shared Integer A(32), B(32), D(4, 4)
+Shared Integer W, T
+Private Integer I, J, K
+End Declarations
+Barrier
+  W = 5
+End Barrier
+Presched DO I = 1, 32
+  K = 33 - I
+  A(K) = I
+  B(I) = 0
+End Presched DO
+Presched DO I = 1, 4 also J = 1, 4
+  D(I, J) = 10 * I + J
+End Presched DO
+Call ADDW(B, W)
+Presched DO I = 0, 4, 4
+  B(4611686018427387904 * I + 1) = A(2) + 1000
+End Presched DO
+Barrier
+  T = 0
+  DO I = 1, 32
+    T = T + A(I) * B(I)
+  End DO
+  Print 'unproven', T, B(1), D(4, 3)
+End Barrier
+Join
+Forcesub ADDW(X, V)
+Shared Integer X(32)
+Shared Integer V
+Shared Integer G(32)
+Private Integer K
+End Declarations
+Presched DO K = 1, 32
+  G(K) = K + V
+End Presched DO
+Presched DO K = 1, 32
+  G(K) = G(K) + X(33 - K)
+End Presched DO
+Barrier
+End Barrier
+IF (ME .EQ. 0) THEN
+  DO K = 1, 32
+    X(K) = G(K)
+  End DO
+End IF
+Barrier
+End Barrier
+Endsub
+`},
 }
 
 // Fusion is the fusion-pass matrix: programs shaped so the chunk tier's
@@ -1459,10 +1725,11 @@ Endsub
 `},
 }
 
-// FusionFaults is the fused-region fault matrix: the error strikes in
-// the middle of a fused region (the second member, on only the process
-// owning the faulting index once np > 1) or in a barrier section riding
-// a closing collective, and every tier — with fusion on and off — must
+// FusionFaults is the planned-construct fault matrix: the error strikes
+// in the middle of a fused region (the second member, on only the process
+// owning the faulting index once np > 1), in a barrier section riding a
+// closing collective, or at a span-checked element reference, and every
+// tier — with fusion on and off — must
 // abort the whole force with the identical "force runtime: line N: ..."
 // message naming the faulting statement's line (line 10 in every row),
 // not the region's.
@@ -1521,6 +1788,65 @@ GOR ANY = B
 Barrier
   S = 100 / S
 End Barrier
+Join
+`},
+	// The next four strike inside a span-checked body: the span holding the
+	// offending index fails the end-point test, runs the checked body, and
+	// raises at the reference — exactly one index offends, at the first, a
+	// middle and the last iteration of the range and through a wrapping
+	// coefficient, so the message is the same whichever process and span
+	// meets it.
+	{"fault-at-span-first", 0, `Force SFIRST of NP ident ME
+Shared Integer A(40), B(40)
+Private Integer I
+End Declarations
+Presched DO I = 1, 40
+  B(I) = I
+End Presched DO
+Presched DO I = 1, 40
+  A(I) = 0
+  A(I) = A(I) + B(I - 1)
+End Presched DO
+Join
+`},
+	{"fault-at-span-middle", 0, `Force SMID of NP ident ME
+Shared Integer A(40), B(40)
+Private Integer I
+End Declarations
+Presched DO I = 1, 40
+  B(I) = I
+End Presched DO
+Selfsched DO I = 1, 40
+  IF (I .EQ. 20) THEN
+    A(I) = B(I + 100)
+  End IF
+End Selfsched DO
+Join
+`},
+	{"fault-at-span-last", 0, `Force SLAST of NP ident ME
+Shared Integer A(40), B(40), N
+Private Integer I
+End Declarations
+Barrier
+  N = 40
+End Barrier
+Presched DO I = 1, N
+  A(I) = I
+  A(I) = A(I) + B(I + 1)
+End Presched DO
+Join
+`},
+	{"fault-at-wrapping-subscript", 0, `Force SWRAP of NP ident ME
+Shared Integer A(40), B(40)
+Private Integer I
+End Declarations
+Barrier
+End Barrier
+
+Presched DO I = 0, 1
+  A(I + 1) = I
+  B(4611686018427387904 * I + 1) = 1
+End Presched DO
 Join
 `},
 }

@@ -2,6 +2,7 @@ package forcelang
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/shm"
 )
@@ -68,6 +69,17 @@ func (p *parser) expectWord(word string) error {
 	if !p.accept(word) {
 		return p.errf("expected %s, found %s", word, p.cur())
 	}
+	return nil
+}
+
+// expectWords consumes the given identifiers — the closing words of a
+// construct.  A statement list also ends at the end of the text, so the
+// closer may simply be missing.
+func (p *parser) expectWords(words ...string) error {
+	if !p.peekWords(words...) {
+		return p.errf("expected %s, found %s", strings.Join(words, " "), p.cur())
+	}
+	p.pos += len(words)
 	return nil
 }
 
@@ -409,7 +421,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.pos += 2 // END BARRIER
+		if err := p.expectWords("END", "BARRIER"); err != nil {
+			return nil, err
+		}
 		if err := p.expectEOL(); err != nil {
 			return nil, err
 		}
@@ -427,7 +441,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.pos += 2
+		if err := p.expectWords("END", "CRITICAL"); err != nil {
+			return nil, err
+		}
 		if err := p.expectEOL(); err != nil {
 			return nil, err
 		}
@@ -619,7 +635,9 @@ func (p *parser) parseIf() (Stmt, error) {
 			return nil, err
 		}
 	}
-	p.pos += 2 // END IF
+	if err := p.expectWords("END", "IF"); err != nil {
+		return nil, err
+	}
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}
@@ -663,7 +681,9 @@ func (p *parser) parseSeqDo(base stmtBase) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.pos += 2 // END DO
+	if err := p.expectWords("END", "DO"); err != nil {
+		return nil, err
+	}
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}
@@ -688,7 +708,9 @@ func (p *parser) parseWhileDo(base stmtBase) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.pos += 2 // END DO
+	if err := p.expectWords("END", "DO"); err != nil {
+		return nil, err
+	}
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}
@@ -721,8 +743,7 @@ func (p *parser) parseParDo(kind SchedKind, base stmtBase) (Stmt, error) {
 	if pd.Body, err = p.parseStmts(stop); err != nil {
 		return nil, err
 	}
-	p.pos += 2 // END PRESCHED|SELFSCHED
-	if err := p.expectWord("DO"); err != nil {
+	if err := p.expectWords("END", strings.TrimPrefix(stop, "END-"), "DO"); err != nil {
 		return nil, err
 	}
 	if err := p.expectEOL(); err != nil {
@@ -767,7 +788,9 @@ func (p *parser) parseAskfor(base stmtBase) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.pos += 2 // END ASKFOR
+	if err := p.expectWords("END", "ASKFOR"); err != nil {
+		return nil, err
+	}
 	if err := p.expectEOL(); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,7 @@ package interp
 // once per index of every span core.DoAllChunked grants the process.  For
 // a body the shared classifier (internal/plan) approves, the compiler
 // runs in chunk mode — its plan field set while the body is compiled —
-// which changes three things, all defined here:
+// which changes four things, all defined here:
 //
 //   - the loop index lives in the process's chunk context (cproc.k.i /
 //     .j), never re-stored through the frame per iteration; the frame
@@ -22,18 +22,33 @@ package interp
 //     the shared cell with one atomic RMW at span end — an add for
 //     sums, a strict compare-and-swap for extrema — before the
 //     construct's exit barrier, so post-loop readers see the total.
+//   - a shared-array element reference whose every subscript the plan
+//     decomposes as ci·I + rest (plan.Plan.Affine: literal ci, a rest of
+//     literals and INTEGER scalars the body never writes) is checked per
+//     SPAN, not per iteration (spanSite): the rest is evaluated once per
+//     construct execution, the indices at which every such subscript is
+//     in range form one interval (kctx.narrow), and a span whose first
+//     and last index lie inside it — affine, hence in range between them
+//     — runs the reference as ONE closure indexing the array's words at
+//     K·i + R.  Any other span runs the checked plan-less body
+//     (checkedBody, compiled on first need): the program is about to
+//     raise a subscript error, or guards the reference with an IF, and
+//     the ordinary per-iteration check decides which, at the reference
+//     and after the iterations it always did.
 //
 // A body with no plan compiles in ordinary mode and stores its index
 // through the frame every iteration (chunkParDo).  Everything else —
-// arithmetic, coercions, intrinsics, subscripts, the typed atomic-word
-// loads and stores, every runtime error — is the ordinary compiler's, so
-// the two loops cannot disagree on it.  Poison is checked before every
-// grant by the runtime and every core.PoisonEvery iterations inside one,
-// keeping the abort latency in the milliseconds even for giant
-// prescheduled spans.
+// arithmetic, coercions, intrinsics, every other subscript, the typed
+// atomic-word loads and stores, every runtime error — is the ordinary
+// compiler's, so the two loops cannot disagree on it.  Poison is checked
+// before every grant by the runtime and every core.PoisonEvery iterations
+// inside one, keeping the abort latency in the milliseconds even for
+// giant prescheduled spans.
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
@@ -46,19 +61,39 @@ import (
 // its body is compiled in chunk mode with the hoisted uniform
 // subexpressions: compiled with the plan cleared, evaluated once per
 // construct execution and read from the typed slots of the process's
-// chunk context inside the chunk loop (hoistInt/hoistReal/hoistBool).
+// chunk context inside the chunk loop (hoistInt/hoistReal/hoistBool) —
+// and with the span-checked element references (spanSite).
 type chunkPlan struct {
 	*plan.Plan
 	uniInt  []intFn
 	uniReal []realFn
 	uniBool []boolFn
+	// subs holds the subscripts of the span-checked references, site by
+	// site; sites counts those references and elems every shared-array
+	// element reference of the body, span-checked or not.
+	subs         []affSub
+	sites, elems int
+	// checked is the plan-less body, for the spans that fail the
+	// end-point test; most constructs never need it (checkedBody).
+	once    sync.Once
+	checked []stmtFn
+}
+
+// affSub is one subscript of a span-checked element reference, site: the
+// literal coefficient of the loop index, the extent it must stay within,
+// and the subscript itself compiled in chunk mode — which, evaluated at
+// index 0, is the rest.
+type affSub struct {
+	site      int
+	coef, ext int64
+	sub       intFn
 }
 
 // kctx is a process's chunk context: the live loop indices, the hoisted
-// uniform values and the private accumulator slots of the chunk-compiled
-// construct it is executing.  It is embedded by value in cproc and its
-// slices only ever grow, so a program with no chunk-compiled site
-// allocates nothing for it.
+// uniform values, the private accumulator slots and the span-check state
+// of the chunk-compiled construct it is executing.  It is embedded by
+// value in cproc and its slices only ever grow, so a program with no
+// chunk-compiled site allocates nothing for it.
 type kctx struct {
 	i, j int64 // current loop index values
 	uniI []int64
@@ -66,6 +101,11 @@ type kctx struct {
 	uniB []bool
 	accI []int64
 	accR []float64
+	// aff holds, per span-checked reference, the 0-based word offset of
+	// its element at index 0; okLo..okHi are the indices at which every
+	// such reference is in range (empty when okLo > okHi).
+	aff        []int64
+	okLo, okHi int64
 }
 
 // accCell pairs one accumulator's shared cell with its fold operator,
@@ -86,7 +126,8 @@ func fit[T any](s []T, n int) []T {
 
 // enter prepares the context for one execution of a chunk-compiled
 // construct: slots sized to the plan, accumulators seeded, and the
-// hoisted prologue run — every uniform subexpression evaluated once.
+// hoisted prologue run — every uniform subexpression and every
+// span-checked reference's rest evaluated once.
 // All hoisted expressions are non-panicking by construction, so running
 // them even when this process draws zero iterations cannot surface a
 // spurious error.
@@ -106,6 +147,65 @@ func (kc *kctx) enter(cp *chunkPlan, accs []accCell, pr *cproc, fr *frame) {
 	for si, ev := range cp.uniBool {
 		kc.uniB[si] = ev(pr, fr)
 	}
+	// The rests, after the uniform slots their subscripts may read.  A
+	// decomposed subscript is built from +, - and * over literals, the
+	// index and unwritten scalars: it cannot panic, and in wrapping
+	// arithmetic its value at index i IS coef·i + its value at 0.
+	kc.aff = fit(kc.aff, cp.sites)
+	clear(kc.aff)
+	kc.okLo, kc.okHi = math.MinInt64, math.MaxInt64
+	kc.i = 0
+	for _, sb := range cp.subs {
+		rest := sb.sub(pr, fr)
+		kc.narrow(sb.coef, rest, sb.ext)
+		kc.aff[sb.site] = kc.aff[sb.site]*sb.ext + rest - 1 // row-major, as forcert.Idx2
+	}
+}
+
+// narrow intersects okLo..okHi with the indices i at which c·i + rest,
+// taken over the integers, is a subscript in 1..ext.  Judging the true
+// value, not the wrapped one the program computes, is what keeps a
+// passing span monotone: a product that wraps back into range
+// (A(4611686018427387904*I + 1) at I = 4) leaves the interval and is
+// decided by the checked body.
+func (kc *kctx) narrow(c, rest, ext int64) {
+	const big = 1 << 62 // 1-rest and ext-rest must not wrap themselves
+	lo, hi := int64(1), int64(0)
+	switch {
+	case rest <= -big || rest >= big:
+	case c == 0:
+		if 1 <= rest && rest <= ext {
+			return
+		}
+	case c > 0:
+		lo, hi = ceilDiv(1-rest, c), floorDiv(ext-rest, c)
+	default:
+		lo, hi = ceilDiv(ext-rest, c), floorDiv(1-rest, c)
+	}
+	kc.okLo, kc.okHi = max(kc.okLo, lo), min(kc.okHi, hi)
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) == (b < 0) {
+		q++
+	}
+	return q
+}
+
+// spanOK reports whether a span running first..last may use the
+// span-checked references: both ends, hence every index between them,
+// keep every one of them in range.
+func (kc *kctx) spanOK(first, last int64) bool {
+	return kc.okLo <= first && first <= kc.okHi && kc.okLo <= last && last <= kc.okHi
 }
 
 // seed installs each accumulator's fold identity: 0 for sums, MinInt64
@@ -172,12 +272,19 @@ func (c *compiler) chunkTier() bool { return c.in.cfg.Exec == ExecChunked }
 // block deals a prescheduled loop in contiguous blocks instead of
 // cyclically; callers pass it only when the plan allows (for a fused
 // region, every member's).  A selfscheduled loop claims p.Grant()
-// ordinals at a time.
+// ordinals at a time.  A granted span of a single-index loop runs the
+// compiled body when it passes the end-point test of the body's
+// span-checked references (trivially, when there are none), the checked
+// plan-less body otherwise; what follows the span — the index left
+// behind, the accumulator flush — is the same either way.
 func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool) stmtFn {
 	cp := &chunkPlan{Plan: p}
 	grant := p.Grant()
 	planned := p != nil
 	body := c.spanBody(t, cp)
+	if lg := c.tg.Log; lg != nil && cp.elems > 0 {
+		lg("line %d: DOALL span-checked %d of %d element references", t.Pos(), cp.sites, cp.elems)
+	}
 	var recs []plan.AccRec
 	if planned {
 		recs = p.AccRecs
@@ -216,10 +323,14 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 				}
 				i := base + int64(lo)*incr
 				di := int64(stride) * incr
+				run := body
+				if !kc.spanOK(i, i+int64(cnt-1)*di) {
+					run = cp.checkedBody(c, t)
+				}
 				ctr := 0
 				for x := 0; x < cnt; x++ {
 					kc.i = i
-					runBody(body, pr, fr)
+					runBody(run, pr, fr)
 					i += di
 					if ctr++; ctr == core.PoisonEvery {
 						ctr = 0
@@ -309,6 +420,65 @@ func (c *compiler) spanBody(t *forcelang.ParDo, cp *chunkPlan) []stmtFn {
 		}
 	}
 	return append([]stmtFn{store}, c.stmts(t.Body)...)
+}
+
+// checkedBody is the plan-less body of t, compiled when the first span
+// needs it: a construct whose references stay in range never does, so it
+// pays neither the closures nor their allocation.  It runs inside the
+// planned loop, iteration for iteration what ExecCompiled runs — every
+// subscript checked where it is evaluated, an accumulate applied to its
+// shared cell atomically instead of folded (the two commute).  It is
+// compiled by a copy of the compiler, at run time and possibly by several
+// processes' constructs at once: the original is only read.
+func (cp *chunkPlan) checkedBody(c *compiler, t *forcelang.ParDo) []stmtFn {
+	cp.once.Do(func() {
+		lazy := *c
+		lazy.plan, lazy.tg.Log = nil, nil
+		cp.checked = lazy.spanBody(t, &chunkPlan{})
+	})
+	return cp.checked
+}
+
+// spanSite decides, in chunk mode, whether the shared-array element
+// reference t is span-checked, and if so registers it with the plan and
+// returns the array's words, the flat coefficient K and the site whose
+// kctx.aff slot holds R: the element at index i is data[K·i + R].  For a
+// d1 x d2 array K = c1·d2 + c2, the row-major offset being affine when
+// both subscripts are.
+func (c *compiler) spanSite(t *forcelang.Ref) (data []atomic.Uint64, k int64, site int, ok bool) {
+	sym := t.Sym
+	if c.plan == nil || len(t.Subs) == 0 || sym.Storage != scSharedArray {
+		return nil, 0, 0, false
+	}
+	c.plan.elems++
+	coef, ok := c.plan.Affine(t)
+	if !ok || len(t.Subs) != len(sym.Dims) {
+		return nil, 0, 0, false // the ordinary path reports a wrong subscript count
+	}
+	site = c.plan.sites
+	c.plan.sites++
+	for d, sub := range t.Subs {
+		ext := int64(sym.Dims[d])
+		c.plan.subs = append(c.plan.subs, affSub{site: site, coef: coef[d], ext: ext, sub: c.cInt(sub)})
+		k = k*ext + coef[d]
+	}
+	return c.in.array(sym).data, k, site, true
+}
+
+// spanStore compiles an assignment to a span-checked element: one closure
+// storing the value, in the array's type, into data[K·i + R].
+func (c *compiler) spanStore(t *forcelang.Assign, data []atomic.Uint64, k int64, site int) stmtFn {
+	switch t.Target.Sym.Type {
+	case forcelang.TInt:
+		iv := c.asInt(t.Expr)
+		return func(pr *cproc, fr *frame) { data[k*pr.k.i+pr.k.aff[site]].Store(uint64(iv(pr, fr))) }
+	case forcelang.TReal:
+		rv := c.cReal(t.Expr)
+		return func(pr *cproc, fr *frame) { data[k*pr.k.i+pr.k.aff[site]].Store(math.Float64bits(rv(pr, fr))) }
+	default:
+		bv := c.cBool(t.Expr)
+		return func(pr *cproc, fr *frame) { data[k*pr.k.i+pr.k.aff[site]].Store(boolBits(bv(pr, fr))) }
+	}
 }
 
 // accAssign compiles one folded accumulator statement into its

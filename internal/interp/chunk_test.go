@@ -23,9 +23,10 @@ import (
 // parity sweep covers the same matrix.
 var chunkCorpus = corpus.Chunk
 
-// TestChunkEquivalence runs the chunk corpus under every engine at
-// np ∈ {1, 2, 3, 8} and requires each engine's sorted output to match the
-// tree walker's at the same np.
+// TestChunkEquivalence runs the chunk corpus under every engine — the
+// chunk tier with the fusion pass on and off — at np ∈ {1, 2, 3, 8} and
+// requires each engine's sorted output to match the tree walker's at the
+// same np.
 func TestChunkEquivalence(t *testing.T) {
 	for _, tc := range chunkCorpus {
 		tc := tc
@@ -36,25 +37,24 @@ func TestChunkEquivalence(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			for _, np := range []int{1, 2, 3, 8} {
-				outs := map[ExecMode]string{}
-				for _, mode := range ExecModes() {
+				outs := map[string]string{}
+				for _, m := range fuseModes {
 					var sb strings.Builder
-					if err := Run(prog, Config{NP: np, Stdout: &sb, Exec: mode}); err != nil {
-						t.Fatalf("np=%d %s: %v", np, mode, err)
+					if err := Run(prog, Config{NP: np, Stdout: &sb, Exec: m.exec, NoFuse: m.noFuse}); err != nil {
+						t.Fatalf("np=%d %s: %v", np, m.name, err)
 					}
-					outs[mode] = sb.String()
+					outs[m.name] = sb.String()
 				}
-				tree := sortedLines(outs[ExecTree])
-				for _, mode := range []ExecMode{ExecCompiled, ExecChunked} {
-					got := sortedLines(outs[mode])
+				tree := sortedLines(outs["tree"])
+				for _, m := range fuseModes[1:] {
+					got := sortedLines(outs[m.name])
 					if len(got) != len(tree) {
 						t.Fatalf("np=%d: line counts differ: tree %d, %s %d\ntree:\n%s\n%s:\n%s",
-							np, len(tree), mode, len(got), outs[ExecTree], mode, outs[mode])
-						continue
+							np, len(tree), m.name, len(got), outs["tree"], m.name, outs[m.name])
 					}
 					for i := range tree {
 						if got[i] != tree[i] {
-							t.Errorf("np=%d line %d: tree %q, %s %q", np, i, tree[i], mode, got[i])
+							t.Errorf("np=%d line %d: tree %q, %s %q", np, i, tree[i], m.name, got[i])
 						}
 					}
 				}

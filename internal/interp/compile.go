@@ -12,15 +12,17 @@ package interp
 //
 // This is the only closure compiler: a chunk-compiled DOALL body
 // (chunk.go) is compiled by these same functions in chunk mode — the
-// plan field set — which is consulted at exactly three places: the
+// plan field set — which is consulted at exactly four places: the
 // scalar-reference leaf (refInt: a loop index reads the chunk context),
-// the entry of cInt/cReal/cBool (uniform hoisting) and assign (folded
-// accumulators).  Arithmetic, coercion, intrinsic, divide/MOD-by-zero
-// and subscript-range semantics therefore exist once for planned and
-// plan-less bodies.
+// the entry of cInt/cReal/cBool (uniform hoisting), assign (folded
+// accumulators) and the shared-array element leaves (spanSite: a
+// reference affine in the index is range-checked per span).  Arithmetic,
+// coercion, intrinsic, divide/MOD-by-zero and subscript-range semantics
+// therefore exist once for planned and plan-less bodies.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -49,9 +51,22 @@ type compiler struct {
 	tg plan.Target
 }
 
-// compileProgram compiles every unit of the instance's program.  Unit
-// shells are created first so Call statements (including recursive ones)
+// newCompiler returns a compiler for the instance's program with every
+// unit's shell created, so Call statements (including recursive ones)
 // link to their target by pointer before its body exists.
+func newCompiler(in *cinstance) *compiler {
+	c := &compiler{in: in, res: in.res, units: map[string]*cunit{}, tg: planTarget(in.cfg)}
+	for name, lay := range in.res.units {
+		cu := &cunit{lay: lay}
+		if len(lay.privArrs) == 0 {
+			cu.pool = &sync.Pool{New: func() any { return &frame{} }}
+		}
+		c.units[name] = cu
+	}
+	return c
+}
+
+// compileProgram compiles every unit of the instance's program.
 func compileProgram(in *cinstance) (cp *cprogram, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -62,14 +77,7 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 			panic(r)
 		}
 	}()
-	c := &compiler{in: in, res: in.res, units: map[string]*cunit{}, tg: planTarget(in.cfg)}
-	for name, lay := range in.res.units {
-		cu := &cunit{lay: lay}
-		if len(lay.privArrs) == 0 {
-			cu.pool = &sync.Pool{New: func() any { return &frame{} }}
-		}
-		c.units[name] = cu
-	}
+	c := newCompiler(in)
 	// Main first, then the subroutines in source order — the order the
 	// Go emitter walks them — so the decisions narrated through FuseLog
 	// read the same from run to run and from tier to tier.
@@ -517,12 +525,25 @@ func (c *compiler) bindArg(arg *forcelang.Ref, param *forcelang.Symbol) func(pr 
 // declared type at compile time and evaluated before the subscripts, as
 // everywhere.  A shared accumulate (plan.MatchAccum) is one indivisible
 // update: folded into the chunk context when the plan says so, an atomic
-// RMW on the cell otherwise.  Shared words take typed stores; every
-// other target the boxed refStore.
+// RMW on the cell otherwise.  Shared words and private scalars take typed
+// stores; every other target the boxed refStore.
 func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 	sym := t.Target.Sym
 	tt := sym.Type
 	switch {
+	case sym.Storage == scPrivate && len(t.Target.Subs) == 0:
+		slot := sym.Slot
+		switch tt {
+		case forcelang.TInt:
+			iv := c.asInt(t.Expr)
+			return func(pr *cproc, fr *frame) { fr.priv[slot] = intVal(iv(pr, fr)) }
+		case forcelang.TReal:
+			rv := c.cReal(t.Expr)
+			return func(pr *cproc, fr *frame) { fr.priv[slot] = realVal(rv(pr, fr)) }
+		default:
+			bv := c.cBool(t.Expr)
+			return func(pr *cproc, fr *frame) { fr.priv[slot] = boolVal(bv(pr, fr)) }
+		}
 	case sym.Storage == scShared && len(t.Target.Subs) == 0:
 		cell := c.in.scalar(sym)
 		if acc, ok := plan.MatchAccum(t); ok {
@@ -545,6 +566,9 @@ func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 			return func(pr *cproc, fr *frame) { cell.storeBool(bv(pr, fr)) }
 		}
 	case sym.Storage == scSharedArray && len(t.Target.Subs) > 0:
+		if data, k, site, ok := c.spanSite(&t.Target); ok {
+			return c.spanStore(t, data, k, site)
+		}
 		arr := c.in.array(sym)
 		off := c.offsetFn(sym.Dims, t.Target.Subs, t.Target.Name, t.Pos())
 		switch tt {
@@ -800,6 +824,9 @@ func (c *compiler) refInt(t *forcelang.Ref) intFn {
 			return func(pr *cproc, fr *frame) int64 { return cell.loadInt() }
 		}
 	}
+	if data, k, site, ok := c.spanSite(t); ok {
+		return func(pr *cproc, fr *frame) int64 { return int64(data[k*pr.k.i+pr.k.aff[site]].Load()) }
+	}
 	if arr, off := c.sharedElem(t); arr != nil {
 		return func(pr *cproc, fr *frame) int64 { return arr.loadInt(off(pr, fr)) }
 	}
@@ -891,6 +918,11 @@ func (c *compiler) refReal(t *forcelang.Ref) realFn {
 			return func(pr *cproc, fr *frame) float64 { return cell.loadReal() }
 		}
 	}
+	if data, k, site, ok := c.spanSite(t); ok {
+		return func(pr *cproc, fr *frame) float64 {
+			return math.Float64frombits(data[k*pr.k.i+pr.k.aff[site]].Load())
+		}
+	}
 	if arr, off := c.sharedElem(t); arr != nil {
 		return func(pr *cproc, fr *frame) float64 { return arr.loadReal(off(pr, fr)) }
 	}
@@ -952,6 +984,9 @@ func (c *compiler) cBool(e forcelang.Expr) boolFn {
 				cell := c.in.scalar(sym)
 				return func(pr *cproc, fr *frame) bool { return cell.loadBool() }
 			}
+		}
+		if data, k, site, ok := c.spanSite(t); ok {
+			return func(pr *cproc, fr *frame) bool { return data[k*pr.k.i+pr.k.aff[site]].Load() != 0 }
 		}
 		if arr, off := c.sharedElem(t); arr != nil {
 			return func(pr *cproc, fr *frame) bool { return arr.loadBool(off(pr, fr)) }

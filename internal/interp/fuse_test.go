@@ -323,7 +323,8 @@ Join
 // TestFusionDisabledConfigs pins when the pass must stay off: NoFuse,
 // the per-iteration engines, and an iteration-level trace all run the
 // corpus without emitting a single fusion log line.  (The chunk tier's
-// partition narration shares the sink and is independent of the pass.)
+// per-DOALL narration — the partition, the span-checked references —
+// shares the sink and is independent of the pass.)
 func TestFusionDisabledConfigs(t *testing.T) {
 	src := corpus.Fusion[0].Src
 	for _, cfg := range []Config{
@@ -332,7 +333,7 @@ func TestFusionDisabledConfigs(t *testing.T) {
 		{Exec: ExecTree},
 	} {
 		for _, l := range fuseLogs(t, src, cfg) {
-			if !strings.Contains(l, "DOALL partition=") {
+			if !strings.Contains(l, ": DOALL ") {
 				t.Errorf("config %+v: fusion pass ran: %q", cfg, l)
 			}
 		}

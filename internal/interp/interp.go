@@ -132,8 +132,11 @@ type Config struct {
 	// the reason, each ridden Barrier) and one per DOALL site saying how
 	// its iterations are dealt: "partition=block" or "partition=cyclic
 	// (<reason>)" for a prescheduled one, "grant=K" for a selfscheduled
-	// one.  Decisions are compile-time, so the log is emitted once per
-	// Run, not per construct execution.
+	// one — and, per planned DOALL that subscripts a shared array,
+	// "span-checked K of M element references": how many are
+	// range-checked per span instead of per iteration (chunk.go).
+	// Decisions are compile-time, so the log is emitted once per Run, not
+	// per construct execution.
 	FuseLog func(msg string)
 	// Chunk sets sched.Config.ChunkSize for the Chunk selfscheduling
 	// discipline (0 keeps its default).  It does not affect the

@@ -1,0 +1,259 @@
+package interp
+
+// span_test.go — the span check from the inside: the interval arithmetic
+// of the end-point test, the narration, and the two properties the corpus
+// cannot see — the checked body is compiled at most once, and only when a
+// span needs it; re-entering a span-checked construct allocates nothing.
+// What a span-checked body computes, and what it raises, is the corpus'
+// business (TestChunkEquivalence, TestFusionFaultParity,
+// TestRuntimeErrorsBothEngines).
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/forcelang"
+)
+
+// TestNarrow pins the end-point interval: the indices at which c·i + rest
+// is a subscript in 1..ext, judged over the integers.
+func TestNarrow(t *testing.T) {
+	const big = 1 << 62
+	for _, tc := range []struct {
+		c, rest, ext int64
+		lo, hi       int64 // lo > hi: empty
+	}{
+		{1, 0, 64, 1, 64},                        // A(I)
+		{1, 1, 64, 0, 63},                        // A(I + 1)
+		{-1, 65, 64, 1, 64},                      // A(N + 1 - I)
+		{2, -1, 130, 1, 65},                      // A(2*I - 1): 131 is out
+		{-2, 129, 130, 0, 64},                    // A(N + N - 2*I + 1): -1 <= 2i <= 128
+		{3, 0, 10, 1, 3},                         // floor and ceiling both round inward
+		{-3, 0, 10, -3, -1},                      //
+		{0, 7, 10, math.MinInt64, math.MaxInt64}, // uniform and in range: no constraint
+		{0, 11, 10, 1, 0},                        // uniform and out: no index passes
+		{big, 1, 32, 0, 0},                       // the wrapping product: only I = 0
+		{math.MinInt64, 1, 32, 0, 0},             //
+		{1, big, 32, 1, 0},                       // a rest the test itself could wrap on
+		{1, math.MinInt64, 32, 1, 0},             //
+		{-1, 1 - big, 32, 1 - big - 32, -big},    // the largest rest still judged
+	} {
+		kc := kctx{okLo: math.MinInt64, okHi: math.MaxInt64}
+		kc.narrow(tc.c, tc.rest, tc.ext)
+		if tc.lo > tc.hi {
+			if kc.okLo <= kc.okHi {
+				t.Errorf("narrow(%d, %d, %d) = [%d, %d], want empty", tc.c, tc.rest, tc.ext, kc.okLo, kc.okHi)
+			}
+			continue
+		}
+		if kc.okLo != tc.lo || kc.okHi != tc.hi {
+			t.Errorf("narrow(%d, %d, %d) = [%d, %d], want [%d, %d]", tc.c, tc.rest, tc.ext, kc.okLo, kc.okHi, tc.lo, tc.hi)
+		}
+		// The interval is exact: its ends are in range, their neighbours
+		// are not (where the arithmetic below cannot wrap).
+		if tc.c != 0 && tc.c > -1<<40 && tc.c < 1<<40 && tc.rest > -1<<40 && tc.rest < 1<<40 {
+			in := func(i int64) bool { s := tc.c*i + tc.rest; return 1 <= s && s <= tc.ext }
+			if !in(tc.lo) || !in(tc.hi) || in(tc.lo-1) || in(tc.hi+1) {
+				t.Errorf("narrow(%d, %d, %d) = [%d, %d] is not the exact interval", tc.c, tc.rest, tc.ext, tc.lo, tc.hi)
+			}
+		}
+	}
+	// Constraints intersect.
+	kc := kctx{okLo: math.MinInt64, okHi: math.MaxInt64}
+	kc.narrow(1, -1, 64) // A(I - 1): 2..65
+	kc.narrow(1, 1, 64)  // A(I + 1): 0..63
+	if kc.okLo != 2 || kc.okHi != 63 || !kc.spanOK(2, 63) || !kc.spanOK(63, 2) || kc.spanOK(1, 63) || kc.spanOK(2, 64) {
+		t.Errorf("A(I - 1) with A(I + 1) over 64: [%d, %d]", kc.okLo, kc.okHi)
+	}
+}
+
+// TestSpanCheckNarration pins the chunk tier's own narration line: how
+// many of a planned body's shared-array element references are checked
+// per span.
+func TestSpanCheckNarration(t *testing.T) {
+	byName := map[string]string{}
+	for _, p := range corpus.Chunk {
+		byName[p.Name] = p.Src
+	}
+	for _, tc := range []struct {
+		prog string
+		cfg  Config
+		want []string
+	}{
+		{"span-affine-forms", Config{}, []string{
+			"line 11: DOALL span-checked 2 of 2 element references",
+			"line 21: DOALL span-checked 5 of 5 element references",
+			"line 24: DOALL span-checked 4 of 4 element references"}},
+		{"span-2d-uniform-subscript", Config{NoFuse: true}, []string{
+			"line 9: DOALL span-checked 0 of 1 element references", // two indices
+			"line 12: DOALL span-checked 1 of 1 element references",
+			"line 21: DOALL span-checked 4 of 4 element references"}},
+		{"span-unproven-and-wrapping", Config{}, []string{
+			"line 9: DOALL span-checked 1 of 2 element references",  // A(K), K written
+			"line 35: DOALL span-checked 0 of 1 element references", // a parameter in the body
+			"line 38: DOALL span-checked 0 of 2 element references"}},
+	} {
+		logs := fuseLogs(t, byName[tc.prog], tc.cfg)
+		for _, want := range tc.want {
+			if !logsContain(logs, want) {
+				t.Errorf("%s: logs %q lack %q", tc.prog, logs, want)
+			}
+		}
+	}
+	// The planner's line, not the compiler's: with the planner off nothing
+	// is span-checked and nothing says so.
+	for _, l := range fuseLogs(t, byName["span-affine-forms"], Config{Exec: ExecCompiled}) {
+		t.Errorf("ExecCompiled narrates %q", l)
+	}
+}
+
+// spanFixture is the first DOALL of a program compiled the way chunkParDo
+// compiles it, with what a span of it runs against.
+type spanFixture struct {
+	prog *forcelang.Program
+	c    *compiler
+	loop *forcelang.ParDo
+	cp   *chunkPlan
+	pr   *cproc
+	fr   *frame
+}
+
+func newSpanFixture(t *testing.T, src string) *spanFixture {
+	t.Helper()
+	fx := &spanFixture{prog: forcelang.MustParse(src)}
+	res, err := resolveProgram(fx.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := newCInstance(fx.prog, Config{NP: 1, Stdout: io.Discard}, res, nil)
+	fx.c = newCompiler(in)
+	for _, st := range fx.prog.Body {
+		if pd, ok := st.(*forcelang.ParDo); ok {
+			fx.loop = pd
+			break
+		}
+	}
+	fx.cp = &chunkPlan{Plan: fx.c.tg.DoAll(fx.loop)}
+	if fx.cp.Plan == nil {
+		t.Fatal("the fixture's DOALL has no plan")
+	}
+	fx.c.spanBody(fx.loop, fx.cp)
+	fx.pr, fx.fr = &cproc{in: in}, fx.c.units[""].newFrame(0)
+	return fx
+}
+
+const spanFixtureSrc = `Force FIX of NP ident ME
+Shared Integer A(64), B(64), N
+Private Integer I
+End Declarations
+Presched DO I = 1, 64
+  A(I) = A(I) + B(N + 1 - I) + B(I + 1)
+End Presched DO
+Join
+`
+
+// TestCheckedBodyCompiledOnce: the plan-less body does not exist until a
+// span asks for it, and however many processes ask at once — every one of
+// them failing its first span together — one compilation serves them all.
+func TestCheckedBodyCompiledOnce(t *testing.T) {
+	fx := newSpanFixture(t, spanFixtureSrc)
+	c, loop, cp := fx.c, fx.loop, fx.cp
+	if cp.sites != 4 || cp.elems != 4 {
+		t.Fatalf("fixture: %d of %d references span-checked, want 4 of 4", cp.sites, cp.elems)
+	}
+	if cp.checked != nil {
+		t.Fatal("the checked body was compiled up front")
+	}
+	const procs = 8
+	got := make([][]stmtFn, procs)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := range got {
+		done.Add(1)
+		go func(g int) {
+			defer done.Done()
+			start.Wait()
+			got[g] = cp.checkedBody(c, loop)
+		}(g)
+	}
+	start.Done()
+	done.Wait()
+	for g := range got {
+		// The index store and the one assignment; the same closures for all.
+		if len(got[g]) != 2 || &got[g][0] != &got[0][0] {
+			t.Fatalf("process %d got its own checked body (%d statements)", g, len(got[g]))
+		}
+	}
+	if c.plan != nil {
+		t.Error("the lazy compilation touched the shared compiler")
+	}
+}
+
+// TestSpanEnterAllocatesNothing: the per-process rests live in a
+// grow-only slice of the chunk context, so entering a span-checked
+// construct a second time — a sweep loop's steady state — allocates
+// nothing, and the interval it leaves is the references' own.
+func TestSpanEnterAllocatesNothing(t *testing.T) {
+	fx := newSpanFixture(t, spanFixtureSrc)
+	cp, pr, fr := fx.cp, fx.pr, fx.fr
+	n, _ := fx.prog.Scope.Lookup("N")
+	pr.in.scalar(n).storeInt(64)
+	pr.k.enter(cp, nil, pr, fr)
+	// A(I): 1..64, B(N + 1 - I): 1..64, B(I + 1): 0..63.
+	if pr.k.okLo != 1 || pr.k.okHi != 63 {
+		t.Errorf("interval [%d, %d], want [1, 63]", pr.k.okLo, pr.k.okHi)
+	}
+	// The 0-based word offset of each reference's element at I = 0, in
+	// compilation order: the target, then the right-hand side.
+	if got, want := fmt.Sprint(pr.k.aff), "[-1 -1 64 0]"; got != want {
+		t.Errorf("rests %s, want %s", got, want)
+	}
+	if avg := testing.AllocsPerRun(100, func() { pr.k.enter(cp, nil, pr, fr) }); avg != 0 {
+		t.Errorf("re-entering the construct allocates %.1f times", avg)
+	}
+}
+
+// TestEverySpanTakesCheckedBody: a reference guarded out of every
+// iteration fails every span's end-point test, so at np = 8 every process
+// wants the checked body at its first span, sweep after sweep (under
+// -race this is the concurrent first use).  Output must not notice.
+func TestEverySpanTakesCheckedBody(t *testing.T) {
+	prog := forcelang.MustParse(`Force EVERY of NP ident ME
+Shared Integer A(256), B(256), T
+Private Integer I, S
+End Declarations
+DO S = 1, 6
+  Presched DO I = 1, 256
+    A(I) = A(I) + S
+    IF (I .GT. 1000) THEN
+      A(I) = B(I + 1000)
+    End IF
+  End Presched DO
+End DO
+Barrier
+  T = 0
+  DO I = 1, 256
+    T = T + A(I) * I
+  End DO
+  Print 'every', T
+End Barrier
+Join
+`)
+	for _, np := range []int{1, 2, 8} {
+		var want, got strings.Builder
+		if err := Run(prog, Config{NP: np, Stdout: &want, Exec: ExecCompiled}); err != nil {
+			t.Fatal(err)
+		}
+		if err := Run(prog, Config{NP: np, Stdout: &got}); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() || !strings.HasPrefix(got.String(), "every 690816") {
+			t.Errorf("np=%d: chunked %q, compiled %q", np, got.String(), want.String())
+		}
+	}
+}

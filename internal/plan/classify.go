@@ -66,14 +66,37 @@ type Plan struct {
 	// whose grant it sizes.
 	Cost int
 
-	sum   *Summary // the body's footprint
-	grant int      // ordinals per claim, set by Target.settle
+	sum   *Summary       // the body's footprint
+	space *uniform.Space // the index space the disjointness proof decomposed over (nil under NoBulk)
+	grant int            // ordinals per claim, set by Target.settle
 }
 
 // Written reports whether the body assigns the symbol (a scalar, an
 // array element or a sequential DO index).  References to written names
 // are varying; everything else index-free is uniform.
 func (p *Plan) Written(sym *forcelang.Symbol) bool { return p.sum.Written(sym) }
+
+// Affine reports whether every subscript of r, an element reference in
+// the body of a single-index DOALL, is ci·Outer + rest with a literal ci
+// and a rest that reads only literals and INTEGER scalars the body does
+// not write — the decomposition the disjointness proof stands on
+// (uniform.Space.Coef under the intScalar rule), kept instead of thrown
+// away.  coef[k] is subscript k's ci.  Such a subscript is monotone in
+// the index and its rest is the same in every iteration a process
+// executes, so a back end may compute the rest once per construct and
+// range-check a whole span at its two ends.  Two-index spaces and bodies
+// that touch a parameter answer no.
+func (p *Plan) Affine(r *forcelang.Ref) (coef [2]int64, ok bool) {
+	if p.space == nil || p.Inner != nil || len(r.Subs) == 0 || len(r.Subs) > len(coef) {
+		return coef, false
+	}
+	for k, sub := range r.Subs {
+		if coef[k], _, ok = p.space.Coef(sub); !ok {
+			return coef, false
+		}
+	}
+	return coef, true
+}
 
 // Fold returns the index in AccRecs of the folded accumulator sym.
 func (p *Plan) Fold(sym *forcelang.Symbol) (int, bool) {
@@ -129,9 +152,9 @@ func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
 		return nil, "body writes its loop index"
 	}
 	if !plan.NoBulk {
-		sp := sum.Space(plan.Outer, plan.Inner)
+		plan.space = sum.Space(plan.Outer, plan.Inner)
 		for _, a := range sum.Accesses() {
-			if a.Sym.Storage == forcelang.SharedArray && a.Written() && sp.Disjoint(a.Elems) {
+			if a.Sym.Storage == forcelang.SharedArray && a.Written() && plan.space.Disjoint(a.Elems) {
 				if plan.Disjoint == nil {
 					plan.Disjoint = map[*forcelang.Symbol]bool{}
 				}

@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -548,6 +549,72 @@ func TestMergeIsConcatenation(t *testing.T) {
 			if fmt.Sprintf("%+v", *m) != fmt.Sprintf("%+v", *w) {
 				t.Errorf("cut %d, %s:\nmerged %+v\nwhole  %+v", cut, w.Sym.Name, *m, *w)
 			}
+		}
+	}
+}
+
+// TestAffine pins the plan's answer per element reference on three
+// shipped programs: which references a back end may range-check per span
+// (every subscript ci·I + rest, rest unwritten) and with which
+// coefficients.  matvec's row loop subscripts through its sequential DO
+// index J, which the body writes: M(I, J) and X(J) answer no, Y(I) yes.
+func TestAffine(t *testing.T) {
+	type answer struct {
+		arr  string
+		coef [2]int64
+		ok   bool
+	}
+	for _, tc := range []struct {
+		file string
+		line int // the DOALL's
+		want []answer
+	}{
+		{"doall-stream/stream.force", 22, []answer{
+			{"A", [2]int64{1}, true}, {"A", [2]int64{1}, true}, {"B", [2]int64{1}, true}}},
+		{"doall-stream/stencil.force", 20, []answer{
+			{"V", [2]int64{1}, true}, {"U", [2]int64{1}, true}, {"U", [2]int64{1}, true}, {"U", [2]int64{1}, true}}},
+		{"script-cold/matvec.force", 16, []answer{
+			{"M", [2]int64{}, false}, {"X", [2]int64{}, false}, {"Y", [2]int64{1}, true}}},
+		{"script-cold/matvec.force", 8, []answer{{"M", [2]int64{}, false}}}, // a two-index space
+	} {
+		src, err := os.ReadFile("../../benchmark/programs/" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loop *forcelang.ParDo
+		var find func(list []forcelang.Stmt)
+		find = func(list []forcelang.Stmt) {
+			for _, st := range list {
+				switch st := st.(type) {
+				case *forcelang.ParDo:
+					if st.Pos() == tc.line {
+						loop = st
+					}
+				case *forcelang.SeqDo:
+					find(st.Body)
+				}
+			}
+		}
+		find(parse(t, string(src)).Body)
+		if loop == nil {
+			t.Fatalf("%s: no DOALL at line %d", tc.file, tc.line)
+		}
+		p, reason := Classify(loop)
+		if p == nil {
+			t.Fatalf("%s line %d: %s", tc.file, tc.line, reason)
+		}
+		var got []answer
+		for _, a := range Summarize(loop.Body).Accesses() {
+			for _, r := range a.Elems {
+				coef, ok := p.Affine(r)
+				if !ok {
+					coef = [2]int64{}
+				}
+				got = append(got, answer{r.Name, coef, ok})
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s line %d:\n got %v\nwant %v", tc.file, tc.line, got, tc.want)
 		}
 	}
 }
