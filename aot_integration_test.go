@@ -21,6 +21,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
 	"repro/internal/interp"
+	"repro/internal/reduce"
 )
 
 // aotCache is one cache shared by the whole parity sweep, so each
@@ -59,7 +60,13 @@ func aotSortedLines(s string) []string {
 // returning output and error.
 func aotRun(t *testing.T, prog *forcelang.Program, np int) (string, error) {
 	t.Helper()
-	entry, err := aotTestCache(t).Ensure(prog, aot.Options{})
+	return aotRunWith(t, prog, np, aot.Options{})
+}
+
+// aotRunWith is aotRun for a binary built with opts.
+func aotRunWith(t *testing.T, prog *forcelang.Program, np int, opts aot.Options) (string, error) {
+	t.Helper()
+	entry, err := aotTestCache(t).Ensure(prog, opts)
 	if err != nil {
 		t.Fatalf("aot build: %v", err)
 	}
@@ -195,6 +202,47 @@ func TestAOTParityFusion(t *testing.T) {
 					for i := range want {
 						if got[i] != want[i] {
 							t.Errorf("np=%d line %d: aot %q, %s %q", np, i, got[i], ref.name, want[i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAOTParityReductions: the standalone-reduction corpus
+// (internal/corpus.Reductions) through the native tier at np ∈ {1, 2, 3, 8}
+// under both reduction strategies — one binary each, the strategy is part
+// of the cache key — against the tree walker under the default one.  The
+// corpus's results are exact, so all of it is byte-identical.
+func TestAOTParityReductions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries with the go toolchain")
+	}
+	for _, tc := range corpus.Reductions {
+		tc := tc
+		t.Run(tc.Name, func(t *testing.T) {
+			t.Parallel()
+			prog := forcelang.MustParse(tc.Src)
+			for _, np := range []int{1, 2, 3, 8} {
+				tree, err := interpRun(t, prog, np, interp.ExecTree)
+				if err != nil {
+					t.Fatalf("np=%d tree: %v", np, err)
+				}
+				want := aotSortedLines(tree)
+				for _, rk := range reduce.Kinds() {
+					native, err := aotRunWith(t, prog, np, aot.Options{Reduce: rk})
+					if err != nil {
+						t.Fatalf("np=%d aot -reduce %s: %v", np, rk, err)
+					}
+					got := aotSortedLines(native)
+					if len(got) != len(want) {
+						t.Fatalf("np=%d: aot -reduce %s %d lines, tree %d lines\naot:\n%s\ntree:\n%s",
+							np, rk, len(got), len(want), native, tree)
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("np=%d line %d: aot -reduce %s %q, tree %q", np, i, rk, got[i], want[i])
 						}
 					}
 				}
@@ -377,10 +425,13 @@ Join
 // compared with its number taken out — and it must differ.  The one
 // decision only the chunk tier takes is which element references it
 // range-checks per span; its "span-checked" lines are its own, one per
-// DOALL that subscripts a shared array, and are set aside.
+// DOALL that subscripts a shared array, and are set aside.  The REAL GSUM
+// behind the last loop folds into that loop's join under either reduction
+// strategy (a fused tail and a reduction on its own fold the same way), so
+// the narration does not depend on the strategy.
 func TestPlanNarrationAcrossTiers(t *testing.T) {
 	prog := forcelang.MustParse(`Force TIERS of NP ident ME
-Shared Real A(32), B(32)
+Shared Real A(32), B(32), TOT
 Shared Integer S
 Private Integer I
 End Declarations
@@ -395,6 +446,7 @@ Call ABLE
 Presched DO I = 1, 32
   A(I) = REAL(ME)
 End Presched DO
+GSUM TOT = 0.1 * REAL(ME)
 Join
 Forcesub ZED()
 Private Integer K
@@ -419,38 +471,47 @@ Presched DO K = 1, 32
 End Presched DO
 Endsub
 `)
-	_, lines, err := codegen.Lower(prog, codegen.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	grantSize := regexp.MustCompile(`grant=[0-9]+`)
-	want := grantSize.ReplaceAllString(strings.Join(lines, "\n"), "grant=K")
-	if len(lines) < 6 || !strings.HasPrefix(lines[0], "line 6:") || !strings.Contains(want, "line 31: DOALL grant=K\n") {
-		t.Fatalf("emitter narration looks wrong:\n%s", strings.Join(lines, "\n"))
-	}
-	for round := 0; round < 10; round++ {
-		var got []string
-		spanChecked := 0
-		err := interp.Run(prog, interp.Config{NP: 2, Stdout: io.Discard,
-			FuseLog: func(msg string) {
-				if strings.Contains(msg, ": DOALL span-checked ") {
-					spanChecked++
-					return
-				}
-				got = append(got, msg)
-			}})
+	var slots string
+	for _, rk := range []reduce.Kind{reduce.PrivateSlots, reduce.Critical} {
+		_, lines, err := codegen.Lower(prog, codegen.Options{Reduce: rk})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spanChecked != 4 { // the three main-program loops and ABLE's B(K)
-			t.Fatalf("round %d: %d span-checked lines, want 4", round, spanChecked)
+		want := grantSize.ReplaceAllString(strings.Join(lines, "\n"), "grant=K")
+		if len(lines) < 6 || !strings.HasPrefix(lines[0], "line 6:") || !strings.Contains(want, "line 32: DOALL grant=K\n") ||
+			!strings.Contains(want, "line 14: fused 1 DOALL(s) + GSUM at line 17 into one join\n") {
+			t.Fatalf("-reduce %s: emitter narration looks wrong:\n%s", rk, strings.Join(lines, "\n"))
 		}
-		if grantSize.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
-			t.Fatalf("round %d: chunk tier narrates\n%s\nemitter narrates\n%s",
-				round, strings.Join(got, "\n"), strings.Join(lines, "\n"))
+		if rk == reduce.PrivateSlots {
+			slots = want
+		} else if want != slots {
+			t.Fatalf("the narration depends on the strategy: -reduce %s narrates\n%s\nthe default\n%s", rk, want, slots)
 		}
-		if strings.Join(got, "\n") == strings.Join(lines, "\n") {
-			t.Fatalf("round %d: both back ends size the grant alike:\n%s", round, strings.Join(got, "\n"))
+		for round := 0; round < 10; round++ {
+			var got []string
+			spanChecked := 0
+			err := interp.Run(prog, interp.Config{NP: 2, Stdout: io.Discard, Reduce: rk,
+				FuseLog: func(msg string) {
+					if strings.Contains(msg, ": DOALL span-checked ") {
+						spanChecked++
+						return
+					}
+					got = append(got, msg)
+				}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if spanChecked != 4 { // the three main-program loops and ABLE's B(K)
+				t.Fatalf("round %d: %d span-checked lines, want 4", round, spanChecked)
+			}
+			if grantSize.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
+				t.Fatalf("-reduce %s round %d: chunk tier narrates\n%s\nemitter narrates\n%s",
+					rk, round, strings.Join(got, "\n"), strings.Join(lines, "\n"))
+			}
+			if strings.Join(got, "\n") == strings.Join(lines, "\n") {
+				t.Fatalf("round %d: both back ends size the grant alike:\n%s", round, strings.Join(got, "\n"))
+			}
 		}
 	}
 }

@@ -11,7 +11,8 @@
 // Selfsched DO loops and selfscheduled Pcase (selfsched-lock, the
 // paper's and the default, selfsched-atomic or selfsched-chunk); -askfor
 // selects the Askfor pool ("stealing" or "monitor"); -reduce selects the
-// strategy executing global reductions (GSUM and friends): "slots" (the
+// strategy executing global reductions (GSUM and friends, on every tier,
+// a reduction folded into a fused region's join included): "slots" (the
 // default) or "critical" (the paper's baseline).  Any other spelling is
 // an error naming the accepted ones.  A file name of "-" reads standard
 // input.

@@ -69,10 +69,14 @@
 //		        ▼
 //		      core           the runtime: Force/Proc with every construct —
 //		        │            DOALLs, Pcase, Askfor, Resolve, barriers,
-//		        │            criticals, produce/consume, global reductions
+//		        │            criticals, produce/consume, and the one
+//		        │            closing collective every global reduction of
+//		        │            every tier contributes through (a fused
+//		        │            region's join; a GSUM on its own; core.Gsum)
 //		   ┌────┼───────┬──────────┐
 //		   ▼    ▼       ▼          ▼
 //		 engine sched reduce  barrier / lock / asyncvar / shm / machine
+//		              (operators and the one reusable rendezvous)
 //
 //	  - internal/forcert is the run-time support every tier shares and
 //	    every generated program imports: the checks a running program
@@ -86,11 +90,16 @@
 //	    the same errors and prints through the same formatter, and
 //	    forcevet quotes the same messages;
 //
-//	  - internal/reduce is the global-reduction layer: one collective
-//	    combine-and-broadcast primitive (sum, product, max, min, and, or,
-//	    and custom operators) with two strategies — the paper's
-//	    critical-section baseline and padded private slots combined in
-//	    pid order, the default — selected per force with core.WithReduce
+//	  - internal/reduce holds what a global reduction is made of: the
+//	    strategy names, the operators (sum, product, max, min, and, or,
+//	    custom), the fold of two bit-encoded contributions, and
+//	    reduce.Join, the one reusable rendezvous (arrive, the last
+//	    arrival alone, spin-then-park poison-aware release, self-reset).
+//	    The collective itself is core's (core/fused.go), and so is the
+//	    strategy — padded per-process slots folded in pid order at the
+//	    Join, the default, or the paper's critical-section-plus-barrier
+//	    idiom over the force's own lock and barrier — selected per force
+//	    with core.WithReduce, honoured by every reduction on every tier,
 //	    and surfaced as the language's GSUM/GPROD/GMAX/GMIN/GAND/GOR
 //	    statements and the -reduce CLI flags;
 //

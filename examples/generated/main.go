@@ -92,9 +92,8 @@ func main() {
 			})
 		}
 		p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(LOCSUM), func(zzOut uint64) { forcert.Word(&shr.TOTAL).Store(zzOut) }, nil)
-		core.GmaxTo(p, LOCMAX, &shr.BIG)
-		core.GnumBarrier(p, reduce.Sum, 1, func(zzR int) {
-			shr.HITS = zzR
+		p.FusedJoin(reduce.Max, reduce.NumReal, math.Float64bits(LOCMAX), func(zzOut uint64) { forcert.Word(&shr.BIG).Store(zzOut) }, nil)
+		p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(1), func(zzOut uint64) { forcert.Word(&shr.HITS).Store(zzOut) }, func() {
 			shr.RESULT.Produce(shr.TOTAL)
 		})
 		if ME == 0 {

@@ -194,8 +194,9 @@ func TestSingleFlight(t *testing.T) {
 
 // TestOldFormatEntryNotServed: an entry built by an earlier emitter — the
 // per-iteration one (format version 1), the span emitter with its
-// run-time helpers in a prelude (version 2) or the one before grants and
-// ridden barriers (version 3) — lives under a key no
+// run-time helpers in a prelude (version 2), the one before grants and
+// ridden barriers (version 3) or the one with a second reduction lowering
+// (version 4) — lives under a key no
 // current lookup computes, so it is never served: Ensure builds a fresh
 // entry beside them, with the plan the new emitter read recorded.
 func TestOldFormatEntryNotServed(t *testing.T) {
@@ -204,13 +205,14 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1, 2 and 3 (Key at the
-	// commits before the span emitter, before internal/forcert and before
-	// the planner's grants).
+	// The keys runSrc had while formatVersion was 1, 2, 3 and 4 (Key at
+	// the commits before the span emitter, before internal/forcert, before
+	// the planner's grants and before the one closing collective).
 	oldKeys := map[int]string{
 		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
 		3: "83d032927fc0d76e9c9ed4500bc4245de432bfc0cd69571a56c45941d08ec470",
+		4: "4fcc29f76b3d6e63f55b390e2f0d102291ee84fa92efdfbff54f1973d275dd79",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

@@ -30,8 +30,9 @@ import (
 // index; 2: DOALLs as span loops, decisions read from internal/plan;
 // 3: no prelude — run-time checks, intrinsics and Print formatting are
 // imported from internal/forcert; 4: selfscheduled loops claim the
-// planner's grant, a Barrier rides the closing collective before it.)
-const formatVersion = 4
+// planner's grant, a Barrier rides the closing collective before it;
+// 5: every reduction is a FusedJoin, a reduction-less close a FusedClose.)
+const formatVersion = 5
 
 // normalizeOpts applies the same defaulting codegen does, so an unset
 // option and its explicit default produce one key.

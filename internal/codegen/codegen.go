@@ -91,7 +91,7 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 		opts.Selfsched = sched.SelfLock
 	}
 	g := &generator{prog: prog, opts: opts}
-	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Slots: opts.Reduce == reduce.PrivateSlots, Log: g.logf}
+	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Log: g.logf}
 	raw, err := g.run()
 	if err != nil {
 		return nil, nil, err
@@ -353,7 +353,7 @@ func (g *generator) stmts(list []forcelang.Stmt) error {
 			err = g.riddenDoAll(t, pl, bar)
 		case *forcelang.ReduceStmt:
 			bar = g.tg.Rider(list, i)
-			err = g.greduce(t, bar)
+			err = g.region(&plan.Region{Red: t, Rider: bar})
 		default:
 			err = g.stmt(t)
 		}
@@ -556,93 +556,6 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 	default:
 		return fmt.Errorf("codegen: unhandled statement %T at line %d", st, st.Pos())
 	}
-}
-
-// gopFuncs maps the dialect operators to the core entry points.
-var gopFuncs = map[forcelang.GOp]string{
-	forcelang.GSum: "Gsum", forcelang.GProd: "Gprod", forcelang.GMax: "Gmax",
-	forcelang.GMin: "Gmin", forcelang.GAnd: "Gand", forcelang.GOr: "Gor",
-}
-
-// greduce emits a global-reduction statement.  The operand is coerced to
-// the target's type so the combination happens in the target's
-// arithmetic (matching the interpreter).  Three storage shapes:
-//
-//   - a shared scalar uses the *To form — the combined value is stored
-//     exactly once, in the completing process, before the force is
-//     released, because a per-process store of the same value into
-//     shared memory is still a data race;
-//   - a private target assigns the returned value in every process
-//     (each process owns its own cell);
-//   - a by-reference parameter (which may alias a caller's shared OR
-//     private cell) and a shared array element (whose subscript may
-//     vary per process, so each process's element must receive the
-//     value, as in the interpreter) assign in every process inside a
-//     runtime critical section: the stores are serialized, so aliased
-//     shared cells see race-free identical writes and per-process cells
-//     each get their copy.
-//
-// When bar — the Barrier statement directly behind it, which only a
-// plain-scalar target has (plan.Target.Rider) — has a section, the section
-// rides the reduction's release: the completing process stores the target
-// and runs the section before anyone is released, and a private target is
-// then assigned by the others.
-func (g *generator) greduce(t *forcelang.ReduceStmt, bar *forcelang.BarrierStmt) error {
-	lhs, lt, err := g.lvalue(&t.Target)
-	if err != nil {
-		return err
-	}
-	operand, err := g.exprAs(t.Expr, lt)
-	if err != nil {
-		return err
-	}
-	fn := gopFuncs[t.Op]
-	if bar != nil && len(bar.Section) > 0 {
-		entry := "GnumBarrier"
-		if t.Op.Logical() {
-			entry = "GlogBarrier"
-		}
-		call := fmt.Sprintf("core.%s(p, %s, %s, func(zzR %s) {", entry, foldOps[t.Op], operand, goType(lt))
-		private := t.Target.Sym.Storage != forcelang.SharedScalar
-		if private {
-			g.p("{")
-			g.ind++
-			g.p("zzStored := false")
-			g.p("zzRed := %s", call)
-			g.p("\tzzStored = true")
-		} else {
-			g.p("%s", call)
-		}
-		g.ind++
-		g.p("%s = zzR", lhs)
-		if err := g.stmts(bar.Section); err != nil {
-			return err
-		}
-		g.ind--
-		g.p("})")
-		if private {
-			g.p("if !zzStored {")
-			g.p("\t%s = zzRed", lhs)
-			g.p("}")
-			g.ind--
-			g.p("}")
-		}
-		return nil
-	}
-	switch t.Target.Sym.Storage {
-	case forcelang.SharedScalar:
-		g.p("core.%sTo(p, %s, &%s)", fn, operand, lhs)
-	case forcelang.SharedArray, forcelang.Parameter:
-		g.p("{")
-		g.ind++
-		g.p("zzRed := core.%s(p, %s)", fn, operand)
-		g.p(`p.Critical("ZZGRED", func() { %s = zzRed })`, lhs)
-		g.ind--
-		g.p("}")
-	default:
-		g.p("%s = core.%s(p, %s)", lhs, fn, operand)
-	}
-	return nil
 }
 
 func (g *generator) asyncInto(d *forcelang.Symbol, sub forcelang.Expr, target *forcelang.Ref, method string, line int) error {

@@ -238,12 +238,29 @@ var foldOps = map[forcelang.GOp]string{
 	forcelang.GAnd: "reduce.And", forcelang.GOr: "reduce.Or",
 }
 
-// region emits one fused region: every member open, then the one join.
-// A reduction tail contributes its operand to the join; the completing
-// process stores the fold before it runs the section of the Barrier
-// statement riding the join (when one does): a shared target once, as the
-// word the join folded (the section may overwrite it), a private one in
-// every process — the others after their release.
+// region emits one closing collective and what it closes: every member of
+// a fused region open (a reduction statement on its own is a region with no
+// members), then the one join.  It is the only lowering of a ReduceStmt in
+// the emitter.  The operand is coerced to the target's type so the
+// combination happens in the target's arithmetic (matching the
+// interpreter), and contributes to the join bit-encoded.  Three storage
+// shapes:
+//
+//   - a shared scalar is stored exactly once, by the completing process
+//     inside the join, before the force is released (a per-process store of
+//     the same value into shared memory is still a data race) and before
+//     the section of the Barrier statement riding the join runs, which may
+//     overwrite it;
+//   - a private target is assigned in every process (each owns its cell):
+//     by the completing process before it runs the riding section, by the
+//     others after their release;
+//   - a by-reference parameter (which may alias a caller's shared OR
+//     private cell) and a shared array element (whose subscript may vary
+//     per process, so each process's element must receive the value, as in
+//     the interpreter) — which no Barrier rides (plan.Target.Rider) —
+//     assign in every process inside a runtime critical section: the
+//     stores are serialized, so aliased shared cells see race-free
+//     identical writes and per-process cells each get their copy.
 func (g *generator) region(reg *plan.Region) error {
 	for i, m := range reg.Members {
 		if err := g.doAll(m, reg.Plans[i], true, reg.Block); err != nil {
@@ -252,7 +269,7 @@ func (g *generator) region(reg *plan.Region) error {
 	}
 	red := reg.Red
 	if red == nil {
-		return g.join("p.FusedJoin(reduce.Sum, reduce.NumInt, 0, nil, ", reg.Rider)
+		return g.join("p.FusedClose(", reg.Rider)
 	}
 	lhs, lt, err := g.lvalue(&red.Target)
 	if err != nil {
@@ -262,25 +279,33 @@ func (g *generator) region(reg *plan.Region) error {
 	if err != nil {
 		return err
 	}
-	bits, val := "uint64("+operand+")", "int(zzOut)"
-	numKind := "reduce.NumInt"
-	if lt == forcelang.TReal {
-		bits, val = "math.Float64bits("+operand+")", "math.Float64frombits(zzOut)"
-		numKind = "reduce.NumReal"
+	// bits encodes the contribution, val decodes the fold zzOut.
+	bits, val, numKind := "uint64("+operand+")", "int(zzOut)", "reduce.NumInt"
+	once := fmt.Sprintf("forcert.Word(&%s).Store(zzOut)", lhs)
+	switch lt {
+	case forcelang.TReal:
+		bits, val, numKind = "math.Float64bits("+operand+")", "math.Float64frombits(zzOut)", "reduce.NumReal"
+	case forcelang.TLogical:
+		bits, val = "forcert.Bit("+operand+")", "zzOut != 0"
+		once = lhs + " = " + val
 	}
 	call := fmt.Sprintf("p.FusedJoin(%s, %s, %s, ", foldOps[red.Op], numKind, bits)
 	if red.Target.Sym.Storage == forcelang.SharedScalar {
-		return g.join(fmt.Sprintf("%sfunc(zzOut uint64) { forcert.Word(&%s).Store(zzOut) }, ", call, lhs), reg.Rider)
+		return g.join(fmt.Sprintf("%sfunc(zzOut uint64) { %s }, ", call, once), reg.Rider)
 	}
 	g.p("{")
 	g.ind++
-	if reg.Rider != nil && len(reg.Rider.Section) > 0 {
+	switch {
+	case reg.Rider != nil && len(reg.Rider.Section) > 0:
 		g.p("zzStored := false")
 		err = g.join(fmt.Sprintf("zzOut := %sfunc(zzOut uint64) { zzStored, %s = true, %s }, ", call, lhs, val), reg.Rider)
 		g.p("if !zzStored {")
 		g.p("\t%s = %s", lhs, val)
 		g.p("}")
-	} else {
+	case red.Target.Sym.Storage == forcelang.SharedArray || red.Target.Sym.Storage == forcelang.Parameter:
+		g.p("zzOut := %snil, nil)", call)
+		g.p(`p.Critical("ZZGRED", func() { %s = %s })`, lhs, val)
+	default:
 		g.p("zzOut := %snil, nil)", call)
 		g.p("%s = %s", lhs, val)
 	}
@@ -289,7 +314,7 @@ func (g *generator) region(reg *plan.Region) error {
 	return err
 }
 
-// join emits call — a FusedJoin call up to its last argument — completed
+// join emits call — a FusedJoin or FusedClose call up to its last argument — completed
 // by the section of bar, the Barrier statement riding the join (nil, or an
 // empty section: the join is the whole barrier).
 func (g *generator) join(call string, bar *forcelang.BarrierStmt) error {

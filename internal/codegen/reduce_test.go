@@ -35,16 +35,17 @@ func TestGenerateReduceStatements(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := string(out)
-	// Shared targets store once through the *To form; private targets
-	// assign the returned value per process.
+	// Every reduction is one join.  Shared targets are stored once, by
+	// the completing process inside it; private targets assign the
+	// returned fold per process.
 	for _, want := range []string{
 		"core.WithReduce(reduce.Critical)",
-		"core.GsumTo(p, X, &shr.TOTAL)",
-		"core.GprodTo(p, (ME + 1), &shr.COUNT)",
-		"core.GmaxTo(p, X, &shr.TOTAL)",
-		"X = core.Gmin(p, shr.TOTAL)",
-		"core.GandTo(p, B, &shr.OK)",
-		"B = core.Gor(p, shr.OK)",
+		"p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(X), func(zzOut uint64) { forcert.Word(&shr.TOTAL).Store(zzOut) }, nil)",
+		"p.FusedJoin(reduce.Prod, reduce.NumInt, uint64((ME + 1)), func(zzOut uint64) { forcert.Word(&shr.COUNT).Store(zzOut) }, nil)",
+		"p.FusedJoin(reduce.Max, reduce.NumReal, math.Float64bits(X), func(zzOut uint64) { forcert.Word(&shr.TOTAL).Store(zzOut) }, nil)",
+		"zzOut := p.FusedJoin(reduce.Min, reduce.NumReal, math.Float64bits(shr.TOTAL), nil, nil)\n\t\t\tX = math.Float64frombits(zzOut)",
+		"p.FusedJoin(reduce.And, reduce.NumInt, forcert.Bit(B), func(zzOut uint64) { shr.OK = zzOut != 0 }, nil)",
+		"zzOut := p.FusedJoin(reduce.Or, reduce.NumInt, forcert.Bit(shr.OK), nil, nil)\n\t\t\tB = zzOut != 0",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("generated source missing %q:\n%s", want, src)
@@ -70,7 +71,7 @@ Join
 	}
 	// INTEGER operand, REAL target: the combination happens in the
 	// target's type, so the operand is converted before the reduction.
-	if !strings.Contains(string(out), "core.GsumTo(p, float64(ME), &shr.T)") {
+	if !strings.Contains(string(out), "p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(float64(ME)), ") {
 		t.Errorf("operand not coerced to target type:\n%s", out)
 	}
 }
@@ -99,10 +100,10 @@ Endsub
 	// R is a by-reference parameter: it may alias a caller's shared OR
 	// private cell, so each process stores its own copy under the
 	// runtime critical section (serialized: race-free when aliased).
-	if !strings.Contains(s, `p.Critical("ZZGRED", func() { (*R) = zzRed })`) {
+	if !strings.Contains(s, `p.Critical("ZZGRED", func() { (*R) = math.Float64frombits(zzOut) })`) {
 		t.Errorf("param target not stored under the reduction critical:\n%s", s)
 	}
-	if !strings.Contains(s, "X = core.Gsum(p, X)") {
+	if !strings.Contains(s, "zzOut := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(X), nil, nil)\n\t\tX = math.Float64frombits(zzOut)") {
 		t.Errorf("private target not assigned per process:\n%s", s)
 	}
 }
@@ -111,7 +112,7 @@ func TestGenerateReduceIntoSharedArrayElement(t *testing.T) {
 	// A shared array element's subscript may vary per process (A(ME+1)):
 	// every process's element must receive the value, exactly as in the
 	// interpreter, so the store is per-process and serialized — not the
-	// single-store *To form.
+	// join's once-only store.
 	src := `
 Force A of NP ident ME
 Shared Integer A(8)
@@ -124,11 +125,8 @@ Join
 		t.Fatal(err)
 	}
 	s := string(out)
-	if strings.Contains(s, "GsumTo") {
-		t.Errorf("array-element target must not use the single-store form:\n%s", s)
-	}
-	if !strings.Contains(s, "zzRed := core.Gsum(p, 1)") ||
-		!strings.Contains(s, `p.Critical("ZZGRED", func() { shr.A[forcert.Idx1(5, "A", (ME+1), len(shr.A))] = zzRed })`) {
+	if !strings.Contains(s, "zzOut := p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(1), nil, nil)") ||
+		!strings.Contains(s, `p.Critical("ZZGRED", func() { shr.A[forcert.Idx1(5, "A", (ME+1), len(shr.A))] = int(zzOut) })`) {
 		t.Errorf("array-element target not stored per process under the reduction critical:\n%s", s)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/barrier"
 	"repro/internal/engine"
+	"repro/internal/reduce"
 )
 
 // runCtxResult runs program via RunContext in a goroutine with a hard
@@ -95,6 +96,69 @@ func TestCancelUnblocksAskforPools(t *testing.T) {
 	}
 }
 
+// TestAbortInStandaloneReduction extends the reuse matrix to processes
+// parked in a reduction statement on its own, under both strategies (the
+// join's park, the critical strategy's closing barrier): process 0 never
+// contributes — it fails, or returns and the Run is canceled from outside —
+// the peers unwind, and the force serves 3 clean Runs afterwards.
+func TestAbortInStandaloneReduction(t *testing.T) {
+	for _, rk := range reduce.Kinds() {
+		for _, external := range []bool{false, true} {
+			name := rk.String() + "/internal-failure"
+			if external {
+				name = rk.String() + "/external-cancel"
+			}
+			t.Run(name, func(t *testing.T) {
+				f := New(4, WithReduce(rk))
+				defer f.Close()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				started := make(chan struct{}, 1)
+				program := func(p *Proc) {
+					if p.ID() != 0 {
+						p.FusedJoin(reduce.Sum, reduce.NumInt, 1, nil, func() {})
+						return
+					}
+					started <- struct{}{}
+					time.Sleep(10 * time.Millisecond) // let the peers park in the reduction
+					if !external {
+						panic(errBoom)
+					}
+				}
+				if external {
+					go func() {
+						<-started
+						time.Sleep(20 * time.Millisecond)
+						cancel()
+					}()
+				}
+				type outcome struct {
+					err      error
+					panicked any
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					var out outcome
+					defer func() { out.panicked = recover(); done <- out }()
+					out.err = f.RunContext(ctx, program)
+				}()
+				select {
+				case out := <-done:
+					if external && (out.panicked != nil || !errors.Is(out.err, context.Canceled)) {
+						t.Fatalf("RunContext = %v (panic %v), want context.Canceled", out.err, out.panicked)
+					}
+					if !external && out.panicked != any(errBoom) {
+						t.Fatalf("RunContext = %v (panic %v), want the failure re-panicked", out.err, out.panicked)
+					}
+				case <-time.After(30 * time.Second):
+					t.Fatal("the processes parked in the reduction were not unblocked")
+				}
+				requireReusable(t, f)
+			})
+		}
+	}
+}
+
 // requireReusable runs 3 verifying programs on f after an aborted Run:
 // a barrier/critical counter, a reduction, and an Askfor task count.
 func requireReusable(t *testing.T, f *Force) {
@@ -104,6 +168,9 @@ func requireReusable(t *testing.T, f *Force) {
 		if err := f.RunContext(context.Background(), func(p *Proc) {
 			p.Critical("L", func() { count.Add(1) })
 			p.Barrier()
+			if got := Gsum(p, p.ID()); got != f.NP()*(f.NP()-1)/2 {
+				t.Errorf("run %d after cancel: Gsum = %d", round+1, got)
+			}
 			tasks := 0
 			p.Askfor([]any{1, 2}, func(task any, put func(any)) { tasks++ })
 			_ = tasks

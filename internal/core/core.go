@@ -20,9 +20,10 @@
 //   - synchronization: barriers with single-process barrier sections,
 //     named critical sections, and produce/consume on async variables;
 //   - global reductions: Gsum/Gprod/Gmax/Gmin/Gand/Gor and the generic
-//     Reduce/ReduceSection, executed by one of two strategies
-//     (WithReduce): per-process slots, or the hand-rolled
-//     critical-section reduction of the paper's programs.
+//     Reduce/ReduceSection, all uses of the force's one closing
+//     collective, executed by one of two strategies (WithReduce):
+//     per-process slots, or the hand-rolled critical-section reduction
+//     of the paper's programs.
 //
 // Every construct is generic in the paper's sense — no process identifiers
 // appear in synchronization operations — and programs are written to be
@@ -41,9 +42,9 @@
 //	      ┌──────────┼──────────┬────────────┐
 //	      ▼          ▼          ▼            ▼
 //	   engine      sched      reduce     barrier / lock / machine
-//	 (persistent (loop dis-  (global     (synchronization and the
-//	  workers,    ciplines)   reduction   machine-dependent layer)
-//	  deques,                 strategies)
+//	 (persistent (loop dis-  (operators, (synchronization and the
+//	  workers,    ciplines)   the one     machine-dependent layer)
+//	  deques,                 rendezvous)
 //	  pools)
 //
 // A Force owns a persistent engine.Engine: NP worker goroutines started
@@ -103,12 +104,18 @@ type Force struct {
 	// steady-state Run path allocates nothing for it.
 	gate runGate
 
-	// fusedEps are the reusable joins closing fused DOALL+reduction
-	// constructs (FusedJoin).  Two alternate per process: a process can
-	// only reach its (k+2)-th fused join after every process has left
-	// its k-th, the sense-reversal invariant that makes a pair safe to
-	// reuse forever.  Rebuilt by recoverAborted like the barrier.
-	fusedEps [2]*reduce.NumEpisode
+	// closers are the force's closing collective (Proc.collective): every
+	// reduction and every close of a fused region meets at one of the
+	// two.  They alternate per process: a process can only reach its
+	// (k+2)-th collective after every process has left its k-th, the
+	// sense-reversal invariant that makes a pair safe to reuse forever.
+	// acc is the accumulator of the reduce.Critical strategy, folded into
+	// under accLock (nil under reduce.PrivateSlots).  Rebuilt by
+	// recoverAborted like the barrier.
+	closers   [2]closer
+	accLock   lock.Lock
+	acc       word
+	accSeeded bool
 
 	// procs and runBody are the preallocated per-Run dispatch state:
 	// one Proc per process reset (not reallocated) each Run, and one
@@ -120,7 +127,7 @@ type Force struct {
 
 	// loops are the reusable shared states of selfscheduled loops
 	// (loopSlot, fused.go); entries holds what is still materialized per
-	// construct instance: Askfor pools, Resolve plans, reduce episodes.
+	// construct instance: Askfor pools and Resolve plans.
 	loops   [loopSlots]loopSlot
 	entries sync.Map // construct seq (uint64) -> *constructEntry
 	stats   Stats
@@ -224,9 +231,10 @@ func WithAskfor(k engine.PoolKind) Option {
 }
 
 // WithReduce selects the strategy executing global reductions (the G*
-// operations and Reduce).  Default: reduce.PrivateSlots, the padded
-// per-process accumulators combined in pid order; reduce.Critical
-// restores the paper's shared-accumulator-in-a-critical-section idiom.
+// operations, Reduce and the back ends' FusedJoin).  Default:
+// reduce.PrivateSlots, the padded per-process slots combined in pid
+// order; reduce.Critical restores the paper's
+// shared-accumulator-in-a-critical-section idiom.
 func WithReduce(k reduce.Kind) Option {
 	return func(f *Force) { f.reduceK = k }
 }
@@ -260,6 +268,7 @@ func New(np int, opts ...Option) *Force {
 	f.pc = poison.NewCell()
 	f.pc.SetProcs(np)
 	f.sites = make([]procSite, np)
+	f.newLock = f.profile.LockFactory()
 	f.initConstructs()
 	// Capture the profile by value: the start hook must not reference f,
 	// or the workers would keep an abandoned force alive forever.
@@ -282,17 +291,15 @@ func New(np int, opts ...Option) *Force {
 }
 
 // initConstructs builds the per-run construct state of a force or
-// sub-force: the barrier, the named locks, the fused-join pair and the
+// sub-force: the barrier, the named locks, the closing collective and the
 // loop slots.  recoverAborted rebuilds it the same way — an aborted Run
 // leaves the barrier's relay mid-episode, named locks held by unwound
 // processes and joins holding contributions that never folded.
 func (f *Force) initConstructs() {
-	f.newLock = f.profile.LockFactory()
 	f.bar = barrier.New(f.barKind, f.np, f.newLock)
 	barrier.SetPoison(f.bar, f.pc)
 	f.locks = lock.NewSet(f.newLock)
-	f.fusedEps[0] = reduce.NewNumEpisode(f.np, f.pc)
-	f.fusedEps[1] = reduce.NewNumEpisode(f.np, f.pc)
+	f.initClosers()
 	f.resetLoops()
 }
 
@@ -648,8 +655,8 @@ type Proc struct {
 	seq  uint64
 	site *procSite // this process's watchdog slot on the TOP-LEVEL force
 
-	// fuse counts fused joins executed by this process (selects which
-	// of the force's two reusable episodes serves the next one).
+	// fuse counts the closing collectives this process has been through:
+	// the ordinal of the next one, whose parity selects the closer.
 	fuse uint64
 }
 
@@ -678,15 +685,17 @@ func (p *Proc) Barrier() { p.BarrierSection(nil) }
 func (p *Proc) BarrierSection(section func()) {
 	p.f.pc.Check()
 	p.f.stats.Barriers.Add(1)
-	p.barrierSync(section)
+	p.barrierSync(&siteBarrier, section)
 }
 
 // barrierSync is one episode of the force's barrier executing a Barrier
-// statement: its own (BarrierSection), or the exit synchronization of the
-// DOALL the statement rides (JoinSection).
-func (p *Proc) barrierSync(section func()) {
+// statement — its own (BarrierSection), or the exit synchronization of the
+// DOALL the statement rides (JoinSection) — or closing a reduction under
+// the reduce.Critical strategy, as the paper's programs do; site is what
+// the watchdog shows for a process suspended in it.
+func (p *Proc) barrierSync(site *string, section func()) {
 	section = p.barrierEnter(section)
-	p.enterSite(&siteBarrier)
+	p.enterSite(site)
 	p.f.bar.Sync(p.id, section)
 	p.leaveSite()
 	p.barrierLeave()
@@ -695,7 +704,7 @@ func (p *Proc) barrierSync(section func()) {
 // barrierEnter and barrierLeave bracket the collective that executes a
 // Barrier statement — the barrier's own episode, or the closing collective
 // of the construct the statement rides (JoinSection, FusedJoin,
-// GnumBarrier) — with what a recorder and the fault-injection harness see
+// FusedClose) — with what a recorder and the fault-injection harness see
 // of it: BarrierEnter / BarrierLeave per process, SectionStart /
 // SectionEnd and the barrier.section site around the section.  The
 // section comes back wrapped only under a recorder or an armed plan.
@@ -1105,6 +1114,7 @@ func newSubForce(parent *Force, np int) *Force {
 	sub := &Force{
 		np:        np,
 		profile:   parent.profile,
+		newLock:   parent.newLock,
 		barKind:   parent.barKind,
 		chunk:     parent.chunk,
 		tr:        parent.tr,

@@ -49,29 +49,30 @@ func TestFusedJoinMatchesUnfused(t *testing.T) {
 	}
 }
 
-// The fused join's real fold must be bit-identical to the slots
-// strategy's pid-order fold.
+// The real fold of the slots strategy — a fused tail's and the Go API's
+// alike — is bit-identical to the sequential left fold of the
+// contributions in pid order.
 func TestFusedJoinRealBitIdentical(t *testing.T) {
 	const np = 8
 	f := New(np)
 	defer f.Close()
-	var slots, fused uint64
+	want := 0.1
+	for pid := 1; pid < np; pid++ {
+		want += 0.1 * float64(pid+1)
+	}
+	var api, fused uint64
 	f.Run(func(p *Proc) {
 		x := 0.1 * float64(p.ID()+1)
 		g := Gsum(p, x)
+		p.DoAllChunkedOpen(sched.PreschedBlock, 1, sched.Seq(np), func(lo, hi, stride int) {})
+		h := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(x), nil, nil)
 		if p.ID() == 0 {
-			atomic.StoreUint64(&slots, math.Float64bits(g))
+			atomic.StoreUint64(&api, math.Float64bits(g))
+			atomic.StoreUint64(&fused, h)
 		}
 	})
-	f.Run(func(p *Proc) {
-		x := 0.1 * float64(p.ID()+1)
-		g := p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(x), nil, nil)
-		if p.ID() == 0 {
-			atomic.StoreUint64(&fused, g)
-		}
-	})
-	if slots != fused {
-		t.Fatalf("real sum differs: slots %x, fused %x", slots, fused)
+	if api != math.Float64bits(want) || fused != math.Float64bits(want) {
+		t.Fatalf("real sum: Go API %x, fused tail %x, sequential fold %x", api, fused, math.Float64bits(want))
 	}
 }
 
@@ -131,6 +132,47 @@ func TestRunSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state Run allocates %v objects/op, want 0", avg)
 	}
 	_ = sink
+}
+
+// A reduction statement on its own is the same collective with nothing
+// open in front of it: bit-encoded, with or without a Barrier riding it, and
+// through the Go API's six operators, a warm force allocates nothing for
+// it; a custom combine boxes its contributions, at most 3 allocations per
+// process and use.
+func TestStandaloneReductionZeroAllocs(t *testing.T) {
+	for _, np := range []int{1, 2} {
+		f := New(np)
+		var stored, sections atomic.Int64
+		store := func(fold uint64) { stored.Store(int64(fold)) }
+		section := func() { sections.Add(1) }
+		bits := func(p *Proc) {
+			p.FusedJoin(reduce.Sum, reduce.NumInt, uint64(p.ID()+1), nil, nil)
+			p.FusedJoin(reduce.Max, reduce.NumReal, math.Float64bits(float64(p.ID())), store, section)
+			Gsum(p, p.ID())
+			Gmax(p, 0.5)
+			Gand(p, true)
+		}
+		f.Run(bits)
+		if avg := testing.AllocsPerRun(100, func() { f.Run(bits) }); avg != 0 {
+			t.Errorf("np=%d: standalone bit-encoded reductions allocate %v objects/Run, want 0", np, avg)
+		}
+		if sections.Load() != 102 || stored.Load() != int64(math.Float64bits(float64(np-1))) {
+			t.Errorf("np=%d: %d sections in 102 Runs, stored %x", np, sections.Load(), stored.Load())
+		}
+		type pair struct{ v, id int }
+		pick := func(a, b pair) pair {
+			if b.v > a.v {
+				return b
+			}
+			return a
+		}
+		custom := func(p *Proc) { Reduce(p, pair{p.ID(), p.ID()}, pick) }
+		f.Run(custom)
+		if avg := testing.AllocsPerRun(100, func() { f.Run(custom) }); avg > float64(3*np) {
+			t.Errorf("np=%d: a custom reduction allocates %v objects/Run, want at most %d", np, avg, 3*np)
+		}
+		f.Close()
+	}
 }
 
 // The per-index entry points ride the same span path: a warm force

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -170,19 +171,22 @@ func TestRiddenBarrier(t *testing.T) {
 						t.Errorf("fused join folded %d", fold)
 					}
 
+					// A reduction statement on its own is a region with no members.
 					inside.Add(1)
-					if got := GnumBarrier(p, reduce.Max, float64(p.ID()), func(m float64) { alone(); numSecs += int64(m) }); got != np-1 {
-						t.Errorf("GnumBarrier = %v", got)
+					got := p.FusedJoin(reduce.Max, reduce.NumReal, math.Float64bits(float64(p.ID())),
+						func(m uint64) { stored = int64(math.Float64frombits(m)) },
+						func() { alone(); numSecs += stored })
+					if math.Float64frombits(got) != np-1 {
+						t.Errorf("standalone REAL max = %v", math.Float64frombits(got))
 					}
 					inside.Add(-1)
 					inside.Add(1)
-					if got := GlogBarrier(p, reduce.Or, p.ID() == 2, func(any bool) {
-						alone()
-						if any {
-							logSecs++
-						}
-					}); !got {
-						t.Errorf("GlogBarrier = %v", got)
+					var any uint64
+					if p.ID() == 2 {
+						any = 1
+					}
+					if got := p.FusedJoin(reduce.Or, reduce.NumInt, any, nil, func() { alone(); logSecs++ }); got != 1 {
+						t.Errorf("standalone logical or = %v", got)
 					}
 					inside.Add(-1)
 				}

@@ -31,7 +31,13 @@
 //     fused region or a span-checked body).  Every tier, with fusion on
 //     and off, must print
 //     the same lines and report the same errors: fusion is a barrier
-//     count optimization, never a semantics change.
+//     count optimization, never a semantics change;
+//   - Reductions: the PR-22 matrix of reduction statements on their own —
+//     all six operators into each class of target, ridden by Barrier
+//     sections that read and overwrite the target, directly behind a
+//     fused region's join, with operands coerced to the target's type.
+//     Every result is exact, so besides every tier and np both reduction
+//     strategies must print the same lines.
 package corpus
 
 // Program is one acceptance program.  NP is the force size the program
@@ -1721,6 +1727,227 @@ Barrier
   LAST = X(24)
   X(24) = LAST * 2
 End Barrier
+Endsub
+`},
+}
+
+// Reductions is the standalone-reduction matrix: every reduction below
+// closes a collective of its own (a region with no members), and every
+// value printed is independent of the order contributions meet in — so
+// the output is one and the same on every tier, at every np, with the
+// fusion pass on and off, and under both reduction strategies.
+var Reductions = []Program{
+	// All six operators into a shared and a private scalar, each ridden
+	// by a Barrier whose section reads the target and overwrites it; what
+	// one process overwrote in its private copy shows in a later,
+	// symmetric reduction.
+	{"reduce-scalars-ridden", 0, `Force RSIX of NP ident ME
+Shared Integer SI
+Shared Real SR
+Shared Logical SL
+Private Integer PI, K
+Private Real PR, X
+Private Logical PL
+End Declarations
+K = ME + 1
+X = 0.5 * REAL(K)
+GSUM SI = K
+Barrier
+  Print 'gsum shared', SI
+  SI = SI + 100
+End Barrier
+GSUM PI = SI
+Barrier
+  Print 'gsum private', PI
+  PI = 0
+End Barrier
+GSUM SI = PI
+Barrier
+  Print 'one process overwrote its sum', SI
+End Barrier
+GPROD SR = 1.0 + REAL(MOD(ME, 2))
+Barrier
+  Print 'gprod shared', SR
+  SR = SR * 0.5
+End Barrier
+GPROD PI = MOD(K, 3) + NINT(SR + SR)
+Barrier
+  Print 'gprod private', PI
+  PI = 0
+End Barrier
+GMAX SI = PI + 5
+Barrier
+  Print 'gmax shared', SI
+  SI = -SI
+End Barrier
+GMAX PR = X + REAL(SI)
+Barrier
+  Print 'gmax private', PR
+  PR = 1000.0
+End Barrier
+GMIN SR = PR
+Barrier
+  Print 'gmin shared', SR
+  SR = SR - 0.5
+End Barrier
+GMIN PI = K * K - NINT(SR)
+Barrier
+  Print 'gmin private', PI
+  PI = PI - 1
+End Barrier
+GMIN SI = PI
+Barrier
+  Print 'one process lowered its minimum', SI
+End Barrier
+GAND SL = SI .LT. 0
+Barrier
+  Print 'gand shared', SL
+  SL = .NOT. SL
+End Barrier
+GAND PL = SL .OR. ME .GE. 0
+Barrier
+  Print 'gand private', PL
+  PL = .FALSE.
+End Barrier
+GOR SL = PL
+Barrier
+  Print 'gor shared', SL
+  SL = .FALSE.
+End Barrier
+GOR PL = SL .OR. ME .EQ. NP - 1
+Barrier
+  Print 'gor private', PL
+  PL = .FALSE.
+End Barrier
+GAND SL = PL
+Barrier
+  Print 'one process cleared its flag', SL
+End Barrier
+Join
+`},
+	// All six into a shared array element each process subscripts for
+	// itself, and into by-reference parameters aliasing a private scalar,
+	// a shared scalar and a shared array element.
+	{"reduce-elements-params", 0, `Force RARR of NP ident ME
+Shared Integer A(16), SI
+Shared Real RA(16), SR
+Shared Logical LA(16), SL
+Private Integer PI, K, I
+Private Real PR
+Private Logical PL
+End Declarations
+K = ME + 1
+GSUM A(K) = K
+GPROD A(K + 8) = MOD(K, 2) + 1
+GMAX RA(K) = 0.5 * REAL(K)
+GMIN RA(K + 8) = 4.0 - REAL(K)
+GAND LA(K) = K .GT. 0
+GOR LA(K + 8) = K .EQ. 9
+Barrier
+  DO I = 1, NP
+    Print 'element', I, A(I), A(I + 8), RA(I), RA(I + 8), LA(I), LA(I + 8)
+  End DO
+  Print 'untouched', A(NP + 1), RA(NP + 1), LA(NP + 1)
+End Barrier
+Call RED(PI, PR, PL)
+Print 'private arguments', ME, PI, PR, PL
+Call RED(SI, SR, SL)
+Barrier
+  Print 'shared scalar arguments', SI, SR, SL
+End Barrier
+Call RED(A(K), RA(K), LA(K))
+Barrier
+  DO I = 1, NP
+    Print 'element arguments', I, A(I), RA(I), LA(I)
+  End DO
+End Barrier
+Join
+Forcesub RED(N, R, L)
+Shared Integer N
+Shared Real R
+Shared Logical L
+Private Integer K
+End Declarations
+K = ME + 1
+GSUM N = K * 2
+Barrier
+End Barrier
+GPROD N = N / NP - MOD(K, 2)
+Barrier
+End Barrier
+GMAX R = REAL(N) + 0.5 * REAL(K)
+Barrier
+End Barrier
+GMIN R = R - REAL(K)
+Barrier
+End Barrier
+GAND L = R .LT. REAL(N)
+Barrier
+End Barrier
+GOR L = L .AND. K .EQ. 1
+Endsub
+`},
+	// A reduction directly behind a fused region's join — one whose
+	// operand reads what the region wrote, so it cannot be the tail — and
+	// behind a join that already folded a tail.
+	{"reduce-behind-join", 0, `Force RBEHIND of NP ident ME
+Shared Integer A(32), B(32), COUNT, TOTAL, PEAK
+Private Integer I, MINE
+End Declarations
+MINE = 0
+Presched DO I = 1, 32
+  A(I) = I
+End Presched DO
+Presched DO I = 1, 32
+  B(I) = 2 * I
+End Presched DO
+GSUM TOTAL = A(ME + 1) + B(32 - ME)
+Presched DO I = 1, 32
+  A(I) = A(I) + 1
+End Presched DO
+Presched DO I = 1, 32
+  MINE = MINE + B(I)
+End Presched DO
+GSUM COUNT = MINE
+GMAX PEAK = A(ME + 1) * COUNT
+Barrier
+  Print 'behind the join', TOTAL, COUNT, PEAK
+  PEAK = 0
+End Barrier
+GMIN PEAK = PEAK - ME
+Barrier
+  Print 'after the section', PEAK
+End Barrier
+Join
+`},
+	// REAL operands into INTEGER targets and INTEGER operands into REAL
+	// ones: the operand converts before it combines, in every target class.
+	{"reduce-coercion", 0, `Force RCOERCE of NP ident ME
+Shared Integer SI, A(8)
+Shared Real SR
+Private Integer PI, K
+Private Real PR
+End Declarations
+K = ME + 1
+GSUM SI = 2.75 * REAL(K)
+GMAX PI = 0.5 * REAL(K) + 0.75
+GPROD SR = MOD(K, 2) + 1
+GMIN PR = 7 - K
+GSUM A(K) = REAL(K) / 2.0
+Barrier
+  Print 'real operands, integer targets', SI, A(1)
+  Print 'integer operands, real targets', SR
+End Barrier
+Print 'private targets', ME, PI, PR
+Call INTO(PR, PI)
+Print 'parameter targets', ME, PI, PR
+Join
+Forcesub INTO(R, N)
+Private Real R
+Private Integer N
+End Declarations
+GSUM R = ME + 1
+GMAX N = 1.9 + REAL(ME)
 Endsub
 `},
 }

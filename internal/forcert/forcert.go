@@ -275,6 +275,15 @@ func MinReal(w *atomic.Uint64, x float64) {
 
 // --- Print ---------------------------------------------------------------
 
+// Bit is a LOGICAL value as the word a global reduction carries: 1 for
+// true, 0 for false.
+func Bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // FormatReal spells a REAL compactly but always distinguishably from an
 // INTEGER (Fortran list-directed style, simplified): %g, with ".0"
 // appended when the result would otherwise read as an integer.

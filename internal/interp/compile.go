@@ -219,7 +219,7 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 			pr.puts[len(pr.puts)-1](ev(pr, fr))
 		}
 	case *forcelang.ReduceStmt:
-		return c.greduce(t, nil)
+		return c.region(&plan.Region{Red: t})
 	case *forcelang.ProduceStmt:
 		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
 		ev, _ := c.val(t.Expr)
@@ -323,77 +323,6 @@ func (c *compiler) parDo(t *forcelang.ParDo) stmtFn {
 		p = c.tg.DoAll(t)
 	}
 	return c.chunkParDo(t, p, false, p.Block())
-}
-
-// greduce compiles a global-reduction statement: the operand combines
-// across the force in the target's type (so the compiled executor, the
-// tree walker and the code generator all fold in the same arithmetic)
-// and every process assigns the combined value.  When bar — the Barrier
-// statement directly behind it (plan.Target.Rider) — has a section, the
-// section rides the reduction's release: the completing process stores
-// the target (a plain scalar) and runs the section before anyone is
-// released, and only a private target is then stored by the others.
-func (c *compiler) greduce(t *forcelang.ReduceStmt, bar *forcelang.BarrierStmt) stmtFn {
-	store, tt := c.refStore(&t.Target)
-	op, rop := t.Op, foldOp(t.Op)
-	// run performs the reduction; section, when non-nil, is what its
-	// completing process runs on the combined value.
-	var run func(pr *cproc, fr *frame, section func(value)) value
-	switch {
-	case op.Logical():
-		bv := c.cBool(t.Expr)
-		run = func(pr *cproc, fr *frame, section func(value)) value {
-			b := bv(pr, fr)
-			switch {
-			case section != nil:
-				return boolVal(core.GlogBarrier(pr.p, rop, b, func(r bool) { section(boolVal(r)) }))
-			case op == forcelang.GAnd:
-				return boolVal(core.Gand(pr.p, b))
-			default:
-				return boolVal(core.Gor(pr.p, b))
-			}
-		}
-	case tt == forcelang.TInt:
-		iv := c.asInt(t.Expr)
-		run = func(pr *cproc, fr *frame, section func(value)) value {
-			x := iv(pr, fr)
-			if section != nil {
-				return intVal(core.GnumBarrier(pr.p, rop, x, func(r int64) { section(intVal(r)) }))
-			}
-			return intVal(greduceNum(pr.p, op, x))
-		}
-	default:
-		rv := c.cReal(t.Expr)
-		run = func(pr *cproc, fr *frame, section func(value)) value {
-			x := rv(pr, fr)
-			if section != nil {
-				return realVal(core.GnumBarrier(pr.p, rop, x, func(r float64) { section(realVal(r)) }))
-			}
-			return realVal(greduceNum(pr.p, op, x))
-		}
-	}
-	if bar == nil || len(bar.Section) == 0 {
-		note := noteStr(op.String(), t.Pos())
-		return func(pr *cproc, fr *frame) {
-			pr.p.Note(note)
-			store(pr, fr, run(pr, fr, nil))
-		}
-	}
-	section := c.stmts(bar.Section)
-	note := noteStr("Barrier", bar.Pos())
-	shared := t.Target.Sym.Storage == forcelang.SharedScalar
-	return func(pr *cproc, fr *frame) {
-		pr.p.Note(note)
-		stored := false
-		out := run(pr, fr, func(v value) {
-			stored = true
-			store(pr, fr, v)
-			runBody(section, pr, fr)
-		})
-		if !shared && !stored {
-			store(pr, fr, out)
-		}
-	}
 }
 
 // asyncCellFn compiles the cell address of an async statement: the entry

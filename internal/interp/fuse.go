@@ -10,9 +10,10 @@ package interp
 //	...
 //	FusedJoin                    (the single closing collective)
 //
+// — a reduction statement on its own being the region with no members —
 // and a Barrier statement the plan lets ride a closing collective — a
-// DOALL's exit (JoinSection), a fused join, a standalone reduction's
-// release — into that collective's section.
+// DOALL's exit (JoinSection), a region's join, with or without members —
+// into that collective's section.
 //
 // Every decision is compile-time; Config.FuseLog narrates each fused
 // region, each declined candidate and each ridden Barrier.
@@ -25,6 +26,7 @@ import (
 	"math"
 
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/plan"
 	"repro/internal/reduce"
 )
@@ -41,7 +43,7 @@ const closureNsPerUnit = 4
 // planTarget is the closure back end as internal/plan sees it; the
 // narration goes to FuseLog, or nowhere.
 func planTarget(cfg Config) plan.Target {
-	tg := plan.Target{NsPerUnit: closureNsPerUnit, Slots: cfg.Reduce == reduce.PrivateSlots}
+	tg := plan.Target{NsPerUnit: closureNsPerUnit}
 	if lg := cfg.FuseLog; lg != nil {
 		tg.Log = func(format string, args ...any) { lg(fmt.Sprintf(format, args...)) }
 	}
@@ -61,7 +63,7 @@ func (c *compiler) fusedStmts(list []forcelang.Stmt) []stmtFn {
 		switch t := list[i].(type) {
 		case *forcelang.ParDo:
 			if reg := c.tg.Fuse(list, i); reg != nil {
-				out, n = append(out, c.fusedRegion(reg)), reg.Len()
+				out, n = append(out, c.region(reg)), reg.Len()
 				break
 			}
 			p := c.tg.DoAll(t)
@@ -69,7 +71,7 @@ func (c *compiler) fusedStmts(list []forcelang.Stmt) []stmtFn {
 			out = append(out, c.riddenParDo(t, p, bar))
 		case *forcelang.ReduceStmt:
 			bar = c.tg.Rider(list, i)
-			out = append(out, c.greduce(t, bar))
+			out = append(out, c.region(&plan.Region{Red: t, Rider: bar}))
 		default:
 			out = append(out, c.stmt(t))
 		}
@@ -143,25 +145,32 @@ func (c *compiler) riddenParDo(t *forcelang.ParDo, p *plan.Plan, bar *forcelang.
 	}
 }
 
-// fusedRegion compiles one proven region: each member against its own
-// plan as an open construct, closed by one fused join that also folds
-// the reduction tail when the region has one and runs the section of the
-// Barrier statement riding it when one does.  The completing process
-// stores the fold before the section runs: a shared target once (the
-// section may overwrite it), a private one in every process — the others
-// after their release.
-func (c *compiler) fusedRegion(reg *plan.Region) stmtFn {
+// region compiles one closing collective and what it closes: the members
+// of a proven region, each against its own plan as an open construct (a
+// reduction statement on its own is a region with no members), the
+// reduction folded into the collective when the region has one, and the
+// section of the Barrier statement riding it when one does.  It is the
+// only lowering of a ReduceStmt in the closure compiler.  The operand
+// combines across the force in the target's type, so every tier folds in
+// the same arithmetic.  The completing process stores the fold before the
+// section runs: a shared scalar once (the section may overwrite it), a
+// private one in every process — the others after their release; an array
+// element or a parameter, which no Barrier rides, in every process after
+// the release.
+func (c *compiler) region(reg *plan.Region) stmtFn {
 	opens := make([]stmtFn, len(reg.Members))
 	for i, m := range reg.Members {
 		opens[i] = c.chunkParDo(m, reg.Plans[i], true, reg.Block)
 	}
 	red := reg.Red
-	note := noteStr("fused join", reg.Members[len(reg.Members)-1].Pos())
+	var note *string
 	if red != nil {
 		note = noteStr(red.Op.String(), red.Pos())
+	} else {
+		note = noteStr("fused join", reg.Members[len(reg.Members)-1].Pos())
 	}
 	var section []stmtFn
-	if reg.Rider != nil {
+	if reg.Rider != nil && len(reg.Rider.Section) > 0 {
 		section = c.stmts(reg.Rider.Section)
 		note = noteStr("Barrier", reg.Rider.Pos())
 	}
@@ -171,8 +180,7 @@ func (c *compiler) fusedRegion(reg *plan.Region) stmtFn {
 				open(pr, fr)
 			}
 			pr.p.Note(note)
-			// A pure synchronization close: the fold value is unused.
-			pr.p.FusedJoin(reduce.Sum, reduce.NumInt, 0, nil, pr.sectionFn(section, fr))
+			pr.p.FusedClose(pr.sectionFn(section, fr))
 		}
 	}
 	assign, tt := c.refStore(&red.Target)
@@ -180,12 +188,17 @@ func (c *compiler) fusedRegion(reg *plan.Region) stmtFn {
 	// operand encodes the contribution, store decodes and assigns the fold.
 	var operand func(pr *cproc, fr *frame) uint64
 	var store func(pr *cproc, fr *frame, fold uint64)
-	if tt == forcelang.TReal {
+	switch tt {
+	case forcelang.TReal:
 		kind = reduce.NumReal
 		rv := c.cReal(red.Expr)
 		operand = func(pr *cproc, fr *frame) uint64 { return math.Float64bits(rv(pr, fr)) }
 		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, realVal(math.Float64frombits(fold))) }
-	} else {
+	case forcelang.TLogical:
+		bv := c.cBool(red.Expr)
+		operand = func(pr *cproc, fr *frame) uint64 { return forcert.Bit(bv(pr, fr)) }
+		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, boolVal(fold != 0)) }
+	default:
 		iv := c.asInt(red.Expr)
 		operand = func(pr *cproc, fr *frame) uint64 { return uint64(iv(pr, fr)) }
 		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, intVal(int64(fold))) }

@@ -7,6 +7,10 @@ package interp
 // fused, what declined, and why) are pinned through Config.FuseLog.
 
 import (
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +18,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
 	"repro/internal/reduce"
+	"repro/internal/trace"
 )
 
 // fuseRunModes describes one execution configuration of the fusion
@@ -40,35 +45,60 @@ func TestFusionEquivalence(t *testing.T) {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
 			t.Parallel()
-			prog, err := forcelang.Parse(tc.Src)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			for _, np := range []int{1, 2, 3, 8} {
-				outs := map[string]string{}
-				for _, m := range fuseModes {
-					var sb strings.Builder
-					cfg := Config{NP: np, Stdout: &sb, Exec: m.exec, NoFuse: m.noFuse}
-					if err := Run(prog, cfg); err != nil {
-						t.Fatalf("np=%d %s: %v", np, m.name, err)
-					}
-					outs[m.name] = sb.String()
-				}
-				tree := sortedLines(outs["tree"])
-				for _, m := range fuseModes[1:] {
-					got := sortedLines(outs[m.name])
-					if len(got) != len(tree) {
-						t.Fatalf("np=%d: line counts differ: tree %d, %s %d\ntree:\n%s\n%s:\n%s",
-							np, len(tree), m.name, len(got), outs["tree"], m.name, outs[m.name])
-					}
-					for i := range tree {
-						if got[i] != tree[i] {
-							t.Errorf("np=%d line %d: tree %q, %s %q", np, i, tree[i], m.name, got[i])
-						}
-					}
-				}
-			}
+			tierEquivalence(t, tc, reduce.PrivateSlots)
 		})
+	}
+}
+
+// TestReductionEquivalence runs the standalone-reduction corpus the same
+// way under both reduction strategies: its results are exact, so every
+// engine under either strategy must print what the tree walker prints
+// under the default one — the strategy, like fusion, is never a semantics
+// change.
+func TestReductionEquivalence(t *testing.T) {
+	for _, tc := range corpus.Reductions {
+		tc := tc
+		t.Run(tc.Name, func(t *testing.T) {
+			t.Parallel()
+			tierEquivalence(t, tc, reduce.Kinds()...)
+		})
+	}
+}
+
+// tierEquivalence runs tc under every fuse mode and each of the strategies
+// at np ∈ {1, 2, 3, 8} and requires the sorted output lines of the tree
+// walker under the first strategy from all of them.
+func tierEquivalence(t *testing.T, tc corpus.Program, strategies ...reduce.Kind) {
+	prog, err := forcelang.Parse(tc.Src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	for _, np := range []int{1, 2, 3, 8} {
+		var tree []string
+		var treeOut string
+		for _, rk := range strategies {
+			for _, m := range fuseModes {
+				var sb strings.Builder
+				cfg := Config{NP: np, Stdout: &sb, Exec: m.exec, NoFuse: m.noFuse, Reduce: rk}
+				if err := Run(prog, cfg); err != nil {
+					t.Fatalf("np=%d %s %s: %v", np, m.name, rk, err)
+				}
+				got := sortedLines(sb.String())
+				if tree == nil {
+					tree, treeOut = got, sb.String()
+					continue
+				}
+				if len(got) != len(tree) {
+					t.Fatalf("np=%d: line counts differ: tree %d, %s %s %d\ntree:\n%s\n%s:\n%s",
+						np, len(tree), m.name, rk, len(got), treeOut, m.name, sb.String())
+				}
+				for i := range tree {
+					if got[i] != tree[i] {
+						t.Errorf("np=%d line %d: tree %q, %s %s %q", np, i, tree[i], m.name, rk, got[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -273,9 +303,9 @@ End Presched DO
 GAND L = I .GT. 0
 Join
 `, Config{}, []string{"logical reduction", "fused 2 DOALLs"}},
-		// REAL sums fold in pid order, which only the slots strategy
-		// reproduces: under the critical baseline the tail stays on its
-		// own episode (the members still fuse).
+		// A fused tail and a reduction on its own fold the same way under
+		// either strategy, so a REAL sum folds into the join under the
+		// critical baseline too.
 		{"real-gsum-critical", `Force D of NP ident ME
 Shared Real A(32)
 Shared Real B(32)
@@ -290,7 +320,7 @@ Presched DO I = 1, 32
 End Presched DO
 GSUM T = REAL(I) * 0.5
 Join
-`, Config{Reduce: reduce.Critical}, []string{"REAL GSUM folds in pid order", "fused 2 DOALLs"}},
+`, Config{Reduce: reduce.Critical}, []string{"fused 2 DOALL(s) + GSUM at line 13 into one join"}},
 		{"real-gsum-slots-folds", `Force D of NP ident ME
 Shared Real A(32)
 Shared Real B(32)
@@ -335,6 +365,82 @@ func TestFusionDisabledConfigs(t *testing.T) {
 		for _, l := range fuseLogs(t, src, cfg) {
 			if !strings.Contains(l, ": DOALL ") {
 				t.Errorf("config %+v: fusion pass ran: %q", cfg, l)
+			}
+		}
+	}
+}
+
+// TestTracedReduceParticipation: every collective that carries a reduction
+// — a fused tail as much as a reduction statement on its own — records
+// ReduceEnter and ReduceLeave in every process, so the participation check
+// is not vacuous on a fused program, and a traced run shows the same
+// participation with the fusion pass on and off; a close that carries no
+// reduction records neither.
+func TestTracedReduceParticipation(t *testing.T) {
+	read := func(path string) string {
+		src, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "programs", path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(src)
+	}
+	// 40 rounds tell what 4000 do, at a hundredth of the log.
+	rounds := strings.Replace(read("sync-bound/fused-rounds.force"), "DO R = 1, 4000", "DO R = 1, 40", 1)
+	if !strings.Contains(rounds, "DO R = 1, 40\n") {
+		t.Fatal("fused-rounds.force no longer loops 4000 rounds: adjust the substitution")
+	}
+	for _, tc := range []struct {
+		name, src  string
+		reductions int // reduction episodes per run
+	}{
+		{"fused-rounds", rounds, 40},
+		{"reduce-chain", read("script-cold/reduce-chain.force"), 2},
+		{"no-reduction", `Force NR of NP ident ME
+Shared Integer A(16), B(16)
+Private Integer I
+End Declarations
+Presched DO I = 1, 16
+  A(I) = I
+End Presched DO
+Presched DO I = 1, 16
+  B(I) = 2 * I
+End Presched DO
+Join
+`, 0},
+	} {
+		prog := forcelang.MustParse(tc.src)
+		for _, np := range []int{1, 2, 3, 8} {
+			ops := map[bool]map[string]int{}
+			for _, noFuse := range []bool{false, true} {
+				rec := trace.New(0)
+				fused := 0
+				cfg := Config{NP: np, Stdout: io.Discard, Trace: rec, NoFuse: noFuse, FuseLog: func(msg string) {
+					if strings.Contains(msg, "fused") {
+						fused++
+					}
+				}}
+				if err := Run(prog, cfg); err != nil {
+					t.Fatalf("%s np=%d nofuse=%v: %v", tc.name, np, noFuse, err)
+				}
+				if !noFuse && fused == 0 {
+					t.Errorf("%s: nothing fused — the fused side of the comparison is vacuous", tc.name)
+				}
+				ev := rec.Events()
+				if err := trace.CheckReduceParticipation(ev, np); err != nil {
+					t.Errorf("%s np=%d nofuse=%v: %v", tc.name, np, noFuse, err)
+				}
+				ops[noFuse] = map[string]int{}
+				for _, e := range trace.Filter(ev, trace.ReduceEnter) {
+					ops[noFuse][e.Name]++
+				}
+				enters, leaves := len(trace.Filter(ev, trace.ReduceEnter)), len(trace.Filter(ev, trace.ReduceLeave))
+				if enters != tc.reductions*np || leaves != enters {
+					t.Errorf("%s np=%d nofuse=%v: %d reduce-enter and %d reduce-leave events, want %d each",
+						tc.name, np, noFuse, enters, leaves, tc.reductions*np)
+				}
+			}
+			if !reflect.DeepEqual(ops[false], ops[true]) {
+				t.Errorf("%s np=%d: participation differs: fused %v, unfused %v", tc.name, np, ops[false], ops[true])
 			}
 		}
 	}

@@ -13,10 +13,12 @@ package plan
 //
 // The join is a full synchronization point, so the region keeps every
 // construct's exit guarantee while retiring one barrier episode per
-// elided boundary; a folded reduction additionally retires its reduce
-// episode, contributing its per-process operand to the join itself, and
-// a Barrier statement directly behind the region retires its own — the
-// join's completing process runs its section (Region.Rider).
+// elided boundary; a folded reduction contributes its per-process operand
+// to the join itself instead of closing a collective of its own, and a
+// Barrier statement directly behind the region retires its episode — the
+// join's completing process runs its section (Region.Rider).  A reduction
+// statement no region takes is lowered by the back ends as a region with
+// no members: the same collective, nothing open in front of it.
 //
 // Legality.  Dropping the barrier between members G (earlier) and B
 // (later) interleaves B's iteration i directly after G's iteration i on
@@ -49,12 +51,10 @@ package plan
 // is an unsubscripted scalar, its operand reads no parameter and no
 // shared name the region writes (per-process private state is fine —
 // it is complete once the contributing process finishes its own
-// spans), and the fold order cannot show: the join folds in pid order
-// (reduce.NumEpisode), which is bit-identical to the PrivateSlots
-// strategy, so INTEGER operands always qualify, REAL MAX/MIN always
-// qualify (extrema keep one operand bit-for-bit), and REAL sums and
-// products qualify only under the PrivateSlots strategy.  GAND/GOR
-// stay on the episode path.
+// spans).  The fold order cannot show: a fused tail and a reduction on
+// its own contribute through the same collective, which folds the same
+// way under either reduction strategy.  GAND/GOR close a collective of
+// their own.
 
 import (
 	"fmt"
@@ -224,7 +224,7 @@ func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *force
 	}
 
 	if red != nil {
-		if reason := fuseReduceCheck(red, whole, tg.Slots); reason != "" {
+		if reason := fuseReduceCheck(red, whole); reason != "" {
 			return nil, reason
 		}
 	}
@@ -254,7 +254,7 @@ func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *force
 
 // fuseReduceCheck decides whether the reduction tail may fold into the
 // region's join.
-func fuseReduceCheck(red *forcelang.ReduceStmt, whole *Plan, slots bool) string {
+func fuseReduceCheck(red *forcelang.ReduceStmt, whole *Plan) string {
 	if red.Op.Logical() {
 		return fmt.Sprintf("%s is a logical reduction", red.Op)
 	}
@@ -281,9 +281,6 @@ func fuseReduceCheck(red *forcelang.ReduceStmt, whole *Plan, slots bool) string 
 	})
 	if bad != "" {
 		return fmt.Sprintf("%s operand reads %s", red.Op, bad)
-	}
-	if tt == forcelang.TReal && (red.Op == forcelang.GSum || red.Op == forcelang.GProd) && !slots {
-		return fmt.Sprintf("REAL %s folds in pid order, which only the slots strategy reproduces", red.Op)
 	}
 	return ""
 }

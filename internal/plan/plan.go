@@ -43,9 +43,6 @@ type Target struct {
 	// NsPerUnit is what one unit of static body cost (cost.go) takes on
 	// the back end, in nanoseconds; it sizes the grant.
 	NsPerUnit int
-	// Slots says the force reduces with the PrivateSlots strategy: REAL
-	// sums and products fold into a fused join only then.
-	Slots bool
 	// Log receives the narration.
 	Log Logf
 }

@@ -86,7 +86,7 @@ Join
 `)
 	var logs []string
 	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-	tg := Target{NsPerUnit: 4, Slots: true, Log: lg}
+	tg := Target{NsPerUnit: 4, Log: lg}
 	reg := tg.Fuse(prog.Body, 0)
 	if reg == nil {
 		t.Fatalf("no region; log:\n%s", strings.Join(logs, "\n"))
@@ -114,14 +114,6 @@ Join
 	rest := tg.Fuse(prog.Body, 2)
 	if rest == nil || len(rest.Members) != 1 || rest.Red == nil || rest.Len() != 2 {
 		t.Fatalf("remainder did not fuse with its reduction tail: %+v\n%s", rest, strings.Join(logs, "\n"))
-	}
-	// The same tail under a non-slots strategy: a REAL sum must decline.
-	logs = nil
-	if reg := (Target{NsPerUnit: 4, Log: lg}).Fuse(prog.Body, 2); reg != nil {
-		t.Errorf("REAL GSUM folded without the slots strategy")
-	}
-	if len(logs) != 1 || !strings.Contains(logs[0], "only the slots strategy reproduces") {
-		t.Errorf("decline narration: %q", logs)
 	}
 }
 
@@ -320,7 +312,7 @@ End Barrier
 Join
 `)
 	var logs []string
-	tg := Target{NsPerUnit: 4, Slots: true, Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+	tg := Target{NsPerUnit: 4, Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
 	body := prog.Body
 	line := func(b *forcelang.BarrierStmt) int {
 		if b == nil {

@@ -1,40 +1,36 @@
-// Package reduce implements global reductions — the Force's collective
-// combine-and-broadcast operation — as a first-class runtime layer with
-// selectable strategies.
+// Package reduce holds what the Force's global reductions are made of:
+// the strategy names, the operators, the fold of two bit-encoded
+// contributions, and the ONE rendezvous every closing collective of the
+// runtime meets at.
 //
 // The paper's programs express a global reduction with the only tools the
 // 1989 language had: a shared accumulator updated inside a named critical
-// section, closed by a barrier.  That serializes the hottest collective
-// operation in every SPMD kernel.  Modern runtimes (Cilk reducers,
-// Charm++ contribute-style reductions) make the reduction itself the
-// primitive; this package provides that primitive over the repository's
-// own lock and barrier substrate, keeping the paper's idiom as the
-// Critical baseline strategy for comparison.
+// section, closed by a barrier whose section acts on the result.  Modern
+// runtimes (Cilk reducers, Charm++ contribute-style reductions) make the
+// reduction itself the primitive.  Both are strategies of one collective,
+// decided in one place (internal/core, fused.go):
 //
-// An Episode is the shared state of ONE dynamic reduction instance for a
-// force of np processes: every process contributes exactly once through
-// Do and receives the combined value, and no process returns before the
-// combination is complete — a reduction is also a full synchronization
-// point, like the implicit barrier closing a DOALL.  Episodes are
-// one-shot: the runtime materializes a fresh Episode per construct
-// execution (internal/core's construct-entry table), so no sense-reversal
-// machinery is needed.
+//   - PrivateSlots, the default, is the Join below: every process stores
+//     its contribution in its own padded, force-owned slot and arrives;
+//     the last arrival, alone, folds the slots in pid order — so even a
+//     floating-point reduction reproduces bit-identically for a fixed
+//     np — runs the completion hook and releases the others;
+//   - Critical is the paper's idiom spelled over the force's own
+//     primitives: fold into a force-owned accumulator under one machine
+//     lock, close on the force's barrier, whose section publishes the
+//     value and runs the hook.  Contributions meet in arrival order.
 //
-// The combining function must be associative and commutative; the order
-// in which contributions meet is strategy-dependent.  PrivateSlots is the
-// deterministic strategy: it always folds the per-process slots in pid
-// order, so even floating-point reductions reproduce bit-identically for
-// a fixed np.
+// A reduction is also a full synchronization point, like the implicit
+// barrier closing a DOALL: no process returns before the combination is
+// complete.  The combining function must be associative and commutative.
 package reduce
 
 import (
 	"fmt"
-	"runtime"
+	"math"
 	"sync/atomic"
 
-	"repro/internal/barrier"
 	"repro/internal/faultinject"
-	"repro/internal/lock"
 	"repro/internal/poison"
 )
 
@@ -44,18 +40,17 @@ import (
 type Kind int
 
 const (
-	// PrivateSlots gives every process its own padded accumulator slot;
-	// the last process to arrive folds the slots in pid order (the
-	// "combined in a barrier section" shape) and publishes the result.
-	// Contention-free contribution, deterministic combination order.
-	// Kept by rule (b): it is the default every tier runs.
+	// PrivateSlots gives every process its own padded slot; the last
+	// process to arrive at the force's Join folds the slots in pid order
+	// and publishes the result.  Contention-free contribution,
+	// deterministic combination order.  Kept by rule (b): it is the
+	// default every tier runs.
 	PrivateSlots Kind = iota
-	// Critical is the paper's baseline, reproduced whole: contributions
-	// fold into one shared accumulator under a machine lock, and the
-	// construct closes with the paper's own two-lock barrier (section
-	// included) — the critical-section-plus-barrier idiom every 1989
-	// Force program hand-rolled.  Kept by rule (a): the paper describes
-	// it.
+	// Critical is the paper's baseline: contributions fold into one
+	// shared accumulator under a machine lock, and the construct closes
+	// on the force's barrier (section included) — the
+	// critical-section-plus-barrier idiom every 1989 Force program
+	// hand-rolled.  Kept by rule (a): the paper describes it.
 	Critical
 )
 
@@ -130,206 +125,177 @@ func (o Op) String() string {
 	return fmt.Sprintf("reduce.Op(%d)", int(o))
 }
 
-// Episode is the shared state of one dynamic reduction instance for a
-// fixed force.  Every participating process calls Do exactly once with
-// its process id and contribution; Do returns the global combination to
-// every caller, and no caller returns before all have contributed.  An
-// Episode must not be reused.
-type Episode[T any] interface {
-	Do(pid int, x T) T
+// NumKind says how a bit-encoded contribution is interpreted: values
+// travel as uint64 bit patterns so one slot type serves every element
+// type without boxing.
+type NumKind int
+
+const (
+	// NumInt: bits are int64 (two's complement conversion); a LOGICAL
+	// contribution is the word 0 or 1.
+	NumInt NumKind = iota
+	// NumReal: bits are float64 (math.Float64bits).
+	NumReal
+)
+
+// CombineNum folds two bit-encoded contributions under op.  Max and Min
+// keep the second operand only when it is strictly greater / less, so an
+// extremum is one of the contributions bit for bit; And and Or are
+// defined on the NumInt words 0 and 1.
+func CombineNum(op Op, k NumKind, a, b uint64) uint64 {
+	if k == NumReal {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		switch op {
+		case Sum:
+			x += y
+		case Prod:
+			x *= y
+		case Max:
+			if y > x {
+				x = y
+			}
+		case Min:
+			if y < x {
+				x = y
+			}
+		default:
+			panic(fmt.Sprintf("reduce: CombineNum does not serve REAL %v", op))
+		}
+		return math.Float64bits(x)
+	}
+	x, y := int64(a), int64(b)
+	switch op {
+	case Sum:
+		x += y
+	case Prod:
+		x *= y
+	case Max:
+		if y > x {
+			x = y
+		}
+	case Min:
+		if y < x {
+			x = y
+		}
+	case And:
+		x &= y
+	case Or:
+		x |= y
+	default:
+		panic(fmt.Sprintf("reduce: CombineNum does not serve op %v", op))
+	}
+	return uint64(x)
 }
 
-// Config carries the machine-dependent hooks an Episode may need; it
-// is generic in the element type because the completion hook receives
-// the result.
-type Config[T any] struct {
-	// Lock supplies the accumulator lock for the Critical strategy —
-	// the machine profile's lock mechanism, exactly as the paper's
-	// critical section macro uses it.  Nil defaults to system locks.
-	Lock func() lock.Lock
-	// OnComplete, when non-nil, runs exactly once per episode, in the
-	// process that completes the combination, after the result is final
-	// and before any process is released — the barrier-section position.
-	// The runtime uses it to retire the construct entry and to execute
-	// single-process reduction sections.
-	OnComplete func(result T)
-	// Poison, when non-nil, is the force's cancellation cell: a process
-	// waiting out a combination that can never complete (a contributor
-	// died) unwinds with poison.Abort instead of waiting forever.
-	Poison *poison.Cell
+// Join is the reusable rendezvous of a fixed np processes: every process
+// arrives once per use, the last arrival runs alone — the barrier-section
+// position, where the caller folds what the others left in its own slots
+// and runs its completion hook — and then releases the others; the last
+// process to leave rearms the Join.  One use, in every process:
+//
+//	if j.Arrive() {
+//		... alone: every other process is suspended in Wait ...
+//		j.Release()
+//	} else {
+//		j.Wait()
+//	}
+//
+// A pair of Joins alternated per use serves any number of collectives
+// with zero steady-state allocation, on the invariant sense-reversing
+// barriers rely on: a process can only reach its (k+2)-th use after every
+// process has left its k-th.  What a use publishes (the fold) lives with
+// the caller, one per Join of the pair, and stays readable until the next
+// use of the same Join completes.
+//
+// Waiting is spin-then-park: the shared wait policy's spin phases
+// (poison.Spin) catch the common fast path under real parallelism, after
+// which the waiter parks — on an oversubscribed machine (more processes
+// than CPUs, the 1989 normality and the CI box's too) parked waiters
+// leave the scheduler to the processes that still owe their arrival.  The
+// park channel is created lazily, only when a waiter outlives the spin
+// window; at np=1, or when the last arrival wins the race, a use touches
+// no channel at all.  A parked waiter also selects on the poison cell's
+// wake channel, so a use whose missing process died unwinds with
+// poison.Abort instead of parking forever.
+type Join struct {
+	np       int
+	arrived  atomic.Int64
+	departed atomic.Int64
+	done     atomic.Uint32
+	ch       atomic.Pointer[chan struct{}]
+	pc       *poison.Cell
 }
 
-// New builds the shared state of one reduction episode for np processes.
-// combine must be associative and commutative.
-func New[T any](k Kind, np int, combine func(T, T) T, cfg Config[T]) Episode[T] {
+// NewJoin builds a rendezvous for np processes.  pc, when non-nil, is the
+// force's poison cell.
+func NewJoin(np int, pc *poison.Cell) *Join {
 	if np <= 0 {
 		panic(fmt.Sprintf("reduce: np = %d, need np >= 1", np))
 	}
-	switch k {
-	case Critical:
-		factory := cfg.Lock
-		if factory == nil {
-			factory = lock.Factory(lock.System)
-		}
-		e := &criticalEpisode[T]{
-			np: np, combine: combine, lk: factory(),
-			bar: barrier.NewTwoLock(np, factory), onComplete: cfg.OnComplete, pc: cfg.Poison,
-		}
-		e.bar.SetPoison(cfg.Poison)
-		return e
-	default:
-		return newSlots[T](np, combine, cfg.OnComplete, cfg.Poison)
+	return &Join{np: np, pc: pc}
+}
+
+// Arrive counts the caller in and reports whether it is the last of the
+// np arrivals of this use: the one that runs alone until it calls Release.
+// Everything a process wrote before arriving is visible to the last
+// arrival.
+func (j *Join) Arrive() bool { return j.arrived.Add(1) == int64(j.np) }
+
+// Release ends the last arrival's time alone: every waiter of this use
+// returns from Wait, seeing what the caller wrote before releasing.
+func (j *Join) Release() {
+	j.done.Store(1)
+	if chp := j.ch.Load(); chp != nil {
+		close(*chp)
 	}
+	j.depart()
 }
 
-// release publishes the episode result to the waiting processes.  The
-// completing process stores the result, runs the section hook, and
-// releases everyone; the atomic store of done orders the result write
-// before every reader.  Waiting is spin-then-park: the shared wait
-// policy's spin phases (poison.Spin) catch the common fast path under
-// real parallelism, after which the waiter parks on the release
-// channel — on an oversubscribed machine (more processes than CPUs,
-// the 1989 normality and the CI box's too) parked waiters leave the
-// scheduler to the processes that still owe contributions instead of
-// cycling through the run queue.  A
-// parked waiter additionally selects on the poison cell's wake channel,
-// so a reduction whose missing contributor died unwinds with
-// poison.Abort instead of parking forever.
-type release[T any] struct {
-	done   atomic.Uint32
-	ch     chan struct{}
-	pc     *poison.Cell
-	result T
-}
-
-func newRelease[T any](pc *poison.Cell) release[T] {
-	return release[T]{ch: make(chan struct{}), pc: pc}
-}
-
-func (r *release[T]) publish(v T, onComplete func(T)) T {
-	r.result = v
-	if onComplete != nil {
-		onComplete(v)
+// Wait suspends a process that is not the last arrival until Release.
+func (j *Join) Wait() {
+	faultinject.Fire(faultinject.ReduceRelease, -1, j.pc)
+	if !poison.Spin(j.pc, func() bool { return j.done.Load() == 1 }) {
+		j.park()
 	}
-	r.done.Store(1)
-	close(r.ch)
-	return v
+	j.depart()
 }
 
-func (r *release[T]) await() T {
-	faultinject.Fire(faultinject.ReduceRelease, -1, r.pc)
-	if poison.Spin(r.pc, func() bool { return r.done.Load() == 1 }) {
-		return r.result
+// park waits out a use the spin window did not catch, on a lazily
+// installed release channel with the poison cell's wake channel as the
+// unwind path.
+func (j *Join) park() {
+	chp := j.ch.Load()
+	if chp == nil {
+		nc := make(chan struct{})
+		if j.ch.CompareAndSwap(nil, &nc) {
+			chp = &nc
+		} else {
+			chp = j.ch.Load()
+		}
+	}
+	// Re-check after installing the channel: Release loads the channel
+	// pointer after storing done, so either it saw our install (and will
+	// close it) or this load sees done == 1.
+	if j.done.Load() == 1 {
+		return
 	}
 	select {
-	case <-r.ch:
-	case <-r.pc.Done(): // nil channel (never ready) when no poison is wired
-		if r.done.Load() != 1 {
-			r.pc.Check()
+	case <-*chp:
+	case <-j.pc.Done(): // nil channel (never ready) when no poison is wired
+		if j.done.Load() != 1 {
+			j.pc.Check()
 		}
 	}
-	return r.result
 }
 
-// criticalEpisode is the paper's idiom reproduced whole: fold the
-// contribution into one shared accumulator inside a critical section
-// (the machine's lock), then close the construct with the paper's
-// two-lock barrier — the completion hook runs as that barrier's section.
-// This is what every 1989 Force program spelled out by hand, and it
-// carries the idiom's full cost: serialized folds plus the lock-handoff
-// barrier.  PrivateSlots replaces both halves.
-type criticalEpisode[T any] struct {
-	np         int
-	combine    func(T, T) T
-	lk         lock.Lock
-	bar        *barrier.TwoLockBarrier
-	acc        T
-	seeded     bool
-	onComplete func(T)
-	pc         *poison.Cell
-}
-
-func (e *criticalEpisode[T]) Do(pid int, x T) T {
-	lock.Acquire(e.lk, e.pc)
-	func() {
-		// The combine is user code under the Custom operator: release
-		// the accumulator lock even when it panics, so peers queued on
-		// it drain instead of wedging on a lock no one will open.
-		defer e.lk.Unlock()
-		if e.seeded {
-			e.acc = e.combine(e.acc, x)
-		} else {
-			e.acc, e.seeded = x, true
-		}
-	}()
-	var section func()
-	if e.onComplete != nil {
-		section = func() { e.onComplete(e.acc) }
+// depart counts the caller out; the last one out rearms the Join.  The
+// alternation invariant (no process re-enters before every process has
+// left) orders the rearm before any later Arrive.
+func (j *Join) depart() {
+	if j.departed.Add(1) == int64(j.np) {
+		j.arrived.Store(0)
+		j.done.Store(0)
+		j.ch.Store(nil)
+		j.departed.Store(0)
 	}
-	// The critical strategy's release position is its closing barrier.
-	faultinject.Fire(faultinject.ReduceRelease, pid, e.pc)
-	e.bar.Sync(pid, section)
-	// All folds happened before the last arrival opened the barrier
-	// drain, so the accumulator is final and safe to read.
-	return e.acc
-}
-
-// paddedSlot keeps one process's accumulator on its own cache line so
-// concurrent contributions do not false-share.
-type paddedSlot[T any] struct {
-	v T
-	_ [64]byte
-}
-
-// slotsEpisode: contribution is a plain store into the process's own
-// slot; the last arrival folds the slots in pid order (the deterministic
-// combination) and publishes.  Slots are cache-line padded only when the
-// program can actually run in parallel (GOMAXPROCS > 1): padding exists
-// to defeat false sharing between concurrently-writing CPUs, and on a
-// single-CPU box it would only dilute the cache.
-type slotsEpisode[T any] struct {
-	np         int
-	combine    func(T, T) T
-	slots      []paddedSlot[T] // padded storage (nil when compact)
-	compact    []T             // unpadded storage (GOMAXPROCS == 1)
-	arrived    atomic.Int64
-	rel        release[T]
-	onComplete func(T)
-}
-
-func newSlots[T any](np int, combine func(T, T) T, onComplete func(T), pc *poison.Cell) *slotsEpisode[T] {
-	e := &slotsEpisode[T]{np: np, combine: combine, rel: newRelease[T](pc), onComplete: onComplete}
-	if runtime.GOMAXPROCS(0) > 1 {
-		e.slots = make([]paddedSlot[T], np)
-	} else {
-		e.compact = make([]T, np)
-	}
-	return e
-}
-
-func (e *slotsEpisode[T]) put(pid int, x T) {
-	if e.slots != nil {
-		e.slots[pid].v = x
-	} else {
-		e.compact[pid] = x
-	}
-}
-
-func (e *slotsEpisode[T]) at(pid int) T {
-	if e.slots != nil {
-		return e.slots[pid].v
-	}
-	return e.compact[pid]
-}
-
-func (e *slotsEpisode[T]) Do(pid int, x T) T {
-	e.put(pid, x)
-	if e.arrived.Add(1) == int64(e.np) {
-		acc := e.at(0)
-		for i := 1; i < e.np; i++ {
-			acc = e.combine(acc, e.at(i))
-		}
-		return e.rel.publish(acc, e.onComplete)
-	}
-	return e.rel.await()
 }

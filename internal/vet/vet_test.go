@@ -83,14 +83,14 @@ func TestRuntimeErrorCorpus(t *testing.T) {
 	}
 }
 
-// TestCleanCorpus: the equivalence corpus, the chunk matrix and the
-// fusion matrix are correct programs — forcevet must stay silent on
-// every one (zero false positives).
+// TestCleanCorpus: the equivalence corpus, the chunk matrix, the fusion
+// matrix and the reduction matrix are correct programs — forcevet must
+// stay silent on every one (zero false positives).
 func TestCleanCorpus(t *testing.T) {
 	for _, fam := range []struct {
 		name  string
 		progs []corpus.Program
-	}{{"equiv", corpus.Equiv}, {"chunk", corpus.Chunk}, {"fusion", corpus.Fusion}} {
+	}{{"equiv", corpus.Equiv}, {"chunk", corpus.Chunk}, {"fusion", corpus.Fusion}, {"reductions", corpus.Reductions}} {
 		for _, p := range fam.progs {
 			p := p
 			t.Run(fam.name+"/"+p.Name, func(t *testing.T) {
