@@ -7,8 +7,12 @@
 package repro_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"regexp"
 	"sort"
 	"strings"
@@ -17,11 +21,14 @@ import (
 	"time"
 
 	"repro/internal/aot"
+	"repro/internal/barrier"
 	"repro/internal/codegen"
 	"repro/internal/corpus"
+	"repro/internal/engine"
 	"repro/internal/forcelang"
 	"repro/internal/interp"
 	"repro/internal/reduce"
+	"repro/internal/sched"
 )
 
 // aotCache is one cache shared by the whole parity sweep, so each
@@ -56,22 +63,24 @@ func aotSortedLines(s string) []string {
 	return lines
 }
 
-// aotRun builds (or reuses) the entry for src and runs it at np,
-// returning output and error.
+// aotRun builds (or reuses) the shared cache's entry for prog and runs it
+// at np under the default options, returning output and error.
 func aotRun(t *testing.T, prog *forcelang.Program, np int) (string, error) {
 	t.Helper()
-	return aotRunWith(t, prog, np, aot.Options{})
+	return aotRunWith(t, aotTestCache(t), prog, np, aot.Options{})
 }
 
-// aotRunWith is aotRun for a binary built with opts.
-func aotRunWith(t *testing.T, prog *forcelang.Program, np int, opts aot.Options) (string, error) {
+// aotRunWith is aotRun through cache, the binary run under opts.
+func aotRunWith(t *testing.T, cache *aot.Cache, prog *forcelang.Program, np int, opts aot.Options) (string, error) {
 	t.Helper()
-	entry, err := aotTestCache(t).Ensure(prog, opts)
+	entry, err := cache.Ensure(prog, opts)
 	if err != nil {
 		t.Fatalf("aot build: %v", err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
 	var sb strings.Builder
-	err = entry.Run(np, &sb, 2*time.Minute)
+	err = entry.RunContext(ctx, np, &sb)
 	return sb.String(), err
 }
 
@@ -212,13 +221,23 @@ func TestAOTParityFusion(t *testing.T) {
 
 // TestAOTParityReductions: the standalone-reduction corpus
 // (internal/corpus.Reductions) through the native tier at np ∈ {1, 2, 3, 8}
-// under both reduction strategies — one binary each, the strategy is part
-// of the cache key — against the tree walker under the default one.  The
-// corpus's results are exact, so all of it is byte-identical.
+// under both reduction strategies — one binary per program, the strategy
+// is its -reduce flag — against the tree walker under the default one.
+// The corpus's results are exact, so all of it is byte-identical.
 func TestAOTParityReductions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds native binaries with the go toolchain")
 	}
+	cache, err := aot.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { // after every parallel subtest
+		if s := cache.Stats(); s.Builds != int64(len(corpus.Reductions)) {
+			t.Errorf("%d programs under %d strategies: %v, want one build per program",
+				len(corpus.Reductions), len(reduce.Kinds()), s)
+		}
+	})
 	for _, tc := range corpus.Reductions {
 		tc := tc
 		t.Run(tc.Name, func(t *testing.T) {
@@ -231,7 +250,7 @@ func TestAOTParityReductions(t *testing.T) {
 				}
 				want := aotSortedLines(tree)
 				for _, rk := range reduce.Kinds() {
-					native, err := aotRunWith(t, prog, np, aot.Options{Reduce: rk})
+					native, err := aotRunWith(t, cache, prog, np, aot.Options{Reduce: rk})
 					if err != nil {
 						t.Fatalf("np=%d aot -reduce %s: %v", np, rk, err)
 					}
@@ -357,18 +376,171 @@ func TestAOTWarmCacheNoRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := warm.Cached(seed, aot.Options{}); !ok {
-		t.Error("warm cache missed a program the sweep built")
-	}
 	if _, err := warm.Ensure(seed, aot.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	s := warm.Stats()
-	if s.Builds != 0 {
-		t.Errorf("warm cache rebuilt: %v", s)
+	if s := warm.Stats(); s.Builds != 0 || s.Hits != 1 {
+		t.Errorf("warm cache missed or rebuilt a program the sweep built: %v", s)
 	}
-	if s.Hits == 0 {
-		t.Errorf("warm cache recorded no hits: %v", s)
+}
+
+// TestAOTOneBinaryEveryConfiguration: the five runtime options are flags
+// of the generated binary.  One program exercising everything they govern
+// — a Selfsched DO, a selfscheduled Pcase, an Askfor, a GSUM, a Barrier
+// section — runs through one cache under all 2×2×3×2 configurations (the
+// chunk size set with the chunk discipline) on one build, printing what
+// the interpreter prints under the same configuration; handed a spelling
+// no axis accepts, the binary refuses the way forcerun does.
+func TestAOTOneBinaryEveryConfiguration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a native binary with the go toolchain")
+	}
+	prog := forcelang.MustParse(`Force MATRIX of NP ident ME
+Shared Integer S, T, NODES, TOT
+Private Integer I, W
+End Declarations
+Barrier
+  S = 0
+  T = 0
+  NODES = 0
+End Barrier
+Selfsched DO I = 1, 100
+  S = S + I
+End Selfsched DO
+Pcase Selfsched
+Usect
+  Critical C
+    T = T + 1
+  End Critical
+Usect
+  Critical C
+    T = T + 10
+  End Critical
+Csect (S .GT. 0)
+  Critical C
+    T = T + 100
+  End Critical
+End Pcase
+Askfor W = 1
+  Critical C
+    NODES = NODES + 1
+  End Critical
+  IF (W .LT. 5) THEN
+    Put W + 1
+    Put W + 1
+  End IF
+End Askfor
+GSUM TOT = ME + 1
+Barrier
+  Print 'S =', S, 'T =', T, 'NODES =', NODES, 'TOT =', TOT
+End Barrier
+Join
+`)
+	cache, err := aot.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const np = 3
+	want := "S = 5050 T = 111 NODES = 31 TOT = 6\n"
+	configs := 0
+	for _, bk := range barrier.Kinds() {
+		for _, rk := range reduce.Kinds() {
+			for _, sk := range []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
+				for _, pool := range engine.PoolKinds() {
+					opts := aot.Options{Barrier: bk, Reduce: rk, Selfsched: sk, Askfor: pool}
+					if sk == sched.Chunk {
+						opts.Chunk = 7
+					}
+					configs++
+					var ref strings.Builder
+					if err := interp.Run(prog, interp.Config{NP: np, Stdout: &ref, Barrier: bk, Reduce: rk,
+						Selfsched: sk, Askfor: pool, Chunk: opts.Chunk}); err != nil {
+						t.Fatalf("%+v: interpreter: %v", opts, err)
+					}
+					native, err := aotRunWith(t, cache, prog, np, opts)
+					if err != nil || native != ref.String() || native != want {
+						t.Errorf("%+v: aot printed %q (%v), the interpreter %q, want %q", opts, native, err, ref.String(), want)
+					}
+				}
+			}
+		}
+	}
+	if s := cache.Stats(); configs != 24 || s.Builds != 1 {
+		t.Errorf("%d configurations: %v, want 24 on one build", configs, s)
+	}
+	entry, err := cache.Ensure(prog, aot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(entry.Bin, "-np", "2", "-reduce", "tree").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Count(string(out), "\n") != 1 ||
+		!strings.Contains(string(out), "critical") || !strings.Contains(string(out), "slots") {
+		t.Errorf("binary -reduce tree: %v, output %q; want exit 2 and one line naming critical and slots", err, out)
+	}
+}
+
+// TestAOTLinesAreTheFilesOwn: two texts that differ only in layout are
+// two programs to the cache, because the binary reports run-time errors
+// and narrates its plan by source line.  A program whose planned DOALL
+// faults, and the same text moved down behind blank lines and a comment,
+// each report their own lines — the chunk tier's — cold and warm,
+// whichever of the two was built first.
+func TestAOTLinesAreTheFilesOwn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries with the go toolchain")
+	}
+	const text = `Force SHIFT of NP ident ME
+Shared Real A(8)
+Private Integer I
+End Declarations
+Presched DO I = 1, 8
+  A(I + 1) = REAL(I)
+End Presched DO
+Join
+`
+	type file struct {
+		prog       *forcelang.Program
+		errLine    string
+		planPrefix string
+	}
+	files := []file{
+		{forcelang.MustParse(text), "force runtime: line 6: ", "line 5: DOALL partition=block"},
+		{forcelang.MustParse("\n\n! the same program, three lines down\n" + text), "force runtime: line 9: ", "line 8: DOALL partition=block"},
+	}
+	for _, order := range [][]int{{0, 1}, {1, 0}} {
+		cache, err := aot.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, round := range []string{"cold", "warm"} {
+			for _, i := range order {
+				f := files[i]
+				name := fmt.Sprintf("order %v, %s, file %d", order, round, i)
+				var plan []string
+				wantErr := interp.Run(f.prog, interp.Config{NP: 2, FuseLog: func(msg string) {
+					if !strings.Contains(msg, "span-checked") { // the chunk tier's own line
+						plan = append(plan, msg)
+					}
+				}})
+				if wantErr == nil || !strings.HasPrefix(wantErr.Error(), f.errLine) || len(plan) != 1 || plan[0] != f.planPrefix {
+					t.Fatalf("%s: chunk tier reference: error %v, plan %q", name, wantErr, plan)
+				}
+				entry, err := cache.Ensure(f.prog, aot.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := entry.RunContext(context.Background(), 2, io.Discard); err == nil || err.Error() != wantErr.Error() {
+					t.Errorf("%s: aot error %v, chunk tier %v", name, err, wantErr)
+				}
+				if got := entry.Plan(); strings.Join(got, "\n") != strings.Join(plan, "\n") {
+					t.Errorf("%s: aot plan %q, chunk tier %q", name, got, plan)
+				}
+			}
+		}
+		if s := cache.Stats(); s.Builds != 2 || s.Hits != 2 {
+			t.Errorf("order %v: %v, want two builds and two warm hits", order, s)
+		}
 	}
 }
 

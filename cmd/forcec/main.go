@@ -9,16 +9,13 @@
 //	    default "generic" machine the low-level macros stay symbolic,
 //	    matching the paper's expansion listing.
 //
-//	forcec -go [-pkg main] [-np N] [-selfsched KIND] [-reduce STRAT] [-chunk N] file.force
+//	forcec -go [-pkg main] [-np N] [-barrier ALG] [-reduce STRAT] [-selfsched KIND] [-askfor POOL] [-chunk N] file.force
 //	    Parse and type-check the program and emit Go source targeting
-//	    the runtime library.  -np is the default force size baked into
-//	    the output (below 1 is a usage error); -selfsched picks the
-//	    discipline generated for Selfsched DO loops (selfsched-lock by
-//	    default; selfsched-atomic, selfsched-chunk); -reduce picks the
-//	    strategy the generated force executes global reductions with
-//	    (slots by default; critical); -chunk N bakes a span size into
-//	    the generated force for the selfsched-chunk discipline (0 keeps
-//	    its default).
+//	    the runtime library.  The generated main takes -np and forcerun's
+//	    five runtime flags (-barrier -reduce -selfsched -askfor -chunk,
+//	    same spellings, same errors) on its own command line; given
+//	    here, they set what those flags default to and change nothing
+//	    else in the output (-np below 1 is a usage error).
 //
 //	forcec -check file.force
 //	    Parse and type-check only.
@@ -35,19 +32,19 @@
 // and continues, -vet=err reports and fails, -vet=off skips the
 // analysis.
 //
-//	forcec -cache [-v] [-selfsched KIND] [-reduce STRAT] [-barrier ALG] [-askfor POOL] [-chunk N] file.force
+//	forcec -cache [-v] file.force
 //	    Compile the program into the ahead-of-time binary cache — the
 //	    same content-addressed store forcerun's -exec aot tier
-//	    executes from ($FORCE_CACHE or ~/.cache/force; -barrier takes
-//	    twolock or sense, -askfor stealing or monitor) — and print the
-//	    cache key, status (hit or built) and binary path.  Use it to
-//	    pre-warm the cache so a program's first -exec aot run is
-//	    already native.  -v also reports, on standard error, the DOALL
-//	    plan the binary was emitted from — the "fuse:" lines forcerun -v
-//	    narrates on every tier.  -timeout D bounds the pre-warm's `go build`
-//	    with a wall-clock deadline (same semantics as forcerun
-//	    -timeout): an expired build exits 1 and leaves no entry, so
-//	    the next -cache (or forcerun) simply rebuilds.
+//	    executes from ($FORCE_CACHE or ~/.cache/force) — and print the
+//	    cache key, status (hit or built) and binary path.  The key is
+//	    the source text, so one pre-warm serves every -np and every
+//	    runtime flag forcerun is later given.  Use it so a program's
+//	    first -exec aot run is already native.  -v also reports, on
+//	    standard error, the DOALL plan the binary was emitted from — the
+//	    "fuse:" lines forcerun -v narrates on every tier.  -timeout D
+//	    bounds the pre-warm's `go build` with a wall-clock deadline (same
+//	    semantics as forcerun -timeout): an expired build exits 1 and
+//	    leaves no entry, so the next -cache (or forcerun) simply rebuilds.
 //
 // A file name of "-" reads standard input.
 package main
@@ -61,14 +58,11 @@ import (
 	"strings"
 
 	"repro/internal/aot"
-	"repro/internal/barrier"
 	"repro/internal/codegen"
-	"repro/internal/engine"
+	"repro/internal/core"
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
 	"repro/internal/maclib"
-	"repro/internal/reduce"
-	"repro/internal/sched"
 	"repro/internal/vet"
 )
 
@@ -81,16 +75,13 @@ func main() {
 		machine  = flag.String("machine", "generic", "machine layer for -expand")
 		pkg      = flag.String("pkg", "main", "package name for -go")
 		np       = flag.Int("np", 4, "default force size baked into -go output")
-		selfK    = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO in -go and -cache output: selfsched-lock, selfsched-atomic or selfsched-chunk")
-		reduceF  = flag.String("reduce", "slots", "global-reduction strategy in -go and -cache output: critical or slots")
-		barF     = flag.String("barrier", "twolock", "barrier algorithm in -go and -cache output: twolock or sense")
-		askforF  = flag.String("askfor", "stealing", "Askfor pool discipline in -go and -cache output")
-		chunkF   = flag.Int("chunk", 0, "selfsched span size baked into -go and -cache output (0 = discipline default)")
 		wallTO   = flag.Duration("timeout", 0, "wall-clock deadline for the -cache pre-warm build (0 disables)")
 		verbose  = flag.Bool("v", false, "with -cache: report the DOALL plan the binary was emitted from (forcerun -v's fuse: lines) on standard error")
 		vetF     = flag.String("vet", "warn", "forcevet static analysis in -check/-go/-cache: warn, err or off")
 		explain  = flag.String("explain", "", "print the long-form rule for a forcevet diagnostic code and exit")
 	)
+	// With -go: the defaults of the generated main's own five flags.
+	variants := core.VariantFlags(flag.CommandLine)
 	flag.Parse()
 	forcert.CheckNP("forcec", *np)
 	if *explain != "" {
@@ -123,22 +114,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := vetProgram(prog, *vetF); err != nil {
+		if err := vet.Gate(prog, *vetF, "forcec", os.Stderr); err != nil {
 			fail(err)
 		}
-		kind, err := sched.ParseSelfschedKind(*selfK)
-		if err != nil {
-			fail(err)
-		}
-		rk, err := reduce.ParseKind(*reduceF)
-		if err != nil {
-			fail(err)
-		}
-		bk, err := barrier.ParseKind(*barF)
-		if err != nil {
-			fail(err)
-		}
-		pool, err := engine.ParsePoolKind(*askforF)
+		v, err := variants()
 		if err != nil {
 			fail(err)
 		}
@@ -147,14 +126,14 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			opts := aot.Options{Selfsched: kind, Reduce: rk, Barrier: bk, Askfor: pool, Chunk: *chunkF}
 			ctx := context.Background()
 			if *wallTO > 0 {
 				var cancel context.CancelFunc
 				ctx, cancel = context.WithTimeout(ctx, *wallTO)
 				defer cancel()
 			}
-			entry, err := cache.EnsureContext(ctx, prog, opts)
+			// The binary takes the runtime flags itself: nothing to bake.
+			entry, err := cache.EnsureContext(ctx, prog, aot.Options{})
 			if err != nil {
 				fail(err)
 			}
@@ -170,7 +149,8 @@ func main() {
 			}
 			return
 		}
-		out, err := codegen.Generate(prog, codegen.Options{Package: *pkg, DefaultNP: *np, Selfsched: kind, Reduce: rk, Chunk: *chunkF, Barrier: bk, Askfor: pool})
+		out, err := codegen.Generate(prog, codegen.Options{Package: *pkg, DefaultNP: *np,
+			Selfsched: v.Selfsched, Reduce: v.Reduce, Chunk: v.Chunk, Barrier: v.Barrier, Askfor: v.Askfor})
 		if err != nil {
 			fail(err)
 		}
@@ -180,7 +160,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := vetProgram(prog, *vetF); err != nil {
+		if err := vet.Gate(prog, *vetF, "forcec", os.Stderr); err != nil {
 			fail(err)
 		}
 		fmt.Println("ok")
@@ -197,31 +177,6 @@ func readSource(name string) (string, error) {
 	}
 	b, err := os.ReadFile(name)
 	return string(b), err
-}
-
-// vetProgram runs forcevet over a parsed program per the -vet mode:
-// "warn" reports on standard error and continues, "err" reports and
-// fails, "off" skips the analysis.
-func vetProgram(prog *forcelang.Program, mode string) error {
-	switch mode {
-	case "off":
-		return nil
-	case "warn", "err":
-	default:
-		fmt.Fprintf(os.Stderr, "forcec: invalid -vet mode %q (want warn, err or off)\n", mode)
-		os.Exit(2)
-	}
-	diags, err := vet.Analyze(prog)
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "forcec: forcevet: %s\n", d)
-	}
-	if mode == "err" && len(diags) > 0 {
-		return fmt.Errorf("forcevet: %d issue(s) reported with -vet=err", len(diags))
-	}
-	return nil
 }
 
 func fail(err error) {

@@ -33,9 +33,10 @@
 // construct's closing collective instead of running an episode of its
 // own.  Fusion only rewrites regions it can prove independent, so
 // output is byte-identical either way; -fuse off restores one barrier
-// per construct for A/B timing on the interpreter tiers.  The native tier's binaries are always emitted
-// fused (the cache key has no fusion bit), so -fuse off together with
-// -exec aot is a usage error rather than a silent no-op.  With
+// per construct for A/B timing on the interpreter tiers.  The native
+// tier's binaries are always emitted fused (a program has one binary),
+// so -fuse off together with -exec aot is a usage error rather than a
+// silent no-op.  With
 // -v each fusion decision — what fused, what declined and why — is
 // narrated on standard error, along with the chosen exec tier and
 // chunk size for the run and, per DOALL site, how its iterations are
@@ -49,9 +50,12 @@
 //
 // -exec aot selects the ahead-of-time native tier (internal/aot): it
 // translates the program to Go, builds it once into a content-addressed
-// cache ($FORCE_CACHE or ~/.cache/force, keyed by the AST and the
-// semantics-affecting flags, np excluded) and executes the cached
-// binary.  It falls back to the chunked interpreter when the Go
+// cache ($FORCE_CACHE or ~/.cache/force, keyed by the source text alone)
+// and executes the cached binary, handing it -np and whichever of
+// -barrier -reduce -selfsched -askfor -chunk are not the defaults: one
+// binary per program serves every configuration, and any edit of the
+// file, a comment included, is a new binary whose line numbers are that
+// file's.  It falls back to the chunked interpreter when the Go
 // toolchain is unavailable, the build fails, or a non-native -machine
 // profile is requested.  -v reports the tier decision, cache hit/miss
 // and build time on standard error.
@@ -135,15 +139,12 @@ import (
 	"time"
 
 	"repro/internal/aot"
-	"repro/internal/barrier"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
 	"repro/internal/interp"
 	"repro/internal/machine"
-	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/vet"
 )
@@ -161,13 +162,8 @@ func run() error {
 	var (
 		np      = flag.Int("np", 4, "number of force processes")
 		machF   = flag.String("machine", "native", "machine profile")
-		barF    = flag.String("barrier", "twolock", "barrier algorithm: twolock or sense")
-		selfK   = flag.String("selfsched", "selfsched-lock", "discipline for Selfsched DO and selfscheduled Pcase: selfsched-lock, selfsched-atomic or selfsched-chunk")
-		askforF = flag.String("askfor", "stealing", "Askfor pool discipline: stealing or monitor")
-		reduceF = flag.String("reduce", "slots", "global-reduction strategy: critical or slots")
 		execF   = flag.String("exec", "chunked", "execution engine: chunked (closure compiler, DOALL planner on), compiled (planner off), tree (map-addressed walker) or aot (cached native binary)")
 		fuseF   = flag.String("fuse", "on", "fusion pass of the chunk tier: on (elide barriers across provably independent DOALLs) or off (interpreter tiers only: a usage error with -exec aot, whose binaries are always fused)")
-		chunkN  = flag.Int("chunk", 0, "span size for the selfsched-chunk discipline (0 = its default, 16)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		hangTO  = flag.Duration("hang-timeout", 0, "abort a run that has not finished after this long, reporting where each process is blocked (0 disables)")
@@ -176,6 +172,9 @@ func run() error {
 		showAST = flag.Bool("ast", false, "print a program summary before running")
 		verbose = flag.Bool("v", false, "report tier decisions and cache activity on standard error")
 	)
+	// -barrier -reduce -selfsched -askfor -chunk: the flags a generated
+	// binary declares too.
+	variants := core.VariantFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: forcerun [-np N] [-machine NAME] [-barrier ALG] [-exec chunked|compiled|tree|aot] [-fuse on|off] file.force")
@@ -209,26 +208,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if err := vetProgram(prog, *vetF, "forcerun"); err != nil {
+	if err := vet.Gate(prog, *vetF, "forcerun", os.Stderr); err != nil {
 		return err
 	}
 	prof, err := machine.ByName(*machF)
 	if err != nil {
 		return err
 	}
-	bk, err := barrier.ParseKind(*barF)
-	if err != nil {
-		return err
-	}
-	sk, err := sched.ParseSelfschedKind(*selfK)
-	if err != nil {
-		return err
-	}
-	pool, err := engine.ParsePoolKind(*askforF)
-	if err != nil {
-		return err
-	}
-	rk, err := reduce.ParseKind(*reduceF)
+	v, err := variants()
 	if err != nil {
 		return err
 	}
@@ -284,8 +271,7 @@ func run() error {
 		defer cancel()
 	}
 	if nativeTier {
-		opts := aot.Options{Selfsched: sk, Reduce: rk, Barrier: bk, Askfor: pool, Chunk: *chunkN}
-		ran, err := tryNative(ctx, prog, opts, *np, *machF, *verbose, *hangTO)
+		ran, err := tryNative(ctx, prog, v, *np, *machF, *verbose, *hangTO)
 		if ran {
 			return reportDeadline(err, *wallTO)
 		}
@@ -294,14 +280,14 @@ func run() error {
 	cfg := interp.Config{
 		NP:        *np,
 		Machine:   prof,
-		Barrier:   bk,
+		Barrier:   v.Barrier,
 		Stdout:    os.Stdout,
-		Selfsched: sk,
-		Askfor:    pool,
-		Reduce:    rk,
+		Selfsched: v.Selfsched,
+		Askfor:    v.Askfor,
+		Reduce:    v.Reduce,
 		Exec:      em,
 		NoFuse:    *fuseF == "off",
-		Chunk:     *chunkN,
+		Chunk:     v.Chunk,
 		Context:   ctx,
 	}
 	if *verbose {
@@ -309,7 +295,7 @@ func run() error {
 		// native tier: the chosen engine, the span grain the chunk
 		// discipline will use, and — for the chunk tier — every fusion
 		// decision the compiler takes.
-		chunkEff := *chunkN
+		chunkEff := v.Chunk
 		if chunkEff == 0 {
 			chunkEff = sched.DefaultChunk
 		}
@@ -340,32 +326,6 @@ func run() error {
 		})
 	}
 	return reportDeadline(interp.Run(prog, cfg), *wallTO)
-}
-
-// vetProgram runs the forcevet static analyzer over a parsed program.
-// Diagnostics go to standard error; mode "warn" (the default) reports
-// and continues, "err" reports and fails the run, "off" skips the
-// analysis entirely.
-func vetProgram(prog *forcelang.Program, mode, tool string) error {
-	switch mode {
-	case "off":
-		return nil
-	case "warn", "err":
-	default:
-		fmt.Fprintf(os.Stderr, "%s: invalid -vet mode %q (want warn, err or off)\n", tool, mode)
-		os.Exit(2)
-	}
-	diags, err := vet.Analyze(prog)
-	if err != nil {
-		return err
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: forcevet: %s\n", tool, d)
-	}
-	if mode == "err" && len(diags) > 0 {
-		return fmt.Errorf("forcevet: %d issue(s) reported with -vet=err", len(diags))
-	}
-	return nil
 }
 
 // reportDeadline rewrites a -timeout expiry into a user-facing message;

@@ -60,12 +60,12 @@
 //		        │            the emitted program has no prelude — it
 //		        │            imports forcert (below)
 //		        │
-//		        ├── aot      cached native tier: a structural hash of the
-//		        │            checked AST (plus the semantics-affecting
-//		        │            options) keys a content-addressed cache of
-//		        │            go-built binaries — build once, exec forever
-//		        │            (forcerun -exec aot; forcemark's native-warm
-//		        │            workload)
+//		        ├── aot      cached native tier: a hash of the source text
+//		        │            keys a content-addressed cache of go-built
+//		        │            binaries, one per program — -np and the five
+//		        │            runtime flags are the binary's own arguments —
+//		        │            build once, exec forever (forcerun -exec aot;
+//		        │            forcemark's native-warm workload)
 //		        ▼
 //		      core           the runtime: Force/Proc with every construct —
 //		        │            DOALLs, Pcase, Askfor, Resolve, barriers,

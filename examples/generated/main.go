@@ -3,26 +3,21 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"math"
+	"os"
 	"unsafe"
 
-	"repro/internal/asyncvar"
-	"repro/internal/barrier"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/forcert"
 	"repro/internal/reduce"
 	"repro/internal/sched"
 )
 
-// Imports are unconditional; not every program prints or loops.
+// Not every program computes, prints or loops.
 var _ = math.Inf
 var _ = forcert.Println
 var _ sched.Range
-var _ asyncvar.Impl
-var _ reduce.Kind
-var _ barrier.Kind
-var _ engine.PoolKind
 
 // An INTEGER cell must be one 64-bit word: forcert.Word views it as one.
 const _ = unsafe.Sizeof(int(0)) - 8
@@ -39,8 +34,14 @@ type zzShared struct {
 
 func main() {
 	np := flag.Int("np", 8, "number of force processes")
+	variants := core.VariantFlags(flag.CommandLine)
 	flag.Parse()
-	f := core.New(*np, core.WithPcaseSched(sched.SelfLock), core.WithReduce(reduce.PrivateSlots))
+	v, err := variants()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "force:", err)
+		os.Exit(2)
+	}
+	f := core.New(*np, core.WithVariants(v))
 	defer f.Close()
 	defer func() { forcert.Report(recover()) }()
 	shr := &zzShared{}
@@ -76,7 +77,7 @@ func main() {
 		LOCMAX = 0.0
 		{
 			zzR := sched.Range{Start: 1, Last: 1000, Incr: 1}
-			p.DoAllChunkedOpen(sched.SelfLock, 236, zzR, func(zzLo, zzHi, zzStride int) {
+			p.DoAllChunkedOpen(p.Selfsched(), 236, zzR, func(zzLo, zzHi, zzStride int) {
 				zzC := 0
 				for zzK := zzLo; zzK < zzHi; zzK += zzStride {
 					I = zzR.Start + zzK*zzR.Incr

@@ -1,23 +1,26 @@
-// Package aot is the ahead-of-time native tier: it hashes a checked
-// Force AST together with the semantics-affecting configuration, emits
-// Go through internal/codegen into a content-addressed cache directory,
-// builds it once with the ordinary Go toolchain, and hands repeat
-// traffic a cached native binary — the paper's portability thesis with a
-// compiler behind it: one Force source, interpreted or native.
+// Package aot is the ahead-of-time native tier: it hashes a Force
+// program's source text, emits Go through internal/codegen into a
+// content-addressed cache directory, builds it once with the ordinary Go
+// toolchain, and hands repeat traffic a cached native binary — the
+// paper's pipeline (§4.3) with a compiler behind it: one executable per
+// Force program, the size of the force left to run time.
 //
 // Cache layout ($FORCE_CACHE or ~/.cache/force):
 //
 //	<key>/main.go    the generated Go source (for inspection/debugging)
-//	<key>/force.bin  the built binary (runs with -np N)
-//	<key>/meta.json  program name, options, binary size (staleness check)
+//	<key>/force.bin  the built binary (runs with -np N and, when they are
+//	                 not the defaults, -barrier -reduce -selfsched -askfor -chunk)
+//	<key>/meta.json  program name, binary size (staleness check)
 //	<key>/plan       the DOALL decisions the binary was emitted from, one per line
 //	<key>/lock       cross-process build lock (flock)
 //
-// The key is np-independent — np is a runtime flag of the generated
-// binary — so one cache entry serves every force size.  Builds are
-// single-flight within a process (per-key mutex) and across processes
-// (flock), and a truncated or missing binary is classified stale and
-// rebuilt rather than executed.
+// The key is the text and only the text: the force size and the five
+// runtime options (Options) are flags of the generated binary, so one
+// cache entry serves every configuration, while an edited comment is a
+// new entry — the price of a binary whose error and plan lines are its
+// own file's.  Builds are single-flight within a process (per-key mutex)
+// and across processes (flock), and a truncated or missing binary is
+// classified stale and rebuilt rather than executed.
 package aot
 
 import (
@@ -36,12 +39,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/barrier"
-	"repro/internal/engine"
+	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/forcelang"
-	"repro/internal/reduce"
-	"repro/internal/sched"
 )
 
 // EnvCacheDir names the environment variable overriding the cache
@@ -52,16 +52,10 @@ const EnvCacheDir = "FORCE_CACHE"
 // fall back to the interpreter.
 var ErrNoToolchain = errors.New("aot: go toolchain not found")
 
-// Options is the semantics-affecting configuration baked into a cache
-// key and into the generated binary.  NP is deliberately absent: the
-// binary takes -np at run time.
-type Options struct {
-	Selfsched sched.Kind
-	Reduce    reduce.Kind
-	Barrier   barrier.Kind
-	Askfor    engine.PoolKind
-	Chunk     int
-}
+// Options is the runtime configuration an entry runs its binary under:
+// the arguments RunContext passes beside -np.  It reaches neither the key
+// nor the generated source.
+type Options = core.Variants
 
 // Stats is a snapshot of the cache's accounting.
 type Stats struct {
@@ -123,20 +117,21 @@ func (c *Cache) Stats() Stats {
 
 // Meta is the per-entry metadata persisted as meta.json.
 type Meta struct {
-	Program     string            `json:"program"`
-	Key         string            `json:"key"`
-	Options     map[string]string `json:"options"`
-	BinSize     int64             `json:"bin_size"`
-	BuiltAt     string            `json:"built_at"`
-	BuildMillis int64             `json:"build_millis"`
+	Program     string `json:"program"`
+	Key         string `json:"key"`
+	BinSize     int64  `json:"bin_size"`
+	BuiltAt     string `json:"built_at"`
+	BuildMillis int64  `json:"build_millis"`
 }
 
-// Entry is one cached compiled program.
+// Entry is one cached compiled program, as one Ensure returned it.
 type Entry struct {
 	Key  string
 	Dir  string
 	Bin  string
 	Meta Meta
+
+	opts Options // what the Ensure asked for: RunContext's child arguments
 }
 
 func (c *Cache) entryDir(key string) string { return filepath.Join(c.dir, key) }
@@ -196,16 +191,10 @@ func (c *Cache) lookupCounted(key string) (*Entry, lookupState) {
 	return e, st
 }
 
-// Cached reports whether a fresh entry exists for prog+opts, counting
-// the lookup, without building anything.
-func (c *Cache) Cached(prog *forcelang.Program, opts Options) (*Entry, bool) {
-	e, st := c.lookupCounted(Key(prog, opts))
-	return e, st == lookupHit
-}
-
-// Ensure returns a fresh entry for prog+opts, building it if absent or
-// stale.  Builds are single-flight: concurrent Ensure calls for the
-// same key (in this process or another) wait for one build.
+// Ensure returns a fresh entry for prog that runs under opts, building
+// the binary if absent or stale.  Builds are single-flight: concurrent
+// Ensure calls for the same key (in this process or another) wait for
+// one build.
 func (c *Cache) Ensure(prog *forcelang.Program, opts Options) (*Entry, error) {
 	return c.EnsureContext(context.Background(), prog, opts)
 }
@@ -216,7 +205,21 @@ func (c *Cache) Ensure(prog *forcelang.Program, opts Options) (*Entry, error) {
 // and the next Ensure rebuilds).  A warm lookup never blocks, so ctx is
 // only consulted on the cold path.
 func (c *Cache) EnsureContext(ctx context.Context, prog *forcelang.Program, opts Options) (*Entry, error) {
-	key := Key(prog, opts)
+	e, err := c.ensure(ctx, prog)
+	if err != nil {
+		return nil, err
+	}
+	e.opts = opts
+	return e, nil
+}
+
+func (c *Cache) ensure(ctx context.Context, prog *forcelang.Program) (*Entry, error) {
+	if prog.Source == "" {
+		// A tree that did not come from forcelang.Parse has no text to key
+		// by, and every such tree would share one entry.
+		return nil, errors.New("aot: program has no source text (not parsed by forcelang.Parse)")
+	}
+	key := Key(prog)
 	if e, st := c.lookupCounted(key); st == lookupHit {
 		return e, nil
 	}
@@ -236,7 +239,7 @@ func (c *Cache) EnsureContext(ctx context.Context, prog *forcelang.Program, opts
 		return e, nil
 	}
 	start := time.Now()
-	e, err := c.build(ctx, key, prog, opts)
+	e, err := c.build(ctx, key, prog)
 	if err != nil {
 		return nil, err
 	}
@@ -273,23 +276,10 @@ func (c *Cache) lockKey(key string) (func(), error) {
 	}, nil
 }
 
-// Run executes the cached binary at np with an optional wall-clock
-// timeout (zero means no deadline), streaming program output to stdout.
-// It delegates to RunContext; the stall-shaped timeout keeps its
-// historical watchdog message so forcerun's -hang-timeout reports read
-// the same across tiers.
-func (e *Entry) Run(np int, stdout io.Writer, timeout time.Duration) error {
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	err := e.RunContext(ctx, np, stdout)
-	if timeout > 0 && errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("force stalled: aot binary produced no result after %v", timeout)
-	}
-	return err
+// args is the child's argument list: the force size, then whichever
+// options are not the binary's own defaults.
+func (e *Entry) args(np int) []string {
+	return append([]string{"-np", strconv.Itoa(np)}, e.opts.Args()...)
 }
 
 // testChildStarted, when non-nil, receives the child's pid right after
@@ -297,8 +287,9 @@ func (e *Entry) Run(np int, stdout io.Writer, timeout time.Duration) error {
 // out from under the parent.
 var testChildStarted func(pid int)
 
-// RunContext executes the cached binary at np under an external
-// cancellation context, streaming program output to stdout.
+// RunContext executes the cached binary at np, under the options the
+// entry was ensured with and an external cancellation context, streaming
+// program output to stdout.
 //
 // A generated-driver runtime failure (exit 1 with the interpreter's
 // "force runtime: line N: ..." protocol on stderr) comes back as that
@@ -319,7 +310,7 @@ func (e *Entry) RunContext(ctx context.Context, np int, stdout io.Writer) error 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	cmd := exec.Command(e.Bin, "-np", strconv.Itoa(np))
+	cmd := exec.Command(e.Bin, e.args(np)...)
 	cmd.Stdout = stdout
 	var errb bytes.Buffer
 	cmd.Stderr = &errb

@@ -1,12 +1,12 @@
 package aot
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/forcelang"
 )
@@ -25,6 +25,19 @@ Barrier
 End Barrier
 Join
 `
+
+// run executes e at np and returns what it printed.
+func run(e *Entry, np int) (string, error) {
+	var sb strings.Builder
+	err := e.RunContext(context.Background(), np, &sb)
+	return sb.String(), err
+}
+
+// cached reports whether c holds a fresh entry for prog, counting nothing.
+func cached(c *Cache, prog *forcelang.Program) bool {
+	_, st := c.lookup(Key(prog))
+	return st == lookupHit
+}
 
 func openTestCache(t *testing.T) *Cache {
 	t.Helper()
@@ -55,12 +68,8 @@ func TestEnsureRunAndWarmHit(t *testing.T) {
 	}
 	// np=1: S = 0; np=4: S = 0+1+2+3 = 6.
 	for np, want := range map[int]string{1: "S = 0\n", 4: "S = 6\n"} {
-		var sb strings.Builder
-		if err := e.Run(np, &sb, time.Minute); err != nil {
-			t.Fatalf("np=%d: %v", np, err)
-		}
-		if sb.String() != want {
-			t.Errorf("np=%d: got %q, want %q", np, sb.String(), want)
+		if got, err := run(e, np); err != nil || got != want {
+			t.Errorf("np=%d: got %q, %v; want %q", np, got, err, want)
 		}
 	}
 
@@ -101,23 +110,16 @@ func TestCorruptionRecovery(t *testing.T) {
 	if s.Stale != 1 || s.Builds != 2 {
 		t.Fatalf("truncated entry not rebuilt: %v", s)
 	}
-	var sb strings.Builder
-	if err := e2.Run(1, &sb, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "S = 0\n" {
-		t.Errorf("rebuilt binary output %q", sb.String())
+	if got, err := run(e2, 1); err != nil || got != "S = 0\n" {
+		t.Errorf("rebuilt binary output %q, %v", got, err)
 	}
 
 	// A deleted binary with surviving metadata is stale too, not a miss.
 	if err := os.Remove(e2.Bin); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Cached(prog, Options{}); ok {
-		t.Error("missing binary classified as a hit")
-	}
-	if s := c.Stats(); s.Stale != 2 {
-		t.Errorf("missing binary not counted stale: %v", s)
+	if _, st := c.lookup(Key(prog)); st != lookupStale {
+		t.Errorf("missing binary classified %d, want stale", st)
 	}
 }
 
@@ -141,7 +143,7 @@ Join
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = e.Run(1, &strings.Builder{}, time.Minute)
+	_, err = run(e, 1)
 	if err == nil {
 		t.Fatal("no error from out-of-range subscript")
 	}
@@ -195,29 +197,32 @@ func TestSingleFlight(t *testing.T) {
 // TestOldFormatEntryNotServed: an entry built by an earlier emitter — the
 // per-iteration one (format version 1), the span emitter with its
 // run-time helpers in a prelude (version 2), the one before grants and
-// ridden barriers (version 3) or the one with a second reduction lowering
-// (version 4) — lives under a key no
-// current lookup computes, so it is never served: Ensure builds a fresh
-// entry beside them, with the plan the new emitter read recorded.
+// ridden barriers (version 3), the one with a second reduction lowering
+// (version 4) or the one that baked the runtime options in and keyed by
+// the AST (version 5) — lives under a key no current lookup computes, so
+// it is never served: Ensure builds a fresh entry beside them, with the
+// plan the new emitter read recorded.
 func TestOldFormatEntryNotServed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1, 2, 3 and 4 (Key at
-	// the commits before the span emitter, before internal/forcert, before
-	// the planner's grants and before the one closing collective).
+	// The keys runSrc had while formatVersion was 1 to 5 (Key at the
+	// commits before the span emitter, before internal/forcert, before the
+	// planner's grants, before the one closing collective and before the
+	// text key).
 	oldKeys := map[int]string{
 		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
 		3: "83d032927fc0d76e9c9ed4500bc4245de432bfc0cd69571a56c45941d08ec470",
 		4: "4fcc29f76b3d6e63f55b390e2f0d102291ee84fa92efdfbff54f1973d275dd79",
+		5: "7e2e7ad8a9ba4e612f68a54b96e3b3d82dce3d0132074c9611c473cbf9b159f9",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.
 	for v, oldKey := range oldKeys {
-		if oldKey == Key(prog, Options{}) {
+		if oldKey == Key(prog) {
 			t.Fatalf("format version %d still computes the current key", v)
 		}
 		oldDir := c.entryDir(oldKey)
@@ -237,7 +242,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		}
 	}
 
-	if _, ok := c.Cached(prog, Options{}); ok {
+	if _, st := c.lookup(Key(prog)); st != lookupMiss {
 		t.Fatal("an old-format entry satisfied a current lookup")
 	}
 	e, err := c.Ensure(prog, Options{})
@@ -252,9 +257,8 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 			t.Errorf("Ensure served the version-%d entry %s", v, e.Dir)
 		}
 	}
-	var sb strings.Builder
-	if err := e.Run(2, &sb, time.Minute); err != nil || sb.String() != "S = 1\n" {
-		t.Errorf("rebuilt entry: output %q, err %v", sb.String(), err)
+	if got, err := run(e, 2); err != nil || got != "S = 1\n" {
+		t.Errorf("rebuilt entry: output %q, err %v", got, err)
 	}
 }
 

@@ -57,19 +57,11 @@ func moduleRoot() (string, error) {
 // canceled build kills the `go build` subprocess and reports ctx's
 // error; the half-built scratch state is torn down as usual and the
 // entry classifies stale/missing for the next builder.
-func (c *Cache) build(ctx context.Context, key string, prog *forcelang.Program, opts Options) (*Entry, error) {
+func (c *Cache) build(ctx context.Context, key string, prog *forcelang.Program) (*Entry, error) {
 	if _, err := exec.LookPath("go"); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoToolchain, err)
 	}
-	opts = normalizeOpts(opts)
-	src, decisions, err := codegen.Lower(prog, codegen.Options{
-		Package:   "main",
-		Selfsched: opts.Selfsched,
-		Reduce:    opts.Reduce,
-		Chunk:     opts.Chunk,
-		Barrier:   opts.Barrier,
-		Askfor:    opts.Askfor,
-	})
+	src, decisions, err := codegen.Lower(prog, codegen.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("aot: generate: %w", err)
 	}
@@ -119,15 +111,8 @@ func (c *Cache) build(ctx context.Context, key string, prog *forcelang.Program, 
 		return nil, fmt.Errorf("aot: %w", err)
 	}
 	meta := Meta{
-		Program: prog.Name,
-		Key:     key,
-		Options: map[string]string{
-			"selfsched": opts.Selfsched.String(),
-			"reduce":    opts.Reduce.String(),
-			"barrier":   opts.Barrier.String(),
-			"askfor":    opts.Askfor.String(),
-			"chunk":     fmt.Sprintf("%d", opts.Chunk),
-		},
+		Program:     prog.Name,
+		Key:         key,
 		BinSize:     st.Size(),
 		BuiltAt:     time.Now().UTC().Format(time.RFC3339),
 		BuildMillis: buildTime.Milliseconds(),

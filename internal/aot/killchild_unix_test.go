@@ -51,7 +51,7 @@ func TestChildKilledOutFromUnder(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("parent did not reap the killed child")
 	}
-	if _, ok := c.Cached(prog, Options{}); !ok {
+	if !cached(c, prog) {
 		t.Error("kill -9 invalidated the cache entry")
 	}
 }

@@ -101,22 +101,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("barrier.Kind(%d)", int(k))
 }
 
-// kindGoNames are the Go identifiers of the kinds, for code generators
-// that emit barrier.<GoName> references.
-var kindGoNames = map[Kind]string{
-	TwoLock:      "TwoLock",
-	CentralSense: "CentralSense",
-}
-
-// GoName returns the kind's Go identifier within this package, the form
-// code generators emit.
-func (k Kind) GoName() string {
-	if s, ok := kindGoNames[k]; ok {
-		return s
-	}
-	return "TwoLock"
-}
-
 // ParseKind converts a short name into a Kind.
 func ParseKind(s string) (Kind, error) {
 	for k, n := range kindNames {

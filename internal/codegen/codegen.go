@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"repro/internal/barrier"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
@@ -41,32 +42,31 @@ import (
 	"repro/internal/sched"
 )
 
-// Options configures generation.
+// Options configures generation.  None of it changes the code of the
+// program: the generated main takes -np and the five runtime flags
+// (core.VariantFlags) on its command line, and the six values below are
+// only what those flags default to.
 type Options struct {
 	// Package is the generated package name (default "main").
 	Package string
-	// DefaultNP is the force size baked into the generated main's flag
-	// default (default 4).
+	// DefaultNP is the default of the generated main's -np (default 4).
 	DefaultNP int
-	// Selfsched is the discipline Selfsched DO loops (and selfscheduled
-	// Pcase) are generated against; the zero value selects the paper's
+	// Selfsched is the default of -selfsched, the discipline of Selfsched
+	// DO loops and selfscheduled Pcase; the zero value is the paper's
 	// lock-based selfscheduling (sched.SelfLock).
 	Selfsched sched.Kind
-	// Reduce is the strategy the generated force executes global
-	// reductions (GSUM and friends) with; the zero value selects the
-	// runtime default (reduce.PrivateSlots), reduce.Critical restores
-	// the paper's critical-section baseline.
+	// Reduce is the default of -reduce, the strategy executing global
+	// reductions (GSUM and friends); the zero value is reduce.PrivateSlots,
+	// reduce.Critical the paper's critical-section baseline.
 	Reduce reduce.Kind
-	// Chunk, when positive, bakes a core.WithChunk span size into the
-	// generated force — sched.Config.ChunkSize for the Chunk
-	// selfscheduling discipline.
+	// Chunk, when positive, is the default of -chunk, the span size of
+	// the selfsched-chunk discipline.
 	Chunk int
-	// Barrier selects the barrier algorithm the generated force is built
-	// with; the zero value is the paper's two-lock relay (the runtime
-	// default).
+	// Barrier is the default of -barrier; the zero value is the paper's
+	// two-lock relay.
 	Barrier barrier.Kind
-	// Askfor selects the Askfor pool discipline; the zero value is the
-	// engine's work-stealing deques (the runtime default).
+	// Askfor is the default of -askfor; the zero value is the engine's
+	// work-stealing deques.
 	Askfor engine.PoolKind
 }
 
@@ -86,9 +86,6 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 	}
 	if opts.DefaultNP <= 0 {
 		opts.DefaultNP = 4
-	}
-	if opts.Selfsched == 0 {
-		opts.Selfsched = sched.SelfLock
 	}
 	g := &generator{prog: prog, opts: opts}
 	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Log: g.logf}
@@ -120,6 +117,10 @@ type generator struct {
 	folds map[string]string
 	// decisions collects the plan narration (Lower).
 	decisions []string
+	// Whether a unit referenced internal/asyncvar (an asynchronous array)
+	// or internal/reduce (a closing collective that reduces): the two
+	// runtime packages only some programs import.
+	usesAsyncvar, usesReduce bool
 }
 
 func (g *generator) logf(format string, args ...any) {
@@ -133,37 +134,7 @@ func (g *generator) p(format string, args ...any) {
 }
 
 func (g *generator) run() (string, error) {
-	g.p("// Code generated by forcec from Force program %s; DO NOT EDIT.", g.prog.Name)
-	g.p("package %s", g.opts.Package)
-	g.p("")
-	g.p("import (")
-	g.ind++
-	g.p(`"flag"`)
-	g.p(`"math"`)
-	g.p(`"unsafe"`)
-	g.p("")
-	g.p(`"repro/internal/asyncvar"`)
-	g.p(`"repro/internal/barrier"`)
-	g.p(`"repro/internal/core"`)
-	g.p(`"repro/internal/engine"`)
-	g.p(`"repro/internal/forcert"`)
-	g.p(`"repro/internal/reduce"`)
-	g.p(`"repro/internal/sched"`)
-	g.ind--
-	g.p(")")
-	g.p("")
-	g.p("// Imports are unconditional; not every program prints or loops.")
-	g.p("var _ = math.Inf")
-	g.p("var _ = forcert.Println")
-	g.p("var _ sched.Range")
-	g.p("var _ asyncvar.Impl")
-	g.p("var _ reduce.Kind")
-	g.p("var _ barrier.Kind")
-	g.p("var _ engine.PoolKind")
-	g.p("")
-	g.p("// An INTEGER cell must be one 64-bit word: forcert.Word views it as one.")
-	g.p("const _ = unsafe.Sizeof(int(0)) - 8")
-	g.p("")
+	// The units first: what they reference decides the import list.
 	g.sharedStruct()
 	if err := g.mainFunc(); err != nil {
 		return "", err
@@ -173,7 +144,40 @@ func (g *generator) run() (string, error) {
 			return "", err
 		}
 	}
-	return g.b.String(), nil
+	units := g.b.String()
+	g.b.Reset()
+	g.p("// Code generated by forcec from Force program %s; DO NOT EDIT.", g.prog.Name)
+	g.p("package %s", g.opts.Package)
+	g.p("")
+	g.p("import (")
+	g.ind++
+	g.p(`"flag"`)
+	g.p(`"fmt"`)
+	g.p(`"math"`)
+	g.p(`"os"`)
+	g.p(`"unsafe"`)
+	g.p("")
+	if g.usesAsyncvar {
+		g.p(`"repro/internal/asyncvar"`)
+	}
+	g.p(`"repro/internal/core"`)
+	g.p(`"repro/internal/forcert"`)
+	if g.usesReduce {
+		g.p(`"repro/internal/reduce"`)
+	}
+	g.p(`"repro/internal/sched"`)
+	g.ind--
+	g.p(")")
+	g.p("")
+	g.p("// Not every program computes, prints or loops.")
+	g.p("var _ = math.Inf")
+	g.p("var _ = forcert.Println")
+	g.p("var _ sched.Range")
+	g.p("")
+	g.p("// An INTEGER cell must be one 64-bit word: forcert.Word views it as one.")
+	g.p("const _ = unsafe.Sizeof(int(0)) - 8")
+	g.p("")
+	return g.b.String() + units, nil
 }
 
 // goType maps a Force type to Go.
@@ -223,6 +227,7 @@ func (g *generator) sharedStruct() {
 			case d.Storage == forcelang.SharedScalar:
 				g.p("%s %s", field, typ)
 			case d.Storage == forcelang.AsyncVar && len(d.Dims) == 1:
+				g.usesAsyncvar = true
 				g.p("%s *asyncvar.Array[%s] // %d full/empty cells", field, typ, d.Dims[0])
 			case d.Storage == forcelang.AsyncVar:
 				g.p("%s core.AsyncCell[%s]", field, typ)
@@ -257,21 +262,22 @@ func (g *generator) mainFunc() error {
 	g.p("func main() {")
 	g.ind++
 	g.p(`np := flag.Int("np", %d, "number of force processes")`, g.opts.DefaultNP)
+	// The five runtime flags, with what this program was generated under
+	// as their defaults: the same declarations forcerun parses, so the
+	// binary runs any configuration the interpreter tiers do.
+	baked := ""
+	for _, arg := range (core.Variants{Selfsched: g.opts.Selfsched, Reduce: g.opts.Reduce,
+		Barrier: g.opts.Barrier, Askfor: g.opts.Askfor, Chunk: g.opts.Chunk}).Args() {
+		baked += fmt.Sprintf(", %q", arg)
+	}
+	g.p("variants := core.VariantFlags(flag.CommandLine%s)", baked)
 	g.p("flag.Parse()")
-	// The Pcase and Reduce options keep the compiled program on the same
-	// disciplines interp uses for the same -selfsched/-reduce choices.
-	opts := fmt.Sprintf("core.WithPcaseSched(sched.%s), core.WithReduce(reduce.%s)",
-		g.opts.Selfsched.GoName(), g.opts.Reduce.GoName())
-	if g.opts.Chunk > 0 {
-		opts += fmt.Sprintf(", core.WithChunk(%d)", g.opts.Chunk)
-	}
-	if g.opts.Barrier != barrier.TwoLock {
-		opts += fmt.Sprintf(", core.WithBarrier(barrier.%s)", g.opts.Barrier.GoName())
-	}
-	if g.opts.Askfor != engine.StealingPool {
-		opts += fmt.Sprintf(", core.WithAskfor(engine.%s)", g.opts.Askfor.GoName())
-	}
-	g.p("f := core.New(*np, %s)", opts)
+	g.p("v, err := variants()")
+	g.p("if err != nil {")
+	g.p("\tfmt.Fprintln(os.Stderr, \"force:\", err)")
+	g.p("\tos.Exit(2)")
+	g.p("}")
+	g.p("f := core.New(*np, core.WithVariants(v))")
 	g.p("defer f.Close()")
 	// A failure in any process is re-panicked here by core.Run; report it
 	// exactly as the interpreter tiers do.

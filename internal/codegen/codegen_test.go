@@ -116,14 +116,15 @@ func TestGeneratedStructure(t *testing.T) {
 		t.Errorf("parameters leaked into shared struct:\n%s", src)
 	}
 	for _, want := range []string{
-		"f := core.New(*np, core.WithPcaseSched(sched.SelfLock), core.WithReduce(reduce.PrivateSlots))",
+		"variants := core.VariantFlags(flag.CommandLine)",
+		"f := core.New(*np, core.WithVariants(v))",
 		"f.Run(func(p *core.Proc) {",
 		"ME := p.ID()",
 		"p.BarrierSection(func() {",
 		"defer f.Close()",
 		"zzR := sched.Range{Start: 1, Last: shr.N, Incr: 1}",
 		"p.DoAllChunked(sched.PreschedBlock, zzR, func(zzLo, zzHi, zzStride int) {",
-		"p.DoAllGranted(sched.SelfLock, 400, sched.Seq(zzR.Count()*zzN2), func(zzLo, zzHi, zzStride int) {",
+		"p.DoAllGranted(p.Selfsched(), 400, sched.Seq(zzR.Count()*zzN2), func(zzLo, zzHi, zzStride int) {",
 		"p.Critical(\"SUM\", func() {",
 		"p.Pcase(",
 		"core.CaseIf(func() bool { return (shr.N > 4) }, func() {",
@@ -180,12 +181,19 @@ Selfsched DO I = 1, N
 End Selfsched DO
 Join
 `)
+	// The discipline is the force's, chosen when the binary starts; the
+	// option is what its -selfsched flag defaults to.
 	out, err := Generate(prog, Options{Selfsched: sched.Chunk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "p.DoAllGranted(sched.Chunk, ") {
-		t.Errorf("Selfsched option ignored:\n%s", out)
+	for _, want := range []string{
+		`core.VariantFlags(flag.CommandLine, "-selfsched", "selfsched-chunk")`,
+		"p.DoAllGranted(p.Selfsched(), ",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("missing %q:\n%s", want, out)
+		}
 	}
 }
 
@@ -198,15 +206,20 @@ Join
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), "core.WithChunk(32)") {
-		t.Errorf("Chunk option not emitted:\n%s", out)
+	if !strings.Contains(string(out), `core.VariantFlags(flag.CommandLine, "-chunk", "32")`) {
+		t.Errorf("Chunk option is not the -chunk default:\n%s", out)
 	}
-	out, err = Generate(prog, Options{})
+	// The options are flag defaults and nothing else: the zero value
+	// bakes none, and the rest of the file is the same either way.
+	plain, err := Generate(prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(out), "WithChunk") {
-		t.Errorf("zero Chunk must not emit WithChunk:\n%s", out)
+	if !strings.Contains(string(plain), "core.VariantFlags(flag.CommandLine)\n") {
+		t.Errorf("zero options must bake no default:\n%s", plain)
+	}
+	if strings.Replace(string(out), `, "-chunk", "32"`, "", 1) != string(plain) {
+		t.Errorf("an option changed more than a flag default:\n%s\n--- zero options ---\n%s", out, plain)
 	}
 }
 

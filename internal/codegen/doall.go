@@ -49,7 +49,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 		return err
 	}
 	lv := symCode(t.VarSym)
-	kind := "sched." + g.opts.Selfsched.GoName()
+	kind := "p.Selfsched()" // the force's -selfsched, a run-time choice
 	switch {
 	case t.Sched != forcelang.Presched:
 		block = false
@@ -271,6 +271,7 @@ func (g *generator) region(reg *plan.Region) error {
 	if red == nil {
 		return g.join("p.FusedClose(", reg.Rider)
 	}
+	g.usesReduce = true
 	lhs, lt, err := g.lvalue(&red.Target)
 	if err != nil {
 		return err

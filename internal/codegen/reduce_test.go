@@ -39,7 +39,7 @@ func TestGenerateReduceStatements(t *testing.T) {
 	// the completing process inside it; private targets assign the
 	// returned fold per process.
 	for _, want := range []string{
-		"core.WithReduce(reduce.Critical)",
+		`core.VariantFlags(flag.CommandLine, "-reduce", "critical")`,
 		"p.FusedJoin(reduce.Sum, reduce.NumReal, math.Float64bits(X), func(zzOut uint64) { forcert.Word(&shr.TOTAL).Store(zzOut) }, nil)",
 		"p.FusedJoin(reduce.Prod, reduce.NumInt, uint64((ME + 1)), func(zzOut uint64) { forcert.Word(&shr.COUNT).Store(zzOut) }, nil)",
 		"p.FusedJoin(reduce.Max, reduce.NumReal, math.Float64bits(X), func(zzOut uint64) { forcert.Word(&shr.TOTAL).Store(zzOut) }, nil)",

@@ -78,16 +78,12 @@ import (
 // environment the preprocessor would have generated: the global barrier,
 // the named lock set, the loop slots and the per-construct table.
 type Force struct {
-	np        int
-	profile   machine.Profile
-	barKind   barrier.Kind
-	bar       barrier.Barrier
-	locks     *lock.Set
-	chunk     int             // chunk size for chunked selfscheduling
-	tr        *trace.Recorder // nil unless WithTrace was given
-	askfor    engine.PoolKind // Askfor pool discipline
-	pcaseKind sched.Kind      // SelfschedPcase block distribution
-	reduceK   reduce.Kind     // global-reduction strategy
+	np       int
+	profile  machine.Profile
+	variants Variants // barrier, reduction, selfscheduling, Askfor pool, chunk size
+	bar      barrier.Barrier
+	locks    *lock.Set
+	tr       *trace.Recorder // nil unless WithTrace was given
 
 	// newLock is the machine's define_lock (profile.LockFactory), taken
 	// once: the barrier, the named lock set and the loop slots share it.
@@ -208,12 +204,12 @@ func WithMachine(p machine.Profile) Option {
 // WithBarrier selects the global barrier algorithm.  Default: the paper's
 // two-lock barrier; barrier.CentralSense is the alternative.
 func WithBarrier(k barrier.Kind) Option {
-	return func(f *Force) { f.barKind = k }
+	return func(f *Force) { f.variants.Barrier = k }
 }
 
 // WithChunk sets the chunk size used by chunked selfscheduled loops.
 func WithChunk(n int) Option {
-	return func(f *Force) { f.chunk = n }
+	return func(f *Force) { f.variants.Chunk = n }
 }
 
 // WithTrace attaches an execution-trace recorder; every construct edge
@@ -227,7 +223,7 @@ func WithTrace(r *trace.Recorder) Option {
 // work-stealing deques; engine.MonitorPool restores the [LO83]-style
 // central monitor for comparison.
 func WithAskfor(k engine.PoolKind) Option {
-	return func(f *Force) { f.askfor = k }
+	return func(f *Force) { f.variants.Askfor = k }
 }
 
 // WithReduce selects the strategy executing global reductions (the G*
@@ -236,7 +232,7 @@ func WithAskfor(k engine.PoolKind) Option {
 // order; reduce.Critical restores the paper's
 // shared-accumulator-in-a-critical-section idiom.
 func WithReduce(k reduce.Kind) Option {
-	return func(f *Force) { f.reduceK = k }
+	return func(f *Force) { f.variants.Reduce = k }
 }
 
 // WithPcaseSched selects the distribution discipline of SelfschedPcase
@@ -244,7 +240,7 @@ func WithReduce(k reduce.Kind) Option {
 // selfscheduling (sched.SelfLock); sched.SelfAtomic and sched.Chunk
 // replace the lock with a fetch-and-add.
 func WithPcaseSched(k sched.Kind) Option {
-	return func(f *Force) { f.pcaseKind = k }
+	return func(f *Force) { f.variants.Selfsched = k }
 }
 
 // Trace returns the attached recorder (nil when tracing is off).
@@ -261,9 +257,12 @@ func New(np int, opts ...Option) *Force {
 	if np <= 0 {
 		panic(fmt.Sprintf("core: np = %d, need np >= 1", np))
 	}
-	f := &Force{np: np, profile: machine.Native, barKind: barrier.TwoLock, pcaseKind: sched.SelfLock}
+	f := &Force{np: np, profile: machine.Native}
 	for _, o := range opts {
 		o(f)
+	}
+	if f.variants.Selfsched == 0 {
+		f.variants.Selfsched = sched.SelfLock
 	}
 	f.pc = poison.NewCell()
 	f.pc.SetProcs(np)
@@ -296,7 +295,7 @@ func New(np int, opts ...Option) *Force {
 // leaves the barrier's relay mid-episode, named locks held by unwound
 // processes and joins holding contributions that never folded.
 func (f *Force) initConstructs() {
-	f.bar = barrier.New(f.barKind, f.np, f.newLock)
+	f.bar = barrier.New(f.variants.Barrier, f.np, f.newLock)
 	barrier.SetPoison(f.bar, f.pc)
 	f.locks = lock.NewSet(f.newLock)
 	f.initClosers()
@@ -669,6 +668,11 @@ func (p *Proc) NP() int { return p.f.np }
 // Force returns the force this process belongs to.
 func (p *Proc) Force() *Force { return p.f }
 
+// Selfsched returns the discipline the force was created with for
+// selfscheduled work (Variants.Selfsched): what a generated program hands
+// DoAllGranted for a Selfsched DO, and what SelfschedPcase deals blocks by.
+func (p *Proc) Selfsched() sched.Kind { return p.f.variants.Selfsched }
+
 // nextSeq advances the private construct cursor.  Constructs executed in
 // SPMD order yield identical sequences in every process.
 func (p *Proc) nextSeq() uint64 {
@@ -894,7 +898,7 @@ func (p *Proc) Pcase(blocks ...Block) {
 func (p *Proc) SelfschedPcase(blocks ...Block) {
 	p.f.pc.Check()
 	// Blocks are dealt one per claim whatever the discipline.
-	p.selfsched(p.nextSeq(), p.f.pcaseKind, len(blocks), 1, 1, func(lo, hi, _ int) {
+	p.selfsched(p.nextSeq(), p.f.variants.Selfsched, len(blocks), 1, 1, func(lo, hi, _ int) {
 		for b := lo; b < hi; b++ {
 			p.runBlock(blocks[b])
 		}
@@ -937,7 +941,7 @@ func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 	p.f.pc.Check()
 	seq := p.nextSeq()
 	pool := p.f.entry(seq, func() any {
-		return engine.NewPool(p.f.askfor, p.f.np, seed, p.f.pc)
+		return engine.NewPool(p.f.variants.Askfor, p.f.np, seed, p.f.pc)
 	}).(engine.Pool)
 
 	put := func(t any) {
@@ -1112,15 +1116,11 @@ func planResolve(f *Force, components []Component) *resolvePlan {
 // re-scoped.
 func newSubForce(parent *Force, np int) *Force {
 	sub := &Force{
-		np:        np,
-		profile:   parent.profile,
-		newLock:   parent.newLock,
-		barKind:   parent.barKind,
-		chunk:     parent.chunk,
-		tr:        parent.tr,
-		askfor:    parent.askfor,
-		pcaseKind: parent.pcaseKind,
-		reduceK:   parent.reduceK,
+		np:       np,
+		profile:  parent.profile,
+		newLock:  parent.newLock,
+		variants: parent.variants,
+		tr:       parent.tr,
 		// Fault containment is force-wide: a sub-force's processes are
 		// the parent's workers, so they share the parent's poison cell
 		// and a failure in any component aborts the whole Resolve.

@@ -148,7 +148,7 @@ func (p *Proc) openSpans(kind sched.Kind, grant int, r sched.Range, chunk ChunkB
 			chunk(lo, hi, 1)
 		}
 	default:
-		p.selfsched(seq, kind, n, grant, p.f.chunk, chunk)
+		p.selfsched(seq, kind, n, grant, p.f.variants.Chunk, chunk)
 	}
 	return seq
 }
@@ -226,7 +226,7 @@ func (f *Force) initClosers() {
 		f.closers[i] = closer{join: reduce.NewJoin(f.np, f.pc), slots: make([]paddedWord, f.np)}
 	}
 	f.acc, f.accSeeded = word{}, false
-	if f.reduceK == reduce.Critical {
+	if f.variants.Reduce == reduce.Critical {
 		f.accLock = f.newLock()
 	}
 }
@@ -311,7 +311,7 @@ func (p *Proc) collective(u *use) word {
 		}
 		faultinject.Fire(faultinject.ReduceContrib, p.id, f.pc)
 	}
-	if u.reduces && f.reduceK == reduce.Critical {
+	if u.reduces && f.variants.Reduce == reduce.Critical {
 		u := *u // the barrier section below keeps it; the slots path stays off the heap
 		f.accumulate(&u)
 		// The critical strategy's release position is its closing barrier.

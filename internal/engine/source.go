@@ -58,15 +58,6 @@ func (k PoolKind) String() string {
 	}
 }
 
-// GoName returns the kind's Go identifier within this package, the form
-// code generators emit.
-func (k PoolKind) GoName() string {
-	if k == MonitorPool {
-		return "MonitorPool"
-	}
-	return "StealingPool"
-}
-
 // PoolKinds lists the pool implementations in presentation order.
 func PoolKinds() []PoolKind { return []PoolKind{MonitorPool, StealingPool} }
 

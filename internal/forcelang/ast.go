@@ -147,6 +147,10 @@ type Program struct {
 	Body  []Stmt
 	// Scope is the main program's resolved scope, recorded by the checker.
 	Scope *Scope
+	// Source is the text Parse was given (the caller's string, not a
+	// copy): what internal/aot keys a compiled program by.  Empty on a
+	// tree built by hand.
+	Source string
 }
 
 // Sub looks up a parallel subroutine by name.

@@ -22,6 +22,7 @@ func Parse(src string) (*Program, error) {
 	if err := Check(prog); err != nil {
 		return nil, err
 	}
+	prog.Source = src
 	return prog, nil
 }
 

@@ -194,10 +194,7 @@ func runCompiled(prog *forcelang.Program, cfg Config) (err error) {
 	if err != nil {
 		return err
 	}
-	f := core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithBarrier(cfg.Barrier),
-		core.WithTrace(cfg.Trace), core.WithAskfor(cfg.Askfor),
-		core.WithPcaseSched(cfg.Selfsched), core.WithReduce(cfg.Reduce),
-		core.WithChunk(cfg.Chunk))
+	f := newForce(cfg)
 	defer f.Close()
 	in := newCInstance(prog, cfg, res, f)
 	cp, err := compileProgram(in)

@@ -211,12 +211,16 @@ func Run(prog *forcelang.Program, cfg Config) error {
 	return runCompiled(prog, cfg)
 }
 
+// newForce creates the force a run of cfg executes on, on every tier.
+func newForce(cfg Config) *core.Force {
+	return core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithTrace(cfg.Trace),
+		core.WithVariants(core.Variants{Selfsched: cfg.Selfsched, Reduce: cfg.Reduce,
+			Barrier: cfg.Barrier, Askfor: cfg.Askfor, Chunk: cfg.Chunk}))
+}
+
 // runTree executes the program on the original tree walker.
 func runTree(prog *forcelang.Program, cfg Config) (err error) {
-	f := core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithBarrier(cfg.Barrier),
-		core.WithTrace(cfg.Trace), core.WithAskfor(cfg.Askfor),
-		core.WithPcaseSched(cfg.Selfsched), core.WithReduce(cfg.Reduce),
-		core.WithChunk(cfg.Chunk))
+	f := newForce(cfg)
 	defer f.Close()
 	in := newInstance(prog, cfg, f)
 	if cfg.OnForce != nil {

@@ -87,9 +87,9 @@ func TestOneCollective(t *testing.T) {
 				if star, ok := recv.(*ast.StarExpr); ok {
 					recv = star.X
 				}
-				// A name is an enumeration (String, GoName); anything
-				// else with methods is a protocol.
-				if id, ok := recv.(*ast.Ident); ok && d.Name.Name != "String" && d.Name.Name != "GoName" {
+				// A name is an enumeration (String); anything else with
+				// methods is a protocol.
+				if id, ok := recv.(*ast.Ident); ok && d.Name.Name != "String" {
 					receivers[id.Name] = true
 				} else if !ok {
 					t.Errorf("%s: method %s on a generic receiver", name, d.Name.Name)

@@ -59,28 +59,12 @@ var kindNames = map[Kind]string{
 	PrivateSlots: "slots",
 }
 
-// kindGoNames are the Go identifiers of the kinds, for code generators
-// emitting reduce.<name> against this package.
-var kindGoNames = map[Kind]string{
-	Critical:     "Critical",
-	PrivateSlots: "PrivateSlots",
-}
-
 // String returns the strategy's short name.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
 		return s
 	}
 	return fmt.Sprintf("reduce.Kind(%d)", int(k))
-}
-
-// GoName returns the kind's Go identifier within this package, the form
-// internal/codegen emits into generated programs.
-func (k Kind) GoName() string {
-	if s, ok := kindGoNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind converts a short name into a Kind.

@@ -105,25 +105,6 @@ var kindNames = map[Kind]string{
 	Chunk:          "selfsched-chunk",
 }
 
-// kindGoNames are the Go identifiers of the kinds, for code generators
-// emitting sched.<name> against this package.
-var kindGoNames = map[Kind]string{
-	PreschedBlock:  "PreschedBlock",
-	PreschedCyclic: "PreschedCyclic",
-	SelfLock:       "SelfLock",
-	SelfAtomic:     "SelfAtomic",
-	Chunk:          "Chunk",
-}
-
-// GoName returns the kind's Go identifier within this package, the form
-// internal/codegen emits into generated programs.
-func (k Kind) GoName() string {
-	if s, ok := kindGoNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // String returns the discipline's short name.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {

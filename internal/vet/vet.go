@@ -42,6 +42,8 @@ package vet
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sort"
 
 	"repro/internal/forcelang"
@@ -158,6 +160,33 @@ func Analyze(prog *forcelang.Program) ([]Diagnostic, error) {
 	a.asyncPass()
 
 	return finish(a.diags), nil
+}
+
+// Gate is a command's -vet flag: it analyzes prog and writes each
+// diagnostic to w as "tool: forcevet: ...".  Mode "warn" reports and
+// continues, "err" reports and fails when anything was reported, "off"
+// skips the analysis; any other mode is a usage error of tool (one line
+// on w, exit status 2).
+func Gate(prog *forcelang.Program, mode, tool string, w io.Writer) error {
+	switch mode {
+	case "off":
+		return nil
+	case "warn", "err":
+	default:
+		fmt.Fprintf(w, "%s: invalid -vet mode %q (want warn, err or off)\n", tool, mode)
+		os.Exit(2)
+	}
+	diags, err := Analyze(prog)
+	if err != nil {
+		return err
+	}
+	for _, d := range diags {
+		fmt.Fprintf(w, "%s: forcevet: %s\n", tool, d)
+	}
+	if mode == "err" && len(diags) > 0 {
+		return fmt.Errorf("forcevet: %d issue(s) reported with -vet=err", len(diags))
+	}
+	return nil
 }
 
 // report appends a diagnostic.

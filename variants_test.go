@@ -19,21 +19,20 @@ import (
 	"repro/internal/sched"
 )
 
-// kept is one surviving variant: its constant, its command-line spelling
-// and (where the axis has one) the Go identifier code generators emit.
+// kept is one surviving variant: its constant and its command-line
+// spelling.
 type kept[K any] struct {
-	k            K
-	name, goName string
+	k    K
+	name string
 }
 
 // checkAxis pins one axis: list() is exactly the keep-list, in order;
-// every survivor round-trips String <-> parse (and GoName, when the axis
-// has one); every removed spelling is rejected by parse with an error
-// that names each accepted one.
+// every survivor round-trips String <-> parse; every removed spelling is
+// rejected by parse with an error that names each accepted one.
 func checkAxis[K interface {
 	comparable
 	fmt.Stringer
-}](t *testing.T, axis string, list []K, parse func(string) (K, error), goName func(K) string, keep []kept[K], removed ...string) {
+}](t *testing.T, axis string, list []K, parse func(string) (K, error), keep []kept[K], removed ...string) {
 	t.Helper()
 	var want []K
 	for _, v := range keep {
@@ -43,9 +42,6 @@ func checkAxis[K interface {
 		}
 		if got, err := parse(v.name); err != nil || got != v.k {
 			t.Errorf("%s: parse(%q) = %v, %v; want %v", axis, v.name, got, err, v.k)
-		}
-		if goName != nil && goName(v.k) != v.goName {
-			t.Errorf("%s: %s.GoName() = %q, want %q", axis, v.name, goName(v.k), v.goName)
 		}
 	}
 	if !slices.Equal(list, want) {
@@ -66,48 +62,48 @@ func checkAxis[K interface {
 }
 
 func TestVariantInventory(t *testing.T) {
-	checkAxis(t, "barrier", barrier.Kinds(), barrier.ParseKind, barrier.Kind.GoName,
+	checkAxis(t, "barrier", barrier.Kinds(), barrier.ParseKind,
 		[]kept[barrier.Kind]{
-			{barrier.TwoLock, "twolock", "TwoLock"},
-			{barrier.CentralSense, "sense", "CentralSense"},
+			{barrier.TwoLock, "twolock"},
+			{barrier.CentralSense, "sense"},
 		}, "tree", "tournament", "dissemination", "butterfly", "cond")
-	checkAxis(t, "reduce", reduce.Kinds(), reduce.ParseKind, reduce.Kind.GoName,
+	checkAxis(t, "reduce", reduce.Kinds(), reduce.ParseKind,
 		[]kept[reduce.Kind]{
-			{reduce.Critical, "critical", "Critical"},
-			{reduce.PrivateSlots, "slots", "PrivateSlots"},
+			{reduce.Critical, "critical"},
+			{reduce.PrivateSlots, "slots"},
 		}, "tree", "atomic")
-	checkAxis(t, "sched", sched.Kinds(), sched.ParseKind, sched.Kind.GoName,
+	checkAxis(t, "sched", sched.Kinds(), sched.ParseKind,
 		[]kept[sched.Kind]{
-			{sched.PreschedBlock, "presched-block", "PreschedBlock"},
-			{sched.PreschedCyclic, "presched-cyclic", "PreschedCyclic"},
-			{sched.SelfLock, "selfsched-lock", "SelfLock"},
-			{sched.SelfAtomic, "selfsched-atomic", "SelfAtomic"},
-			{sched.Chunk, "selfsched-chunk", "Chunk"},
+			{sched.PreschedBlock, "presched-block"},
+			{sched.PreschedCyclic, "presched-cyclic"},
+			{sched.SelfLock, "selfsched-lock"},
+			{sched.SelfAtomic, "selfsched-atomic"},
+			{sched.Chunk, "selfsched-chunk"},
 		}, "guided", "tss", "stealing")
 	// The -selfsched flag: the run-time disciplines only.
 	selfsched := []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk}
-	checkAxis(t, "-selfsched", selfsched, sched.ParseSelfschedKind, nil,
+	checkAxis(t, "-selfsched", selfsched, sched.ParseSelfschedKind,
 		[]kept[sched.Kind]{
-			{sched.SelfLock, "selfsched-lock", ""},
-			{sched.SelfAtomic, "selfsched-atomic", ""},
-			{sched.Chunk, "selfsched-chunk", ""},
+			{sched.SelfLock, "selfsched-lock"},
+			{sched.SelfAtomic, "selfsched-atomic"},
+			{sched.Chunk, "selfsched-chunk"},
 		}, "guided", "tss", "stealing", "presched-block", "presched-cyclic")
-	checkAxis(t, "lock", lock.Kinds(), lock.ParseKind, nil,
+	checkAxis(t, "lock", lock.Kinds(), lock.ParseKind,
 		[]kept[lock.Kind]{
-			{lock.TAS, "tas", ""},
-			{lock.TTAS, "ttas", ""},
-			{lock.System, "system", ""},
-			{lock.Combined, "combined", ""},
+			{lock.TAS, "tas"},
+			{lock.TTAS, "ttas"},
+			{lock.System, "system"},
+			{lock.Combined, "combined"},
 		}, "ticket")
-	checkAxis(t, "asyncvar", asyncvar.Impls(), asyncvar.ParseImpl, nil,
+	checkAxis(t, "asyncvar", asyncvar.Impls(), asyncvar.ParseImpl,
 		[]kept[asyncvar.Impl]{
-			{asyncvar.TwoLock, "twolock", ""},
-			{asyncvar.Channel, "channel", ""},
+			{asyncvar.TwoLock, "twolock"},
+			{asyncvar.Channel, "channel"},
 		}, "condvar")
-	checkAxis(t, "askfor pool", engine.PoolKinds(), engine.ParsePoolKind, engine.PoolKind.GoName,
+	checkAxis(t, "askfor pool", engine.PoolKinds(), engine.ParsePoolKind,
 		[]kept[engine.PoolKind]{
-			{engine.MonitorPool, "monitor", "MonitorPool"},
-			{engine.StealingPool, "stealing", "StealingPool"},
+			{engine.MonitorPool, "monitor"},
+			{engine.StealingPool, "stealing"},
 		})
 }
 
