@@ -594,7 +594,9 @@ Join
 // every run.  The program spreads DOALLs over three units so a map-order
 // walk would show.  The one thing each back end sizes for itself is the
 // grant of a selfscheduled loop (plan.Target.NsPerUnit), so the lines are
-// compared with its number taken out — and it must differ.  The one
+// compared with its number taken out — and it must differ.  Both say of
+// ABLE's 32-trip selfscheduled loop that it fits one grant and process 0
+// runs it, and neither says so of the 20000-trip one behind it.  The one
 // decision only the chunk tier takes is which element references it
 // range-checks per span; its "span-checked" lines are its own, one per
 // DOALL that subscripts a shared array, and are set aside.  The REAL GSUM
@@ -636,6 +638,9 @@ End Declarations
 Selfsched DO K = 1, 32
   B(K) = 0.0
 End Selfsched DO
+Selfsched DO K = 1, 20000
+  S = S + 1
+End Selfsched DO
 Presched DO K = 1, 32
   Critical L
     S = S + 1
@@ -651,7 +656,8 @@ Endsub
 			t.Fatal(err)
 		}
 		want := grantSize.ReplaceAllString(strings.Join(lines, "\n"), "grant=K")
-		if len(lines) < 6 || !strings.HasPrefix(lines[0], "line 6:") || !strings.Contains(want, "line 32: DOALL grant=K\n") ||
+		if len(lines) < 6 || !strings.HasPrefix(lines[0], "line 6:") || !strings.Contains(want, "line 32: DOALL grant=K ≥ trip count: process 0 runs it\n") ||
+			!strings.Contains(want, "line 35: DOALL grant=K\n") ||
 			!strings.Contains(want, "line 14: fused 1 DOALL(s) + GSUM at line 17 into one join\n") {
 			t.Fatalf("-reduce %s: emitter narration looks wrong:\n%s", rk, strings.Join(lines, "\n"))
 		}

@@ -181,7 +181,7 @@ func expT5(c config) error {
 	tbl := &stats.Table{
 		Title:  "async variable transfers per second (1 producer, 1 consumer)",
 		Header: []string{"realization", "transfers/s"},
-		Notes:  []string{"channel stands for the HEP hardware full/empty bit; twolock is every other machine (§4.2)"},
+		Notes:  []string{"word stands for the HEP hardware full/empty bit (one atomic state word on the value's cache line); twolock is every other machine (§4.2)"},
 	}
 	for _, impl := range asyncvar.Impls() {
 		v := asyncvar.New[int](impl, lock.Factory(lock.TTAS))

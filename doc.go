@@ -121,7 +121,9 @@
 //	    internal/machine model the machine-dependent layer of the paper:
 //	    the two barrier algorithms (the paper's two-lock relay, the
 //	    sense-reversing counter), the three lock categories, the two
-//	    full/empty asynchronous-variable realizations, shared-memory
+//	    full/empty asynchronous-variable realizations (the paper's two
+//	    locks; one atomic state word on the value's cache line for the
+//	    HEP's hardware bit), shared-memory
 //	    designation, and the emulated profiles of the six 1989 machines
 //	    the Force was ported to.  Each axis keeps the realization the
 //	    paper describes and the one the defaults run, nothing else
@@ -152,11 +154,14 @@
 //	    process group (core.TestCancellationLatency bounds the cancel
 //	    latency).  It
 //	    also owns the one wait policy every spinning primitive waits
-//	    through: a short spin, then — only while np <= GOMAXPROCS, which
-//	    the cell learns at core.New — a time-bounded spin of about one
-//	    park/wake round trip, then a sleep ladder, so a waiter with a CPU
-//	    of its own does not oversleep a release microseconds away and an
-//	    oversubscribed one still parks (BenchmarkBarrierLateArrival);
+//	    through, four phases: only while np <= GOMAXPROCS (which the cell
+//	    learns at core.New) ~3 µs of polls separated by a CPU relax, so a
+//	    release nanoseconds away never costs a visit to the scheduler;
+//	    a short yield-spiced spin; again only while np <= GOMAXPROCS a
+//	    time-bounded spin of about one park/wake round trip; then a sleep
+//	    ladder — so a waiter with a CPU of its own does not oversleep a
+//	    release microseconds away and an oversubscribed one still parks
+//	    (BenchmarkAsyncHandoff, BenchmarkBarrierLateArrival);
 //
 //	  - internal/faultinject is the chaos layer over the same choke
 //	    points: 17 named injection sites (barrier.enter ... fuse.join)

@@ -4,9 +4,11 @@
 // enforce:
 //
 //	spinloop   In the blocking-primitive packages (internal/barrier,
-//	           internal/reduce, internal/asyncvar, internal/engine), a
-//	           for-loop that yields (runtime.Gosched or time.Sleep) is
-//	           a wait loop; it must observe the poison cell — a
+//	           internal/reduce, internal/asyncvar, internal/engine) and
+//	           in internal/poison, whose wait policy they all spin
+//	           through, a for-loop that yields (runtime.Gosched or
+//	           time.Sleep) or pauses the CPU (the policy's relax) is a
+//	           wait loop; it must observe the poison cell — a
 //	           Check/Poisoned/Wait/WaitRelay call or a <-...Done()
 //	           receive in its condition or body — or be literally
 //	           bounded (`i < 64`-shaped condition), so a poisoned
@@ -55,7 +57,7 @@ func (f Finding) String() string {
 
 // spinPackages need every yielding loop to observe poison.
 var spinPackages = []string{
-	"internal/barrier", "internal/reduce", "internal/asyncvar", "internal/engine",
+	"internal/barrier", "internal/reduce", "internal/asyncvar", "internal/engine", "internal/poison",
 }
 
 // selectPackages need every blocking select to carry a Done() case.
@@ -155,8 +157,9 @@ func CheckFile(fset *token.FileSet, file *ast.File, rules Rules) []Finding {
 	return findings
 }
 
-// loopYields reports whether the loop body calls runtime.Gosched or
-// time.Sleep — the signature of a spin-wait.
+// loopYields reports whether the loop body calls runtime.Gosched,
+// time.Sleep or the wait policy's CPU relax — the signature of a
+// spin-wait.
 func loopYields(loop *ast.ForStmt) bool {
 	found := false
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
@@ -165,6 +168,8 @@ func loopYields(loop *ast.ForStmt) bool {
 				if (pkg == "runtime" && name == "Gosched") || (pkg == "time" && name == "Sleep") {
 					found = true
 				}
+			} else if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "relax" {
+				found = true
 			}
 		}
 		return !found

@@ -91,6 +91,28 @@ func ok() {
 	}
 }
 
+// A loop that pauses the CPU between polls (the wait policy's relax) is a
+// wait loop like one that yields: clean only if it observes poison too.
+// The literally-bounded exemption is what it was — an identifier against
+// an integer literal — so a relaxing loop bounded by a named constant must
+// observe poison like any other.
+func TestSpinloopRelaxingLoop(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		findings   int
+	}{
+		{"relax without poison", `for i := 0; i < relaxPolls; i++ { if pred() { return }; relax(8) }`, 1},
+		{"relax observing poison", `for i := 0; i < relaxPolls; i++ { if pred() { return }; c.Check(); relax(8) }`, 0},
+		{"relax, literally bounded", `for i := 0; i < 24; i++ { if pred() { return }; relax(8) }`, 0},
+		{"unbounded relax", `for { if pred() { return }; relax(8) }`, 1},
+	} {
+		got := checkSrc(t, "package p\nfunc f() {\n"+tc.body+"\n}", Rules{Spinloop: true})
+		if len(got) != tc.findings {
+			t.Errorf("%s: %d findings, want %d: %v", tc.name, len(got), tc.findings, got)
+		}
+	}
+}
+
 func TestSpinloopNonYieldingLoopIgnored(t *testing.T) {
 	// Unbounded loops that never yield are structure-building loops
 	// with breaks, not waits; they are out of scope.

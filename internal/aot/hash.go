@@ -25,8 +25,10 @@ import (
 // imported from internal/forcert; 4: selfscheduled loops claim the
 // planner's grant, a Barrier rides the closing collective before it;
 // 5: every reduction is a FusedJoin, a reduction-less close a FusedClose;
-// 6: the runtime options are flags of the binary, the key is the text.)
-const formatVersion = 6
+// 6: the runtime options are flags of the binary, the key is the text;
+// 7: same emitted Go, but the runtime a binary embeds gives a loop within
+// one grant a fixed owner and the recorded plan says so.)
+const formatVersion = 7
 
 // Key returns the hex cache key of prog: of the text it was parsed from.
 func Key(prog *forcelang.Program) string {

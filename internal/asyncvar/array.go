@@ -13,8 +13,10 @@ import (
 // On non-HEP machines each element costs a pair of locks, which is
 // exactly the paper's "locks may be scarce resources" caveat (§4.1.3):
 // constructing a large two-lock Array on the Cray-2 profile would have
-// exhausted the machine's lock supply, while the channel realization
-// models the HEP's free per-cell state.
+// exhausted the machine's lock supply, while the word realization
+// models the HEP's free per-cell state: a cache line per cell, so ring
+// neighbours touched by different processes at the same instant never
+// share one.
 type Array[T any] struct {
 	cells []V[T]
 }

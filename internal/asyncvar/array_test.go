@@ -40,7 +40,7 @@ func TestArrayBasics(t *testing.T) {
 // TestArrayCellsIndependent: producing one cell never unblocks a consumer
 // of a different cell.
 func TestArrayCellsIndependent(t *testing.T) {
-	a := NewArray[int](Channel, nil, 4)
+	a := NewArray[int](Word, nil, 4)
 	got := make(chan int, 1)
 	go func() { got <- a.Consume(2) }()
 	a.Produce(1, 11) // different cell: consumer must stay blocked
@@ -56,7 +56,7 @@ func TestArrayCellsIndependent(t *testing.T) {
 }
 
 // TestArrayCopySemantics pins the Copy contract on every realization
-// (the two-lock protocol of the non-HEP machines and the channel
+// (the two-lock protocol of the non-HEP machines and the state word
 // standing in for HEP hardware): Copy waits for full, returns the value,
 // and leaves the cell full — repeatedly.
 func TestArrayCopySemantics(t *testing.T) {
@@ -93,7 +93,7 @@ func TestArrayCopySemantics(t *testing.T) {
 // TestArrayConcurrentCopies hammers one full cell with concurrent Copy
 // readers (the broadcast-style read the Force User's Manual added Copy
 // for) while IsFull is polled — the -race job validates the internal
-// synchronization of both the two-lock and the channel realizations.
+// synchronization of both the two-lock and the word realizations.
 func TestArrayConcurrentCopies(t *testing.T) {
 	for _, impl := range Impls() {
 		a := NewArray[int](impl, lock.Factory(lock.System), 2)

@@ -21,13 +21,25 @@
 // Force synthesized the state from two locks E and F: "An empty state
 // corresponds to E being locked and F unlocked.  A full state corresponds
 // to F being locked and E unlocked."  The two-lock implementation here
-// follows that protocol literally; the channel implementation stands in
-// for the HEP hardware (a capacity-1 channel is a full/empty cell).
+// follows that protocol literally; the word implementation stands in for
+// the HEP hardware: one atomic state word beside the value, a cache line
+// per cell, so a handoff between two processes costs what the HEP's bit
+// did — the one line the value travels in.  (Through PR 25 a capacity-1
+// channel stood here; a channel is a runtime mutex, a count, a buffer and
+// a parked-goroutine queue where the machine had one bit, and its waiters
+// met the Go scheduler before they met their partner.)
+//
+// Both implementations wait through poison.WaitRelay: a blocked operation
+// observes the force's poison cell on every poll and once per (short)
+// park interval, and stays on its CPU or gives it up as the shared wait
+// policy decides.
 package asyncvar
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/faultinject"
 	"repro/internal/lock"
@@ -81,14 +93,15 @@ const (
 	// TwoLock synthesizes full/empty from two locks E and F, the paper's
 	// protocol for every non-HEP machine.  Kept by rule (a).
 	TwoLock Impl = iota
-	// Channel models the HEP's hardware full/empty bit with a capacity-1
-	// channel.  Kept by rule (a); also the native profile's default.
-	Channel
+	// Word models the HEP's hardware full/empty bit: an atomic state word
+	// on the value's cache line.  Kept by rule (a); also the native
+	// profile's default.
+	Word
 )
 
 var implNames = map[Impl]string{
 	TwoLock: "twolock",
-	Channel: "channel",
+	Word:    "word",
 }
 
 // String returns the implementation's short name.
@@ -110,11 +123,11 @@ func ParseImpl(s string) (Impl, error) {
 }
 
 // Impls lists the implementations in presentation order.
-func Impls() []Impl { return []Impl{TwoLock, Channel} }
+func Impls() []Impl { return []Impl{TwoLock, Word} }
 
 // New creates an empty asynchronous variable.  The lock factory supplies E
 // and F for the TwoLock implementation (nil defaults to system locks) and
-// is ignored by Channel.
+// is ignored by Word.
 func New[T any](impl Impl, factory func() lock.Lock) V[T] {
 	switch impl {
 	case TwoLock:
@@ -125,8 +138,8 @@ func New[T any](impl Impl, factory func() lock.Lock) V[T] {
 		// Empty state: E locked, F unlocked.
 		v.e.Lock()
 		return v
-	case Channel:
-		return &chanVar[T]{ch: make(chan T, 1)}
+	case Word:
+		return newWord[T]()
 	default:
 		panic(fmt.Sprintf("asyncvar: unknown impl %d", int(impl)))
 	}
@@ -219,101 +232,122 @@ func (v *twoLockVar[T]) setFull(b bool) {
 	v.stMu.Unlock()
 }
 
-// chanVar models the HEP hardware full/empty cell with a capacity-1
-// channel: send ⇔ produce (blocks while full), receive ⇔ consume (blocks
-// while empty).  An operation first tries the channel without blocking —
-// a transfer whose partner is already there touches nothing else — then
-// waits through the runtime's spin policy (poison.Spin, poison checked on
-// every poll), and only then parks on the channel with the cell's wake
-// channel as the unwind path.
-type chanVar[T any] struct {
-	ch chan T
-	pc *poison.Cell
+// wordVar is the full/empty cell as the HEP had it: one state word beside
+// the value, and nothing else on the cache line.  Every operation takes
+// the cell from the state it waits for to busy with one compare-and-swap,
+// touches the value, and stores the state it leaves behind — so a handoff
+// between two processes moves one line, and no operation ever holds the
+// cell across a wait.  Waiters poll the word through the runtime's relay
+// wait policy (poison.WaitRelay, poison observed on every poll); a poll
+// is a plain load, the compare-and-swap is attempted only when the load
+// saw the awaited state, so waiters do not pull the line away from the
+// process about to release them.
+//
+// P is padding chosen by newWord so that the cell is one cache line, and
+// (the allocator aligns a 64-byte object to 64) owns it: state word and
+// value travel together, and two cells allocated anywhere — neighbours of
+// an Array, the two halves of a ping-pong — never share a line.  Measured
+// on pipeline-ring at np=2: a cell straddling two lines costs a handoff
+// half as much again.
+type wordVar[T, P any] struct {
+	state atomic.Uint32
+	pc    *poison.Cell
+	_     P
+	val   T
 }
 
-var _ V[int] = (*chanVar[int])(nil)
-var _ Poisonable = (*chanVar[int])(nil)
-
-// SetPoison binds the channel waits to the cell: a waiting send or receive
-// observes it on every poll and, once parked, selects on its wake channel.
-func (v *chanVar[T]) SetPoison(c *poison.Cell) { v.pc = c }
-
-// trySend and tryRecv are the non-blocking halves of a transfer.
-func (v *chanVar[T]) trySend(x T) bool {
-	select {
-	case v.ch <- x:
-		return true
+// newWord creates an empty word cell padded to one line.  A value wider
+// than the 48 bytes a line has left gets the state word's line to itself
+// and follows on its own.
+func newWord[T any]() V[T] {
+	var zero T
+	switch size := unsafe.Sizeof(zero); {
+	case size <= 16:
+		return &wordVar[T, [32]byte]{}
+	case size <= 32:
+		return &wordVar[T, [16]byte]{}
+	case size <= 48:
+		return &wordVar[T, [0]byte]{}
 	default:
-		return false
+		return &wordVar[T, [48]byte]{}
 	}
 }
 
-func (v *chanVar[T]) tryRecv() (x T, ok bool) {
-	select {
-	case x = <-v.ch:
-		return x, true
-	default:
-		return x, false
+// The cell's states.  busy is held only between a successful
+// compare-and-swap and the next store, never across a wait.
+const (
+	stEmpty uint32 = iota
+	stFull
+	stBusy
+)
+
+var _ V[int] = (*wordVar[int, [32]byte])(nil)
+var _ Poisonable = (*wordVar[int, [32]byte])(nil)
+
+// SetPoison binds the cell's waits to the poison cell.
+func (v *wordVar[T, P]) SetPoison(c *poison.Cell) { v.pc = c }
+
+// try takes the cell from state from to busy if it is there now.
+func (v *wordVar[T, P]) try(from uint32) bool {
+	return v.state.Load() == from && v.state.CompareAndSwap(from, stBusy)
+}
+
+// acquire waits for the cell to be in state from and takes it to busy.
+func (v *wordVar[T, P]) acquire(from uint32) {
+	if !v.try(from) {
+		poison.WaitRelay(v.pc, func() bool { return v.try(from) })
 	}
 }
 
-// send fills the cell, blocking while it is full; restore says the value
-// is one Copy took out and must put back even when the force is poisoned.
-func (v *chanVar[T]) send(x T, restore bool) {
-	if v.trySend(x) || poison.Spin(v.pc, func() bool { return v.trySend(x) }) {
-		return
-	}
-	select {
-	case v.ch <- x:
-	case <-v.pc.Done(): // nil channel (never ready) when no poison is wired
-		if restore {
-			// Restore before unwinding so the abort does not leave a
-			// variable empty that Copy promised to leave full; if a racing
-			// producer refilled the cell, it is full anyway.
-			v.trySend(x)
-		}
-		v.pc.Check()
-	}
-}
-
-// Produce sends into the cell, blocking while it is full.
-func (v *chanVar[T]) Produce(x T) {
+// Produce waits for empty, writes the value and marks the cell full.
+func (v *wordVar[T, P]) Produce(x T) {
 	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
-	v.send(x, false)
+	v.acquire(stEmpty)
+	v.val = x
+	v.state.Store(stFull)
 }
 
-// Consume receives from the cell, blocking while it is empty.
-func (v *chanVar[T]) Consume() T {
+// Consume waits for full, reads the value and marks the cell empty.
+func (v *wordVar[T, P]) Consume() T {
 	faultinject.Fire(faultinject.AsyncConsume, -1, v.pc)
-	x, ok := v.tryRecv()
-	if ok || poison.Spin(v.pc, func() bool { x, ok = v.tryRecv(); return ok }) {
-		return x
-	}
-	select {
-	case x = <-v.ch:
-	case <-v.pc.Done():
-		v.pc.Check()
-	}
+	v.acquire(stFull)
+	x := v.val
+	v.state.Store(stEmpty)
 	return x
 }
 
-// Copy reads the value and immediately restores it.  The cell is briefly
-// observable as empty between the two steps; the HEP's read-preserving
-// access had no such window, but no Force construct depends on its absence.
-func (v *chanVar[T]) Copy() T {
+// Copy waits for full and reads the value, leaving the cell full: the
+// HEP's read-preserving access.  There is no wait, and so no abort,
+// between taking the cell and restoring it.
+func (v *wordVar[T, P]) Copy() T {
 	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
-	x := v.Consume()
-	v.send(x, true)
+	v.acquire(stFull)
+	x := v.val
+	v.state.Store(stFull)
 	return x
 }
 
-// Void drains the cell if it holds a value.
-func (v *chanVar[T]) Void() {
-	select {
-	case <-v.ch:
-	default:
+// Void empties the cell if it holds a value.  A transfer in flight — which
+// the interface forbids racing with — is waited out, not torn.
+func (v *wordVar[T, P]) Void() {
+	for {
+		switch v.state.Load() {
+		case stEmpty:
+			return
+		case stFull:
+			if v.state.CompareAndSwap(stFull, stBusy) {
+				var zero T
+				v.val = zero
+				v.state.Store(stEmpty)
+				return
+			}
+		default:
+			poison.WaitRelay(v.pc, func() bool { return v.state.Load() != stBusy })
+		}
 	}
 }
 
-// IsFull reports whether the cell currently holds a value.
-func (v *chanVar[T]) IsFull() bool { return len(v.ch) == 1 }
+// IsFull reports whether the cell holds a value.  Busy answers full: a
+// Produce in flight can no longer fail, and a Consume, Copy or Void in
+// flight started from full.
+func (v *wordVar[T, P]) IsFull() bool { return v.state.Load() != stEmpty }

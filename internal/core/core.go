@@ -126,7 +126,6 @@ type Force struct {
 	// construct instance: Askfor pools and Resolve plans.
 	loops   [loopSlots]loopSlot
 	entries sync.Map // construct seq (uint64) -> *constructEntry
-	stats   Stats
 }
 
 // runGate tracks whether a Run is in flight and lets Shutdown wait for
@@ -182,7 +181,9 @@ type procSite struct {
 }
 
 // Stats counts construct executions; all fields are updated atomically and
-// may be read at any time.
+// may be read at any time.  Each process counts into a Stats of its own
+// (Proc.stats): six force-wide counters would be six cache lines every
+// process writes at every construct.
 type Stats struct {
 	Barriers    atomic.Int64
 	Loops       atomic.Int64
@@ -274,11 +275,15 @@ func New(np int, opts ...Option) *Force {
 	prof := f.profile
 	f.eng = engine.New(np, engine.WithWorkerStart(func(int) { prof.PayCreationCost() }))
 	f.procs = make([]Proc, np)
+	for id := range f.procs {
+		p := &f.procs[id]
+		p.id, p.f, p.site = id, f, &f.sites[id]
+	}
 	f.runBody = func(id int) {
 		f.sites[id].construct.Store(nil)
 		f.sites[id].note.Store(nil)
 		p := &f.procs[id]
-		*p = Proc{id: id, f: f, site: &f.sites[id]}
+		p.seq, p.fuse = 0, 0 // the cursors restart with the Run; the counters run on
 		f.curProgram(p)
 		// Reached only on normal return: a panicking process keeps its
 		// last blocked site for post-mortem inspection.  The sticky
@@ -448,8 +453,21 @@ func (p *Proc) Check() { p.f.pc.Check() }
 // Machine returns the machine profile the force runs under.
 func (f *Force) Machine() machine.Profile { return f.profile }
 
-// Stats returns the construct counters.
-func (f *Force) Stats() *Stats { return &f.stats }
+// Stats returns the construct counters: the processes' own, summed as of
+// the call.
+func (f *Force) Stats() *Stats {
+	sum := new(Stats)
+	for i := range f.procs {
+		s := &f.procs[i].stats
+		sum.Barriers.Add(s.Barriers.Load())
+		sum.Loops.Add(s.Loops.Load())
+		sum.Criticals.Add(s.Criticals.Load())
+		sum.PcaseBlocks.Add(s.PcaseBlocks.Load())
+		sum.AskforTasks.Add(s.AskforTasks.Load())
+		sum.Reductions.Add(s.Reductions.Load())
+	}
+	return sum
+}
 
 // Run executes program as a Force main program: every process of the
 // persistent force runs program with its private *Proc, and Run returns
@@ -646,17 +664,28 @@ func (f *Force) entry(seq uint64, build func() any) any {
 func (f *Force) dropEntry(seq uint64) { f.entries.Delete(seq) }
 
 // Proc is one process's private view of the force: its unique process
-// identifier, and the private construct-sequence cursor.  A *Proc must be
-// used only by the goroutine it was handed to.
+// identifier, the private construct-sequence cursor and this process's
+// share of the construct counters.  A *Proc must be used only by the
+// goroutine it was handed to.
+//
+// The fields the process writes at every construct come first and fill
+// one cache line, and the struct is two lines long: the Procs of a force
+// are neighbours in one slice, and a process bumping its own cursor must
+// not invalidate the line its neighbour's lives on (nor, at 128 bytes,
+// have the adjacent-line prefetcher fetch it back).
 type Proc struct {
-	id   int
-	f    *Force
-	seq  uint64
-	site *procSite // this process's watchdog slot on the TOP-LEVEL force
-
+	seq uint64
 	// fuse counts the closing collectives this process has been through:
 	// the ordinal of the next one, whose parity selects the closer.
 	fuse uint64
+	// stats counts the constructs this process executed, since the force
+	// was created; Force.Stats sums them over the processes.
+	stats Stats
+
+	id   int
+	f    *Force
+	site *procSite // this process's watchdog slot on the TOP-LEVEL force
+	_    [40]byte
 }
 
 // ID returns the process identifier, in [0, NP()).
@@ -688,7 +717,7 @@ func (p *Proc) Barrier() { p.BarrierSection(nil) }
 // suspended, and the force proceeds when it completes.
 func (p *Proc) BarrierSection(section func()) {
 	p.f.pc.Check()
-	p.f.stats.Barriers.Add(1)
+	p.stats.Barriers.Add(1)
 	p.barrierSync(&siteBarrier, section)
 }
 
@@ -738,7 +767,7 @@ func (p *Proc) barrierLeave() {
 // machine's lock mechanism, the Force's define_lock/init_lock.
 func (p *Proc) Critical(name string, body func()) {
 	p.f.pc.Check()
-	p.f.stats.Criticals.Add(1)
+	p.stats.Criticals.Add(1)
 	// The site covers the lock acquisition — the phase that can stall
 	// when the holder never releases; once inside, user code runs.
 	p.enterSite(&siteCritical)
@@ -821,11 +850,11 @@ func (p *Proc) DoAllChunked(kind sched.Kind, r sched.Range, chunk ChunkBody) {
 }
 
 // DoAllGranted is DoAllChunked with the grant chosen by the caller: one
-// claim of a selfscheduled discipline takes grant ordinals (a loop smaller
-// than that goes whole to the first process to arrive).  Which process
-// runs which iteration of a selfscheduled loop is unspecified at any
-// grant, so the grant is a cost decision only; the prescheduled deals
-// ignore it.
+// claim of a selfscheduled discipline takes grant ordinals, and a loop
+// that fits one grant above 1 is run whole by process 0 without any claim.
+// Which process runs which iteration of a selfscheduled loop is
+// unspecified at any grant, so the grant is a cost decision only; the
+// prescheduled deals ignore it.
 func (p *Proc) DoAllGranted(kind sched.Kind, grant int, r sched.Range, chunk ChunkBody) {
 	seq := p.openSpans(kind, grant, r, chunk)
 	p.f.bar.Sync(p.id, nil)
@@ -915,7 +944,7 @@ func (p *Proc) runBlock(b Block) {
 	if b.Cond != nil && !b.Cond() {
 		return
 	}
-	p.f.stats.PcaseBlocks.Add(1)
+	p.stats.PcaseBlocks.Add(1)
 	p.f.tr.Record(p.id, trace.PcaseBlock, "", 0)
 	b.Body()
 }
@@ -960,7 +989,7 @@ func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 		if !ok {
 			break
 		}
-		p.f.stats.AskforTasks.Add(1)
+		p.stats.AskforTasks.Add(1)
 		p.f.tr.Record(p.id, trace.AskforTask, "", 0)
 		body(task, put)
 		pool.Done(p.id)
@@ -1111,7 +1140,7 @@ func planResolve(f *Force, components []Component) *resolvePlan {
 }
 
 // newSubForce builds a scoped force sharing the parent's machine profile
-// but with its own barrier, locks, loop slots, construct table and stats.  Sub-forces
+// but with its own barrier, locks, loop slots and construct table.  Sub-forces
 // have no workers of their own: their processes are the parent's workers,
 // re-scoped.
 func newSubForce(parent *Force, np int) *Force {

@@ -83,8 +83,22 @@ func (f *Force) resetLoops() {
 // selfsched runs this process's share of the selfscheduled loop instance
 // seq — n ordinals under discipline kind, grant ordinals per claim, with
 // poison checked before every claim — through the instance's slot.
+//
+// A loop a planner granted whole (n <= grant, grant > 1: its body is
+// cost-bounded, and all of it is worth one claim) has a fixed owner,
+// process 0, and touches no slot: the others go straight to the exit.
+// Dealing it to the first process to arrive would hand a loop repeated
+// sweep after sweep to whichever process wins that sweep's race, and its
+// arrays would migrate between caches with it.  At the paper's grant of
+// one the body is unbounded and the first to arrive starts it.
 func (p *Proc) selfsched(seq uint64, kind sched.Kind, n, grant, chunkSize int, chunk ChunkBody) {
 	f := p.f
+	if n <= grant && grant > 1 {
+		if p.id == 0 && n > 0 {
+			chunk(0, n, 1)
+		}
+		return
+	}
 	s := &f.loops[seq%loopSlots]
 	for {
 		t := s.tag.Load()
@@ -124,7 +138,7 @@ func (p *Proc) selfsched(seq uint64, kind sched.Kind, n, grant, chunkSize int, c
 // discipline claims grant ordinals at a time from the instance's loop slot.
 func (p *Proc) openSpans(kind sched.Kind, grant int, r sched.Range, chunk ChunkBody) (seq uint64) {
 	p.f.pc.Check()
-	p.f.stats.Loops.Add(1)
+	p.stats.Loops.Add(1)
 	seq = p.nextSeq()
 	n := r.Count()
 	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
@@ -297,7 +311,7 @@ func (c *closer) publish(fold word, u *use, section func()) {
 func (p *Proc) collective(u *use) word {
 	f := p.f
 	f.pc.Check()
-	f.stats.Reductions.Add(1)
+	p.stats.Reductions.Add(1)
 	ord := p.fuse
 	p.fuse++
 	c := &f.closers[ord&1]

@@ -362,3 +362,66 @@ func BenchmarkRunSteadyState(b *testing.B) {
 	}
 	_ = sink
 }
+
+// A selfscheduled loop its planner granted whole — trip count within one
+// grant above 1 — has a fixed owner: process 0 runs every ordinal in one
+// span, under every discipline, open or closed, and no loop slot is
+// armed for it.  One ordinal more, or the paper's grant of one, and the
+// loop is claimed through its slot as before.
+func TestLoopWithinOneGrantHasAFixedOwner(t *testing.T) {
+	const np, grant = 4, 40
+	for _, kind := range []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
+		f := New(np, WithChunk(8))
+		var spans, foreign, total atomic.Int64
+		body := func(pid int) ChunkBody {
+			return func(lo, hi, stride int) {
+				spans.Add(1)
+				if pid != 0 {
+					foreign.Add(1)
+				}
+				for i := lo; i < hi; i += stride {
+					total.Add(int64(i) + 1)
+				}
+			}
+		}
+		for run := 0; run < 3; run++ {
+			spans.Store(0)
+			total.Store(0)
+			f.Run(func(p *Proc) {
+				p.DoAllGranted(kind, grant, sched.Seq(grant), body(p.ID()))
+				p.DoAllGranted(kind, grant, sched.Seq(0), body(p.ID()))
+				p.DoAllChunkedOpen(kind, grant, sched.Seq(grant-7), body(p.ID()))
+				p.FusedClose(nil)
+			})
+			if spans.Load() != 2 || foreign.Load() != 0 || total.Load() != grant*(grant+1)/2+(grant-7)*(grant-6)/2 {
+				t.Fatalf("%v run %d: %d spans (%d outside process 0) summing %d; want 2 whole loops in process 0",
+					kind, run, spans.Load(), foreign.Load(), total.Load())
+			}
+			for i := range f.loops {
+				if tag := f.loops[i].tag.Load(); tag != 0 {
+					t.Fatalf("%v run %d: loop slot %d was armed (tag %d) for a loop within one grant", kind, run, i, tag)
+				}
+			}
+		}
+		// Beyond one grant, and at grant 1, the slot deals the loop.
+		spans.Store(0)
+		total.Store(0)
+		f.Run(func(p *Proc) {
+			p.DoAllGranted(kind, grant, sched.Seq(grant+1), body(0))
+			p.DoAllGranted(kind, 1, sched.Seq(1), body(0))
+		})
+		if spans.Load() != 3 || total.Load() != (grant+1)*(grant+2)/2+1 {
+			t.Errorf("%v: %d spans summing %d for a loop of grant+1 ordinals and a one-trip loop at grant 1", kind, spans.Load(), total.Load())
+		}
+		armed := 0
+		for i := range f.loops {
+			if f.loops[i].tag.Load() != 0 {
+				armed++
+			}
+		}
+		if armed != 2 {
+			t.Errorf("%v: %d loop slots armed for two claimed loops, want 2", kind, armed)
+		}
+		f.Close()
+	}
+}

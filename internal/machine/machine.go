@@ -133,7 +133,7 @@ var (
 		Name:         "hep",
 		Description:  "Denelcor HEP: hardware full/empty memory, create-call processes, compile-time sharing",
 		Lock:         lock.TTAS, // generic locks synthesized over F/E cells; spin-class behaviour
-		Async:        asyncvar.Channel,
+		Async:        asyncvar.Word,
 		Creation:     CreateCall,
 		CreationCost: 2 * time.Microsecond,
 		ShmPolicy:    shm.CompileTime,
@@ -206,9 +206,9 @@ var (
 	// primitives, zero creation cost.
 	Native = Profile{
 		Name:         "native",
-		Description:  "native Go: sync.Mutex locks, channel async vars, free creation",
+		Description:  "native Go: sync.Mutex locks, full/empty-word async vars, free creation",
 		Lock:         lock.System,
-		Async:        asyncvar.Channel,
+		Async:        asyncvar.Word,
 		Creation:     CreateCall,
 		CreationCost: 0,
 		ShmPolicy:    shm.RunTimePadded,

@@ -70,7 +70,7 @@ func listCost(list []forcelang.Stmt) (units int, bounded bool) {
 			}
 			c += exprCost(t.Cond) + max(then, els)
 		case *forcelang.SeqDo:
-			trips, ok1 := literalTrips(t)
+			trips, ok1 := literalTrips(t.From, t.To, t.Step)
 			body, ok2 := listCost(t.Body)
 			if !ok1 || !ok2 {
 				return 0, false
@@ -84,14 +84,14 @@ func listCost(list []forcelang.Stmt) (units int, bounded bool) {
 	return units, true
 }
 
-// literalTrips is the trip count of a sequential DO whose bounds and step
-// are literal expressions.
-func literalTrips(t *forcelang.SeqDo) (int, bool) {
-	from, ok1 := uniform.ConstInt(t.From)
-	to, ok2 := uniform.ConstInt(t.To)
+// literalTrips is the trip count of a DO whose bounds and step (nil: 1) are
+// literal expressions.
+func literalTrips(fromX, toX, stepX forcelang.Expr) (int, bool) {
+	from, ok1 := uniform.ConstInt(fromX)
+	to, ok2 := uniform.ConstInt(toX)
 	step, ok3 := int64(1), true
-	if t.Step != nil {
-		step, ok3 = uniform.ConstInt(t.Step)
+	if stepX != nil {
+		step, ok3 = uniform.ConstInt(stepX)
 	}
 	if !ok1 || !ok2 || !ok3 || step == 0 {
 		return 0, false
@@ -101,6 +101,19 @@ func literalTrips(t *forcelang.SeqDo) (int, bool) {
 		return 0, true
 	}
 	return int(min(span+1, costCeil)), true
+}
+
+// grantedWhole reports whether the selfscheduled DOALL t provably fits one
+// grant above 1 — literal bounds, trip count within it — so that the
+// runtime gives it a fixed owner instead of a loop slot (core.Proc's
+// selfsched decides the same from the run-time count, literal or not).
+func grantedWhole(t *forcelang.ParDo, grant int) bool {
+	trips, ok := literalTrips(t.From, t.To, t.Step)
+	if ok && t.Inner != nil {
+		inner, ok2 := literalTrips(t.Inner.From, t.Inner.To, t.Inner.Step)
+		trips, ok = min(trips*inner, costCeil), ok2
+	}
+	return ok && grant > 1 && trips <= grant
 }
 
 // exprCost counts the references, operators and intrinsic calls of e.

@@ -56,6 +56,8 @@ func (tg Target) settle(t *forcelang.ParDo, p, deal *Plan) {
 	case tg.Log == nil:
 	case t.Sched != forcelang.Presched && p.Cost == 0:
 		tg.Log("line %d: DOALL grant=1 (body cost unbounded)", t.Pos())
+	case t.Sched != forcelang.Presched && grantedWhole(t, p.grant):
+		tg.Log("line %d: DOALL grant=%d ≥ trip count: process 0 runs it", t.Pos(), p.grant)
 	case t.Sched != forcelang.Presched:
 		tg.Log("line %d: DOALL grant=%d", t.Pos(), p.grant)
 	case deal.CyclicWhy == "":

@@ -151,7 +151,7 @@ Join
 	}
 	want := []string{
 		"line 6: DOALL partition=cyclic (reads private ME)",
-		"line 9: DOALL grant=250", // OWNER(I) = I: 3 units + the loop's 1, at 4 ns
+		"line 9: DOALL grant=250 ≥ trip count: process 0 runs it", // OWNER(I) = I: 3 units + the loop's 1, at 4 ns; 8 trips
 		"line 12: DOALL partition=cyclic (not chunk-compiled: *forcelang.CriticalStmt in body)",
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
@@ -251,7 +251,7 @@ Join
 		"line 21: DOALL grant=8",
 		"line 28: DOALL grant=1 (body cost unbounded)",
 		"line 33: DOALL grant=1 (not chunk-compiled: *forcelang.CriticalStmt in body)",
-		"line 38: DOALL grant=40",
+		"line 38: DOALL grant=40 ≥ trip count: process 0 runs it", // DO I = 1, 40: literal, and exactly one grant
 		"line 47: DOALL partition=block",
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {

@@ -8,14 +8,14 @@ import (
 	"repro/internal/poison"
 )
 
-// An operation on the channel asynchronous variable whose partner is
-// already there — Produce into an empty cell, Consume or Copy from a full
-// one — completes on its non-blocking try: it never reaches Cell.Done,
-// which takes the force-wide cell mutex every operation used to take.  The
+// An operation on the word asynchronous variable whose partner is already
+// there — Produce into an empty cell, Consume or Copy from a full one —
+// completes on its first compare-and-swap: it never reaches Cell.Done,
+// which takes the force-wide cell mutex every operation once took.  The
 // test holds that mutex throughout; a call to Done would wait for it.
-func TestChannelVarUnblockedOpsSkipDone(t *testing.T) {
+func TestWordVarUnblockedOpsSkipDone(t *testing.T) {
 	c := poison.NewCell()
-	v := asyncvar.New[int](asyncvar.Channel, nil)
+	v := asyncvar.New[int](asyncvar.Word, nil)
 	asyncvar.SetPoison(v, c)
 	release := c.Hold()
 	defer release()

@@ -25,11 +25,13 @@
 //     boundary and discards it — the original failure is in the cell.
 //   - Wait: the shared bounded spin-then-park wait policy.  Every
 //     spinning primitive of the runtime (barrier release waits, reduce
-//     episode waits, lock acquisition inside condition-encoding
-//     constructs) waits through it, so a waiter observes poison within
-//     one park interval, an oversubscribed waiter stops pinning a core
-//     instead of spinning unboundedly, and a waiter that has a CPU of
-//     its own does not oversleep a release that is microseconds away.
+//     episode waits, asynchronous-variable transfers, lock acquisition
+//     inside condition-encoding constructs) waits through it, so a waiter
+//     observes poison within one park interval, an oversubscribed waiter
+//     stops pinning a core instead of spinning unboundedly, and a waiter
+//     that has a CPU of its own neither enters the scheduler for a
+//     release that is nanoseconds away nor oversleeps one that is
+//     microseconds away.
 //
 // A nil *Cell is valid everywhere and means "no poison wired": Poisoned
 // reports false, Check is a no-op, and Wait degenerates to the plain
@@ -43,6 +45,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	_ "unsafe" // go:linkname relax
 )
 
 // Abort is the distinguished panic value a process unwinds with after
@@ -116,8 +119,12 @@ func (c Cause) String() string {
 // never poisoned.
 type Cell struct {
 	flag atomic.Bool
-	// timed enables the wait policy's time-bounded spin (SetProcs).
+	// timed enables the wait policy's relaxed and time-bounded spins
+	// (SetProcs).
 	timed bool
+	// crowd counts the waits that still skip the relaxed spin after a
+	// waiter found its P shared (timedYield).
+	crowd atomic.Int32
 
 	mu    sync.Mutex
 	val   any
@@ -133,20 +140,53 @@ func NewCell() *Cell {
 }
 
 // SetProcs tells the cell how many processes wait through it, which
-// decides one thing: whether a waiter may spend the wait policy's timed
+// decides one thing: whether a waiter may spend the two phases of the
+// wait policy that keep it on its CPU, the relaxed spin and the timed
 // spin (see Wait).  It may only while every process can own a CPU —
 // np <= GOMAXPROCS, and more than one CPU at all — because a spinning
 // waiter on an oversubscribed force burns the time slice of the peer it
 // is waiting for.  core.New calls it once; it must not race with waits.
+//
+// A force is born crowded: its processes were started back to back by one
+// goroutine and begin on that goroutine's P, so the first crowdSkip waits
+// skip the relaxed spin and the next one probes (see timedYield) — which
+// is all the waits a short script ever makes.
 func (c *Cell) SetProcs(np int) {
 	if c != nil {
 		gmp := runtime.GOMAXPROCS(0)
 		c.timed = gmp > 1 && np <= gmp
+		c.crowd.Store(crowdSkip)
 	}
 }
 
-// TimedSpin reports whether waits on the cell take the timed spin.
+// TimedSpin reports whether waits on the cell take the relaxed spin and
+// the timed spin.
 func (c *Cell) TimedSpin() bool { return c != nil && c.timed }
+
+// crowded reports whether waits on the cell currently skip the relaxed
+// spin, and counts this wait toward the next probe.  The count is
+// approximate: waiters race on it, and losing a decrement only delays the
+// probe by a wait.
+func (c *Cell) crowded() bool {
+	n := c.crowd.Load()
+	if n > 0 {
+		c.crowd.Store(n - 1)
+	}
+	return n > 0
+}
+
+// timedYield is the first yield of a wait whose relaxed spin ran out.  A
+// yield that takes as long as a relaxed spin means another goroutine ran
+// on this waiter's P meanwhile — a peer it shares the P with, which cannot
+// have released it while it was relaxing — so the next crowdSkip waits on
+// the cell go straight to the yielding phases.
+func (c *Cell) timedYield() {
+	t := clock()
+	runtime.Gosched()
+	if clock()-t > crowdYield {
+		c.crowd.Store(crowdSkip)
+	}
+}
 
 // Poison records v as the force's first failure (CauseFailure) and
 // broadcasts: the wake channel closes and every subscriber hook runs.
@@ -317,31 +357,75 @@ func (c *Cell) Reset() {
 	c.mu.Unlock()
 }
 
-// The shared wait policy has three phases.  A bounded yield-spiced spin
-// (spinBudget iterations, a few microseconds) catches releases already
-// in flight.  Then, only while the force is not oversubscribed
-// (Cell.SetProcs: np <= GOMAXPROCS), a *time-bounded* spin of about one
-// park/wake round trip: a parked waiter costs its releaser's critical
-// path a full wake — on the 2-vCPU reference box time.Sleep(5µs) returns
-// after 160–390 µs inside a running force and a channel wake takes
-// ~70 µs — which is longer than the whole imbalance between two halves
-// of a DOALL, so parking there serialises them.  Spinning for one such
-// interval first is the classic competitive bound: it at most doubles
-// the cost of a wait that parks anyway.  Last, the sleep ladder —
-// on an oversubscribed machine (more processes than CPUs, the 1989
-// normality and the 1-core CI box's too) parked waiters leave the
-// scheduler to the processes that still owe progress instead of cycling
-// through the run queue.  Poison is checked every iteration of both
-// spins and once per park interval, so a poisoned waiter unwinds
-// immediately while spinning and within one park interval otherwise.
+// The shared wait policy has four phases.
+//
+// First, and only while the force is not oversubscribed (Cell.SetProcs:
+// np <= GOMAXPROCS), a *relaxed* spin: relaxPolls polls separated by a CPU
+// relax (PAUSE on amd64, YIELD on arm64), about 3 µs in all.  A waiter
+// that owns a CPU and whose release is a few hundred nanoseconds away —
+// the next stage of a pipeline, the other half of a ping-pong — must not
+// enter the Go scheduler at all: a Gosched is ~1 µs of scheduler lock and
+// run-queue work the releaser then waits out, and a poll without the
+// relax keeps requesting the very cache line the releaser is about to
+// store to.
+//
+// Then a bounded yield-spiced spin (spinBudget iterations, a few
+// microseconds) catches releases already in flight.  The yields stay, and
+// stay this early, because np <= GOMAXPROCS does not mean every process
+// is on a CPU *now*: the peer a waiter waits for may sit in the run queue
+// of the waiter's own P until the waiter yields — always on a cold force,
+// and for as long as two processes that yield every few microseconds keep
+// finding each other there (the thief that would separate them takes
+// longer to wake than their turns last).  A policy that only ever pauses
+// turns every first rendezvous of a short program into a wait for the
+// scheduler's preemption tick (forcemark script-cold npN_cost_p50 read
+// +31 % without the yields).  And a relaxed spin on a shared P is pure
+// loss — the peer cannot run while its waiter relaxes — so the first
+// yield of a wait whose relaxed spin ran out is timed (timedYield): when
+// it took as long as a peer's turn, the next crowdSkip waits on the cell
+// skip the relaxed spin, and the one after them probes again.  Without
+// that, up to one cold pipeline-ring run in sixty spent all its 19 200
+// handoffs at 3.9 µs each (75 ms against a median of 4); with it the
+// slowest of 1 200 took 14 ms, which is what every run took through
+// PR 25.
+//
+// Then, again only while not oversubscribed, a *time-bounded* spin of
+// about one park/wake round trip: a parked waiter costs its releaser's
+// critical path a full wake — on the 2-vCPU reference box
+// time.Sleep(5µs) returns after 160–390 µs inside a running force — which
+// is longer than the whole imbalance between two halves of a DOALL, so
+// parking there serialises them.  Spinning for one such interval first is
+// the classic competitive bound: it at most doubles the cost of a wait
+// that parks anyway.
+//
+// Last, the sleep ladder — on an oversubscribed machine (more processes
+// than CPUs, the 1989 normality and the 1-core CI box's too) parked
+// waiters leave the scheduler to the processes that still owe progress
+// instead of cycling through the run queue.
+//
+// Poison is checked every iteration of all three spins and once per park
+// interval, so a poisoned waiter unwinds immediately while spinning and
+// within one park interval otherwise.
 const (
-	spinBudget = 256
-	yieldEvery = 8
-	spinWindow = 200 * time.Microsecond
-	parkFloor  = 5 * time.Microsecond
-	parkCeil   = 200 * time.Microsecond
-	relayCeil  = 20 * time.Microsecond
+	relaxPolls  = 24
+	relaxCycles = 8                      // relax instructions between two polls: ~125 ns
+	crowdYield  = 1500 * time.Nanosecond // a yield this long ran somebody else: half a relaxed spin
+	crowdSkip   = 64                     // waits between two probes of a shared P
+	spinBudget  = 256
+	yieldEvery  = 8
+	spinWindow  = 200 * time.Microsecond
+	parkFloor   = 5 * time.Microsecond
+	parkCeil    = 200 * time.Microsecond
+	relayCeil   = 20 * time.Microsecond
 )
+
+// relax executes cycles CPU relax instructions: the runtime's own
+// spin-wait primitive (PAUSE / YIELD / the architecture's equivalent, a
+// plain delay loop where there is none), which the runtime keeps
+// linkable for exactly this use.
+//
+//go:linkname relax runtime.procyield
+func relax(cycles uint32)
 
 // clock reads the monotonic time the timed spin is bounded by; tests
 // replace it to count or steer the reads.
@@ -368,13 +452,27 @@ func WaitRelay(c *Cell, pred func() bool) { waitCeil(c, pred, relayCeil) }
 // a sleep (a release channel) spin through it first, so one policy
 // decides how long any waiter of the runtime stays on its CPU.
 func Spin(c *Cell, pred func() bool) bool {
+	relaxed := c.TimedSpin() && !c.crowded()
+	if relaxed {
+		for i := 0; i < relaxPolls; i++ {
+			if pred() {
+				return true
+			}
+			c.Check()
+			relax(relaxCycles)
+		}
+	}
 	for i := 0; i < spinBudget; i++ {
 		if pred() {
 			return true
 		}
 		c.Check()
 		if i%yieldEvery == yieldEvery-1 {
-			runtime.Gosched()
+			if relaxed && i == yieldEvery-1 {
+				c.timedYield()
+			} else {
+				runtime.Gosched()
+			}
 		}
 	}
 	if !c.TimedSpin() {

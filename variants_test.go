@@ -98,7 +98,7 @@ func TestVariantInventory(t *testing.T) {
 	checkAxis(t, "asyncvar", asyncvar.Impls(), asyncvar.ParseImpl,
 		[]kept[asyncvar.Impl]{
 			{asyncvar.TwoLock, "twolock"},
-			{asyncvar.Channel, "channel"},
+			{asyncvar.Word, "word"},
 		}, "condvar")
 	checkAxis(t, "askfor pool", engine.PoolKinds(), engine.ParsePoolKind,
 		[]kept[engine.PoolKind]{
