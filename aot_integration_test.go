@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -691,5 +692,60 @@ Endsub
 				t.Fatalf("round %d: both back ends size the grant alike:\n%s", round, strings.Join(got, "\n"))
 			}
 		}
+	}
+
+	// The sweep: both back ends walk one node list (plan.Target.Next), so
+	// the same holds for every program the repository owns — the whole
+	// corpus and every forcemark program.  Decisions are compile-time: a
+	// context dead on arrival narrates them all and starts no force.
+	sources := map[string]string{}
+	for _, fam := range [][]corpus.Program{corpus.Equiv, corpus.RuntimeErrors, corpus.NonUniform,
+		corpus.Chunk, corpus.Fusion, corpus.Reductions, corpus.FusionFaults} {
+		for _, p := range fam {
+			sources[p.Name] = p.Src
+		}
+	}
+	files, err := filepath.Glob("benchmark/programs/*/*.force")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no forcemark programs: %v", err)
+	}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sources[f] = string(text)
+	}
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	// Whether a loop fits one grant follows from the grant's size.
+	grantLine := regexp.MustCompile(`grant=[0-9]+( ≥ trip count: process 0 runs it)?`)
+	decided := 0
+	for name, text := range sources {
+		prog, err := forcelang.Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, lines, err := codegen.Lower(prog, codegen.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got []string
+		err = interp.Run(prog, interp.Config{NP: 2, Context: dead, FuseLog: func(msg string) {
+			if !strings.Contains(msg, ": DOALL span-checked ") {
+				got = append(got, msg)
+			}
+		}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: the run started: %v", name, err)
+		}
+		want := grantLine.ReplaceAllString(strings.Join(lines, "\n"), "grant=K")
+		if grantLine.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
+			t.Errorf("%s: chunk tier narrates\n%s\nemitter narrates\n%s", name, strings.Join(got, "\n"), strings.Join(lines, "\n"))
+		}
+		decided += len(lines)
+	}
+	if decided < 300 {
+		t.Errorf("the sweep compared %d decisions over %d programs: it is not reading the narration", decided, len(sources))
 	}
 }

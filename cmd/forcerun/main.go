@@ -169,7 +169,6 @@ func run() error {
 		hangTO  = flag.Duration("hang-timeout", 0, "abort a run that has not finished after this long, reporting where each process is blocked (0 disables)")
 		wallTO  = flag.Duration("timeout", 0, "wall-clock deadline for the whole run: cancel via the runtime's external-cancellation path after this long (0 disables)")
 		vetF    = flag.String("vet", "warn", "forcevet static analysis: warn (report and run), err (report and fail), off")
-		showAST = flag.Bool("ast", false, "print a program summary before running")
 		verbose = flag.Bool("v", false, "report tier decisions and cache activity on standard error")
 	)
 	// -barrier -reduce -selfsched -askfor -chunk: the flags a generated
@@ -259,10 +258,6 @@ func run() error {
 		cpuStarted = true
 	}
 	defer finalizeProfiles()
-	if *showAST {
-		fmt.Printf("program %s: %d declarations, %d subroutines, %d top-level statements\n",
-			prog.Name, len(prog.Decls), len(prog.Subs), len(prog.Body))
-	}
 	// The -timeout context bounds the whole run, whatever the tier.
 	ctx := context.Background()
 	if *wallTO > 0 {

@@ -23,17 +23,21 @@
 //		   │                 uniform/varying lattice and the affine
 //		   │                 disjointness proofs live in internal/uniform,
 //		   │                 shared with the DOALL plan below
-//		   ├── plan          the back-end-independent DOALL decisions, read
-//		   │                 off the checked tree: the classify walk (uniform
+//		   ├── plan          the lowered construct list: Target.Next turns a
+//		   │                 statement list, step by step, into the
+//		   │                 statement itself, a Loop or a Region, every
+//		   │                 decision a field — the classify walk (uniform
 //		   │                 vs varying, disjointness, accumulator folding,
 //		   │                 whether the iteration→process map is
-//		   │                 observable → block or cyclic deal), the shared-
-//		   │                 accumulate recogniser, and the fusion legality
-//		   │                 proofs (runs of adjacent independent DOALLs,
-//		   │                 plus a trailing GSUM/GPROD/GMAX/GMIN, that may
-//		   │                 share one closing join).  BOTH back ends below
-//		   │                 read it, and forcerun -v narrates the same
-//		   │                 decision lines on either
+//		   │                 observable → block or cyclic deal), the grant,
+//		   │                 the shared-accumulate recogniser, the fusion
+//		   │                 legality proofs (runs of adjacent independent
+//		   │                 DOALLs, plus a trailing GSUM/GPROD/GMAX/GMIN,
+//		   │                 that may share one closing join), the Barrier
+//		   │                 riding a collective, who stores a fold.  BOTH
+//		   │                 back ends below walk that one list and only
+//		   │                 spell it (closures, text); forcerun -v narrates
+//		   │                 the same decision lines on either
 //		   ├── interp        SPMD interpreter: a layout pass sizes frames and
 //		   │                 shared storage from the symbols' slots and ONE
 //		   │                 closure compiler emits typed closures over
@@ -49,10 +53,11 @@
 //		   │                 chunk context, uniform subexpressions
 //		   │                 hoisted, accumulators folded — a fused region
 //		   │                 as open members and one join; the same
-//		   │                 compiler with the planner off and the
+//		   │                 compiler at a lower planner level (off: -exec
+//		   │                 compiled; no fusion: -fuse=off) and the
 //		   │                 original tree walker (the test oracle) are
 //		   │                 the differential references (forcerun -exec
-//		   │                 chunked|compiled|tree, -fuse=on|off)
+//		   │                 chunked|compiled|tree)
 //		   └── codegen       compiler back end emitting Go against core:
 //		        │            every DOALL a Go for-loop over the scheduler
 //		        │            span (block deal, span-local accumulator

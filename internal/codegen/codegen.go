@@ -17,9 +17,10 @@
 //
 // DOALLs are emitted as span loops (doall.go) against the runtime entry
 // points the interpreter's chunk tier uses, and every decision about
-// them — block or cyclic deal, folded accumulators, fused regions — is
-// read from internal/plan, the proofs both back ends share; this package
-// holds no legality code of its own.  Nor does it resolve a name, infer a
+// them — deal, grant, folded accumulators, fused regions, ridden Barriers,
+// how a reduction's fold is stored — arrives as a field of the nodes
+// internal/plan lowers a statement list to (plan.Target.Next); this
+// package holds no legality code of its own.  Nor does it resolve a name, infer a
 // type or define a run-time check: what a name is bound to and what type
 // an expression has are read off the checked tree (forcelang.Symbol,
 // Expr.Type), and the emitted program imports internal/forcert — the
@@ -88,7 +89,7 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 		opts.DefaultNP = 4
 	}
 	g := &generator{prog: prog, opts: opts}
-	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Log: g.logf}
+	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Level: plan.Fused, Log: g.logf}
 	raw, err := g.run()
 	if err != nil {
 		return nil, nil, err
@@ -340,34 +341,23 @@ func (g *generator) subFunc(sub *forcelang.Subroutine) error {
 
 // --- statement generation ---------------------------------------------
 
-// stmts emits a statement list.  A run of DOALLs the shared proofs fuse
-// is emitted as one region, a Barrier statement directly behind a DOALL or
-// a global reduction into that construct's closing collective
-// (plan.Target.Rider); everything else statement by statement.
+// stmts emits a statement list: internal/plan lowers it step by step
+// (Target.Next) and each node is emitted as it says — a Loop or a Region
+// through doall.go, any other statement through stmt.
 func (g *generator) stmts(list []forcelang.Stmt) error {
 	for i := 0; i < len(list); {
-		n, err := 1, error(nil)
-		var bar *forcelang.BarrierStmt // the rider of list[i], consumed with it
-		switch t := list[i].(type) {
-		case *forcelang.ParDo:
-			if reg := g.tg.Fuse(list, i); reg != nil {
-				n, err = reg.Len(), g.region(reg)
-				break
-			}
-			pl := g.tg.DoAll(t)
-			bar = g.tg.Rider(list, i)
-			err = g.riddenDoAll(t, pl, bar)
-		case *forcelang.ReduceStmt:
-			bar = g.tg.Rider(list, i)
-			err = g.region(&plan.Region{Red: t, Rider: bar})
+		nd, n := g.tg.Next(list, i)
+		var err error
+		switch {
+		case nd.Stmt != nil:
+			err = g.stmt(nd.Stmt)
+		case nd.Loop.Do != nil:
+			err = g.loop(nd.Loop)
 		default:
-			err = g.stmt(t)
+			err = g.region(nd.Region)
 		}
 		if err != nil {
 			return err
-		}
-		if bar != nil {
-			n++
 		}
 		i += n
 	}

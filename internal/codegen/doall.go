@@ -18,18 +18,14 @@ package codegen
 //
 // so an iteration costs its body, not a scheduler call and two closure
 // dispatches, and a peer's failure still unwinds a process within
-// core.PoisonEvery (the 256) iterations of a long span.  What
-// internal/plan proves about the body selects the refinements, none
-// decided here: a mapping-insensitive Presched body is dealt in
-// contiguous blocks (the index left where the cyclic deal would leave
-// it); a folded accumulator becomes a span-local
-// partial with one atomic fold at the end of the span; a selfscheduled
-// loop claims the plan's grant of ordinals at a time; a fused region's
-// members run through DoAllChunkedOpen, closed by one FusedJoin; and a
-// Barrier statement directly behind a construct is emitted as the section
-// of its closing collective.  A body with no plan (it blocks, calls out or
-// prints) takes the loop as written above, with the cyclic deal or one
-// iteration per claim and nothing folded.
+// core.PoisonEvery (the 256) iterations of a long span.  The refinements
+// are fields of the plan.Loop / plan.Region node being emitted, none
+// decided here: the deal (blocks leave the index where the cyclic deal
+// would), the grant of a selfscheduled loop, a folded accumulator as a
+// span-local partial with one atomic fold at the end of the span, a
+// region's members open (DoAllChunkedOpen) and closed by one FusedJoin or
+// FusedClose, a riding Barrier as the section of the collective it rides.
+// A body with no plan takes the loop as written above, nothing folded.
 
 import (
 	"fmt"
@@ -39,35 +35,29 @@ import (
 	"repro/internal/plan"
 )
 
-// doAll emits one DOALL as a span loop.  pl is the body's plan (nil: no
-// fact proven); open leaves the construct open (no exit barrier — the
-// caller closes it with a FusedJoin or JoinSection); block deals a
-// prescheduled loop in contiguous blocks.
-func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) error {
+// dealKinds spells plan's deals as the scheduler's; a selfscheduled loop
+// runs under the force's -selfsched, a run-time choice.
+var dealKinds = [...]string{plan.Cyclic: "sched.PreschedCyclic", plan.Block: "sched.PreschedBlock", plan.Self: "p.Selfsched()"}
+
+// doAll emits the span loop of one DOALL as its node says: against l.Plan
+// (nil: no fact proven), dealt as l.Deal, without an exit barrier when
+// l.Open (the caller emits what closes it).
+func (g *generator) doAll(l plan.Loop) error {
+	t, pl := l.Do, l.Plan
 	from, to, step, err := g.loopBounds(t.From, t.To, t.Step)
 	if err != nil {
 		return err
 	}
 	lv := symCode(t.VarSym)
-	kind := "p.Selfsched()" // the force's -selfsched, a run-time choice
-	switch {
-	case t.Sched != forcelang.Presched:
-		block = false
-	case block:
-		kind = "sched.PreschedBlock"
-	default:
-		kind = "sched.PreschedCyclic"
-	}
+	kind := dealKinds[l.Deal]
 	// entry is the runtime call up to its range argument; the prescheduled
 	// deals ignore the grant.
-	var entry string
+	entry := fmt.Sprintf("p.DoAllChunked(%s, ", kind)
 	switch {
-	case open:
-		entry = fmt.Sprintf("p.DoAllChunkedOpen(%s, %d, ", kind, pl.Grant())
-	case t.Sched != forcelang.Presched:
-		entry = fmt.Sprintf("p.DoAllGranted(%s, %d, ", kind, pl.Grant())
-	default:
-		entry = fmt.Sprintf("p.DoAllChunked(%s, ", kind)
+	case l.Open:
+		entry = fmt.Sprintf("p.DoAllChunkedOpen(%s, %d, ", kind, l.Grant)
+	case l.Deal == plan.Self:
+		entry = fmt.Sprintf("p.DoAllGranted(%s, %d, ", kind, l.Grant)
 	}
 	// vars are the loop variable(s); index the expression list giving
 	// their values at ordinal zzK; count the size of the (flattened)
@@ -120,7 +110,7 @@ func (g *generator) doAll(t *forcelang.ParDo, pl *plan.Plan, open, block bool) e
 	g.ind--
 	g.p("}")
 	g.folds = nil
-	if block {
+	if l.Deal == plan.Block {
 		// The loop variable's value after the loop must not depend on
 		// the deal: leave what the cyclic deal would have left.
 		g.p("zzK := sched.CyclicLast(p.ID(), p.NP(), %s)", count)
@@ -211,65 +201,32 @@ func (g *generator) accumulate(t *forcelang.Assign, acc plan.Accum) error {
 	return nil
 }
 
-// riddenDoAll emits one unfused DOALL whose exit synchronization runs the
-// section of bar, the Barrier statement directly behind it (nil, or an
-// empty section: the exit is the whole barrier).
-func (g *generator) riddenDoAll(t *forcelang.ParDo, pl *plan.Plan, bar *forcelang.BarrierStmt) error {
-	if bar == nil || len(bar.Section) == 0 {
-		return g.doAll(t, pl, false, pl.Block())
-	}
-	if err := g.doAll(t, pl, true, pl.Block()); err != nil {
+// loop emits one lone DOALL: the span loop, and behind an open one the
+// exit synchronization running the section of the Barrier riding it.
+func (g *generator) loop(l plan.Loop) error {
+	if err := g.doAll(l); err != nil || !l.Open {
 		return err
 	}
-	g.p("p.JoinSection(func() {")
-	g.ind++
-	if err := g.stmts(bar.Section); err != nil {
-		return err
-	}
-	g.ind--
-	g.p("})")
-	return nil
+	return g.join("p.JoinSection(", l.Section)
 }
 
-// foldOps maps the reduction operators to the runtime's fold.
-var foldOps = map[forcelang.GOp]string{
-	forcelang.GSum: "reduce.Sum", forcelang.GProd: "reduce.Prod",
-	forcelang.GMax: "reduce.Max", forcelang.GMin: "reduce.Min",
-	forcelang.GAnd: "reduce.And", forcelang.GOr: "reduce.Or",
-}
-
-// region emits one closing collective and what it closes: every member of
-// a fused region open (a reduction statement on its own is a region with no
-// members), then the one join.  It is the only lowering of a ReduceStmt in
-// the emitter.  The operand is coerced to the target's type so the
-// combination happens in the target's arithmetic (matching the
-// interpreter), and contributes to the join bit-encoded.  Three storage
-// shapes:
-//
-//   - a shared scalar is stored exactly once, by the completing process
-//     inside the join, before the force is released (a per-process store of
-//     the same value into shared memory is still a data race) and before
-//     the section of the Barrier statement riding the join runs, which may
-//     overwrite it;
-//   - a private target is assigned in every process (each owns its cell):
-//     by the completing process before it runs the riding section, by the
-//     others after their release;
-//   - a by-reference parameter (which may alias a caller's shared OR
-//     private cell) and a shared array element (whose subscript may vary
-//     per process, so each process's element must receive the value, as in
-//     the interpreter) — which no Barrier rides (plan.Target.Rider) —
-//     assign in every process inside a runtime critical section: the
-//     stores are serialized, so aliased shared cells see race-free
-//     identical writes and per-process cells each get their copy.
-func (g *generator) region(reg *plan.Region) error {
-	for i, m := range reg.Members {
-		if err := g.doAll(m, reg.Plans[i], true, reg.Block); err != nil {
+// region emits one closing collective and what it closes: every member
+// open, then the one join.  It is the only lowering of a ReduceStmt in the
+// emitter.  The operand is coerced to the target's type so the combination
+// happens in the target's arithmetic (matching the interpreter), and
+// contributes to the join bit-encoded.  Who stores the fold, and when, is
+// the region's Store (plan.Store gives the four shapes and why); the
+// serialised one is a runtime critical section here, so aliased shared
+// cells see race-free identical writes and per-process cells their copy.
+func (g *generator) region(reg plan.Region) error {
+	for _, m := range reg.Members {
+		if err := g.doAll(m); err != nil {
 			return err
 		}
 	}
 	red := reg.Red
 	if red == nil {
-		return g.join("p.FusedClose(", reg.Rider)
+		return g.join("p.FusedClose(", reg.Section)
 	}
 	g.usesReduce = true
 	lhs, lt, err := g.lvalue(&red.Target)
@@ -290,20 +247,20 @@ func (g *generator) region(reg *plan.Region) error {
 		bits, val = "forcert.Bit("+operand+")", "zzOut != 0"
 		once = lhs + " = " + val
 	}
-	call := fmt.Sprintf("p.FusedJoin(%s, %s, %s, ", foldOps[red.Op], numKind, bits)
-	if red.Target.Sym.Storage == forcelang.SharedScalar {
-		return g.join(fmt.Sprintf("%sfunc(zzOut uint64) { %s }, ", call, once), reg.Rider)
+	call := fmt.Sprintf("p.FusedJoin(reduce.%s, %s, %s, ", reg.Fold, numKind, bits)
+	if reg.Store == plan.StoreOnce {
+		return g.join(fmt.Sprintf("%sfunc(zzOut uint64) { %s }, ", call, once), reg.Section)
 	}
 	g.p("{")
 	g.ind++
-	switch {
-	case reg.Rider != nil && len(reg.Rider.Section) > 0:
+	switch reg.Store {
+	case plan.StoreEachEarly:
 		g.p("zzStored := false")
-		err = g.join(fmt.Sprintf("zzOut := %sfunc(zzOut uint64) { zzStored, %s = true, %s }, ", call, lhs, val), reg.Rider)
+		err = g.join(fmt.Sprintf("zzOut := %sfunc(zzOut uint64) { zzStored, %s = true, %s }, ", call, lhs, val), reg.Section)
 		g.p("if !zzStored {")
 		g.p("\t%s = %s", lhs, val)
 		g.p("}")
-	case red.Target.Sym.Storage == forcelang.SharedArray || red.Target.Sym.Storage == forcelang.Parameter:
+	case plan.StoreEachSerialised:
 		g.p("zzOut := %snil, nil)", call)
 		g.p(`p.Critical("ZZGRED", func() { %s = %s })`, lhs, val)
 	default:
@@ -315,17 +272,17 @@ func (g *generator) region(reg *plan.Region) error {
 	return err
 }
 
-// join emits call — a FusedJoin or FusedClose call up to its last argument — completed
-// by the section of bar, the Barrier statement riding the join (nil, or an
-// empty section: the join is the whole barrier).
-func (g *generator) join(call string, bar *forcelang.BarrierStmt) error {
-	if bar == nil || len(bar.Section) == 0 {
+// join emits call — a closing collective's call up to its last argument —
+// completed by the section riding it (nil: none, the collective is the
+// whole barrier).
+func (g *generator) join(call string, section []forcelang.Stmt) error {
+	if section == nil {
 		g.p("%snil)", call)
 		return nil
 	}
 	g.p("%sfunc() {", call)
 	g.ind++
-	if err := g.stmts(bar.Section); err != nil {
+	if err := g.stmts(section); err != nil {
 		return err
 	}
 	g.ind--

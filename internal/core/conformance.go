@@ -151,7 +151,7 @@ func checkDoall2(m machine.Profile, bk barrier.Kind, np int) error {
 	f := newConfForce(m, bk, np)
 	var cells atomic.Int64
 	f.Run(func(p *Proc) {
-		p.SelfschedDo2(sched.Seq(7), sched.Seq(9), func(i, j int) { cells.Add(1) })
+		p.DoAll2(sched.SelfLock, sched.Seq(7), sched.Seq(9), func(i, j int) { cells.Add(1) })
 	})
 	if cells.Load() != 63 {
 		return fmt.Errorf("2D loop ran %d cells, want 63", cells.Load())
@@ -296,15 +296,15 @@ func checkVoid(m machine.Profile, bk barrier.Kind, np int) error {
 func checkSharedLayout(m machine.Profile, bk barrier.Kind, np int) error {
 	a := m.NewArena(123) // deliberately unaligned base
 	if err := a.Register("main",
-		shm.Decl{Name: "A", Class: shm.Shared, Size: 400},
-		shm.Decl{Name: "V", Class: shm.Async, Size: 8},
-		shm.Decl{Name: "I", Class: shm.Private, Size: 8},
+		shm.Decl{Name: "A", Shared: true, Size: 400},
+		shm.Decl{Name: "V", Shared: true, Size: 8},
+		shm.Decl{Name: "I", Size: 8},
 	); err != nil {
 		return err
 	}
 	if err := a.Register("sub",
-		shm.Decl{Name: "B", Class: shm.Shared, Size: 128},
-		shm.Decl{Name: "T", Class: shm.Private, Size: 64},
+		shm.Decl{Name: "B", Shared: true, Size: 128},
+		shm.Decl{Name: "T", Size: 64},
 	); err != nil {
 		return err
 	}

@@ -236,14 +236,6 @@ func WithReduce(k reduce.Kind) Option {
 	return func(f *Force) { f.variants.Reduce = k }
 }
 
-// WithPcaseSched selects the distribution discipline of SelfschedPcase
-// over the block ordinals.  Default: the paper's lock-based
-// selfscheduling (sched.SelfLock); sched.SelfAtomic and sched.Chunk
-// replace the lock with a fetch-and-add.
-func WithPcaseSched(k sched.Kind) Option {
-	return func(f *Force) { f.variants.Selfsched = k }
-}
-
 // Trace returns the attached recorder (nil when tracing is off).
 func (f *Force) Trace() *trace.Recorder { return f.tr }
 
@@ -880,12 +872,6 @@ func (p *Proc) PreschedDo2(r1, r2 sched.Range, body func(i, j int)) {
 	p.DoAll2(sched.PreschedCyclic, r1, r2, body)
 }
 
-// SelfschedDo2 distributes the index pairs of a doubly nested loop
-// selfscheduled.
-func (p *Proc) SelfschedDo2(r1, r2 sched.Range, body func(i, j int)) {
-	p.DoAll2(sched.SelfLock, r1, r2, body)
-}
-
 // Block is one Pcase section: an independent single-stream code block,
 // optionally guarded by a condition.  A nil Cond means unconditional.
 // Conditions are evaluated by the process that would execute the block —
@@ -922,8 +908,8 @@ func (p *Proc) Pcase(blocks ...Block) {
 // through one of the force's loop slots, like a selfscheduled DOALL.
 // With the default discipline a shared block counter behind the machine's
 // lock deals them out — the paper's "asynchronous variable ... needed for
-// work distribution" (§4.2); WithPcaseSched selects another selfscheduled
-// discipline.
+// work distribution" (§4.2); the force's -selfsched (Variants.Selfsched)
+// selects another selfscheduled discipline.
 func (p *Proc) SelfschedPcase(blocks ...Block) {
 	p.f.pc.Check()
 	// Blocks are dealt one per claim whatever the discipline.

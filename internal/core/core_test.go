@@ -249,7 +249,7 @@ func TestDoall2Pairs(t *testing.T) {
 	const np = 3
 	r1 := sched.Range{Start: 1, Last: 4, Incr: 1}  // 4 values
 	r2 := sched.Range{Start: 0, Last: 10, Incr: 5} // 3 values
-	for _, variant := range []string{"presched", "selfsched"} {
+	for _, kind := range []sched.Kind{sched.PreschedCyclic, sched.PreschedBlock, sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
 		f := New(np)
 		var mu sync.Mutex
 		pairs := make(map[[2]int]int)
@@ -259,21 +259,21 @@ func TestDoall2Pairs(t *testing.T) {
 				pairs[[2]int{i, j}]++
 				mu.Unlock()
 			}
-			if variant == "presched" {
-				p.PreschedDo2(r1, r2, body)
+			if kind == sched.PreschedCyclic {
+				p.PreschedDo2(r1, r2, body) // the paper's spelling of the cyclic row
 			} else {
-				p.SelfschedDo2(r1, r2, body)
+				p.DoAll2(kind, r1, r2, body)
 			}
 		})
 		if len(pairs) != 12 {
-			t.Errorf("%s: %d distinct pairs, want 12", variant, len(pairs))
+			t.Errorf("%s: %d distinct pairs, want 12", kind, len(pairs))
 		}
 		for pr, c := range pairs {
 			if c != 1 {
-				t.Errorf("%s: pair %v ran %d times", variant, pr, c)
+				t.Errorf("%s: pair %v ran %d times", kind, pr, c)
 			}
 			if pr[0] < 1 || pr[0] > 4 || pr[1]%5 != 0 {
-				t.Errorf("%s: unexpected pair %v", variant, pr)
+				t.Errorf("%s: unexpected pair %v", kind, pr)
 			}
 		}
 	}

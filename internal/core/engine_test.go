@@ -121,11 +121,11 @@ func TestAskforDynamicTreeStealingMatchesMonitor(t *testing.T) {
 }
 
 // TestSelfschedPcaseDisciplines deals Pcase blocks through the
-// non-default selfscheduled disciplines (WithPcaseSched).
+// non-default selfscheduled disciplines (Variants.Selfsched).
 func TestSelfschedPcaseDisciplines(t *testing.T) {
 	for _, kind := range []sched.Kind{sched.SelfAtomic, sched.Chunk} {
 		for _, np := range []int{1, 3, 8} {
-			f := New(np, WithPcaseSched(kind))
+			f := New(np, WithVariants(Variants{Selfsched: kind}))
 			const nblocks = 11
 			var runs [nblocks]atomic.Int64
 			f.Run(func(p *Proc) {

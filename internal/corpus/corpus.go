@@ -1326,6 +1326,27 @@ Barrier
 End Barrier
 Endsub
 `},
+	// A literal coefficient that wraps in int64: 2^62 * 4 is 0, so both
+	// iterations of each loop meet on A(1).  The form is not injective
+	// (uniform.Space.Coef answers only within ±2^31): the first loop keeps
+	// the cyclic deal, and the pair does not fuse on the strength of a
+	// same-pid argument over "disjoint" elements of A.  Both iterations
+	// store one value, so the output is exact however they are dealt.
+	{"wrapping-coefficient-not-disjoint", 0, `Force WRAPC of NP ident ME
+Shared Integer A(8), B(8)
+Private Integer I
+End Declarations
+Presched DO I = 0, 4, 4
+  A(4611686018427387904 * I + 1) = 7
+End Presched DO
+Presched DO I = 0, 4, 4
+  B(I + 1) = A(4611686018427387904 * I + 1) + I
+End Presched DO
+Barrier
+  Print 'wrap', A(1), B(1), B(5)
+End Barrier
+Join
+`},
 }
 
 // Fusion is the fusion-pass matrix: programs shaped so the chunk tier's

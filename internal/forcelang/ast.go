@@ -14,8 +14,6 @@ package forcelang
 
 import (
 	"fmt"
-
-	"repro/internal/shm"
 )
 
 // Type is a Force variable type.
@@ -44,6 +42,38 @@ func (t Type) String() string {
 	}
 }
 
+// Class is the Force storage class of a declaration: the paper's
+// shared/private classification "orthogonal to the Fortran local/common
+// classification", plus async (shared with a full/empty state).
+type Class int
+
+const (
+	// Private variables are strictly local to one process (the Force
+	// default).
+	Private Class = iota
+	// Shared variables are uniformly shared among all processes.
+	Shared
+	// Async variables are shared and carry a full/empty state.
+	Async
+)
+
+// String returns the Force keyword for the class.
+func (c Class) String() string {
+	switch c {
+	case Private:
+		return "private"
+	case Shared:
+		return "shared"
+	case Async:
+		return "async"
+	default:
+		return fmt.Sprintf("forcelang.Class(%d)", int(c))
+	}
+}
+
+// IsShared reports whether every process sees the one variable.
+func (c Class) IsShared() bool { return c == Shared || c == Async }
+
 // Decl is one variable declaration.
 //
 // Unit and Slot are filled in by the semantic checker: Unit names the
@@ -57,7 +87,7 @@ func (t Type) String() string {
 // The interpreter's resolve/compile pass executes against these indices
 // instead of re-resolving names at run time.
 type Decl struct {
-	Class shm.Class
+	Class Class
 	Type  Type
 	Name  string
 	Dims  []int // nil for scalars; 1 or 2 dimensions for arrays

@@ -2,8 +2,6 @@ package forcelang
 
 import (
 	"fmt"
-
-	"repro/internal/shm"
 )
 
 // Scope is the resolved symbol table of one compilation unit (the main
@@ -47,11 +45,11 @@ func (s *Scope) Params() []*Symbol { return s.params }
 // not a parameter.
 func storageOf(d Decl) Storage {
 	switch {
-	case d.Class == shm.Async:
+	case d.Class == Async:
 		return AsyncVar
-	case d.Class == shm.Shared && len(d.Dims) > 0:
+	case d.Class == Shared && len(d.Dims) > 0:
 		return SharedArray
-	case d.Class == shm.Shared:
+	case d.Class == Shared:
 		return SharedScalar
 	case len(d.Dims) > 0:
 		return PrivateArray
@@ -174,7 +172,7 @@ func (c *checker) buildScope(unit string, decls []Decl, base *Scope, params []st
 		if np == me {
 			return nil, fmt.Errorf("force header: NP variable and ident variable are both %s", np)
 		}
-		add(Symbol{Decl: Decl{Class: shm.Shared, Type: TInt, Name: np, Slot: slots.next(SharedScalar)},
+		add(Symbol{Decl: Decl{Class: Shared, Type: TInt, Name: np, Slot: slots.next(SharedScalar)},
 			Storage: SharedScalar, Role: RoleNP, Param: -1})
 	} else {
 		for name, sym := range base.vars {
@@ -183,7 +181,7 @@ func (c *checker) buildScope(unit string, decls []Decl, base *Scope, params []st
 			}
 		}
 	}
-	add(Symbol{Decl: Decl{Class: shm.Private, Type: TInt, Name: me, Unit: unit, Slot: slots.next(PrivateScalar)},
+	add(Symbol{Decl: Decl{Class: Private, Type: TInt, Name: me, Unit: unit, Slot: slots.next(PrivateScalar)},
 		Storage: PrivateScalar, Role: RoleIdent, Param: -1})
 	for _, d := range decls {
 		if prior, dup := s.vars[d.Name]; dup {
@@ -194,7 +192,7 @@ func (c *checker) buildScope(unit string, decls []Decl, base *Scope, params []st
 				return nil, fmt.Errorf("line %d: %s already declared (line %d)", d.Line, d.Name, prior.Line)
 			}
 		}
-		if d.Class == shm.Async {
+		if d.Class == Async {
 			if len(d.Dims) > 1 {
 				return nil, fmt.Errorf("line %d: async variable %s may have at most one dimension", d.Line, d.Name)
 			}
@@ -232,7 +230,7 @@ func (c *checker) subScope(sub *Subroutine) (*Scope, error) {
 		if sym == nil {
 			return nil, fmt.Errorf("line %d: parameter %s of %s not declared", sub.Line, param, sub.Name)
 		}
-		if sym.Class == shm.Async {
+		if sym.Class == Async {
 			return nil, fmt.Errorf("line %d: parameter %s of %s cannot be Async", sub.Line, param, sub.Name)
 		}
 	}
@@ -465,7 +463,7 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 			if !ok {
 				return fmt.Errorf("line %d: undeclared argument %s", t.Pos(), arg.Name)
 			}
-			if argDecl.Class == shm.Async {
+			if argDecl.Class == Async {
 				return fmt.Errorf("line %d: async variable %s cannot be a subroutine argument", t.Pos(), arg.Name)
 			}
 			paramDecl, _ := subScope.Lookup(sub.Params[i])
@@ -525,7 +523,7 @@ func (c *checker) loopVar(name string, s *Scope, line int, mustPrivate bool) (*S
 	if d.Type != TInt || len(d.Dims) != 0 {
 		return nil, fmt.Errorf("line %d: loop variable %s must be a scalar INTEGER", line, name)
 	}
-	if mustPrivate && d.Class != shm.Private {
+	if mustPrivate && d.Class != Private {
 		return nil, fmt.Errorf("line %d: DOALL index %s must be Private (each process holds its own copy)", line, name)
 	}
 	return d, nil
@@ -555,7 +553,7 @@ func (c *checker) asyncVar(name string, sub Expr, s *Scope, line int) (*Symbol, 
 	if !ok {
 		return nil, fmt.Errorf("line %d: undeclared async variable %s", line, name)
 	}
-	if d.Class != shm.Async {
+	if d.Class != Async {
 		return nil, fmt.Errorf("line %d: %s is not an Async variable", line, name)
 	}
 	switch {
@@ -594,7 +592,7 @@ func (c *checker) refType(r *Ref, s *Scope) (Type, error) {
 	if !ok {
 		return 0, fmt.Errorf("line %d: undeclared variable %s", r.Pos(), r.Name)
 	}
-	if d.Class == shm.Async {
+	if d.Class == Async {
 		return 0, fmt.Errorf("line %d: async variable %s may only be used with Produce/Consume/Copy/Void", r.Pos(), r.Name)
 	}
 	if len(r.Subs) != len(d.Dims) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/shm"
 )
 
 // sample is a program exercising every statement form.
@@ -360,16 +358,16 @@ Endsub
 
 func TestGlobalScope(t *testing.T) {
 	scope := MustParse(sample).Scope
-	if d, ok := scope.Lookup("A"); !ok || len(d.Dims) != 2 || d.Class != shm.Shared {
+	if d, ok := scope.Lookup("A"); !ok || len(d.Dims) != 2 || d.Class != Shared {
 		t.Errorf("A: %+v ok=%v", d, ok)
 	}
-	if d, ok := scope.Lookup("ME"); !ok || d.Class != shm.Private || d.Type != TInt {
+	if d, ok := scope.Lookup("ME"); !ok || d.Class != Private || d.Type != TInt {
 		t.Errorf("ME: %+v ok=%v", d, ok)
 	}
-	if d, ok := scope.Lookup("NP"); !ok || d.Class != shm.Shared {
+	if d, ok := scope.Lookup("NP"); !ok || d.Class != Shared {
 		t.Errorf("NP: %+v ok=%v", d, ok)
 	}
-	if d, ok := scope.Lookup("V"); !ok || d.Class != shm.Async || d.Storage != AsyncVar {
+	if d, ok := scope.Lookup("V"); !ok || d.Class != Async || d.Storage != AsyncVar {
 		t.Errorf("V (declared as v; the lexer upper-cases identifiers once): %+v ok=%v", d, ok)
 	}
 	if len(scope.Names()) != 9 { // 7 decls + NP + ME
@@ -530,4 +528,25 @@ func mustLookup(t *testing.T, s *Scope, name string) *Symbol {
 		t.Fatalf("%s not in scope", name)
 	}
 	return sym
+}
+
+func TestClassString(t *testing.T) {
+	cases := map[Class]string{Private: "private", Shared: "shared", Async: "async"}
+	for c, want := range cases {
+		if got := c.String(); got != want {
+			t.Errorf("%v.String() = %q, want %q", int(c), got, want)
+		}
+	}
+	if got := Class(9).String(); got != "forcelang.Class(9)" {
+		t.Errorf("unknown class String() = %q", got)
+	}
+}
+
+func TestClassIsShared(t *testing.T) {
+	if Private.IsShared() {
+		t.Error("Private.IsShared() = true")
+	}
+	if !Shared.IsShared() || !Async.IsShared() {
+		t.Error("Shared/Async IsShared() = false")
+	}
 }

@@ -3,8 +3,6 @@ package forcelang
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/shm"
 )
 
 // Parse parses a Force dialect source text into a Program and runs the
@@ -201,14 +199,14 @@ func (p *parser) parseDecls() ([]Decl, error) {
 		if p.cur().kind == tokEOF {
 			return nil, p.errf("missing End Declarations")
 		}
-		var class shm.Class
+		var class Class
 		switch {
 		case p.accept("SHARED"):
-			class = shm.Shared
+			class = Shared
 		case p.accept("PRIVATE"):
-			class = shm.Private
+			class = Private
 		case p.accept("ASYNC"):
-			class = shm.Async
+			class = Async
 		default:
 			return nil, p.errf("expected Shared, Private, Async or End Declarations, found %s", p.cur())
 		}

@@ -251,35 +251,24 @@ func (kc *kctx) flush(accs []accCell) {
 	kc.seed(accs)
 }
 
-// chunkTier reports whether the planner runs at all: only under
-// ExecChunked.  ExecCompiled is "the planner is off" — every DOALL takes
-// the span loop with no plan — which is what makes it the differential
-// reference for the planner's decisions.
-func (c *compiler) chunkTier() bool { return c.in.cfg.Exec == ExecChunked }
-
-// chunkParDo compiles t — every DOALL of the closure compiler — as a span
+// chunkParDo compiles l — every DOALL of the closure compiler — as a span
 // loop against its plan: the body in chunk mode, the loop header outside
-// it.  A nil plan proves nothing about the body (it calls out, blocks,
-// prints or writes its index; or the planner is off, ExecCompiled): the
-// body compiles in ordinary mode behind a first statement that stores the
-// index through the frame every iteration, nothing is hoisted or folded,
-// a prescheduled loop keeps the cyclic deal, and the loop variable is
+// it.  With no plan (plan.Loop says when) the body compiles in ordinary
+// mode behind a first statement that stores the index through the frame
+// every iteration, nothing is hoisted or folded, and the loop variable is
 // left as the last iteration left it — the loop the Go emitter writes for
-// a nil plan.  When open is true the construct is left open — a member of
-// a fused region, or a DOALL whose exit a Barrier statement rides: spans
-// run through DoAllChunkedOpen and no exit barrier is executed — the
-// caller must close it with a FusedJoin or JoinSection on every process.
-// block deals a prescheduled loop in contiguous blocks instead of
-// cyclically; callers pass it only when the plan allows (for a fused
-// region, every member's).  A selfscheduled loop claims p.Grant()
-// ordinals at a time.  A granted span of a single-index loop runs the
-// compiled body when it passes the end-point test of the body's
-// span-checked references (trivially, when there are none), the checked
-// plan-less body otherwise; what follows the span — the index left
-// behind, the accumulator flush — is the same either way.
-func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool) stmtFn {
+// a nil plan.  An open loop runs its spans through DoAllChunkedOpen and
+// executes no exit barrier: the caller closes it with a FusedJoin,
+// FusedClose or JoinSection on every process.  Deal and grant are the
+// node's.  A granted span of a single-index loop runs the compiled body
+// when it passes the end-point test of the body's span-checked references
+// (trivially, when there are none), the checked plan-less body otherwise;
+// what follows the span — the index left behind, the accumulator flush —
+// is the same either way.
+func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
+	t, p := l.Do, l.Plan
 	cp := &chunkPlan{Plan: p}
-	grant := p.Grant()
+	grant, open := l.Grant, l.Open
 	planned := p != nil
 	body := c.spanBody(t, cp)
 	if lg := c.tg.Log; lg != nil && cp.elems > 0 {
@@ -296,15 +285,11 @@ func (c *compiler) chunkParDo(t *forcelang.ParDo, p *plan.Plan, open, block bool
 	rangeF := c.rangeFn(t.From, t.To, t.Step)
 	storeVar := c.intVarStore(t.VarSym, t.Pos())
 	note := noteStr("DOALL", t.Pos())
-	kind := c.in.cfg.Selfsched
-	switch {
-	case t.Sched != forcelang.Presched:
-		block = false
-	case block:
-		kind = sched.PreschedBlock
-	default:
-		kind = sched.PreschedCyclic
-	}
+	// plan's deals in the scheduler's spelling: a selfscheduled loop runs
+	// under the force's discipline.
+	kind := [...]sched.Kind{plan.Cyclic: sched.PreschedCyclic, plan.Block: sched.PreschedBlock,
+		plan.Self: c.in.cfg.Selfsched}[l.Deal]
+	block := l.Deal == plan.Block
 
 	if t.Inner == nil {
 		return func(pr *cproc, fr *frame) {
@@ -433,7 +418,7 @@ func (c *compiler) spanBody(t *forcelang.ParDo, cp *chunkPlan) []stmtFn {
 func (cp *chunkPlan) checkedBody(c *compiler, t *forcelang.ParDo) []stmtFn {
 	cp.once.Do(func() {
 		lazy := *c
-		lazy.plan, lazy.tg.Log = nil, nil
+		lazy.plan, lazy.tg = nil, plan.Target{} // a span-certified body holds nothing to plan
 		cp.checked = lazy.spanBody(t, &chunkPlan{})
 	})
 	return cp.checked

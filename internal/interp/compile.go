@@ -90,13 +90,22 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 
 // --- statements --------------------------------------------------------
 
+// stmts compiles a statement list — the one driver: internal/plan lowers
+// it step by step (Target.Next, at the level Config selected) and each
+// node compiles to one closure, a Loop or a Region through fuse.go.
 func (c *compiler) stmts(list []forcelang.Stmt) []stmtFn {
-	if c.fuseEnabled() {
-		return c.fusedStmts(list)
-	}
-	out := make([]stmtFn, len(list))
-	for i, st := range list {
-		out[i] = c.stmt(st)
+	out := make([]stmtFn, 0, len(list))
+	for i := 0; i < len(list); {
+		nd, n := c.tg.Next(list, i)
+		switch {
+		case nd.Stmt != nil:
+			out = append(out, c.stmt(nd.Stmt))
+		case nd.Loop.Do != nil:
+			out = append(out, c.loop(nd.Loop))
+		default:
+			out = append(out, c.region(nd.Region))
+		}
+		i += n
 	}
 	return out
 }
@@ -146,8 +155,6 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 				runBody(body, pr, fr)
 			}
 		}
-	case *forcelang.ParDo:
-		return c.parDo(t)
 	case *forcelang.BarrierStmt:
 		section := c.stmts(t.Section)
 		note := noteStr("Barrier", t.Pos())
@@ -218,8 +225,6 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 			}
 			pr.puts[len(pr.puts)-1](ev(pr, fr))
 		}
-	case *forcelang.ReduceStmt:
-		return c.region(&plan.Region{Red: t})
 	case *forcelang.ProduceStmt:
 		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
 		ev, _ := c.val(t.Expr)
@@ -312,17 +317,6 @@ func (c *compiler) intVarStore(sym *forcelang.Symbol, line int) func(pr *cproc, 
 	default:
 		panic(compileErrf("line %d: %s is not a scalar variable", line, sym.Name))
 	}
-}
-
-// parDo compiles one unfused DOALL against its plan.  The planner
-// (internal/plan) is asked only under ExecChunked; a body it declines —
-// every body, under ExecCompiled — has none.
-func (c *compiler) parDo(t *forcelang.ParDo) stmtFn {
-	var p *plan.Plan
-	if c.chunkTier() {
-		p = c.tg.DoAll(t)
-	}
-	return c.chunkParDo(t, p, false, p.Block())
 }
 
 // asyncCellFn compiles the cell address of an async statement: the entry

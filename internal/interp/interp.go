@@ -16,33 +16,30 @@
 // One closure compiler and one tree walker implement those semantics
 // (Config.Exec):
 //
-//   - ExecChunked (the default) and ExecCompiled are the same staged
-//     engine: the checker has bound every variable reference to a
-//     (storage, unit, slot) symbol, a layout pass (resolve.go) sizes the
-//     frames and the shared storage from those slots, and the closure
-//     compiler (compile.go) turns the checked AST into a tree of typed
-//     closures over index-addressed frames.  Private variables are direct slot
+//   - ExecChunked (the default) and ExecCompiled are one staged engine:
+//     the checker has bound every variable reference to a (storage, unit,
+//     slot) symbol, a layout pass (resolve.go) sizes the frames and the
+//     shared storage from those slots, and the closure compiler
+//     (compile.go) turns the checked AST into a tree of typed closures
+//     over index-addressed frames.  Private variables are direct slot
 //     accesses; shared scalars and shared array elements are individual
-//     atomic words read and written unboxed (store.go), so an
-//     interpreted DOALL over disjoint elements runs in parallel.
-//     Every DOALL is a span loop: the body runs over each span the
-//     runtime grants the process, with a poison check every
-//     core.PoisonEvery iterations.  Under ExecChunked the shared
-//     classifier (internal/plan) marks every DOALL-body reference
-//     uniform (loop-invariant) or varying, and a body it can prove safe
-//     is compiled by that same compiler in chunk mode (chunk.go) — the
-//     index lives in the process's chunk context, uniform subexpressions
-//     are hoisted and evaluated once per construct, shared accumulates
-//     fold into the shared cell once per span, a prescheduled loop
-//     whose body cannot observe the iteration-to-process map is dealt
-//     in contiguous blocks, and a selfscheduled loop claims the grant
-//     the plan sized from the body's static cost.  A body with no plan (calls, critical
-//     sections, I/O ordering hazards, a written index) keeps the
-//     cyclic deal and stores its index through the frame every
-//     iteration; nothing in it is hoisted or folded.  ExecCompiled is
-//     "the planner is off": every body takes that plan-less loop.  It
-//     is the switch the equivalence tests use as the reference for the
-//     planner's decisions over chunk-eligible bodies.
+//     atomic words read and written unboxed (store.go), so an interpreted
+//     DOALL over disjoint elements runs in parallel.  The compiler has one
+//     statement-list driver (compiler.stmts): internal/plan lowers the
+//     list to nodes (plan.Target.Next) and each node compiles to one
+//     closure — a DOALL always to the same span loop (chunkParDo), a
+//     reduction always to the force's one closing collective (region).
+//     The modes differ in the LEVEL of the plan.Target, not in the
+//     compiler.  ExecChunked asks for everything: a body the shared
+//     classifier proves safe compiles in chunk mode (chunk.go: index in
+//     the chunk context, uniform subexpressions hoisted, accumulates
+//     folded, block deal, sized grant), and adjacent independent DOALLs,
+//     a trailing reduction and a Barrier behind them share one collective
+//     (fuse.go).  Config.NoFuse asks for the plans without the sharing.
+//     ExecCompiled is "the planner is off": every node comes back
+//     unplanned — the cyclic deal or one iteration per claim, nothing
+//     hoisted, folded or fused — the reference the equivalence tests
+//     hold the planner's decisions against.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
 //     one per-run mutex.  It is the differential-test oracle
@@ -82,7 +79,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/reduce"
 	"repro/internal/sched"
-	"repro/internal/shm"
 	"repro/internal/trace"
 )
 
@@ -120,12 +116,12 @@ type Config struct {
 	// DOALL planner on (zero value) or off (ExecCompiled), or the
 	// original tree walker (ExecTree).
 	Exec ExecMode
-	// NoFuse disables the fusion pass of the chunk tier: adjacent
-	// independent DOALLs and a trailing reduction keep their own exit
-	// barriers and reduce episodes instead of sharing one fused join,
-	// and every Barrier statement is an episode of its own instead of
-	// riding the closing collective before it.  Fusion is otherwise on
-	// whenever the planner is (Exec == ExecChunked).
+	// NoFuse lowers the planner's level under ExecChunked from
+	// plan.Fused to plan.Planned: adjacent independent DOALLs and a
+	// trailing reduction keep their own exit barriers and reduce episodes
+	// instead of sharing one fused join, and every Barrier statement is
+	// an episode of its own instead of riding the closing collective
+	// before it.  The other modes already ask for less.
 	NoFuse bool
 	// FuseLog, when non-nil, receives one line per fusion decision the
 	// compiler takes (each fused region, each declined candidate with
@@ -163,12 +159,10 @@ const (
 	// provably safe DOALL bodies are chunk-compiled, block-dealt and
 	// fused; everything else runs exactly as ExecCompiled.  The default.
 	ExecChunked ExecMode = iota
-	// ExecCompiled resolves every variable reference to a (storage
-	// class, slot) pair at compile time and executes typed closures over
-	// index-addressed frames with per-variable shared-memory
-	// synchronization; the planner is off, so every DOALL is the
-	// plan-less span loop (chunk mode never entered, nothing fused).
-	// Kept as the differential reference for the planner's decisions.
+	// ExecCompiled is the same closure compiler with the planner off
+	// (plan.Plain): every DOALL is the plan-less span loop — chunk mode
+	// never entered, nothing fused.  Kept as the differential reference
+	// for the planner's decisions.
 	ExecCompiled
 	// ExecTree is the original tree walker: map-addressed frames and one
 	// global mutex serializing all shared access.  Kept as the semantic
@@ -488,9 +482,9 @@ func newInstance(prog *forcelang.Program, cfg Config, f *core.Force) *instance {
 				continue
 			}
 			switch d.Class {
-			case shm.Shared:
+			case forcelang.Shared:
 				m[d.Name] = newBinding(d, true)
-			case shm.Async:
+			case forcelang.Async:
 				in.asyncs[unit+"."+d.Name] = newAsyncEntry(d, cfg, f)
 			}
 		}
@@ -501,7 +495,7 @@ func newInstance(prog *forcelang.Program, cfg Config, f *core.Force) *instance {
 		allocUnit(sub.Name, sub.Decls, sub.Params)
 	}
 	// NP is a shared integer every unit can read.
-	npDecl := forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: prog.NPVar}
+	npDecl := forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TInt, Name: prog.NPVar}
 	npB := newBinding(npDecl, true)
 	npB.p.i = int64(cfg.NP)
 	in.shared[""][prog.NPVar] = npB
@@ -545,14 +539,14 @@ func (pr *proc) newMainFrame() *tframe {
 	f := &tframe{unit: "", vars: map[string]*binding{}}
 	for _, d := range pr.in.prog.Decls {
 		switch d.Class {
-		case shm.Private:
+		case forcelang.Private:
 			f.vars[d.Name] = newBinding(d, false)
-		case shm.Shared:
+		case forcelang.Shared:
 			f.vars[d.Name] = pr.in.shared[""][d.Name]
 		}
 	}
 	f.vars[pr.in.prog.NPVar] = pr.in.shared[""][pr.in.prog.NPVar]
-	me := newBinding(forcelang.Decl{Class: shm.Private, Type: forcelang.TInt, Name: pr.in.prog.MeVar}, false)
+	me := newBinding(forcelang.Decl{Class: forcelang.Private, Type: forcelang.TInt, Name: pr.in.prog.MeVar}, false)
 	me.p.i = int64(pr.p.ID())
 	f.vars[pr.in.prog.MeVar] = me
 	return f
@@ -897,15 +891,15 @@ func (pr *proc) call(t *forcelang.CallStmt, f *tframe) {
 			continue
 		}
 		switch d.Class {
-		case shm.Private:
+		case forcelang.Private:
 			nf.vars[d.Name] = newBinding(d, false)
-		case shm.Shared:
+		case forcelang.Shared:
 			nf.vars[d.Name] = pr.in.shared[sub.Name][d.Name]
 		}
 	}
 	// NP and ME are visible everywhere.
 	nf.vars[pr.in.prog.NPVar] = pr.in.shared[""][pr.in.prog.NPVar]
-	me := newBinding(forcelang.Decl{Class: shm.Private, Type: forcelang.TInt, Name: pr.in.prog.MeVar}, false)
+	me := newBinding(forcelang.Decl{Class: forcelang.Private, Type: forcelang.TInt, Name: pr.in.prog.MeVar}, false)
 	me.p.i = int64(pr.p.ID())
 	nf.vars[pr.in.prog.MeVar] = me
 	pr.stmts(sub.Body, nf)

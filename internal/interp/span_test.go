@@ -132,14 +132,14 @@ func newSpanFixture(t *testing.T, src string) *spanFixture {
 	}
 	in := newCInstance(fx.prog, Config{NP: 1, Stdout: io.Discard}, res, nil)
 	fx.c = newCompiler(in)
-	for _, st := range fx.prog.Body {
+	for i, st := range fx.prog.Body {
 		if pd, ok := st.(*forcelang.ParDo); ok {
-			fx.loop = pd
+			nd, _ := fx.c.tg.Next(fx.prog.Body, i)
+			fx.loop, fx.cp = pd, &chunkPlan{Plan: nd.Loop.Plan}
 			break
 		}
 	}
-	fx.cp = &chunkPlan{Plan: fx.c.tg.DoAll(fx.loop)}
-	if fx.cp.Plan == nil {
+	if fx.cp == nil || fx.cp.Plan == nil {
 		t.Fatal("the fixture's DOALL has no plan")
 	}
 	fx.c.spanBody(fx.loop, fx.cp)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
-	"repro/internal/shm"
 )
 
 // TestSharedDisjointElementWrites drives an 8-process force through a
@@ -135,7 +134,7 @@ Endsub
 // an external mutex (the compiled Critical pattern), must never lose a
 // write or trip the race detector.
 func TestSharedArrayDirect(t *testing.T) {
-	d := forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{1024}}
+	d := forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{1024}}
 	a := newSharedArray(d)
 	var wg sync.WaitGroup
 	for p := 0; p < 8; p++ {
@@ -180,7 +179,7 @@ func TestSharedArrayDirect(t *testing.T) {
 func TestSharedElementMixedPaths(t *testing.T) {
 	const rounds = 20000
 	t.Run("REAL", func(t *testing.T) {
-		a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TReal, Name: "A", Dims: []int{4}})
+		a := newSharedArray(forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TReal, Name: "A", Dims: []int{4}})
 		ok := func(r float64) bool { return r == 0 || r == 1.5 || r == -2.25 }
 		hammer(t, rounds,
 			func() { a.store(2, realVal(1.5)) },
@@ -189,7 +188,7 @@ func TestSharedElementMixedPaths(t *testing.T) {
 			func() bool { return ok(a.loadReal(2)) })
 	})
 	t.Run("INTEGER", func(t *testing.T) {
-		a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{4}})
+		a := newSharedArray(forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{4}})
 		// Values whose halves differ, so a torn word would show.
 		const x, y = int64(0x0123456789abcdef), int64(-0x0fedcba987654321)
 		ok := func(i int64) bool { return i == 0 || i == x || i == y }
@@ -200,7 +199,7 @@ func TestSharedElementMixedPaths(t *testing.T) {
 			func() bool { return ok(a.loadInt(2)) })
 	})
 	t.Run("LOGICAL", func(t *testing.T) {
-		a := newSharedArray(forcelang.Decl{Class: shm.Shared, Type: forcelang.TLogical, Name: "A", Dims: []int{4}})
+		a := newSharedArray(forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TLogical, Name: "A", Dims: []int{4}})
 		hammer(t, rounds,
 			func() { a.store(2, boolVal(true)) },
 			func() { a.storeBool(2, false) },

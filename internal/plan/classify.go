@@ -68,7 +68,6 @@ type Plan struct {
 
 	sum   *Summary       // the body's footprint
 	space *uniform.Space // the index space the disjointness proof decomposed over (nil under NoBulk)
-	grant int            // ordinals per claim, set by Target.settle
 }
 
 // Written reports whether the body assigns the symbol (a scalar, an

@@ -1,9 +1,9 @@
 package plan
 
 // The fusion proofs: barrier elision across independent DOALLs and
-// span-folded reductions.  A back end scans every statement list for
-// maximal runs of adjacent single-index DOALLs, optionally followed by a
-// numeric global-reduction statement (Fuse), and executes a
+// span-folded reductions.  At level Fused, Next scans every statement list
+// for maximal runs of adjacent single-index DOALLs, optionally followed by
+// a numeric global-reduction statement (fuse), and a back end executes a
 // proven-independent run as ONE fused region:
 //
 //	member 1: DoAllChunkedOpen   (spans, no exit barrier)
@@ -14,11 +14,10 @@ package plan
 // The join is a full synchronization point, so the region keeps every
 // construct's exit guarantee while retiring one barrier episode per
 // elided boundary; a folded reduction contributes its per-process operand
-// to the join itself instead of closing a collective of its own, and a
-// Barrier statement directly behind the region retires its episode — the
-// join's completing process runs its section (Region.Rider).  A reduction
-// statement no region takes is lowered by the back ends as a region with
-// no members: the same collective, nothing open in front of it.
+// to the join itself, and a Barrier statement directly behind the region
+// retires its episode — the join's completing process runs its section.
+// A reduction statement no region takes is the region with no members:
+// the same collective, nothing open in front of it.
 //
 // Legality.  Dropping the barrier between members G (earlier) and B
 // (later) interleaves B's iteration i directly after G's iteration i on
@@ -63,103 +62,58 @@ import (
 	"repro/internal/uniform"
 )
 
-// Region is one proven fused region.
-type Region struct {
-	Members []*forcelang.ParDo
-	// Plans holds each member's OWN plan (its own folding and
-	// disjointness, consistent with the region's: a member can only
-	// prove disjoint what the region did not refute).
-	Plans []*Plan
-	// Block deals the whole region in blocks.  The same-pid argument
-	// needs ONE iteration-to-process map for the region, so it holds
-	// only when the concatenated body is mapping-insensitive — which
-	// implies every member's is.
-	Block bool
-	// Red is the reduction statement folded into the join, or nil for a
-	// pure synchronization close.
-	Red *forcelang.ReduceStmt
-	// Rider is the Barrier statement directly behind the region, whose
-	// section the join runs in its completing process (Target.Rider), or
-	// nil.
-	Rider *forcelang.BarrierStmt
-}
-
-// Len is the number of statements the region covers.
-func (r *Region) Len() int {
-	n := len(r.Members)
-	if r.Red != nil {
-		n++
-	}
-	if r.Rider != nil {
-		n++
-	}
-	return n
-}
-
-// Fuse looks for a fused region starting at list[i], which must be a
-// ParDo: the run of adjacent DOALLs from there, plus a reduction tail.
-// Candidates shrink from the right — the tail is dropped first, then
-// trailing members — so the longest provable prefix fuses and the caller
-// re-scans the remainder (it may fuse among itself).  Only the most
-// ambitious decline is narrated; the shrink retries repeat its reasons.
-// A Barrier statement directly behind the region rides its join.  A nil
-// result leaves list[i] to be lowered on its own.
-func (tg Target) Fuse(list []forcelang.Stmt, i int) *Region {
-	first := i
-	var members []*forcelang.ParDo
-	for ; i < len(list); i++ {
-		pd, ok := list[i].(*forcelang.ParDo)
-		if !ok {
-			break
-		}
-		members = append(members, pd)
-	}
+// fuse looks for a fused region starting at list[i], a ParDo: the run of
+// adjacent DOALLs from there, plus a reduction tail.  Candidates shrink
+// from the right — the tail is dropped first, then trailing members — so
+// the longest provable prefix fuses and the next step re-scans the
+// remainder (it may fuse among itself) over the footprints this one
+// walked.  Only the most ambitious decline is narrated; the shrink retries
+// repeat its reasons.  A Barrier statement directly behind the region
+// rides its join.  It returns the region and how many statements it
+// covers, 0 when list[i] is to be lowered on its own.
+func (tg *Target) fuse(list []forcelang.Stmt, i int) (Region, int) {
+	run, sums := tg.scan(list, i)
 	var red *forcelang.ReduceStmt
-	if i < len(list) {
-		red, _ = list[i].(*forcelang.ReduceStmt)
+	if end := i + len(run); end < len(list) {
+		red, _ = list[end].(*forcelang.ReduceStmt)
 	}
-	if red == nil && len(members) < 2 {
-		return nil // nothing to elide: not a candidate, nothing to narrate
+	if red == nil && len(run) < 2 {
+		return Region{}, 0 // nothing to elide: not a candidate, nothing to narrate
 	}
-	// Each member body is walked once; every candidate below reads these.
-	sums := make([]*Summary, len(members))
-	for k, m := range members {
-		sums[k] = Summarize(m.Body)
+	for k := range run {
+		tg.summary(i + k)
 	}
 	logged := false
-	try := func(n int, r *forcelang.ReduceStmt) *Region {
-		reg, reason := tg.tryFuse(members[:n], sums[:n], r)
-		if reg == nil && !logged {
-			logged = true
-			tg.Log.printf("line %d: fusion declined: %s", members[0].Pos(), reason)
-		}
-		if reg != nil {
-			closer, line := "fused join", members[0].Pos()
-			if r != nil {
-				closer, line = r.Op.String()+" join", r.Pos()
+	for n := len(run); n >= 2 || red != nil; {
+		members, reason := tg.tryFuse(run[:n], sums[:n], red)
+		if reason == "" {
+			closer, line, covers := "fused join", run[0].Pos(), n
+			if red != nil {
+				closer, line, covers = red.Op.String()+" join", red.Pos(), n+1
 			}
-			reg.Rider = tg.rider(list, first+reg.Len(), closer, line)
+			reg, rode := Region{Members: members, Red: red}, 0
+			reg.Rider, reg.Section, rode = tg.rider(list, i+covers, closer, line)
+			return closing(reg), covers + rode
 		}
-		return reg
-	}
-	if red != nil {
-		if reg := try(len(members), red); reg != nil {
-			return reg
+		if !logged {
+			logged = true
+			tg.Log.printf("line %d: fusion declined: %s", run[0].Pos(), reason)
+		}
+		if red != nil {
+			red = nil
+		} else {
+			n--
 		}
 	}
-	for n := len(members); n >= 2; n-- {
-		if reg := try(n, nil); reg != nil {
-			return reg
-		}
-	}
-	return nil
+	return Region{}, 0
 }
 
-// tryFuse proves one candidate region, or explains why it must not fuse.
-// sums holds each member body's footprint.
-func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *forcelang.ReduceStmt) (*Region, string) {
-	first := members[0]
-	for _, m := range members {
+// tryFuse proves one candidate region and returns its members, or explains
+// why it must not fuse.  sums holds each member body's footprint.
+func (tg *Target) tryFuse(run []forcelang.Stmt, sums []*Summary, red *forcelang.ReduceStmt) ([]Loop, string) {
+	first := run[0].(*forcelang.ParDo)
+	for _, st := range run {
+		m := st.(*forcelang.ParDo)
 		if m.Inner != nil {
 			return nil, fmt.Sprintf("two-index DOALL at line %d", m.Pos())
 		}
@@ -167,7 +121,8 @@ func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *force
 			return nil, fmt.Sprintf("mixed scheduling at line %d", m.Pos())
 		}
 	}
-	for _, m := range members[1:] {
+	for _, st := range run[1:] {
+		m := st.(*forcelang.ParDo)
 		if m.VarSym != first.VarSym {
 			return nil, fmt.Sprintf("index variables differ (%s at line %d, %s at line %d)",
 				first.Var, first.Pos(), m.Var, m.Pos())
@@ -214,11 +169,11 @@ func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *force
 	excused := func(sym *forcelang.Symbol) bool {
 		return sym == first.VarSym || (first.Sched == forcelang.Presched && whole.Disjoint[sym])
 	}
-	for a := 0; a < len(members); a++ {
-		for b := a + 1; b < len(members); b++ {
+	for a := 0; a < len(run); a++ {
+		for b := a + 1; b < len(run); b++ {
 			if sym := conflict(sums[a], sums[b], excused); sym != nil {
 				return nil, fmt.Sprintf("members at lines %d and %d conflict on %s",
-					members[a].Pos(), members[b].Pos(), sym.Name)
+					run[a].Pos(), run[b].Pos(), sym.Name)
 			}
 		}
 	}
@@ -228,28 +183,29 @@ func (tg Target) tryFuse(members []*forcelang.ParDo, sums []*Summary, red *force
 			return nil, reason
 		}
 	}
-	if len(members) == 1 && red == nil {
-		return nil, "nothing to elide"
-	}
 
-	reg := &Region{Members: members, Plans: make([]*Plan, len(members)), Block: whole.Block(), Red: red}
-	for i, m := range members {
+	members := make([]Loop, len(run))
+	for k, st := range run {
+		m := st.(*forcelang.ParDo)
 		// A member's own footprint cannot refute what the region's
-		// passed: it is span-executable and leaves the index alone.
-		reg.Plans[i] = whole
-		if len(members) > 1 {
-			reg.Plans[i], _ = classify(m, sums[i])
+		// passed: it is span-executable and leaves the index alone.  The
+		// deal is the region's (blocks only when the concatenated body is
+		// mapping-insensitive: the same-pid argument needs ONE map).
+		p := whole
+		if len(run) > 1 {
+			p, _ = classify(m, sums[k])
 		}
-		tg.settle(m, reg.Plans[i], whole)
+		members[k] = tg.loop(m, p, whole)
+		members[k].Open = true
 	}
 	if red == nil {
 		tg.Log.printf("line %d: fused %d DOALLs, %d exit barrier(s) elided",
-			first.Pos(), len(members), len(members)-1)
+			first.Pos(), len(run), len(run)-1)
 	} else {
 		tg.Log.printf("line %d: fused %d DOALL(s) + %s at line %d into one join",
-			first.Pos(), len(members), red.Op, red.Pos())
+			first.Pos(), len(run), red.Op, red.Pos())
 	}
-	return reg, ""
+	return members, ""
 }
 
 // fuseReduceCheck decides whether the reduction tail may fold into the

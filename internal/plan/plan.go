@@ -1,27 +1,35 @@
-// Package plan holds what is decided about a parallel body before any
-// back end lowers it.  summary.go is the footprint: one walk
-// (Summarize) records which symbols a statement list reads and writes
-// and how, and the proofs — pure accumulator, element-disjoint
-// subscripts, one Critical, idempotent stores — are written once over
-// that record.  classify.go turns a DOALL body's footprint into its
-// plan (may it run as whole scheduler spans, what folds, how it is
-// dealt), cost.go counts its static cost and sizes the grant of a
-// selfscheduled loop from it, fuse.go decides which adjacent DOALLs may
-// share one closing synchronization, and Rider (below) which Barrier
-// statements need no episode of their own.  Both back ends read the same verdicts — the closure
-// compiler (internal/interp) turns them into span closures, the Go
-// emitter (internal/codegen) into span loops — and forcevet
-// (internal/vet) reads the same footprint and proofs for its race
-// diagnostics and its dataflow's kill sets, so a proof exists once and
-// neither the tiers nor the analyzer can disagree on what is legal.
+// Package plan decides what a statement list becomes before any back end
+// lowers it, and hands the decision over as a list of nodes.  The node list
+// is the package's product and Target.Next the only way in for a statement
+// list: a back end walks the list with it and receives, per step, the
+// statement itself, a Loop (one DOALL: its plan, deal and grant, the
+// Barrier riding its exit) or a Region (the open members of a fused run,
+// the reduction folded into their one closing collective, the Barrier
+// riding it — a reduction on its own being the region with no members).
+// Every decision is a field of the node; the closure compiler
+// (internal/interp) spells the fields as closures, the Go emitter
+// (internal/codegen) as text, and neither re-derives one from the tree.
+//
+// Behind Next: summary.go is the footprint — one walk (Summarize) records
+// which symbols a statement list reads and writes and how, and the proofs
+// (pure accumulator, element-disjoint subscripts, one Critical, idempotent
+// stores) are written once over that record; classify.go turns a DOALL
+// body's footprint into its plan; cost.go counts its static cost and sizes
+// the grant of a selfscheduled loop from it; fuse.go proves which adjacent
+// DOALLs may share one closing synchronization.  forcevet (internal/vet)
+// reads the same footprint and proofs, so a proof exists once and neither
+// the tiers nor the analyzer can disagree on what is legal.
 //
 // The package reads what a name is and what type an expression has off
-// the checked tree (forcelang.Symbol on every node that names a variable,
-// Expr.Type): nothing here resolves a name, infers a type, or knows about
-// frames, slots, cells or generated identifiers.
+// the checked tree (forcelang.Symbol, Expr.Type): nothing here resolves a
+// name, infers a type, or knows about frames, slots, cells or generated
+// identifiers — nor about the runtime below the back ends: it imports no
+// scheduler, reduction or machine package, and names their choices with
+// its own enumerations (Deal, Fold, Store).
 package plan
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/forcelang"
@@ -37,101 +45,282 @@ func (lg Logf) printf(format string, args ...any) {
 	}
 }
 
+// Level is how much of the planner a target asks for; each level includes
+// the one before.
+type Level uint8
+
+const (
+	// Plain is the planner off: every DOALL is a Loop with no plan, every
+	// construct closes on its own, nothing is narrated.
+	Plain Level = iota
+	// Planned classifies every DOALL body (plan, deal, grant).
+	Planned
+	// Fused also merges adjacent independent DOALLs and a trailing
+	// reduction into one Region and lets a Barrier statement ride the
+	// closing collective in front of it.
+	Fused
+)
+
 // Target is the back end a statement list is planned for: what the
-// decisions below need to know about it, and where they are narrated.
+// decisions need to know about it, and where they are narrated.
 type Target struct {
 	// NsPerUnit is what one unit of static body cost (cost.go) takes on
 	// the back end, in nanoseconds; it sizes the grant.
 	NsPerUnit int
-	// Log receives the narration.
-	Log Logf
+	Level     Level
+	Log       Logf
+
+	// The run of adjacent DOALLs Next is working through, list[from:] of
+	// the scanned list, with each body's footprint beside it, walked on
+	// first need and at most once: the Loop plans of a declined run stand
+	// on the summaries the Region attempt read.  sums is reused run to run.
+	run  []forcelang.Stmt
+	from int
+	sums []*Summary
 }
 
-// settle sizes p's grant for the back end and narrates how the DOALL t is
-// dealt: the partition of a prescheduled one — deal's, the region's for a
-// fused member — or the grant of a selfscheduled one.
-func (tg Target) settle(t *forcelang.ParDo, p, deal *Plan) {
-	p.grant = grant(p.Cost, tg.NsPerUnit)
+// Node is one step of a lowered statement list: the statement itself (Stmt
+// non-nil: nothing about it is the planner's), a lone DOALL (Loop.Do
+// non-nil) or a Region.
+type Node struct {
+	Stmt   forcelang.Stmt
+	Loop   Loop
+	Region Region
+}
+
+// Deal is how the iterations of a DOALL reach the processes.
+type Deal uint8
+
+const (
+	// Cyclic is the paper's prescheduled deal, iteration k to process
+	// k mod NP; Block deals a prescheduled loop whose body cannot observe
+	// the iteration-to-process map in contiguous blocks, the index left
+	// where the cyclic deal would leave it; Self is selfscheduling under
+	// the force's discipline, Grant ordinals per claim.
+	Cyclic Deal = iota
+	Block
+	Self
+)
+
+// Loop is one DOALL as a back end runs it: a span loop over the body.
+type Loop struct {
+	Do *forcelang.ParDo
+	// Plan is what is proven about the body; nil when nothing is (it
+	// blocks, calls out, prints or writes its index; or the level is
+	// Plain): per-iteration semantics, nothing hoisted or folded.
+	Plan *Plan
+	Deal Deal
+	// Grant is the ordinals per claim of a selfscheduled loop (1: no plan).
+	Grant int
+	// Open leaves the construct without its exit barrier: a member of a
+	// Region, or a lone DOALL whose exit synchronization runs Section.
+	Open bool
+	// Rider is the Barrier statement directly behind a lone DOALL, riding
+	// its exit; Section its statements, nil when there is no rider or
+	// nothing to run (the exit is the whole barrier).
+	Rider   *forcelang.BarrierStmt
+	Section []forcelang.Stmt
+}
+
+// Fold is the combining operator of a reduction, by its name in
+// internal/reduce; folds is the one table from the language's operators.
+type Fold string
+
+const Sum, Prod, Max, Min, And, Or Fold = "Sum", "Prod", "Max", "Min", "And", "Or"
+
+var folds = [...]Fold{forcelang.GSum: Sum, forcelang.GProd: Prod, forcelang.GMax: Max,
+	forcelang.GMin: Min, forcelang.GAnd: And, forcelang.GOr: Or}
+
+// Store is who stores the fold of a Region's reduction, and when.  The
+// completing process of the collective runs alone, before anyone is
+// released and before the riding section.
+type Store uint8
+
+const (
+	// StoreOnce: a shared scalar, by the completing process inside the
+	// collective (a store per process would race; the section may
+	// overwrite it).
+	StoreOnce Store = iota
+	// StoreEachEarly: a private scalar a section rides behind, by every
+	// process into its own cell — the completing process inside the
+	// collective, so its section reads it, the others after their release.
+	StoreEachEarly
+	// StoreEach: a private scalar or element, by every process once released.
+	StoreEach
+	// StoreEachSerialised: a shared array element (its subscript may differ
+	// per process) or a parameter (it may alias a shared or a private
+	// cell), by every process after its release, one at a time where a
+	// plain store could race.  No Barrier rides such a reduction.
+	StoreEachSerialised
+)
+
+// Inside: the completing process stores inside the collective; After: a
+// process that did not stores after its release.
+func (s Store) Inside() bool { return s <= StoreEachEarly }
+func (s Store) After() bool  { return s != StoreOnce }
+
+// Region is one closing collective and what it closes.
+type Region struct {
+	// Members are the DOALLs of a proven fused run, each Open, each with
+	// its own plan, all dealt alike.  Empty for a reduction on its own.
+	Members []Loop
+	// Red is the reduction folded into the collective (nil: a pure
+	// synchronization close), Fold and Store its operator and store shape.
+	Red   *forcelang.ReduceStmt
+	Fold  Fold
+	Store Store
+	// Rider is the Barrier statement directly behind the region; the
+	// completing process runs its Section (nil: none, or nothing to run).
+	Rider   *forcelang.BarrierStmt
+	Section []forcelang.Stmt
+}
+
+// Next lowers the construct at list[i] and returns it with the number of
+// statements it covers.  A back end walks every statement list, nested
+// ones included, with it, left to right.
+func (tg *Target) Next(list []forcelang.Stmt, i int) (Node, int) {
+	switch t := list[i].(type) {
+	case *forcelang.ParDo:
+		if tg.Level == Plain {
+			return Node{Loop: tg.loop(t, nil, nil)}, 1
+		}
+		if tg.Level == Fused {
+			if reg, n := tg.fuse(list, i); n > 0 {
+				return Node{Region: reg}, n
+			}
+		}
+		tg.scan(list, i)
+		p, reason := classify(t, tg.summary(i))
+		if reason != "" {
+			deal := "partition=cyclic"
+			if t.Sched != forcelang.Presched {
+				deal = "grant=1"
+			}
+			tg.Log.printf("line %d: DOALL %s (not chunk-compiled: %s)", t.Pos(), deal, reason)
+		}
+		l, n := tg.loop(t, p, p), 0
+		if tg.Level == Fused {
+			l.Rider, l.Section, n = tg.rider(list, i+1, "DOALL exit", t.Pos())
+			l.Open = l.Section != nil
+		}
+		return Node{Loop: l}, 1 + n
+	case *forcelang.ReduceStmt:
+		reg, n := Region{Red: t}, 0
+		if tg.Level == Fused && scalarTarget(t) {
+			reg.Rider, reg.Section, n = tg.rider(list, i+1, t.Op.String(), t.Pos())
+		}
+		return Node{Region: closing(reg)}, 1 + n
+	}
+	return Node{Stmt: list[i]}, 1
+}
+
+// scan makes list[i], a DOALL, part of the run and returns the run from
+// there on with the slots of its footprints.
+func (tg *Target) scan(list []forcelang.Stmt, i int) ([]forcelang.Stmt, []*Summary) {
+	if k := i - tg.from; k < 0 || k >= len(tg.run) || &tg.run[k] != &list[i] {
+		end := i + 1
+		for end < len(list) {
+			if _, ok := list[end].(*forcelang.ParDo); !ok {
+				break
+			}
+			end++
+		}
+		tg.run, tg.from = list[i:end], i
+		tg.sums = slices.Grow(tg.sums[:0], end-i)[:end-i]
+		clear(tg.sums)
+	}
+	return tg.run[i-tg.from:], tg.sums[i-tg.from:]
+}
+
+// summary is the footprint of the DOALL body at position i of the scanned
+// list, walked on first need.
+func (tg *Target) summary(i int) *Summary {
+	k := i - tg.from
+	if tg.sums[k] == nil {
+		tg.sums[k] = Summarize(tg.run[k].(*forcelang.ParDo).Body)
+	}
+	return tg.sums[k]
+}
+
+// loop is the DOALL t under plan p (nil: nothing proven): its deal —
+// deal's, p itself for a lone DOALL, the region's plan for a member — and
+// its grant sized for the back end, each narrated where it applies.
+func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
+	l := Loop{Do: t, Plan: p, Grant: 1}
+	self := t.Sched != forcelang.Presched
+	switch {
+	case self:
+		l.Deal = Self
+	case deal.block():
+		l.Deal = Block
+	}
+	if p == nil {
+		return l
+	}
+	l.Grant = grant(p.Cost, tg.NsPerUnit)
 	switch {
 	case tg.Log == nil:
-	case t.Sched != forcelang.Presched && p.Cost == 0:
+	case self && p.Cost == 0:
 		tg.Log("line %d: DOALL grant=1 (body cost unbounded)", t.Pos())
-	case t.Sched != forcelang.Presched && grantedWhole(t, p.grant):
-		tg.Log("line %d: DOALL grant=%d ≥ trip count: process 0 runs it", t.Pos(), p.grant)
-	case t.Sched != forcelang.Presched:
-		tg.Log("line %d: DOALL grant=%d", t.Pos(), p.grant)
-	case deal.CyclicWhy == "":
+	case self && grantedWhole(t, l.Grant):
+		tg.Log("line %d: DOALL grant=%d ≥ trip count: process 0 runs it", t.Pos(), l.Grant)
+	case self:
+		tg.Log("line %d: DOALL grant=%d", t.Pos(), l.Grant)
+	case l.Deal == Block:
 		tg.Log("line %d: DOALL partition=block", t.Pos())
 	default:
 		tg.Log("line %d: DOALL partition=cyclic (%s)", t.Pos(), strings.TrimSpace(deal.CyclicWhy+" "+deal.CyclicName))
 	}
+	return l
 }
 
-// DoAll classifies one unfused DOALL and narrates the verdict.  A nil
-// plan means the body must keep per-iteration semantics: no fact about
-// it is proven, so it is dealt cyclically or one iteration per claim and
-// nothing in it folds.
-func (tg Target) DoAll(t *forcelang.ParDo) *Plan {
-	p, reason := Classify(t)
-	if reason != "" {
-		deal := "partition=cyclic"
-		if t.Sched != forcelang.Presched {
-			deal = "grant=1"
-		}
-		tg.Log.printf("line %d: DOALL %s (not chunk-compiled: %s)", t.Pos(), deal, reason)
-		return nil
+// block reports whether a prescheduled DOALL under this plan is dealt in
+// contiguous blocks: the body is mapping-insensitive.  No plan, no blocks.
+func (p *Plan) block() bool { return p != nil && p.CyclicWhy == "" }
+
+// rider returns list[i] when it is a Barrier statement, narrated as riding
+// the closer at line, with what it leaves the collective to run (nil when
+// its section is empty: the collective is the whole barrier) and the one
+// statement it covers.  The Barrier directly behind a DOALL rides its exit
+// synchronization, the one behind a region its join, the one behind a
+// reduction into a plain scalar the reduction's release.  A closing
+// collective is a full synchronization whose completing process runs
+// alone, which is all a barrier section asks for, so nothing about the
+// section needs proving; the target must be a plain scalar because a back
+// end stores it once, in the completing process, before the section runs.
+func (tg *Target) rider(list []forcelang.Stmt, i int, closer string, line int) (bar *forcelang.BarrierStmt, section []forcelang.Stmt, n int) {
+	if i < len(list) {
+		bar, _ = list[i].(*forcelang.BarrierStmt)
 	}
-	tg.settle(t, p, p)
-	return p
+	if bar == nil {
+		return nil, nil, 0
+	}
+	tg.Log.printf("line %d: Barrier rides the %s at line %d", bar.Pos(), closer, line)
+	if len(bar.Section) > 0 {
+		section = bar.Section
+	}
+	return bar, section, 1
 }
 
-// Block reports whether a prescheduled DOALL under this plan is dealt in
-// contiguous blocks (the body is mapping-insensitive) instead of the
-// paper's cyclic deal.  A nil plan keeps the cyclic deal.
-func (p *Plan) Block() bool { return p != nil && p.CyclicWhy == "" }
-
-// Grant is how many ordinals one claim of a selfscheduled DOALL under this
-// plan takes on the back end it was settled for.  A nil plan keeps the
-// paper's one.
-func (p *Plan) Grant() int {
-	if p == nil {
-		return 1
+// closing completes the region of one collective once its members, its
+// reduction and its rider (any may be missing) are known: the fold and
+// who stores it.
+func closing(reg Region) Region {
+	if reg.Red == nil {
+		return reg
 	}
-	return max(p.grant, 1)
-}
-
-// Rider returns the Barrier statement riding the closing collective of the
-// construct list[i]: the statement directly behind a DOALL (it rides the
-// exit synchronization) or behind a global reduction into a plain scalar
-// (it rides the reduction's release), or nil.  A closing collective is a
-// full synchronization whose completing process runs alone, which is all
-// a barrier section asks for, so nothing about the section needs proving;
-// the reduction's target must be a plain scalar because a back end stores
-// it once, in the completing process, before the section may read it.  A
-// fused region's rider is Region.Rider.
-func (tg Target) Rider(list []forcelang.Stmt, i int) *forcelang.BarrierStmt {
-	switch t := list[i].(type) {
-	case *forcelang.ParDo:
-		return tg.rider(list, i+1, "DOALL exit", t.Pos())
-	case *forcelang.ReduceStmt:
-		if scalarTarget(t) {
-			return tg.rider(list, i+1, t.Op.String(), t.Pos())
-		}
+	reg.Fold = folds[reg.Red.Op]
+	switch st := reg.Red.Target.Sym.Storage; {
+	case st == forcelang.SharedScalar:
+		reg.Store = StoreOnce
+	case reg.Section != nil:
+		reg.Store = StoreEachEarly
+	case st == forcelang.SharedArray || st == forcelang.Parameter:
+		reg.Store = StoreEachSerialised
+	default:
+		reg.Store = StoreEach
 	}
-	return nil
-}
-
-// rider returns list[i] when it is a Barrier statement, narrated as
-// riding the closer at line.
-func (tg Target) rider(list []forcelang.Stmt, i int, closer string, line int) *forcelang.BarrierStmt {
-	if i >= len(list) {
-		return nil
-	}
-	bar, _ := list[i].(*forcelang.BarrierStmt)
-	if bar != nil {
-		tg.Log.printf("line %d: Barrier rides the %s at line %d", bar.Pos(), closer, line)
-	}
-	return bar
+	return reg
 }
 
 // scalarTarget reports whether a reduction lands in an unsubscripted

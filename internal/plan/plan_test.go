@@ -4,7 +4,8 @@ package plan
 // TestClassify* in internal/interp (the closure compiler's view) and the
 // golden files in internal/codegen; what every name is bound to is pinned
 // across all four tiers by TestBindingMatrix (root package).  The tests
-// here cover what only this package owns: the region scan and the
+// here cover what only this package owns: the node list Next lowers a
+// statement list to (the region scan, the riders, the levels) and the
 // order-stability both back ends rely on.
 
 import (
@@ -23,6 +24,20 @@ func parse(t *testing.T, src string) *forcelang.Program {
 		t.Fatalf("parse: %v", err)
 	}
 	return prog
+}
+
+// logging returns a target at the given level that narrates into *logs.
+func logging(level Level, nsPerUnit int, logs *[]string) *Target {
+	return &Target{NsPerUnit: nsPerUnit, Level: level,
+		Log: func(format string, args ...any) { *logs = append(*logs, fmt.Sprintf(format, args...)) }}
+}
+
+// pos is the line of a statement, 0 for none.
+func pos(b *forcelang.BarrierStmt) int {
+	if b == nil {
+		return 0
+	}
+	return b.Pos()
 }
 
 // TestAccumulatorOrderStable: folded accumulators come out in name
@@ -55,7 +70,7 @@ Join
 		if got := strings.Join(names, " "); got != "ABLE MID ZED" {
 			t.Fatalf("round %d: accumulators in order %q", round, got)
 		}
-		if !p.Block() {
+		if !p.block() {
 			t.Fatalf("all-accumulator body keeps the cyclic deal: %s %s", p.CyclicWhy, p.CyclicName)
 		}
 	}
@@ -85,20 +100,25 @@ GSUM TOT = MINE
 Join
 `)
 	var logs []string
-	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-	tg := Target{NsPerUnit: 4, Log: lg}
-	reg := tg.Fuse(prog.Body, 0)
-	if reg == nil {
-		t.Fatalf("no region; log:\n%s", strings.Join(logs, "\n"))
+	tg := logging(Fused, 4, &logs)
+	nd, n := tg.Next(prog.Body, 0)
+	reg := nd.Region
+	if nd.Stmt != nil || nd.Loop.Do != nil || len(reg.Members) == 0 {
+		t.Fatalf("no region: %+v; log:\n%s", nd, strings.Join(logs, "\n"))
 	}
 	// The third DOALL reads B at a mirrored element, so neither the full
 	// run + GSUM nor the full run fuses; the first two do.
-	if len(reg.Members) != 2 || reg.Red != nil || reg.Len() != 2 || !reg.Block {
-		t.Errorf("region = %d members, red %v, len %d, block %v; want 2, nil, 2, true",
-			len(reg.Members), reg.Red, reg.Len(), reg.Block)
+	if len(reg.Members) != 2 || reg.Red != nil || n != 2 || reg.Members[0].Deal != Block || reg.Members[1].Deal != Block {
+		t.Errorf("region = %d members, red %v, covers %d, deals %v %v; want 2, nil, 2, block, block",
+			len(reg.Members), reg.Red, n, reg.Members[0].Deal, reg.Members[1].Deal)
 	}
-	if b, _ := prog.Scope.Lookup("B"); len(reg.Plans) != 2 || reg.Plans[0] == nil || !reg.Plans[1].Disjoint[b] {
-		t.Errorf("member plans missing or wrong: %+v", reg.Plans)
+	for _, m := range reg.Members {
+		if !m.Open || m.Rider != nil || m.Grant != 1 {
+			t.Errorf("member at line %d: open %v, rider %v, grant %d; want an open, riderless, prescheduled loop", m.Do.Pos(), m.Open, m.Rider, m.Grant)
+		}
+	}
+	if b, _ := prog.Scope.Lookup("B"); reg.Members[0].Plan == nil || !reg.Members[1].Plan.Disjoint[b] {
+		t.Errorf("member plans missing or wrong: %+v", reg.Members)
 	}
 	want := []string{
 		"line 7: fusion declined: members at lines 10 and 13 conflict on B",
@@ -109,17 +129,23 @@ Join
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
 	}
-	// Re-scanning the remainder: one DOALL plus the GSUM fold into a join.
+	// Re-scanning the remainder: one DOALL plus the GSUM fold into a join —
+	// over the footprint the first scan walked, not a second walk.
+	walked := tg.sums[2]
 	logs = nil
-	rest := tg.Fuse(prog.Body, 2)
-	if rest == nil || len(rest.Members) != 1 || rest.Red == nil || rest.Len() != 2 {
-		t.Fatalf("remainder did not fuse with its reduction tail: %+v\n%s", rest, strings.Join(logs, "\n"))
+	nd, n = tg.Next(prog.Body, 2)
+	rest := nd.Region
+	if len(rest.Members) != 1 || rest.Red == nil || n != 2 || rest.Fold != Sum || rest.Store != StoreOnce {
+		t.Fatalf("remainder did not fuse with its reduction tail: %+v\n%s", nd, strings.Join(logs, "\n"))
+	}
+	if walked == nil || rest.Members[0].Plan.sum != walked {
+		t.Error("the remainder's body was summarised again")
 	}
 }
 
-// TestDoAllNarration: the unfused entry point narrates the deal of a
-// prescheduled DOALL and the grant of a selfscheduled one, and a nil sink
-// is accepted.
+// TestDoAllNarration: below level Fused every DOALL is a Loop on its own;
+// the narration says how a prescheduled one is dealt and what a
+// selfscheduled one is granted, and a nil sink is accepted.
 func TestDoAllNarration(t *testing.T) {
 	prog := parse(t, `Force NAR of NP ident ME
 Shared Integer OWNER(8)
@@ -140,19 +166,60 @@ End Presched DO
 Join
 `)
 	var logs []string
-	lg := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-	var plans []*Plan
-	for _, st := range prog.Body {
-		plans = append(plans, Target{NsPerUnit: 4, Log: lg}.DoAll(st.(*forcelang.ParDo)))
-		Target{NsPerUnit: 4}.DoAll(st.(*forcelang.ParDo))
+	var loops []Loop
+	for i := range prog.Body {
+		nd, n := logging(Planned, 4, &logs).Next(prog.Body, i)
+		(&Target{NsPerUnit: 4, Level: Planned}).Next(prog.Body, i)
+		if nd.Loop.Do != prog.Body[i] || n != 1 || nd.Loop.Open || nd.Loop.Rider != nil {
+			t.Fatalf("statement %d: %+v covering %d, want the DOALL alone, closed", i, nd, n)
+		}
+		loops = append(loops, nd.Loop)
 	}
-	if plans[0] == nil || plans[0].Block() || plans[1] == nil || !plans[1].Block() || plans[2] != nil || plans[2].Block() {
-		t.Errorf("plans: %+v", plans)
+	if loops[0].Plan == nil || loops[0].Deal != Cyclic || loops[1].Plan == nil || loops[1].Deal != Self || loops[2].Plan != nil || loops[2].Deal != Cyclic {
+		t.Errorf("loops: %+v", loops)
 	}
 	want := []string{
 		"line 6: DOALL partition=cyclic (reads private ME)",
 		"line 9: DOALL grant=250 ≥ trip count: process 0 runs it", // OWNER(I) = I: 3 units + the loop's 1, at 4 ns; 8 trips
 		"line 12: DOALL partition=cyclic (not chunk-compiled: *forcelang.CriticalStmt in body)",
+	}
+	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
+		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestWrappingCoefficientStaysCyclic: a subscript whose literal coefficient
+// wraps in int64 — A(2^62 * I + 1) is A(1) at I = 0 and at I = 4 — is not
+// an injective form (uniform.Space.Coef answers only within ±2³¹), so the
+// store is not proven disjoint: the loop keeps the cyclic deal, with the
+// reason, and the same-pid argument of fusion does not excuse the array.
+func TestWrappingCoefficientStaysCyclic(t *testing.T) {
+	prog := parse(t, `Force WRAP of NP ident ME
+Shared Integer A(8), B(8)
+Private Integer I
+End Declarations
+Presched DO I = 0, 4, 4
+  A(4611686018427387904 * I + 1) = I + 10
+End Presched DO
+Presched DO I = 0, 4, 4
+  B(I + 1) = A(4611686018427387904 * I + 1)
+End Presched DO
+Join
+`)
+	var logs []string
+	tg := logging(Fused, 4, &logs)
+	nd, n := tg.Next(prog.Body, 0)
+	a, _ := prog.Scope.Lookup("A")
+	if nd.Loop.Do != prog.Body[0] || n != 1 || nd.Loop.Plan == nil || nd.Loop.Deal != Cyclic || nd.Loop.Plan.Disjoint[a] {
+		t.Errorf("first loop: %+v covering %d, want a lone planned DOALL, dealt cyclically, A not disjoint", nd, n)
+	}
+	if nd, _ := tg.Next(prog.Body, 1); nd.Loop.Deal != Block {
+		t.Errorf("second loop (B(I + 1), reading A): deal %v, want blocks", nd.Loop.Deal)
+	}
+	want := []string{
+		"line 5: fusion declined: members at lines 5 and 8 conflict on A",
+		"line 5: DOALL partition=cyclic (non-disjoint, non-accumulator write of shared A)",
+		"line 8: DOALL partition=block",
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
@@ -219,7 +286,7 @@ End Presched DO
 Join
 `)
 	var logs []string
-	tg := Target{NsPerUnit: 4, Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+	tg := logging(Planned, 4, &logs)
 	for i, tc := range []struct {
 		name        string
 		cost, grant int // cost 0: unbounded; -1: no plan at all
@@ -233,14 +300,15 @@ Join
 		{"dearer IF branch, negative literal step", 25, 40},
 		{"prescheduled: not counted", 0, 1},
 	} {
-		p := tg.DoAll(prog.Body[i].(*forcelang.ParDo))
+		nd, _ := tg.Next(prog.Body, i)
+		p := nd.Loop.Plan
 		if (p == nil) != (tc.cost < 0) {
 			t.Fatalf("%s: plan %v", tc.name, p)
 		}
 		if p != nil && p.Cost != tc.cost {
 			t.Errorf("%s: cost %d units, want %d", tc.name, p.Cost, tc.cost)
 		}
-		if got := p.Grant(); got != tc.grant {
+		if got := nd.Loop.Grant; got != tc.grant {
 			t.Errorf("%s: grant %d, want %d", tc.name, got, tc.grant)
 		}
 	}
@@ -258,8 +326,8 @@ Join
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
 	}
 	// The same body on a back end four times as fast per unit.
-	if p := (Target{NsPerUnit: 1}).DoAll(prog.Body[2].(*forcelang.ParDo)); p.Grant() != 364 {
-		t.Errorf("dotsum at 1 ns per unit: grant %d, want 364", p.Grant())
+	if nd, _ := (&Target{NsPerUnit: 1, Level: Planned}).Next(prog.Body, 2); nd.Loop.Grant != 364 {
+		t.Errorf("dotsum at 1 ns per unit: grant %d, want 364", nd.Loop.Grant)
 	}
 }
 
@@ -312,46 +380,40 @@ End Barrier
 Join
 `)
 	var logs []string
-	tg := Target{NsPerUnit: 4, Log: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }}
+	tg := logging(Fused, 4, &logs)
 	body := prog.Body
-	line := func(b *forcelang.BarrierStmt) int {
-		if b == nil {
-			return 0
-		}
-		return b.Pos()
+	// 0: DOALL, 1: Barrier (rides, and has a section), 2: Barrier (its own episode).
+	if nd, n := tg.Next(body, 0); nd.Loop.Do != body[0] || pos(nd.Loop.Rider) != 11 || n != 2 || !nd.Loop.Open || len(nd.Loop.Section) != 1 {
+		t.Errorf("Barrier behind a DOALL: %+v covering %d, want the lone DOALL open, the Barrier at line 11 riding, 2 statements", nd, n)
 	}
-	// 0: DOALL, 1: Barrier (rides), 2: Barrier (its own episode).
-	if reg := tg.Fuse(body, 0); reg != nil {
-		t.Fatalf("a lone DOALL fused: %+v", reg)
-	}
-	if got := line(tg.Rider(body, 0)); got != 11 {
-		t.Errorf("Barrier behind a DOALL: rider at line %d, want 11", got)
-	}
-	if got := line(tg.Rider(body, 1)); got != 0 {
-		t.Errorf("Barrier behind a Barrier rides (line %d)", got)
+	if nd, n := tg.Next(body, 2); nd.Stmt != body[2] || n != 1 {
+		t.Errorf("Barrier behind a Barrier: %+v covering %d, want the statement itself", nd, n)
 	}
 	// 3, 4: a fused pair, 5: its (empty) rider.
-	if reg := tg.Fuse(body, 3); reg == nil || line(reg.Rider) != 22 || reg.Len() != 3 {
-		t.Errorf("fused pair: %+v, want the Barrier at line 22 riding, 3 statements", reg)
+	if nd, n := tg.Next(body, 3); len(nd.Region.Members) != 2 || pos(nd.Region.Rider) != 22 || n != 3 || nd.Region.Section != nil {
+		t.Errorf("fused pair: %+v covering %d, want the Barrier at line 22 riding with nothing to run, 3 statements", nd, n)
 	}
 	// 6: DOALL + 7: GSUM join, 8: rider.
-	if reg := tg.Fuse(body, 6); reg == nil || reg.Red == nil || line(reg.Rider) != 28 || reg.Len() != 3 {
-		t.Errorf("DOALL + GSUM: %+v, want the Barrier at line 28 riding, 3 statements", reg)
+	if nd, n := tg.Next(body, 6); len(nd.Region.Members) != 1 || nd.Region.Red == nil || pos(nd.Region.Rider) != 28 || n != 3 || len(nd.Region.Section) != 1 {
+		t.Errorf("DOALL + GSUM: %+v covering %d, want the Barrier at line 28 riding, 3 statements", nd, n)
 	}
 	// 9: a standalone logical reduction, 10: rider.
-	if got := line(tg.Rider(body, 9)); got != 32 {
-		t.Errorf("Barrier behind GOR: rider at line %d, want 32", got)
+	if nd, n := tg.Next(body, 9); nd.Region.Red != body[9] || len(nd.Region.Members) != 0 || pos(nd.Region.Rider) != 32 || n != 2 || nd.Region.Fold != Or {
+		t.Errorf("Barrier behind GOR: %+v covering %d, want a memberless region, the Barrier at line 32 riding", nd, n)
 	}
 	// 11: a reduction into an array element, 12: its Barrier stays.
-	if got := line(tg.Rider(body, 11)); got != 0 {
-		t.Errorf("Barrier behind a reduction into PART(ME + 1) rides (line %d)", got)
+	if nd, n := tg.Next(body, 11); nd.Region.Red != body[11] || nd.Region.Rider != nil || n != 1 || nd.Region.Store != StoreEachSerialised {
+		t.Errorf("Barrier behind a reduction into PART(ME + 1): %+v covering %d, want no rider", nd, n)
+	}
+	if nd, n := tg.Next(body, 12); nd.Stmt != body[12] || n != 1 {
+		t.Errorf("the Barrier behind it: %+v covering %d, want the statement itself", nd, n)
 	}
 	// 13: an assignment, 14: a Barrier, the list's last statement.
-	if got := line(tg.Rider(body, 13)); got != 0 {
-		t.Errorf("Barrier behind an assignment rides (line %d)", got)
+	if nd, n := tg.Next(body, 13); nd.Stmt != body[13] || n != 1 {
+		t.Errorf("Barrier behind an assignment rides: %+v covering %d", nd, n)
 	}
-	if got := line(tg.Rider(body, 14)); got != 0 {
-		t.Errorf("the last statement has a rider (line %d)", got)
+	if nd, n := tg.Next(body, 14); nd.Stmt != body[14] || n != 1 {
+		t.Errorf("the last statement: %+v covering %d", nd, n)
 	}
 	for _, want := range []string{
 		"line 11: Barrier rides the DOALL exit at line 8",
@@ -608,5 +670,177 @@ func TestAffine(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
 			t.Errorf("%s line %d:\n got %v\nwant %v", tc.file, tc.line, got, tc.want)
 		}
+	}
+}
+
+// nextProg is one statement list holding every shape Next distinguishes.
+const nextProg = `Force NX of NP ident ME
+Shared Real A(64), B(64), C(64), TOT, PART(8)
+Private Integer I
+Private Real MINE
+End Declarations
+Presched DO I = 1, 64
+  A(I) = REAL(I)
+End Presched DO
+Presched DO I = 1, 64
+  B(I) = A(I) * 2.0
+End Presched DO
+GSUM TOT = MINE
+Barrier
+  Print TOT
+End Barrier
+Selfsched DO I = 1, 64
+  C(I) = 1.0
+End Selfsched DO
+Barrier
+End Barrier
+GSUM PART(ME + 1) = MINE
+Barrier
+End Barrier
+Presched DO I = 1, 64
+  A(I) = 0.0
+End Presched DO
+Presched DO I = 1, 64
+  B(I) = A(I) + 1.0
+End Presched DO
+Presched DO I = 1, 64
+  C(I) = B(65 - I)
+End Presched DO
+Presched DO I = 1, 64
+  A(I) = C(I)
+End Presched DO
+MINE = 0.0
+Presched DO I = 1, 64
+  A(I) = 1.0
+End Presched DO
+Presched DO I = 1, 64
+  B(I) = A(65 - I)
+End Presched DO
+Join
+`
+
+// render spells one node: what it is, the lines it covers, and every
+// decision it carries.
+func render(nd Node, n int) string {
+	loop := func(l Loop) string {
+		s := fmt.Sprintf("%d:%s/grant=%d", l.Do.Pos(), [...]string{Cyclic: "cyclic", Block: "block", Self: "self"}[l.Deal], l.Grant)
+		if l.Plan == nil {
+			s += "/unplanned"
+		}
+		if l.Open {
+			s += "/open"
+		}
+		return s
+	}
+	ride := func(bar *forcelang.BarrierStmt, section []forcelang.Stmt) string {
+		if bar == nil {
+			return ""
+		}
+		return fmt.Sprintf(" rider@%d(%d)", bar.Pos(), len(section))
+	}
+	switch {
+	case nd.Stmt != nil:
+		return fmt.Sprintf("stmt@%d n=%d", nd.Stmt.Pos(), n)
+	case nd.Loop.Do != nil:
+		return fmt.Sprintf("loop %s%s n=%d", loop(nd.Loop), ride(nd.Loop.Rider, nd.Loop.Section), n)
+	}
+	s := "region ["
+	for k, m := range nd.Region.Members {
+		if k > 0 {
+			s += " "
+		}
+		s += loop(m) + ride(m.Rider, m.Section)
+	}
+	s += "]"
+	if red := nd.Region.Red; red != nil {
+		s += fmt.Sprintf(" %s@%d/%s/store=%d", red.Op, red.Pos(), nd.Region.Fold, nd.Region.Store)
+	}
+	return fmt.Sprintf("%s%s n=%d", s, ride(nd.Region.Rider, nd.Region.Section), n)
+}
+
+// TestNext walks one hand-written list at each level and pins the node
+// list: at Fused, DOALL·DOALL·GSUM·Barrier is one Region with its rider, a
+// DOALL·Barrier a Loop with its rider, a GSUM into an array element a
+// Region no Barrier rides (the Barrier follows as a statement), a run whose
+// third member conflicts with its second the longest provable prefix and
+// then — re-scanned — the rest; at Planned every DOALL is a Loop with its
+// plan and grant, every reduction a Region without members, and no Barrier
+// rides; at Plain nothing is planned at all.
+func TestNext(t *testing.T) {
+	prog := parse(t, nextProg)
+	for _, tc := range []struct {
+		level Level
+		want  []string
+	}{
+		{Fused, []string{
+			"region [6:block/grant=1/open 9:block/grant=1/open] GSUM@12/Sum/store=0 rider@13(1) n=4",
+			"loop 16:self/grant=334 rider@19(0) n=2",
+			"region [] GSUM@21/Sum/store=3 n=1",
+			"stmt@22 n=1",
+			"region [24:block/grant=1/open 27:block/grant=1/open] n=2",
+			"region [30:block/grant=1/open 33:block/grant=1/open] n=2",
+			"stmt@36 n=1",
+			"loop 37:block/grant=1 n=1",
+			"loop 40:block/grant=1 n=1",
+		}},
+		{Planned, []string{
+			"loop 6:block/grant=1 n=1", "loop 9:block/grant=1 n=1", "region [] GSUM@12/Sum/store=0 n=1", "stmt@13 n=1",
+			"loop 16:self/grant=334 n=1", "stmt@19 n=1", "region [] GSUM@21/Sum/store=3 n=1", "stmt@22 n=1",
+			"loop 24:block/grant=1 n=1", "loop 27:block/grant=1 n=1", "loop 30:block/grant=1 n=1", "loop 33:block/grant=1 n=1",
+			"stmt@36 n=1", "loop 37:block/grant=1 n=1", "loop 40:block/grant=1 n=1",
+		}},
+		{Plain, []string{
+			"loop 6:cyclic/grant=1/unplanned n=1", "loop 9:cyclic/grant=1/unplanned n=1", "region [] GSUM@12/Sum/store=0 n=1", "stmt@13 n=1",
+			"loop 16:self/grant=1/unplanned n=1", "stmt@19 n=1", "region [] GSUM@21/Sum/store=3 n=1", "stmt@22 n=1",
+			"loop 24:cyclic/grant=1/unplanned n=1", "loop 27:cyclic/grant=1/unplanned n=1", "loop 30:cyclic/grant=1/unplanned n=1", "loop 33:cyclic/grant=1/unplanned n=1",
+			"stmt@36 n=1", "loop 37:cyclic/grant=1/unplanned n=1", "loop 40:cyclic/grant=1/unplanned n=1",
+		}},
+	} {
+		var logs, got []string
+		tg := logging(tc.level, 4, &logs)
+		for i := 0; i < len(prog.Body); {
+			nd, n := tg.Next(prog.Body, i)
+			got = append(got, render(nd, n))
+			i += n
+		}
+		if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+			t.Errorf("level %d:\n%s\nwant:\n%s", tc.level, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
+		if tc.level == Plain && len(logs) != 0 {
+			t.Errorf("Plain narrates: %q", logs)
+		}
+		if rides := strings.Count(strings.Join(logs, "\n"), "rides"); (tc.level == Fused) != (rides > 0) {
+			t.Errorf("level %d narrates %d riders", tc.level, rides)
+		}
+	}
+}
+
+// TestOneSummaryPerBody: however a run of adjacent DOALLs is cut — a prefix
+// fused and the rest re-scanned, or the whole run declined into lone loops —
+// each body's footprint is walked once, by the first attempt that reads it,
+// and every later plan is classified from that very Summary.
+func TestOneSummaryPerBody(t *testing.T) {
+	body := parse(t, nextProg).Body
+	tg := &Target{NsPerUnit: 4, Level: Fused}
+	// Statements 8..11: the run of four; the first step fuses two and has
+	// walked all four.
+	nd, _ := tg.Next(body, 8)
+	walked := append([]*Summary(nil), tg.sums...)
+	if len(nd.Region.Members) != 2 || len(walked) != 4 || walked[2] == nil || walked[3] == nil {
+		t.Fatalf("first step: %s, footprints %v", render(nd, 2), walked)
+	}
+	nd, _ = tg.Next(body, 10)
+	for k, m := range nd.Region.Members {
+		if m.Plan.sum != walked[2+k] {
+			t.Errorf("re-scan: the member at line %d was summarised again", m.Do.Pos())
+		}
+	}
+	// Statements 13, 14: a declined pair; both lone plans stand on what the
+	// Region attempt read.
+	first, _ := tg.Next(body, 13)
+	read := append([]*Summary(nil), tg.sums...)
+	second, _ := tg.Next(body, 14)
+	if len(read) != 2 || first.Loop.Plan.sum != read[0] || second.Loop.Plan.sum != read[1] || read[1] == nil {
+		t.Errorf("declined pair: plans stand on %p and %p, the attempt read %v", first.Loop.Plan.sum, second.Loop.Plan.sum, read)
 	}
 }

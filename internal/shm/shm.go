@@ -30,38 +30,6 @@ import (
 	"sort"
 )
 
-// Class is the Force storage class of a declaration: the paper's
-// shared/private classification "orthogonal to the Fortran local/common
-// classification", plus async (shared with a full/empty state).
-type Class int
-
-const (
-	// Private variables are strictly local to one process (the Force
-	// default).
-	Private Class = iota
-	// Shared variables are uniformly shared among all processes.
-	Shared
-	// Async variables are shared and carry a full/empty state.
-	Async
-)
-
-// String returns the Force keyword for the class.
-func (c Class) String() string {
-	switch c {
-	case Private:
-		return "private"
-	case Shared:
-		return "shared"
-	case Async:
-		return "async"
-	default:
-		return fmt.Sprintf("shm.Class(%d)", int(c))
-	}
-}
-
-// IsShared reports whether the class lives in shared pages.
-func (c Class) IsShared() bool { return c == Shared || c == Async }
-
 // Policy is a machine's sharing mechanism.
 type Policy int
 
@@ -100,9 +68,11 @@ func (p Policy) String() string {
 
 // Decl is one variable declaration contributed by a module.
 type Decl struct {
-	Name  string
-	Class Class
-	Size  int // bytes; must be positive
+	Name string
+	// Shared says the variable lives in shared pages (the Force classes
+	// shared and async); a private one is local to one process.
+	Shared bool
+	Size   int // bytes; must be positive
 }
 
 // Region is a placed declaration in the symbolic address space.
@@ -194,7 +164,7 @@ func (a *Arena) LinkerCommands() []string {
 	var cmds []string
 	for _, m := range a.modules {
 		for _, d := range a.declsBy[m] {
-			if d.Class.IsShared() {
+			if d.Shared {
 				cmds = append(cmds, fmt.Sprintf("-shared %s,%d", qualify(m, d.Name), d.Size))
 			}
 		}
@@ -226,7 +196,7 @@ func (a *Arena) Finalize() error {
 	for _, m := range a.modules {
 		for _, d := range a.declsBy[m] {
 			r := Region{Decl: d, Module: m}
-			if d.Class.IsShared() {
+			if d.Shared {
 				shared = append(shared, r)
 			} else {
 				private = append(private, r)
@@ -337,7 +307,7 @@ func (a *Arena) CheckSeparation() error {
 		}
 	}
 	for _, r := range rs {
-		if r.Class.IsShared() {
+		if r.Shared {
 			if r.Addr < a.sharedLo || r.End() > a.sharedHi {
 				return fmt.Errorf("shm: shared region %s outside shared span", qualify(r.Module, r.Name))
 			}
@@ -358,7 +328,7 @@ func (a *Arena) CheckSeparation() error {
 				u = &use{}
 				pages[p] = u
 			}
-			if r.Class.IsShared() {
+			if r.Shared {
 				u.shared = true
 			} else {
 				u.private = true
@@ -402,7 +372,7 @@ func (a *Arena) PageMap() string {
 	}
 	for _, r := range a.regions {
 		mark := byte('P')
-		if r.Class.IsShared() {
+		if r.Shared {
 			mark = 'S'
 		}
 		for p := a.pageOf(r.Addr); p <= a.pageOf(r.End()-1); p++ {

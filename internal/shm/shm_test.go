@@ -7,27 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestClassString(t *testing.T) {
-	cases := map[Class]string{Private: "private", Shared: "shared", Async: "async"}
-	for c, want := range cases {
-		if got := c.String(); got != want {
-			t.Errorf("%v.String() = %q, want %q", int(c), got, want)
-		}
-	}
-	if got := Class(9).String(); got != "shm.Class(9)" {
-		t.Errorf("unknown class String() = %q", got)
-	}
-}
-
-func TestClassIsShared(t *testing.T) {
-	if Private.IsShared() {
-		t.Error("Private.IsShared() = true")
-	}
-	if !Shared.IsShared() || !Async.IsShared() {
-		t.Error("Shared/Async IsShared() = false")
-	}
-}
-
 func TestPolicyString(t *testing.T) {
 	cases := map[Policy]string{
 		CompileTime:      "compile-time",
@@ -60,19 +39,19 @@ func TestNewArenaValidation(t *testing.T) {
 
 func TestRegisterValidation(t *testing.T) {
 	a := NewArena(RunTimePadded, 64, 0)
-	if err := a.Register("m", Decl{Name: "x", Class: Shared, Size: 0}); err == nil {
+	if err := a.Register("m", Decl{Name: "x", Shared: true, Size: 0}); err == nil {
 		t.Error("zero-size decl accepted")
 	}
-	if err := a.Register("m", Decl{Name: "", Class: Shared, Size: 4}); err == nil {
+	if err := a.Register("m", Decl{Name: "", Shared: true, Size: 4}); err == nil {
 		t.Error("unnamed decl accepted")
 	}
-	if err := a.Register("m", Decl{Name: "x", Class: Shared, Size: 4}); err != nil {
+	if err := a.Register("m", Decl{Name: "x", Shared: true, Size: 4}); err != nil {
 		t.Errorf("valid decl rejected: %v", err)
 	}
 	if err := a.Finalize(); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Register("m2", Decl{Name: "y", Class: Private, Size: 4}); err == nil {
+	if err := a.Register("m2", Decl{Name: "y", Size: 4}); err == nil {
 		t.Error("Register after Finalize accepted")
 	}
 	if err := a.Finalize(); err == nil {
@@ -91,13 +70,13 @@ func layoutArena(t *testing.T, p Policy, page, base int) *Arena {
 		}
 	}
 	must(a.Register("main",
-		Decl{Name: "A", Class: Shared, Size: 100},
-		Decl{Name: "I", Class: Private, Size: 8},
-		Decl{Name: "V", Class: Async, Size: 8},
+		Decl{Name: "A", Shared: true, Size: 100},
+		Decl{Name: "I", Size: 8},
+		Decl{Name: "V", Shared: true, Size: 8},
 	))
 	must(a.Register("sub1",
-		Decl{Name: "B", Class: Shared, Size: 33},
-		Decl{Name: "T", Class: Private, Size: 16},
+		Decl{Name: "B", Shared: true, Size: 33},
+		Decl{Name: "T", Size: 16},
 	))
 	if p == LinkTime {
 		a.LinkerCommands()
@@ -133,7 +112,7 @@ func TestEncorePaddingBothEnds(t *testing.T) {
 	}
 	// Private data must start at or after hi.
 	for _, r := range a.Regions() {
-		if !r.Class.IsShared() && r.Addr < hi {
+		if !r.Shared && r.Addr < hi {
 			t.Errorf("private %s.%s at %d inside padded span [%d,%d)", r.Module, r.Name, r.Addr, lo, hi)
 		}
 	}
@@ -152,7 +131,7 @@ func TestCompileTimeNoPadding(t *testing.T) {
 
 func TestLinkTimeRequiresFirstPass(t *testing.T) {
 	a := NewArena(LinkTime, 64, 0)
-	if err := a.Register("main", Decl{Name: "A", Class: Shared, Size: 8}); err != nil {
+	if err := a.Register("main", Decl{Name: "A", Shared: true, Size: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Finalize(); err == nil {
@@ -164,8 +143,8 @@ func TestLinkTimeRequiresFirstPass(t *testing.T) {
 
 func TestLinkerCommands(t *testing.T) {
 	a := NewArena(LinkTime, 64, 0)
-	a.Register("main", Decl{Name: "A", Class: Shared, Size: 100}, Decl{Name: "I", Class: Private, Size: 8})
-	a.Register("sub", Decl{Name: "V", Class: Async, Size: 8})
+	a.Register("main", Decl{Name: "A", Shared: true, Size: 100}, Decl{Name: "I", Size: 8})
+	a.Register("sub", Decl{Name: "V", Shared: true, Size: 8})
 	cmds := a.LinkerCommands()
 	want := []string{"-shared main.A,100", "-shared sub.V,8"}
 	if len(cmds) != len(want) {
@@ -178,7 +157,7 @@ func TestLinkerCommands(t *testing.T) {
 	}
 	// Non-link-time arenas have no linker involvement.
 	b := NewArena(RunTimePadded, 64, 0)
-	b.Register("main", Decl{Name: "A", Class: Shared, Size: 4})
+	b.Register("main", Decl{Name: "A", Shared: true, Size: 4})
 	if got := b.LinkerCommands(); got != nil {
 		t.Errorf("RunTimePadded LinkerCommands = %v, want nil", got)
 	}
@@ -190,7 +169,7 @@ func TestLookupAndRegions(t *testing.T) {
 	if !ok {
 		t.Fatal("Lookup(sub1.B) failed")
 	}
-	if r.Size != 33 || !r.Class.IsShared() {
+	if r.Size != 33 || !r.Shared {
 		t.Errorf("Lookup(sub1.B) = %+v", r)
 	}
 	if _, ok := a.Lookup("sub1", "missing"); ok {
@@ -201,7 +180,7 @@ func TestLookupAndRegions(t *testing.T) {
 		t.Fatalf("Regions() has %d entries, want 5", len(regs))
 	}
 	// Shared regions come first and are contiguous.
-	if !regs[0].Class.IsShared() || !regs[1].Class.IsShared() || !regs[2].Class.IsShared() {
+	if !regs[0].Shared || !regs[1].Shared || !regs[2].Shared {
 		t.Error("shared regions not placed first")
 	}
 	if regs[1].Addr != regs[0].End() || regs[2].Addr != regs[1].End() {
@@ -219,13 +198,13 @@ func TestCheckSeparationBeforeFinalize(t *testing.T) {
 func TestStartupChain(t *testing.T) {
 	a := NewArena(RunTimePadded, 64, 0)
 	c := NewStartupChain(a)
-	if err := c.Startup("main", Decl{Name: "A", Class: Shared, Size: 8}); err != nil {
+	if err := c.Startup("main", Decl{Name: "A", Shared: true, Size: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Startup("sub1", Decl{Name: "B", Class: Shared, Size: 8}); err != nil {
+	if err := c.Startup("sub1", Decl{Name: "B", Shared: true, Size: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Startup("sub2", Decl{Name: "P", Class: Private, Size: 8}); err != nil {
+	if err := c.Startup("sub2", Decl{Name: "P", Size: 8}); err != nil {
 		t.Fatal(err)
 	}
 	calls := c.Calls()
@@ -257,8 +236,8 @@ func TestQuickSeparation(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			size := int(sizes[i])%200 + 1
-			class := Class(int(classes[i]) % 3)
-			if err := a.Register("m", Decl{Name: fmt.Sprintf("v%d", i), Class: class, Size: size}); err != nil {
+			shared := classes[i]%3 != 0
+			if err := a.Register("m", Decl{Name: fmt.Sprintf("v%d", i), Shared: shared, Size: size}); err != nil {
 				return false
 			}
 		}
@@ -282,8 +261,8 @@ func TestPageMap(t *testing.T) {
 	}
 	// 100 bytes shared (2 pages, second partially padding), 8 private.
 	a.Register("m",
-		Decl{Name: "A", Class: Shared, Size: 100},
-		Decl{Name: "I", Class: Private, Size: 8},
+		Decl{Name: "A", Shared: true, Size: 100},
+		Decl{Name: "I", Size: 8},
 	)
 	if err := a.Finalize(); err != nil {
 		t.Fatal(err)
@@ -306,8 +285,8 @@ func TestPageMapShowsPadding(t *testing.T) {
 	// need a second page of pure padding; use page-start policy with a
 	// shared size that leaves a padding tail page).
 	a := NewArena(RunTimePadded, 64, 0)
-	a.Register("m", Decl{Name: "A", Class: Shared, Size: 65}) // pages 0-1
-	a.Register("m", Decl{Name: "Q", Class: Private, Size: 4})
+	a.Register("m", Decl{Name: "A", Shared: true, Size: 65}) // pages 0-1
+	a.Register("m", Decl{Name: "Q", Size: 4})
 	if err := a.Finalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,14 +315,14 @@ func TestLookupIndexed(t *testing.T) {
 		t.Error("Lookup before Finalize returned a region")
 	}
 	if err := a.Register("main",
-		Decl{Name: "X", Class: Shared, Size: 8},
-		Decl{Name: "Y", Class: Private, Size: 16},
+		Decl{Name: "X", Shared: true, Size: 8},
+		Decl{Name: "Y", Size: 16},
 	); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Register("sub",
-		Decl{Name: "X", Class: Shared, Size: 24},
-		Decl{Name: "Q", Class: Async, Size: 8},
+		Decl{Name: "X", Shared: true, Size: 24},
+		Decl{Name: "Q", Shared: true, Size: 8},
 	); err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +343,9 @@ func TestLookupIndexed(t *testing.T) {
 		if !ok {
 			t.Fatalf("Lookup(%s, %s) missed", tc.module, tc.name)
 		}
-		if r.Size != tc.size || r.Class.IsShared() != tc.shared {
+		if r.Size != tc.size || r.Shared != tc.shared {
 			t.Errorf("Lookup(%s, %s) = size %d shared %v, want size %d shared %v",
-				tc.module, tc.name, r.Size, r.Class.IsShared(), tc.size, tc.shared)
+				tc.module, tc.name, r.Size, r.Shared, tc.size, tc.shared)
 		}
 		// The indexed result must be the placed region.
 		found := false
@@ -395,7 +374,7 @@ func BenchmarkLookup(b *testing.B) {
 		mod := fmt.Sprintf("m%d", m)
 		decls := make([]Decl, 64)
 		for i := range decls {
-			decls[i] = Decl{Name: fmt.Sprintf("V%d", i), Class: Shared, Size: 8}
+			decls[i] = Decl{Name: fmt.Sprintf("V%d", i), Shared: true, Size: 8}
 		}
 		if err := a.Register(mod, decls...); err != nil {
 			b.Fatal(err)

@@ -218,10 +218,27 @@ type Space struct {
 	IntScalar    func(r *forcelang.Ref) bool
 }
 
+// maxCoef bounds the index coefficients Coef answers for.  A subscript is
+// evaluated in wrapping int64 arithmetic, where a literal coefficient c is
+// injective on the index only as long as c times the distance between two
+// index values stays short of 2⁶⁴: A(4611686018427387904*I + 1) is A(1) at
+// I = 0 and at I = 4.  Within ±2³¹ two iterations can only meet on one
+// element if their index values lie 2³³ or more apart, which takes a loop
+// step no array a machine can hold is subscripted with.
+const maxCoef = 1 << 31
+
+func small(c int64) bool { return -maxCoef <= c && c <= maxCoef }
+
 // Coef decomposes e as ci*Outer + cj*Inner + rest, requiring literal
-// coefficients and a rest that reads only scalars IntScalar admits (so
-// the rest is identical for every iteration).
+// coefficients within ±maxCoef — every sum and every product k * c on the
+// way included, so none of them wraps — and a rest that reads only scalars
+// IntScalar admits (so the rest is identical for every iteration).
 func (sp *Space) Coef(e forcelang.Expr) (ci, cj int64, ok bool) {
+	ci, cj, ok = sp.coef(e)
+	return ci, cj, ok && small(ci) && small(cj)
+}
+
+func (sp *Space) coef(e forcelang.Expr) (ci, cj int64, ok bool) {
 	switch t := e.(type) {
 	case *forcelang.IntLit:
 		return 0, 0, true
@@ -258,13 +275,17 @@ func (sp *Space) Coef(e forcelang.Expr) (ci, cj int64, ok bool) {
 			}
 			return li + ri, lj + rj, true
 		case forcelang.OpMul:
-			if k, kok := ConstInt(t.L); kok {
-				ri, rj, rok := sp.Coef(t.R)
-				return k * ri, k * rj, rok
+			// One factor is a literal — within the bound itself, so the
+			// product of two bounded numbers cannot wrap back under it.
+			k, kok := ConstInt(t.L)
+			x := t.R
+			if !kok {
+				k, kok = ConstInt(t.R)
+				x = t.L
 			}
-			if k, kok := ConstInt(t.R); kok {
-				li, lj, lok := sp.Coef(t.L)
-				return k * li, k * lj, lok
+			if kok && small(k) {
+				xi, xj, xok := sp.Coef(x)
+				return k * xi, k * xj, xok
 			}
 		}
 	}

@@ -138,6 +138,27 @@ func TestCoef(t *testing.T) {
 	if _, _, ok := sp.Coef(bin(forcelang.OpMul, ref("I"), ref("J"))); ok {
 		t.Error("index product should not decompose")
 	}
+	// Subscripts are computed in wrapping int64 arithmetic: a coefficient
+	// is answered for only within ±2³¹, whichever way it is put together.
+	mul := func(k int64, x forcelang.Expr) forcelang.Expr { return bin(forcelang.OpMul, intLit(k), x) }
+	for _, tc := range []struct {
+		name string
+		e    forcelang.Expr
+		ci   int64
+		ok   bool
+	}{
+		{"at the bound", mul(1<<31, ref("I")), 1 << 31, true},
+		{"at the negative bound", mul(-(1 << 31), ref("I")), -(1 << 31), true},
+		{"past the bound", mul(1<<31+1, ref("I")), 0, false},
+		{"2^62 (wraps to 0 at I = 4)", mul(1<<62, ref("I")), 0, false},
+		{"a product of small factors", mul(1<<16, mul(1<<16, ref("I"))), 0, false},
+		{"a sum past the bound", bin(forcelang.OpAdd, mul(1<<31, ref("I")), ref("I")), 0, false},
+		{"a big literal in the rest (conservatively)", bin(forcelang.OpAdd, ref("I"), mul(1<<40, ref("N"))), 0, false},
+	} {
+		if ci, _, ok := sp.Coef(tc.e); ok != tc.ok || (ok && ci != tc.ci) {
+			t.Errorf("%s: got (%d, %v), want (%d, %v)", tc.name, ci, ok, tc.ci, tc.ok)
+		}
+	}
 }
 
 func TestDisjoint(t *testing.T) {
@@ -154,6 +175,11 @@ func TestDisjoint(t *testing.T) {
 	// Mixed forms A(I) and A(I+1) collide across iterations.
 	if one.Disjoint([]*forcelang.Ref{ref("A", ref("I")), form()}) {
 		t.Error("mixed forms must stay non-disjoint")
+	}
+	// A(2^62*I + 1): nonzero coefficient, but 2^62 * 4 wraps to 0.
+	wrap := ref("A", bin(forcelang.OpAdd, bin(forcelang.OpMul, intLit(1<<62), ref("I")), intLit(1)))
+	if one.Disjoint([]*forcelang.Ref{wrap}) {
+		t.Error("A(4611686018427387904*I + 1) is A(1) at I = 0 and at I = 4")
 	}
 	two := &Space{Outer: "I", Inner: "J"}
 	// B(I, J): identity map, injective.

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
-	"repro/internal/shm"
 	"repro/internal/uniform"
 )
 
@@ -79,7 +78,7 @@ func (f *flow) refLevel(r *forcelang.Ref) uniform.Level {
 	switch {
 	case r.Sym.Role == forcelang.RoleIdent:
 		lv = uniform.Varying
-	case r.Sym.Class == shm.Private:
+	case r.Sym.Class == forcelang.Private:
 		lv = f.env[r.Sym]
 	}
 	// An element read through a varying subscript differs across
@@ -336,7 +335,7 @@ func (f *flow) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line int,
 // INTEGER constant, that constant.
 func (f *flow) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniform.Level) {
 	d := target.Sym
-	if d.Class != shm.Private {
+	if d.Class != forcelang.Private {
 		return
 	}
 	if len(target.Subs) == 0 {
@@ -675,7 +674,7 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 	if f.callPath[key] {
 		// Recursion: assume every by-reference argument varies.
 		for i := range t.Args {
-			if t.Args[i].Sym.Class == shm.Private {
+			if t.Args[i].Sym.Class == forcelang.Private {
 				f.env[t.Args[i].Sym] = uniform.Varying
 			}
 			delete(f.consts, t.Args[i].Sym)
@@ -713,7 +712,7 @@ func (f *flow) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		}
 		arg := t.Args[i].Sym
 		delete(f.consts, arg)
-		if arg.Class == shm.Private {
+		if arg.Class == forcelang.Private {
 			f.env[arg] = f.env[arg].Join(cf.env[p])
 		}
 	}

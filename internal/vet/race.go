@@ -27,7 +27,6 @@ package vet
 import (
 	"repro/internal/forcelang"
 	"repro/internal/plan"
-	"repro/internal/shm"
 	"repro/internal/uniform"
 )
 
@@ -52,7 +51,7 @@ func (a *analysis) racePass(u *unitInfo) {
 
 // tracked reports whether the race pass answers for the symbol: shared
 // storage reached by its own name.
-func tracked(sym *forcelang.Symbol) bool { return sym.Class == shm.Shared && !isParam(sym) }
+func tracked(sym *forcelang.Symbol) bool { return sym.Class == forcelang.Shared && !isParam(sym) }
 
 // indexTemps finds the body's index temporaries: a private INTEGER scalar
 // whose only store in the body is one top-level assignment (so it runs

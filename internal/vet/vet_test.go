@@ -458,6 +458,9 @@ func TestFV101OverlappingArrayForms(t *testing.T) {
 		// A zero-trip DO would leave K undefined.
 		{"definition inside a sequential DO", decls, doall("DO J = 1, 2\nK = I + 1\nEnd DO\nA(K) = REAL(I)\n"), "FV101@10"},
 		{"two definitions", decls, doall("K = I + 1\nK = 2 * I\nA(K) = REAL(I)\n"), "FV101@9"},
+		// One form, a nonzero coefficient — and A(1) at I = 0 and at I = 4:
+		// 2^62 * 4 wraps to 0 (uniform.Space.Coef bounds what it answers for).
+		{"wrapping coefficient", decls, "Presched DO I = 0, 4, 4\nA(4611686018427387904 * I + 1) = REAL(I + 10)\nEnd Presched DO\n", "FV101@7"},
 	})
 }
 

@@ -6,6 +6,8 @@ package repro_test
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/asyncvar"
 	"repro/internal/barrier"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/lock"
 	"repro/internal/reduce"
@@ -105,6 +108,40 @@ func TestVariantInventory(t *testing.T) {
 			{engine.MonitorPool, "monitor"},
 			{engine.StealingPool, "stealing"},
 		})
+
+	// The DOALL spellings of the Go API, each with what keeps it (the same
+	// rule: a — the paper's construct; b — an internal/apps kernel or a
+	// forcemark probe calls it; g — generated code or the closure compiler
+	// calls it).  All are adapters over core.openSpans, so the list may
+	// only shrink: a new spelling fails here, and so does a row whose
+	// method is gone.
+	doalls := map[string]string{
+		"PreschedDo":       "a (Presched DO) · b (gauss, forcemark's presched probe)",
+		"SelfschedDo":      "a (Selfsched DO, the expansion listing) · b (forcemark's selfsched probe)",
+		"PreschedDo2":      "a (doubly nested loops, §3.3)",
+		"DoAll2":           "a (doubly nested loops under a chosen discipline: the tree walker, core.Conformance)",
+		"DoAll":            "b (matmul, gauss, nbody pick the discipline per call)",
+		"PreschedBlockDo":  "b (jacobi, nbody, scan, sor)",
+		"ChunkDo":          "b (histogram)",
+		"DoAllChunked":     "g (every emitted Presched DO) · b (forcemark's span probes)",
+		"DoAllGranted":     "g (every emitted Selfsched DO, every closed span loop of the closure compiler)",
+		"DoAllChunkedOpen": "g (the members of a fused region, a DOALL whose exit a Barrier rides)",
+	}
+	spelling := regexp.MustCompile(`^(DoAll|Presched\w*Do|Selfsched\w*Do|ChunkDo)`)
+	procT := reflect.TypeOf((*core.Proc)(nil))
+	for i := 0; i < procT.NumMethod(); i++ {
+		name := procT.Method(i).Name
+		if !spelling.MatchString(name) {
+			continue
+		}
+		if _, ok := doalls[name]; !ok {
+			t.Errorf("core.Proc.%s: a DOALL entry point outside the inventory (state what keeps it, or fold it into an existing one)", name)
+		}
+		delete(doalls, name)
+	}
+	for name, why := range doalls {
+		t.Errorf("core.Proc.%s is gone: delete its inventory row (%s)", name, why)
+	}
 }
 
 // TestUsageErrors drives the three command-line rejections through the
