@@ -595,7 +595,10 @@ Join
 // every run.  The program spreads DOALLs over three units so a map-order
 // walk would show.  The one thing each back end sizes for itself is the
 // grant of a selfscheduled loop (plan.Target.NsPerUnit), so the lines are
-// compared with its number taken out — and it must differ.  Both say of
+// compared with its number taken out — and it must differ: the 20000-trip
+// loop's integer MOD keeps its body per iteration on the chunk tier, at
+// four times the native cost of a unit (a block-evaluated body, like ABLE's
+// B(K) = 0.0, is sized at the native one).  Both say of
 // ABLE's 32-trip selfscheduled loop that it fits one grant and process 0
 // runs it, and neither says so of the 20000-trip one behind it.  The one
 // decision only the chunk tier takes is which element references it
@@ -640,7 +643,7 @@ Selfsched DO K = 1, 32
   B(K) = 0.0
 End Selfsched DO
 Selfsched DO K = 1, 20000
-  S = S + 1
+  S = S + MOD(K, 2)
 End Selfsched DO
 Presched DO K = 1, 32
   Critical L

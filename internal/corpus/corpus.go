@@ -23,7 +23,10 @@
 //     iteration-to-process map observable, which must keep the cyclic
 //     deal), the grant of a selfscheduled loop, and the span check
 //     (affine subscripts tested at a span's two ends: guarded
-//     out-of-range references, every affine form, wrapping products);
+//     out-of-range references, every affine form, wrapping products) and
+//     block evaluation (span lengths around the block width, steps and
+//     subscript forms, folds in index order, statement order, every
+//     reason a body is declined);
 //   - Fusion / FusionFaults: the PR-10 fusion matrix — programs shaped
 //     for the chunk tier's fusion pass (adjacent independent DOALLs,
 //     overlapping must-NOT-fuse pairs, foldable reduction tails, a
@@ -1344,6 +1347,237 @@ Presched DO I = 0, 4, 4
 End Presched DO
 Barrier
   Print 'wrap', A(1), B(1), B(5)
+End Barrier
+Join
+`},
+	// The next four are the block-evaluated bodies (element-wise: straight
+	// assignments over expressions that cannot raise).  Spans of 0, 1, 255,
+	// 256 and 257 indices and of several blocks plus a remainder at np = 1
+	// (other lengths at other np), and a selfscheduled loop whose grant, 134
+	// on the closure tier, is shorter than a block.
+	{"block-span-lengths", 0, `Force BLEN of NP ident ME
+Shared Real A(700), B(700)
+Shared Integer V(1200), W(1200)
+Shared Real CHK
+Shared Integer T
+Private Integer I
+End Declarations
+Presched DO I = 1, 700
+  A(I) = 1.0
+  B(I) = REAL(I) * 0.125
+End Presched DO
+Presched DO I = 1, 1200
+  V(I) = I * 37 - 20000
+End Presched DO
+Presched DO I = 1, 0
+  A(I) = A(I) * 0.5 + B(I)
+End Presched DO
+Presched DO I = 1, 1
+  A(I) = A(I) * 0.5 + B(I)
+End Presched DO
+Presched DO I = 1, 255
+  A(I) = A(I) * 0.5 + B(I)
+End Presched DO
+Presched DO I = 1, 256
+  A(I) = A(I) * 0.5 + B(I)
+End Presched DO
+Presched DO I = 1, 257
+  A(I) = A(I) * 0.5 + B(I)
+End Presched DO
+Presched DO I = 1, 700
+  A(I) = A(I) * 0.5 + B(I)
+End Presched DO
+Selfsched DO I = 1, 1200
+  W(I) = V(I) * 3 + V(I) * V(I) - ABS(V(I) - 7) + MAX(V(I), 5, -I) + MIN(I, V(I)) - I
+End Selfsched DO
+Barrier
+  CHK = 0.0
+  DO I = 1, 700
+    CHK = CHK + A(I) * REAL(MOD(I, 9))
+  End DO
+  T = 0
+  DO I = 1, 1200
+    T = T + W(I) * MOD(I, 13)
+  End DO
+  Print 'lens', CHK, A(1), A(255), A(256), A(257), A(258), T
+End Barrier
+Join
+`},
+	// Negative and non-unit steps, dealt in blocks and selfscheduled; the
+	// coefficients -1 and -2; a 2-D array affine in both subscripts, along
+	// its two diagonals.
+	{"block-steps-and-forms", 0, `Force BFORM of NP ident ME
+Shared Integer A(300), B(300), C(600), M(40, 40)
+Shared Integer N, T
+Private Integer I
+End Declarations
+Barrier
+  N = 300
+End Barrier
+Presched DO I = 1, N
+  A(I) = I
+  B(N + 1 - I) = 3 * I
+End Presched DO
+Presched DO I = N, 1, -1
+  A(I) = A(I) + B(I)
+End Presched DO
+Presched DO I = 2, N, 7
+  A(I) = A(I) * 2 - B(N + 1 - I)
+End Presched DO
+Selfsched DO I = N - 1, 1, -3
+  B(I) = B(I) + A(I + 1)
+End Selfsched DO
+Presched DO I = 1, N
+  C(2 * N + 1 - 2 * I) = A(I) - I
+End Presched DO
+Presched DO I = 1, N
+  C(2 * N + 2 - 2 * I) = B(I) - C(2 * N + 2 - 2 * I)
+End Presched DO
+Presched DO I = 1, 40
+  M(I, 41 - I) = I * I
+End Presched DO
+Presched DO I = 1, 40
+  M(I, I) = M(I, I) - I
+End Presched DO
+Presched DO I = 2, 39
+  A(I) = M(I, 41 - I) - M(I, I) + M(41 - I, I) * M(I - 1, I + 1)
+End Presched DO
+Barrier
+  T = 0
+  DO I = 1, N
+    T = T + A(I) * MOD(I, 7) + B(I) - C(I) + C(N + I) * 2
+  End DO
+  Print 'forms', T, A(2), A(39), B(299), C(1), C(600), M(40, 1), M(7, 7)
+End Barrier
+Join
+`},
+	// Folds: REAL private recurrences printed to full precision (a block
+	// folds in index order, so each process's sum rounds as its iterations
+	// do), INTEGER sums that wrap, a left-leaning chain, MAX / MIN over NaN
+	// and signed zeros from either seed, a REAL recurrence over the INTEGER
+	// index, and shared accumulators folded beside them.  Writing a
+	// private keeps the cyclic deal, so the blocks step by np.  (The NaN
+	// and the -0.0 are computed from a variable: the Go emitter would fold
+	// 0.0 / 0.0 and -1.0 * 0.0 as Go constants, an error and a +0.)
+	{"block-recurrences", 0, `Force BREC of NP ident ME
+Shared Real V(300), Z(12)
+Shared Integer K(300)
+Shared Real BIG, SMALL
+Shared Integer TOT, IBIG
+Private Real X, Y, P, Q
+Private Integer I, S, W, HI, LO
+End Declarations
+Presched DO I = 1, 300
+  V(I) = 1.0 / REAL(I) + 0.1
+  K(I) = I * 3037000499
+End Presched DO
+Barrier
+  Z(1) = 0.0
+  Z(2) = -1.0 * Z(1)
+  Z(3) = Z(1) / Z(1)
+  Z(4) = 1.5
+  Z(5) = Z(3)
+  Z(6) = Z(2)
+  Z(7) = 0.0
+  Z(8) = -2.5
+  Z(9) = 1.5
+  Z(10) = Z(2)
+  Z(11) = -2.5
+  Z(12) = 0.0
+  BIG = -1.0
+  SMALL = 9.0
+  TOT = 9223372036854775807
+  IBIG = 0
+End Barrier
+X = 0.0
+Y = 100.0
+S = 0
+W = 9223372036854775807
+HI = -5
+LO = 5
+Presched DO I = 1, 300
+  X = X + V(I)
+  Y = Y - V(I) * 0.3
+  S = S + K(I) * K(I) - I
+  W = K(I) + W
+  HI = MAX(HI, K(I) * 5)
+  LO = MIN(LO, -I)
+End Presched DO
+Print 'rec', ME, X, Y, S, W, HI, LO
+X = 0.5
+Presched DO I = 300, 1, -1
+  X = X + I
+  BIG = MAX(BIG, V(I))
+  SMALL = MIN(SMALL, V(I) * REAL(I))
+  TOT = TOT + K(I)
+End Presched DO
+Print 'mixed', ME, X
+P = Z(2)
+Q = Z(1)
+Presched DO I = 1, 12
+  P = MAX(P, Z(I))
+  Q = MIN(Q, Z(I))
+End Presched DO
+Print 'ext', ME, P, Q, 1.0 / P
+P = Z(3)
+Q = Z(6)
+Presched DO I = 12, 1, -1
+  P = MAX(P, Z(I))
+  Q = MIN(Q, -Z(I))
+End Presched DO
+Print 'nan', ME, P, Q
+Barrier
+  Print 'shared', BIG, SMALL, TOT, IBIG
+End Barrier
+Join
+`},
+	// Statement at a time: later statements read and re-store what earlier
+	// ones stored at the same element, through an INTEGER / REAL round trip.
+	// Then the bodies the planner declines, each for its own reason — IF,
+	// integer MOD (and /), a private read outside its recurrence (a running
+	// sum each process stores as it goes), a private temporary, SQRT.
+	{"block-statement-order-and-declined", 0, `Force BORD of NP ident ME
+Shared Integer A(300), B(300), C(300)
+Shared Real R(300)
+Shared Integer T
+Private Integer I, X
+End Declarations
+Presched DO I = 1, 300
+  B(I) = 2 * I + 1
+End Presched DO
+Presched DO I = 1, 300
+  A(I) = B(I) + 1
+  C(I) = A(I) * 2 - B(I)
+  A(I) = A(I) + C(I)
+  R(I) = A(I) / 4.0
+  B(I) = R(I) + 0.75
+End Presched DO
+Presched DO I = 1, 300
+  IF (MOD(I, 3) .EQ. 0) THEN
+    B(I) = B(I) + A(I)
+  End IF
+End Presched DO
+Presched DO I = 1, 300
+  C(I) = MOD(A(I), 7) + B(I) / 2
+End Presched DO
+X = 0
+Presched DO I = 1, 300
+  X = X + C(I)
+  A(I) = X
+End Presched DO
+Presched DO I = 1, 300
+  X = A(I) - I
+  B(I) = B(I) + X
+End Presched DO
+Presched DO I = 1, 300
+  R(I) = SQRT(R(I)) + NINT(R(I)) - INT(R(I) * 0.5)
+End Presched DO
+Barrier
+  T = 0
+  DO I = 1, 300
+    T = T + A(I) * MOD(I, 11) + B(I) - C(I) + NINT(R(I) * 8.0)
+  End DO
+  Print 'order', T, A(300), B(300), C(300), R(300)
 End Barrier
 Join
 `},

@@ -36,6 +36,11 @@ package interp
 //     the ordinary per-iteration check decides which, at the reference
 //     and after the iterations it always did.
 //
+// An element-wise body (the planner says which: plan.Plan.PerIter) compiles
+// in chunk mode to its block form only (block.go): a span that passes the
+// end-point test runs it statement at a time over blocks of indices, any
+// other span the checked plan-less body.
+//
 // A body with no plan compiles in ordinary mode and stores its index
 // through the frame every iteration (chunkParDo).  Everything else —
 // arithmetic, coercions, intrinsics, every other subscript, the typed
@@ -73,6 +78,9 @@ type chunkPlan struct {
 	// element reference of the body, span-checked or not.
 	subs         []affSub
 	sites, elems int
+	// nI and nR count the scratch buffers of each type an element-wise
+	// body's block form fills (block.go).
+	nI, nR int
 	// checked is the plan-less body, for the spans that fail the
 	// end-point test; most constructs never need it (checkedBody).
 	once    sync.Once
@@ -95,7 +103,13 @@ type affSub struct {
 // value in cproc and its slices only ever grow, so a program with no
 // chunk-compiled site allocates nothing for it.
 type kctx struct {
-	i, j int64 // current loop index values
+	i, j int64 // current loop index values; i the first of a block's
+	// b is the block state of an element-wise body (block.go), allocated
+	// by the first span that runs one.  Behind a pointer so that cproc
+	// keeps its size class: with these 72 bytes inline (280 -> 352) the
+	// cold runs of forcemark's pipeline-ring, which never touches them,
+	// read 15-20 % dearer at np=2.
+	b    *blockCtx
 	uniI []int64
 	uniR []float64
 	uniB []bool
@@ -177,6 +191,10 @@ func (kc *kctx) narrow(c, rest, ext int64) {
 		if 1 <= rest && rest <= ext {
 			return
 		}
+	case c == 1: // A(I + rest), A(rest - I): the common subscripts divide nothing
+		lo, hi = 1-rest, ext-rest
+	case c == -1:
+		lo, hi = rest-ext, rest-1
 	case c > 0:
 		lo, hi = ceilDiv(1-rest, c), floorDiv(ext-rest, c)
 	default:
@@ -271,8 +289,13 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 	grant, open := l.Grant, l.Open
 	planned := p != nil
 	body := c.spanBody(t, cp)
+	byBlock := planned && p.PerIter == ""
 	if lg := c.tg.Log; lg != nil && cp.elems > 0 {
-		lg("line %d: DOALL span-checked %d of %d element references", t.Pos(), cp.sites, cp.elems)
+		how := "block-evaluated"
+		if !byBlock {
+			how = "per iteration (" + p.PerIter + ")"
+		}
+		lg("line %d: DOALL span-checked %d of %d element references, %s", t.Pos(), cp.sites, cp.elems, how)
 	}
 	var recs []plan.AccRec
 	if planned {
@@ -309,8 +332,21 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 				i := base + int64(lo)*incr
 				di := int64(stride) * incr
 				run := body
-				if !kc.spanOK(i, i+int64(cnt-1)*di) {
+				switch {
+				case !kc.spanOK(i, i+int64(cnt-1)*di):
 					run = cp.checkedBody(c, t)
+				case byBlock:
+					// Statement at a time over blocks, leaving nothing (cnt
+					// = 0) to the per-iteration loop below; the poison check
+					// keeps its cadence, one per full block.
+					for b := kc.blocks(cp, cnt, di); cnt > 0; cnt -= b.n {
+						kc.i, b.n = i, min(cnt, blockWidth)
+						runBody(body, pr, fr)
+						i += int64(b.n) * di
+						if b.n == blockWidth {
+							pr.p.Check()
+						}
+					}
 				}
 				ctr := 0
 				for x := 0; x < cnt; x++ {
@@ -391,7 +427,14 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 func (c *compiler) spanBody(t *forcelang.ParDo, cp *chunkPlan) []stmtFn {
 	if cp.Plan != nil {
 		c.plan = cp
-		body := c.stmts(t.Body)
+		var body []stmtFn
+		if cp.PerIter != "" {
+			body = c.stmts(t.Body)
+		} else { // element-wise: its block form, and only that
+			for _, st := range t.Body {
+				body = append(body, c.blockAssign(st.(*forcelang.Assign)))
+			}
+		}
 		c.plan = nil
 		return body
 	}

@@ -406,7 +406,11 @@ func TestPartitionDecisions(t *testing.T) {
 // checks and unwind promptly — well under the watchdog-scale timeout, at
 // span sizes where waiting for the span to finish would be the bug.  Both
 // lowerings share the one cadence: the planned span loop (ExecChunked)
-// and the plan-less one (ExecCompiled).
+// and the plan-less one (ExecCompiled).  And so does a span run a block at
+// a time, whose body cannot fault: process 0 raises after a short
+// sequential loop while its peers are deep in the blocks of a giant DOALL —
+// minutes of work each — and the one poison check per full block must get
+// them out.
 func TestChunkedAbortLatency(t *testing.T) {
 	prog := forcelang.MustParse(`Force ABT of NP ident ME
 Shared Real A(400000)
@@ -431,6 +435,36 @@ Join
 			if elapsed > 10*time.Second {
 				t.Errorf("%v np=%d: abort took %v — in-span poison checks not bounding latency", exec, np, elapsed)
 			}
+		}
+	}
+	prog = forcelang.MustParse(`Force ABTB of NP ident ME
+Shared Integer A(4), S
+Private Integer I, K, W
+End Declarations
+IF (ME .EQ. 0) THEN
+  DO K = 1, 300000
+    W = W + K
+  End DO
+  W = W / ME
+End IF
+Presched DO I = 1, 400000000000
+  S = S + (A(1) + I)
+End Presched DO
+Join
+`)
+	for _, np := range []int{2, 8} {
+		var logs []string
+		start := time.Now()
+		err := Run(prog, Config{NP: np, FuseLog: func(l string) { logs = append(logs, l) }})
+		elapsed := time.Since(start)
+		if !logsContain(logs, "line 11: DOALL span-checked 1 of 1 element references, block-evaluated") {
+			t.Fatalf("the giant span is not block-evaluated: %q", logs)
+		}
+		if err == nil || !strings.Contains(err.Error(), "force runtime: line 9: integer division by zero") {
+			t.Fatalf("block-evaluated np=%d: error %v", np, err)
+		}
+		if elapsed > 10*time.Second {
+			t.Errorf("block-evaluated np=%d: abort took %v — no poison check between blocks", np, elapsed)
 		}
 	}
 }

@@ -18,7 +18,10 @@ package interp
 // accumulators) and the shared-array element leaves (spanSite: a
 // reference affine in the index is range-checked per span).  Arithmetic,
 // coercion, intrinsic, divide/MOD-by-zero and subscript-range semantics
-// therefore exist once for planned and plan-less bodies.
+// therefore exist once for planned and plan-less bodies.  An element-wise
+// body (plan.Plan.PerIter == "") compiles to its block form instead
+// (block.go): the operations that cannot raise, a block of indices at a
+// time, over the same hoisted closures and span-checked sites.
 
 import (
 	"fmt"

@@ -21,16 +21,22 @@ import (
 	"repro/internal/reduce"
 )
 
-// closureNsPerUnit is what one unit of plan's static body cost takes on
-// the closure tier (the stream, stencil and dotsum bodies run at 3-4 ns
-// per unit on the reference box).
-const closureNsPerUnit = 4
+// closureNsPerUnit and blockNsPerUnit are what one unit of plan's static
+// body cost takes on the closure tier, per iteration and in a body
+// evaluated a block at a time (block.go).  BenchmarkSpanBody is where they
+// are read from: the stream, stencil and dotsum bodies run at 2-3 ns per
+// unit per iteration (3-4 when the 4 was taken, before the span check) and
+// at 0.5-2 block-evaluated, the store-free dotsum at the low end.
+const (
+	closureNsPerUnit = 4
+	blockNsPerUnit   = 1
+)
 
 // planTarget is the closure back end as internal/plan sees it: the level
 // cfg selects — the planner off (ExecCompiled), on without fusion
 // (NoFuse), or whole — and the narration going to FuseLog, or nowhere.
 func planTarget(cfg Config) plan.Target {
-	tg := plan.Target{NsPerUnit: closureNsPerUnit, Level: plan.Fused}
+	tg := plan.Target{NsPerUnit: closureNsPerUnit, NsPerBlockUnit: blockNsPerUnit, Level: plan.Fused}
 	switch {
 	case cfg.Exec != ExecChunked:
 		tg.Level = plan.Plain

@@ -16,8 +16,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
+	"repro/internal/reduce"
 )
 
 // TestNarrow pins the end-point interval: the indices at which c·i + rest
@@ -42,6 +44,13 @@ func TestNarrow(t *testing.T) {
 		{1, big, 32, 1, 0},                       // a rest the test itself could wrap on
 		{1, math.MinInt64, 32, 1, 0},             //
 		{-1, 1 - big, 32, 1 - big - 32, -big},    // the largest rest still judged
+		{-1, big - 1, 32, big - 33, big - 2},     // at the other end
+		{-1, big, 32, 1, 0},                      //
+		{-1, -big, 32, 1, 0},                     //
+		{-1, math.MinInt64, 32, 1, 0},            //
+		{-1, math.MaxInt64, 32, 1, 0},            //
+		{1, 1 - big, 32, big, big + 31},          // c = 1 likewise
+		{1, big - 1, 32, 2 - big, 33 - big},      //
 	} {
 		kc := kctx{okLo: math.MinInt64, okHi: math.MaxInt64}
 		kc.narrow(tc.c, tc.rest, tc.ext)
@@ -74,7 +83,8 @@ func TestNarrow(t *testing.T) {
 
 // TestSpanCheckNarration pins the chunk tier's own narration line: how
 // many of a planned body's shared-array element references are checked
-// per span.
+// per span, and whether the body is evaluated a block at a time or, when
+// the planner declined that, per iteration and for which first reason.
 func TestSpanCheckNarration(t *testing.T) {
 	byName := map[string]string{}
 	for _, p := range corpus.Chunk {
@@ -86,23 +96,55 @@ func TestSpanCheckNarration(t *testing.T) {
 		want []string
 	}{
 		{"span-affine-forms", Config{}, []string{
-			"line 11: DOALL span-checked 2 of 2 element references",
-			"line 21: DOALL span-checked 5 of 5 element references",
-			"line 24: DOALL span-checked 4 of 4 element references"}},
+			"line 11: DOALL span-checked 2 of 2 element references, block-evaluated",
+			"line 21: DOALL span-checked 5 of 5 element references, block-evaluated",
+			"line 24: DOALL span-checked 4 of 4 element references, block-evaluated"}},
 		{"span-2d-uniform-subscript", Config{NoFuse: true}, []string{
-			"line 9: DOALL span-checked 0 of 1 element references", // two indices
-			"line 12: DOALL span-checked 1 of 1 element references",
-			"line 21: DOALL span-checked 4 of 4 element references"}},
+			"line 9: DOALL span-checked 0 of 1 element references, per iteration (two-index space)",
+			"line 12: DOALL span-checked 1 of 1 element references, block-evaluated",
+			"line 21: DOALL span-checked 4 of 4 element references, block-evaluated"}},
 		{"span-unproven-and-wrapping", Config{}, []string{
-			"line 9: DOALL span-checked 1 of 2 element references",  // A(K), K written
-			"line 35: DOALL span-checked 0 of 1 element references", // a parameter in the body
-			"line 38: DOALL span-checked 0 of 2 element references"}},
+			"line 9: DOALL span-checked 1 of 2 element references, per iteration (writes private K, not one recurrence)",
+			"line 18: DOALL span-checked 1 of 2 element references, per iteration (writes B, not proven disjoint)", // the wrapping coefficient
+			"line 35: DOALL span-checked 0 of 1 element references, per iteration (parameter reference)",
+			"line 38: DOALL span-checked 0 of 2 element references, per iteration (parameter reference)"}},
+		{"block-span-lengths", Config{}, []string{
+			"line 15: DOALL span-checked 3 of 3 element references, block-evaluated", // the empty loop too
+			"line 33: DOALL grant=134", // sized for a block body, and shorter than a block
+			"line 33: DOALL span-checked 7 of 7 element references, block-evaluated"}},
+		{"block-recurrences", Config{}, []string{
+			"line 37: DOALL span-checked 6 of 6 element references, block-evaluated",
+			"line 47: DOALL span-checked 3 of 3 element references, block-evaluated"}},
+		{"block-statement-order-and-declined", Config{}, []string{
+			"line 10: DOALL span-checked 12 of 12 element references, block-evaluated",
+			"line 17: DOALL span-checked 3 of 3 element references, per iteration (IF)",
+			"line 22: DOALL span-checked 3 of 3 element references, per iteration (integer MOD)",
+			"line 26: DOALL span-checked 2 of 2 element references, per iteration (reads private X outside its recurrence)",
+			"line 30: DOALL span-checked 3 of 3 element references, per iteration (writes private X, not one recurrence)",
+			"line 34: DOALL span-checked 4 of 4 element references, per iteration (SQRT)"}},
 	} {
 		logs := fuseLogs(t, byName[tc.prog], tc.cfg)
 		for _, want := range tc.want {
 			if !logsContain(logs, want) {
 				t.Errorf("%s: logs %q lack %q", tc.prog, logs, want)
 			}
+		}
+	}
+	// The reasons the corpus has no program for, first reason first.
+	for _, tc := range []struct{ decl, body, want string }{
+		{"Integer A(64), B(64)", "A(I) = A(I - 1) + B(I)", "writes A, not proven disjoint"},
+		{"Integer A(64), B(64)", "A(I) = B(I) / 2", "integer /"},
+		{"Integer A(64), B(64)", "DO K = 1, 2\nA(I) = B(I) + K\nEnd DO", "sequential DO"},
+		{"Integer A(64), B(64)", "A(I) = B(MOD(I, 64) + 1)", "checks B per iteration"},
+		{"Integer A(64), B(64), S", "S = I\nA(I) = B(I)", "writes S, not one folded accumulator"},
+		{"Real A(64), B(64), S", "S = MAX(S, A(I))\nS = MAX(S, B(I))", "writes S, not one folded accumulator"},
+		{"Real A(64), B(64)", "X = X + A(I)\nX = X + B(I)", "writes private X, not one recurrence"},
+		{"Real A(64)\nShared Logical L(64)", "L(I) = A(I) .GT. 0.0", "LOGICAL L"},
+	} {
+		src := fmt.Sprintf("Force WHY of NP ident ME\nShared %s\nPrivate Integer I, K\nPrivate Real X\nEnd Declarations\n"+
+			"Presched DO I = 2, 64\n%s\nEnd Presched DO\nJoin\n", tc.decl, tc.body)
+		if logs := fuseLogs(t, src, Config{NP: 1}); !logsContain(logs, "element references, per iteration ("+tc.want+")") {
+			t.Errorf("%q: logs %q lack the reason %q", tc.body, logs, tc.want)
 		}
 	}
 	// The planner's line, not the compiler's: with the planner off nothing
@@ -194,16 +236,21 @@ func TestCheckedBodyCompiledOnce(t *testing.T) {
 	}
 }
 
-// TestSpanEnterAllocatesNothing: the per-process rests live in a
-// grow-only slice of the chunk context, so entering a span-checked
-// construct a second time — a sweep loop's steady state — allocates
-// nothing, and the interval it leaves is the references' own.
+// TestSpanEnterAllocatesNothing: the per-process rests and the block
+// buffers live in grow-only slices of the chunk context, so entering a
+// span-checked construct and sizing its blocks a second time — a sweep
+// loop's steady state — allocates nothing; the interval it leaves is the
+// references' own, and the buffers are as wide as the span, not the block.
 func TestSpanEnterAllocatesNothing(t *testing.T) {
 	fx := newSpanFixture(t, spanFixtureSrc)
 	cp, pr, fr := fx.cp, fx.pr, fx.fr
 	n, _ := fx.prog.Scope.Lookup("N")
 	pr.in.scalar(n).storeInt(64)
-	pr.k.enter(cp, nil, pr, fr)
+	enter := func() {
+		pr.k.enter(cp, nil, pr, fr)
+		pr.k.blocks(cp, 16, 1)
+	}
+	enter()
 	// A(I): 1..64, B(N + 1 - I): 1..64, B(I + 1): 0..63.
 	if pr.k.okLo != 1 || pr.k.okHi != 63 {
 		t.Errorf("interval [%d, %d], want [1, 63]", pr.k.okLo, pr.k.okHi)
@@ -213,7 +260,13 @@ func TestSpanEnterAllocatesNothing(t *testing.T) {
 	if got, want := fmt.Sprint(pr.k.aff), "[-1 -1 64 0]"; got != want {
 		t.Errorf("rests %s, want %s", got, want)
 	}
-	if avg := testing.AllocsPerRun(100, func() { pr.k.enter(cp, nil, pr, fr) }); avg != 0 {
+	// (A(I) + B(N + 1 - I)) + B(I + 1) leans left: two INTEGER buffers,
+	// no REAL one, each 16 wide for a 16-index span.
+	if cp.nI != 2 || cp.nR != 0 || cap(pr.k.b.bufI) != 2*16 || pr.k.b.bufR != nil {
+		t.Errorf("%d INTEGER and %d REAL buffers in %d and %d slots, want 2 and 0 in 32 and none",
+			cp.nI, cp.nR, cap(pr.k.b.bufI), cap(pr.k.b.bufR))
+	}
+	if avg := testing.AllocsPerRun(100, enter); avg != 0 {
 		t.Errorf("re-entering the construct allocates %.1f times", avg)
 	}
 }
@@ -255,5 +308,136 @@ Join
 		if got.String() != want.String() || !strings.HasPrefix(got.String(), "every 690816") {
 			t.Errorf("np=%d: chunked %q, compiled %q", np, got.String(), want.String())
 		}
+	}
+}
+
+// TestDeclinedBodyKeepsIterationOrder: a body that reads an element
+// another iteration writes is order-dependent inside one process — the
+// planner must decline it, or a block would read all of A(I - 1) before
+// storing any A(I).  At np = 1 the prefix sum is exact; with a step of 2
+// the same two forms never meet, so it is exact at every np and tier.
+func TestDeclinedBodyKeepsIterationOrder(t *testing.T) {
+	const src = `Force PREFIX of NP ident ME
+Shared Integer A(600), B(600), T
+Private Integer I
+End Declarations
+Presched DO I = 1, 600
+  A(I) = 1
+  B(I) = MOD(I * 7, 13)
+End Presched DO
+Presched DO I = 2, 600%s
+  A(I) = A(I - 1) + B(I)
+End Presched DO
+Barrier
+  T = 0
+  DO I = 1, 600
+    T = T + A(I) * MOD(I, 5)
+  End DO
+  Print 'prefix', T, A(600)
+End Barrier
+Join
+`
+	prog := forcelang.MustParse(fmt.Sprintf(src, ""))
+	var want, got strings.Builder
+	if err := Run(prog, Config{NP: 1, Stdout: &want, Exec: ExecTree}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(prog, Config{NP: 1, Stdout: &got}); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() || !strings.HasPrefix(got.String(), "prefix 2155197 3590") {
+		t.Errorf("chunked %q, tree %q", got.String(), want.String())
+	}
+	tierEquivalence(t, corpus.Program{Name: "prefix-step-2", Src: fmt.Sprintf(src, ", 2")}, reduce.PrivateSlots)
+}
+
+// TestFailingSpanKeepsPrecedingStores: a span whose last index is out of
+// range runs the checked body, not the block form, so when the reference
+// raises, every store of the iterations before it has happened — the
+// message and the array are ExecCompiled's.
+func TestFailingSpanKeepsPrecedingStores(t *testing.T) {
+	prog := forcelang.MustParse(`Force KEEP of NP ident ME
+Shared Integer A(64), B(64)
+Private Integer I
+End Declarations
+Presched DO I = 1, 64
+  A(I) = A(I) + 10 * I + B(I + 1)
+End Presched DO
+Join
+`)
+	a, _ := prog.Scope.Lookup("A")
+	run := func(exec ExecMode) (string, string) {
+		cfg := Config{NP: 1, Exec: exec, Stdout: io.Discard}
+		res, err := resolveProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := newForce(cfg)
+		defer f.Close()
+		in := newCInstance(prog, cfg, res, f)
+		cp, err := compileProgram(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = recoverRunErr(r)
+				}
+			}()
+			f.Run(func(p *core.Proc) {
+				runBody(cp.main.body, &cproc{in: in, p: p}, cp.main.getFrame(0))
+			})
+			return nil
+		}()
+		words := make([]uint64, 64)
+		for i := range words {
+			words[i] = in.array(a).data[i].Load()
+		}
+		return fmt.Sprint(err), fmt.Sprint(words)
+	}
+	wantErr, wantA := run(ExecCompiled)
+	gotErr, gotA := run(ExecChunked)
+	if !strings.Contains(wantErr, "line 6: subscript 1 of B out of range: 65 not in [1,64]") || !strings.HasSuffix(wantA, " 620 630 0]") {
+		t.Fatalf("ExecCompiled: %s, A = %s", wantErr, wantA)
+	}
+	if gotErr != wantErr || gotA != wantA {
+		t.Errorf("ExecChunked: %s, A = %s\nExecCompiled: %s, A = %s", gotErr, gotA, wantErr, wantA)
+	}
+}
+
+// BenchmarkSpanBody times one iteration of a planned DOALL body at np = 1:
+// forcemark's three doall-stream bodies, which are element-wise and run
+// block-evaluated, and stream's with a neighbour read of the array it
+// writes, which the planner declines and which runs per iteration.  The two
+// ns-per-unit constants of planTarget are these numbers over the bodies'
+// static costs (9, 14, 11 and 10 units).
+func BenchmarkSpanBody(b *testing.B) {
+	const n, sweeps = 16384, 32
+	for _, bc := range []struct{ name, decl, sched, body string }{
+		{"stream", "Real A(16386), B(16386)", "Presched", "A(I) = A(I) * 0.999 + B(I)"},
+		{"stencil", "Real A(16386), B(16386)", "Presched", "B(I) = (A(I - 1) + A(I) + A(I + 1)) / 3.0"},
+		{"dotsum", "Integer A(16386), B(16386)", "Selfsched", "MINE = MINE + A(I) * B(I) + S"},
+		{"declined", "Real A(16386), B(16386)", "Presched", "A(I) = A(I - 1) * 0.999 + B(I)"},
+	} {
+		prog := forcelang.MustParse(fmt.Sprintf(`Force BODY of NP ident ME
+Shared %s
+Private Integer I, S, MINE
+End Declarations
+DO S = 1, %d
+  %s DO I = 2, %d
+    %s
+  End %s DO
+End DO
+Join
+`, bc.decl, sweeps, bc.sched, n+1, bc.body, bc.sched))
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := Run(prog, Config{NP: 1, Stdout: io.Discard}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweeps*n), "ns/iteration")
+		})
 	}
 }

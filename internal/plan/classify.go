@@ -61,6 +61,10 @@ type Plan struct {
 	CyclicWhy, CyclicName string
 	// AccRecs holds the folded accumulators in name order.
 	AccRecs []AccRec
+	// PerIter is "" for an element-wise body, which a back end may evaluate
+	// a block of indices at a time, statement by statement (elementwise);
+	// else the first reason it runs iteration by iteration.
+	PerIter string
 	// Cost is the static cost of one iteration in units (cost.go); 0 when
 	// no static count bounds it.  Counted for selfscheduled loops only,
 	// whose grant it sizes.
@@ -169,6 +173,7 @@ func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
 		}
 	}
 	plan.partition()
+	plan.PerIter = plan.elementwise(t.Body)
 	if t.Sched != forcelang.Presched {
 		plan.Cost = iterationCost(t.Body)
 	}
@@ -201,6 +206,85 @@ func (p *Plan) partition() {
 	}
 }
 
+// elementwise decides PerIter.  The grammar: a straight list of numeric
+// assignments whose expressions cannot raise and whose element references
+// are all checked per span (perIter).  The legality of running a process's
+// iterations statement by statement: every array written is disjoint — one
+// subscript form, so an iteration touches its own elements only — every
+// shared scalar written a folded accumulator and every private one
+// recurrence nothing else reads, a REAL one folded by a single statement so
+// that its rounding and its ties keep the per-iteration order.
+func (p *Plan) elementwise(body []forcelang.Stmt) string {
+	switch {
+	case p.NoBulk:
+		return "parameter reference"
+	case p.Inner != nil:
+		return "two-index space"
+	}
+	for _, st := range body {
+		t, ok := st.(*forcelang.Assign)
+		if _, isIf := st.(*forcelang.If); isIf {
+			return "IF"
+		} else if !ok {
+			return "sequential DO"
+		}
+		sym := t.Target.Sym
+		a := p.sum.Of(sym)
+		_, folded := p.Fold(sym)
+		switch {
+		case sym.Type == forcelang.TLogical:
+			return "LOGICAL " + sym.Name
+		case sym.Storage == forcelang.SharedArray && !p.Disjoint[sym]:
+			return "writes " + sym.Name + ", not proven disjoint"
+		case sym.Storage == forcelang.SharedScalar && !(folded && (a.Writes == 1 || sym.Type != forcelang.TReal)):
+			return "writes " + sym.Name + ", not one folded accumulator"
+		case sym.Storage == forcelang.PrivateArray, sym.Storage == forcelang.PrivateScalar && (a.Writes != 1 || MatchRecur(t) == nil):
+			return "writes private " + sym.Name + ", not one recurrence"
+		case sym.Storage == forcelang.PrivateScalar && a.Reads != 1:
+			return "reads private " + sym.Name + " outside its recurrence"
+		}
+		if why := p.perIter(&t.Target); why != "" {
+			return why
+		} else if why = p.perIter(t.Expr); why != "" {
+			return why
+		}
+	}
+	return ""
+}
+
+// perIter names the first thing in e a block evaluation cannot hoist out of
+// the iteration: an operation that can raise, or an element reference
+// outside the span check (Affine, every subscript present).
+func (p *Plan) perIter(e forcelang.Expr) string {
+	switch t := e.(type) {
+	case *forcelang.Ref:
+		if _, ok := p.Affine(t); len(t.Subs) > 0 && !(ok && t.Sym.Storage == forcelang.SharedArray && len(t.Subs) == len(t.Sym.Dims)) {
+			return "checks " + t.Name + " per iteration"
+		}
+	case *forcelang.Un:
+		return p.perIter(t.X)
+	case *forcelang.Bin:
+		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal {
+			return "integer /"
+		} else if why := p.perIter(t.L); why != "" {
+			return why
+		}
+		return p.perIter(t.R)
+	case *forcelang.Intrinsic:
+		if t.Name == "SQRT" {
+			return "SQRT"
+		} else if t.Name == "MOD" && e.Type() != forcelang.TReal {
+			return "integer MOD"
+		}
+		for _, x := range t.Args {
+			if why := p.perIter(x); why != "" {
+				return why
+			}
+		}
+	}
+	return ""
+}
+
 // Accum is one recognised shared-accumulate statement: the fold
 // operator, the contributed operand e, whether a sum subtracts it, and
 // whether the scalar is REAL (extrema only) or INTEGER.
@@ -218,35 +302,67 @@ type Accum struct {
 // and e never reading S.  It is the one recogniser behind the language
 // rule (README, "Semantics"): the classifier folds what it accepts, and
 // every back end executes the rest of what it accepts as one atomic
-// update.
+// update.  Sums fold only over INTEGER: a REAL sum rounds at every
+// iteration, which privately accumulated deltas cannot reproduce.
 func MatchAccum(t *forcelang.Assign) (Accum, bool) {
-	name, decl := t.Target.Name, t.Target.Sym
-	if decl.Storage != forcelang.SharedScalar || len(t.Target.Subs) != 0 {
+	if t.Target.Sym.Storage != forcelang.SharedScalar {
 		return Accum{}, false
 	}
-	acc := Accum{Real: decl.Type == forcelang.TReal}
-	want := decl.Type // the type the whole right-hand side must have
-	if delta, neg, ok := uniform.AccumDelta(name, t.Expr); ok {
-		// Sums fold only when the target and the whole RHS are
-		// statically INTEGER: a REAL-promoted sum is computed in
-		// float64 and rounded at every iteration, which privately
-		// accumulated deltas cannot reproduce.
-		acc.Op, acc.Operand, acc.Negate = AccSum, delta, neg
-		want = forcelang.TInt
-	} else if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {
-		// Extrema fold exactly for INTEGER and REAL alike — MAX/MIN
-		// keep one operand bit-for-bit — but the promoted intrinsic
-		// type must equal the target's declared type, so the store
-		// performs no conversion the fold would have to replay.
-		acc.Op, acc.Operand = AccMin, arg
+	var one [1]Accum // the one term a match has: no allocation on vet's and the compilers' cold path
+	terms := matchFold(t, one[:0])
+	if len(terms) != 1 || (terms[0].Op == AccSum && terms[0].Real) {
+		return Accum{}, false
+	}
+	return terms[0], true
+}
+
+// MatchRecur matches an assignment to a private scalar P against the
+// same shapes read as a recurrence, one Accum per contributed term (nil:
+// no match): a process folds its iterations in index order, so a REAL sum
+// qualifies, and an INTEGER P also as the head of a left-leaning chain
+// P ± e1 ± e2 …, whose wrapping sum re-associates exactly.
+func MatchRecur(t *forcelang.Assign) []Accum {
+	if t.Target.Sym.Storage != forcelang.PrivateScalar {
+		return nil
+	}
+	return matchFold(t, nil)
+}
+
+// matchFold appends the terms of t read as a fold of its unsubscripted
+// target: the whole right-hand side must have the target's declared type,
+// so the store performs no conversion a fold would have to replay (and
+// extrema keep one operand bit-for-bit), and no term may read the target.
+func matchFold(t *forcelang.Assign, terms []Accum) []Accum {
+	name, real := t.Target.Name, t.Target.Sym.Type == forcelang.TReal
+	if len(t.Target.Subs) != 0 || t.Expr.Type() != t.Target.Sym.Type {
+		return nil
+	}
+	if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {
+		op := AccMin
 		if isMax {
-			acc.Op = AccMax
+			op = AccMax
 		}
+		terms = append(terms, Accum{Op: op, Operand: arg, Real: real})
 	} else {
-		return Accum{}, false
+		for e := t.Expr; ; {
+			delta, neg, ok := uniform.AccumDelta(name, e)
+			if !ok {
+				b, isBin := e.(*forcelang.Bin)
+				if real || !isBin || (b.Op != forcelang.OpAdd && b.Op != forcelang.OpSub) {
+					return nil
+				}
+				delta, neg, e = b.R, b.Op == forcelang.OpSub, b.L
+			}
+			terms = append(terms, Accum{Op: AccSum, Operand: delta, Negate: neg, Real: real})
+			if ok {
+				break
+			}
+		}
 	}
-	if decl.Type != want || t.Expr.Type() != want || uniform.RefersTo(acc.Operand, name) {
-		return Accum{}, false
+	for _, a := range terms {
+		if uniform.RefersTo(a.Operand, name) {
+			return nil
+		}
 	}
-	return acc, true
+	return terms
 }

@@ -67,8 +67,11 @@ type Target struct {
 	// NsPerUnit is what one unit of static body cost (cost.go) takes on
 	// the back end, in nanoseconds; it sizes the grant.
 	NsPerUnit int
-	Level     Level
-	Log       Logf
+	// NsPerBlockUnit is the same for a body the back end evaluates a block
+	// at a time (Plan.PerIter == ""); 0 when it has no such form.
+	NsPerBlockUnit int
+	Level          Level
+	Log            Logf
 
 	// The run of adjacent DOALLs Next is working through, list[from:] of
 	// the scanned list, with each body's footprint beside it, walked on
@@ -257,7 +260,11 @@ func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
 	if p == nil {
 		return l
 	}
-	l.Grant = grant(p.Cost, tg.NsPerUnit)
+	ns := tg.NsPerUnit
+	if p.PerIter == "" && tg.NsPerBlockUnit != 0 {
+		ns = tg.NsPerBlockUnit
+	}
+	l.Grant = grant(p.Cost, ns)
 	switch {
 	case tg.Log == nil:
 	case self && p.Cost == 0:

@@ -329,6 +329,72 @@ Join
 	if nd, _ := (&Target{NsPerUnit: 1, Level: Planned}).Next(prog.Body, 2); nd.Loop.Grant != 364 {
 		t.Errorf("dotsum at 1 ns per unit: grant %d, want 364", nd.Loop.Grant)
 	}
+	// A back end with a block form is sized by it where the body is
+	// element-wise (the relaxation, dotsum) and by NsPerUnit where it is not.
+	block := &Target{NsPerUnit: 4, NsPerBlockUnit: 1, Level: Planned}
+	for i, want := range []int{364, 56, 364, 8} {
+		if nd, _ := block.Next(prog.Body, i); nd.Loop.Grant != want {
+			t.Errorf("loop %d with a block form at 1 ns per unit: grant %d (PerIter %q), want %d", i, nd.Loop.Grant, nd.Loop.Plan.PerIter, want)
+		}
+	}
+}
+
+// TestElementwise pins Plan.PerIter — which bodies a back end may evaluate
+// a block of indices at a time, and the first reason for the others — and
+// the recurrence matcher it stands on.
+func TestElementwise(t *testing.T) {
+	for _, tc := range []struct {
+		body  string
+		terms int // of the first statement read as a private recurrence; 0: none
+		why   string
+	}{
+		{"A(I) = A(I) * 0.5 + B(N + 1 - I)", 0, ""},
+		{"K = K + L(I) * L(I) - I", 2, ""},
+		{"K = I + K", 1, ""},
+		{"X = X - A(I)", 1, ""},
+		{"X = MAX(X, A(I) * 2.0)", 1, ""},
+		{"X = X + I\nK = MIN(K, L(I))\nA(I) = REAL(K0) + MOD(B(I), 3.0)\nBIG = MAX(BIG, A(I))\nTOT = TOT + I", 1, ""},
+		{"X = X + A(I) + B(I)", 0, "writes private X, not one recurrence"}, // a REAL chain would re-associate
+		{"K = L(I) - K", 0, "writes private K, not one recurrence"},
+		{"K = K + K0 * K", 0, "writes private K, not one recurrence"},
+		{"X = X + K", 1, ""},
+		{"K = K + A(I)", 0, "writes private K, not one recurrence"}, // the store would truncate
+		{"K = K + L(I)\nL(I) = K", 1, "reads private K outside its recurrence"},
+		{"K = K + 1\nK = K + L(I)", 1, "writes private K, not one recurrence"},
+		{"A(I) = A(I + 1)", 0, "writes A, not proven disjoint"},
+		{"A(K0) = B(I)", 0, "writes A, not proven disjoint"},
+		{"BIG = MAX(BIG, A(I))\nBIG = MAX(BIG, B(I))", 0, "writes BIG, not one folded accumulator"},
+		{"TOT = TOT + 1\nTOT = TOT + L(I)", 0, ""}, // INTEGER folds commute
+		{"TOT = I", 0, "writes TOT, not one folded accumulator"},
+		{"IF (I .GT. 3) THEN\nA(I) = 0.0\nEnd IF", 0, "IF"},
+		{"DO K = 1, 2\nA(I) = 0.0\nEnd DO", 0, "sequential DO"},
+		{"L(I) = L(I) / 2", 0, "integer /"},
+		{"L(I) = MOD(I, 3)", 0, "integer MOD"},
+		{"A(I) = SQRT(B(I))", 0, "SQRT"},
+		{"A(I) = B(L(I))", 0, "checks B per iteration"},
+		{"A(I) = W(2)", 0, "checks W per iteration"},
+		{"W(2) = A(I)", 0, "writes private W, not one recurrence"},
+		{"F(I) = A(I) .GT. 0.0", 0, "LOGICAL F"},
+	} {
+		prog := parse(t, "Force EW of NP ident ME\nShared Real A(64), B(64), BIG\nShared Integer L(64), N, TOT\nShared Logical F(64)\n"+
+			"Private Integer I, K, K0\nPrivate Real X, W(4)\nEnd Declarations\nPresched DO I = 1, 63\n"+tc.body+"\nEnd Presched DO\nJoin\n")
+		loop := prog.Body[0].(*forcelang.ParDo)
+		p, reason := Classify(loop)
+		if p == nil {
+			t.Fatalf("%q: no plan: %s", tc.body, reason)
+		}
+		if p.PerIter != tc.why {
+			t.Errorf("%q: PerIter %q, want %q", tc.body, p.PerIter, tc.why)
+		}
+		if first, ok := loop.Body[0].(*forcelang.Assign); ok && len(MatchRecur(first)) != tc.terms {
+			t.Errorf("%q: MatchRecur finds %d terms, want %d", tc.body, len(MatchRecur(first)), tc.terms)
+		}
+	}
+	prog := parse(t, "Force EW2 of NP ident ME\nShared Real A(8, 8)\nPrivate Integer I, J\nEnd Declarations\n"+
+		"Presched DO I = 1, 8 also J = 1, 8\nA(I, J) = 0.0\nEnd Presched DO\nJoin\n")
+	if p, _ := Classify(prog.Body[0].(*forcelang.ParDo)); p.PerIter != "two-index space" {
+		t.Errorf("two indices: PerIter %q", p.PerIter)
+	}
 }
 
 // TestRider pins which Barrier statements ride a closing collective: the

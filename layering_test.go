@@ -70,7 +70,7 @@ func TestBackEndsOnlySpell(t *testing.T) {
 	for dir, allowed := range map[string]string{
 		"internal/interp": "Target Plain Planned Fused Loop Region Plan Cyclic Block Self " +
 			"Fold Sum Prod Max Min And Or " +
-			"Accum AccRec AccOp AccSum AccMax AccMin MatchAccum",
+			"Accum AccRec AccOp AccSum AccMax AccMin MatchAccum MatchRecur",
 		"internal/codegen": "Target Fused Loop Region Cyclic Block Self " +
 			"StoreOnce StoreEachEarly StoreEachSerialised " +
 			"Accum AccRec AccOp AccSum AccMax MatchAccum",
