@@ -431,8 +431,13 @@ func (p *Proc) leaveSite()          { p.site.construct.Store(nil) }
 // Note records a front-end location note ("Barrier, line 12") shown by
 // Blocked next to the construct name.  Interpreters call it before each
 // potentially blocking statement; nil clears.  The note is sticky until
-// the next Note.
-func (p *Proc) Note(s *string) { p.site.note.Store(s) }
+// the next Note, so only a changed one is stored: a loop around one
+// statement then pays a load per iteration, not an atomic exchange.
+func (p *Proc) Note(s *string) {
+	if p.site.note.Load() != s {
+		p.site.note.Store(s)
+	}
+}
 
 // Check unwinds the process (with the runtime's distinguished abort
 // panic) when the force has been poisoned.  Every force construct
@@ -677,7 +682,13 @@ type Proc struct {
 	id   int
 	f    *Force
 	site *procSite // this process's watchdog slot on the TOP-LEVEL force
-	_    [40]byte
+	// crit is the named lock this process entered last (Critical) and the
+	// set it was taken from: written on a change of name, read every entry.
+	crit struct {
+		set  *lock.Set
+		name string
+		lk   lock.Lock
+	}
 }
 
 // ID returns the process identifier, in [0, NP()).
@@ -755,20 +766,33 @@ func (p *Proc) barrierLeave() {
 
 // Critical executes body inside the named critical section: at most one
 // process of the force runs inside any section with the same name at a
-// time (§3.4).  Lock variables are created on first use with the
-// machine's lock mechanism, the Force's define_lock/init_lock.
+// time (§3.4) — the paper's lock(name); body; unlock(name).  Lock
+// variables are created on first use with the machine's lock mechanism,
+// the Force's define_lock/init_lock; a process remembers the lock it
+// entered last, for as long as the force's lock set is the one it came
+// from (recoverAborted builds a new set; a sub-force has its own).
 func (p *Proc) Critical(name string, body func()) {
 	p.f.pc.Check()
 	p.stats.Criticals.Add(1)
-	// The site covers the lock acquisition — the phase that can stall
-	// when the holder never releases; once inside, user code runs.
-	p.enterSite(&siteCritical)
-	p.f.locks.With(name, func() {
-		p.leaveSite()
-		p.f.tr.Record(p.id, trace.CriticalEnter, name, 0)
-		body()
-		p.f.tr.Record(p.id, trace.CriticalLeave, name, 0)
-	})
+	m := &p.crit
+	if m.set != p.f.locks || m.name != name {
+		m.set, m.name, m.lk = p.f.locks, name, p.f.locks.Get(name)
+	}
+	l := m.lk
+	if tl, ok := l.(lock.TryLocker); !ok || !tl.TryLock() {
+		// Only an acquire that waits can stall on a holder that never
+		// releases, so only it is recorded; the enclosing construct's
+		// site (a DOALL, an Askfor) is what the process shows again once
+		// it holds the lock.
+		enclosing := p.site.construct.Load()
+		p.enterSite(&siteCritical)
+		l.Lock()
+		p.enterSite(enclosing)
+	}
+	defer l.Unlock()
+	p.f.tr.Record(p.id, trace.CriticalEnter, name, 0)
+	body()
+	p.f.tr.Record(p.id, trace.CriticalLeave, name, 0)
 }
 
 // PoisonEvery bounds how many iterations of one granted span run between

@@ -135,7 +135,9 @@ func Factory(k Kind) func() Lock {
 //
 // Plain mutual-exclusion locks (critical sections, accumulator locks)
 // do not need Acquire: their holders release on unwind, so waiters
-// drain naturally and observe poison at the next construct.
+// drain naturally and observe poison at the next construct.  A critical
+// section (core.Proc.Critical) tries TryLock once and, only when that
+// fails, records its watchdog site and waits in a plain Lock.
 func Acquire(l Lock, c *poison.Cell) {
 	if c == nil {
 		l.Lock()
@@ -304,14 +306,6 @@ func (s *Set) Get(name string) Lock {
 	}
 	l, _ := s.locks.LoadOrStore(name, s.factory())
 	return l.(Lock)
-}
-
-// With runs fn while holding the named lock.
-func (s *Set) With(name string, fn func()) {
-	l := s.Get(name)
-	l.Lock()
-	defer l.Unlock()
-	fn()
 }
 
 // Names returns the names of all locks created so far, in no particular

@@ -171,7 +171,10 @@ func TestSetWithMutualExclusion(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				s.With("ctr", func() { counter++ })
+				l := s.Get("ctr")
+				l.Lock()
+				counter++
+				l.Unlock()
 			}
 		}()
 	}
