@@ -199,8 +199,9 @@ func TestSingleFlight(t *testing.T) {
 // run-time helpers in a prelude (version 2), the one before grants and
 // ridden barriers (version 3), the one with a second reduction lowering
 // (version 4), the one that baked the runtime options in and keyed by
-// the AST (version 5) or the one whose plan predates the fixed owner of a
-// loop within one grant (version 6) — lives under a key no current lookup
+// the AST (version 5), the one whose plan predates the fixed owner of a
+// loop within one grant (version 6) or the one that left Go to fold REAL
+// arithmetic on literals (version 7) — lives under a key no current lookup
 // computes, so
 // it is never served: Ensure builds a fresh entry beside them, with the
 // plan the new emitter read recorded.
@@ -210,10 +211,10 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 6 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 7 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
-	// text key and before the fixed owner).
+	// text key, before the fixed owner and before forcert.Real).
 	oldKeys := map[int]string{
 		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
@@ -221,6 +222,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		4: "4fcc29f76b3d6e63f55b390e2f0d102291ee84fa92efdfbff54f1973d275dd79",
 		5: "7e2e7ad8a9ba4e612f68a54b96e3b3d82dce3d0132074c9611c473cbf9b159f9",
 		6: "dfa8e0aadeca348197ae6f83ceed2fe20d2073bde633a5a1bc941972cce447b6",
+		7: "ae1a3bf0f93516270e83105c53e9df3684659337f0d352eddc51062b515c85cc",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

@@ -27,8 +27,9 @@ import (
 // 5: every reduction is a FusedJoin, a reduction-less close a FusedClose;
 // 6: the runtime options are flags of the binary, the key is the text;
 // 7: same emitted Go, but the runtime a binary embeds gives a loop within
-// one grant a fixed owner and the recorded plan says so.)
-const formatVersion = 7
+// one grant a fixed owner and the recorded plan says so; 8: a REAL
+// operator over literals is computed at run time, through forcert.Real.)
+const formatVersion = 8
 
 // Key returns the hex cache key of prog: of the text it was parsed from.
 func Key(prog *forcelang.Program) string {

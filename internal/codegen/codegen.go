@@ -738,6 +738,9 @@ func (g *generator) expr(e forcelang.Expr) (string, error) {
 			return "", err
 		}
 		if t.Neg {
+			if t.Type() == forcelang.TReal && goConst(t.X) && !nonzeroLit(t.X) {
+				x = fmt.Sprintf("forcert.Real(%s)", x) // -0.0 is +0 to Go
+			}
 			return fmt.Sprintf("(-%s)", x), nil
 		}
 		return fmt.Sprintf("(!%s)", x), nil
@@ -771,7 +774,37 @@ func (g *generator) binExpr(t *forcelang.Bin) (string, error) {
 		// operands (Go rejects a constant 1 / 0 at compile time).
 		return fmt.Sprintf("forcert.Div(%d, %s, %s)", t.Pos(), l, r), nil
 	}
+	if t.Op <= forcelang.OpDiv && want == forcelang.TReal && goConst(t.L) && goConst(t.R) {
+		l = fmt.Sprintf("forcert.Real(%s)", l)
+	}
 	return fmt.Sprintf("(%s %s %s)", l, goOps[t.Op], r), nil
+}
+
+// goConst reports whether the Go spelling of e is a constant expression.
+// Go folds those exactly at compile time, not in IEEE arithmetic, so a
+// REAL operator whose operands are all constants takes its first one
+// through forcert.Real and is computed at run time, as the interpreters
+// compute it: 0.0 / 0.0 is a NaN, -1.0 * 0.0 a -0.0, 0.1 + 0.2 rounds.
+func goConst(e forcelang.Expr) bool {
+	switch t := e.(type) {
+	case *forcelang.IntLit, *forcelang.RealLit:
+		return true
+	case *forcelang.Un:
+		if t.Neg && t.Type() == forcelang.TReal {
+			return nonzeroLit(t.X) // negating one is exact; anything else is wrapped
+		}
+		return goConst(t.X)
+	case *forcelang.Bin: // REAL arithmetic is wrapped, INTEGER / is forcert.Div
+		return t.Type() != forcelang.TReal && t.Op != forcelang.OpDiv && goConst(t.L) && goConst(t.R)
+	case *forcelang.Intrinsic:
+		return t.Name == "REAL" && goConst(t.Args[0])
+	}
+	return false
+}
+
+func nonzeroLit(e forcelang.Expr) bool {
+	l, ok := e.(*forcelang.RealLit)
+	return ok && l.Value != 0
 }
 
 func (g *generator) intrinsic(t *forcelang.Intrinsic) (string, error) {

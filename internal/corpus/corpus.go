@@ -1456,9 +1456,9 @@ Join
 	// do), INTEGER sums that wrap, a left-leaning chain, MAX / MIN over NaN
 	// and signed zeros from either seed, a REAL recurrence over the INTEGER
 	// index, and shared accumulators folded beside them.  Writing a
-	// private keeps the cyclic deal, so the blocks step by np.  (The NaN
-	// and the -0.0 are computed from a variable: the Go emitter would fold
-	// 0.0 / 0.0 and -1.0 * 0.0 as Go constants, an error and a +0.)
+	// private keeps the cyclic deal, so the blocks step by np.  The NaN, the
+	// -0.0 and the 'lits' line are REAL arithmetic on literals, which every
+	// tier computes in IEEE arithmetic at run time.
 	{"block-recurrences", 0, `Force BREC of NP ident ME
 Shared Real V(300), Z(12)
 Shared Integer K(300)
@@ -1473,8 +1473,8 @@ Presched DO I = 1, 300
 End Presched DO
 Barrier
   Z(1) = 0.0
-  Z(2) = -1.0 * Z(1)
-  Z(3) = Z(1) / Z(1)
+  Z(2) = -1.0 * 0.0
+  Z(3) = 0.0 / 0.0
   Z(4) = 1.5
   Z(5) = Z(3)
   Z(6) = Z(2)
@@ -1528,6 +1528,7 @@ End Presched DO
 Print 'nan', ME, P, Q
 Barrier
   Print 'shared', BIG, SMALL, TOT, IBIG
+  Print 'lits', 0.1 + 0.2, -0.0, 1.0 / (-0.0), 2.0 * 3.0 - 0.5 / 4.0, -(1.0 - 1.0)
 End Barrier
 Join
 `},

@@ -192,6 +192,13 @@ func Int(x float64) int { return int(x) }
 // Nint is the NINT intrinsic: round to nearest, halves away from zero.
 func Nint(x float64) int { return int(math.Round(x)) }
 
+// Real returns x as a value, not a Go constant: the emitter spells the
+// first operand of a REAL operator over literals through it, so Go
+// computes the operator at run time in IEEE arithmetic, as the
+// interpreters do, instead of folding it exactly at compile time (where
+// 0.0 / 0.0 does not compile and -1.0 * 0.0 is +0).
+func Real(x float64) float64 { return x }
+
 // Abs is the ABS intrinsic.  Subtracting from zero (not negating) clears
 // the sign of a REAL -0.0, as math.Abs does.
 func Abs[T Number](x T) T {

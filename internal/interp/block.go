@@ -9,16 +9,19 @@ package interp
 // end-point test chunkParDo walks blocks of at most blockWidth indices and
 // runs each statement over a whole block before the next: an expression
 // node is one closure call per BLOCK, filling a typed scratch buffer of the
-// chunk context in a tight loop.  Stores are the same atomic word stores;
-// folds take a block in index order, so a REAL one rounds as the
-// per-iteration loop does.  Uniform subexpressions come from cInt / cReal
-// (hoisted as ever, broadcast per block), element references from spanSite.
+// chunk context in a tight loop.  A block's stores are one call of a
+// word-store kernel (storeBlock); folds take a block in index order, so a
+// REAL one rounds as the per-iteration loop does.  Uniform subexpressions
+// come from cInt / cReal (hoisted as ever, broadcast per block), element
+// references from spanSite.
 // Buffers are numbered by evaluation depth — a node fills buffer d and
 // evaluates its right operand into d+1 — so a body needs as many as its
 // deepest right spine, not one per node.
 
 import (
 	"math"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
@@ -100,10 +103,7 @@ func (c *compiler) blockAssign(t *forcelang.Assign) stmtFn {
 			buf := pr.k.reals(0)
 			ev(pr, fr, buf)
 			off, step := pr.k.at(k, site)
-			for _, v := range buf {
-				data[off].Store(math.Float64bits(v))
-				off += step
-			}
+			storeBlock(data, off, step, words(buf))
 		}
 	}
 	var ev blk[int64]
@@ -116,11 +116,33 @@ func (c *compiler) blockAssign(t *forcelang.Assign) stmtFn {
 		buf := pr.k.ints(0)
 		ev(pr, fr, buf)
 		off, step := pr.k.at(k, site)
-		for _, v := range buf {
-			data[off].Store(uint64(v))
-			off += step
-		}
+		storeBlock(data, off, step, words(buf))
 	}
+}
+
+// storeBlock stores src to data[off], data[off + step], … in order.  A
+// block leaving the array panics with Go's index error before any store;
+// storeWords runs unchecked: on amd64 plain whole-word stores (README,
+// *Semantics → Visibility*, says why they suffice), elsewhere storeAtomic.
+func storeBlock(data []atomic.Uint64, off, step int64, src []uint64) {
+	if len(src) == 0 {
+		return
+	}
+	_, _ = &data[off], &data[off+step*int64(len(src)-1)]
+	storeWords(data, off, step, src)
+}
+
+// storeAtomic is the portable block store; on amd64, the kernel's oracle.
+func storeAtomic(data []atomic.Uint64, off, step int64, src []uint64) {
+	for _, v := range src {
+		data[off].Store(v)
+		off += step
+	}
+}
+
+// words views a block buffer as the words its elements are stored as.
+func words[T num](buf []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf))
 }
 
 // foldStmt compiles an accumulate or a recurrence: each term's block folds,

@@ -171,49 +171,60 @@ func TestSharedArrayDirect(t *testing.T) {
 }
 
 // TestSharedElementMixedPaths hammers ONE element of a shared array from
-// two directions at once: a per-iteration (ExecCompiled-style boxed
-// store/load) writer and the chunk tier's typed accessors, for each
-// declared type.  Every value either side can observe must be one of the
-// whole values some writer stored, in the array's own type — never a
-// torn word and never another type's bit pattern.
+// every direction at once: a per-iteration (ExecCompiled-style boxed
+// store/load) writer, the chunk tier's typed accessors and, for the two
+// numeric types, the block form's store kernel writing the whole array,
+// for each declared type.  Every value a reader can observe must be one
+// of the whole values some writer stored, in the array's own type —
+// never a torn word and never another type's bit pattern.
 func TestSharedElementMixedPaths(t *testing.T) {
 	const rounds = 20000
 	t.Run("REAL", func(t *testing.T) {
 		a := newSharedArray(forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TReal, Name: "A", Dims: []int{4}})
-		ok := func(r float64) bool { return r == 0 || r == 1.5 || r == -2.25 }
+		ok := func(r float64) bool { return r == 0 || r == 1.5 || r == -2.25 || r == 4.75 }
+		block := words([]float64{4.75, 4.75, 4.75, 4.75})
 		hammer(t, rounds,
-			func() { a.store(2, realVal(1.5)) },
-			func() { a.storeReal(2, -2.25) },
+			[]func(){
+				func() { a.store(2, realVal(1.5)) },
+				func() { a.storeReal(2, -2.25) },
+				func() { storeBlock(a.data, 0, 1, block) },
+			},
 			func() bool { v := a.load(2); return v.t == forcelang.TReal && ok(v.r) },
 			func() bool { return ok(a.loadReal(2)) })
 	})
 	t.Run("INTEGER", func(t *testing.T) {
 		a := newSharedArray(forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TInt, Name: "A", Dims: []int{4}})
 		// Values whose halves differ, so a torn word would show.
-		const x, y = int64(0x0123456789abcdef), int64(-0x0fedcba987654321)
-		ok := func(i int64) bool { return i == 0 || i == x || i == y }
+		const x, y, z = int64(0x0123456789abcdef), int64(-0x0fedcba987654321), int64(0x7edcba9876543210)
+		ok := func(i int64) bool { return i == 0 || i == x || i == y || i == z }
+		block := words([]int64{z, z, z, z})
 		hammer(t, rounds,
-			func() { a.store(2, intVal(x)) },
-			func() { a.storeInt(2, y) },
+			[]func(){
+				func() { a.store(2, intVal(x)) },
+				func() { a.storeInt(2, y) },
+				func() { storeBlock(a.data, 3, -1, block) },
+			},
 			func() bool { v := a.load(2); return v.t == forcelang.TInt && ok(v.i) },
 			func() bool { return ok(a.loadInt(2)) })
 	})
 	t.Run("LOGICAL", func(t *testing.T) {
 		a := newSharedArray(forcelang.Decl{Class: forcelang.Shared, Type: forcelang.TLogical, Name: "A", Dims: []int{4}})
 		hammer(t, rounds,
-			func() { a.store(2, boolVal(true)) },
-			func() { a.storeBool(2, false) },
+			[]func(){
+				func() { a.store(2, boolVal(true)) },
+				func() { a.storeBool(2, false) },
+			},
 			func() bool { return a.load(2).t == forcelang.TLogical },
 			func() bool { a.loadBool(2); return a.data[2].Load() <= 1 })
 	})
 }
 
-// hammer runs the two writers and the two checking readers concurrently,
+// hammer runs the writers and the two checking readers concurrently,
 // rounds times each.
-func hammer(t *testing.T, rounds int, w1, w2 func(), r1, r2 func() bool) {
+func hammer(t *testing.T, rounds int, writers []func(), r1, r2 func() bool) {
 	t.Helper()
 	var wg sync.WaitGroup
-	for _, w := range []func(){w1, w2} {
+	for _, w := range writers {
 		w := w
 		wg.Add(1)
 		go func() {

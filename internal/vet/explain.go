@@ -93,6 +93,11 @@ lower from, internal/plan):
     same in every process and iteration (idempotent stores).
 
 Anything else is a data race: the result depends on interleaving.
+README, Semantics -> Visibility, says what a racy read may still
+observe (per element some whole stored value, no order across
+elements) and which statements make a store visible to another
+process: Barrier, a construct's exit, Critical, Produce / Consume and
+the global reductions.
 
 By-reference subroutine parameters are not tracked (the caller owns
 their synchronization), and a shared variable passed to a Call inside
@@ -109,7 +114,8 @@ force executes every statement.  A plain assignment to a shared scalar
 (or to one fixed element of a shared array) is therefore executed by
 all processes at once.  If the stored value can differ between
 processes (it is varying), the final contents depend on which process
-writes last: a race the paper's model makes easy to write by accident.
+writes last: a race the paper's model makes easy to write by accident
+(README, Semantics -> Visibility, says what each process may then read).
 A read-modify-write of a shared scalar (e.g. N = N + 1 at force level)
 is flagged even for uniform values, since the interleaved
 read/increment/store sequences lose updates.
@@ -131,6 +137,11 @@ blocks forever; only the runtime's hang detector or an external
 deadline frees it.  Because the checker rejects Async subroutine
 parameters, "never Produced" is decidable by a whole-program walk.
 
+A Produce / Consume pair is one of the language's consistency points
+(README, Semantics -> Visibility): what the producer stored before its
+Produce is visible to the consumer.  A Consume with no Produce orders
+nothing, it only waits.
+
 Fix: add the Produce (typically in a barrier section or a designated
 block), or remove the dead Consume.`,
 
@@ -147,6 +158,10 @@ The analysis is deliberately local: it only examines straight-line
 runs and forgets its state at any compound statement (loop, branch,
 barrier, ...), so cross-iteration pairs where another process may
 legitimately interleave are not reported.
+
+A Produce is a consistency point for the process whose Consume or Copy
+returns its value (README, Semantics -> Visibility); a Produce blocked
+on its own full cell publishes the stores before it to nobody.
 
 Fix: Consume or Void the cell before refilling it, or Produce a
 different element.`,
