@@ -32,7 +32,9 @@
 // Both implementations wait through poison.WaitRelay: a blocked operation
 // observes the force's poison cell on every poll and once per (short)
 // park interval, and stays on its CPU or gives it up as the shared wait
-// policy decides.
+// policy decides.  Produce, Consume and Copy are split into a first try
+// (Try), which fires the operation's fault-injection site, and the wait
+// (Await), so a front end can record where it blocks only when it does.
 package asyncvar
 
 import (
@@ -65,6 +67,47 @@ type V[T any] interface {
 	// is advisory: it may be stale by the time the caller acts on it,
 	// exactly as a tested full/empty bit was on the HEP.
 	IsFull() bool
+	// Try fires op's fault-injection site and, if the variable is in the
+	// state op starts from, performs op — writing x for a Produce — and
+	// returns the value read and true.  On false the variable is
+	// unchanged; a caller that tries first completes op with Await, which
+	// waits without firing the site again.  Produce, Consume and Copy are
+	// exactly that pair.
+	Try(op Op, x T) (T, bool)
+	// Await waits for the state op starts from and performs op.
+	Await(op Op, x T) T
+}
+
+// Op is a transition a Produce, Consume or Copy asks of a variable, as
+// Try and Await take it.
+type Op uint8
+
+const (
+	OpProduce Op = iota // empty -> full, writing the value
+	OpConsume           // full -> empty, reading it
+	OpCopy              // full -> full, reading it
+)
+
+// fire fires op's fault-injection site.  Try calls it only while a plan
+// is armed, so a disabled harness costs a statement one load.
+func fire(op Op, c *poison.Cell) {
+	switch op {
+	case OpProduce:
+		faultinject.Fire(faultinject.AsyncProduce, -1, c)
+	case OpConsume:
+		faultinject.Fire(faultinject.AsyncConsume, -1, c)
+	default:
+		faultinject.Fire(faultinject.AsyncCopy, -1, c)
+	}
+}
+
+// do is Produce, Consume and Copy on either realization: op tried once,
+// awaited when the variable was not ready.
+func do[T any](v V[T], op Op, x T) T {
+	if y, ok := v.Try(op, x); ok {
+		return y
+	}
+	return v.Await(op, x)
 }
 
 // Poisonable is implemented by asynchronous variables that observe a
@@ -170,35 +213,55 @@ var _ Poisonable = (*twoLockVar[int])(nil)
 // producer runs — so acquisition goes through lock.Acquire.
 func (v *twoLockVar[T]) SetPoison(c *poison.Cell) { v.pc = c }
 
-// Produce follows the paper: "Lock F / Write to the asynchronous variable /
-// Unlock E."  Other producers find F locked and wait.
-func (v *twoLockVar[T]) Produce(x T) {
-	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
-	lock.Acquire(v.f, v.pc)
-	v.val = x
-	v.setFull(true)
-	v.e.Unlock()
+func (v *twoLockVar[T]) Produce(x T)    { do[T](v, OpProduce, x) }
+func (v *twoLockVar[T]) Consume() (x T) { return do[T](v, OpConsume, x) }
+func (v *twoLockVar[T]) Copy() (x T)    { return do[T](v, OpCopy, x) }
+
+// gate is the lock op waits in: F for a Produce, E for a Consume or Copy.
+func (v *twoLockVar[T]) gate(op Op) lock.Lock {
+	if op == OpProduce {
+		return v.f
+	}
+	return v.e
 }
 
-// Consume follows the paper: "Lock E / Read from the asynchronous variable /
-// Unlock F."  While a Produce is in progress a consumer waits until E is
-// unlocked.
-func (v *twoLockVar[T]) Consume() T {
-	faultinject.Fire(faultinject.AsyncConsume, -1, v.pc)
-	lock.Acquire(v.e, v.pc)
-	x := v.val
-	v.setFull(false)
-	v.f.Unlock()
-	return x
+// Try takes op's gate if it is free now (a lock that cannot be tried
+// never is).
+func (v *twoLockVar[T]) Try(op Op, x T) (T, bool) {
+	if faultinject.Enabled() {
+		fire(op, v.pc)
+	}
+	if tl, ok := v.gate(op).(lock.TryLocker); !ok || !tl.TryLock() {
+		return x, false
+	}
+	return v.finish(op, x), true
 }
 
-// Copy waits for full (E unlocked), reads, and restores E, leaving the
-// variable full.
-func (v *twoLockVar[T]) Copy() T {
-	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
-	lock.Acquire(v.e, v.pc)
-	x := v.val
-	v.e.Unlock()
+// Await waits in op's gate.
+func (v *twoLockVar[T]) Await(op Op, x T) T {
+	lock.Acquire(v.gate(op), v.pc)
+	return v.finish(op, x)
+}
+
+// finish completes op holding its gate, as the paper has it: a Produce is
+// "Lock F / Write to the asynchronous variable / Unlock E" — other
+// producers find F locked and wait — a Consume "Lock E / Read from the
+// asynchronous variable / Unlock F", and a Copy reads and restores E,
+// leaving the variable full.
+func (v *twoLockVar[T]) finish(op Op, x T) T {
+	switch op {
+	case OpProduce:
+		v.val = x
+		v.setFull(true)
+		v.e.Unlock()
+	case OpConsume:
+		x = v.val
+		v.setFull(false)
+		v.f.Unlock()
+	default:
+		x = v.val
+		v.e.Unlock()
+	}
 	return x
 }
 
@@ -292,38 +355,41 @@ func (v *wordVar[T, P]) try(from uint32) bool {
 	return v.state.Load() == from && v.state.CompareAndSwap(from, stBusy)
 }
 
-// acquire waits for the cell to be in state from and takes it to busy.
-func (v *wordVar[T, P]) acquire(from uint32) {
-	if !v.try(from) {
-		poison.WaitRelay(v.pc, func() bool { return v.try(from) })
+func (v *wordVar[T, P]) Produce(x T)    { do[T](v, OpProduce, x) }
+func (v *wordVar[T, P]) Consume() (x T) { return do[T](v, OpConsume, x) }
+func (v *wordVar[T, P]) Copy() (x T)    { return do[T](v, OpCopy, x) }
+
+// The state each operation takes the cell from, and the one it leaves: a
+// Copy is the HEP's read-preserving access.
+var opFrom, opTo = [...]uint32{stEmpty, stFull, stFull}, [...]uint32{stFull, stEmpty, stFull}
+
+// Try takes the cell to busy if it is in op's starting state now.
+func (v *wordVar[T, P]) Try(op Op, x T) (T, bool) {
+	if faultinject.Enabled() {
+		fire(op, v.pc)
 	}
+	if !v.try(opFrom[op]) {
+		return x, false
+	}
+	return v.finish(op, x), true
 }
 
-// Produce waits for empty, writes the value and marks the cell full.
-func (v *wordVar[T, P]) Produce(x T) {
-	faultinject.Fire(faultinject.AsyncProduce, -1, v.pc)
-	v.acquire(stEmpty)
-	v.val = x
-	v.state.Store(stFull)
+// Await polls the word through the relay wait policy.
+func (v *wordVar[T, P]) Await(op Op, x T) T {
+	from := opFrom[op]
+	poison.WaitRelay(v.pc, func() bool { return v.try(from) })
+	return v.finish(op, x)
 }
 
-// Consume waits for full, reads the value and marks the cell empty.
-func (v *wordVar[T, P]) Consume() T {
-	faultinject.Fire(faultinject.AsyncConsume, -1, v.pc)
-	v.acquire(stFull)
-	x := v.val
-	v.state.Store(stEmpty)
-	return x
-}
-
-// Copy waits for full and reads the value, leaving the cell full: the
-// HEP's read-preserving access.  There is no wait, and so no abort,
-// between taking the cell and restoring it.
-func (v *wordVar[T, P]) Copy() T {
-	faultinject.Fire(faultinject.AsyncCopy, -1, v.pc)
-	v.acquire(stFull)
-	x := v.val
-	v.state.Store(stFull)
+// finish completes op on the cell it holds busy.  There is no wait, and so
+// no abort, between taking the cell and releasing it.
+func (v *wordVar[T, P]) finish(op Op, x T) T {
+	if op == OpProduce {
+		v.val = x
+	} else {
+		x = v.val
+	}
+	v.state.Store(opTo[op])
 	return x
 }
 

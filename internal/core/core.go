@@ -411,22 +411,33 @@ var (
 )
 
 // AsyncSiteLabel is the construct label front ends pass to WithSite
-// around asynchronous-variable statements, which block outside any
-// core construct method.
+// around the wait of an asynchronous-variable statement, which blocks
+// outside any core construct method.
 var AsyncSiteLabel = "async variable"
 
 // WithSite runs op with label recorded as the process's blocked site
-// (shown by Blocked), for front-end operations that block outside the
-// core constructs.  label must point to a long-lived string.  The
-// label is retained when op unwinds, for post-mortem reports.
+// (shown by Blocked), for a wait outside the core constructs — a front
+// end calls it only once it knows op will wait — and then restores the
+// enclosing construct's site (a DOALL, an Askfor).  label must point to a
+// long-lived string.  The label is retained when op unwinds, for
+// post-mortem reports.
 func (p *Proc) WithSite(label *string, op func()) {
+	enclosing := p.site.construct.Load()
 	p.enterSite(label)
 	op()
-	p.leaveSite()
+	p.enterSite(enclosing)
 }
 
-func (p *Proc) enterSite(s *string) { p.site.construct.Store(s) }
-func (p *Proc) leaveSite()          { p.site.construct.Store(nil) }
+// enterSite records s as the process's construct site.  Like Note it
+// stores only a change: each member of a fused region enters the DOALL
+// site the one before it left in place.
+func (p *Proc) enterSite(s *string) {
+	if p.site.construct.Load() != s {
+		p.site.construct.Store(s)
+	}
+}
+
+func (p *Proc) leaveSite() { p.enterSite(nil) }
 
 // Note records a front-end location note ("Barrier, line 12") shown by
 // Blocked next to the construct name.  Interpreters call it before each
@@ -781,13 +792,8 @@ func (p *Proc) Critical(name string, body func()) {
 	l := m.lk
 	if tl, ok := l.(lock.TryLocker); !ok || !tl.TryLock() {
 		// Only an acquire that waits can stall on a holder that never
-		// releases, so only it is recorded; the enclosing construct's
-		// site (a DOALL, an Askfor) is what the process shows again once
-		// it holds the lock.
-		enclosing := p.site.construct.Load()
-		p.enterSite(&siteCritical)
-		l.Lock()
-		p.enterSite(enclosing)
+		// releases, so only it is recorded.
+		p.WithSite(&siteCritical, l.Lock)
 	}
 	defer l.Unlock()
 	p.f.tr.Record(p.id, trace.CriticalEnter, name, 0)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/forcelang"
 )
 
@@ -84,11 +85,12 @@ Join
 // first, so there every other process must report the Askfor and at least
 // one of them — the tasks are all run by someone — after its Critical.
 func TestCriticalWatchdogSites(t *testing.T) {
-	for _, tc := range []struct {
-		name, body   string
-		holder, wait string // the blocked process's site, and the others'
-		orWait       string // if set, wait need only be seen once and this fills the rest
-	}{
+	watchCases(t, `Force WATCH of NP ident ME
+Shared Integer S
+Async Integer Q
+Private Integer I, K, T, X
+End Declarations
+`, []siteCase{
 		{name: "waiting-for-the-holder",
 			body: `Critical L
   Consume Q into X
@@ -122,28 +124,81 @@ End Askfor
 `,
 			holder: "async variable (Consume Q, line 11)", wait: "Askfor (Critical L, line 13)",
 			orWait: "Askfor (Askfor, line 6)"},
-	} {
-		prog := forcelang.MustParse(`Force WATCH of NP ident ME
-Shared Integer S
-Async Integer Q
-Private Integer I, K, T, X
+	})
+}
+
+// TestAsyncWatchdogSites: an asynchronous-variable statement records its
+// note and the watchdog site only when its first try fails and it waits,
+// and then gives the enclosing construct's site back.  A process blocked
+// in a Consume or Copy reports it; a process parked at a DOALL exit after
+// uncontended Produces and Consumes reports the DOALL and its line, and
+// after a Consume that waited (the first Produce is held back 200 ms) the
+// DOALL and that Consume's line.
+func TestAsyncWatchdogSites(t *testing.T) {
+	watchCases(t, `Force WATCH of NP ident ME
+Async Integer Q, R(3)
+Private Integer I, K, X
 End Declarations
-` + tc.body + "Join\n")
+`, []siteCase{
+		{name: "blocked",
+			body: `IF (ME .EQ. 0) THEN
+  Consume Q into X
+ELSE
+  Copy Q into X
+END IF
+`,
+			holder: "async variable (Consume Q, line 6)", wait: "async variable (Copy Q, line 8)"},
+		{name: "doall-exit",
+			body: `Presched DO I = 1, NP
+  Produce R(I) = I
+  Consume R(I) into X
+  IF (I .EQ. 1) THEN
+    Consume Q into X
+  END IF
+End Presched DO
+`,
+			holder: "async variable (Consume Q, line 9)", wait: "DOALL (DOALL, line 5)"},
+		{name: "doall-exit-after-a-wait",
+			body: `Presched DO I = 1, NP
+  IF (I .EQ. 1) THEN
+    DO K = 2, NP
+      Produce R(K) = K
+    End DO
+    Consume Q into X
+  ELSE
+    Consume R(I) into X
+  END IF
+End Presched DO
+`,
+			holder: "async variable (Consume Q, line 10)", wait: "DOALL (Consume R, line 12)",
+			delayProduce: 200 * time.Millisecond},
+	})
+}
+
+// siteCase is a program body in which one process blocks for good and
+// the others wait: the sites the watchdog must show for them.
+type siteCase struct {
+	name, body   string
+	holder, wait string // the blocked process's site, and the others'
+	orWait       string // if set, wait need only be seen once and this fills the rest
+	// delayProduce, if set, holds the run's first Produce back this long.
+	delayProduce time.Duration
+}
+
+// watchCases runs each case's body behind header on every tier at np 2
+// and 3 until the watchdog shows its sites.
+func watchCases(t *testing.T, header string, cases []siteCase) {
+	for _, tc := range cases {
+		prog := forcelang.MustParse(header + tc.body + "Join\n")
 		for _, mode := range ExecModes() {
 			for _, np := range []int{2, 3} {
 				t.Run(fmt.Sprintf("%s/%s/np=%d", tc.name, mode, np), func(t *testing.T) {
-					ctx, cancel := context.WithCancel(context.Background())
-					defer cancel()
-					forces := make(chan *core.Force, 1)
-					errc := make(chan error, 1)
-					go func() {
-						errc <- Run(prog, Config{NP: np, Exec: mode, Stdout: io.Discard, Context: ctx,
-							OnForce: func(f *core.Force) { forces <- f }})
-					}()
-					f := <-forces
-					var sites []string
-					for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-						sites = f.Blocked()
+					if tc.delayProduce > 0 {
+						faultinject.Enable(faultinject.NewPlan(0).Add(faultinject.Injection{
+							Site: faultinject.AsyncProduce, Kind: faultinject.Delay, Delay: tc.delayProduce, Pid: -1}))
+						defer faultinject.Disable()
+					}
+					watchSites(t, prog, Config{NP: np, Exec: mode}, func(sites []string) bool {
 						holding, waiting, other := 0, 0, 0
 						for _, s := range sites {
 							switch s {
@@ -155,26 +210,44 @@ End Declarations
 								other++
 							}
 						}
-						if holding == 1 && (waiting == np-1 || tc.orWait != "" && waiting > 0 && waiting+other == np-1) {
-							sites = nil
-							break
-						}
-					}
-					if sites != nil {
-						t.Errorf("blocked sites %q, want one %q and %d x %q (or, with at least one of those, %q)", sites, tc.holder, np-1, tc.wait, tc.orWait)
-					}
-					cancel()
-					select {
-					case err := <-errc:
-						if !errors.Is(err, context.Canceled) {
-							t.Errorf("Run = %v, want context.Canceled", err)
-						}
-					case <-time.After(30 * time.Second):
-						t.Fatal("cancel did not unblock the run")
-					}
+						return holding == 1 && (waiting == np-1 || tc.orWait != "" && waiting > 0 && waiting+other == np-1)
+					}, fmt.Sprintf("one %q and %d x %q (or, with at least one of those, %q)", tc.holder, np-1, tc.wait, tc.orWait))
 				})
 			}
 		}
+	}
+}
+
+// watchSites runs prog under cfg until the stall watchdog's view of the
+// force satisfies done (or 20 s pass, an error naming want), then cancels
+// the run, which must unwind.
+func watchSites(t *testing.T, prog *forcelang.Program, cfg Config, done func(sites []string) bool, want string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	forces := make(chan *core.Force, 1)
+	errc := make(chan error, 1)
+	cfg.Stdout, cfg.Context, cfg.OnForce = io.Discard, ctx, func(f *core.Force) { forces <- f }
+	go func() { errc <- Run(prog, cfg) }()
+	f := <-forces
+	var sites []string
+	for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if sites = f.Blocked(); done(sites) {
+			sites = nil
+			break
+		}
+	}
+	if sites != nil {
+		t.Errorf("blocked sites %q, want %s", sites, want)
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("Run = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancel did not unblock the run")
 	}
 }
 
@@ -210,18 +283,7 @@ Join
 			waitSite := fmt.Sprintf("%s (Barrier, line %d)", tc.site, line)
 			sectionSite := fmt.Sprintf("async variable (Consume Q, line %d)", line+1)
 			const np = 3
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			forces := make(chan *core.Force, 1)
-			errc := make(chan error, 1)
-			go func() {
-				errc <- Run(prog, Config{NP: np, Stdout: io.Discard, Context: ctx,
-					OnForce: func(f *core.Force) { forces <- f }})
-			}()
-			f := <-forces
-			var sites []string
-			for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-				sites = f.Blocked()
+			watchSites(t, prog, Config{NP: np}, func(sites []string) bool {
 				waiting, inSection := 0, 0
 				for _, s := range sites {
 					switch s {
@@ -231,23 +293,8 @@ Join
 						inSection++
 					}
 				}
-				if waiting == np-1 && inSection == 1 {
-					sites = nil
-					break
-				}
-			}
-			if sites != nil {
-				t.Errorf("blocked sites %q, want %d x %q and %q", sites, np-1, waitSite, sectionSite)
-			}
-			cancel()
-			select {
-			case err := <-errc:
-				if !errors.Is(err, context.Canceled) {
-					t.Errorf("Run = %v, want context.Canceled", err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("cancel did not unblock the run")
-			}
+				return waiting == np-1 && inSection == 1
+			}, fmt.Sprintf("%d x %q and %q", np-1, waitSite, sectionSite))
 		})
 	}
 }

@@ -28,6 +28,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/asyncvar"
 	"repro/internal/core"
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
@@ -233,37 +234,12 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 		ev, _ := c.val(t.Expr)
 		note := noteStr("Produce "+t.Var, t.Pos())
 		return func(pr *cproc, fr *frame) {
-			cell := cellF(pr, fr)
-			v := ev(pr, fr)
-			pr.p.Note(note)
-			pr.p.WithSite(&core.AsyncSiteLabel, func() { cell.Produce(v) })
+			asyncOp(pr.p, cellF(pr, fr), asyncvar.OpProduce, ev(pr, fr), note)
 		}
 	case *forcelang.ConsumeStmt:
-		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
-		store, tt := c.refStore(&t.Target)
-		line := t.Pos()
-		note := noteStr("Consume "+t.Var, line)
-		return func(pr *cproc, fr *frame) {
-			cell := cellF(pr, fr)
-			pr.p.Note(note)
-			var v value
-			pr.p.WithSite(&core.AsyncSiteLabel, func() { v = cell.Consume() })
-			// The cell holds whatever type the producer stored, so the
-			// coercion to the target's type is a runtime one.
-			store(pr, fr, coerce(v, tt, line))
-		}
+		return c.asyncRead(asyncvar.OpConsume, t.Sym, t.Sub, &t.Target, noteStr("Consume "+t.Var, t.Pos()), t.Pos())
 	case *forcelang.CopyStmt:
-		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
-		store, tt := c.refStore(&t.Target)
-		line := t.Pos()
-		note := noteStr("Copy "+t.Var, line)
-		return func(pr *cproc, fr *frame) {
-			cell := cellF(pr, fr)
-			pr.p.Note(note)
-			var v value
-			pr.p.WithSite(&core.AsyncSiteLabel, func() { v = cell.Copy() })
-			store(pr, fr, coerce(v, tt, line))
-		}
+		return c.asyncRead(asyncvar.OpCopy, t.Sym, t.Sub, &t.Target, noteStr("Copy "+t.Var, t.Pos()), t.Pos())
 	case *forcelang.VoidStmt:
 		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
 		note := noteStr("Void "+t.Var, t.Pos())
@@ -335,6 +311,17 @@ func (c *compiler) asyncCellFn(sym *forcelang.Symbol, sub forcelang.Expr, line i
 	}
 	sf := c.cInt(sub)
 	return func(pr *cproc, fr *frame) asyncCell { return e.at(sf(pr, fr), true, name, line) }
+}
+
+// asyncRead compiles a Consume or Copy statement.
+func (c *compiler) asyncRead(op asyncvar.Op, sym *forcelang.Symbol, sub forcelang.Expr, target *forcelang.Ref, note *string, line int) stmtFn {
+	cellF := c.asyncCellFn(sym, sub, line)
+	store, tt := c.refStore(target)
+	return func(pr *cproc, fr *frame) {
+		// The cell holds whatever type the producer stored, so the
+		// coercion to the target's type is a runtime one.
+		store(pr, fr, coerce(asyncOp(pr.p, cellF(pr, fr), op, value{}, note), tt, line))
+	}
 }
 
 func (c *compiler) print(t *forcelang.PrintStmt) stmtFn {

@@ -412,14 +412,21 @@ type instance struct {
 	out *outsink
 }
 
-// asyncCell is the method set of asyncvar.V[value], named locally to keep
-// the instance struct readable.
-type asyncCell interface {
-	Produce(v value)
-	Consume() value
-	Copy() value
-	Void()
-	IsFull() bool
+// asyncCell is one asynchronous cell of the interpreter's values.
+type asyncCell = asyncvar.V[value]
+
+// asyncOp is a Produce, Consume or Copy statement's transition on every
+// interpreter tier.  The cell is tried once, and only when it is not ready
+// does the process record the statement's note and the async-variable site
+// and wait — the rule core.Proc.Critical follows — so a statement that does
+// not wait costs its full/empty word alone.
+func asyncOp(p *core.Proc, cell asyncCell, op asyncvar.Op, v value, note *string) value {
+	if got, ok := cell.Try(op, v); ok {
+		return got
+	}
+	p.Note(note)
+	p.WithSite(&core.AsyncSiteLabel, func() { v = cell.Await(op, v) })
+	return v
 }
 
 // asyncEntry is one asynchronous variable: a scalar cell or an array of
@@ -624,14 +631,17 @@ func (pr *proc) stmts(list []forcelang.Stmt, f *tframe) {
 
 // note records the statement's source location with the core runtime,
 // so the stall watchdog can report which line each blocked process is
-// waiting at.  Called before every potentially blocking statement; the
-// note string is built once per statement node and cached in the
-// instance, so steady-state executions pay a map lookup and an atomic
-// store, not a format and an allocation.
-func (pr *proc) note(st forcelang.Stmt, kind, name string) {
+// waiting at.  Called before every potentially blocking statement (an
+// async statement's only when it waits, asyncOp); the note string is
+// built once per statement node and cached in the instance, so
+// steady-state executions pay a map lookup, not a format and an
+// allocation.
+func (pr *proc) note(st forcelang.Stmt, kind, name string) { pr.p.Note(pr.noteFor(st, kind, name)) }
+
+// noteFor returns the statement's cached note.
+func (pr *proc) noteFor(st forcelang.Stmt, kind, name string) *string {
 	if v, ok := pr.in.notes.Load(st); ok {
-		pr.p.Note(v.(*string))
-		return
+		return v.(*string)
 	}
 	label := kind
 	if name != "" {
@@ -639,7 +649,7 @@ func (pr *proc) note(st forcelang.Stmt, kind, name string) {
 	}
 	s := fmt.Sprintf("%s, line %d", label, st.Pos())
 	v, _ := pr.in.notes.LoadOrStore(st, &s)
-	pr.p.Note(v.(*string))
+	return v.(*string)
 }
 
 func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
@@ -707,20 +717,13 @@ func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 	case *forcelang.ProduceStmt:
 		cell := pr.asyncCellFor(f, t.Var, t.Sub, t.Pos())
 		v := pr.eval(t.Expr, f)
-		pr.note(t, "Produce", t.Var)
-		pr.p.WithSite(&core.AsyncSiteLabel, func() { cell.Produce(v) })
+		asyncOp(pr.p, cell, asyncvar.OpProduce, v, pr.noteFor(t, "Produce", t.Var))
 	case *forcelang.ConsumeStmt:
 		cell := pr.asyncCellFor(f, t.Var, t.Sub, t.Pos())
-		pr.note(t, "Consume", t.Var)
-		var v value
-		pr.p.WithSite(&core.AsyncSiteLabel, func() { v = cell.Consume() })
-		pr.assign(&t.Target, v, f)
+		pr.assign(&t.Target, asyncOp(pr.p, cell, asyncvar.OpConsume, value{}, pr.noteFor(t, "Consume", t.Var)), f)
 	case *forcelang.CopyStmt:
 		cell := pr.asyncCellFor(f, t.Var, t.Sub, t.Pos())
-		pr.note(t, "Copy", t.Var)
-		var v value
-		pr.p.WithSite(&core.AsyncSiteLabel, func() { v = cell.Copy() })
-		pr.assign(&t.Target, v, f)
+		pr.assign(&t.Target, asyncOp(pr.p, cell, asyncvar.OpCopy, value{}, pr.noteFor(t, "Copy", t.Var)), f)
 	case *forcelang.VoidStmt:
 		cell := pr.asyncCellFor(f, t.Var, t.Sub, t.Pos())
 		pr.note(t, "Void", t.Var) // Void can block on a racing consumer
