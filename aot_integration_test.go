@@ -752,3 +752,43 @@ Endsub
 		t.Errorf("the sweep compared %d decisions over %d programs: it is not reading the narration", decided, len(sources))
 	}
 }
+
+// TestAOTBuildFailureIsReported: INTEGER arithmetic on literals that
+// overflows int64 builds and wraps natively, silently; a build that does
+// fail falls back to the chunked interpreter with one stderr line even
+// without -v (only a missing toolchain falls back quietly).
+func TestAOTBuildFailureIsReported(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries with the go toolchain")
+	}
+	bin := buildForcerun(t)
+	prog := writeProgram(t, `Force OVF of NP ident ME
+End Declarations
+Barrier
+  Print 9223372036854775807 + 1
+End Barrier
+Join
+`)
+	run := func(env []string, args ...string) (stdout, stderr string) {
+		t.Helper()
+		cmd := exec.Command(bin, append(args, prog)...)
+		cmd.Env = append(append(os.Environ(), aot.EnvCacheDir+"="+t.TempDir()), env...)
+		var out, errs strings.Builder
+		cmd.Stdout, cmd.Stderr = &out, &errs
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("forcerun %v: %v\n%s", args, err, errs.String())
+		}
+		return out.String(), errs.String()
+	}
+	const want = "-9223372036854775808\n"
+	if out, errs := run(nil, "-exec", "aot"); out != want || errs != "" {
+		t.Errorf("-exec aot: stdout %q, stderr %q; want %q and nothing", out, errs, want)
+	}
+	if out, errs := run(nil, "-exec", "aot", "-v"); out != want || strings.Contains(errs, "falling back") {
+		t.Errorf("-exec aot -v: stdout %q, stderr %q; want %q and no fallback", out, errs, want)
+	}
+	out, errs := run([]string{"GOFLAGS=-toolexec=/bin/false"}, "-exec", "aot")
+	if out != want || strings.Count(errs, "falling back to the chunked interpreter") != 1 {
+		t.Errorf("failed build: stdout %q, stderr %q; want %q and one fallback line", out, errs, want)
+	}
+}

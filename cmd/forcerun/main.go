@@ -362,7 +362,11 @@ func tryNative(ctx context.Context, prog *forcelang.Program, opts aot.Options, n
 			// overrun the very deadline the caller set.
 			return true, err
 		}
-		vlog("tier aot: %v; falling back to the chunked interpreter", err)
+		// A missing toolchain is the one expected fallback; any other
+		// build failure is reported even without -v.
+		if verbose || !errors.Is(err, aot.ErrNoToolchain) {
+			fmt.Fprintf(os.Stderr, "forcerun: tier aot: %v; falling back to the chunked interpreter\n", err)
+		}
 		return false, nil
 	}
 	if st := cache.Stats(); st.Builds > 0 {

@@ -179,7 +179,7 @@
 //
 // See README.md for the quickstart, the system inventory ("Layout") and
 // the measured results ("Benchmarks" and the tables beside each layer).
-// forcemark (benchmark/, BENCHMARK.json) is the performance gate;
-// cmd/forcebench prints the paper-shape tables F1, T1–T10, A1, A2 over
-// the surviving variants.
+// forcemark (benchmark/, BENCHMARK.json) is the performance gate; each
+// paper table it does not carry is a test or a go test benchmark beside
+// the primitive it times ("Benchmarks" names which).
 package repro

@@ -13,34 +13,26 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
-	"repro/internal/stats"
 )
 
 func main() {
 	np := flag.Int("np", 8, "number of force processes")
 	tol := flag.Float64("tol", 1e-10, "absolute tolerance")
-	runs := flag.Int("runs", 3, "timing repetitions")
 	flag.Parse()
 
 	// First: a known closed form. ∫₀¹ 4/(1+x²) dx = π.
 	f := core.New(*np)
 	defer f.Close()
 	pi := apps.Quad(f, apps.Witch, 0, 1, *tol)
-	fmt.Printf("∫ 4/(1+x²) over [0,1] = %.12f  (π = %.12f, err %.2e)\n\n",
+	fmt.Printf("∫ 4/(1+x²) over [0,1] = %.12f  (π = %.12f, err %.2e)\n",
 		pi, math.Pi, math.Abs(pi-math.Pi))
 
-	// Then: the spiky integrand that motivates dynamic work creation.
-	// The raw Spike is a few ns per evaluation — far too fine for any
-	// work pool (the paper's grain-size lesson, §4.1.1) — so the timing
-	// comparison wraps it in a costly kernel, like a real physics
-	// integrand.
-	grain := apps.Costly(apps.Spike, 2000)
-	seq := stats.Time(*runs, func() { apps.SeqQuad(grain, 0, 1, *tol) })
-	par := stats.Time(*runs, func() { apps.Quad(f, grain, 0, 1, *tol) })
-
-	fmt.Printf("costly spiky integrand, tol=%.0e, np=%d\n", *tol, *np)
-	fmt.Printf("sequential adaptive Simpson: %8.2f ms\n", seq.Median()*1e3)
-	fmt.Printf("Askfor pool:                 %8.2f ms   speedup %.2fx\n",
-		par.Median()*1e3, stats.Speedup(seq.Median(), par.Median()))
-	fmt.Printf("tasks executed in last run: %d\n", f.Stats().AskforTasks.Load())
+	// Then: the spiky integrand that motivates dynamic work creation —
+	// the pool grows where the function is hard and stays small where it
+	// is flat, so the task count is decided at run time.
+	before := f.Stats().AskforTasks.Load()
+	spike := apps.Quad(f, apps.Spike, 0, 1, *tol)
+	fmt.Printf("∫ spike over [0,1]    = %.12f  (sequential %.12f), np=%d, tol=%.0e\n",
+		spike, apps.SeqQuad(apps.Spike, 0, 1, *tol), *np, *tol)
+	fmt.Printf("Askfor tasks executed: %d\n", f.Stats().AskforTasks.Load()-before)
 }

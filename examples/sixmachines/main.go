@@ -11,45 +11,27 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/reduce"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 func main() {
 	np := flag.Int("np", 6, "number of force processes")
 	flag.Parse()
 
-	tbl := &stats.Table{
-		Title: fmt.Sprintf("one program, seven machine layers (np=%d)", *np),
-		Header: []string{"machine", "locks", "async", "creation", "sharing",
-			"startup", "result", "conformance"},
-		Notes: []string{
-			"startup is the simulated force-creation latency (§4.1.1 cost model)",
-			"result is the program's computed value — identical everywhere by construction",
-		},
-	}
-
+	// result is the program's computed value — identical everywhere by
+	// construction; conformance is the machine layer's own check.
+	fmt.Printf("one program, seven machine layers (np=%d)\n", *np)
 	for _, m := range machine.All() {
-		start := time.Now()
-		result := runProgram(m, *np)
-		elapsed := time.Since(start)
-
 		conf := "OK"
 		if err := core.Conformance(m, *np); err != nil {
 			conf = "FAIL: " + err.Error()
 		}
-		tbl.AddRow(m.Name, m.Lock.String(), m.Async.String(),
-			m.Creation.String(), m.ShmPolicy.String(), elapsed, result, conf)
-	}
-	if err := tbl.Render(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Printf("%-9s locks %-8s async %-8s creation %-16s sharing %-19s result %d  conformance %s\n",
+			m.Name, m.Lock, m.Async, m.Creation, m.ShmPolicy, runProgram(m, *np), conf)
 	}
 }
 

@@ -211,10 +211,11 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 7 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 8 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
-	// text key, before the fixed owner and before forcert.Real).
+	// text key, before the fixed owner, before forcert.Real and before
+	// INTEGER constant arithmetic went through forcert.Int).
 	oldKeys := map[int]string{
 		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
@@ -223,6 +224,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		5: "7e2e7ad8a9ba4e612f68a54b96e3b3d82dce3d0132074c9611c473cbf9b159f9",
 		6: "dfa8e0aadeca348197ae6f83ceed2fe20d2073bde633a5a1bc941972cce447b6",
 		7: "ae1a3bf0f93516270e83105c53e9df3684659337f0d352eddc51062b515c85cc",
+		8: "b8bcc05534e02b300dcf4ae4f1e4aacd838f5da53f9c303e4e6b3fd5f6b66988",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

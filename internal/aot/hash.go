@@ -28,8 +28,10 @@ import (
 // 6: the runtime options are flags of the binary, the key is the text;
 // 7: same emitted Go, but the runtime a binary embeds gives a loop within
 // one grant a fixed owner and the recorded plan says so; 8: a REAL
-// operator over literals is computed at run time, through forcert.Real.)
-const formatVersion = 8
+// operator over literals is computed at run time, through forcert.Real;
+// 9: and an INTEGER one through forcert.Int, so it wraps as it does in
+// the interpreters.)
+const formatVersion = 9
 
 // Key returns the hex cache key of prog: of the text it was parsed from.
 func Key(prog *forcelang.Program) string {

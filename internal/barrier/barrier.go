@@ -84,7 +84,7 @@ const (
 	// CentralSense is a central counter with sense reversal; arrivals
 	// decrement atomically and spin on a shared sense flag.  Kept by rule
 	// (c): the one other algorithm that beats TwoLock in every run at
-	// every width measured (forcebench T2).
+	// every width measured (BenchmarkBarrierEpisode).
 	CentralSense
 )
 

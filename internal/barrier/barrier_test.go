@@ -1,6 +1,7 @@
 package barrier
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -262,5 +263,25 @@ func TestQuickBarrierCounting(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkBarrierEpisode is the barrier algorithms' committed row (the
+// paper's T2, README "Which variants exist"): the cost of one episode on
+// plain goroutines, every algorithm over TTAS locks at np 1, 2 and 4, one
+// op = one episode.
+func BenchmarkBarrierEpisode(b *testing.B) {
+	for _, k := range Kinds() {
+		for _, np := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/np=%d", k, np), func(b *testing.B) {
+				bar := New(k, np, lock.Factory(lock.TTAS))
+				b.ResetTimer()
+				runForce(np, func(pid int) {
+					for e := 0; e < b.N; e++ {
+						bar.Sync(pid, nil)
+					}
+				})
+			})
+		}
 	}
 }

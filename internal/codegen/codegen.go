@@ -774,17 +774,23 @@ func (g *generator) binExpr(t *forcelang.Bin) (string, error) {
 		// operands (Go rejects a constant 1 / 0 at compile time).
 		return fmt.Sprintf("forcert.Div(%d, %s, %s)", t.Pos(), l, r), nil
 	}
-	if t.Op <= forcelang.OpDiv && want == forcelang.TReal && goConst(t.L) && goConst(t.R) {
-		l = fmt.Sprintf("forcert.Real(%s)", l)
+	if t.Op <= forcelang.OpDiv && goConst(t.L) && goConst(t.R) {
+		switch want {
+		case forcelang.TReal:
+			l = fmt.Sprintf("forcert.Real(%s)", l)
+		case forcelang.TInt:
+			l = fmt.Sprintf("forcert.Int(%s)", l)
+		}
 	}
 	return fmt.Sprintf("(%s %s %s)", l, goOps[t.Op], r), nil
 }
 
 // goConst reports whether the Go spelling of e is a constant expression.
-// Go folds those exactly at compile time, not in IEEE arithmetic, so a
-// REAL operator whose operands are all constants takes its first one
-// through forcert.Real and is computed at run time, as the interpreters
-// compute it: 0.0 / 0.0 is a NaN, -1.0 * 0.0 a -0.0, 0.1 + 0.2 rounds.
+// Go folds those exactly at compile time, not in IEEE or int64
+// arithmetic, so an operator whose operands are all constants takes its
+// first one through forcert.Real or forcert.Int and is computed at run
+// time, as the interpreters compute it: 0.0 / 0.0 is a NaN, -1.0 * 0.0 a
+// -0.0, 0.1 + 0.2 rounds, 9223372036854775807 + 1 wraps.
 func goConst(e forcelang.Expr) bool {
 	switch t := e.(type) {
 	case *forcelang.IntLit, *forcelang.RealLit:
@@ -794,8 +800,8 @@ func goConst(e forcelang.Expr) bool {
 			return nonzeroLit(t.X) // negating one is exact; anything else is wrapped
 		}
 		return goConst(t.X)
-	case *forcelang.Bin: // REAL arithmetic is wrapped, INTEGER / is forcert.Div
-		return t.Type() != forcelang.TReal && t.Op != forcelang.OpDiv && goConst(t.L) && goConst(t.R)
+	case *forcelang.Bin: // arithmetic is wrapped, INTEGER / is forcert.Div
+		return t.Op > forcelang.OpDiv && goConst(t.L) && goConst(t.R)
 	case *forcelang.Intrinsic:
 		return t.Name == "REAL" && goConst(t.Args[0])
 	}

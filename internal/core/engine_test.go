@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -168,4 +169,34 @@ func TestCreationCostPaidOnce(t *testing.T) {
 	// Nothing to assert beyond completion: with the old spawn-per-Run
 	// driver this loop cost 50×4×200µs of busy wait; BenchmarkCreation
 	// quantifies the difference.
+}
+
+// BenchmarkAskforPool is the Askfor pools' committed row (the paper's T9,
+// grain 0; README "Which variants exist"): the put-heavy binary task tree
+// — every task but the leaves puts two children, and does nothing else —
+// drained through each pool at np 1 and 2.  One op = one tree of 2^12 - 1
+// tasks; ns/task is the figure the pools are compared on.
+func BenchmarkAskforPool(b *testing.B) {
+	const depth = 12
+	for _, kind := range engine.PoolKinds() {
+		for _, np := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/np=%d", kind, np), func(b *testing.B) {
+				f := New(np, WithAskfor(kind))
+				defer f.Close()
+				body := func(p *Proc) {
+					p.Askfor([]any{1}, func(task any, put func(any)) {
+						if d := task.(int); d < depth {
+							put(d + 1)
+							put(d + 1)
+						}
+					})
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					f.Run(body)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(1<<depth-1)), "ns/task")
+			})
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -270,5 +271,28 @@ func TestReduceInsideResolveSubforce(t *testing.T) {
 	})
 	if a.Load()+b.Load() != np {
 		t.Errorf("component reductions: %d+%d correct results, want %d total", a.Load(), b.Load(), np)
+	}
+}
+
+// BenchmarkReduce is the reduction strategies' committed row (the paper's
+// T10, steady row; README "Which variants exist"): a Gsum-dense loop on a
+// running force, every strategy at np 1, 2 and 4, one op = one reduction
+// every process takes part in.
+func BenchmarkReduce(b *testing.B) {
+	for _, k := range reduce.Kinds() {
+		for _, np := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/np=%d", k, np), func(b *testing.B) {
+				f := New(np, WithReduce(k))
+				defer f.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				f.Run(func(p *Proc) {
+					acc := 0
+					for r := 0; r < b.N; r++ {
+						acc = Gsum(p, acc%7+p.ID())
+					}
+				})
+			})
+		}
 	}
 }

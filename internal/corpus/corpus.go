@@ -1458,7 +1458,8 @@ Join
 	// index, and shared accumulators folded beside them.  Writing a
 	// private keeps the cyclic deal, so the blocks step by np.  The NaN, the
 	// -0.0 and the 'lits' line are REAL arithmetic on literals, which every
-	// tier computes in IEEE arithmetic at run time.
+	// tier computes in IEEE arithmetic at run time; the 'ilits' line is
+	// INTEGER arithmetic on literals, which every tier wraps.
 	{"block-recurrences", 0, `Force BREC of NP ident ME
 Shared Real V(300), Z(12)
 Shared Integer K(300)
@@ -1529,6 +1530,7 @@ Print 'nan', ME, P, Q
 Barrier
   Print 'shared', BIG, SMALL, TOT, IBIG
   Print 'lits', 0.1 + 0.2, -0.0, 1.0 / (-0.0), 2.0 * 3.0 - 0.5 / 4.0, -(1.0 - 1.0)
+  Print 'ilits', 9223372036854775807 + 1, -(9223372036854775807 + 1), 3 * 4611686018427387904 - 1
 End Barrier
 Join
 `},

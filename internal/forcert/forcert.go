@@ -184,10 +184,13 @@ func AsyncIdx[T Integer](line int, name string, s T, n int) int {
 
 // --- intrinsics ----------------------------------------------------------
 
-// Int is REAL-to-INTEGER conversion: truncation toward zero, at run time
-// (a plain int() conversion of an untyped Go constant would be a compile
-// error for non-integral values).
-func Int(x float64) int { return int(x) }
+// Int returns x as an INTEGER value, not a Go constant, at run time: a
+// REAL truncated toward zero (a plain int() conversion of an untyped Go
+// constant would be a compile error for non-integral values), an INTEGER
+// unchanged.  The emitter spells the first operand of an INTEGER + - *
+// over literals through it, so the operator wraps on overflow as in the
+// interpreters instead of failing Go's exact constant arithmetic.
+func Int[T Number](x T) int { return int(x) }
 
 // Nint is the NINT intrinsic: round to nearest, halves away from zero.
 func Nint(x float64) int { return int(math.Round(x)) }

@@ -85,7 +85,7 @@ type Profile struct {
 	// locks may be scarce resources"; profiles with the flag set keep
 	// lock-hungry programs honest in the conformance report.
 	ScarceLocks bool
-	// Hardware full/empty support is implied by Async == Channel.
+	// Hardware full/empty support is implied by Async == asyncvar.Word.
 }
 
 // LockFactory returns the define_lock constructor for this machine.

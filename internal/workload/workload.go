@@ -1,86 +1,12 @@
-// Package workload provides deterministic workload generators for the
-// benchmark harness: calibrated spin-work, per-iteration cost models
-// (uniform, triangular, bursty, pseudo-random), and seeded numeric data.
-// Benchmarks use spin-work rather than sleeps so that measured shapes —
-// who wins, where crossovers fall — are stable across timer resolutions,
-// and all randomness is seeded so every run sees the same workload.
+// Package workload provides seeded numeric data — matrices, vectors,
+// linear systems with a known solution and a boundary-value grid — so
+// every run of an application, test or benchmark sees the same inputs.
 package workload
 
 import (
 	"math"
 	"math/rand"
 )
-
-// Spin performs units of deterministic busy work and returns a value that
-// depends on the computation, preventing dead-code elimination.
-func Spin(units int) uint64 {
-	var x uint64 = 88172645463325252
-	for i := 0; i < units; i++ {
-		// xorshift64 step: cheap, fixed-latency integer work.
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-	}
-	return x
-}
-
-// SpinSink accumulates Spin results; benchmarks store into it to keep the
-// compiler honest.
-var SpinSink uint64
-
-// Cost is a per-iteration cost model mapping iteration ordinal (0-based)
-// to spin-work units.
-type Cost func(i int) int
-
-// Uniform gives every iteration the same cost.
-func Uniform(units int) Cost {
-	return func(int) int { return units }
-}
-
-// Triangular makes iteration i cost proportionally to i+1, the classic
-// skewed loop (triangular matrix sweeps).  The mean cost over n
-// iterations is units*(n+1)/2.
-func Triangular(units int) Cost {
-	return func(i int) int { return units * (i + 1) }
-}
-
-// Bursty gives every k-th iteration heavy cost and the rest light cost.
-func Bursty(light, heavy, k int) Cost {
-	if k <= 0 {
-		k = 1
-	}
-	return func(i int) int {
-		if i%k == 0 {
-			return heavy
-		}
-		return light
-	}
-}
-
-// RandomCost draws iteration costs uniformly from [lo, hi] with a fixed
-// seed, so every run (and every scheduler) sees the same cost vector.
-func RandomCost(lo, hi int, n int, seed int64) Cost {
-	rng := rand.New(rand.NewSource(seed))
-	costs := make([]int, n)
-	for i := range costs {
-		costs[i] = lo + rng.Intn(hi-lo+1)
-	}
-	return func(i int) int {
-		if i < 0 || i >= n {
-			return lo
-		}
-		return costs[i]
-	}
-}
-
-// Total sums a cost model over n iterations.
-func Total(c Cost, n int) int {
-	t := 0
-	for i := 0; i < n; i++ {
-		t += c(i)
-	}
-	return t
-}
 
 // Matrix returns a seeded n×n matrix in row-major order with entries in
 // [-1, 1).

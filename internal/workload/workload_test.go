@@ -3,65 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestSpinDeterministicAndNonZero(t *testing.T) {
-	a := Spin(1000)
-	b := Spin(1000)
-	if a != b {
-		t.Error("Spin not deterministic")
-	}
-	if a == 0 {
-		t.Error("Spin returned 0")
-	}
-	if Spin(0) == 0 {
-		t.Error("Spin(0) seed value lost")
-	}
-}
-
-func TestCostModels(t *testing.T) {
-	u := Uniform(5)
-	if u(0) != 5 || u(99) != 5 {
-		t.Error("uniform cost varies")
-	}
-	tr := Triangular(2)
-	if tr(0) != 2 || tr(9) != 20 {
-		t.Errorf("triangular: %d %d", tr(0), tr(9))
-	}
-	bu := Bursty(1, 100, 10)
-	if bu(0) != 100 || bu(1) != 1 || bu(10) != 100 {
-		t.Error("bursty pattern wrong")
-	}
-	if Bursty(1, 9, 0)(5) != 9 && Bursty(1, 9, 0)(5) != 1 {
-		t.Error("bursty k=0 must not panic")
-	}
-}
-
-func TestRandomCostSeededAndBounded(t *testing.T) {
-	c1 := RandomCost(3, 9, 100, 42)
-	c2 := RandomCost(3, 9, 100, 42)
-	for i := 0; i < 100; i++ {
-		if c1(i) != c2(i) {
-			t.Fatal("RandomCost not seeded deterministically")
-		}
-		if c1(i) < 3 || c1(i) > 9 {
-			t.Fatalf("cost %d out of bounds", c1(i))
-		}
-	}
-	if c1(-1) != 3 || c1(100) != 3 {
-		t.Error("out-of-range ordinals must return lo")
-	}
-}
-
-func TestTotal(t *testing.T) {
-	if got := Total(Uniform(2), 10); got != 20 {
-		t.Errorf("Total uniform = %d", got)
-	}
-	if got := Total(Triangular(1), 4); got != 10 {
-		t.Errorf("Total triangular = %d", got)
-	}
-}
 
 func TestMatrixVectorSeeded(t *testing.T) {
 	a := Matrix(8, 7)
@@ -134,17 +76,5 @@ func TestGrid(t *testing.T) {
 		if g[i] != 0 {
 			t.Error("interior not 0")
 		}
-	}
-}
-
-// Property: Total(Triangular(u), n) equals the closed form u*n*(n+1)/2.
-func TestQuickTriangularClosedForm(t *testing.T) {
-	prop := func(uRaw, nRaw uint8) bool {
-		u := int(uRaw)%5 + 1
-		n := int(nRaw) % 100
-		return Total(Triangular(u), n) == u*n*(n+1)/2
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
