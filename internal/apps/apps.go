@@ -1,9 +1,9 @@
 // Package apps contains Force-style parallel applications of the kind the
 // language evolved from ("a parallel programming language ... which
 // evolved in the course of implementing numerical algorithms", paper §2):
-// matrix multiplication, Gaussian elimination, Jacobi iteration, parallel
-// prefix, adaptive quadrature (the Askfor showcase), histogramming, and
-// an N-body step.
+// matrix multiplication, Gaussian elimination, Jacobi iteration,
+// work-efficient block prefix, adaptive quadrature (the Askfor showcase),
+// histogramming, and an N-body step.
 //
 // Every application comes in two forms: a sequential baseline (Seq*) and
 // a Force program (*Proc) written against the core runtime — work
@@ -14,10 +14,7 @@
 // and the T8 application-speedup experiment.
 package apps
 
-import (
-	"repro/internal/core"
-	"repro/internal/sched"
-)
+import "repro/internal/core"
 
 // runOn executes program on the force and returns after Join.
 func runOn(f *core.Force, program func(p *core.Proc)) {
@@ -26,5 +23,3 @@ func runOn(f *core.Force, program func(p *core.Proc)) {
 
 // Idx2 flattens a row-major (i, j) index for an n-column matrix.
 func Idx2(i, j, n int) int { return i*n + j }
-
-var _ = sched.Seq // sched is part of this package's public signatures

@@ -144,13 +144,46 @@ func TestJacobiRespectsMaxSweeps(t *testing.T) {
 }
 
 func TestScanMatchesSeq(t *testing.T) {
-	for _, size := range []int{1, 2, 7, 64, 100} {
+	// Sizes 0 and below np leave some blocks empty.
+	for _, size := range []int{0, 1, 2, 7, 64, 100} {
 		v := workload.Vector(size, int64(size))
 		want := SeqScan(v)
 		for _, np := range []int{1, 3, 8} {
-			got := Scan(core.New(np), v)
+			f := core.New(np)
+			got := Scan(f, v)
+			f.Close()
 			if !almostEqual(got, want, 1e-9) {
 				t.Errorf("size=%d np=%d: scan differs", size, np)
+			}
+			if np > 1 {
+				continue
+			}
+			// At np=1 pass 1 is empty and pass 2 is SeqScan's loop.
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Errorf("size=%d np=1: element %d is %v, SeqScan's %v", size, i, got[i], want[i])
+					break
+				}
+			}
+		}
+	}
+}
+
+// The block scan does SeqScan's work: two DOALLs and no barrier per call,
+// at every n.
+func TestScanWorkIsLinear(t *testing.T) {
+	for _, n := range []int{1, 1000, 1 << 16} {
+		v := workload.Vector(n, 5)
+		for _, np := range []int{1, 2, 3, 8} {
+			f := core.New(np)
+			before := f.Stats()
+			Scan(f, v)
+			after := f.Stats()
+			f.Close()
+			loops := after.Loops.Load() - before.Loops.Load()
+			barriers := after.Barriers.Load() - before.Barriers.Load()
+			if loops != int64(2*np) || barriers != 0 {
+				t.Errorf("n=%d np=%d: %d loop entries and %d barriers, want %d and 0", n, np, loops, barriers, 2*np)
 			}
 		}
 	}
@@ -178,20 +211,27 @@ func TestQuadSpikeMatchesSeq(t *testing.T) {
 }
 
 func TestHistogramsMatchSeq(t *testing.T) {
-	data := workload.Vector(5000, 13)
-	for i := range data {
-		data[i] = (data[i] + 1) / 2 // into [0,1)
-	}
 	const bins = 32
-	want := SeqHistogram(data, bins)
-	gotC := HistogramCritical(core.New(6), data, bins)
-	gotP := HistogramPrivate(core.New(6), data, bins)
-	for b := 0; b < bins; b++ {
-		if gotC[b] != want[b] {
-			t.Fatalf("critical histogram bin %d: %d vs %d", b, gotC[b], want[b])
+	// Lengths on both sides of the private version's grant edges.
+	for _, n := range []int{0, 1, histGrant - 1, histGrant, histGrant + 1, 3*histGrant + 7} {
+		data := workload.Vector(n, 13)
+		for i := range data {
+			data[i] = (data[i] + 1) / 2 // into [0,1)
 		}
-		if gotP[b] != want[b] {
-			t.Fatalf("private histogram bin %d: %d vs %d", b, gotP[b], want[b])
+		want := SeqHistogram(data, bins)
+		for _, np := range []int{1, 3, 8} {
+			f := core.New(np)
+			gotC := HistogramCritical(f, data, bins)
+			gotP := HistogramPrivate(f, data, bins)
+			f.Close()
+			for b := 0; b < bins; b++ {
+				if gotC[b] != want[b] {
+					t.Fatalf("n=%d np=%d: critical histogram bin %d: %d vs %d", n, np, b, gotC[b], want[b])
+				}
+				if gotP[b] != want[b] {
+					t.Fatalf("n=%d np=%d: private histogram bin %d: %d vs %d", n, np, b, gotP[b], want[b])
+				}
+			}
 		}
 	}
 }

@@ -121,10 +121,10 @@ func TestVariantInventory(t *testing.T) {
 		"PreschedDo2":      "a (doubly nested loops, §3.3)",
 		"DoAll2":           "a (doubly nested loops under a chosen discipline: the tree walker, core.Conformance)",
 		"DoAll":            "b (matmul, gauss, nbody pick the discipline per call)",
-		"PreschedBlockDo":  "b (jacobi, nbody, scan, sor)",
+		"PreschedBlockDo":  "b (jacobi, nbody, sor)",
 		"ChunkDo":          "b (histogram)",
-		"DoAllChunked":     "g (every emitted Presched DO) · b (forcemark's span probes)",
-		"DoAllGranted":     "g (every emitted Selfsched DO, every closed span loop of the closure compiler)",
+		"DoAllChunked":     "g (every emitted Presched DO) · b (scan, forcemark's span probes)",
+		"DoAllGranted":     "g (every emitted Selfsched DO, every closed span loop of the closure compiler) · b (histogram)",
 		"DoAllChunkedOpen": "g (the members of a fused region, a DOALL whose exit a Barrier rides)",
 	}
 	spelling := regexp.MustCompile(`^(DoAll|Presched\w*Do|Selfsched\w*Do|ChunkDo)`)
