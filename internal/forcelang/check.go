@@ -131,6 +131,13 @@ func (c *checker) collective(line int, what string) error {
 	return nil
 }
 
+// doName and doBody spell a DOALL in the single-stream messages, built
+// once rather than for every DOALL checked.
+var (
+	doName = [...]string{Presched: Presched.String() + " DO", Selfsched: Selfsched.String() + " DO"}
+	doBody = [...]string{Presched: "a " + doName[Presched] + " body", Selfsched: "a " + doName[Selfsched] + " body"}
+)
+
 // inSerial runs check under an additional single-stream context.
 func (c *checker) inSerial(ctx string, check func() error) error {
 	c.serial = append(c.serial, ctx)
@@ -290,7 +297,7 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		}
 		return c.stmts(t.Body, s)
 	case *ParDo:
-		if err := c.collective(t.Pos(), fmt.Sprintf("%s DO", t.Sched)); err != nil {
+		if err := c.collective(t.Pos(), doName[t.Sched]); err != nil {
 			return err
 		}
 		var err error
@@ -314,7 +321,7 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		// A DOALL iteration body is itself a single-stream unit: one
 		// process executes each iteration, so a collective inside it
 		// deadlocks just as in the other serial contexts.
-		return c.inSerial(fmt.Sprintf("a %s DO body", t.Sched), func() error {
+		return c.inSerial(doBody[t.Sched], func() error {
 			return c.stmts(t.Body, s)
 		})
 	case *BarrierStmt:

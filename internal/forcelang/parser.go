@@ -217,7 +217,7 @@ func (p *parser) parseDecls() ([]Decl, error) {
 		// One or more names, comma separated, each optionally
 		// dimensioned.
 		for {
-			line := p.cur().line
+			line := int(p.cur().line)
 			name, err := p.expectIdent()
 			if err != nil {
 				return nil, err
@@ -228,7 +228,7 @@ func (p *parser) parseDecls() ([]Decl, error) {
 					if p.cur().kind != tokInt {
 						return nil, p.errf("array dimension must be an integer literal")
 					}
-					dim := int(p.next().ival)
+					dim := int(p.next().ival())
 					if dim <= 0 {
 						return nil, fmt.Errorf("line %d: array dimension must be positive", line)
 					}
@@ -271,7 +271,7 @@ func (p *parser) parseType() (Type, error) {
 }
 
 func (p *parser) parseSub() (*Subroutine, error) {
-	line := p.cur().line
+	line := int(p.cur().line)
 	if err := p.expectWord("FORCESUB"); err != nil {
 		return nil, err
 	}
@@ -394,7 +394,7 @@ func (p *parser) parseStmts(stops ...string) ([]Stmt, error) {
 }
 
 func (p *parser) parseStmt() (Stmt, error) {
-	line := p.cur().line
+	line := int(p.cur().line)
 	base := stmtBase{Line: line}
 	switch {
 	case p.peekWord("IF"):
@@ -534,7 +534,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		for {
 			if p.cur().kind == tokString {
 				t := p.next()
-				items = append(items, &StrLit{exprBase: at(t.line), Value: t.text})
+				items = append(items, &StrLit{exprBase: at(int(t.line)), Value: t.text})
 			} else {
 				e, err := p.parseExpr()
 				if err != nil {
@@ -603,7 +603,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 }
 
 func (p *parser) parseIf() (Stmt, error) {
-	base := stmtBase{Line: p.cur().line}
+	base := stmtBase{Line: int(p.cur().line)}
 	p.pos++ // IF
 	if err := p.expectSym("("); err != nil {
 		return nil, err
@@ -808,7 +808,7 @@ func (p *parser) parsePcase(base stmtBase) (Stmt, error) {
 	for {
 		switch {
 		case p.peekWord("USECT"):
-			line := p.cur().line
+			line := int(p.cur().line)
 			p.pos++
 			if err := p.expectEOL(); err != nil {
 				return nil, err
@@ -819,7 +819,7 @@ func (p *parser) parsePcase(base stmtBase) (Stmt, error) {
 			}
 			ps.Blocks = append(ps.Blocks, PcaseBlock{Body: body, Line: line})
 		case p.peekWord("CSECT"):
-			line := p.cur().line
+			line := int(p.cur().line)
 			p.pos++
 			if err := p.expectSym("("); err != nil {
 				return nil, err
@@ -877,7 +877,7 @@ func (p *parser) parseAsyncRef() (string, Expr, error) {
 // --- expressions -------------------------------------------------------
 
 func (p *parser) parseRef() (Ref, error) {
-	line := p.cur().line
+	line := int(p.cur().line)
 	name, err := p.expectIdent()
 	if err != nil {
 		return Ref{}, err
@@ -910,7 +910,7 @@ func (p *parser) parseOr() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokDotOp && p.cur().text == ".OR." {
-		line := p.next().line
+		line := int(p.next().line)
 		right, err := p.parseAndExpr()
 		if err != nil {
 			return nil, err
@@ -926,7 +926,7 @@ func (p *parser) parseAndExpr() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().kind == tokDotOp && p.cur().text == ".AND." {
-		line := p.next().line
+		line := int(p.next().line)
 		right, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -938,7 +938,7 @@ func (p *parser) parseAndExpr() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.cur().kind == tokDotOp && p.cur().text == ".NOT." {
-		line := p.next().line
+		line := int(p.next().line)
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -959,7 +959,7 @@ func (p *parser) parseRel() (Expr, error) {
 	}
 	if p.cur().kind == tokDotOp {
 		if op, ok := relOps[p.cur().text]; ok {
-			line := p.next().line
+			line := int(p.next().line)
 			right, err := p.parseArith()
 			if err != nil {
 				return nil, err
@@ -985,7 +985,7 @@ func (p *parser) parseArith() (Expr, error) {
 		if t.text == "-" {
 			op = OpSub
 		}
-		left = &Bin{exprBase: at(t.line), Op: op, L: left, R: right}
+		left = &Bin{exprBase: at(int(t.line)), Op: op, L: left, R: right}
 	}
 	return left, nil
 }
@@ -1005,14 +1005,14 @@ func (p *parser) parseTerm() (Expr, error) {
 		if t.text == "/" {
 			op = OpDiv
 		}
-		left = &Bin{exprBase: at(t.line), Op: op, L: left, R: right}
+		left = &Bin{exprBase: at(int(t.line)), Op: op, L: left, R: right}
 	}
 	return left, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.cur().kind == tokSymbol && p.cur().text == "-" {
-		line := p.next().line
+		line := int(p.next().line)
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -1031,18 +1031,18 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokInt:
 		p.pos++
-		return &IntLit{exprBase: at(t.line), Value: t.ival}, nil
+		return &IntLit{exprBase: at(int(t.line)), Value: t.ival()}, nil
 	case tokReal:
 		p.pos++
-		return &RealLit{exprBase: at(t.line), Value: t.rval}, nil
+		return &RealLit{exprBase: at(int(t.line)), Value: t.rval()}, nil
 	case tokDotOp:
 		switch t.text {
 		case ".TRUE.":
 			p.pos++
-			return &BoolLit{exprBase: at(t.line), Value: true}, nil
+			return &BoolLit{exprBase: at(int(t.line)), Value: true}, nil
 		case ".FALSE.":
 			p.pos++
-			return &BoolLit{exprBase: at(t.line), Value: false}, nil
+			return &BoolLit{exprBase: at(int(t.line)), Value: false}, nil
 		}
 		return nil, p.errf("unexpected %s in expression", t)
 	case tokSymbol:
@@ -1063,7 +1063,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if IsIntrinsic(name) && p.pos+1 < len(p.toks) &&
 			p.toks[p.pos+1].kind == tokSymbol && p.toks[p.pos+1].text == "(" {
 			p.pos += 2
-			call := &Intrinsic{exprBase: at(t.line), Name: name}
+			call := &Intrinsic{exprBase: at(int(t.line)), Name: name}
 			for {
 				e, err := p.parseExpr()
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
@@ -101,5 +102,46 @@ func BenchmarkAsyncStatement(b *testing.B) {
 			b.ResetTimer()
 			run()
 		})
+	}
+}
+
+// TestPrivateSlotsFillWholeLines: every process's private slots start on
+// a 64-byte boundary and span whole lines, so no two processes' frames
+// share a cache line — whether the frame is fresh (newFrame) or recycled
+// (getFrame), and for any number of slots.
+func TestPrivateSlotsFillWholeLines(t *testing.T) {
+	const line = 64
+	check := func(what string, priv []value) {
+		t.Helper()
+		if start := uintptr(unsafe.Pointer(unsafe.SliceData(priv))); start%line != 0 {
+			t.Errorf("%s: private slots start at %#x, not on a %d-byte line", what, start, line)
+		}
+		if size := uintptr(cap(priv)) * unsafe.Sizeof(value{}); size%line != 0 {
+			t.Errorf("%s: %d slots of capacity span %d bytes, not whole lines", what, cap(priv), size)
+		}
+	}
+	for n := 1; n <= 40; n++ {
+		check(fmt.Sprintf("%d slots", n), privSlots(n))
+	}
+	prog := forcelang.MustParse(`Force SLOTS of NP ident ME
+Private Integer K, X
+End Declarations
+K = ME
+Join
+`)
+	cfg := Config{NP: 4, Machine: machine.Native, Stdout: io.Discard}
+	res, err := resolveProgram(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newForce(cfg)
+	defer f.Close()
+	cp, err := compileProgram(newCInstance(prog, cfg, res, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for me := int64(0); me < 4; me++ {
+		check(fmt.Sprintf("process %d, newFrame", me), cp.main.newFrame(me).priv)
+		check(fmt.Sprintf("process %d, getFrame", me), cp.main.getFrame(me).priv)
 	}
 }

@@ -7,6 +7,7 @@ package interp
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
@@ -77,7 +78,7 @@ type cunit struct {
 // for the caller to fill.
 func (u *cunit) newFrame(me int64) *frame {
 	lay := u.lay
-	fr := &frame{priv: make([]value, len(lay.privInit))}
+	fr := &frame{priv: privSlots(len(lay.privInit))}
 	copy(fr.priv, lay.privInit)
 	fr.priv[0] = intVal(me)
 	if n := len(lay.privArrs); n > 0 {
@@ -103,7 +104,7 @@ func (u *cunit) getFrame(me int64) *frame {
 	fr := u.pool.Get().(*frame)
 	lay := u.lay
 	if cap(fr.priv) < len(lay.privInit) {
-		fr.priv = make([]value, len(lay.privInit))
+		fr.priv = privSlots(len(lay.privInit))
 	}
 	fr.priv = fr.priv[:len(lay.privInit)]
 	copy(fr.priv, lay.privInit)
@@ -112,6 +113,19 @@ func (u *cunit) getFrame(me int64) *frame {
 		fr.params = make([]cparam, n)
 	}
 	return fr
+}
+
+// privSlots makes a frame's n private slots with the capacity rounded up
+// to whole 64-byte cache lines.  A process writes its slots on every
+// private store, and the processes' frames are allocated back to back on
+// the goroutine that starts the force: unrounded, three 32-byte slots
+// share a line with the next process's.  A value holds no pointer and
+// every allocation size class that is a whole number of lines starts on
+// a line, so the rounded slots do too.
+func privSlots(n int) []value {
+	const size = int(unsafe.Sizeof(value{}))
+	const run = 64 / min(size&-size, 64) // the fewest slots that fill whole lines
+	return make([]value, n, (n+run-1)/run*run)
 }
 
 // putFrame returns a frame to the unit's pool; the caller must not
