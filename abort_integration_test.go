@@ -115,7 +115,7 @@ func TestReproAbortsEverywhere(t *testing.T) {
 	bin := buildForcerun(t)
 	prog := writeProgram(t, reproSrc)
 	cacheDir := t.TempDir()
-	for _, execMode := range []string{"tree", "compiled", "chunked", "aot"} {
+	for _, execMode := range []string{"chunked", "aot"} {
 		for _, bk := range barrier.Kinds() {
 			t.Run(execMode+"/"+bk.String(), func(t *testing.T) {
 				deadline := 30 * time.Second
@@ -190,20 +190,18 @@ func TestHangTimeoutWatchdog(t *testing.T) {
 	}
 	bin := buildForcerun(t)
 	prog := writeProgram(t, stallSrc)
-	for _, execMode := range []string{"tree", "compiled"} {
-		t.Run(execMode, func(t *testing.T) {
-			out, code := runForcerun(t, 60*time.Second, bin,
-				"-np", "4", "-exec", execMode, "-hang-timeout", "2s", prog)
-			if code != 1 {
-				t.Errorf("exit code %d, want 1\n%s", code, out)
+	t.Run("chunked", func(t *testing.T) {
+		out, code := runForcerun(t, 60*time.Second, bin,
+			"-np", "4", "-exec", "chunked", "-hang-timeout", "2s", prog)
+		if code != 1 {
+			t.Errorf("exit code %d, want 1\n%s", code, out)
+		}
+		for _, want := range []string{"appears stalled", "process 0: Barrier", "line 4", "force stalled"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("watchdog output missing %q:\n%s", want, out)
 			}
-			for _, want := range []string{"appears stalled", "process 0: Barrier", "line 4", "force stalled"} {
-				if !strings.Contains(out, want) {
-					t.Errorf("watchdog output missing %q:\n%s", want, out)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestHangTimeoutAOT: the native tier cannot introspect the child's

@@ -449,13 +449,10 @@ Join
 			for _, sk := range []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
 				for _, pool := range engine.PoolKinds() {
 					opts := aot.Options{Barrier: bk, Reduce: rk, Selfsched: sk, Askfor: pool}
-					if sk == sched.Chunk {
-						opts.Chunk = 7
-					}
 					configs++
 					var ref strings.Builder
 					if err := interp.Run(prog, interp.Config{NP: np, Stdout: &ref, Barrier: bk, Reduce: rk,
-						Selfsched: sk, Askfor: pool, Chunk: opts.Chunk}); err != nil {
+						Selfsched: sk, Askfor: pool}); err != nil {
 						t.Fatalf("%+v: interpreter: %v", opts, err)
 					}
 					native, err := aotRunWith(t, cache, prog, np, opts)
@@ -478,6 +475,11 @@ Join
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 || strings.Count(string(out), "\n") != 1 ||
 		!strings.Contains(string(out), "critical") || !strings.Contains(string(out), "slots") {
 		t.Errorf("binary -reduce tree: %v, output %q; want exit 2 and one line naming critical and slots", err, out)
+	}
+	// The chunk size is no setting: -chunk is an unknown flag.
+	out, err = exec.Command(entry.Bin, "-np", "2", "-chunk", "8").CombinedOutput()
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-chunk") {
+		t.Errorf("binary -chunk 8: %v, output %q; want exit 2 for an unknown flag", err, out)
 	}
 }
 

@@ -259,7 +259,7 @@ func TestChaosThroughForcerun(t *testing.T) {
 }
 
 // TestWallClockTimeout is the -timeout satellite: a stalled program is
-// bounded by the wall-clock deadline under all four execution tiers,
+// bounded by the wall-clock deadline under both execution tiers,
 // and -timeout composes with -hang-timeout (whichever fires first).
 func TestWallClockTimeout(t *testing.T) {
 	if testing.Short() {
@@ -268,15 +268,13 @@ func TestWallClockTimeout(t *testing.T) {
 	bin := buildForcerun(t)
 	prog := writeProgram(t, stallSrc)
 
-	for _, execMode := range []string{"tree", "compiled", "chunked"} {
-		t.Run(execMode, func(t *testing.T) {
-			out, code := runForcerun(t, 60*time.Second, bin,
-				"-np", "4", "-exec", execMode, "-timeout", "1s", prog)
-			if code != 1 || !strings.Contains(out, "wall-clock deadline exceeded after 1s") {
-				t.Errorf("exit=%d output:\n%s", code, out)
-			}
-		})
-	}
+	t.Run("chunked", func(t *testing.T) {
+		out, code := runForcerun(t, 60*time.Second, bin,
+			"-np", "4", "-exec", "chunked", "-timeout", "1s", prog)
+		if code != 1 || !strings.Contains(out, "wall-clock deadline exceeded after 1s") {
+			t.Errorf("exit=%d output:\n%s", code, out)
+		}
+	})
 
 	t.Run("aot", func(t *testing.T) {
 		// Pre-warm the cache through forcec -cache (building under the

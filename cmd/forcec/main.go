@@ -9,10 +9,10 @@
 //	    default "generic" machine the low-level macros stay symbolic,
 //	    matching the paper's expansion listing.
 //
-//	forcec -go [-pkg main] [-np N] [-barrier ALG] [-reduce STRAT] [-selfsched KIND] [-askfor POOL] [-chunk N] file.force
+//	forcec -go [-pkg main] [-np N] [-barrier ALG] [-reduce STRAT] [-selfsched KIND] [-askfor POOL] file.force
 //	    Parse and type-check the program and emit Go source targeting
 //	    the runtime library.  The generated main takes -np and forcerun's
-//	    five runtime flags (-barrier -reduce -selfsched -askfor -chunk,
+//	    four runtime flags (-barrier -reduce -selfsched -askfor,
 //	    same spellings, same errors) on its own command line; given
 //	    here, they set what those flags default to and change nothing
 //	    else in the output (-np below 1 is a usage error).
@@ -80,7 +80,7 @@ func main() {
 		vetF     = flag.String("vet", "warn", "forcevet static analysis in -check/-go/-cache: warn, err or off")
 		explain  = flag.String("explain", "", "print the long-form rule for a forcevet diagnostic code and exit")
 	)
-	// With -go: the defaults of the generated main's own five flags.
+	// With -go: the defaults of the generated main's own four flags.
 	variants := core.VariantFlags(flag.CommandLine)
 	flag.Parse()
 	forcert.CheckNP("forcec", *np)
@@ -150,7 +150,7 @@ func main() {
 			return
 		}
 		out, err := codegen.Generate(prog, codegen.Options{Package: *pkg, DefaultNP: *np,
-			Selfsched: v.Selfsched, Reduce: v.Reduce, Chunk: v.Chunk, Barrier: v.Barrier, Askfor: v.Askfor})
+			Selfsched: v.Selfsched, Reduce: v.Reduce, Barrier: v.Barrier, Askfor: v.Askfor})
 		if err != nil {
 			fail(err)
 		}

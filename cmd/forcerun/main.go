@@ -1,7 +1,7 @@
 // Command forcerun parses a Force program and executes it SPMD on the
 // runtime library:
 //
-//	forcerun [-np N] [-machine NAME] [-barrier ALG] [-selfsched KIND] [-askfor POOL] [-reduce STRAT] [-exec chunked|compiled|tree|aot] [-fuse on|off] [-chunk N] [-v] file.force
+//	forcerun [-np N] [-machine NAME] [-barrier ALG] [-selfsched KIND] [-askfor POOL] [-reduce STRAT] [-exec chunked|aot] [-v] file.force
 //
 // -np is the force size (default 4; below 1 is a usage error on every
 // tier).  -machine selects a historical machine profile (hep, flex32,
@@ -19,40 +19,34 @@
 //
 // -exec selects the execution engine: "chunked" (the default: the
 // closure compiler with the DOALL planner on — provably safe bodies are
-// chunk-compiled, block-dealt and fused), "compiled" (the same compiler
-// with the planner off, the reference its decisions are tested against),
-// "tree" (the original map-addressed tree walker behind one shared
-// mutex) or "aot" (below).  Every tier runs a DOALL as a loop over the
-// spans the runtime grants each process.
+// chunk-compiled, block-dealt and fused) or "aot" (below).  Every tier
+// runs a DOALL as a loop over the spans the runtime grants each process.
+// The planner's references — the same compiler with the planner off or
+// with fusion off, and the original tree walker — are interp.Config
+// settings the tests compare against, not -exec values.
 //
-// -fuse on|off (default on) controls the chunk tier's fusion pass:
-// adjacent independent DOALLs fuse into one barrier region (exit
-// barriers elided between them) and a trailing global reduction folds
-// into the region's closing collective; a Barrier statement directly
-// behind a DOALL, a fused region or a global reduction rides that
-// construct's closing collective instead of running an episode of its
-// own.  Fusion only rewrites regions it can prove independent, so
-// output is byte-identical either way; -fuse off restores one barrier
-// per construct for A/B timing on the interpreter tiers.  The native
-// tier's binaries are always emitted fused (a program has one binary),
-// so -fuse off together with -exec aot is a usage error rather than a
-// silent no-op.  With
-// -v each fusion decision — what fused, what declined and why — is
-// narrated on standard error, along with the chosen exec tier and
-// chunk size for the run and, per DOALL site, how its iterations are
-// dealt: a Presched DO "partition=block" (contiguous spans, taken
-// when nothing can observe the iteration-to-process map) or
-// "partition=cyclic (<reason>)", a Selfsched DO "grant=K" — how many
-// iterations one claim takes, sized from the body's static cost (1, the
-// paper's, for a body whose cost is unbounded or that has no plan; kept
-// under -fuse off) — and each ridden Barrier as "Barrier rides the
-// <closer> at line M".
+// Fusion: adjacent independent DOALLs fuse into one barrier region
+// (exit barriers elided between them) and a trailing global reduction
+// folds into the region's closing collective; a Barrier statement
+// directly behind a DOALL, a fused region or a global reduction rides
+// that construct's closing collective instead of running an episode of
+// its own.  Fusion only rewrites regions it can prove independent, so
+// output is byte-identical to the unfused run.  With -v each fusion
+// decision — what fused, what declined and why — is narrated on
+// standard error, along with the exec tier and the selfsched-chunk span
+// size for the run and, per DOALL site, how its iterations are dealt: a
+// Presched DO "partition=block" (contiguous spans, taken when nothing
+// can observe the iteration-to-process map) or "partition=cyclic
+// (<reason>)", a Selfsched DO "grant=K" — how many iterations one claim
+// takes, sized from the body's static cost (1, the paper's, for a body
+// whose cost is unbounded or that has no plan) — and each ridden
+// Barrier as "Barrier rides the <closer> at line M".
 //
 // -exec aot selects the ahead-of-time native tier (internal/aot): it
 // translates the program to Go, builds it once into a content-addressed
 // cache ($FORCE_CACHE or ~/.cache/force, keyed by the source text alone)
 // and executes the cached binary, handing it -np and whichever of
-// -barrier -reduce -selfsched -askfor -chunk are not the defaults: one
+// -barrier -reduce -selfsched -askfor are not the defaults: one
 // binary per program serves every configuration, and any edit of the
 // file, a comment included, is a new binary whose line numbers are that
 // file's.  It falls back to the chunked interpreter when the Go
@@ -67,12 +61,6 @@
 // (the default) reports and runs anyway, -vet=err reports and refuses
 // to run, -vet=off skips the analysis.  `forcec -explain FV001` prints
 // the long-form rule behind a code.
-//
-// -chunk N sets the span size of the selfsched-chunk discipline
-// (sched.Config.ChunkSize; 0 keeps sched.DefaultChunk, 16; a planned
-// body's grant wins when it is larger).  It does not change the
-// prescheduled or selfsched-lock/selfsched-atomic span shapes; pick
-// -selfsched selfsched-chunk for -chunk to have an effect.
 //
 // -cpuprofile and -memprofile write pprof profiles (CPU over the whole
 // run, heap at exit — both also on runtime errors) so interpreter hot
@@ -92,8 +80,8 @@
 // executes under a context (core.Force.RunContext), and when the
 // deadline passes the force is poisoned with the *external* cause,
 // every blocked process unwinds within one park interval, and forcerun
-// reports the deadline and exits 1.  All four exec tiers honor it — the
-// interpreter tiers through the poison cell, the aot tier by killing
+// reports the deadline and exits 1.  Both exec tiers honor it — the
+// interpreter through the poison cell, the aot tier by killing
 // the generated binary's whole process group and reaping it.
 //
 // -hang-timeout D arms the stall watchdog for genuinely non-conformant
@@ -162,8 +150,7 @@ func run() error {
 	var (
 		np      = flag.Int("np", 4, "number of force processes")
 		machF   = flag.String("machine", "native", "machine profile")
-		execF   = flag.String("exec", "chunked", "execution engine: chunked (closure compiler, DOALL planner on), compiled (planner off), tree (map-addressed walker) or aot (cached native binary)")
-		fuseF   = flag.String("fuse", "on", "fusion pass of the chunk tier: on (elide barriers across provably independent DOALLs) or off (interpreter tiers only: a usage error with -exec aot, whose binaries are always fused)")
+		execF   = flag.String("exec", "chunked", "execution engine: chunked (closure compiler, DOALL planner on) or aot (cached native binary)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		hangTO  = flag.Duration("hang-timeout", 0, "abort a run that has not finished after this long, reporting where each process is blocked (0 disables)")
@@ -171,24 +158,15 @@ func run() error {
 		vetF    = flag.String("vet", "warn", "forcevet static analysis: warn (report and run), err (report and fail), off")
 		verbose = flag.Bool("v", false, "report tier decisions and cache activity on standard error")
 	)
-	// -barrier -reduce -selfsched -askfor -chunk: the flags a generated
+	// -barrier -reduce -selfsched -askfor: the flags a generated
 	// binary declares too.
 	variants := core.VariantFlags(flag.CommandLine)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: forcerun [-np N] [-machine NAME] [-barrier ALG] [-exec chunked|compiled|tree|aot] [-fuse on|off] file.force")
+		fmt.Fprintln(os.Stderr, "usage: forcerun [-np N] [-machine NAME] [-barrier ALG] [-exec chunked|aot] file.force")
 		os.Exit(2)
 	}
 	forcert.CheckNP("forcerun", *np)
-	if *fuseF != "on" && *fuseF != "off" {
-		fmt.Fprintf(os.Stderr, "forcerun: invalid -fuse mode %q (want on or off)\n", *fuseF)
-		os.Exit(2)
-	}
-	nativeTier := *execF == "aot"
-	if nativeTier && *fuseF == "off" {
-		fmt.Fprintln(os.Stderr, "forcerun: -fuse off cannot be combined with -exec aot: the native tier's binaries are always fused (use an interpreter tier for the A/B)")
-		os.Exit(2)
-	}
 	// Arm the chaos harness before anything runs; a malformed spec is a
 	// usage error, same as a bad flag.
 	if spec := os.Getenv("FORCE_FAULTS"); spec != "" {
@@ -218,17 +196,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// "aot" is the native tier handled below; everything else is an
-	// interpreter engine.  The native tier keeps the chunked interpreter
-	// as its fallback engine.
-	em, known := interp.ExecChunked, nativeTier
-	for _, m := range interp.ExecModes() {
-		if m.String() == *execF {
-			em, known = m, true
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown -exec engine %q (want chunked, compiled, tree or aot)", *execF)
+	// "aot" is the native tier handled below, which keeps the chunked
+	// interpreter as its fallback engine.
+	nativeTier := *execF == "aot"
+	if !nativeTier && *execF != "chunked" {
+		return fmt.Errorf("unknown -exec engine %q (want chunked or aot)", *execF)
 	}
 	// Profile finalization is once-wrapped and shared with the
 	// watchdog: its give-up os.Exit(3) paths bypass these defers, and
@@ -280,26 +252,13 @@ func run() error {
 		Selfsched: v.Selfsched,
 		Askfor:    v.Askfor,
 		Reduce:    v.Reduce,
-		Exec:      em,
-		NoFuse:    *fuseF == "off",
-		Chunk:     v.Chunk,
 		Context:   ctx,
 	}
 	if *verbose {
 		// Narrate the interpreter run the same way tryNative narrates the
-		// native tier: the chosen engine, the span grain the chunk
-		// discipline will use, and — for the chunk tier — every fusion
-		// decision the compiler takes.
-		chunkEff := v.Chunk
-		if chunkEff == 0 {
-			chunkEff = sched.DefaultChunk
-		}
-		fuseState := "off"
-		if em == interp.ExecChunked && *fuseF == "on" {
-			fuseState = "on"
-		}
-		fmt.Fprintf(os.Stderr, "forcerun: tier %s: np %d, chunk %d, fusion %s\n",
-			em, *np, chunkEff, fuseState)
+		// native tier: the engine, the span grain of the chunk discipline,
+		// and every fusion decision the compiler takes.
+		fmt.Fprintf(os.Stderr, "forcerun: tier chunked: np %d, chunk %d, fusion on\n", *np, sched.DefaultChunk)
 		cfg.FuseLog = func(msg string) {
 			fmt.Fprintf(os.Stderr, "forcerun: fuse: %s\n", msg)
 		}

@@ -53,11 +53,11 @@
 //		   │                 chunk context, uniform subexpressions
 //		   │                 hoisted, accumulators folded — a fused region
 //		   │                 as open members and one join; the same
-//		   │                 compiler at a lower planner level (off: -exec
-//		   │                 compiled; no fusion: -fuse=off) and the
-//		   │                 original tree walker (the test oracle) are
-//		   │                 the differential references (forcerun -exec
-//		   │                 chunked|compiled|tree)
+//		   │                 compiler at a lower planner level (off:
+//		   │                 ExecCompiled; no fusion: NoFuse) and the
+//		   │                 original tree walker (ExecTree, the test
+//		   │                 oracle) are the differential references the
+//		   │                 tests run through interp.Config
 //		   └── codegen       compiler back end emitting Go against core:
 //		        │            every DOALL a Go for-loop over the scheduler
 //		        │            span (block deal, span-local accumulator
@@ -67,7 +67,7 @@
 //		        │
 //		        ├── aot      cached native tier: a hash of the source text
 //		        │            keys a content-addressed cache of go-built
-//		        │            binaries, one per program — -np and the five
+//		        │            binaries, one per program — -np and the four
 //		        │            runtime flags are the binary's own arguments —
 //		        │            build once, exec forever (forcerun -exec aot;
 //		        │            forcemark's native-warm workload)
@@ -104,7 +104,7 @@
 //	    strategy — padded per-process slots folded in pid order at the
 //	    Join, the default, or the paper's critical-section-plus-barrier
 //	    idiom over the force's own lock and barrier — selected per force
-//	    with core.WithReduce, honoured by every reduction on every tier,
+//	    with core.WithVariants, honoured by every reduction on every tier,
 //	    and surfaced as the language's GSUM/GPROD/GMAX/GMIN/GAND/GOR
 //	    statements and the -reduce CLI flags;
 //

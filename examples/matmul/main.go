@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("C = A·B, n=%d, np=%d\n", *n, *np)
 	fmt.Printf("%-16s checksum %.9f\n", "sequential", sum)
 
-	f := core.New(*np, core.WithChunk(8))
+	f := core.New(*np)
 	defer f.Close()
 	for _, kind := range []sched.Kind{
 		sched.PreschedBlock, sched.PreschedCyclic,

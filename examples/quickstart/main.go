@@ -29,7 +29,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	f := core.New(*np, core.WithReduce(rk))
+	f := core.New(*np, core.WithVariants(core.Variants{Reduce: rk}))
 	defer f.Close()
 
 	// Shared variables are whatever the program shares; private

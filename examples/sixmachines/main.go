@@ -41,7 +41,7 @@ func main() {
 // primitives too: the Critical strategy folds under the machine's lock
 // mechanism, exactly as the hand-rolled 1989 idiom did.
 func runProgram(m machine.Profile, np int) int {
-	f := core.New(np, core.WithMachine(m), core.WithReduce(reduce.Critical))
+	f := core.New(np, core.WithMachine(m), core.WithVariants(core.Variants{Reduce: reduce.Critical}))
 	defer f.Close()
 	cell := core.NewAsync[int](f)
 	adjust := 0

@@ -144,7 +144,7 @@ func TestReduceSemantics(t *testing.T) {
 
 // TestExecModesIdenticalOnExamples is the tentpole acceptance check for
 // the compiled-family interpreters: every shipped .force program runs
-// under all three execution engines (-exec tree, compiled and chunked)
+// under all three execution engines (ExecTree, ExecCompiled and ExecChunked)
 // and the outputs are byte-identical wherever the program is
 // deterministic.
 //

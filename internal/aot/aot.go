@@ -9,7 +9,7 @@
 //
 //	<key>/main.go    the generated Go source (for inspection/debugging)
 //	<key>/force.bin  the built binary (runs with -np N and, when they are
-//	                 not the defaults, -barrier -reduce -selfsched -askfor -chunk)
+//	                 not the defaults, -barrier -reduce -selfsched -askfor)
 //	<key>/meta.json  program name, binary size (staleness check)
 //	<key>/plan       the DOALL decisions the binary was emitted from, one per line
 //	<key>/lock       cross-process build lock (flock)

@@ -200,8 +200,10 @@ func TestSingleFlight(t *testing.T) {
 // ridden barriers (version 3), the one with a second reduction lowering
 // (version 4), the one that baked the runtime options in and keyed by
 // the AST (version 5), the one whose plan predates the fixed owner of a
-// loop within one grant (version 6) or the one that left Go to fold REAL
-// arithmetic on literals (version 7) — lives under a key no current lookup
+// loop within one grant (version 6), the one that left Go to fold REAL
+// arithmetic on literals (version 7), the one that did so for INTEGER
+// arithmetic (version 8) or the one whose sequential DO tested its index
+// against the end (version 9) — lives under a key no current lookup
 // computes, so
 // it is never served: Ensure builds a fresh entry beside them, with the
 // plan the new emitter read recorded.
@@ -211,11 +213,12 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 8 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 9 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
-	// text key, before the fixed owner, before forcert.Real and before
-	// INTEGER constant arithmetic went through forcert.Int).
+	// text key, before the fixed owner, before forcert.Real, before
+	// INTEGER constant arithmetic went through forcert.Int and before a
+	// sequential DO ran by its trip count).
 	oldKeys := map[int]string{
 		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
@@ -225,6 +228,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		6: "dfa8e0aadeca348197ae6f83ceed2fe20d2073bde633a5a1bc941972cce447b6",
 		7: "ae1a3bf0f93516270e83105c53e9df3684659337f0d352eddc51062b515c85cc",
 		8: "b8bcc05534e02b300dcf4ae4f1e4aacd838f5da53f9c303e4e6b3fd5f6b66988",
+		9: "5ec2a5b8395dc331edae4f991416d89a1c10081a368352f6380536f9ff140751",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

@@ -30,8 +30,9 @@ import (
 // one grant a fixed owner and the recorded plan says so; 8: a REAL
 // operator over literals is computed at run time, through forcert.Real;
 // 9: and an INTEGER one through forcert.Int, so it wraps as it does in
-// the interpreters.)
-const formatVersion = 9
+// the interpreters; 10: a sequential DO runs by its trip count
+// (forcert.Do) and polls the poison cell every core.PoisonEvery trips.)
+const formatVersion = 10
 
 // Key returns the hex cache key of prog: of the text it was parsed from.
 func Key(prog *forcelang.Program) string {

@@ -84,8 +84,8 @@ func TestOptionsDoNotForkTheKey(t *testing.T) {
 		{Options{Selfsched: sched.SelfLock, Reduce: reduce.PrivateSlots, Barrier: barrier.TwoLock, Askfor: engine.StealingPool},
 			[]string{"-np", "3"}},
 		{Options{Barrier: barrier.CentralSense}, []string{"-np", "3", "-barrier", "sense"}},
-		{Options{Reduce: reduce.Critical, Selfsched: sched.Chunk, Askfor: engine.MonitorPool, Chunk: 64},
-			[]string{"-np", "3", "-reduce", "critical", "-selfsched", "selfsched-chunk", "-askfor", "monitor", "-chunk", "64"}},
+		{Options{Reduce: reduce.Critical, Selfsched: sched.Chunk, Askfor: engine.MonitorPool},
+			[]string{"-np", "3", "-reduce", "critical", "-selfsched", "selfsched-chunk", "-askfor", "monitor"}},
 	} {
 		e, err := c.Ensure(prog, tc.opts)
 		if err != nil {

@@ -29,7 +29,7 @@ func binOf(x float64, bins int) int {
 // under one named critical section — the naive translation, used as the
 // contention ablation.
 func HistogramCriticalProc(p *core.Proc, data []float64, bins int, h []int64) {
-	p.ChunkDo(sched.Seq(len(data)), func(i int) {
+	p.DoAll(sched.Chunk, sched.Seq(len(data)), func(i int) {
 		b := binOf(data[i], bins)
 		p.Critical("hist", func() { h[b]++ })
 	})

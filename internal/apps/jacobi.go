@@ -72,7 +72,7 @@ func JacobiProc(p *core.Proc, st *jacobiShared, n int, tol float64, maxSweeps in
 		// Hoist the buffer pointers once per sweep: they change only in
 		// the swap section, which the loop-exit barrier orders.
 		cur, next := st.cur, st.next
-		p.PreschedBlockDo(sched.Range{Start: 1, Last: n - 2, Incr: 1}, func(i int) {
+		p.DoAll(sched.PreschedBlock, sched.Range{Start: 1, Last: n - 2, Incr: 1}, func(i int) {
 			if d := relaxRow(cur, next, i, n); d > localMax {
 				localMax = d
 			}

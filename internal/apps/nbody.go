@@ -87,7 +87,7 @@ func NBodyStepProc(p *core.Proc, kind sched.Kind, b *Bodies, dt float64, ax, ay 
 	p.DoAll(kind, sched.Seq(n), func(i int) {
 		ax[i], ay[i] = b.accel(i)
 	})
-	p.PreschedBlockDo(sched.Seq(n), func(i int) {
+	p.DoAll(sched.PreschedBlock, sched.Seq(n), func(i int) {
 		b.VX[i] += ax[i] * dt
 		b.VY[i] += ay[i] * dt
 		b.X[i] += b.VX[i] * dt

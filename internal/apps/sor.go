@@ -74,7 +74,7 @@ func SORProc(p *core.Proc, st *sorShared, n int, omega, tol float64, maxSweeps i
 		localMax := 0.0
 		for color := 0; color < 2; color++ {
 			c := color
-			p.PreschedBlockDo(sched.Range{Start: 1, Last: n - 2, Incr: 1}, func(i int) {
+			p.DoAll(sched.PreschedBlock, sched.Range{Start: 1, Last: n - 2, Incr: 1}, func(i int) {
 				if d := sorColorRow(st.g, i, n, c, omega); d > localMax {
 					localMax = d
 				}

@@ -44,8 +44,8 @@ import (
 )
 
 // Options configures generation.  None of it changes the code of the
-// program: the generated main takes -np and the five runtime flags
-// (core.VariantFlags) on its command line, and the six values below are
+// program: the generated main takes -np and the four runtime flags
+// (core.VariantFlags) on its command line, and the five values below are
 // only what those flags default to.
 type Options struct {
 	// Package is the generated package name (default "main").
@@ -60,9 +60,6 @@ type Options struct {
 	// reductions (GSUM and friends); the zero value is reduce.PrivateSlots,
 	// reduce.Critical the paper's critical-section baseline.
 	Reduce reduce.Kind
-	// Chunk, when positive, is the default of -chunk, the span size of
-	// the selfsched-chunk discipline.
-	Chunk int
 	// Barrier is the default of -barrier; the zero value is the paper's
 	// two-lock relay.
 	Barrier barrier.Kind
@@ -263,12 +260,12 @@ func (g *generator) mainFunc() error {
 	g.p("func main() {")
 	g.ind++
 	g.p(`np := flag.Int("np", %d, "number of force processes")`, g.opts.DefaultNP)
-	// The five runtime flags, with what this program was generated under
+	// The four runtime flags, with what this program was generated under
 	// as their defaults: the same declarations forcerun parses, so the
 	// binary runs any configuration the interpreter tiers do.
 	baked := ""
 	for _, arg := range (core.Variants{Selfsched: g.opts.Selfsched, Reduce: g.opts.Reduce,
-		Barrier: g.opts.Barrier, Askfor: g.opts.Askfor, Chunk: g.opts.Chunk}).Args() {
+		Barrier: g.opts.Barrier, Askfor: g.opts.Askfor}).Args() {
 		baked += fmt.Sprintf(", %q", arg)
 	}
 	g.p("variants := core.VariantFlags(flag.CommandLine%s)", baked)
@@ -406,8 +403,13 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		if err != nil {
 			return err
 		}
-		g.p("for zzI, zzTo, zzStep := %s, %s, %s; (zzStep > 0 && zzI <= zzTo) || (zzStep < 0 && zzI >= zzTo); zzI += zzStep {", from, to, step)
+		g.p("for zzI, zzStep, zzN := forcert.Do(%s, %s, %s); zzN > 0; zzI, zzN = zzI+zzStep, zzN-1 {", from, to, step)
 		g.ind++
+		// Poison checked every core.PoisonEvery trips, as in the
+		// interpreter: a peer's failure unwinds a long sequential loop.
+		g.p("if zzN%%core.PoisonEvery == 0 {")
+		g.p("\tp.Check()")
+		g.p("}")
 		g.p("%s = zzI", symCode(t.VarSym))
 		if err := g.stmts(t.Body); err != nil {
 			return err

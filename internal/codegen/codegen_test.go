@@ -197,17 +197,20 @@ Join
 	}
 }
 
+// TestChunkOption: the selfsched-chunk discipline given as an option is
+// the -selfsched default and nothing else — the only chunk setting a
+// generated program has.
 func TestChunkOption(t *testing.T) {
 	prog := forcelang.MustParse(`Force S of NP ident ME
 End Declarations
 Join
 `)
-	out, err := Generate(prog, Options{Chunk: 32})
+	out, err := Generate(prog, Options{Selfsched: sched.Chunk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(out), `core.VariantFlags(flag.CommandLine, "-chunk", "32")`) {
-		t.Errorf("Chunk option is not the -chunk default:\n%s", out)
+	if !strings.Contains(string(out), `core.VariantFlags(flag.CommandLine, "-selfsched", "selfsched-chunk")`) {
+		t.Errorf("the Chunk discipline is not the -selfsched default:\n%s", out)
 	}
 	// The options are flag defaults and nothing else: the zero value
 	// bakes none, and the rest of the file is the same either way.
@@ -218,7 +221,7 @@ Join
 	if !strings.Contains(string(plain), "core.VariantFlags(flag.CommandLine)\n") {
 		t.Errorf("zero options must bake no default:\n%s", plain)
 	}
-	if strings.Replace(string(out), `, "-chunk", "32"`, "", 1) != string(plain) {
+	if strings.Replace(string(out), `, "-selfsched", "selfsched-chunk"`, "", 1) != string(plain) {
 		t.Errorf("an option changed more than a flag default:\n%s\n--- zero options ---\n%s", out, plain)
 	}
 }

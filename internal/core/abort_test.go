@@ -45,7 +45,7 @@ var errBoom = errors.New("boom")
 func TestAbortWakesBarrierPeers(t *testing.T) {
 	for _, bk := range barrier.Kinds() {
 		t.Run(bk.String(), func(t *testing.T) {
-			f := New(4, WithBarrier(bk))
+			f := New(4, WithVariants(Variants{Barrier: bk}))
 			defer f.Close()
 			v := runExpectPanic(t, f, func(p *Proc) {
 				if p.ID() == 1 {
@@ -66,7 +66,7 @@ func TestAbortWakesBarrierPeers(t *testing.T) {
 func TestForceSurvivesAbortedRun(t *testing.T) {
 	for _, bk := range barrier.Kinds() {
 		t.Run(bk.String(), func(t *testing.T) {
-			f := New(4, WithBarrier(bk))
+			f := New(4, WithVariants(Variants{Barrier: bk}))
 			defer f.Close()
 			for round := 0; round < 3; round++ {
 				runExpectPanic(t, f, func(p *Proc) {
@@ -160,7 +160,7 @@ func TestAbortInsideBlockSpan(t *testing.T) {
 	}
 	var inside atomic.Int32 // peers holding their first iteration
 	v := runExpectPanic(t, f, func(p *Proc) {
-		p.PreschedBlockDo(sched.Seq(n), func(i int) {
+		p.DoAll(sched.PreschedBlock, sched.Seq(n), func(i int) {
 			if p.ID() == 0 {
 				for inside.Load() < np-1 {
 					runtime.Gosched()
@@ -196,7 +196,7 @@ func TestAbortInsideBlockSpan(t *testing.T) {
 func TestAbortInsideResolve(t *testing.T) {
 	for _, bk := range barrier.Kinds() {
 		t.Run(bk.String(), func(t *testing.T) {
-			f := New(4, WithBarrier(bk))
+			f := New(4, WithVariants(Variants{Barrier: bk}))
 			defer f.Close()
 			for round := 0; round < 2; round++ {
 				v := runExpectPanic(t, f, func(p *Proc) {
@@ -229,7 +229,7 @@ func TestAbortInsideResolve(t *testing.T) {
 func TestAbortWakesAskforWaiters(t *testing.T) {
 	for _, pk := range engine.PoolKinds() {
 		t.Run(pk.String(), func(t *testing.T) {
-			f := New(4, WithAskfor(pk))
+			f := New(4, WithVariants(Variants{Askfor: pk}))
 			defer f.Close()
 			v := runExpectPanic(t, f, func(p *Proc) {
 				p.Askfor([]any{0}, func(task any, put func(any)) {

@@ -50,7 +50,7 @@ func missingPeerProgram(started chan<- struct{}) func(p *Proc) {
 func TestCancelUnblocksEveryBarrierKind(t *testing.T) {
 	for _, bk := range barrier.Kinds() {
 		t.Run(bk.String(), func(t *testing.T) {
-			f := New(4, WithBarrier(bk))
+			f := New(4, WithVariants(Variants{Barrier: bk}))
 			defer f.Close()
 			ctx, cancel := context.WithCancel(context.Background())
 			started := make(chan struct{}, 1)
@@ -75,7 +75,7 @@ func TestCancelUnblocksEveryBarrierKind(t *testing.T) {
 func TestCancelUnblocksAskforPools(t *testing.T) {
 	for _, pk := range engine.PoolKinds() {
 		t.Run(pk.String(), func(t *testing.T) {
-			f := New(4, WithAskfor(pk))
+			f := New(4, WithVariants(Variants{Askfor: pk}))
 			defer f.Close()
 			v := NewAsync[int](f)
 			ctx, cancel := context.WithCancel(context.Background())
@@ -109,7 +109,7 @@ func TestAbortInStandaloneReduction(t *testing.T) {
 				name = rk.String() + "/external-cancel"
 			}
 			t.Run(name, func(t *testing.T) {
-				f := New(4, WithReduce(rk))
+				f := New(4, WithVariants(Variants{Reduce: rk}))
 				defer f.Close()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()

@@ -52,7 +52,7 @@ func ConformanceWith(m machine.Profile, bk barrier.Kind, np int) error {
 }
 
 func newConfForce(m machine.Profile, bk barrier.Kind, np int) *Force {
-	return New(np, WithMachine(m), WithBarrier(bk))
+	return New(np, WithMachine(m), WithVariants(Variants{Barrier: bk}))
 }
 
 func checkDriver(m machine.Profile, bk barrier.Kind, np int) error {
@@ -203,7 +203,7 @@ func checkReduce(m machine.Profile, bk barrier.Kind, np int) error {
 	// Every strategy must produce the same values on every machine; the
 	// Critical strategy exercises the machine's own lock mechanism.
 	for _, k := range reduce.Kinds() {
-		f := New(np, WithMachine(m), WithBarrier(bk), WithReduce(k))
+		f := New(np, WithMachine(m), WithVariants(Variants{Barrier: bk, Reduce: k}))
 		var bad atomic.Int64
 		f.Run(func(p *Proc) {
 			if Gsum(p, p.ID()+1) != np*(np+1)/2 {

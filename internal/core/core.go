@@ -21,7 +21,7 @@
 //     named critical sections, and produce/consume on async variables;
 //   - global reductions: Gsum/Gprod/Gmax/Gmin/Gand/Gor and the generic
 //     Reduce/ReduceSection, all uses of the force's one closing
-//     collective, executed by one of two strategies (WithReduce):
+//     collective, executed by one of two strategies (Variants.Reduce):
 //     per-process slots, or the hand-rolled critical-section reduction
 //     of the paper's programs.
 //
@@ -69,7 +69,6 @@ import (
 	"repro/internal/lock"
 	"repro/internal/machine"
 	"repro/internal/poison"
-	"repro/internal/reduce"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
@@ -80,7 +79,7 @@ import (
 type Force struct {
 	np       int
 	profile  machine.Profile
-	variants Variants // barrier, reduction, selfscheduling, Askfor pool, chunk size
+	variants Variants // barrier, reduction, selfscheduling, Askfor pool
 	bar      barrier.Barrier
 	locks    *lock.Set
 	tr       *trace.Recorder // nil unless WithTrace was given
@@ -202,38 +201,11 @@ func WithMachine(p machine.Profile) Option {
 	return func(f *Force) { f.profile = p }
 }
 
-// WithBarrier selects the global barrier algorithm.  Default: the paper's
-// two-lock barrier; barrier.CentralSense is the alternative.
-func WithBarrier(k barrier.Kind) Option {
-	return func(f *Force) { f.variants.Barrier = k }
-}
-
-// WithChunk sets the chunk size used by chunked selfscheduled loops.
-func WithChunk(n int) Option {
-	return func(f *Force) { f.variants.Chunk = n }
-}
-
 // WithTrace attaches an execution-trace recorder; every construct edge
 // (barrier enter/leave, section and critical boundaries, granted loop
 // spans, Pcase blocks, Askfor tasks) is recorded for post-run validation.
 func WithTrace(r *trace.Recorder) Option {
 	return func(f *Force) { f.tr = r }
-}
-
-// WithAskfor selects the Askfor pool discipline.  Default: the engine's
-// work-stealing deques; engine.MonitorPool restores the [LO83]-style
-// central monitor for comparison.
-func WithAskfor(k engine.PoolKind) Option {
-	return func(f *Force) { f.variants.Askfor = k }
-}
-
-// WithReduce selects the strategy executing global reductions (the G*
-// operations, Reduce and the back ends' FusedJoin).  Default:
-// reduce.PrivateSlots, the padded per-process slots combined in pid
-// order; reduce.Critical restores the paper's
-// shared-accumulator-in-a-critical-section idiom.
-func WithReduce(k reduce.Kind) Option {
-	return func(f *Force) { f.variants.Reduce = k }
 }
 
 // Trace returns the attached recorder (nil when tracing is off).
@@ -832,22 +804,11 @@ func (p *Proc) PreschedDo(r sched.Range, body func(i int)) {
 	p.DoAll(sched.PreschedCyclic, r, body)
 }
 
-// PreschedBlockDo is the blocked prescheduled variant (contiguous index
-// blocks per process).
-func (p *Proc) PreschedBlockDo(r sched.Range, body func(i int)) {
-	p.DoAll(sched.PreschedBlock, r, body)
-}
-
 // SelfschedDo is the selfscheduled DOALL of the paper's expansion listing:
 // a shared loop index behind the machine's lock, advanced by processes
 // looking for more work.
 func (p *Proc) SelfschedDo(r sched.Range, body func(i int)) {
 	p.DoAll(sched.SelfLock, r, body)
-}
-
-// ChunkDo is chunked selfscheduling (chunk size from WithChunk).
-func (p *Proc) ChunkDo(r sched.Range, body func(i int)) {
-	p.DoAll(sched.Chunk, r, body)
 }
 
 // ChunkBody executes a whole scheduler span in one call: the ordinals
@@ -942,8 +903,14 @@ func (p *Proc) Pcase(blocks ...Block) {
 // selects another selfscheduled discipline.
 func (p *Proc) SelfschedPcase(blocks ...Block) {
 	p.f.pc.Check()
-	// Blocks are dealt one per claim whatever the discipline.
-	p.selfsched(p.nextSeq(), p.f.variants.Selfsched, len(blocks), 1, 1, func(lo, hi, _ int) {
+	// Blocks are dealt one per claim whatever the discipline: Chunk's
+	// least span would deal DefaultChunk, and its fetch-and-add at a span
+	// of one is SelfAtomic's.
+	kind := p.f.variants.Selfsched
+	if kind == sched.Chunk {
+		kind = sched.SelfAtomic
+	}
+	p.selfsched(p.nextSeq(), kind, len(blocks), 1, func(lo, hi, _ int) {
 		for b := lo; b < hi; b++ {
 			p.runBlock(blocks[b])
 		}
@@ -979,7 +946,7 @@ func (p *Proc) runBlock(b Block) {
 //
 // The pool is an engine.Pool: by default per-process work-stealing deques
 // (put is a lock-free local push, get a local pop with steal-half on
-// miss), or the [LO83]-style central monitor under WithAskfor
+// miss), or the [LO83]-style central monitor under Variants.Askfor
 // (engine.MonitorPool).  put must be called from the process executing
 // body, which is the only caller the construct exposes it to.
 func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {

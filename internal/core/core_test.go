@@ -22,7 +22,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestForceAccessors(t *testing.T) {
-	f := New(4, WithMachine(machine.Encore), WithBarrier(barrier.CentralSense))
+	f := New(4, WithMachine(machine.Encore), WithVariants(Variants{Barrier: barrier.CentralSense}))
 	if f.NP() != 4 {
 		t.Errorf("NP() = %d", f.NP())
 	}
@@ -162,13 +162,17 @@ func TestCriticalDistinctNamesIndependent(t *testing.T) {
 // loopVariants enumerates every DOALL entry point.
 func loopVariants() map[string]func(p *Proc, r sched.Range, body func(int)) {
 	return map[string]func(p *Proc, r sched.Range, body func(int)){
-		"presched":       (*Proc).PreschedDo,
-		"presched-block": (*Proc).PreschedBlockDo,
-		"selfsched":      (*Proc).SelfschedDo,
+		"presched": (*Proc).PreschedDo,
+		"presched-block": func(p *Proc, r sched.Range, body func(int)) {
+			p.DoAll(sched.PreschedBlock, r, body)
+		},
+		"selfsched": (*Proc).SelfschedDo,
 		"self-atomic": func(p *Proc, r sched.Range, body func(int)) {
 			p.DoAll(sched.SelfAtomic, r, body)
 		},
-		"chunk": (*Proc).ChunkDo,
+		"chunk": func(p *Proc, r sched.Range, body func(int)) {
+			p.DoAll(sched.Chunk, r, body)
+		},
 	}
 }
 
@@ -182,7 +186,7 @@ func TestDoallEveryIndexOnce(t *testing.T) {
 		name, do := name, do
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			f := New(5, WithChunk(4))
+			f := New(5)
 			for _, r := range ranges {
 				hits := make(map[int]int)
 				var mu sync.Mutex

@@ -16,13 +16,13 @@ import (
 // shared state each run) and the stats counters accumulate exactly.
 func TestForceReuseKeepsSequenceAndStats(t *testing.T) {
 	const np, runs = 4, 5
-	f := New(np, WithChunk(4))
+	f := New(np)
 	defer f.Close()
 	var loopIters, pcaseRuns, askforRuns atomic.Int64
 	for r := 0; r < runs; r++ {
 		f.Run(func(p *Proc) {
 			p.SelfschedDo(sched.Seq(30), func(i int) { loopIters.Add(1) })
-			p.ChunkDo(sched.Seq(40), func(i int) { loopIters.Add(1) })
+			p.DoAll(sched.Chunk, sched.Seq(40), func(i int) { loopIters.Add(1) })
 			p.SelfschedPcase(
 				Case(func() { pcaseRuns.Add(1) }),
 				Case(func() { pcaseRuns.Add(1) }),
@@ -71,7 +71,7 @@ func TestAskforPutHeavyTreeBothPools(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			for _, np := range []int{1, 3, 8} {
-				f := New(np, WithAskfor(kind))
+				f := New(np, WithVariants(Variants{Askfor: kind}))
 				var nodes atomic.Int64
 				f.Run(func(p *Proc) {
 					p.Askfor([]any{depth}, func(task any, put func(any)) {
@@ -103,7 +103,7 @@ func TestAskforDynamicTreeStealingMatchesMonitor(t *testing.T) {
 	const np, d = 5, 9
 	want := int64(1<<d - 1)
 	for _, kind := range engine.PoolKinds() {
-		f := New(np, WithAskfor(kind))
+		f := New(np, WithVariants(Variants{Askfor: kind}))
 		var nodes atomic.Int64
 		f.Run(func(p *Proc) {
 			p.Askfor([]any{1}, func(task any, put func(any)) {
@@ -181,7 +181,7 @@ func BenchmarkAskforPool(b *testing.B) {
 	for _, kind := range engine.PoolKinds() {
 		for _, np := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%s/np=%d", kind, np), func(b *testing.B) {
-				f := New(np, WithAskfor(kind))
+				f := New(np, WithVariants(Variants{Askfor: kind}))
 				defer f.Close()
 				body := func(p *Proc) {
 					p.Askfor([]any{1}, func(task any, put func(any)) {

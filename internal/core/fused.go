@@ -29,7 +29,7 @@ import (
 // as the closer.  The closer must directly follow the open on every
 // process — it completes the open's site bookkeeping.
 //
-// The reduction strategy (WithReduce) is decided in Proc.collective and
+// The reduction strategy (Variants.Reduce) is decided in Proc.collective and
 // nowhere else.  Under reduce.PrivateSlots a process stores its
 // contribution in its own padded slot and meets the others at one of the
 // force's two alternating reduce.Joins; the last arrival folds the slots
@@ -91,7 +91,7 @@ func (f *Force) resetLoops() {
 // sweep after sweep to whichever process wins that sweep's race, and its
 // arrays would migrate between caches with it.  At the paper's grant of
 // one the body is unbounded and the first to arrive starts it.
-func (p *Proc) selfsched(seq uint64, kind sched.Kind, n, grant, chunkSize int, chunk ChunkBody) {
+func (p *Proc) selfsched(seq uint64, kind sched.Kind, n, grant int, chunk ChunkBody) {
 	f := p.f
 	if n <= grant && grant > 1 {
 		if p.id == 0 && n > 0 {
@@ -108,7 +108,7 @@ func (p *Proc) selfsched(seq uint64, kind sched.Kind, n, grant, chunkSize int, c
 		if t != slotBusy && s.left.Load() == int64(f.np) && s.tag.CompareAndSwap(t, slotBusy) {
 			// First to arrive at a free slot: arm it for this instance.
 			s.left.Store(0)
-			s.loop.Arm(kind, n, grant, sched.Config{ChunkSize: chunkSize, LockFactory: f.newLock})
+			s.loop.Arm(kind, n, grant, sched.Config{LockFactory: f.newLock})
 			s.tag.Store(seq)
 			break
 		}
@@ -162,7 +162,7 @@ func (p *Proc) openSpans(kind sched.Kind, grant int, r sched.Range, chunk ChunkB
 			chunk(lo, hi, 1)
 		}
 	default:
-		p.selfsched(seq, kind, n, grant, p.f.variants.Chunk, chunk)
+		p.selfsched(seq, kind, n, grant, chunk)
 	}
 	return seq
 }

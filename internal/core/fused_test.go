@@ -185,7 +185,7 @@ func TestPerIndexSteadyStateZeroAllocs(t *testing.T) {
 		each := func(i int) { sink.Add(int64(i)) }
 		body := func(p *Proc) {
 			p.PreschedDo(sched.Seq(64), each)
-			p.PreschedBlockDo(sched.Range{Start: 64, Last: 1, Incr: -1}, each)
+			p.DoAll(sched.PreschedBlock, sched.Range{Start: 64, Last: 1, Incr: -1}, each)
 		}
 		f.Run(body)
 		if avg := testing.AllocsPerRun(100, func() { f.Run(body) }); avg != 0 {
@@ -371,7 +371,7 @@ func BenchmarkRunSteadyState(b *testing.B) {
 func TestLoopWithinOneGrantHasAFixedOwner(t *testing.T) {
 	const np, grant = 4, 40
 	for _, kind := range []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
-		f := New(np, WithChunk(8))
+		f := New(np)
 		var spans, foreign, total atomic.Int64
 		body := func(pid int) ChunkBody {
 			return func(lo, hi, stride int) {

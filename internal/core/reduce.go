@@ -12,7 +12,7 @@ import (
 // implicit barrier (no process proceeds before the combination is
 // complete).  Every one of them is a use of the force's one closing
 // collective (Proc.collective, fused.go) with no open DOALL in front of
-// it; the strategy selected per force with WithReduce is decided there.
+// it; the strategy selected per force (Variants.Reduce) is decided there.
 // The six operators travel bit-encoded, as the back ends' FusedJoin
 // contributions do; a custom combine travels boxed.
 //

@@ -20,7 +20,7 @@ func TestGOpsAllStrategies(t *testing.T) {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			for np := 1; np <= 8; np++ {
-				f := New(np, WithReduce(k))
+				f := New(np, WithVariants(Variants{Reduce: k}))
 				var bad atomic.Int64
 				check := func(ok bool) {
 					if !ok {
@@ -66,7 +66,7 @@ func TestGOpsAllStrategies(t *testing.T) {
 func TestJoinStoresOnce(t *testing.T) {
 	const np = 6
 	for _, k := range reduce.Kinds() {
-		f := New(np, WithReduce(k))
+		f := New(np, WithVariants(Variants{Reduce: k}))
 		var total uint64
 		stores := 0
 		var observed atomic.Int64
@@ -107,7 +107,7 @@ func (l countedLock) Unlock() { l.inner.Unlock() }
 func TestCriticalUsesSuppliedLock(t *testing.T) {
 	const np, episodes = 4, 25
 	for _, bk := range barrier.Kinds() {
-		f := New(np, WithBarrier(bk), WithReduce(reduce.Critical))
+		f := New(np, WithVariants(Variants{Barrier: bk, Reduce: reduce.Critical}))
 		built := 0
 		var taken atomic.Int64
 		inner := f.newLock
@@ -164,7 +164,7 @@ func TestCollectiveStatsPerEpisode(t *testing.T) {
 	}
 	for _, k := range reduce.Kinds() {
 		for name, use := range uses {
-			f := New(np, WithReduce(k))
+			f := New(np, WithVariants(Variants{Reduce: k}))
 			f.Run(use)
 			f.Close()
 			st := f.Stats()
@@ -178,7 +178,7 @@ func TestCollectiveStatsPerEpisode(t *testing.T) {
 func TestReduceSectionRunsOnceSuspended(t *testing.T) {
 	const np = 8
 	for _, k := range reduce.Kinds() {
-		f := New(np, WithReduce(k))
+		f := New(np, WithVariants(Variants{Reduce: k}))
 		sectionRuns := 0 // unsynchronized on purpose: exactly one process writes it
 		var wrong atomic.Int64
 		f.Run(func(p *Proc) {
@@ -207,7 +207,7 @@ func TestReduceInsideLoopBody(t *testing.T) {
 	// A convergence-loop shape: repeated reductions in SPMD order, with
 	// other constructs interleaved, on a non-native machine profile.
 	const np = 4
-	f := New(np, WithMachine(machine.Sequent), WithReduce(reduce.Critical))
+	f := New(np, WithMachine(machine.Sequent), WithVariants(Variants{Reduce: reduce.Critical}))
 	defer f.Close()
 	var bad atomic.Int64
 	f.Run(func(p *Proc) {
@@ -232,7 +232,7 @@ func TestReduceInsideLoopBody(t *testing.T) {
 func TestReduceTraceEvents(t *testing.T) {
 	const np = 4
 	rec := trace.New(0)
-	f := New(np, WithTrace(rec), WithReduce(reduce.PrivateSlots))
+	f := New(np, WithTrace(rec), WithVariants(Variants{Reduce: reduce.PrivateSlots}))
 	defer f.Close()
 	f.Run(func(p *Proc) {
 		Gsum(p, 1)
@@ -252,7 +252,7 @@ func TestReduceInsideResolveSubforce(t *testing.T) {
 	// Sub-forces inherit the reduction strategy, and a reduction inside a
 	// component is private to the component's processes.
 	const np = 6
-	f := New(np, WithReduce(reduce.Critical))
+	f := New(np, WithVariants(Variants{Reduce: reduce.Critical}))
 	defer f.Close()
 	var a, b atomic.Int64
 	f.Run(func(p *Proc) {
@@ -282,7 +282,7 @@ func BenchmarkReduce(b *testing.B) {
 	for _, k := range reduce.Kinds() {
 		for _, np := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/np=%d", k, np), func(b *testing.B) {
-				f := New(np, WithReduce(k))
+				f := New(np, WithVariants(Variants{Reduce: k}))
 				defer f.Close()
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -24,7 +24,7 @@ func TestTracedBarrierContract(t *testing.T) {
 			t.Parallel()
 			rec := trace.New(0)
 			const np = 5
-			f := New(np, WithBarrier(bk), WithTrace(rec))
+			f := New(np, WithVariants(Variants{Barrier: bk}), WithTrace(rec))
 			if f.Trace() != rec {
 				t.Fatal("Trace() accessor broken")
 			}
@@ -86,7 +86,7 @@ func TestTracedLoopCoverage(t *testing.T) {
 	for _, kind := range sched.Kinds() {
 		for _, perIndex := range []bool{true, false} {
 			rec := trace.New(0)
-			f := New(np, WithTrace(rec), WithChunk(4))
+			f := New(np, WithTrace(rec))
 			f.Run(func(p *Proc) {
 				if perIndex {
 					p.DoAll(kind, r, func(i int) {})
@@ -111,17 +111,21 @@ func TestTracedLoopCoverage(t *testing.T) {
 	}
 	// The planned path: 20 iterations at a grant of 7 are three claims
 	// (7, 7, 6) under the lock and the fetch-and-add; Chunk takes the
-	// larger of the grant and its chunk (4).
+	// larger of the grant and sched.DefaultChunk (16, 4).
 	for _, kind := range []sched.Kind{sched.SelfLock, sched.SelfAtomic, sched.Chunk} {
 		rec := trace.New(0)
-		f := New(np, WithTrace(rec), WithChunk(4))
+		f := New(np, WithTrace(rec))
 		f.Run(func(p *Proc) { p.DoAllGranted(kind, 7, r, func(lo, hi, stride int) {}) })
 		f.Close()
 		if err := trace.CheckLoopCoverage(rec.Events(), want); err != nil {
 			t.Errorf("%v granted: %v", kind, err)
 		}
-		if n := len(trace.Filter(rec.Events(), trace.LoopSpan)); n != 3 {
-			t.Errorf("%v granted: %d span events, want 3", kind, n)
+		want := 3
+		if kind == sched.Chunk {
+			want = 2
+		}
+		if n := len(trace.Filter(rec.Events(), trace.LoopSpan)); n != want {
+			t.Errorf("%v granted: %d span events, want %d", kind, n, want)
 		}
 	}
 }
@@ -139,7 +143,7 @@ func TestRiddenBarrier(t *testing.T) {
 	for _, bk := range barrier.Kinds() {
 		for _, rk := range reduce.Kinds() {
 			rec := trace.New(0)
-			f := New(np, WithBarrier(bk), WithReduce(rk), WithTrace(rec))
+			f := New(np, WithVariants(Variants{Barrier: bk, Reduce: rk}), WithTrace(rec))
 			var inside atomic.Int64 // processes between entering and leaving a closer
 			var exitSecs, joinSecs, numSecs, logSecs, stored, early int64
 			alone := func() {

@@ -1,13 +1,12 @@
 package core
 
-// variants.go — the five run-time choices of a force (README, "Which
+// variants.go — the four run-time choices of a force (README, "Which
 // variants exist") as one value, one Option and one flag set.  forcerun,
 // forcec and every program internal/codegen emits declare, default and
-// parse -barrier -reduce -selfsched -askfor -chunk here and nowhere else.
+// parse -barrier -reduce -selfsched -askfor here and nowhere else.
 
 import (
 	"flag"
-	"strconv"
 
 	"repro/internal/barrier"
 	"repro/internal/engine"
@@ -27,12 +26,9 @@ type Variants struct {
 	Barrier barrier.Kind
 	// Askfor is the Askfor pool discipline.
 	Askfor engine.PoolKind
-	// Chunk is the span size of the sched.Chunk discipline (0 keeps
-	// sched.DefaultChunk).
-	Chunk int
 }
 
-// WithVariants selects all five at once.
+// WithVariants selects all four at once.
 func WithVariants(v Variants) Option {
 	return func(f *Force) { f.variants = v }
 }
@@ -53,13 +49,10 @@ func (v Variants) Args() []string {
 	if v.Askfor != engine.StealingPool {
 		args = append(args, "-askfor", v.Askfor.String())
 	}
-	if v.Chunk > 0 {
-		args = append(args, "-chunk", strconv.Itoa(v.Chunk))
-	}
 	return args
 }
 
-// VariantFlags declares the five flags on fs and returns the function
+// VariantFlags declares the four flags on fs and returns the function
 // that, after fs is parsed, yields the selected Variants — or, for a
 // spelling no axis accepts, the error naming the accepted ones.  baked
 // are arguments in Args' form that replace the standard defaults: the
@@ -70,7 +63,6 @@ func VariantFlags(fs *flag.FlagSet, baked ...string) func() (Variants, error) {
 	self := fs.String("selfsched", sched.SelfLock.String(), "discipline for Selfsched DO and selfscheduled Pcase: selfsched-lock, selfsched-atomic or selfsched-chunk")
 	ask := fs.String("askfor", engine.StealingPool.String(), "Askfor pool discipline: stealing or monitor")
 	red := fs.String("reduce", reduce.PrivateSlots.String(), "global-reduction strategy: critical or slots")
-	chunk := fs.Int("chunk", 0, "span size for the selfsched-chunk discipline (0 = its default, 16)")
 	for i := 0; i+1 < len(baked); i += 2 {
 		name := baked[i][1:]
 		if err := fs.Set(name, baked[i+1]); err != nil {
@@ -89,7 +81,6 @@ func VariantFlags(fs *flag.FlagSet, baked ...string) func() (Variants, error) {
 			return v, err
 		}
 		v.Reduce, err = reduce.ParseKind(*red)
-		v.Chunk = *chunk
 		return v, err
 	}
 }

@@ -371,6 +371,24 @@ Print S
 End Barrier
 Join
 `},
+	// INT of an INTEGER is the identity: 2^53 + 1 does not survive a trip
+	// through REAL, in a DOALL body (the block form, with an argument
+	// that varies with the index) or out of one.
+	{"int-of-integer", 2, `Force INTI of NP ident ME
+Shared Integer K, A(4)
+Private Integer I
+End Declarations
+Barrier
+  K = 9007199254740993
+End Barrier
+Presched DO I = 1, 4
+  A(I) = INT(K + I)
+End Presched DO
+Barrier
+  Print INT(K), A(1), A(4), INT(-7), INT(2.9), INT(-2.9)
+End Barrier
+Join
+`},
 	// A subroutine may redeclare an inherited shared name: inside S, N is
 	// the private REAL, and the main program's shared N is untouched.
 	{"sub-local-shadows-shared", 2, `Force SHD of NP ident ME

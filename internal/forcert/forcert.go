@@ -136,6 +136,31 @@ func Step[T Integer](line int, s T) T {
 	return s
 }
 
+// Do opens a sequential DO from, to, step (step nonzero): it returns the
+// first index, the step and the trip count, computed once at loop entry.
+// Every back end runs the loop by that count,
+//
+//	for i, step, n := forcert.Do(from, to, step); n > 0; i, n = i+step, n-1 {
+//
+// so an index that would pass the end of INTEGER never wraps into another
+// trip.  The count is unsigned: a loop over the whole of INTEGER, 2^64
+// trips, saturates at 2^64-1.
+func Do[T Integer](from, to, step T) (T, T, uint64) {
+	var span, stride uint64
+	switch {
+	case step > 0 && from <= to:
+		span, stride = uint64(to)-uint64(from), uint64(step)
+	case step < 0 && from >= to:
+		span, stride = uint64(from)-uint64(to), -uint64(step)
+	default:
+		return from, step, 0
+	}
+	if n := span / stride; n < math.MaxUint64 {
+		return from, step, n + 1
+	}
+	return from, step, math.MaxUint64
+}
+
 // Idx1 is the 0-based offset of 1-based subscript s into an array of n
 // elements, checked.
 func Idx1[T Integer](line int, name string, s T, n int) int {

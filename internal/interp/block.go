@@ -260,7 +260,10 @@ func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 			}
 		}
 	case *forcelang.Intrinsic:
-		if t.Name == "INT" || t.Name == "NINT" {
+		switch {
+		case t.Name == "INT" && t.Args[0].Type() == forcelang.TInt:
+			return c.bInt(t.Args[0], d)
+		case t.Name == "INT" || t.Name == "NINT":
 			return c.bAsInt(t.Args[0], d, t.Name == "NINT")
 		}
 	}
@@ -268,8 +271,8 @@ func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 }
 
 // bAsInt compiles a numeric expression taken to INTEGER through REAL, as
-// INT and NINT take even an INTEGER argument (intrinsicInt): truncated
-// (Fortran coercion, asInt) or rounded.
+// NINT takes even an INTEGER argument (intrinsicInt): truncated (INT of a
+// REAL, Fortran coercion, asInt) or rounded.
 func (c *compiler) bAsInt(e forcelang.Expr, d int, round bool) blk[int64] {
 	c.plan.nI = max(c.plan.nI, d+1)
 	rv := c.bReal(e, d)

@@ -141,8 +141,12 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 		body := c.stmts(t.Body)
 		return func(pr *cproc, fr *frame) {
 			r := rangeF(pr, fr)
-			to, step := int64(r.Last), int64(r.Incr)
-			for i := int64(r.Start); (step > 0 && i <= to) || (step < 0 && i >= to); i += step {
+			for i, step, n := forcert.Do(int64(r.Start), int64(r.Last), int64(r.Incr)); n > 0; i, n = i+step, n-1 {
+				// A poisoned force must not wait out a long sequential
+				// loop.
+				if n%core.PoisonEvery == 0 {
+					pr.p.Check()
+				}
 				storeVar(pr, fr, i)
 				runBody(body, pr, fr)
 			}
@@ -753,8 +757,10 @@ func (c *compiler) intrinsicInt(t *forcelang.Intrinsic) intFn {
 		x := c.cInt(t.Args[0])
 		return func(pr *cproc, fr *frame) int64 { return forcert.Abs(x(pr, fr)) }
 	case "INT":
-		// The tree walker converts through asReal even for INTEGER
-		// arguments; keep the identical data path.
+		// INT of an INTEGER is the identity, as in the walker.
+		if t.Args[0].Type() == forcelang.TInt {
+			return c.cInt(t.Args[0])
+		}
 		rv := c.cReal(t.Args[0])
 		return func(pr *cproc, fr *frame) int64 { return int64(rv(pr, fr)) }
 	case "NINT":

@@ -7,6 +7,7 @@ package interp
 // fused, what declined, and why) are pinned through Config.FuseLog.
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -441,6 +442,154 @@ Join
 			}
 			if !reflect.DeepEqual(ops[false], ops[true]) {
 				t.Errorf("%s np=%d: participation differs: fused %v, unfused %v", tc.name, np, ops[false], ops[true])
+			}
+		}
+	}
+}
+
+// BenchmarkFusion is the fusion pass's committed row: forcemark's two
+// sync-bound programs that fuse, read at test time, run whole with the
+// pass on (Config{}) and off (Config{NoFuse: true}) at np 1 and 2.  One
+// op is one Run, force creation included.
+func BenchmarkFusion(b *testing.B) {
+	for _, name := range []string{"fused-rounds", "heat-sweeps"} {
+		src, err := os.ReadFile(filepath.Join("..", "..", "benchmark", "programs", "sync-bound", name+".force"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog := forcelang.MustParse(string(src))
+		for _, fusion := range []struct {
+			name   string
+			noFuse bool
+		}{{"on", false}, {"off", true}} {
+			for _, np := range []int{1, 2} {
+				cfg := Config{NP: np, Stdout: io.Discard, NoFuse: fusion.noFuse}
+				b.Run(fmt.Sprintf("%s/fusion-%s/np%d", name, fusion.name, np), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if err := Run(prog, cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReferenceLevels drives the reference configurations on the files
+// CI drives the default tier with: a Selfsched DO keeps its grant with
+// fusion off, where no Barrier rides; with the planner off, or on the
+// walker, nothing is granted, ridden or span-checked; and every
+// configuration prints the default tier's lines, or raises its error.
+func TestReferenceLevels(t *testing.T) {
+	const grantRide = `Force GRIDE of NP ident ME
+Shared Integer X(400)
+Shared Integer TOTAL, GRAND
+Private Integer I, MINE
+End Declarations
+Presched DO I = 1, 400
+  X(I) = MOD(I, 7)
+End Presched DO
+Barrier
+  GRAND = 1000
+End Barrier
+MINE = 0
+Selfsched DO I = 1, 400
+  MINE = MINE + X(I) * 2
+End Selfsched DO
+GSUM TOTAL = MINE
+Barrier
+  GRAND = GRAND + TOTAL
+  Print 'grand', GRAND
+End Barrier
+Join
+`
+	const spanCheck = `Force SPANCK of NP ident ME
+Shared Real A(64), B(64)
+Shared Integer N
+Private Integer I
+End Declarations
+Barrier
+  N = 64
+End Barrier
+Presched DO I = 1, N
+  A(I) = A(I) + B(I + 1)
+End Presched DO
+Join
+`
+	const block = `Force BLOCKS of NP ident ME
+Shared Real A(4096), B(4096)
+Shared Real CHECK
+Private Integer I, S
+End Declarations
+Presched DO I = 1, 4096
+  A(I) = 1.0
+  B(I) = REAL(I) / 1000.0
+End Presched DO
+DO S = 1, 3
+  Presched DO I = 2, 4096, 2
+    A(I) = A(I) * 0.999 + B(I)
+  End Presched DO
+End DO
+Barrier
+  CHECK = 0.0
+  DO I = 1, 4096, 64
+    CHECK = CHECK + A(I) + A(I + 1)
+  End DO
+  Print 'check', CHECK
+End Barrier
+Join
+`
+	run := func(src string, cfg Config) (out string, logs []string, err error) {
+		var sb strings.Builder
+		var mu sync.Mutex
+		cfg.Stdout = &sb
+		cfg.FuseLog = func(msg string) {
+			mu.Lock()
+			logs = append(logs, msg)
+			mu.Unlock()
+		}
+		err = Run(forcelang.MustParse(src), cfg)
+		return sb.String(), logs, err
+	}
+	noFuse, off, tree := Config{NP: 4, NoFuse: true}, Config{NP: 4, Exec: ExecCompiled}, Config{NP: 4, Exec: ExecTree}
+
+	for _, tc := range []struct {
+		cfg          Config
+		grant, rides bool
+	}{{Config{NP: 4}, true, true}, {noFuse, true, false}, {off, false, false}, {tree, false, false}} {
+		out, logs, err := run(grantRide, tc.cfg)
+		if err != nil || out != "grand 3396\n" {
+			t.Errorf("grant/ride %s NoFuse=%v: printed %q (%v), want %q", tc.cfg.Exec, tc.cfg.NoFuse, out, err, "grand 3396\n")
+		}
+		// A block-evaluated body costs 1 ns a unit: the 400 trips fit one grant.
+		if got := logsContain(logs, "line 13: DOALL grant=572 ≥ trip count: process 0 runs it"); got != tc.grant || !tc.grant && logsContain(logs, "grant=") {
+			t.Errorf("grant/ride %s NoFuse=%v: narrates the grant %v, want %v: %q", tc.cfg.Exec, tc.cfg.NoFuse, got, tc.grant, logs)
+		}
+		rides := logsContain(logs, "line 9: Barrier rides the DOALL exit at line 6") && logsContain(logs, "line 17: Barrier rides the GSUM join at line 16")
+		if rides != tc.rides || !tc.rides && logsContain(logs, "rides") {
+			t.Errorf("grant/ride %s NoFuse=%v: Barriers ride %v, want %v: %q", tc.cfg.Exec, tc.cfg.NoFuse, rides, tc.rides, logs)
+		}
+	}
+
+	for _, cfg := range []Config{off, tree} {
+		_, logs, err := run(spanCheck, cfg)
+		if want := "force runtime: line 10: subscript 1 of B out of range: 65 not in [1,64]"; err == nil || err.Error() != want {
+			t.Errorf("span check %s: %v, want %q", cfg.Exec, err, want)
+		}
+		if logsContain(logs, "span-checked") {
+			t.Errorf("span check %s: narrates a span check: %q", cfg.Exec, logs)
+		}
+	}
+
+	for _, src := range []string{block, strings.Replace(block, "A(I) * 0.999", "A(I - 1) * 0.999", 1)} {
+		want, _, err := run(src, Config{NP: 3})
+		if err != nil || !strings.HasPrefix(want, "check ") {
+			t.Fatalf("block: the default tier printed %q (%v)", want, err)
+		}
+		for _, exec := range []ExecMode{ExecCompiled, ExecTree} {
+			if out, _, err := run(src, Config{NP: 3, Exec: exec}); err != nil || out != want {
+				t.Errorf("block %s: printed %q (%v), want %q", exec, out, err, want)
 			}
 		}
 	}

@@ -42,8 +42,9 @@
 //     hold the planner's decisions against.
 //   - ExecTree is the original tree walker: names resolved through
 //     string maps on every access and all shared storage serialized by
-//     one per-run mutex.  It is the differential-test oracle
-//     (forcerun -exec tree).
+//     one per-run mutex.  It is the differential-test oracle; like
+//     ExecCompiled and NoFuse it is set through Config only, never
+//     from a command line.
 //
 // All of them give the shared accumulate one meaning (README,
 // "Semantics"): `S = S + e` and its recognised siblings
@@ -134,11 +135,6 @@ type Config struct {
 	// Decisions are compile-time, so the log is emitted once per Run, not
 	// per construct execution.
 	FuseLog func(msg string)
-	// Chunk sets sched.Config.ChunkSize for the Chunk selfscheduling
-	// discipline (0 keeps its default).  It does not affect the
-	// prescheduled or lock/atomic selfscheduled kinds, whose span shapes
-	// are fixed by the discipline.
-	Chunk int
 	// OnForce, when non-nil, is called with the freshly created force
 	// before execution starts.  forcerun's stall watchdog uses it to
 	// reach the force's Blocked report and Fault cell from outside the
@@ -209,7 +205,7 @@ func Run(prog *forcelang.Program, cfg Config) error {
 func newForce(cfg Config) *core.Force {
 	return core.New(cfg.NP, core.WithMachine(cfg.Machine), core.WithTrace(cfg.Trace),
 		core.WithVariants(core.Variants{Selfsched: cfg.Selfsched, Reduce: cfg.Reduce,
-			Barrier: cfg.Barrier, Askfor: cfg.Askfor, Chunk: cfg.Chunk}))
+			Barrier: cfg.Barrier, Askfor: cfg.Askfor}))
 }
 
 // runTree executes the program on the original tree walker.
@@ -667,7 +663,11 @@ func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 	case *forcelang.SeqDo:
 		from, to, step := pr.loopBounds(t.From, t.To, t.Step, f)
 		lv := pr.lookup(f, t.Var, t.Pos())
-		for i := from; (step > 0 && i <= to) || (step < 0 && i >= to); i += step {
+		for i, step, n := forcert.Do(from, to, step); n > 0; i, n = i+step, n-1 {
+			// A poisoned force must not wait out a long sequential loop.
+			if n%core.PoisonEvery == 0 {
+				pr.p.Check()
+			}
 			pr.storeScalar(lv, intVal(i), t.Pos())
 			pr.stmts(t.Body, f)
 		}
@@ -1118,6 +1118,9 @@ func (pr *proc) evalIntrinsic(t *forcelang.Intrinsic, f *tframe) value {
 		}
 		return realVal(math.Sqrt(x))
 	case "INT":
+		if args[0].t == forcelang.TInt {
+			return args[0]
+		}
 		return intVal(int64(args[0].asReal()))
 	case "NINT":
 		return intVal(int64(math.Round(args[0].asReal())))

@@ -86,6 +86,34 @@ Join
 	}
 }
 
+// TestIntOfInteger: INT returns an INTEGER argument unchanged on every
+// engine, in a block-evaluated DOALL body too (its argument varies with
+// the index, so it is not hoisted); through REAL, 2^53 + 1 would print
+// as 2^53 and 2^53 + 5 as 2^53 + 4.
+func TestIntOfInteger(t *testing.T) {
+	src := `Force INTI of NP ident ME
+Shared Integer K, A(4)
+Private Integer I
+End Declarations
+Barrier
+  K = 9007199254740993
+End Barrier
+Presched DO I = 1, 4
+  A(I) = INT(K + I)
+End Presched DO
+Barrier
+  Print INT(K), A(1), A(4), INT(-7), INT(2.9)
+End Barrier
+Join
+`
+	for _, mode := range ExecModes() {
+		out := run(t, src, Config{NP: 2, Exec: mode})
+		if want := "9007199254740993 9007199254740994 9007199254740997 -7 2\n"; out != want {
+			t.Errorf("%s: printed %q, want %q", mode, out, want)
+		}
+	}
+}
+
 func TestPreschedDoAllSum(t *testing.T) {
 	out := run(t, `Force SUM of NP ident ME
 Shared Integer TOTAL

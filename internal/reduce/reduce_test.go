@@ -65,7 +65,7 @@ func numJoinOnce(e *numEpisode, op reduce.Op, k reduce.NumKind, vals []uint64) [
 // onForce runs body once in every process of a fresh force of np under
 // strategy k and returns what each process returned.
 func onForce[T any](k reduce.Kind, np int, body func(p *core.Proc) T) []T {
-	f := core.New(np, core.WithReduce(k))
+	f := core.New(np, core.WithVariants(core.Variants{Reduce: k}))
 	defer f.Close()
 	out := make([]T, np)
 	f.Run(func(p *core.Proc) { out[p.ID()] = body(p) })
@@ -199,7 +199,7 @@ func TestSlotsDeterministicOrder(t *testing.T) {
 	// The slots strategy folds in pid order, so a non-commutative probe
 	// combiner observes exactly the sequence 1,...,np-1.
 	const np = 8
-	f := core.New(np, core.WithReduce(reduce.PrivateSlots))
+	f := core.New(np, core.WithVariants(core.Variants{Reduce: reduce.PrivateSlots}))
 	defer f.Close()
 	for trial := 0; trial < 20; trial++ {
 		var order []int // appended to by the completing process only
@@ -388,7 +388,7 @@ func TestPoisonWakesIncompleteEpisode(t *testing.T) {
 	for _, k := range reduce.Kinds() {
 		for _, np := range []int{2, 4, 7} {
 			t.Run(k.String(), func(t *testing.T) {
-				f := core.New(np, core.WithReduce(k))
+				f := core.New(np, core.WithVariants(core.Variants{Reduce: k}))
 				defer f.Close()
 				died := errors.New("process died")
 				poisoned := make(chan struct{})

@@ -143,14 +143,12 @@ func Kinds() []Kind {
 	return []Kind{PreschedBlock, PreschedCyclic, SelfLock, SelfAtomic, Chunk}
 }
 
-// DefaultChunk is the span size of the Chunk discipline when
-// Config.ChunkSize is left zero.
+// DefaultChunk is the least span size of the Chunk discipline: a claim
+// takes the larger of it and the planner's grant.
 const DefaultChunk = 16
 
 // Config carries the parameters a discipline may need.
 type Config struct {
-	// ChunkSize applies to Chunk (DefaultChunk when zero).
-	ChunkSize int
 	// LockFactory supplies the loop lock for SelfLock; nil defaults to
 	// system locks.  This is the machine-dependent hook: the
 	// paper's selfsched macro "will call generic machine dependent macros
@@ -178,7 +176,7 @@ type Loop struct {
 // selfscheduled discipline k.  grant is how many ordinals one claim
 // takes (values below 1 mean 1): the paper's discipline advances the
 // shared index by it under the loop lock, the fetch-and-add by it, and
-// Chunk by the larger of it and its chunk size.  Any other kind is
+// Chunk by the larger of it and DefaultChunk.  Any other kind is
 // rejected by name: the prescheduled ones have no shared state — they
 // are the pure deals BlockSpan and CyclicSpan.
 func (l *Loop) Arm(k Kind, n, grant int, cfg Config) {
@@ -195,11 +193,7 @@ func (l *Loop) Arm(k Kind, n, grant int, cfg Config) {
 		l.kShare = 0
 	case SelfAtomic:
 	case Chunk:
-		c := cfg.ChunkSize
-		if c <= 0 {
-			c = DefaultChunk
-		}
-		step = max(step, c)
+		step = max(step, DefaultChunk)
 	default:
 		panic(fmt.Sprintf("sched: %v is not a run-time discipline (the prescheduled deals are BlockSpan and CyclicSpan)", k))
 	}

@@ -189,7 +189,7 @@ func TestEveryIndexExactlyOnce(t *testing.T) {
 		{-5, 20, 4}, // negative start
 		{9, 2, -3},  // non-unit negative step, n < np for most np below
 	}
-	cfg := Config{ChunkSize: 4, LockFactory: lock.Factory(lock.TTAS)}
+	cfg := Config{LockFactory: lock.Factory(lock.TTAS)}
 	for _, k := range Kinds() {
 		for _, np := range []int{1, 2, 3, 8, 150} {
 			for _, r := range ranges {
@@ -283,26 +283,20 @@ func TestSelfschedDrainsAroundStuckProcess(t *testing.T) {
 
 func TestChunkSizeRespected(t *testing.T) {
 	s := new(Loop)
-	s.Arm(Chunk, 100, 1, Config{ChunkSize: 8})
-	lo, hi, ok := s.Next()
-	if !ok || hi-lo != 8 {
-		t.Errorf("chunk = [%d,%d), want size 8", lo, hi)
-	}
-	// Default chunk size when zero.
 	s.Arm(Chunk, 100, 1, Config{})
-	lo, hi, ok = s.Next()
+	lo, hi, ok := s.Next()
 	if !ok || hi-lo != DefaultChunk {
 		t.Errorf("default chunk = [%d,%d), want size %d", lo, hi, DefaultChunk)
 	}
 }
 
 // TestGrantAdvancesEveryDiscipline: one claim takes the grant — under the
-// loop lock, by fetch-and-add, and max(chunk, grant) for Chunk — the last
+// loop lock, by fetch-and-add, and max(DefaultChunk, grant) for Chunk — the last
 // claim is clipped to the range, a loop smaller than one grant goes whole
 // to the first claimant, and a re-armed Loop starts over (keeping its
 // loop lock).
 func TestGrantAdvancesEveryDiscipline(t *testing.T) {
-	cfg := Config{ChunkSize: 4}
+	cfg := Config{}
 	for _, tc := range []struct {
 		k        Kind
 		n, grant int
@@ -310,8 +304,8 @@ func TestGrantAdvancesEveryDiscipline(t *testing.T) {
 	}{
 		{SelfLock, 10, 4, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
 		{SelfAtomic, 10, 4, [][2]int{{0, 4}, {4, 8}, {8, 10}}},
-		{Chunk, 10, 3, [][2]int{{0, 4}, {4, 8}, {8, 10}}},                  // chunk 4 > grant 3
-		{Chunk, 10, 6, [][2]int{{0, 6}, {6, 10}}},                          // grant 6 > chunk 4
+		{Chunk, 40, 3, [][2]int{{0, 16}, {16, 32}, {32, 40}}},              // DefaultChunk > grant 3
+		{Chunk, 40, 20, [][2]int{{0, 20}, {20, 40}}},                       // grant 20 > DefaultChunk
 		{SelfLock, 3, 64, [][2]int{{0, 3}}},                                // n < grant: the whole loop
 		{SelfAtomic, 0, 64, nil},                                           // empty loop
 		{SelfLock, 5, 0, [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}}, // grant < 1 means 1
@@ -344,7 +338,11 @@ func TestGrantedCoverageUnderContention(t *testing.T) {
 	const np, n, grant = 4, 1003, 7
 	for _, k := range []Kind{SelfLock, SelfAtomic, Chunk} {
 		l := new(Loop)
-		l.Arm(k, n, grant, Config{ChunkSize: 2, LockFactory: lock.Factory(lock.TTAS)})
+		l.Arm(k, n, grant, Config{LockFactory: lock.Factory(lock.TTAS)})
+		claim := grant
+		if k == Chunk {
+			claim = DefaultChunk
+		}
 		seen := make([]atomic.Int32, n)
 		var wg sync.WaitGroup
 		for p := 0; p < np; p++ {
@@ -352,8 +350,8 @@ func TestGrantedCoverageUnderContention(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for lo, hi, ok := l.Next(); ok; lo, hi, ok = l.Next() {
-					if hi-lo > grant {
-						t.Errorf("%v: claim [%d,%d) exceeds the grant %d", k, lo, hi, grant)
+					if hi-lo > claim {
+						t.Errorf("%v: claim [%d,%d) exceeds %d", k, lo, hi, claim)
 					}
 					for o := lo; o < hi; o++ {
 						seen[o].Add(1)
@@ -406,7 +404,7 @@ func TestQuickCoverage(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var got []int
-		forEach(k, np, r, Config{ChunkSize: 3}, func(pid, index int) {
+		forEach(k, np, r, Config{}, func(pid, index int) {
 			mu.Lock()
 			got = append(got, index)
 			mu.Unlock()

@@ -81,7 +81,7 @@ func TestLitmus(t *testing.T) {
 					}
 					var sb strings.Builder
 					err := interp.Run(prog, interp.Config{NP: np, Stdout: &sb, NoFuse: true})
-					note(fmt.Sprintf("chunked -fuse off np=%d", np), sb.String(), err)
+					note(fmt.Sprintf("chunked NoFuse np=%d", np), sb.String(), err)
 					out, err := aotRun(t, prog, np)
 					note(fmt.Sprintf("aot np=%d", np), out, err)
 				}

@@ -120,9 +120,7 @@ func TestVariantInventory(t *testing.T) {
 		"SelfschedDo":      "a (Selfsched DO, the expansion listing) · b (forcemark's selfsched probe)",
 		"PreschedDo2":      "a (doubly nested loops, §3.3)",
 		"DoAll2":           "a (doubly nested loops under a chosen discipline: the tree walker, core.Conformance)",
-		"DoAll":            "b (matmul, gauss, nbody pick the discipline per call)",
-		"PreschedBlockDo":  "b (jacobi, nbody, sor)",
-		"ChunkDo":          "b (histogram)",
+		"DoAll":            "b (matmul, gauss, nbody pick the discipline per call; jacobi, sor and histogram name one)",
 		"DoAllChunked":     "g (every emitted Presched DO) · b (scan, forcemark's span probes)",
 		"DoAllGranted":     "g (every emitted Selfsched DO, every closed span loop of the closure compiler) · b (histogram)",
 		"DoAllChunkedOpen": "g (the members of a fused region, a DOALL whose exit a Barrier rides)",
@@ -144,12 +142,10 @@ func TestVariantInventory(t *testing.T) {
 	}
 }
 
-// TestUsageErrors drives the three command-line rejections through the
-// real binaries: a force size below 1 (one identical line and exit 2 on
-// every tier — the native tier must not hand it to a cached binary that
-// would panic), -fuse off on the native tier (its binaries are always
-// fused, so the A/B would measure nothing), and a removed variant or
-// tier spelling.
+// TestUsageErrors drives the command-line rejections through the real
+// binaries: a force size below 1 (one identical line and exit 2 on both
+// tiers — the native tier must not hand it to a cached binary that would
+// panic), a removed variant or tier spelling, and a removed flag.
 func TestUsageErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs forcerun and forcec with the go toolchain")
@@ -167,7 +163,7 @@ func TestUsageErrors(t *testing.T) {
 
 	for _, np := range []string{"0", "-3"} {
 		want := "forcerun: invalid -np " + np + ": a force needs at least one process\n"
-		for _, tier := range []string{"tree", "chunked", "aot"} {
+		for _, tier := range []string{"chunked", "aot"} {
 			out, code := runForcerunEnv(t, time.Minute, env, forcerun, "-np", np, "-exec", tier, prog)
 			if code != 2 || out != want {
 				t.Errorf("forcerun -np %s -exec %s: exit %d, output %q; want exit 2, %q", np, tier, code, out, want)
@@ -179,12 +175,6 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 
-	out, code := runForcerunEnv(t, time.Minute, env, forcerun, "-exec", "aot", "-fuse", "off", prog)
-	if code != 2 || !strings.Contains(out, "-fuse off") || !strings.Contains(out, "-exec aot") {
-		t.Errorf("forcerun -exec aot -fuse off: exit %d, output %q; want a usage error (exit 2) naming both flags", code, out)
-	}
-	oneLine(t, out)
-
 	for _, tc := range []struct {
 		flag, removed string
 		accepted      []string
@@ -192,7 +182,9 @@ func TestUsageErrors(t *testing.T) {
 		{"-barrier", "cond", []string{"twolock", "sense"}},
 		{"-reduce", "tree", []string{"critical", "slots"}},
 		{"-selfsched", "stealing", []string{"selfsched-lock", "selfsched-atomic", "selfsched-chunk"}},
-		{"-exec", "auto", []string{"chunked", "compiled", "tree", "aot"}},
+		{"-exec", "auto", []string{"chunked", "aot"}},
+		{"-exec", "tree", []string{"chunked", "aot"}},
+		{"-exec", "compiled", []string{"chunked", "aot"}},
 	} {
 		out, code := runForcerun(t, time.Minute, forcerun, tc.flag, tc.removed, prog)
 		if code == 0 {
@@ -204,5 +196,17 @@ func TestUsageErrors(t *testing.T) {
 			}
 		}
 		oneLine(t, out)
+	}
+
+	// Removed flags are unknown flags: the flag package's exit 2.
+	for _, args := range [][]string{
+		{forcerun, "-fuse", "off"},
+		{forcerun, "-chunk", "8"},
+		{forcec, "-go", "-chunk", "8"},
+	} {
+		out, code := runForcerun(t, time.Minute, args[0], append(args[1:], prog)...)
+		if code != 2 || !strings.Contains(out, "flag provided but not defined: "+args[len(args)-2]) {
+			t.Errorf("%s %s: exit %d, output %q; want exit 2 for an unknown flag", filepath.Base(args[0]), strings.Join(args[1:], " "), code, out)
+		}
 	}
 }
