@@ -46,7 +46,6 @@ var chaosProgram = map[string]string{
 	faultinject.AskforTake:     "askfor-put",
 	faultinject.EnginePark:     "askfor-put",
 	faultinject.EngineSteal:    "askfor-put",
-	faultinject.EngineHand:     "askfor-put",
 }
 
 func equivProgram(t *testing.T, name string) corpus.Program {

@@ -44,7 +44,8 @@
 //
 // -exec aot selects the ahead-of-time native tier (internal/aot): it
 // translates the program to Go, builds it once into a content-addressed
-// cache ($FORCE_CACHE or ~/.cache/force, keyed by the source text alone)
+// cache ($FORCE_CACHE or ~/.cache/force, keyed by the source text and the
+// build environment: GOFLAGS, GOARCH, GOAMD64, GOEXPERIMENT, CGO_ENABLED)
 // and executes the cached binary, handing it -np and whichever of
 // -barrier -reduce -selfsched -askfor are not the defaults: one
 // binary per program serves every configuration, and any edit of the

@@ -110,9 +110,10 @@
 //
 //	  - internal/engine is the work-distribution substrate: a persistent
 //	    force of NP worker goroutines (created once, reused by every Run —
-//	    the paper's create-force-then-reuse driver), Chase-Lev work-stealing
-//	    deques, and the two Askfor pools (engine.Pool: stealing deques or
-//	    the [LO83] central monitor); selfscheduled Pcase and DOALL loops
+//	    the paper's create-force-then-reuse driver) and the Askfor pool
+//	    (engine.Pool: locked task stacks, one per process or the [LO83]
+//	    central monitor's one, whose idle processes wait through the
+//	    runtime's one wait policy); selfscheduled Pcase and DOALL loops
 //	    draw from internal/sched disciplines;
 //
 //	  - internal/sched provides the loop-scheduling disciplines: the

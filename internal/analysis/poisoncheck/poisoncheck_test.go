@@ -215,7 +215,7 @@ func bad() { faultinject.Fire(siteFor(kind), pid, pc) }`
 }
 
 // TestLoadSites checks the registry parser against the real faultinject
-// package: all 17 sites, by value and by constant name.
+// package: all 16 sites, by value and by constant name.
 func TestLoadSites(t *testing.T) {
 	sites, err := loadSites("../../..")
 	if err != nil {
@@ -232,7 +232,7 @@ func TestLoadSites(t *testing.T) {
 			values++
 		}
 	}
-	if values != 17 {
-		t.Errorf("found %d site values, want 17", values)
+	if values != 16 {
+		t.Errorf("found %d site values, want 16", values)
 	}
 }

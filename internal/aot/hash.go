@@ -1,17 +1,18 @@
 package aot
 
 // hash.go — the content address of a compiled Force program: a sha256
-// over the source text, and nothing else.  The binary reports run-time
-// errors and narrates its plan by source line, so two texts that differ
-// at all — a blank line, a comment — are two programs here; the force
-// size and the five runtime options are flags of the binary and never
-// reach the key.
+// over the source text and the environment variables that change what
+// go build makes of it.  The binary reports run-time errors and narrates
+// its plan by source line, so two texts that differ at all — a blank
+// line, a comment — are two programs here; the force size and the five
+// runtime options are flags of the binary and never reach the key.
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/forcelang"
 )
@@ -34,10 +35,21 @@ import (
 // (forcert.Do) and polls the poison cell every core.PoisonEvery trips.)
 const formatVersion = 10
 
-// Key returns the hex cache key of prog: of the text it was parsed from.
+// buildEnv names the environment variables the go build of an entry
+// inherits that change the binary it makes: a binary built under
+// GOFLAGS=-race must not be served to a plain run.
+var buildEnv = []string{"GOFLAGS", "GOARCH", "GOAMD64", "GOEXPERIMENT", "CGO_ENABLED"}
+
+// Key returns the hex cache key of prog: of the text it was parsed from
+// and of the build environment, read without starting a process.
 func Key(prog *forcelang.Program) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "force aot format %d\n", formatVersion)
+	env := make([]byte, 0, 128) // not a Fprintf per variable: every warm run computes the key
+	for _, v := range buildEnv {
+		env = append(append(append(append(env, v...), '='), os.Getenv(v)...), '\n')
+	}
+	h.Write(env)
 	io.WriteString(h, prog.Source)
 	return hex.EncodeToString(h.Sum(nil))
 }

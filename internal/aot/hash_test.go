@@ -49,6 +49,34 @@ func TestKeySensitiveToLayout(t *testing.T) {
 	}
 }
 
+// TestKeySensitiveToBuildEnv: every variable the entry's go build
+// inherits and that changes its binary forks the key, and an unchanged
+// environment keeps it.
+func TestKeySensitiveToBuildEnv(t *testing.T) {
+	prog := forcelang.MustParse(hashBase)
+	for _, v := range []string{"GOFLAGS", "GOARCH", "GOAMD64", "GOEXPERIMENT", "CGO_ENABLED"} {
+		t.Setenv(v, "")
+	}
+	base := Key(prog)
+	if again := Key(prog); again != base {
+		t.Fatalf("one environment, two keys:\n%s\n%s", base, again)
+	}
+	for v, val := range map[string]string{
+		"GOFLAGS":      "-race",
+		"GOARCH":       "arm64",
+		"GOAMD64":      "v3",
+		"GOEXPERIMENT": "loopvar",
+		"CGO_ENABLED":  "0",
+	} {
+		t.Run(v, func(t *testing.T) {
+			t.Setenv(v, val)
+			if Key(prog) == base {
+				t.Errorf("%s=%s did not change the key", v, val)
+			}
+		})
+	}
+}
+
 // TestKeySensitiveToSemantics: a changed literal, bound, or statement
 // must fork the key.
 func TestKeySensitiveToSemantics(t *testing.T) {

@@ -64,7 +64,7 @@ type Options struct {
 	// two-lock relay.
 	Barrier barrier.Kind
 	// Askfor is the default of -askfor; the zero value is the engine's
-	// work-stealing deques.
+	// one task stack per process.
 	Askfor engine.PoolKind
 }
 

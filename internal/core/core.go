@@ -44,16 +44,16 @@
 //	   engine      sched      reduce     barrier / lock / machine
 //	 (persistent (loop dis-  (operators, (synchronization and the
 //	  workers,    ciplines)   the one     machine-dependent layer)
-//	  deques,                 rendezvous)
+//	  Askfor                  rendezvous)
 //	  pools)
 //
 // A Force owns a persistent engine.Engine: NP worker goroutines started
 // at New (each paying the machine's creation cost exactly once) that
 // survive across Run invocations, the paper's create-force-then-reuse
-// driver taken literally.  Askfor draws from an engine.Pool
-// (work-stealing deques by default, the [LO83] central monitor as the
-// paper's baseline); selfscheduled Pcase and DOALL loops claim from the
-// force's reusable loop slots (sched.Loop).
+// driver taken literally.  Askfor draws from an engine.Pool (one locked
+// task stack per process by default, the [LO83] central monitor's one
+// stack as the paper's baseline); selfscheduled Pcase and DOALL loops
+// claim from the force's reusable loop slots (sched.Loop).
 package core
 
 import (
@@ -603,16 +603,12 @@ func (f *Force) recoverAborted() {
 }
 
 // releaseEntries retires every abandoned construct entry after an
-// abort: Askfor pools still hold poison subscriptions (their exit
-// barrier never completed), and a Resolve plan's sub-forces hold
+// abort, including those of a Resolve plan's sub-forces, which hold
 // construct tables of their own.
 func (f *Force) releaseEntries() {
 	f.entries.Range(func(k, v any) bool {
 		if e, ok := v.(*constructEntry); ok {
-			switch st := e.state.(type) {
-			case engine.Pool:
-				st.Close()
-			case *resolvePlan:
+			if st, ok := e.state.(*resolvePlan); ok {
 				for _, s := range st.sub {
 					s.releaseEntries()
 				}
@@ -944,17 +940,18 @@ func (p *Proc) runBlock(b Block) {
 // process.  The construct terminates when the pool is empty and no task is
 // executing; all processes then proceed.
 //
-// The pool is an engine.Pool: by default per-process work-stealing deques
-// (put is a lock-free local push, get a local pop with steal-half on
-// miss), or the [LO83]-style central monitor under Variants.Askfor
-// (engine.MonitorPool).  put must be called from the process executing
-// body, which is the only caller the construct exposes it to.
+// The pool is an engine.Pool: by default one locked task stack per
+// process (put pushes on the putter's stack, get pops its newest task or
+// takes another stack's oldest), or the [LO83]-style central monitor, one
+// stack for the whole force, under Variants.Askfor (engine.MonitorPool).
+// put must be called from the process executing body, which is the only
+// caller the construct exposes it to.
 func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 	p.f.pc.Check()
 	seq := p.nextSeq()
 	pool := p.f.entry(seq, func() any {
 		return engine.NewPool(p.f.variants.Askfor, p.f.np, seed, p.f.pc)
-	}).(engine.Pool)
+	}).(*engine.Pool)
 
 	put := func(t any) {
 		faultinject.Fire(faultinject.AskforPut, p.id, p.f.pc)
@@ -962,9 +959,8 @@ func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 	}
 	p.enterSite(&siteAskfor)
 	for {
-		// Per-task poison check: the stealing pool's hand-slot fast
-		// path hands back a put-then-take worker's own successor
-		// without ever parking, so without this a worker could drain
+		// Per-task poison check: a worker that finds its next task
+		// on its own stack never waits, so without this it could drain
 		// an entire task chain after the force died.
 		p.f.pc.Check()
 		faultinject.Fire(faultinject.AskforTake, p.id, p.f.pc)
@@ -977,10 +973,9 @@ func (p *Proc) Askfor(seed []any, body func(task any, put func(any))) {
 		body(task, put)
 		pool.Done(p.id)
 	}
-	// Close the construct; the pool object (and its poison
-	// subscription) is retired by the last process through the exit
-	// barrier.
-	p.f.bar.Sync(p.id, func() { pool.Close(); p.f.dropEntry(seq) })
+	// Close the construct; the last process through the exit barrier
+	// drops the pool.
+	p.f.bar.Sync(p.id, func() { p.f.dropEntry(seq) })
 	p.leaveSite()
 }
 

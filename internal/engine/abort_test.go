@@ -61,7 +61,6 @@ func TestPoolPoisonWakesParkedWorkers(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			c := poison.NewCell()
 			p := NewPool(kind, 3, []any{1}, c)
-			defer p.Close()
 			// pid 0 takes the only task and never calls Done; pids 1-2
 			// park in Next.
 			if _, ok := p.Next(0); !ok {
@@ -87,17 +86,5 @@ func TestPoolPoisonWakesParkedWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPoolCloseCancelsSubscription: a closed pool's hook is gone, so
-// poisoning after Close must not touch it (guarded indirectly: Close
-// then Poison must not panic or deadlock).
-func TestPoolCloseCancelsSubscription(t *testing.T) {
-	for _, kind := range PoolKinds() {
-		c := poison.NewCell()
-		p := NewPool(kind, 2, nil, c)
-		p.Close()
-		c.Poison(errFail)
 	}
 }

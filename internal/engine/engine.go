@@ -1,6 +1,5 @@
 // Package engine is the work-distribution substrate of the Force runtime:
-// a persistent force of worker goroutines, Chase-Lev work-stealing
-// deques, and the two Askfor task pools.
+// a persistent force of worker goroutines and the Askfor task pool.
 //
 // The paper's execution model creates the force once — "the number of
 // processes is fixed only when the force is created" — and then reuses it
@@ -9,7 +8,7 @@
 // exactly once), and every Run dispatches a program to the same workers,
 // so repeated Runs cost a handoff, not a re-spawn.  The package sits at
 // the bottom of the runtime stack; internal/core builds Force/Proc on the
-// workers and pools.
+// workers and the pool.
 package engine
 
 import (

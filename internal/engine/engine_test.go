@@ -96,95 +96,9 @@ func TestCloseIdempotentAndRunPanics(t *testing.T) {
 	e.Run(func(pid int) {})
 }
 
-func TestDequeLIFOAndFIFO(t *testing.T) {
-	d := NewDeque[int](2)
-	for i := 0; i < 10; i++ {
-		d.Push(i)
-	}
-	if d.Size() != 10 {
-		t.Fatalf("Size = %d", d.Size())
-	}
-	if v, ok := d.PopRef(); !ok || *v != 9 {
-		t.Errorf("PopRef = %v,%v, want 9 (LIFO)", v, ok)
-	}
-	if v, ok := d.StealRef(); !ok || *v != 0 {
-		t.Errorf("StealRef = %v,%v, want 0 (FIFO)", v, ok)
-	}
-	seen := map[int]bool{}
-	for {
-		v, ok := d.PopRef()
-		if !ok {
-			break
-		}
-		seen[*v] = true
-	}
-	if len(seen) != 8 {
-		t.Errorf("drained %d elements, want 8", len(seen))
-	}
-	if _, ok := d.StealRef(); ok {
-		t.Error("StealRef from empty deque succeeded")
-	}
-}
-
-// TestDequeConcurrentExactlyOnce hammers one owner against several
-// thieves and checks every pushed element is consumed exactly once.
-func TestDequeConcurrentExactlyOnce(t *testing.T) {
-	const items, thieves = 20000, 4
-	d := NewDeque[int](8)
-	var got [items]atomic.Int32
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for th := 0; th < thieves; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if v, ok := d.StealRef(); ok {
-					got[*v].Add(1)
-					continue
-				}
-				select {
-				case <-stop:
-					// Final sweep after the owner stopped.
-					for {
-						v, ok := d.StealRef()
-						if !ok {
-							return
-						}
-						got[*v].Add(1)
-					}
-				default:
-				}
-			}
-		}()
-	}
-	for i := 0; i < items; i++ {
-		d.Push(i)
-		if i%3 == 0 {
-			if v, ok := d.PopRef(); ok {
-				got[*v].Add(1)
-			}
-		}
-	}
-	for {
-		v, ok := d.PopRef()
-		if !ok {
-			break
-		}
-		got[*v].Add(1)
-	}
-	close(stop)
-	wg.Wait()
-	for i := range got {
-		if n := got[i].Load(); n != 1 {
-			t.Fatalf("element %d consumed %d times", i, n)
-		}
-	}
-}
-
 // drain runs np goroutines against a pool the way core.Askfor does and
 // returns the number of executed tasks.
-func drain(np int, p Pool, body func(task any, put func(pid int, t any), pid int)) int64 {
+func drain(np int, p *Pool, body func(task any, put func(pid int, t any), pid int)) int64 {
 	var ran atomic.Int64
 	var wg sync.WaitGroup
 	for pid := 0; pid < np; pid++ {
@@ -236,8 +150,8 @@ func TestPoolUnbalancedTreeTerminates(t *testing.T) {
 
 // TestPoolPutThenBlockStaysLive: a body that puts a task and then blocks
 // until that task has executed must not deadlock — the freshly put task
-// (which lands in the putter's hand slot) has to be stealable by the
-// other processes.  Regression test for the hand slot withholding work.
+// (which lands on the putter's own stack) has to be takeable by the
+// other processes.
 func TestPoolPutThenBlockStaysLive(t *testing.T) {
 	for _, kind := range PoolKinds() {
 		kind := kind
@@ -293,5 +207,53 @@ func TestPoolSeedDistribution(t *testing.T) {
 		if ran != tasks || got.Load() != int64(sum) {
 			t.Errorf("%s: ran %d sum %d, want %d sum %d", kind, ran, got.Load(), tasks, sum)
 		}
+	}
+}
+
+// TestPoolSteadyStateZeroAllocs: once a pool's stacks have grown to the
+// backlog, a Put/Next/Done cycle allocates nothing, under both kinds and
+// whether the taker is the putter or not.
+func TestPoolSteadyStateZeroAllocs(t *testing.T) {
+	var task any = "task"
+	for _, kind := range PoolKinds() {
+		p := NewPool(kind, 2, []any{task, task}, nil)
+		allocs := testing.AllocsPerRun(1000, func() {
+			for pid := 0; pid < 2; pid++ { // pid 1 takes from pid 0's stack
+				p.Put(0, task)
+				if _, ok := p.Next(pid); !ok {
+					t.Fatal("pool drained early")
+				}
+				p.Done(pid)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per Put/Next/Done, want 0", kind, allocs)
+		}
+	}
+}
+
+// TestPoolShardStaysBounded: a standing backlog that the owner feeds at
+// its newest end while a thief takes from its oldest end must not grow
+// the stack's backing array with the number of rounds.
+func TestPoolShardStaysBounded(t *testing.T) {
+	const backlog, rounds = 10, 100000
+	p := NewPool(StealingPool, 2, nil, nil)
+	for i := 0; i < backlog; i++ {
+		p.Put(0, i)
+	}
+	for r := 0; r < rounds; r++ {
+		p.Put(0, r)
+		p.Put(0, r)
+		if _, ok := p.Next(0); !ok {
+			t.Fatal("owner found its stack empty")
+		}
+		if _, ok := p.Next(1); !ok {
+			t.Fatal("thief found nothing to take")
+		}
+		p.Done(0)
+		p.Done(1)
+	}
+	if c := cap(p.shards[0].tasks); c > 4*backlog {
+		t.Errorf("stack grew to %d slots for a backlog of %d", c, backlog)
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -16,33 +15,43 @@ import (
 // handed out by Next must be matched by exactly one Done call; the pool
 // terminates (Next returns ok=false everywhere) when no task is queued
 // and none is executing.
-type Pool interface {
-	// Next returns the next task for process pid; ok is false when the
-	// whole pool has drained.
-	Next(pid int) (task any, ok bool)
-	// Put adds a task on behalf of process pid.  It must be called by
-	// the goroutine that is pid — tasks land on pid's own deque.
-	Put(pid int, task any)
-	// Done records that a task returned by Next finished executing.
-	Done(pid int)
-	// Close retires the pool: it cancels the pool's poison
-	// subscription, so a pool that outlives its construct does not pin
-	// the cell.  A closed pool must not be used again.
-	Close()
+//
+// The tasks sit on stacks, each behind a lock of its own — the paper's
+// machine-dependent layer of locks (§4.1) and nothing else.  A process
+// pops the newest task of its own stack (depth-first expansion keeps a
+// putter on its own subtree); a process whose stack is empty takes the
+// oldest task of another stack, the root of the largest subtree left
+// there.  An idle process waits through poison.Wait like every other
+// waiter of the runtime, so it observes the force's poison within one
+// park interval.  The two kinds differ only in the number of stacks.
+// Termination uses an outstanding counter (queued + executing tasks).
+type Pool struct {
+	shards      []shard
+	outstanding atomic.Int64
+	pc          *poison.Cell
 }
 
-// PoolKind selects a Pool implementation; each constant says which rule
-// of README's "Which variants exist" keeps it.
+// shard is one locked task stack; tasks[head:] are queued, newest last.
+// Padded so neighbouring shards do not false-share a cache line.
+type shard struct {
+	mu    sync.Mutex
+	head  int
+	tasks []any
+	_     [24]byte
+}
+
+// PoolKind selects how many stacks a Pool has; each constant says which
+// rule of README's "Which variants exist" keeps it.
 type PoolKind int
 
 const (
-	// StealingPool distributes tasks over per-process Chase-Lev deques:
-	// lock-free local put/get, steal-half on miss.  Kept by rule (b): it
-	// is the default every tier runs.
+	// StealingPool gives every process a stack of its own and lets an
+	// idle process take another stack's oldest task.  Kept by rule (b):
+	// it is the default every tier runs.
 	StealingPool PoolKind = iota
-	// MonitorPool is the historical baseline: one central queue behind a
-	// mutex and condition variable, the [LO83] askfor monitor discipline
-	// the paper cites.  Kept by rule (a).
+	// MonitorPool is the historical baseline: one central stack behind
+	// one lock, the [LO83] askfor monitor discipline the paper cites.
+	// Kept by rule (a).
 	MonitorPool
 )
 
@@ -58,7 +67,7 @@ func (k PoolKind) String() string {
 	}
 }
 
-// PoolKinds lists the pool implementations in presentation order.
+// PoolKinds lists the pool kinds in presentation order.
 func PoolKinds() []PoolKind { return []PoolKind{MonitorPool, StealingPool} }
 
 // ParsePoolKind converts a short name into a PoolKind.
@@ -75,288 +84,131 @@ func ParsePoolKind(s string) (PoolKind, error) {
 // tasks.  The constructor must complete before any process uses the pool
 // (the core runtime publishes it through a sync.Once).  A non-nil cell
 // binds the pool to the force's fault-containment protocol: a process
-// parked waiting for tasks unwinds with poison.Abort when the force is
-// poisoned (a peer died mid-task, so the pool can never drain).  Call
-// Close when the construct retires to release the poison subscription.
-func NewPool(kind PoolKind, np int, seed []any, cell *poison.Cell) Pool {
+// waiting for tasks unwinds with poison.Abort when the force is poisoned
+// (a peer died mid-task, so the pool can never drain).
+func NewPool(kind PoolKind, np int, seed []any, cell *poison.Cell) *Pool {
 	if np <= 0 {
 		panic(fmt.Sprintf("engine: np = %d, need np >= 1", np))
 	}
+	n := 1 // MonitorPool: one central stack
 	switch kind {
 	case StealingPool:
-		p := &stealingPool{
-			np:     np,
-			deques: make([]*Deque[any], np),
-			hands:  make([]handSlot, np),
-			free:   make([]freeList, np),
-			pc:     cell,
-		}
-		p.cond = sync.NewCond(&p.mu)
-		for i := range p.deques {
-			p.deques[i] = NewDeque[any](16)
-		}
-		for i, t := range seed {
-			p.deques[i%np].Push(t)
-		}
-		p.outstanding.Store(int64(len(seed)))
-		p.unsub = poison.SubscribeBroadcast(cell, &p.mu, p.cond)
-		return p
+		n = np
 	case MonitorPool:
-		p := &monitorPool{pc: cell}
-		p.cond = sync.NewCond(&p.mu)
-		p.queue = append(p.queue, seed...)
-		p.outstanding = len(p.queue)
-		p.unsub = poison.SubscribeBroadcast(cell, &p.mu, p.cond)
-		return p
 	default:
 		panic(fmt.Sprintf("engine: unknown pool kind %d", int(kind)))
 	}
-}
-
-// stealingPool distributes tasks over per-process deques.  Termination
-// uses an outstanding counter (queued + executing tasks); idle processes
-// spin briefly, then park on a condition variable that Put and the final
-// Done poke.
-//
-// Each process additionally keeps one "hand" slot (the Go scheduler's
-// runnext idea): a freshly put task parks there, displacing the previous
-// occupant onto the shared deque.  The putter almost always consumes its
-// own newest task next (depth-first expansion), so the hand turns that
-// round trip into one atomic swap — and because the hand is an atomic
-// box pointer, thieves can raid it once every deque is dry, so a task is
-// never withheld from the force while its putter blocks inside a body.
-//
-// Tasks travel in boxes (*any) that each worker recycles through a
-// private free list, so steady-state Put/Next traffic allocates nothing:
-// a box moves hand → deque → claimant and returns to the claimant's free
-// list for its next Put.
-type stealingPool struct {
-	np          int
-	deques      []*Deque[any]
-	hands       []handSlot
-	free        []freeList
-	outstanding atomic.Int64
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	sleepers atomic.Int32 // processes parked (or committing to park); mutated under mu
-
-	pc    *poison.Cell
-	unsub func()
-}
-
-// Close cancels the pool's poison subscription.
-func (p *stealingPool) Close() {
-	if p.unsub != nil {
-		p.unsub()
-		p.unsub = nil
+	const room = 16 // initial stack capacity, carved from one backing array
+	p := &Pool{shards: make([]shard, n), pc: cell}
+	buf := make([]any, n*room)
+	for i := range p.shards {
+		p.shards[i].tasks = buf[i*room : i*room : (i+1)*room]
 	}
-}
-
-// handSlot holds the owner's newest task as an atomic box pointer;
-// padded so neighbouring slots do not false-share a cache line.
-type handSlot struct {
-	p atomic.Pointer[any]
-	_ [56]byte
-}
-
-// freeList is a worker-private cache of task boxes.
-type freeList struct {
-	boxes []*any
-	_     [40]byte
-}
-
-// box wraps a task, reusing a cached box when the worker has one.
-func (p *stealingPool) box(pid int, task any) *any {
-	fl := &p.free[pid]
-	if n := len(fl.boxes); n > 0 {
-		b := fl.boxes[n-1]
-		fl.boxes = fl.boxes[:n-1]
-		*b = task
-		return b
+	for i, t := range seed {
+		p.shards[i%n].push(t)
 	}
-	b := new(any)
-	*b = task
-	return b
+	p.outstanding.Store(int64(len(seed)))
+	return p
 }
 
-// unbox extracts a claimed box's task and caches the box for reuse by
-// this worker.  Safe because a box has exactly one claimant: deque
-// claims go through the top CAS, hand claims through Swap.
-func (p *stealingPool) unbox(pid int, b *any) any {
-	t := *b
-	*b = nil // do not pin the task value while the box idles in the cache
-	fl := &p.free[pid]
-	if len(fl.boxes) < 64 {
-		fl.boxes = append(fl.boxes, b)
-	}
-	return t
-}
+// own returns pid's stack: its own under StealingPool, the one central
+// stack under MonitorPool.
+func (p *Pool) own(pid int) *shard { return &p.shards[min(pid, len(p.shards)-1)] }
 
-func (p *stealingPool) Put(pid int, task any) {
+// Put adds a task on behalf of process pid.  It must be called by the
+// goroutine that is pid — the task lands on pid's own stack.
+func (p *Pool) Put(pid int, task any) {
 	p.outstanding.Add(1)
-	b := p.box(pid, task)
-	if old := p.hands[pid].p.Swap(b); old != nil {
-		p.deques[pid].PushRef(old)
-	}
-	// The swap (seq-cst RMW) precedes this load; a parker increments
-	// sleepers (seq-cst) before re-checking hands and deques, so one
-	// side always observes the other — the classic Dekker handshake.
-	// One task wakes one worker: a woken worker that loses the ensuing
-	// steal race re-parks, and the drain broadcast in Done catches
-	// stragglers.
-	if p.sleepers.Load() > 0 {
-		p.mu.Lock()
-		p.cond.Signal()
-		p.mu.Unlock()
-	}
+	s := p.own(pid)
+	s.mu.Lock()
+	s.push(task)
+	s.mu.Unlock()
 }
 
-func (p *stealingPool) Done(pid int) {
-	if p.outstanding.Add(-1) == 0 {
-		p.mu.Lock()
-		p.cond.Broadcast()
-		p.mu.Unlock()
+// Done records that a task returned by Next finished executing.
+func (p *Pool) Done(pid int) { p.outstanding.Add(-1) }
+
+// Next returns the next task for process pid; ok is false when the
+// whole pool has drained.
+func (p *Pool) Next(pid int) (any, bool) {
+	if t, ok := p.take(pid); ok {
+		return t, true
 	}
+	return p.wait(pid)
 }
 
-func (p *stealingPool) Next(pid int) (any, bool) {
-	own := p.deques[pid]
-	if b := p.hands[pid].p.Swap(nil); b != nil {
-		return p.unbox(pid, b), true
-	}
-	for spin := 0; ; spin++ {
-		p.pc.Check()
-		if b, ok := own.PopRef(); ok {
-			return p.unbox(pid, b), true
-		}
-		faultinject.Fire(faultinject.EngineSteal, pid, p.pc)
-		for i := 1; i < p.np; i++ {
-			if b, ok := p.stealHalf(own, p.deques[(pid+i)%p.np]); ok {
-				return p.unbox(pid, b), true
-			}
-		}
-		if p.outstanding.Load() == 0 {
-			return nil, false
-		}
-		if spin < 2 {
-			runtime.Gosched()
-			continue
-		}
-		// Last resort before parking: raid the hand slots.  Raids stay
-		// off the steal sweep to preserve the owners' locality; they
-		// only matter when every deque is dry — either momentarily, or
-		// because a putter is blocked inside its body with the
-		// successor task still in its hand.
-		faultinject.Fire(faultinject.EngineHand, pid, p.pc)
-		for i := 1; i < p.np; i++ {
-			if b := p.hands[(pid+i)%p.np].p.Swap(nil); b != nil {
-				return p.unbox(pid, b), true
-			}
-		}
-		// Park until a Put lands, the pool drains, the force is
-		// poisoned, or a steal race we lost leaves visible work to
-		// re-contest.  A poison wake falls through to the loop head,
-		// whose Check unwinds this process.
-		faultinject.Fire(faultinject.EnginePark, pid, p.pc)
-		p.mu.Lock()
-		p.sleepers.Add(1)
-		for !p.workVisible() && p.outstanding.Load() > 0 && !p.pc.Poisoned() {
-			p.cond.Wait()
-		}
-		p.sleepers.Add(-1)
-		p.mu.Unlock()
-	}
-}
-
-// stealHalf takes one task from the victim and migrates up to half of the
-// victim's remaining backlog onto the thief's own deque, so a process that
-// ran dry refills in one raid instead of returning per task.  Boxes move
-// whole; migration allocates nothing.
-func (p *stealingPool) stealHalf(own, victim *Deque[any]) (*any, bool) {
-	b, ok := victim.StealRef()
-	if !ok {
-		return nil, false
-	}
-	for n := victim.Size() / 2; n > 0; n-- {
-		extra, ok := victim.StealRef()
-		if !ok {
-			break
-		}
-		own.PushRef(extra)
-	}
-	return b, true
-}
-
-func (p *stealingPool) workVisible() bool {
-	for _, d := range p.deques {
-		if d.Size() > 0 {
-			return true
-		}
-	}
-	for i := range p.hands {
-		if p.hands[i].p.Load() != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// monitorPool is the central-queue baseline, semantically identical to the
-// pre-engine askforState monitor: one mutex, one condition variable, LIFO
-// dispatch.
-type monitorPool struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	queue       []any
-	outstanding int // queued + currently executing tasks
-
-	pc    *poison.Cell
-	unsub func()
-}
-
-// Close cancels the pool's poison subscription.
-func (p *monitorPool) Close() {
-	if p.unsub != nil {
-		p.unsub()
-		p.unsub = nil
-	}
-}
-
-func (p *monitorPool) Put(pid int, task any) {
-	p.mu.Lock()
-	p.queue = append(p.queue, task)
-	p.outstanding++
-	p.mu.Unlock()
-	p.cond.Signal()
-}
-
-func (p *monitorPool) Done(pid int) {
-	p.mu.Lock()
-	p.outstanding--
-	done := p.outstanding == 0
-	p.mu.Unlock()
-	if done {
-		p.cond.Broadcast()
-	}
-}
-
-func (p *monitorPool) Next(pid int) (any, bool) {
+// wait is Next's slow path, kept out of Next so that the wait closure's
+// captures do not make every Next allocate.
+func (p *Pool) wait(pid int) (task any, ok bool) {
 	faultinject.Fire(faultinject.EnginePark, pid, p.pc)
-	p.mu.Lock()
-	for len(p.queue) == 0 && p.outstanding > 0 && !p.pc.Poisoned() {
-		p.cond.Wait()
+	poison.Wait(p.pc, func() bool {
+		task, ok = p.take(pid)
+		return ok || p.outstanding.Load() == 0
+	})
+	return task, ok
+}
+
+// take pops pid's newest task or, when its own stack is empty, another
+// stack's oldest.
+func (p *Pool) take(pid int) (any, bool) {
+	s := p.own(pid)
+	s.mu.Lock()
+	t, ok := s.pop()
+	s.mu.Unlock()
+	if ok || len(p.shards) == 1 {
+		return t, ok
 	}
-	if p.pc.Poisoned() {
-		p.mu.Unlock()
-		p.pc.Check()
+	faultinject.Fire(faultinject.EngineSteal, pid, p.pc)
+	for i := 1; i < len(p.shards); i++ {
+		v := &p.shards[(pid+i)%len(p.shards)]
+		v.mu.Lock()
+		t, ok = v.popOldest()
+		v.mu.Unlock()
+		if ok {
+			return t, true
+		}
 	}
-	if p.outstanding == 0 {
-		p.mu.Unlock()
+	return nil, false
+}
+
+// push appends t as the newest task.  A full stack whose taken prefix is
+// at least as long as its queued tasks slides them down instead of
+// growing, so the copy is paid for by the slots it frees and the backing
+// array stays within a small factor of the largest backlog.
+func (s *shard) push(t any) {
+	if len(s.tasks) == cap(s.tasks) && 2*s.head >= len(s.tasks) {
+		n := copy(s.tasks, s.tasks[s.head:])
+		clear(s.tasks[n:])
+		s.tasks, s.head = s.tasks[:n], 0
+	}
+	s.tasks = append(s.tasks, t)
+}
+
+// pop removes the newest task.
+func (s *shard) pop() (any, bool) {
+	n := len(s.tasks) - 1
+	if n < s.head {
 		return nil, false
 	}
-	t := p.queue[len(p.queue)-1]
-	p.queue = p.queue[:len(p.queue)-1]
-	p.mu.Unlock()
+	t := s.tasks[n]
+	s.tasks[n] = nil
+	s.tasks = s.tasks[:n]
+	if n == s.head {
+		s.tasks, s.head = s.tasks[:0], 0
+	}
+	return t, true
+}
+
+// popOldest removes the oldest task.
+func (s *shard) popOldest() (any, bool) {
+	if s.head == len(s.tasks) {
+		return nil, false
+	}
+	t := s.tasks[s.head]
+	s.tasks[s.head] = nil
+	s.head++
+	if s.head == len(s.tasks) {
+		s.tasks, s.head = s.tasks[:0], 0
+	}
 	return t, true
 }

@@ -65,12 +65,11 @@ const (
 	AsyncCopy      = "async.copy"
 	AskforPut      = "askfor.put"
 	AskforTake     = "askfor.take"
-	EnginePark     = "engine.park" // an askfor worker about to park for tasks
-	EngineSteal    = "engine.steal"
-	EngineHand     = "engine.hand" // the hand-slot raid of last resort
-	AOTBuild       = "aot.build"   // the native tier's go-build cold path
-	AOTExec        = "aot.exec"    // about to exec the cached native binary
-	FusedJoin      = "fuse.join"   // the single collective closing a fused DOALL+reduction
+	EnginePark     = "engine.park"  // an askfor worker about to wait for tasks
+	EngineSteal    = "engine.steal" // an askfor worker about to look at other processes' stacks
+	AOTBuild       = "aot.build"    // the native tier's go-build cold path
+	AOTExec        = "aot.exec"     // about to exec the cached native binary
+	FusedJoin      = "fuse.join"    // the single collective closing a fused DOALL+reduction
 )
 
 // Sites lists every injection site, in sweep order.
@@ -79,7 +78,7 @@ var Sites = []string{
 	ReduceContrib, ReduceCombine, ReduceRelease,
 	AsyncProduce, AsyncConsume, AsyncCopy,
 	AskforPut, AskforTake,
-	EnginePark, EngineSteal, EngineHand,
+	EnginePark, EngineSteal,
 	AOTBuild, AOTExec,
 	FusedJoin,
 }

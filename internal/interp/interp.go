@@ -105,8 +105,8 @@ type Config struct {
 	// sched.Chunk deal them by fetch-and-add instead.
 	Selfsched sched.Kind
 	// Askfor selects the pool discipline behind language-level Askfor
-	// statements: the engine's work-stealing deques (zero value) or the
-	// [LO83]-style central monitor (engine.MonitorPool).
+	// statements: one task stack per process (zero value) or the
+	// [LO83]-style central monitor's one stack (engine.MonitorPool).
 	Askfor engine.PoolKind
 	// Reduce selects the strategy executing the global-reduction
 	// statements (GSUM, GPROD, GMAX, GMIN, GAND, GOR): per-process

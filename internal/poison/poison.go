@@ -18,20 +18,20 @@
 //     process to fail records its panic value and poisons the cell
 //     (later failures lose the race and are dropped — the force reports
 //     the *first* failure, as the single-process path always did).
-//     Poisoning closes a broadcast channel and runs subscriber hooks, so
-//     primitives parked on channels or condition variables wake.
+//     Poisoning closes a broadcast channel, so primitives parked on
+//     channels wake.
 //   - Abort: the distinguished panic value blocked peers unwind with
 //     when they observe poison.  The engine recovers Abort at the job
 //     boundary and discards it — the original failure is in the cell.
 //   - Wait: the shared bounded spin-then-park wait policy.  Every
 //     spinning primitive of the runtime (barrier release waits, reduce
 //     episode waits, asynchronous-variable transfers, lock acquisition
-//     inside condition-encoding constructs) waits through it, so a waiter
-//     observes poison within one park interval, an oversubscribed waiter
-//     stops pinning a core instead of spinning unboundedly, and a waiter
-//     that has a CPU of its own neither enters the scheduler for a
-//     release that is nanoseconds away nor oversleeps one that is
-//     microseconds away.
+//     inside condition-encoding constructs, an idle Askfor taker) waits
+//     through it, so a waiter observes poison within one park interval,
+//     an oversubscribed waiter stops pinning a core instead of spinning
+//     unboundedly, and a waiter that has a CPU of its own neither enters
+//     the scheduler for a release that is nanoseconds away nor oversleeps
+//     one that is microseconds away.
 //
 // A nil *Cell is valid everywhere and means "no poison wired": Poisoned
 // reports false, Check is a no-op, and Wait degenerates to the plain
@@ -130,8 +130,6 @@ type Cell struct {
 	val   any
 	cause Cause
 	ch    chan struct{}
-	subs  map[int]func()
-	next  int
 }
 
 // NewCell returns an armed, unpoisoned cell.
@@ -189,9 +187,8 @@ func (c *Cell) timedYield() {
 }
 
 // Poison records v as the force's first failure (CauseFailure) and
-// broadcasts: the wake channel closes and every subscriber hook runs.
-// Only the first call wins; Poison reports whether this call was it.
-// Poisoning a nil cell reports false.
+// broadcasts: the wake channel closes.  Only the first call wins; Poison
+// reports whether this call was it.  Poisoning a nil cell reports false.
 func (c *Cell) Poison(v any) bool { return c.PoisonCause(v, CauseFailure) }
 
 // PoisonExternal poisons the cell with an external cancellation: err is
@@ -216,20 +213,7 @@ func (c *Cell) PoisonCause(v any, cause Cause) bool {
 	c.cause = cause
 	c.flag.Store(true)
 	close(c.ch)
-	subs := make([]func(), 0, len(c.subs))
-	for _, fn := range c.subs {
-		subs = append(subs, fn)
-	}
 	c.mu.Unlock()
-	// Each hook runs in its own goroutine: hooks take primitive locks
-	// (condition-variable broadcasts), and a primitive's lock can be
-	// held by a process whose own wake depends on a *different* hook —
-	// a barrier section parked in an asynchronous variable, say.
-	// Sequential dispatch could then deadlock the abort protocol on
-	// hook ordering; concurrent dispatch cannot.
-	for _, fn := range subs {
-		go fn()
-	}
 	return true
 }
 
@@ -288,61 +272,9 @@ func (c *Cell) Check() {
 	}
 }
 
-// Subscribe registers a hook run once per poisoning.  Hooks wake
-// primitives that park on their own condition variables and cannot
-// select on Done; each hook runs on its own goroutine (see Poison).
-// Subscribing while the cell is ALREADY poisoned still registers the
-// hook (it also fires once right away): the registration must survive
-// a Reset, or a primitive bound during the poisoned window would be
-// deaf to every later poisoning — a silent reintroduction of the hang
-// this package eliminates.  The returned cancel function unregisters
-// the hook; primitives with a shorter lifetime than the cell
-// (per-construct pools) must call it when retired, or the hook pins
-// them for the cell's lifetime.
-func (c *Cell) Subscribe(fn func()) (cancel func()) {
-	if c == nil {
-		return func() {}
-	}
-	c.mu.Lock()
-	poisonedNow := c.flag.Load()
-	if c.subs == nil {
-		c.subs = map[int]func(){}
-	}
-	id := c.next
-	c.next++
-	c.subs[id] = fn
-	c.mu.Unlock()
-	if poisonedNow {
-		go fn()
-	}
-	return func() {
-		c.mu.Lock()
-		delete(c.subs, id)
-		c.mu.Unlock()
-	}
-}
-
-// SubscribeBroadcast registers the canonical condition-variable wake
-// hook: lock-then-unlock mu before broadcasting, so a waiter between
-// its poison check and cond.Wait (it holds mu there) cannot miss the
-// wakeup.  Shared by every parked primitive (both engine pools).
-// Returns the cancel, or a no-op when no cell is wired.
-func SubscribeBroadcast(c *Cell, mu sync.Locker, cond *sync.Cond) (cancel func()) {
-	if c == nil {
-		return func() {}
-	}
-	return c.Subscribe(func() {
-		mu.Lock()
-		mu.Unlock() //nolint:staticcheck // empty critical section orders the broadcast
-		cond.Broadcast()
-	})
-}
-
 // Reset rearms a poisoned cell for the next run: the failure slot
-// clears and a fresh wake channel is installed.  Subscribers persist —
-// they belong to primitives whose lifetime is the force's, not the
-// run's.  Reset must only be called while no process can block on the
-// cell (between runs).  A no-op on an unpoisoned or nil cell.
+// clears and a fresh wake channel is installed.  Reset must only be
+// called while no process can block on the cell (between runs).  A no-op on an unpoisoned or nil cell.
 func (c *Cell) Reset() {
 	if c == nil {
 		return

@@ -51,7 +51,6 @@ func TestNilCellSafe(t *testing.T) {
 	}
 	c.Check()
 	c.Reset()
-	c.Subscribe(func() { t.Fatal("subscriber ran on nil cell") })()
 	ok := false
 	Wait(c, func() bool { ok = !ok; return ok })
 }
@@ -101,66 +100,8 @@ func TestWaitAbortsOnPoison(t *testing.T) {
 	}
 }
 
-// awaitCount polls until the counter reaches want (hooks run on their
-// own goroutines).
-func awaitCount(t *testing.T, what string, n *atomic.Int32, want int32) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for n.Load() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want %d", what, n.Load(), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestSubscribeAndCancel(t *testing.T) {
-	c := NewCell()
-	var ran, cancelled atomic.Int32
-	c.Subscribe(func() { ran.Add(1) })
-	cancel := c.Subscribe(func() { cancelled.Add(1) })
-	cancel()
-	c.Poison("x")
-	awaitCount(t, "subscriber runs", &ran, 1)
-	time.Sleep(20 * time.Millisecond)
-	if cancelled.Load() != 0 {
-		t.Fatal("cancelled subscriber still ran")
-	}
-	// Subscribing to an already-poisoned cell fires right away (on its
-	// own goroutine).
-	var late atomic.Int32
-	c.Subscribe(func() { late.Add(1) })
-	awaitCount(t, "late subscriber runs", &late, 1)
-}
-
-// TestPoisonHooksCannotDeadlockEachOther: a hook blocked on a lock
-// held by a waiter that a *different* hook must wake — concurrent
-// dispatch means Poison itself never wedges on hook ordering.
-func TestPoisonHooksCannotDeadlockEachOther(t *testing.T) {
-	c := NewCell()
-	var mu sync.Mutex
-	release := make(chan struct{})
-	mu.Lock()                                      // held until the second hook releases it
-	c.Subscribe(func() { mu.Lock(); mu.Unlock() }) //nolint:staticcheck // models a barrier's broadcast hook
-	c.Subscribe(func() { <-release })
-	done := make(chan struct{})
-	go func() {
-		c.Poison("x")
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Poison blocked on a subscriber hook")
-	}
-	close(release)
-	mu.Unlock()
-}
-
 func TestResetRearms(t *testing.T) {
 	c := NewCell()
-	var wakes atomic.Int32
-	c.Subscribe(func() { wakes.Add(1) })
 	c.Poison(errors.New("run 1"))
 	c.Reset()
 	if c.Poisoned() || c.Err() != nil || c.Value() != nil {
@@ -171,11 +112,15 @@ func TestResetRearms(t *testing.T) {
 		t.Fatal("Done still closed after Reset")
 	default:
 	}
-	// Subscribers survive Reset: the next run's poison wakes them again.
+	// The next run's poison closes the fresh wake channel.
 	if !c.Poison(errors.New("run 2")) {
 		t.Fatal("re-poison after Reset lost")
 	}
-	awaitCount(t, "subscriber wakes", &wakes, 2)
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("Done not closed by the re-poison")
+	}
 	if c.Err().Error() != "run 2" {
 		t.Fatalf("Err = %v after re-poison", c.Err())
 	}
