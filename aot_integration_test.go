@@ -9,12 +9,15 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -30,7 +33,10 @@ import (
 	"repro/internal/interp"
 	"repro/internal/reduce"
 	"repro/internal/sched"
+	"repro/internal/vet"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/narration.golden")
 
 // aotCache is one cache shared by the whole parity sweep, so each
 // corpus program builds exactly once even though several tests (and
@@ -699,35 +705,52 @@ Endsub
 		}
 	}
 
-	// The sweep: both back ends walk one node list (plan.Target.Next), so
-	// the same holds for every program the repository owns — the whole
-	// corpus and every forcemark program.  Decisions are compile-time: a
+	// The sweep: every program the repository owns — each corpus program
+	// and every .force file under examples/, testdata/ and
+	// benchmark/programs/ — narrates on both back ends the lines
+	// testdata/narration.golden pins (`go test -run
+	// TestPlanNarrationAcrossTiers . -update` rewrites it: review the
+	// diff), and since both walk one node list (plan.Target.Next) the two
+	// agree once grant sizes are masked.  Decisions are compile-time: a
 	// context dead on arrival narrates them all and starts no force.
 	sources := map[string]string{}
-	for _, fam := range [][]corpus.Program{corpus.Equiv, corpus.RuntimeErrors, corpus.NonUniform,
-		corpus.Chunk, corpus.Fusion, corpus.Reductions, corpus.FusionFaults} {
-		for _, p := range fam {
-			sources[p.Name] = p.Src
+	for fam, progs := range map[string][]corpus.Program{"Equiv": corpus.Equiv, "RuntimeErrors": corpus.RuntimeErrors,
+		"NonUniform": corpus.NonUniform, "Chunk": corpus.Chunk, "Fusion": corpus.Fusion,
+		"Reductions": corpus.Reductions, "FusionFaults": corpus.FusionFaults} {
+		for _, p := range progs {
+			name := "corpus." + fam + "/" + p.Name
+			if _, dup := sources[name]; dup {
+				t.Fatalf("two corpus programs named %s", name)
+			}
+			sources[name] = p.Src
 		}
 	}
-	files, err := filepath.Glob("benchmark/programs/*/*.force")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no forcemark programs: %v", err)
-	}
-	for _, f := range files {
-		text, err := os.ReadFile(f)
+	for _, dir := range []string{"examples", "testdata", "benchmark/programs"} {
+		err := filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+			if err != nil || filepath.Ext(path) != ".force" {
+				return err
+			}
+			text, err := os.ReadFile(path)
+			sources[filepath.ToSlash(path)] = string(text)
+			return err
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sources[f] = string(text)
 	}
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Whether a loop fits one grant follows from the grant's size.
 	grantLine := regexp.MustCompile(`grant=[0-9]+( ≥ trip count: process 0 runs it)?`)
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var golden strings.Builder
 	decided := 0
-	for name, text := range sources {
-		prog, err := forcelang.Parse(text)
+	for _, name := range names {
+		prog, err := forcelang.Parse(sources[name])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -735,8 +758,9 @@ Endsub
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var got []string
+		var chunked, got []string
 		err = interp.Run(prog, interp.Config{NP: 2, Context: dead, FuseLog: func(msg string) {
+			chunked = append(chunked, msg)
 			if !strings.Contains(msg, ": DOALL span-checked ") {
 				got = append(got, msg)
 			}
@@ -748,10 +772,51 @@ Endsub
 		if grantLine.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
 			t.Errorf("%s: chunk tier narrates\n%s\nemitter narrates\n%s", name, strings.Join(got, "\n"), strings.Join(lines, "\n"))
 		}
+		fmt.Fprintf(&golden, "== %s\n", name)
+		for _, l := range chunked {
+			fmt.Fprintf(&golden, "chunked %s\n", l)
+		}
+		for _, l := range lines {
+			fmt.Fprintf(&golden, "codegen %s\n", l)
+		}
 		decided += len(lines)
 	}
 	if decided < 300 {
 		t.Errorf("the sweep compared %d decisions over %d programs: it is not reading the narration", decided, len(sources))
+	}
+	const goldenPath = "testdata/narration.golden"
+	if *update {
+		if err := os.WriteFile(goldenPath, []byte(golden.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else if text, err := os.ReadFile(goldenPath); err != nil {
+		t.Fatal(err)
+	} else if got, want := strings.Split(golden.String(), "\n"), strings.Split(string(text), "\n"); !slices.Equal(got, want) {
+		k := 0
+		for k < len(got)-1 && k < len(want)-1 && got[k] == want[k] {
+			k++
+		}
+		t.Errorf("narration differs from %s at line %d (rerun with -update and review):\n got %q\nwant %q", goldenPath, k+1, got[k], want[k])
+	}
+
+	// The files under testdata/narration/ are what they narrate for:
+	// vet-clean, and at np 4 they print their .want.
+	files, err := filepath.Glob("testdata/narration/*.force")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no narration files: %v", err)
+	}
+	for _, f := range files {
+		prog := forcelang.MustParse(sources[filepath.ToSlash(f)])
+		if diags, err := vet.Analyze(prog); err != nil || len(diags) != 0 {
+			t.Errorf("%s: vet: %v %v", f, diags, err)
+		}
+		want, err := os.ReadFile(strings.TrimSuffix(f, ".force") + ".want")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err := interpRun(t, prog, 4, interp.ExecChunked); err != nil || out != string(want) {
+			t.Errorf("%s at np 4: printed %q, error %v; want %q", f, out, err, want)
+		}
 	}
 }
 

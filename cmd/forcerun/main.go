@@ -32,9 +32,10 @@
 // that construct's closing collective instead of running an episode of
 // its own.  Fusion only rewrites regions it can prove independent, so
 // output is byte-identical to the unfused run.  With -v each fusion
-// decision — what fused, what declined and why — is narrated on
-// standard error, along with the exec tier and the selfsched-chunk span
-// size for the run and, per DOALL site, how its iterations are dealt: a
+// decision — what fused, what declined and why, each line rendered from
+// the planner's node for the construct (plan.Node.Narrate) — is narrated
+// on standard error, along with the exec tier and the selfsched-chunk
+// span size for the run and, per DOALL site, how its iterations are dealt: a
 // Presched DO "partition=block" (contiguous spans, taken when nothing
 // can observe the iteration-to-process map) or "partition=cyclic
 // (<reason>)", a Selfsched DO "grant=K" — how many iterations one claim

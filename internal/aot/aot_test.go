@@ -213,22 +213,24 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 9 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 10 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
 	// text key, before the fixed owner, before forcert.Real, before
-	// INTEGER constant arithmetic went through forcert.Int and before a
-	// sequential DO ran by its trip count).
+	// INTEGER constant arithmetic went through forcert.Int, before a
+	// sequential DO ran by its trip count and before a DOALL range was
+	// counted from its unsigned span).
 	oldKeys := map[int]string{
-		1: "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
-		2: "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
-		3: "83d032927fc0d76e9c9ed4500bc4245de432bfc0cd69571a56c45941d08ec470",
-		4: "4fcc29f76b3d6e63f55b390e2f0d102291ee84fa92efdfbff54f1973d275dd79",
-		5: "7e2e7ad8a9ba4e612f68a54b96e3b3d82dce3d0132074c9611c473cbf9b159f9",
-		6: "dfa8e0aadeca348197ae6f83ceed2fe20d2073bde633a5a1bc941972cce447b6",
-		7: "ae1a3bf0f93516270e83105c53e9df3684659337f0d352eddc51062b515c85cc",
-		8: "b8bcc05534e02b300dcf4ae4f1e4aacd838f5da53f9c303e4e6b3fd5f6b66988",
-		9: "5ec2a5b8395dc331edae4f991416d89a1c10081a368352f6380536f9ff140751",
+		1:  "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
+		2:  "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
+		3:  "83d032927fc0d76e9c9ed4500bc4245de432bfc0cd69571a56c45941d08ec470",
+		4:  "4fcc29f76b3d6e63f55b390e2f0d102291ee84fa92efdfbff54f1973d275dd79",
+		5:  "7e2e7ad8a9ba4e612f68a54b96e3b3d82dce3d0132074c9611c473cbf9b159f9",
+		6:  "dfa8e0aadeca348197ae6f83ceed2fe20d2073bde633a5a1bc941972cce447b6",
+		7:  "ae1a3bf0f93516270e83105c53e9df3684659337f0d352eddc51062b515c85cc",
+		8:  "b8bcc05534e02b300dcf4ae4f1e4aacd838f5da53f9c303e4e6b3fd5f6b66988",
+		9:  "5ec2a5b8395dc331edae4f991416d89a1c10081a368352f6380536f9ff140751",
+		10: "8195505f235c08047402fadd7d63be861a45194240ef44457235109491ace17e",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

@@ -32,8 +32,11 @@ import (
 // operator over literals is computed at run time, through forcert.Real;
 // 9: and an INTEGER one through forcert.Int, so it wraps as it does in
 // the interpreters; 10: a sequential DO runs by its trip count
-// (forcert.Do) and polls the poison cell every core.PoisonEvery trips.)
-const formatVersion = 10
+// (forcert.Do) and polls the poison cell every core.PoisonEvery trips;
+// 11: same emitted Go, but the scheduler a binary embeds counts a DOALL
+// range spanning more than 2^63 from its unsigned span, and the recorded
+// plan names a statement no span runs as the language spells it.)
+const formatVersion = 11
 
 // buildEnv names the environment variables the go build of an entry
 // inherits that change the binary it makes: a binary built under

@@ -74,10 +74,9 @@ func Generate(prog *forcelang.Program, opts Options) ([]byte, error) {
 	return src, err
 }
 
-// Lower is Generate plus the plan it emitted from: one line per DOALL
-// decision (how a Presched DO is dealt and why, what fused, what
-// declined), the same lines in the same order the interpreter's chunk
-// tier narrates through Config.FuseLog for the same program.
+// Lower is Generate plus the plan it emitted from: every node's lines as
+// plan.Node.Narrate renders them, the lines the interpreter's chunk tier
+// hands Config.FuseLog for the same program, in the same order.
 func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []string, err error) {
 	if opts.Package == "" {
 		opts.Package = "main"
@@ -85,8 +84,7 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 	if opts.DefaultNP <= 0 {
 		opts.DefaultNP = 4
 	}
-	g := &generator{prog: prog, opts: opts}
-	g.tg = plan.Target{NsPerUnit: nativeNsPerUnit, Level: plan.Fused, Log: g.logf}
+	g := &generator{prog: prog, opts: opts, tg: plan.Target{NsPerUnit: nativeNsPerUnit, Level: plan.Fused}}
 	raw, err := g.run()
 	if err != nil {
 		return nil, nil, err
@@ -113,16 +111,12 @@ type generator struct {
 	// Inside a planned DOALL body: folds maps each accumulator scalar the
 	// span folds to its span-local partial.  Nil everywhere else.
 	folds map[string]string
-	// decisions collects the plan narration (Lower).
+	// decisions collects the rendering of every node (Lower).
 	decisions []string
 	// Whether a unit referenced internal/asyncvar (an asynchronous array)
 	// or internal/reduce (a closing collective that reduces): the two
 	// runtime packages only some programs import.
 	usesAsyncvar, usesReduce bool
-}
-
-func (g *generator) logf(format string, args ...any) {
-	g.decisions = append(g.decisions, fmt.Sprintf(format, args...))
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -344,6 +338,7 @@ func (g *generator) subFunc(sub *forcelang.Subroutine) error {
 func (g *generator) stmts(list []forcelang.Stmt) error {
 	for i := 0; i < len(list); {
 		nd, n := g.tg.Next(list, i)
+		nd.Narrate(func(line string) { g.decisions = append(g.decisions, line) })
 		var err error
 		switch {
 		case nd.Stmt != nil:

@@ -411,6 +411,35 @@ IF (ME .EQ. 0) THEN
 End IF
 Endsub
 `},
+	// A DOALL whose range spans more than 2^63 runs its trips, as the
+	// sequential DO with the same header does: 19, counted from the
+	// unsigned span, not from a wrapped difference.  A count of 0 divides
+	// by zero in the last Print, so every tier fails rather than agreeing.
+	{"wide-range-doall", 2, `Force WIDE of NP ident ME
+Shared Integer TRIPS, FOLD, SEQ
+Private Integer I
+End Declarations
+Barrier
+  TRIPS = 0
+  FOLD = 0
+  SEQ = 0
+  DO I = -9000000000000000000, 9000000000000000000, 1000000000000000000
+    SEQ = SEQ + 1
+  End DO
+End Barrier
+Presched DO I = -9000000000000000000, 9000000000000000000, 1000000000000000000
+  Critical C
+    TRIPS = TRIPS + 1
+  End Critical
+End Presched DO
+Selfsched DO I = 9000000000000000000, -9000000000000000000, -1000000000000000000
+  FOLD = FOLD + 1
+End Selfsched DO
+Barrier
+  Print 'trips', TRIPS, FOLD, 'of', SEQ, SEQ * SEQ / (TRIPS * FOLD)
+End Barrier
+Join
+`},
 }
 
 // RuntimeErrors is the uniform runtime-error corpus: every process hits

@@ -51,6 +51,7 @@ package interp
 // giant prescheduled spans.
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -290,12 +291,12 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 	planned := p != nil
 	body := c.spanBody(t, cp)
 	byBlock := planned && p.PerIter == ""
-	if lg := c.tg.Log; lg != nil && cp.elems > 0 {
+	if lg := c.in.cfg.FuseLog; lg != nil && cp.elems > 0 {
 		how := "block-evaluated"
 		if !byBlock {
 			how = "per iteration (" + p.PerIter + ")"
 		}
-		lg("line %d: DOALL span-checked %d of %d element references, %s", t.Pos(), cp.sites, cp.elems, how)
+		lg(fmt.Sprintf("line %d: DOALL span-checked %d of %d element references, %s", t.Pos(), cp.sites, cp.elems, how))
 	}
 	var recs []plan.AccRec
 	if planned {

@@ -83,7 +83,7 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 	}()
 	c := newCompiler(in)
 	// Main first, then the subroutines in source order — the order the
-	// Go emitter walks them — so the decisions narrated through FuseLog
+	// Go emitter walks them — so the decisions rendered into FuseLog
 	// read the same from run to run and from tier to tier.
 	c.units[""].body = c.stmts(in.res.prog.Body)
 	for _, sub := range in.res.prog.Subs {
@@ -96,11 +96,15 @@ func compileProgram(in *cinstance) (cp *cprogram, err error) {
 
 // stmts compiles a statement list — the one driver: internal/plan lowers
 // it step by step (Target.Next, at the level Config selected) and each
-// node compiles to one closure, a Loop or a Region through fuse.go.
+// node, rendered into FuseLog, compiles to one closure, a Loop or a
+// Region through fuse.go.
 func (c *compiler) stmts(list []forcelang.Stmt) []stmtFn {
 	out := make([]stmtFn, 0, len(list))
 	for i := 0; i < len(list); {
 		nd, n := c.tg.Next(list, i)
+		if lg := c.in.cfg.FuseLog; lg != nil {
+			nd.Narrate(lg)
+		}
 		switch {
 		case nd.Stmt != nil:
 			out = append(out, c.stmt(nd.Stmt))

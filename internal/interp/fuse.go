@@ -6,13 +6,12 @@ package interp
 // is stored are decided there (plan/fuse.go states the legality argument
 // and draws the region) and arrive as fields; this file turns a node into
 // its closures, a riding Barrier's section into the section argument of
-// the collective it rides.  Every decision is compile-time and narrated
-// through Config.FuseLog.  Config.NoFuse and ExecCompiled only lower the
+// the collective it rides.  Every decision is compile-time, and rendered
+// into Config.FuseLog.  Config.NoFuse and ExecCompiled only lower the
 // target's level (planTarget), so the same closures run fused, unfused
 // and unplanned — byte-identical by construction or the corpus tests fail.
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/forcelang"
@@ -34,7 +33,7 @@ const (
 
 // planTarget is the closure back end as internal/plan sees it: the level
 // cfg selects — the planner off (ExecCompiled), on without fusion
-// (NoFuse), or whole — and the narration going to FuseLog, or nowhere.
+// (NoFuse), or whole.
 func planTarget(cfg Config) plan.Target {
 	tg := plan.Target{NsPerUnit: closureNsPerUnit, NsPerBlockUnit: blockNsPerUnit, Level: plan.Fused}
 	switch {
@@ -42,9 +41,6 @@ func planTarget(cfg Config) plan.Target {
 		tg.Level = plan.Plain
 	case cfg.NoFuse:
 		tg.Level = plan.Planned
-	}
-	if lg := cfg.FuseLog; lg != nil {
-		tg.Log = func(format string, args ...any) { lg(fmt.Sprintf(format, args...)) }
 	}
 	return tg
 }

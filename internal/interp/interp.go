@@ -124,16 +124,11 @@ type Config struct {
 	// an episode of its own instead of riding the closing collective
 	// before it.  The other modes already ask for less.
 	NoFuse bool
-	// FuseLog, when non-nil, receives one line per fusion decision the
-	// compiler takes (each fused region, each declined candidate with
-	// the reason, each ridden Barrier) and one per DOALL site saying how
-	// its iterations are dealt: "partition=block" or "partition=cyclic
-	// (<reason>)" for a prescheduled one, "grant=K" for a selfscheduled
-	// one — and, per planned DOALL that subscripts a shared array,
-	// "span-checked K of M element references": how many are
-	// range-checked per span instead of per iteration (chunk.go).
-	// Decisions are compile-time, so the log is emitted once per Run, not
-	// per construct execution.
+	// FuseLog, when non-nil, receives the planner's decisions once per
+	// Run, at compile time: each plan.Node's lines (Node.Narrate renders
+	// its fields) and, behind them, per planned DOALL that subscripts a
+	// shared array, how many element references are range-checked per
+	// span instead of per iteration (chunk.go, this tier's own line).
 	FuseLog func(msg string)
 	// OnForce, when non-nil, is called with the freshly created force
 	// before execution starts.  forcerun's stall watchdog uses it to

@@ -16,6 +16,7 @@ package plan
 
 import (
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/uniform"
 )
 
@@ -85,7 +86,8 @@ func listCost(list []forcelang.Stmt) (units int, bounded bool) {
 }
 
 // literalTrips is the trip count of a DO whose bounds and step (nil: 1) are
-// literal expressions.
+// literal expressions: forcert.Do's, the count every back end runs it by,
+// saturated at costCeil.
 func literalTrips(fromX, toX, stepX forcelang.Expr) (int, bool) {
 	from, ok1 := uniform.ConstInt(fromX)
 	to, ok2 := uniform.ConstInt(toX)
@@ -96,24 +98,8 @@ func literalTrips(fromX, toX, stepX forcelang.Expr) (int, bool) {
 	if !ok1 || !ok2 || !ok3 || step == 0 {
 		return 0, false
 	}
-	span := (to - from) / step
-	if span < 0 {
-		return 0, true
-	}
-	return int(min(span+1, costCeil)), true
-}
-
-// grantedWhole reports whether the selfscheduled DOALL t provably fits one
-// grant above 1 — literal bounds, trip count within it — so that the
-// runtime gives it a fixed owner instead of a loop slot (core.Proc's
-// selfsched decides the same from the run-time count, literal or not).
-func grantedWhole(t *forcelang.ParDo, grant int) bool {
-	trips, ok := literalTrips(t.From, t.To, t.Step)
-	if ok && t.Inner != nil {
-		inner, ok2 := literalTrips(t.Inner.From, t.Inner.To, t.Inner.Step)
-		trips, ok = min(trips*inner, costCeil), ok2
-	}
-	return ok && grant > 1 && trips <= grant
+	_, _, n := forcert.Do(from, to, step)
+	return int(min(n, costCeil)), true
 }
 
 // exprCost counts the references, operators and intrinsic calls of e.

@@ -67,37 +67,35 @@ import (
 // from the right — the tail is dropped first, then trailing members — so
 // the longest provable prefix fuses and the next step re-scans the
 // remainder (it may fuse among itself) over the footprints this one
-// walked.  Only the most ambitious decline is narrated; the shrink retries
+// walked.  Only the most ambitious decline is kept; the shrink retries
 // repeat its reasons.  A Barrier statement directly behind the region
 // rides its join.  It returns the region and how many statements it
-// covers, 0 when list[i] is to be lowered on its own.
-func (tg *Target) fuse(list []forcelang.Stmt, i int) (Region, int) {
+// covers, 0 when list[i] is to be lowered on its own, and the decline.
+func (tg *Target) fuse(list []forcelang.Stmt, i int) (reg Region, covers int, declined string) {
 	run, sums := tg.scan(list, i)
 	var red *forcelang.ReduceStmt
 	if end := i + len(run); end < len(list) {
 		red, _ = list[end].(*forcelang.ReduceStmt)
 	}
 	if red == nil && len(run) < 2 {
-		return Region{}, 0 // nothing to elide: not a candidate, nothing to narrate
+		return Region{}, 0, "" // nothing to elide: not a candidate
 	}
 	for k := range run {
 		tg.summary(i + k)
 	}
-	logged := false
 	for n := len(run); n >= 2 || red != nil; {
 		members, reason := tg.tryFuse(run[:n], sums[:n], red)
 		if reason == "" {
-			closer, line, covers := "fused join", run[0].Pos(), n
+			covers = n
 			if red != nil {
-				closer, line, covers = red.Op.String()+" join", red.Pos(), n+1
+				covers++
 			}
 			reg, rode := Region{Members: members, Red: red}, 0
-			reg.Rider, reg.Section, rode = tg.rider(list, i+covers, closer, line)
-			return closing(reg), covers + rode
+			reg.Rider, reg.Section, rode = rider(list, i+covers)
+			return closing(reg), covers + rode, declined
 		}
-		if !logged {
-			logged = true
-			tg.Log.printf("line %d: fusion declined: %s", run[0].Pos(), reason)
+		if declined == "" {
+			declined = reason
 		}
 		if red != nil {
 			red = nil
@@ -105,7 +103,7 @@ func (tg *Target) fuse(list []forcelang.Stmt, i int) (Region, int) {
 			n--
 		}
 	}
-	return Region{}, 0
+	return Region{}, 0, declined
 }
 
 // tryFuse proves one candidate region and returns its members, or explains
@@ -197,13 +195,6 @@ func (tg *Target) tryFuse(run []forcelang.Stmt, sums []*Summary, red *forcelang.
 		}
 		members[k] = tg.loop(m, p, whole)
 		members[k].Open = true
-	}
-	if red == nil {
-		tg.Log.printf("line %d: fused %d DOALLs, %d exit barrier(s) elided",
-			first.Pos(), len(run), len(run)-1)
-	} else {
-		tg.Log.printf("line %d: fused %d DOALL(s) + %s at line %d into one join",
-			first.Pos(), len(run), red.Op, red.Pos())
 	}
 	return members, ""
 }

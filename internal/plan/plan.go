@@ -6,8 +6,9 @@
 // Barrier riding its exit) or a Region (the open members of a fused run,
 // the reduction folded into their one closing collective, the Barrier
 // riding it — a reduction on its own being the region with no members).
-// Every decision is a field of the node; the closure compiler
-// (internal/interp) spells the fields as closures, the Go emitter
+// Every decision is a field of the node, its reason included, and
+// forcerun -v's lines only render the fields (Node.Narrate); the closure
+// compiler (internal/interp) spells them as closures, the Go emitter
 // (internal/codegen) as text, and neither re-derives one from the tree.
 //
 // Behind Next: summary.go is the footprint — one walk (Summarize) records
@@ -29,21 +30,12 @@
 package plan
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 
 	"repro/internal/forcelang"
 )
-
-// Logf receives one narration line per decision (forcerun -v's "fuse:"
-// lines); a nil Logf discards them.
-type Logf func(format string, args ...any)
-
-func (lg Logf) printf(format string, args ...any) {
-	if lg != nil {
-		lg(format, args...)
-	}
-}
 
 // Level is how much of the planner a target asks for; each level includes
 // the one before.
@@ -51,7 +43,7 @@ type Level uint8
 
 const (
 	// Plain is the planner off: every DOALL is a Loop with no plan, every
-	// construct closes on its own, nothing is narrated.
+	// construct closes on its own, no node narrates anything.
 	Plain Level = iota
 	// Planned classifies every DOALL body (plan, deal, grant).
 	Planned
@@ -62,7 +54,7 @@ const (
 )
 
 // Target is the back end a statement list is planned for: what the
-// decisions need to know about it, and where they are narrated.
+// decisions need to know about it.
 type Target struct {
 	// NsPerUnit is what one unit of static body cost (cost.go) takes on
 	// the back end, in nanoseconds; it sizes the grant.
@@ -71,7 +63,6 @@ type Target struct {
 	// at a time (Plan.PerIter == ""); 0 when it has no such form.
 	NsPerBlockUnit int
 	Level          Level
-	Log            Logf
 
 	// The run of adjacent DOALLs Next is working through, list[from:] of
 	// the scanned list, with each body's footprint beside it, walked on
@@ -84,11 +75,12 @@ type Target struct {
 
 // Node is one step of a lowered statement list: the statement itself (Stmt
 // non-nil: nothing about it is the planner's), a lone DOALL (Loop.Do
-// non-nil) or a Region.
+// non-nil) or a Region; Declined is why a longer run from here did not fuse.
 type Node struct {
-	Stmt   forcelang.Stmt
-	Loop   Loop
-	Region Region
+	Stmt     forcelang.Stmt
+	Loop     Loop
+	Region   Region
+	Declined string
 }
 
 // Deal is how the iterations of a DOALL reach the processes.
@@ -109,10 +101,15 @@ const (
 type Loop struct {
 	Do *forcelang.ParDo
 	// Plan is what is proven about the body; nil when nothing is (it
-	// blocks, calls out, prints or writes its index; or the level is
-	// Plain): per-iteration semantics, nothing hoisted or folded.
-	Plan *Plan
-	Deal Deal
+	// blocks, calls out, prints or writes its index — Unplanned says which
+	// — or the level is Plain): per-iteration semantics, nothing hoisted
+	// or folded.
+	Plan      *Plan
+	Unplanned string
+	// Deal is decided on DealtBy (a member's is the region's plan), whose
+	// CyclicWhy and CyclicName say why it is Cyclic.
+	Deal    Deal
+	DealtBy *Plan
 	// Grant is the ordinals per claim of a selfscheduled loop (1: no plan).
 	Grant int
 	// Open leaves the construct without its exit barrier: a member of a
@@ -187,30 +184,25 @@ func (tg *Target) Next(list []forcelang.Stmt, i int) (Node, int) {
 		if tg.Level == Plain {
 			return Node{Loop: tg.loop(t, nil, nil)}, 1
 		}
+		nd, n := Node{}, 0
 		if tg.Level == Fused {
-			if reg, n := tg.fuse(list, i); n > 0 {
-				return Node{Region: reg}, n
+			if nd.Region, n, nd.Declined = tg.fuse(list, i); n > 0 {
+				return nd, n
 			}
 		}
 		tg.scan(list, i)
 		p, reason := classify(t, tg.summary(i))
-		if reason != "" {
-			deal := "partition=cyclic"
-			if t.Sched != forcelang.Presched {
-				deal = "grant=1"
-			}
-			tg.Log.printf("line %d: DOALL %s (not chunk-compiled: %s)", t.Pos(), deal, reason)
-		}
-		l, n := tg.loop(t, p, p), 0
+		nd.Loop = tg.loop(t, p, p)
+		nd.Loop.Unplanned = reason
 		if tg.Level == Fused {
-			l.Rider, l.Section, n = tg.rider(list, i+1, "DOALL exit", t.Pos())
-			l.Open = l.Section != nil
+			nd.Loop.Rider, nd.Loop.Section, n = rider(list, i+1)
+			nd.Loop.Open = nd.Loop.Section != nil
 		}
-		return Node{Loop: l}, 1 + n
+		return nd, 1 + n
 	case *forcelang.ReduceStmt:
 		reg, n := Region{Red: t}, 0
 		if tg.Level == Fused && scalarTarget(t) {
-			reg.Rider, reg.Section, n = tg.rider(list, i+1, t.Op.String(), t.Pos())
+			reg.Rider, reg.Section, n = rider(list, i+1)
 		}
 		return Node{Region: closing(reg)}, 1 + n
 	}
@@ -247,14 +239,13 @@ func (tg *Target) summary(i int) *Summary {
 
 // loop is the DOALL t under plan p (nil: nothing proven): its deal —
 // deal's, p itself for a lone DOALL, the region's plan for a member — and
-// its grant sized for the back end, each narrated where it applies.
+// its grant sized for the back end.
 func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
-	l := Loop{Do: t, Plan: p, Grant: 1}
-	self := t.Sched != forcelang.Presched
+	l := Loop{Do: t, Plan: p, Grant: 1, DealtBy: deal}
 	switch {
-	case self:
+	case t.Sched != forcelang.Presched:
 		l.Deal = Self
-	case deal.block():
+	case deal != nil && deal.CyclicWhy == "": // mapping-insensitive
 		l.Deal = Block
 	}
 	if p == nil {
@@ -265,44 +256,27 @@ func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
 		ns = tg.NsPerBlockUnit
 	}
 	l.Grant = grant(p.Cost, ns)
-	switch {
-	case tg.Log == nil:
-	case self && p.Cost == 0:
-		tg.Log("line %d: DOALL grant=1 (body cost unbounded)", t.Pos())
-	case self && grantedWhole(t, l.Grant):
-		tg.Log("line %d: DOALL grant=%d ≥ trip count: process 0 runs it", t.Pos(), l.Grant)
-	case self:
-		tg.Log("line %d: DOALL grant=%d", t.Pos(), l.Grant)
-	case l.Deal == Block:
-		tg.Log("line %d: DOALL partition=block", t.Pos())
-	default:
-		tg.Log("line %d: DOALL partition=cyclic (%s)", t.Pos(), strings.TrimSpace(deal.CyclicWhy+" "+deal.CyclicName))
-	}
 	return l
 }
 
-// block reports whether a prescheduled DOALL under this plan is dealt in
-// contiguous blocks: the body is mapping-insensitive.  No plan, no blocks.
-func (p *Plan) block() bool { return p != nil && p.CyclicWhy == "" }
-
-// rider returns list[i] when it is a Barrier statement, narrated as riding
-// the closer at line, with what it leaves the collective to run (nil when
-// its section is empty: the collective is the whole barrier) and the one
-// statement it covers.  The Barrier directly behind a DOALL rides its exit
-// synchronization, the one behind a region its join, the one behind a
-// reduction into a plain scalar the reduction's release.  A closing
-// collective is a full synchronization whose completing process runs
-// alone, which is all a barrier section asks for, so nothing about the
-// section needs proving; the target must be a plain scalar because a back
-// end stores it once, in the completing process, before the section runs.
-func (tg *Target) rider(list []forcelang.Stmt, i int, closer string, line int) (bar *forcelang.BarrierStmt, section []forcelang.Stmt, n int) {
+// rider returns list[i] when it is a Barrier statement, riding the
+// collective that closes in front of it, with what it leaves the
+// collective to run (nil when its section is empty: the collective is
+// the whole barrier) and the one statement it covers.  The Barrier
+// directly behind a DOALL rides its exit synchronization, the one behind
+// a region its join, the one behind a reduction into a plain scalar the
+// reduction's release.  A closing collective is a full synchronization
+// whose completing process runs alone, which is all a barrier section
+// asks for, so nothing about the section needs proving; the target must
+// be a plain scalar because a back end stores it once, in the completing
+// process, before the section runs.
+func rider(list []forcelang.Stmt, i int) (bar *forcelang.BarrierStmt, section []forcelang.Stmt, n int) {
 	if i < len(list) {
 		bar, _ = list[i].(*forcelang.BarrierStmt)
 	}
 	if bar == nil {
 		return nil, nil, 0
 	}
-	tg.Log.printf("line %d: Barrier rides the %s at line %d", bar.Pos(), closer, line)
 	if len(bar.Section) > 0 {
 		section = bar.Section
 	}
@@ -336,4 +310,65 @@ func closing(reg Region) Region {
 func scalarTarget(red *forcelang.ReduceStmt) bool {
 	st := red.Target.Sym.Storage
 	return len(red.Target.Subs) == 0 && (st == forcelang.PrivateScalar || st == forcelang.SharedScalar)
+}
+
+// Narrate says the node's decisions, one line each as forcerun -v prints
+// them after "fuse: ", read off its fields: the fusion decline, each
+// DOALL's deal and grant or why it has no plan, what fused, the riding
+// Barrier.  A node lowered at Plain says nothing.
+func (nd *Node) Narrate(say func(string)) {
+	line := func(format string, args ...any) { say(fmt.Sprintf("line "+format, args...)) }
+	loops, red, rider := nd.Region.Members, nd.Region.Red, nd.Region.Rider
+	if nd.Loop.Do != nil {
+		loops, rider = []Loop{nd.Loop}, nd.Loop.Rider
+	}
+	for k, l := range loops {
+		t, p := l.Do, l.Plan
+		if k == 0 && nd.Declined != "" {
+			line("%d: fusion declined: %s", t.Pos(), nd.Declined)
+		}
+		switch {
+		case l.Unplanned != "" && l.Deal == Self:
+			line("%d: DOALL grant=1 (not chunk-compiled: %s)", t.Pos(), l.Unplanned)
+		case l.Unplanned != "":
+			line("%d: DOALL partition=cyclic (not chunk-compiled: %s)", t.Pos(), l.Unplanned)
+		case p == nil:
+		case l.Deal == Self && p.Cost == 0:
+			line("%d: DOALL grant=1 (body cost unbounded)", t.Pos())
+		case l.Deal == Self:
+			// Literal bounds within one grant above 1: a fixed owner, as
+			// core.Proc's selfsched decides from the run-time count.
+			trips, ok := literalTrips(t.From, t.To, t.Step)
+			if in := t.Inner; in != nil {
+				n, ok2 := literalTrips(in.From, in.To, in.Step)
+				trips, ok = trips*n, ok && ok2
+			}
+			if ok && l.Grant > 1 && trips <= l.Grant {
+				line("%d: DOALL grant=%d ≥ trip count: process 0 runs it", t.Pos(), l.Grant)
+			} else {
+				line("%d: DOALL grant=%d", t.Pos(), l.Grant)
+			}
+		case l.Deal == Block:
+			line("%d: DOALL partition=block", t.Pos())
+		default:
+			line("%d: DOALL partition=cyclic (%s)", t.Pos(), strings.TrimSpace(l.DealtBy.CyclicWhy+" "+l.DealtBy.CyclicName))
+		}
+	}
+	closer, at := "DOALL exit", 0
+	switch n := len(nd.Region.Members); {
+	case nd.Loop.Do != nil:
+		at = nd.Loop.Do.Pos()
+	case n == 0 && red != nil:
+		closer, at = red.Op.String(), red.Pos()
+	case n == 0:
+	case red == nil:
+		closer, at = "fused join", loops[0].Do.Pos()
+		line("%d: fused %d DOALLs, %d exit barrier(s) elided", at, n, n-1)
+	default:
+		closer, at = red.Op.String()+" join", red.Pos()
+		line("%d: fused %d DOALL(s) + %s at line %d into one join", loops[0].Do.Pos(), n, red.Op, at)
+	}
+	if rider != nil {
+		line("%d: Barrier rides the %s at line %d", rider.Pos(), closer, at)
+	}
 }

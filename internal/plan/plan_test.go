@@ -26,10 +26,21 @@ func parse(t *testing.T, src string) *forcelang.Program {
 	return prog
 }
 
-// logging returns a target at the given level that narrates into *logs.
-func logging(level Level, nsPerUnit int, logs *[]string) *Target {
-	return &Target{NsPerUnit: nsPerUnit, Level: level,
-		Log: func(format string, args ...any) { *logs = append(*logs, fmt.Sprintf(format, args...)) }}
+// logging returns a target at the given level whose Next renders every
+// node it returns into *logs (Node.Narrate): the narration is the nodes'.
+func logging(level Level, nsPerUnit int, logs *[]string) narrating {
+	return narrating{&Target{NsPerUnit: nsPerUnit, Level: level}, logs}
+}
+
+type narrating struct {
+	*Target
+	logs *[]string
+}
+
+func (tg narrating) Next(list []forcelang.Stmt, i int) (Node, int) {
+	nd, n := tg.Target.Next(list, i)
+	nd.Narrate(func(line string) { *tg.logs = append(*tg.logs, line) })
+	return nd, n
 }
 
 // pos is the line of a statement, 0 for none.
@@ -70,7 +81,7 @@ Join
 		if got := strings.Join(names, " "); got != "ABLE MID ZED" {
 			t.Fatalf("round %d: accumulators in order %q", round, got)
 		}
-		if !p.block() {
+		if p.CyclicWhy != "" {
 			t.Fatalf("all-accumulator body keeps the cyclic deal: %s %s", p.CyclicWhy, p.CyclicName)
 		}
 	}
@@ -120,6 +131,9 @@ Join
 	if b, _ := prog.Scope.Lookup("B"); reg.Members[0].Plan == nil || !reg.Members[1].Plan.Disjoint[b] {
 		t.Errorf("member plans missing or wrong: %+v", reg.Members)
 	}
+	if nd.Declined != "members at lines 10 and 13 conflict on B" {
+		t.Errorf("Declined = %q, want the full run's reason", nd.Declined)
+	}
 	want := []string{
 		"line 7: fusion declined: members at lines 10 and 13 conflict on B",
 		"line 7: DOALL partition=block",
@@ -145,7 +159,7 @@ Join
 
 // TestDoAllNarration: below level Fused every DOALL is a Loop on its own;
 // the narration says how a prescheduled one is dealt and what a
-// selfscheduled one is granted, and a nil sink is accepted.
+// selfscheduled one is granted, and a target nobody renders plans alike.
 func TestDoAllNarration(t *testing.T) {
 	prog := parse(t, `Force NAR of NP ident ME
 Shared Integer OWNER(8)
@@ -169,7 +183,9 @@ Join
 	var loops []Loop
 	for i := range prog.Body {
 		nd, n := logging(Planned, 4, &logs).Next(prog.Body, i)
-		(&Target{NsPerUnit: 4, Level: Planned}).Next(prog.Body, i)
+		if plain, _ := (&Target{NsPerUnit: 4, Level: Planned}).Next(prog.Body, i); plain.Loop.Deal != nd.Loop.Deal || plain.Loop.Grant != nd.Loop.Grant {
+			t.Errorf("statement %d: an unrendered target plans %+v", i, plain.Loop)
+		}
 		if nd.Loop.Do != prog.Body[i] || n != 1 || nd.Loop.Open || nd.Loop.Rider != nil {
 			t.Fatalf("statement %d: %+v covering %d, want the DOALL alone, closed", i, nd, n)
 		}
@@ -181,7 +197,7 @@ Join
 	want := []string{
 		"line 6: DOALL partition=cyclic (reads private ME)",
 		"line 9: DOALL grant=250 ≥ trip count: process 0 runs it", // OWNER(I) = I: 3 units + the loop's 1, at 4 ns; 8 trips
-		"line 12: DOALL partition=cyclic (not chunk-compiled: *forcelang.CriticalStmt in body)",
+		"line 12: DOALL partition=cyclic (not chunk-compiled: Critical in body)",
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
@@ -283,6 +299,9 @@ End Selfsched DO
 Presched DO I = 1, N
   X(I) = I
 End Presched DO
+Selfsched DO I = -9000000000000000000, 9000000000000000000
+  MINE = MINE + 1
+End Selfsched DO
 Join
 `)
 	var logs []string
@@ -299,6 +318,7 @@ Join
 		{"unplanned (Critical)", -1, 1},
 		{"dearer IF branch, negative literal step", 25, 40},
 		{"prescheduled: not counted", 0, 1},
+		{"1.8·10^19 trips: more than one grant", 4, 250},
 	} {
 		nd, _ := tg.Next(prog.Body, i)
 		p := nd.Loop.Plan
@@ -318,9 +338,10 @@ Join
 		"line 18: DOALL grant=91",
 		"line 21: DOALL grant=8",
 		"line 28: DOALL grant=1 (body cost unbounded)",
-		"line 33: DOALL grant=1 (not chunk-compiled: *forcelang.CriticalStmt in body)",
+		"line 33: DOALL grant=1 (not chunk-compiled: Critical in body)",
 		"line 38: DOALL grant=40 ≥ trip count: process 0 runs it", // DO I = 1, 40: literal, and exactly one grant
 		"line 47: DOALL partition=block",
+		"line 50: DOALL grant=250",
 	}
 	if strings.Join(logs, "\n") != strings.Join(want, "\n") {
 		t.Errorf("narration:\n%s\nwant:\n%s", strings.Join(logs, "\n"), strings.Join(want, "\n"))
@@ -556,7 +577,7 @@ func TestSummarize(t *testing.T) {
 	prog := parse(t, summaryProg)
 	sub := prog.Sub("WORK")
 	sum := Summarize(sub.Body)
-	if sum.NotSpan != "*forcelang.WhileDo in body" {
+	if sum.NotSpan != "DO WHILE in body" {
 		t.Errorf("NotSpan = %q, want the DO WHILE (the first statement no span may run)", sum.NotSpan)
 	}
 	if !sum.Param {

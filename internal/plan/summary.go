@@ -317,13 +317,9 @@ func (s *Summary) stmts(list []forcelang.Stmt) {
 }
 
 func (s *Summary) stmt(st forcelang.Stmt) {
-	switch st.(type) {
-	case *forcelang.Assign, *forcelang.If, *forcelang.SeqDo:
-	default:
-		// Everything else can block, synchronize, perform I/O or call
-		// out — per-iteration semantics must be preserved exactly.
-		s.notSpan("%T in body", st)
-	}
+	// Everything but Assign, IF and DO can block, synchronize, perform
+	// I/O or call out — per-iteration semantics must be preserved exactly.
+	// Such a statement is named, first thing, as the language spells it.
 	switch t := st.(type) {
 	case *forcelang.Assign:
 		if t.Target.Sym.Storage == forcelang.Parameter {
@@ -355,50 +351,64 @@ func (s *Summary) stmt(st forcelang.Stmt) {
 		s.loop(t.VarSym, t.From, t.To, t.Step, t.Pos())
 		s.stmts(t.Body)
 	case *forcelang.WhileDo:
+		s.notSpan("DO WHILE in body")
 		s.read(t.Cond)
 		s.stmts(t.Body)
 	case *forcelang.CriticalStmt:
+		s.notSpan("Critical in body")
 		outer := s.crit
 		s.crit = t.Name
 		s.stmts(t.Body)
 		s.crit = outer
 	case *forcelang.ParDo:
+		s.notSpan("%s DO in body", t.Sched)
 		s.loop(t.VarSym, t.From, t.To, t.Step, t.Pos())
 		if t.Inner != nil {
 			s.loop(t.Inner.VarSym, t.Inner.From, t.Inner.To, t.Inner.Step, t.Pos())
 		}
 		s.stmts(t.Body)
 	case *forcelang.AskforStmt:
+		s.notSpan("Askfor in body")
 		s.loop(t.VarSym, t.Seed, nil, nil, t.Pos())
 		s.stmts(t.Body)
 	case *forcelang.BarrierStmt:
+		s.notSpan("Barrier in body")
 		s.stmts(t.Section)
 	case *forcelang.PcaseStmt:
+		s.notSpan("Pcase in body")
 		for _, b := range t.Blocks {
 			s.read(b.Cond)
 			s.stmts(b.Body)
 		}
 	case *forcelang.ReduceStmt:
+		s.notSpan("%s in body", t.Op)
 		s.read(t.Expr)
 		s.write(t.Target.Sym, &t.Target, t.Pos()).Varies = true
 	case *forcelang.PutStmt:
+		s.notSpan("Put in body")
 		s.read(t.Expr)
 	case *forcelang.PrintStmt:
+		s.notSpan("Print in body")
 		for _, item := range t.Items {
 			s.read(item)
 		}
 	case *forcelang.ProduceStmt:
+		s.notSpan("Produce in body")
 		s.read(t.Sub)
 		s.read(t.Expr)
 	case *forcelang.ConsumeStmt:
+		s.notSpan("Consume in body")
 		s.read(t.Sub)
 		s.write(t.Target.Sym, &t.Target, t.Pos()).Varies = true
 	case *forcelang.CopyStmt:
+		s.notSpan("Copy in body")
 		s.read(t.Sub)
 		s.write(t.Target.Sym, &t.Target, t.Pos()).Varies = true
 	case *forcelang.VoidStmt:
+		s.notSpan("Void in body")
 		s.read(t.Sub)
 	case *forcelang.CallStmt:
+		s.notSpan("Call in body")
 		// A by-reference argument escapes into the callee, which may
 		// read or write it arbitrarily: record both.
 		for i := range t.Args {

@@ -26,8 +26,10 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
+	"repro/internal/forcert"
 	"repro/internal/lock"
 )
 
@@ -42,28 +44,19 @@ type Range struct {
 // Seq returns the unit-stride range [0, n).
 func Seq(n int) Range { return Range{Start: 0, Last: n - 1, Incr: 1} }
 
-// Count returns the trip count of the range.
+// Count returns the trip count of the range: forcert.Do's, so a range
+// spanning more than MaxInt counts its trips, not a wrapped difference,
+// saturating at MaxInt.
 func (r Range) Count() int {
 	if r.Incr == 0 {
 		panic("sched: Range with zero increment")
 	}
-	var span int
-	if r.Incr > 0 {
-		span = r.Last - r.Start
-	} else {
-		span = r.Start - r.Last
-	}
-	if span < 0 {
-		return 0
-	}
-	step := r.Incr
-	if step < 0 {
-		step = -step
-	}
-	return span/step + 1
+	_, _, n := forcert.Do(r.Start, r.Last, r.Incr)
+	return int(min(n, math.MaxInt))
 }
 
-// Index maps an ordinal k in [0, Count()) to its index value.
+// Index maps an ordinal k in [0, Count()) to its index value (in wrapping
+// arithmetic, exact for every index the range holds).
 func (r Range) Index(k int) int { return r.Start + k*r.Incr }
 
 // String renders the range as a loop header fragment.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -29,6 +30,13 @@ func TestRangeCount(t *testing.T) {
 		{Range{0, -1, 1}, 0},
 		{Seq(7), 7},
 		{Seq(0), 0},
+		// Ranges spanning more than MaxInt, at both ends of INTEGER.
+		{Range{-9000000000000000000, 9000000000000000000, 1000000000000000000}, 19},
+		{Range{9000000000000000000, -9000000000000000000, -1000000000000000000}, 19},
+		{Range{math.MinInt, math.MaxInt, math.MaxInt}, 3},
+		{Range{math.MaxInt, math.MinInt, math.MinInt}, 2},
+		{Range{math.MinInt, math.MaxInt, 1}, math.MaxInt},
+		{Range{math.MaxInt, math.MinInt, 1}, 0},
 	}
 	for _, c := range cases {
 		if got := c.r.Count(); got != c.want {
