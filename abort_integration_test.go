@@ -38,14 +38,21 @@ Join
 `
 
 // stallSrc is a genuinely non-conformant SPMD program: only process 0
-// reaches the barrier, so no error occurs and no abort fires — the
-// stall watchdog's territory.
+// reaches the barrier, so no error occurs and no abort fires — only
+// -timeout ends it.
 const stallSrc = `Force STALL of NP ident ME
 End Declarations
 IF (ME .EQ. 0) THEN
 Barrier
 End Barrier
 END IF
+Join
+`
+
+// helloSrc reaches no construct that can wait: it finishes at once.
+const helloSrc = `Force HELLO of NP ident ME
+End Declarations
+Print ME
 Join
 `
 
@@ -181,10 +188,10 @@ func TestProfilesWrittenOnAbortedRun(t *testing.T) {
 	}
 }
 
-// TestHangTimeoutWatchdog: a non-conformant program under
-// -hang-timeout reports the blocked process and its construct/line,
-// then exits through the error path instead of hanging.
-func TestHangTimeoutWatchdog(t *testing.T) {
+// TestTimeoutReportsBlockedSites: a non-conformant program under
+// -timeout reports the blocked process and its construct/line, then
+// exits 1 with the deadline message instead of hanging.
+func TestTimeoutReportsBlockedSites(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs forcerun with the go toolchain")
 	}
@@ -192,36 +199,32 @@ func TestHangTimeoutWatchdog(t *testing.T) {
 	prog := writeProgram(t, stallSrc)
 	t.Run("chunked", func(t *testing.T) {
 		out, code := runForcerun(t, 60*time.Second, bin,
-			"-np", "4", "-exec", "chunked", "-hang-timeout", "2s", prog)
+			"-np", "4", "-exec", "chunked", "-timeout", "2s", prog)
 		if code != 1 {
 			t.Errorf("exit code %d, want 1\n%s", code, out)
 		}
-		for _, want := range []string{"appears stalled", "process 0: Barrier", "line 4", "force stalled"} {
+		for _, want := range []string{"process 0: Barrier", "line 4", "wall-clock deadline exceeded after 2s"} {
 			if !strings.Contains(out, want) {
-				t.Errorf("watchdog output missing %q:\n%s", want, out)
+				t.Errorf("-timeout output missing %q:\n%s", want, out)
 			}
 		}
 	})
 }
 
-// TestHangTimeoutAOT: the native tier cannot introspect the child's
-// blocked processes, but -hang-timeout still bounds a stalled run: the
-// child is killed at the deadline and forcerun exits through the error
-// path with a stall message.
-func TestHangTimeoutAOT(t *testing.T) {
+// TestTimeoutGivesUpBeforeTheForce: a stall in the aot build — before
+// any force exists, in a wait no context reaches — is still bounded by
+// -timeout: 5s after the deadline forcerun gives up with exit 3.
+func TestTimeoutGivesUpBeforeTheForce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs forcerun with the go toolchain")
 	}
 	bin := buildForcerun(t)
-	prog := writeProgram(t, stallSrc)
-	env := []string{"FORCE_CACHE=" + t.TempDir()}
-	out, code := runForcerunEnv(t, 3*time.Minute, env, bin,
-		"-np", "4", "-exec", "aot", "-hang-timeout", "2s", prog)
-	if code != 1 {
-		t.Errorf("exit code %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(out, "force stalled") {
-		t.Errorf("output missing stall message:\n%s", out)
+	prog := writeProgram(t, helloSrc)
+	env := []string{"FORCE_FAULTS=aot.build=stall/after=0", "FORCE_CACHE=" + t.TempDir()}
+	out, code := runForcerunEnv(t, 30*time.Second, env, bin,
+		"-np", "2", "-exec", "aot", "-timeout", "1s", prog)
+	if code != 3 || !strings.Contains(out, "did not stop within 5s of it; giving up") {
+		t.Errorf("exit=%d, want 3 and the give-up line:\n%s", code, out)
 	}
 }
 

@@ -257,9 +257,9 @@ func TestChaosThroughForcerun(t *testing.T) {
 	})
 }
 
-// TestWallClockTimeout is the -timeout satellite: a stalled program is
-// bounded by the wall-clock deadline under both execution tiers,
-// and -timeout composes with -hang-timeout (whichever fires first).
+// TestWallClockTimeout: a stalled program is bounded by the wall-clock
+// deadline under both execution tiers, and a program that finishes
+// inside it prints no blocked-process report.
 func TestWallClockTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs forcerun with the go toolchain")
@@ -298,21 +298,11 @@ func TestWallClockTimeout(t *testing.T) {
 		}
 	})
 
-	t.Run("composes-with-hang-timeout", func(t *testing.T) {
-		// Stall watchdog first: it wins and reports the blocked site.
-		out, code := runForcerun(t, 60*time.Second, bin,
-			"-np", "4", "-hang-timeout", "1s", "-timeout", "30s", prog)
-		if code != 1 || !strings.Contains(out, "force stalled") || !strings.Contains(out, "appears stalled") {
-			t.Errorf("watchdog-first: exit=%d output:\n%s", code, out)
-		}
-		// Wall clock first: the deadline wins, no stall report.
-		out, code = runForcerun(t, 60*time.Second, bin,
-			"-np", "4", "-hang-timeout", "30s", "-timeout", "500ms", prog)
-		if code != 1 || !strings.Contains(out, "wall-clock deadline exceeded") {
-			t.Errorf("deadline-first: exit=%d output:\n%s", code, out)
-		}
-		if strings.Contains(out, "appears stalled") {
-			t.Errorf("deadline-first: spurious stall report:\n%s", out)
+	t.Run("finishes-inside", func(t *testing.T) {
+		prog := writeProgram(t, helloSrc)
+		out, code := runForcerun(t, 60*time.Second, bin, "-np", "4", "-timeout", "30s", prog)
+		if code != 0 || strings.Contains(out, "process") || strings.Contains(out, "deadline") {
+			t.Errorf("exit=%d, want 0 and no report:\n%s", code, out)
 		}
 	})
 }

@@ -70,7 +70,7 @@
 //
 //	forcerun -np 8 -cpuprofile cpu.out file.force && go tool pprof cpu.out
 //
-// # Fault containment, deadlines and the stall watchdog
+// # Fault containment and the deadline
 //
 // A Force runtime error (division by zero, subscript out of range)
 // aborts the whole force even when it strikes only some processes: the
@@ -78,28 +78,16 @@
 // prints "forcerun: force runtime: ..." and exits 1 — at every NP, not
 // just NP=1.
 //
-// -timeout D bounds the whole run by a wall-clock deadline: the run
-// executes under a context (core.Force.RunContext), and when the
-// deadline passes the force is poisoned with the *external* cause,
-// every blocked process unwinds within one park interval, and forcerun
-// reports the deadline and exits 1.  Both exec tiers honor it — the
-// interpreter through the poison cell, the aot tier by killing
-// the generated binary's whole process group and reaping it.
-//
-// -hang-timeout D arms the stall watchdog for genuinely non-conformant
-// SPMD programs (a Barrier some processes never reach, a Consume no one
-// Produces): if the run has not finished after D, forcerun reports
-// which processes are blocked at which construct and source line,
-// poisons the force so the blocked processes unwind, and exits through
-// the normal error path.
-//
-// The two compose: -timeout is the caller's hard budget for the whole
-// run (parse to exit), while -hang-timeout is a diagnosis tool that
-// additionally prints the per-process blocked-site report before
-// aborting.  With both set, whichever fires first aborts the run; a
-// stall report only appears if the stall watchdog wins.  Both exit 1
-// when they abort a run (the deadline or stall is the run's outcome);
-// exit 3 is reserved for the stall watchdog's give-up path below.
+// -timeout D is the one way to stop a run from outside, on both tiers.
+// The run executes under a context (core.Force.RunContext, the aot
+// child's process-group kill); at D forcerun notes where each process
+// of the force is blocked, at which construct and source line, then
+// cancels the context: every blocked process unwinds, and forcerun
+// prints that report and "wall-clock deadline exceeded after D" and
+// exits 1.  A run that finishes at the deadline prints no report.  A
+// run that has still not returned 5s after D — stuck outside every
+// cancellable wait, or before the force exists — is given up: the
+// report, a give-up line, exit 3.
 //
 // FORCE_FAULTS=<spec> arms the fault-injection chaos harness
 // (internal/faultinject) before the run: named runtime sites
@@ -110,10 +98,8 @@
 // uninstrumented (its aot.build/aot.exec parent-side sites still fire).
 //
 // Exit codes: 0 success; 1 any error (parse, check, runtime error,
-// -timeout deadline, watchdog-aborted stall, injected fault); 2 usage
-// (or a malformed FORCE_FAULTS spec); 3 a stall the watchdog could not
-// abort (the force did not unwind after poisoning, or the stall hit
-// before the force was created).
+// -timeout deadline, injected fault); 2 usage (or a malformed
+// FORCE_FAULTS spec); 3 the -timeout give-up.
 package main
 
 import (
@@ -155,8 +141,7 @@ func run() error {
 		execF   = flag.String("exec", "chunked", "execution engine: chunked (closure compiler, DOALL planner on) or aot (cached native binary)")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		hangTO  = flag.Duration("hang-timeout", 0, "abort a run that has not finished after this long, reporting where each process is blocked (0 disables)")
-		wallTO  = flag.Duration("timeout", 0, "wall-clock deadline for the whole run: cancel via the runtime's external-cancellation path after this long (0 disables)")
+		wallTO  = flag.Duration("timeout", 0, "wall-clock deadline for the whole run: report where each process is blocked and cancel it after this long (0 disables)")
 		vetF    = flag.String("vet", "warn", "forcevet static analysis: warn (report and run), err (report and fail), off")
 		verbose = flag.Bool("v", false, "report tier decisions and cache activity on standard error")
 	)
@@ -205,7 +190,7 @@ func run() error {
 		return fmt.Errorf("unknown -exec engine %q (want chunked or aot)", *execF)
 	}
 	// Profile finalization is once-wrapped and shared with the
-	// watchdog: its give-up os.Exit(3) paths bypass these defers, and
+	// -timeout give-up: its os.Exit(3) bypasses these defers, and
 	// losing the profiles on exactly the runs being diagnosed would
 	// defeat the point.
 	var finOnce sync.Once
@@ -232,17 +217,14 @@ func run() error {
 		cpuStarted = true
 	}
 	defer finalizeProfiles()
-	// The -timeout context bounds the whole run, whatever the tier.
-	ctx := context.Background()
+	ctx, onForce, end := context.Background(), func(*core.Force) {}, func(err error) error { return err }
 	if *wallTO > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *wallTO)
-		defer cancel()
+		ctx, onForce, end = withDeadline(*wallTO, finalizeProfiles)
 	}
 	if nativeTier {
-		ran, err := tryNative(ctx, prog, v, *np, *machF, *verbose, *hangTO)
+		ran, err := tryNative(ctx, prog, v, *np, *machF, *verbose)
 		if ran {
-			return reportDeadline(err, *wallTO)
+			return end(err)
 		}
 		// Fall through to the chunked interpreter.
 	}
@@ -255,6 +237,7 @@ func run() error {
 		Askfor:    v.Askfor,
 		Reduce:    v.Reduce,
 		Context:   ctx,
+		OnForce:   onForce,
 	}
 	if *verbose {
 		// Narrate the interpreter run the same way tryNative narrates the
@@ -265,32 +248,62 @@ func run() error {
 			fmt.Fprintf(os.Stderr, "forcerun: fuse: %s\n", msg)
 		}
 	}
-	if *hangTO > 0 {
-		done := make(chan struct{})
-		defer close(done)
-		var mu sync.Mutex
-		var force *core.Force
-		cfg.OnForce = func(f *core.Force) {
-			mu.Lock()
-			force = f
-			mu.Unlock()
-		}
-		go watchdog(*hangTO, done, finalizeProfiles, func() *core.Force {
-			mu.Lock()
-			defer mu.Unlock()
-			return force
-		})
-	}
-	return reportDeadline(interp.Run(prog, cfg), *wallTO)
+	return end(interp.Run(prog, cfg))
 }
 
-// reportDeadline rewrites a -timeout expiry into a user-facing message;
-// every other error (including a -hang-timeout stall) passes through.
-func reportDeadline(err error, wallTO time.Duration) error {
-	if wallTO > 0 && errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("wall-clock deadline exceeded after %v (-timeout)", wallTO)
+// withDeadline arms -timeout D.  At D a timer takes the force's
+// blocked-process report (Force.Blocked, through onForce; the aot tier
+// has no force to ask) and only then cancels ctx: once one process
+// unwinds, its peers move on and the report would describe the unwind.
+// end stops the timers and, when the run ended by that cancel, prints
+// the report and returns the deadline error; any other outcome passes
+// through.  At D+5s a run that has not returned is given up: the
+// report, a give-up line, exit 3.
+func withDeadline(d time.Duration, finalizeProfiles func()) (ctx context.Context, onForce func(*core.Force), end func(error) error) {
+	errDeadline := fmt.Errorf("wall-clock deadline exceeded after %v (-timeout)", d)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	var (
+		mu      sync.Mutex
+		force   *core.Force
+		blocked []string
+	)
+	report := func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for pid, site := range blocked {
+			fmt.Fprintf(os.Stderr, "  process %d: %s\n", pid, site)
+		}
 	}
-	return err
+	deadline := time.AfterFunc(d, func() {
+		mu.Lock()
+		if force != nil {
+			blocked = force.Blocked()
+		}
+		mu.Unlock()
+		cancel(errDeadline)
+	})
+	giveUp := time.AfterFunc(d+5*time.Second, func() {
+		report()
+		fmt.Fprintf(os.Stderr, "forcerun: %v, and the run did not stop within 5s of it; giving up\n", errDeadline)
+		finalizeProfiles()
+		os.Exit(3)
+	})
+	onForce = func(f *core.Force) {
+		mu.Lock()
+		force = f
+		mu.Unlock()
+	}
+	end = func(err error) error {
+		deadline.Stop()
+		giveUp.Stop()
+		if errors.Is(err, context.Canceled) && context.Cause(ctx) == errDeadline {
+			report()
+			err = errDeadline
+		}
+		cancel(nil)
+		return err
+	}
+	return ctx, onForce, end
 }
 
 // tryNative runs prog through the ahead-of-time native tier.  It
@@ -299,7 +312,7 @@ func reportDeadline(err error, wallTO time.Duration) error {
 // missing toolchain or failed build.  When ran is true the returned
 // error is the program's outcome — nil or the exact "force runtime:
 // line N: ..." the interpreter tiers would report.
-func tryNative(ctx context.Context, prog *forcelang.Program, opts aot.Options, np int, machName string, verbose bool, hangTO time.Duration) (bool, error) {
+func tryNative(ctx context.Context, prog *forcelang.Program, opts aot.Options, np int, machName string, verbose bool) (bool, error) {
 	vlog := func(format string, args ...any) {
 		if verbose {
 			fmt.Fprintf(os.Stderr, "forcerun: "+format+"\n", args...)
@@ -344,74 +357,7 @@ func tryNative(ctx context.Context, prog *forcelang.Program, opts aot.Options, n
 			vlog("fuse: %s", line)
 		}
 	}
-	// Compose the two deadlines: ctx carries -timeout, and -hang-timeout
-	// nests a stall deadline inside it.  Whichever expires first kills
-	// the child's process group; the stall message appears only when the
-	// stall watchdog fired with the -timeout budget still open.
-	if hangTO > 0 {
-		hctx, cancel := context.WithTimeout(ctx, hangTO)
-		defer cancel()
-		err := entry.RunContext(hctx, np, os.Stdout)
-		if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-			err = fmt.Errorf("force stalled: aot binary produced no result after %v", hangTO)
-		}
-		return true, err
-	}
 	return true, entry.RunContext(ctx, np, os.Stdout)
-}
-
-// watchdog aborts a stalled run: after the timeout it reports where
-// each process is blocked, then poisons the force so the blocked
-// processes unwind and the run exits through the normal error path
-// (exit 1).  If the force does not unwind even then — a process stuck
-// outside every poison-aware wait — the watchdog gives up with exit 3
-// rather than hang forever.
-func watchdog(after time.Duration, done <-chan struct{}, finalizeProfiles func(), force func() *core.Force) {
-	select {
-	case <-done:
-		return
-	case <-time.After(after):
-	}
-	// A run finishing at ~the timeout races the timer: re-check before
-	// declaring a stall, so a completed run is not smeared with a
-	// spurious report and a poison.
-	select {
-	case <-done:
-		return
-	default:
-	}
-	f := force()
-	if f != nil && f.AllExited() {
-		// Every process has already returned: the run is completing
-		// right now, not stalled — poisoning it would fail a
-		// successful run.  (A residual few-instruction window remains
-		// between a process's last statement and its exited mark; a
-		// run must finish within that window of the exact timeout to
-		// be misdiagnosed.)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "forcerun: no result after %v — the force appears stalled (non-conformant SPMD program?)\n", after)
-	if f == nil {
-		fmt.Fprintln(os.Stderr, "forcerun: stalled before the force was created")
-		finalizeProfiles()
-		os.Exit(3)
-	}
-	for pid, site := range f.Blocked() {
-		fmt.Fprintf(os.Stderr, "  process %d: %s\n", pid, site)
-	}
-	// The stall is an external termination request, not a process
-	// failure: poison with the external cause, so RunContext returns the
-	// stall as an error (exit 1) instead of re-panicking it.
-	f.Fault().PoisonExternal(interp.AbortError{Err: fmt.Errorf("force stalled: no result after %v (-hang-timeout)", after)})
-	select {
-	case <-done:
-		// The poison unwound the force; run() is returning the stall
-		// error and main exits 1.
-	case <-time.After(5 * time.Second):
-		fmt.Fprintln(os.Stderr, "forcerun: stalled force did not unwind after poisoning; giving up")
-		finalizeProfiles()
-		os.Exit(3)
-	}
 }
 
 // writeMemProfile dumps the heap profile after a GC so the numbers

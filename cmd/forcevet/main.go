@@ -2,7 +2,6 @@
 // static analyzer:
 //
 //	forcevet [-err] file.force...
-//	forcevet -explain FV001
 //
 // Each file is parsed, type-checked and analyzed; diagnostics print as
 //
@@ -13,39 +12,23 @@
 // with -err, when any diagnostic at all was — and 0 on a clean pass,
 // so CI can sweep a corpus with a shell loop.  A file that fails to
 // parse or type-check reports the front end's error and also exits 1.
-//
-// -explain CODE prints the long-form rule text behind a diagnostic
-// code (the same text `forcec -explain` prints) and exits.
+// `forcec -explain CODE` prints the long-form rule behind a code.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/forcelang"
 	"repro/internal/vet"
 )
 
 func main() {
-	var (
-		errAll  = flag.Bool("err", false, "exit 1 on any diagnostic, not only error-severity ones")
-		explain = flag.String("explain", "", "print the long-form rule for a diagnostic code and exit")
-	)
+	errAll := flag.Bool("err", false, "exit 1 on any diagnostic, not only error-severity ones")
 	flag.Parse()
-	if *explain != "" {
-		text := vet.Explain(*explain)
-		if text == "" {
-			fmt.Fprintf(os.Stderr, "forcevet: unknown diagnostic code %q (known: %s)\n",
-				*explain, strings.Join(vet.Codes(), ", "))
-			os.Exit(1)
-		}
-		fmt.Println(text)
-		return
-	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: forcevet [-err] file.force...  |  forcevet -explain CODE")
+		fmt.Fprintln(os.Stderr, "usage: forcevet [-err] file.force...")
 		os.Exit(2)
 	}
 	failed := false

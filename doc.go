@@ -151,14 +151,14 @@
 //	    construct state so the next Run starts clean.  On the paper's
 //	    1989 machines the same failure wedged the whole force forever.
 //	    forcerun surfaces the protocol as a prompt "force runtime" error
-//	    exit at any NP, plus a -hang-timeout stall watchdog that reports
-//	    which processes are blocked at which construct and line.  The
-//	    cell also carries an external cause: core.Force.RunContext
-//	    poisons through it when a context is canceled or its deadline
-//	    passes, so the same wake-and-unwind path serves forcerun
-//	    -timeout, Force.Shutdown, and the aot tier's kill of the child's
-//	    process group (core.TestCancellationLatency bounds the cancel
-//	    latency).  It
+//	    exit at any NP.  The cell also carries an external cause:
+//	    core.Force.RunContext poisons through it when a context is
+//	    canceled or its deadline passes, so the same wake-and-unwind
+//	    path serves forcerun -timeout — the one way to stop a run from
+//	    outside, which first reports which processes are blocked at
+//	    which construct and line — and the aot tier's kill of the
+//	    child's process group (core.TestCancellationLatency bounds the
+//	    cancel latency).  It
 //	    also owns the one wait policy every spinning primitive waits
 //	    through, four phases: only while np <= GOMAXPROCS (which the cell
 //	    learns at core.New) ~3 µs of polls separated by a CPU relax, so a

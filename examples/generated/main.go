@@ -8,6 +8,7 @@ import (
 	"os"
 	"unsafe"
 
+	"repro/internal/asyncvar"
 	"repro/internal/core"
 	"repro/internal/forcert"
 	"repro/internal/reduce"
@@ -29,7 +30,7 @@ type zzShared struct {
 	TOTAL  float64
 	BIG    float64
 	HITS   int
-	RESULT core.AsyncCell[float64]
+	RESULT asyncvar.V[float64]
 }
 
 func main() {

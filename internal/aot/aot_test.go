@@ -202,8 +202,10 @@ func TestSingleFlight(t *testing.T) {
 // the AST (version 5), the one whose plan predates the fixed owner of a
 // loop within one grant (version 6), the one that left Go to fold REAL
 // arithmetic on literals (version 7), the one that did so for INTEGER
-// arithmetic (version 8) or the one whose sequential DO tested its index
-// against the end (version 9) — lives under a key no current lookup
+// arithmetic (version 8), the one whose sequential DO tested its index
+// against the end (version 9), the one whose scheduler counted a huge
+// DOALL range signed (version 10) or the one that named an async scalar
+// core.AsyncCell (version 11) — lives under a key no current lookup
 // computes, so
 // it is never served: Ensure builds a fresh entry beside them, with the
 // plan the new emitter read recorded.
@@ -213,13 +215,13 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 10 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 11 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
 	// text key, before the fixed owner, before forcert.Real, before
 	// INTEGER constant arithmetic went through forcert.Int, before a
-	// sequential DO ran by its trip count and before a DOALL range was
-	// counted from its unsigned span).
+	// sequential DO ran by its trip count, before a DOALL range was
+	// counted from its unsigned span and before core.AsyncCell went).
 	oldKeys := map[int]string{
 		1:  "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2:  "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
@@ -231,6 +233,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		8:  "b8bcc05534e02b300dcf4ae4f1e4aacd838f5da53f9c303e4e6b3fd5f6b66988",
 		9:  "5ec2a5b8395dc331edae4f991416d89a1c10081a368352f6380536f9ff140751",
 		10: "8195505f235c08047402fadd7d63be861a45194240ef44457235109491ace17e",
+		11: "3ffe8eb7e9e48cf24e5e3654add2c6d6040450a95acc87216d9a1ff74f2f75e3",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

@@ -113,9 +113,9 @@ type generator struct {
 	folds map[string]string
 	// decisions collects the rendering of every node (Lower).
 	decisions []string
-	// Whether a unit referenced internal/asyncvar (an asynchronous array)
-	// or internal/reduce (a closing collective that reduces): the two
-	// runtime packages only some programs import.
+	// Whether a unit referenced internal/asyncvar (an asynchronous
+	// variable) or internal/reduce (a closing collective that reduces):
+	// the two runtime packages only some programs import.
 	usesAsyncvar, usesReduce bool
 }
 
@@ -222,7 +222,8 @@ func (g *generator) sharedStruct() {
 				g.usesAsyncvar = true
 				g.p("%s *asyncvar.Array[%s] // %d full/empty cells", field, typ, d.Dims[0])
 			case d.Storage == forcelang.AsyncVar:
-				g.p("%s core.AsyncCell[%s]", field, typ)
+				g.usesAsyncvar = true
+				g.p("%s asyncvar.V[%s]", field, typ)
 			}
 		}
 	}

@@ -92,7 +92,7 @@ func TestGeneratedStructure(t *testing.T) {
 		"A": "[]float64 // dims [8 8]",
 		"S": "float64",
 		"N": "int",
-		"V": "core.AsyncCell[float64]",
+		"V": "asyncvar.V[float64]",
 	}
 	for name, typ := range fields {
 		found := false

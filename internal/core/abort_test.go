@@ -267,9 +267,8 @@ func TestAbortWakesAsyncConsumer(t *testing.T) {
 	f.Run(func(p *Proc) { p.Barrier() })
 }
 
-// TestExternalPoisonAbortsRun models the stall watchdog: poisoning the
-// force from outside wakes a process blocked in a barrier that can
-// never fill.
+// TestExternalPoisonAbortsRun: poisoning the force's Fault cell from
+// outside wakes a process blocked in a barrier that can never fill.
 func TestExternalPoisonAbortsRun(t *testing.T) {
 	f := New(4)
 	defer f.Close()
@@ -289,8 +288,8 @@ func TestExternalPoisonAbortsRun(t *testing.T) {
 	f.Run(func(p *Proc) { p.Barrier() })
 }
 
-// TestBlockedReport: the watchdog's view names the construct each
-// process is blocked at.
+// TestBlockedReport: Blocked, the report forcerun -timeout prints,
+// names the construct each process is blocked at.
 func TestBlockedReport(t *testing.T) {
 	f := New(2)
 	defer f.Close()

@@ -276,55 +276,3 @@ func TestCancellationLatency(t *testing.T) {
 		t.Errorf("cancellation latency %v, want < 100ms", best)
 	}
 }
-
-// TestShutdownDrains: Shutdown with headroom lets an in-flight Run
-// finish and returns nil.
-func TestShutdownDrains(t *testing.T) {
-	f := New(4)
-	started := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		errc <- f.RunContext(context.Background(), func(p *Proc) {
-			if p.ID() == 0 {
-				close(started)
-			}
-			p.Barrier()
-			time.Sleep(20 * time.Millisecond)
-			p.Barrier()
-		})
-	}()
-	<-started
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := f.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown = %v, want nil (graceful drain)", err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("drained Run = %v, want nil", err)
-	}
-}
-
-// TestShutdownCancelsAfterDeadline: a Shutdown whose drain deadline
-// expires cancels the in-flight Run (external cause) and still returns
-// with the workers released.
-func TestShutdownCancelsAfterDeadline(t *testing.T) {
-	f := New(4)
-	started := make(chan struct{}, 1)
-	errc := make(chan error, 1)
-	go func() { errc <- f.RunContext(context.Background(), missingPeerProgram(started)) }()
-	<-started
-	time.Sleep(10 * time.Millisecond)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if err := f.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Shutdown = %v, want context.DeadlineExceeded", err)
-	}
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("canceled Run = %v, want the shutdown deadline's error", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Shutdown did not unblock the in-flight Run")
-	}
-}

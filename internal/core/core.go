@@ -91,13 +91,7 @@ type Force struct {
 	eng *engine.Engine // persistent workers; nil on scoped sub-forces
 
 	pc    *poison.Cell // fault-containment cell; shared with sub-forces
-	sites []procSite   // per-pid blocked-construct state for the stall watchdog
-
-	// gate tracks the in-flight Run so Shutdown can drain gracefully.
-	// It replaces a per-Run completion channel: the waiter channel is
-	// created lazily, only when a Shutdown actually waits, so the
-	// steady-state Run path allocates nothing for it.
-	gate runGate
+	sites []procSite   // per-pid blocked-construct state for Blocked
 
 	// closers are the force's closing collective (Proc.collective): every
 	// reduction and every close of a fused region meets at one of the
@@ -127,52 +121,14 @@ type Force struct {
 	entries sync.Map // construct seq (uint64) -> *constructEntry
 }
 
-// runGate tracks whether a Run is in flight and lets Shutdown wait for
-// it.  The channel exists only while someone is actually waiting.
-type runGate struct {
-	mu      sync.Mutex
-	running bool
-	waitCh  chan struct{}
-}
-
-func (g *runGate) start() {
-	g.mu.Lock()
-	g.running = true
-	g.mu.Unlock()
-}
-
-func (g *runGate) finish() {
-	g.mu.Lock()
-	g.running = false
-	if g.waitCh != nil {
-		close(g.waitCh)
-		g.waitCh = nil
-	}
-	g.mu.Unlock()
-}
-
-// waiter returns a channel closed when the in-flight Run finishes, or
-// nil when no Run is in flight.
-func (g *runGate) waiter() chan struct{} {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.running {
-		return nil
-	}
-	if g.waitCh == nil {
-		g.waitCh = make(chan struct{})
-	}
-	return g.waitCh
-}
-
 // procSite records where one process currently blocks: the construct
 // name (set by the core construct methods) and an optional front-end
 // note ("Barrier, line 12", set by interpreters via Proc.Note).  Read
-// by Force.Blocked for the stall watchdog.  A Proc addresses its slot
-// through a direct pointer, so sub-force Procs (Resolve components)
-// report into the parent process's slot and remain visible to the
-// top-level watchdog.  Sized to a whole cache line so neighbouring
-// processes' site stores do not false-share.
+// by Force.Blocked.  A Proc addresses its slot through a direct
+// pointer, so sub-force Procs (Resolve components) report into the
+// parent process's slot and remain visible on the top-level force.
+// Sized to a whole cache line so neighbouring processes' site stores do
+// not false-share.
 type procSite struct {
 	construct atomic.Pointer[string]
 	note      atomic.Pointer[string]
@@ -282,25 +238,6 @@ func (f *Force) Close() {
 // NP returns the number of processes in the force.
 func (f *Force) NP() int { return f.np }
 
-// AsyncCell is the asynchronous-variable interface as referenced by
-// code generated with internal/codegen; asyncvar.V satisfies it.
-// (A generic type alias would be the natural spelling, but the module
-// targets Go 1.22, which does not permit parameterized aliases.)
-type AsyncCell[T any] interface {
-	// Produce waits for empty, writes v, and marks the variable full.
-	Produce(v T)
-	// Consume waits for full, reads the value, and marks it empty.
-	Consume() T
-	// Copy waits for full and reads the value, leaving it full.
-	Copy() T
-	// Void forces the state to empty.
-	Void()
-	// IsFull reports the advisory state.
-	IsFull() bool
-}
-
-var _ AsyncCell[int] = (asyncvar.V[int])(nil)
-
 // NewAsync creates an asynchronous (full/empty) variable realized with the
 // force's machine profile: hardware-style on the HEP, the two-lock scheme
 // elsewhere.  (A free function because Go methods cannot introduce type
@@ -324,19 +261,17 @@ func NewAsyncArray[T any](f *Force, n int) *asyncvar.Array[T] {
 	return a
 }
 
-// Fault returns the force's fault-containment cell.  Front ends use it
-// to bind their own blocking state to the force (interp binds the
-// asynchronous variables it allocates), and watchdogs use it to abort a
-// stalled force from outside: poisoning the cell wakes every process
-// blocked in a force construct, and the in-flight Run panics with the
-// poison value.
+// Fault returns the force's fault-containment cell: poisoning it wakes
+// every process blocked in a force construct, and the in-flight Run
+// panics with the poison value.  A caller stopping a run from outside
+// cancels the context RunContext takes instead.
 func (f *Force) Fault() *poison.Cell { return f.pc }
 
 // Blocked reports, for each process, where it currently blocks: the
 // core construct name plus the front end's location note when one was
-// recorded.  Meaningful while a Run is stalled (the stall watchdog's
-// view); a process not inside a blocking construct reports what it last
-// recorded.
+// recorded.  Meaningful while a Run is stalled (forcerun -timeout
+// prints it at the deadline); a process not inside a blocking construct
+// reports what it last recorded.
 func (f *Force) Blocked() []string {
 	out := make([]string, f.np)
 	for i := range out {
@@ -354,19 +289,6 @@ func (f *Force) Blocked() []string {
 		}
 	}
 	return out
-}
-
-// AllExited reports whether every process has returned from the
-// current (or last) Run's program.  Stall watchdogs consult it before
-// declaring a stall: when it holds, the Run is already completing and
-// poisoning it would smear a successful run with a spurious abort.
-func (f *Force) AllExited() bool {
-	for i := range f.sites {
-		if f.sites[i].construct.Load() != &siteExited {
-			return false
-		}
-	}
-	return true
 }
 
 // Construct-site labels for Blocked; static so enter/leave stores never
@@ -470,10 +392,9 @@ func (f *Force) Stats() *Stats {
 // force.
 //
 // Run is the no-deadline entry point: it delegates to RunContext with
-// context.Background().  Because a background context never cancels,
-// any error from RunContext here comes from an out-of-band external
-// poisoning (a stall watchdog via Fault), and Run re-panics it to keep
-// its historical panic-on-abort signature.
+// context.Background(), which never cancels, and re-panics any error
+// (an external poison of the Fault cell) to keep its panic-on-abort
+// signature.
 func (f *Force) Run(program func(p *Proc)) {
 	if err := f.RunContext(context.Background(), program); err != nil {
 		panic(err)
@@ -503,10 +424,10 @@ func (f *Force) RunContext(ctx context.Context, program func(p *Proc)) error {
 		// directly and never calls Run.
 		panic("core: Run on a scoped sub-force")
 	}
-	// A cell poisoned before the Run starts is a pre-Run abort request
-	// (an external watchdog via Fault): honor it rather than silently
-	// erasing it.  An *aborted* Run never leaves leftover poison — it
-	// is consumed by recoverAborted below.
+	// A cell poisoned before the Run starts (through Fault) is a pre-Run
+	// abort request: honor it rather than silently erasing it.  An
+	// *aborted* Run never leaves leftover poison — it is consumed by
+	// recoverAborted below.
 	if f.pc.Poisoned() {
 		return f.settleAborted()
 	}
@@ -514,10 +435,6 @@ func (f *Force) RunContext(ctx context.Context, program func(p *Proc)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-
-	// Register the in-flight run so Shutdown can drain gracefully.
-	f.gate.start()
-	defer f.gate.finish()
 
 	// The cancellation watcher: one goroutine selecting the context
 	// against run completion.  Armed only when the context can actually
@@ -566,28 +483,6 @@ func (f *Force) settleAborted() error {
 		return poison.AsError(v)
 	}
 	panic(v)
-}
-
-// Shutdown closes the force gracefully: an in-flight Run is drained
-// until ctx expires, at which point it is canceled (poisoned with the
-// external cause, exactly as RunContext would) and awaited; the
-// workers are then released.  Returns nil when the drain completed
-// without canceling, ctx.Err() when the in-flight run had to be
-// canceled.  Safe with no run in flight (it just Closes); the caller
-// owns the ordering against *starting* Runs, as with Run/Run.
-func (f *Force) Shutdown(ctx context.Context) error {
-	var err error
-	if done := f.gate.waiter(); done != nil {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			err = ctx.Err()
-			f.pc.PoisonExternal(err)
-			<-done // cancellation latency is bounded; the drain completes
-		}
-	}
-	f.Close()
-	return err
 }
 
 // recoverAborted rebuilds the per-run construct state an aborted Run

@@ -96,7 +96,7 @@ const (
 	Delay
 	// Stall blocks the process at the site until the force is poisoned
 	// (or the plan is disabled) — the "a process hung forever" fault.
-	// Only external cancellation (a deadline, a watchdog) can end such
+	// Only external cancellation (a context deadline) can end such
 	// a run; the stalled process then unwinds like any poisoned waiter.
 	Stall
 )

@@ -161,8 +161,8 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 		return func(pr *cproc, fr *frame) {
 			for cond(pr, fr) {
 				// A poisoned force must not wait out a (possibly
-				// unbounded) sequential loop; the watchdog relies on
-				// this check.
+				// unbounded) sequential loop; -timeout relies on this
+				// check.
 				pr.p.Check()
 				runBody(body, pr, fr)
 			}

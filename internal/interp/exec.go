@@ -181,7 +181,7 @@ func newCInstance(prog *forcelang.Program, cfg Config, res *resolution, f *core.
 		as := make([]*asyncEntry, len(alloc.asyncs))
 		for i, sym := range alloc.asyncs {
 			if sym != nil {
-				as[i] = newAsyncEntry(sym.Decl, cfg, f)
+				as[i] = newAsyncEntry(sym.Decl, f)
 			}
 		}
 		in.scalars[unit] = ss

@@ -131,9 +131,9 @@ type Config struct {
 	// span instead of per iteration (chunk.go, this tier's own line).
 	FuseLog func(msg string)
 	// OnForce, when non-nil, is called with the freshly created force
-	// before execution starts.  forcerun's stall watchdog uses it to
-	// reach the force's Blocked report and Fault cell from outside the
-	// running program.
+	// before execution starts.  forcerun's -timeout takes the force's
+	// Blocked report through it at the deadline; forcemark reads the
+	// force's Stats.
 	OnForce func(f *core.Force)
 	// Context, when non-nil, bounds the run externally: its cancellation
 	// or deadline poisons the force (core.Force.RunContext), every
@@ -237,27 +237,13 @@ func runCtx(cfg Config) context.Context {
 	return context.Background()
 }
 
-// AbortError marks an abort injected into a running force from outside
-// the program — forcerun's stall watchdog poisons the force with one.
-// Run returns Err instead of re-panicking, so an externally aborted run
-// exits through the normal error path (flushing output and finalizing
-// profiles on the way).
-type AbortError struct{ Err error }
-
-func (e AbortError) Error() string { return e.Err.Error() }
-
-// Unwrap exposes the underlying cause to errors.Is/As.
-func (e AbortError) Unwrap() error { return e.Err }
-
 // recoverRunErr converts a panic that unwound out of a force run into
-// the error Run reports: Force runtime errors and external aborts
-// become error returns, anything else (an interpreter bug) re-panics.
+// the error Run reports: Force runtime errors become error returns,
+// anything else (an interpreter bug) re-panics.
 func recoverRunErr(r any) error {
 	switch t := r.(type) {
 	case *forcert.Err:
 		return t
-	case AbortError:
-		return t.Err
 	case *faultinject.Error:
 		// A chaos-harness injection is a deliberate process failure, not
 		// an interpreter bug: report it like any force runtime error.
@@ -427,20 +413,13 @@ type asyncEntry struct {
 	arr  *asyncvar.Array[value]
 }
 
-// newAsyncEntry allocates one asynchronous variable with the machine
-// profile's realization, bound to the force's fault cell so a blocked
-// Produce/Consume unwinds when the force aborts.
-func newAsyncEntry(d forcelang.Decl, cfg Config, f *core.Force) *asyncEntry {
-	e := &asyncEntry{}
+// newAsyncEntry allocates one asynchronous variable with the force's
+// machine profile, bound to its fault cell (core.NewAsync).
+func newAsyncEntry(d forcelang.Decl, f *core.Force) *asyncEntry {
 	if len(d.Dims) == 1 {
-		e.arr = asyncvar.NewArray[value](cfg.Machine.Async, cfg.Machine.LockFactory(), d.Dims[0])
-		e.arr.SetPoison(f.Fault())
-	} else {
-		cell := machine.NewAsync[value](cfg.Machine)
-		asyncvar.SetPoison(cell, f.Fault())
-		e.cell = cell
+		return &asyncEntry{arr: core.NewAsyncArray[value](f, d.Dims[0])}
 	}
-	return e
+	return &asyncEntry{cell: core.NewAsync[value](f)}
 }
 
 // at resolves the cell for a use with optional 1-based subscript sub
@@ -483,7 +462,7 @@ func newInstance(prog *forcelang.Program, cfg Config, f *core.Force) *instance {
 			case forcelang.Shared:
 				m[d.Name] = newBinding(d, true)
 			case forcelang.Async:
-				in.asyncs[unit+"."+d.Name] = newAsyncEntry(d, cfg, f)
+				in.asyncs[unit+"."+d.Name] = newAsyncEntry(d, f)
 			}
 		}
 		in.shared[unit] = m
@@ -621,7 +600,7 @@ func (pr *proc) stmts(list []forcelang.Stmt, f *tframe) {
 }
 
 // note records the statement's source location with the core runtime,
-// so the stall watchdog can report which line each blocked process is
+// so forcerun -timeout can report which line each blocked process is
 // waiting at.  Called before every potentially blocking statement (an
 // async statement's only when it waits, asyncOp); the note string is
 // built once per statement node and cached in the instance, so
@@ -669,7 +648,7 @@ func (pr *proc) stmt(st forcelang.Stmt, f *tframe) {
 	case *forcelang.WhileDo:
 		for pr.evalBool(t.Cond, f) {
 			// A poisoned force must not wait out a (possibly unbounded)
-			// sequential loop; the watchdog relies on this check.
+			// sequential loop; -timeout relies on this check.
 			pr.p.Check()
 			pr.stmts(t.Body, f)
 		}

@@ -77,9 +77,9 @@ func AsError(v any) error {
 
 // Cause classifies WHY a cell was poisoned.  The distinction matters at
 // the Run boundary: an internal failure (a process panicked) re-panics
-// out of Run, while an external cancellation (a context deadline, a
-// watchdog, a graceful shutdown) is an expected, service-shaped outcome
-// that core.Force.RunContext returns as an error.
+// out of Run, while an external cancellation (a context's cancel or
+// deadline) is an expected, service-shaped outcome that
+// core.Force.RunContext returns as an error.
 type Cause int
 
 const (
@@ -89,10 +89,9 @@ const (
 	// original, and only, cause).
 	CauseFailure
 	// CauseExternal: something OUTSIDE the force asked it to stop — a
-	// context's cancellation or deadline, forcerun's stall watchdog, or
-	// a draining Force.Shutdown.  The poison value is the cancellation
-	// error (context.Canceled, context.DeadlineExceeded, a watchdog
-	// report).
+	// context's cancellation or deadline, which forcerun -timeout
+	// drives.  The poison value is the cancellation error
+	// (context.Canceled, context.DeadlineExceeded).
 	CauseExternal
 )
 
@@ -193,9 +192,8 @@ func (c *Cell) Poison(v any) bool { return c.PoisonCause(v, CauseFailure) }
 
 // PoisonExternal poisons the cell with an external cancellation: err is
 // recorded as the poison value under CauseExternal.  Context wiring
-// (core.Force.RunContext), stall watchdogs and graceful shutdowns use
-// it; the Run boundary returns external poisons as errors instead of
-// re-panicking them.
+// (core.Force.RunContext) uses it; the Run boundary returns external
+// poisons as errors instead of re-panicking them.
 func (c *Cell) PoisonExternal(err error) bool { return c.PoisonCause(err, CauseExternal) }
 
 // PoisonCause is Poison with an explicit cause.  First caller wins,

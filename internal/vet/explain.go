@@ -6,7 +6,7 @@ import (
 )
 
 // explanations holds the long-form rule text behind each diagnostic
-// code, printed by `forcec -explain FVnnn` and `forcevet -explain`.
+// code, printed by `forcec -explain FVnnn`.
 var explanations = map[string]string{
 	"FV001": `FV001: collective construct reachable under a non-uniform condition (error)
 
