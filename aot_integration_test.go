@@ -528,7 +528,7 @@ Join
 				name := fmt.Sprintf("order %v, %s, file %d", order, round, i)
 				var plan []string
 				wantErr := interp.Run(f.prog, interp.Config{NP: 2, FuseLog: func(msg string) {
-					if !strings.Contains(msg, "span-checked") { // the chunk tier's own line
+					if !strings.Contains(msg, "span-checked") { // a span form's line: the emitter has none yet
 						plan = append(plan, msg)
 					}
 				}})
@@ -608,13 +608,14 @@ Join
 // four times the native cost of a unit (a block-evaluated body, like ABLE's
 // B(K) = 0.0, is sized at the native one).  Both say of
 // ABLE's 32-trip selfscheduled loop that it fits one grant and process 0
-// runs it, and neither says so of the 20000-trip one behind it.  The one
-// decision only the chunk tier takes is which element references it
-// range-checks per span; its "span-checked" lines are its own, one per
-// DOALL that subscripts a shared array, and are set aside.  The REAL GSUM
-// behind the last loop folds into that loop's join under either reduction
-// strategy (a fused tail and a reduction on its own fold the same way), so
-// the narration does not depend on the strategy.
+// runs it, and neither says so of the 20000-trip one behind it.  Which
+// element references a DOALL range-checks per span is a plan decision
+// only a back end with a span form narrates (plan.Loop.SpanChecked), one
+// "span-checked" line per planned DOALL that subscripts a shared array;
+// the emitter has no span form yet, so those lines are set aside.  The
+// REAL GSUM behind the last loop folds into that loop's join under either
+// reduction strategy (a fused tail and a reduction on its own fold the
+// same way), so the narration does not depend on the strategy.
 func TestPlanNarrationAcrossTiers(t *testing.T) {
 	prog := forcelang.MustParse(`Force TIERS of NP ident ME
 Shared Real A(32), B(32), TOT
@@ -761,7 +762,7 @@ Endsub
 		var chunked, got []string
 		err = interp.Run(prog, interp.Config{NP: 2, Context: dead, FuseLog: func(msg string) {
 			chunked = append(chunked, msg)
-			if !strings.Contains(msg, ": DOALL span-checked ") {
+			if !strings.Contains(msg, ": DOALL span-checked ") { // the span form's lines, as above
 				got = append(got, msg)
 			}
 		}})

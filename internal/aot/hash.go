@@ -36,8 +36,10 @@ import (
 // 11: same emitted Go, but the scheduler a binary embeds counts a DOALL
 // range spanning more than 2^63 from its unsigned span, and the recorded
 // plan names a statement no span runs as the language spells it;
-// 12: an async scalar is an asyncvar.V field, not a core.AsyncCell.)
-const formatVersion = 12
+// 12: an async scalar is an asyncvar.V field, not a core.AsyncCell;
+// 13: a two-index DOALL counts its index pairs with sched.Pairs, which
+// saturates instead of wrapping.)
+const formatVersion = 13
 
 // buildEnv names the environment variables the go build of an entry
 // inherits that change the binary it makes: a binary built under

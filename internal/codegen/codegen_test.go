@@ -124,7 +124,7 @@ func TestGeneratedStructure(t *testing.T) {
 		"defer f.Close()",
 		"zzR := sched.Range{Start: 1, Last: shr.N, Incr: 1}",
 		"p.DoAllChunked(sched.PreschedBlock, zzR, func(zzLo, zzHi, zzStride int) {",
-		"p.DoAllGranted(p.Selfsched(), 400, sched.Seq(zzR.Count()*zzN2), func(zzLo, zzHi, zzStride int) {",
+		"p.DoAllGranted(p.Selfsched(), 400, sched.Seq(sched.Pairs(zzR.Count(), zzN2)), func(zzLo, zzHi, zzStride int) {",
 		"p.Critical(\"SUM\", func() {",
 		"p.Pcase(",
 		"core.CaseIf(func() bool { return (shr.N > 4) }, func() {",

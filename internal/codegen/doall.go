@@ -79,10 +79,10 @@ func (g *generator) doAll(l plan.Loop) error {
 		g.p("zzR2 := sched.Range{Start: %s, Last: %s, Incr: %s}", ifrom, ito, istep)
 		g.p("zzN2 := zzR2.Count()")
 		// Index pairs are the unit of distribution: one space of flat ordinals.
-		g.p("%ssched.Seq(zzR.Count()*zzN2), func(zzLo, zzHi, zzStride int) {", entry)
+		g.p("%ssched.Seq(sched.Pairs(zzR.Count(), zzN2)), func(zzLo, zzHi, zzStride int) {", entry)
 		vars = lv + ", " + ilv
 		index = "zzR.Index(zzK/zzN2), zzR2.Index(zzK%zzN2)"
-		count = "zzR.Count()*zzN2"
+		count = "sched.Pairs(zzR.Count(), zzN2)"
 	}
 	g.ind++
 	var accs []plan.AccRec

@@ -742,7 +742,7 @@ func (p *Proc) DoAllGranted(kind sched.Kind, grant int, r sched.Range, chunk Chu
 // (§3.3).
 func (p *Proc) DoAll2(kind sched.Kind, r1, r2 sched.Range, body func(i, j int)) {
 	n2 := r2.Count()
-	flat := sched.Seq(r1.Count() * n2)
+	flat := sched.Seq(sched.Pairs(r1.Count(), n2))
 	p.DoAll(kind, flat, func(k int) {
 		body(r1.Index(k/n2), r2.Index(k%n2))
 	})

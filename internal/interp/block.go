@@ -13,7 +13,9 @@ package interp
 // word-store kernel (storeBlock); folds take a block in index order, so a
 // REAL one rounds as the per-iteration loop does.  Uniform subexpressions
 // come from cInt / cReal (hoisted as ever, broadcast per block), element
-// references from spanSite.
+// references from spanSite (plan.Plan.SpanCheck).  That a body runs here
+// is the plan's decision, and forcerun -v's "block-evaluated" renders it
+// from the node (plan.Node.Narrate), not from this compilation.
 // Buffers are numbered by evaluation depth — a node fills buffer d and
 // evaluates its right operand into d+1 — so a body needs as many as its
 // deepest right spine, not one per node.
@@ -192,7 +194,7 @@ func foldB[T num](op plan.AccOp, negate bool, v T, src []T) T {
 // bReal compiles a numeric expression to its REAL block form, into buffer d.
 func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 	c.plan.nR = max(c.plan.nR, d+1)
-	if c.hoistable(e) {
+	if c.plan.Hoists(e) {
 		s := c.cReal(e)
 		return func(pr *cproc, fr *frame, dst []float64) { fill(dst, s(pr, fr)) }
 	}
@@ -235,7 +237,7 @@ func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 // bInt compiles an INTEGER expression to its block form, into buffer d.
 func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 	c.plan.nI = max(c.plan.nI, d+1)
-	if c.hoistable(e) {
+	if c.plan.Hoists(e) {
 		s := c.cInt(e)
 		return func(pr *cproc, fr *frame, dst []int64) { fill(dst, s(pr, fr)) }
 	}

@@ -11,35 +11,36 @@ package interp
 //     .j), never re-stored through the frame per iteration; the frame
 //     slot receives the last executed index when the span ends, the
 //     value the plan-less loop leaves there.
-//   - uniform subexpressions (hoistable) are compiled with the plan
-//     cleared and evaluated ONCE per construct execution into the
-//     context's typed slots; the iteration loop reads slots.  Only
-//     non-panicking expressions hoist (no integer division, MOD or
-//     SQRT), so hoisting can never surface an error a per-iteration
-//     evaluation would not.
+//   - uniform subexpressions the plan lets hoist (plan.Plan.Hoists) are
+//     compiled with the plan cleared and evaluated ONCE per construct
+//     execution into the context's typed slots; the iteration loop reads
+//     slots.  Only expressions that cannot raise hoist, so hoisting can
+//     never surface an error a per-iteration evaluation would not.
 //   - accumulator scalars (S = S + e, S = MAX(S, e), S = MIN(S, e))
 //     accumulate into a private per-span slot (accAssign) and fold into
 //     the shared cell with one atomic RMW at span end — an add for
 //     sums, a strict compare-and-swap for extrema — before the
 //     construct's exit barrier, so post-loop readers see the total.
-//   - a shared-array element reference whose every subscript the plan
-//     decomposes as ci·I + rest (plan.Plan.Affine: literal ci, a rest of
-//     literals and INTEGER scalars the body never writes) is checked per
-//     SPAN, not per iteration (spanSite): the rest is evaluated once per
-//     construct execution, the indices at which every such subscript is
-//     in range form one interval (kctx.narrow), and a span whose first
-//     and last index lie inside it — affine, hence in range between them
-//     — runs the reference as ONE closure indexing the array's words at
-//     K·i + R.  Any other span runs the checked plan-less body
-//     (checkedBody, compiled on first need): the program is about to
-//     raise a subscript error, or guards the reference with an IF, and
-//     the ordinary per-iteration check decides which, at the reference
-//     and after the iterations it always did.
+//   - an element reference the plan span-checks (plan.Plan.SpanCheck: a
+//     shared array, every subscript ci·I + rest with a literal ci and a
+//     rest of literals and INTEGER scalars the body never writes) is
+//     checked per SPAN, not per iteration (spanSite): the rest is
+//     evaluated once per construct execution, the indices at which every
+//     such subscript is in range form one interval (kctx.narrow), and a
+//     span whose first and last index lie inside it — affine, hence in
+//     range between them — runs the reference as ONE closure indexing
+//     the array's words at K·i + R.  Any other span runs the checked
+//     plan-less body (checkedBody, compiled on first need): the program
+//     is about to raise a subscript error, or guards the reference with
+//     an IF, and the ordinary per-iteration check decides which, at the
+//     reference and after the iterations it always did.
 //
 // An element-wise body (the planner says which: plan.Plan.PerIter) compiles
 // in chunk mode to its block form only (block.go): a span that passes the
 // end-point test runs it statement at a time over blocks of indices, any
-// other span the checked plan-less body.
+// other span the checked plan-less body.  Both decisions, and the counts
+// forcerun -v narrates for them, are the plan's (plan.Loop.SpanChecked,
+// rendered by plan.Node.Narrate): this file spells them, and decides none.
 //
 // A body with no plan compiles in ordinary mode and stores its index
 // through the frame every iteration (chunkParDo).  Everything else —
@@ -51,7 +52,6 @@ package interp
 // giant prescheduled spans.
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -75,10 +75,9 @@ type chunkPlan struct {
 	uniReal []realFn
 	uniBool []boolFn
 	// subs holds the subscripts of the span-checked references, site by
-	// site; sites counts those references and elems every shared-array
-	// element reference of the body, span-checked or not.
-	subs         []affSub
-	sites, elems int
+	// site; sites counts those references.
+	subs  []affSub
+	sites int
 	// nI and nR count the scratch buffers of each type an element-wise
 	// body's block form fills (block.go).
 	nI, nR int
@@ -291,13 +290,6 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 	planned := p != nil
 	body := c.spanBody(t, cp)
 	byBlock := planned && p.PerIter == ""
-	if lg := c.in.cfg.FuseLog; lg != nil && cp.elems > 0 {
-		how := "block-evaluated"
-		if !byBlock {
-			how = "per iteration (" + p.PerIter + ")"
-		}
-		lg(fmt.Sprintf("line %d: DOALL span-checked %d of %d element references, %s", t.Pos(), cp.sites, cp.elems, how))
-	}
 	var recs []plan.AccRec
 	if planned {
 		recs = p.AccRecs
@@ -328,7 +320,7 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 					return
 				}
 				if stride > 1 {
-					cnt = (cnt + stride - 1) / stride
+					cnt = (cnt-1)/stride + 1 // cnt may be MaxInt: adding stride - 1 would wrap
 				}
 				i := base + int64(lo)*incr
 				di := int64(stride) * incr
@@ -403,7 +395,7 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 				return
 			}
 			if block {
-				kk := sched.CyclicLast(pr.p.ID(), pr.p.NP(), r.Count()*n2)
+				kk := sched.CyclicLast(pr.p.ID(), pr.p.NP(), sched.Pairs(r.Count(), n2))
 				kc.i, kc.j = int64(r.Index(kk/n2)), int64(r2.Index(kk%n2))
 			}
 			storeVar(pr, fr, kc.i)
@@ -412,7 +404,7 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 		}
 		// Index pairs are the unit of distribution: the two ranges are
 		// dealt as one space of flat ordinals.
-		flat := sched.Seq(r.Count() * n2)
+		flat := sched.Seq(sched.Pairs(r.Count(), n2))
 		if open {
 			pr.p.DoAllChunkedOpen(kind, grant, flat, chunkFn)
 		} else {
@@ -468,22 +460,21 @@ func (cp *chunkPlan) checkedBody(c *compiler, t *forcelang.ParDo) []stmtFn {
 	return cp.checked
 }
 
-// spanSite decides, in chunk mode, whether the shared-array element
-// reference t is span-checked, and if so registers it with the plan and
-// returns the array's words, the flat coefficient K and the site whose
-// kctx.aff slot holds R: the element at index i is data[K·i + R].  For a
-// d1 x d2 array K = c1·d2 + c2, the row-major offset being affine when
-// both subscripts are.
+// spanSite registers the element reference t with the plan, in chunk mode
+// and when the plan span-checks it (plan.Plan.SpanCheck), and returns the
+// array's words, the flat coefficient K and the site whose kctx.aff slot
+// holds R: the element at index i is data[K·i + R].  For a d1 x d2 array
+// K = c1·d2 + c2, the row-major offset being affine when both subscripts
+// are.  Any other reference takes the ordinary, per-iteration path.
 func (c *compiler) spanSite(t *forcelang.Ref) (data []atomic.Uint64, k int64, site int, ok bool) {
-	sym := t.Sym
-	if c.plan == nil || len(t.Subs) == 0 || sym.Storage != scSharedArray {
+	if c.plan == nil {
 		return nil, 0, 0, false
 	}
-	c.plan.elems++
-	coef, ok := c.plan.Affine(t)
-	if !ok || len(t.Subs) != len(sym.Dims) {
-		return nil, 0, 0, false // the ordinary path reports a wrong subscript count
+	coef, ok := c.plan.SpanCheck(t)
+	if !ok {
+		return nil, 0, 0, false
 	}
+	sym := t.Sym
 	site = c.plan.sites
 	c.plan.sites++
 	for d, sub := range t.Subs {
@@ -555,40 +546,6 @@ func (c *compiler) accAssign(acc plan.Accum, si int) stmtFn {
 
 // --- uniform hoisting --------------------------------------------------
 
-// hoistable reports whether e is uniform under the current plan (no
-// loop index, no written name, no parameter, no subscripted reference)
-// AND non-panicking (no integer division, integer MOD or SQRT), so it
-// may be evaluated once per construct, outside the loop.
-func (c *compiler) hoistable(e forcelang.Expr) bool {
-	switch t := e.(type) {
-	case *forcelang.IntLit, *forcelang.RealLit, *forcelang.BoolLit:
-		return true
-	case *forcelang.Ref:
-		if len(t.Subs) > 0 || t.Sym == c.plan.Outer || t.Sym == c.plan.Inner || c.plan.Written(t.Sym) {
-			return false
-		}
-		return t.Sym.Storage == scPrivate || t.Sym.Storage == scShared
-	case *forcelang.Un:
-		return c.hoistable(t.X)
-	case *forcelang.Bin:
-		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal {
-			return false // integer division panics on zero
-		}
-		return c.hoistable(t.L) && c.hoistable(t.R)
-	case *forcelang.Intrinsic:
-		if t.Name == "SQRT" || (t.Name == "MOD" && e.Type() != forcelang.TReal) {
-			return false
-		}
-		for _, a := range t.Args {
-			if !c.hoistable(a) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // hoistWorthwhile screens out expressions whose per-iteration cost is
 // already a single local load: literals and private scalar reads.
 func hoistWorthwhile(e forcelang.Expr) bool {
@@ -596,34 +553,25 @@ func hoistWorthwhile(e forcelang.Expr) bool {
 	case *forcelang.IntLit, *forcelang.RealLit, *forcelang.BoolLit:
 		return false
 	case *forcelang.Ref:
-		if t.Sym.Storage == scPrivate {
-			return false
-		}
+		return t.Sym.Storage != scPrivate
 	}
 	return true
 }
 
 // hoisting reports whether e, met at the entry of cInt/cReal/cBool,
-// should become a read of a uniform slot: the compiler is in chunk mode
-// and e is hoistable and worth it.
+// should become a read of a uniform slot: the compiler is in chunk mode,
+// the plan lets e hoist (plan.Plan.Hoists) and it is worth it.
 func (c *compiler) hoisting(e forcelang.Expr) bool {
-	return c.plan != nil && c.hoistable(e) && hoistWorthwhile(e)
+	return c.plan != nil && c.plan.Hoists(e) && hoistWorthwhile(e)
 }
 
 // hoistInt returns the uniform-slot read replacing e, or nil when e
-// does not hoist; hoistReal and hoistBool are its typed twins.  The
-// hoisted expression itself is compiled with the plan cleared: it is
-// part of the prologue, which runs outside the loop.
+// does not hoist; hoistReal and hoistBool are its typed twins.
 func (c *compiler) hoistInt(e forcelang.Expr) intFn {
 	if !c.hoisting(e) {
 		return nil
 	}
-	cp := c.plan
-	c.plan = nil
-	ev := c.cInt(e)
-	c.plan = cp
-	slot := len(cp.uniInt)
-	cp.uniInt = append(cp.uniInt, ev)
+	slot := prologue(c, &c.plan.uniInt, c.cInt, e)
 	return func(pr *cproc, fr *frame) int64 { return pr.k.uniI[slot] }
 }
 
@@ -631,12 +579,7 @@ func (c *compiler) hoistReal(e forcelang.Expr) realFn {
 	if !c.hoisting(e) {
 		return nil
 	}
-	cp := c.plan
-	c.plan = nil
-	ev := c.cReal(e)
-	c.plan = cp
-	slot := len(cp.uniReal)
-	cp.uniReal = append(cp.uniReal, ev)
+	slot := prologue(c, &c.plan.uniReal, c.cReal, e)
 	return func(pr *cproc, fr *frame) float64 { return pr.k.uniR[slot] }
 }
 
@@ -644,11 +587,18 @@ func (c *compiler) hoistBool(e forcelang.Expr) boolFn {
 	if !c.hoisting(e) {
 		return nil
 	}
+	slot := prologue(c, &c.plan.uniBool, c.cBool, e)
+	return func(pr *cproc, fr *frame) bool { return pr.k.uniB[slot] }
+}
+
+// prologue compiles e with the plan cleared — a hoisted expression runs in
+// the prologue, outside the loop — into a new one of slots, and returns
+// which.
+func prologue[F any](c *compiler, slots *[]F, compile func(forcelang.Expr) F, e forcelang.Expr) int {
 	cp := c.plan
 	c.plan = nil
-	ev := c.cBool(e)
+	ev := compile(e)
 	c.plan = cp
-	slot := len(cp.uniBool)
-	cp.uniBool = append(cp.uniBool, ev)
-	return func(pr *cproc, fr *frame) bool { return pr.k.uniB[slot] }
+	*slots = append(*slots, ev)
+	return len(*slots) - 1
 }

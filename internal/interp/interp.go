@@ -125,10 +125,10 @@ type Config struct {
 	// before it.  The other modes already ask for less.
 	NoFuse bool
 	// FuseLog, when non-nil, receives the planner's decisions once per
-	// Run, at compile time: each plan.Node's lines (Node.Narrate renders
-	// its fields) and, behind them, per planned DOALL that subscripts a
-	// shared array, how many element references are range-checked per
-	// span instead of per iteration (chunk.go, this tier's own line).
+	// Run, at compile time: each plan.Node's lines, rendered from its
+	// fields by Node.Narrate — the span check of each planned DOALL that
+	// subscripts a shared array last, a plan decision this tier narrates
+	// because it has a span form (the Go emitter has none yet).
 	FuseLog func(msg string)
 	// OnForce, when non-nil, is called with the freshly created force
 	// before execution starts.  forcerun's -timeout takes the force's

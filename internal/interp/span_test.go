@@ -81,10 +81,11 @@ func TestNarrow(t *testing.T) {
 	}
 }
 
-// TestSpanCheckNarration pins the chunk tier's own narration line: how
-// many of a planned body's shared-array element references are checked
-// per span, and whether the body is evaluated a block at a time or, when
-// the planner declined that, per iteration and for which first reason.
+// TestSpanCheckNarration pins the span-check line this tier narrates for
+// the plan: how many of a planned body's shared-array element references
+// are checked per span, and whether the body is evaluated a block at a
+// time or, when the planner declined that, per iteration and for which
+// first reason.
 func TestSpanCheckNarration(t *testing.T) {
 	byName := map[string]string{}
 	for _, p := range corpus.Chunk {
@@ -174,10 +175,11 @@ func newSpanFixture(t *testing.T, src string) *spanFixture {
 	}
 	in := newCInstance(fx.prog, Config{NP: 1, Stdout: io.Discard}, res, nil)
 	fx.c = newCompiler(in)
+	checked := 0
 	for i, st := range fx.prog.Body {
 		if pd, ok := st.(*forcelang.ParDo); ok {
 			nd, _ := fx.c.tg.Next(fx.prog.Body, i)
-			fx.loop, fx.cp = pd, &chunkPlan{Plan: nd.Loop.Plan}
+			fx.loop, fx.cp, checked = pd, &chunkPlan{Plan: nd.Loop.Plan}, nd.Loop.SpanChecked
 			break
 		}
 	}
@@ -185,6 +187,9 @@ func newSpanFixture(t *testing.T, src string) *spanFixture {
 		t.Fatal("the fixture's DOALL has no plan")
 	}
 	fx.c.spanBody(fx.loop, fx.cp)
+	if fx.cp.sites != checked {
+		t.Fatalf("the compiler registered %d span-checked sites, the planner counted %d", fx.cp.sites, checked)
+	}
 	fx.pr, fx.fr = &cproc{in: in}, fx.c.units[""].newFrame(0)
 	return fx
 }
@@ -205,8 +210,8 @@ Join
 func TestCheckedBodyCompiledOnce(t *testing.T) {
 	fx := newSpanFixture(t, spanFixtureSrc)
 	c, loop, cp := fx.c, fx.loop, fx.cp
-	if cp.sites != 4 || cp.elems != 4 {
-		t.Fatalf("fixture: %d of %d references span-checked, want 4 of 4", cp.sites, cp.elems)
+	if cp.sites != 4 {
+		t.Fatalf("fixture: %d references span-checked, want 4", cp.sites)
 	}
 	if cp.checked != nil {
 		t.Fatal("the checked body was compiled up front")

@@ -79,18 +79,19 @@ type Plan struct {
 // are varying; everything else index-free is uniform.
 func (p *Plan) Written(sym *forcelang.Symbol) bool { return p.sum.Written(sym) }
 
-// Affine reports whether every subscript of r, an element reference in
-// the body of a single-index DOALL, is ci·Outer + rest with a literal ci
-// and a rest that reads only literals and INTEGER scalars the body does
-// not write — the decomposition the disjointness proof stands on
-// (uniform.Space.Coef under the intScalar rule), kept instead of thrown
-// away.  coef[k] is subscript k's ci.  Such a subscript is monotone in
-// the index and its rest is the same in every iteration a process
-// executes, so a back end may compute the rest once per construct and
-// range-check a whole span at its two ends.  Two-index spaces and bodies
-// that touch a parameter answer no.
-func (p *Plan) Affine(r *forcelang.Ref) (coef [2]int64, ok bool) {
-	if p.space == nil || p.Inner != nil || len(r.Subs) == 0 || len(r.Subs) > len(coef) {
+// SpanCheck reports whether r, an element reference in the body, is
+// range-checked per span rather than per iteration, and with which index
+// coefficients: r subscripts a shared array once per dimension, each
+// subscript coef[k]·Outer + rest with a literal coef[k] and a rest of
+// literals and INTEGER scalars the body does not write (uniform.Space.Coef
+// under the intScalar rule, the disjointness proof's decomposition).  Such
+// a subscript is monotone in the index and its rest the same in every
+// iteration a process executes, so a back end may compute the rest once
+// per construct and check a whole span at its two ends.  Two-index spaces
+// and bodies that touch a parameter answer no.
+func (p *Plan) SpanCheck(r *forcelang.Ref) (coef [2]int64, ok bool) {
+	if p.space == nil || p.Inner != nil || r.Sym.Storage != forcelang.SharedArray ||
+		len(r.Subs) == 0 || len(r.Subs) != len(r.Sym.Dims) || len(r.Subs) > len(coef) {
 		return coef, false
 	}
 	for k, sub := range r.Subs {
@@ -100,6 +101,12 @@ func (p *Plan) Affine(r *forcelang.Ref) (coef [2]int64, ok bool) {
 	}
 	return coef, true
 }
+
+// Hoists reports whether e may be evaluated once per construct execution
+// instead of per iteration: it reads only literals and unsubscripted
+// private or shared scalars that are neither a loop index nor written by
+// the body, and nothing in it can raise.
+func (p *Plan) Hoists(e forcelang.Expr) bool { return p.perIter(e, true) == "" }
 
 // Fold returns the index in AccRecs of the folded accumulator sym.
 func (p *Plan) Fold(sym *forcelang.Symbol) (int, bool) {
@@ -243,33 +250,39 @@ func (p *Plan) elementwise(body []forcelang.Stmt) string {
 		case sym.Storage == forcelang.PrivateScalar && a.Reads != 1:
 			return "reads private " + sym.Name + " outside its recurrence"
 		}
-		if why := p.perIter(&t.Target); why != "" {
+		if why := p.perIter(&t.Target, false); why != "" {
 			return why
-		} else if why = p.perIter(t.Expr); why != "" {
+		} else if why = p.perIter(t.Expr, false); why != "" {
 			return why
 		}
 	}
 	return ""
 }
 
-// perIter names the first thing in e a block evaluation cannot hoist out of
-// the iteration: an operation that can raise, or an element reference
-// outside the span check (Affine, every subscript present).
-func (p *Plan) perIter(e forcelang.Expr) string {
+// perIter names the first thing in e, in evaluation order, a block
+// evaluation cannot hoist out of the iteration: an operation that can
+// raise (integer /, integer MOD, SQRT: the one cannot-raise rule) or an
+// element reference SpanCheck leaves to the per-iteration check.  Under
+// hoist it also names any reference that is not a uniform scalar (Hoists).
+func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	switch t := e.(type) {
 	case *forcelang.Ref:
-		if _, ok := p.Affine(t); len(t.Subs) > 0 && !(ok && t.Sym.Storage == forcelang.SharedArray && len(t.Subs) == len(t.Sym.Dims)) {
+		if st := t.Sym.Storage; hoist && (len(t.Subs) > 0 || t.Sym == p.Outer || t.Sym == p.Inner || p.Written(t.Sym) ||
+			st != forcelang.PrivateScalar && st != forcelang.SharedScalar) {
+			return "varies"
+		}
+		if _, ok := p.SpanCheck(t); len(t.Subs) > 0 && !ok {
 			return "checks " + t.Name + " per iteration"
 		}
 	case *forcelang.Un:
-		return p.perIter(t.X)
+		return p.perIter(t.X, hoist)
 	case *forcelang.Bin:
 		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal {
 			return "integer /"
-		} else if why := p.perIter(t.L); why != "" {
+		} else if why := p.perIter(t.L, hoist); why != "" {
 			return why
 		}
-		return p.perIter(t.R)
+		return p.perIter(t.R, hoist)
 	case *forcelang.Intrinsic:
 		if t.Name == "SQRT" {
 			return "SQRT"
@@ -277,7 +290,7 @@ func (p *Plan) perIter(e forcelang.Expr) string {
 			return "integer MOD"
 		}
 		for _, x := range t.Args {
-			if why := p.perIter(x); why != "" {
+			if why := p.perIter(x, hoist); why != "" {
 				return why
 			}
 		}

@@ -10,6 +10,10 @@
 // forcerun -v's lines only render the fields (Node.Narrate); the closure
 // compiler (internal/interp) spells them as closures, the Go emitter
 // (internal/codegen) as text, and neither re-derives one from the tree.
+// Which element references a DOALL range-checks per span, not per
+// iteration, is one of them (Plan.SpanCheck, Loop.SpanChecked): a back
+// end with a span form narrates it; the Go emitter, which has none yet,
+// checks every reference and narrates no such line.
 //
 // Behind Next: summary.go is the footprint — one walk (Summarize) records
 // which symbols a statement list reads and writes and how, and the proofs
@@ -60,7 +64,8 @@ type Target struct {
 	// the back end, in nanoseconds; it sizes the grant.
 	NsPerUnit int
 	// NsPerBlockUnit is the same for a body the back end evaluates a block
-	// at a time (Plan.PerIter == ""); 0 when it has no such form.
+	// at a time (Plan.PerIter == ""); 0 when it has no span form — no
+	// block evaluation and no per-span check (Loop.SpanChecked).
 	NsPerBlockUnit int
 	Level          Level
 
@@ -112,6 +117,10 @@ type Loop struct {
 	DealtBy *Plan
 	// Grant is the ordinals per claim of a selfscheduled loop (1: no plan).
 	Grant int
+	// SpanChecked of ElemRefs shared-array element references of the body
+	// are range-checked per span (Plan.SpanCheck).  Counted only for a
+	// planned loop on a target with a span form (NsPerBlockUnit != 0).
+	SpanChecked, ElemRefs int
 	// Open leaves the construct without its exit barrier: a member of a
 	// Region, or a lone DOALL whose exit synchronization runs Section.
 	Open bool
@@ -238,8 +247,9 @@ func (tg *Target) summary(i int) *Summary {
 }
 
 // loop is the DOALL t under plan p (nil: nothing proven): its deal —
-// deal's, p itself for a lone DOALL, the region's plan for a member — and
-// its grant sized for the back end.
+// deal's, p itself for a lone DOALL, the region's plan for a member — its
+// grant sized for the back end and, on one with a span form, the counts of
+// its span check.
 func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
 	l := Loop{Do: t, Plan: p, Grant: 1, DealtBy: deal}
 	switch {
@@ -256,6 +266,17 @@ func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
 		ns = tg.NsPerBlockUnit
 	}
 	l.Grant = grant(p.Cost, ns)
+	if tg.NsPerBlockUnit == 0 {
+		return l
+	}
+	for _, a := range p.sum.Accesses() {
+		for _, r := range a.Elems {
+			if _, ok := p.SpanCheck(r); ok {
+				l.SpanChecked++
+			}
+		}
+		l.ElemRefs += len(a.Elems)
+	}
 	return l
 }
 
@@ -315,7 +336,8 @@ func scalarTarget(red *forcelang.ReduceStmt) bool {
 // Narrate says the node's decisions, one line each as forcerun -v prints
 // them after "fuse: ", read off its fields: the fusion decline, each
 // DOALL's deal and grant or why it has no plan, what fused, the riding
-// Barrier.  A node lowered at Plain says nothing.
+// Barrier and, last, each DOALL's span check.  A node lowered at Plain
+// says nothing.
 func (nd *Node) Narrate(say func(string)) {
 	line := func(format string, args ...any) { say(fmt.Sprintf("line "+format, args...)) }
 	loops, red, rider := nd.Region.Members, nd.Region.Red, nd.Region.Rider
@@ -370,5 +392,15 @@ func (nd *Node) Narrate(say func(string)) {
 	}
 	if rider != nil {
 		line("%d: Barrier rides the %s at line %d", rider.Pos(), closer, at)
+	}
+	for _, l := range loops {
+		if l.ElemRefs == 0 {
+			continue
+		}
+		how := "block-evaluated"
+		if l.Plan.PerIter != "" {
+			how = "per iteration (" + l.Plan.PerIter + ")"
+		}
+		line("%d: DOALL span-checked %d of %d element references, %s", l.Do.Pos(), l.SpanChecked, l.ElemRefs, how)
 	}
 }

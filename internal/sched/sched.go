@@ -55,6 +55,17 @@ func (r Range) Count() int {
 	return int(min(n, math.MaxInt))
 }
 
+// Pairs is the number of index pairs of an n1 × n2 space (counts, so not
+// negative): the flat ordinal count of a two-index DOALL, saturating at
+// MaxInt as Count does, so a space of more pairs runs its first MaxInt
+// instead of a wrapped product's.
+func Pairs(n1, n2 int) int {
+	if n1 != 0 && n2 > math.MaxInt/n1 {
+		return math.MaxInt
+	}
+	return n1 * n2
+}
+
 // Index maps an ordinal k in [0, Count()) to its index value (in wrapping
 // arithmetic, exact for every index the range holds).
 func (r Range) Index(k int) int { return r.Start + k*r.Incr }
