@@ -821,6 +821,41 @@ Endsub
 	}
 }
 
+// TestImplicitConversionPlansLikeExplicit: B(I) * I and B(I) * REAL(I)
+// are one computation, so they are one plan on both back ends — the
+// checker places the implicit conversion as the REAL node the explicit
+// spelling has, and the planner costs it once.
+func TestImplicitConversionPlansLikeExplicit(t *testing.T) {
+	narrate := func(rhs string) string {
+		prog := forcelang.MustParse(`Force GRANT of NP ident ME
+Shared Real A(1000), B(1000)
+Private Integer I
+End Declarations
+Selfsched DO I = 1, 1000
+  A(I) = ` + rhs + `
+End Selfsched DO
+Join
+`)
+		_, lines, err := codegen.Lower(prog, codegen.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead, cancel := context.WithCancel(context.Background())
+		cancel()
+		err = interp.Run(prog, interp.Config{NP: 2, Context: dead, FuseLog: func(msg string) {
+			lines = append(lines, msg)
+		}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: the run started: %v", rhs, err)
+		}
+		return strings.Join(lines, "\n")
+	}
+	implicit, explicit := narrate("B(I) * I"), narrate("B(I) * REAL(I)")
+	if !strings.Contains(implicit, "grant=") || implicit != explicit {
+		t.Errorf("B(I) * I narrates\n%s\nB(I) * REAL(I) narrates\n%s", implicit, explicit)
+	}
+}
+
 // TestAOTBuildFailureIsReported: INTEGER arithmetic on literals that
 // overflows int64 builds and wraps natively, silently; a build that does
 // fail falls back to the chunked interpreter with one stderr line even

@@ -215,14 +215,15 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 12 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 13 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
 	// text key, before the fixed owner, before forcert.Real, before
 	// INTEGER constant arithmetic went through forcert.Int, before a
 	// sequential DO ran by its trip count, before a DOALL range was
 	// counted from its unsigned span, before core.AsyncCell went and,
-	// with the build environment unset, before index pairs saturated).
+	// with the build environment unset, before index pairs saturated and
+	// before the checker placed implicit conversions).
 	oldKeys := map[int]string{
 		1:  "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2:  "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
@@ -236,6 +237,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		10: "8195505f235c08047402fadd7d63be861a45194240ef44457235109491ace17e",
 		11: "3ffe8eb7e9e48cf24e5e3654add2c6d6040450a95acc87216d9a1ff74f2f75e3",
 		12: "3cef2eefcf9916f9a0399549090c721b439189acc221e7b273fc737fd07f72ca",
+		13: "0c7cd2be9ca786f929deb820963bf95781a221fcf1d585b67c397da42433295a",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.

@@ -38,8 +38,10 @@ import (
 // plan names a statement no span runs as the language spells it;
 // 12: an async scalar is an asyncvar.V field, not a core.AsyncCell;
 // 13: a two-index DOALL counts its index pairs with sched.Pairs, which
-// saturates instead of wrapping.)
-const formatVersion = 13
+// saturates instead of wrapping;
+// 14: the checker places implicit conversions as REAL / INT nodes, which
+// the planner costs, so a Selfsched DO over one may get another grant.)
+const formatVersion = 14
 
 // buildEnv names the environment variables the go build of an entry
 // inherits that change the binary it makes: a binary built under

@@ -363,11 +363,11 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		if acc, ok := plan.MatchAccum(t); ok {
 			return g.accumulate(t, acc)
 		}
-		lhs, lt, err := g.lvalue(&t.Target)
+		lhs, _, err := g.lvalue(&t.Target)
 		if err != nil {
 			return err
 		}
-		rhs, err := g.exprAs(t.Expr, lt)
+		rhs, err := g.expr(t.Expr)
 		if err != nil {
 			return err
 		}
@@ -479,7 +479,7 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		g.p(")")
 		return nil
 	case *forcelang.AskforStmt:
-		seed, err := g.exprAs(t.Seed, forcelang.TInt)
+		seed, err := g.expr(t.Seed)
 		if err != nil {
 			return err
 		}
@@ -493,14 +493,14 @@ func (g *generator) stmt(st forcelang.Stmt) error {
 		g.p("})")
 		return nil
 	case *forcelang.PutStmt:
-		task, err := g.exprAs(t.Expr, forcelang.TInt)
+		task, err := g.expr(t.Expr)
 		if err != nil {
 			return err
 		}
 		g.p("zzPut(%s)", task)
 		return nil
 	case *forcelang.ProduceStmt:
-		rhs, err := g.exprAs(t.Expr, t.Sym.Type)
+		rhs, err := g.expr(t.Expr)
 		if err != nil {
 			return err
 		}
@@ -575,7 +575,7 @@ func (g *generator) asyncCellExpr(d *forcelang.Symbol, sub forcelang.Expr, line 
 	if sub == nil {
 		return field, nil
 	}
-	code, err := g.exprAs(sub, forcelang.TInt)
+	code, err := g.expr(sub)
 	if err != nil {
 		return "", err
 	}
@@ -583,17 +583,17 @@ func (g *generator) asyncCellExpr(d *forcelang.Symbol, sub forcelang.Expr, line 
 }
 
 func (g *generator) loopBounds(from, to, step forcelang.Expr) (string, string, string, error) {
-	f, err := g.exprAs(from, forcelang.TInt)
+	f, err := g.expr(from)
 	if err != nil {
 		return "", "", "", err
 	}
-	t, err := g.exprAs(to, forcelang.TInt)
+	t, err := g.expr(to)
 	if err != nil {
 		return "", "", "", err
 	}
 	s := "1"
 	if step != nil {
-		if s, err = g.exprAs(step, forcelang.TInt); err != nil {
+		if s, err = g.expr(step); err != nil {
 			return "", "", "", err
 		}
 		// An explicit step gets the zero check, reported at the loop
@@ -648,7 +648,7 @@ func (g *generator) indexExpr(r *forcelang.Ref, base string) (string, error) {
 	}
 	parts := make([]string, len(r.Subs))
 	for i, s := range r.Subs {
-		code, err := g.exprAs(s, forcelang.TInt)
+		code, err := g.expr(s)
 		if err != nil {
 			return "", err
 		}
@@ -680,10 +680,11 @@ func (g *generator) argRef(r *forcelang.Ref, wantArray bool) (string, error) {
 	return "&" + base, nil
 }
 
-// coerceCode wraps code of Force type from in a conversion to type to.
-// Real-to-integer goes through forcert.Int: Fortran truncation toward
-// zero at run time (int(2.9) on an untyped constant would not even
-// compile).
+// coerceCode wraps code of Force type from in a conversion to type to:
+// the lowering of the REAL and INT intrinsics, and of the store a Consume
+// or Copy makes into a target of the other type.  Real-to-integer goes
+// through forcert.Int: Fortran truncation toward zero at run time
+// (int(2.9) on an untyped constant would not even compile).
 func coerceCode(code string, from, to forcelang.Type) string {
 	if from == to {
 		return code
@@ -696,15 +697,6 @@ func coerceCode(code string, from, to forcelang.Type) string {
 	default:
 		return code
 	}
-}
-
-// exprAs emits an expression coerced to the given Force type.
-func (g *generator) exprAs(e forcelang.Expr, want forcelang.Type) (string, error) {
-	code, err := g.expr(e)
-	if err != nil {
-		return "", err
-	}
-	return coerceCode(code, e.Type(), want), nil
 }
 
 var goOps = map[forcelang.BinOp]string{
@@ -752,18 +744,12 @@ func (g *generator) expr(e forcelang.Expr) (string, error) {
 }
 
 func (g *generator) binExpr(t *forcelang.Bin) (string, error) {
-	lt, rt := t.L.Type(), t.R.Type()
-	// Mixed numeric operands promote to real, exactly as the checker
-	// types them.
-	want := lt
-	if lt != rt && lt != forcelang.TLogical {
-		want = forcelang.TReal
-	}
-	l, err := g.exprAs(t.L, want)
+	want := t.L.Type() // the checker gives both operands one type
+	l, err := g.expr(t.L)
 	if err != nil {
 		return "", err
 	}
-	r, err := g.exprAs(t.R, want)
+	r, err := g.expr(t.R)
 	if err != nil {
 		return "", err
 	}
@@ -812,48 +798,31 @@ func nonzeroLit(e forcelang.Expr) bool {
 }
 
 func (g *generator) intrinsic(t *forcelang.Intrinsic) (string, error) {
-	argAs := func(i int, typ forcelang.Type) (string, error) { return g.exprAs(t.Args[i], typ) }
+	parts := make([]string, len(t.Args))
+	for i, a := range t.Args {
+		var err error
+		if parts[i], err = g.expr(a); err != nil {
+			return "", err
+		}
+	}
 	switch t.Name {
 	case "SQRT":
-		a, err := argAs(0, forcelang.TReal)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("forcert.Sqrt(%d, %s)", t.Pos(), a), nil
-	case "REAL":
-		return argAs(0, forcelang.TReal)
-	case "INT":
-		return argAs(0, forcelang.TInt)
+		return fmt.Sprintf("forcert.Sqrt(%d, %s)", t.Pos(), parts[0]), nil
+	case "REAL", "INT":
+		return coerceCode(parts[0], t.Args[0].Type(), t.Type()), nil
 	case "NINT":
-		a, err := argAs(0, forcelang.TReal)
-		if err != nil {
-			return "", err
+		return fmt.Sprintf("forcert.Nint(%s)", parts[0]), nil
+	case "ABS":
+		return fmt.Sprintf("forcert.Abs(%s)", parts[0]), nil
+	case "MOD":
+		if t.Type() == forcelang.TInt {
+			return fmt.Sprintf("forcert.ModInt(%d, %s, %s)", t.Pos(), parts[0], parts[1]), nil
 		}
-		return fmt.Sprintf("forcert.Nint(%s)", a), nil
-	case "ABS", "MIN", "MAX", "MOD":
-		rt := t.Type()
-		parts := make([]string, len(t.Args))
-		for i := range t.Args {
-			var err error
-			if parts[i], err = argAs(i, rt); err != nil {
-				return "", err
-			}
-		}
-		switch t.Name {
-		case "ABS":
-			return fmt.Sprintf("forcert.Abs(%s)", parts[0]), nil
-		case "MOD":
-			if rt == forcelang.TInt {
-				return fmt.Sprintf("forcert.ModInt(%d, %s, %s)", t.Pos(), parts[0], parts[1]), nil
-			}
-			return fmt.Sprintf("forcert.ModReal(%s, %s)", parts[0], parts[1]), nil
-		default:
-			fn := "forcert.Min"
-			if t.Name == "MAX" {
-				fn = "forcert.Max"
-			}
-			return fmt.Sprintf("%s(%s)", fn, strings.Join(parts, ", ")), nil
-		}
+		return fmt.Sprintf("forcert.ModReal(%s, %s)", parts[0], parts[1]), nil
+	case "MIN":
+		return fmt.Sprintf("forcert.Min(%s)", strings.Join(parts, ", ")), nil
+	case "MAX":
+		return fmt.Sprintf("forcert.Max(%s)", strings.Join(parts, ", ")), nil
 	default:
 		return "", fmt.Errorf("codegen: unknown intrinsic %s", t.Name)
 	}

@@ -167,11 +167,7 @@ func foldFunc(op plan.AccOp, real bool) string {
 // the cell everywhere else.  Extrema replace only on the strict compare
 // MAX(S, e) / MIN(S, e) perform.
 func (g *generator) accumulate(t *forcelang.Assign, acc plan.Accum) error {
-	typ := forcelang.TInt
-	if acc.Real {
-		typ = forcelang.TReal
-	}
-	operand, err := g.exprAs(acc.Operand, typ)
+	operand, err := g.expr(acc.Operand)
 	if err != nil {
 		return err
 	}
@@ -212,9 +208,9 @@ func (g *generator) loop(l plan.Loop) error {
 
 // region emits one closing collective and what it closes: every member
 // open, then the one join.  It is the only lowering of a ReduceStmt in the
-// emitter.  The operand is coerced to the target's type so the combination
-// happens in the target's arithmetic (matching the interpreter), and
-// contributes to the join bit-encoded.  Who stores the fold, and when, is
+// emitter.  The operand has the target's type (the checker converts it),
+// so the combination happens in the target's arithmetic, and contributes
+// to the join bit-encoded.  Who stores the fold, and when, is
 // the region's Store (plan.Store gives the four shapes and why); the
 // serialised one is a runtime critical section here, so aliased shared
 // cells see race-free identical writes and per-process cells their copy.
@@ -233,7 +229,7 @@ func (g *generator) region(reg plan.Region) error {
 	if err != nil {
 		return err
 	}
-	operand, err := g.exprAs(red.Expr, lt)
+	operand, err := g.expr(red.Expr)
 	if err != nil {
 		return err
 	}

@@ -555,7 +555,7 @@ type Proc struct {
 
 	id   int
 	f    *Force
-	site *procSite // this process's watchdog slot on the TOP-LEVEL force
+	site *procSite // this process's Blocked slot on the TOP-LEVEL force
 	// crit is the named lock this process entered last (Critical) and the
 	// set it was taken from: written on a change of name, read every entry.
 	crit struct {
@@ -602,7 +602,7 @@ func (p *Proc) BarrierSection(section func()) {
 // statement — its own (BarrierSection), or the exit synchronization of the
 // DOALL the statement rides (JoinSection) — or closing a reduction under
 // the reduce.Critical strategy, as the paper's programs do; site is what
-// the watchdog shows for a process suspended in it.
+// Blocked reports for a process suspended in it.
 func (p *Proc) barrierSync(site *string, section func()) {
 	section = p.barrierEnter(section)
 	p.enterSite(site)
@@ -717,7 +717,7 @@ type ChunkBody func(lo, hi, stride int)
 // that sized the claim.  Poison is checked before every grant; a body
 // looping over a long span checks every PoisonEvery iterations itself
 // (Check) to keep abort latency bounded, as DoAll does for the per-index
-// entry points.  The watchdog site covers the construct, and a recorder
+// entry points.  The blocked-process site covers the construct, and a recorder
 // sees one LoopSpan event per grant.
 func (p *Proc) DoAllChunked(kind sched.Kind, r sched.Range, chunk ChunkBody) {
 	p.DoAllGranted(kind, 1, r, chunk)
@@ -907,7 +907,7 @@ func (p *Proc) Resolve(components ...Component) {
 
 	a := plan.assign[p.id]
 	if a.component >= 0 {
-		// The sub-force Proc keeps this process's watchdog slot, so a
+		// The sub-force Proc keeps this process's Blocked slot, so a
 		// stall inside the component is attributed to the right pid.
 		sub := &Proc{id: a.rank, f: plan.sub[a.component], site: p.site}
 		components[a.component].Body(sub)
@@ -1027,7 +1027,7 @@ func newSubForce(parent *Force, np int) *Force {
 		// the parent's workers, so they share the parent's poison cell
 		// and a failure in any component aborts the whole Resolve.
 		// (No sites slice: sub-force Procs carry the parent process's
-		// watchdog slot by pointer.)
+		// Blocked slot by pointer.)
 		pc: parent.pc,
 	}
 	sub.initConstructs()

@@ -169,7 +169,7 @@ func (p *Proc) openSpans(kind sched.Kind, grant int, r sched.Range, chunk ChunkB
 
 // DoAllChunkedOpen runs the spans of a chunk-granular DOALL exactly
 // like DoAllGranted but leaves the construct OPEN: no exit barrier is
-// executed, and the watchdog site stays entered.  The caller must
+// executed, and the blocked-process site stays entered.  The caller must
 // close the construct with JoinSection, FusedJoin or FusedClose on every
 // process.
 func (p *Proc) DoAllChunkedOpen(kind sched.Kind, grant int, r sched.Range, chunk ChunkBody) {

@@ -5,8 +5,8 @@
 // processes is fixed only when the force is created" — and then reuses it
 // for the whole program.  Engine realizes that literally: New starts NP
 // long-lived workers (each paying the machine's process-creation cost
-// exactly once), and every Run dispatches a program to the same workers,
-// so repeated Runs cost a handoff, not a re-spawn.  The package sits at
+// exactly once), and every RunCell dispatches a program to the same
+// workers, so repeated runs cost a handoff, not a re-spawn.  The package sits at
 // the bottom of the runtime stack; internal/core builds Force/Proc on the
 // workers and the pool.
 package engine
@@ -20,17 +20,18 @@ import (
 )
 
 // Engine is a persistent force of NP worker goroutines.  Workers are
-// started by New and survive across Run invocations until Close (or until
-// the Engine is garbage collected, which closes it via a finalizer).
-// Run must not be called concurrently with itself or with Close.
+// started by New and survive across RunCell invocations until Close (or
+// until the Engine is garbage collected, which closes it via a
+// finalizer).  RunCell must not be called concurrently with itself or
+// with Close.
 type Engine struct {
 	np int
 	sh *workerShared
-	// jb is the engine's reusable job descriptor: Run is never
+	// jb is the engine's reusable job descriptor: RunCell is never
 	// concurrent with itself (documented above), so every dispatch can
 	// reuse one job instead of allocating — part of the runtime's
 	// zero-allocation steady state.  Cleared after each dispatch so a
-	// finished Run's body closure is not pinned until the next one.
+	// finished run's body closure is not pinned until the next one.
 	jb job
 }
 
@@ -43,13 +44,11 @@ type workerShared struct {
 	stop sync.Once
 }
 
-// job is one Run dispatched to every worker.
+// job is one RunCell dispatched to every worker.
 type job struct {
-	body   func(pid int)
-	cell   *poison.Cell // nil on plain Run
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	panics []any
+	body func(pid int)
+	cell *poison.Cell
+	wg   sync.WaitGroup
 }
 
 // run executes the job body in one worker.  Its deferred recover is the
@@ -58,7 +57,7 @@ type job struct {
 // discarded (the original failure is in the cell); any other panic IS
 // the failure — it is recorded in the cell, which poisons the force and
 // wakes every blocked peer.  Either way the worker survives to serve
-// the next Run.
+// the next run.
 func (j *job) run(pid int) {
 	defer j.wg.Done()
 	defer func() {
@@ -66,22 +65,12 @@ func (j *job) run(pid int) {
 		if r == nil {
 			return
 		}
-		if j.cell != nil {
-			if _, ok := r.(poison.Abort); ok {
-				// A peer failed first; this process only unwound.
-				return
-			}
-			// First failure wins; later ones lose the race and are
-			// dropped, matching the old first-panic reporting.
-			j.cell.Poison(r)
+		if _, ok := r.(poison.Abort); ok {
+			// A peer failed first; this process only unwound.
 			return
 		}
-		// Plain Run has no cell: collect every panic (Abort included —
-		// swallowing it here would turn an externally poisoned body
-		// into a silent success).
-		j.mu.Lock()
-		j.panics = append(j.panics, r)
-		j.mu.Unlock()
+		// First failure wins; later ones lose the race and are dropped.
+		j.cell.Poison(r)
 	}()
 	j.body(pid)
 }
@@ -142,47 +131,27 @@ func worker(id int, jobs <-chan *job, quit <-chan struct{}, start func(pid int),
 // NP returns the number of workers.
 func (e *Engine) NP() int { return e.np }
 
-// Run executes body in every worker, as process ids 0..NP-1, and returns
-// when all have finished.  If any worker's body panics, Run re-panics
-// with the first recorded panic value after all workers have stopped —
-// the same whole-force failure semantics the spawn-per-run driver had.
-func (e *Engine) Run(body func(pid int)) {
-	e.jb.body, e.jb.cell = body, nil
-	e.dispatch(&e.jb)
-}
-
-// RunCell is Run under the fault-containment protocol: the first
-// worker panic poisons the cell (waking peers blocked in poison-aware
-// primitives) instead of merely being collected, and poison.Abort
-// unwinds from those peers are recovered and discarded at the job
-// boundary.  RunCell itself returns normally; the caller owns the cell
-// and decides how to surface cell.Value().
+// RunCell executes body in every worker, as process ids 0..NP-1, and
+// returns when all have finished, under the fault-containment protocol:
+// the first worker panic poisons the cell (waking peers blocked in
+// poison-aware primitives), and poison.Abort unwinds from those peers
+// are recovered and discarded at the job boundary.  RunCell itself
+// returns normally; the caller owns the cell and decides how to surface
+// cell.Value().  It panics on a closed Engine.
 func (e *Engine) RunCell(cell *poison.Cell, body func(pid int)) {
-	e.jb.body, e.jb.cell = body, cell
-	e.dispatch(&e.jb)
-}
-
-func (e *Engine) dispatch(j *job) {
 	select {
 	case <-e.sh.quit:
-		panic("engine: Run on a closed Engine")
+		panic("engine: RunCell on a closed Engine")
 	default:
 	}
+	j := &e.jb
+	j.body, j.cell = body, cell
 	j.wg.Add(e.np)
 	for _, ch := range e.sh.jobs {
 		ch <- j
 	}
 	j.wg.Wait()
-	var first any
-	if len(j.panics) > 0 {
-		first = j.panics[0]
-	}
 	j.body, j.cell = nil, nil
-	clear(j.panics)
-	j.panics = j.panics[:0]
-	if first != nil {
-		panic(first)
-	}
 }
 
 // Close stops the workers.  Idempotent; safe on an Engine that is also

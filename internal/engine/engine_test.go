@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/poison"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -25,7 +27,7 @@ func TestRunAllWorkers(t *testing.T) {
 	}
 	var seen sync.Map
 	var count atomic.Int64
-	e.Run(func(pid int) {
+	e.RunCell(poison.NewCell(), func(pid int) {
 		count.Add(1)
 		if _, dup := seen.LoadOrStore(pid, true); dup {
 			t.Errorf("duplicate pid %d", pid)
@@ -36,7 +38,7 @@ func TestRunAllWorkers(t *testing.T) {
 	}
 }
 
-// TestRunReuse is the persistent-force property: many Runs on one engine
+// TestRunReuse is the persistent-force property: many runs on one engine
 // all execute on the same NP workers.
 func TestRunReuse(t *testing.T) {
 	const np, runs = 4, 50
@@ -44,7 +46,7 @@ func TestRunReuse(t *testing.T) {
 	defer e.Close()
 	var total atomic.Int64
 	for r := 0; r < runs; r++ {
-		e.Run(func(pid int) { total.Add(1) })
+		e.RunCell(poison.NewCell(), func(pid int) { total.Add(1) })
 	}
 	if got := total.Load(); got != np*runs {
 		t.Errorf("total = %d, want %d", got, np*runs)
@@ -58,29 +60,10 @@ func TestWorkerStartRunsOncePerWorker(t *testing.T) {
 	if starts.Load() != 5 {
 		t.Fatalf("start hook ran %d times before New returned, want 5", starts.Load())
 	}
-	e.Run(func(pid int) {})
-	e.Run(func(pid int) {})
+	e.RunCell(poison.NewCell(), func(pid int) {})
+	e.RunCell(poison.NewCell(), func(pid int) {})
 	if starts.Load() != 5 {
 		t.Errorf("start hook re-ran on Run: %d", starts.Load())
-	}
-}
-
-func TestRunPropagatesPanic(t *testing.T) {
-	e := New(3)
-	defer e.Close()
-	func() {
-		defer func() {
-			if r := recover(); r != "boom" {
-				t.Errorf("recovered %v, want boom", r)
-			}
-		}()
-		e.Run(func(pid int) { panic("boom") })
-	}()
-	// The workers must survive a panicking job.
-	var ok atomic.Bool
-	e.Run(func(pid int) { ok.Store(true) })
-	if !ok.Load() {
-		t.Error("engine dead after panic")
 	}
 }
 
@@ -90,10 +73,10 @@ func TestCloseIdempotentAndRunPanics(t *testing.T) {
 	e.Close()
 	defer func() {
 		if recover() == nil {
-			t.Error("Run on closed engine did not panic")
+			t.Error("RunCell on closed engine did not panic")
 		}
 	}()
-	e.Run(func(pid int) {})
+	e.RunCell(poison.NewCell(), func(pid int) {})
 }
 
 // drain runs np goroutines against a pool the way core.Askfor does and

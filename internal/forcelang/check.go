@@ -2,6 +2,7 @@ package forcelang
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Scope is the resolved symbol table of one compilation unit (the main
@@ -265,6 +266,7 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		if err != nil {
 			return err
 		}
+		t.Expr = convert(t.Expr, lt)
 		return assignable(lt, rt, t.Pos())
 	case *If:
 		ct, err := c.exprType(t.Cond, s)
@@ -405,7 +407,8 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		if lt == TLogical || et == TLogical {
 			return fmt.Errorf("line %d: %s combines numeric values", t.Pos(), t.Op)
 		}
-		return assignable(lt, et, t.Pos())
+		t.Expr = convert(t.Expr, lt)
+		return nil
 	case *PutStmt:
 		if c.askfor == 0 {
 			return fmt.Errorf("line %d: Put outside an Askfor body", t.Pos())
@@ -427,6 +430,7 @@ func (c *checker) stmt(st Stmt, s *Scope) error {
 		if err != nil {
 			return err
 		}
+		t.Expr = convert(t.Expr, t.Sym.Type)
 		return assignable(t.Sym.Type, et, t.Pos())
 	case *ConsumeStmt:
 		var err error
@@ -667,15 +671,20 @@ func (c *checker) inferType(e Expr, s *Scope) (Type, error) {
 		if err != nil {
 			return 0, err
 		}
+		// Mixed numeric operands meet in REAL.
+		mixed := lt != rt && lt != TLogical && rt != TLogical
+		if mixed {
+			t.L, t.R = convert(t.L, TReal), convert(t.R, TReal)
+		}
 		switch t.Op {
 		case OpAdd, OpSub, OpMul, OpDiv:
 			if lt == TLogical || rt == TLogical {
 				return 0, fmt.Errorf("line %d: arithmetic on LOGICAL", t.Pos())
 			}
-			if lt == TReal || rt == TReal {
+			if mixed {
 				return TReal, nil
 			}
-			return TInt, nil
+			return lt, nil
 		case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 			if (lt == TLogical) != (rt == TLogical) {
 				return 0, fmt.Errorf("line %d: comparison mixes LOGICAL and numeric", t.Pos())
@@ -719,27 +728,46 @@ func (c *checker) intrinsicType(t *Intrinsic, s *Scope) (Type, error) {
 		return 0, fmt.Errorf("line %d: %s takes at least 2 arguments", t.Pos(), t.Name)
 	}
 	switch t.Name {
-	case "SQRT", "REAL":
+	case "REAL":
 		return TReal, nil
-	case "INT", "NINT":
+	case "INT":
 		return TInt, nil
-	case "MOD":
-		if argTypes[0] == TReal || argTypes[1] == TReal {
-			return TReal, nil
-		}
+	case "SQRT":
+		t.Args[0] = convert(t.Args[0], TReal)
+		return TReal, nil
+	case "NINT":
+		t.Args[0] = convert(t.Args[0], TReal)
 		return TInt, nil
 	case "ABS":
 		return argTypes[0], nil
-	case "MIN", "MAX":
-		for _, at := range argTypes {
-			if at == TReal {
-				return TReal, nil
-			}
+	case "MOD", "MIN", "MAX": // mixed arguments meet in REAL
+		if !slices.Contains(argTypes, TReal) {
+			return TInt, nil
 		}
-		return TInt, nil
+		for i, a := range t.Args {
+			t.Args[i] = convert(a, TReal)
+		}
+		return TReal, nil
 	default:
 		return 0, fmt.Errorf("line %d: unknown intrinsic %s", t.Pos(), t.Name)
 	}
+}
+
+// convert returns e as a value of type to: e itself when it is one
+// already, else e inside a REAL or INT intrinsic.  It is the one place an
+// implicit INTEGER↔REAL conversion is decided: every back end lowers the
+// wrapper as it lowers one the program spells, and a re-check of a
+// converted tree finds nothing left to wrap.
+func convert(e Expr, to Type) Expr {
+	from := e.Type()
+	if from == to || from == TLogical || to == TLogical {
+		return e
+	}
+	name := "REAL"
+	if to == TInt {
+		name = "INT"
+	}
+	return &Intrinsic{exprBase: exprBase{line: int32(e.Pos()), typ: to}, Name: name, Args: []Expr{e}}
 }
 
 // assignable checks numeric coercion rules: int and real interconvert,

@@ -269,8 +269,8 @@ Endsub
 		t.Errorf("assignment target: %+v", as.Target.Sym)
 	}
 	sum := as.Expr.(*Bin)
-	if sum.Type() != TReal || sum.L.Type() != TReal || sum.L.(*Bin).R.Type() != TInt {
-		t.Errorf("X*I + SQRT(..): types %s, %s, %s", sum.Type(), sum.L.Type(), sum.L.(*Bin).R.Type())
+	if got := show(sum.L); sum.Type() != TReal || sum.L.Type() != TReal || got != "X*REAL(I)" {
+		t.Errorf("X*I + SQRT(..): %s, types %s, %s", got, sum.Type(), sum.L.Type())
 	}
 	ask := prog.Body[1].(*AskforStmt)
 	if ask.VarSym != mustLookup(t, main, "J") {
@@ -297,7 +297,7 @@ Endsub
 	if x.Target.Sym != mustLookup(t, sub, "X") || x.Target.Sym == mustLookup(t, main, "X") || x.Target.Sym.Storage != PrivateScalar {
 		t.Errorf("sub-local X must shadow the inherited shared X: %+v", x.Target.Sym)
 	}
-	if me := x.Expr.(*Bin).R.(*Ref); me.Sym.Role != RoleIdent || me.Sym.Unit != "S" || me.Sym.Slot != 0 {
+	if me := x.Expr.(*Bin).R.(*Intrinsic).Args[0].(*Ref); me.Sym.Role != RoleIdent || me.Sym.Unit != "S" || me.Sym.Slot != 0 {
 		t.Errorf("ident reference in S: %+v", me.Sym)
 	}
 	if c := prog.Subs[0].Body[1].(*ConsumeStmt); c.Sym != mustLookup(t, main, "Q") || c.Target.Sym != x.Target.Sym {

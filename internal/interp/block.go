@@ -108,12 +108,7 @@ func (c *compiler) blockAssign(t *forcelang.Assign) stmtFn {
 			storeBlock(data, off, step, words(buf))
 		}
 	}
-	var ev blk[int64]
-	if t.Expr.Type() == forcelang.TInt {
-		ev = c.bInt(t.Expr, 0)
-	} else {
-		ev = c.bAsInt(t.Expr, 0, false) // a REAL value truncates
-	}
+	ev := c.bInt(t.Expr, 0)
 	return func(pr *cproc, fr *frame) {
 		buf := pr.k.ints(0)
 		ev(pr, fr, buf)
@@ -191,22 +186,12 @@ func foldB[T num](op plan.AccOp, negate bool, v T, src []T) T {
 	return v
 }
 
-// bReal compiles a numeric expression to its REAL block form, into buffer d.
+// bReal compiles a REAL expression to its block form, into buffer d.
 func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 	c.plan.nR = max(c.plan.nR, d+1)
 	if c.plan.Hoists(e) {
 		s := c.cReal(e)
 		return func(pr *cproc, fr *frame, dst []float64) { fill(dst, s(pr, fr)) }
-	}
-	if e.Type() == forcelang.TInt {
-		iv := c.bInt(e, d)
-		return func(pr *cproc, fr *frame, dst []float64) {
-			tmp := pr.k.ints(d)
-			iv(pr, fr, tmp)
-			for k, v := range tmp {
-				dst[k] = float64(v)
-			}
-		}
 	}
 	switch t := e.(type) {
 	case *forcelang.Ref:
@@ -222,7 +207,17 @@ func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 	case *forcelang.Intrinsic:
 		switch t.Name {
 		case "REAL":
-			return c.bReal(t.Args[0], d)
+			if t.Args[0].Type() == forcelang.TReal {
+				return c.bReal(t.Args[0], d)
+			}
+			iv := c.bInt(t.Args[0], d)
+			return func(pr *cproc, fr *frame, dst []float64) {
+				tmp := pr.k.ints(d)
+				iv(pr, fr, tmp)
+				for k, v := range tmp {
+					dst[k] = float64(v)
+				}
+			}
 		case "MOD":
 			return bBin(d, c.bReal(t.Args[0], d), c.bReal(t.Args[1], d+1), (*kctx).reals, func(dst, src []float64) {
 				for k, v := range src {
@@ -272,9 +267,8 @@ func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 	return bArith(e, d, c.bInt, (*kctx).ints)
 }
 
-// bAsInt compiles a numeric expression taken to INTEGER through REAL, as
-// NINT takes even an INTEGER argument (intrinsicInt): truncated (INT of a
-// REAL, Fortran coercion, asInt) or rounded.
+// bAsInt compiles a REAL expression taken to INTEGER: truncated (INT) or
+// rounded (NINT).
 func (c *compiler) bAsInt(e forcelang.Expr, d int, round bool) blk[int64] {
 	c.plan.nI = max(c.plan.nI, d+1)
 	rv := c.bReal(e, d)
@@ -283,7 +277,7 @@ func (c *compiler) bAsInt(e forcelang.Expr, d int, round bool) blk[int64] {
 		rv(pr, fr, tmp)
 		for k, v := range tmp {
 			if dst[k] = int64(v); round {
-				dst[k] = int64(forcert.Nint(v))
+				dst[k] = int64(math.Round(v))
 			}
 		}
 	}

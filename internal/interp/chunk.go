@@ -490,7 +490,7 @@ func (c *compiler) spanSite(t *forcelang.Ref) (data []atomic.Uint64, k int64, si
 func (c *compiler) spanStore(t *forcelang.Assign, data []atomic.Uint64, k int64, site int) stmtFn {
 	switch t.Target.Sym.Type {
 	case forcelang.TInt:
-		iv := c.asInt(t.Expr)
+		iv := c.cInt(t.Expr)
 		return func(pr *cproc, fr *frame) { data[k*pr.k.i+pr.k.aff[site]].Store(uint64(iv(pr, fr))) }
 	case forcelang.TReal:
 		rv := c.cReal(t.Expr)

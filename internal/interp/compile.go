@@ -229,7 +229,7 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 			})
 		}
 	case *forcelang.PutStmt:
-		ev := c.asInt(t.Expr)
+		ev := c.cInt(t.Expr)
 		line := t.Pos()
 		return func(pr *cproc, fr *frame) {
 			if len(pr.puts) == 0 {
@@ -239,7 +239,7 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 		}
 	case *forcelang.ProduceStmt:
 		cellF := c.asyncCellFn(t.Sym, t.Sub, t.Pos())
-		ev, _ := c.val(t.Expr)
+		ev := c.val(t.Expr)
 		note := noteStr("Produce "+t.Var, t.Pos())
 		return func(pr *cproc, fr *frame) {
 			asyncOp(pr.p, cellF(pr, fr), asyncvar.OpProduce, ev(pr, fr), note)
@@ -265,9 +265,10 @@ func (c *compiler) stmt(st forcelang.Stmt) stmtFn {
 	}
 }
 
-// noteStr builds the watchdog location note for one potentially
-// blocking statement, precomputed at compile time so the per-execution
-// cost is a single atomic pointer store.
+// noteStr builds the location note the -timeout blocked-process report
+// (core.Force.Blocked) shows for one potentially blocking statement,
+// precomputed at compile time so the per-execution cost is a single
+// atomic pointer store.
 func noteStr(kind string, line int) *string {
 	s := fmt.Sprintf("%s, line %d", kind, line)
 	return &s
@@ -326,8 +327,8 @@ func (c *compiler) asyncRead(op asyncvar.Op, sym *forcelang.Symbol, sub forcelan
 	cellF := c.asyncCellFn(sym, sub, line)
 	store, tt := c.refStore(target)
 	return func(pr *cproc, fr *frame) {
-		// The cell holds whatever type the producer stored, so the
-		// coercion to the target's type is a runtime one.
+		// The cell holds the variable's declared type; a target of the
+		// other one converts here, the one conversion a statement makes.
 		store(pr, fr, coerce(asyncOp(pr.p, cellF(pr, fr), op, value{}, note), tt, line))
 	}
 }
@@ -343,7 +344,7 @@ func (c *compiler) print(t *forcelang.PrintStmt) stmtFn {
 			parts[i] = part{lit: s.Value}
 			continue
 		}
-		ev, _ := c.val(item)
+		ev := c.val(item)
 		parts[i] = part{ev: ev}
 	}
 	return func(pr *cproc, fr *frame) {
@@ -442,12 +443,12 @@ func (c *compiler) bindArg(arg *forcelang.Ref, param *forcelang.Symbol) func(pr 
 
 // --- variable access ----------------------------------------------------
 
-// assign compiles an assignment.  The value is coerced to the target's
-// declared type at compile time and evaluated before the subscripts, as
-// everywhere.  A shared accumulate (plan.MatchAccum) is one indivisible
-// update: folded into the chunk context when the plan says so, an atomic
-// RMW on the cell otherwise.  Shared words and private scalars take typed
-// stores; every other target the boxed refStore.
+// assign compiles an assignment.  The value has the target's declared
+// type (the checker placed any conversion) and is evaluated before the
+// subscripts, as everywhere.  A shared accumulate (plan.MatchAccum) is
+// one indivisible update: folded into the chunk context when the plan
+// says so, an atomic RMW on the cell otherwise.  Shared words and private
+// scalars take typed stores; every other target the boxed refStore.
 func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 	sym := t.Target.Sym
 	tt := sym.Type
@@ -456,7 +457,7 @@ func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 		slot := sym.Slot
 		switch tt {
 		case forcelang.TInt:
-			iv := c.asInt(t.Expr)
+			iv := c.cInt(t.Expr)
 			return func(pr *cproc, fr *frame) { fr.priv[slot] = intVal(iv(pr, fr)) }
 		case forcelang.TReal:
 			rv := c.cReal(t.Expr)
@@ -477,7 +478,7 @@ func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 		}
 		switch tt {
 		case forcelang.TInt:
-			iv := c.asInt(t.Expr)
+			iv := c.cInt(t.Expr)
 			return func(pr *cproc, fr *frame) { cell.storeInt(iv(pr, fr)) }
 		case forcelang.TReal:
 			rv := c.cReal(t.Expr)
@@ -494,7 +495,7 @@ func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 		off := c.offsetFn(sym.Dims, t.Target.Subs, t.Target.Name, t.Pos())
 		switch tt {
 		case forcelang.TInt:
-			iv := c.asInt(t.Expr)
+			iv := c.cInt(t.Expr)
 			return func(pr *cproc, fr *frame) {
 				v := iv(pr, fr)
 				arr.storeInt(off(pr, fr), v)
@@ -514,7 +515,7 @@ func (c *compiler) assign(t *forcelang.Assign) stmtFn {
 		}
 	}
 	store, _ := c.refStore(&t.Target)
-	ev := c.valAs(t.Expr, tt)
+	ev := c.val(t.Expr)
 	return func(pr *cproc, fr *frame) { store(pr, fr, ev(pr, fr)) }
 }
 
@@ -545,8 +546,8 @@ func (c *compiler) atomicAccum(acc plan.Accum, cell *sharedScalar) stmtFn {
 
 // refStore compiles a boxed store into an lvalue (reduction, Consume and
 // Copy targets, and the assignment targets with no typed path),
-// returning the store closure and the variable's declared type; the
-// caller coerces the value to that type.
+// returning the store closure and the variable's declared type, which
+// the stored value must have.
 func (c *compiler) refStore(t *forcelang.Ref) (func(pr *cproc, fr *frame, v value), forcelang.Type) {
 	sym := t.Sym
 	tt := sym.Type
@@ -648,20 +649,13 @@ func evalSubs(fns []intFn, pr *cproc, fr *frame) []int64 {
 
 // --- expressions --------------------------------------------------------
 
-// val compiles an expression to a boxed value closure (Print, Produce),
-// returning its static type.
-func (c *compiler) val(e forcelang.Expr) (valFn, forcelang.Type) {
-	t := e.Type()
-	return c.valAs(e, t), t
-}
-
-// valAs compiles an expression to a boxed value of the wanted type,
-// placing the numeric conversion at compile time (the coercion the tree
-// walker re-decides on every store).
-func (c *compiler) valAs(e forcelang.Expr, want forcelang.Type) valFn {
-	switch want {
+// val compiles an expression to a boxed value closure of its own type
+// (Print, Produce and the stores with no typed path): the checker has
+// already made that type the one the value is used at.
+func (c *compiler) val(e forcelang.Expr) valFn {
+	switch e.Type() {
 	case forcelang.TInt:
-		iv := c.asInt(e)
+		iv := c.cInt(e)
 		return func(pr *cproc, fr *frame) value { return intVal(iv(pr, fr)) }
 	case forcelang.TReal:
 		rv := c.cReal(e)
@@ -670,16 +664,6 @@ func (c *compiler) valAs(e forcelang.Expr, want forcelang.Type) valFn {
 		bv := c.cBool(e)
 		return func(pr *cproc, fr *frame) value { return boolVal(bv(pr, fr)) }
 	}
-}
-
-// asInt compiles a numeric expression to int64, truncating REAL values
-// (Fortran coercion).
-func (c *compiler) asInt(e forcelang.Expr) intFn {
-	if e.Type() == forcelang.TInt {
-		return c.cInt(e)
-	}
-	rv := c.cReal(e)
-	return func(pr *cproc, fr *frame) int64 { return int64(rv(pr, fr)) }
 }
 
 // cInt compiles an INTEGER-typed expression to an unboxed int64 closure.
@@ -769,7 +753,7 @@ func (c *compiler) intrinsicInt(t *forcelang.Intrinsic) intFn {
 		return func(pr *cproc, fr *frame) int64 { return int64(rv(pr, fr)) }
 	case "NINT":
 		rv := c.cReal(t.Args[0])
-		return func(pr *cproc, fr *frame) int64 { return int64(forcert.Nint(rv(pr, fr))) }
+		return func(pr *cproc, fr *frame) int64 { return int64(math.Round(rv(pr, fr))) }
 	case "MOD":
 		l, r := c.cInt(t.Args[0]), c.cInt(t.Args[1])
 		line := t.Pos()
@@ -791,15 +775,10 @@ func (c *compiler) intrinsicInt(t *forcelang.Intrinsic) intFn {
 	panic(compileErrf("line %d: internal: %s is not an INTEGER intrinsic", t.Pos(), t.Name))
 }
 
-// cReal compiles a numeric expression to an unboxed float64 closure,
-// converting statically INTEGER subexpressions at the boundary.
+// cReal compiles a REAL-typed expression to an unboxed float64 closure.
 func (c *compiler) cReal(e forcelang.Expr) realFn {
 	if fn := c.hoistReal(e); fn != nil {
 		return fn
-	}
-	if e.Type() == forcelang.TInt {
-		iv := c.cInt(e)
-		return func(pr *cproc, fr *frame) float64 { return float64(iv(pr, fr)) }
 	}
 	switch t := e.(type) {
 	case *forcelang.RealLit:
@@ -863,7 +842,12 @@ func (c *compiler) intrinsicReal(t *forcelang.Intrinsic) realFn {
 		line := t.Pos()
 		return func(pr *cproc, fr *frame) float64 { return forcert.Sqrt(line, x(pr, fr)) }
 	case "REAL":
-		return c.cReal(t.Args[0])
+		// REAL of a REAL is the identity, as in the walker.
+		if t.Args[0].Type() == forcelang.TReal {
+			return c.cReal(t.Args[0])
+		}
+		iv := c.cInt(t.Args[0])
+		return func(pr *cproc, fr *frame) float64 { return float64(iv(pr, fr)) }
 	case "MOD":
 		l, r := c.cReal(t.Args[0]), c.cReal(t.Args[1])
 		return func(pr *cproc, fr *frame) float64 { return forcert.ModReal(l(pr, fr), r(pr, fr)) }
@@ -934,15 +918,15 @@ func (c *compiler) binBool(t *forcelang.Bin) boolFn {
 		l, r := c.cBool(t.L), c.cBool(t.R)
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) || r(pr, fr) }
 	}
-	lt, rt := t.L.Type(), t.R.Type()
-	if lt == forcelang.TLogical || rt == forcelang.TLogical {
+	// The checker gives both operands one type.
+	switch t.L.Type() {
+	case forcelang.TLogical:
 		l, r := c.cBool(t.L), c.cBool(t.R)
 		if t.Op == forcelang.OpNe {
 			return func(pr *cproc, fr *frame) bool { return l(pr, fr) != r(pr, fr) }
 		}
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) == r(pr, fr) }
-	}
-	if lt == forcelang.TInt && rt == forcelang.TInt {
+	case forcelang.TInt:
 		l, r := c.cInt(t.L), c.cInt(t.R)
 		switch t.Op {
 		case forcelang.OpEq:

@@ -166,6 +166,9 @@ func emRows() []emRow {
 	add("abs", "RI(I) = ABS(SI(I))\nRJ(I) = ABS(SD)\nRR(I) = ABS(SR(I))\nRS(I) = ABS(SG)\n")
 	add("sqrt", "RR(I) = SQRT(REAL(I) - 1.0)\nRS(I) = SQRT(SH)\nRT(I) = SQRT(I)\n")
 	add("int-nint", "RI(I) = INT(SR(I))\nRJ(I) = INT(SI(I))\nRK(I) = NINT(REAL(I) * 0.5 - 2.0)\nRR(I) = NINT(SG)\nRS(I) = INT(SG)\n")
+	// Beyond 2^31, so a 32-bit int anywhere on the way wraps; element-wise,
+	// so the chunk context runs it in block form.
+	add("int-nint-wide", "RI(I) = NINT(SR(I) * 3000000000.0)\nRJ(I) = INT(SR(I) * 3000000000.0)\nRK(I) = SR(I) * 3000000000.0\n")
 	add("real", "RR(I) = REAL(SI(I))\nRS(I) = REAL(SR(I))\nRT(I) = REAL(SC) / 2\n")
 	add("mod-int", "RI(I) = MOD(SI(I), 3)\nRJ(I) = MOD(I - 4, -3)\nRK(I) = MOD(SC, SD)\n")
 	add("mod-real", "RR(I) = MOD(SR(I), 0.75)\nRS(I) = MOD(SI(I), 2.5)\nRT(I) = MOD(SR(I), REAL(I - 4))\n")

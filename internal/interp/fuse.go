@@ -156,7 +156,7 @@ func (c *compiler) region(reg plan.Region) stmtFn {
 		operand = func(pr *cproc, fr *frame) uint64 { return forcert.Bit(bv(pr, fr)) }
 		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, boolVal(fold != 0)) }
 	default:
-		iv := c.asInt(red.Expr)
+		iv := c.cInt(red.Expr)
 		operand = func(pr *cproc, fr *frame) uint64 { return uint64(iv(pr, fr)) }
 		store = func(pr *cproc, fr *frame, fold uint64) { assign(pr, fr, intVal(int64(fold))) }
 	}

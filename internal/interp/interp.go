@@ -384,7 +384,7 @@ type instance struct {
 	mu     sync.Mutex // serializes shared storage access
 	shared map[string]map[string]*binding
 	asyncs map[string]*asyncEntry
-	notes  sync.Map // forcelang.Stmt -> *string: cached watchdog notes
+	notes  sync.Map // forcelang.Stmt -> *string: cached blocked-process notes
 
 	out *outsink
 }

@@ -137,7 +137,8 @@ func Factory(k Kind) func() Lock {
 // do not need Acquire: their holders release on unwind, so waiters
 // drain naturally and observe poison at the next construct.  A critical
 // section (core.Proc.Critical) tries TryLock once and, only when that
-// fails, records its watchdog site and waits in a plain Lock.
+// fails, records its blocked-process site (Force.Blocked) and waits in a
+// plain Lock.
 func Acquire(l Lock, c *poison.Cell) {
 	if c == nil {
 		l.Lock()

@@ -342,12 +342,13 @@ func MatchRecur(t *forcelang.Assign) []Accum {
 }
 
 // matchFold appends the terms of t read as a fold of its unsubscripted
-// target: the whole right-hand side must have the target's declared type,
-// so the store performs no conversion a fold would have to replay (and
-// extrema keep one operand bit-for-bit), and no term may read the target.
+// target, no term reading the target.  A right-hand side the checker
+// converts to the target's type is an INT or REAL node, which no shape
+// matches: a fold has no conversion to replay, and extrema keep one
+// operand bit-for-bit.
 func matchFold(t *forcelang.Assign, terms []Accum) []Accum {
 	name, real := t.Target.Name, t.Target.Sym.Type == forcelang.TReal
-	if len(t.Target.Subs) != 0 || t.Expr.Type() != t.Target.Sym.Type {
+	if len(t.Target.Subs) != 0 {
 		return nil
 	}
 	if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {

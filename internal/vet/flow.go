@@ -146,20 +146,21 @@ func (f *flow) constEval(e forcelang.Expr) (int64, bool) {
 	return 0, false
 }
 
-// constReal folds e to a REAL constant (literals only; integer
-// constants promote).
+// constReal folds the REAL expression e to a constant: REAL literals,
+// and INTEGER constants where the checker converts one (REAL(...)).
 func (f *flow) constReal(e forcelang.Expr) (float64, bool) {
 	switch t := e.(type) {
 	case *forcelang.RealLit:
 		return t.Value, true
-	case *forcelang.IntLit:
-		return float64(t.Value), true
-	case *forcelang.Ref:
-		if len(t.Subs) == 0 {
-			if v, ok := f.consts[t.Sym]; ok && t.Sym.Type == forcelang.TInt {
-				return float64(v), true
-			}
+	case *forcelang.Intrinsic:
+		if t.Name != "REAL" {
+			break
 		}
+		if x := t.Args[0]; x.Type() == forcelang.TInt {
+			v, ok := f.constEval(x)
+			return float64(v), ok
+		}
+		return f.constReal(t.Args[0])
 	case *forcelang.Un:
 		if t.Neg {
 			v, ok := f.constReal(t.X)
@@ -273,10 +274,8 @@ func (f *flow) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 	case *forcelang.Bin:
 		f.faultsExpr(t.L, ctx)
 		f.faultsExpr(t.R, ctx)
-		if t.Op == forcelang.OpDiv {
-			if t.L.Type() == forcelang.TInt && t.R.Type() == forcelang.TInt {
-				f.divisorFault(t.R, t.Pos(), ctx, &forcert.Err{Kind: forcert.DivZero})
-			}
+		if t.Op == forcelang.OpDiv && t.Type() == forcelang.TInt {
+			f.divisorFault(t.R, t.Pos(), ctx, &forcert.Err{Kind: forcert.DivZero})
 		}
 	case *forcelang.Intrinsic:
 		for _, arg := range t.Args {

@@ -307,6 +307,23 @@ Join
 	}
 }
 
+// TestFV003ConversionSpelledOrNot: the checker places an implicit
+// conversion as the REAL node a program may spell, so a provable fault is
+// found through either spelling, with the value the run-time check sees.
+func TestFV003ConversionSpelledOrNot(t *testing.T) {
+	for _, arg := range []string{"-4", "REAL(-4)", "1 / 2 - 4"} {
+		diags := analyzeSrc(t, `Force T of NP ident ME
+Private Real X
+End Declarations
+X = SQRT(`+arg+`)
+Join
+`)
+		if got := codeLines(diags); got != "FV003@4" || !strings.Contains(diags[0].Message, "SQRT of negative value -4") {
+			t.Errorf("SQRT(%s): got %q, want FV003@4 naming -4\n%s", arg, got, renderAll(diags))
+		}
+	}
+}
+
 // --- FV101: shared-memory races ---------------------------------------
 
 func TestFV101SharedScalarInDoall(t *testing.T) {
