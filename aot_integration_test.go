@@ -527,12 +527,8 @@ Join
 				f := files[i]
 				name := fmt.Sprintf("order %v, %s, file %d", order, round, i)
 				var plan []string
-				wantErr := interp.Run(f.prog, interp.Config{NP: 2, FuseLog: func(msg string) {
-					if !strings.Contains(msg, "span-checked") { // a span form's line: the emitter has none yet
-						plan = append(plan, msg)
-					}
-				}})
-				if wantErr == nil || !strings.HasPrefix(wantErr.Error(), f.errLine) || len(plan) != 1 || plan[0] != f.planPrefix {
+				wantErr := interp.Run(f.prog, interp.Config{NP: 2, FuseLog: func(msg string) { plan = append(plan, msg) }})
+				if wantErr == nil || !strings.HasPrefix(wantErr.Error(), f.errLine) || len(plan) != 2 || plan[0] != f.planPrefix {
 					t.Fatalf("%s: chunk tier reference: error %v, plan %q", name, wantErr, plan)
 				}
 				entry, err := cache.Ensure(f.prog, aot.Options{})
@@ -597,6 +593,65 @@ Join
 	}
 }
 
+// TestAOTSpanFaultOrder: a span that fails the end-point test runs the
+// per-iteration checked loop on both span tiers, so what a program
+// prints, and the first fault it raises in iteration order, do not depend
+// on the tier.  Three block-dealt loops whose last span fails the test:
+// testdata/spancheck.force, whose B(I + 1) is one past the extent at
+// I = N; the same reference behind an IF that keeps it in range, which
+// runs clean; and a span that divides by zero at I = 60, before the
+// subscript fault at I = 64 — the division is what both report.
+func TestAOTSpanFaultOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries with the go toolchain")
+	}
+	spancheck, err := os.ReadFile("testdata/spancheck.force")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = `Force ORDER of NP ident ME
+Shared Real A(64), B(64)
+Shared Integer N
+Private Integer I
+End Declarations
+Barrier
+  N = 64
+End Barrier
+Presched DO I = 1, N
+  B(I) = REAL(I)
+End Presched DO
+Presched DO I = 1, N
+`
+	for _, tc := range []struct{ name, src, err string }{
+		{"spancheck.force", string(spancheck), "force runtime: line 14: subscript 1 of B out of range: 65 not in [1,64]"},
+		{"guarded", head + `  IF (I .LT. N) THEN
+    A(I) = B(I + 1)
+  END IF
+End Presched DO
+Barrier
+  Print A(1), A(63), A(64)
+End Barrier
+Join
+`, ""},
+		{"division first", head + `  A(I) = B(I + 1) + REAL(100 / (I - 60))
+End Presched DO
+Join
+`, "force runtime: line 13: integer division by zero"},
+	} {
+		prog := forcelang.MustParse(tc.src)
+		for _, np := range []int{1, 2, 3} {
+			want, wantErr := interpRun(t, prog, np, interp.ExecChunked)
+			if (wantErr == nil) != (tc.err == "") || wantErr != nil && wantErr.Error() != tc.err {
+				t.Fatalf("%s np=%d: chunked tier raises %v, want %q", tc.name, np, wantErr, tc.err)
+			}
+			got, gotErr := aotRun(t, prog, np)
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s np=%d: aot printed %q, error %v; chunked printed %q, error %v", tc.name, np, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
 // TestPlanNarrationAcrossTiers: the chunk tier (through Config.FuseLog)
 // and the Go emitter (codegen.Lower) narrate the same decisions in the
 // same order — main program first, subroutines in source order — on
@@ -610,10 +665,8 @@ Join
 // ABLE's 32-trip selfscheduled loop that it fits one grant and process 0
 // runs it, and neither says so of the 20000-trip one behind it.  Which
 // element references a DOALL range-checks per span is a plan decision
-// only a back end with a span form narrates (plan.Loop.SpanChecked), one
-// "span-checked" line per planned DOALL that subscripts a shared array;
-// the emitter has no span form yet, so those lines are set aside.  The
-// REAL GSUM behind the last loop folds into that loop's join under either
+// both back ends narrate (plan.Loop.SpanChecked), one "span-checked" line
+// per planned DOALL that subscripts a shared array.  The REAL GSUM behind the last loop folds into that loop's join under either
 // reduction strategy (a fused tail and a reduction on its own fold the
 // same way), so the narration does not depend on the strategy.
 func TestPlanNarrationAcrossTiers(t *testing.T) {
@@ -674,6 +727,9 @@ Endsub
 			!strings.Contains(want, "line 14: fused 1 DOALL(s) + GSUM at line 17 into one join\n") {
 			t.Fatalf("-reduce %s: emitter narration looks wrong:\n%s", rk, strings.Join(lines, "\n"))
 		}
+		if n := strings.Count(want, ": DOALL span-checked "); n != 4 { // the three main-program loops and ABLE's B(K)
+			t.Fatalf("-reduce %s: %d span-checked lines, want 4:\n%s", rk, n, want)
+		}
 		if rk == reduce.PrivateSlots {
 			slots = want
 		} else if want != slots {
@@ -681,20 +737,10 @@ Endsub
 		}
 		for round := 0; round < 10; round++ {
 			var got []string
-			spanChecked := 0
 			err := interp.Run(prog, interp.Config{NP: 2, Stdout: io.Discard, Reduce: rk,
-				FuseLog: func(msg string) {
-					if strings.Contains(msg, ": DOALL span-checked ") {
-						spanChecked++
-						return
-					}
-					got = append(got, msg)
-				}})
+				FuseLog: func(msg string) { got = append(got, msg) }})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if spanChecked != 4 { // the three main-program loops and ABLE's B(K)
-				t.Fatalf("round %d: %d span-checked lines, want 4", round, spanChecked)
 			}
 			if grantSize.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
 				t.Fatalf("-reduce %s round %d: chunk tier narrates\n%s\nemitter narrates\n%s",
@@ -759,19 +805,14 @@ Endsub
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		var chunked, got []string
-		err = interp.Run(prog, interp.Config{NP: 2, Context: dead, FuseLog: func(msg string) {
-			chunked = append(chunked, msg)
-			if !strings.Contains(msg, ": DOALL span-checked ") { // the span form's lines, as above
-				got = append(got, msg)
-			}
-		}})
+		var chunked []string
+		err = interp.Run(prog, interp.Config{NP: 2, Context: dead, FuseLog: func(msg string) { chunked = append(chunked, msg) }})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: the run started: %v", name, err)
 		}
 		want := grantLine.ReplaceAllString(strings.Join(lines, "\n"), "grant=K")
-		if grantLine.ReplaceAllString(strings.Join(got, "\n"), "grant=K") != want {
-			t.Errorf("%s: chunk tier narrates\n%s\nemitter narrates\n%s", name, strings.Join(got, "\n"), strings.Join(lines, "\n"))
+		if grantLine.ReplaceAllString(strings.Join(chunked, "\n"), "grant=K") != want {
+			t.Errorf("%s: chunk tier narrates\n%s\nemitter narrates\n%s", name, strings.Join(chunked, "\n"), strings.Join(lines, "\n"))
 		}
 		fmt.Fprintf(&golden, "== %s\n", name)
 		for _, l := range chunked {

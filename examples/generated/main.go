@@ -61,13 +61,26 @@ func main() {
 		{
 			zzR := sched.Range{Start: 1, Last: 1000, Incr: 1}
 			p.DoAllChunked(sched.PreschedBlock, zzR, func(zzLo, zzHi, zzStride int) {
-				zzC := 0
-				for zzK := zzLo; zzK < zzHi; zzK += zzStride {
-					I = zzR.Start + zzK*zzR.Incr
-					shr.DATA[forcert.Idx1(23, "DATA", I, len(shr.DATA))] = (float64(I) / 1000.0)
-					if zzC++; zzC == 256 {
-						zzC = 0
+				zzF, zzL := zzR.Index(zzLo), zzR.Index(zzHi-1)
+				if zzStride == 1 && forcert.InSpan(1, zzF, zzF, zzL, 1000) {
+					zzO0 := zzF - 1
+					for zzJ, zzN := 0, zzHi-zzLo; zzJ < zzN; zzJ += 256 {
+						zzM := min(zzN-zzJ, 256)
+						zzA0 := shr.DATA[zzO0+zzJ:][:zzM]
+						for zzK := 0; zzK < zzM; zzK++ {
+							zzA0[zzK] = (float64((zzF + zzJ + zzK)) / 1000.0)
+						}
 						p.Check()
+					}
+				} else {
+					zzC := 0
+					for zzK := zzLo; zzK < zzHi; zzK += zzStride {
+						I = zzR.Start + zzK*zzR.Incr
+						shr.DATA[forcert.Idx1(23, "DATA", I, len(shr.DATA))] = (float64(I) / 1000.0)
+						if zzC++; zzC == 256 {
+							zzC = 0
+							p.Check()
+						}
 					}
 				}
 				zzK := sched.CyclicLast(p.ID(), p.NP(), zzR.Count())

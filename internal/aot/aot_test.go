@@ -215,15 +215,16 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 13 (Key at the
+	// The keys runSrc had while formatVersion was 1 to 14 (Key at the
 	// commits before the span emitter, before internal/forcert, before the
 	// planner's grants, before the one closing collective, before the
 	// text key, before the fixed owner, before forcert.Real, before
 	// INTEGER constant arithmetic went through forcert.Int, before a
 	// sequential DO ran by its trip count, before a DOALL range was
 	// counted from its unsigned span, before core.AsyncCell went and,
-	// with the build environment unset, before index pairs saturated and
-	// before the checker placed implicit conversions).
+	// with the build environment unset, before index pairs saturated,
+	// before the checker placed implicit conversions and before the span
+	// form of a block-dealt DOALL).
 	oldKeys := map[int]string{
 		1:  "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
 		2:  "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
@@ -238,6 +239,7 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 		11: "3ffe8eb7e9e48cf24e5e3654add2c6d6040450a95acc87216d9a1ff74f2f75e3",
 		12: "3cef2eefcf9916f9a0399549090c721b439189acc221e7b273fc737fd07f72ca",
 		13: "0c7cd2be9ca786f929deb820963bf95781a221fcf1d585b67c397da42433295a",
+		14: "663026763a236053ef08b636ea77b87a91f2d1b4cdf864083093e9cf1ed60ed3",
 	}
 	// Plant complete, self-consistent old entries whose "binary" would
 	// fail loudly if anything executed it.
@@ -301,7 +303,8 @@ Join
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Plan(); len(got) != 1 || got[0] != "line 5: DOALL partition=block" {
+	if got := e.Plan(); len(got) != 2 || got[0] != "line 5: DOALL partition=block" ||
+		got[1] != "line 5: DOALL span-checked 1 of 1 element references, block-evaluated" {
 		t.Errorf("plan = %q", got)
 	}
 	none, err := c.Ensure(forcelang.MustParse(runSrc), Options{})

@@ -40,8 +40,10 @@ import (
 // 13: a two-index DOALL counts its index pairs with sched.Pairs, which
 // saturates instead of wrapping;
 // 14: the checker places implicit conversions as REAL / INT nodes, which
-// the planner costs, so a Selfsched DO over one may get another grant.)
-const formatVersion = 14
+// the planner costs, so a Selfsched DO over one may get another grant;
+// 15: a block-dealt DOALL the plan span-checks tests each span's ends once
+// and runs a passing span as a unit-stride loop over re-sliced views.)
+const formatVersion = 15
 
 // buildEnv names the environment variables the go build of an entry
 // inherits that change the binary it makes: a binary built under

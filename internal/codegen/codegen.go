@@ -84,7 +84,7 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 	if opts.DefaultNP <= 0 {
 		opts.DefaultNP = 4
 	}
-	g := &generator{prog: prog, opts: opts, tg: plan.Target{NsPerUnit: nativeNsPerUnit, Level: plan.Fused}}
+	g := &generator{prog: prog, opts: opts, tg: plan.Target{NsPerUnit: nativeNsPerUnit, NsPerBlockUnit: nativeNsPerUnit, Level: plan.Fused}}
 	raw, err := g.run()
 	if err != nil {
 		return nil, nil, err
@@ -111,6 +111,9 @@ type generator struct {
 	// Inside a planned DOALL body: folds maps each accumulator scalar the
 	// span folds to its span-local partial.  Nil everywhere else.
 	folds map[string]string
+	// In a span form (doall.go): the code reading its index and elements.
+	spanIndex map[*forcelang.Symbol]string
+	spanElems map[*forcelang.Ref]string
 	// decisions collects the rendering of every node (Lower).
 	decisions []string
 	// Whether a unit referenced internal/asyncvar (an asynchronous
@@ -625,6 +628,11 @@ func symCode(d *forcelang.Symbol) string {
 
 // lvalue emits the Go lvalue for a reference and returns its Force type.
 func (g *generator) lvalue(r *forcelang.Ref) (string, forcelang.Type, error) {
+	if code, ok := g.spanElems[r]; ok {
+		return code, r.Sym.Type, nil
+	} else if code, ok := g.spanIndex[r.Sym]; ok {
+		return code, r.Sym.Type, nil
+	}
 	base := symCode(r.Sym)
 	if len(r.Subs) == 0 {
 		return base, r.Sym.Type, nil

@@ -26,9 +26,28 @@ package codegen
 // region's members open (DoAllChunkedOpen) and closed by one FusedJoin or
 // FusedClose, a riding Barrier as the section of the collective it rides.
 // A body with no plan takes the loop as written above, nothing folded.
+//
+// A one-index, block-dealt DOALL with no step whose plan span-checks
+// element references (plan.Loop.SpanChecked) runs that loop only for a
+// span failing the chunk tier's end-point test, so the first fault in
+// iteration order is still the one reported (spanForm):
+//
+//	zzF, zzL := zzR.Index(zzLo), zzR.Index(zzHi-1)
+//	if zzStride == 1 && forcert.InSpan(1, zzF, zzF, zzL, 4096) && … {
+//		zzO0 := zzF - 1 // A(I)'s offset at zzF, one per reference
+//		for zzJ, zzN := 0, zzHi-zzLo; zzJ < zzN; zzJ += 256 {
+//			zzM := min(zzN-zzJ, 256)
+//			zzA0 := shr.A[zzO0+zzJ:][:zzM] // a view, if the stride is 1
+//			for zzK := 0; zzK < zzM; zzK++ { // no bounds check in here
+//				<body: A(I) as zzA0[zzK], I as (zzF + zzJ + zzK)>
+//			}
+//			p.Check()
+//		}
+//	} else { <the loop above> }
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/forcelang"
@@ -94,6 +113,10 @@ func (g *generator) doAll(l plan.Loop) error {
 		g.folds[rec.Sym.Name] = "zzAcc" + rec.Sym.Name
 		g.p("zzAcc%s := %s", rec.Sym.Name, foldIdentity(rec))
 	}
+	spanned, err := g.spanForm(l)
+	if err != nil {
+		return err
+	}
 	g.p("zzC := 0")
 	g.p("for zzK := zzLo; zzK < zzHi; zzK += zzStride {")
 	g.ind++
@@ -109,6 +132,9 @@ func (g *generator) doAll(l plan.Loop) error {
 	g.p("}")
 	g.ind--
 	g.p("}")
+	if spanned {
+		g.p("}")
+	}
 	g.folds = nil
 	if l.Deal == plan.Block {
 		// The loop variable's value after the loop must not depend on
@@ -124,6 +150,50 @@ func (g *generator) doAll(l plan.Loop) error {
 	g.ind--
 	g.p("}")
 	return nil
+}
+
+// spanForm opens the span form of l when it has one (the file comment),
+// up to the else branch the caller's checked loop goes in.
+func (g *generator) spanForm(l plan.Loop) (bool, error) {
+	t := l.Do
+	if l.Deal != plan.Block || t.Inner != nil || t.Step != nil || len(l.SpanChecked) == 0 {
+		return false, nil
+	}
+	g.spanIndex, g.spanElems = map[*forcelang.Symbol]string{t.VarSym: "zzF"}, map[*forcelang.Ref]string{}
+	var tests, offs, views []string
+	for n, r := range l.SpanChecked {
+		coef, _ := l.Plan.SpanCheck(r)
+		off, k := "", int64(0)
+		for d, sub := range r.Subs {
+			at, err := g.expr(sub)
+			if err != nil {
+				return false, err
+			}
+			tests = append(tests, fmt.Sprintf("forcert.InSpan(%d, zzF, %s, zzL, %d)", coef[d], at, r.Sym.Dims[d]))
+			if d > 0 {
+				off = fmt.Sprintf("(%s)*%d + ", off, r.Sym.Dims[d])
+			}
+			off, k = off+at+" - 1", k*int64(r.Sym.Dims[d])+coef[d]
+		}
+		o, v := fmt.Sprintf("zzO%d", n), fmt.Sprintf("zzA%d", n)
+		offs = append(offs, fmt.Sprintf("%s := %s", o, off))
+		if g.spanElems[r] = fmt.Sprintf("%s[%s + (zzJ+zzK)*%d]", symCode(r.Sym), o, k); k == 1 {
+			views = append(views, fmt.Sprintf("%s := %s[%s+zzJ:][:zzM]", v, symCode(r.Sym), o))
+			g.spanElems[r] = v + "[zzK]"
+		}
+	}
+	g.p("zzF, zzL := zzR.Index(zzLo), zzR.Index(zzHi-1)")
+	g.p("if zzStride == 1 && %s {", strings.Join(tests, " && "))
+	g.p("%s", strings.Join(offs, "\n"))
+	g.p("for zzJ, zzN := 0, zzHi-zzLo; zzJ < zzN; zzJ += %d {\nzzM := min(zzN-zzJ, %[1]d)", core.PoisonEvery)
+	g.p("%s", strings.Join(append(views, "for zzK := 0; zzK < zzM; zzK++ {"), "\n"))
+	g.spanIndex[t.VarSym] = "(zzF + zzJ + zzK)"
+	if err := g.stmts(t.Body); err != nil {
+		return false, err
+	}
+	g.spanIndex, g.spanElems = nil, nil
+	g.p("}\np.Check()\n}\n} else {")
+	return true, nil
 }
 
 // foldIdentity is the value a span-local partial starts from: 0 for

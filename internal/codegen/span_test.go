@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -41,6 +42,36 @@ Presched DO I = 1, 64
   A(I) = REAL(I)
 End Presched DO
 Print I
+Join
+`},
+	// A block-dealt DOALL whose plan span-checks its references: one
+	// end-point test per span, then unit-stride views of each block.
+	{"block-stream", `Force G of NP ident ME
+Shared Real A(4096), B(4096)
+Private Integer I
+End Declarations
+Presched DO I = 1, 4096
+  A(I) = A(I) * 0.999 + B(I)
+End Presched DO
+Join
+`},
+	{"block-stencil", `Force G of NP ident ME
+Shared Real T(1026), U(1026), A(2048)
+Shared Integer K
+Private Integer I
+End Declarations
+Presched DO I = 2, 1025
+  U(I) = (T(I - 1) + T(I) + T(I + 1)) / 3.0 + A(I + K)
+End Presched DO
+Join
+`},
+	{"block-reads-index", `Force G of NP ident ME
+Shared Real B(1000)
+Private Integer I
+End Declarations
+Presched DO I = 1, 1000
+  B(I) = REAL(MOD(I, 7))
+End Presched DO
 Join
 `},
 	{"two-index-block", `Force G of NP ident ME
@@ -255,9 +286,7 @@ func TestNoPerIterationEmission(t *testing.T) {
 // to report every run-time check of the support package inlinable and
 // inlined into the program: a check that does not inline across the
 // package boundary is a call per array reference in every span loop,
-// which is most of what the native tier used to cost.  The generated
-// code imports repro/internal/..., so it is built in a dot-directory
-// inside the module, as the aot tier does.
+// which is most of what the native tier used to cost.
 func TestCheckHelpersInline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the go toolchain")
@@ -276,26 +305,7 @@ Join
 	if err != nil {
 		t.Fatal(err)
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir, err := os.MkdirTemp(root, ".force-inline-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
-	if err := os.WriteFile(filepath.Join(dir, "main.go"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "build", "-gcflags=-m", "-gcflags=repro/internal/forcert=-m",
-		"-o", filepath.Join(dir, "bin"), "./"+filepath.Base(dir))
-	cmd.Dir = root
-	raw, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, raw)
-	}
-	out := string(raw)
+	out := buildInModule(t, src, "-gcflags=-m", "-gcflags=repro/internal/forcert=-m")
 	// The generic checks are instantiated (and judged) where the program
 	// uses them, as forcert.Idx1[go.shape.int]; Sqrt in its own package.
 	for _, fn := range []string{"Idx1", "Idx2", "Div", "ModInt", "Sqrt", "Step", "AsyncIdx"} {
@@ -305,6 +315,76 @@ Join
 		}
 		if !strings.Contains(out, "main.go") || !regexp.MustCompile(`main\.go:\d+:\d+: inlining call to forcert\.`+fn+`\b`).MatchString(out) {
 			t.Errorf("forcert.%s is not inlined into the generated program; compiler said:\n%s", fn, grepLines(out, fn))
+		}
+	}
+}
+
+// buildInModule builds one generated program with the extra go build
+// flags and returns what the compiler said.  The generated code imports
+// repro/internal/..., so it is built in a dot-directory inside the
+// module, as the aot tier does.
+func buildInModule(t *testing.T, src []byte, flags ...string) string {
+	t.Helper()
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := os.MkdirTemp(root, ".force-build-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	if err := os.WriteFile(filepath.Join(dir, "main.go"), src, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := append(append([]string{"build"}, flags...), "-o", filepath.Join(dir, "bin"), "./"+filepath.Base(dir))
+	cmd := exec.Command("go", args...)
+	cmd.Dir = root
+	raw, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build: %v\n%s", err, raw)
+	}
+	return string(raw)
+}
+
+// TestSpanLoopBoundsCheckFree builds the block-stream case with the
+// compiler's bounds-check report and requires none inside the span form's
+// inner loop: every view is re-sliced to the block's length, so Go proves
+// each index in range and the loop is the one a hand-written Go loop over
+// two slices compiles to.
+func TestSpanLoopBoundsCheckFree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the go toolchain")
+	}
+	var src []byte
+	for _, tc := range spanCases {
+		if tc.name == "block-stream" {
+			var err error
+			if src, err = Generate(forcelang.MustParse(tc.src), Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The lines of the inner loop's body: from its header to its brace.
+	lines := strings.Split(string(src), "\n")
+	first, last := 0, 0
+	for i, l := range lines {
+		if strings.TrimSpace(l) == "for zzK := 0; zzK < zzM; zzK++ {" {
+			first = i + 2 // 1-based, after the header
+			indent := l[:len(l)-len(strings.TrimLeft(l, "\t"))]
+			for last = i + 1; lines[last] != indent+"}"; last++ {
+			}
+			break
+		}
+	}
+	if first == 0 || last < first {
+		t.Fatalf("no span-form inner loop in:\n%s", src)
+	}
+	out := buildInModule(t, src, "-gcflags=-d=ssa/check_bce/debug=1")
+	found := regexp.MustCompile(`main\.go:(\d+):\d+: Found (IsInBounds|IsSliceInBounds)`)
+	for _, m := range found.FindAllStringSubmatch(out, -1) {
+		if n, _ := strconv.Atoi(m[1]); first <= n && n <= last {
+			t.Errorf("bounds check at main.go:%s, inside the inner loop (lines %d-%d):\n%s", m[1], first, last, strings.Join(lines[first-1:last], "\n"))
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package forcert is the run-time support every execution tier shares:
 // the checks a Force program performs while it runs (integer divide, MOD,
-// SQRT, array and async subscripts, loop steps), the one error value a
-// failed check raises and its message text, the Fortran intrinsics, the
-// indivisible update of a 64-bit shared cell behind the shared
-// accumulate, and the formatting of Print lines.
+// SQRT, array and async subscripts, a span's end points, loop steps), the
+// one error value a failed check raises and its message text, the
+// Fortran intrinsics, the indivisible update of a 64-bit shared cell
+// behind the shared accumulate, and the formatting of Print lines.
 //
 // The closure compiler (internal/interp) calls these functions from its
 // closures, the program internal/codegen emits imports the package and
@@ -196,6 +196,74 @@ func Offset(line int, name string, dims []int, subs []int64) int {
 		off = off*dims[k] + int(s-1)
 	}
 	return off
+}
+
+// Span is the end-point test of a span check: the loop indices Lo..Hi
+// (empty when Lo > Hi) at which every span-checked subscript of a DOALL
+// is in range.  It starts as AllIndices and each subscript narrows it.
+type Span struct{ Lo, Hi int64 }
+
+// AllIndices is the Span no subscript has narrowed yet.
+func AllIndices() Span { return Span{math.MinInt64, math.MaxInt64} }
+
+// Narrow intersects s with the indices i at which c·i + rest, taken over
+// the integers, is a subscript in 1..ext.  Judging the true value, not
+// the wrapped one the program computes, is what keeps a passing span
+// monotone: a product that wraps back into range
+// (A(4611686018427387904*I + 1) at I = 4) leaves the interval and is
+// decided by the per-iteration check.
+func (s *Span) Narrow(c, rest, ext int64) {
+	const big = 1 << 62 // 1-rest and ext-rest must not wrap themselves
+	lo, hi := int64(1), int64(0)
+	switch {
+	case rest <= -big || rest >= big:
+	case c == 0:
+		if 1 <= rest && rest <= ext {
+			return
+		}
+	case c == 1: // A(I + rest), A(rest - I): the common subscripts divide nothing
+		lo, hi = 1-rest, ext-rest
+	case c == -1:
+		lo, hi = rest-ext, rest-1
+	case c > 0:
+		lo, hi = ceilDiv(1-rest, c), floorDiv(ext-rest, c)
+	default:
+		lo, hi = ceilDiv(ext-rest, c), floorDiv(1-rest, c)
+	}
+	s.Lo, s.Hi = max(s.Lo, lo), min(s.Hi, hi)
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) == (b < 0) {
+		q++
+	}
+	return q
+}
+
+// Holds reports whether a span running first..last may skip the check of
+// its references: both ends, hence every index between them, keep every
+// narrowing subscript in range.
+func (s Span) Holds(first, last int64) bool {
+	return s.Lo <= first && first <= s.Hi && s.Lo <= last && last <= s.Hi
+}
+
+// InSpan is one subscript's end-point test, made once per span: whether
+// c·i + rest, which is sub at index first, stays in 1..ext for every i
+// from first to last.  sub − c·first is the rest in the program's
+// wrapping arithmetic, the value the interpreter computes at index 0.
+func InSpan[T Integer](c, first, sub, last T, ext int) bool {
+	s := AllIndices()
+	s.Narrow(int64(c), int64(sub)-int64(c)*int64(first), int64(ext))
+	return s.Holds(int64(first), int64(last))
 }
 
 // AsyncIdx is the 0-based cell of 1-based subscript s into an async

@@ -24,6 +24,36 @@ func raised(f func()) (e *Err) {
 	return nil
 }
 
+// TestInSpan: the emitter's end-point test passes a span exactly when the
+// per-iteration check passes every index of it — by brute force over
+// small coefficients, rests and spans in either direction — and judges a
+// subscript over the integers, so one that wraps back into range between
+// the ends fails it.
+func TestInSpan(t *testing.T) {
+	for c := -3; c <= 3; c++ {
+		for rest := -12; rest <= 12; rest++ {
+			for first := -6; first <= 6; first++ {
+				for last := -6; last <= 6; last++ {
+					want := true
+					for i := min(first, last); i <= max(first, last); i++ {
+						if s := c*i + rest; s < 1 || s > 8 {
+							want = false
+						}
+					}
+					if got := InSpan(c, first, c*first+rest, last, 8); got != want {
+						t.Fatalf("InSpan(%d, %d, %d, %d, 8) = %v, want %v", c, first, c*first+rest, last, got, want)
+					}
+				}
+			}
+		}
+	}
+	// 2·I + 3 at I = 1 and I = MaxInt64 is 5 and, wrapped, 1: both in
+	// range, but 2·31 + 3 is 65.
+	if InSpan(int64(2), 1, 5, math.MaxInt64, 64) {
+		t.Error("a subscript wrapping back into range passes the end-point test")
+	}
+}
+
 // TestChecksAndMessages pins every check's condition and the exact text
 // all four tiers (and forcevet) report for it.
 func TestChecksAndMessages(t *testing.T) {

@@ -26,9 +26,10 @@ package interp
 //     rest of literals and INTEGER scalars the body never writes) is
 //     checked per SPAN, not per iteration (spanSite): the rest is
 //     evaluated once per construct execution, the indices at which every
-//     such subscript is in range form one interval (kctx.narrow), and a
-//     span whose first and last index lie inside it — affine, hence in
-//     range between them — runs the reference as ONE closure indexing
+//     such subscript is in range form one interval (forcert.Span, the
+//     end-point test the Go emitter spells too), and a span whose first
+//     and last index lie inside it — affine, hence in range between
+//     them — runs the reference as ONE closure indexing
 //     the array's words at K·i + R.  Any other span runs the checked
 //     plan-less body (checkedBody, compiled on first need): the program
 //     is about to raise a subscript error, or guards the reference with
@@ -116,10 +117,10 @@ type kctx struct {
 	accI []int64
 	accR []float64
 	// aff holds, per span-checked reference, the 0-based word offset of
-	// its element at index 0; okLo..okHi are the indices at which every
-	// such reference is in range (empty when okLo > okHi).
-	aff        []int64
-	okLo, okHi int64
+	// its element at index 0; ok the indices at which every such
+	// reference is in range.
+	aff []int64
+	ok  forcert.Span
 }
 
 // accCell pairs one accumulator's shared cell with its fold operator,
@@ -167,63 +168,13 @@ func (kc *kctx) enter(cp *chunkPlan, accs []accCell, pr *cproc, fr *frame) {
 	// arithmetic its value at index i IS coef·i + its value at 0.
 	kc.aff = fit(kc.aff, cp.sites)
 	clear(kc.aff)
-	kc.okLo, kc.okHi = math.MinInt64, math.MaxInt64
+	kc.ok = forcert.AllIndices()
 	kc.i = 0
 	for _, sb := range cp.subs {
 		rest := sb.sub(pr, fr)
-		kc.narrow(sb.coef, rest, sb.ext)
+		kc.ok.Narrow(sb.coef, rest, sb.ext)
 		kc.aff[sb.site] = kc.aff[sb.site]*sb.ext + rest - 1 // row-major, as forcert.Idx2
 	}
-}
-
-// narrow intersects okLo..okHi with the indices i at which c·i + rest,
-// taken over the integers, is a subscript in 1..ext.  Judging the true
-// value, not the wrapped one the program computes, is what keeps a
-// passing span monotone: a product that wraps back into range
-// (A(4611686018427387904*I + 1) at I = 4) leaves the interval and is
-// decided by the checked body.
-func (kc *kctx) narrow(c, rest, ext int64) {
-	const big = 1 << 62 // 1-rest and ext-rest must not wrap themselves
-	lo, hi := int64(1), int64(0)
-	switch {
-	case rest <= -big || rest >= big:
-	case c == 0:
-		if 1 <= rest && rest <= ext {
-			return
-		}
-	case c == 1: // A(I + rest), A(rest - I): the common subscripts divide nothing
-		lo, hi = 1-rest, ext-rest
-	case c == -1:
-		lo, hi = rest-ext, rest-1
-	case c > 0:
-		lo, hi = ceilDiv(1-rest, c), floorDiv(ext-rest, c)
-	default:
-		lo, hi = ceilDiv(ext-rest, c), floorDiv(1-rest, c)
-	}
-	kc.okLo, kc.okHi = max(kc.okLo, lo), min(kc.okHi, hi)
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func ceilDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) == (b < 0) {
-		q++
-	}
-	return q
-}
-
-// spanOK reports whether a span running first..last may use the
-// span-checked references: both ends, hence every index between them,
-// keep every one of them in range.
-func (kc *kctx) spanOK(first, last int64) bool {
-	return kc.okLo <= first && first <= kc.okHi && kc.okLo <= last && last <= kc.okHi
 }
 
 // seed installs each accumulator's fold identity: 0 for sums, MinInt64
@@ -326,7 +277,7 @@ func (c *compiler) chunkParDo(l plan.Loop) stmtFn {
 				di := int64(stride) * incr
 				run := body
 				switch {
-				case !kc.spanOK(i, i+int64(cnt-1)*di):
+				case !kc.ok.Holds(i, i+int64(cnt-1)*di):
 					run = cp.checkedBody(c, t)
 				case byBlock:
 					// Statement at a time over blocks, leaving nothing (cnt

@@ -127,8 +127,7 @@ type Config struct {
 	// FuseLog, when non-nil, receives the planner's decisions once per
 	// Run, at compile time: each plan.Node's lines, rendered from its
 	// fields by Node.Narrate — the span check of each planned DOALL that
-	// subscripts a shared array last, a plan decision this tier narrates
-	// because it has a span form (the Go emitter has none yet).
+	// subscripts a shared array last, as the Go emitter narrates them.
 	FuseLog func(msg string)
 	// OnForce, when non-nil, is called with the freshly created force
 	// before execution starts.  forcerun's -timeout takes the force's

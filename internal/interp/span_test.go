@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/forcelang"
+	"repro/internal/forcert"
 	"repro/internal/reduce"
 )
 
@@ -52,16 +53,16 @@ func TestNarrow(t *testing.T) {
 		{1, 1 - big, 32, big, big + 31},          // c = 1 likewise
 		{1, big - 1, 32, 2 - big, 33 - big},      //
 	} {
-		kc := kctx{okLo: math.MinInt64, okHi: math.MaxInt64}
-		kc.narrow(tc.c, tc.rest, tc.ext)
+		kc := kctx{ok: forcert.AllIndices()}
+		kc.ok.Narrow(tc.c, tc.rest, tc.ext)
 		if tc.lo > tc.hi {
-			if kc.okLo <= kc.okHi {
-				t.Errorf("narrow(%d, %d, %d) = [%d, %d], want empty", tc.c, tc.rest, tc.ext, kc.okLo, kc.okHi)
+			if kc.ok.Lo <= kc.ok.Hi {
+				t.Errorf("narrow(%d, %d, %d) = [%d, %d], want empty", tc.c, tc.rest, tc.ext, kc.ok.Lo, kc.ok.Hi)
 			}
 			continue
 		}
-		if kc.okLo != tc.lo || kc.okHi != tc.hi {
-			t.Errorf("narrow(%d, %d, %d) = [%d, %d], want [%d, %d]", tc.c, tc.rest, tc.ext, kc.okLo, kc.okHi, tc.lo, tc.hi)
+		if kc.ok.Lo != tc.lo || kc.ok.Hi != tc.hi {
+			t.Errorf("narrow(%d, %d, %d) = [%d, %d], want [%d, %d]", tc.c, tc.rest, tc.ext, kc.ok.Lo, kc.ok.Hi, tc.lo, tc.hi)
 		}
 		// The interval is exact: its ends are in range, their neighbours
 		// are not (where the arithmetic below cannot wrap).
@@ -73,11 +74,11 @@ func TestNarrow(t *testing.T) {
 		}
 	}
 	// Constraints intersect.
-	kc := kctx{okLo: math.MinInt64, okHi: math.MaxInt64}
-	kc.narrow(1, -1, 64) // A(I - 1): 2..65
-	kc.narrow(1, 1, 64)  // A(I + 1): 0..63
-	if kc.okLo != 2 || kc.okHi != 63 || !kc.spanOK(2, 63) || !kc.spanOK(63, 2) || kc.spanOK(1, 63) || kc.spanOK(2, 64) {
-		t.Errorf("A(I - 1) with A(I + 1) over 64: [%d, %d]", kc.okLo, kc.okHi)
+	kc := kctx{ok: forcert.AllIndices()}
+	kc.ok.Narrow(1, -1, 64) // A(I - 1): 2..65
+	kc.ok.Narrow(1, 1, 64)  // A(I + 1): 0..63
+	if kc.ok.Lo != 2 || kc.ok.Hi != 63 || !kc.ok.Holds(2, 63) || !kc.ok.Holds(63, 2) || kc.ok.Holds(1, 63) || kc.ok.Holds(2, 64) {
+		t.Errorf("A(I - 1) with A(I + 1) over 64: [%d, %d]", kc.ok.Lo, kc.ok.Hi)
 	}
 }
 
@@ -179,7 +180,7 @@ func newSpanFixture(t *testing.T, src string) *spanFixture {
 	for i, st := range fx.prog.Body {
 		if pd, ok := st.(*forcelang.ParDo); ok {
 			nd, _ := fx.c.tg.Next(fx.prog.Body, i)
-			fx.loop, fx.cp, checked = pd, &chunkPlan{Plan: nd.Loop.Plan}, nd.Loop.SpanChecked
+			fx.loop, fx.cp, checked = pd, &chunkPlan{Plan: nd.Loop.Plan}, len(nd.Loop.SpanChecked)
 			break
 		}
 	}
@@ -257,8 +258,8 @@ func TestSpanEnterAllocatesNothing(t *testing.T) {
 	}
 	enter()
 	// A(I): 1..64, B(N + 1 - I): 1..64, B(I + 1): 0..63.
-	if pr.k.okLo != 1 || pr.k.okHi != 63 {
-		t.Errorf("interval [%d, %d], want [1, 63]", pr.k.okLo, pr.k.okHi)
+	if pr.k.ok.Lo != 1 || pr.k.ok.Hi != 63 {
+		t.Errorf("interval [%d, %d], want [1, 63]", pr.k.ok.Lo, pr.k.ok.Hi)
 	}
 	// The 0-based word offset of each reference's element at I = 0, in
 	// compilation order: the target, then the right-hand side.

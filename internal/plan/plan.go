@@ -11,9 +11,8 @@
 // compiler (internal/interp) spells them as closures, the Go emitter
 // (internal/codegen) as text, and neither re-derives one from the tree.
 // Which element references a DOALL range-checks per span, not per
-// iteration, is one of them (Plan.SpanCheck, Loop.SpanChecked): a back
-// end with a span form narrates it; the Go emitter, which has none yet,
-// checks every reference and narrates no such line.
+// iteration, is one of them (Plan.SpanCheck, Loop.SpanChecked), and both
+// back ends have a span form that narrates it.
 //
 // Behind Next: summary.go is the footprint — one walk (Summarize) records
 // which symbols a statement list reads and writes and how, and the proofs
@@ -117,10 +116,11 @@ type Loop struct {
 	DealtBy *Plan
 	// Grant is the ordinals per claim of a selfscheduled loop (1: no plan).
 	Grant int
-	// SpanChecked of ElemRefs shared-array element references of the body
-	// are range-checked per span (Plan.SpanCheck).  Counted only for a
-	// planned loop on a target with a span form (NsPerBlockUnit != 0).
-	SpanChecked, ElemRefs int
+	// SpanChecked are the body's shared-array element references checked
+	// per span (Plan.SpanCheck), of ElemRefs; listed only for a planned
+	// loop on a target with a span form (NsPerBlockUnit != 0).
+	SpanChecked []*forcelang.Ref
+	ElemRefs    int
 	// Open leaves the construct without its exit barrier: a member of a
 	// Region, or a lone DOALL whose exit synchronization runs Section.
 	Open bool
@@ -272,7 +272,7 @@ func (tg *Target) loop(t *forcelang.ParDo, p, deal *Plan) Loop {
 	for _, a := range p.sum.Accesses() {
 		for _, r := range a.Elems {
 			if _, ok := p.SpanCheck(r); ok {
-				l.SpanChecked++
+				l.SpanChecked = append(l.SpanChecked, r)
 			}
 		}
 		l.ElemRefs += len(a.Elems)
@@ -401,6 +401,6 @@ func (nd *Node) Narrate(say func(string)) {
 		if l.Plan.PerIter != "" {
 			how = "per iteration (" + l.Plan.PerIter + ")"
 		}
-		line("%d: DOALL span-checked %d of %d element references, %s", l.Do.Pos(), l.SpanChecked, l.ElemRefs, how)
+		line("%d: DOALL span-checked %d of %d element references, %s", l.Do.Pos(), len(l.SpanChecked), l.ElemRefs, how)
 	}
 }

@@ -689,11 +689,11 @@ func TestSpanCheck(t *testing.T) {
 		if coef, ok := p.SpanCheck(target); ok != tc.ok || ok && coef != tc.coef {
 			t.Errorf("%s: SpanCheck = %v, %v; want %v, %v", tc.name, coef, ok, tc.coef, tc.ok)
 		}
-		if l := span.Loop; l.SpanChecked != tc.checked || l.ElemRefs != tc.elems {
-			t.Errorf("%s: node counts %d of %d span-checked, want %d of %d", tc.name, l.SpanChecked, l.ElemRefs, tc.checked, tc.elems)
+		if l := span.Loop; len(l.SpanChecked) != tc.checked || l.ElemRefs != tc.elems || tc.checked == 1 && l.SpanChecked[0] != &st.(*forcelang.Assign).Target {
+			t.Errorf("%s: node lists %v of %d span-checked, want %d of %d", tc.name, l.SpanChecked, l.ElemRefs, tc.checked, tc.elems)
 		}
-		if none, _ := (&Target{NsPerUnit: 4, Level: Planned}).Next(body, 0); none.Loop.SpanChecked != 0 || none.Loop.ElemRefs != 0 {
-			t.Errorf("%s: a target without a span form counts %d of %d", tc.name, none.Loop.SpanChecked, none.Loop.ElemRefs)
+		if none, _ := (&Target{NsPerUnit: 4, Level: Planned}).Next(body, 0); none.Loop.SpanChecked != nil || none.Loop.ElemRefs != 0 {
+			t.Errorf("%s: a target without a span form lists %v of %d", tc.name, none.Loop.SpanChecked, none.Loop.ElemRefs)
 		}
 	}
 }

@@ -61,8 +61,8 @@ together.  The runtime reports it cleanly (same fault, every process),
 which is why this is a warning rather than an error: the behavior is
 deterministic, just wrong.
 
-Note that only INTEGER division faults; REAL division follows IEEE
-semantics (infinities and NaNs) and is never reported.
+Note that only INTEGER division and MOD fault; REAL division and MOD
+follow IEEE semantics (infinities and NaNs) and are never reported.
 
 Fix: correct the constant or the loop bounds feeding the fault.`,
 

@@ -9,7 +9,7 @@ package vet
 // varying condition (FV001), and proves runtime faults: a divisor that
 // is constant zero or provably reaches zero over an enclosing constant-
 // bounds loop, a constant subscript outside the declared bounds, SQRT
-// of a negative constant, MOD by zero, a zero loop step.  A provable
+// of a negative constant, INTEGER MOD by zero, a zero loop step.  A provable
 // fault under a varying condition is FV002 (a strict subset of
 // processes aborts while the peers block at the next collective); on
 // the uniform path it is FV003 (every process faults).
@@ -284,10 +284,9 @@ func (f *flow) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 		switch t.Name {
 		case "MOD":
 			if len(t.Args) == 2 {
+				// Only INTEGER MOD raises: a REAL MOD by zero is a NaN.
 				if t.Args[1].Type() == forcelang.TInt {
 					f.divisorFault(t.Args[1], t.Pos(), ctx, &forcert.Err{Kind: forcert.ModZero})
-				} else if v, ok := f.constReal(t.Args[1]); ok && v == 0 {
-					f.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.ModZero})
 				}
 			}
 		case "SQRT":

@@ -307,6 +307,34 @@ Join
 	}
 }
 
+// TestFV003OnlyIntegerModFaults: a REAL MOD by zero is a NaN, not a
+// fault (README, "Run-time checks"), whether the zero is spelled REAL or
+// converted, at top level or in a Barrier section; an INTEGER MOD by zero
+// is still reported, as a fault every process provably reaches at top
+// level and as one under a non-uniform condition in a section.
+func TestFV003OnlyIntegerModFaults(t *testing.T) {
+	for _, tc := range []struct{ stmt, want string }{
+		{"Y = MOD(X, 0)", ""},
+		{"Y = MOD(X, 0.0)", ""},
+		{"Barrier\nY = MOD(X, 0)\nEnd Barrier", ""},
+		{"Barrier\nY = MOD(X, 0.0)\nEnd Barrier", ""},
+		{"K = MOD(I, 0)", "FV003@6"},
+		{"Barrier\nK = MOD(I, 0)\nEnd Barrier", "FV002@7"},
+	} {
+		diags := analyzeSrc(t, `Force T of NP ident ME
+Shared Real Y
+Private Real X
+Private Integer I, K
+End Declarations
+`+tc.stmt+`
+Join
+`)
+		if got := codeLines(diags); got != tc.want {
+			t.Errorf("%q: got %q, want %q\n%s", tc.stmt, got, tc.want, renderAll(diags))
+		}
+	}
+}
+
 // TestFV003ConversionSpelledOrNot: the checker places an implicit
 // conversion as the REAL node a program may spell, so a provable fault is
 // found through either spelling, with the value the run-time check sees.
