@@ -733,7 +733,9 @@ func (p *Proc) DoAllGranted(kind sched.Kind, grant int, r sched.Range, chunk Chu
 	seq := p.openSpans(kind, grant, r, chunk)
 	p.f.bar.Sync(p.id, nil)
 	p.leaveSite()
-	p.f.tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
+	if tr := p.f.tr; tr != nil {
+		tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
+	}
 }
 
 // DoAll2 runs a doubly nested loop under an explicitly chosen discipline.

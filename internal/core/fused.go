@@ -141,11 +141,11 @@ func (p *Proc) openSpans(kind sched.Kind, grant int, r sched.Range, chunk ChunkB
 	p.stats.Loops.Add(1)
 	seq = p.nextSeq()
 	n := r.Count()
-	p.f.tr.Record(p.id, trace.LoopStart, kind.String(), int64(seq))
 	p.enterSite(&siteLoop)
 	if tr := p.f.tr; tr != nil {
 		// Every grant is recorded as the index values it covers.
 		run, name := chunk, kind.String()
+		tr.Record(p.id, trace.LoopStart, name, int64(seq))
 		chunk = func(lo, hi, stride int) {
 			tr.Add(trace.Event{PID: p.id, Kind: trace.LoopSpan, Name: name, Arg: int64(r.Index(lo)),
 				Count: int64((hi - lo + stride - 1) / stride), Step: int64(stride * r.Incr)})
@@ -174,7 +174,9 @@ func (p *Proc) openSpans(kind sched.Kind, grant int, r sched.Range, chunk ChunkB
 // process.
 func (p *Proc) DoAllChunkedOpen(kind sched.Kind, grant int, r sched.Range, chunk ChunkBody) {
 	seq := p.openSpans(kind, grant, r, chunk)
-	p.f.tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
+	if tr := p.f.tr; tr != nil {
+		tr.Record(p.id, trace.LoopEnd, kind.String(), int64(seq))
+	}
 }
 
 // JoinSection closes an open DOALL with the paper's exit synchronization,

@@ -1631,6 +1631,167 @@ Barrier
 End Barrier
 Join
 `},
+	// Operands read where they are: a literal, a shared uniform and a
+	// quotient's divisor applied as scalars inside the operator's loop, a
+	// scalar on the left (which stays a buffer: operands never commute),
+	// elements on either side, and a later statement reading what an
+	// earlier one stored.
+	{"block-operand-scalar", 0, `Force BOPS of NP ident ME
+Shared Real A(500), B(500), C(500)
+Shared Integer X(500), Y(500)
+Shared Integer K, T
+Shared Real CHK
+Private Integer I
+End Declarations
+Barrier
+  K = 977
+End Barrier
+Presched DO I = 1, 500
+  A(I) = REAL(I) * 0.37 - 40.0
+  X(I) = I * I - 3000
+End Presched DO
+Presched DO I = 1, 500
+  B(I) = A(I) * 0.999
+  Y(I) = X(I) - K
+  C(I) = (A(I) + B(I)) / 3.0
+  A(I) = 1.0 - A(I)
+  X(I) = K * X(I) + 7 - X(I) * 2
+End Presched DO
+Selfsched DO I = 1, 500
+  C(I) = C(I) / 3.0 - 2.5 * B(I)
+  Y(I) = 5 - Y(I) + K
+End Selfsched DO
+Barrier
+  CHK = 0.0
+  T = 0
+  DO I = 1, 500
+    CHK = CHK + A(I) + B(I) * 2.0 - C(I)
+    T = T + X(I) - Y(I) * 3
+  End DO
+  Print 'scalar', CHK, T, A(1), B(500), C(250), X(77), Y(500)
+End Barrier
+Join
+`},
+	// Elements read in place at steps other than 1: coefficients 2 and -1,
+	// a negative loop step dealt in blocks, and private recurrences, which
+	// keep the cyclic deal, so a block steps by np.
+	{"block-operand-strided", 0, `Force BOPST of NP ident ME
+Shared Integer B(400), C(800), D(400)
+Shared Real R(400), Q(800), U(400)
+Shared Integer N, T
+Shared Real CHK
+Private Integer I, P
+Private Real S
+End Declarations
+Barrier
+  N = 400
+End Barrier
+Presched DO I = 1, N
+  B(I) = I * 7 - 1000
+  R(I) = REAL(I) * 0.25 - 17.125
+End Presched DO
+Presched DO I = 1, 2 * N
+  C(I) = I * I - 5 * I
+  Q(I) = 1.0 / REAL(I)
+End Presched DO
+Presched DO I = 1, N
+  D(I) = C(2 * I - 1) + B(N + 1 - I)
+  U(I) = Q(2 * I) * R(N + 1 - I) - Q(2 * I - 1) / R(I)
+End Presched DO
+Presched DO I = N, 1, -3
+  D(I) = D(I) - C(2 * I) * B(I)
+End Presched DO
+P = 0
+S = 0.5
+Presched DO I = 1, N
+  P = P + C(2 * I - 1) - B(N + 1 - I) * 3
+  S = S + Q(2 * I) * R(N + 1 - I)
+  U(I) = U(I) + R(N + 1 - I) / Q(2 * I - 1)
+End Presched DO
+Print 'strided', ME, P, S
+Barrier
+  T = 0
+  CHK = 0.0
+  DO I = 1, N
+    T = T + D(I) * MOD(I, 7)
+    CHK = CHK + U(I)
+  End DO
+  Print 'sums', T, CHK, D(1), D(400), U(1), U(400)
+End Barrier
+Join
+`},
+	// A 2-D array read in place along a uniform row and backwards along
+	// another: the operator reads both elements inside its loop, one at step
+	// 1 and one at step -1.
+	{"block-operand-2d", 0, `Force BOP2D of NP ident ME
+Shared Real M(6, 50), V(50)
+Shared Integer G(6, 50), H(50)
+Shared Integer R, T
+Shared Real CHK
+Private Integer I
+End Declarations
+Barrier
+  R = 4
+End Barrier
+Presched DO I = 1, 50
+  M(2, I) = 100.0 / REAL(I)
+End Presched DO
+Presched DO I = 1, 50
+  M(4, I) = -REAL(I) / 3.0
+End Presched DO
+Presched DO I = 1, 50
+  G(2, I) = I * 3037000499
+End Presched DO
+Presched DO I = 1, 50
+  G(4, I) = 7 - I
+End Presched DO
+Presched DO I = 1, 50
+  V(I) = M(R, I) * M(2, 51 - I)
+  H(I) = G(R, I) * G(2, 51 - I) + G(R, 51 - I)
+End Presched DO
+Barrier
+  CHK = 0.0
+  T = 0
+  DO I = 1, 50
+    CHK = CHK + V(I) * REAL(MOD(I, 5))
+    T = T + H(I) * MOD(I, 3)
+  End DO
+  Print '2d', CHK, T, V(1), V(50), H(25)
+End Barrier
+Join
+`},
+	// IEEE specials through the in-place operands: REAL division by
+	// elements holding 0.0 and -0.0 (infinities of either sign, 0/0 a NaN,
+	// infinity times a zero scalar a NaN) and INTEGER products that wrap.
+	{"block-operand-specials", 0, `Force BOPSP of NP ident ME
+Shared Real Z(64), Q(64), P(64)
+Shared Integer K(64), W(64)
+Shared Integer T
+Private Integer I
+End Declarations
+Barrier
+  DO I = 1, 64
+    Z(I) = REAL(MOD(I, 5) - 2)
+    IF (MOD(I, 10) .EQ. 7) THEN
+      Z(I) = -1.0 * 0.0
+    End IF
+    K(I) = I * 2305843009213693952 + I
+  End DO
+End Barrier
+Presched DO I = 1, 64
+  Q(I) = 1.0 / Z(I)
+  P(I) = Z(I) / Z(65 - I) - Q(I) * 0.0
+  W(I) = K(I) * K(65 - I) - K(I) * 3
+End Presched DO
+Barrier
+  T = 0
+  DO I = 1, 64
+    T = T + W(I)
+  End DO
+  Print 'specials', Q(2), Q(7), Q(4), Q(5), P(2), P(7), P(8), P(10), T, W(1), W(64)
+End Barrier
+Join
+`},
 }
 
 // Fusion is the fusion-pass matrix: programs shaped so the chunk tier's

@@ -8,17 +8,17 @@ package interp
 // process may run statement by statement.  Inside a span that passes the
 // end-point test chunkParDo walks blocks of at most blockWidth indices and
 // runs each statement over a whole block before the next: an expression
-// node is one closure call per BLOCK, filling a typed scratch buffer of the
-// chunk context in a tight loop.  A block's stores are one call of a
-// word-store kernel (storeBlock); folds take a block in index order, so a
-// REAL one rounds as the per-iteration loop does.  Uniform subexpressions
-// come from cInt / cReal (hoisted as ever, broadcast per block), element
-// references from spanSite (plan.Plan.SpanCheck).  That a body runs here
-// is the plan's decision, and forcerun -v's "block-evaluated" renders it
-// from the node (plan.Node.Narrate), not from this compilation.
-// Buffers are numbered by evaluation depth — a node fills buffer d and
-// evaluates its right operand into d+1 — so a body needs as many as its
-// deepest right spine, not one per node.
+// node is one call per BLOCK, a tight loop filling a typed scratch buffer
+// of the chunk context.  An operand of + - * / or a fold term is a buffer
+// its subexpression fills, or read inside that loop: a scalar the plan
+// hoists, a span-checked element from the array's words (opnd).  So A(I)
+// = A(I)*0.999 + B(I) makes three passes: multiply, add, store, a block's
+// stores being one call of a word-store kernel (storeBlock).  Folds take a
+// block in index order, so a REAL one rounds as the per-iteration loop
+// does.  That a body runs here is the plan's decision, rendered by forcerun
+// -v from the node (plan.Node.Narrate), not from this compilation.
+// Buffers are numbered by evaluation depth (a node fills d, a buffer right
+// operand d+1): a body needs as many as its deepest spine of buffer operands.
 
 import (
 	"math"
@@ -84,16 +84,16 @@ func (c *compiler) blockAssign(t *forcelang.Assign) stmtFn {
 	case scPrivate: // a recurrence, folded into the private's own slot
 		slot, terms := sym.Slot, plan.MatchRecur(t)
 		if real {
-			return foldStmt(terms, c.bReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &fr.priv[slot].r })
+			return foldStmt(terms, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &fr.priv[slot].r })
 		}
-		return foldStmt(terms, c.bInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &fr.priv[slot].i })
+		return foldStmt(terms, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &fr.priv[slot].i })
 	case scShared: // a folded accumulator, into the slot flush folds
 		acc, _ := plan.MatchAccum(t)
 		si, _ := c.plan.Fold(sym)
 		if real {
-			return foldStmt([]plan.Accum{acc}, c.bReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &pr.k.accR[si] })
+			return foldStmt([]plan.Accum{acc}, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &pr.k.accR[si] })
 		}
-		return foldStmt([]plan.Accum{acc}, c.bInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &pr.k.accI[si] })
+		return foldStmt([]plan.Accum{acc}, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &pr.k.accI[si] })
 	}
 	data, k, site, ok := c.spanSite(&t.Target)
 	if !ok {
@@ -142,46 +142,68 @@ func words[T num](buf []T) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf))
 }
 
-// foldStmt compiles an accumulate or a recurrence: each term's block folds,
-// in index order, into the scalar at.
-func foldStmt[T num](terms []plan.Accum, sub func(forcelang.Expr, int) blk[T], buf func(*kctx, int) []T, at func(*cproc, *frame) *T) stmtFn {
-	evs := make([]blk[T], len(terms))
+// foldStmt compiles an accumulate or a recurrence: each term (buffer 0, a
+// scalar or an element read in place) folds into at in index order.
+func foldStmt[T num](terms []plan.Accum, opd func(forcelang.Expr, int, bool) opnd[T], buf func(*kctx, int) []T, at func(*cproc, *frame) *T) stmtFn {
+	f := &fold[T]{terms, make([]opnd[T], len(terms)), buf, at}
 	for i, tm := range terms {
-		evs[i] = sub(tm.Operand, 0)
+		f.ops[i] = opd(tm.Operand, 0, true)
 	}
-	return func(pr *cproc, fr *frame) {
-		tmp, p := buf(&pr.k, 0), at(pr, fr)
-		for i, ev := range evs {
-			ev(pr, fr, tmp)
-			*p = foldB(terms[i].Op, terms[i].Negate, *p, tmp)
+	return f.run
+}
+
+// fold is a compiled foldStmt; a method, as binOp is.
+type fold[T num] struct {
+	terms []plan.Accum
+	ops   []opnd[T]
+	buf   func(*kctx, int) []T
+	at    func(*cproc, *frame) *T
+}
+
+func (f *fold[T]) run(pr *cproc, fr *frame) {
+	p, n := f.at(pr, fr), pr.k.b.n
+	for i, o := range f.ops {
+		op, neg, v := f.terms[i].Op, f.terms[i].Negate, *p
+		switch {
+		case o.ev != nil:
+			tmp := f.buf(&pr.k, 0)
+			o.ev(pr, fr, tmp)
+			for _, x := range tmp {
+				v = acc(op, neg, v, x)
+			}
+		case o.s != nil: // n folds: an extremum's once, an INTEGER sum's one wrapping product
+			x, m := o.s(pr, fr), n
+			if _, integer := any(x).(int64); integer && op == plan.AccSum {
+				x, m = x*T(n), 1
+			} else if op != plan.AccSum {
+				m = 1
+			}
+			for ; m > 0; m-- {
+				v = acc(op, neg, v, x)
+			}
+		default:
+			off, step := pr.k.at(o.k, o.site)
+			g := func(_ int, x T) { v = acc(op, neg, v, x) }
+			if step == 1 {
+				each1(o.data[off:][:n], g)
+			} else {
+				eachN(o.data, off, step, n, g)
+			}
 		}
+		*p = v
 	}
 }
 
-// foldB folds src into v, with the strict compares MAX(S, e) / MIN(S, e)
-// perform per iteration (accAssign).
-func foldB[T num](op plan.AccOp, negate bool, v T, src []T) T {
+// acc folds one value x into v, with the strict compares MAX(S, e) /
+// MIN(S, e) perform per iteration (accAssign).
+func acc[T num](op plan.AccOp, negate bool, v, x T) T {
 	switch {
-	case op == plan.AccSum && negate:
-		for _, x := range src {
-			v -= x
-		}
+	case op == plan.AccSum && !negate:
+		v += x
 	case op == plan.AccSum:
-		for _, x := range src {
-			v += x
-		}
-	case op == plan.AccMax:
-		for _, x := range src {
-			if x > v {
-				v = x
-			}
-		}
-	default:
-		for _, x := range src {
-			if x < v {
-				v = x
-			}
-		}
+		v -= x
+	case op == plan.AccMax && x > v, op == plan.AccMin && x < v:
+		v = x
 	}
 	return v
 }
@@ -196,13 +218,7 @@ func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 	switch t := e.(type) {
 	case *forcelang.Ref:
 		if data, k, site, ok := c.spanSite(t); ok {
-			return func(pr *cproc, fr *frame, dst []float64) {
-				off, step := pr.k.at(k, site)
-				for x := range dst {
-					dst[x] = math.Float64frombits(data[off].Load())
-					off += step
-				}
-			}
+			return stage[float64](data, k, site)
 		}
 	case *forcelang.Intrinsic:
 		switch t.Name {
@@ -226,7 +242,7 @@ func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 			})
 		}
 	}
-	return bArith(e, d, c.bReal, (*kctx).reals)
+	return bArith(e, d, c.bReal, c.oReal, (*kctx).reals)
 }
 
 // bInt compiles an INTEGER expression to its block form, into buffer d.
@@ -248,13 +264,7 @@ func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 			}
 		}
 		if data, k, site, ok := c.spanSite(t); ok {
-			return func(pr *cproc, fr *frame, dst []int64) {
-				off, step := pr.k.at(k, site)
-				for x := range dst {
-					dst[x] = int64(data[off].Load())
-					off += step
-				}
-			}
+			return stage[int64](data, k, site)
 		}
 	case *forcelang.Intrinsic:
 		switch {
@@ -264,7 +274,18 @@ func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 			return c.bAsInt(t.Args[0], d, t.Name == "NINT")
 		}
 	}
-	return bArith(e, d, c.bInt, (*kctx).ints)
+	return bArith(e, d, c.bInt, c.oInt, (*kctx).ints)
+}
+
+// stage copies span-checked elements into dst for a node not reading them.
+func stage[T num](data []atomic.Uint64, k int64, site int) blk[T] {
+	return func(pr *cproc, fr *frame, dst []T) {
+		off, step := pr.k.at(k, site)
+		for x := range dst {
+			dst[x] = word[T](data[off].Load())
+			off += step
+		}
+	}
 }
 
 // bAsInt compiles a REAL expression taken to INTEGER: truncated (INT) or
@@ -285,7 +306,7 @@ func (c *compiler) bAsInt(e forcelang.Expr, d int, round bool) blk[int64] {
 
 // bArith compiles the nodes INTEGER and REAL spell alike — unary minus,
 // + - * /, ABS, MIN, MAX — over operands compiled by sub (bInt or bReal).
-func bArith[T num](e forcelang.Expr, d int, sub func(forcelang.Expr, int) blk[T], buf func(*kctx, int) []T) blk[T] {
+func bArith[T num](e forcelang.Expr, d int, sub func(forcelang.Expr, int) blk[T], opd func(forcelang.Expr, int, bool) opnd[T], buf func(*kctx, int) []T) blk[T] {
 	switch t := e.(type) {
 	case *forcelang.Un:
 		x := sub(t.X, d)
@@ -295,9 +316,21 @@ func bArith[T num](e forcelang.Expr, d int, sub func(forcelang.Expr, int) blk[T]
 				dst[k] = -v
 			}
 		}
-	case *forcelang.Bin:
-		op := t.Op
-		return bBin(d, sub(t.L, d), sub(t.R, d+1), buf, func(dst, src []T) { binB(op, dst, src) })
+	case *forcelang.Bin: // a buffer right operand fills dst when the left reads in place
+		l, rd := opd(t.L, d, false), d
+		if l.ev != nil {
+			rd = d + 1
+		}
+		switch r := opd(t.R, rd, true); t.Op {
+		case forcelang.OpAdd:
+			return (&binOp[T, opAdd]{d, l, r, buf}).run
+		case forcelang.OpSub:
+			return (&binOp[T, opSub]{d, l, r, buf}).run
+		case forcelang.OpMul:
+			return (&binOp[T, opMul]{d, l, r, buf}).run
+		default:
+			return (&binOp[T, opDiv]{d, l, r, buf}).run
+		}
 	case *forcelang.Intrinsic:
 		f, least := sub(t.Args[0], d), t.Name == "MIN"
 		switch t.Name {
@@ -335,32 +368,149 @@ func bBin[T num](d int, l, r blk[T], buf func(*kctx, int) []T, op func(dst, src 
 	}
 }
 
-func fill[T num](dst []T, v T) {
-	for k := range dst {
-		dst[k] = v
+// opnd is one operand of a block operator or one term of a block fold, in
+// one of three shapes: a buffer its subexpression fills (ev), a scalar the
+// plan hoists (s), evaluated once per block call, or a span-checked element
+// (data at site, coefficient k), read from the array's words in place.
+type opnd[T num] struct {
+	ev   blk[T]
+	s    func(*cproc, *frame) T
+	data []atomic.Uint64
+	k    int64
+	site int
+}
+
+// shape compiles e as an operand at buffer depth d; scalar false keeps a
+// hoisted e a buffer (the left of an operator: operands never commute).
+func shape[T num, F ~func(*cproc, *frame) T](c *compiler, e forcelang.Expr, d int, scalar bool, sub func(forcelang.Expr, int) blk[T], uni func(forcelang.Expr) F) opnd[T] {
+	if scalar && c.plan.Hoists(e) {
+		return opnd[T]{s: uni(e)}
+	}
+	if r, ok := e.(*forcelang.Ref); ok {
+		if data, k, site, ok := c.spanSite(r); ok {
+			return opnd[T]{data: data, k: k, site: site}
+		}
+	}
+	return opnd[T]{ev: sub(e, d)}
+}
+
+func (c *compiler) oReal(e forcelang.Expr, d int, sc bool) opnd[float64] {
+	return shape(c, e, d, sc, c.bReal, c.cReal)
+}
+func (c *compiler) oInt(e forcelang.Expr, d int, sc bool) opnd[int64] {
+	return shape(c, e, d, sc, c.bInt, c.cInt)
+}
+
+// binOp is a compiled l op r, dst[k] = l(k) op r(k).  A buffer left fills
+// dst and a buffer right buffer d+1, or dst itself under an element left.
+// An element's loop is each1 over its words re-sliced once at step 1, so Go
+// checks no index in it, else eachN with Go's check (as is an element right
+// of an element left).  A method: a closure inlined into its compiler loses
+// its loops' inlining.  Go compiles generic code once per underlying type;
+// O, the operator as BinOp + 1 bytes, makes op a constant folding arith.
+type binOp[T num, O opAdd | opSub | opMul | opDiv] struct {
+	d    int
+	l, r opnd[T]
+	buf  func(*kctx, int) []T
+}
+
+type (
+	opAdd [forcelang.OpAdd + 1]byte
+	opSub [forcelang.OpSub + 1]byte
+	opMul [forcelang.OpMul + 1]byte
+	opDiv [forcelang.OpDiv + 1]byte
+)
+
+func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
+	op, l, r, n := forcelang.BinOp(unsafe.Sizeof(*new(O)))-1, &b.l, &b.r, len(dst)
+	if l.ev != nil {
+		l.ev(pr, fr, dst)
+		switch {
+		case r.ev != nil:
+			src := b.buf(&pr.k, b.d+1)[:n]
+			r.ev(pr, fr, src)
+			for k, x := range dst {
+				dst[k] = arith(op, x, src[k])
+			}
+		case r.s != nil:
+			s := r.s(pr, fr)
+			for k, x := range dst {
+				dst[k] = arith(op, x, s)
+			}
+		default:
+			off, step := pr.k.at(r.k, r.site)
+			f := func(k int, x T) { dst[k] = arith(op, dst[k], x) }
+			if step == 1 {
+				each1(r.data[off:][:n], f)
+			} else {
+				eachN(r.data, off, step, n, f)
+			}
+		}
+		return
+	}
+	off, step := pr.k.at(l.k, l.site)
+	if r.ev != nil {
+		r.ev(pr, fr, dst)
+		f := func(k int, x T) { dst[k] = arith(op, x, dst[k]) }
+		if step == 1 {
+			each1(l.data[off:][:n], f)
+		} else {
+			eachN(l.data, off, step, n, f)
+		}
+		return
+	}
+	if r.s != nil {
+		s := r.s(pr, fr)
+		f := func(k int, x T) { dst[k] = arith(op, x, s) }
+		if step == 1 {
+			each1(l.data[off:][:n], f)
+		} else {
+			eachN(l.data, off, step, n, f)
+		}
+		return
+	}
+	roff, rstep := pr.k.at(r.k, r.site)
+	f := func(k int, x T) { dst[k] = arith(op, x, word[T](r.data[roff].Load())); roff += rstep }
+	if step == 1 {
+		each1(l.data[off:][:n], f)
+	} else {
+		eachN(l.data, off, step, n, f)
 	}
 }
 
-// binB applies one arithmetic operator element by element, dst op= src.
-// (An INTEGER body never holds a division: it can raise.)
-func binB[T num](op forcelang.BinOp, dst, src []T) {
-	src = src[:len(dst)]
+// each1 calls f(k, x) for each element x of the words w, in order.
+func each1[T num](w []atomic.Uint64, f func(int, T)) {
+	for k := range w {
+		f(k, word[T](w[k].Load()))
+	}
+}
+
+// eachN calls f(k, x) for the n elements data[off], data[off + step], ….
+func eachN[T num](data []atomic.Uint64, off, step int64, n int, f func(int, T)) {
+	for k := 0; k < n; k++ {
+		f(k, word[T](data[off].Load()))
+		off += step
+	}
+}
+
+// word is an element's value from its word.
+func word[T num](w uint64) T { return *(*T)(unsafe.Pointer(&w)) }
+
+// arith is a op b (an INTEGER body holds no /: it can raise).
+func arith[T num](op forcelang.BinOp, a, b T) T {
 	switch op {
 	case forcelang.OpAdd:
-		for k := range dst {
-			dst[k] += src[k]
-		}
+		return a + b
 	case forcelang.OpSub:
-		for k := range dst {
-			dst[k] -= src[k]
-		}
+		return a - b
 	case forcelang.OpMul:
-		for k := range dst {
-			dst[k] *= src[k]
-		}
-	default:
-		for k := range dst {
-			dst[k] /= src[k]
-		}
+		return a * b
+	}
+	return a / b
+}
+
+func fill[T num](dst []T, v T) {
+	for k := range dst {
+		dst[k] = v
 	}
 }

@@ -266,10 +266,11 @@ func TestSpanEnterAllocatesNothing(t *testing.T) {
 	if got, want := fmt.Sprint(pr.k.aff), "[-1 -1 64 0]"; got != want {
 		t.Errorf("rests %s, want %s", got, want)
 	}
-	// (A(I) + B(N + 1 - I)) + B(I + 1) leans left: two INTEGER buffers,
-	// no REAL one, each 16 wide for a 16-index span.
-	if cp.nI != 2 || cp.nR != 0 || cap(pr.k.b.bufI) != 2*16 || pr.k.b.bufR != nil {
-		t.Errorf("%d INTEGER and %d REAL buffers in %d and %d slots, want 2 and 0 in 32 and none",
+	// (A(I) + B(N + 1 - I)) + B(I + 1): the inner sum reads both elements
+	// in place into the statement's buffer, and the outer one its right
+	// element — one INTEGER buffer, no REAL one, 16 wide for a 16-index span.
+	if cp.nI != 1 || cp.nR != 0 || cap(pr.k.b.bufI) != 16 || pr.k.b.bufR != nil {
+		t.Errorf("%d INTEGER and %d REAL buffers in %d and %d slots, want 1 and 0 in 16 and none",
 			cp.nI, cp.nR, cap(pr.k.b.bufI), cap(pr.k.b.bufR))
 	}
 	if avg := testing.AllocsPerRun(100, enter); avg != 0 {
