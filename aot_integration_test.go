@@ -659,8 +659,8 @@ Join
 // walk would show.  The one thing each back end sizes for itself is the
 // grant of a selfscheduled loop (plan.Target.NsPerUnit), so the lines are
 // compared with its number taken out — and it must differ: the 20000-trip
-// loop's integer MOD keeps its body per iteration on the chunk tier, at
-// four times the native cost of a unit (a block-evaluated body, like ABLE's
+// loop's SQRT, which can raise, keeps its body per iteration on the chunk
+// tier, at four times the native cost of a unit (a block-evaluated body, like ABLE's
 // B(K) = 0.0, is sized at the native one).  Both say of
 // ABLE's 32-trip selfscheduled loop that it fits one grant and process 0
 // runs it, and neither says so of the 20000-trip one behind it.  Which
@@ -705,7 +705,7 @@ Selfsched DO K = 1, 32
   B(K) = 0.0
 End Selfsched DO
 Selfsched DO K = 1, 20000
-  S = S + MOD(K, 2)
+  S = S + INT(SQRT(REAL(K)))
 End Selfsched DO
 Presched DO K = 1, 32
   Critical L

@@ -491,6 +491,17 @@ End Declarations
 Produce C(4) = 1
 Join
 `},
+	// A MOD by the literal 0 can raise, so its DOALL stays per iteration
+	// and reports the fault at its own line.
+	{"mod-zero-doall", 1, `Force E of NP ident ME
+Shared Integer A(8)
+Private Integer I
+End Declarations
+Presched DO I = 1, 8
+  A(I) = MOD(I, 0) + 1
+End Presched DO
+Join
+`},
 	// A span that fails its end-point test runs the iterations before the
 	// offending one first, as the per-iteration check always did: at np = 1
 	// iteration 8 finds A(1) and A(7) stored and errs at line 8 (subscript
@@ -1584,7 +1595,8 @@ Join
 	// Statement at a time: later statements read and re-store what earlier
 	// ones stored at the same element, through an INTEGER / REAL round trip.
 	// Then the bodies the planner declines, each for its own reason — IF,
-	// integer MOD (and /), a private read outside its recurrence (a running
+	// integer MOD (and /) by a divisor that is not a nonzero literal (T is
+	// 0 there), a private read outside its recurrence (a running
 	// sum each process stores as it goes), a private temporary, SQRT.
 	{"block-statement-order-and-declined", 0, `Force BORD of NP ident ME
 Shared Integer A(300), B(300), C(300)
@@ -1608,7 +1620,7 @@ Presched DO I = 1, 300
   End IF
 End Presched DO
 Presched DO I = 1, 300
-  C(I) = MOD(A(I), 7) + B(I) / 2
+  C(I) = MOD(A(I), 7 + T) + B(I) / (2 + T)
 End Presched DO
 X = 0
 Presched DO I = 1, 300
@@ -1789,6 +1801,100 @@ Barrier
     T = T + W(I)
   End DO
   Print 'specials', Q(2), Q(7), Q(4), Q(5), P(2), P(7), P(8), P(10), T, W(1), W(64)
+End Barrier
+Join
+`},
+	// INTEGER / and MOD by nonzero literals, which cannot raise, so the
+	// bodies are block-evaluated: positive and negative divisors over
+	// negative dividends (both truncate toward zero, MOD taking the
+	// dividend's sign), -2⁶³ / -1 wrapping to -2⁶³ and MOD(-2⁶³, -1) = 0,
+	// a quotient folded, and a MOD of a uniform hoisted.
+	{"block-mod-div-literals", 0, `Force BMOD of NP ident ME
+Shared Integer A(300), Q(300), R(300), U(300), M(4), D(4)
+Shared Integer N, K, T
+Private Integer I, P
+End Declarations
+Barrier
+  N = 300
+  K = -17
+End Barrier
+Presched DO I = 1, N
+  A(I) = 150 - I * 7
+End Presched DO
+Presched DO I = 1, N
+  Q(I) = A(I) / 4 + A(I) / (-3) - A(I) / -1
+  R(I) = MOD(A(I), 5) * 100 + MOD(A(I), -6)
+  U(I) = MOD(I - 200, 7) - (I - 200) / 7 + MOD(K, 5) * 1000
+End Presched DO
+Presched DO I = 1, 4
+  M(I) = -9223372036854775807 - I
+End Presched DO
+Presched DO I = 1, 4
+  D(I) = M(I) / (-1) + MOD(M(I), -1)
+End Presched DO
+P = 0
+Presched DO I = 1, N
+  P = P + A(I) / -8 - MOD(A(I), 9)
+End Presched DO
+Print 'quotients', ME, P
+Barrier
+  T = 0
+  DO I = 1, N
+    T = T + Q(I) * 3 + R(I) * 5 + U(I) * 7
+  End DO
+  Print 'moddiv', T, Q(1), Q(300), R(1), R(300), U(1), U(300)
+  Print 'wrap', M(1), D(1), M(2), D(2), D(4)
+End Barrier
+Join
+`},
+	// A fold term that is an operator over elements, or an element and a
+	// scalar, folds inside that operator's one loop: INTEGER and REAL sums,
+	// negated sums, MAX and MIN, into shared accumulators and private
+	// recurrences, element coefficients 1, 2 and -1, an INTEGER MOD term,
+	// and a scalar left (a buffer, folded after it is filled).
+	{"block-fold-products", 0, `Force BFOLD of NP ident ME
+Shared Integer X(400), Y(800)
+Shared Real F(400), G(800)
+Shared Integer N, TOT, NEG, BIG, SMALL, MODS
+Shared Real RBIG, RSMALL
+Private Integer I, P, M
+Private Real S, D
+End Declarations
+Barrier
+  N = 400
+End Barrier
+Presched DO I = 1, 2 * N
+  Y(I) = MOD(I * 37, 101) - 50
+  G(I) = REAL(MOD(I * 13, 29)) * 0.125 - 1.7
+End Presched DO
+Presched DO I = 1, N
+  X(I) = 3 - MOD(I * 11, 17)
+  F(I) = 1.0 / REAL(I) - 0.55
+End Presched DO
+Presched DO I = 1, N
+  TOT = TOT + X(I) * Y(2 * I)
+  NEG = NEG - X(I) * 3
+  BIG = MAX(BIG, X(I) * Y(N + 1 - I))
+  SMALL = MIN(SMALL, Y(2 * I) - X(I))
+  MODS = MODS + MOD(Y(2 * I), -7)
+  RBIG = MAX(RBIG, F(I) * G(2 * I - 1))
+  RSMALL = MIN(RSMALL, F(N + 1 - I) / 3.0)
+End Presched DO
+P = 0
+M = -1000
+S = 0.25
+D = 0.0
+Presched DO I = 1, N
+  P = P + X(I) * Y(2 * I) - X(N + 1 - I) * 5 + 2 * X(I)
+  S = S + F(I) * G(2 * I)
+End Presched DO
+Presched DO I = 1, N
+  D = D - F(N + 1 - I) * 0.3
+  M = MAX(M, X(I) * Y(I))
+End Presched DO
+Print 'private folds', ME, P, M, S, D
+Barrier
+  Print 'shared folds', TOT, NEG, BIG, SMALL, MODS, RBIG, RSMALL
 End Barrier
 Join
 `},

@@ -4,21 +4,24 @@ package interp
 // only one, a body has a block form or a per-iteration form, never both.
 // internal/plan says which bodies qualify (Plan.PerIter): straight numeric
 // assignments to span-checked elements, folded accumulators and private
-// recurrences, whose expressions cannot raise and whose iterations a
-// process may run statement by statement.  Inside a span that passes the
-// end-point test chunkParDo walks blocks of at most blockWidth indices and
-// runs each statement over a whole block before the next: an expression
-// node is one call per BLOCK, a tight loop filling a typed scratch buffer
-// of the chunk context.  An operand of + - * / or a fold term is a buffer
-// its subexpression fills, or read inside that loop: a scalar the plan
-// hoists, a span-checked element from the array's words (opnd).  So A(I)
-// = A(I)*0.999 + B(I) makes three passes: multiply, add, store, a block's
-// stores being one call of a word-store kernel (storeBlock).  Folds take a
-// block in index order, so a REAL one rounds as the per-iteration loop
-// does.  That a body runs here is the plan's decision, rendered by forcerun
-// -v from the node (plan.Node.Narrate), not from this compilation.
-// Buffers are numbered by evaluation depth (a node fills d, a buffer right
-// operand d+1): a body needs as many as its deepest spine of buffer operands.
+// recurrences, whose expressions cannot raise (an INTEGER / or MOD only by
+// a nonzero literal) and whose iterations a process may run statement by
+// statement.  Inside a span that passes the end-point test chunkParDo walks
+// blocks of at most blockWidth indices and runs each statement over a whole
+// block before the next: an expression node is one call per BLOCK, a tight
+// loop filling a typed scratch buffer of the chunk context.  An operand of
+// + - * /, of an INTEGER MOD or a fold term is a buffer its subexpression
+// fills, or read inside that loop: a scalar the plan hoists, a span-checked
+// element from the array's words (opnd).  So A(I) = A(I)*0.999 + B(I) makes
+// three passes: multiply, add, store, a block's stores being one call of a
+// word-store kernel (storeBlock); and a fold term that is an operator over
+// operands read in place, dotsum's X(I) * Y(I), folds inside that
+// operator's one loop.  Folds take a block in index order, so a REAL one
+// rounds as the per-iteration loop does.  That a body runs here is the
+// plan's decision, rendered by forcerun -v from the node
+// (plan.Node.Narrate), not from this compilation.  Buffers are numbered by
+// evaluation depth (a node fills d, a buffer right operand d+1): a body
+// needs as many as its deepest spine of buffer operands.
 
 import (
 	"math"
@@ -84,16 +87,16 @@ func (c *compiler) blockAssign(t *forcelang.Assign) stmtFn {
 	case scPrivate: // a recurrence, folded into the private's own slot
 		slot, terms := sym.Slot, plan.MatchRecur(t)
 		if real {
-			return foldStmt(terms, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &fr.priv[slot].r })
+			return foldStmt(c, terms, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &fr.priv[slot].r })
 		}
-		return foldStmt(terms, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &fr.priv[slot].i })
+		return foldStmt(c, terms, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &fr.priv[slot].i })
 	case scShared: // a folded accumulator, into the slot flush folds
 		acc, _ := plan.MatchAccum(t)
 		si, _ := c.plan.Fold(sym)
 		if real {
-			return foldStmt([]plan.Accum{acc}, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &pr.k.accR[si] })
+			return foldStmt(c, []plan.Accum{acc}, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &pr.k.accR[si] })
 		}
-		return foldStmt([]plan.Accum{acc}, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &pr.k.accI[si] })
+		return foldStmt(c, []plan.Accum{acc}, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &pr.k.accI[si] })
 	}
 	data, k, site, ok := c.spanSite(&t.Target)
 	if !ok {
@@ -142,68 +145,170 @@ func words[T num](buf []T) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(buf))), len(buf))
 }
 
-// foldStmt compiles an accumulate or a recurrence: each term (buffer 0, a
-// scalar or an element read in place) folds into at in index order.
-func foldStmt[T num](terms []plan.Accum, opd func(forcelang.Expr, int, bool) opnd[T], buf func(*kctx, int) []T, at func(*cproc, *frame) *T) stmtFn {
-	f := &fold[T]{terms, make([]opnd[T], len(terms)), buf, at}
+// foldStmt compiles an accumulate or a recurrence: each term folds into at
+// in index order, in a loop compiled for its accumulate operator — an
+// operator over operands read in place inside that operator's own loop
+// (foldOp), any other term read as an operand (foldIn).
+func foldStmt[T num](c *compiler, terms []plan.Accum, opd func(forcelang.Expr, int, bool) opnd[T], buf func(*kctx, int) []T, at func(*cproc, *frame) *T) stmtFn {
+	f := &fold[T]{make([]term[T], len(terms)), at}
 	for i, tm := range terms {
-		f.ops[i] = opd(tm.Operand, 0, true)
+		if op, l, r, ok := operator(tm.Operand); ok && c.inPlace(l, false) && c.inPlace(r, true) {
+			f.terms[i] = newTerm(tm, op, opd(l, 0, false), opd(r, 0, true), buf)
+		} else {
+			f.terms[i] = newTerm(tm, 0, opd(tm.Operand, 0, true), opnd[T]{}, buf)
+		}
 	}
 	return f.run
 }
 
 // fold is a compiled foldStmt; a method, as binOp is.
 type fold[T num] struct {
-	terms []plan.Accum
-	ops   []opnd[T]
-	buf   func(*kctx, int) []T
+	terms []term[T]
 	at    func(*cproc, *frame) *T
 }
 
+// term folds one term's values at the block's indices into v, in order.
+type term[T num] func(pr *cproc, fr *frame, v T) T
+
 func (f *fold[T]) run(pr *cproc, fr *frame) {
-	p, n := f.at(pr, fr), pr.k.b.n
-	for i, o := range f.ops {
-		op, neg, v := f.terms[i].Op, f.terms[i].Negate, *p
-		switch {
-		case o.ev != nil:
-			tmp := f.buf(&pr.k, 0)
-			o.ev(pr, fr, tmp)
-			for _, x := range tmp {
-				v = acc(op, neg, v, x)
-			}
-		case o.s != nil: // n folds: an extremum's once, an INTEGER sum's one wrapping product
-			x, m := o.s(pr, fr), n
-			if _, integer := any(x).(int64); integer && op == plan.AccSum {
-				x, m = x*T(n), 1
-			} else if op != plan.AccSum {
-				m = 1
-			}
-			for ; m > 0; m-- {
-				v = acc(op, neg, v, x)
-			}
-		default:
-			off, step := pr.k.at(o.k, o.site)
-			g := func(_ int, x T) { v = acc(op, neg, v, x) }
-			if step == 1 {
-				each1(o.data[off:][:n], g)
-			} else {
-				eachN(o.data, off, step, n, g)
-			}
-		}
-		*p = v
+	p := f.at(pr, fr)
+	for _, t := range f.terms {
+		*p = t(pr, fr, *p)
 	}
+}
+
+// The accumulate operators a fold term's loop is compiled for, each a type
+// whose size is its code, as binOp's operator is.
+type (
+	accAdd [1]byte // S = S + e
+	accSub [2]byte // S = S - e
+	accMax [3]byte // S = MAX(S, e)
+	accMin [4]byte // S = MIN(S, e)
+)
+
+type accOp interface {
+	accAdd | accSub | accMax | accMin
 }
 
 // acc folds one value x into v, with the strict compares MAX(S, e) /
 // MIN(S, e) perform per iteration (accAssign).
-func acc[T num](op plan.AccOp, negate bool, v, x T) T {
+func acc[T num, A accOp](v, x T) T {
+	switch unsafe.Sizeof(*new(A)) {
+	case unsafe.Sizeof(accAdd{}):
+		return v + x
+	case unsafe.Sizeof(accSub{}):
+		return v - x
+	case unsafe.Sizeof(accMax{}):
+		if x > v {
+			return x
+		}
+	default:
+		if x < v {
+			return x
+		}
+	}
+	return v
+}
+
+// newTerm compiles a fold term for its accumulate operator: the operand l
+// when op is 0 (foldIn), else l op r, l an element and r an element or a
+// scalar, folded inside the operator's one loop (foldOp).
+func newTerm[T num](a plan.Accum, op uintptr, l, r opnd[T], buf func(*kctx, int) []T) term[T] {
 	switch {
-	case op == plan.AccSum && !negate:
-		v += x
-	case op == plan.AccSum:
-		v -= x
-	case op == plan.AccMax && x > v, op == plan.AccMin && x < v:
-		v = x
+	case a.Op == plan.AccMax:
+		return accTerm[T, accMax](op, l, r, buf)
+	case a.Op == plan.AccMin:
+		return accTerm[T, accMin](op, l, r, buf)
+	case a.Negate:
+		return accTerm[T, accSub](op, l, r, buf)
+	}
+	return accTerm[T, accAdd](op, l, r, buf)
+}
+
+func accTerm[T num, A accOp](op uintptr, l, r opnd[T], buf func(*kctx, int) []T) term[T] {
+	switch op {
+	case 0:
+		return (&foldIn[T, A]{l, buf}).run
+	case unsafe.Sizeof(opAdd{}):
+		return (&foldOp[T, A, opAdd]{l, r}).run
+	case unsafe.Sizeof(opSub{}):
+		return (&foldOp[T, A, opSub]{l, r}).run
+	case unsafe.Sizeof(opMul{}):
+		return (&foldOp[T, A, opMul]{l, r}).run
+	case unsafe.Sizeof(opDiv{}):
+		return (&foldOp[T, A, opDiv]{l, r}).run
+	}
+	return (&foldOp[T, A, opMod]{l, r}).run
+}
+
+// foldIn is a fold term read as one operand: buffer 0 its subexpression
+// fills, a scalar folded n times (an extremum's once, an INTEGER sum's one
+// wrapping product), or an element folded in place.
+type foldIn[T num, A accOp] struct {
+	o   opnd[T]
+	buf func(*kctx, int) []T
+}
+
+func (f *foldIn[T, A]) run(pr *cproc, fr *frame, v T) T {
+	o, n := &f.o, pr.k.b.n
+	switch {
+	case o.ev != nil:
+		tmp := f.buf(&pr.k, 0)
+		o.ev(pr, fr, tmp)
+		for _, x := range tmp {
+			v = acc[T, A](v, x)
+		}
+	case o.s != nil:
+		x, m := o.s(pr, fr), n
+		if sum := unsafe.Sizeof(*new(A)) <= unsafe.Sizeof(accSub{}); !sum {
+			m = 1
+		} else if _, integer := any(x).(int64); integer {
+			x, m = x*T(n), 1
+		}
+		for ; m > 0; m-- {
+			v = acc[T, A](v, x)
+		}
+	default:
+		off, step := pr.k.at(o.k, o.site)
+		g := func(_ int, x T) { v = acc[T, A](v, x) }
+		if step == 1 {
+			each1(o.data[off:][:n], g)
+		} else {
+			eachN(o.data, off, step, n, g)
+		}
+	}
+	return v
+}
+
+// foldOp is a fold term l O r over an element l and an element or scalar
+// r, folded by A in the operator's one loop: no buffer, one pass.
+type foldOp[T num, A accOp, O binOps] struct{ l, r opnd[T] }
+
+func (f *foldOp[T, A, O]) run(pr *cproc, fr *frame, v T) T {
+	l, r, n := &f.l, &f.r, pr.k.b.n
+	off, step := pr.k.at(l.k, l.site)
+	// A REAL term is rounded before it is folded, v += T(x * y): without
+	// the conversion Go may fuse v + x*y into one FMA on arm64, ppc64le
+	// and s390x, rounding once where the per-iteration loop rounds twice.
+	if r.s != nil {
+		s := r.s(pr, fr)
+		g := func(_ int, x T) { v = acc[T, A](v, T(arith[T, O](x, s))) }
+		if step == 1 {
+			each1(l.data[off:][:n], g)
+		} else {
+			eachN(l.data, off, step, n, g)
+		}
+		return v
+	}
+	roff, rstep := pr.k.at(r.k, r.site)
+	g := func(_ int, x T) {
+		v = acc[T, A](v, T(arith[T, O](x, word[T](r.data[roff].Load()))))
+		roff += rstep
+	}
+	if step == 1 {
+		each1(l.data[off:][:n], g)
+	} else {
+		eachN(l.data, off, step, n, g)
 	}
 	return v
 }
@@ -305,8 +410,16 @@ func (c *compiler) bAsInt(e forcelang.Expr, d int, round bool) blk[int64] {
 }
 
 // bArith compiles the nodes INTEGER and REAL spell alike — unary minus,
-// + - * /, ABS, MIN, MAX — over operands compiled by sub (bInt or bReal).
+// + - * /, ABS, MIN, MAX — and INTEGER MOD over operands compiled by sub
+// (bInt or bReal).
 func bArith[T num](e forcelang.Expr, d int, sub func(forcelang.Expr, int) blk[T], opd func(forcelang.Expr, int, bool) opnd[T], buf func(*kctx, int) []T) blk[T] {
+	if op, l, r, ok := operator(e); ok { // a buffer right operand fills dst when the left reads in place
+		lo, rd := opd(l, d, false), d
+		if lo.ev != nil {
+			rd = d + 1
+		}
+		return newBinOp(op, d, lo, opd(r, rd, true), buf)
+	}
 	switch t := e.(type) {
 	case *forcelang.Un:
 		x := sub(t.X, d)
@@ -315,21 +428,6 @@ func bArith[T num](e forcelang.Expr, d int, sub func(forcelang.Expr, int) blk[T]
 			for k, v := range dst {
 				dst[k] = -v
 			}
-		}
-	case *forcelang.Bin: // a buffer right operand fills dst when the left reads in place
-		l, rd := opd(t.L, d, false), d
-		if l.ev != nil {
-			rd = d + 1
-		}
-		switch r := opd(t.R, rd, true); t.Op {
-		case forcelang.OpAdd:
-			return (&binOp[T, opAdd]{d, l, r, buf}).run
-		case forcelang.OpSub:
-			return (&binOp[T, opSub]{d, l, r, buf}).run
-		case forcelang.OpMul:
-			return (&binOp[T, opMul]{d, l, r, buf}).run
-		default:
-			return (&binOp[T, opDiv]{d, l, r, buf}).run
 		}
 	case *forcelang.Intrinsic:
 		f, least := sub(t.Args[0], d), t.Name == "MIN"
@@ -394,6 +492,19 @@ func shape[T num, F ~func(*cproc, *frame) T](c *compiler, e forcelang.Expr, d in
 	return opnd[T]{ev: sub(e, d)}
 }
 
+// inPlace reports whether shape reads e in place: a span-checked element,
+// or under scalar a scalar the plan hoists.
+func (c *compiler) inPlace(e forcelang.Expr, scalar bool) bool {
+	if scalar && c.plan.Hoists(e) {
+		return true
+	}
+	r, ok := e.(*forcelang.Ref)
+	if ok {
+		_, ok = c.plan.SpanCheck(r)
+	}
+	return ok
+}
+
 func (c *compiler) oReal(e forcelang.Expr, d int, sc bool) opnd[float64] {
 	return shape(c, e, d, sc, c.bReal, c.cReal)
 }
@@ -407,22 +518,58 @@ func (c *compiler) oInt(e forcelang.Expr, d int, sc bool) opnd[int64] {
 // checks no index in it, else eachN with Go's check (as is an element right
 // of an element left).  A method: a closure inlined into its compiler loses
 // its loops' inlining.  Go compiles generic code once per underlying type;
-// O, the operator as BinOp + 1 bytes, makes op a constant folding arith.
-type binOp[T num, O opAdd | opSub | opMul | opDiv] struct {
+// O, the operator as a type whose size is its code, folds arith's switch.
+type binOp[T num, O binOps] struct {
 	d    int
 	l, r opnd[T]
 	buf  func(*kctx, int) []T
 }
 
+// The block operators, each a type whose size is its code: forcelang's
+// BinOp + 1 for + - * /, and INTEGER MOD past them.
 type (
 	opAdd [forcelang.OpAdd + 1]byte
 	opSub [forcelang.OpSub + 1]byte
 	opMul [forcelang.OpMul + 1]byte
 	opDiv [forcelang.OpDiv + 1]byte
+	opMod [forcelang.OpDiv + 2]byte
 )
 
+type binOps interface {
+	opAdd | opSub | opMul | opDiv | opMod
+}
+
+// operator reads e as a block operator, + - * / or an INTEGER MOD: its
+// code (the size of its type) and its two operands.
+func operator(e forcelang.Expr) (op uintptr, l, r forcelang.Expr, ok bool) {
+	switch t := e.(type) {
+	case *forcelang.Bin:
+		return uintptr(t.Op) + 1, t.L, t.R, t.Op <= forcelang.OpDiv
+	case *forcelang.Intrinsic:
+		if t.Name == "MOD" && t.Type() == forcelang.TInt {
+			return unsafe.Sizeof(opMod{}), t.Args[0], t.Args[1], true
+		}
+	}
+	return 0, nil, nil, false
+}
+
+// newBinOp compiles l op r into buffer d.
+func newBinOp[T num](op uintptr, d int, l, r opnd[T], buf func(*kctx, int) []T) blk[T] {
+	switch op {
+	case unsafe.Sizeof(opAdd{}):
+		return (&binOp[T, opAdd]{d, l, r, buf}).run
+	case unsafe.Sizeof(opSub{}):
+		return (&binOp[T, opSub]{d, l, r, buf}).run
+	case unsafe.Sizeof(opMul{}):
+		return (&binOp[T, opMul]{d, l, r, buf}).run
+	case unsafe.Sizeof(opDiv{}):
+		return (&binOp[T, opDiv]{d, l, r, buf}).run
+	}
+	return (&binOp[T, opMod]{d, l, r, buf}).run
+}
+
 func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
-	op, l, r, n := forcelang.BinOp(unsafe.Sizeof(*new(O)))-1, &b.l, &b.r, len(dst)
+	l, r, n := &b.l, &b.r, len(dst)
 	if l.ev != nil {
 		l.ev(pr, fr, dst)
 		switch {
@@ -430,16 +577,16 @@ func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
 			src := b.buf(&pr.k, b.d+1)[:n]
 			r.ev(pr, fr, src)
 			for k, x := range dst {
-				dst[k] = arith(op, x, src[k])
+				dst[k] = arith[T, O](x, src[k])
 			}
 		case r.s != nil:
 			s := r.s(pr, fr)
 			for k, x := range dst {
-				dst[k] = arith(op, x, s)
+				dst[k] = arith[T, O](x, s)
 			}
 		default:
 			off, step := pr.k.at(r.k, r.site)
-			f := func(k int, x T) { dst[k] = arith(op, dst[k], x) }
+			f := func(k int, x T) { dst[k] = arith[T, O](dst[k], x) }
 			if step == 1 {
 				each1(r.data[off:][:n], f)
 			} else {
@@ -451,7 +598,7 @@ func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
 	off, step := pr.k.at(l.k, l.site)
 	if r.ev != nil {
 		r.ev(pr, fr, dst)
-		f := func(k int, x T) { dst[k] = arith(op, x, dst[k]) }
+		f := func(k int, x T) { dst[k] = arith[T, O](x, dst[k]) }
 		if step == 1 {
 			each1(l.data[off:][:n], f)
 		} else {
@@ -461,7 +608,7 @@ func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
 	}
 	if r.s != nil {
 		s := r.s(pr, fr)
-		f := func(k int, x T) { dst[k] = arith(op, x, s) }
+		f := func(k int, x T) { dst[k] = arith[T, O](x, s) }
 		if step == 1 {
 			each1(l.data[off:][:n], f)
 		} else {
@@ -470,7 +617,7 @@ func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
 		return
 	}
 	roff, rstep := pr.k.at(r.k, r.site)
-	f := func(k int, x T) { dst[k] = arith(op, x, word[T](r.data[roff].Load())); roff += rstep }
+	f := func(k int, x T) { dst[k] = arith[T, O](x, word[T](r.data[roff].Load())); roff += rstep }
 	if step == 1 {
 		each1(l.data[off:][:n], f)
 	} else {
@@ -496,15 +643,20 @@ func eachN[T num](data []atomic.Uint64, off, step int64, n int, f func(int, T)) 
 // word is an element's value from its word.
 func word[T num](w uint64) T { return *(*T)(unsafe.Pointer(&w)) }
 
-// arith is a op b (an INTEGER body holds no /: it can raise).
-func arith[T num](op forcelang.BinOp, a, b T) T {
-	switch op {
-	case forcelang.OpAdd:
+// arith is a O b.  An INTEGER / or MOD has a nonzero literal divisor (the
+// plan's cannot-raise rule), so neither raises; MOD is INTEGER's alone, a
+// REAL MOD being forcert.ModReal's.  Go's / and % are forcert's: -2⁶³ / -1
+// wraps to -2⁶³ and -2⁶³ % -1 is 0.
+func arith[T num, O binOps](a, b T) T {
+	switch unsafe.Sizeof(*new(O)) {
+	case unsafe.Sizeof(opAdd{}):
 		return a + b
-	case forcelang.OpSub:
+	case unsafe.Sizeof(opSub{}):
 		return a - b
-	case forcelang.OpMul:
+	case unsafe.Sizeof(opMul{}):
 		return a * b
+	case unsafe.Sizeof(opMod{}):
+		return T(int64(a) % int64(b))
 	}
 	return a / b
 }

@@ -135,7 +135,7 @@ func TestSpanCheckNarration(t *testing.T) {
 	// The reasons the corpus has no program for, first reason first.
 	for _, tc := range []struct{ decl, body, want string }{
 		{"Integer A(64), B(64)", "A(I) = A(I - 1) + B(I)", "writes A, not proven disjoint"},
-		{"Integer A(64), B(64)", "A(I) = B(I) / 2", "integer /"},
+		{"Integer A(64), B(64)", "A(I) = B(I) / (K + 2)", "integer /"}, // a divisor that is not a nonzero literal
 		{"Integer A(64), B(64)", "DO K = 1, 2\nA(I) = B(I) + K\nEnd DO", "sequential DO"},
 		{"Integer A(64), B(64)", "A(I) = B(MOD(I, 64) + 1)", "checks B per iteration"},
 		{"Integer A(64), B(64), S", "S = I\nA(I) = B(I)", "writes S, not one folded accumulator"},
@@ -425,6 +425,7 @@ func BenchmarkSpanBody(b *testing.B) {
 		{"stream", "Real A(16386), B(16386)", "Presched", "A(I) = A(I) * 0.999 + B(I)"},
 		{"stencil", "Real A(16386), B(16386)", "Presched", "B(I) = (A(I - 1) + A(I) + A(I + 1)) / 3.0"},
 		{"dotsum", "Integer A(16386), B(16386)", "Selfsched", "MINE = MINE + A(I) * B(I) + S"},
+		{"dotsum-init", "Integer A(16386), B(16386)", "Presched", "A(I) = MOD(I * 7, 11) - 5"},
 		{"declined", "Real A(16386), B(16386)", "Presched", "A(I) = A(I - 1) * 0.999 + B(I)"},
 	} {
 		prog := forcelang.MustParse(fmt.Sprintf(`Force BODY of NP ident ME

@@ -261,9 +261,10 @@ func (p *Plan) elementwise(body []forcelang.Stmt) string {
 
 // perIter names the first thing in e, in evaluation order, a block
 // evaluation cannot hoist out of the iteration: an operation that can
-// raise (integer /, integer MOD, SQRT: the one cannot-raise rule) or an
-// element reference SpanCheck leaves to the per-iteration check.  Under
-// hoist it also names any reference that is not a uniform scalar (Hoists).
+// raise (SQRT, an integer / or MOD but by a nonzero literal: the one
+// cannot-raise rule) or an element reference SpanCheck leaves to the
+// per-iteration check.  Under hoist it also names any reference that is
+// not a uniform scalar (Hoists).
 func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	switch t := e.(type) {
 	case *forcelang.Ref:
@@ -277,7 +278,7 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	case *forcelang.Un:
 		return p.perIter(t.X, hoist)
 	case *forcelang.Bin:
-		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal {
+		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal && !nonzeroLit(t.R) {
 			return "integer /"
 		} else if why := p.perIter(t.L, hoist); why != "" {
 			return why
@@ -286,7 +287,7 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	case *forcelang.Intrinsic:
 		if t.Name == "SQRT" {
 			return "SQRT"
-		} else if t.Name == "MOD" && e.Type() != forcelang.TReal {
+		} else if t.Name == "MOD" && e.Type() != forcelang.TReal && !nonzeroLit(t.Args[1]) {
 			return "integer MOD"
 		}
 		for _, x := range t.Args {
@@ -296,6 +297,16 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 		}
 	}
 	return ""
+}
+
+// nonzeroLit reports whether e is a nonzero INTEGER literal, with or
+// without a unary minus: a divisor forcert.Div and ModInt cannot raise on.
+func nonzeroLit(e forcelang.Expr) bool {
+	if u, ok := e.(*forcelang.Un); ok && u.Neg {
+		e = u.X
+	}
+	lit, ok := e.(*forcelang.IntLit)
+	return ok && lit.Value != 0
 }
 
 // Accum is one recognised shared-accumulate statement: the fold

@@ -346,8 +346,14 @@ func TestElementwise(t *testing.T) {
 		{"TOT = I", 0, "writes TOT, not one folded accumulator"},
 		{"IF (I .GT. 3) THEN\nA(I) = 0.0\nEnd IF", 0, "IF"},
 		{"DO K = 1, 2\nA(I) = 0.0\nEnd DO", 0, "sequential DO"},
-		{"L(I) = L(I) / 2", 0, "integer /"},
-		{"L(I) = MOD(I, 3)", 0, "integer MOD"},
+		// A nonzero literal divisor cannot raise; any other divisor can.
+		{"L(I) = L(I) / 2", 0, ""},
+		{"L(I) = MOD(I, 3)", 0, ""},
+		{"L(I) = MOD(I, -3)", 0, ""},
+		{"L(I) = MOD(I, K0)", 0, "integer MOD"},
+		{"L(I) = MOD(I, 0)", 0, "integer MOD"},
+		{"L(I) = L(I) / K0", 0, "integer /"},
+		{"L(I) = L(I) / 0", 0, "integer /"},
 		{"A(I) = SQRT(B(I))", 0, "SQRT"},
 		{"A(I) = B(L(I))", 0, "checks B per iteration"},
 		{"A(I) = W(2)", 0, "checks W per iteration"},
@@ -355,7 +361,7 @@ func TestElementwise(t *testing.T) {
 		{"F(I) = A(I) .GT. 0.0", 0, "LOGICAL F"},
 	} {
 		prog := parse(t, "Force EW of NP ident ME\nShared Real A(64), B(64), BIG\nShared Integer L(64), N, TOT\nShared Logical F(64)\n"+
-			"Private Integer I, K, K0\nPrivate Real X, W(4)\nEnd Declarations\nPresched DO I = 1, 63\n"+tc.body+"\nEnd Presched DO\nJoin\n")
+			"Private Integer I, K, K0, K1\nPrivate Real X, W(4)\nEnd Declarations\nPresched DO I = 1, 63\n"+tc.body+"\nEnd Presched DO\nJoin\n")
 		loop := prog.Body[0].(*forcelang.ParDo)
 		p, reason := Classify(loop)
 		if p == nil {
@@ -366,6 +372,23 @@ func TestElementwise(t *testing.T) {
 		}
 		if first, ok := loop.Body[0].(*forcelang.Assign); ok && len(MatchRecur(first)) != tc.terms {
 			t.Errorf("%q: MatchRecur finds %d terms, want %d", tc.body, len(MatchRecur(first)), tc.terms)
+		}
+	}
+	// Hoists applies the same rule: a uniform MOD by a nonzero literal is
+	// evaluated once per construct, one by a uniform scalar is not.
+	for _, tc := range []struct {
+		expr   string
+		hoists bool
+	}{{"MOD(K0, 3)", true}, {"MOD(K0, K1)", false}} {
+		prog := parse(t, "Force EWH of NP ident ME\nShared Integer L(64)\nPrivate Integer I, K0, K1\nEnd Declarations\n"+
+			"Presched DO I = 1, 63\nL(I) = "+tc.expr+"\nEnd Presched DO\nJoin\n")
+		loop := prog.Body[0].(*forcelang.ParDo)
+		p, reason := Classify(loop)
+		if p == nil {
+			t.Fatalf("%q: no plan: %s", tc.expr, reason)
+		}
+		if got := p.Hoists(loop.Body[0].(*forcelang.Assign).Expr); got != tc.hoists {
+			t.Errorf("Hoists(%s) = %v, want %v", tc.expr, got, tc.hoists)
 		}
 	}
 	prog := parse(t, "Force EW2 of NP ident ME\nShared Real A(8, 8)\nPrivate Integer I, J\nEnd Declarations\n"+

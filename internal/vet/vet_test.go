@@ -68,6 +68,8 @@ func TestRuntimeErrorCorpus(t *testing.T) {
 		"mod-zero":      "FV003@4",
 		"zero-step":     "FV003@4",
 		"async-bounds":  "FV003@4",
+		// Inside a DOALL the fault depends on the iteration.
+		"mod-zero-doall": "FV002@6",
 		// Iteration 8 reads what iterations 1 and 7 store: the race is
 		// the probe (the program is pinned at np = 1).
 		"span-earlier-stores": "FV101@6",
