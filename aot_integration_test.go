@@ -391,7 +391,7 @@ func TestAOTWarmCacheNoRebuilds(t *testing.T) {
 	}
 }
 
-// TestAOTOneBinaryEveryConfiguration: the five runtime options are flags
+// TestAOTOneBinaryEveryConfiguration: the four runtime options are flags
 // of the generated binary.  One program exercising everything they govern
 // — a Selfsched DO, a selfscheduled Pcase, an Askfor, a GSUM, a Barrier
 // section — runs through one cache under all 2×2×3×2 configurations (the

@@ -14,13 +14,15 @@
 //	<key>/plan       the DOALL decisions the binary was emitted from, one per line
 //	<key>/lock       cross-process build lock (flock)
 //
-// The key is the text and only the text: the force size and the five
-// runtime options (Options) are flags of the generated binary, so one
-// cache entry serves every configuration, while an edited comment is a
-// new entry — the price of a binary whose error and plan lines are its
-// own file's.  Builds are single-flight within a process (per-key mutex)
-// and across processes (flock), and a truncated or missing binary is
-// classified stale and rebuilt rather than executed.
+// The key (hash.go) is the text and what makes a binary of it: the
+// recipe (the digest of the sources the binary is built from, pinned in
+// recipe.sum), the toolchain and the build environment.  The force size
+// and the four runtime options (Options) are flags of the generated
+// binary, so one cache entry serves every configuration, while an edited
+// comment is a new entry — the price of a binary whose error and plan
+// lines are its own file's.  Builds are single-flight within a process
+// (per-key mutex) and across processes (flock), and a truncated or
+// missing binary is classified stale and rebuilt rather than executed.
 package aot
 
 import (

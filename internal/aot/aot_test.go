@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -194,78 +195,49 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestOldFormatEntryNotServed: an entry built by an earlier emitter — the
-// per-iteration one (format version 1), the span emitter with its
-// run-time helpers in a prelude (version 2), the one before grants and
-// ridden barriers (version 3), the one with a second reduction lowering
-// (version 4), the one that baked the runtime options in and keyed by
-// the AST (version 5), the one whose plan predates the fixed owner of a
-// loop within one grant (version 6), the one that left Go to fold REAL
-// arithmetic on literals (version 7), the one that did so for INTEGER
-// arithmetic (version 8), the one whose sequential DO tested its index
-// against the end (version 9), the one whose scheduler counted a huge
-// DOALL range signed (version 10) or the one that named an async scalar
-// core.AsyncCell (version 11) — lives under a key no current lookup
-// computes, so
-// it is never served: Ensure builds a fresh entry beside them, with the
-// plan the new emitter read recorded.
-func TestOldFormatEntryNotServed(t *testing.T) {
+// TestStaleEntryNotServed: an entry built from other code — under
+// another recipe, as after an edit of the planner, the emitter or the
+// runtime a binary links, or by another toolchain — lives under a key no
+// current lookup computes, so it is never served: Ensure builds one
+// fresh entry beside them, with the plan the current emitter read.
+func TestStaleEntryNotServed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary")
 	}
 	c := openTestCache(t)
 	prog := forcelang.MustParse(runSrc)
-	// The keys runSrc had while formatVersion was 1 to 14 (Key at the
-	// commits before the span emitter, before internal/forcert, before the
-	// planner's grants, before the one closing collective, before the
-	// text key, before the fixed owner, before forcert.Real, before
-	// INTEGER constant arithmetic went through forcert.Int, before a
-	// sequential DO ran by its trip count, before a DOALL range was
-	// counted from its unsigned span, before core.AsyncCell went and,
-	// with the build environment unset, before index pairs saturated,
-	// before the checker placed implicit conversions and before the span
-	// form of a block-dealt DOALL).
-	oldKeys := map[int]string{
-		1:  "3e7cb792cb50eba21a12dbd6f7dfbac0fe6160673ff821e4e6d5c4a3c6a9e091",
-		2:  "025813ad5e7c9519ff2bcec48dab2e9a1f45d40c120a952b92beab2bdd560136",
-		3:  "83d032927fc0d76e9c9ed4500bc4245de432bfc0cd69571a56c45941d08ec470",
-		4:  "4fcc29f76b3d6e63f55b390e2f0d102291ee84fa92efdfbff54f1973d275dd79",
-		5:  "7e2e7ad8a9ba4e612f68a54b96e3b3d82dce3d0132074c9611c473cbf9b159f9",
-		6:  "dfa8e0aadeca348197ae6f83ceed2fe20d2073bde633a5a1bc941972cce447b6",
-		7:  "ae1a3bf0f93516270e83105c53e9df3684659337f0d352eddc51062b515c85cc",
-		8:  "b8bcc05534e02b300dcf4ae4f1e4aacd838f5da53f9c303e4e6b3fd5f6b66988",
-		9:  "5ec2a5b8395dc331edae4f991416d89a1c10081a368352f6380536f9ff140751",
-		10: "8195505f235c08047402fadd7d63be861a45194240ef44457235109491ace17e",
-		11: "3ffe8eb7e9e48cf24e5e3654add2c6d6040450a95acc87216d9a1ff74f2f75e3",
-		12: "3cef2eefcf9916f9a0399549090c721b439189acc221e7b273fc737fd07f72ca",
-		13: "0c7cd2be9ca786f929deb820963bf95781a221fcf1d585b67c397da42433295a",
-		14: "663026763a236053ef08b636ea77b87a91f2d1b4cdf864083093e9cf1ed60ed3",
+	if got := key(prog, recipe, runtime.Version()); got != Key(prog) {
+		t.Fatalf("key(recipe, runtime.Version()) = %s, Key = %s: the planted keys would differ for another reason", got, Key(prog))
 	}
-	// Plant complete, self-consistent old entries whose "binary" would
-	// fail loudly if anything executed it.
-	for v, oldKey := range oldKeys {
-		if oldKey == Key(prog) {
-			t.Fatalf("format version %d still computes the current key", v)
+	staleKeys := map[string]string{
+		"another recipe":    key(prog, strings.Repeat("0", 64)+"\n", runtime.Version()),
+		"another toolchain": key(prog, recipe, "go1.0"),
+	}
+	// Plant complete, self-consistent entries whose "binary" would fail
+	// loudly if anything executed it.
+	for why, staleKey := range staleKeys {
+		if staleKey == Key(prog) {
+			t.Fatalf("%s computes the current key", why)
 		}
-		oldDir := c.entryDir(oldKey)
-		if err := os.MkdirAll(oldDir, 0o755); err != nil {
+		dir := c.entryDir(staleKey)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		stale := []byte("#!/bin/sh\necho served a version-" + strconv.Itoa(v) + " entry >&2\nexit 3\n")
-		if err := os.WriteFile(filepath.Join(oldDir, "force.bin"), stale, 0o755); err != nil {
+		stale := []byte("#!/bin/sh\necho served the entry of " + why + " >&2\nexit 3\n")
+		if err := os.WriteFile(filepath.Join(dir, "force.bin"), stale, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		meta := `{"program":"RUN","key":"` + oldKey + `","bin_size":` + strconv.Itoa(len(stale)) + `}`
-		if err := os.WriteFile(filepath.Join(oldDir, "meta.json"), []byte(meta), 0o644); err != nil {
+		meta := `{"program":"RUN","key":"` + staleKey + `","bin_size":` + strconv.Itoa(len(stale)) + `}`
+		if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte(meta), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if old, st := c.lookup(oldKey); st != lookupHit || old == nil {
-			t.Fatalf("planted version-%d entry is not well-formed (state %d): the test would pass vacuously", v, st)
+		if e, st := c.lookup(staleKey); st != lookupHit || e == nil {
+			t.Fatalf("the planted entry of %s is not well-formed (state %d): the test would pass vacuously", why, st)
 		}
 	}
 
 	if _, st := c.lookup(Key(prog)); st != lookupMiss {
-		t.Fatal("an old-format entry satisfied a current lookup")
+		t.Fatal("a stale entry satisfied a current lookup")
 	}
 	e, err := c.Ensure(prog, Options{})
 	if err != nil {
@@ -274,9 +246,9 @@ func TestOldFormatEntryNotServed(t *testing.T) {
 	if s := c.Stats(); s.Builds != 1 {
 		t.Errorf("stats after Ensure: %v, want exactly one build", s)
 	}
-	for v, oldKey := range oldKeys {
-		if e.Key == oldKey || e.Dir == c.entryDir(oldKey) {
-			t.Errorf("Ensure served the version-%d entry %s", v, e.Dir)
+	for why, staleKey := range staleKeys {
+		if e.Key == staleKey || e.Dir == c.entryDir(staleKey) {
+			t.Errorf("Ensure served the entry of %s, %s", why, e.Dir)
 		}
 	}
 	if got, err := run(e, 2); err != nil || got != "S = 1\n" {

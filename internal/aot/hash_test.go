@@ -54,7 +54,7 @@ func TestKeySensitiveToLayout(t *testing.T) {
 // environment keeps it.
 func TestKeySensitiveToBuildEnv(t *testing.T) {
 	prog := forcelang.MustParse(hashBase)
-	for _, v := range []string{"GOFLAGS", "GOARCH", "GOAMD64", "GOEXPERIMENT", "CGO_ENABLED"} {
+	for _, v := range []string{"GOFLAGS", "GOARCH", "GOAMD64", "GOEXPERIMENT", "CGO_ENABLED", "GOTOOLCHAIN"} {
 		t.Setenv(v, "")
 	}
 	base := Key(prog)
@@ -67,6 +67,7 @@ func TestKeySensitiveToBuildEnv(t *testing.T) {
 		"GOAMD64":      "v3",
 		"GOEXPERIMENT": "loopvar",
 		"CGO_ENABLED":  "0",
+		"GOTOOLCHAIN":  "local",
 	} {
 		t.Run(v, func(t *testing.T) {
 			t.Setenv(v, val)
@@ -94,7 +95,7 @@ func TestKeySensitiveToSemantics(t *testing.T) {
 	}
 }
 
-// TestOptionsDoNotForkTheKey: the five runtime options are arguments of
+// TestOptionsDoNotForkTheKey: the four runtime options are arguments of
 // the one binary — a default (unset or spelled out) adds nothing to the
 // child's `-np N`, anything else is passed in forcerun's spelling — and
 // Ensure under any of them is the same entry, built once.

@@ -736,7 +736,7 @@ func (g *generator) expr(e forcelang.Expr) (string, error) {
 			return "", err
 		}
 		if t.Neg {
-			if t.Type() == forcelang.TReal && goConst(t.X) && !nonzeroLit(t.X) {
+			if t.Type() == forcelang.TReal && goConst(t.X) && !nonzeroReal(t.X) {
 				x = fmt.Sprintf("forcert.Real(%s)", x) // -0.0 is +0 to Go
 			}
 			return fmt.Sprintf("(-%s)", x), nil
@@ -789,7 +789,7 @@ func goConst(e forcelang.Expr) bool {
 		return true
 	case *forcelang.Un:
 		if t.Neg && t.Type() == forcelang.TReal {
-			return nonzeroLit(t.X) // negating one is exact; anything else is wrapped
+			return nonzeroReal(t.X) // negating one is exact; anything else is wrapped
 		}
 		return goConst(t.X)
 	case *forcelang.Bin: // arithmetic is wrapped, INTEGER / is forcert.Div
@@ -800,7 +800,8 @@ func goConst(e forcelang.Expr) bool {
 	return false
 }
 
-func nonzeroLit(e forcelang.Expr) bool {
+// nonzeroReal reports whether e is a nonzero REAL literal.
+func nonzeroReal(e forcelang.Expr) bool {
 	l, ok := e.(*forcelang.RealLit)
 	return ok && l.Value != 0
 }
