@@ -841,23 +841,41 @@ Endsub
 		t.Errorf("narration differs from %s at line %d (rerun with -update and review):\n got %q\nwant %q", goldenPath, k+1, got[k], want[k])
 	}
 
-	// The files under testdata/narration/ are what they narrate for:
-	// vet-clean, and at np 4 they print their .want.
+	// The files under testdata/narration/ are what they narrate for: at np
+	// 4, on the chunked tier and (unless -short) the aot tier, each prints
+	// its .want — forcevet's diagnostics ("forcevet: ..."), the output, and
+	// the run-time error if the run fails ("error: ...").
 	files, err := filepath.Glob("testdata/narration/*.force")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no narration files: %v", err)
 	}
 	for _, f := range files {
 		prog := forcelang.MustParse(sources[filepath.ToSlash(f)])
-		if diags, err := vet.Analyze(prog); err != nil || len(diags) != 0 {
-			t.Errorf("%s: vet: %v %v", f, diags, err)
+		diags, err := vet.Analyze(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vetted strings.Builder
+		for _, d := range diags {
+			fmt.Fprintf(&vetted, "forcevet: %s\n", d)
 		}
 		want, err := os.ReadFile(strings.TrimSuffix(f, ".force") + ".want")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out, err := interpRun(t, prog, 4, interp.ExecChunked); err != nil || out != string(want) {
-			t.Errorf("%s at np 4: printed %q, error %v; want %q", f, out, err, want)
+		tiers := map[string]func() (string, error){"chunked": func() (string, error) { return interpRun(t, prog, 4, interp.ExecChunked) }}
+		if !testing.Short() {
+			tiers["aot"] = func() (string, error) { return aotRun(t, prog, 4) }
+		}
+		for tier, run := range tiers {
+			out, err := run()
+			got := vetted.String() + out
+			if err != nil {
+				got += fmt.Sprintf("error: %v\n", err)
+			}
+			if got != string(want) {
+				t.Errorf("%s at np 4 on the %s tier prints\n%s\nwant\n%s", f, tier, got, want)
+			}
 		}
 	}
 }

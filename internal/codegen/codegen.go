@@ -84,7 +84,7 @@ func Lower(prog *forcelang.Program, opts Options) (src []byte, decisions []strin
 	if opts.DefaultNP <= 0 {
 		opts.DefaultNP = 4
 	}
-	g := &generator{prog: prog, opts: opts, tg: plan.Target{NsPerUnit: nativeNsPerUnit, NsPerBlockUnit: nativeNsPerUnit, Level: plan.Fused}}
+	g := &generator{prog: prog, opts: opts, tg: plan.Target{NsPerUnit: nativeNsPerUnit, NsPerBlockUnit: nativeNsPerUnit, Level: plan.Fused, Prog: prog}}
 	raw, err := g.run()
 	if err != nil {
 		return nil, nil, err

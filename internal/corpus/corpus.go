@@ -1221,6 +1221,32 @@ Barrier
 End Barrier
 Join
 `},
+	// A private copied from shared storage differs per process: each
+	// process takes its own ticket from a shared counter inside a Critical.
+	// The flow analysis reads the copy as Assumed — uniform to forcevet,
+	// varying to the planner — so the loop storing it keeps the cyclic
+	// deal and A(1), A(2) come from two processes at np >= 2.  A planner
+	// that took the copy as uniform would deal blocks and print T at np 2
+	// and 3 where the walker prints F.
+	{"shared-read-private", 0, `Force SRP of NP ident ME
+Shared Integer A(8), CNT
+Private Integer I, MINE
+End Declarations
+Barrier
+  CNT = 0
+End Barrier
+Critical L
+  CNT = CNT + 1
+  MINE = CNT
+End Critical
+Presched DO I = 1, 8
+  A(I) = MINE
+End Presched DO
+Barrier
+  Print 'A(1) = A(2):', A(1) .EQ. A(2)
+End Barrier
+Join
+`},
 	// A 2-D array with one subscript uniform — a shared scalar, a literal,
 	// an expression — and the other affine, rising and falling; the
 	// two-index loop is not span-checked.

@@ -14,6 +14,7 @@ package forcelang
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Type is a Force variable type.
@@ -181,6 +182,19 @@ type Program struct {
 	// copy): what internal/aot keys a compiled program by.  Empty on a
 	// tree built by hand.
 	Source string
+
+	flow struct { // internal/plan's analysis of the program (Flow)
+		once sync.Once
+		v    any
+	}
+}
+
+// Flow returns what analyze makes of p, calling it once however many
+// goroutines ask: internal/plan's one dataflow analysis of the checked
+// program, shared by forcevet and both back ends.
+func (p *Program) Flow(analyze func(*Program) any) any {
+	p.flow.once.Do(func() { p.flow.v = analyze(p) })
+	return p.flow.v
 }
 
 // Sub looks up a parallel subroutine by name.
@@ -191,6 +205,35 @@ func (p *Program) Sub(name string) *Subroutine {
 		}
 	}
 	return nil
+}
+
+// EachStmt visits every statement of list in order, each compound one
+// before the statements of its bodies.
+func EachStmt(list []Stmt, visit func(Stmt)) {
+	for _, st := range list {
+		visit(st)
+		switch t := st.(type) {
+		case *If:
+			EachStmt(t.Then, visit)
+			EachStmt(t.Else, visit)
+		case *SeqDo:
+			EachStmt(t.Body, visit)
+		case *WhileDo:
+			EachStmt(t.Body, visit)
+		case *ParDo:
+			EachStmt(t.Body, visit)
+		case *BarrierStmt:
+			EachStmt(t.Section, visit)
+		case *CriticalStmt:
+			EachStmt(t.Body, visit)
+		case *PcaseStmt:
+			for _, b := range t.Blocks {
+				EachStmt(b.Body, visit)
+			}
+		case *AskforStmt:
+			EachStmt(t.Body, visit)
+		}
+	}
 }
 
 // Subroutine is a Forcesub: a parallel subroutine executed by all

@@ -643,10 +643,10 @@ func eachN[T num](data []atomic.Uint64, off, step int64, n int, f func(int, T)) 
 // word is an element's value from its word.
 func word[T num](w uint64) T { return *(*T)(unsafe.Pointer(&w)) }
 
-// arith is a O b.  An INTEGER / or MOD has a nonzero literal divisor (the
-// plan's cannot-raise rule), so neither raises; MOD is INTEGER's alone, a
-// REAL MOD being forcert.ModReal's.  Go's / and % are forcert's: -2⁶³ / -1
-// wraps to -2⁶³ and -2⁶³ % -1 is 0.
+// arith is a O b.  An INTEGER / or MOD has a divisor that folds to a
+// nonzero constant (the plan's cannot-raise rule), so neither raises; MOD
+// is INTEGER's alone, a REAL MOD being forcert.ModReal's.  Go's / and % are
+// forcert's: -2⁶³ / -1 wraps to -2⁶³ and -2⁶³ % -1 is 0.
 func arith[T num, O binOps](a, b T) T {
 	switch unsafe.Sizeof(*new(O)) {
 	case unsafe.Sizeof(opAdd{}):

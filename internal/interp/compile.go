@@ -60,6 +60,7 @@ type compiler struct {
 // link to their target by pointer before its body exists.
 func newCompiler(in *cinstance) *compiler {
 	c := &compiler{in: in, res: in.res, units: map[string]*cunit{}, tg: planTarget(in.cfg)}
+	c.tg.Prog = in.res.prog
 	for name, lay := range in.res.units {
 		cu := &cunit{lay: lay}
 		if len(lay.privArrs) == 0 {

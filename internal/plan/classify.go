@@ -1,18 +1,19 @@
 package plan
 
-// Uniform/varying classification for DOALL bodies — the analysis behind
-// span execution in both back ends.  From the body's footprint and the
-// proofs over it (summary.go) the classifier decides:
+// The classification of a DOALL body — the analysis behind span execution
+// in both back ends.  From the body's footprint and the proofs over it
+// (summary.go), and from what the flow analysis (flow.go) proves at the
+// loop's entry, the classifier decides:
 //
 //   - whether the body may run as whole spans at all.  Only Assign, IF
 //     and sequential DO statements qualify; anything that can block,
 //     perform I/O, call a subroutine or touch asynchronous variables
 //     keeps per-iteration semantics, as does a body that writes its own
 //     loop index or runs it through a non-private variable.
-//   - which names are WRITTEN in the body.  A reference is *uniform*
-//     (loop-invariant for the executing process) exactly when it depends
-//     on no loop index and no written name; the closure compiler hoists
-//     uniform subexpressions out of the iteration loop.
+//   - which names are WRITTEN in the body.  A reference is loop-invariant
+//     for the executing process exactly when it depends on no loop index
+//     and no written name; the closure compiler hoists such
+//     subexpressions out of the iteration loop (Hoists).
 //   - which written shared arrays are PROVABLY DISJOINT across
 //     iterations — the legality fact the fusion pass and the partition
 //     choice below consume.
@@ -23,14 +24,18 @@ package plan
 //     operand bit-for-bit, so they fold for INTEGER and REAL alike.
 //   - whether the body is MAPPING-INSENSITIVE: nothing it computes or
 //     leaves behind depends on which process ran which iteration.  That
-//     holds when it touches no private name but its loop indices (a
-//     written private carries state across a process's iterations and
-//     out of the loop; a read one may hold a process-varying value such
-//     as ME), every shared array it writes is proven disjoint and every
-//     shared scalar it writes is a folded accumulator.  A prescheduled
-//     DOALL over such a body is dealt in contiguous blocks (each process
-//     writes its own run of cache lines) instead of the paper's cyclic
-//     deal, its index left at the value the cyclic deal would leave.
+//     holds when it touches no private but its loop indices and those it
+//     only reads that the flow proves hold one value in every process (a
+//     written private carries state across a process's iterations and out
+//     of the loop; another may hold a process-varying value such as ME),
+//     every shared array it writes is proven disjoint and every shared
+//     scalar it writes is a folded accumulator.  A prescheduled DOALL over
+//     such a body is dealt in contiguous blocks (each process writes its
+//     own run of cache lines) instead of the paper's cyclic deal, its
+//     index left at the value the cyclic deal would leave.
+//
+// No level and no constant is decided here: they are the flow's, and a
+// plan classified without a program (Classify) takes none as proven.
 //
 // A body that reads or writes subroutine parameters disables the
 // disjointness proof and the accumulator folding (a parameter may alias
@@ -72,6 +77,10 @@ type Plan struct {
 
 	sum   *Summary       // the body's footprint
 	space *uniform.Space // the index space the disjointness proof decomposed over (nil under NoBulk)
+	// consts are the INTEGER constants the flow analysis proves at the
+	// loop's entry (nil: none); those the body does not write hold in
+	// every iteration.
+	consts map[*forcelang.Symbol]int64
 }
 
 // Written reports whether the body assigns the symbol (a scalar, an
@@ -136,13 +145,15 @@ type AccRec struct {
 	Real bool
 }
 
-// Classify analyses t's body.  It returns the plan, or the reason the
-// body must keep per-iteration semantics.
-func Classify(t *forcelang.ParDo) (*Plan, string) { return classify(t, Summarize(t.Body)) }
+// Classify analyses t's body with nothing proven about its entry.  It
+// returns the plan, or the reason the body must keep per-iteration
+// semantics.
+func Classify(t *forcelang.ParDo) (*Plan, string) { return classify(t, Summarize(t.Body), entry{}) }
 
 // classify turns the footprint of a body (t's own, or the merged one of a
-// fused region t opens) into the plan: which proofs hold, and the deal.
-func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
+// fused region t opens) and what the flow analysis proves at t's entry into
+// the plan: which proofs hold, and the deal.
+func classify(t *forcelang.ParDo, sum *Summary, at entry) (*Plan, string) {
 	plan := &Plan{Outer: t.VarSym, NoBulk: sum.Param, sum: sum}
 	if t.Inner != nil {
 		plan.Inner = t.Inner.VarSym
@@ -179,7 +190,8 @@ func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
 			sort.Slice(plan.AccRecs, func(i, j int) bool { return plan.AccRecs[i].Sym.Name < plan.AccRecs[j].Sym.Name })
 		}
 	}
-	plan.partition()
+	plan.consts = at.consts
+	plan.partition(at)
 	plan.PerIter = plan.elementwise(t.Body)
 	if t.Sched != forcelang.Presched {
 		plan.Cost = iterationCost(t.Body)
@@ -188,16 +200,19 @@ func classify(t *forcelang.ParDo, sum *Summary) (*Plan, string) {
 }
 
 // partition decides mapping-insensitivity (see the file comment): the
-// body touches no private but its own indices and no parameter, and every
-// shared name it writes is a proven-disjoint array or a folded scalar.
-func (p *Plan) partition() {
+// body touches no private but its own indices and those it only reads and
+// the flow analysis proves uniform at the entry (at), no parameter, and
+// every shared name it writes is a proven-disjoint array or a folded
+// scalar.
+func (p *Plan) partition(at entry) {
 	if p.NoBulk {
 		p.CyclicWhy = "parameter reference"
 		return
 	}
 	for _, a := range p.sum.Accesses() {
 		sym := a.Sym
-		if (sym.Storage == forcelang.PrivateScalar || sym.Storage == forcelang.PrivateArray) && sym != p.Outer && sym != p.Inner {
+		if (sym.Storage == forcelang.PrivateScalar || sym.Storage == forcelang.PrivateArray) && sym != p.Outer && sym != p.Inner &&
+			(a.Written() || !at.uniform(sym)) {
 			p.CyclicWhy, p.CyclicName = "reads private", sym.Name
 			if a.WrittenFirst {
 				p.CyclicWhy = "writes private"
@@ -261,10 +276,11 @@ func (p *Plan) elementwise(body []forcelang.Stmt) string {
 
 // perIter names the first thing in e, in evaluation order, a block
 // evaluation cannot hoist out of the iteration: an operation that can
-// raise (SQRT, an integer / or MOD but by a nonzero literal: the one
-// cannot-raise rule) or an element reference SpanCheck leaves to the
-// per-iteration check.  Under hoist it also names any reference that is
-// not a uniform scalar (Hoists).
+// raise (SQRT, an integer / or MOD but by a divisor that folds to a
+// nonzero constant under the entry constants: the one cannot-raise rule)
+// or an element reference SpanCheck leaves to the per-iteration check.
+// Under hoist it also names any reference that is not a uniform scalar
+// (Hoists).
 func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	switch t := e.(type) {
 	case *forcelang.Ref:
@@ -278,7 +294,7 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	case *forcelang.Un:
 		return p.perIter(t.X, hoist)
 	case *forcelang.Bin:
-		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal && !nonzeroLit(t.R) {
+		if t.Op == forcelang.OpDiv && e.Type() != forcelang.TReal && !p.nonzero(t.R) {
 			return "integer /"
 		} else if why := p.perIter(t.L, hoist); why != "" {
 			return why
@@ -287,7 +303,7 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	case *forcelang.Intrinsic:
 		if t.Name == "SQRT" {
 			return "SQRT"
-		} else if t.Name == "MOD" && e.Type() != forcelang.TReal && !nonzeroLit(t.Args[1]) {
+		} else if t.Name == "MOD" && e.Type() != forcelang.TReal && !p.nonzero(t.Args[1]) {
 			return "integer MOD"
 		}
 		for _, x := range t.Args {
@@ -299,14 +315,13 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 	return ""
 }
 
-// nonzeroLit reports whether e is a nonzero INTEGER literal, with or
-// without a unary minus: a divisor forcert.Div and ModInt cannot raise on.
-func nonzeroLit(e forcelang.Expr) bool {
-	if u, ok := e.(*forcelang.Un); ok && u.Neg {
-		e = u.X
-	}
-	lit, ok := e.(*forcelang.IntLit)
-	return ok && lit.Value != 0
+// nonzero reports whether the INTEGER divisor e folds to a nonzero
+// constant in every iteration: forcert.Div and ModInt raise on zero alone,
+// and Go's / and % wrap -2⁶³ / -1 to -2⁶³ and take MOD(-2⁶³, -1) to 0.
+func (p *Plan) nonzero(e forcelang.Expr) bool {
+	v, ok := uniform.Const[int64](e, p.consts)
+	uniform.Walk(e, func(r *forcelang.Ref) { ok = ok && !p.Written(r.Sym) })
+	return ok && v != 0
 }
 
 // Accum is one recognised shared-accumulate statement: the fold

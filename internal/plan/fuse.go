@@ -135,7 +135,7 @@ func (tg *Target) tryFuse(run []forcelang.Stmt, sums []*Summary, red *forcelang.
 	// Classify the concatenation of every member body as one synthetic
 	// DOALL: its verdict certifies each statement for span execution and
 	// its disjointness facts cover the region's COMBINED array uses.
-	whole, reason := classify(first, merge(sums))
+	whole, reason := classify(first, merge(sums), tg.facts().entries[first])
 	if reason != "" {
 		return nil, reason
 	}
@@ -191,7 +191,7 @@ func (tg *Target) tryFuse(run []forcelang.Stmt, sums []*Summary, red *forcelang.
 		// mapping-insensitive: the same-pid argument needs ONE map).
 		p := whole
 		if len(run) > 1 {
-			p, _ = classify(m, sums[k])
+			p, _ = classify(m, sums[k], tg.facts().entries[m])
 		}
 		members[k] = tg.loop(m, p, whole)
 		members[k].Open = true

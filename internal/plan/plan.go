@@ -14,15 +14,18 @@
 // iteration, is one of them (Plan.SpanCheck, Loop.SpanChecked), and both
 // back ends have a span form that narrates it.
 //
-// Behind Next: summary.go is the footprint — one walk (Summarize) records
-// which symbols a statement list reads and writes and how, and the proofs
-// (pure accumulator, element-disjoint subscripts, one Critical, idempotent
-// stores) are written once over that record; classify.go turns a DOALL
-// body's footprint into its plan; cost.go counts its static cost and sizes
-// the grant of a selfscheduled loop from it; fuse.go proves which adjacent
+// Behind Next: flow.go is the one dataflow analysis of the program
+// (Analyze): which privates hold one value in every process, and which
+// INTEGERs are constant, at each DOALL's entry.  summary.go is the
+// footprint — one walk (Summarize) records which symbols a statement list
+// reads and writes and how, and the proofs (pure accumulator,
+// element-disjoint subscripts, one Critical, idempotent stores) are written
+// once over that record; classify.go turns a DOALL body's footprint and
+// entry facts into its plan; cost.go counts its static cost and sizes the
+// grant of a selfscheduled loop from it; fuse.go proves which adjacent
 // DOALLs may share one closing synchronization.  forcevet (internal/vet)
-// reads the same footprint and proofs, so a proof exists once and neither
-// the tiers nor the analyzer can disagree on what is legal.
+// reads the same flow, footprint and proofs, so a proof exists once and
+// neither the tiers nor the analyzer can disagree on what is legal.
 //
 // The package reads what a name is and what type an expression has off
 // the checked tree (forcelang.Symbol, Expr.Type): nothing here resolves a
@@ -67,6 +70,12 @@ type Target struct {
 	// block evaluation and no per-span check (Loop.SpanChecked).
 	NsPerBlockUnit int
 	Level          Level
+	// Prog is the checked program the lists belong to: what its flow
+	// analysis (Analyze) proves at each DOALL's entry — which privates hold
+	// one value in every process, which hold a known constant — is what the
+	// plans read.  Nil plans as if nothing were proven.
+	Prog *forcelang.Program
+	flow *Flow
 
 	// The run of adjacent DOALLs Next is working through, list[from:] of
 	// the scanned list, with each body's footprint beside it, walked on
@@ -200,7 +209,7 @@ func (tg *Target) Next(list []forcelang.Stmt, i int) (Node, int) {
 			}
 		}
 		tg.scan(list, i)
-		p, reason := classify(t, tg.summary(i))
+		p, reason := classify(t, tg.summary(i), tg.facts().entries[t])
 		nd.Loop = tg.loop(t, p, p)
 		nd.Loop.Unplanned = reason
 		if tg.Level == Fused {
@@ -237,13 +246,25 @@ func (tg *Target) scan(list []forcelang.Stmt, i int) ([]forcelang.Stmt, []*Summa
 }
 
 // summary is the footprint of the DOALL body at position i of the scanned
-// list, walked on first need.
+// list: the one the flow analysis took, else walked on first need.
 func (tg *Target) summary(i int) *Summary {
 	k := i - tg.from
 	if tg.sums[k] == nil {
-		tg.sums[k] = Summarize(tg.run[k].(*forcelang.ParDo).Body)
+		tg.sums[k] = tg.facts().Summary(tg.run[k].(*forcelang.ParDo).Body)
 	}
 	return tg.sums[k]
+}
+
+// facts is the flow analysis of the target's program; without one, an
+// analysis that proves nothing.
+func (tg *Target) facts() *Flow {
+	if tg.flow == nil {
+		tg.flow = &Flow{}
+		if tg.Prog != nil && tg.Prog.Scope != nil {
+			tg.flow = Analyze(tg.Prog)
+		}
+	}
+	return tg.flow
 }
 
 // loop is the DOALL t under plan p (nil: nothing proven): its deal —

@@ -173,6 +173,76 @@ Join
 	}
 }
 
+// TestDoAllDecisionsFromFacts: the deal reads what the flow analysis
+// proves at the loop's entry.  A private the body only reads is no reason
+// for the cyclic deal when it holds one value in every process — a
+// sequential DO's index over literal bounds, a literal assigned on the
+// uniform path — and is one when it may not: copied from shared storage,
+// assigned under a varying IF, taken from a subroutine's parameter; a
+// private the body writes is one either way.
+func TestDoAllDecisionsFromFacts(t *testing.T) {
+	chain, privates := "", "P15"
+	for k := 1; k < 15; k++ {
+		chain, privates = chain+fmt.Sprintf("P%d = P%d\n", k, k+1), privates+fmt.Sprintf(", P%d", k)
+	}
+	for _, tc := range []struct {
+		name, prelude, body, why string
+	}{
+		{"sequential DO index", "DO R = 1, 4", "A(I) = I + R", ""},
+		{"literal", "K = 3", "A(I) = I * K", ""},
+		{"NP", "K = NP", "A(I) = I * K", ""},
+		{"zero", "K = 0", "A(I) = MOD(I, K)", ""},
+		{"copied from shared", "K = S", "A(I) = I * K", "reads private K"},
+		{"under a varying IF", "IF (ME .EQ. 0) THEN\nK = 3\nEnd IF", "A(I) = I * K", "reads private K"},
+		{"sequential DO over shared bounds", "DO R = 1, S", "A(I) = I + R", "reads private R"},
+		{"written in the body", "K = 3", "K = I\nA(I) = K", "writes private K"},
+		{"read, then written", "K = 3", "A(I) = K\nK = I", "reads private K"},
+		// ME reaches P1 through the chain one round of the loop's fixpoint
+		// at a time: the fifteenth, past any cap on the rounds.
+		{"a long copy chain", "DO R = 1, 20\n" + chain + "P15 = ME", "A(I) = I * P1", "reads private P1"},
+	} {
+		src := "Force DF of NP ident ME\nShared Integer A(64), S\nPrivate Integer I, K, R, " + privates + "\nEnd Declarations\n" + tc.prelude +
+			"\nPresched DO I = 1, 64\n" + tc.body + "\nEnd Presched DO\n"
+		if strings.HasPrefix(tc.prelude, "DO ") {
+			src += "End DO\n"
+		}
+		prog := parse(t, src+"Join\n")
+		l := loopAt(t, prog)
+		if why := strings.TrimSpace(l.DealtBy.CyclicWhy + " " + l.DealtBy.CyclicName); why != tc.why || (l.Deal == Block) != (tc.why == "") {
+			t.Errorf("%s: dealt %d (%q), want %q", tc.name, l.Deal, why, tc.why)
+		}
+	}
+	// A subroutine's parameter is Assumed when the subroutine is walked on
+	// its own, so a private copied from it is no fact, whatever the callers
+	// pass.
+	prog := parse(t, "Force DP of NP ident ME\nShared Integer A(64)\nPrivate Integer J\nEnd Declarations\nJ = 3\nCall S(J)\nJoin\n"+
+		"Forcesub S(P)\nShared Integer A(64)\nPrivate Integer P, I, K\nEnd Declarations\nK = P\nPresched DO I = 1, 64\nA(I) = K\nEnd Presched DO\nEndsub\n")
+	tg := &Target{NsPerUnit: 4, Level: Planned, Prog: prog}
+	body := prog.Subs[0].Body
+	if nd, _ := tg.Next(body, 1); nd.Loop.Deal != Cyclic || nd.Loop.DealtBy.CyclicName != "K" {
+		t.Errorf("K = P: dealt %d (%s %s), want cyclic because of K", nd.Loop.Deal, nd.Loop.DealtBy.CyclicWhy, nd.Loop.DealtBy.CyclicName)
+	}
+}
+
+// loopAt lowers prog's first DOALL, at any depth of sequential DOs, on a
+// target that reads the program's facts.
+func loopAt(t *testing.T, prog *forcelang.Program) Loop {
+	t.Helper()
+	tg := &Target{NsPerUnit: 4, Level: Planned, Prog: prog}
+	list := prog.Body
+	for i := 0; i < len(list); i++ {
+		switch st := list[i].(type) {
+		case *forcelang.ParDo:
+			nd, _ := tg.Next(list, i)
+			return nd.Loop
+		case *forcelang.SeqDo:
+			list, i = st.Body, -1
+		}
+	}
+	t.Fatal("no DOALL")
+	return Loop{}
+}
+
 // TestWrappingCoefficientStaysCyclic: a subscript whose literal coefficient
 // wraps in int64 — A(2^62 * I + 1) is A(1) at I = 0 and at I = 4 — is not
 // an injective form (uniform.Space.Coef answers only within ±2³¹), so the
@@ -391,7 +461,35 @@ func TestElementwise(t *testing.T) {
 			t.Errorf("Hoists(%s) = %v, want %v", tc.expr, got, tc.hoists)
 		}
 	}
-	prog := parse(t, "Force EW2 of NP ident ME\nShared Real A(8, 8)\nPrivate Integer I, J\nEnd Declarations\n"+
+	// A divisor that folds to a nonzero constant under what the flow
+	// proves at the entry cannot raise either; one the body writes, one
+	// that is 0 and one with no proven value can.
+	for _, tc := range []struct {
+		prelude, body, why string
+	}{
+		{"K0 = 3", "L(I) = MOD(I, K0)", ""},
+		{"K0 = 3", "L(I) = L(I) / K0", ""},
+		{"K0 = 3\nK1 = K0 - 5", "L(I) = MOD(I, K1 * K0) + I / (K0 - K1)", ""},
+		{"K0 = 0", "L(I) = MOD(I, K0)", "integer MOD"},
+		{"K0 = 3\nK1 = K0 - 3", "L(I) = L(I) / K1", "integer /"},
+		{"K0 = N", "L(I) = MOD(I, K0)", "integer MOD"},
+		{"IF (ME .EQ. 0) THEN\nK0 = 3\nEnd IF", "L(I) = MOD(I, K0)", "integer MOD"},
+		{"K0 = 3\nIF (N .GT. 0) THEN\nK0 = 4\nEnd IF", "L(I) = MOD(I, K0)", "integer MOD"},
+		{"K0 = 3", "L(I) = MOD(I, K0)\nK0 = K0 + L(I)", "integer MOD"},
+	} {
+		prog := parse(t, "Force EWF of NP ident ME\nShared Integer L(64), N\nPrivate Integer I, K0, K1\nEnd Declarations\n"+
+			tc.prelude+"\nPresched DO I = 1, 63\n"+tc.body+"\nEnd Presched DO\nJoin\n")
+		l := loopAt(t, prog)
+		if l.Plan == nil || l.Plan.PerIter != tc.why {
+			t.Errorf("%q after %q: plan %+v, want PerIter %q", tc.body, tc.prelude, l.Plan, tc.why)
+		}
+	}
+	prog := parse(t, "Force EWFH of NP ident ME\nShared Integer L(64)\nPrivate Integer I, K0, K1\nEnd Declarations\nK1 = 7\n"+
+		"Presched DO I = 1, 63\nL(I) = MOD(K0, K1)\nEnd Presched DO\nJoin\n")
+	if l := loopAt(t, prog); !l.Plan.Hoists(l.Do.Body[0].(*forcelang.Assign).Expr) {
+		t.Errorf("MOD(K0, K1) after K1 = 7 does not hoist")
+	}
+	prog = parse(t, "Force EW2 of NP ident ME\nShared Real A(8, 8)\nPrivate Integer I, J\nEnd Declarations\n"+
 		"Presched DO I = 1, 8 also J = 1, 8\nA(I, J) = 0.0\nEnd Presched DO\nJoin\n")
 	if p, _ := Classify(prog.Body[0].(*forcelang.ParDo)); p.PerIter != "two-index space" {
 		t.Errorf("two indices: PerIter %q", p.PerIter)

@@ -2,11 +2,11 @@ package plan
 
 // The footprint of a statement list and the proofs over it.  Summarize is
 // the one walk that records which names a list reads and writes, and how;
-// the DOALL classifier (classify.go), the fusion proof (fuse.go) and
-// forcevet's flow and race passes (internal/vet) all read the record it
-// returns, keyed by the checker's *forcelang.Symbol.  What is proven about
-// a name is written once, as a method over the record, and each client
-// applies the proofs its question allows:
+// the DOALL classifier (classify.go), the fusion proof (fuse.go), the flow
+// analysis (flow.go) and forcevet's race pass (internal/vet) all read the
+// record it returns, keyed by the checker's *forcelang.Symbol.  What is
+// proven about a name is written once, as a method over the record, and
+// each client applies the proofs its question allows:
 //
 //   - Access.Accumulator: every write of the scalar is one accumulate
 //     shape (MatchAccum) over one operator and the scalar is read nowhere

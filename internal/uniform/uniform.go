@@ -4,16 +4,21 @@
 // Which names a statement list reads and writes is not here: that is
 // plan.Summarize.
 //
-// The lattice has two points.  A value is Uniform when every process of
-// the force (or, for a loop body, every iteration a process executes)
-// computes the same value; otherwise it is Varying.  Join is the
-// lattice join: Varying absorbs.
+// The lattice is a chain of three points.  A value is Uniform when every
+// process of the force (or, for a loop body, every iteration a process
+// executes) computes the same value, Varying when it may not, and Assumed
+// when it is the same only if the program is synchronized: it was read
+// from shared storage.  The one analysis that assigns levels,
+// internal/plan's flow, serves two readers that draw the line between
+// them differently: forcevet, reading for protocol errors, calls Assumed
+// uniform; the planner, acting on facts true in every execution, calls it
+// varying.  Join is the lattice join: the higher point absorbs.
 //
 // The expression machinery: the Ref walker, the accumulate shape
 // matchers (S = S + e | S = e + S | S = S - e, S = MAX(S, e) |
-// S = MIN(S, e)), literal constant folding, the position-independent
-// structural key used to compare subscript forms, and the
-// affine-subscript disjointness proof over a one- or two-index
+// S = MIN(S, e)), the one constant folder (Const), the
+// position-independent structural key used to compare subscript forms,
+// and the affine-subscript disjointness proof over a one- or two-index
 // iteration space (one canonical form per array, literal coefficients,
 // injective on the index space: a nonzero coefficient for one index, a
 // nonsingular 2x2 minor for two).
@@ -25,33 +30,25 @@ import (
 	"repro/internal/forcelang"
 )
 
-// Level is a point of the two-point uniformity lattice.
+// Level is a point of the uniformity lattice, a chain: Uniform below
+// Assumed below Varying.
 type Level int
 
 const (
 	// Uniform marks a value every process (or iteration) computes
 	// identically.
 	Uniform Level = iota
+	// Assumed marks a value read from shared or asynchronous storage: the
+	// same in every process of a synchronized program, not in every
+	// execution.
+	Assumed
 	// Varying marks a value that may differ across processes or
 	// iterations (depends on ME, a loop index, or a varying input).
 	Varying
 )
 
-// Join returns the lattice join: Varying absorbs Uniform.
-func (l Level) Join(o Level) Level {
-	if l == Varying || o == Varying {
-		return Varying
-	}
-	return Uniform
-}
-
-// String returns "uniform" or "varying".
-func (l Level) String() string {
-	if l == Varying {
-		return "varying"
-	}
-	return "uniform"
-}
+// Join returns the lattice join: the higher point.
+func (l Level) Join(o Level) Level { return max(l, o) }
 
 // Walk visits every Ref in e, subscripts included.
 func Walk(e forcelang.Expr, visit func(*forcelang.Ref)) {
@@ -139,20 +136,38 @@ func RefersTo(e forcelang.Expr, name string) bool {
 	return found
 }
 
-// ConstInt evaluates a literal-only INTEGER expression.
-func ConstInt(e forcelang.Expr) (int64, bool) {
+// Const folds e to its value as a T — int64 for an INTEGER expression,
+// float64 for a REAL one — in the run time's arithmetic: literals, unary
+// minus, + − * and / by a nonzero divisor (an INTEGER one wraps:
+// -2⁶³ / -1 is -2⁶³, as forcert.Div has it), REAL(x) of an INTEGER x, and
+// the unsubscripted names env holds an INTEGER value for.  A nil env folds
+// literals only.  It is the one constant folder: the flow analysis
+// (internal/plan/flow.go) folds with the constants it has proven, Space
+// and the planner's trip counts with none.
+func Const[T int64 | float64](e forcelang.Expr, env map[*forcelang.Symbol]int64) (T, bool) {
 	switch t := e.(type) {
 	case *forcelang.IntLit:
-		return t.Value, true
-	case *forcelang.Un:
-		if !t.Neg {
-			return 0, false
+		return T(t.Value), true
+	case *forcelang.RealLit:
+		return T(t.Value), true
+	case *forcelang.Ref:
+		v, ok := env[t.Sym]
+		return T(v), ok && len(t.Subs) == 0
+	case *forcelang.Intrinsic:
+		if t.Name == "REAL" && t.Args[0].Type() == forcelang.TInt {
+			v, ok := Const[int64](t.Args[0], env)
+			return T(v), ok
+		} else if t.Name == "REAL" {
+			return Const[T](t.Args[0], env)
 		}
-		v, ok := ConstInt(t.X)
-		return -v, ok
+	case *forcelang.Un:
+		if t.Neg {
+			v, ok := Const[T](t.X, env)
+			return -v, ok
+		}
 	case *forcelang.Bin:
-		l, lok := ConstInt(t.L)
-		r, rok := ConstInt(t.R)
+		l, lok := Const[T](t.L, env)
+		r, rok := Const[T](t.R, env)
 		if !lok || !rok {
 			return 0, false
 		}
@@ -163,6 +178,10 @@ func ConstInt(e forcelang.Expr) (int64, bool) {
 			return l - r, true
 		case forcelang.OpMul:
 			return l * r, true
+		case forcelang.OpDiv:
+			if r != 0 {
+				return l / r, true
+			}
 		}
 	}
 	return 0, false
@@ -277,10 +296,10 @@ func (sp *Space) coef(e forcelang.Expr) (ci, cj int64, ok bool) {
 		case forcelang.OpMul:
 			// One factor is a literal — within the bound itself, so the
 			// product of two bounded numbers cannot wrap back under it.
-			k, kok := ConstInt(t.L)
+			k, kok := Const[int64](t.L, nil)
 			x := t.R
 			if !kok {
-				k, kok = ConstInt(t.R)
+				k, kok = Const[int64](t.R, nil)
 				x = t.L
 			}
 			if kok && small(k) {

@@ -23,8 +23,11 @@ func TestLevelJoin(t *testing.T) {
 			t.Errorf("%v join %v should be varying", pair[0], pair[1])
 		}
 	}
-	if Uniform.String() != "uniform" || Varying.String() != "varying" {
-		t.Error("level strings wrong")
+	// Assumed sits between: a value read from shared storage.
+	for _, pair := range [][3]Level{{Uniform, Assumed, Assumed}, {Assumed, Uniform, Assumed}, {Assumed, Assumed, Assumed}, {Assumed, Varying, Varying}} {
+		if got := pair[0].Join(pair[1]); got != pair[2] {
+			t.Errorf("%v join %v = %v, want %v", pair[0], pair[1], got, pair[2])
+		}
 	}
 }
 
@@ -81,17 +84,38 @@ func TestRefersTo(t *testing.T) {
 	}
 }
 
-func TestConstInt(t *testing.T) {
-	// 2*3 - (-4) = 10
-	e := bin(forcelang.OpSub, bin(forcelang.OpMul, intLit(2), intLit(3)), &forcelang.Un{Neg: true, X: intLit(4)})
-	if v, ok := ConstInt(e); !ok || v != 10 {
-		t.Errorf("got %d,%v want 10,true", v, ok)
-	}
-	if _, ok := ConstInt(ref("I")); ok {
-		t.Error("a variable is not constant")
-	}
-	if _, ok := ConstInt(bin(forcelang.OpDiv, intLit(4), intLit(2))); ok {
-		t.Error("division is not folded (faults are runtime semantics)")
+// TestConst: the one constant folder over INTEGER expressions, with and
+// without an environment.
+func TestConst(t *testing.T) {
+	k := &forcelang.Symbol{Decl: forcelang.Decl{Name: "K", Type: forcelang.TInt}}
+	kRef := &forcelang.Ref{Name: "K", Sym: k}
+	neg := func(x forcelang.Expr) forcelang.Expr { return &forcelang.Un{Neg: true, X: x} }
+	const minInt = -1 << 63
+	env := map[*forcelang.Symbol]int64{k: 3}
+	for _, tc := range []struct {
+		name string
+		e    forcelang.Expr
+		env  map[*forcelang.Symbol]int64
+		want int64
+		ok   bool
+	}{
+		{"literal", intLit(7), nil, 7, true},
+		{"sum", bin(forcelang.OpAdd, intLit(2), intLit(3)), nil, 5, true},
+		{"difference", bin(forcelang.OpSub, intLit(2), intLit(3)), nil, -1, true},
+		{"product", bin(forcelang.OpMul, intLit(2), intLit(3)), nil, 6, true},
+		{"quotient truncates", bin(forcelang.OpDiv, intLit(-7), intLit(2)), nil, -3, true},
+		{"unary minus", bin(forcelang.OpSub, bin(forcelang.OpMul, intLit(2), intLit(3)), neg(intLit(4))), nil, 10, true},
+		{"product wraps", bin(forcelang.OpMul, intLit(1<<62), intLit(4)), nil, 0, true},
+		{"-2⁶³ / -1 wraps", bin(forcelang.OpDiv, bin(forcelang.OpSub, neg(intLit(1<<62)), intLit(1<<62)), neg(intLit(1))), nil, minInt, true},
+		{"division by zero is not folded", bin(forcelang.OpDiv, intLit(4), intLit(0)), nil, 0, false},
+		{"a name without an environment", kRef, nil, 0, false},
+		{"a name the environment holds", bin(forcelang.OpDiv, intLit(10), kRef), env, 3, true},
+		{"a name it does not", ref("I"), env, 0, false},
+		{"an element", ref("K", intLit(1)), env, 0, false},
+	} {
+		if v, ok := Const[int64](tc.e, tc.env); ok != tc.ok || v != tc.want {
+			t.Errorf("%s: got %d, %v; want %d, %v", tc.name, v, ok, tc.want, tc.ok)
+		}
 	}
 }
 

@@ -29,24 +29,21 @@ import (
 )
 
 // asyncPass runs FV201/FV202 over every unit.
-func (a *analysis) asyncPass() {
+func (a *analysis) asyncPass(units [][]forcelang.Stmt) {
 	produced := map[*forcelang.Symbol]bool{}
-	a.collectProduced(a.main.body, produced)
-	for _, u := range a.subs {
-		a.collectProduced(u.body, produced)
+	for _, body := range units {
+		a.collectProduced(body, produced)
 	}
-	a.checkConsumes(a.main.body, produced)
-	for _, u := range a.subs {
-		a.checkConsumes(u.body, produced)
+	for _, body := range units {
+		a.checkConsumes(body, produced)
 	}
-	a.doubleProduce(a.main.body)
-	for _, u := range a.subs {
-		a.doubleProduce(u.body)
+	for _, body := range units {
+		a.doubleProduce(body)
 	}
 }
 
 func (a *analysis) collectProduced(list []forcelang.Stmt, produced map[*forcelang.Symbol]bool) {
-	forEachStmt(list, func(st forcelang.Stmt) {
+	forcelang.EachStmt(list, func(st forcelang.Stmt) {
 		if t, ok := st.(*forcelang.ProduceStmt); ok {
 			produced[t.Sym] = true
 		}
@@ -54,7 +51,7 @@ func (a *analysis) collectProduced(list []forcelang.Stmt, produced map[*forcelan
 }
 
 func (a *analysis) checkConsumes(list []forcelang.Stmt, produced map[*forcelang.Symbol]bool) {
-	forEachStmt(list, func(st forcelang.Stmt) {
+	forcelang.EachStmt(list, func(st forcelang.Stmt) {
 		switch t := st.(type) {
 		case *forcelang.ConsumeStmt:
 			if !produced[t.Sym] {
@@ -68,35 +65,6 @@ func (a *analysis) checkConsumes(list []forcelang.Stmt, produced map[*forcelang.
 			}
 		}
 	})
-}
-
-// forEachStmt visits every statement in the list, recursing into every
-// compound body.
-func forEachStmt(list []forcelang.Stmt, visit func(forcelang.Stmt)) {
-	for _, st := range list {
-		visit(st)
-		switch t := st.(type) {
-		case *forcelang.If:
-			forEachStmt(t.Then, visit)
-			forEachStmt(t.Else, visit)
-		case *forcelang.SeqDo:
-			forEachStmt(t.Body, visit)
-		case *forcelang.WhileDo:
-			forEachStmt(t.Body, visit)
-		case *forcelang.ParDo:
-			forEachStmt(t.Body, visit)
-		case *forcelang.BarrierStmt:
-			forEachStmt(t.Section, visit)
-		case *forcelang.CriticalStmt:
-			forEachStmt(t.Body, visit)
-		case *forcelang.PcaseStmt:
-			for _, b := range t.Blocks {
-				forEachStmt(b.Body, visit)
-			}
-		case *forcelang.AskforStmt:
-			forEachStmt(t.Body, visit)
-		}
-	}
 }
 
 // asyncCell names one full/empty cell: the variable and, for an element,

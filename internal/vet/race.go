@@ -32,8 +32,8 @@ import (
 
 // racePass checks every parallel construct of a unit (the checker keeps
 // collectives out of their bodies, so the constructs never nest).
-func (a *analysis) racePass(u *unitInfo) {
-	forEachStmt(u.body, func(st forcelang.Stmt) {
+func (a *analysis) racePass(body []forcelang.Stmt) {
+	forcelang.EachStmt(body, func(st forcelang.Stmt) {
 		switch t := st.(type) {
 		case *forcelang.ParDo:
 			var inner *forcelang.Symbol
@@ -124,7 +124,7 @@ func substExpr(e forcelang.Expr, temps map[*forcelang.Symbol]forcelang.Expr) for
 // raceBody flags FV101 in one parallel construct body; outer and inner
 // are its loop indices (nil for an Askfor body, and inner for one index).
 func (a *analysis) raceBody(body []forcelang.Stmt, outer, inner *forcelang.Symbol, construct string) {
-	sum := a.summary(body)
+	sum := a.flow.Summary(body)
 	var sp *uniform.Space
 	var temps map[*forcelang.Symbol]forcelang.Expr
 	if outer != nil {

@@ -28,11 +28,12 @@
 //	       a straight-line path with no intervening Consume or Void —
 //	       the producer blocks on its own full cell.
 //
-// The uniform/varying lattice and the affine-subscript machinery are
-// shared with the span tiers through internal/uniform, and what a
-// statement list reads and writes — with the proofs over it — through
-// internal/plan (Summarize): one footprint and one set of proofs serve
-// both the optimizer and the analyzer.
+// FV001–FV003 and FV102 are the findings of internal/plan's flow analysis
+// (plan.Analyze: which values are the same in every process, which
+// INTEGERs are constant), made once per program and read by the planner
+// too; what a statement list reads and writes, with the proofs over it, is
+// internal/plan's footprint (Summarize).  One analysis and one set of
+// proofs serve both the optimizer and the analyzer.
 //
 // Analyze requires a program that already passed forcelang.Check (Parse
 // runs it); the checker's own guarantees (no collectives inside
@@ -85,35 +86,8 @@ func (d Diagnostic) String() string {
 
 // analysis carries the shared per-program state of all passes.
 type analysis struct {
-	prog       *forcelang.Program
-	main       *unitInfo
-	subs       map[string]*unitInfo
-	collective map[string]bool // sub name -> transitively contains a collective construct
-	sums       map[*forcelang.Stmt]*plan.Summary
-	diags      []Diagnostic
-}
-
-// unitInfo is one compilation unit (the main program or a subroutine).
-// What its names denote is on the tree (forcelang.Symbol).
-type unitInfo struct {
-	name string // "" for the main program
-	body []forcelang.Stmt
-}
-
-// summary returns the footprint of a statement list (internal/plan's one
-// walker), computed once per list however often the flow pass's
-// fixpoints, its inline call walks and the race pass ask; lists are keyed
-// by their first statement's slot.
-func (a *analysis) summary(list []forcelang.Stmt) *plan.Summary {
-	if len(list) == 0 {
-		return plan.Summarize(nil)
-	}
-	sum, ok := a.sums[&list[0]]
-	if !ok {
-		sum = plan.Summarize(list)
-		a.sums[&list[0]] = sum
-	}
-	return sum
+	flow  *plan.Flow
+	diags []Diagnostic
 }
 
 // isParam reports whether the symbol is a by-reference parameter.
@@ -125,39 +99,25 @@ func Analyze(prog *forcelang.Program) ([]Diagnostic, error) {
 	if prog.Scope == nil {
 		return nil, fmt.Errorf("vet: program %s was not checked (forcelang.Check)", prog.Name)
 	}
-	a := &analysis{
-		prog:       prog,
-		main:       &unitInfo{body: prog.Body},
-		subs:       map[string]*unitInfo{},
-		collective: map[string]bool{},
-		sums:       map[*forcelang.Stmt]*plan.Summary{},
+	// Flow findings: collective consistency (FV001), provable faults
+	// (FV002/FV003), replicated stores (FV102) — proven by the program's
+	// one flow analysis (internal/plan), named here.
+	a := &analysis{flow: plan.Analyze(prog)}
+	for _, fd := range a.flow.Findings {
+		a.name(fd)
 	}
+	units := [][]forcelang.Stmt{prog.Body}
 	for _, sub := range prog.Subs {
-		a.subs[sub.Name] = &unitInfo{name: sub.Name, body: sub.Body}
-	}
-	for name := range a.subs {
-		a.hasCollective(name, map[string]bool{})
-	}
-
-	// Flow pass: uniformity dataflow, collective consistency (FV001),
-	// provable faults (FV002/FV003), replicated stores (FV102).  The
-	// main program is the entry point; calls are analyzed inline with
-	// argument levels bound to parameters.  Every subroutine is also
-	// analyzed standalone (parameters uniform) so unit-local issues
-	// surface even on call paths the inline walk does not reach.
-	a.flowUnit(a.main)
-	for _, u := range a.subs {
-		a.flowUnit(u)
+		units = append(units, sub.Body)
 	}
 
 	// Race pass: FV101 over every parallel construct body.
-	a.racePass(a.main)
-	for _, u := range a.subs {
-		a.racePass(u)
+	for _, body := range units {
+		a.racePass(body)
 	}
 
 	// Asyncvar protocol pass: FV201/FV202.
-	a.asyncPass()
+	a.asyncPass(units)
 
 	return finish(a.diags), nil
 }
@@ -225,35 +185,4 @@ func finish(diags []Diagnostic) []Diagnostic {
 		return out[i].Code < out[j].Code
 	})
 	return out
-}
-
-// hasCollective reports whether the named subroutine transitively
-// contains a collective construct (Barrier, DOALL, Pcase, Askfor,
-// global reduction), memoized; path guards call cycles.
-func (a *analysis) hasCollective(name string, path map[string]bool) bool {
-	key := name
-	if v, ok := a.collective[key]; ok {
-		return v
-	}
-	if path[key] {
-		return false // cycle: this path adds nothing new
-	}
-	u, ok := a.subs[key]
-	if !ok {
-		return false
-	}
-	path[key] = true
-	v := false
-	forEachStmt(u.body, func(st forcelang.Stmt) {
-		switch t := st.(type) {
-		case *forcelang.BarrierStmt, *forcelang.ParDo, *forcelang.PcaseStmt,
-			*forcelang.AskforStmt, *forcelang.ReduceStmt:
-			v = true
-		case *forcelang.CallStmt:
-			v = v || a.hasCollective(t.Name, path)
-		}
-	})
-	delete(path, key)
-	a.collective[key] = v
-	return v
 }
