@@ -1247,6 +1247,50 @@ Barrier
 End Barrier
 Join
 `},
+	// A callee writes the caller's privates through its parameters: an
+	// element argument, bound as an alias of that one element, and a
+	// parameter the callee declares Shared, bound to a private.  Each is
+	// set to ME, so the loops reading them keep the cyclic deal, and A(2) -
+	// A(1) is 2 at np >= 2 (1 at np 1); a flow analysis that lost either
+	// write would deal blocks and print 1.
+	{"element-argument-private", 0, `Force EAP of NP ident ME
+Shared Integer A(8)
+Private Integer I, ARR(2)
+End Declarations
+ARR(1) = 0
+Call SETME(ARR(1))
+Presched DO I = 1, 8
+  A(I) = ARR(1) + I
+End Presched DO
+Barrier
+  Print 'A(2) - A(1) =', A(2) - A(1)
+End Barrier
+Join
+Forcesub SETME(P)
+Private Integer P
+End Declarations
+P = ME
+Endsub
+`},
+	{"shared-parameter-private", 0, `Force SPP of NP ident ME
+Shared Integer A(8)
+Private Integer I, K
+End Declarations
+K = 0
+Call SETME(K)
+Presched DO I = 1, 8
+  A(I) = K + I
+End Presched DO
+Barrier
+  Print 'A(2) - A(1) =', A(2) - A(1)
+End Barrier
+Join
+Forcesub SETME(P)
+Shared Integer P
+End Declarations
+P = ME
+Endsub
+`},
 	// A 2-D array with one subscript uniform — a shared scalar, a literal,
 	// an expression — and the other affine, rising and falling; the
 	// two-index loop is not span-checked.

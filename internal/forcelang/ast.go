@@ -212,27 +212,33 @@ func (p *Program) Sub(name string) *Subroutine {
 func EachStmt(list []Stmt, visit func(Stmt)) {
 	for _, st := range list {
 		visit(st)
-		switch t := st.(type) {
-		case *If:
-			EachStmt(t.Then, visit)
-			EachStmt(t.Else, visit)
-		case *SeqDo:
-			EachStmt(t.Body, visit)
-		case *WhileDo:
-			EachStmt(t.Body, visit)
-		case *ParDo:
-			EachStmt(t.Body, visit)
-		case *BarrierStmt:
-			EachStmt(t.Section, visit)
-		case *CriticalStmt:
-			EachStmt(t.Body, visit)
-		case *PcaseStmt:
-			for _, b := range t.Blocks {
-				EachStmt(b.Body, visit)
-			}
-		case *AskforStmt:
-			EachStmt(t.Body, visit)
+		EachBody(st, func(body []Stmt) { EachStmt(body, visit) })
+	}
+}
+
+// EachBody visits the statement lists a compound statement holds, in
+// order; a simple statement holds none.
+func EachBody(st Stmt, visit func([]Stmt)) {
+	switch t := st.(type) {
+	case *If:
+		visit(t.Then)
+		visit(t.Else)
+	case *SeqDo:
+		visit(t.Body)
+	case *WhileDo:
+		visit(t.Body)
+	case *ParDo:
+		visit(t.Body)
+	case *BarrierStmt:
+		visit(t.Section)
+	case *CriticalStmt:
+		visit(t.Body)
+	case *PcaseStmt:
+		for _, b := range t.Blocks {
+			visit(b.Body)
 		}
+	case *AskforStmt:
+		visit(t.Body)
 	}
 }
 

@@ -107,10 +107,6 @@ func (p *parser) expectEOL() error {
 	return p.errf("unexpected %s at end of statement", p.cur())
 }
 
-func (p *parser) atEOL() bool {
-	return p.cur().kind == tokEOL || p.cur().kind == tokEOF
-}
-
 // peekWord reports whether the current token is the given identifier
 // without consuming it.
 func (p *parser) peekWord(word string) bool {

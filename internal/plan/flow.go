@@ -4,9 +4,11 @@ package plan
 // carries, per private, a point of internal/uniform's lattice and, per
 // private INTEGER scalar, a known constant, flow-sensitively: IF arms
 // join, loops iterate to a fixpoint, a call walks the callee inline with
-// its parameters bound to the argument levels (recursion takes every
-// by-reference argument as varying).  Every subroutine is walked on its
-// own too, its parameters Assumed.
+// its parameters bound to the argument levels and gives every argument the
+// callee may write — an element, or one bound to a parameter declared
+// Shared, as much as a private scalar — the level the callee left in it
+// (recursion takes every by-reference argument as varying).  Every
+// subroutine is walked on its own too, its parameters Assumed.
 //
 // Two readers, one walk.  What it proves that a checker names — a
 // collective reachable under a varying condition, a provable fault (a
@@ -37,7 +39,7 @@ type Flow struct {
 	Findings []Finding
 
 	entries    map[*forcelang.ParDo]entry
-	sums       map[*forcelang.Stmt]*Summary // loop body footprints, by the body's first slot
+	sums       map[*forcelang.Stmt]*Summary // footprints of the loop and subroutine bodies walked, by first slot
 	collective map[*forcelang.Subroutine]bool
 }
 
@@ -124,7 +126,7 @@ func analyze(prog *forcelang.Program) any {
 }
 
 // Summary returns the footprint of a statement list: the one the walk took
-// of a loop body, or a fresh one.
+// of a loop or subroutine body, or a fresh one.
 func (fl *Flow) Summary(list []forcelang.Stmt) *Summary {
 	if len(list) > 0 {
 		if s, ok := fl.sums[&list[0]]; ok {
@@ -132,6 +134,16 @@ func (fl *Flow) Summary(list []forcelang.Stmt) *Summary {
 		}
 	}
 	return Summarize(list)
+}
+
+// footprint is Summary(body), kept: a body's footprint is taken once
+// however many fixpoint rounds, inline walks and plans ask.
+func (fl *Flow) footprint(body []forcelang.Stmt) *Summary {
+	sum := fl.Summary(body)
+	if len(body) > 0 {
+		fl.sums[&body[0]] = sum
+	}
+	return sum
 }
 
 // loopRange is one enclosing DO loop with constant bounds, the space the
@@ -372,18 +384,25 @@ func (w *walker) bound(d *forcelang.Symbol, i int, s forcelang.Expr, line int, c
 	}
 }
 
+// tracked reports whether the walk keeps a level for d: a private, or a
+// parameter of either declared class, which may alias a caller's private
+// (call copies its level back).
+func tracked(d *forcelang.Symbol) bool {
+	return d.Class == forcelang.Private || d.Storage == forcelang.Parameter
+}
+
 // setPrivate records a store's effect on the environments: the target
-// takes level lv and, when expr (nil for a value no expression gives: a
-// reduction's, a consumed one) folds to an INTEGER constant, that
-// constant.
+// takes level lv and, when it is a private and expr (nil for a value no
+// expression gives: a reduction's, a consumed one) folds to an INTEGER
+// constant, that constant.
 func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniform.Level) {
 	d := target.Sym
-	if d.Class != forcelang.Private {
+	if !tracked(d) {
 		return
 	}
 	if len(target.Subs) == 0 {
 		w.env[d] = lv
-		if v, ok := uniform.Const[int64](expr, w.consts); ok && d.Type == forcelang.TInt {
+		if v, ok := uniform.Const[int64](expr, w.consts); ok && d.Type == forcelang.TInt && d.Class == forcelang.Private {
 			w.consts[d] = v
 		} else {
 			delete(w.consts, d)
@@ -400,14 +419,9 @@ func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv unifo
 
 // killWritten drops the constants a loop body (or a Pcase block) may
 // overwrite, so in-body constant facts come only from the current
-// iteration's own straight-line assignments.  The body's footprint is taken
-// once, however many fixpoint rounds and inline walks ask.
+// iteration's own straight-line assignments.
 func (w *walker) killWritten(body []forcelang.Stmt) {
-	sum := w.fl.Summary(body)
-	if len(body) > 0 {
-		w.fl.sums[&body[0]] = sum
-	}
-	for _, acc := range sum.Accesses() {
+	for _, acc := range w.fl.footprint(body).Accesses() {
 		if acc.Written() {
 			delete(w.consts, acc.Sym)
 		}
@@ -521,10 +535,7 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		intersectConsts(w.consts, constT)
 	case *forcelang.SeqDo:
 		lr := w.header(t.VarSym, t.From, t.To, t.Step, t.Pos(), ctx)
-		blv := w.exprLevel(t.From).Join(w.exprLevel(t.To))
-		if t.Step != nil {
-			blv = blv.Join(w.exprLevel(t.Step))
-		}
+		blv := w.exprLevel(t.From).Join(w.exprLevel(t.To)).Join(w.exprLevel(t.Step)) // a nil Step is Uniform
 		w.scope(func() {
 			w.env[t.VarSym] = blv.Join(ctx)
 			delete(w.consts, t.VarSym)
@@ -651,7 +662,7 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
 	if w.callPath[sub] {
 		// Recursion: assume every by-reference argument varies.
 		for i := range t.Args {
-			if t.Args[i].Sym.Class == forcelang.Private {
+			if tracked(t.Args[i].Sym) {
 				w.env[t.Args[i].Sym] = uniform.Varying
 			}
 			delete(w.consts, t.Args[i].Sym)
@@ -674,15 +685,23 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		cw.env[p] = w.refLevel(&t.Args[i])
 	}
 	cw.stmts(sub.Body, ctx)
-	// Propagate by-reference results back to scalar arguments.
+	// Copy by-reference results back: an argument the callee may write (its
+	// footprint, nested calls included) joins the parameter's level at the
+	// callee's exit, an element argument with its subscripts' levels too, as
+	// a store to the element would.
+	written := w.fl.footprint(sub.Body)
 	for i, p := range params {
-		if len(t.Args[i].Subs) > 0 {
+		arg := &t.Args[i]
+		if !written.Written(p) {
 			continue
 		}
-		arg := t.Args[i].Sym
-		delete(w.consts, arg)
-		if arg.Class == forcelang.Private {
-			w.env[arg] = w.env[arg].Join(cw.env[p])
+		delete(w.consts, arg.Sym)
+		if tracked(arg.Sym) {
+			lv := cw.env[p]
+			for _, s := range arg.Subs {
+				lv = lv.Join(w.exprLevel(s))
+			}
+			w.env[arg.Sym] = w.env[arg.Sym].Join(lv)
 		}
 	}
 }

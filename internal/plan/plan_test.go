@@ -212,6 +212,28 @@ func TestDoAllDecisionsFromFacts(t *testing.T) {
 			t.Errorf("%s: dealt %d (%q), want %q", tc.name, l.Deal, why, tc.why)
 		}
 	}
+	// A callee writes the caller's private through its parameter — a
+	// scalar or an element argument, the parameter declared Private or
+	// Shared — and the call leaves the private at the level the callee
+	// stored: varying for ME, uniform for a literal or when the callee
+	// only reads it.
+	for _, tc := range []struct{ decl, arg, store, why string }{
+		{"Private", "K", "P = ME", "reads private K"},
+		{"Shared", "K", "P = ME", "reads private K"},
+		{"Private", "ARR(1)", "P = ME", "reads private ARR"},
+		{"Shared", "ARR(1)", "P = ME", "reads private ARR"},
+		{"Shared", "K", "P = 3", ""},
+		{"Private", "ARR(1)", "P = 3", ""},
+		{"Shared", "ARR(1)", "J = P", ""},
+	} {
+		prog := parse(t, "Force DC of NP ident ME\nShared Integer A(64)\nPrivate Integer I, K, ARR(2)\nEnd Declarations\n"+
+			"K = 0\nARR(1) = 0\nCall SETME("+tc.arg+")\nPresched DO I = 1, 64\nA(I) = I + "+tc.arg+"\nEnd Presched DO\nJoin\n"+
+			"Forcesub SETME(P)\n"+tc.decl+" Integer P\nPrivate Integer J\nEnd Declarations\n"+tc.store+"\nEndsub\n")
+		l := loopAt(t, prog)
+		if why := strings.TrimSpace(l.DealtBy.CyclicWhy + " " + l.DealtBy.CyclicName); why != tc.why || (l.Deal == Block) != (tc.why == "") {
+			t.Errorf("%s P bound to %s, %s: dealt %d (%q), want %q", tc.decl, tc.arg, tc.store, l.Deal, why, tc.why)
+		}
+	}
 	// A subroutine's parameter is Assumed when the subroutine is walked on
 	// its own, so a private copied from it is no fact, whatever the callers
 	// pass.

@@ -106,27 +106,7 @@ func (a *analysis) doubleProduce(list []forcelang.Stmt) {
 			// resequence other processes: forget everything and give
 			// each nested body its own straight-line analysis.
 			full = map[asyncCell]bool{}
-			switch t := st.(type) {
-			case *forcelang.If:
-				a.doubleProduce(t.Then)
-				a.doubleProduce(t.Else)
-			case *forcelang.SeqDo:
-				a.doubleProduce(t.Body)
-			case *forcelang.WhileDo:
-				a.doubleProduce(t.Body)
-			case *forcelang.ParDo:
-				a.doubleProduce(t.Body)
-			case *forcelang.BarrierStmt:
-				a.doubleProduce(t.Section)
-			case *forcelang.CriticalStmt:
-				a.doubleProduce(t.Body)
-			case *forcelang.PcaseStmt:
-				for _, b := range t.Blocks {
-					a.doubleProduce(b.Body)
-				}
-			case *forcelang.AskforStmt:
-				a.doubleProduce(t.Body)
-			}
+			forcelang.EachBody(st, a.doubleProduce)
 		}
 	}
 }

@@ -51,7 +51,9 @@ func (a *analysis) racePass(body []forcelang.Stmt) {
 
 // tracked reports whether the race pass answers for the symbol: shared
 // storage reached by its own name.
-func tracked(sym *forcelang.Symbol) bool { return sym.Class == forcelang.Shared && !isParam(sym) }
+func tracked(sym *forcelang.Symbol) bool {
+	return sym.Class == forcelang.Shared && sym.Storage != forcelang.Parameter
+}
 
 // indexTemps finds the body's index temporaries: a private INTEGER scalar
 // whose only store in the body is one top-level assignment (so it runs

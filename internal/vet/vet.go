@@ -90,9 +90,6 @@ type analysis struct {
 	diags []Diagnostic
 }
 
-// isParam reports whether the symbol is a by-reference parameter.
-func isParam(sym *forcelang.Symbol) bool { return sym.Storage == forcelang.Parameter }
-
 // Analyze runs every pass over a checked program and returns the
 // deduplicated diagnostics sorted by line, then code.
 func Analyze(prog *forcelang.Program) ([]Diagnostic, error) {
