@@ -766,6 +766,9 @@ func (g *generator) binExpr(t *forcelang.Bin) (string, error) {
 		// operands (Go rejects a constant 1 / 0 at compile time).
 		return fmt.Sprintf("forcert.Div(%d, %s, %s)", t.Pos(), l, r), nil
 	}
+	if want == forcelang.TReal && (t.Op == forcelang.OpEq || t.Op == forcelang.OpNe || t.Op == forcelang.OpLe || t.Op == forcelang.OpGe) {
+		return fmt.Sprintf("(forcert.Cmp(%s, %s) %s 0)", l, r, goOps[t.Op]), nil // Go's == <= >= are false on a NaN
+	}
 	if t.Op <= forcelang.OpDiv && goConst(t.L) && goConst(t.R) {
 		switch want {
 		case forcelang.TReal:

@@ -440,6 +440,20 @@ Barrier
 End Barrier
 Join
 `},
+	// The six relations over a NaN, which orders with nothing: a REAL
+	// relation reads a three-way compare that is 0 when neither side is
+	// less, so .EQ., .LE. and .GE. hold; and over signed zeros.
+	{"nan-compares", 1, `Force NANC of NP ident ME
+Private Real X, Y, Z
+End Declarations
+X = 0.0 / 0.0
+Y = 1.0
+Z = -1.0 * 0.0
+Print X .EQ. Y, X .NE. Y, X .LT. Y, X .LE. Y, X .GT. Y, X .GE. Y
+Print Y .EQ. X, Y .NE. X, Y .LT. X, Y .LE. X, Y .GT. X, Y .GE. X
+Print X .EQ. X, X .NE. X, Z .EQ. 0.0, Z .LT. 0.0, Z .GE. 0, X .LE. 1
+Join
+`},
 }
 
 // RuntimeErrors is the uniform runtime-error corpus: every process hits
@@ -1667,7 +1681,8 @@ Join
 	// Then the bodies the planner declines, each for its own reason — IF,
 	// integer MOD (and /) by a divisor that is not a nonzero literal (T is
 	// 0 there), a private read outside its recurrence (a running
-	// sum each process stores as it goes), a private temporary, SQRT.
+	// sum each process stores as it goes), SQRT — and between them a
+	// private temporary, which is block-evaluated.
 	{"block-statement-order-and-declined", 0, `Force BORD of NP ident ME
 Shared Integer A(300), B(300), C(300)
 Shared Real R(300)
@@ -1711,6 +1726,175 @@ Barrier
   End DO
   Print 'order', T, A(300), B(300), C(300), R(300)
 End Barrier
+Join
+`},
+	// Private temporaries: stored once per iteration, first thing, and read
+	// after — twice in one expression, through unary minus, ABS, MOD, NINT
+	// and REAL, by another temporary — from a buffer of their own; after
+	// the loop each holds its process's last iteration's value.  Then one
+	// read before its store, which stays per iteration; and a selfscheduled
+	// residual, a temporary folded by IF (D .GT. R) THEN R = D.  600
+	// iterations: a process's span runs as several blocks at every np.
+	{"block-temporaries", 0, `Force BTMP of NP ident ME
+Shared Real A(600), B(600), C(600)
+Shared Integer L(600), M(600)
+Shared Real W
+Private Real D, E, R
+Private Integer I, K
+End Declarations
+Presched DO I = 1, 600
+  A(I) = REAL(MOD(I * 37, 101)) / 8.0 - 6.0
+  B(I) = REAL(MOD(I * 53, 89)) / 4.0
+  L(I) = MOD(I * 7, 13) - 6
+End Presched DO
+D = -1.0
+K = -1
+Presched DO I = 1, 600
+  D = A(I) * B(I) - 1.5
+  K = L(I) * 3 + I
+  E = -D + REAL(K)
+  C(I) = D * D + D / 2.0 - E
+  M(I) = K - MOD(K, 5) + ABS(K) + NINT(D)
+End Presched DO
+Print 'last', ME, D, K, E
+Presched DO I = 1, 600
+  A(I) = A(I) + D
+  D = B(I) + 1.0
+End Presched DO
+Print 'before', ME, D
+R = 0.0
+Selfsched DO I = 2, 599
+  D = ABS(C(I + 1) - C(I - 1))
+  IF (D .GT. R) THEN
+    R = D
+  End IF
+End Selfsched DO
+GMAX W = R
+Barrier
+  D = 0.0
+  K = 0
+  DO I = 1, 600
+    D = D + C(I) + A(I) * REAL(MOD(I, 7))
+    K = K + M(I) * MOD(I, 11)
+  End DO
+  Print 'temps', D, K, W
+End Barrier
+Join
+`},
+	// A temporary on the left of an operator whose right is a buffer its
+	// subexpression fills — the index, REAL(I), D + 1.0, a sum of two
+	// buffered terms: the right fills the statement's own buffer, and a
+	// body needs no buffer past the ones its compilation counted.  The
+	// arrays are set in a Barrier, so the first DOALL starts with a
+	// process's buffers unsized and the second its REAL ones.
+	{"block-temporary-left", 0, `Force BTML of NP ident ME
+Shared Real A(600), B(600), C(600), G(600), H(600)
+Shared Integer L(600), N(600)
+Private Real D
+Private Integer I, K
+End Declarations
+Barrier
+  DO I = 1, 600
+    A(I) = REAL(MOD(I * 37, 101)) / 8.0 - 6.0
+    C(I) = REAL(MOD(I * 53, 89)) / 4.0
+    L(I) = MOD(I * 7, 13) - 6
+  End DO
+End Barrier
+Presched DO I = 1, 600
+  K = L(I) * 2
+  N(I) = K - I
+End Presched DO
+Presched DO I = 1, 600
+  D = A(I) * 0.5 - 1.0
+  B(I) = D * REAL(I)
+End Presched DO
+Presched DO I = 1, 600
+  D = A(I) - 1.0
+  G(I) = D * (D + 1.0) + D * (A(I) * A(I) + C(I) * C(I))
+  H(I) = D * (ABS(A(I)) + ABS(C(I)))
+End Presched DO
+Print 'left', ME, K, D
+Barrier
+  D = 0.0
+  K = 0
+  DO I = 1, 600
+    D = D + B(I) + G(I) * 0.001 + H(I) * 0.01
+    K = K + N(I) * MOD(I, 7)
+  End DO
+  Print 'sums', D, K
+End Barrier
+Join
+`},
+	// The conditional extremum: IF (x .GT. P) THEN P = x is P's MAX
+	// recurrence, the mirrored P .LT. x too, and the .LT. twin an INTEGER
+	// MIN; the strict compare keeps P on a NaN and on a signed zero's tie.
+	// .GE. replaces P on a tie — a -0.0 after a +0.0 — and on a NaN (a REAL
+	// .GE. is NOT .LT.), and a compare of an INTEGER with a REAL P converts:
+	// both stay per iteration.
+	{"block-conditional-extrema", 0, `Force BIFX of NP ident ME
+Shared Real Z(12), V(600)
+Shared Integer K(600)
+Private Real P, Q, X
+Private Integer I, LO, HI
+End Declarations
+Presched DO I = 1, 600
+  V(I) = REAL(MOD(I * 37, 211)) / 16.0 - 5.0
+  K(I) = MOD(I * 7919, 1009) - 500
+End Presched DO
+Barrier
+  Z(1) = 0.0
+  Z(2) = -1.0 * 0.0
+  Z(3) = 0.0 / 0.0
+  Z(4) = -2.5
+  Z(5) = Z(2)
+  Z(6) = Z(3)
+  Z(7) = 0.0
+  Z(8) = -2.5
+  Z(9) = Z(2)
+  Z(10) = 0.0
+  Z(11) = Z(3)
+  Z(12) = Z(2)
+End Barrier
+P = -100.0
+LO = 1000
+HI = -1000
+Presched DO I = 1, 600
+  IF (P .LT. V(I) * 2.0) THEN
+    P = V(I) * 2.0
+  End IF
+  IF (K(I) .LT. LO) THEN
+    LO = K(I)
+  End IF
+  IF (HI .LT. K(I) - I) THEN
+    HI = K(I) - I
+  End IF
+End Presched DO
+Print 'ifx', ME, P, LO, HI
+P = Z(2)
+Q = Z(1)
+Presched DO I = 1, 12
+  IF (Z(I) .GT. P) THEN
+    P = Z(I)
+  End IF
+  IF (Z(I) .LT. Q) THEN
+    Q = Z(I)
+  End IF
+End Presched DO
+Print 'zeros', ME, P, Q, 1.0 / P, 1.0 / Q
+P = Z(1)
+Presched DO I = 1, 12
+  IF (Z(I) .GE. P) THEN
+    P = Z(I)
+  End IF
+End Presched DO
+Print 'ge', ME, P, 1.0 / P
+X = -1000.0
+Presched DO I = 1, 600
+  IF (K(I) .GT. X) THEN
+    X = K(I)
+  End IF
+End Presched DO
+Print 'mixed', ME, X
 Join
 `},
 	// Operands read where they are: a literal, a shared uniform and a

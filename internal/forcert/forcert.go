@@ -328,6 +328,19 @@ func Max[T Number](xs ...T) T {
 	return best
 }
 
+// Cmp is the three-way compare a REAL relation reads: -1, +1, or 0 when
+// neither side is less, a NaN's case, so NaN .EQ. x, .LE. x and .GE. x
+// hold, as in the interpreters.
+func Cmp(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // ModReal is the REAL MOD intrinsic (IEEE: MOD(x, 0) is NaN, no error).
 func ModReal(a, b float64) float64 { return math.Mod(a, b) }
 

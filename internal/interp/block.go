@@ -3,28 +3,33 @@ package interp
 // Block evaluation: the form an element-wise body compiles to — and its
 // only one, a body has a block form or a per-iteration form, never both.
 // internal/plan says which bodies qualify (Plan.PerIter): straight numeric
-// assignments to span-checked elements, folded accumulators and private
-// recurrences, whose expressions cannot raise (an INTEGER / or MOD only by
-// a nonzero literal) and whose iterations a process may run statement by
-// statement.  Inside a span that passes the end-point test chunkParDo walks
-// blocks of at most blockWidth indices and runs each statement over a whole
-// block before the next: an expression node is one call per BLOCK, a tight
-// loop filling a typed scratch buffer of the chunk context.  An operand of
+// assignments to span-checked elements, folded accumulators, private
+// recurrences (a conditional extremum among them) and private temporaries,
+// whose expressions cannot raise (an INTEGER / or MOD only by a nonzero
+// literal) and whose iterations a process may run statement by statement.
+// Inside a span that passes the end-point test chunkParDo walks blocks of
+// at most blockWidth indices and runs each statement over a whole block
+// before the next: an expression node is one call per BLOCK, a tight loop
+// filling a typed scratch buffer of the chunk context.  An operand of
 // + - * /, of an INTEGER MOD or a fold term is a buffer its subexpression
 // fills, or read inside that loop: a scalar the plan hoists, a span-checked
-// element from the array's words (opnd).  So A(I) = A(I)*0.999 + B(I) makes
-// three passes: multiply, add, store, a block's stores being one call of a
-// word-store kernel (storeBlock); and a fold term that is an operator over
-// operands read in place, dotsum's X(I) * Y(I), folds inside that
-// operator's one loop.  Folds take a block in index order, so a REAL one
-// rounds as the per-iteration loop does.  That a body runs here is the
-// plan's decision, rendered by forcerun -v from the node
+// element from the array's words, a temporary from the buffer its own
+// statement filled (opnd).  So A(I) = A(I)*0.999 + B(I) makes three passes:
+// multiply, add, store, a block's stores being one call of a word-store
+// kernel (storeBlock); and a fold term that is an operator over operands
+// read in place, dotsum's X(I) * Y(I), folds inside that operator's one
+// loop.  Folds take a block in index order, so a REAL one rounds as the
+// per-iteration loop does; a temporary's private takes its block's last
+// value, the one the per-iteration loop leaves.  That a body runs here is
+// the plan's decision, rendered by forcerun -v from the node
 // (plan.Node.Narrate), not from this compilation.  Buffers are numbered by
 // evaluation depth (a node fills d, a buffer right operand d+1): a body
-// needs as many as its deepest spine of buffer operands.
+// needs as many as its deepest spine of buffer operands, and its
+// temporaries the depths -1, -2, … below them.
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -48,12 +53,13 @@ type num interface{ int64 | float64 }
 type blk[T num] func(pr *cproc, fr *frame, dst []T)
 
 // blockCtx is a process's block state: the index step and length of the
-// current block, and the scratch buffers its expressions fill, each w wide.
+// current block, and the scratch buffers its expressions fill, each w wide,
+// depth 0 the base-th, past the temporaries'.
 type blockCtx struct {
-	di   int64
-	n, w int
-	bufI []int64
-	bufR []float64
+	di         int64
+	n, w, base int
+	bufI       []int64
+	bufR       []float64
 }
 
 // blocks sizes the scratch buffers for a span of cnt indices di apart: one
@@ -64,14 +70,20 @@ func (kc *kctx) blocks(cp *chunkPlan, cnt int, di int64) *blockCtx {
 		kc.b = &blockCtx{}
 	}
 	b := kc.b
-	b.di, b.w = di, min(cnt, blockWidth)
-	b.bufI = fit(b.bufI, cp.nI*b.w)
-	b.bufR = fit(b.bufR, cp.nR*b.w)
+	b.di, b.w, b.base = di, min(cnt, blockWidth), len(cp.temps)
+	b.bufI = fit(b.bufI, (b.base+cp.nI)*b.w)
+	b.bufR = fit(b.bufR, (b.base+cp.nR)*b.w)
 	return b
 }
 
-func (kc *kctx) ints(d int) []int64    { b := kc.b; return b.bufI[d*b.w:][:b.n] }
-func (kc *kctx) reals(d int) []float64 { b := kc.b; return b.bufR[d*b.w:][:b.n] }
+func (kc *kctx) ints(d int) []int64    { b := kc.b; return b.bufI[(b.base+d)*b.w:][:b.n] }
+func (kc *kctx) reals(d int) []float64 { b := kc.b; return b.bufR[(b.base+d)*b.w:][:b.n] }
+
+// temp returns the buffer depth of sym when it is a temporary of the body.
+func (cp *chunkPlan) temp(sym *forcelang.Symbol) (int, bool) {
+	k := slices.Index(cp.temps, sym)
+	return -1 - k, k >= 0
+}
 
 // at returns the word offset of span-checked reference site, of flat
 // coefficient k, at the block's first index, and its step per index.
@@ -79,17 +91,40 @@ func (kc *kctx) at(k int64, site int) (off, step int64) {
 	return k*kc.i + kc.aff[site], k * kc.b.di
 }
 
-// blockAssign compiles one statement of an element-wise body.
-func (c *compiler) blockAssign(t *forcelang.Assign) stmtFn {
+// blockStmt compiles one statement of an element-wise body.
+func (c *compiler) blockStmt(st forcelang.Stmt) stmtFn {
+	t, terms := plan.MatchRecur(st)
+	if terms == nil {
+		t = st.(*forcelang.Assign)
+	}
 	sym := t.Target.Sym
-	real := sym.Type == forcelang.TReal
-	switch sym.Storage {
-	case scPrivate: // a recurrence, folded into the private's own slot
-		slot, terms := sym.Slot, plan.MatchRecur(t)
+	slot, real, d := sym.Slot, sym.Type == forcelang.TReal, 0
+	if terms == nil && sym.Storage == scPrivate { // a temporary (plan.Plan.PerIter)
+		c.plan.temps = append(c.plan.temps, sym)
+		d = -len(c.plan.temps)
+	}
+	switch {
+	case terms != nil: // a recurrence, folded into the private's own slot
 		if real {
 			return foldStmt(c, terms, c.oReal, (*kctx).reals, func(pr *cproc, fr *frame) *float64 { return &fr.priv[slot].r })
 		}
 		return foldStmt(c, terms, c.oInt, (*kctx).ints, func(pr *cproc, fr *frame) *int64 { return &fr.priv[slot].i })
+	case d < 0 && real: // a temporary, into its own buffer
+		ev := c.bReal(t.Expr, 0)
+		return func(pr *cproc, fr *frame) {
+			buf := pr.k.reals(d)
+			ev(pr, fr, buf)
+			fr.priv[slot].r = buf[len(buf)-1]
+		}
+	case d < 0:
+		ev := c.bInt(t.Expr, 0)
+		return func(pr *cproc, fr *frame) {
+			buf := pr.k.ints(d)
+			ev(pr, fr, buf)
+			fr.priv[slot].i = buf[len(buf)-1]
+		}
+	}
+	switch sym.Storage {
 	case scShared: // a folded accumulator, into the slot flush folds
 		acc, _ := plan.MatchAccum(t)
 		si, _ := c.plan.Fold(sym)
@@ -242,8 +277,8 @@ func accTerm[T num, A accOp](op uintptr, l, r opnd[T], buf func(*kctx, int) []T)
 }
 
 // foldIn is a fold term read as one operand: buffer 0 its subexpression
-// fills, a scalar folded n times (an extremum's once, an INTEGER sum's one
-// wrapping product), or an element folded in place.
+// fills or a temporary's, a scalar folded n times (an extremum's once, an
+// INTEGER sum's one wrapping product), or an element folded in place.
 type foldIn[T num, A accOp] struct {
 	o   opnd[T]
 	buf func(*kctx, int) []T
@@ -252,10 +287,8 @@ type foldIn[T num, A accOp] struct {
 func (f *foldIn[T, A]) run(pr *cproc, fr *frame, v T) T {
 	o, n := &f.o, pr.k.b.n
 	switch {
-	case o.ev != nil:
-		tmp := f.buf(&pr.k, 0)
-		o.ev(pr, fr, tmp)
-		for _, x := range tmp {
+	case o.buffered():
+		for _, x := range o.vals(pr, fr, f.buf, f.buf(&pr.k, 0)) {
 			v = acc[T, A](v, x)
 		}
 	case o.s != nil:
@@ -324,6 +357,8 @@ func (c *compiler) bReal(e forcelang.Expr, d int) blk[float64] {
 	case *forcelang.Ref:
 		if data, k, site, ok := c.spanSite(t); ok {
 			return stage[float64](data, k, site)
+		} else if d, ok := c.plan.temp(t.Sym); ok {
+			return reread(d, (*kctx).reals)
 		}
 	case *forcelang.Intrinsic:
 		switch t.Name {
@@ -370,6 +405,8 @@ func (c *compiler) bInt(e forcelang.Expr, d int) blk[int64] {
 		}
 		if data, k, site, ok := c.spanSite(t); ok {
 			return stage[int64](data, k, site)
+		} else if d, ok := c.plan.temp(t.Sym); ok {
+			return reread(d, (*kctx).ints)
 		}
 	case *forcelang.Intrinsic:
 		switch {
@@ -391,6 +428,11 @@ func stage[T num](data []atomic.Uint64, k int64, site int) blk[T] {
 			off += step
 		}
 	}
+}
+
+// reread copies temporary d's buffer into dst for a node filling its own.
+func reread[T num](d int, buf func(*kctx, int) []T) blk[T] {
+	return func(pr *cproc, fr *frame, dst []T) { copy(dst, buf(&pr.k, d)) }
 }
 
 // bAsInt compiles a REAL expression taken to INTEGER: truncated (INT) or
@@ -415,7 +457,7 @@ func (c *compiler) bAsInt(e forcelang.Expr, d int, round bool) blk[int64] {
 func bArith[T num](e forcelang.Expr, d int, sub func(forcelang.Expr, int) blk[T], opd func(forcelang.Expr, int, bool) opnd[T], buf func(*kctx, int) []T) blk[T] {
 	if op, l, r, ok := operator(e); ok { // a buffer right operand fills dst when the left reads in place
 		lo, rd := opd(l, d, false), d
-		if lo.ev != nil {
+		if lo.buffered() { // d+1, as binOp runs it, beside a temporary too
 			rd = d + 1
 		}
 		return newBinOp(op, d, lo, opd(r, rd, true), buf)
@@ -467,15 +509,29 @@ func bBin[T num](d int, l, r blk[T], buf func(*kctx, int) []T, op func(dst, src 
 }
 
 // opnd is one operand of a block operator or one term of a block fold, in
-// one of three shapes: a buffer its subexpression fills (ev), a scalar the
-// plan hoists (s), evaluated once per block call, or a span-checked element
-// (data at site, coefficient k), read from the array's words in place.
+// one of four shapes: a buffer its subexpression fills (ev), a temporary's
+// buffer at depth tmp < 0, a scalar the plan hoists (s), evaluated once per
+// block call, or a span-checked element (data at site, coefficient k), read
+// from the array's words in place.
 type opnd[T num] struct {
 	ev   blk[T]
+	tmp  int
 	s    func(*cproc, *frame) T
 	data []atomic.Uint64
 	k    int64
 	site int
+}
+
+func (o *opnd[T]) buffered() bool { return o.ev != nil || o.tmp < 0 }
+
+// vals returns the buffer holding a buffered operand's values: the
+// temporary's, or dst filled by its subexpression.
+func (o *opnd[T]) vals(pr *cproc, fr *frame, buf func(*kctx, int) []T, dst []T) []T {
+	if o.tmp < 0 {
+		return buf(&pr.k, o.tmp)
+	}
+	o.ev(pr, fr, dst)
+	return dst
 }
 
 // shape compiles e as an operand at buffer depth d; scalar false keeps a
@@ -487,6 +543,8 @@ func shape[T num, F ~func(*cproc, *frame) T](c *compiler, e forcelang.Expr, d in
 	if r, ok := e.(*forcelang.Ref); ok {
 		if data, k, site, ok := c.spanSite(r); ok {
 			return opnd[T]{data: data, k: k, site: site}
+		} else if d, ok := c.plan.temp(r.Sym); ok {
+			return opnd[T]{tmp: d}
 		}
 	}
 	return opnd[T]{ev: sub(e, d)}
@@ -513,7 +571,8 @@ func (c *compiler) oInt(e forcelang.Expr, d int, sc bool) opnd[int64] {
 }
 
 // binOp is a compiled l op r, dst[k] = l(k) op r(k).  A buffer left fills
-// dst and a buffer right buffer d+1, or dst itself under an element left.
+// dst — a temporary's is read where it is — and a buffer right buffer d+1,
+// or dst itself under an element left.
 // An element's loop is each1 over its words re-sliced once at step 1, so Go
 // checks no index in it, else eachN with Go's check (as is an element right
 // of an element left).  A method: a closure inlined into its compiler loses
@@ -570,23 +629,22 @@ func newBinOp[T num](op uintptr, d int, l, r opnd[T], buf func(*kctx, int) []T) 
 
 func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
 	l, r, n := &b.l, &b.r, len(dst)
-	if l.ev != nil {
-		l.ev(pr, fr, dst)
+	if l.buffered() {
+		lv := l.vals(pr, fr, b.buf, dst)[:n]
 		switch {
-		case r.ev != nil:
-			src := b.buf(&pr.k, b.d+1)[:n]
-			r.ev(pr, fr, src)
-			for k, x := range dst {
+		case r.buffered():
+			src := r.vals(pr, fr, b.buf, b.buf(&pr.k, b.d+1))[:n]
+			for k, x := range lv {
 				dst[k] = arith[T, O](x, src[k])
 			}
 		case r.s != nil:
 			s := r.s(pr, fr)
-			for k, x := range dst {
+			for k, x := range lv {
 				dst[k] = arith[T, O](x, s)
 			}
 		default:
 			off, step := pr.k.at(r.k, r.site)
-			f := func(k int, x T) { dst[k] = arith[T, O](dst[k], x) }
+			f := func(k int, x T) { dst[k] = arith[T, O](lv[k], x) }
 			if step == 1 {
 				each1(r.data[off:][:n], f)
 			} else {
@@ -596,9 +654,9 @@ func (b *binOp[T, O]) run(pr *cproc, fr *frame, dst []T) {
 		return
 	}
 	off, step := pr.k.at(l.k, l.site)
-	if r.ev != nil {
-		r.ev(pr, fr, dst)
-		f := func(k int, x T) { dst[k] = arith[T, O](x, dst[k]) }
+	if r.buffered() {
+		src := r.vals(pr, fr, b.buf, dst)
+		f := func(k int, x T) { dst[k] = arith[T, O](x, src[k]) }
 		if step == 1 {
 			each1(l.data[off:][:n], f)
 		} else {

@@ -80,8 +80,10 @@ type chunkPlan struct {
 	subs  []affSub
 	sites int
 	// nI and nR count the scratch buffers of each type an element-wise
-	// body's block form fills (block.go).
+	// body's block form fills (block.go), past one per temporary in temps,
+	// each registered by its statement.
 	nI, nR int
+	temps  []*forcelang.Symbol
 	// checked is the plan-less body, for the spans that fail the
 	// end-point test; most constructs never need it (checkedBody).
 	once    sync.Once
@@ -376,7 +378,7 @@ func (c *compiler) spanBody(t *forcelang.ParDo, cp *chunkPlan) []stmtFn {
 			body = c.stmts(t.Body)
 		} else { // element-wise: its block form, and only that
 			for _, st := range t.Body {
-				body = append(body, c.blockAssign(st.(*forcelang.Assign)))
+				body = append(body, c.blockStmt(st))
 			}
 		}
 		c.plan = nil

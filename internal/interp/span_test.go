@@ -106,7 +106,7 @@ func TestSpanCheckNarration(t *testing.T) {
 			"line 12: DOALL span-checked 1 of 1 element references, block-evaluated",
 			"line 21: DOALL span-checked 4 of 4 element references, block-evaluated"}},
 		{"span-unproven-and-wrapping", Config{}, []string{
-			"line 9: DOALL span-checked 1 of 2 element references, per iteration (writes private K, not one recurrence)",
+			"line 9: DOALL span-checked 1 of 2 element references, per iteration (writes A, not proven disjoint)",
 			"line 18: DOALL span-checked 1 of 2 element references, per iteration (writes B, not proven disjoint)", // the wrapping coefficient
 			"line 35: DOALL span-checked 0 of 1 element references, per iteration (parameter reference)",
 			"line 38: DOALL span-checked 0 of 2 element references, per iteration (parameter reference)"}},
@@ -122,8 +122,21 @@ func TestSpanCheckNarration(t *testing.T) {
 			"line 17: DOALL span-checked 3 of 3 element references, per iteration (IF)",
 			"line 22: DOALL span-checked 3 of 3 element references, per iteration (integer MOD)",
 			"line 26: DOALL span-checked 2 of 2 element references, per iteration (reads private X outside its recurrence)",
-			"line 30: DOALL span-checked 3 of 3 element references, per iteration (writes private X, not one recurrence)",
+			"line 30: DOALL span-checked 3 of 3 element references, block-evaluated",
 			"line 34: DOALL span-checked 4 of 4 element references, per iteration (SQRT)"}},
+		{"block-temporaries", Config{}, []string{
+			"line 15: DOALL span-checked 5 of 5 element references, block-evaluated",
+			"line 23: DOALL span-checked 3 of 3 element references, per iteration (writes private D, not one recurrence)",
+			"line 29: DOALL span-checked 2 of 2 element references, block-evaluated"}},
+		{"block-temporary-left", Config{}, []string{
+			"line 14: DOALL span-checked 2 of 2 element references, block-evaluated",
+			"line 18: DOALL span-checked 2 of 2 element references, block-evaluated",
+			"line 22: DOALL span-checked 9 of 9 element references, block-evaluated"}},
+		{"block-conditional-extrema", Config{}, []string{
+			"line 28: DOALL span-checked 6 of 6 element references, block-evaluated",
+			"line 42: DOALL span-checked 4 of 4 element references, block-evaluated",
+			"line 52: DOALL span-checked 2 of 2 element references, per iteration (IF)",
+			"line 59: DOALL span-checked 2 of 2 element references, per iteration (IF)"}},
 	} {
 		logs := fuseLogs(t, byName[tc.prog], tc.cfg)
 		for _, want := range tc.want {
@@ -163,6 +176,7 @@ type spanFixture struct {
 	c    *compiler
 	loop *forcelang.ParDo
 	cp   *chunkPlan
+	body []stmtFn
 	pr   *cproc
 	fr   *frame
 }
@@ -187,7 +201,7 @@ func newSpanFixture(t *testing.T, src string) *spanFixture {
 	if fx.cp == nil || fx.cp.Plan == nil {
 		t.Fatal("the fixture's DOALL has no plan")
 	}
-	fx.c.spanBody(fx.loop, fx.cp)
+	fx.body = fx.c.spanBody(fx.loop, fx.cp)
 	if fx.cp.sites != checked {
 		t.Fatalf("the compiler registered %d span-checked sites, the planner counted %d", fx.cp.sites, checked)
 	}

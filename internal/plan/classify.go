@@ -229,13 +229,15 @@ func (p *Plan) partition(at entry) {
 }
 
 // elementwise decides PerIter.  The grammar: a straight list of numeric
-// assignments whose expressions cannot raise and whose element references
-// are all checked per span (perIter).  The legality of running a process's
-// iterations statement by statement: every array written is disjoint — one
-// subscript form, so an iteration touches its own elements only — every
-// shared scalar written a folded accumulator and every private one
-// recurrence nothing else reads, a REAL one folded by a single statement so
-// that its rounding and its ties keep the per-iteration order.
+// assignments and conditional extrema (MatchRecur) whose expressions cannot
+// raise and whose element references are all checked per span (perIter).
+// The legality of running a process's iterations statement by statement:
+// every array written is disjoint — one subscript form, so an iteration
+// touches its own elements only — every shared scalar written a folded
+// accumulator and every private one a recurrence nothing else reads, a REAL
+// one folded by a single statement so that its rounding and its ties keep
+// the per-iteration order, or a temporary: stored once, first thing, from
+// an expression not reading it, so every read sees this iteration's value.
 func (p *Plan) elementwise(body []forcelang.Stmt) string {
 	switch {
 	case p.NoBulk:
@@ -244,10 +246,15 @@ func (p *Plan) elementwise(body []forcelang.Stmt) string {
 		return "two-index space"
 	}
 	for _, st := range body {
-		t, ok := st.(*forcelang.Assign)
-		if _, isIf := st.(*forcelang.If); isIf {
-			return "IF"
-		} else if !ok {
+		t, terms := MatchRecur(st)
+		switch st := st.(type) {
+		case *forcelang.Assign:
+			t = st
+		case *forcelang.If:
+			if terms == nil {
+				return "IF"
+			}
+		default:
 			return "sequential DO"
 		}
 		sym := t.Target.Sym
@@ -260,9 +267,10 @@ func (p *Plan) elementwise(body []forcelang.Stmt) string {
 			return "writes " + sym.Name + ", not proven disjoint"
 		case sym.Storage == forcelang.SharedScalar && !(folded && (a.Writes == 1 || sym.Type != forcelang.TReal)):
 			return "writes " + sym.Name + ", not one folded accumulator"
-		case sym.Storage == forcelang.PrivateArray, sym.Storage == forcelang.PrivateScalar && (a.Writes != 1 || MatchRecur(t) == nil):
-			return "writes private " + sym.Name + ", not one recurrence"
-		case sym.Storage == forcelang.PrivateScalar && a.Reads != 1:
+		case sym.Storage == forcelang.PrivateArray, sym.Storage == forcelang.PrivateScalar &&
+			(a.Writes != 1 || terms == nil && (!a.WrittenFirst || uniform.RefersTo(t.Expr, sym.Name))):
+			return "writes private " + sym.Name + ", not one recurrence" // nor a temporary
+		case terms != nil && a.Reads != 1:
 			return "reads private " + sym.Name + " outside its recurrence"
 		}
 		if why := p.perIter(&t.Target, false); why != "" {
@@ -355,16 +363,55 @@ func MatchAccum(t *forcelang.Assign) (Accum, bool) {
 	return terms[0], true
 }
 
-// MatchRecur matches an assignment to a private scalar P against the
-// same shapes read as a recurrence, one Accum per contributed term (nil:
-// no match): a process folds its iterations in index order, so a REAL sum
-// qualifies, and an INTEGER P also as the head of a left-leaning chain
-// P ± e1 ± e2 …, whose wrapping sum re-associates exactly.
-func MatchRecur(t *forcelang.Assign) []Accum {
-	if t.Target.Sym.Storage != forcelang.PrivateScalar {
-		return nil
+// MatchRecur matches a statement updating a private scalar P against the
+// same shapes read as a recurrence: the assignment that stores P and one
+// Accum per contributed term (no terms: no match).  A process folds its
+// iterations in index order, so a REAL sum qualifies, and an INTEGER P also
+// as the head of a left-leaning chain P ± e1 ± e2 …, whose wrapping sum
+// re-associates exactly.  IF (x .GT. P) THEN P = x End IF, or P .LT. x, is
+// P = MAX(P, x), and the .LT. / mirrored .GT. twin MIN: the strict compare
+// the fold makes, so a NaN or a signed zero keeps P as the IF does.  x is
+// one expression in both places, of P's type and no conversion node (a
+// mixed compare stays an IF); .GE. and .LE. replace P on a tie, turning a
+// +0.0 into a -0.0, and stay IFs too.  A shared P is never matched: only
+// MatchAccum's shapes are atomic updates.
+func MatchRecur(st forcelang.Stmt) (*forcelang.Assign, []Accum) {
+	t, _ := st.(*forcelang.Assign)
+	c, isIf := st.(*forcelang.If)
+	if isIf && len(c.Then) == 1 && len(c.Else) == 0 {
+		t, _ = c.Then[0].(*forcelang.Assign)
 	}
-	return matchFold(t, nil)
+	if t == nil || t.Target.Sym.Storage != forcelang.PrivateScalar {
+		return nil, nil
+	} else if !isIf {
+		return t, matchFold(t, nil)
+	} else if op, ok := condExtremum(c.Cond, t); ok {
+		return t, []Accum{{Op: op, Operand: t.Expr, Real: t.Target.Sym.Type == forcelang.TReal}}
+	}
+	return nil, nil
+}
+
+// condExtremum reads cond, guarding the assignment P = x, as x .GT. P or
+// P .LT. x (AccMax), or as x .LT. P or P .GT. x (AccMin).
+func condExtremum(cond forcelang.Expr, t *forcelang.Assign) (AccOp, bool) {
+	b, ok := cond.(*forcelang.Bin)
+	if !ok || (b.Op != forcelang.OpGt && b.Op != forcelang.OpLt) {
+		return 0, false
+	}
+	self := func(e forcelang.Expr) bool { r, ok := e.(*forcelang.Ref); return ok && r.Sym == t.Target.Sym }
+	right, x, op := self(b.R), b.L, AccMin
+	if !right {
+		x = b.R
+	}
+	if right == (b.Op == forcelang.OpGt) {
+		op = AccMax
+	}
+	if !right && !self(b.L) {
+		return 0, false
+	}
+	conv, _ := x.(*forcelang.Intrinsic)
+	return op, x.Type() == t.Target.Sym.Type && (conv == nil || conv.Name != "REAL" && conv.Name != "INT") &&
+		!uniform.RefersTo(x, t.Target.Name) && uniform.Canon(x) == uniform.Canon(t.Expr)
 }
 
 // matchFold appends the terms of t read as a fold of its unsubscripted

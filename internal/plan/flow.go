@@ -154,6 +154,11 @@ type loopRange struct {
 	constOK      bool
 }
 
+// runs reports whether the constant range visits at least one value.
+func (lr loopRange) runs() bool {
+	return lr.constOK && (lr.step > 0 && lr.lo <= lr.hi || lr.step < 0 && lr.lo >= lr.hi)
+}
+
 // walker is one walk of a unit: the main program, a subroutine on its own,
 // or a callee inline.
 type walker struct {
@@ -167,6 +172,26 @@ type walker struct {
 	callPath map[*forcelang.Subroutine]bool // subroutines on the current inline path
 	depth    int                            // enclosing construct depth (replicated stores only at 0)
 	mute     int                            // >0: a fixpoint round, record no findings
+	first    firstIter                      // the DOALL body every run enters, outside a varying IF or nested loop in it
+}
+
+// firstIter is a DOALL body reached on the uniform path whose trip count
+// folds to a nonzero constant: some process runs its first iteration (sum
+// nil: no such body).
+type firstIter struct {
+	sum          *Summary
+	outer, inner *forcelang.Symbol
+}
+
+// everyIteration reports whether e, inside such a body, reads nothing an
+// iteration changes — not an index, nothing the body writes — so a fault in
+// it strikes whichever process takes the first iteration.
+func (w *walker) everyIteration(e forcelang.Expr) bool {
+	f, ok := &w.first, w.first.sum != nil
+	if ok {
+		uniform.Walk(e, func(r *forcelang.Ref) { ok = ok && r.Sym != f.outer && r.Sym != f.inner && !f.sum.Written(r.Sym) })
+	}
+	return ok
 }
 
 func newWalker(fl *Flow, sub *forcelang.Subroutine) *walker {
@@ -251,15 +276,16 @@ func (w *walker) exprLevel(e forcelang.Expr) uniform.Level {
 	}
 }
 
-// fault records a provable run-time fault, in the run time's own words:
-// SomeFault under a varying context, EveryFault on the uniform path.  when
+// fault records a provable run-time fault of the operand e, in the run
+// time's own words: SomeFault under a varying context, EveryFault on the
+// uniform path or in every iteration of a body some process enters.  when
 // qualifies it ("when I = 3").
-func (w *walker) fault(line int, ctx uniform.Level, what *forcert.Err, when ...string) {
+func (w *walker) fault(line int, ctx uniform.Level, e forcelang.Expr, what *forcert.Err, when ...string) {
 	msg, kind := what.Message(), EveryFault
 	for _, s := range when {
 		msg += " " + s
 	}
-	if ctx == uniform.Varying {
+	if ctx == uniform.Varying && !w.everyIteration(e) {
 		kind = SomeFault
 	}
 	w.find(kind, line, msg)
@@ -312,12 +338,12 @@ func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 func (w *walker) divisorFault(div forcelang.Expr, line int, ctx uniform.Level, what *forcert.Err) {
 	if v, ok := uniform.Const[int64](div, w.consts); ok {
 		if v == 0 {
-			w.fault(line, ctx, what)
+			w.fault(line, ctx, div, what)
 		}
 		return
 	}
 	if lv, val, ok := w.zeroReachable(div); ok {
-		w.fault(line, ctx, what, fmt.Sprintf("when %s = %d", lv, val))
+		w.fault(line, ctx, div, what, fmt.Sprintf("when %s = %d", lv, val))
 	}
 }
 
@@ -349,7 +375,7 @@ func (w *walker) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 		case "SQRT":
 			if len(t.Args) == 1 {
 				if v, ok := uniform.Const[float64](t.Args[0], w.consts); ok && v < 0 {
-					w.fault(t.Pos(), ctx, &forcert.Err{Kind: forcert.SqrtNegative, X: v})
+					w.fault(t.Pos(), ctx, t.Args[0], &forcert.Err{Kind: forcert.SqrtNegative, X: v})
 				}
 			}
 		}
@@ -380,7 +406,7 @@ func (w *walker) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line in
 // bound checks a constant subscript s of dimension i of d.
 func (w *walker) bound(d *forcelang.Symbol, i int, s forcelang.Expr, line int, ctx uniform.Level) {
 	if v, ok := uniform.Const[int64](s, w.consts); ok && (v < 1 || v > int64(d.Dims[i])) {
-		w.fault(line, ctx, &forcert.Err{Kind: forcert.BadSubscript, Dim: i + 1, Name: d.Name, S: v, N: int64(d.Dims[i])})
+		w.fault(line, ctx, s, &forcert.Err{Kind: forcert.BadSubscript, Dim: i + 1, Name: d.Name, S: v, N: int64(d.Dims[i])})
 	}
 }
 
@@ -496,7 +522,7 @@ func (w *walker) header(v *forcelang.Symbol, from, to, step forcelang.Expr, line
 	if step != nil {
 		w.faultsExpr(step, ctx)
 		if lr.step, sok = uniform.Const[int64](step, w.consts); sok && lr.step == 0 {
-			w.fault(line, ctx, &forcert.Err{Kind: forcert.ZeroStep})
+			w.fault(line, ctx, step, &forcert.Err{Kind: forcert.ZeroStep})
 		}
 	}
 	lo, lok := uniform.Const[int64](from, w.consts)
@@ -516,6 +542,12 @@ func (w *walker) scope(body func()) {
 }
 
 func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
+	switch st.(type) {
+	case *forcelang.SeqDo, *forcelang.WhileDo, *forcelang.ParDo, *forcelang.BarrierStmt, *forcelang.PcaseStmt, *forcelang.AskforStmt:
+		first := w.first // a body that may not run, or runs in one process
+		w.first = firstIter{}
+		defer func() { w.first = first }()
+	}
 	switch t := st.(type) {
 	case *forcelang.Assign:
 		w.faultsExpr(t.Expr, ctx)
@@ -525,7 +557,10 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		w.setPrivate(&t.Target, t.Expr, lv)
 	case *forcelang.If:
 		w.faultsExpr(t.Cond, ctx)
-		cl := w.exprLevel(t.Cond).Join(ctx)
+		cl, first := w.exprLevel(t.Cond).Join(ctx), w.first
+		if !w.everyIteration(t.Cond) || w.exprLevel(t.Cond) == uniform.Varying {
+			w.first = firstIter{}
+		}
 		envT, constT := clone(w.env), clone(w.consts)
 		w.stmts(t.Then, cl)
 		envT, w.env = w.env, envT
@@ -533,6 +568,7 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		w.stmts(t.Else, cl)
 		joinInto(w.env, envT)
 		intersectConsts(w.consts, constT)
+		w.first = first
 	case *forcelang.SeqDo:
 		lr := w.header(t.VarSym, t.From, t.To, t.Step, t.Pos(), ctx)
 		blv := w.exprLevel(t.From).Join(w.exprLevel(t.To)).Join(w.exprLevel(t.Step)) // a nil Step is Uniform
@@ -556,11 +592,17 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 			w.env[t.VarSym] = uniform.Varying
 			delete(w.consts, t.VarSym)
 			w.loops = append(w.loops, outer)
+			first, runs := firstIter{outer: t.VarSym}, outer.runs()
 			if in := t.Inner; in != nil {
 				inner := w.header(in.VarSym, in.From, in.To, in.Step, t.Pos(), ctx)
 				w.env[in.VarSym] = uniform.Varying
 				delete(w.consts, in.VarSym)
 				w.loops = append(w.loops, inner)
+				first.inner, runs = in.VarSym, runs && inner.runs()
+			}
+			if ctx != uniform.Varying && runs {
+				first.sum = w.fl.footprint(t.Body)
+				w.first = first
 			}
 			w.enter(t)
 			w.depth++

@@ -400,9 +400,10 @@ Join
 		t.Errorf("dotsum at 1 ns per unit: grant %d, want 364", nd.Loop.Grant)
 	}
 	// A back end with a block form is sized by it where the body is
-	// element-wise (the relaxation, dotsum) and by NsPerUnit where it is not.
+	// element-wise (the relaxation, the residual, dotsum) and by NsPerUnit
+	// where it is not.
 	block := &Target{NsPerUnit: 4, NsPerBlockUnit: 1, Level: Planned}
-	for i, want := range []int{364, 56, 364, 8} {
+	for i, want := range []int{364, 223, 364, 8} {
 		if nd, _ := block.Next(prog.Body, i); nd.Loop.Grant != want {
 			t.Errorf("loop %d with a block form at 1 ns per unit: grant %d (PerIter %q), want %d", i, nd.Loop.Grant, nd.Loop.Plan.PerIter, want)
 		}
@@ -451,9 +452,30 @@ func TestElementwise(t *testing.T) {
 		{"A(I) = W(2)", 0, "checks W per iteration"},
 		{"W(2) = A(I)", 0, "writes private W, not one recurrence"},
 		{"F(I) = A(I) .GT. 0.0", 0, "LOGICAL F"},
+		// A temporary: stored once, first thing, read after.
+		{"D = A(I) - B(I)\nA(I) = D * D\nX = X + D", 0, ""},
+		{"K = L(I) * 2\nL(I) = K + MOD(K, 3)", 0, ""},
+		{"A(I) = D\nD = B(I)", 0, "writes private D, not one recurrence"},
+		{"D = B(I)\nD = D + 1.0", 0, "writes private D, not one recurrence"},
+		{"D = B(I)\nIF (D .GT. 0.0) THEN\nA(I) = D\nEnd IF", 0, "IF"},
+		{"K = I\nL(I) = MOD(I, K)", 0, "integer MOD"},
+		// The conditional extremum, a MAX or MIN recurrence.
+		{"IF (A(I) .GT. X) THEN\nX = A(I)\nEnd IF", 1, ""},
+		{"IF (X .LT. A(I) * 2.0) THEN\nX = A(I) * 2.0\nEnd IF", 1, ""},
+		{"IF (L(I) .LT. K) THEN\nK = L(I)\nEnd IF", 1, ""},
+		{"IF (K .GT. L(I) - I) THEN\nK = L(I) - I\nEnd IF", 1, ""},
+		{"D = ABS(A(I) - B(I))\nIF (D .GT. X) THEN\nX = D\nEnd IF\nB(I) = A(I)", 0, ""},
+		{"IF (A(I) .GE. X) THEN\nX = A(I)\nEnd IF", 0, "IF"}, // a tie replaces X
+		{"IF (X .LE. A(I)) THEN\nX = A(I)\nEnd IF", 0, "IF"},
+		{"IF (L(I) .GT. X) THEN\nX = L(I)\nEnd IF", 0, "IF"}, // a mixed compare
+		{"IF (A(I) .GT. BIG) THEN\nBIG = A(I)\nEnd IF", 0, "IF"},
+		{"IF (A(I) .GT. X) THEN\nX = B(I)\nEnd IF", 0, "IF"},
+		{"IF (A(I) .GT. X) THEN\nX = A(I)\nElse\nX = 0.0\nEnd IF", 0, "IF"},
+		{"IF (A(I) .GT. X) THEN\nX = A(I)\nEnd IF\nB(I) = X", 1, "reads private X outside its recurrence"},
+		{"IF (SQRT(A(I)) .GT. X) THEN\nX = SQRT(A(I))\nEnd IF", 1, "SQRT"},
 	} {
 		prog := parse(t, "Force EW of NP ident ME\nShared Real A(64), B(64), BIG\nShared Integer L(64), N, TOT\nShared Logical F(64)\n"+
-			"Private Integer I, K, K0, K1\nPrivate Real X, W(4)\nEnd Declarations\nPresched DO I = 1, 63\n"+tc.body+"\nEnd Presched DO\nJoin\n")
+			"Private Integer I, K, K0, K1\nPrivate Real X, D, W(4)\nEnd Declarations\nPresched DO I = 1, 63\n"+tc.body+"\nEnd Presched DO\nJoin\n")
 		loop := prog.Body[0].(*forcelang.ParDo)
 		p, reason := Classify(loop)
 		if p == nil {
@@ -462,8 +484,8 @@ func TestElementwise(t *testing.T) {
 		if p.PerIter != tc.why {
 			t.Errorf("%q: PerIter %q, want %q", tc.body, p.PerIter, tc.why)
 		}
-		if first, ok := loop.Body[0].(*forcelang.Assign); ok && len(MatchRecur(first)) != tc.terms {
-			t.Errorf("%q: MatchRecur finds %d terms, want %d", tc.body, len(MatchRecur(first)), tc.terms)
+		if _, terms := MatchRecur(loop.Body[0]); len(terms) != tc.terms {
+			t.Errorf("%q: MatchRecur finds %d terms, want %d", tc.body, len(terms), tc.terms)
 		}
 	}
 	// Hoists applies the same rule: a uniform MOD by a nonzero literal is

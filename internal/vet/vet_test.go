@@ -68,8 +68,8 @@ func TestRuntimeErrorCorpus(t *testing.T) {
 		"mod-zero":      "FV003@4",
 		"zero-step":     "FV003@4",
 		"async-bounds":  "FV003@4",
-		// Inside a DOALL the fault depends on the iteration.
-		"mod-zero-doall": "FV002@6",
+		// Every iteration of a DOALL that runs at least once faults.
+		"mod-zero-doall": "FV003@6",
 		// Iteration 8 reads what iterations 1 and 7 store: the race is
 		// the probe (the program is pinned at np = 1).
 		"span-earlier-stores": "FV101@6",
@@ -334,6 +334,42 @@ Join
 		if got := codeLines(diags); got != tc.want {
 			t.Errorf("%q: got %q, want %q\n%s", tc.stmt, got, tc.want, renderAll(diags))
 		}
+	}
+}
+
+// TestFV003EveryIteration: a fault inside a DOALL body is proven for the
+// run — FV003, not FV002 — when its operands read neither the loop index
+// nor anything the body writes, no varying IF or nested loop guards it, and
+// the trip count folds to a nonzero constant: whichever process takes the
+// first iteration faults.
+func TestFV003EveryIteration(t *testing.T) {
+	for _, tc := range []struct{ head, body, want string }{
+		{"Presched DO I = 1, 64", "A(I) = MOD(I, K)", "FV003@7"},
+		{"Selfsched DO I = 64, 1, -1", "A(I) = I / K", "FV003@7"},
+		{"Presched DO I = 1, 2 also J = 1, 3", "D(I, J) = A(0)", "FV003@7"},
+		{"Presched DO I = 1, 64", "IF (K .EQ. 0) THEN\nA(I) = MOD(I, K)\nEnd IF", "FV003@8"},
+		// The trip count does not fold, or folds to zero.
+		{"Presched DO I = 1, N", "A(I) = MOD(I, K)", "FV002@7"},
+		{"Presched DO I = 1, 0", "A(I) = MOD(I, K)", "FV002@7"},
+		{"Presched DO I = 1, 2 also J = 3, 1", "D(I, J) = A(0)", "FV002@7"},
+		// The operand reads the index or what the body writes.
+		{"Presched DO I = 1, 64", "A(I) = MOD(I, I - 7)", "FV002@7"},
+		{"Presched DO I = 1, 64", "M = 0\nA(I) = MOD(I, M)", "FV002@8"},
+		// A varying IF or a nested loop guards the fault.
+		{"Presched DO I = 1, 64", "IF (I .GT. 3) THEN\nA(I) = MOD(I, K)\nEnd IF", "FV002@8"},
+		{"Presched DO I = 1, 64", "DO M = 1, I\nA(I) = MOD(I, K)\nEnd DO", "FV002@8"},
+	} {
+		src := "Force T of NP ident ME\nShared Integer A(64), D(2, 3), N\nPrivate Integer I, J, K, M\nEnd Declarations\nK = 0\n" +
+			tc.head + "\n" + tc.body + "\nEnd " + strings.Fields(tc.head)[0] + " DO\nJoin\n"
+		if got := codeLines(analyzeSrc(t, src)); got != tc.want {
+			t.Errorf("%s / %q: got %q, want %q", tc.head, tc.body, got, tc.want)
+		}
+	}
+	// Reached under a varying condition, the DOALL is a skipped collective.
+	diags := analyzeSrc(t, "Force T of NP ident ME\nShared Integer A(64)\nPrivate Integer I, K\nEnd Declarations\nK = 0\n"+
+		"IF (ME .EQ. 0) THEN\nPresched DO I = 1, 64\nA(I) = MOD(I, K)\nEnd Presched DO\nEnd IF\nJoin\n")
+	if got := codeLines(diags); got != "FV001@7 FV002@8" {
+		t.Errorf("under a varying IF: got %q, want FV001@7 FV002@8\n%s", got, renderAll(diags))
 	}
 }
 
