@@ -36,7 +36,63 @@ import (
 	"repro/internal/vet"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/narration.golden")
+var update = flag.Bool("update", false, "rewrite testdata/narration.golden and testdata/vet.golden")
+
+// ownedPrograms returns the source of every program the repository owns,
+// by name: each corpus program as corpus.FAMILY/NAME and every .force
+// file under examples/, testdata/ and benchmark/programs/ by its path.
+func ownedPrograms(t *testing.T) map[string]string {
+	t.Helper()
+	sources := map[string]string{}
+	for fam, progs := range map[string][]corpus.Program{"Equiv": corpus.Equiv, "RuntimeErrors": corpus.RuntimeErrors,
+		"NonUniform": corpus.NonUniform, "Chunk": corpus.Chunk, "Fusion": corpus.Fusion,
+		"Reductions": corpus.Reductions, "FusionFaults": corpus.FusionFaults} {
+		for _, p := range progs {
+			name := "corpus." + fam + "/" + p.Name
+			if _, dup := sources[name]; dup {
+				t.Fatalf("two corpus programs named %s", name)
+			}
+			sources[name] = p.Src
+		}
+	}
+	for _, dir := range []string{"examples", "testdata", "benchmark/programs"} {
+		err := filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+			if err != nil || filepath.Ext(path) != ".force" {
+				return err
+			}
+			text, err := os.ReadFile(path)
+			sources[filepath.ToSlash(path)] = string(text)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sources
+}
+
+// checkGolden compares got with the golden file at path, or rewrites the
+// file under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	text, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := strings.Split(got, "\n"), strings.Split(string(text), "\n"); !slices.Equal(g, w) {
+		k := 0
+		for k < len(g)-1 && k < len(w)-1 && g[k] == w[k] {
+			k++
+		}
+		t.Errorf("output differs from %s at line %d (rerun with -update and review):\n got %q\nwant %q", path, k+1, g[k], w[k])
+	}
+}
 
 // aotCache is one cache shared by the whole parity sweep, so each
 // corpus program builds exactly once even though several tests (and
@@ -760,31 +816,7 @@ Endsub
 	// diff), and since both walk one node list (plan.Target.Next) the two
 	// agree once grant sizes are masked.  Decisions are compile-time: a
 	// context dead on arrival narrates them all and starts no force.
-	sources := map[string]string{}
-	for fam, progs := range map[string][]corpus.Program{"Equiv": corpus.Equiv, "RuntimeErrors": corpus.RuntimeErrors,
-		"NonUniform": corpus.NonUniform, "Chunk": corpus.Chunk, "Fusion": corpus.Fusion,
-		"Reductions": corpus.Reductions, "FusionFaults": corpus.FusionFaults} {
-		for _, p := range progs {
-			name := "corpus." + fam + "/" + p.Name
-			if _, dup := sources[name]; dup {
-				t.Fatalf("two corpus programs named %s", name)
-			}
-			sources[name] = p.Src
-		}
-	}
-	for _, dir := range []string{"examples", "testdata", "benchmark/programs"} {
-		err := filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
-			if err != nil || filepath.Ext(path) != ".force" {
-				return err
-			}
-			text, err := os.ReadFile(path)
-			sources[filepath.ToSlash(path)] = string(text)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	sources := ownedPrograms(t)
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	// Whether a loop fits one grant follows from the grant's size.
@@ -826,20 +858,7 @@ Endsub
 	if decided < 300 {
 		t.Errorf("the sweep compared %d decisions over %d programs: it is not reading the narration", decided, len(sources))
 	}
-	const goldenPath = "testdata/narration.golden"
-	if *update {
-		if err := os.WriteFile(goldenPath, []byte(golden.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	} else if text, err := os.ReadFile(goldenPath); err != nil {
-		t.Fatal(err)
-	} else if got, want := strings.Split(golden.String(), "\n"), strings.Split(string(text), "\n"); !slices.Equal(got, want) {
-		k := 0
-		for k < len(got)-1 && k < len(want)-1 && got[k] == want[k] {
-			k++
-		}
-		t.Errorf("narration differs from %s at line %d (rerun with -update and review):\n got %q\nwant %q", goldenPath, k+1, got[k], want[k])
-	}
+	checkGolden(t, "testdata/narration.golden", golden.String())
 
 	// The files under testdata/narration/ are what they narrate for: at np
 	// 4, on the chunked tier and (unless -short) the aot tier, each prints

@@ -522,6 +522,8 @@ func TestFV101DisjointArrayIsClean(t *testing.T) {
 	runFV101(t, []fv101Case{
 		{"A(I+1)", decls, "Presched DO I = 1, 10\nA(I + 1) = REAL(I)\nEnd Presched DO\n", ""},
 		{"index temporary", decls, "Presched DO I = 1, 10\nK = I + 1\nA(K - 1) = REAL(I)\nEnd Presched DO\n", ""},
+		// One element spelled through the temporary and through its definition.
+		{"temporary and its definition", decls, "Presched DO I = 1, 10\nK = I + 1\nA(K) = A(I + 1) + 1.0\nEnd Presched DO\n", ""},
 	})
 }
 

@@ -1,16 +1,58 @@
 // Static-analysis integration tests: forcevet's wiring into the real
 // forcerun/forcec/forcevet binaries — warn-by-default reporting on
 // stderr, -vet=err refusing to run, -vet=off staying silent, and
-// -explain printing the long-form rule text.
+// -explain printing the long-form rule text — and the diagnostics of
+// every program the repository owns, pinned in testdata/vet.golden.
 package repro_test
 
 import (
+	"fmt"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/forcelang"
+	"repro/internal/vet"
 )
+
+// TestVetGolden pins forcevet's diagnostics, in the lines the command
+// prints, for each corpus program and every .force file under
+// examples/, testdata/ and benchmark/programs/ (`go test -run
+// TestVetGolden . -update` rewrites testdata/vet.golden: review the
+// diff; a refactor of the analysis must leave it unchanged).
+func TestVetGolden(t *testing.T) {
+	sources := ownedPrograms(t)
+	names := make([]string, 0, len(sources))
+	for name := range sources {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var golden strings.Builder
+	diagnosed := 0
+	for _, name := range names {
+		fmt.Fprintf(&golden, "== %s\n", name)
+		prog, err := forcelang.Parse(sources[name])
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		diags, err := vet.Analyze(prog)
+		if err != nil {
+			fmt.Fprintf(&golden, "error: %v\n", err)
+			continue
+		}
+		for _, d := range diags {
+			fmt.Fprintf(&golden, "%s:%d: %s %s: %s\n", name, d.Line, d.Code, d.Sev, d.Message)
+		}
+		diagnosed += len(diags)
+	}
+	if diagnosed < 15 {
+		t.Errorf("the sweep drew %d diagnostics from %d programs: it is not reading forcevet", diagnosed, len(sources))
+	}
+	checkGolden(t, "testdata/vet.golden", golden.String())
+}
 
 // TestForcerunVetModes drives the issue's repro program (a non-uniform
 // division by zero heading into a barrier) through all three -vet
