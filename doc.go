@@ -21,8 +21,7 @@
 //		   │                 wired into forcec/forcerun (-vet=warn|err|off,
 //		   │                 forcec -explain FVnnn) and cmd/forcevet; the
 //		   │                 uniform/varying lattice and the affine
-//		   │                 disjointness proofs live in internal/uniform,
-//		   │                 shared with the DOALL plan below
+//		   │                 disjointness proofs it reads are plan's below
 //		   ├── plan          the lowered construct list: Target.Next turns a
 //		   │                 statement list, step by step, into the
 //		   │                 statement itself, a Loop or a Region, every

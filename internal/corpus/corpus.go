@@ -1473,7 +1473,7 @@ Endsub
 `},
 	// A literal coefficient that wraps in int64: 2^62 * 4 is 0, so both
 	// iterations of each loop meet on A(1).  The form is not injective
-	// (uniform.Space.Coef answers only within ±2^31): the first loop keeps
+	// (plan.Space.Coef answers only within ±2^31): the first loop keeps
 	// the cyclic deal, and the pair does not fuse on the strength of a
 	// same-pid argument over "disjoint" elements of A.  Both iterations
 	// store one value, so the output is exact however they are dealt.

@@ -47,7 +47,6 @@ import (
 	"sort"
 
 	"repro/internal/forcelang"
-	"repro/internal/uniform"
 )
 
 // Plan is the classifier's verdict for one span-executable ParDo.
@@ -75,8 +74,8 @@ type Plan struct {
 	// whose grant it sizes.
 	Cost int
 
-	sum   *Summary       // the body's footprint
-	space *uniform.Space // the index space the disjointness proof decomposed over (nil under NoBulk)
+	sum   *Summary // the body's footprint
+	space *Space   // the index space the disjointness proof decomposed over (nil under NoBulk)
 	// consts are the INTEGER constants the flow analysis proves at the
 	// loop's entry (nil: none); those the body does not write hold in
 	// every iteration.
@@ -92,7 +91,7 @@ func (p *Plan) Written(sym *forcelang.Symbol) bool { return p.sum.Written(sym) }
 // range-checked per span rather than per iteration, and with which index
 // coefficients: r subscripts a shared array once per dimension, each
 // subscript coef[k]·Outer + rest with a literal coef[k] and a rest of
-// literals and INTEGER scalars the body does not write (uniform.Space.Coef
+// literals and INTEGER scalars the body does not write (Space.Coef
 // under the intScalar rule, the disjointness proof's decomposition).  Such
 // a subscript is monotone in the index and its rest the same in every
 // iteration a process executes, so a back end may compute the rest once
@@ -268,7 +267,7 @@ func (p *Plan) elementwise(body []forcelang.Stmt) string {
 		case sym.Storage == forcelang.SharedScalar && !(folded && (a.Writes == 1 || sym.Type != forcelang.TReal)):
 			return "writes " + sym.Name + ", not one folded accumulator"
 		case sym.Storage == forcelang.PrivateArray, sym.Storage == forcelang.PrivateScalar &&
-			(a.Writes != 1 || terms == nil && (!a.WrittenFirst || uniform.RefersTo(t.Expr, sym.Name))):
+			(a.Writes != 1 || terms == nil && (!a.WrittenFirst || refersTo(t.Expr, sym))):
 			return "writes private " + sym.Name + ", not one recurrence" // nor a temporary
 		case terms != nil && a.Reads != 1:
 			return "reads private " + sym.Name + " outside its recurrence"
@@ -327,8 +326,8 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 // constant in every iteration: forcert.Div and ModInt raise on zero alone,
 // and Go's / and % wrap -2⁶³ / -1 to -2⁶³ and take MOD(-2⁶³, -1) to 0.
 func (p *Plan) nonzero(e forcelang.Expr) bool {
-	v, ok := uniform.Const[int64](e, p.consts)
-	uniform.Walk(e, func(r *forcelang.Ref) { ok = ok && !p.Written(r.Sym) })
+	v, ok := constant[int64](e, p.consts)
+	walk(e, func(r *forcelang.Ref) { ok = ok && !p.Written(r.Sym) })
 	return ok && v != 0
 }
 
@@ -411,43 +410,56 @@ func condExtremum(cond forcelang.Expr, t *forcelang.Assign) (AccOp, bool) {
 	}
 	conv, _ := x.(*forcelang.Intrinsic)
 	return op, x.Type() == t.Target.Sym.Type && (conv == nil || conv.Name != "REAL" && conv.Name != "INT") &&
-		!uniform.RefersTo(x, t.Target.Name) && uniform.Canon(x) == uniform.Canon(t.Expr)
+		!refersTo(x, t.Target.Sym) && Canon(x) == Canon(t.Expr)
 }
 
 // matchFold appends the terms of t read as a fold of its unsubscripted
-// target, no term reading the target.  A right-hand side the checker
-// converts to the target's type is an INT or REAL node, which no shape
-// matches: a fold has no conversion to replay, and extrema keep one
-// operand bit-for-bit.
+// target S, no term reading S: S = S + e | S = e + S | S = S - e (and, for
+// an INTEGER S, a left-leaning chain S ± e1 ± e2 …), or S = MAX(S, e) |
+// S = MIN(S, e).  Only the self-first argument order of an extremum is
+// accepted: MAX keeps its first argument unless the second is *strictly*
+// greater, so for REAL operands MAX(S, e) and MAX(e, S) disagree on NaN
+// and signed-zero inputs, and only the self-first form composes exactly
+// with a privately folded partial.  A right-hand side the checker converts
+// to the target's type is an INT or REAL node, which no shape matches: a
+// fold has no conversion to replay, and extrema keep one operand
+// bit-for-bit.
 func matchFold(t *forcelang.Assign, terms []Accum) []Accum {
-	name, real := t.Target.Name, t.Target.Sym.Type == forcelang.TReal
+	sym, real := t.Target.Sym, t.Target.Sym.Type == forcelang.TReal
 	if len(t.Target.Subs) != 0 {
 		return nil
 	}
-	if arg, isMax, ok := uniform.AccumMinMax(name, t.Expr); ok {
+	self := func(e forcelang.Expr) bool {
+		r, ok := e.(*forcelang.Ref)
+		return ok && r.Sym == sym && len(r.Subs) == 0
+	}
+	if in, ok := t.Expr.(*forcelang.Intrinsic); ok && (in.Name == "MAX" || in.Name == "MIN") && len(in.Args) == 2 && self(in.Args[0]) {
 		op := AccMin
-		if isMax {
+		if in.Name == "MAX" {
 			op = AccMax
 		}
-		terms = append(terms, Accum{Op: op, Operand: arg, Real: real})
+		terms = append(terms, Accum{Op: op, Operand: in.Args[1], Real: real})
 	} else {
 		for e := t.Expr; ; {
-			delta, neg, ok := uniform.AccumDelta(name, e)
-			if !ok {
-				b, isBin := e.(*forcelang.Bin)
-				if real || !isBin || (b.Op != forcelang.OpAdd && b.Op != forcelang.OpSub) {
-					return nil
-				}
-				delta, neg, e = b.R, b.Op == forcelang.OpSub, b.L
+			b, isBin := e.(*forcelang.Bin)
+			if !isBin || (b.Op != forcelang.OpAdd && b.Op != forcelang.OpSub) {
+				return nil
 			}
-			terms = append(terms, Accum{Op: AccSum, Operand: delta, Negate: neg, Real: real})
-			if ok {
+			term, rest := b.R, b.L
+			if b.Op == forcelang.OpAdd && !self(b.L) && self(b.R) {
+				term, rest = b.L, b.R
+			}
+			terms = append(terms, Accum{Op: AccSum, Operand: term, Negate: b.Op == forcelang.OpSub, Real: real})
+			if self(rest) {
 				break
+			} else if real {
+				return nil
 			}
+			e = rest
 		}
 	}
 	for _, a := range terms {
-		if uniform.RefersTo(a.Operand, name) {
+		if refersTo(a.Operand, sym) {
 			return nil
 		}
 	}

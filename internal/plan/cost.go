@@ -17,7 +17,6 @@ package plan
 import (
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
-	"repro/internal/uniform"
 )
 
 // GrantNs is the work one claim of a planned selfscheduled loop should
@@ -89,11 +88,11 @@ func listCost(list []forcelang.Stmt) (units int, bounded bool) {
 // literal expressions: forcert.Do's, the count every back end runs it by,
 // saturated at costCeil.
 func literalTrips(fromX, toX, stepX forcelang.Expr) (int, bool) {
-	from, ok1 := uniform.Const[int64](fromX, nil)
-	to, ok2 := uniform.Const[int64](toX, nil)
+	from, ok1 := constant[int64](fromX, nil)
+	to, ok2 := constant[int64](toX, nil)
 	step, ok3 := int64(1), true
 	if stepX != nil {
-		step, ok3 = uniform.Const[int64](stepX, nil)
+		step, ok3 = constant[int64](stepX, nil)
 	}
 	if !ok1 || !ok2 || !ok3 || step == 0 {
 		return 0, false

@@ -1,7 +1,7 @@
 package plan
 
 // The flow analysis: the one dataflow walk over a checked program.  It
-// carries, per private, a point of internal/uniform's lattice and, per
+// carries, per private, a point of the uniformity lattice and, per
 // private INTEGER scalar, a known constant, flow-sensitively: IF arms
 // join, loops iterate to a fixpoint, a call walks the callee inline with
 // its parameters bound to the argument levels and gives every argument the
@@ -29,8 +29,25 @@ import (
 
 	"repro/internal/forcelang"
 	"repro/internal/forcert"
-	"repro/internal/uniform"
 )
+
+// uniformity is a point of the lattice the walk carries, a chain of three
+// points, Uniform below Assumed below Varying: a value every process (or,
+// in a loop body, every iteration a process executes) computes
+// identically; one read from shared or asynchronous storage, the same in
+// every process of a synchronized program but not in every execution; and
+// one that may differ across processes or iterations (it depends on ME, a
+// loop index, or a varying input).
+type uniformity int
+
+const (
+	uniform uniformity = iota
+	assumed
+	varying
+)
+
+// join is the lattice join: the higher point.
+func (l uniformity) join(o uniformity) uniformity { return max(l, o) }
 
 // Flow is the analysis of one checked program (Analyze).
 type Flow struct {
@@ -75,14 +92,14 @@ const (
 // holds its initial value, the same everywhere) and the INTEGER constants
 // every walk agrees on.
 type entry struct {
-	levels map[*forcelang.Symbol]uniform.Level
+	levels map[*forcelang.Symbol]uniformity
 	consts map[*forcelang.Symbol]int64
 }
 
 // uniform reports whether the private sym holds one value in every process
 // at the entry (nil levels: no walk reached it).
 func (e entry) uniform(sym *forcelang.Symbol) bool {
-	return e.levels != nil && sym.Role != forcelang.RoleIdent && e.levels[sym] == uniform.Uniform
+	return e.levels != nil && sym.Role != forcelang.RoleIdent && e.levels[sym] == uniform
 }
 
 // flowWalks counts the analyses made, for the test that pins one per
@@ -165,8 +182,8 @@ type walker struct {
 	fl  *Flow
 	sub *forcelang.Subroutine // nil for the main program
 
-	env    map[*forcelang.Symbol]uniform.Level // private -> level (zero value Uniform)
-	consts map[*forcelang.Symbol]int64         // private INTEGER scalar -> known constant
+	env    map[*forcelang.Symbol]uniformity // private -> level (zero value Uniform)
+	consts map[*forcelang.Symbol]int64      // private INTEGER scalar -> known constant
 	loops  []loopRange
 
 	callPath map[*forcelang.Subroutine]bool // subroutines on the current inline path
@@ -189,13 +206,13 @@ type firstIter struct {
 func (w *walker) everyIteration(e forcelang.Expr) bool {
 	f, ok := &w.first, w.first.sum != nil
 	if ok {
-		uniform.Walk(e, func(r *forcelang.Ref) { ok = ok && r.Sym != f.outer && r.Sym != f.inner && !f.sum.Written(r.Sym) })
+		walk(e, func(r *forcelang.Ref) { ok = ok && r.Sym != f.outer && r.Sym != f.inner && !f.sum.Written(r.Sym) })
 	}
 	return ok
 }
 
 func newWalker(fl *Flow, sub *forcelang.Subroutine) *walker {
-	return &walker{fl: fl, sub: sub, env: map[*forcelang.Symbol]uniform.Level{},
+	return &walker{fl: fl, sub: sub, env: map[*forcelang.Symbol]uniformity{},
 		consts: map[*forcelang.Symbol]int64{}, callPath: map[*forcelang.Subroutine]bool{}}
 }
 
@@ -206,10 +223,10 @@ func (fl *Flow) unit(body []forcelang.Stmt, sub *forcelang.Subroutine) {
 	w := newWalker(fl, sub)
 	if sub != nil {
 		for _, p := range sub.Scope.Params() {
-			w.env[p] = uniform.Assumed
+			w.env[p] = assumed
 		}
 	}
-	w.stmts(body, uniform.Uniform)
+	w.stmts(body, uniform)
 }
 
 func (w *walker) find(kind FindingKind, line int, what string) {
@@ -220,8 +237,8 @@ func (w *walker) find(kind FindingKind, line int, what string) {
 
 // collective records a collective construct reached under a varying
 // context.
-func (w *walker) collective(ctx uniform.Level, line int, what string) {
-	if ctx == uniform.Varying {
+func (w *walker) collective(ctx uniformity, line int, what string) {
+	if ctx == varying {
 		w.find(SkippedCollective, line, what)
 	}
 }
@@ -239,40 +256,40 @@ func (w *walker) enter(t *forcelang.ParDo) {
 
 // refLevel is the level of reading r.  ME varies; NP does not; another
 // shared or asynchronous name is Assumed.
-func (w *walker) refLevel(r *forcelang.Ref) uniform.Level {
-	var lv uniform.Level
+func (w *walker) refLevel(r *forcelang.Ref) uniformity {
+	var lv uniformity
 	switch {
 	case r.Sym.Role == forcelang.RoleIdent:
-		lv = uniform.Varying
+		lv = varying
 	case r.Sym.Class == forcelang.Private:
 		lv = w.env[r.Sym]
 	case r.Sym.Role != forcelang.RoleNP:
-		lv = uniform.Assumed
+		lv = assumed
 	}
 	// An element read through a varying subscript differs across
 	// processes even when every element is uniform.
 	for _, s := range r.Subs {
-		lv = lv.Join(w.exprLevel(s))
+		lv = lv.join(w.exprLevel(s))
 	}
 	return lv
 }
 
-func (w *walker) exprLevel(e forcelang.Expr) uniform.Level {
+func (w *walker) exprLevel(e forcelang.Expr) uniformity {
 	switch t := e.(type) {
 	case *forcelang.Ref:
 		return w.refLevel(t)
 	case *forcelang.Un:
 		return w.exprLevel(t.X)
 	case *forcelang.Bin:
-		return w.exprLevel(t.L).Join(w.exprLevel(t.R))
+		return w.exprLevel(t.L).join(w.exprLevel(t.R))
 	case *forcelang.Intrinsic:
-		lv := uniform.Uniform
+		lv := uniform
 		for _, arg := range t.Args {
-			lv = lv.Join(w.exprLevel(arg))
+			lv = lv.join(w.exprLevel(arg))
 		}
 		return lv
 	default:
-		return uniform.Uniform // literals
+		return uniform // literals
 	}
 }
 
@@ -280,12 +297,12 @@ func (w *walker) exprLevel(e forcelang.Expr) uniform.Level {
 // time's own words: SomeFault under a varying context, EveryFault on the
 // uniform path or in every iteration of a body some process enters.  when
 // qualifies it ("when I = 3").
-func (w *walker) fault(line int, ctx uniform.Level, e forcelang.Expr, what *forcert.Err, when ...string) {
+func (w *walker) fault(line int, ctx uniformity, e forcelang.Expr, what *forcert.Err, when ...string) {
 	msg, kind := what.Message(), EveryFault
 	for _, s := range when {
 		msg += " " + s
 	}
-	if ctx == uniform.Varying && !w.everyIteration(e) {
+	if ctx == varying && !w.everyIteration(e) {
 		kind = SomeFault
 	}
 	w.find(kind, line, msg)
@@ -302,7 +319,7 @@ func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 		if !lr.constOK {
 			continue
 		}
-		sp := &uniform.Space{Outer: lr.v.Name, IntScalar: func(r *forcelang.Ref) bool {
+		sp := &Space{outer: lr.v, intScalar: func(r *forcelang.Ref) bool {
 			_, ok := w.consts[r.Sym]
 			return ok
 		}}
@@ -313,7 +330,7 @@ func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 		// rest = e with the loop variable at zero.
 		saved, had := w.consts[lr.v]
 		w.consts[lr.v] = 0
-		rest, rok := uniform.Const[int64](e, w.consts)
+		rest, rok := constant[int64](e, w.consts)
 		if had {
 			w.consts[lr.v] = saved
 		} else {
@@ -335,8 +352,8 @@ func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 }
 
 // divisorFault proves an integer divisor is (or reaches) zero.
-func (w *walker) divisorFault(div forcelang.Expr, line int, ctx uniform.Level, what *forcert.Err) {
-	if v, ok := uniform.Const[int64](div, w.consts); ok {
+func (w *walker) divisorFault(div forcelang.Expr, line int, ctx uniformity, what *forcert.Err) {
+	if v, ok := constant[int64](div, w.consts); ok {
 		if v == 0 {
 			w.fault(line, ctx, div, what)
 		}
@@ -350,7 +367,7 @@ func (w *walker) divisorFault(div forcelang.Expr, line int, ctx uniform.Level, w
 // faultsExpr walks e proving runtime faults: integer division and MOD by a
 // (reachably) zero divisor, SQRT of a negative constant, constant
 // subscripts outside the declared bounds.
-func (w *walker) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
+func (w *walker) faultsExpr(e forcelang.Expr, ctx uniformity) {
 	switch t := e.(type) {
 	case *forcelang.Ref:
 		w.faultsRef(t, ctx)
@@ -374,7 +391,7 @@ func (w *walker) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 			}
 		case "SQRT":
 			if len(t.Args) == 1 {
-				if v, ok := uniform.Const[float64](t.Args[0], w.consts); ok && v < 0 {
+				if v, ok := constant[float64](t.Args[0], w.consts); ok && v < 0 {
 					w.fault(t.Pos(), ctx, t.Args[0], &forcert.Err{Kind: forcert.SqrtNegative, X: v})
 				}
 			}
@@ -384,7 +401,7 @@ func (w *walker) faultsExpr(e forcelang.Expr, ctx uniform.Level) {
 
 // faultsRef checks constant subscripts against the declared bounds (and
 // recurses into the subscript expressions).
-func (w *walker) faultsRef(r *forcelang.Ref, ctx uniform.Level) {
+func (w *walker) faultsRef(r *forcelang.Ref, ctx uniformity) {
 	for _, s := range r.Subs {
 		w.faultsExpr(s, ctx)
 	}
@@ -396,7 +413,7 @@ func (w *walker) faultsRef(r *forcelang.Ref, ctx uniform.Level) {
 }
 
 // faultsAsyncSub checks an async array element designator.
-func (w *walker) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line int, ctx uniform.Level) {
+func (w *walker) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line int, ctx uniformity) {
 	if sub != nil {
 		w.faultsExpr(sub, ctx)
 		w.bound(d, 0, sub, line, ctx)
@@ -404,8 +421,8 @@ func (w *walker) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line in
 }
 
 // bound checks a constant subscript s of dimension i of d.
-func (w *walker) bound(d *forcelang.Symbol, i int, s forcelang.Expr, line int, ctx uniform.Level) {
-	if v, ok := uniform.Const[int64](s, w.consts); ok && (v < 1 || v > int64(d.Dims[i])) {
+func (w *walker) bound(d *forcelang.Symbol, i int, s forcelang.Expr, line int, ctx uniformity) {
+	if v, ok := constant[int64](s, w.consts); ok && (v < 1 || v > int64(d.Dims[i])) {
 		w.fault(line, ctx, s, &forcert.Err{Kind: forcert.BadSubscript, Dim: i + 1, Name: d.Name, S: v, N: int64(d.Dims[i])})
 	}
 }
@@ -421,14 +438,14 @@ func tracked(d *forcelang.Symbol) bool {
 // takes level lv and, when it is a private and expr (nil for a value no
 // expression gives: a reduction's, a consumed one) folds to an INTEGER
 // constant, that constant.
-func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniform.Level) {
+func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniformity) {
 	d := target.Sym
 	if !tracked(d) {
 		return
 	}
 	if len(target.Subs) == 0 {
 		w.env[d] = lv
-		if v, ok := uniform.Const[int64](expr, w.consts); ok && d.Type == forcelang.TInt && d.Class == forcelang.Private {
+		if v, ok := constant[int64](expr, w.consts); ok && d.Type == forcelang.TInt && d.Class == forcelang.Private {
 			w.consts[d] = v
 		} else {
 			delete(w.consts, d)
@@ -438,9 +455,9 @@ func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv unifo
 	// Array element: weak update — join subscript levels too, a varying
 	// subscript leaves different elements per process.
 	for _, s := range target.Subs {
-		lv = lv.Join(w.exprLevel(s))
+		lv = lv.join(w.exprLevel(s))
 	}
-	w.env[d] = w.env[d].Join(lv)
+	w.env[d] = w.env[d].join(lv)
 }
 
 // killWritten drops the constants a loop body (or a Pcase block) may
@@ -457,7 +474,7 @@ func (w *walker) killWritten(body []forcelang.Stmt) {
 // clone copies an environment into a map sized for it.  (Not maps.Clone:
 // that clones the bucket structure, which on the mostly empty environments
 // of script-cold costs 24 allocs and 1.9 KB per op, measured.)
-func clone[V uniform.Level | int64](m map[*forcelang.Symbol]V) map[*forcelang.Symbol]V {
+func clone[V uniformity | int64](m map[*forcelang.Symbol]V) map[*forcelang.Symbol]V {
 	out := make(map[*forcelang.Symbol]V, len(m))
 	for k, v := range m {
 		out[k] = v
@@ -466,9 +483,9 @@ func clone[V uniform.Level | int64](m map[*forcelang.Symbol]V) map[*forcelang.Sy
 }
 
 // joinInto merges b into a pointwise (missing keys are Uniform).
-func joinInto(a, b map[*forcelang.Symbol]uniform.Level) {
+func joinInto(a, b map[*forcelang.Symbol]uniformity) {
 	for k, v := range b {
-		a[k] = a[k].Join(v)
+		a[k] = a[k].join(v)
 	}
 }
 
@@ -488,10 +505,10 @@ func intersectConsts(a, b map[*forcelang.Symbol]int64) {
 // the planner a level below the truth.  cond, when non-nil, is the loop's
 // condition: its level joins the body's context and is recomputed every
 // round, since body writes can raise it.
-func (w *walker) fixpoint(body []forcelang.Stmt, ctx uniform.Level, cond forcelang.Expr) {
+func (w *walker) fixpoint(body []forcelang.Stmt, ctx uniformity, cond forcelang.Expr) {
 	round := func() {
 		w.killWritten(body)
-		w.stmts(body, ctx.Join(w.exprLevel(cond)))
+		w.stmts(body, ctx.join(w.exprLevel(cond)))
 	}
 	w.mute++
 	for risen := true; risen; {
@@ -507,7 +524,7 @@ func (w *walker) fixpoint(body []forcelang.Stmt, ctx uniform.Level, cond forcela
 	round()
 }
 
-func (w *walker) stmts(list []forcelang.Stmt, ctx uniform.Level) {
+func (w *walker) stmts(list []forcelang.Stmt, ctx uniformity) {
 	for _, st := range list {
 		w.stmt(st, ctx)
 	}
@@ -515,18 +532,18 @@ func (w *walker) stmts(list []forcelang.Stmt, ctx uniform.Level) {
 
 // header checks a loop header for provable faults, a constant zero step
 // included, and returns its constant range (step nil means 1).
-func (w *walker) header(v *forcelang.Symbol, from, to, step forcelang.Expr, line int, ctx uniform.Level) loopRange {
+func (w *walker) header(v *forcelang.Symbol, from, to, step forcelang.Expr, line int, ctx uniformity) loopRange {
 	w.faultsExpr(from, ctx)
 	w.faultsExpr(to, ctx)
 	lr, sok := loopRange{v: v, step: 1}, true
 	if step != nil {
 		w.faultsExpr(step, ctx)
-		if lr.step, sok = uniform.Const[int64](step, w.consts); sok && lr.step == 0 {
+		if lr.step, sok = constant[int64](step, w.consts); sok && lr.step == 0 {
 			w.fault(line, ctx, step, &forcert.Err{Kind: forcert.ZeroStep})
 		}
 	}
-	lo, lok := uniform.Const[int64](from, w.consts)
-	hi, hok := uniform.Const[int64](to, w.consts)
+	lo, lok := constant[int64](from, w.consts)
+	hi, hok := constant[int64](to, w.consts)
 	lr.lo, lr.hi, lr.constOK = lo, hi, lok && hok && sok && lr.step != 0
 	return lr
 }
@@ -541,7 +558,7 @@ func (w *walker) scope(body func()) {
 	intersectConsts(w.consts, preConsts)
 }
 
-func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
+func (w *walker) stmt(st forcelang.Stmt, ctx uniformity) {
 	switch st.(type) {
 	case *forcelang.SeqDo, *forcelang.WhileDo, *forcelang.ParDo, *forcelang.BarrierStmt, *forcelang.PcaseStmt, *forcelang.AskforStmt:
 		first := w.first // a body that may not run, or runs in one process
@@ -552,13 +569,13 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 	case *forcelang.Assign:
 		w.faultsExpr(t.Expr, ctx)
 		w.faultsRef(&t.Target, ctx)
-		lv := w.exprLevel(t.Expr).Join(ctx)
+		lv := w.exprLevel(t.Expr).join(ctx)
 		w.replicatedStore(t, ctx)
 		w.setPrivate(&t.Target, t.Expr, lv)
 	case *forcelang.If:
 		w.faultsExpr(t.Cond, ctx)
-		cl, first := w.exprLevel(t.Cond).Join(ctx), w.first
-		if !w.everyIteration(t.Cond) || w.exprLevel(t.Cond) == uniform.Varying {
+		cl, first := w.exprLevel(t.Cond).join(ctx), w.first
+		if !w.everyIteration(t.Cond) || w.exprLevel(t.Cond) == varying {
 			w.first = firstIter{}
 		}
 		envT, constT := clone(w.env), clone(w.consts)
@@ -571,12 +588,12 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		w.first = first
 	case *forcelang.SeqDo:
 		lr := w.header(t.VarSym, t.From, t.To, t.Step, t.Pos(), ctx)
-		blv := w.exprLevel(t.From).Join(w.exprLevel(t.To)).Join(w.exprLevel(t.Step)) // a nil Step is Uniform
+		blv := w.exprLevel(t.From).join(w.exprLevel(t.To)).join(w.exprLevel(t.Step)) // a nil Step is Uniform
 		w.scope(func() {
-			w.env[t.VarSym] = blv.Join(ctx)
+			w.env[t.VarSym] = blv.join(ctx)
 			delete(w.consts, t.VarSym)
 			w.loops = append(w.loops, lr)
-			w.fixpoint(t.Body, ctx.Join(blv), nil)
+			w.fixpoint(t.Body, ctx.join(blv), nil)
 			w.loops = w.loops[:len(w.loops)-1]
 		})
 	case *forcelang.WhileDo:
@@ -589,29 +606,29 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		outer := w.header(t.VarSym, t.From, t.To, t.Step, t.Pos(), ctx)
 		w.scope(func() {
 			n := len(w.loops)
-			w.env[t.VarSym] = uniform.Varying
+			w.env[t.VarSym] = varying
 			delete(w.consts, t.VarSym)
 			w.loops = append(w.loops, outer)
 			first, runs := firstIter{outer: t.VarSym}, outer.runs()
 			if in := t.Inner; in != nil {
 				inner := w.header(in.VarSym, in.From, in.To, in.Step, t.Pos(), ctx)
-				w.env[in.VarSym] = uniform.Varying
+				w.env[in.VarSym] = varying
 				delete(w.consts, in.VarSym)
 				w.loops = append(w.loops, inner)
 				first.inner, runs = in.VarSym, runs && inner.runs()
 			}
-			if ctx != uniform.Varying && runs {
+			if ctx != varying && runs {
 				first.sum = w.fl.footprint(t.Body)
 				w.first = first
 			}
 			w.enter(t)
 			w.depth++
-			w.fixpoint(t.Body, uniform.Varying, nil)
+			w.fixpoint(t.Body, varying, nil)
 			w.depth--
 			w.loops = w.loops[:n]
 		})
 		// The loop variable's final value depends on the schedule.
-		w.env[t.VarSym] = uniform.Varying
+		w.env[t.VarSym] = varying
 	case *forcelang.BarrierStmt:
 		w.collective(ctx, t.Pos(), "Barrier")
 		// The section runs in exactly one process: its writes are
@@ -619,7 +636,7 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		// the peers wait at the barrier.
 		w.scope(func() {
 			w.depth++
-			w.stmts(t.Section, uniform.Varying)
+			w.stmts(t.Section, varying)
 			w.depth--
 		})
 	case *forcelang.CriticalStmt:
@@ -634,7 +651,7 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 			w.faultsExpr(b.Cond, ctx)
 			w.env, w.consts = clone(pre), clone(preConsts)
 			w.depth++
-			w.stmts(b.Body, uniform.Varying)
+			w.stmts(b.Body, varying)
 			w.depth--
 			joinInto(merged, w.env)
 		}
@@ -646,13 +663,13 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		w.collective(ctx, t.Pos(), "Askfor")
 		w.faultsExpr(t.Seed, ctx)
 		w.scope(func() {
-			w.env[t.VarSym] = uniform.Varying
+			w.env[t.VarSym] = varying
 			delete(w.consts, t.VarSym)
 			w.depth++
-			w.fixpoint(t.Body, uniform.Varying, nil)
+			w.fixpoint(t.Body, varying, nil)
 			w.depth--
 		})
-		w.env[t.VarSym] = uniform.Varying
+		w.env[t.VarSym] = varying
 	case *forcelang.PutStmt:
 		w.faultsExpr(t.Expr, ctx)
 	case *forcelang.ReduceStmt:
@@ -669,11 +686,11 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 		w.faultsRef(&t.Target, ctx)
 		// Full/empty hand-offs deliver different values to different
 		// processes.
-		w.setPrivate(&t.Target, nil, uniform.Varying)
+		w.setPrivate(&t.Target, nil, varying)
 	case *forcelang.CopyStmt:
 		w.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 		w.faultsRef(&t.Target, ctx)
-		w.setPrivate(&t.Target, nil, uniform.Varying)
+		w.setPrivate(&t.Target, nil, varying)
 	case *forcelang.VoidStmt:
 		w.faultsAsyncSub(t.Sym, t.Sub, t.Pos(), ctx)
 	case *forcelang.PrintStmt:
@@ -688,7 +705,7 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniform.Level) {
 // call walks a call site: a SkippedCall finding when the callee holds a
 // collective and the context varies, then an inline walk of the callee
 // with its parameters bound to the argument levels.
-func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
+func (w *walker) call(t *forcelang.CallStmt, ctx uniformity) {
 	for i := range t.Args {
 		w.faultsRef(&t.Args[i], ctx)
 	}
@@ -697,7 +714,7 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		return
 	}
 	siteFound := false
-	if ctx == uniform.Varying && w.fl.collective[sub] {
+	if ctx == varying && w.fl.collective[sub] {
 		w.find(SkippedCall, t.Pos(), t.Name)
 		siteFound = true
 	}
@@ -705,7 +722,7 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		// Recursion: assume every by-reference argument varies.
 		for i := range t.Args {
 			if tracked(t.Args[i].Sym) {
-				w.env[t.Args[i].Sym] = uniform.Varying
+				w.env[t.Args[i].Sym] = varying
 			}
 			delete(w.consts, t.Args[i].Sym)
 		}
@@ -741,9 +758,9 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
 		if tracked(arg.Sym) {
 			lv := cw.env[p]
 			for _, s := range arg.Subs {
-				lv = lv.Join(w.exprLevel(s))
+				lv = lv.join(w.exprLevel(s))
 			}
-			w.env[arg.Sym] = w.env[arg.Sym].Join(lv)
+			w.env[arg.Sym] = w.env[arg.Sym].join(lv)
 		}
 	}
 }
@@ -753,27 +770,27 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniform.Level) {
 // a subroutine) every process executes the same assignment, so a shared
 // scalar target with a varying value or a read-modify-write is a
 // replicated unsynchronized store.
-func (w *walker) replicatedStore(t *forcelang.Assign, ctx uniform.Level) {
+func (w *walker) replicatedStore(t *forcelang.Assign, ctx uniformity) {
 	sym := t.Target.Sym
-	if w.sub != nil || w.depth > 0 || ctx == uniform.Varying ||
+	if w.sub != nil || w.depth > 0 || ctx == varying ||
 		sym.Class != forcelang.Shared || sym.Storage == forcelang.Parameter {
 		return
 	}
 	lv := w.exprLevel(t.Expr)
 	if len(t.Target.Subs) == 0 {
-		if uniform.RefersTo(t.Expr, t.Target.Name) {
+		if refersTo(t.Expr, t.Target.Sym) {
 			w.find(ReplicatedUpdate, t.Pos(), t.Target.Name)
-		} else if lv == uniform.Varying {
+		} else if lv == varying {
 			w.find(ReplicatedValues, t.Pos(), t.Target.Name)
 		}
 		return
 	}
 	for _, s := range t.Target.Subs {
-		if w.exprLevel(s) == uniform.Varying {
+		if w.exprLevel(s) == varying {
 			return
 		}
 	}
-	if lv == uniform.Varying {
+	if lv == varying {
 		w.find(ReplicatedElement, t.Pos(), t.Target.Name)
 	}
 }

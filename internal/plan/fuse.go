@@ -59,7 +59,6 @@ import (
 	"fmt"
 
 	"repro/internal/forcelang"
-	"repro/internal/uniform"
 )
 
 // fuse looks for a fused region starting at list[i], a ParDo: the run of
@@ -125,8 +124,8 @@ func (tg *Target) tryFuse(run []forcelang.Stmt, sums []*Summary, red *forcelang.
 			return nil, fmt.Sprintf("index variables differ (%s at line %d, %s at line %d)",
 				first.Var, first.Pos(), m.Var, m.Pos())
 		}
-		if uniform.Canon(m.From) != uniform.Canon(first.From) ||
-			uniform.Canon(m.To) != uniform.Canon(first.To) ||
+		if Canon(m.From) != Canon(first.From) ||
+			Canon(m.To) != Canon(first.To) ||
 			stepCanon(m.Step) != stepCanon(first.Step) {
 			return nil, fmt.Sprintf("bounds differ between lines %d and %d", first.Pos(), m.Pos())
 		}
@@ -150,7 +149,7 @@ func (tg *Target) tryFuse(run []forcelang.Stmt, sums []*Summary, red *forcelang.
 	// checking the first covers all.
 	for _, e := range []forcelang.Expr{first.From, first.To, first.Step} {
 		bad := ""
-		uniform.Walk(e, func(r *forcelang.Ref) {
+		walk(e, func(r *forcelang.Ref) {
 			if whole.Written(r.Sym) || r.Sym == first.VarSym {
 				bad = r.Name
 			}
@@ -216,7 +215,7 @@ func fuseReduceCheck(red *forcelang.ReduceStmt, whole *Plan) string {
 		return fmt.Sprintf("%s target %s is not numeric", red.Op, red.Target.Name)
 	}
 	bad := ""
-	uniform.Walk(red.Expr, func(r *forcelang.Ref) {
+	walk(red.Expr, func(r *forcelang.Ref) {
 		class := r.Sym.Storage
 		if class == forcelang.Parameter {
 			bad = "parameter " + r.Name
@@ -250,7 +249,7 @@ func conflict(x, y *Summary, excused func(*forcelang.Symbol) bool) *forcelang.Sy
 // stepCanon keys an optional loop step; an absent step is the literal 1.
 func stepCanon(e forcelang.Expr) string {
 	if e == nil {
-		return uniform.Canon(&forcelang.IntLit{Value: 1})
+		return Canon(&forcelang.IntLit{Value: 1})
 	}
-	return uniform.Canon(e)
+	return Canon(e)
 }

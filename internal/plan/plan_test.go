@@ -267,7 +267,7 @@ func loopAt(t *testing.T, prog *forcelang.Program) Loop {
 
 // TestWrappingCoefficientStaysCyclic: a subscript whose literal coefficient
 // wraps in int64 — A(2^62 * I + 1) is A(1) at I = 0 and at I = 4 — is not
-// an injective form (uniform.Space.Coef answers only within ±2³¹), so the
+// an injective form (Space.Coef answers only within ±2³¹), so the
 // store is not proven disjoint: the loop keeps the cyclic deal, with the
 // reason, and the same-pid argument of fusion does not excuse the array.
 func TestWrappingCoefficientStaysCyclic(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"repro/internal/forcelang"
-	"repro/internal/uniform"
 )
 
 // Access is what one statement list does to one symbol.  (Counts are
@@ -167,12 +166,8 @@ func (s *Summary) intScalar(r *forcelang.Ref) bool {
 
 // Space is the index space of a construct over the summarised body
 // (inner nil for one index), carrying the remainder rule above.
-func (s *Summary) Space(outer, inner *forcelang.Symbol) *uniform.Space {
-	sp := &uniform.Space{Outer: outer.Name, IntScalar: s.intScalar}
-	if inner != nil {
-		sp.Inner = inner.Name
-	}
-	return sp
+func (s *Summary) Space(outer, inner *forcelang.Symbol) *Space {
+	return &Space{outer: outer, inner: inner, intScalar: s.intScalar}
 }
 
 // IdempotentStores reports whether the symbol is only stored to, never
@@ -188,7 +183,7 @@ func (s *Summary) IdempotentStores(sym *forcelang.Symbol) bool {
 	same := true
 	for _, t := range s.stores {
 		if t.Target.Sym == sym {
-			uniform.Walk(t.Expr, func(r *forcelang.Ref) { same = same && !s.Written(r.Sym) })
+			walk(t.Expr, func(r *forcelang.Ref) { same = same && !s.Written(r.Sym) })
 		}
 	}
 	return same
@@ -275,7 +270,7 @@ func (s *Summary) touch(sym *forcelang.Symbol, write bool) *Access {
 }
 
 // read records every reference inside e, subscripts included.
-func (s *Summary) read(e forcelang.Expr) { uniform.Walk(e, s.visit) }
+func (s *Summary) read(e forcelang.Expr) { walk(e, s.visit) }
 
 func (s *Summary) readRef(r *forcelang.Ref) {
 	a := s.touch(r.Sym, false)

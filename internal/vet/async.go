@@ -25,7 +25,7 @@ package vet
 
 import (
 	"repro/internal/forcelang"
-	"repro/internal/uniform"
+	"repro/internal/plan"
 )
 
 // asyncPass runs FV201/FV202 over every unit.
@@ -84,7 +84,7 @@ func (a *analysis) doubleProduce(list []forcelang.Stmt) {
 		if sub == nil {
 			return asyncCell{sym: d}
 		}
-		return asyncCell{d, uniform.Canon(sub)}
+		return asyncCell{d, plan.Canon(sub)}
 	}
 	for _, st := range list {
 		switch t := st.(type) {

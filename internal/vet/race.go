@@ -15,8 +15,9 @@ package vet
 //     operator, and the scalar is read nowhere else — every tier
 //     executes such a statement as one atomic update;
 //   - the array's accesses use one affine subscript form, injective on
-//     the construct's index space, after substituting body-local index
-//     temporaries (K = I + 1; A(K - 1) = ... is as disjoint as A(I));
+//     the construct's index space, reading each body-local index
+//     temporary as its definition (K = I + 1; A(K - 1) = ... is as
+//     disjoint as A(I));
 //   - the name is only written, never read, and every stored value is
 //     construct-uniform (the same in every iteration and process), so
 //     the stores are idempotent.
@@ -27,7 +28,6 @@ package vet
 import (
 	"repro/internal/forcelang"
 	"repro/internal/plan"
-	"repro/internal/uniform"
 )
 
 // racePass checks every parallel construct of a unit (the checker keeps
@@ -59,8 +59,9 @@ func tracked(sym *forcelang.Symbol) bool {
 // whose only store in the body is one top-level assignment (so it runs
 // unconditionally, once per iteration) of a value affine in the loop
 // indices, and which nothing reads before that assignment.  Past it, the
-// temporary IS its defining expression.
-func indexTemps(body []forcelang.Stmt, sum *plan.Summary, sp *uniform.Space) map[*forcelang.Symbol]forcelang.Expr {
+// temporary IS its defining expression.  sp has no temporaries of its own,
+// so a definition reading a written scalar is not affine.
+func indexTemps(body []forcelang.Stmt, sum *plan.Summary, sp *plan.Space) map[*forcelang.Symbol]forcelang.Expr {
 	var temps map[*forcelang.Symbol]forcelang.Expr
 	for _, st := range body {
 		t, ok := st.(*forcelang.Assign)
@@ -84,54 +85,14 @@ func indexTemps(body []forcelang.Stmt, sum *plan.Summary, sp *uniform.Space) map
 	return temps
 }
 
-// substRefs returns refs with every index temporary inside a subscript
-// replaced by its defining expression.
-func substRefs(refs []*forcelang.Ref, temps map[*forcelang.Symbol]forcelang.Expr) []*forcelang.Ref {
-	if len(temps) == 0 {
-		return refs
-	}
-	out := make([]*forcelang.Ref, len(refs))
-	for i, r := range refs {
-		subs := make([]forcelang.Expr, len(r.Subs))
-		for j, sub := range r.Subs {
-			subs[j] = substExpr(sub, temps)
-		}
-		out[i] = &forcelang.Ref{Name: r.Name, Subs: subs}
-	}
-	return out
-}
-
-func substExpr(e forcelang.Expr, temps map[*forcelang.Symbol]forcelang.Expr) forcelang.Expr {
-	switch t := e.(type) {
-	case *forcelang.Ref:
-		if rhs, ok := temps[t.Sym]; ok {
-			return rhs
-		}
-		return t
-	case *forcelang.Un:
-		return &forcelang.Un{Neg: t.Neg, X: substExpr(t.X, temps)}
-	case *forcelang.Bin:
-		return &forcelang.Bin{Op: t.Op, L: substExpr(t.L, temps), R: substExpr(t.R, temps)}
-	case *forcelang.Intrinsic:
-		args := make([]forcelang.Expr, len(t.Args))
-		for i, arg := range t.Args {
-			args[i] = substExpr(arg, temps)
-		}
-		return &forcelang.Intrinsic{Name: t.Name, Args: args}
-	default:
-		return e
-	}
-}
-
 // raceBody flags FV101 in one parallel construct body; outer and inner
 // are its loop indices (nil for an Askfor body, and inner for one index).
 func (a *analysis) raceBody(body []forcelang.Stmt, outer, inner *forcelang.Symbol, construct string) {
 	sum := a.flow.Summary(body)
-	var sp *uniform.Space
-	var temps map[*forcelang.Symbol]forcelang.Expr
+	var sp *plan.Space
 	if outer != nil {
 		sp = sum.Space(outer, inner)
-		temps = indexTemps(body, sum, sp)
+		sp.Temps = indexTemps(body, sum, sp)
 	}
 	for _, acc := range sum.Accesses() {
 		sym := acc.Sym
@@ -141,7 +102,7 @@ func (a *analysis) raceBody(body []forcelang.Stmt, outer, inner *forcelang.Symbo
 		if _, ok := acc.Accumulator(); ok {
 			continue // updates commute and every tier applies them atomically
 		}
-		if sp != nil && len(sym.Dims) > 0 && sp.Disjoint(substRefs(acc.Elems, temps)) {
+		if sp != nil && len(sym.Dims) > 0 && sp.Disjoint(acc.Elems) {
 			continue // provably element-disjoint across iterations
 		}
 		if sum.IdempotentStores(sym) {

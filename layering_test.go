@@ -37,13 +37,13 @@ func parsePackage(t *testing.T, dir string, mode parser.Mode) []*ast.File {
 }
 
 // TestFrontEndImportsNoMachine: the language, its proofs and its analyzer
-// — forcelang, uniform, plan, vet — import nothing of this repository but
+// — forcelang, plan, vet — import nothing of this repository but
 // each other and forcert (the run-time checks' wording): no scheduler, no
 // reduction, no machine profile and no shared-memory emulation.  What a
 // back end needs to know about those arrives as plan's own enumerations.
 func TestFrontEndImportsNoMachine(t *testing.T) {
 	allowed := map[string]bool{}
-	front := []string{"forcelang", "uniform", "plan", "vet"}
+	front := []string{"forcelang", "plan", "vet"}
 	for _, pkg := range append(front, "forcert") {
 		allowed["repro/internal/"+pkg] = true
 	}
