@@ -197,6 +197,30 @@ func TestAOTParityEquivalence(t *testing.T) {
 	}
 }
 
+// TestNaNRelations: a REAL relation over a NaN is false, but for .NE.,
+// as IEEE and Fortran have it, on the walker, on the compiled and chunked
+// interpreter levels and (unless -short) on the aot tier — the lines
+// corpus Equiv/nan-compares prints.
+func TestNaNRelations(t *testing.T) {
+	const want = "F T F F F F\nF T F F F F\nF T T F T F\n"
+	i := slices.IndexFunc(corpus.Equiv, func(p corpus.Program) bool { return p.Name == "nan-compares" })
+	if i < 0 {
+		t.Fatal("no corpus program Equiv/nan-compares")
+	}
+	prog := forcelang.MustParse(corpus.Equiv[i].Src)
+	for _, mode := range interp.ExecModes() {
+		if got, err := interpRun(t, prog, 1, mode); err != nil || got != want {
+			t.Errorf("%s: printed %q (%v), want %q", mode, got, err, want)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	if got, err := aotRun(t, prog, 1); err != nil || got != want {
+		t.Errorf("aot: printed %q (%v), want %q", got, err, want)
+	}
+}
+
 // TestAOTParityChunkMatrix: the chunk-tier corpus (strides, empty
 // ranges, nested DOALLs, accumulators, fallbacks, grants) through the
 // native tier at np ∈ {1, 2, 3, 8}.

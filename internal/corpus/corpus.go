@@ -440,9 +440,9 @@ Barrier
 End Barrier
 Join
 `},
-	// The six relations over a NaN, which orders with nothing: a REAL
-	// relation reads a three-way compare that is 0 when neither side is
-	// less, so .EQ., .LE. and .GE. hold; and over signed zeros.
+	// The six relations over a NaN, which orders with nothing: as in IEEE
+	// and Fortran every REAL relation but .NE. is false on it, so X .NE. X
+	// holds for a NaN X; and over signed zeros.
 	{"nan-compares", 1, `Force NANC of NP ident ME
 Private Real X, Y, Z
 End Declarations
@@ -1828,9 +1828,9 @@ Join
 	// The conditional extremum: IF (x .GT. P) THEN P = x is P's MAX
 	// recurrence, the mirrored P .LT. x too, and the .LT. twin an INTEGER
 	// MIN; the strict compare keeps P on a NaN and on a signed zero's tie.
-	// .GE. replaces P on a tie — a -0.0 after a +0.0 — and on a NaN (a REAL
-	// .GE. is NOT .LT.), and a compare of an INTEGER with a REAL P converts:
-	// both stay per iteration.
+	// .GE. replaces P on a tie — a -0.0 after a +0.0 — though not on a NaN
+	// (false, as every REAL relation but .NE. is on one), and a compare of
+	// an INTEGER with a REAL P converts: both stay per iteration.
 	{"block-conditional-extrema", 0, `Force BIFX of NP ident ME
 Shared Real Z(12), V(600)
 Shared Integer K(600)

@@ -928,38 +928,27 @@ func (c *compiler) binBool(t *forcelang.Bin) boolFn {
 		}
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) == r(pr, fr) }
 	case forcelang.TInt:
-		l, r := c.cInt(t.L), c.cInt(t.R)
-		switch t.Op {
-		case forcelang.OpEq:
-			return func(pr *cproc, fr *frame) bool { return l(pr, fr) == r(pr, fr) }
-		case forcelang.OpNe:
-			return func(pr *cproc, fr *frame) bool { return l(pr, fr) != r(pr, fr) }
-		case forcelang.OpLt:
-			return func(pr *cproc, fr *frame) bool { return l(pr, fr) < r(pr, fr) }
-		case forcelang.OpLe:
-			return func(pr *cproc, fr *frame) bool { return l(pr, fr) <= r(pr, fr) }
-		case forcelang.OpGt:
-			return func(pr *cproc, fr *frame) bool { return l(pr, fr) > r(pr, fr) }
-		default:
-			return func(pr *cproc, fr *frame) bool { return l(pr, fr) >= r(pr, fr) }
-		}
+		return relation(t.Op, c.cInt(t.L), c.cInt(t.R))
 	}
-	// Real comparisons follow the tree walker's three-way-compare
-	// formulation (cmp stays 0 when neither side orders, e.g. NaN), so
-	// both engines agree on every input.
-	l, r := c.cReal(t.L), c.cReal(t.R)
-	switch t.Op {
+	return relation(t.Op, c.cReal(t.L), c.cReal(t.R))
+}
+
+// relation compiles one relation with Go's operators, which on a REAL NaN
+// make every relation but .NE. false, as IEEE and Fortran do (relate is
+// the walker's).
+func relation[T int64 | float64, F ~func(*cproc, *frame) T](op forcelang.BinOp, l, r F) boolFn {
+	switch op {
 	case forcelang.OpEq:
-		return func(pr *cproc, fr *frame) bool { lv, rv := l(pr, fr), r(pr, fr); return !(lv < rv) && !(lv > rv) }
+		return func(pr *cproc, fr *frame) bool { return l(pr, fr) == r(pr, fr) }
 	case forcelang.OpNe:
-		return func(pr *cproc, fr *frame) bool { lv, rv := l(pr, fr), r(pr, fr); return lv < rv || lv > rv }
+		return func(pr *cproc, fr *frame) bool { return l(pr, fr) != r(pr, fr) }
 	case forcelang.OpLt:
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) < r(pr, fr) }
 	case forcelang.OpLe:
-		return func(pr *cproc, fr *frame) bool { return !(l(pr, fr) > r(pr, fr)) }
+		return func(pr *cproc, fr *frame) bool { return l(pr, fr) <= r(pr, fr) }
 	case forcelang.OpGt:
 		return func(pr *cproc, fr *frame) bool { return l(pr, fr) > r(pr, fr) }
 	default:
-		return func(pr *cproc, fr *frame) bool { return !(l(pr, fr) < r(pr, fr)) }
+		return func(pr *cproc, fr *frame) bool { return l(pr, fr) >= r(pr, fr) }
 	}
 }

@@ -1034,39 +1034,31 @@ func (pr *proc) evalBin(t *forcelang.Bin, f *tframe) value {
 		}
 		fallthrough
 	case forcelang.OpLt, forcelang.OpLe, forcelang.OpGt, forcelang.OpGe:
-		var cmp int
 		if l.t == forcelang.TInt && r.t == forcelang.TInt {
-			switch {
-			case l.i < r.i:
-				cmp = -1
-			case l.i > r.i:
-				cmp = 1
-			}
-		} else {
-			lf, rf := l.asReal(), r.asReal()
-			switch {
-			case lf < rf:
-				cmp = -1
-			case lf > rf:
-				cmp = 1
-			}
+			return boolVal(relate(t.Op, l.i, r.i))
 		}
-		switch t.Op {
-		case forcelang.OpEq:
-			return boolVal(cmp == 0)
-		case forcelang.OpNe:
-			return boolVal(cmp != 0)
-		case forcelang.OpLt:
-			return boolVal(cmp < 0)
-		case forcelang.OpLe:
-			return boolVal(cmp <= 0)
-		case forcelang.OpGt:
-			return boolVal(cmp > 0)
-		default:
-			return boolVal(cmp >= 0)
-		}
+		return boolVal(relate(t.Op, l.asReal(), r.asReal()))
 	default:
 		panic(forcert.Errorf(t.Pos(), "unhandled operator %s", t.Op))
+	}
+}
+
+// relate is one relation with Go's operators, which on a REAL NaN make
+// every relation but .NE. false, as IEEE and Fortran do.
+func relate[T int64 | float64](op forcelang.BinOp, a, b T) bool {
+	switch op {
+	case forcelang.OpEq:
+		return a == b
+	case forcelang.OpNe:
+		return a != b
+	case forcelang.OpLt:
+		return a < b
+	case forcelang.OpLe:
+		return a <= b
+	case forcelang.OpGt:
+		return a > b
+	default:
+		return a >= b
 	}
 }
 
