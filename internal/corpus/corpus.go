@@ -2151,6 +2151,46 @@ Barrier
   Print 'shared folds', TOT, NEG, BIG, SMALL, MODS, RBIG, RSMALL
 End Barrier
 Join
+`},	// Folded accumulators in a body run iteration by iteration (an IF
+	// guards each update, so it is no element-wise body): a negated
+	// INTEGER sum, INTEGER MAX and MIN, and REAL MAX and MIN whose
+	// operands include NaNs and a -0.0, which the strict compare never
+	// takes over the value held.
+	{"per-iteration-folds", 0, `Force PFOLD of NP ident ME
+Shared Integer K(300)
+Shared Real V(300)
+Shared Integer NEG, BIG, SMALL
+Shared Real RBIG, RSMALL
+Private Integer I
+End Declarations
+Presched DO I = 1, 300
+  K(I) = MOD(I * 37, 101) - 50
+  V(I) = REAL(MOD(I * 13, 29)) * 0.25 - 3.5
+End Presched DO
+Barrier
+  V(1) = 0.0 / 0.0
+  V(7) = -1.0 * 0.0
+  V(150) = V(1)
+  V(299) = V(7)
+  NEG = 7
+  BIG = -1000
+  SMALL = 1000
+  RBIG = -100.0
+  RSMALL = 100.0
+End Barrier
+Presched DO I = 1, 300
+  IF (K(I) .GT. -40) THEN
+    NEG = NEG - K(I) * 3
+    BIG = MAX(BIG, K(I) * 2 - I)
+    SMALL = MIN(SMALL, K(I) + I)
+    RBIG = MAX(RBIG, V(I))
+    RSMALL = MIN(RSMALL, V(I) * 2.0)
+  End IF
+End Presched DO
+Barrier
+  Print 'per-iteration folds', NEG, BIG, SMALL, RBIG, RSMALL
+End Barrier
+Join
 `},
 }
 
