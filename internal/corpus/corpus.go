@@ -2151,7 +2151,8 @@ Barrier
   Print 'shared folds', TOT, NEG, BIG, SMALL, MODS, RBIG, RSMALL
 End Barrier
 Join
-`},	// Folded accumulators in a body run iteration by iteration (an IF
+`},
+	// Folded accumulators in a body run iteration by iteration (an IF
 	// guards each update, so it is no element-wise body): a negated
 	// INTEGER sum, INTEGER MAX and MIN, and REAL MAX and MIN whose
 	// operands include NaNs and a -0.0, which the strict compare never
