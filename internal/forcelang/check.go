@@ -13,6 +13,7 @@ type Scope struct {
 	vars   map[string]*Symbol
 	own    []*Symbol
 	params []*Symbol
+	slots  slotCounters
 }
 
 // Lookup resolves a name (upper case, as the lexer produces identifiers)
@@ -41,6 +42,15 @@ func (s *Scope) Own() []*Symbol { return s.own }
 // Params returns a subroutine's parameter symbols in positional order
 // (nil for the main program).
 func (s *Scope) Params() []*Symbol { return s.params }
+
+// Slots returns how many slots the unit numbers in st's sequence, or for
+// Parameter how many parameters it has.
+func (s *Scope) Slots(st Storage) int {
+	if st == Parameter {
+		return len(s.params)
+	}
+	return s.slots[st]
+}
 
 // storageOf is the storage a declaration implies for every name that is
 // not a parameter.
@@ -218,6 +228,7 @@ func (c *checker) buildScope(unit string, decls []Decl, base *Scope, params []st
 			}
 		}
 	}
+	s.slots = slots
 	return s, nil
 }
 

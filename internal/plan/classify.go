@@ -77,9 +77,9 @@ type Plan struct {
 	sum   *Summary // the body's footprint
 	space *Space   // the index space the disjointness proof decomposed over (nil under NoBulk)
 	// consts are the INTEGER constants the flow analysis proves at the
-	// loop's entry (nil: none); those the body does not write hold in
+	// loop's entry (nil cells: none); those the body does not write hold in
 	// every iteration.
-	consts map[*forcelang.Symbol]int64
+	consts env
 }
 
 // Written reports whether the body assigns the symbol (a scalar, an
@@ -147,12 +147,12 @@ type AccRec struct {
 // Classify analyses t's body with nothing proven about its entry.  It
 // returns the plan, or the reason the body must keep per-iteration
 // semantics.
-func Classify(t *forcelang.ParDo) (*Plan, string) { return classify(t, Summarize(t.Body), entry{}) }
+func Classify(t *forcelang.ParDo) (*Plan, string) { return classify(t, Summarize(t.Body), env{}) }
 
 // classify turns the footprint of a body (t's own, or the merged one of a
 // fused region t opens) and what the flow analysis proves at t's entry into
 // the plan: which proofs hold, and the deal.
-func classify(t *forcelang.ParDo, sum *Summary, at entry) (*Plan, string) {
+func classify(t *forcelang.ParDo, sum *Summary, at env) (*Plan, string) {
 	plan := &Plan{Outer: t.VarSym, NoBulk: sum.Param, sum: sum}
 	if t.Inner != nil {
 		plan.Inner = t.Inner.VarSym
@@ -189,7 +189,7 @@ func classify(t *forcelang.ParDo, sum *Summary, at entry) (*Plan, string) {
 			sort.Slice(plan.AccRecs, func(i, j int) bool { return plan.AccRecs[i].Sym.Name < plan.AccRecs[j].Sym.Name })
 		}
 	}
-	plan.consts = at.consts
+	plan.consts = at
 	plan.partition(at)
 	plan.PerIter = plan.elementwise(t.Body)
 	if t.Sched != forcelang.Presched {
@@ -203,7 +203,7 @@ func classify(t *forcelang.ParDo, sum *Summary, at entry) (*Plan, string) {
 // the flow analysis proves uniform at the entry (at), no parameter, and
 // every shared name it writes is a proven-disjoint array or a folded
 // scalar.
-func (p *Plan) partition(at entry) {
+func (p *Plan) partition(at env) {
 	if p.NoBulk {
 		p.CyclicWhy = "parameter reference"
 		return
@@ -326,7 +326,7 @@ func (p *Plan) perIter(e forcelang.Expr, hoist bool) string {
 // constant in every iteration: forcert.Div and ModInt raise on zero alone,
 // and Go's / and % wrap -2⁶³ / -1 to -2⁶³ and take MOD(-2⁶³, -1) to 0.
 func (p *Plan) nonzero(e forcelang.Expr) bool {
-	v, ok := constant[int64](e, p.consts)
+	v, ok := constant[int64](e, &p.consts)
 	walk(e, func(r *forcelang.Ref) { ok = ok && !p.Written(r.Sym) })
 	return ok && v != 0
 }

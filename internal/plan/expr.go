@@ -53,14 +53,14 @@ func refersTo(e forcelang.Expr, sym *forcelang.Symbol) bool {
 // the unsubscripted names env holds an INTEGER value for.  A nil env folds
 // literals only.  It is the one constant folder: the flow analysis folds
 // with the constants it has proven, Space and the trip counts with none.
-func constant[T int64 | float64](e forcelang.Expr, env map[*forcelang.Symbol]int64) (T, bool) {
+func constant[T int64 | float64](e forcelang.Expr, env *env) (T, bool) {
 	switch t := e.(type) {
 	case *forcelang.IntLit:
 		return T(t.Value), true
 	case *forcelang.RealLit:
 		return T(t.Value), true
 	case *forcelang.Ref:
-		v, ok := env[t.Sym]
+		v, ok := env.value(t.Sym)
 		return T(v), ok && len(t.Subs) == 0
 	case *forcelang.Intrinsic:
 		if t.Name == "REAL" && t.Args[0].Type() == forcelang.TInt {

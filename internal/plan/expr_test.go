@@ -116,11 +116,12 @@ func TestConstant(t *testing.T) {
 	k := intSym("K")
 	neg := func(x forcelang.Expr) forcelang.Expr { return &forcelang.Un{Neg: true, X: x} }
 	const minInt = -1 << 63
-	env := map[*forcelang.Symbol]int64{k: 3}
+	k.Slot = 1 // I holds slot 0, and no constant
+	known := &env{cells: []cell{{}, {known: true, val: 3}}, arrays: 2, params: 2}
 	for _, tc := range []struct {
 		name string
 		e    forcelang.Expr
-		env  map[*forcelang.Symbol]int64
+		env  *env
 		want int64
 		ok   bool
 	}{
@@ -134,9 +135,9 @@ func TestConstant(t *testing.T) {
 		{"-2⁶³ / -1 wraps", bin(forcelang.OpDiv, bin(forcelang.OpSub, neg(intLit(1<<62)), intLit(1<<62)), neg(intLit(1))), nil, minInt, true},
 		{"division by zero is not folded", bin(forcelang.OpDiv, intLit(4), intLit(0)), nil, 0, false},
 		{"a name without an environment", ref(k), nil, 0, false},
-		{"a name the environment holds", bin(forcelang.OpDiv, intLit(10), ref(k)), env, 3, true},
-		{"a name it does not", ref(intSym("I")), env, 0, false},
-		{"an element", ref(k, intLit(1)), env, 0, false},
+		{"a name the environment holds", bin(forcelang.OpDiv, intLit(10), ref(k)), known, 3, true},
+		{"a name it does not", ref(intSym("I")), known, 0, false},
+		{"an element", ref(k, intLit(1)), known, 0, false},
 	} {
 		if v, ok := constant[int64](tc.e, tc.env); ok != tc.ok || ok && v != tc.want {
 			t.Errorf("%s: got %d, %v; want %d, %v", tc.name, v, ok, tc.want, tc.ok)

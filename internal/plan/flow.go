@@ -21,10 +21,15 @@ package plan
 // constant is its value (classify.go).  A value read from shared storage
 // is Assumed: uniform to forcevet, which reads a synchronized program,
 // varying to the planner, which acts only on what holds in every
-// execution.  The footprint of every loop body walked is kept for both.
+// execution.  The footprint of every parallel body is kept for both.
+//
+// A walker's state is one dense vector per unit (env).  Its snapshots — IF
+// arms, scopes, Pcase blocks, fixpoint rounds — and inline callees' vectors
+// nest strictly: all come off one stack of cells, the Flow's arena.
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/forcelang"
@@ -38,7 +43,7 @@ import (
 // every process of a synchronized program but not in every execution; and
 // one that may differ across processes or iterations (it depends on ME, a
 // loop index, or a varying input).
-type uniformity int
+type uniformity uint8
 
 const (
 	uniform uniformity = iota
@@ -55,9 +60,13 @@ type Flow struct {
 	// found (a statement walked again may repeat one).
 	Findings []Finding
 
-	entries    map[*forcelang.ParDo]entry
+	entries    map[*forcelang.ParDo]env
 	sums       map[*forcelang.Stmt]*Summary // footprints of the loop and subroutine bodies walked, by first slot
 	collective map[*forcelang.Subroutine]bool
+
+	arena []cell                  // the walkers' vectors and snapshots, a stack
+	loops []loopRange             // the enclosing constant-bounds DO loops, innermost last
+	path  []*forcelang.Subroutine // the subroutines on the current inline path
 }
 
 // Finding is one thing the flow proves that a checker names.  What
@@ -87,19 +96,64 @@ const (
 	ReplicatedElement
 )
 
-// entry is what holds at a DOALL's entry on every walk that reaches it: the
-// levels of the privates joined over the walks (a private none assigned
-// holds its initial value, the same everywhere) and the INTEGER constants
-// every walk agrees on.
-type entry struct {
-	levels map[*forcelang.Symbol]uniformity
-	consts map[*forcelang.Symbol]int64
+// cell is what the walk knows of one name: its level and, for a private
+// INTEGER scalar, whether it holds a known constant and which.
+type cell struct {
+	lv    uniformity
+	known bool
+	val   int64
+}
+
+// env is a unit's environment: a cell per private, then per parameter of
+// either class (which may alias a caller's private), in the checker's
+// order — private scalars by Slot, private arrays by Slot, parameters by
+// Param.  A walker holds one, and a DOALL's entry one joined over the
+// walks that reach it (a private none assigned holds its initial value,
+// the same everywhere; nil cells: no walk reached it).
+type env struct {
+	cells          []cell
+	arrays, params int               // the first cell of the private arrays, of the parameters
+	zero           *forcelang.Symbol // a name read as 0 whatever its cell (zeroReachable), or nil
+}
+
+// at is d's cell, nil for a name the unit does not track.
+func (e *env) at(d *forcelang.Symbol) *cell {
+	switch d.Storage {
+	case forcelang.PrivateScalar:
+		return &e.cells[d.Slot]
+	case forcelang.PrivateArray:
+		return &e.cells[e.arrays+d.Slot]
+	case forcelang.Parameter:
+		return &e.cells[e.params+d.Param]
+	}
+	return nil
+}
+
+// value is the constant the scalar d is known to hold (nil e: none).
+func (e *env) value(d *forcelang.Symbol) (int64, bool) {
+	if e == nil || e.cells == nil || d == e.zero {
+		return 0, e != nil && d == e.zero
+	}
+	if c := e.at(d); c != nil && c.known {
+		return c.val, true
+	}
+	return 0, false
 }
 
 // uniform reports whether the private sym holds one value in every process
-// at the entry (nil levels: no walk reached it).
-func (e entry) uniform(sym *forcelang.Symbol) bool {
-	return e.levels != nil && sym.Role != forcelang.RoleIdent && e.levels[sym] == uniform
+// at the entry.
+func (e *env) uniform(sym *forcelang.Symbol) bool {
+	return e.cells != nil && sym.Role != forcelang.RoleIdent && e.at(sym).lv == uniform
+}
+
+// join merges the cells src into dst: levels join, and a constant stays
+// known only where both hold the same one.
+func join(dst, src []cell) {
+	for i, c := range src {
+		d := &dst[i]
+		d.lv = d.lv.join(c.lv)
+		d.known = d.known && c.known && d.val == c.val
+	}
 }
 
 // flowWalks counts the analyses made, for the test that pins one per
@@ -114,8 +168,10 @@ func Analyze(prog *forcelang.Program) *Flow {
 
 func analyze(prog *forcelang.Program) any {
 	flowWalks.Add(1)
-	fl := &Flow{entries: map[*forcelang.ParDo]entry{}, sums: map[*forcelang.Stmt]*Summary{},
+	fl := &Flow{entries: map[*forcelang.ParDo]env{}, sums: map[*forcelang.Stmt]*Summary{},
 		collective: map[*forcelang.Subroutine]bool{}}
+	// Room for a few snapshots of the main unit; a deeper nest grows it.
+	fl.arena = make([]cell, 0, 4*len(prog.Scope.Own()))
 	// A subroutine holds a collective when it has one or calls one that does.
 	for changed := true; changed; {
 		changed = false
@@ -135,9 +191,9 @@ func analyze(prog *forcelang.Program) any {
 			})
 		}
 	}
-	fl.unit(prog.Body, nil)
+	fl.unit(prog.Scope, prog.Body, nil)
 	for _, sub := range prog.Subs {
-		fl.unit(sub.Body, sub)
+		fl.unit(sub.Scope, sub.Body, sub)
 	}
 	return fl
 }
@@ -163,6 +219,16 @@ func (fl *Flow) footprint(body []forcelang.Stmt) *Summary {
 	return sum
 }
 
+// push takes n zeroed cells off the arena (still valid if a later push
+// moves it), pop gives back the last taken.
+func (fl *Flow) push(n int) []cell {
+	k := len(fl.arena)
+	fl.arena = append(fl.arena, make([]cell, n)...)
+	return fl.arena[k:len(fl.arena):len(fl.arena)]
+}
+
+func (fl *Flow) pop(s []cell) { fl.arena = fl.arena[:len(fl.arena)-len(s)] }
+
 // loopRange is one enclosing DO loop with constant bounds, the space the
 // divisor-reachability proof quantifies over.
 type loopRange struct {
@@ -182,14 +248,12 @@ type walker struct {
 	fl  *Flow
 	sub *forcelang.Subroutine // nil for the main program
 
-	env    map[*forcelang.Symbol]uniformity // private -> level (zero value Uniform)
-	consts map[*forcelang.Symbol]int64      // private INTEGER scalar -> known constant
-	loops  []loopRange
+	env   env
+	loops int // the unit's first entry of fl.loops
 
-	callPath map[*forcelang.Subroutine]bool // subroutines on the current inline path
-	depth    int                            // enclosing construct depth (replicated stores only at 0)
-	mute     int                            // >0: a fixpoint round, record no findings
-	first    firstIter                      // the DOALL body every run enters, outside a varying IF or nested loop in it
+	depth int       // enclosing construct depth (replicated stores only at 0)
+	mute  int       // >0: a callee a call-site finding covers, record no findings
+	first firstIter // the DOALL body every run enters, outside a varying IF or nested loop in it
 }
 
 // firstIter is a DOALL body reached on the uniform path whose trip count
@@ -211,22 +275,24 @@ func (w *walker) everyIteration(e forcelang.Expr) bool {
 	return ok
 }
 
-func newWalker(fl *Flow, sub *forcelang.Subroutine) *walker {
-	return &walker{fl: fl, sub: sub, env: map[*forcelang.Symbol]uniformity{},
-		consts: map[*forcelang.Symbol]int64{}, callPath: map[*forcelang.Subroutine]bool{}}
+// newWalker starts a walk of the unit of scope sc, every name Uniform.
+func newWalker(fl *Flow, sc *forcelang.Scope, sub *forcelang.Subroutine) walker {
+	arrays := sc.Slots(forcelang.PrivateScalar)
+	params := arrays + sc.Slots(forcelang.PrivateArray)
+	return walker{fl: fl, sub: sub, loops: len(fl.loops),
+		env: env{cells: fl.push(params + sc.Slots(forcelang.Parameter)), arrays: arrays, params: params}}
 }
 
 // unit walks one unit on its own: the main program, or a subroutine with
 // its parameters Assumed — uniform if every caller passes uniform
 // arguments, which is not known here.
-func (fl *Flow) unit(body []forcelang.Stmt, sub *forcelang.Subroutine) {
-	w := newWalker(fl, sub)
-	if sub != nil {
-		for _, p := range sub.Scope.Params() {
-			w.env[p] = assumed
-		}
+func (fl *Flow) unit(sc *forcelang.Scope, body []forcelang.Stmt, sub *forcelang.Subroutine) {
+	w := newWalker(fl, sc, sub)
+	for _, p := range sc.Params() {
+		w.env.at(p).lv = assumed
 	}
 	w.stmts(body, uniform)
+	fl.pop(w.env.cells)
 }
 
 func (w *walker) find(kind FindingKind, line int, what string) {
@@ -247,10 +313,9 @@ func (w *walker) collective(ctx uniformity, line int, what string) {
 // earlier walks recorded.
 func (w *walker) enter(t *forcelang.ParDo) {
 	if e, ok := w.fl.entries[t]; ok {
-		joinInto(e.levels, w.env)
-		intersectConsts(e.consts, w.consts)
+		join(e.cells, w.env.cells)
 	} else {
-		w.fl.entries[t] = entry{clone(w.env), clone(w.consts)}
+		w.fl.entries[t] = env{cells: slices.Clone(w.env.cells), arrays: w.env.arrays, params: w.env.params}
 	}
 }
 
@@ -262,7 +327,7 @@ func (w *walker) refLevel(r *forcelang.Ref) uniformity {
 	case r.Sym.Role == forcelang.RoleIdent:
 		lv = varying
 	case r.Sym.Class == forcelang.Private:
-		lv = w.env[r.Sym]
+		lv = w.env.at(r.Sym).lv
 	case r.Sym.Role != forcelang.RoleNP:
 		lv = assumed
 	}
@@ -314,13 +379,13 @@ func (w *walker) fault(line int, ctx uniformity, e forcelang.Expr, what *forcert
 // value the loop actually visits.  Returns the loop variable and the
 // witnessing value.
 func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
-	for i := len(w.loops) - 1; i >= 0; i-- {
-		lr := w.loops[i]
+	for i := len(w.fl.loops) - 1; i >= w.loops; i-- {
+		lr := w.fl.loops[i]
 		if !lr.constOK {
 			continue
 		}
 		sp := &Space{outer: lr.v, intScalar: func(r *forcelang.Ref) bool {
-			_, ok := w.consts[r.Sym]
+			_, ok := w.env.value(r.Sym)
 			return ok
 		}}
 		ci, _, ok := sp.Coef(e)
@@ -328,14 +393,9 @@ func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 			continue
 		}
 		// rest = e with the loop variable at zero.
-		saved, had := w.consts[lr.v]
-		w.consts[lr.v] = 0
-		rest, rok := constant[int64](e, w.consts)
-		if had {
-			w.consts[lr.v] = saved
-		} else {
-			delete(w.consts, lr.v)
-		}
+		w.env.zero = lr.v
+		rest, rok := constant[int64](e, &w.env)
+		w.env.zero = nil
 		if !rok || (-rest)%ci != 0 {
 			continue
 		}
@@ -353,7 +413,7 @@ func (w *walker) zeroReachable(e forcelang.Expr) (string, int64, bool) {
 
 // divisorFault proves an integer divisor is (or reaches) zero.
 func (w *walker) divisorFault(div forcelang.Expr, line int, ctx uniformity, what *forcert.Err) {
-	if v, ok := constant[int64](div, w.consts); ok {
+	if v, ok := constant[int64](div, &w.env); ok {
 		if v == 0 {
 			w.fault(line, ctx, div, what)
 		}
@@ -391,7 +451,7 @@ func (w *walker) faultsExpr(e forcelang.Expr, ctx uniformity) {
 			}
 		case "SQRT":
 			if len(t.Args) == 1 {
-				if v, ok := constant[float64](t.Args[0], w.consts); ok && v < 0 {
+				if v, ok := constant[float64](t.Args[0], &w.env); ok && v < 0 {
 					w.fault(t.Pos(), ctx, t.Args[0], &forcert.Err{Kind: forcert.SqrtNegative, X: v})
 				}
 			}
@@ -422,34 +482,31 @@ func (w *walker) faultsAsyncSub(d *forcelang.Symbol, sub forcelang.Expr, line in
 
 // bound checks a constant subscript s of dimension i of d.
 func (w *walker) bound(d *forcelang.Symbol, i int, s forcelang.Expr, line int, ctx uniformity) {
-	if v, ok := constant[int64](s, w.consts); ok && (v < 1 || v > int64(d.Dims[i])) {
+	if v, ok := constant[int64](s, &w.env); ok && (v < 1 || v > int64(d.Dims[i])) {
 		w.fault(line, ctx, s, &forcert.Err{Kind: forcert.BadSubscript, Dim: i + 1, Name: d.Name, S: v, N: int64(d.Dims[i])})
 	}
 }
 
-// tracked reports whether the walk keeps a level for d: a private, or a
-// parameter of either declared class, which may alias a caller's private
-// (call copies its level back).
-func tracked(d *forcelang.Symbol) bool {
-	return d.Class == forcelang.Private || d.Storage == forcelang.Parameter
+// bind gives d, when tracked, level lv and no known constant.
+func (w *walker) bind(d *forcelang.Symbol, lv uniformity) {
+	if c := w.env.at(d); c != nil {
+		c.lv, c.known = lv, false
+	}
 }
 
-// setPrivate records a store's effect on the environments: the target
+// setPrivate records a store's effect on the environment: the target
 // takes level lv and, when it is a private and expr (nil for a value no
 // expression gives: a reduction's, a consumed one) folds to an INTEGER
 // constant, that constant.
 func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv uniformity) {
 	d := target.Sym
-	if !tracked(d) {
+	c := w.env.at(d)
+	if c == nil {
 		return
 	}
 	if len(target.Subs) == 0 {
-		w.env[d] = lv
-		if v, ok := constant[int64](expr, w.consts); ok && d.Type == forcelang.TInt && d.Class == forcelang.Private {
-			w.consts[d] = v
-		} else {
-			delete(w.consts, d)
-		}
+		v, ok := constant[int64](expr, &w.env)
+		c.lv, c.val, c.known = lv, v, ok && d.Type == forcelang.TInt && d.Class == forcelang.Private
 		return
 	}
 	// Array element: weak update — join subscript levels too, a varying
@@ -457,71 +514,62 @@ func (w *walker) setPrivate(target *forcelang.Ref, expr forcelang.Expr, lv unifo
 	for _, s := range target.Subs {
 		lv = lv.join(w.exprLevel(s))
 	}
-	w.env[d] = w.env[d].join(lv)
+	c.lv = c.lv.join(lv)
 }
 
 // killWritten drops the constants a loop body (or a Pcase block) may
 // overwrite, so in-body constant facts come only from the current
 // iteration's own straight-line assignments.
 func (w *walker) killWritten(body []forcelang.Stmt) {
+	if !slices.ContainsFunc(w.env.cells, func(c cell) bool { return c.known }) {
+		return // nothing to kill: no footprint taken
+	}
 	for _, acc := range w.fl.footprint(body).Accesses() {
-		if acc.Written() {
-			delete(w.consts, acc.Sym)
+		if c := w.env.at(acc.Sym); c != nil && acc.Written() {
+			c.known = false
 		}
 	}
 }
 
-// clone copies an environment into a map sized for it.  (Not maps.Clone:
-// that clones the bucket structure, which on the mostly empty environments
-// of script-cold costs 24 allocs and 1.9 KB per op, measured.)
-func clone[V uniformity | int64](m map[*forcelang.Symbol]V) map[*forcelang.Symbol]V {
-	out := make(map[*forcelang.Symbol]V, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// save pushes a snapshot of the environment on the arena.
+func (w *walker) save() []cell {
+	s := w.fl.push(len(w.env.cells))
+	copy(s, w.env.cells)
+	return s
 }
 
-// joinInto merges b into a pointwise (missing keys are Uniform).
-func joinInto(a, b map[*forcelang.Symbol]uniformity) {
-	for k, v := range b {
-		a[k] = a[k].join(v)
-	}
+// leave ends a construct entered at snapshot pre: the environment becomes
+// pre joined with what the construct left, and pre is popped.
+func (w *walker) leave(pre []cell) {
+	join(w.env.cells, pre)
+	w.fl.pop(pre)
 }
 
-// intersectConsts keeps only facts present and equal in both.
-func intersectConsts(a, b map[*forcelang.Symbol]int64) {
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			delete(a, k)
-		}
-	}
-}
-
-// fixpoint walks a loop body until the level environment stops rising
-// (findings muted), then once more on the stable environment, recording.
+// fixpoint walks a loop body, once per round, until the levels stop rising.
 // Every round starts from the join of all before it, so the levels only
 // rise and the rounds end; there is no cap, as one cut short would leave
-// the planner a level below the truth.  cond, when non-nil, is the loop's
+// the planner a level below the truth.  A round that rises takes its
+// findings back; the last, which does not, keeps them and the environment
+// it leaves — a further round would start from the same levels, with the
+// body's constants killed either way.  cond, when non-nil, is the loop's
 // condition: its level joins the body's context and is recomputed every
 // round, since body writes can raise it.
 func (w *walker) fixpoint(body []forcelang.Stmt, ctx uniformity, cond forcelang.Expr) {
-	round := func() {
+	for {
+		mark, before := len(w.fl.Findings), w.save()
 		w.killWritten(body)
 		w.stmts(body, ctx.join(w.exprLevel(cond)))
-	}
-	w.mute++
-	for risen := true; risen; {
-		before := clone(w.env)
-		round()
-		joinInto(w.env, before)
-		risen = false
-		for k, v := range w.env { // every key of before is here, at or above its level
-			risen = risen || before[k] != v
+		risen := false
+		for i, c := range before {
+			risen = risen || w.env.cells[i].lv > c.lv
 		}
+		if !risen {
+			w.fl.pop(before)
+			return
+		}
+		w.leave(before)
+		w.fl.Findings = w.fl.Findings[:mark]
 	}
-	w.mute--
-	round()
 }
 
 func (w *walker) stmts(list []forcelang.Stmt, ctx uniformity) {
@@ -538,27 +586,21 @@ func (w *walker) header(v *forcelang.Symbol, from, to, step forcelang.Expr, line
 	lr, sok := loopRange{v: v, step: 1}, true
 	if step != nil {
 		w.faultsExpr(step, ctx)
-		if lr.step, sok = constant[int64](step, w.consts); sok && lr.step == 0 {
+		if lr.step, sok = constant[int64](step, &w.env); sok && lr.step == 0 {
 			w.fault(line, ctx, step, &forcert.Err{Kind: forcert.ZeroStep})
 		}
 	}
-	lo, lok := constant[int64](from, w.consts)
-	hi, hok := constant[int64](to, w.consts)
+	lo, lok := constant[int64](from, &w.env)
+	hi, hok := constant[int64](to, &w.env)
 	lr.lo, lr.hi, lr.constOK = lo, hi, lok && hok && sok && lr.step != 0
 	return lr
 }
 
-// scope runs body, a construct's walk, and restores the environments it
-// was entered with, joined with (levels) and intersected with (constants)
-// what the body left.
-func (w *walker) scope(body func()) {
-	pre, preConsts := clone(w.env), clone(w.consts)
-	body()
-	joinInto(w.env, pre)
-	intersectConsts(w.consts, preConsts)
-}
+// stmtVisited sees every statement the walk visits (the walk-count test).
+var stmtVisited = func(forcelang.Stmt) {}
 
 func (w *walker) stmt(st forcelang.Stmt, ctx uniformity) {
+	stmtVisited(st)
 	switch st.(type) {
 	case *forcelang.SeqDo, *forcelang.WhileDo, *forcelang.ParDo, *forcelang.BarrierStmt, *forcelang.PcaseStmt, *forcelang.AskforStmt:
 		first := w.first // a body that may not run, or runs in one process
@@ -578,98 +620,96 @@ func (w *walker) stmt(st forcelang.Stmt, ctx uniformity) {
 		if !w.everyIteration(t.Cond) || w.exprLevel(t.Cond) == varying {
 			w.first = firstIter{}
 		}
-		envT, constT := clone(w.env), clone(w.consts)
+		pre := w.save()
 		w.stmts(t.Then, cl)
-		envT, w.env = w.env, envT
-		constT, w.consts = w.consts, constT
+		then := w.save()
+		copy(w.env.cells, pre)
 		w.stmts(t.Else, cl)
-		joinInto(w.env, envT)
-		intersectConsts(w.consts, constT)
+		w.leave(then)
+		w.fl.pop(pre)
 		w.first = first
 	case *forcelang.SeqDo:
 		lr := w.header(t.VarSym, t.From, t.To, t.Step, t.Pos(), ctx)
 		blv := w.exprLevel(t.From).join(w.exprLevel(t.To)).join(w.exprLevel(t.Step)) // a nil Step is Uniform
-		w.scope(func() {
-			w.env[t.VarSym] = blv.join(ctx)
-			delete(w.consts, t.VarSym)
-			w.loops = append(w.loops, lr)
-			w.fixpoint(t.Body, ctx.join(blv), nil)
-			w.loops = w.loops[:len(w.loops)-1]
-		})
+		pre := w.save()
+		w.bind(t.VarSym, blv.join(ctx))
+		w.fl.loops = append(w.fl.loops, lr)
+		w.fixpoint(t.Body, ctx.join(blv), nil)
+		w.fl.loops = w.fl.loops[:len(w.fl.loops)-1]
+		w.leave(pre)
 	case *forcelang.WhileDo:
-		w.scope(func() {
-			w.faultsExpr(t.Cond, ctx)
-			w.fixpoint(t.Body, ctx, t.Cond)
-		})
+		pre := w.save()
+		w.faultsExpr(t.Cond, ctx)
+		w.fixpoint(t.Body, ctx, t.Cond)
+		w.leave(pre)
 	case *forcelang.ParDo:
-		w.collective(ctx, t.Pos(), t.Sched.String()+" DO")
+		if ctx == varying { // spelled only when recorded
+			w.collective(ctx, t.Pos(), t.Sched.String()+" DO")
+		}
 		outer := w.header(t.VarSym, t.From, t.To, t.Step, t.Pos(), ctx)
-		w.scope(func() {
-			n := len(w.loops)
-			w.env[t.VarSym] = varying
-			delete(w.consts, t.VarSym)
-			w.loops = append(w.loops, outer)
-			first, runs := firstIter{outer: t.VarSym}, outer.runs()
-			if in := t.Inner; in != nil {
-				inner := w.header(in.VarSym, in.From, in.To, in.Step, t.Pos(), ctx)
-				w.env[in.VarSym] = varying
-				delete(w.consts, in.VarSym)
-				w.loops = append(w.loops, inner)
-				first.inner, runs = in.VarSym, runs && inner.runs()
-			}
-			if ctx != varying && runs {
-				first.sum = w.fl.footprint(t.Body)
-				w.first = first
-			}
-			w.enter(t)
-			w.depth++
-			w.fixpoint(t.Body, varying, nil)
-			w.depth--
-			w.loops = w.loops[:n]
-		})
+		pre, n := w.save(), len(w.fl.loops)
+		w.bind(t.VarSym, varying)
+		w.fl.loops = append(w.fl.loops, outer)
+		first, runs := firstIter{outer: t.VarSym}, outer.runs()
+		if in := t.Inner; in != nil {
+			inner := w.header(in.VarSym, in.From, in.To, in.Step, t.Pos(), ctx)
+			w.bind(in.VarSym, varying)
+			w.fl.loops = append(w.fl.loops, inner)
+			first.inner, runs = in.VarSym, runs && inner.runs()
+		}
+		// The footprint is kept for the planner and forcevet in any case.
+		if first.sum = w.fl.footprint(t.Body); ctx != varying && runs {
+			w.first = first
+		}
+		w.enter(t)
+		w.depth++
+		w.fixpoint(t.Body, varying, nil)
+		w.depth--
+		w.fl.loops = w.fl.loops[:n]
+		w.leave(pre)
 		// The loop variable's final value depends on the schedule.
-		w.env[t.VarSym] = varying
+		w.env.at(t.VarSym).lv = varying
 	case *forcelang.BarrierStmt:
 		w.collective(ctx, t.Pos(), "Barrier")
 		// The section runs in exactly one process: its writes are
 		// per-process facts, and a fault in it strikes one process while
 		// the peers wait at the barrier.
-		w.scope(func() {
-			w.depth++
-			w.stmts(t.Section, varying)
-			w.depth--
-		})
+		pre := w.save()
+		w.depth++
+		w.stmts(t.Section, varying)
+		w.depth--
+		w.leave(pre)
 	case *forcelang.CriticalStmt:
 		w.depth++
 		w.stmts(t.Body, ctx)
 		w.depth--
 	case *forcelang.PcaseStmt:
 		w.collective(ctx, t.Pos(), "Pcase")
-		pre, preConsts := clone(w.env), clone(w.consts)
-		merged := clone(pre)
+		pre, merged := w.save(), w.save()
 		for _, b := range t.Blocks {
 			w.faultsExpr(b.Cond, ctx)
-			w.env, w.consts = clone(pre), clone(preConsts)
+			copy(w.env.cells, pre)
 			w.depth++
 			w.stmts(b.Body, varying)
 			w.depth--
-			joinInto(merged, w.env)
+			join(merged, w.env.cells)
 		}
-		w.env, w.consts = merged, preConsts
+		copy(w.env.cells, merged)
+		w.fl.pop(merged)
+		w.fl.pop(pre)
 		for _, b := range t.Blocks {
 			w.killWritten(b.Body)
 		}
 	case *forcelang.AskforStmt:
 		w.collective(ctx, t.Pos(), "Askfor")
 		w.faultsExpr(t.Seed, ctx)
-		w.scope(func() {
-			w.env[t.VarSym] = varying
-			delete(w.consts, t.VarSym)
-			w.depth++
-			w.fixpoint(t.Body, varying, nil)
-			w.depth--
-		})
-		w.env[t.VarSym] = varying
+		pre, _ := w.save(), w.fl.footprint(t.Body) // forcevet reads it
+		w.bind(t.VarSym, varying)
+		w.depth++
+		w.fixpoint(t.Body, varying, nil)
+		w.depth--
+		w.leave(pre)
+		w.env.at(t.VarSym).lv = varying
 	case *forcelang.PutStmt:
 		w.faultsExpr(t.Expr, ctx)
 	case *forcelang.ReduceStmt:
@@ -718,32 +758,27 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniformity) {
 		w.find(SkippedCall, t.Pos(), t.Name)
 		siteFound = true
 	}
-	if w.callPath[sub] {
+	if slices.Contains(w.fl.path, sub) {
 		// Recursion: assume every by-reference argument varies.
 		for i := range t.Args {
-			if tracked(t.Args[i].Sym) {
-				w.env[t.Args[i].Sym] = varying
-			}
-			delete(w.consts, t.Args[i].Sym)
+			w.bind(t.Args[i].Sym, varying)
 		}
 		return
 	}
-	cw := newWalker(w.fl, sub)
+	cw := newWalker(w.fl, sub.Scope, sub)
 	cw.mute = w.mute
 	if siteFound {
 		// The call-site finding covers every collective in the callee;
 		// walk it only for the levels.
 		cw.mute++
 	}
-	for k := range w.callPath {
-		cw.callPath[k] = true
-	}
-	cw.callPath[sub] = true
 	params := sub.Scope.Params()
 	for i, p := range params {
-		cw.env[p] = w.refLevel(&t.Args[i])
+		cw.env.at(p).lv = w.refLevel(&t.Args[i])
 	}
+	w.fl.path = append(w.fl.path, sub)
 	cw.stmts(sub.Body, ctx)
+	w.fl.path = w.fl.path[:len(w.fl.path)-1]
 	// Copy by-reference results back: an argument the callee may write (its
 	// footprint, nested calls included) joins the parameter's level at the
 	// callee's exit, an element argument with its subscripts' levels too, as
@@ -754,15 +789,15 @@ func (w *walker) call(t *forcelang.CallStmt, ctx uniformity) {
 		if !written.Written(p) {
 			continue
 		}
-		delete(w.consts, arg.Sym)
-		if tracked(arg.Sym) {
-			lv := cw.env[p]
+		if c := w.env.at(arg.Sym); c != nil {
+			lv := cw.env.at(p).lv
 			for _, s := range arg.Subs {
 				lv = lv.join(w.exprLevel(s))
 			}
-			w.env[arg.Sym] = w.env[arg.Sym].join(lv)
+			c.lv, c.known = c.lv.join(lv), false
 		}
 	}
+	w.fl.pop(cw.env.cells)
 }
 
 // replicatedStore records a store every process repeats: at force level of

@@ -127,3 +127,43 @@ func TestOneFlowPerProgram(t *testing.T) {
 		t.Errorf("a later run narrates\n%s\nwant\n%s", got, want)
 	}
 }
+
+// nest is a DO over a Presched DO over an IF whose levels rise once at
+// each loop level: Y is reset to 0 before the DOALL and varies in its body,
+// X varies after it.
+const nest = `Force NEST of NP ident ME
+Shared Integer A(8)
+Private Integer R, I, X, Y
+End Declarations
+X = 0
+DO R = 1, 4
+  Y = 0
+  Presched DO I = 1, 8
+    IF (X .EQ. 0) THEN
+      Y = I
+      A(I) = Y
+    End IF
+  End Presched DO
+  X = ME
+End DO
+Join
+`
+
+// TestOneWalkPerStableRound: a loop body is walked once per fixpoint
+// round, the round that does not rise recording the findings, with no
+// further round on the stable levels.  Each loop of nest takes two rounds
+// every time it is walked, so the innermost statements are visited 2 × 2
+// times (a recording round more per level would make it 3 × 3).
+func TestOneWalkPerStableRound(t *testing.T) {
+	prog := forcelang.MustParse(nest)
+	visits := map[forcelang.Stmt]int{}
+	stop := plan.CountVisits(visits)
+	plan.Analyze(prog)
+	stop()
+	doall := prog.Body[1].(*forcelang.SeqDo).Body[1].(*forcelang.ParDo)
+	for _, st := range doall.Body[0].(*forcelang.If).Then {
+		if n := visits[st]; n != 4 {
+			t.Errorf("line %d visited %d times, want 4", st.Pos(), n)
+		}
+	}
+}

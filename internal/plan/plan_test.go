@@ -11,6 +11,7 @@ package plan
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -1094,5 +1095,33 @@ func TestOneSummaryPerBody(t *testing.T) {
 	second, _ := tg.Next(body, 14)
 	if len(read) != 2 || first.Loop.Plan.sum != read[0] || second.Loop.Plan.sum != read[1] || read[1] == nil {
 		t.Errorf("declined pair: plans stand on %p and %p, the attempt read %v", first.Loop.Plan.sum, second.Loop.Plan.sum, read)
+	}
+}
+
+// BenchmarkAnalyze is the flow analysis's committed row: analyze over every
+// script-cold program, each parsed once beforehand.  One op is one pass over
+// the whole set, a fresh Flow per program, so ns/op and allocs/op are per
+// pass.
+func BenchmarkAnalyze(b *testing.B) {
+	paths, err := filepath.Glob("../../benchmark/programs/script-cold/*.force")
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no script-cold programs found: %v", err)
+	}
+	progs := make([]*forcelang.Program, len(paths))
+	for i, path := range paths {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if progs[i], err = forcelang.Parse(string(src)); err != nil {
+			b.Fatalf("%s: %v", path, err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, prog := range progs {
+			analyze(prog)
+		}
 	}
 }
