@@ -319,20 +319,28 @@ type wordVar[T, P any] struct {
 	val   T
 }
 
-// newWord creates an empty word cell padded to one line.  A value wider
-// than the 48 bytes a line has left gets the state word's line to itself
-// and follows on its own.
+// wordHeader is the size of a word cell's state word and poison binding,
+// the value's offset when there is no padding: 16 bytes on a 64-bit
+// target, 8 on a 32-bit one.
+const wordHeader = unsafe.Offsetof(wordVar[byte, [0]byte]{}.val)
+
+// newWord creates an empty word cell padded to one line: 49 to 64 bytes,
+// which the allocator rounds to 64 and aligns to 64.  A value wider than
+// the line has left after the header gets the header's line to itself and
+// follows on its own.
 func newWord[T any]() V[T] {
 	var zero T
 	switch size := unsafe.Sizeof(zero); {
 	case size <= 16:
-		return &wordVar[T, [32]byte]{}
+		return &wordVar[T, [48 - wordHeader]byte]{}
 	case size <= 32:
-		return &wordVar[T, [16]byte]{}
+		return &wordVar[T, [32 - wordHeader]byte]{}
 	case size <= 48:
+		return &wordVar[T, [16 - wordHeader]byte]{}
+	case size <= 64-wordHeader:
 		return &wordVar[T, [0]byte]{}
 	default:
-		return &wordVar[T, [48]byte]{}
+		return &wordVar[T, [64 - wordHeader]byte]{}
 	}
 }
 

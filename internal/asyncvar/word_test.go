@@ -1,9 +1,10 @@
 package asyncvar
 
 import (
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"repro/internal/poison"
 )
@@ -11,19 +12,16 @@ import (
 const cacheLine = 64
 
 // hotSpan is the address range of a word cell's hot fields: the state
-// word through the end of the value.
+// word through the end of the value.  The padding type differs by value
+// size and by target, so the fields are found by name.
 func hotSpan[T any](t *testing.T, v V[T]) (lo, hi uintptr) {
 	t.Helper()
-	switch w := v.(type) {
-	case *wordVar[T, [32]byte]:
-		return uintptr(unsafe.Pointer(&w.state)), uintptr(unsafe.Pointer(&w.val)) + unsafe.Sizeof(w.val)
-	case *wordVar[T, [16]byte]:
-		return uintptr(unsafe.Pointer(&w.state)), uintptr(unsafe.Pointer(&w.val)) + unsafe.Sizeof(w.val)
-	case *wordVar[T, [0]byte]:
-		return uintptr(unsafe.Pointer(&w.state)), uintptr(unsafe.Pointer(&w.val)) + unsafe.Sizeof(w.val)
+	w := reflect.ValueOf(v).Elem()
+	state, val := w.FieldByName("state"), w.FieldByName("val")
+	if !strings.HasPrefix(w.Type().Name(), "wordVar[") || !state.IsValid() || !val.IsValid() {
+		t.Fatalf("%T is not a word cell", v)
 	}
-	t.Fatalf("%T is not a one-line word cell", v)
-	return 0, 0
+	return state.UnsafeAddr(), val.UnsafeAddr() + val.Type().Size()
 }
 
 // assertOwnLines fails when a cell's hot fields straddle two cache lines
@@ -134,7 +132,7 @@ func TestCrossProcessHandoffAllocatesNothing(t *testing.T) {
 // interface tells callers not to arrange) neither tears the transfer nor
 // spins unobserved: it empties the cell once the transfer lands.
 func TestVoidWaitsOutATransfer(t *testing.T) {
-	v := New[int](Word, nil).(*wordVar[int, [32]byte])
+	v := New[int](Word, nil).(*wordVar[int, [48 - wordHeader]byte])
 	v.state.Store(stBusy) // a Produce between its compare-and-swap and its store
 	done := make(chan struct{})
 	go func() { v.Void(); close(done) }()

@@ -61,6 +61,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/asyncvar"
 	"repro/internal/barrier"
@@ -132,7 +133,7 @@ type Force struct {
 type procSite struct {
 	construct atomic.Pointer[string]
 	note      atomic.Pointer[string]
-	_         [48]byte
+	_         [64 - 2*unsafe.Sizeof(atomic.Pointer[string]{})]byte
 }
 
 // Stats counts construct executions; all fields are updated atomically and
@@ -553,6 +554,15 @@ type Proc struct {
 	// was created; Force.Stats sums them over the processes.
 	stats Stats
 
+	// The padding fills the second line on a 32-bit target; it goes first,
+	// as a zero-size last field would itself be padded.
+	_ [64 - unsafe.Sizeof(procCold{})]byte
+	procCold
+}
+
+// procCold is the second line of a Proc: the fields written when the
+// process is made, and on a change of Critical name.
+type procCold struct {
 	id   int
 	f    *Force
 	site *procSite // this process's Blocked slot on the TOP-LEVEL force
@@ -911,7 +921,7 @@ func (p *Proc) Resolve(components ...Component) {
 	if a.component >= 0 {
 		// The sub-force Proc keeps this process's Blocked slot, so a
 		// stall inside the component is attributed to the right pid.
-		sub := &Proc{id: a.rank, f: plan.sub[a.component], site: p.site}
+		sub := &Proc{procCold: procCold{id: a.rank, f: plan.sub[a.component], site: p.site}}
 		components[a.component].Body(sub)
 	}
 	// Components that received no processes run after an intermediate
@@ -922,7 +932,7 @@ func (p *Proc) Resolve(components ...Component) {
 		p.f.bar.Sync(p.id, nil)
 		p.leaveSite()
 		for _, ci := range plan.leftover {
-			sub := &Proc{id: p.id, f: plan.sub[ci], site: p.site}
+			sub := &Proc{procCold: procCold{id: p.id, f: plan.sub[ci], site: p.site}}
 			components[ci].Body(sub)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/faultinject"
 	"repro/internal/poison"
@@ -222,7 +223,7 @@ type word struct {
 // paddedWord keeps one process's contribution on its own cache line.
 type paddedWord struct {
 	word
-	_ [40]byte
+	_ [64 - unsafe.Sizeof(word{})]byte
 }
 
 // closer is one of the force's two alternating closing collectives: the
