@@ -36,7 +36,7 @@ import (
 	"repro/internal/vet"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/narration.golden and testdata/vet.golden")
+var update = flag.Bool("update", false, "rewrite testdata/narration.golden, testdata/vet.golden and testdata/expand.sum")
 
 // ownedPrograms returns the source of every program the repository owns,
 // by name: each corpus program as corpus.FAMILY/NAME and every .force
