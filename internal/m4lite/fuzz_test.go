@@ -12,7 +12,7 @@ import (
 
 // FuzzExpand holds the macro processor to its contract on arbitrary input:
 // with the Force's machine-independent macro layer loaded, Expand returns
-// text or an error — runaway recursion included (maxOps, maxInput) — and
+// text or an error — runaway recursion included (maxOps, maxInput, maxWork) — and
 // never panics.  The seeds are every Force source the repository ships,
 // read at test time and taken through maclib's sed rules as the
 // preprocessor pipeline does, so they run as ordinary cases under `go
@@ -41,7 +41,7 @@ func FuzzExpand(f *testing.F) {
 		f.Fatalf("only %d shipped programs found to seed from", len(seeds))
 	}
 	f.Add("define(`x', `x y')x")
-	f.Add("changequote([,])define([a], [$#:$*:$@])a(1,(2,3),[4)")
+	f.Add("define(`a', ``$0' ifelse($1, x, `[$2]', $1, y, `{$3$9}', ``$1'')')a(x,`q')a(y, ,(2,3))a(z)")
 	f.Fuzz(func(t *testing.T, text string) {
 		p := m4lite.NewProcessor()
 		if err := p.Load(maclib.Independent); err != nil {

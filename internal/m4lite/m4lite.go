@@ -3,25 +3,26 @@
 // §4.3: "the macro processor m4 replaces the function macros with Fortran
 // code and the language extensions supporting parallel programming").
 //
-// Supported semantics, matching m4 where the Force macro layers rely on
-// it:
+// Supported semantics, matching m4 where the Force macro layers
+// (internal/maclib) rely on it, and nothing the layers do not use:
 //
-//   - user macros via define(name, body) with $0-$9, $#, $* and $@
-//     parameter substitution, expanded with rescanning (expansion text is
-//     pushed back onto the input);
+//   - user macros via define(name, body) with $0-$9 parameter
+//     substitution, expanded with rescanning (expansion text is pushed
+//     back onto the input);
 //   - bare user-macro names expand with zero arguments; argument-taking
 //     builtins are recognized only when immediately followed by ( (GNU m4
-//     behaviour, so that prose containing "define" or "index" survives);
-//     a call's arguments are themselves expanded during collection, with
-//     leading unquoted whitespace of each argument skipped;
-//   - quoting with ` and ' (changeable via changequote): quoted text is
-//     copied with one quote level stripped and is not expanded;
+//     behaviour, so that prose containing "define" survives); a call's
+//     arguments are themselves expanded during collection, with leading
+//     unquoted whitespace of each argument skipped;
+//   - quoting with ` and ': quoted text is copied with one quote level
+//     stripped and is not expanded;
 //   - # comments are copied through verbatim to end of line;
-//   - builtins: define, undefine, ifdef, ifelse (chained), eval, incr,
-//     decr, len, index, substr, shift, dnl, changequote.
+//   - builtins: define, ifelse (chained), incr, dnl.
 //
-// Omissions relative to real m4 (not needed by the Force layers, checked
-// by the tests): diversions, include, translit, defn, patsubst.
+// Omissions relative to real m4: the builtins undefine, ifdef, eval,
+// decr, len, index, substr, shift and changequote; the $#, $* and $@
+// parameters; diversions, include, translit, defn and patsubst.  A name
+// m4lite does not know passes through as text.
 package m4lite
 
 import (
@@ -30,66 +31,60 @@ import (
 	"strings"
 )
 
-// maxOps bounds total macro expansions per Expand call and maxInput bounds
-// the rescanned input size, converting runaway recursion (define(x, `x y'))
-// into an error instead of a hang.
+const (
+	lquote = '`'
+	rquote = '\''
+)
+
+// The runaway guards turn unbounded recursion into an error instead of a
+// hang.  maxOps bounds the macro calls of one Expand and maxInput the
+// rescanned input.  maxWork bounds the scan steps plus the runes pushed
+// back, so a call whose argument grows at each level (count(nope($1)))
+// stops in a fraction of a second rather than after 20 000 ever longer
+// rescans.  The largest single Expand over every shipped program under
+// every machine layer does 17 452 units of that work, 1/240 of maxWork.
 const (
 	maxOps   = 20000
 	maxInput = 1 << 22
+	maxWork  = 1 << 22
 )
 
-// Processor holds macro definitions and quote characters.  A zero
-// Processor is not usable; call NewProcessor.
+// Processor holds macro definitions.  A zero Processor is not usable;
+// call NewProcessor.
 type Processor struct {
-	user     map[string]string
-	builtins map[string]builtin
-	lquote   rune
-	rquote   rune
+	user map[string]string
 }
 
+// scanState is the input still to be scanned, in[i:].  Pushed-back text
+// is written into the consumed prefix in[:i] when it fits, so a
+// pushback costs the runes pushed, not a copy of the rest of the input.
 type scanState struct {
-	in  []rune
-	i   int
-	ops int
+	in   []rune
+	i    int
+	ops  int
+	work int
 }
 
 type builtin func(p *Processor, st *scanState, args []string) (string, error)
 
-// NewProcessor creates a processor with the default ` and ' quotes and all
-// builtins installed.
-func NewProcessor() *Processor {
-	p := &Processor{
-		user:   make(map[string]string),
-		lquote: '`',
-		rquote: '\'',
-	}
-	p.builtins = map[string]builtin{
-		"define":      biDefine,
-		"undefine":    biUndefine,
-		"ifdef":       biIfdef,
-		"ifelse":      biIfelse,
-		"eval":        biEval,
-		"incr":        biIncr,
-		"decr":        biDecr,
-		"len":         biLen,
-		"index":       biIndex,
-		"substr":      biSubstr,
-		"shift":       biShift,
-		"dnl":         biDnl,
-		"changequote": biChangequote,
-	}
-	return p
+var builtins = map[string]builtin{
+	"define": biDefine,
+	"ifelse": biIfelse,
+	"incr":   biIncr,
+	"dnl":    biDnl,
 }
 
-// Define installs a user macro, replacing any previous definition.
-func (p *Processor) Define(name, body string) { p.user[name] = body }
+// NewProcessor creates a processor with the builtins and no user macros.
+func NewProcessor() *Processor {
+	return &Processor{user: make(map[string]string)}
+}
 
 // Defined reports whether name is a user macro or a builtin.
 func (p *Processor) Defined(name string) bool {
 	if _, ok := p.user[name]; ok {
 		return true
 	}
-	_, ok := p.builtins[name]
+	_, ok := builtins[name]
 	return ok
 }
 
@@ -150,28 +145,31 @@ func (p *Processor) Expand(input string) (string, error) {
 		out.WriteString(s)
 	}
 	pushback := func(s string) {
-		if s == "" {
-			return
+		r := []rune(s)
+		st.work += len(r)
+		if len(r) > st.i {
+			// No room in the consumed prefix: move the rest up behind
+			// as much free space again as the two take.
+			rest := st.in[st.i:]
+			room := 2*len(r) + len(rest)
+			grown := make([]rune, room+len(rest))
+			copy(grown[room:], rest)
+			st.in, st.i = grown, room
 		}
-		rest := st.in[st.i:]
-		merged := make([]rune, 0, len(s)+len(rest))
-		merged = append(merged, []rune(s)...)
-		merged = append(merged, rest...)
-		st.in = merged
-		st.i = 0
+		st.i -= len(r)
+		copy(st.in[st.i:], r)
 	}
 	// invoke runs a macro (name already recognized) with args.
 	invoke := func(name string, args []string) error {
 		st.ops++
-		if st.ops > maxOps || len(st.in) > maxInput {
+		if st.ops > maxOps || len(st.in)-st.i > maxInput || st.work > maxWork {
 			return fmt.Errorf("m4lite: expansion limit exceeded (recursive macro %q?)", name)
 		}
 		if body, ok := p.user[name]; ok {
-			pushback(p.substitute(name, body, args))
+			pushback(substitute(name, body, args))
 			return nil
 		}
-		bi := p.builtins[name]
-		res, err := bi(p, st, args)
+		res, err := builtins[name](p, st, args)
 		if err != nil {
 			return err
 		}
@@ -180,10 +178,11 @@ func (p *Processor) Expand(input string) (string, error) {
 	}
 
 	for st.i < len(st.in) {
+		st.work++
 		c := st.in[st.i]
 		switch {
-		case c == p.lquote:
-			text, err := p.scanQuoted(st)
+		case c == lquote:
+			text, err := scanQuoted(st)
 			if err != nil {
 				return "", err
 			}
@@ -278,26 +277,17 @@ func (p *Processor) Expand(input string) (string, error) {
 	return out.String(), nil
 }
 
-// MustExpand is Expand panicking on error, for compiled-in inputs.
-func (p *Processor) MustExpand(input string) string {
-	out, err := p.Expand(input)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // scanQuoted consumes a quoted string starting at the left quote and
 // returns its contents with one quote level stripped.
-func (p *Processor) scanQuoted(st *scanState) (string, error) {
+func scanQuoted(st *scanState) (string, error) {
 	depth := 1
 	var sb strings.Builder
 	j := st.i + 1
 	for j < len(st.in) {
 		switch st.in[j] {
-		case p.lquote:
+		case lquote:
 			depth++
-		case p.rquote:
+		case rquote:
 			depth--
 			if depth == 0 {
 				st.i = j + 1
@@ -310,43 +300,20 @@ func (p *Processor) scanQuoted(st *scanState) (string, error) {
 	return "", fmt.Errorf("m4lite: unterminated quote")
 }
 
-// substitute expands $-parameters in a user macro body.
-func (p *Processor) substitute(name, body string, args []string) string {
+// substitute expands the $0-$9 parameters in a user macro body.
+func substitute(name, body string, args []string) string {
 	var out strings.Builder
 	r := []rune(body)
 	for i := 0; i < len(r); i++ {
-		if r[i] != '$' || i+1 >= len(r) {
+		if r[i] != '$' || i+1 >= len(r) || r[i+1] < '0' || r[i+1] > '9' {
 			out.WriteRune(r[i])
 			continue
 		}
-		next := r[i+1]
-		switch {
-		case next >= '0' && next <= '9':
-			n := int(next - '0')
-			if n == 0 {
-				out.WriteString(name)
-			} else if n <= len(args) {
-				out.WriteString(args[n-1])
-			}
-			i++
-		case next == '#':
-			out.WriteString(strconv.Itoa(len(args)))
-			i++
-		case next == '*':
-			out.WriteString(strings.Join(args, ","))
-			i++
-		case next == '@':
-			for k, a := range args {
-				if k > 0 {
-					out.WriteRune(',')
-				}
-				out.WriteRune(p.lquote)
-				out.WriteString(a)
-				out.WriteRune(p.rquote)
-			}
-			i++
-		default:
-			out.WriteRune('$')
+		i++
+		if n := int(r[i] - '0'); n == 0 {
+			out.WriteString(name)
+		} else if n <= len(args) {
+			out.WriteString(args[n-1])
 		}
 	}
 	return out.String()
@@ -391,18 +358,6 @@ func isValidName(s string) bool {
 	return s != ""
 }
 
-func biUndefine(p *Processor, _ *scanState, args []string) (string, error) {
-	delete(p.user, arg(args, 0))
-	return "", nil
-}
-
-func biIfdef(p *Processor, _ *scanState, args []string) (string, error) {
-	if _, ok := p.user[arg(args, 0)]; ok {
-		return arg(args, 1), nil
-	}
-	return arg(args, 2), nil
-}
-
 func biIfelse(_ *Processor, _ *scanState, args []string) (string, error) {
 	for {
 		switch {
@@ -420,68 +375,12 @@ func biIfelse(_ *Processor, _ *scanState, args []string) (string, error) {
 	}
 }
 
-func biEval(_ *Processor, _ *scanState, args []string) (string, error) {
-	v, err := evalExpr(arg(args, 0))
-	if err != nil {
-		return "", err
-	}
-	return strconv.FormatInt(v, 10), nil
-}
-
 func biIncr(_ *Processor, _ *scanState, args []string) (string, error) {
 	v, err := strconv.ParseInt(strings.TrimSpace(arg(args, 0)), 10, 64)
 	if err != nil {
 		return "", fmt.Errorf("m4lite: incr: %w", err)
 	}
 	return strconv.FormatInt(v+1, 10), nil
-}
-
-func biDecr(_ *Processor, _ *scanState, args []string) (string, error) {
-	v, err := strconv.ParseInt(strings.TrimSpace(arg(args, 0)), 10, 64)
-	if err != nil {
-		return "", fmt.Errorf("m4lite: decr: %w", err)
-	}
-	return strconv.FormatInt(v-1, 10), nil
-}
-
-func biLen(_ *Processor, _ *scanState, args []string) (string, error) {
-	return strconv.Itoa(len(arg(args, 0))), nil
-}
-
-func biIndex(_ *Processor, _ *scanState, args []string) (string, error) {
-	return strconv.Itoa(strings.Index(arg(args, 0), arg(args, 1))), nil
-}
-
-func biSubstr(_ *Processor, _ *scanState, args []string) (string, error) {
-	s := arg(args, 0)
-	from, err := strconv.Atoi(strings.TrimSpace(arg(args, 1)))
-	if err != nil {
-		return "", fmt.Errorf("m4lite: substr: %w", err)
-	}
-	if from < 0 || from > len(s) {
-		return "", nil
-	}
-	rest := s[from:]
-	if lenArg := strings.TrimSpace(arg(args, 2)); lenArg != "" {
-		n, err := strconv.Atoi(lenArg)
-		if err != nil {
-			return "", fmt.Errorf("m4lite: substr: %w", err)
-		}
-		if n < 0 {
-			n = 0
-		}
-		if n < len(rest) {
-			rest = rest[:n]
-		}
-	}
-	return rest, nil
-}
-
-func biShift(_ *Processor, _ *scanState, args []string) (string, error) {
-	if len(args) <= 1 {
-		return "", nil
-	}
-	return strings.Join(args[1:], ","), nil
 }
 
 // biDnl deletes input through the next newline, inclusive.
@@ -493,21 +392,5 @@ func biDnl(_ *Processor, st *scanState, _ []string) (string, error) {
 		}
 		st.i++
 	}
-	return "", nil
-}
-
-func biChangequote(p *Processor, _ *scanState, args []string) (string, error) {
-	l, r := arg(args, 0), arg(args, 1)
-	if l == "" {
-		l, r = "`", "'"
-	}
-	if r == "" {
-		r = "'"
-	}
-	lr, rr := []rune(l), []rune(r)
-	if len(lr) != 1 || len(rr) != 1 {
-		return "", fmt.Errorf("m4lite: changequote requires single-character quotes")
-	}
-	p.lquote, p.rquote = lr[0], rr[0]
 	return "", nil
 }

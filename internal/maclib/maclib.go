@@ -78,9 +78,10 @@ s/^ *Gor +([A-Za-z][A-Za-z0-9_()]*) *= *(.*)$/greduce(OR,\1,` + "`\\2'" + `)/i
 // macro expands to Fortran-shaped text plus calls to the low-level
 // machine-dependent macros (lock, unlock, force_environment, *_decl),
 // which a machine layer may further rewrite.  It uses the utility-macro
-// facilities the paper describes: storing and retrieving definitions
-// (the critical-section name, the Pcase block counter) and argument
-// manipulation (shift for subroutine argument lists).
+// facilities the paper describes through four m4 builtins: define to
+// store and retrieve definitions (the critical-section name, the Pcase
+// block counter), incr to advance the counter, ifelse to close the
+// previous Pcase block, and dnl to end each definition.
 const Independent = "" +
 	// --- program structure -------------------------------------------
 	"define(`force_main', `C Force main program $1, NPROC=$2, ident $3\n" +

@@ -31,8 +31,8 @@ func TestRangeCount(t *testing.T) {
 		{Seq(7), 7},
 		{Seq(0), 0},
 		// Ranges spanning more than MaxInt, at both ends of INTEGER.
-		{Range{-9000000000000000000, 9000000000000000000, 1000000000000000000}, 19},
-		{Range{9000000000000000000, -9000000000000000000, -1000000000000000000}, 19},
+		{Range{math.MinInt / 10 * 9, math.MaxInt / 10 * 9, math.MaxInt / 10}, 19},
+		{Range{math.MaxInt / 10 * 9, math.MinInt / 10 * 9, -(math.MaxInt / 10)}, 19},
 		{Range{math.MinInt, math.MaxInt, math.MaxInt}, 3},
 		{Range{math.MaxInt, math.MinInt, math.MinInt}, 2},
 		{Range{math.MinInt, math.MaxInt, 1}, math.MaxInt},

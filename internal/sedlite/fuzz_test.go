@@ -12,8 +12,8 @@ import (
 
 // FuzzExpand holds the stream editor to its contract on arbitrary input:
 // the Force's own rule set (maclib.SedRules, the first preprocessor pass)
-// edits any text without panicking, line structure intact — a rule deletes
-// a line or rewrites it, it never adds one.  The seeds are every Force
+// edits any text without panicking, line structure intact — a rule
+// rewrites a line, it never deletes or adds one.  The seeds are every Force
 // source the repository ships, read at test time, so they run as ordinary
 // cases under `go test` and a new example is a new seed; `go test -fuzz
 // FuzzExpand` mutates from there (CI runs it for ten seconds).  A finding
@@ -40,7 +40,7 @@ func FuzzExpand(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		out := rules.Apply(text)
-		if in, got := strings.Count(text, "\n"), strings.Count(out, "\n"); got > in {
+		if in, got := strings.Count(text, "\n"), strings.Count(out, "\n"); got != in {
 			t.Fatalf("%d lines in, %d lines out", in, got)
 		}
 	})

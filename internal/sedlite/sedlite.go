@@ -3,48 +3,39 @@
 // stream editor sed translates the Force syntax into parameterized
 // function macros").
 //
-// A Script is an ordered list of commands applied to every input line:
+// A Script is an ordered list of substitute commands applied to every
+// input line:
 //
-//	s<del>pattern<del>replacement<del>[flags]   substitute
-//	<del>pattern<del>d                          delete matching lines
+//	s<del>pattern<del>replacement<del>[i]
 //
 // where <del> is any punctuation delimiter (conventionally /).  Patterns
 // are Go regular expressions; replacements use sed-style \1..\9 group
-// references (translated internally to Go's ${n}) and & for the whole
-// match.  Flags: g (replace all occurrences), i (case-insensitive match).
-// Lines starting with # in a script source are comments.
+// references (translated internally to Go's ${n}), and a $ in them is
+// literal.  Each command replaces the first match; the one flag, i, makes
+// the match case-insensitive.  Lines starting with # in a script source
+// are comments.
 //
-// The subset is exactly what the Force front end needs; it is not a full
-// sed.  Deviations from POSIX sed are documented on Parse.
+// The subset is exactly what the Force rules (internal/maclib) use: no d
+// command, no g flag and no & for the whole match.  Deviations from POSIX
+// sed are documented on Parse.
 package sedlite
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"regexp"
 	"strings"
 )
 
-// Command is one compiled script command.
+// Command is one compiled substitute command.
 type Command struct {
 	pattern *regexp.Regexp
 	replace string
-	global  bool
-	delete  bool
-	src     string
 }
-
-// String returns the command's source text.
-func (c Command) String() string { return c.src }
 
 // Script is a compiled, ordered command list.
 type Script struct {
 	cmds []Command
 }
-
-// Commands returns the number of commands in the script.
-func (s *Script) Commands() int { return len(s.cmds) }
 
 // Parse compiles a script: one command per line, blank lines and #-comment
 // lines ignored.  Unlike POSIX sed there are no addresses, hold space, or
@@ -56,7 +47,7 @@ func Parse(src string) (*Script, error) {
 		if trimmed == "" || strings.HasPrefix(trimmed, "#") {
 			continue
 		}
-		cmd, err := parseCommand(trimmed)
+		cmd, err := parseSubst(trimmed)
 		if err != nil {
 			return nil, fmt.Errorf("sedlite: line %d: %w", ln+1, err)
 		}
@@ -72,20 +63,6 @@ func MustParse(src string) *Script {
 		panic(err)
 	}
 	return s
-}
-
-func parseCommand(line string) (Command, error) {
-	if strings.HasPrefix(line, "s") && len(line) > 1 && isDelim(rune(line[1])) {
-		return parseSubst(line)
-	}
-	if isDelim(rune(line[0])) {
-		return parseDelete(line)
-	}
-	return Command{}, fmt.Errorf("unrecognized command %q", line)
-}
-
-func isDelim(r rune) bool {
-	return strings.ContainsRune("/|#!,;:%", r) && r != '\\'
 }
 
 // splitFields splits body into fields separated by unescaped occurrences
@@ -112,47 +89,30 @@ func splitFields(body string, del byte) []string {
 }
 
 func parseSubst(line string) (Command, error) {
+	if len(line) < 2 || line[0] != 's' || !strings.ContainsRune("/|#!,;:%", rune(line[1])) {
+		return Command{}, fmt.Errorf("unrecognized command %q", line)
+	}
 	del := line[1]
 	fields := splitFields(line[2:], del)
 	if len(fields) != 3 {
 		return Command{}, fmt.Errorf("substitute needs s%cpat%crepl%c[flags], got %q", del, del, del, line)
 	}
 	pat, repl, flags := fields[0], fields[1], fields[2]
-	cmd := Command{src: line}
 	for _, f := range flags {
-		switch f {
-		case 'g':
-			cmd.global = true
-		case 'i':
-			pat = "(?i)" + pat
-		default:
+		if f != 'i' {
 			return Command{}, fmt.Errorf("unknown flag %q in %q", string(f), line)
 		}
+		pat = "(?i)" + pat
 	}
 	re, err := regexp.Compile(pat)
 	if err != nil {
 		return Command{}, fmt.Errorf("pattern %q: %w", pat, err)
 	}
-	cmd.pattern = re
-	cmd.replace = translateReplacement(repl)
-	return cmd, nil
+	return Command{pattern: re, replace: translateReplacement(repl)}, nil
 }
 
-func parseDelete(line string) (Command, error) {
-	del := line[0]
-	fields := splitFields(line[1:], del)
-	if len(fields) != 2 || fields[1] != "d" {
-		return Command{}, fmt.Errorf("delete needs %cpattern%cd, got %q", del, del, line)
-	}
-	re, err := regexp.Compile(fields[0])
-	if err != nil {
-		return Command{}, fmt.Errorf("pattern %q: %w", fields[0], err)
-	}
-	return Command{pattern: re, delete: true, src: line}, nil
-}
-
-// translateReplacement converts sed-style \1..\9 and & references to Go's
-// ${n} / ${0}, and protects literal $ from Go's expander.
+// translateReplacement converts sed-style \1..\9 references to Go's ${n}
+// and protects literal $ from Go's expander.
 func translateReplacement(repl string) string {
 	var out strings.Builder
 	for i := 0; i < len(repl); i++ {
@@ -161,14 +121,9 @@ func translateReplacement(repl string) string {
 		case c == '\\' && i+1 < len(repl) && repl[i+1] >= '1' && repl[i+1] <= '9':
 			fmt.Fprintf(&out, "${%c}", repl[i+1])
 			i++
-		case c == '\\' && i+1 < len(repl) && repl[i+1] == '&':
-			out.WriteByte('&')
-			i++
 		case c == '\\' && i+1 < len(repl) && repl[i+1] == '\\':
 			out.WriteByte('\\')
 			i++
-		case c == '&':
-			out.WriteString("${0}")
 		case c == '$':
 			out.WriteString("$$")
 		default:
@@ -178,19 +133,10 @@ func translateReplacement(repl string) string {
 	return out.String()
 }
 
-// ApplyLine runs the script over one line.  The second result is false
-// when a delete command removed the line.
-func (s *Script) ApplyLine(line string) (string, bool) {
+// ApplyLine runs the script over one line.
+func (s *Script) ApplyLine(line string) string {
 	for _, c := range s.cmds {
-		if c.delete {
-			if c.pattern.MatchString(line) {
-				return "", false
-			}
-			continue
-		}
-		if c.global {
-			line = c.pattern.ReplaceAllString(line, c.replace)
-		} else if loc := c.pattern.FindStringSubmatchIndex(line); loc != nil {
+		if loc := c.pattern.FindStringSubmatchIndex(line); loc != nil {
 			buf := make([]byte, 0, len(line))
 			buf = append(buf, line[:loc[0]]...)
 			buf = c.pattern.ExpandString(buf, c.replace, line, loc)
@@ -198,7 +144,7 @@ func (s *Script) ApplyLine(line string) (string, bool) {
 			line = string(buf)
 		}
 	}
-	return line, true
+	return line
 }
 
 // Apply runs the script over a whole text, line by line, preserving the
@@ -211,11 +157,7 @@ func (s *Script) Apply(text string) string {
 		lines = lines[:len(lines)-1]
 	}
 	for _, line := range lines {
-		res, keep := s.ApplyLine(line)
-		if !keep {
-			continue
-		}
-		out.WriteString(res)
+		out.WriteString(s.ApplyLine(line))
 		out.WriteByte('\n')
 	}
 	result := out.String()
@@ -223,27 +165,4 @@ func (s *Script) Apply(text string) string {
 		result = strings.TrimSuffix(result, "\n")
 	}
 	return result
-}
-
-// Run streams r through the script to w.
-func (s *Script) Run(r io.Reader, w io.Writer) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	bw := bufio.NewWriter(w)
-	for sc.Scan() {
-		line, keep := s.ApplyLine(sc.Text())
-		if !keep {
-			continue
-		}
-		if _, err := bw.WriteString(line); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return bw.Flush()
 }
